@@ -1,13 +1,12 @@
-//! Kernel dispatch microbench: portable vs SIMD GFLOP/s for the dense
-//! panel kernels (`gemm_sub`, `trsm_lower_unit`, `trsm_upper`) at
+//! Kernel dispatch microbench: GFLOP/s of the dense panel kernels
+//! (`gemm_sub`, `trsm_lower_unit`, `trsm_upper`, `lu_panel`) at
 //! supernode-typical panel shapes (DESIGN.md §5.2).
 //!
-//! Every [`Dispatch`] table compiled into this binary is measured:
-//! `portable` always; with `--features simd` also `simd-chunked` and (when
-//! the host CPU has AVX2) `simd-avx2`. Before timing, each table's output
-//! is checked **bitwise** against the portable kernel on every shape — the
-//! dispatch layer's equivalence contract, enforced here one more time on
-//! the exact buffers being timed.
+//! Every instantiation the host CPU supports ([`Dispatch::available`]) is
+//! measured: `baseline` always, `avx2` and `avx512f` when detected. Before
+//! timing, each one's output is checked **bitwise** against the baseline on
+//! every shape — the dispatch layer's equivalence contract, enforced here
+//! one more time on the exact buffers being timed.
 //!
 //! Writes `BENCH_kernels.json` (one record per kernel × op × shape),
 //! self-validated against [`json::validate_bench_kernels`] before the file
@@ -15,11 +14,11 @@
 //! can smoke-test the binary and schema quickly.
 //!
 //! ```text
-//! cargo run --release -p splu-bench --features simd --bin kernels
+//! cargo run --release -p splu-bench --bin kernels
 //! ```
 
 use splu_bench::{json, min_time};
-use splu_dense::{DenseMat, Dispatch, KernelChoice};
+use splu_dense::{DenseMat, Dispatch, PanelBreakdown, PanelOutcome, PivotRule};
 use std::fmt::Write as _;
 
 /// `(m, k, n)` for `C[m×n] ← C − A[m×k]·B[k×n]`: tall panels times small
@@ -51,20 +50,9 @@ fn mat(r: usize, c: usize, seed: u64) -> DenseMat {
     })
 }
 
-/// Every kernel table compiled into this binary, portable first.
-fn tables() -> Vec<Dispatch> {
-    #[allow(unused_mut)]
-    let mut v = vec![Dispatch::portable()];
-    #[cfg(feature = "simd")]
-    {
-        v.push(splu_dense::kernels::simd::chunked_dispatch());
-        let best = splu_dense::kernels::simd::best_dispatch();
-        if v.iter().all(|d| d.name() != best.name()) {
-            v.push(best);
-        }
-    }
-    v
-}
+/// `(m, w)` for the panel LU: stacked supernode panels, tall and narrow up
+/// to the near-square root panel.
+const PANEL_SHAPES: &[(usize, usize)] = &[(64, 16), (384, 48), (640, 128), (232, 232), (101, 17)];
 
 /// Iteration count so each timed repetition does about `target` flops
 /// (keeps tiny shapes out of timer-resolution noise).
@@ -99,20 +87,16 @@ fn main() {
     // per-call clone/reset is amortized and the timer quantization is
     // irrelevant.
     let target = if reduced { 2.0e6 } else { 5.0e7 };
-    let tables = tables();
+    let tables = Dispatch::available();
     println!(
-        "kernel tables: {} (simd compiled: {})",
+        "kernel instantiations: {}",
         tables
             .iter()
             .map(Dispatch::name)
             .collect::<Vec<_>>()
-            .join(", "),
-        Dispatch::simd_compiled()
+            .join(", ")
     );
-    assert_eq!(
-        tables[0].name(),
-        Dispatch::resolve(KernelChoice::Portable).name()
-    );
+    assert_eq!(tables[0], Dispatch::portable());
 
     let mut rows: Vec<Row> = Vec::new();
 
@@ -130,7 +114,7 @@ fn main() {
             assert_eq!(
                 c.data(),
                 reference.data(),
-                "{}: gemm_sub differs from portable at {m}x{k}x{n}",
+                "{}: gemm_sub differs from baseline at {m}x{k}x{n}",
                 d.name()
             );
         }
@@ -172,7 +156,7 @@ fn main() {
                 assert_eq!(
                     x.data(),
                     reference.data(),
-                    "{}: {op} differs from portable at {n}x{rhs}",
+                    "{}: {op} differs from baseline at {n}x{rhs}",
                     d.name()
                 );
             }
@@ -194,13 +178,48 @@ fn main() {
         }
     }
 
-    // Console table: one line per op × shape, kernels side by side with the
-    // speedup of the best non-portable table over portable.
+    // Panel LU with partial pivoting (flops: m·w² − w³/3).
+    for &(m, w) in PANEL_SHAPES {
+        let p0 = mat(m, w, 7);
+        let factor = |d: &Dispatch, p: &mut DenseMat, out: &mut PanelOutcome| {
+            d.lu_panel_into(p, PivotRule::Partial, 0.0, PanelBreakdown::Error, None, out)
+                .expect("random panels are nonsingular");
+        };
+        let (mut reference, mut ref_out) = (p0.clone(), PanelOutcome::default());
+        factor(&tables[0], &mut reference, &mut ref_out);
+        for d in &tables[1..] {
+            let (mut p, mut out) = (p0.clone(), PanelOutcome::default());
+            factor(d, &mut p, &mut out);
+            assert!(
+                p.data() == reference.data() && out == ref_out,
+                "{}: lu_panel differs from baseline at {m}x{w}",
+                d.name()
+            );
+        }
+        let (rows_f, w_f) = (m as f64, w as f64);
+        let flops = rows_f * w_f * w_f - w_f * w_f * w_f / 3.0;
+        for d in &tables {
+            let (mut p, mut out) = (p0.clone(), PanelOutcome::default());
+            let (seconds, gflops) = measure(flops, target, || {
+                p.data_mut().copy_from_slice(p0.data());
+                factor(d, &mut p, &mut out);
+            });
+            rows.push(Row {
+                op: "lu_panel",
+                shape: format!("{m}x{w}"),
+                kernel: d.name(),
+                gflops,
+                seconds,
+            });
+        }
+    }
+
+    // Console table: one line per op × shape, instantiations side by side
+    // with their speedup over the baseline.
     println!(
         "\n{:<16} {:>12} {:>10} {:>12} {:>8}",
         "op", "shape", "kernel", "GFLOP/s", "vs base"
     );
-    let mut wins = 0usize;
     for (op, shape) in rows
         .iter()
         .map(|r| (r.op, r.shape.clone()))
@@ -212,8 +231,8 @@ fn main() {
             .collect();
         let base = group
             .iter()
-            .find(|r| r.kernel == "portable")
-            .expect("portable row always present")
+            .find(|r| r.kernel == "baseline")
+            .expect("baseline row always present")
             .gflops;
         for r in &group {
             println!(
@@ -224,13 +243,7 @@ fn main() {
                 r.gflops,
                 r.gflops / base
             );
-            if r.op == "gemm_sub" && r.kernel != "portable" && r.gflops > base {
-                wins += 1;
-            }
         }
-    }
-    if Dispatch::simd_compiled() {
-        println!("\nSIMD gemm_sub wins over portable: {wins} kernel×shape cells");
     }
 
     let mut body = String::new();

@@ -34,8 +34,8 @@
 
 use splu_bench::{calibrated_model, prepare_suite, Prepared, REPS};
 use splu_core::{
-    estimate_task_costs, factor_numeric_with, factor_task, update_task_with, BlockMatrix, Dispatch,
-    KernelChoice, NumericRequest,
+    estimate_task_costs, factor_numeric_with, factor_task_with_policy, update_task_with,
+    BlockMatrix, Dispatch, KernelChoice, NumericRequest, PanelBreakdown, PivotRule,
 };
 use splu_sched::{execute_fifo, simulate_dynamic, Mapping, ReadyPolicy, Task};
 use std::fmt::Write as _;
@@ -85,7 +85,16 @@ fn time_fifo(p: &Prepared, threads: usize) -> f64 {
         bm.reset_from(&p.permuted, &p.sym.block_structure);
         execute_fifo(&p.eforest, threads, Mapping::Dynamic, |task| match task {
             Task::Factor(k) => {
-                factor_task(&bm, k, 0.0).expect("factorization succeeds");
+                factor_task_with_policy(
+                    &bm,
+                    k,
+                    PivotRule::Partial,
+                    0.0,
+                    PanelBreakdown::Error,
+                    None,
+                    &kernels,
+                )
+                .expect("factorization succeeds");
             }
             Task::Update { src, dst } => update_task_with(&bm, src, dst, &kernels),
         });

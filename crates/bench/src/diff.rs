@@ -496,7 +496,7 @@ mod tests {
     fn kernel_throughput_direction_is_inverted() {
         let mk = |gflops: f64| {
             parse(&format!(
-                r#"[{{"op": "gemm_sub", "shape": "64x16x16", "kernel": "portable",
+                r#"[{{"op": "gemm_sub", "shape": "64x16x16", "kernel": "baseline",
                      "gflops": {gflops}, "seconds_per_call": 1e-5}}]"#
             ))
             .unwrap()

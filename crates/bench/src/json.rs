@@ -508,19 +508,26 @@ pub fn validate_run_report(doc: &Json) -> Result<usize, String> {
 }
 
 /// Validates `BENCH_kernels.json`: an array of records, one per
-/// kernel × op × panel shape, each carrying the op name (one of the three
-/// dispatched kernels), the shape label, the kernel implementation name
-/// and a strictly positive throughput plus per-call time.
+/// kernel × op × panel shape, each carrying the op name (one of the four
+/// dispatched kernels), the shape label, the kernel instantiation name
+/// (`baseline`, `avx2` or `avx512f`) and a strictly positive throughput
+/// plus per-call time.
 pub fn validate_bench_kernels(doc: &Json) -> Result<usize, String> {
     let records = doc.as_arr().ok_or("BENCH_kernels.json: not an array")?;
     for (i, r) in records.iter().enumerate() {
         let ctx = format!("record[{i}]");
         let op = require_str(r, "op", &ctx)?;
-        if !matches!(op, "gemm_sub" | "trsm_lower_unit" | "trsm_upper") {
+        if !matches!(
+            op,
+            "gemm_sub" | "trsm_lower_unit" | "trsm_upper" | "lu_panel"
+        ) {
             return Err(format!("{ctx}: bad op {op:?}"));
         }
         require_str(r, "shape", &ctx)?;
-        require_str(r, "kernel", &ctx)?;
+        let kernel = require_str(r, "kernel", &ctx)?;
+        if !matches!(kernel, "baseline" | "avx2" | "avx512f") {
+            return Err(format!("{ctx}: bad kernel {kernel:?}"));
+        }
         let gflops = require_num(r, "gflops", &ctx)?;
         let secs = require_num(r, "seconds_per_call", &ctx)?;
         // NaN must fail too, so test for the valid range directly.
@@ -742,13 +749,15 @@ mod tests {
 
     #[test]
     fn kernels_validator_rejects_bad_records() {
-        let good = r#"[{"op": "gemm_sub", "shape": "64x16x16", "kernel": "portable",
+        let good = r#"[{"op": "gemm_sub", "shape": "64x16x16", "kernel": "baseline",
                         "gflops": 5.2, "seconds_per_call": 1e-6}]"#;
         assert_eq!(validate_bench_kernels(&parse(good).unwrap()), Ok(1));
         for bad in [
-            r#"[{"op": "gemm", "shape": "s", "kernel": "portable", "gflops": 1.0,
+            r#"[{"op": "gemm", "shape": "s", "kernel": "baseline", "gflops": 1.0,
                  "seconds_per_call": 1e-6}]"#,
-            r#"[{"op": "gemm_sub", "shape": "s", "kernel": "portable", "gflops": 0.0,
+            r#"[{"op": "gemm_sub", "shape": "s", "kernel": "simd-chunked", "gflops": 1.0,
+                 "seconds_per_call": 1e-6}]"#,
+            r#"[{"op": "gemm_sub", "shape": "s", "kernel": "baseline", "gflops": 0.0,
                  "seconds_per_call": 1e-6}]"#,
             r#"[{"op": "gemm_sub", "shape": "s", "gflops": 1.0, "seconds_per_call": 1e-6}]"#,
         ] {

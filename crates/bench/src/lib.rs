@@ -7,9 +7,7 @@
 pub mod diff;
 pub mod json;
 
-use splu_core::{
-    analyze, estimate_task_costs, KernelChoice, NumericRequest, Options, SymbolicLu, TaskGraphKind,
-};
+use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu, TaskGraphKind};
 use splu_matgen::{paper_suite, BenchMatrix, Scale};
 use splu_sched::{simulate, CostModel, Mapping, TaskGraph};
 use splu_sparse::CscMatrix;
@@ -86,21 +84,8 @@ pub fn prepare_suite() -> Vec<Prepared> {
 /// paper's Table 2 also times the numerical phase only); each repetition
 /// re-scatters the values and factors in place.
 pub fn time_factor(p: &Prepared, graph: &TaskGraph, threads: usize) -> Duration {
-    time_factor_with(p, graph, threads, KernelChoice::Portable)
-}
-
-/// [`time_factor`] with an explicit kernel selection (the `kernels`
-/// microbench and scaling harness time portable vs. SIMD through this).
-pub fn time_factor_with(
-    p: &Prepared,
-    graph: &TaskGraph,
-    threads: usize,
-    kernels: KernelChoice,
-) -> Duration {
     let mut bm = splu_core::BlockMatrix::assemble(&p.permuted, &p.sym.block_structure);
-    let req = NumericRequest::coarse(graph, Mapping::Static1D)
-        .threads(threads)
-        .kernels(kernels);
+    let req = NumericRequest::coarse(graph, Mapping::Static1D).threads(threads);
     min_time(|| {
         bm.reset_from(&p.permuted, &p.sym.block_structure);
         splu_core::factor_numeric_with(&bm, &req).expect("factorization succeeds");

@@ -137,10 +137,9 @@ pub struct Options {
     /// Row/column equilibration before factorization (robustness extension;
     /// the paper's benchmark matrices do not need it).
     pub equilibrate: bool,
-    /// Dense kernel selection for the numerical phase (portable scalar by
-    /// default; `Simd`/`Auto` use the explicit-width kernels when the
-    /// `simd` cargo feature is compiled in — factors are bit-identical
-    /// either way).
+    /// Dense kernel selection for the numerical phase (`Auto` by default:
+    /// the widest instantiation the CPU supports; factors are bit-identical
+    /// under every choice).
     pub kernels: KernelChoice,
     /// What to do at a column with no acceptable pivot: fail
     /// ([`BreakdownPolicy::Error`], the default) or perturb the diagonal
@@ -167,7 +166,7 @@ impl Default for Options {
             pivot_threshold: 0.0,
             pivot_rule: PivotRule::Partial,
             equilibrate: false,
-            kernels: KernelChoice::Portable,
+            kernels: KernelChoice::Auto,
             breakdown: BreakdownPolicy::Error,
             budget: RunBudget::default(),
         }

@@ -21,9 +21,7 @@
 
 use crate::blocks::BlockMatrix;
 use crate::LuError;
-use splu_dense::{
-    lu_panel_with_policy_into, Dispatch, PanelBreakdown, PanelError, PanelOutcome, PivotRule,
-};
+use splu_dense::{Dispatch, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 
 /// Flops of a panel LU over an `m × w` stacked panel, exactly the cost
@@ -54,7 +52,16 @@ pub fn factor_task_with_rule(
     rule: PivotRule,
     pivot_threshold: f64,
 ) -> Result<(), LuError> {
-    factor_task_with_policy(bm, k, rule, pivot_threshold, PanelBreakdown::Error, None).map(|_| ())
+    factor_task_with_policy(
+        bm,
+        k,
+        rule,
+        pivot_threshold,
+        PanelBreakdown::Error,
+        None,
+        &Dispatch::portable(),
+    )
+    .map(|_| ())
 }
 
 /// [`factor_task_with_rule`] under an explicit breakdown policy: with
@@ -66,7 +73,9 @@ pub fn factor_task_with_rule(
 ///
 /// Every column index this function emits — in errors and in the perturbed
 /// list — is global, mapped through [`BlockMatrix::global_col_start`], so
-/// callers never remap panel-local indices themselves.
+/// callers never remap panel-local indices themselves. `kernels` is the
+/// table the driver resolved once per factorization, as for
+/// [`update_task_with`].
 pub fn factor_task_with_policy(
     bm: &BlockMatrix,
     k: usize,
@@ -74,6 +83,7 @@ pub fn factor_task_with_policy(
     pivot_threshold: f64,
     breakdown: PanelBreakdown,
     force_breakdown_at: Option<usize>,
+    kernels: &Dispatch,
 ) -> Result<Vec<(usize, f64)>, LuError> {
     let start = bm.global_col_start(k);
     let mut col = bm.column(k).write();
@@ -88,23 +98,24 @@ pub fn factor_task_with_policy(
         pivots: col.pivots.take().unwrap_or_default(),
         perturbed: Vec::new(),
     };
-    lu_panel_with_policy_into(
-        &mut col.panel,
-        rule,
-        pivot_threshold,
-        breakdown,
-        force_local,
-        &mut out,
-    )
-    .map_err(|e| match e {
-        // Report the global column (in factorization order).
-        PanelError::Singular { column } => LuError::NumericallySingular {
-            column: start + column,
-        },
-        PanelError::NonFinite { column } => LuError::NonFinitePivot {
-            column: start + column,
-        },
-    })?;
+    kernels
+        .lu_panel_into(
+            &mut col.panel,
+            rule,
+            pivot_threshold,
+            breakdown,
+            force_local,
+            &mut out,
+        )
+        .map_err(|e| match e {
+            // Report the global column (in factorization order).
+            PanelError::Singular { column } => LuError::NumericallySingular {
+                column: start + column,
+            },
+            PanelError::NonFinite { column } => LuError::NonFinitePivot {
+                column: start + column,
+            },
+        })?;
     col.pivots = Some(out.pivots);
     Ok(out
         .perturbed

@@ -423,8 +423,8 @@ pub struct RunReport {
     pub matrix: MatrixMeta,
     /// Resolved driver options.
     pub options: Options,
-    /// Resolved dense-kernel implementation (`"portable"`, `"simd-avx2"`,
-    /// …), once the numeric phase ran.
+    /// Resolved dense-kernel instantiation (`"baseline"`, `"avx2"`,
+    /// `"avx512f"`), once the numeric phase ran.
     pub kernel: Option<String>,
     /// Per-phase wall seconds in pipeline order (phases that ran only).
     pub phases_s: Vec<(&'static str, f64)>,

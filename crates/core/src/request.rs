@@ -9,12 +9,12 @@
 //! apart — the fine-grained path, for instance, could not select a pivot
 //! rule. The request struct collapsed them, their deprecated shims have
 //! since been retired, and new parameters (like [`KernelChoice`] for the
-//! SIMD kernel layer, or the cached [`ExecSchedule`] a solver session
+//! dense kernel layer, or the cached [`ExecSchedule`] a solver session
 //! replays) become fields with defaults instead of new functions.
 //!
 //! The kernel choice resolves to one [`Dispatch`] table **once per
 //! factorization** (CPU feature probing included), and that table threads
-//! through every `Update`/`Trsm`/`Gemm` task body — all of which preserve
+//! through every `Factor`/`Update`/`Trsm`/`Gemm` task body — all of which preserve
 //! the bitwise-equivalence contract documented on
 //! [`splu_dense::gemm_sub_view`], so the factors are independent of the
 //! selected kernels.
@@ -123,7 +123,7 @@ pub struct NumericRequest<'g> {
 
 impl<'g> NumericRequest<'g> {
     /// A request over the coarse graph with the defaults: 1 thread, partial
-    /// pivoting with zero threshold, tracing off, portable kernels.
+    /// pivoting with zero threshold, tracing off, kernels picked for the CPU.
     pub fn coarse(graph: &'g TaskGraph, mapping: Mapping) -> Self {
         Self::with_graph(GraphRef::Coarse { graph, mapping })
     }
@@ -141,7 +141,7 @@ impl<'g> NumericRequest<'g> {
             pivot_rule: PivotRule::Partial,
             pivot_threshold: 0.0,
             trace: TraceConfig::off(),
-            kernels: KernelChoice::Portable,
+            kernels: KernelChoice::Auto,
             breakdown: BreakdownPolicy::Error,
             budget: RunBudget::default(),
             metrics: None,
@@ -280,6 +280,7 @@ pub fn factor_numeric_with(
             req.pivot_threshold,
             panel_policy,
             force,
+            &dispatch,
         ) {
             Ok(p) => {
                 columns_done.fetch_add(1, Ordering::Relaxed);
@@ -434,17 +435,15 @@ mod tests {
         let fg = build_fine_graph(&bs, &forest);
 
         let bm_ref = BlockMatrix::assemble(&a, &bs);
-        let report =
-            factor_numeric_with(&bm_ref, &NumericRequest::coarse(&graph, Mapping::Static1D))
-                .unwrap();
-        assert_eq!(report.stats.kernel, "portable");
+        let report = factor_numeric_with(
+            &bm_ref,
+            &NumericRequest::coarse(&graph, Mapping::Static1D).kernels(KernelChoice::Portable),
+        )
+        .unwrap();
+        assert_eq!(report.stats.kernel, "baseline");
         assert_eq!(report.stats.panel_copies, 0);
 
-        for kernels in [
-            KernelChoice::Portable,
-            KernelChoice::Simd,
-            KernelChoice::Auto,
-        ] {
+        for kernels in [KernelChoice::Portable, KernelChoice::Auto] {
             let coarse_req = NumericRequest::coarse(&graph, Mapping::Dynamic)
                 .threads(2)
                 .kernels(kernels);

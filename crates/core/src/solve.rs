@@ -209,7 +209,7 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
 /// off-diagonal eliminations) — the multi-RHS payoff of the supernodal
 /// storage.
 pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64], nrhs: usize) {
-    use splu_dense::{gemm_sub_view, trsm_lower_unit_view, trsm_upper_view, DenseMat};
+    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatRef};
     let n = bm.n();
     assert_eq!(b.len(), n * nrhs, "rhs block size mismatch");
     if n == 0 || nrhs == 0 {
@@ -217,8 +217,21 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     }
     let part = &bs.partition;
     let nb = bm.num_block_cols();
-    // X as a dense n × nrhs matrix (column-major, same layout as `b`).
+    let kernels = Dispatch::resolve(KernelChoice::Auto);
+    // X as a dense n × nrhs matrix (column-major, same layout as `b`); the
+    // kernels work on row ranges of it in place.
     let mut x = DenseMat::from_col_major(n, nrhs, b.to_vec());
+    // The one copy a step needs: X_k, which the eliminations read while
+    // they write other rows of X.
+    let max_w = (0..nb).map(|k| part.width(k)).max().unwrap_or(0);
+    let mut xk_buf = vec![0.0; max_w * nrhs];
+    fn copy_rows<'a>(x: &DenseMat, rows: std::ops::Range<usize>, buf: &'a mut [f64]) -> MatRef<'a> {
+        let (w, nrhs) = (rows.len(), x.ncols());
+        for c in 0..nrhs {
+            buf[c * w..(c + 1) * w].copy_from_slice(&x.col(c)[rows.clone()]);
+        }
+        MatRef::from_slice(&buf[..w * nrhs], w, nrhs, w)
+    }
 
     // Forward sweep.
     for k in 0..nb {
@@ -239,26 +252,13 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
             }
         }
         let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        // Extract X_k, trsm, write back.
-        let mut xk = DenseMat::from_fn(w, nrhs, |r, c| x[(k_range.start + r, c)]);
-        trsm_lower_unit_view(diag, xk.as_view_mut());
-        for c in 0..nrhs {
-            for r in 0..w {
-                x[(k_range.start + r, c)] = xk[(r, c)];
-            }
-        }
+        kernels.trsm_lower_unit(diag, x.row_range_mut(k_range.clone()));
+        let xk = copy_rows(&x, k_range, &mut xk_buf);
         // Eliminate below: X_i -= L(i, k) · X_k.
         for &ib in &stack.l_rows[1..] {
             let blk = col.block(ib).expect("L block exists");
             let i_start = part.range(ib).start;
-            let mut xi = DenseMat::from_fn(blk.nrows(), nrhs, |r, c| x[(i_start + r, c)]);
-            gemm_sub_view(xi.as_view_mut(), blk, xk.as_view());
-            for c in 0..nrhs {
-                for r in 0..blk.nrows() {
-                    x[(i_start + r, c)] = xi[(r, c)];
-                }
-            }
+            kernels.gemm_sub(x.row_range_mut(i_start..i_start + blk.nrows()), blk, xk);
         }
     }
 
@@ -266,28 +266,16 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
         let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        let k_start = part.range(k).start;
-        let mut xk = DenseMat::from_fn(w, nrhs, |r, c| x[(k_start + r, c)]);
-        trsm_upper_view(diag, xk.as_view_mut());
-        for c in 0..nrhs {
-            for r in 0..w {
-                x[(k_start + r, c)] = xk[(r, c)];
-            }
-        }
+        let k_range = part.range(k);
+        kernels.trsm_upper(diag, x.row_range_mut(k_range.clone()));
+        let xk = copy_rows(&x, k_range, &mut xk_buf);
         for (pos, &ib) in col.block_rows.iter().enumerate() {
             if ib >= k {
                 break;
             }
-            let blk = &col.ublocks[pos];
+            let blk = col.ublocks[pos].as_view();
             let i_start = part.range(ib).start;
-            let mut xi = DenseMat::from_fn(blk.nrows(), nrhs, |r, c| x[(i_start + r, c)]);
-            gemm_sub_view(xi.as_view_mut(), blk.as_view(), xk.as_view());
-            for c in 0..nrhs {
-                for r in 0..blk.nrows() {
-                    x[(i_start + r, c)] = xi[(r, c)];
-                }
-            }
+            kernels.gemm_sub(x.row_range_mut(i_start..i_start + blk.nrows()), blk, xk);
         }
     }
     b.copy_from_slice(x.data());

@@ -1,129 +1,236 @@
-//! Kernel selection: a [`KernelChoice`] names an implementation family, a
-//! [`Dispatch`] is the resolved function table the numeric phase calls
-//! through.
+//! Kernel selection: a [`KernelChoice`] names a policy, a [`Dispatch`] is
+//! the resolved instantiation the numeric phase calls through.
 //!
-//! Selection is a *parameter*, not a separate entry point: the sparse
-//! driver resolves its `KernelChoice` into one `Dispatch` per factorization
-//! and threads that table through every `Factor`/`Update` task body, so
-//! adding a kernel variant never multiplies driver functions. All variants
-//! obey the bitwise-equivalence contract documented on
-//! [`gemm_sub_view`](crate::gemm_sub_view): the factors are bit-for-bit
-//! independent of the choice.
+//! There is one kernel source ([`super::tile`] and the panel LU in
+//! `crate::lu`), generic over the register-tile height `MR`. This module
+//! compiles it once per instruction set — baseline (`MR = 4`), AVX2
+//! (`MR = 8`) and AVX-512F (`MR = 16`) on x86_64 — by inlining it into one
+//! `#[target_feature]` entry function each, and [`Dispatch::resolve`]
+//! picks the widest one the CPU reports. The sparse driver resolves once
+//! per factorization and hands the same `Dispatch` to every `Factor` and
+//! `Update` task. All instantiations run the same per-element operation
+//! sequence (see [`super::tile`]), so factors are bit-for-bit independent
+//! of the choice.
 
+use super::tile;
+use crate::lu::{panel_lu, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
 use crate::view::{MatMut, MatRef};
+use crate::DenseMat;
 
-/// Which dense kernel implementation the numeric phase uses.
-///
-/// The scalar portable kernels are the default; the explicit-width SIMD
-/// kernels exist behind the `simd` cargo feature. Resolution happens once
-/// per factorization via [`Dispatch::resolve`].
+/// Which dense kernel instantiation the numeric phase uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelChoice {
-    /// The portable scalar kernels (the default).
+    /// The widest instantiation the host CPU supports (the default).
     #[default]
-    Portable,
-    /// The explicit-width `f64x4` kernels: AVX2 intrinsics when the host
-    /// CPU supports them, the portable-chunked fallback otherwise. Without
-    /// the `simd` cargo feature this resolves to `Portable` (documented
-    /// fallback — results are bitwise identical either way).
-    Simd,
-    /// `Simd` when compiled in (`simd` feature) and usable on this CPU,
-    /// otherwise `Portable`.
     Auto,
+    /// The baseline instantiation, which needs no CPU feature beyond the
+    /// compilation target's: the reference the bitwise suites compare
+    /// every other instantiation against.
+    Portable,
 }
 
-/// `C ← C − A·B` kernel signature (see [`crate::gemm_sub_view`]).
-pub type GemmSubFn = fn(MatMut<'_>, MatRef<'_>, MatRef<'_>);
-/// `X ← L⁻¹·X` / `X ← U⁻¹·X` kernel signature (see
-/// [`crate::trsm_lower_unit_view`] / [`crate::trsm_upper_view`]).
-pub type TrsmFn = fn(MatRef<'_>, MatMut<'_>);
+/// One instantiation of the kernel source.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+}
 
-/// The resolved kernel function table. Copy it around freely — it is three
-/// function pointers and a name.
-#[derive(Clone, Copy)]
+impl Isa {
+    /// Every instantiation compiled in, narrowest first.
+    const ALL: &'static [Isa] = &[
+        Isa::Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f,
+    ];
+
+    /// Whether the running CPU has what this instantiation was compiled for.
+    fn detected(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+}
+
+/// One kernel call, so that each instruction set needs a single entry
+/// point (and the crate a single `unsafe` call per instruction set).
+enum Op<'a> {
+    GemmSub(MatMut<'a>, MatRef<'a>, MatRef<'a>),
+    TrsmLowerUnit(MatRef<'a>, MatMut<'a>),
+    TrsmUpper(MatRef<'a>, MatMut<'a>),
+    PanelLu {
+        panel: &'a mut DenseMat,
+        rule: PivotRule,
+        pivot_threshold: f64,
+        breakdown: PanelBreakdown,
+        force_breakdown_at: Option<usize>,
+        out: &'a mut PanelOutcome,
+    },
+}
+
+/// Runs `op` with `MR`-row tiles. Only the panel LU can fail.
+#[inline(always)]
+fn run<const MR: usize>(op: Op<'_>) -> Result<(), PanelError> {
+    match op {
+        Op::GemmSub(c, a, b) => tile::gemm_sub::<MR>(c, a, b),
+        Op::TrsmLowerUnit(l, x) => tile::trsm_lower_unit::<MR>(l, x),
+        Op::TrsmUpper(u, x) => tile::trsm_upper::<MR>(u, x),
+        Op::PanelLu {
+            panel,
+            rule,
+            pivot_threshold,
+            breakdown,
+            force_breakdown_at,
+            out,
+        } => {
+            return panel_lu::<MR>(
+                panel,
+                rule,
+                pivot_threshold,
+                breakdown,
+                force_breakdown_at,
+                out,
+            )
+        }
+    }
+    Ok(())
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(op: Op<'_>) -> Result<(), PanelError> {
+    run::<8>(op)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512f(op: Op<'_>) -> Result<(), PanelError> {
+    run::<16>(op)
+}
+
+/// The resolved kernel instantiation. Copy it around freely.
+///
+/// The field is private and only [`Dispatch::portable`] and
+/// [`Dispatch::detected`] set it: a `Dispatch` is the proof that the CPU
+/// can run its instantiation.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
-    name: &'static str,
-    gemm_sub: GemmSubFn,
-    trsm_lower_unit: TrsmFn,
-    trsm_upper: TrsmFn,
+    isa: Isa,
 }
 
 impl Dispatch {
-    /// The portable scalar kernel table.
+    /// The baseline instantiation ([`KernelChoice::Portable`]).
     pub const fn portable() -> Self {
-        Dispatch {
-            name: "portable",
-            gemm_sub: super::gemm_sub_view,
-            trsm_lower_unit: super::trsm_lower_unit_view,
-            trsm_upper: super::trsm_upper_view,
-        }
+        Dispatch { isa: Isa::Baseline }
     }
 
-    /// Resolves a [`KernelChoice`] into a concrete table, probing CPU
-    /// features (`is_x86_feature_detected!("avx2")` on x86_64) exactly once
-    /// per call — do this once per factorization, not per task.
+    /// The instantiations this CPU can run, narrowest first (the first is
+    /// always [`Dispatch::portable`]). Probes the CPU.
+    fn detected() -> impl DoubleEndedIterator<Item = Self> {
+        Isa::ALL
+            .iter()
+            .filter(|isa| isa.detected())
+            .map(|&isa| Dispatch { isa })
+    }
+
+    /// Every instantiation this CPU can run, narrowest first (the first is
+    /// always [`Dispatch::portable`]).
+    pub fn available() -> Vec<Self> {
+        Self::detected().collect()
+    }
+
+    /// Resolves a [`KernelChoice`], probing the CPU once per call — do this
+    /// once per factorization, not per task. Does not allocate.
     pub fn resolve(choice: KernelChoice) -> Self {
         match choice {
             KernelChoice::Portable => Self::portable(),
-            KernelChoice::Simd | KernelChoice::Auto => {
-                #[cfg(feature = "simd")]
-                {
-                    super::simd::best_dispatch()
-                }
-                #[cfg(not(feature = "simd"))]
-                {
-                    Self::portable()
-                }
-            }
+            KernelChoice::Auto => Self::detected()
+                .next_back()
+                .expect("the baseline is always detected"),
         }
     }
 
-    /// `true` when the `simd` cargo feature was compiled in, i.e. when
-    /// [`KernelChoice::Simd`] resolves to something other than the portable
-    /// table.
-    pub const fn simd_compiled() -> bool {
-        cfg!(feature = "simd")
-    }
-
-    /// Implementation name: `"portable"`, `"simd-avx2"` or
-    /// `"simd-chunked"` — recorded in benchmark artifacts.
+    /// Instantiation name: `"baseline"`, `"avx2"` or `"avx512f"` — recorded
+    /// in run reports and benchmark artifacts.
     pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Builds a table from raw parts (used by the kernel variants).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
-    pub(crate) const fn from_parts(
-        name: &'static str,
-        gemm_sub: GemmSubFn,
-        trsm_lower_unit: TrsmFn,
-        trsm_upper: TrsmFn,
-    ) -> Self {
-        Dispatch {
-            name,
-            gemm_sub,
-            trsm_lower_unit,
-            trsm_upper,
+        match self.isa {
+            Isa::Baseline => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => "avx512f",
         }
     }
 
-    /// `C ← C − A · B` through the selected kernel.
+    #[inline]
+    fn run(&self, op: Op<'_>) -> Result<(), PanelError> {
+        match self.isa {
+            Isa::Baseline => run::<4>(op),
+            // SAFETY: a `Dispatch` other than the baseline is only ever
+            // built by `detected`, in this module, after
+            // `is_x86_feature_detected!` reported the very feature the entry
+            // was compiled for, and a running CPU does not lose features.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Isa::Avx2 => unsafe { run_avx2(op) },
+            // SAFETY: as above, for `avx512f`.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Isa::Avx512f => unsafe { run_avx512f(op) },
+        }
+    }
+
+    /// `C ← C − A · B` through the selected instantiation.
     #[inline]
     pub fn gemm_sub(&self, c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
-        (self.gemm_sub)(c, a, b)
+        let done = self.run(Op::GemmSub(c, a, b));
+        debug_assert!(done.is_ok());
     }
 
     /// `X ← L⁻¹ · X` (`L` unit lower triangular) through the selected
-    /// kernel.
+    /// instantiation.
     #[inline]
     pub fn trsm_lower_unit(&self, l: MatRef<'_>, x: MatMut<'_>) {
-        (self.trsm_lower_unit)(l, x)
+        let done = self.run(Op::TrsmLowerUnit(l, x));
+        debug_assert!(done.is_ok());
     }
 
-    /// `X ← U⁻¹ · X` (`U` upper triangular) through the selected kernel.
+    /// `X ← U⁻¹ · X` (`U` upper triangular) through the selected
+    /// instantiation.
     #[inline]
     pub fn trsm_upper(&self, u: MatRef<'_>, x: MatMut<'_>) {
-        (self.trsm_upper)(u, x)
+        let done = self.run(Op::TrsmUpper(u, x));
+        debug_assert!(done.is_ok());
+    }
+
+    /// Panel LU through the selected instantiation; the arguments are those
+    /// of [`crate::lu_panel_with_policy_into`].
+    pub fn lu_panel_into(
+        &self,
+        panel: &mut DenseMat,
+        rule: PivotRule,
+        pivot_threshold: f64,
+        breakdown: PanelBreakdown,
+        force_breakdown_at: Option<usize>,
+        out: &mut PanelOutcome,
+    ) -> Result<(), PanelError> {
+        self.run(Op::PanelLu {
+            panel,
+            rule,
+            pivot_threshold,
+            breakdown,
+            force_breakdown_at,
+            out,
+        })
     }
 }
 
@@ -136,7 +243,7 @@ impl Default for Dispatch {
 impl std::fmt::Debug for Dispatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatch")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .finish()
     }
 }
@@ -146,33 +253,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn portable_resolves_to_portable() {
-        assert_eq!(Dispatch::resolve(KernelChoice::Portable).name(), "portable");
-        assert_eq!(Dispatch::default().name(), "portable");
-    }
-
-    #[test]
-    fn simd_resolution_matches_feature_gate() {
-        let d = Dispatch::resolve(KernelChoice::Simd);
-        if Dispatch::simd_compiled() {
-            assert!(d.name().starts_with("simd-"), "got {}", d.name());
-        } else {
-            assert_eq!(d.name(), "portable");
-        }
-        // Auto resolves to the same table as Simd under either gate.
-        assert_eq!(d.name(), Dispatch::resolve(KernelChoice::Auto).name());
-    }
-
-    #[test]
-    fn table_calls_reach_the_kernels() {
-        use crate::DenseMat;
-        let d = Dispatch::portable();
-        let a = DenseMat::from_fn(3, 2, |i, j| (i + j) as f64);
-        let b = DenseMat::from_fn(2, 2, |i, j| (i * 2 + j) as f64 - 1.0);
-        let mut c = DenseMat::from_fn(3, 2, |i, j| (i * j) as f64);
-        let mut expect = c.clone();
-        crate::gemm_sub(&mut expect, &a, &b);
-        d.gemm_sub(c.as_view_mut(), a.as_view(), b.as_view());
-        assert_eq!(c.data(), expect.data());
+    fn portable_is_the_baseline_and_auto_is_the_widest_available() {
+        assert_eq!(Dispatch::resolve(KernelChoice::Portable).name(), "baseline");
+        assert_eq!(Dispatch::default(), Dispatch::portable());
+        assert_eq!(KernelChoice::default(), KernelChoice::Auto);
+        let all = Dispatch::available();
+        assert_eq!(all[0], Dispatch::portable());
+        assert_eq!(
+            Dispatch::resolve(KernelChoice::Auto),
+            *all.last().expect("baseline is always available")
+        );
     }
 }

@@ -1,103 +1,52 @@
 //! BLAS-3 style kernels: `gemm` and `trsm` on column-major matrices.
 //!
-//! The core implementations operate on strided views ([`MatRef`] /
-//! [`MatMut`]) so sub-blocks of a stacked supernode panel feed the kernels
-//! **in place** — no gather into temporaries. The [`DenseMat`] entry points
-//! are thin wrappers over whole-matrix views.
+//! The kernels operate on strided views ([`MatRef`] / [`MatMut`]) so
+//! sub-blocks of a stacked supernode panel feed them **in place** — no
+//! gather into temporaries. The [`DenseMat`] entry points are thin wrappers
+//! over whole-matrix views.
 //!
-//! The free functions in this module are the **portable** (scalar Rust)
-//! implementations and remain the default. The [`simd`] submodule (cargo
-//! feature `simd`) provides explicit-width `f64x4` variants of the same
-//! kernels, and [`Dispatch`] is the function table through which a
-//! factorization selects an implementation **once** (from a
-//! [`KernelChoice`]) instead of branching per call. Every variant obeys the
-//! bitwise-equivalence contract spelled out on [`gemm_sub_view`].
+//! All of them — and the panel LU — are one source, [`tile`], in which an
+//! `MR × 4` tile of the updated matrix stays in registers while a block of
+//! inner indices is applied to it. [`Dispatch`] holds the instantiation
+//! (baseline, AVX2, AVX-512F) a factorization resolved **once** from its
+//! [`KernelChoice`]; the free functions here are the baseline one. Every
+//! instantiation obeys the contract spelled out on [`gemm_sub_view`].
 
 pub mod dispatch;
-#[cfg(feature = "simd")]
-pub mod simd;
+pub(crate) mod tile;
 
 pub use dispatch::{Dispatch, KernelChoice};
 
 use crate::view::{MatMut, MatRef};
 use crate::DenseMat;
 
-/// Cache-block size (in rows/inner dimension) for the update kernel. Chosen
-/// so three `KB × KB` double blocks stay well inside a 256 KiB L2. The SIMD
-/// variants reuse the same constant so their `k` traversal per element is
-/// identical to the portable kernel's.
-pub(crate) const KB: usize = 64;
-
-/// `C ← C − A · B` on strided views — the portable reference kernel.
+/// `C ← C − A · B` on strided views — the baseline instantiation.
 ///
 /// The supernodal update kernel: `B̄(i, j) ← B̄(i, j) − L(i, k) · Ū(k, j)`,
 /// where `L(i, k)` is typically a row range of column `k`'s stacked panel.
-/// The inner micro-kernel processes **four columns of `C` at once**, so
-/// each loaded column of `A` is reused fourfold (quartering `A` traffic);
-/// `k` is additionally blocked to keep the active `A` panel cache-resident.
 ///
-/// # Kernel dispatch and the bitwise-equivalence contract
+/// # The bitwise-equivalence contract
 ///
-/// This function is the `Portable` entry of the [`Dispatch`] table; the
-/// `simd` cargo feature adds explicit-width variants ([`simd`]) selected
-/// through [`KernelChoice`] on the factorization options. Every variant
-/// must produce **bitwise identical** results to this kernel: for each
-/// element `C(i, j)` the sequence of IEEE-754 operations — one
-/// `c ← c − a·s` (round(mul) then round(sub), never fused) per inner index
-/// `k`, in ascending `k` within each `KB` block, skipping exactly the `k`
-/// whose 4-column scalar quad (or single remainder column scalar) is zero —
-/// is the same in every implementation; vectorizing over `i` (and blocking
-/// registers over columns) only regroups *independent* element streams.
-/// That contract is what keeps factors independent of the selected kernel,
-/// lets the determinism property tests double as cross-kernel equivalence
-/// tests, and is asserted by `proptest_kernel_equiv` on ragged shapes.
-pub fn gemm_sub_view(mut c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
-    assert_eq!(a.nrows(), c.nrows(), "gemm_sub: row mismatch");
-    assert_eq!(b.ncols(), c.ncols(), "gemm_sub: column mismatch");
-    assert_eq!(a.ncols(), b.nrows(), "gemm_sub: inner dimension mismatch");
-    let m = c.nrows();
-    let n = c.ncols();
-    let inner = a.ncols();
-    if m == 0 || n == 0 || inner == 0 {
-        return;
-    }
-    let quads = n / 4 * 4;
-    for k0 in (0..inner).step_by(KB) {
-        let k1 = (k0 + KB).min(inner);
-        let mut j = 0usize;
-        while j < quads {
-            // Four C columns at once, split out of the storage.
-            let (c0, c1, c2, c3) = c.four_cols_mut(j);
-            for k in k0..k1 {
-                let (s0, s1, s2, s3) = (b[(k, j)], b[(k, j + 1)], b[(k, j + 2)], b[(k, j + 3)]);
-                if s0 == 0.0 && s1 == 0.0 && s2 == 0.0 && s3 == 0.0 {
-                    continue;
-                }
-                let a_col = a.col(k);
-                for i in 0..m {
-                    let av = a_col[i];
-                    c0[i] -= av * s0;
-                    c1[i] -= av * s1;
-                    c2[i] -= av * s2;
-                    c3[i] -= av * s3;
-                }
-            }
-            j += 4;
-        }
-        for j in quads..n {
-            let c_col = c.col_mut(j);
-            for k in k0..k1 {
-                let s = b[(k, j)];
-                if s == 0.0 {
-                    continue;
-                }
-                let a_col = a.col(k);
-                for i in 0..m {
-                    c_col[i] -= a_col[i] * s;
-                }
-            }
-        }
-    }
+/// For each element `C(i, j)` the sequence of IEEE-754 operations is fixed:
+/// one `c ← c − a·s` (round(mul) then round(sub), never fused) per inner
+/// index `k`, in ascending `k`, skipping exactly the `k` whose scalars
+/// `B(k, ·)` over the element's column group are all zero. Column groups
+/// are the aligned quads `4q..4q + 4` and, past the last full quad, single
+/// columns. Which registers hold `c` between two steps, how many rows a
+/// tile covers and which instruction set the loop was compiled for only
+/// regroup *independent* element streams, so every instantiation — and the
+/// axpy-shaped kernel this replaced — produces **bitwise identical**
+/// results. That is what keeps factors independent of the selected
+/// kernels, lets the determinism property tests double as cross-kernel
+/// equivalence tests, and is asserted by `proptest_kernel_equivalence` on
+/// ragged shapes.
+///
+/// The triangular solves and the panel LU apply the same rule to the rows
+/// they update by tile (everything outside the current strip of
+/// `tile::SB` columns); inside a strip they skip per column, on that
+/// column's own scalar.
+pub fn gemm_sub_view(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
+    Dispatch::portable().gemm_sub(c, a, b);
 }
 
 /// `C ← C − A · B` on owned matrices; see [`gemm_sub_view`].
@@ -112,25 +61,8 @@ pub fn gemm_sub(c: &mut DenseMat, a: &DenseMat, b: &DenseMat) {
 /// Used to turn a factored diagonal block into the `Ū` row blocks:
 /// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` — with `L(k, k)` read straight from the
 /// top of column `k`'s stacked panel.
-pub fn trsm_lower_unit_view(l: MatRef<'_>, mut x: MatMut<'_>) {
-    assert_eq!(l.nrows(), l.ncols(), "trsm: L must be square");
-    assert_eq!(l.nrows(), x.nrows(), "trsm: dimension mismatch");
-    let n = l.nrows();
-    for j in 0..x.ncols() {
-        // Forward substitution down column j, expressed column-wise over L
-        // so both accesses stream with unit stride.
-        let x_col = x.col_mut(j);
-        for k in 0..n {
-            let s = x_col[k];
-            if s == 0.0 {
-                continue;
-            }
-            let l_col = l.col(k);
-            for i in k + 1..n {
-                x_col[i] -= l_col[i] * s;
-            }
-        }
-    }
+pub fn trsm_lower_unit_view(l: MatRef<'_>, x: MatMut<'_>) {
+    Dispatch::portable().trsm_lower_unit(l, x);
 }
 
 /// `X ← L⁻¹ · X` on owned matrices; see [`trsm_lower_unit_view`].
@@ -140,26 +72,8 @@ pub fn trsm_lower_unit(l: &DenseMat, x: &mut DenseMat) {
 
 /// `X ← U⁻¹ · X` where `U` is upper triangular with a nonzero diagonal
 /// (strict lower part of `u` is ignored), on strided views.
-pub fn trsm_upper_view(u: MatRef<'_>, mut x: MatMut<'_>) {
-    assert_eq!(u.nrows(), u.ncols(), "trsm: U must be square");
-    assert_eq!(u.nrows(), x.nrows(), "trsm: dimension mismatch");
-    let n = u.nrows();
-    for j in 0..x.ncols() {
-        let x_col = x.col_mut(j);
-        for k in (0..n).rev() {
-            let diag = u[(k, k)];
-            debug_assert!(diag != 0.0, "trsm_upper: zero diagonal at {k}");
-            x_col[k] /= diag;
-            let s = x_col[k];
-            if s == 0.0 {
-                continue;
-            }
-            let u_col = u.col(k);
-            for i in 0..k {
-                x_col[i] -= u_col[i] * s;
-            }
-        }
-    }
+pub fn trsm_upper_view(u: MatRef<'_>, x: MatMut<'_>) {
+    Dispatch::portable().trsm_upper(u, x);
 }
 
 /// `X ← U⁻¹ · X` on owned matrices; see [`trsm_upper_view`].

@@ -17,18 +17,18 @@
 //!   shared with the sparse driver;
 //! * [`lu_full`], [`lu_solve`] — full dense LU, the oracle the test-suites
 //!   compare against;
-//! * [`KernelChoice`] / [`Dispatch`] — kernel selection: the portable scalar
-//!   kernels above are the default, and the `simd` cargo feature adds
-//!   explicit-width `f64x4` variants (`kernels::simd`) that produce
-//!   bit-for-bit identical factors (see the contract on [`gemm_sub_view`]).
+//! * [`KernelChoice`] / [`Dispatch`] — kernel selection: the kernels are
+//!   one register-tiled source compiled once per instruction set, the
+//!   widest one the CPU supports is picked at run time, and all of them
+//!   produce bit-for-bit identical factors (see the contract on
+//!   [`gemm_sub_view`]).
 
 // Index-based loops are the natural idiom for the numerical kernels and
 // symbolic algorithms in this crate; iterator rewrites obscure the maths.
 #![allow(clippy::needless_range_loop)]
-// The only unsafe in this crate is the AVX2 micro-kernel module compiled
-// under the `simd` feature; the default build still forbids unsafe outright.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The only unsafe in this crate is `Dispatch::run`'s call into a
+// `#[target_feature]` entry, one per instruction set, each `#[allow]`ed there.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernels;

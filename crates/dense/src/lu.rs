@@ -1,5 +1,6 @@
 //! Panel and full dense LU with partial pivoting.
 
+use crate::kernels::tile::{forward_strip, NR, SB};
 use crate::DenseMat;
 
 /// A partial-pivoting interchange sequence, LAPACK `ipiv`-style: at step
@@ -122,7 +123,7 @@ pub enum PanelBreakdown {
 }
 
 /// Result of a policy-aware panel factorization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PanelOutcome {
     /// The recorded interchange sequence.
     pub pivots: Pivots,
@@ -187,10 +188,7 @@ pub fn lu_panel_with_policy(
     breakdown: PanelBreakdown,
     force_breakdown_at: Option<usize>,
 ) -> Result<PanelOutcome, PanelError> {
-    let mut out = PanelOutcome {
-        pivots: Pivots::default(),
-        perturbed: Vec::new(),
-    };
+    let mut out = PanelOutcome::default();
     lu_panel_with_policy_into(
         panel,
         rule,
@@ -208,7 +206,36 @@ pub fn lu_panel_with_policy(
 /// refactorization of a panel whose outcome is recycled performs no heap
 /// allocation here (the swap sequence has the same length every time). On
 /// error `out`'s contents are unspecified.
+///
+/// This is the baseline instantiation; [`crate::Dispatch::lu_panel_into`]
+/// runs the same source compiled for the host's instruction set.
 pub fn lu_panel_with_policy_into(
+    panel: &mut DenseMat,
+    rule: PivotRule,
+    pivot_threshold: f64,
+    breakdown: PanelBreakdown,
+    force_breakdown_at: Option<usize>,
+    out: &mut PanelOutcome,
+) -> Result<(), PanelError> {
+    crate::Dispatch::portable().lu_panel_into(
+        panel,
+        rule,
+        pivot_threshold,
+        breakdown,
+        force_breakdown_at,
+        out,
+    )
+}
+
+/// The panel LU source, generic over the tile height `MR` (see
+/// [`crate::kernels`]): column strips of width [`SB`]. A strip is factored
+/// unblocked — pivot search, interchange, scaling, rank-1 updates that stay
+/// inside the strip — and then eliminated from every trailing column group
+/// at once by [`forward_strip`]: its `U` rows by substitution, all rows
+/// below by one tile pass. Each element sees its `c ← c − l·u` terms in
+/// ascending column order, as in the unblocked algorithm.
+#[inline(always)]
+pub(crate) fn panel_lu<const MR: usize>(
     panel: &mut DenseMat,
     rule: PivotRule,
     pivot_threshold: f64,
@@ -228,73 +255,81 @@ pub fn lu_panel_with_policy_into(
     out.pivots.swaps.clear();
     out.pivots.swaps.reserve(w);
     out.perturbed.clear();
-    let swaps = &mut out.pivots.swaps;
-    let perturbed = &mut out.perturbed;
-    for c in 0..w {
-        // Pivot search down column c. A NaN anywhere in the candidate range
-        // would silently poison the comparisons below (every `>` on NaN is
-        // false), so non-finite candidates are rejected explicitly first.
-        let col = panel.col(c);
-        for r in c..m {
-            if !col[r].is_finite() {
+    let mut panel = panel.as_view_mut();
+    for c0 in (0..w).step_by(SB) {
+        let c1 = (c0 + SB).min(w);
+        for c in c0..c1 {
+            // Pivot search down column c. Magnitudes are compared as the
+            // integers their bit patterns are (the same order for finite
+            // values, and a reduction the compiler vectorizes), which also
+            // ranks ∞ and every NaN above all finite values: one pass finds
+            // the largest magnitude and whether the range is all finite.
+            let col = panel.col(c);
+            let magnitude = |x: f64| x.to_bits() & (u64::MAX >> 1);
+            let top = col[c..].iter().fold(0, |top, &x| top.max(magnitude(x)));
+            if top >= f64::INFINITY.to_bits() {
                 return Err(PanelError::NonFinite { column: c });
             }
-        }
-        let mut best = c;
-        let mut best_abs = col[c].abs();
-        for r in c + 1..m {
-            let a = col[r].abs();
-            if a > best_abs {
-                best_abs = a;
-                best = r;
-            }
-        }
-        match rule {
-            PivotRule::Partial => {}
-            PivotRule::Threshold(tau) => {
-                debug_assert!((0.0..=1.0).contains(&tau), "threshold in (0, 1]");
-                if col[c].abs() >= tau * best_abs {
+            let mut best = c + col[c..]
+                .iter()
+                .position(|&x| magnitude(x) == top)
+                .expect("the maximum is attained");
+            let mut best_abs = f64::from_bits(top);
+            match rule {
+                PivotRule::Partial => {}
+                PivotRule::Threshold(tau) => {
+                    debug_assert!((0.0..=1.0).contains(&tau), "threshold in (0, 1]");
+                    if col[c].abs() >= tau * best_abs {
+                        best = c;
+                        best_abs = col[c].abs();
+                    }
+                }
+                PivotRule::Diagonal => {
                     best = c;
                     best_abs = col[c].abs();
                 }
             }
-            PivotRule::Diagonal => {
-                best = c;
-                best_abs = col[c].abs();
+            if best_abs <= pivot_threshold || force_breakdown_at == Some(c) {
+                match breakdown {
+                    PanelBreakdown::Error => return Err(PanelError::Singular { column: c }),
+                    PanelBreakdown::Perturb { value } => {
+                        // Static pivoting: keep the diagonal position, replace
+                        // its value by sign(d)·value (zero counts as positive).
+                        let d = panel[(c, c)];
+                        let sign = if d < 0.0 { -1.0 } else { 1.0 };
+                        panel[(c, c)] = sign * value;
+                        best = c;
+                        out.perturbed.push((c, value));
+                    }
+                }
             }
-        }
-        if best_abs <= pivot_threshold || force_breakdown_at == Some(c) {
-            match breakdown {
-                PanelBreakdown::Error => return Err(PanelError::Singular { column: c }),
-                PanelBreakdown::Perturb { value } => {
-                    // Static pivoting: keep the diagonal position, replace
-                    // its value by sign(d)·value (zero counts as positive).
-                    let d = panel[(c, c)];
-                    let sign = if d < 0.0 { -1.0 } else { 1.0 };
-                    panel[(c, c)] = sign * value;
-                    best = c;
-                    perturbed.push((c, value));
+            out.pivots.swaps.push(best);
+            panel.swap_rows(c, best);
+            // Scale multipliers.
+            let diag = panel[(c, c)];
+            for l in &mut panel.col_mut(c)[c + 1..] {
+                *l /= diag;
+            }
+            // Rank-1 update of the strip's remaining columns.
+            for j in c + 1..c1 {
+                let s = panel[(c, j)];
+                if s == 0.0 {
+                    continue;
+                }
+                let (col_c, col_j) = panel.two_cols_mut(c, j);
+                for r in c + 1..m {
+                    col_j[r] -= col_c[r] * s;
                 }
             }
         }
-        swaps.push(best);
-        panel.swap_rows(c, best);
-        // Scale multipliers.
-        let diag = panel[(c, c)];
-        let col_c = panel.col_mut(c);
-        for r in c + 1..m {
-            col_c[r] /= diag;
+        let (strip, mut trailing) = panel.split_at_col(c1);
+        let strip = strip.rb();
+        let quads = trailing.ncols() / NR * NR;
+        for j in (0..quads).step_by(NR) {
+            forward_strip::<MR, NR>(strip, &mut trailing.cols_mut(j), c0, c1);
         }
-        // Rank-1 update of the trailing columns.
-        for j in c + 1..w {
-            let s = panel[(c, j)];
-            if s == 0.0 {
-                continue;
-            }
-            let (col_c, col_j) = panel.two_cols_mut(c, j);
-            for r in c + 1..m {
-                col_j[r] -= col_c[r] * s;
-            }
+        for j in quads..trailing.ncols() {
+            forward_strip::<MR, 1>(strip, &mut trailing.cols_mut(j), c0, c1);
         }
     }
     Ok(())

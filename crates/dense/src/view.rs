@@ -159,15 +159,38 @@ impl<'a> MatMut<'a> {
         (&mut a[..m], &mut rest[..m])
     }
 
-    /// Splits four consecutive columns `j..j+4` into disjoint mutable
+    /// Splits `N` consecutive columns `j..j + N` into disjoint mutable
     /// column slices (columns never overlap because `ld ≥ nrows`).
-    pub fn four_cols_mut(&mut self, j: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
+    #[inline(always)]
+    pub fn cols_mut<const N: usize>(&mut self, j: usize) -> [&mut [f64]; N] {
+        assert!(j + N <= self.ncols, "column group out of range");
         let (m, ld) = (self.nrows, self.ld);
-        let (_, rest) = self.data.split_at_mut(j * ld);
-        let (a, rest) = rest.split_at_mut(ld);
-        let (b, rest) = rest.split_at_mut(ld);
-        let (c, rest) = rest.split_at_mut(ld);
-        (&mut a[..m], &mut b[..m], &mut c[..m], &mut rest[..m])
+        if m == 0 {
+            // A view without rows may have no storage to offset into.
+            return std::array::from_fn(|_| Default::default());
+        }
+        let mut rest = &mut self.data[j * ld..];
+        std::array::from_fn(|q| {
+            // The last column of the storage may stop after `nrows`.
+            let take = if q + 1 < N { ld } else { m };
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            &mut head[..m]
+        })
+    }
+
+    /// Splits the view into columns `..j` and columns `j..`.
+    pub fn split_at_col(&mut self, j: usize) -> (MatMut<'_>, MatMut<'_>) {
+        assert!(j <= self.ncols, "column split out of range");
+        let at = (j * self.ld).min(self.data.len());
+        let (left, right) = self.data.split_at_mut(at);
+        let view = |data, ncols| MatMut {
+            data,
+            nrows: self.nrows,
+            ncols,
+            ld: self.ld,
+        };
+        (view(left, j), view(right, self.ncols - j))
     }
 }
 
@@ -269,16 +292,29 @@ mod tests {
     }
 
     #[test]
-    fn four_cols_split_is_disjoint_and_aligned() {
+    fn column_group_split_is_disjoint_and_aligned() {
         let mut m = DenseMat::from_fn(3, 5, |i, j| (i + 100 * j) as f64);
         let mut v = m.row_range_mut(1..3);
-        let (c0, c1, c2, c3) = v.four_cols_mut(1);
+        let [c0, c1, c2, c3] = v.cols_mut::<4>(1);
         assert_eq!(c0[0], 101.0);
         assert_eq!(c1[1], 202.0);
         assert_eq!(c2[0], 301.0);
         assert_eq!(c3[1], 402.0);
         c3[0] = -1.0;
         assert_eq!(m[(1, 4)], -1.0);
+    }
+
+    #[test]
+    fn column_split_yields_both_sides() {
+        let mut m = DenseMat::from_fn(3, 4, |i, j| (i + 10 * j) as f64);
+        let mut v = m.row_range_mut(1..3);
+        let (left, mut right) = v.split_at_col(3);
+        assert_eq!((left.ncols(), right.ncols()), (3, 1));
+        assert_eq!(left.col(2), &[21.0, 22.0]);
+        right.col_mut(0)[1] = -1.0;
+        let (all, none) = v.split_at_col(4);
+        assert_eq!((all.ncols(), none.ncols()), (4, 0));
+        assert_eq!(m[(2, 3)], -1.0);
     }
 
     #[test]

@@ -1,62 +1,84 @@
-//! Property test: every kernel variant is **bitwise identical** to the
-//! portable scalar kernels.
+//! Property test: every kernel instantiation the host CPU supports is
+//! **bitwise identical** to the baseline one.
 //!
 //! The dispatch layer's contract (documented on `gemm_sub_view`) is that a
-//! `KernelChoice` changes only throughput, never bits: every variant
-//! performs the same per-element IEEE-754 operation sequence, so the
-//! output a `Dispatch` produces is independent of the selected table.
-//! This suite drives random **ragged** shapes — dimensions deliberately not
-//! multiples of the 4-wide vector width, including 0- and 1-extent edge
-//! panels — through both full and strided sub-views (leading dimension
-//! larger than the row count, exactly how stacked-panel blocks reach the
-//! kernels) and compares every output bit for bit, for each table
-//! `Dispatch::resolve` can hand out in this build.
+//! `KernelChoice` changes only throughput, never bits: all instantiations
+//! are the same source and run the same per-element IEEE-754 operation
+//! sequence. This suite drives `gemm`, both `trsm`s and the panel LU
+//! (pivots and values) through every table of `Dispatch::available()` on
+//! random **ragged** shapes — dimensions deliberately not multiples of any
+//! tile height, including 0- and 1-extent edge panels and extents past one
+//! `KB = 64` block — through both full and strided sub-views (leading
+//! dimension larger than the row count, exactly how stacked-panel blocks
+//! reach the kernels), with zero-heavy operands, signed zeros and
+//! subnormals, and compares every output bit for bit. `gemm` is also held
+//! to the axpy-shaped kernel it replaced, kept below as an oracle.
 
 use proptest::prelude::*;
-use splu_dense::{DenseMat, Dispatch, KernelChoice};
-
-/// Every distinct kernel table reachable in this build: portable always;
-/// with the `simd` feature also the chunked fallback and (on hosts with
-/// AVX2) the AVX2 table resolved by `KernelChoice::Simd`.
-fn all_tables() -> Vec<Dispatch> {
-    #[allow(unused_mut)]
-    let mut tables = vec![Dispatch::resolve(KernelChoice::Portable)];
-    #[cfg(feature = "simd")]
-    {
-        tables.push(splu_dense::kernels::simd::chunked_dispatch());
-        let best = Dispatch::resolve(KernelChoice::Simd);
-        if best.name() != "simd-chunked" {
-            tables.push(best);
-        }
-    }
-    tables
-}
+use splu_dense::{DenseMat, Dispatch, MatMut, MatRef, PanelBreakdown, PanelOutcome, PivotRule};
 
 fn bits(m: &DenseMat) -> Vec<u64> {
     m.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// A matrix of "awkward" doubles: mixed magnitudes, signs, exact and signed
-/// zeros — values whose rounding and zero-skip behaviour expose any
-/// deviation from the scalar operation sequence.
-fn arb_mat(rows: usize, cols: usize) -> impl Strategy<Value = DenseMat> {
-    collection::vec((0usize..8, -1.0e3f64..1.0e3), rows * cols).prop_map(move |v| {
+/// The portable `gemm_sub_view` as it was before the register-tiled
+/// kernels: four `C` columns updated by one `A` column per `k`, `C` re-read
+/// and re-stored each time. The new kernels must reproduce its bits.
+fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
+    let (m, n, inner) = (c.nrows(), c.ncols(), a.ncols());
+    let quads = n / 4 * 4;
+    for k0 in (0..inner).step_by(64) {
+        let k1 = (k0 + 64).min(inner);
+        for j in (0..quads).step_by(4) {
+            for k in k0..k1 {
+                let s: [f64; 4] = std::array::from_fn(|q| b[(k, j + q)]);
+                if s.iter().all(|&v| v == 0.0) {
+                    continue;
+                }
+                for (q, &sq) in s.iter().enumerate() {
+                    for i in 0..m {
+                        c[(i, j + q)] -= a[(i, k)] * sq;
+                    }
+                }
+            }
+        }
+        for j in quads..n {
+            for k in k0..k1 {
+                let s = b[(k, j)];
+                if s == 0.0 {
+                    continue;
+                }
+                for i in 0..m {
+                    c[(i, j)] -= a[(i, k)] * s;
+                }
+            }
+        }
+    }
+}
+
+/// A matrix of "awkward" doubles: mixed magnitudes and signs, subnormals,
+/// and exact zeros of both signs with probability `zeros / 10` — values
+/// whose rounding and zero-skip behaviour expose any deviation from the
+/// reference operation sequence.
+fn arb_mat(rows: usize, cols: usize, zeros: usize) -> impl Strategy<Value = DenseMat> {
+    collection::vec((0usize..10, 0usize..4, -1.0e3f64..1.0e3), rows * cols).prop_map(move |v| {
         DenseMat::from_fn(rows, cols, |i, j| {
-            let (class, x) = v[i + j * rows];
-            match class {
-                0 => 0.0,
-                1 => -0.0,
-                2 => x * 1.0e-10,
-                _ => x,
+            let (zero, class, x) = v[i + j * rows];
+            match (zero < zeros, class) {
+                (true, 0 | 1) => 0.0,
+                (true, _) => -0.0,
+                (false, 0) => x * 1.0e-10,
+                (false, 1) => x * f64::MIN_POSITIVE * 0.25,
+                (false, _) => x,
             }
         })
     })
 }
 
-/// One ragged dimension: 0 and 1 (edge panels), a value past one `KB=64`
-/// block boundary, or a small non-multiple-of-4 extent.
+/// One ragged dimension: 0 and 1 (edge panels), a value past one `KB = 64`
+/// block boundary, or a small extent that is a multiple of no tile height.
 fn ragged_dim() -> impl Strategy<Value = usize> + Clone {
-    (0usize..10, 2usize..23).prop_map(|(sel, r)| match sel {
+    (0usize..10, 2usize..39).prop_map(|(sel, r)| match sel {
         0 => 0,
         1 => 1,
         2 => 67,
@@ -64,120 +86,228 @@ fn ragged_dim() -> impl Strategy<Value = usize> + Clone {
     })
 }
 
-/// `(A, B, C)` gemm operands with independently ragged `m`, `k`, `n`
-/// (dimensions recoverable from the matrices themselves).
-fn gemm_case() -> impl Strategy<Value = (DenseMat, DenseMat, DenseMat)> {
-    (ragged_dim(), ragged_dim(), ragged_dim())
-        .prop_flat_map(|(m, k, n)| (arb_mat(m, k), arb_mat(k, n), arb_mat(m, n)))
-}
-
-/// Strided gemm operands: taller backing matrices plus the row offset the
-/// kernels should view them at. `k`/`n` stay ≥ 1 — a stacked panel always
-/// has at least one column, and `row_range` on a 0-column matrix has no
-/// backing storage to offset into.
-fn strided_gemm_case() -> impl Strategy<Value = (usize, DenseMat, DenseMat, DenseMat)> {
-    (ragged_dim(), ragged_dim(), ragged_dim(), 1usize..5).prop_flat_map(|(m, k, n, pad)| {
-        let (k, n) = (k.max(1), n.max(1));
+/// Strided gemm operands: backing matrices `pad` rows taller than the
+/// operands, to be viewed from row `pad` on (`pad = 0` is the full view).
+/// `B` is zero-heavy, so whole quads of scalars vanish. `k`/`n` stay ≥ 1
+/// when padded — `row_range` on a 0-column matrix has no backing storage to
+/// offset into.
+fn gemm_case() -> impl Strategy<Value = (usize, DenseMat, DenseMat, DenseMat)> {
+    (ragged_dim(), ragged_dim(), ragged_dim(), 0usize..4).prop_flat_map(|(m, k, n, pad)| {
+        let (k, n) = if pad > 0 {
+            (k.max(1), n.max(1))
+        } else {
+            (k, n)
+        };
         (
             Just(pad),
-            arb_mat(m + pad, k),
-            arb_mat(k, n),
-            arb_mat(m + pad, n),
+            arb_mat(m + pad, k, 2),
+            arb_mat(k, n, 6),
+            arb_mat(m + pad, n, 2),
         )
     })
 }
 
-/// `(L-candidate, U-candidate, X)` trsm operands with ragged right-hand
-/// sides (diagonals fixed up in the test body).
-fn trsm_case() -> impl Strategy<Value = (DenseMat, DenseMat, DenseMat)> {
-    let n = (0usize..10, 2usize..21).prop_map(|(sel, r)| match sel {
-        0 | 1 => 1,
-        2 => 35,
+/// `(pad, L-candidate, U-candidate, X)` trsm operands with ragged orders
+/// and right-hand sides (diagonals fixed up in the test body); `X` sits
+/// `pad` rows down a taller backing matrix.
+fn trsm_case() -> impl Strategy<Value = (usize, DenseMat, DenseMat, DenseMat)> {
+    let n = (0usize..10, 2usize..30).prop_map(|(sel, r)| match sel {
+        0 => 1,
+        1 => 35,
         _ => r,
     });
-    let rhs = (0usize..10, 1usize..18).prop_map(|(sel, r)| match sel {
-        0 => 0,
-        1 | 2 => 1,
-        _ => r,
-    });
-    (n, rhs).prop_flat_map(|(n, rhs)| (arb_mat(n, n), arb_mat(n, n), arb_mat(n, rhs)))
+    (n, ragged_dim(), 0usize..3).prop_flat_map(|(n, rhs, pad)| {
+        let rhs = if pad > 0 { rhs.max(1) } else { rhs };
+        (
+            Just(pad),
+            arb_mat(n, n, 1),
+            arb_mat(n, n, 1),
+            arb_mat(n + pad, rhs, 4),
+        )
+    })
+}
+
+/// A ragged `m × w` panel (`m ≥ w ≥ 1`), zero-heavy so that skipped terms
+/// and tied pivots occur.
+fn panel_case() -> impl Strategy<Value = DenseMat> {
+    (1usize..30, 0usize..45, 0usize..5)
+        .prop_flat_map(|(w, extra, zeros)| arb_mat(w + extra, w, zeros))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `C ← C − A·B` matches the portable kernel bitwise on ragged shapes.
+    /// `C ← C − A·B` matches the baseline — and the kernel it replaced —
+    /// bitwise, through views with `ld > nrows`.
     #[test]
-    fn gemm_sub_bitwise_identical((a, b, c0) in gemm_case()) {
-        let mut c_ref = c0.clone();
-        splu_dense::gemm_sub_view(c_ref.as_view_mut(), a.as_view(), b.as_view());
-
-        for d in all_tables() {
-            let mut c = c0.clone();
-            d.gemm_sub(c.as_view_mut(), a.as_view(), b.as_view());
-            prop_assert_eq!(
-                bits(&c), bits(&c_ref),
-                "{}: gemm {}x{}x{}", d.name(), a.nrows(), a.ncols(), b.ncols()
-            );
-        }
-    }
-
-    /// Same check through strided row-range views: the kernels see
-    /// `ld > nrows`, as they do on stacked-panel sub-blocks.
-    #[test]
-    fn gemm_sub_bitwise_identical_strided((pad, a_full, b, c_full) in strided_gemm_case()) {
+    fn gemm_sub_bitwise_identical((pad, a_full, b, c_full) in gemm_case()) {
         let m = a_full.nrows() - pad;
+        let rows = pad..pad + m;
         let mut c_ref = c_full.clone();
-        splu_dense::gemm_sub_view(
-            c_ref.row_range_mut(pad..pad + m),
-            a_full.row_range(pad..pad + m),
-            b.as_view(),
-        );
+        gemm_axpy_oracle(&mut c_ref.row_range_mut(rows.clone()), a_full.row_range(rows.clone()), b.as_view());
 
-        for d in all_tables() {
+        for d in Dispatch::available() {
             let mut c = c_full.clone();
-            d.gemm_sub(
-                c.row_range_mut(pad..pad + m),
-                a_full.row_range(pad..pad + m),
-                b.as_view(),
-            );
+            d.gemm_sub(c.row_range_mut(rows.clone()), a_full.row_range(rows.clone()), b.as_view());
             prop_assert_eq!(
                 bits(&c), bits(&c_ref),
-                "{}: strided gemm {}x{}x{} pad {}",
-                d.name(), m, a_full.ncols(), b.ncols(), pad
+                "{}: gemm {}x{}x{} pad {}", d.name(), m, a_full.ncols(), b.ncols(), pad
             );
         }
     }
 
-    /// Both triangular solves match bitwise on ragged right-hand sides,
-    /// including 0- and 1-column edge panels.
+    /// Both triangular solves match the baseline bitwise on ragged
+    /// right-hand sides, including 0- and 1-column edge panels.
     #[test]
-    fn trsm_bitwise_identical((mut l, mut u, x0) in trsm_case()) {
+    fn trsm_bitwise_identical((pad, mut l, mut u, x0) in trsm_case()) {
         let n = l.nrows();
         for i in 0..n {
             l[(i, i)] = 1.0;
             u[(i, i)] = 3.0 + u[(i, i)].abs();
         }
-
+        let rows = pad..pad + n;
+        let base = Dispatch::portable();
         let mut xl_ref = x0.clone();
-        splu_dense::trsm_lower_unit_view(l.as_view(), xl_ref.as_view_mut());
+        base.trsm_lower_unit(l.as_view(), xl_ref.row_range_mut(rows.clone()));
         let mut xu_ref = x0.clone();
-        splu_dense::trsm_upper_view(u.as_view(), xu_ref.as_view_mut());
+        base.trsm_upper(u.as_view(), xu_ref.row_range_mut(rows.clone()));
 
-        for d in all_tables() {
+        for d in Dispatch::available() {
             let mut xl = x0.clone();
-            d.trsm_lower_unit(l.as_view(), xl.as_view_mut());
+            d.trsm_lower_unit(l.as_view(), xl.row_range_mut(rows.clone()));
             prop_assert_eq!(
                 bits(&xl), bits(&xl_ref),
-                "{}: trsm_lower {}x{}", d.name(), n, x0.ncols()
+                "{}: trsm_lower {}x{} pad {}", d.name(), n, x0.ncols(), pad
             );
-
             let mut xu = x0.clone();
-            d.trsm_upper(u.as_view(), xu.as_view_mut());
+            d.trsm_upper(u.as_view(), xu.row_range_mut(rows.clone()));
             prop_assert_eq!(
                 bits(&xu), bits(&xu_ref),
-                "{}: trsm_upper {}x{}", d.name(), n, x0.ncols()
+                "{}: trsm_upper {}x{} pad {}", d.name(), n, x0.ncols(), pad
             );
+        }
+    }
+
+    /// The panel LU picks the same pivots and leaves the same bits under
+    /// every instantiation — also when it perturbs a column without a pivot.
+    #[test]
+    fn panel_lu_bitwise_identical(p0 in panel_case(), threshold in 0usize..2) {
+        let rule = if threshold == 1 { PivotRule::Threshold(0.5) } else { PivotRule::Partial };
+        let breakdown = PanelBreakdown::Perturb { value: 1.0e-3 };
+        let factor = |d: &Dispatch| {
+            let mut p = p0.clone();
+            let mut out = PanelOutcome::default();
+            let status = d.lu_panel_into(&mut p, rule, 1.0e-300, breakdown, None, &mut out);
+            (status, out, bits(&p))
+        };
+        let reference = factor(&Dispatch::portable());
+        for d in Dispatch::available() {
+            prop_assert_eq!(
+                &factor(&d), &reference,
+                "{}: panel {}x{}", d.name(), p0.nrows(), p0.ncols()
+            );
+        }
+    }
+}
+
+/// The triangular solves and the panel LU agree with plain per-column
+/// substitution / unblocked elimination on data without signed zeros — the
+/// only inputs on which skipping a zero term and applying it can differ.
+#[test]
+fn strips_match_unblocked_references() {
+    let fill = |r: usize, c: usize, seed: usize| {
+        DenseMat::from_fn(r, c, |i, j| {
+            let h = (i * 31 + j * 17 + seed * 7) % 23;
+            if h < 5 {
+                0.0
+            } else {
+                h as f64 / 7.0 - 1.5
+            }
+        })
+    };
+    for (n, rhs) in [(1, 1), (5, 3), (8, 4), (13, 9), (35, 6)] {
+        let mut l = fill(n, n, 1);
+        let mut u = fill(n, n, 2);
+        for i in 0..n {
+            l[(i, i)] = 1.0;
+            u[(i, i)] = 4.0;
+        }
+        let x0 = fill(n, rhs, 3);
+        let (mut lower, mut upper) = (x0.clone(), x0.clone());
+        for j in 0..rhs {
+            for k in 0..n {
+                let s = lower[(k, j)];
+                for i in k + 1..n {
+                    if s != 0.0 {
+                        lower[(i, j)] -= l[(i, k)] * s;
+                    }
+                }
+            }
+            for k in (0..n).rev() {
+                upper[(k, j)] /= u[(k, k)];
+                let s = upper[(k, j)];
+                for i in 0..k {
+                    if s != 0.0 {
+                        upper[(i, j)] -= u[(i, k)] * s;
+                    }
+                }
+            }
+        }
+        for d in Dispatch::available() {
+            let mut x = x0.clone();
+            d.trsm_lower_unit(l.as_view(), x.as_view_mut());
+            assert_eq!(bits(&x), bits(&lower), "{}: lower {n}x{rhs}", d.name());
+            let mut x = x0.clone();
+            d.trsm_upper(u.as_view(), x.as_view_mut());
+            assert_eq!(bits(&x), bits(&upper), "{}: upper {n}x{rhs}", d.name());
+        }
+    }
+    for (m, w) in [(1, 1), (9, 9), (20, 7), (40, 19)] {
+        let p0 = DenseMat::from_fn(m, w, |i, j| ((i * 13 + j * 29) % 31) as f64 / 9.0 - 1.7);
+        // Unblocked right-looking elimination with partial pivoting.
+        let mut expect = p0.clone();
+        let mut swaps = Vec::new();
+        for c in 0..w {
+            let best = (c..m).rev().max_by(|&a, &b| {
+                expect[(a, c)]
+                    .abs()
+                    .partial_cmp(&expect[(b, c)].abs())
+                    .expect("finite")
+            });
+            let best = best.expect("non-empty column");
+            swaps.push(best);
+            expect.swap_rows(c, best);
+            for r in c + 1..m {
+                expect[(r, c)] /= expect[(c, c)];
+            }
+            for j in c + 1..w {
+                let s = expect[(c, j)];
+                for r in c + 1..m {
+                    if s != 0.0 {
+                        expect[(r, j)] -= expect[(r, c)] * s;
+                    }
+                }
+            }
+        }
+        for d in Dispatch::available() {
+            let mut p = p0.clone();
+            let mut out = PanelOutcome::default();
+            d.lu_panel_into(
+                &mut p,
+                PivotRule::Partial,
+                0.0,
+                PanelBreakdown::Error,
+                None,
+                &mut out,
+            )
+            .expect("nonsingular panel");
+            assert_eq!(
+                out.pivots.swaps(),
+                &swaps[..],
+                "{}: pivots {m}x{w}",
+                d.name()
+            );
+            assert_eq!(bits(&p), bits(&expect), "{}: panel {m}x{w}", d.name());
         }
     }
 }

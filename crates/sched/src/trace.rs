@@ -188,9 +188,9 @@ pub struct SchedStats {
     /// (`BlockMatrix::panel_copy_count`; zero for the zero-copy layout).
     /// Left 0 by the raw executor — the numeric drivers fill it.
     pub panel_copies: usize,
-    /// Dense kernel implementation the numeric layer ran through
-    /// (`"portable"`, `"simd-avx2"`, `"simd-chunked"`). Left `""` by the
-    /// raw executor — the numeric drivers fill it.
+    /// Dense kernel instantiation the numeric layer ran through
+    /// (`"baseline"`, `"avx2"`, `"avx512f"`). Left `""` by the raw executor
+    /// — the numeric drivers fill it.
     pub kernel: &'static str,
 }
 

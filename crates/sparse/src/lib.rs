@@ -38,9 +38,17 @@ pub use error::SparseError;
 pub use pattern::SparsityPattern;
 pub use perm::Permutation;
 
-/// Infinity norm (maximum absolute entry) of a dense vector.
+/// Infinity norm (maximum absolute entry) of a dense vector; NaN if any
+/// entry is NaN (`f64::max` would skip it).
 pub fn vec_inf_norm(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+    v.iter().fold(0.0_f64, |m, &x| {
+        let a = x.abs();
+        if a > m || a.is_nan() {
+            a
+        } else {
+            m
+        }
+    })
 }
 
 /// Computes the backward-error numerator `‖b − A x‖∞`.
@@ -53,7 +61,8 @@ pub fn residual_inf_norm(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
 /// Scaled residual `‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)`.
 ///
 /// This is the standard normalized backward error for a linear solve; values
-/// around machine epsilon indicate a backward-stable solve.
+/// around machine epsilon indicate a backward-stable solve. A NaN anywhere
+/// in `x` or `b` makes the result NaN, so it fails every `<` / `<=` gate.
 pub fn relative_residual(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     let num = residual_inf_norm(a, x, b);
     let den = a.inf_norm() * vec_inf_norm(x) + vec_inf_norm(b);
@@ -87,5 +96,18 @@ mod tests {
     fn vec_inf_norm_handles_negatives_and_empty() {
         assert_eq!(vec_inf_norm(&[]), 0.0);
         assert_eq!(vec_inf_norm(&[-3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn nan_anywhere_makes_the_residual_nan() {
+        let a = CscMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 1, 4.0)]).unwrap();
+        let b = [2.0, 8.0];
+        assert!(vec_inf_norm(&[1.0, f64::NAN, 3.0]).is_nan());
+        assert!(vec_inf_norm(&[f64::NAN, 1.0]).is_nan());
+        assert!(residual_inf_norm(&a, &[1.0, f64::NAN], &b).is_nan());
+        // An all-NaN "solution" used to report 0 / ‖b‖∞ = 0: a perfect solve.
+        assert!(relative_residual(&a, &[f64::NAN, f64::NAN], &b).is_nan());
+        assert!(relative_residual(&a, &[f64::NAN, 2.0], &b).is_nan());
+        assert!(relative_residual(&a, &[1.0, 2.0], &[f64::NAN, 8.0]).is_nan());
     }
 }

@@ -174,9 +174,11 @@ OPTIONS:
                         `perturb` replaces it by sign(d)·eps·||A||_1 and
                         recovers through iterative refinement
                         [default eps: sqrt(machine epsilon)]
-  --kernels portable|simd|auto   dense kernel implementation      [portable]
-                        (simd/auto need the `simd` cargo feature; factors
-                        are bitwise identical under every choice)
+  --kernels auto|portable   dense kernel instantiation            [auto]
+                        (auto: the widest instruction set the CPU has;
+                        portable: the baseline one; `simd` is accepted as
+                        a spelling of auto; factors are bitwise identical
+                        under every choice)
   --time-limit <secs>   deadline for the whole run (symbolic front half
                         and numerical phase); an expired run drains its
                         workers and exits with code 5
@@ -351,8 +353,7 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
                 let v = it.next().ok_or("--kernels needs a value")?;
                 cli.opts.kernels = match v.as_str() {
                     "portable" => KernelChoice::Portable,
-                    "simd" => KernelChoice::Simd,
-                    "auto" => KernelChoice::Auto,
+                    "auto" | "simd" => KernelChoice::Auto,
                     _ => return Err(format!("unknown kernel choice `{v}`")),
                 };
             }

@@ -1403,8 +1403,15 @@ fn serve_job_inner(
             } else {
                 relative_residual(a, &x, &b)
             };
+            // JSON has no NaN/∞: a residual that is not a number (a NaN in
+            // the right-hand side or the solution) is reported as `null`.
+            let resid = if resid.is_finite() {
+                format!("{resid:.3e}")
+            } else {
+                "null".to_string()
+            };
             Ok(format!(
-                r#","residual":{resid:.3e},"x_hash":"{:#018x}""#,
+                r#","residual":{resid},"x_hash":"{:#018x}""#,
                 solution_hash(&x)
             ))
         }

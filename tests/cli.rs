@@ -96,8 +96,7 @@ fn kernel_choice_is_accepted_and_solution_invariant() {
     };
     let portable = solve("portable");
     // Bitwise identity of the printed solution under every kernel choice
-    // (simd/auto fall back to portable without the `simd` cargo feature;
-    // with it, the SIMD tables must reproduce the same bits).
+    // (`simd` is the old spelling of `auto`).
     assert_eq!(portable, solve("simd"));
     assert_eq!(portable, solve("auto"));
     assert!(run(&args(&["solve", &path, "--kernels", "avx9000"]))
@@ -164,6 +163,11 @@ fn solve_with_rhs_and_out_files() {
         .map(|l| l.parse().unwrap())
         .collect();
     assert_eq!(x.len(), n);
+    // A NaN in the right-hand side poisons the solution; the residual line
+    // must say so instead of reporting a finite number.
+    std::fs::write(&rhs_path, rhs_text.replacen("-2\n", "NaN\n", 1)).unwrap();
+    let out = run(&args(&["solve", &path, "--rhs", &rhs_path])).unwrap();
+    assert!(out.contains("scaled residual   : NaN"), "{out}");
     // Wrong-length RHS must error.
     std::fs::write(&rhs_path, "1.0\n2.0\n").unwrap();
     assert!(run(&args(&["solve", &path, "--rhs", &rhs_path]))
@@ -523,6 +527,52 @@ fn serve_mode_runs_a_session_script_in_process() {
         assert!(resid < 1e-8, "{l}");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn serve_reports_a_residual_that_is_not_a_number_as_null() {
+    use parsplu::cli::serve_loop;
+    use std::io::Cursor;
+    use std::sync::Mutex;
+    let path = tmp("serve_nan");
+    run(&args(&["gen", "sherman3", &path, "--reduced"])).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let n: usize = text
+        .lines()
+        .nth(1)
+        .unwrap()
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap();
+    let rhs_path = format!("{path}.rhs");
+    let rhs: String = (0..n)
+        .map(|i| if i == 3 { "NaN\n" } else { "1.0\n" })
+        .collect();
+    std::fs::write(&rhs_path, rhs).unwrap();
+    let script = format!("analyze s {path}\nfactor s {path}\nsolve s --rhs {rhs_path}\n");
+    let writer = Mutex::new(Vec::new());
+    serve_loop(Cursor::new(script), &writer, 1, None).unwrap();
+    let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
+    let solve = out
+        .lines()
+        .find(|l| l.contains(r#""op":"solve""#))
+        .expect("solve reply");
+    let v = splu_bench::json::parse(solve).expect("the reply stays valid JSON");
+    assert_eq!(
+        v.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{solve}"
+    );
+    assert_eq!(
+        v.get("residual"),
+        Some(&splu_bench::json::Json::Null),
+        "{solve}"
+    );
+    for f in [path, rhs_path] {
+        let _ = std::fs::remove_file(f);
+    }
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! End-to-end coverage of the kernel dispatch layer through the top-level
 //! driver: `SparseLu::factor` must produce **bitwise identical** factors —
 //! pivots, solves, determinants — under every [`KernelChoice`], on every
-//! suite matrix. Without the `simd` cargo feature `Simd`/`Auto` resolve to
-//! the portable table (so this test pins the documented fallback); with it,
-//! the explicit-width kernels must reproduce the portable bits exactly.
+//! suite matrix: whatever instantiation `Auto` resolves to on this CPU must
+//! reproduce the baseline's bits exactly.
 
 use parsplu::core::{KernelChoice, Options, SparseLu};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
@@ -25,28 +24,26 @@ fn sparse_lu_factors_are_kernel_invariant_suitewide() {
             let reference = factor_with(KernelChoice::Portable, &m.a, threads);
             let x_ref = reference.solve(&b);
             let det_ref = reference.determinant();
-            for choice in [KernelChoice::Simd, KernelChoice::Auto] {
-                let lu = factor_with(choice, &m.a, threads);
-                // Solves run through every stored factor entry, so equal
-                // solve vectors + equal determinants pin the factor bits.
-                assert_eq!(
-                    lu.solve(&b),
-                    x_ref,
-                    "{}: {choice:?} solve differs at {threads} threads",
-                    m.name
-                );
-                assert_eq!(
-                    lu.determinant(),
-                    det_ref,
-                    "{}: {choice:?} determinant differs",
-                    m.name
-                );
-            }
+            let lu = factor_with(KernelChoice::Auto, &m.a, threads);
+            // Solves run through every stored factor entry, so equal
+            // solve vectors + equal determinants pin the factor bits.
+            assert_eq!(
+                lu.solve(&b),
+                x_ref,
+                "{}: Auto solve differs at {threads} threads",
+                m.name
+            );
+            assert_eq!(
+                lu.determinant(),
+                det_ref,
+                "{}: Auto determinant differs",
+                m.name
+            );
         }
     }
 }
 
 #[test]
-fn kernel_choice_defaults_to_portable() {
-    assert_eq!(Options::default().kernels, KernelChoice::Portable);
+fn kernel_choice_defaults_to_auto() {
+    assert_eq!(Options::default().kernels, KernelChoice::Auto);
 }
