@@ -1,9 +1,8 @@
 //! Scheduler telemetry report for the parallel numeric factorization.
 //!
 //! For every suite matrix (or the one named on the command line) this binary
-//! factors under three scheduling disciplines — `static1d` (owner-computes
-//! priority pools), `dynamic` (work stealing) and `fifo` (the retained
-//! shared-FIFO baseline) — and for each one:
+//! factors under the executor's two placements — `static1d` (owner-computes
+//! priority pools) and `dynamic` (work stealing) — and for each one:
 //!
 //! 1. measures the **tracing-off** median over [`splu_bench::REPS`] reps,
 //!    then the **tracing-on** ([`TraceConfig::full`]) median, reporting the
@@ -12,8 +11,8 @@
 //!    into busy / steal-scan / idle time with task and steal counters;
 //! 3. diffs the achieved wall clock against the calibrated simulator's
 //!    prediction for the same task graph ([`simulate`] for `static1d`,
-//!    [`simulate_dynamic`] with `Priority`/`Fifo` ready policies for the
-//!    self-scheduled modes).
+//!    [`simulate_dynamic_traced`] with the `Priority` ready policy for
+//!    `dynamic`).
 //!
 //! Artifacts, self-validated against the schemas in [`splu_bench::json`]
 //! before being written:
@@ -32,18 +31,17 @@
 
 use splu_bench::{calibrated_model, json, prepare_suite, Prepared, REPS};
 use splu_core::{
-    estimate_task_costs, factor_numeric_with, factor_task, update_task, BlockMatrix, ExecReport,
-    KernelChoice, NumericRequest, TraceConfig,
+    estimate_task_costs, factor_numeric_with, BlockMatrix, ExecReport, KernelChoice,
+    NumericRequest, TraceConfig,
 };
 use splu_sched::{
-    execute_fifo_traced, sim_chrome_json, simulate, simulate_dynamic_traced, Mapping, ReadyPolicy,
-    Task, TaskGraph,
+    sim_chrome_json, simulate, simulate_dynamic_traced, Mapping, ReadyPolicy, Task, TaskGraph,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The three scheduling disciplines under measurement.
-const MODES: [&str; 3] = ["static1d", "dynamic", "fifo"];
+/// The scheduling disciplines under measurement.
+const MODES: [&str; 2] = ["static1d", "dynamic"];
 
 /// Median over `REPS` timed runs of `f`, in seconds.
 fn median_time<F: FnMut()>(mut f: F) -> f64 {
@@ -58,9 +56,7 @@ fn median_time<F: FnMut()>(mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-/// One factorization under `mode`, traced per `config`. The FIFO baseline
-/// executor has no pivot-error plumbing of its own, so its task bodies
-/// mirror the scaling bench's closure.
+/// One factorization under `mode`, traced per `config`.
 fn factor_mode(
     bm: &BlockMatrix,
     graph: &TaskGraph,
@@ -68,37 +64,19 @@ fn factor_mode(
     mode: &str,
     config: &TraceConfig,
 ) -> ExecReport {
-    let coarse = |mapping: Mapping| {
-        factor_numeric_with(
-            bm,
-            &NumericRequest::coarse(graph, mapping)
-                .threads(threads)
-                .kernels(KernelChoice::Auto)
-                .trace(*config),
-        )
-        .expect("factorization succeeds")
-    };
-    match mode {
-        "static1d" => coarse(Mapping::Static1D),
-        "dynamic" => coarse(Mapping::Dynamic),
-        "fifo" => {
-            let mut report = execute_fifo_traced(
-                graph,
-                threads,
-                Mapping::Dynamic,
-                |task| match task {
-                    Task::Factor(k) => {
-                        factor_task(bm, k, 0.0).expect("factorization succeeds");
-                    }
-                    Task::Update { src, dst } => update_task(bm, src, dst),
-                },
-                config,
-            );
-            report.stats.panel_copies = bm.panel_copy_count();
-            report
-        }
+    let mapping = match mode {
+        "static1d" => Mapping::Static1D,
+        "dynamic" => Mapping::Dynamic,
         other => unreachable!("unknown mode {other}"),
-    }
+    };
+    factor_numeric_with(
+        bm,
+        &NumericRequest::coarse(graph, mapping)
+            .threads(threads)
+            .kernels(KernelChoice::Auto)
+            .trace(*config),
+    )
+    .expect("factorization succeeds")
 }
 
 /// Tracing-off median, tracing-on median, and the final traced report
@@ -217,7 +195,7 @@ fn main() {
                 "static1d" => {
                     simulate(&p.eforest, threads, Mapping::Static1D, &costs, &model).makespan
                 }
-                "dynamic" => {
+                _ => {
                     let (res, events) = simulate_dynamic_traced(
                         &p.eforest,
                         threads,
@@ -232,11 +210,6 @@ fn main() {
                         json::validate_chrome_trace,
                     );
                     res.makespan
-                }
-                _ => {
-                    simulate_dynamic_traced(&p.eforest, threads, &costs, &model, ReadyPolicy::Fifo)
-                        .0
-                        .makespan
                 }
             };
             let stats = &report.stats;

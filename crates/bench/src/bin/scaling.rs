@@ -1,12 +1,10 @@
-//! Thread-scaling benchmark of the numerical factorization, comparing the
-//! work-stealing critical-path-priority executor against the retained
-//! shared-FIFO baseline.
+//! Thread-scaling benchmark of the numerical factorization under the
+//! executor's two placements.
 //!
-//! For every suite matrix, every thread count in {1, 2, 4, 8} and every
-//! scheduling discipline — `static1d` (owner-computes, priority pools),
-//! `dynamic` (work stealing, priority pools) and `fifo-dynamic` (the
-//! pre-work-stealing shared FIFO queue, kept as [`splu_sched::execute_fifo`])
-//! — the median of [`splu_bench::REPS`] factorization times is recorded to
+//! For every suite matrix, every thread count in {1, 2, 4, 8} and both
+//! mappings — `static1d` (owner-computes priority pools, the paper's
+//! deployment) and `dynamic` (work stealing) — the median of
+//! [`splu_bench::REPS`] factorization times is recorded to
 //! `BENCH_factor.json` in the working directory:
 //!
 //! ```json
@@ -27,17 +25,14 @@
 //! `sim8-fifo` (the pre-rework FIFO inspector), identical costs and
 //! mapping otherwise.
 //!
-//! The closing summary prints both 8-way ratios (`dynamic` over
-//! `fifo-dynamic` wall clock; priority over FIFO simulated) on the largest
-//! matrix — the headline numbers of the executor rework. Set
-//! `PARSPLU_REDUCED=1` for a fast CI-sized run.
+//! The closing summary prints the simulated 8-way priority-over-FIFO ratio
+//! on the largest matrix. Set `PARSPLU_REDUCED=1` for a fast CI-sized run.
 
 use splu_bench::{calibrated_model, prepare_suite, Prepared, REPS};
 use splu_core::{
-    estimate_task_costs, factor_numeric_with, factor_task_with_policy, update_task_with,
-    BlockMatrix, Dispatch, KernelChoice, NumericRequest, PanelBreakdown, PivotRule,
+    estimate_task_costs, factor_numeric_with, BlockMatrix, Dispatch, KernelChoice, NumericRequest,
 };
-use splu_sched::{execute_fifo, simulate_dynamic, Mapping, ReadyPolicy, Task};
+use splu_sched::{simulate_dynamic, Mapping, ReadyPolicy};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -76,31 +71,6 @@ fn time_mapping(p: &Prepared, threads: usize, mapping: Mapping) -> f64 {
     })
 }
 
-/// The baseline: same task bodies, same graph, but the old shared-FIFO
-/// executor under dynamic self-scheduling.
-fn time_fifo(p: &Prepared, threads: usize) -> f64 {
-    let mut bm = BlockMatrix::assemble(&p.permuted, &p.sym.block_structure);
-    let kernels = Dispatch::resolve(KernelChoice::Auto);
-    median_time(|| {
-        bm.reset_from(&p.permuted, &p.sym.block_structure);
-        execute_fifo(&p.eforest, threads, Mapping::Dynamic, |task| match task {
-            Task::Factor(k) => {
-                factor_task_with_policy(
-                    &bm,
-                    k,
-                    PivotRule::Partial,
-                    0.0,
-                    PanelBreakdown::Error,
-                    None,
-                    &kernels,
-                )
-                .expect("factorization succeeds");
-            }
-            Task::Update { src, dst } => update_task_with(&bm, src, dst, &kernels),
-        });
-    })
-}
-
 fn main() {
     let prepared = prepare_suite();
     // One resolved name for every measured row: the same Auto choice the
@@ -110,23 +80,18 @@ fn main() {
     let mut records: Vec<Record> = Vec::new();
 
     println!(
-        "{:<14} {:>7} {:>13} {:>13} {:>13}",
-        "matrix", "threads", "static1d", "dynamic", "fifo-dynamic"
+        "{:<14} {:>7} {:>13} {:>13}",
+        "matrix", "threads", "static1d", "dynamic"
     );
     for p in &prepared {
         for &threads in &threads_axis {
             let t_static = time_mapping(p, threads, Mapping::Static1D);
             let t_dynamic = time_mapping(p, threads, Mapping::Dynamic);
-            let t_fifo = time_fifo(p, threads);
             println!(
-                "{:<14} {:>7} {:>12.6}s {:>12.6}s {:>12.6}s",
-                p.name, threads, t_static, t_dynamic, t_fifo
+                "{:<14} {:>7} {:>12.6}s {:>12.6}s",
+                p.name, threads, t_static, t_dynamic
             );
-            for (mapping, secs) in [
-                ("static1d", t_static),
-                ("dynamic", t_dynamic),
-                ("fifo-dynamic", t_fifo),
-            ] {
+            for (mapping, secs) in [("static1d", t_static), ("dynamic", t_dynamic)] {
                 records.push(Record {
                     matrix: p.name.to_string(),
                     threads,
@@ -169,8 +134,7 @@ fn main() {
         }
     }
 
-    // Headline: 8-thread dynamic (stealing) vs the FIFO baseline on the
-    // largest matrix of the suite.
+    // Headline: the ready-policy comparison on the largest matrix.
     if let Some(largest) = prepared.iter().max_by_key(|p| p.a.ncols()) {
         let find = |mapping: &str| {
             records
@@ -178,18 +142,9 @@ fn main() {
                 .find(|r| r.matrix == largest.name && r.threads == 8 && r.mapping == mapping)
                 .map(|r| r.median_seconds)
         };
-        if let (Some(dynamic), Some(fifo)) = (find("dynamic"), find("fifo-dynamic")) {
-            println!(
-                "\n{}@8 threads: work-stealing {:.6}s vs FIFO {:.6}s  ({:.2}x wall clock)",
-                largest.name,
-                dynamic,
-                fifo,
-                fifo / dynamic
-            );
-        }
         if let (Some(prio), Some(fifo)) = (find("sim8-priority"), find("sim8-fifo")) {
             println!(
-                "{}@8 virtual procs: priority {:.6}s vs FIFO {:.6}s  ({:.2}x simulated)",
+                "\n{}@8 virtual procs: priority {:.6}s vs FIFO {:.6}s  ({:.2}x simulated)",
                 largest.name,
                 prio,
                 fifo,

@@ -24,10 +24,7 @@ use crate::observe::ObsSession;
 use crate::{LuError, Options};
 use parking_lot::Mutex;
 use splu_obs::{Counter, Track};
-use splu_sched::{
-    execute_dag_report, execute_dag_report_budgeted, CancelToken, EventKind, Interrupt, RunBudget,
-    TraceConfig,
-};
+use splu_sched::{run, CancelToken, EventKind, ExecRequest, Interrupt, RunBudget, TraceConfig};
 use splu_sparse::{Permutation, SparsityPattern};
 use splu_symbolic::{
     assemble_filled_threads, fill_columns, fill_skeleton, EliminationForest, FillChunk,
@@ -192,7 +189,9 @@ pub fn static_fill_parallel_with_parents(
     let slots: Vec<Mutex<Option<FillChunk>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
     let scratch_pool: Mutex<Vec<FillScratch>> = Mutex::new(Vec::new());
     let columns_done = AtomicUsize::new(0);
+    // The chunks are independent: a DAG with no edges.
     let pred_counts = vec![0usize; n_chunks];
+    let successors = vec![Vec::new(); n_chunks];
     // An observed run records each chunk as a span on its front-thread
     // track (shared-epoch executor trace, replayed below) and counts the
     // Ū entries it produced; the unobserved configuration is `off` and the
@@ -201,36 +200,32 @@ pub fn static_fill_parallel_with_parents(
         Some(o) => o.executor_trace_config(n_chunks, threads),
         None => TraceConfig::off(),
     };
-    let mut report = execute_dag_report_budgeted(
-        n_chunks,
-        &pred_counts,
-        |_| &[][..],
+    let exec = ExecRequest {
         threads,
-        1,
-        |_| 0,
-        |t| {
-            #[cfg(feature = "failpoints")]
-            crate::failpoints::maybe_cancel_symbolic(t, budget.token.as_ref());
-            let mut scratch = scratch_pool
-                .lock()
-                .pop()
-                .unwrap_or_else(|| FillScratch::new(n));
-            let cols = ranges[t].clone();
-            let filled_here = cols.len();
-            let chunk = fill_columns(pattern, &skel, cols, &mut scratch);
-            if let Some(reg) = metrics {
-                // Every chunk boundary is a budget poll; u_idx counts the
-                // Ū entries (diagonal included) this chunk contributed.
-                reg.incr(Counter::BudgetCheckpoints);
-                reg.add(Counter::FillU, chunk.u_idx.len() as u64);
-            }
-            *slots[t].lock() = Some(chunk);
-            scratch_pool.lock().push(scratch);
-            columns_done.fetch_add(filled_here, Ordering::Relaxed);
-        },
-        &exec_config,
-        &budget,
-    );
+        trace: exec_config,
+        budget: &budget,
+        ..ExecRequest::new(&pred_counts, &successors)
+    };
+    let mut report = run(&exec, |t| {
+        #[cfg(feature = "failpoints")]
+        crate::failpoints::maybe_cancel_symbolic(t, budget.token.as_ref());
+        let mut scratch = scratch_pool
+            .lock()
+            .pop()
+            .unwrap_or_else(|| FillScratch::new(n));
+        let cols = ranges[t].clone();
+        let filled_here = cols.len();
+        let chunk = fill_columns(pattern, &skel, cols, &mut scratch);
+        if let Some(reg) = metrics {
+            // Every chunk boundary is a budget poll; u_idx counts the
+            // Ū entries (diagonal included) this chunk contributed.
+            reg.incr(Counter::BudgetCheckpoints);
+            reg.add(Counter::FillU, chunk.u_idx.len() as u64);
+        }
+        *slots[t].lock() = Some(chunk);
+        scratch_pool.lock().push(scratch);
+        columns_done.fetch_add(filled_here, Ordering::Relaxed);
+    });
     if let (Some(o), Some(trace)) = (obs, report.trace.take()) {
         for e in &trace.events {
             if let EventKind::Task { tid } = e.kind {
@@ -294,23 +289,23 @@ pub fn postorder_parallel_obs(
         return forest.postorder();
     }
     let slots: Vec<Mutex<Vec<usize>>> = roots.iter().map(|_| Mutex::new(Vec::new())).collect();
+    // The trees are independent: a DAG with no edges.
     let pred_counts = vec![0usize; roots.len()];
-    let exec_config = match obs {
-        Some(o) => o.executor_trace_config(roots.len(), nthreads),
-        None => TraceConfig::off(),
-    };
-    let mut report = execute_dag_report(
-        roots.len(),
-        &pred_counts,
-        |_| &[][..],
-        nthreads,
-        1,
-        |_| 0,
-        |t| {
-            *slots[t].lock() = forest.postorder_segment(roots[t]);
+    let successors = vec![Vec::new(); roots.len()];
+    let exec = ExecRequest {
+        threads: nthreads,
+        trace: match obs {
+            Some(o) => o.executor_trace_config(roots.len(), nthreads),
+            None => TraceConfig::off(),
         },
-        &exec_config,
-    );
+        ..ExecRequest::new(&pred_counts, &successors)
+    };
+    let mut report = run(&exec, |t| {
+        *slots[t].lock() = forest.postorder_segment(roots[t]);
+    });
+    // No error channel here: a panicking segment task must surface as
+    // itself, not as a hole in the stitched permutation below.
+    report.rethrow();
     if let (Some(o), Some(trace)) = (obs, report.trace.take()) {
         for e in &trace.events {
             if let EventKind::Task { tid } = e.kind {

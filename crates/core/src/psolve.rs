@@ -14,7 +14,7 @@
 
 use crate::blocks::BlockMatrix;
 use parking_lot::Mutex;
-use splu_sched::execute_dag;
+use splu_sched::{run, ExecRequest};
 use splu_symbolic::supernode::BlockStructure;
 
 /// Right-hand side sharded by block row.
@@ -67,77 +67,74 @@ pub fn solve_permuted_parallel(
         }
     }
     let shards = Shards::scatter(b, bs);
-    execute_dag(
-        nb,
-        &fwd_pred,
-        |t| &fwd_succ[t],
-        nthreads.max(1),
-        1,
-        |_| 0,
-        |k| {
-            let stack = bm.stack(k);
-            let col = bm.column(k).read();
-            let piv = col
-                .pivots
-                .as_ref()
-                .expect("solve requires a completed factorization");
-            // Apply interchanges. Swapped rows live in this column's stack
-            // (its own block row + ancestors) — disjoint from concurrent
-            // sibling work, but possibly in shared segments: lock per swap.
-            for (c, &p) in piv.swaps().iter().enumerate() {
-                if c == p {
-                    continue;
-                }
-                let (ib1, r1) = stack.locate(c);
-                let (ib2, r2) = stack.locate(p);
-                if ib1 == ib2 {
-                    let mut seg = shards.segs[ib1].lock();
-                    seg.swap(r1, r2);
-                } else {
-                    // Ordered acquisition avoids deadlock.
-                    let (lo, hi) = if ib1 < ib2 { (ib1, ib2) } else { (ib2, ib1) };
-                    let mut s_lo = shards.segs[lo].lock();
-                    let mut s_hi = shards.segs[hi].lock();
-                    let (rlo, rhi) = if ib1 < ib2 { (r1, r2) } else { (r2, r1) };
-                    std::mem::swap(&mut s_lo[rlo], &mut s_hi[rhi]);
+    let forward = ExecRequest {
+        threads: nthreads,
+        ..ExecRequest::new(&fwd_pred, &fwd_succ)
+    };
+    run(&forward, |k| {
+        let stack = bm.stack(k);
+        let col = bm.column(k).read();
+        let piv = col
+            .pivots
+            .as_ref()
+            .expect("solve requires a completed factorization");
+        // Apply interchanges. Swapped rows live in this column's stack
+        // (its own block row + ancestors) — disjoint from concurrent
+        // sibling work, but possibly in shared segments: lock per swap.
+        for (c, &p) in piv.swaps().iter().enumerate() {
+            if c == p {
+                continue;
+            }
+            let (ib1, r1) = stack.locate(c);
+            let (ib2, r2) = stack.locate(p);
+            if ib1 == ib2 {
+                let mut seg = shards.segs[ib1].lock();
+                seg.swap(r1, r2);
+            } else {
+                // Ordered acquisition avoids deadlock.
+                let (lo, hi) = if ib1 < ib2 { (ib1, ib2) } else { (ib2, ib1) };
+                let mut s_lo = shards.segs[lo].lock();
+                let mut s_hi = shards.segs[hi].lock();
+                let (rlo, rhi) = if ib1 < ib2 { (r1, r2) } else { (r2, r1) };
+                std::mem::swap(&mut s_lo[rlo], &mut s_hi[rhi]);
+            }
+        }
+        // Unit-lower solve on the diagonal block.
+        let diag = col.block(k).expect("diagonal block exists");
+        let w = diag.ncols();
+        let mut yk = {
+            let seg = shards.segs[k].lock();
+            seg.clone()
+        };
+        for c in 0..w {
+            let s = yk[c];
+            if s != 0.0 {
+                let dcol = diag.col(c);
+                for r in c + 1..w {
+                    yk[r] -= dcol[r] * s;
                 }
             }
-            // Unit-lower solve on the diagonal block.
-            let diag = col.block(k).expect("diagonal block exists");
-            let w = diag.ncols();
-            let mut yk = {
-                let seg = shards.segs[k].lock();
-                seg.clone()
-            };
+        }
+        {
+            let mut seg = shards.segs[k].lock();
+            seg.copy_from_slice(&yk);
+        }
+        // Eliminate the sub-diagonal blocks.
+        for &ib in &stack.l_rows[1..] {
+            let blk = col.block(ib).expect("L block exists");
+            let mut seg = shards.segs[ib].lock();
             for c in 0..w {
                 let s = yk[c];
                 if s != 0.0 {
-                    let dcol = diag.col(c);
-                    for r in c + 1..w {
-                        yk[r] -= dcol[r] * s;
+                    let bcol = blk.col(c);
+                    for (r, &v) in bcol.iter().enumerate() {
+                        seg[r] -= v * s;
                     }
                 }
             }
-            {
-                let mut seg = shards.segs[k].lock();
-                seg.copy_from_slice(&yk);
-            }
-            // Eliminate the sub-diagonal blocks.
-            for &ib in &stack.l_rows[1..] {
-                let blk = col.block(ib).expect("L block exists");
-                let mut seg = shards.segs[ib].lock();
-                for c in 0..w {
-                    let s = yk[c];
-                    if s != 0.0 {
-                        let bcol = blk.col(c);
-                        for (r, &v) in bcol.iter().enumerate() {
-                            seg[r] -= v * s;
-                        }
-                    }
-                }
-            }
-        },
-    );
+        }
+    })
+    .rethrow();
 
     // ---- Backward sweep. ------------------------------------------------
     // Unlike the forward direction, several sources update the *same*
@@ -174,53 +171,50 @@ pub fn solve_permuted_parallel(
             }
         }
     }
-    execute_dag(
-        nb,
-        &bwd_pred,
-        |t| &bwd_succ[t],
-        nthreads.max(1),
-        1,
-        |_| 0,
-        |k| {
-            let col = bm.column(k).read();
-            let diag = col.block(k).expect("diagonal block exists");
-            let w = diag.ncols();
-            let mut xk = {
-                let seg = shards.segs[k].lock();
-                seg.clone()
-            };
-            for c in (0..w).rev() {
-                let dcol = diag.col(c);
-                xk[c] /= dcol[c];
+    let backward = ExecRequest {
+        threads: nthreads,
+        ..ExecRequest::new(&bwd_pred, &bwd_succ)
+    };
+    run(&backward, |k| {
+        let col = bm.column(k).read();
+        let diag = col.block(k).expect("diagonal block exists");
+        let w = diag.ncols();
+        let mut xk = {
+            let seg = shards.segs[k].lock();
+            seg.clone()
+        };
+        for c in (0..w).rev() {
+            let dcol = diag.col(c);
+            xk[c] /= dcol[c];
+            let s = xk[c];
+            if s != 0.0 {
+                for r in 0..c {
+                    xk[r] -= dcol[r] * s;
+                }
+            }
+        }
+        {
+            let mut seg = shards.segs[k].lock();
+            seg.copy_from_slice(&xk);
+        }
+        for (pos, &ib) in col.block_rows.iter().enumerate() {
+            if ib >= k {
+                break;
+            }
+            let blk = &col.ublocks[pos];
+            let mut seg = shards.segs[ib].lock();
+            for c in 0..w {
                 let s = xk[c];
                 if s != 0.0 {
-                    for r in 0..c {
-                        xk[r] -= dcol[r] * s;
+                    let bcol = blk.col(c);
+                    for (r, &v) in bcol.iter().enumerate() {
+                        seg[r] -= v * s;
                     }
                 }
             }
-            {
-                let mut seg = shards.segs[k].lock();
-                seg.copy_from_slice(&xk);
-            }
-            for (pos, &ib) in col.block_rows.iter().enumerate() {
-                if ib >= k {
-                    break;
-                }
-                let blk = &col.ublocks[pos];
-                let mut seg = shards.segs[ib].lock();
-                for c in 0..w {
-                    let s = xk[c];
-                    if s != 0.0 {
-                        let bcol = blk.col(c);
-                        for (r, &v) in bcol.iter().enumerate() {
-                            seg[r] -= v * s;
-                        }
-                    }
-                }
-            }
-        },
-    );
+        }
+    })
+    .rethrow();
 
     shards.gather(b, bs);
     let _ = part;

@@ -28,9 +28,8 @@ use parking_lot::Mutex;
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{
-    execute_dag_report_budgeted, execute_seq_budgeted, execute_traced_budgeted,
-    execute_traced_budgeted_with_priorities, CancelToken, ExecReport, ExecSchedule, FineGraph,
-    FineTask, Interrupt, Mapping, RunBudget, Task, TaskGraph, TraceConfig,
+    run, CancelToken, ExecReport, ExecRequest, ExecSchedule, FineGraph, FineTask, Interrupt,
+    Mapping, RunBudget, Task, TaskGraph, TraceConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -116,7 +115,7 @@ pub struct NumericRequest<'g> {
     /// schedule attached, parallel runs skip the per-run bottom-level
     /// recomputation, and an untraced single-threaded run without a watchdog
     /// replays the precomputed order **inline with zero heap allocation**
-    /// ([`execute_seq_budgeted`]) — the session `refactor` hot path. The
+    /// ([`ExecRequest::runs_inline`]) — the session `refactor` hot path. The
     /// factors are bitwise identical either way. Ignored by the fine graph.
     pub schedule: Option<Arc<ExecSchedule>>,
 }
@@ -226,25 +225,40 @@ pub fn factor_numeric_with(
     req: &NumericRequest<'_>,
 ) -> Result<ExecReport, LuError> {
     let dispatch = Dispatch::resolve(req.kernels);
-    // The inline sequential replay: a cached schedule, one worker, no
-    // tracing, no watchdog. Allocation-free, so the internal-token fixup
-    // below (which allocates) is skipped for it — the inline executor
-    // handles the deadline itself.
-    let inline_seq = req.schedule.is_some()
-        && req.threads <= 1
-        && !req.trace.is_on()
-        && req.budget.watchdog.is_none()
-        && matches!(req.graph, GraphRef::Coarse { .. });
+    // The executor's view of either graph form: the DAG, plus — coarse
+    // only — the static 1D owner map and the session's cached schedule.
+    let threads = req.threads.max(1);
+    let home = |t: usize| match req.graph {
+        GraphRef::Coarse { graph, .. } => graph.task(t).home_column() % threads,
+        GraphRef::Fine(_) => 0,
+    };
+    let exec = match req.graph {
+        GraphRef::Coarse { graph, mapping } => ExecRequest {
+            placement: mapping.placement(&home),
+            schedule: req.schedule.as_deref(),
+            ..ExecRequest::new(graph.pred_counts(), graph.successor_lists())
+        },
+        GraphRef::Fine(fg) => ExecRequest::new(fg.pred_counts(), fg.successor_lists()),
+    };
+    let mut exec = ExecRequest {
+        threads,
+        trace: req.trace,
+        budget: &req.budget,
+        ..exec
+    };
     // Effective budget: a deadline or watchdog without a caller token gets
     // an internal one, so a budget trip can release cooperative waiters
-    // (e.g. the stall failpoint) that poll the token.
+    // (e.g. the stall failpoint) that poll the token. Creating it
+    // allocates, so the allocation-free inline replay — which handles the
+    // deadline itself — goes without.
     let mut budget = req.budget.clone();
-    if !inline_seq
+    if !exec.runs_inline()
         && budget.token.is_none()
         && (budget.deadline.is_some() || budget.watchdog.is_some())
     {
         budget.token = Some(CancelToken::new());
     }
+    exec.budget = &budget;
     let failed = AtomicBool::new(false);
     let columns_done = AtomicUsize::new(0);
     let first_error: Mutex<Option<LuError>> = Mutex::new(None);
@@ -302,68 +316,25 @@ pub fn factor_numeric_with(
             }
         }
     };
-    let mut report = match req.graph {
-        GraphRef::Coarse { graph, mapping } => {
-            let runner = |task: Task| {
-                if failed.load(Ordering::Acquire) {
-                    return;
-                }
-                match task {
-                    Task::Factor(k) => factor(k),
-                    Task::Update { src, dst } => {
-                        update_task_metered(bm, src, dst, &dispatch, metrics)
-                    }
-                }
-            };
-            match &req.schedule {
-                Some(schedule) if inline_seq => {
-                    execute_seq_budgeted(graph, schedule, runner, &budget)
-                }
-                Some(schedule) => execute_traced_budgeted_with_priorities(
-                    graph,
-                    schedule,
-                    req.threads,
-                    mapping,
-                    runner,
-                    &req.trace,
-                    &budget,
-                ),
-                None => execute_traced_budgeted(
-                    graph,
-                    req.threads,
-                    mapping,
-                    runner,
-                    &req.trace,
-                    &budget,
-                ),
-            }
+    let mut report = run(&exec, |tid| {
+        if failed.load(Ordering::Acquire) {
+            return;
         }
-        GraphRef::Fine(fg) => execute_dag_report_budgeted(
-            fg.len(),
-            fg.pred_counts(),
-            |t| fg.successors(t),
-            req.threads,
-            1,
-            |_| 0,
-            |tid| {
-                if failed.load(Ordering::Acquire) {
-                    return;
-                }
-                match fg.tasks()[tid] {
-                    FineTask::Factor(k) => factor(k),
-                    FineTask::Apply { src, dst } => apply_task(bm, src, dst),
-                    FineTask::Trsm { src, dst } => {
-                        trsm_task_metered(bm, src, dst, &dispatch, metrics)
-                    }
-                    FineTask::Gemm { src, dst, row } => {
-                        gemm_task_metered(bm, src, dst, row, &dispatch, metrics)
-                    }
+        match req.graph {
+            GraphRef::Coarse { graph, .. } => match graph.task(tid) {
+                Task::Factor(k) => factor(k),
+                Task::Update { src, dst } => update_task_metered(bm, src, dst, &dispatch, metrics),
+            },
+            GraphRef::Fine(fg) => match fg.tasks()[tid] {
+                FineTask::Factor(k) => factor(k),
+                FineTask::Apply { src, dst } => apply_task(bm, src, dst),
+                FineTask::Trsm { src, dst } => trsm_task_metered(bm, src, dst, &dispatch, metrics),
+                FineTask::Gemm { src, dst, row } => {
+                    gemm_task_metered(bm, src, dst, row, &dispatch, metrics)
                 }
             },
-            &req.trace,
-            &budget,
-        ),
-    };
+        }
+    });
     report.stats.panel_copies = bm.panel_copy_count();
     report.stats.kernel = dispatch.name();
     if let Some(e) = first_error.into_inner() {

@@ -1,8 +1,8 @@
 //! Cancellation, deadlines, and the liveness watchdog for the DAG
-//! executors.
+//! executor.
 //!
 //! A [`RunBudget`] bounds one executor run three ways, all cooperative
-//! and all funneled through the executors' existing abort-broadcast
+//! and all funneled through the executor's existing abort-broadcast
 //! path, so an interrupted run **drains** — every worker observes the
 //! abort at its next task boundary, parks are woken, and the run returns
 //! a report instead of hanging:
@@ -80,7 +80,7 @@ impl CancelToken {
     ///
     /// This is the right shape for handing a long-lived cancellation
     /// handle (a serve connection, a SIGINT watcher) to an executor run:
-    /// the executors' abort-drain path cancels the run's own token to
+    /// the executor's abort-drain path cancels the run's own token to
     /// release parked workers (see [`WatchdogConfig`] and the stall
     /// containment), and a *contained* failure must not stick that
     /// cancellation onto the caller's handle.
@@ -294,8 +294,7 @@ pub struct StallReport {
     pub tasks_pending: usize,
     /// Per-worker liveness snapshots.
     pub workers: Vec<WorkerSnapshot>,
-    /// Ready-pool depths (one per pool; pool count is `nthreads` for the
-    /// per-worker executors, 1 for the shared FIFO queue).
+    /// Ready-pool depths, one per worker.
     pub queue_depths: Vec<usize>,
 }
 
@@ -398,8 +397,8 @@ struct MonitorStop {
 
 /// Shared run-control state for one executor run: the abort latch, the
 /// unretired-task countdown, the first-interrupt slot, the per-worker
-/// liveness cells, and the watchdog plumbing. Both executors thread one
-/// `Supervisor` through their worker loops.
+/// liveness cells, and the watchdog plumbing. The executor threads one
+/// `Supervisor` through its worker loop.
 pub(crate) struct Supervisor<'b> {
     budget: &'b RunBudget,
     /// `true` when a token or deadline needs checking at task boundaries.
@@ -434,7 +433,7 @@ impl<'b> Supervisor<'b> {
     /// The task-boundary budget check. Returns `true` when the worker
     /// must stop acquiring work — because the run is already aborted, or
     /// because this very check tripped the token/deadline. `wake` is the
-    /// executor's broadcast (all gates / all queues).
+    /// executor's broadcast (all gates).
     pub(crate) fn check_budget<W: Fn()>(&self, wake: &W) -> bool {
         if self.abort.is_set() {
             return true;
@@ -657,7 +656,7 @@ mod tests {
         assert!(grandchild.is_cancelled());
         assert!(child.checkpoint());
 
-        // ...but a child cancelled by a contained abort (the executors'
+        // ...but a child cancelled by a contained abort (the executor's
         // drain path) must not poison its parent.
         let conn = CancelToken::new();
         let job = conn.child();

@@ -1,37 +1,51 @@
-//! Multithreaded DAG executor — the RAPID substitute (DESIGN.md §5).
+//! The DAG executor — the RAPID substitute (DESIGN.md §5): one entry
+//! point, [`run`], over one worker loop.
+//!
+//! An [`ExecRequest`] names everything a run depends on: the DAG
+//! (in-degrees plus successor lists — a [`TaskGraph`](crate::TaskGraph), a
+//! [`FineGraph`](crate::FineGraph) and ad-hoc slices are all viewed this
+//! way), an optional cached [`ExecSchedule`], the worker count, the
+//! [`Placement`] of ready tasks, the [`TraceConfig`] and the [`RunBudget`].
+//! Every phase that schedules work — numeric factorization, symbolic fill,
+//! postorder segments, the triangular sweeps — builds a request and calls
+//! [`run`].
 //!
 //! Tasks are dispatched from per-worker **ready pools ordered by
-//! bottom-level priority**: the priority of a task is the length of the
-//! longest dependence path from it to a sink of the DAG (its *bottom
-//! level*, [`TaskGraph::bottom_levels`]), so workers always prefer the task
-//! deepest on the critical path. This is the same rule the static-order
-//! simulator's inspector uses ([`crate::simulate_static_order`]); both get
-//! their priorities from the shared [`TaskGraph::bottom_levels_with`]
-//! sweep.
+//! priority**: the cached schedule's, or else each task's unit *bottom
+//! level* — the length of the longest dependence path from it to a sink of
+//! the DAG — so workers always prefer the task deepest on the critical
+//! path. This is the same rule the static-order simulator's inspector uses
+//! ([`crate::simulate_static_order`]).
 //!
-//! Two mapping disciplines are supported:
+//! Two placements of ready tasks are supported:
 //!
-//! - [`Mapping::Static1D`] reproduces the paper's static 1D column-block
-//!   mapping: every task writing block column `j` (its `Factor(j)` and all
-//!   `Update(·, j)`) runs on worker `j mod P`. Each worker pops **only its
-//!   own pool** — no stealing — because the mapping is what serializes all
-//!   writers of a column on one worker; a stolen task could race another
-//!   writer of the same column. Callers relying on Static1D for mutual
-//!   exclusion (e.g. lock-free column updates) keep that guarantee.
-//! - [`Mapping::Dynamic`] is the work-stealing mode: a worker pushes newly
-//!   ready tasks into its own pool (locality: the successor usually reads
-//!   what the worker just wrote) and, when its pool runs dry, steals the
-//!   highest-priority task from the first non-empty victim pool. Tasks of
-//!   one column may then run on different workers, which is safe for the
-//!   numeric factorization because block columns are `RwLock`-guarded and
-//!   Gilbert's disjoint-row-structure property makes concurrent updates of
-//!   one column commute bitwise.
+//! - [`Placement::Owner`] reproduces the paper's static 1D column-block
+//!   mapping ([`Mapping::Static1D`] at the task-graph level): every task
+//!   writing block column `j` (its `Factor(j)` and all `Update(·, j)`) runs
+//!   on worker `j mod P`. Each worker pops **only its own pool** — no
+//!   stealing — because the mapping is what serializes all writers of a
+//!   column on one worker; a stolen task could race another writer of the
+//!   same column. Callers relying on it for mutual exclusion (e.g.
+//!   lock-free column updates) keep that guarantee.
+//! - [`Placement::Steal`] ([`Mapping::Dynamic`]) is the work-stealing mode:
+//!   a worker pushes newly ready tasks into its own pool (locality: the
+//!   successor usually reads what the worker just wrote) and, when its pool
+//!   runs dry, steals the highest-priority task from the first non-empty
+//!   victim pool. Tasks of one column may then run on different workers,
+//!   which is safe for the numeric factorization because block columns are
+//!   `RwLock`-guarded and Gilbert's disjoint-row-structure property makes
+//!   concurrent updates of one column commute bitwise.
 //!
-//! The synchronization primitives the worker loops are built on — the
-//! sleep [`Gate`], the legacy FIFO [`ReadyQueue`], the [`Countdown`] of
-//! unretired tasks and the abort latch — live in [`crate::sync`], where a
-//! `cfg(loom)` shim lets the loom harness model-check them (no lost
-//! wakeup, abort broadcast terminates every worker, `started == retired`).
+//! A request that [`ExecRequest::runs_inline`] — one worker, a cached
+//! order, no tracing, no watchdog — never reaches the worker loop: [`run`]
+//! replays the cached order on the calling thread without allocating (see
+//! [`crate::schedule`]).
+//!
+//! The synchronization primitives the worker loop is built on — the sleep
+//! [`Gate`], the [`crate::sync::Countdown`] of unretired tasks and the
+//! abort latch — live in [`crate::sync`], where a `cfg(loom)` shim lets the
+//! loom harness model-check them (no lost wakeup, abort broadcast
+//! terminates every worker, `started == retired`).
 //!
 //! Shutdown uses a gate (mutex + condvar) per pool owner: a pusher acquires
 //! the gate lock before notifying, and a parking worker re-checks both the
@@ -41,49 +55,32 @@
 //! worker wakes exactly once, observes `remaining == 0`, and exits. A
 //! panicking task is **contained**: the worker records a [`TaskPanic`]
 //! (first panic wins), sets the abort flag, and broadcasts the same way, so
-//! the remaining workers drain and exit instead of deadlocking. The
-//! `_report` entry points return the panic in [`ExecReport::panic`] — no
-//! unwind escapes them and no lock is poisoned; the fire-and-forget entry
-//! points ([`execute`], [`execute_dag`], …) re-raise it, preserving their
-//! historical semantics.
+//! the remaining workers drain and exit instead of deadlocking. The panic
+//! comes back in [`ExecReport::panic`] — no unwind escapes [`run`] and no
+//! lock is poisoned; a caller without an error channel of its own re-raises
+//! it with [`ExecReport::rethrow`].
 //!
 //! The same abort-broadcast path also serves the **run budget**
-//! ([`crate::RunBudget`]): the `_budgeted` entry points check a
-//! cancellation token and a deadline at every task-acquisition boundary,
-//! and can spawn a watchdog monitor that reads the per-worker heartbeat
-//! epochs and aborts a run that makes no progress for
-//! a full stall window. An interrupted run **drains** — workers exit at
-//! their next boundary, parked workers are woken — and the reason lands in
-//! [`ExecReport::interrupt`]. All checks are cooperative: a task body is
-//! never killed mid-flight, so enforcement latency is bounded by the
-//! longest single task.
-//!
-//! The previous executor — one shared FIFO queue, no priorities — is kept
-//! verbatim as [`execute_dag_fifo`]/[`execute_fifo`] so benchmarks can
-//! measure the scheduling improvement against an unchanged baseline.
+//! ([`crate::RunBudget`]): a cancellation token and a deadline are checked
+//! at every task-acquisition boundary, and an armed watchdog spawns a
+//! monitor that reads the per-worker heartbeat epochs and aborts a run that
+//! makes no progress for a full stall window. An interrupted run **drains**
+//! — workers exit at their next boundary, parked workers are woken — and
+//! the reason lands in [`ExecReport::interrupt`]. All checks are
+//! cooperative: a task body is never killed mid-flight, so enforcement
+//! latency is bounded by the longest single task.
 
 use crate::control::{RunBudget, Supervisor};
-use crate::graph::TaskGraph;
-use crate::sync::{AtomicUsize, Gate, Mutex, Ordering, Park, ReadyQueue};
+use crate::graph::bottom_levels;
+use crate::schedule::{replay_inline, ExecSchedule, Ready};
+use crate::sync::{AtomicUsize, Gate, Mutex, Ordering, Park};
 use crate::trace::{assemble_report, ExecReport, TaskPanic, TraceConfig, WorkerRecorder};
-use crate::Task;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Best-effort extraction of a panic payload's message (the `&str`/`String`
-/// cases `panic!` produces).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Task-to-worker assignment policy.
+/// Task-to-worker assignment policy of a [`TaskGraph`](crate::TaskGraph)
+/// run — the graph-level spelling of [`Placement`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mapping {
     /// The paper's static 1D column-block mapping: `owner(j) = j mod P`.
@@ -95,177 +92,147 @@ pub enum Mapping {
     Dynamic,
 }
 
-/// Ready-pool entry: max-heap by bottom-level priority, ties broken toward
-/// the lower task id so pool order is reproducible.
-#[derive(PartialEq, Eq)]
-struct Ready {
-    prio: u64,
-    tid: usize,
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.prio
-            .cmp(&other.prio)
-            .then_with(|| other.tid.cmp(&self.tid))
-    }
-}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Unit-weight bottom levels computed from a successor closure — the
-/// priority source for [`execute_dag`], whose callers have no [`TaskGraph`].
-fn unit_bottom_levels<'a, S>(n_tasks: usize, pred_counts: &[usize], successors: &S) -> Vec<u64>
-where
-    S: Fn(usize) -> &'a [usize],
-{
-    let mut indeg = pred_counts.to_vec();
-    let mut queue: VecDeque<usize> = (0..n_tasks).filter(|&t| indeg[t] == 0).collect();
-    let mut order = Vec::with_capacity(n_tasks);
-    while let Some(t) = queue.pop_front() {
-        order.push(t);
-        for &s in successors(t) {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push_back(s);
-            }
+impl Mapping {
+    /// The executor placement this mapping stands for; `home` maps a task
+    /// id to its owner, `home_column mod P`.
+    pub fn placement<'a>(self, home: &'a (dyn Fn(usize) -> usize + Sync)) -> Placement<'a> {
+        match self {
+            Mapping::Static1D => Placement::Owner(home),
+            Mapping::Dynamic => Placement::Steal,
         }
     }
-    assert_eq!(order.len(), n_tasks, "task graph contains a cycle");
-    let mut level = vec![1u64; n_tasks];
-    for &t in order.iter().rev() {
-        for &s in successors(t) {
-            level[t] = level[t].max(1 + level[s]);
-        }
-    }
-    level
 }
 
-/// Generic DAG execution core with caller-supplied scheduling priorities:
-/// runs `n_tasks` tasks on `nthreads` workers, honouring the dependence
-/// edges given by `successors`/`pred_counts`, always preferring the ready
-/// task with the largest `priority`.
+/// Where a ready task is queued.
+#[derive(Clone, Copy)]
+pub enum Placement<'a> {
+    /// Task `t` runs on worker `queue_of(t)` (which must be below the
+    /// worker count); workers never steal.
+    Owner(&'a (dyn Fn(usize) -> usize + Sync)),
+    /// A newly ready task joins the pool of the worker that released it,
+    /// and idle workers steal.
+    Steal,
+}
+
+/// The budget of a request that sets none.
+static UNBOUNDED: RunBudget = RunBudget {
+    deadline: None,
+    token: None,
+    watchdog: None,
+};
+
+/// Everything one executor run depends on. Start from
+/// [`ExecRequest::new`] and override fields with struct-update syntax.
+#[derive(Clone, Copy)]
+pub struct ExecRequest<'a> {
+    /// In-degree of each task; its length is the task count.
+    pub pred_counts: &'a [usize],
+    /// Successor ids of each task.
+    pub successors: &'a [Vec<usize>],
+    /// Cached priorities and one-worker order; `None` schedules by unit
+    /// bottom levels computed per run.
+    pub schedule: Option<&'a ExecSchedule>,
+    /// Worker threads (`0` is taken as `1`).
+    pub threads: usize,
+    /// Where ready tasks are queued.
+    pub placement: Placement<'a>,
+    /// Scheduler telemetry; [`TraceConfig::off`] records nothing.
+    pub trace: TraceConfig,
+    /// Cancellation token, deadline and liveness watchdog.
+    pub budget: &'a RunBudget,
+}
+
+impl<'a> ExecRequest<'a> {
+    /// A request over the given DAG with the defaults: one worker, stealing
+    /// placement, no cached schedule, tracing off, unbounded budget.
+    pub fn new(pred_counts: &'a [usize], successors: &'a [Vec<usize>]) -> Self {
+        ExecRequest {
+            pred_counts,
+            successors,
+            schedule: None,
+            threads: 1,
+            placement: Placement::Steal,
+            trace: TraceConfig::off(),
+            budget: &UNBOUNDED,
+        }
+    }
+
+    /// Whether [`run`] replays the cached order inline on the calling
+    /// thread — allocation-free — instead of spawning workers: one worker,
+    /// a cached schedule, tracing off, no watchdog to feed.
+    pub fn runs_inline(&self) -> bool {
+        self.schedule.is_some()
+            && self.threads <= 1
+            && !self.trace.is_on()
+            && self.budget.watchdog.is_none()
+    }
+}
+
+/// Runs every task of the request's DAG once, honouring all dependence
+/// edges and always preferring the ready task of highest priority.
+/// `runner` is invoked with each task id.
 ///
-/// `nqueues == nthreads` selects owner-mapped execution: task `t` runs on
-/// worker `queue_of(t)`, workers never steal. `nqueues == 1` selects
-/// work-stealing execution: `queue_of` is ignored, newly ready tasks join
-/// the discovering worker's pool, and idle workers steal.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_with_priorities<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    priority: &[u64],
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-) where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
+/// The run never unwinds and never hangs on a failing task: a worker panic
+/// is contained in [`ExecReport::panic`], a tripped budget drains the run
+/// and lands in [`ExecReport::interrupt`]. An empty DAG returns at once
+/// with a report shaped for the requested worker count.
+///
+/// # Panics
+///
+/// Panics when the DAG has a cycle, or when a cached schedule was built
+/// for a different task count.
+#[must_use = "a contained worker panic or interrupt is only visible in the report"]
+pub fn run<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
+where
     F: Fn(usize) + Sync,
 {
-    let report = execute_dag_with_priorities_report(
-        n_tasks,
-        pred_counts,
-        successors,
-        priority,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        &TraceConfig::off(),
-    );
-    // The `_report` entry points contain worker panics; the fire-and-forget
-    // entry points have no report to carry one, so re-raise.
-    if let Some(p) = report.panic {
-        panic!("{p}");
+    let n_tasks = req.pred_counts.len();
+    let nthreads = req.threads.max(1);
+    let config = &req.trace;
+    if n_tasks == 0 {
+        return assemble_report(0, nthreads, 0.0, config, Vec::new(), None, None);
     }
-}
-
-/// [`execute_dag_with_priorities`] with telemetry: per-worker busy/idle/steal
-/// timing, task and steal counters, and (in [`crate::TraceMode::Full`]) the
-/// raw event streams for Chrome-trace export. With [`TraceConfig::off`] the
-/// recorder calls reduce to a dead branch per task and the returned report
-/// is empty — this is the path every untraced entry point takes.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_with_priorities_report<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    priority: &[u64],
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    execute_dag_with_priorities_report_budgeted(
-        n_tasks,
-        pred_counts,
-        successors,
-        priority,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        config,
-        &RunBudget::default(),
-    )
-}
-
-/// [`execute_dag_with_priorities_report`] bounded by a [`RunBudget`]:
-/// cancellation token and deadline are checked at every task-acquisition
-/// boundary, and `budget.watchdog` spawns a monitor thread that aborts the
-/// run (with a [`crate::StallReport`]) when no worker makes progress for a
-/// stall window. An interrupted run returns with
-/// [`ExecReport::interrupt`] set; the default budget is free.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_with_priorities_report_budgeted<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    priority: &[u64],
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    let nthreads = nthreads.max(1);
+    assert_eq!(req.successors.len(), n_tasks, "one successor list per task");
+    if let Some(schedule) = req.schedule {
+        assert_eq!(
+            schedule.len(),
+            n_tasks,
+            "schedule/graph task count mismatch"
+        );
+        if req.runs_inline() {
+            return replay_inline(schedule, runner, req.budget);
+        }
+    }
     // Event timestamps measure from the shared epoch when the caller set
     // one (pipeline-aligned traces); wall-clock always from executor start.
     let start = Instant::now();
     let epoch = config.epoch.unwrap_or(start);
-    if n_tasks == 0 {
-        return assemble_report(0, nthreads, 0.0, config, Vec::new(), None, None);
-    }
-    assert!(nqueues == 1 || nqueues == nthreads, "queue/worker mismatch");
-    assert_eq!(priority.len(), n_tasks, "one priority per task");
-    let owner_mode = nqueues == nthreads && nthreads > 1;
+    let computed;
+    let priority: &[u64] = match req.schedule {
+        Some(schedule) => schedule.priorities(),
+        None => {
+            computed = bottom_levels(req.pred_counts, req.successors);
+            &computed
+        }
+    };
+    // With one worker there is one pool either way.
+    let queue_of = match req.placement {
+        Placement::Owner(queue_of) if nthreads > 1 => Some(queue_of),
+        _ => None,
+    };
     let pools: Vec<Mutex<BinaryHeap<Ready>>> = (0..nthreads)
         .map(|_| Mutex::new(BinaryHeap::new()))
         .collect();
-    let gates: Vec<Gate> = (0..if owner_mode { nthreads } else { 1 })
+    // Owners park on their own gate; stealing workers share one.
+    let gates: Vec<Gate> = (0..if queue_of.is_some() { nthreads } else { 1 })
         .map(|_| Gate::new())
         .collect();
-    let indeg: Vec<AtomicUsize> = pred_counts.iter().map(|&c| AtomicUsize::new(c)).collect();
-    let sup = Supervisor::new(n_tasks, nthreads, budget);
+    let indeg: Vec<AtomicUsize> = req
+        .pred_counts
+        .iter()
+        .map(|&c| AtomicUsize::new(c))
+        .collect();
+    let sup = Supervisor::new(n_tasks, nthreads, req.budget);
     // Drained worker recorders; locked once per worker, at exit.
     let drained = Mutex::new(Vec::with_capacity(nthreads));
     // First caught worker panic; reported through `ExecReport::panic`
@@ -281,16 +248,16 @@ where
 
     // Seed the pools: owners get their own roots; in stealing mode roots are
     // dealt round-robin so all workers start busy.
-    for (i, (t, _)) in pred_counts
+    for (i, (t, _)) in req
+        .pred_counts
         .iter()
         .enumerate()
         .filter(|&(_, &c)| c == 0)
         .enumerate()
     {
-        let pool = if owner_mode {
-            queue_of(t)
-        } else {
-            i % nthreads
+        let pool = match queue_of {
+            Some(queue_of) => queue_of(t),
+            None => i % nthreads,
         };
         pools[pool].lock().push(Ready {
             prio: priority[t],
@@ -299,7 +266,7 @@ where
     }
 
     crossbeam::thread::scope(|scope| {
-        if let Some(cfg) = budget.watchdog {
+        if let Some(cfg) = req.budget.watchdog {
             let sup = &sup;
             let wake_all = &wake_all;
             let pools = &pools;
@@ -315,21 +282,19 @@ where
             let indeg = &indeg;
             let sup = &sup;
             let runner = &runner;
-            let successors = &successors;
-            let queue_of = &queue_of;
-            let priority = &priority;
+            let successors = req.successors;
             let drained = &drained;
             let panicked = &panicked;
             let wake_all = &wake_all;
             scope.spawn(move |_| {
                 let mut rec = WorkerRecorder::new(w, nthreads, config, epoch);
-                let my_gate = &gates[if owner_mode { w } else { 0 }];
+                let my_gate = &gates[if queue_of.is_some() { w } else { 0 }];
                 // The worker body proper; a closure so the recorder is
                 // drained on every exit path, panicked or clean.
                 let mut body = || {
                     'work: loop {
-                        // Acquire a task: own pool first, then (Dynamic only)
-                        // steal from the first non-empty victim. The budget
+                        // Acquire a task: own pool first, then (stealing
+                        // only) the first non-empty victim. The budget
                         // check runs first, outside every lock.
                         let tid = 'acquire: loop {
                             if sup.check_budget(wake_all) {
@@ -338,7 +303,7 @@ where
                             if let Some(r) = pools[w].lock().pop() {
                                 break 'acquire r.tid;
                             }
-                            if !owner_mode && nthreads > 1 {
+                            if queue_of.is_none() && nthreads > 1 {
                                 sup.beat_scan(w);
                                 let t0 = rec.begin();
                                 let mut hit = None;
@@ -365,7 +330,7 @@ where
                             match my_gate.park_if(
                                 || sup.remaining.is_done() || sup.is_aborted(),
                                 || {
-                                    if owner_mode {
+                                    if queue_of.is_some() {
                                         !pools[w].lock().is_empty()
                                     } else {
                                         pools.iter().any(|p| !p.lock().is_empty())
@@ -388,28 +353,25 @@ where
                             // report, then abort so no worker stays parked
                             // behind a task that will never retire. Nothing
                             // unwinds out of the scope.
-                            let mut slot = panicked.lock();
-                            if slot.is_none() {
-                                *slot = Some(TaskPanic {
-                                    worker: w,
-                                    task: tid,
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                            drop(slot);
+                            panicked
+                                .lock()
+                                .get_or_insert_with(|| TaskPanic::caught(w, tid, payload.as_ref()));
                             sup.abort_for_panic(wake_all);
                             return;
                         }
                         rec.end_task(t0, tid);
 
-                        for &s in successors(tid) {
+                        for &s in &successors[tid] {
                             if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let pool = if owner_mode { queue_of(s) } else { w };
+                                let pool = match queue_of {
+                                    Some(queue_of) => queue_of(s),
+                                    None => w,
+                                };
                                 pools[pool].lock().push(Ready {
                                     prio: priority[s],
                                     tid: s,
                                 });
-                                gates[if owner_mode { pool } else { 0 }].notify_one();
+                                gates[if queue_of.is_some() { pool } else { 0 }].notify_one();
                             }
                         }
                         rec.count_retired();
@@ -449,478 +411,11 @@ where
     )
 }
 
-/// [`execute_dag_with_priorities`] with priorities computed internally as
-/// unit-weight bottom levels of the given DAG. Callers that already hold a
-/// [`TaskGraph`] should use [`execute`], which shares the graph's own
-/// [`TaskGraph::bottom_levels`].
-pub fn execute_dag<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-) where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    if n_tasks == 0 {
-        return;
-    }
-    let priority = unit_bottom_levels(n_tasks, pred_counts, &successors);
-    execute_dag_with_priorities(
-        n_tasks,
-        pred_counts,
-        successors,
-        &priority,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-    );
-}
-
-/// [`execute_dag`] with telemetry — see
-/// [`execute_dag_with_priorities_report`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_report<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    execute_dag_report_budgeted(
-        n_tasks,
-        pred_counts,
-        successors,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        config,
-        &RunBudget::default(),
-    )
-}
-
-/// [`execute_dag_report`] bounded by a [`RunBudget`] — see
-/// [`execute_dag_with_priorities_report_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_report_budgeted<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    if n_tasks == 0 {
-        return ExecReport::default();
-    }
-    let priority = unit_bottom_levels(n_tasks, pred_counts, &successors);
-    execute_dag_with_priorities_report_budgeted(
-        n_tasks,
-        pred_counts,
-        successors,
-        &priority,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        config,
-        budget,
-    )
-}
-
-/// Executes every task of `graph` on `nthreads` workers, honouring all
-/// dependence edges, scheduling by critical-path (bottom-level) priority.
-/// `runner` is invoked once per task; with [`Mapping::Static1D`] all tasks
-/// with the same [`Task::home_column`] run on the same worker
-/// (sequentially), matching the paper's distribution, while
-/// [`Mapping::Dynamic`] lets idle workers steal ready tasks.
-pub fn execute<F>(graph: &TaskGraph, nthreads: usize, mapping: Mapping, runner: F)
-where
-    F: Fn(Task) + Sync,
-{
-    let report = execute_traced(graph, nthreads, mapping, runner, &TraceConfig::off());
-    if let Some(p) = report.panic {
-        panic!("{p}");
-    }
-}
-
-/// [`execute`] with telemetry: returns the run's [`ExecReport`] (per-worker
-/// busy/idle/steal breakdown, steal/task counters, and — under
-/// [`crate::TraceMode::Full`] — the raw event streams for Chrome-trace
-/// export). [`TraceConfig::off`] makes this identical to [`execute`].
-pub fn execute_traced<F>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mapping: Mapping,
-    runner: F,
-    config: &TraceConfig,
-) -> ExecReport
-where
-    F: Fn(Task) + Sync,
-{
-    execute_traced_budgeted(
-        graph,
-        nthreads,
-        mapping,
-        runner,
-        config,
-        &RunBudget::default(),
-    )
-}
-
-/// [`execute_traced`] bounded by a [`RunBudget`]: the graph-level budgeted
-/// entry point the numeric driver uses. Cancellation/deadline are observed
-/// at task boundaries, the optional watchdog at its poll cadence; an
-/// interrupted run drains and reports through [`ExecReport::interrupt`].
-pub fn execute_traced_budgeted<F>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mapping: Mapping,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    F: Fn(Task) + Sync,
-{
-    let nthreads = nthreads.max(1);
-    if graph.is_empty() {
-        return ExecReport::default();
-    }
-    let priority = graph.bottom_levels();
-    let nqueues = match mapping {
-        Mapping::Static1D => nthreads,
-        Mapping::Dynamic => 1,
-    };
-    execute_dag_with_priorities_report_budgeted(
-        graph.len(),
-        graph.pred_counts(),
-        |t| graph.successors(t),
-        &priority,
-        nthreads,
-        nqueues,
-        |t| match mapping {
-            Mapping::Static1D => graph.task(t).home_column() % nthreads,
-            Mapping::Dynamic => 0,
-        },
-        |t| runner(graph.task(t)),
-        config,
-        budget,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Legacy shared-FIFO executor, kept as the measurement baseline.
-// ---------------------------------------------------------------------------
-
-/// The pre-work-stealing executor: plain FIFO ready queues (one shared
-/// queue for `nqueues == 1`, one per worker for `nqueues == nthreads`), no
-/// scheduling priorities. Kept only so `bench/scaling` can quantify the
-/// work-stealing, critical-path-priority scheduler against the original
-/// design; new callers should use [`execute_dag`].
-pub fn execute_dag_fifo<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-) where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    let report = execute_dag_fifo_report(
-        n_tasks,
-        pred_counts,
-        successors,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        &TraceConfig::off(),
-    );
-    if let Some(p) = report.panic {
-        panic!("{p}");
-    }
-}
-
-/// [`execute_dag_fifo`] with telemetry, so the baseline's busy/idle profile
-/// is measurable with the same instruments as the work-stealing executor
-/// (steal counters stay zero — the FIFO discipline never steals).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_fifo_report<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    execute_dag_fifo_report_budgeted(
-        n_tasks,
-        pred_counts,
-        successors,
-        nthreads,
-        nqueues,
-        queue_of,
-        runner,
-        config,
-        &RunBudget::default(),
-    )
-}
-
-/// [`execute_dag_fifo_report`] bounded by a [`RunBudget`] — the baseline
-/// executor honours the same cancellation/deadline/watchdog contract as the
-/// work-stealing one, so robustness tests can cover both.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dag_fifo_report_budgeted<'a, S, Q, F>(
-    n_tasks: usize,
-    pred_counts: &[usize],
-    successors: S,
-    nthreads: usize,
-    nqueues: usize,
-    queue_of: Q,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    S: Fn(usize) -> &'a [usize] + Sync,
-    Q: Fn(usize) -> usize + Sync,
-    F: Fn(usize) + Sync,
-{
-    let nthreads = nthreads.max(1);
-    // Event timestamps measure from the shared epoch when the caller set
-    // one (pipeline-aligned traces); wall-clock always from executor start.
-    let start = Instant::now();
-    let epoch = config.epoch.unwrap_or(start);
-    if n_tasks == 0 {
-        return assemble_report(0, nthreads, 0.0, config, Vec::new(), None, None);
-    }
-    assert!(nqueues == 1 || nqueues == nthreads, "queue/worker mismatch");
-    let queues: Vec<ReadyQueue> = (0..nqueues).map(|_| ReadyQueue::new()).collect();
-    let indeg: Vec<AtomicUsize> = pred_counts.iter().map(|&c| AtomicUsize::new(c)).collect();
-    let sup = Supervisor::new(n_tasks, nthreads, budget);
-    let drained = Mutex::new(Vec::with_capacity(nthreads));
-    let panicked: Mutex<Option<TaskPanic>> = Mutex::new(None);
-    let wake_all = || {
-        for q in &queues {
-            q.wake_all();
-        }
-    };
-
-    for (t, &c) in pred_counts.iter().enumerate() {
-        if c == 0 {
-            queues[queue_of(t)].push(t);
-        }
-    }
-
-    crossbeam::thread::scope(|scope| {
-        if let Some(cfg) = budget.watchdog {
-            let sup = &sup;
-            let wake_all = &wake_all;
-            let queues = &queues;
-            scope.spawn(move |_| {
-                sup.monitor(cfg, wake_all, &|| queues.iter().map(|q| q.len()).collect());
-            });
-        }
-        for w in 0..nthreads {
-            let queues = &queues;
-            let indeg = &indeg;
-            let sup = &sup;
-            let runner = &runner;
-            let successors = &successors;
-            let queue_of = &queue_of;
-            let drained = &drained;
-            let panicked = &panicked;
-            let wake_all = &wake_all;
-            let my_queue = &queues[if nqueues == 1 { 0 } else { w }];
-            scope.spawn(move |_| {
-                let mut rec = WorkerRecorder::new(w, nthreads, config, epoch);
-                loop {
-                    // Budget check first, outside the deque lock: the trip
-                    // path's wake broadcast locks the deque, so checking
-                    // inside `pop` would deadlock.
-                    if sup.check_budget(wake_all) {
-                        break;
-                    }
-                    let mut park_t0 = None;
-                    let popped = my_queue.pop(
-                        || sup.is_aborted(),
-                        || sup.remaining.is_done(),
-                        |parking| {
-                            if parking {
-                                sup.beat_park(w);
-                                park_t0 = Some(rec.begin());
-                            } else {
-                                if let Some(t0) = park_t0.take() {
-                                    rec.end_park(t0);
-                                }
-                                sup.beat_unpark(w);
-                            }
-                        },
-                    );
-                    let Some(tid) = popped else { break };
-                    let t0 = rec.begin();
-                    sup.beat_task(w, tid);
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
-                        // Same containment contract as the priority
-                        // executor: record, abort, wake everyone, exit.
-                        let mut slot = panicked.lock();
-                        if slot.is_none() {
-                            *slot = Some(TaskPanic {
-                                worker: w,
-                                task: tid,
-                                message: panic_message(payload.as_ref()),
-                            });
-                        }
-                        drop(slot);
-                        sup.abort_for_panic(wake_all);
-                        break;
-                    }
-                    rec.end_task(t0, tid);
-                    for &s in successors(tid) {
-                        if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            queues[queue_of(s)].push(s);
-                        }
-                    }
-                    rec.count_retired();
-                    if sup.remaining.retire() {
-                        wake_all();
-                        sup.on_last_retire();
-                    }
-                }
-                sup.mark_exited(w);
-                drained.lock().push(rec.finish());
-            });
-        }
-    })
-    .expect("executor scope failed");
-    let leftover = sup.remaining.remaining();
-    let interrupt = sup.finish();
-    let panicked = panicked.into_inner();
-    debug_assert!(
-        panicked.is_some() || interrupt.is_some() || leftover == 0,
-        "clean shutdown must retire every task"
-    );
-    assemble_report(
-        n_tasks,
-        nthreads,
-        start.elapsed().as_secs_f64(),
-        config,
-        drained.into_inner(),
-        panicked,
-        interrupt,
-    )
-}
-
-/// [`execute`] on the legacy FIFO executor ([`execute_dag_fifo`]) — the
-/// benchmark baseline for the work-stealing scheduler.
-pub fn execute_fifo<F>(graph: &TaskGraph, nthreads: usize, mapping: Mapping, runner: F)
-where
-    F: Fn(Task) + Sync,
-{
-    let report = execute_fifo_traced(graph, nthreads, mapping, runner, &TraceConfig::off());
-    if let Some(p) = report.panic {
-        panic!("{p}");
-    }
-}
-
-/// [`execute_fifo`] with telemetry — the baseline counterpart of
-/// [`execute_traced`].
-pub fn execute_fifo_traced<F>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mapping: Mapping,
-    runner: F,
-    config: &TraceConfig,
-) -> ExecReport
-where
-    F: Fn(Task) + Sync,
-{
-    execute_fifo_traced_budgeted(
-        graph,
-        nthreads,
-        mapping,
-        runner,
-        config,
-        &RunBudget::default(),
-    )
-}
-
-/// [`execute_fifo_traced`] bounded by a [`RunBudget`] — the baseline
-/// counterpart of [`execute_traced_budgeted`].
-pub fn execute_fifo_traced_budgeted<F>(
-    graph: &TaskGraph,
-    nthreads: usize,
-    mapping: Mapping,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    F: Fn(Task) + Sync,
-{
-    let nthreads = nthreads.max(1);
-    if graph.is_empty() {
-        return ExecReport::default();
-    }
-    let nqueues = match mapping {
-        Mapping::Static1D => nthreads,
-        Mapping::Dynamic => 1,
-    };
-    execute_dag_fifo_report_budgeted(
-        graph.len(),
-        graph.pred_counts(),
-        |t| graph.successors(t),
-        nthreads,
-        nqueues,
-        |t| match mapping {
-            Mapping::Static1D => graph.task(t).home_column() % nthreads,
-            Mapping::Dynamic => 0,
-        },
-        |t| runner(graph.task(t)),
-        config,
-        budget,
-    )
-}
-
 #[cfg(all(test, not(loom)))]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::control::{CancelToken, Interrupt, WatchdogConfig};
-    use crate::graph::{build_eforest_graph, build_sstar_graph};
+    use crate::graph::{build_eforest_graph, build_sstar_graph, Task, TaskGraph};
     use parking_lot::Mutex as PlMutex;
     use splu_sparse::SparsityPattern;
     use splu_symbolic::static_fact::static_symbolic_factorization;
@@ -928,7 +423,9 @@ mod tests {
     use splu_symbolic::Partition;
     use std::time::Duration;
 
-    fn random_graph(n: usize, extra: usize, seed: u64) -> TaskGraph {
+    const BOTH: [Mapping; 2] = [Mapping::Static1D, Mapping::Dynamic];
+
+    pub(crate) fn random_graph(n: usize, extra: usize, seed: u64) -> TaskGraph {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -936,14 +433,54 @@ mod tests {
         for _ in 0..extra {
             entries.push((rng.gen_range(0..n), rng.gen_range(0..n)));
         }
+        graph_of(n, entries, seed.is_multiple_of(2))
+    }
+
+    fn graph_of(n: usize, entries: Vec<(usize, usize)>, eforest: bool) -> TaskGraph {
         let p = SparsityPattern::from_entries(n, n, entries).unwrap();
         let f = static_symbolic_factorization(&p).unwrap();
         let bs = BlockStructure::new(&f, Partition::singletons(n));
-        if seed.is_multiple_of(2) {
+        if eforest {
             build_eforest_graph(&bs)
         } else {
             build_sstar_graph(&bs)
         }
+    }
+
+    /// `F(0) → U(0,1) → F(1) → …`: only one task is ever ready.
+    fn chain_graph(n: usize) -> TaskGraph {
+        let entries = (0..n)
+            .map(|i| (i, i))
+            .chain((1..n).map(|i| (i, i - 1)))
+            .collect();
+        graph_of(n, entries, true)
+    }
+
+    fn empty_graph() -> TaskGraph {
+        let p = SparsityPattern::empty(0, 0);
+        let f = static_symbolic_factorization(&p).unwrap();
+        let bs = BlockStructure::new(&f, Partition::from_starts(vec![0]));
+        build_eforest_graph(&bs)
+    }
+
+    /// [`run`] over a [`TaskGraph`] under its graph-level [`Mapping`].
+    fn run_graph(
+        graph: &TaskGraph,
+        threads: usize,
+        mapping: Mapping,
+        trace: TraceConfig,
+        budget: &RunBudget,
+        runner: impl Fn(Task) + Sync,
+    ) -> ExecReport {
+        let home = |t: usize| graph.task(t).home_column() % threads;
+        let req = ExecRequest {
+            threads,
+            placement: mapping.placement(&home),
+            trace,
+            budget,
+            ..ExecRequest::new(graph.pred_counts(), graph.successor_lists())
+        };
+        run(&req, |t| runner(graph.task(t)))
     }
 
     /// Runs a graph and records the completion order; asserts every task ran
@@ -951,14 +488,13 @@ mod tests {
     /// counters are consistent (started == retired == n_tasks).
     fn run_and_check(graph: &TaskGraph, nthreads: usize, mapping: Mapping) {
         let log = PlMutex::new(Vec::<Task>::new());
-        let report = execute_traced(
+        let report = run_graph(
             graph,
             nthreads,
             mapping,
-            |t| {
-                log.lock().push(t);
-            },
-            &crate::trace::TraceConfig::counters(),
+            TraceConfig::counters(),
+            &UNBOUNDED,
+            |t| log.lock().push(t),
         );
         report.stats.assert_consistent();
         assert_eq!(report.stats.nthreads, nthreads);
@@ -986,47 +522,13 @@ mod tests {
     }
 
     #[test]
-    fn executes_all_tasks_in_dependence_order_static() {
+    fn executes_all_tasks_in_dependence_order() {
         for seed in 0..6 {
             let g = random_graph(15, 30, seed);
-            for p in [1, 2, 4] {
-                run_and_check(&g, p, Mapping::Static1D);
-            }
-        }
-    }
-
-    #[test]
-    fn executes_all_tasks_in_dependence_order_dynamic() {
-        for seed in 0..6 {
-            let g = random_graph(15, 30, seed);
-            for p in [1, 2, 4] {
-                run_and_check(&g, p, Mapping::Dynamic);
-            }
-        }
-    }
-
-    #[test]
-    fn fifo_baseline_still_executes_in_dependence_order() {
-        for seed in 0..4 {
-            let g = random_graph(15, 30, seed);
-            for (p, mapping) in [(2, Mapping::Static1D), (4, Mapping::Dynamic)] {
-                let log = PlMutex::new(Vec::<Task>::new());
-                let report = execute_fifo_traced(
-                    &g,
-                    p,
-                    mapping,
-                    |t| {
-                        log.lock().push(t);
-                    },
-                    &crate::trace::TraceConfig::counters(),
-                );
-                report.stats.assert_consistent();
-                assert_eq!(
-                    report.stats.steals_total(),
-                    0,
-                    "the FIFO discipline never steals"
-                );
-                assert_eq!(log.into_inner().len(), g.len());
+            for mapping in BOTH {
+                for p in [1, 2, 4] {
+                    run_and_check(&g, p, mapping);
+                }
             }
         }
     }
@@ -1035,15 +537,16 @@ mod tests {
     /// timestamps, and the busy total matches the sum of task durations.
     #[test]
     fn full_tracing_yields_consistent_event_streams() {
-        use crate::trace::{EventKind, TraceConfig};
+        use crate::trace::EventKind;
         let g = random_graph(18, 40, 4);
-        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
-            let report = execute_traced(
+        for mapping in BOTH {
+            let report = run_graph(
                 &g,
                 4,
                 mapping,
-                |_| std::thread::sleep(std::time::Duration::from_micros(20)),
-                &TraceConfig::full(g.len(), 4),
+                TraceConfig::full(g.len(), 4),
+                &UNBOUNDED,
+                |_| std::thread::sleep(Duration::from_micros(20)),
             );
             report.stats.assert_consistent();
             let trace = report.trace.expect("full mode keeps events");
@@ -1072,19 +575,20 @@ mod tests {
         }
     }
 
-    /// In Dynamic mode at several threads with serialized tasks, at least
-    /// one steal is observed and in/out counts balance per victim.
+    /// Stealing at several threads with serialized tasks: in/out counts
+    /// balance per victim, and owner placement never steals.
     #[test]
     fn steals_are_counted_and_balanced() {
-        use crate::trace::TraceConfig;
         // A wide graph (many roots) so workers contend for seeded pools.
         let g = random_graph(30, 20, 6);
-        let report = execute_traced(
+        let sleepy = |_| std::thread::sleep(Duration::from_micros(50));
+        let report = run_graph(
             &g,
             4,
             Mapping::Dynamic,
-            |_| std::thread::sleep(std::time::Duration::from_micros(50)),
-            &TraceConfig::counters(),
+            TraceConfig::counters(),
+            &UNBOUNDED,
+            sleepy,
         );
         report.stats.assert_consistent();
         let in_total: u64 = report.stats.workers.iter().map(|w| w.steals_in).sum();
@@ -1092,6 +596,15 @@ mod tests {
         assert_eq!(in_total, out_total);
         let attempts: u64 = report.stats.workers.iter().map(|w| w.steal_attempts).sum();
         assert!(attempts >= in_total);
+        let report = run_graph(
+            &g,
+            4,
+            Mapping::Static1D,
+            TraceConfig::counters(),
+            &UNBOUNDED,
+            sleepy,
+        );
+        assert_eq!(report.stats.steals_total(), 0, "owners never steal");
     }
 
     #[test]
@@ -1102,22 +615,46 @@ mod tests {
         let g = random_graph(20, 50, 2);
         let ncols = g.num_block_cols();
         let in_flight: Vec<AtomicUsize> = (0..ncols).map(|_| AtomicUsize::new(0)).collect();
-        execute(&g, 4, Mapping::Static1D, |t| {
-            let c = t.home_column();
-            let prev = in_flight[c].fetch_add(1, Ordering::SeqCst);
-            assert_eq!(prev, 0, "two tasks of column {c} ran concurrently");
-            std::thread::sleep(std::time::Duration::from_micros(50));
-            in_flight[c].fetch_sub(1, Ordering::SeqCst);
-        });
+        run_graph(
+            &g,
+            4,
+            Mapping::Static1D,
+            TraceConfig::off(),
+            &UNBOUNDED,
+            |t| {
+                let c = t.home_column();
+                let prev = in_flight[c].fetch_add(1, Ordering::SeqCst);
+                assert_eq!(prev, 0, "two tasks of column {c} ran concurrently");
+                std::thread::sleep(Duration::from_micros(50));
+                in_flight[c].fetch_sub(1, Ordering::SeqCst);
+            },
+        )
+        .rethrow();
     }
 
+    /// One empty-DAG answer on every path: no task runs and the report is
+    /// shaped for the requested worker count, whichever placement, cached
+    /// schedule or not.
     #[test]
     fn empty_graph_is_a_noop() {
-        let p = SparsityPattern::empty(0, 0);
-        let f = static_symbolic_factorization(&p).unwrap();
-        let bs = BlockStructure::new(&f, Partition::from_starts(vec![0]));
-        let g = build_eforest_graph(&bs);
-        execute(&g, 3, Mapping::Static1D, |_| panic!("no tasks expected"));
+        let g = empty_graph();
+        let schedule = ExecSchedule::for_graph(&g);
+        for mapping in BOTH {
+            for schedule in [None, Some(&schedule)] {
+                let home = |_: usize| 0;
+                let req = ExecRequest {
+                    threads: 3,
+                    placement: mapping.placement(&home),
+                    schedule,
+                    ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+                };
+                let report = run(&req, |_| panic!("no tasks expected"));
+                assert!(report.panic.is_none() && report.interrupt.is_none());
+                assert_eq!(report.stats.nthreads, 3);
+                assert_eq!(report.stats.workers.len(), 3);
+                assert_eq!(report.stats.n_tasks, 0);
+            }
+        }
     }
 
     #[test]
@@ -1132,62 +669,75 @@ mod tests {
         // Chain F(0) → U(0,1) → F(1) plus isolated F(2): on one worker the
         // chain head (bottom level 3) must be taken before the isolated
         // task (bottom level 1), whatever the seeding order.
-        let p = SparsityPattern::from_entries(3, 3, vec![(0, 0), (1, 0), (1, 1), (2, 2)]).unwrap();
-        let f = static_symbolic_factorization(&p).unwrap();
-        let bs = BlockStructure::new(&f, Partition::singletons(3));
-        let g = build_eforest_graph(&bs);
-        let levels = g.bottom_levels();
+        let g = graph_of(3, vec![(0, 0), (1, 0), (1, 1), (2, 2)], true);
         let log = PlMutex::new(Vec::<usize>::new());
-        execute_dag_with_priorities(
-            g.len(),
-            g.pred_counts(),
-            |t| g.successors(t),
-            &levels,
-            1,
-            1,
-            |_| 0,
+        run(
+            &ExecRequest::new(g.pred_counts(), g.successor_lists()),
             |t| log.lock().push(t),
-        );
+        )
+        .rethrow();
         let order = log.into_inner();
         let pos = |tid: usize| order.iter().position(|&t| t == tid).unwrap();
         // The deepest root (F(0), level 3) precedes the shallow root (F(2)).
         assert!(pos(g.factor_id(0)) < pos(g.factor_id(2)));
     }
 
+    /// `run(..).rethrow()` is the fire-and-forget spelling: the contained
+    /// panic is re-raised on the caller with the task's own message, and
+    /// no worker is left behind.
     #[test]
-    fn worker_panic_propagates_without_deadlock() {
+    fn rethrow_reraises_the_worker_panic_with_its_message() {
         let g = random_graph(12, 24, 3);
-        let hit = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(&g, 4, Mapping::Dynamic, |_| {
-                if hit.fetch_add(1, Ordering::SeqCst) == 2 {
-                    panic!("injected task failure");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must propagate to the caller");
-    }
-
-    /// Tentpole contract: the `_report` entry points contain worker panics —
-    /// the run returns normally with [`ExecReport::panic`] set to the first
-    /// caught panic, at every thread count and mapping, with no hang.
-    #[test]
-    fn contained_panic_is_reported_not_raised() {
-        let g = random_graph(12, 24, 3);
-        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
-            for p in [1, 2, 4, 8] {
-                let hit = AtomicUsize::new(0);
-                let report = execute_traced(
+        for p in [1, 4] {
+            let hit = AtomicUsize::new(0);
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_graph(
                     &g,
                     p,
-                    mapping,
+                    Mapping::Dynamic,
+                    TraceConfig::off(),
+                    &UNBOUNDED,
                     |_| {
                         if hit.fetch_add(1, Ordering::SeqCst) == 2 {
                             panic!("injected task failure");
                         }
                     },
-                    &crate::trace::TraceConfig::counters(),
-                );
+                )
+                .rethrow();
+            }))
+            .expect_err("panic must propagate to the caller");
+            let message = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains("injected task failure"),
+                "threads={p}: {message}"
+            );
+        }
+        // A clean run has nothing to re-raise.
+        run_graph(
+            &g,
+            4,
+            Mapping::Dynamic,
+            TraceConfig::off(),
+            &UNBOUNDED,
+            |_| {},
+        )
+        .rethrow();
+    }
+
+    /// Containment contract: a worker panic does not unwind out of `run` —
+    /// the run returns normally with [`ExecReport::panic`] set to the first
+    /// caught panic, at every thread count and mapping, with no hang.
+    #[test]
+    fn contained_panic_is_reported_not_raised() {
+        let g = random_graph(12, 24, 3);
+        for mapping in BOTH {
+            for p in [1, 2, 4, 8] {
+                let hit = AtomicUsize::new(0);
+                let report = run_graph(&g, p, mapping, TraceConfig::counters(), &UNBOUNDED, |_| {
+                    if hit.fetch_add(1, Ordering::SeqCst) == 2 {
+                        panic!("injected task failure");
+                    }
+                });
                 let tp = report.panic.expect("panic must land in the report");
                 assert_eq!(tp.message, "injected task failure");
                 assert!(tp.worker < p, "worker id in range");
@@ -1196,73 +746,21 @@ mod tests {
         }
     }
 
-    /// Same containment contract on the legacy FIFO executor, plus the
-    /// re-raising void wrapper.
-    #[test]
-    fn fifo_contained_panic_is_reported_not_raised() {
-        let g = random_graph(12, 24, 3);
-        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
-            for p in [1, 2, 4, 8] {
-                let hit = AtomicUsize::new(0);
-                let report = execute_fifo_traced(
-                    &g,
-                    p,
-                    mapping,
-                    |_| {
-                        if hit.fetch_add(1, Ordering::SeqCst) == 2 {
-                            panic!("injected task failure");
-                        }
-                    },
-                    &crate::trace::TraceConfig::counters(),
-                );
-                let tp = report.panic.expect("panic must land in the report");
-                assert_eq!(tp.message, "injected task failure");
-            }
-        }
-        let hit = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute_fifo(&g, 4, Mapping::Dynamic, |_| {
-                if hit.fetch_add(1, Ordering::SeqCst) == 2 {
-                    panic!("injected task failure");
-                }
-            });
-        }));
-        assert!(result.is_err(), "void wrapper must re-raise");
-    }
-
     /// A panic on the very first task must not hang workers that are
     /// parked waiting for successors that will never become ready — stress
-    /// both executors' abort/broadcast path.
+    /// the abort/broadcast path under both placements.
     #[test]
     fn panic_on_first_task_leaves_no_parked_worker() {
-        // A chain graph: only one task is ever ready, so 7 of 8 workers
-        // are parked when the panic fires.
-        let n = 8;
-        let entries: Vec<(usize, usize)> = (0..n)
-            .map(|i| (i, i))
-            .chain((1..n).map(|i| (i, i - 1)))
-            .collect();
-        let p = SparsityPattern::from_entries(n, n, entries).unwrap();
-        let f = static_symbolic_factorization(&p).unwrap();
-        let bs = BlockStructure::new(&f, Partition::singletons(n));
-        let g = build_eforest_graph(&bs);
+        // Only one task is ever ready, so 7 of 8 workers are parked when
+        // the panic fires.
+        let g = chain_graph(8);
         for _ in 0..50 {
-            let report = execute_traced(
-                &g,
-                8,
-                Mapping::Dynamic,
-                |_| panic!("first task fails"),
-                &crate::trace::TraceConfig::off(),
-            );
-            assert!(report.panic.is_some());
-            let report = execute_fifo_traced(
-                &g,
-                8,
-                Mapping::Dynamic,
-                |_| panic!("first task fails"),
-                &crate::trace::TraceConfig::off(),
-            );
-            assert!(report.panic.is_some());
+            for mapping in BOTH {
+                let report = run_graph(&g, 8, mapping, TraceConfig::off(), &UNBOUNDED, |_| {
+                    panic!("first task fails")
+                });
+                assert!(report.panic.is_some(), "{mapping:?}");
+            }
         }
     }
 
@@ -1272,12 +770,13 @@ mod tests {
     #[test]
     fn executor_is_reusable_after_contained_panic() {
         let g = random_graph(12, 24, 3);
-        let report = execute_traced(
+        let report = run_graph(
             &g,
             4,
             Mapping::Dynamic,
+            TraceConfig::off(),
+            &UNBOUNDED,
             |_| panic!("boom"),
-            &crate::trace::TraceConfig::off(),
         );
         assert!(report.panic.is_some());
         // A clean run right after must still retire every task.
@@ -1290,31 +789,21 @@ mod tests {
     /// the park re-check.
     #[test]
     fn shutdown_stress_one_column_and_empty_graphs_at_8_threads() {
-        let one = {
-            let p = SparsityPattern::from_entries(1, 1, vec![(0, 0)]).unwrap();
-            let f = static_symbolic_factorization(&p).unwrap();
-            let bs = BlockStructure::new(&f, Partition::singletons(1));
-            build_eforest_graph(&bs)
-        };
+        let one = graph_of(1, vec![(0, 0)], true);
         assert_eq!(one.len(), 1, "one Factor task");
-        let empty = {
-            let p = SparsityPattern::empty(0, 0);
-            let f = static_symbolic_factorization(&p).unwrap();
-            let bs = BlockStructure::new(&f, Partition::from_starts(vec![0]));
-            build_eforest_graph(&bs)
-        };
+        let empty = empty_graph();
         for round in 0..200 {
             let ran = AtomicUsize::new(0);
-            let mapping = if round % 2 == 0 {
-                Mapping::Dynamic
-            } else {
-                Mapping::Static1D
-            };
-            execute(&one, 8, mapping, |_| {
+            let mapping = BOTH[round % 2];
+            run_graph(&one, 8, mapping, TraceConfig::off(), &UNBOUNDED, |_| {
                 ran.fetch_add(1, Ordering::SeqCst);
-            });
+            })
+            .rethrow();
             assert_eq!(ran.load(Ordering::SeqCst), 1, "round {round}");
-            execute(&empty, 8, mapping, |_| panic!("no tasks expected"));
+            run_graph(&empty, 8, mapping, TraceConfig::off(), &UNBOUNDED, |_| {
+                panic!("no tasks expected")
+            })
+            .rethrow();
         }
     }
 
@@ -1322,51 +811,30 @@ mod tests {
 
     /// A token armed to trip at the very first checkpoint stops the run
     /// before any task starts: the interrupt carries the full pending
-    /// count, no task runs, nothing hangs — at every thread count, both
-    /// mappings, both executors.
+    /// count, no task runs, nothing hangs — at every thread count, under
+    /// both placements.
     #[test]
     fn pre_tripped_token_interrupts_before_any_task() {
         let g = random_graph(12, 24, 3);
-        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+        for mapping in BOTH {
             for p in [1, 2, 4, 8] {
-                for fifo in [false, true] {
-                    let token = CancelToken::new();
-                    token.cancel_after_checkpoints(0);
-                    let budget = RunBudget::unbounded().with_token(token.clone());
-                    let ran = AtomicUsize::new(0);
-                    let runner = |_t: Task| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    };
-                    let report = if fifo {
-                        execute_fifo_traced_budgeted(
-                            &g,
-                            p,
-                            mapping,
-                            runner,
-                            &TraceConfig::off(),
-                            &budget,
-                        )
-                    } else {
-                        execute_traced_budgeted(
-                            &g,
-                            p,
-                            mapping,
-                            runner,
-                            &TraceConfig::off(),
-                            &budget,
-                        )
-                    };
-                    assert_eq!(
-                        report.interrupt,
-                        Some(Interrupt::Cancelled {
-                            tasks_pending: g.len()
-                        }),
-                        "fifo={fifo} p={p} {mapping:?}"
-                    );
-                    assert_eq!(ran.load(Ordering::SeqCst), 0, "no task may start");
-                    assert!(report.panic.is_none());
-                    assert!(token.is_cancelled());
-                }
+                let token = CancelToken::new();
+                token.cancel_after_checkpoints(0);
+                let budget = RunBudget::unbounded().with_token(token.clone());
+                let ran = AtomicUsize::new(0);
+                let report = run_graph(&g, p, mapping, TraceConfig::off(), &budget, |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(
+                    report.interrupt,
+                    Some(Interrupt::Cancelled {
+                        tasks_pending: g.len()
+                    }),
+                    "p={p} {mapping:?}"
+                );
+                assert_eq!(ran.load(Ordering::SeqCst), 0, "no task may start");
+                assert!(report.panic.is_none());
+                assert!(token.is_cancelled());
             }
         }
     }
@@ -1376,14 +844,7 @@ mod tests {
     fn expired_deadline_interrupts_before_any_task() {
         let g = random_graph(12, 24, 3);
         let budget = RunBudget::unbounded().with_deadline(Instant::now() - Duration::from_secs(1));
-        let report = execute_traced_budgeted(
-            &g,
-            4,
-            Mapping::Dynamic,
-            |_| {},
-            &TraceConfig::off(),
-            &budget,
-        );
+        let report = run_graph(&g, 4, Mapping::Dynamic, TraceConfig::off(), &budget, |_| {});
         assert_eq!(
             report.interrupt,
             Some(Interrupt::DeadlineExceeded {
@@ -1402,13 +863,13 @@ mod tests {
             let token = CancelToken::new();
             token.cancel_after_checkpoints(trip_at);
             let budget = RunBudget::unbounded().with_token(token);
-            let report = execute_traced_budgeted(
+            let report = run_graph(
                 &g,
                 4,
                 Mapping::Dynamic,
-                |_| std::thread::sleep(Duration::from_micros(20)),
-                &TraceConfig::counters(),
+                TraceConfig::counters(),
                 &budget,
+                |_| std::thread::sleep(Duration::from_micros(20)),
             );
             assert!(report.panic.is_none());
             assert!(report.stats.tasks_retired <= g.len() as u64);
@@ -1428,23 +889,18 @@ mod tests {
     /// re-checks the budget, `remaining == 0` and the check is inert.
     #[test]
     fn cancel_during_last_task_yields_clean_run() {
-        let one = {
-            let p = SparsityPattern::from_entries(1, 1, vec![(0, 0)]).unwrap();
-            let f = static_symbolic_factorization(&p).unwrap();
-            let bs = BlockStructure::new(&f, Partition::singletons(1));
-            build_eforest_graph(&bs)
-        };
+        let one = graph_of(1, vec![(0, 0)], true);
         for _ in 0..100 {
             let token = CancelToken::new();
             let t2 = token.clone();
             let budget = RunBudget::unbounded().with_token(token);
-            let report = execute_traced_budgeted(
+            let report = run_graph(
                 &one,
                 4,
                 Mapping::Dynamic,
-                move |_| t2.cancel(),
-                &TraceConfig::counters(),
+                TraceConfig::counters(),
                 &budget,
+                move |_| t2.cancel(),
             );
             assert!(report.interrupt.is_none(), "finished run must stay clean");
             report.stats.assert_consistent();
@@ -1455,19 +911,11 @@ mod tests {
     /// run's token is cancelled) freezes the progress signature; the
     /// monitor must declare a stall, trip the abort — which cancels the
     /// token, releasing the spinning task — and the report must carry the
-    /// per-worker snapshots.
+    /// per-worker snapshots. Under both placements.
     #[test]
     fn watchdog_reports_stall_and_releases_cooperative_task() {
-        let n = 6;
-        let entries: Vec<(usize, usize)> = (0..n)
-            .map(|i| (i, i))
-            .chain((1..n).map(|i| (i, i - 1)))
-            .collect();
-        let p = SparsityPattern::from_entries(n, n, entries).unwrap();
-        let f = static_symbolic_factorization(&p).unwrap();
-        let bs = BlockStructure::new(&f, Partition::singletons(n));
-        let g = build_eforest_graph(&bs);
-        for fifo in [false, true] {
+        let g = chain_graph(6);
+        for mapping in BOTH {
             let token = CancelToken::new();
             let t2 = token.clone();
             let budget = RunBudget::unbounded()
@@ -1475,40 +923,21 @@ mod tests {
                 .with_watchdog(WatchdogConfig::new(Duration::from_millis(50)));
             // First task stalls until cancelled; the rest are instant.
             let first = AtomicUsize::new(0);
-            let runner = move |_t: Task| {
+            let report = run_graph(&g, 2, mapping, TraceConfig::off(), &budget, move |_| {
                 if first.fetch_add(1, Ordering::SeqCst) == 0 {
                     while !t2.is_cancelled() {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                 }
-            };
-            let report = if fifo {
-                execute_fifo_traced_budgeted(
-                    &g,
-                    2,
-                    Mapping::Dynamic,
-                    runner,
-                    &TraceConfig::off(),
-                    &budget,
-                )
-            } else {
-                execute_traced_budgeted(
-                    &g,
-                    2,
-                    Mapping::Dynamic,
-                    runner,
-                    &TraceConfig::off(),
-                    &budget,
-                )
-            };
+            });
             match report.interrupt {
                 Some(Interrupt::Stalled(r)) => {
                     assert!(r.stalled_for >= Duration::from_millis(50));
                     assert!(r.tasks_pending >= 1);
                     assert_eq!(r.workers.len(), 2);
-                    assert!(!r.queue_depths.is_empty());
+                    assert_eq!(r.queue_depths.len(), 2, "one depth per pool");
                 }
-                other => panic!("fifo={fifo}: expected stall, got {other:?}"),
+                other => panic!("{mapping:?}: expected stall, got {other:?}"),
             }
             assert!(token.is_cancelled(), "stall trip must cancel the token");
         }
@@ -1521,13 +950,13 @@ mod tests {
         let g = random_graph(15, 30, 0);
         let budget =
             RunBudget::unbounded().with_watchdog(WatchdogConfig::new(Duration::from_secs(5)));
-        let report = execute_traced_budgeted(
+        let report = run_graph(
             &g,
             4,
             Mapping::Dynamic,
-            |_| {},
-            &TraceConfig::counters(),
+            TraceConfig::counters(),
             &budget,
+            |_| {},
         );
         assert!(report.interrupt.is_none());
         report.stats.assert_consistent();

@@ -131,27 +131,18 @@ impl FineGraph {
         &self.pred_count
     }
 
+    /// One successor list per task id — with [`Self::pred_counts`], the
+    /// view of the DAG that [`crate::ExecRequest`] takes.
+    pub fn successor_lists(&self) -> &[Vec<usize>] {
+        &self.succ
+    }
+
     /// Longest path in tasks (unit weights).
     pub fn critical_path_len(&self) -> usize {
-        let mut indeg = self.pred_count.clone();
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..self.len()).filter(|&t| indeg[t] == 0).collect();
-        let mut depth = vec![1usize; self.len()];
-        let mut best = 0usize;
-        let mut seen = 0usize;
-        while let Some(t) = queue.pop_front() {
-            seen += 1;
-            best = best.max(depth[t]);
-            for &s in &self.succ[t] {
-                depth[s] = depth[s].max(depth[t] + 1);
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
-        assert_eq!(seen, self.len(), "cycle in fine graph");
-        best
+        crate::graph::bottom_levels(&self.pred_count, &self.succ)
+            .into_iter()
+            .max()
+            .unwrap_or(0) as usize
     }
 }
 

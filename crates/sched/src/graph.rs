@@ -110,24 +110,16 @@ impl TaskGraph {
         self.num_block_cols
     }
 
+    /// One successor list per task id — with [`Self::pred_counts`], the
+    /// view of the DAG that [`crate::ExecRequest`] takes.
+    pub fn successor_lists(&self) -> &[Vec<usize>] {
+        &self.succ
+    }
+
     /// A topological order of the task ids (Kahn). Panics on cycles, which
     /// would indicate a builder bug.
     pub fn topo_order(&self) -> Vec<usize> {
-        let mut indeg = self.pred_count.clone();
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..self.len()).filter(|&t| indeg[t] == 0).collect();
-        let mut order = Vec::with_capacity(self.len());
-        while let Some(t) = queue.pop_front() {
-            order.push(t);
-            for &s in &self.succ[t] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
-        assert_eq!(order.len(), self.len(), "task graph contains a cycle");
-        order
+        topo_order(&self.pred_count, &self.succ)
     }
 
     /// Length of the longest path in tasks (unit task weights) — the
@@ -139,17 +131,10 @@ impl TaskGraph {
     /// Unit-weight **bottom level** of every task: the number of tasks on
     /// the longest dependence path from the task to a sink, inclusive (so
     /// sinks have level 1 and `max = critical_path_len`). This is the
-    /// scheduling priority of the work-stealing executor
-    /// ([`crate::execute`]): always prefer the ready task deepest on the
-    /// critical path.
+    /// scheduling priority of the executor ([`crate::run`]): always prefer
+    /// the ready task deepest on the critical path.
     pub fn bottom_levels(&self) -> Vec<u64> {
-        let mut level = vec![1u64; self.len()];
-        for &t in self.topo_order().iter().rev() {
-            for &s in &self.succ[t] {
-                level[t] = level[t].max(1 + level[s]);
-            }
-        }
-        level
+        bottom_levels(&self.pred_count, &self.succ)
     }
 
     /// Weighted bottom levels: `level(t) = time_of(t) + max over successors
@@ -214,6 +199,38 @@ impl TaskGraph {
         }
         false
     }
+}
+
+/// Kahn topological order of a DAG given as in-degrees plus successor
+/// lists. Panics on a cycle.
+pub(crate) fn topo_order(pred_counts: &[usize], successors: &[Vec<usize>]) -> Vec<usize> {
+    let n = pred_counts.len();
+    let mut indeg = pred_counts.to_vec();
+    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(t) = queue.pop_front() {
+        order.push(t);
+        for &s in &successors[t] {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                queue.push_back(s);
+            }
+        }
+    }
+    assert_eq!(order.len(), n, "task graph contains a cycle");
+    order
+}
+
+/// Unit-weight bottom levels of the same DAG view (sinks have level 1): the
+/// executor's priorities when no [`crate::ExecSchedule`] is cached.
+pub(crate) fn bottom_levels(pred_counts: &[usize], successors: &[Vec<usize>]) -> Vec<u64> {
+    let mut level = vec![1u64; pred_counts.len()];
+    for &t in topo_order(pred_counts, successors).iter().rev() {
+        for &s in &successors[t] {
+            level[t] = level[t].max(1 + level[s]);
+        }
+    }
+    level
 }
 
 /// Computes the **block-level** LU elimination forest of a block structure:

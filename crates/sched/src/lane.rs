@@ -6,9 +6,8 @@
 //! growing, so a service built on lanes converts overload into a
 //! structured response to the client rather than unbounded buffering.
 //! This is the queueing half of the serve daemon's backpressure story
-//! (DESIGN.md §5.4); the scheduler's own executors keep their unbounded
-//! ready queues ([`crate::sync::ReadyQueue`]) because a factorization's
-//! task count is known and finite.
+//! (DESIGN.md §5.4); the scheduler's own executor keeps its unbounded
+//! ready pools because a factorization's task count is known and finite.
 //!
 //! Lanes track their instantaneous depth and a high-water mark
 //! ([`Lane::peak_depth`]) so the daemon can export peak queue depth as a

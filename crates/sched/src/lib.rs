@@ -15,11 +15,12 @@
 //!
 //! Two runtimes consume the graphs:
 //!
-//! * [`execute`] — a multithreaded work-stealing executor scheduling by
-//!   critical-path (bottom-level) priority, with the paper's static 1D
-//!   column-block mapping (owner-only, our RAPID substitute) or dynamic
-//!   self-scheduling with stealing; the pre-work-stealing shared-FIFO
-//!   executor survives as [`execute_fifo`] for baseline measurements;
+//! * [`run`] — the one multithreaded executor: an [`ExecRequest`] names the
+//!   DAG, the worker count, the [`Placement`] of ready tasks (the paper's
+//!   static 1D column-block mapping — owner-only, our RAPID substitute — or
+//!   work stealing), tracing and the run budget; tasks are scheduled by
+//!   critical-path (bottom-level) priority, and a one-worker request with a
+//!   cached [`ExecSchedule`] replays inline without allocating;
 //! * [`simulate`] — a deterministic list-scheduling simulator with a
 //!   flops + latency cost model, used to evaluate processor counts beyond
 //!   the physical cores of the host (DESIGN.md §5, substitution 2). Its
@@ -27,18 +28,20 @@
 //!   [`TaskGraph::bottom_levels_with`].
 //!
 //! Both runtimes are observable through the telemetry layer (`trace`
-//! module): the `*_traced`/`*_report` entry points record lock-free
-//! per-worker event streams and steal/idle counters into an [`ExecReport`]
+//! module): with [`ExecRequest::trace`] on, [`run`] records lock-free
+//! per-worker event streams and steal/idle counters into its [`ExecReport`]
 //! ([`SchedStats`] + Chrome-trace export via [`ExecTrace::chrome_json`]),
 //! and [`simulate_dynamic_traced`] emits the comparable predicted schedule
 //! ([`SimEvent`], exported by [`sim_chrome_json`]).
 //!
-//! Runs can be bounded by a [`RunBudget`] (the `*_budgeted` entry points):
-//! a shareable [`CancelToken`], an absolute deadline, and an opt-in
-//! liveness watchdog ([`WatchdogConfig`]) that converts a hung run into a
-//! structured [`StallReport`]. The executors' synchronization primitives
-//! live in the public [`sync`] module, whose `cfg(loom)` shim lets
-//! `tests/loom.rs` model-check the park/notify and shutdown protocols.
+//! A run is bounded by its [`RunBudget`] ([`ExecRequest::budget`]): a
+//! shareable [`CancelToken`], an absolute deadline, and an opt-in liveness
+//! watchdog ([`WatchdogConfig`]) that converts a hung run into a structured
+//! [`StallReport`]. A worker panic is contained in [`ExecReport::panic`];
+//! [`ExecReport::rethrow`] re-raises it for callers with no error channel.
+//! The executor's synchronization primitives live in the public [`sync`]
+//! module, whose `cfg(loom)` shim lets `tests/loom.rs` model-check the
+//! park/notify and shutdown protocols.
 
 // Index-based loops are the natural idiom for the numerical kernels and
 // symbolic algorithms in this crate; iterator rewrites obscure the maths.
@@ -59,17 +62,11 @@ mod trace;
 pub use control::{
     CancelToken, Interrupt, RunBudget, StallReport, WatchdogConfig, WorkerSnapshot, WorkerState,
 };
-pub use executor::{
-    execute, execute_dag, execute_dag_fifo, execute_dag_fifo_report,
-    execute_dag_fifo_report_budgeted, execute_dag_report, execute_dag_report_budgeted,
-    execute_dag_with_priorities, execute_dag_with_priorities_report,
-    execute_dag_with_priorities_report_budgeted, execute_fifo, execute_fifo_traced,
-    execute_fifo_traced_budgeted, execute_traced, execute_traced_budgeted, Mapping,
-};
+pub use executor::{run, ExecRequest, Mapping, Placement};
 pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
 pub use graph::{block_forest, build_eforest_graph, build_sstar_graph, Task, TaskGraph};
 pub use lane::{Lane, LaneRejected};
-pub use schedule::{execute_seq_budgeted, execute_traced_budgeted_with_priorities, ExecSchedule};
+pub use schedule::ExecSchedule;
 pub use simulate::{
     simulate, simulate_dynamic, simulate_dynamic_traced, simulate_static_order,
     simulate_static_order_fifo, CostModel, ReadyPolicy, SimEvent, SimResult, TaskCost,

@@ -4,42 +4,43 @@
 //! refactorization with unchanged structure). The executor's per-run
 //! preparation — bottom-level priorities and, for a single worker, the
 //! whole acquisition order — depends only on the graph, so a session
-//! computes it once as an [`ExecSchedule`] and replays it:
+//! computes it once as an [`ExecSchedule`] and attaches it to every
+//! [`crate::ExecRequest`]:
 //!
-//! * [`execute_seq_budgeted`] consumes the precomputed sequential order
-//!   **inline on the calling thread**: no worker spawn, no pools, no
-//!   atomics — and, critically, **zero heap allocation**, which is what
-//!   makes a session's `refactor` hot path allocation-free under the
-//!   `alloc-track` counting allocator. Budget semantics mirror the
-//!   parallel supervisor: the cancellation token and deadline are checked
-//!   before every task acquisition (token first, then deadline, matching
-//!   `Supervisor::check_budget`), and a run that has retired its last task
-//!   can no longer be interrupted.
-//! * [`execute_traced_budgeted_with_priorities`] is the parallel
-//!   counterpart: the cached priorities skip the per-run bottom-level
-//!   recomputation, while worker threads are still spawned per run (a
-//!   scoped-thread executor cannot be allocation-free).
+//! * a request that [`crate::ExecRequest::runs_inline`] replays the
+//!   precomputed sequential order **inline on the calling thread**: no
+//!   worker spawn, no pools, no atomics — and, critically, **zero heap
+//!   allocation**, which is what makes a session's `refactor` hot path
+//!   allocation-free under the `alloc-track` counting allocator. Budget
+//!   semantics mirror the parallel supervisor: the cancellation token and
+//!   deadline are checked before every task acquisition (token first, then
+//!   deadline, matching `Supervisor::check_budget`), and a run that has
+//!   retired its last task can no longer be interrupted;
+//! * every other request takes the worker loop with the cached priorities,
+//!   skipping the per-run bottom-level sweep (worker threads are still
+//!   spawned per run — a scoped-thread executor cannot be allocation-free).
 //!
-//! The sequential order is produced by simulating the one-worker priority
-//! executor exactly (same max-heap, same tie-break on lower task id), so
-//! the inline replay acquires tasks in the order the real executor would —
-//! and the factored values are bitwise identical either way, as the
-//! determinism suite asserts for every schedule.
+//! The sequential order is produced by draining the worker loop's own
+//! ready pool ([`Ready`]: same max-heap, same tie-break on lower task id)
+//! on one simulated worker, so the inline replay acquires tasks in the
+//! order the real executor would — and the factored values are bitwise
+//! identical either way, as the determinism suite asserts for every
+//! schedule.
 
 use crate::control::{Interrupt, RunBudget};
-use crate::executor::{execute_dag_with_priorities_report_budgeted, Mapping};
-use crate::graph::{Task, TaskGraph};
-use crate::trace::{ExecReport, TaskPanic, TraceConfig};
+use crate::graph::TaskGraph;
+use crate::trace::{ExecReport, TaskPanic};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Max-heap entry mirroring the executor's ready-pool ordering: higher
-/// bottom level first, ties to the lower task id.
+/// Ready-pool entry: max-heap by priority, ties broken toward the lower
+/// task id so pool order is reproducible. The worker loop's pools and the
+/// sequential-order simulation below share this one ordering.
 #[derive(PartialEq, Eq)]
-struct Ready {
-    prio: u64,
-    tid: usize,
+pub(crate) struct Ready {
+    pub(crate) prio: u64,
+    pub(crate) tid: usize,
 }
 
 impl Ord for Ready {
@@ -68,9 +69,22 @@ impl ExecSchedule {
     /// Computes the schedule for `graph`: its bottom levels and the task
     /// order a one-worker priority executor would acquire.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        let n = graph.len();
-        let priority = graph.bottom_levels();
-        let mut indeg = graph.pred_counts().to_vec();
+        Self::with_priorities(
+            graph.pred_counts(),
+            graph.successor_lists(),
+            graph.bottom_levels(),
+        )
+    }
+
+    /// The schedule of an arbitrary DAG view under caller-chosen priorities.
+    pub(crate) fn with_priorities(
+        pred_counts: &[usize],
+        successors: &[Vec<usize>],
+        priority: Vec<u64>,
+    ) -> Self {
+        let n = pred_counts.len();
+        assert_eq!(priority.len(), n, "one priority per task");
+        let mut indeg = pred_counts.to_vec();
         let mut heap: BinaryHeap<Ready> = (0..n)
             .filter(|&t| indeg[t] == 0)
             .map(|tid| Ready {
@@ -81,7 +95,7 @@ impl ExecSchedule {
         let mut seq_order = Vec::with_capacity(n);
         while let Some(r) = heap.pop() {
             seq_order.push(r.tid);
-            for &s in graph.successors(r.tid) {
+            for &s in &successors[r.tid] {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     heap.push(Ready {
@@ -120,7 +134,9 @@ impl ExecSchedule {
     }
 }
 
-/// Runs `graph` inline on the calling thread in the precomputed order.
+/// Runs the (non-empty) schedule inline on the calling thread in the
+/// precomputed order — the path [`crate::run`] takes for a request that
+/// [`crate::ExecRequest::runs_inline`].
 ///
 /// Performs **no heap allocation**: no threads, no pools, no recorders.
 /// The budget is honoured at every task-acquisition boundary with the
@@ -129,30 +145,12 @@ impl ExecSchedule {
 /// cooperative waiters inside tasks release; and once the last task has
 /// retired the run can no longer be interrupted. A panicking task is
 /// contained and reported through [`ExecReport::panic`], exactly like the
-/// threaded executors.
-///
-/// # Panics
-///
-/// Panics when `schedule` was built for a different graph (length
-/// mismatch).
-pub fn execute_seq_budgeted<F>(
-    graph: &TaskGraph,
-    schedule: &ExecSchedule,
-    runner: F,
-    budget: &RunBudget,
-) -> ExecReport
+/// worker loop.
+pub(crate) fn replay_inline<F>(schedule: &ExecSchedule, runner: F, budget: &RunBudget) -> ExecReport
 where
-    F: Fn(Task),
+    F: Fn(usize),
 {
-    assert_eq!(
-        schedule.len(),
-        graph.len(),
-        "schedule/graph task count mismatch"
-    );
     let mut report = ExecReport::default();
-    if graph.is_empty() {
-        return report;
-    }
     let n = schedule.seq_order.len();
     report.stats.nthreads = 1;
     report.stats.n_tasks = n;
@@ -183,13 +181,8 @@ where
             }
         }
         report.stats.tasks_started += 1;
-        let task = graph.task(tid);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(task))) {
-            report.panic = Some(TaskPanic {
-                worker: 0,
-                task: tid,
-                message: panic_message(payload.as_ref()),
-            });
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
+            report.panic = Some(TaskPanic::caught(0, tid, payload.as_ref()));
             return report;
         }
         report.stats.tasks_retired += 1;
@@ -197,92 +190,28 @@ where
     report
 }
 
-/// Best-effort extraction of a panic payload's message (duplicated from
-/// the executor module, which keeps it private).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// [`crate::execute_traced_budgeted`] with the bottom levels taken from a
-/// cached [`ExecSchedule`] instead of recomputed per run — the parallel
-/// half of executor reuse across a session's factorizations.
-pub fn execute_traced_budgeted_with_priorities<F>(
-    graph: &TaskGraph,
-    schedule: &ExecSchedule,
-    nthreads: usize,
-    mapping: Mapping,
-    runner: F,
-    config: &TraceConfig,
-    budget: &RunBudget,
-) -> ExecReport
-where
-    F: Fn(Task) + Sync,
-{
-    let nthreads = nthreads.max(1);
-    if graph.is_empty() {
-        return ExecReport::default();
-    }
-    assert_eq!(
-        schedule.len(),
-        graph.len(),
-        "schedule/graph task count mismatch"
-    );
-    let nqueues = match mapping {
-        Mapping::Static1D => nthreads,
-        Mapping::Dynamic => 1,
-    };
-    execute_dag_with_priorities_report_budgeted(
-        graph.len(),
-        graph.pred_counts(),
-        |t| graph.successors(t),
-        schedule.priorities(),
-        nthreads,
-        nqueues,
-        |t| match mapping {
-            Mapping::Static1D => graph.task(t).home_column() % nthreads,
-            Mapping::Dynamic => 0,
-        },
-        |t| runner(graph.task(t)),
-        config,
-        budget,
-    )
-}
-
-#[cfg(test)]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use crate::control::CancelToken;
-    use crate::graph::{build_eforest_graph, build_sstar_graph};
-    use splu_sparse::SparsityPattern;
-    use splu_symbolic::static_fact::static_symbolic_factorization;
-    use splu_symbolic::supernode::BlockStructure;
-    use splu_symbolic::Partition;
+    use crate::executor::tests::random_graph;
+    use crate::executor::{run, ExecRequest, Mapping};
+    use crate::trace::TraceConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
 
-    fn random_graph(n: usize, extra: usize, seed: u64) -> TaskGraph {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut entries: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for _ in 0..extra {
-            entries.push((rng.gen_range(0..n), rng.gen_range(0..n)));
-        }
-        let p = SparsityPattern::from_entries(n, n, entries).unwrap();
-        let f = static_symbolic_factorization(&p).unwrap();
-        let bs = BlockStructure::new(&f, Partition::singletons(n));
-        if seed.is_multiple_of(2) {
-            build_eforest_graph(&bs)
-        } else {
-            build_sstar_graph(&bs)
-        }
+    /// [`run`] on the cached schedule of `g` with everything else at its
+    /// default — the request shape that replays inline.
+    fn replay(g: &TaskGraph, budget: &RunBudget, runner: impl Fn(usize) + Sync) -> ExecReport {
+        let s = ExecSchedule::for_graph(g);
+        let req = ExecRequest {
+            schedule: Some(&s),
+            budget,
+            ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+        };
+        assert!(req.runs_inline());
+        run(&req, runner)
     }
 
     #[test]
@@ -311,18 +240,41 @@ mod tests {
         }
     }
 
+    /// The replay claim: `seq_order` is the order a real one-worker run
+    /// acquires. Counters tracing keeps the request off the inline path,
+    /// so the order recorded here is the worker loop's own; the priorities
+    /// are arbitrary (with ties), not bottom levels.
+    #[test]
+    fn seq_order_is_the_one_worker_acquisition_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..12u64 {
+            let g = random_graph(18, 45, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+            let priority: Vec<u64> = (0..g.len()).map(|_| rng.gen_range(0..5)).collect();
+            let s = ExecSchedule::with_priorities(g.pred_counts(), g.successor_lists(), priority);
+            let req = ExecRequest {
+                schedule: Some(&s),
+                trace: TraceConfig::counters(),
+                ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+            };
+            assert!(!req.runs_inline(), "a traced run takes the worker loop");
+            let acquired = Mutex::new(Vec::new());
+            let report = run(&req, |t| acquired.lock().unwrap().push(t));
+            report.stats.assert_consistent();
+            assert_eq!(acquired.into_inner().unwrap(), s.seq_order(), "seed {seed}");
+        }
+    }
+
     #[test]
     fn inline_replay_runs_every_task_once() {
         let g = random_graph(12, 30, 2);
-        let s = ExecSchedule::for_graph(&g);
         let order = Mutex::new(Vec::new());
-        let report = execute_seq_budgeted(
-            &g,
-            &s,
-            |_| order.lock().unwrap().push(()),
-            &RunBudget::default(),
+        let report = replay(&g, &RunBudget::default(), |t| order.lock().unwrap().push(t));
+        assert_eq!(
+            order.into_inner().unwrap(),
+            ExecSchedule::for_graph(&g).seq_order()
         );
-        assert_eq!(order.lock().unwrap().len(), g.len());
         assert!(report.panic.is_none() && report.interrupt.is_none());
         assert_eq!(report.stats.tasks_started, g.len() as u64);
         assert_eq!(report.stats.tasks_retired, g.len() as u64);
@@ -331,19 +283,13 @@ mod tests {
     #[test]
     fn inline_replay_honours_cancellation_before_each_task() {
         let g = random_graph(12, 30, 3);
-        let s = ExecSchedule::for_graph(&g);
         let token = CancelToken::new();
         token.cancel_after_checkpoints(3);
         let budget = RunBudget::default().with_token(token);
         let ran = AtomicUsize::new(0);
-        let report = execute_seq_budgeted(
-            &g,
-            &s,
-            |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            },
-            &budget,
-        );
+        let report = replay(&g, &budget, |_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
         // Two checkpoints pass, the third trips before the third task.
         assert_eq!(ran.load(Ordering::Relaxed), 2);
         assert_eq!(
@@ -357,13 +303,12 @@ mod tests {
     #[test]
     fn inline_replay_never_interrupts_a_finished_run() {
         let g = random_graph(10, 20, 4);
-        let s = ExecSchedule::for_graph(&g);
-        // Deadline in the past, but checked only before acquisitions: with
-        // an exact trip budget of len+1 checkpoints the run finishes clean.
+        // Checked only before acquisitions: with an exact trip budget of
+        // len+1 checkpoints the run finishes clean.
         let token = CancelToken::new();
         token.cancel_after_checkpoints(g.len() + 1);
         let budget = RunBudget::default().with_token(token);
-        let report = execute_seq_budgeted(&g, &s, |_| {}, &budget);
+        let report = replay(&g, &budget, |_| {});
         assert!(report.interrupt.is_none());
         assert_eq!(report.stats.tasks_retired, g.len() as u64);
     }
@@ -371,12 +316,11 @@ mod tests {
     #[test]
     fn inline_replay_expired_deadline_trips_and_cancels_token() {
         let g = random_graph(10, 20, 5);
-        let s = ExecSchedule::for_graph(&g);
         let token = CancelToken::new();
         let budget = RunBudget::default()
             .with_token(token.clone())
             .with_deadline(Instant::now() - Duration::from_millis(1));
-        let report = execute_seq_budgeted(&g, &s, |_| {}, &budget);
+        let report = replay(&g, &budget, |_| {});
         assert_eq!(
             report.interrupt,
             Some(Interrupt::DeadlineExceeded {
@@ -389,18 +333,12 @@ mod tests {
     #[test]
     fn inline_replay_contains_panics() {
         let g = random_graph(10, 20, 6);
-        let s = ExecSchedule::for_graph(&g);
         let ran = AtomicUsize::new(0);
-        let report = execute_seq_budgeted(
-            &g,
-            &s,
-            |_| {
-                if ran.fetch_add(1, Ordering::Relaxed) == 1 {
-                    panic!("injected");
-                }
-            },
-            &RunBudget::default(),
-        );
+        let report = replay(&g, &RunBudget::default(), |_| {
+            if ran.fetch_add(1, Ordering::Relaxed) == 1 {
+                panic!("injected");
+            }
+        });
         let p = report.panic.expect("panic reported");
         assert_eq!(p.worker, 0);
         assert!(p.message.contains("injected"));
@@ -420,17 +358,17 @@ mod tests {
             let g = random_graph(14, 35, seed);
             let s = ExecSchedule::for_graph(&g);
             let ran = AtomicUsize::new(0);
-            let report = execute_traced_budgeted_with_priorities(
-                &g,
-                &s,
-                4,
-                mapping,
-                |_| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                },
-                &TraceConfig::counters(),
-                &RunBudget::default(),
-            );
+            let home = |t: usize| g.task(t).home_column() % 4;
+            let req = ExecRequest {
+                schedule: Some(&s),
+                threads: 4,
+                placement: mapping.placement(&home),
+                trace: TraceConfig::counters(),
+                ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+            };
+            let report = run(&req, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
             assert_eq!(ran.load(Ordering::Relaxed), g.len());
             assert!(report.panic.is_none() && report.interrupt.is_none());
             assert_eq!(report.stats.tasks_retired, g.len() as u64);

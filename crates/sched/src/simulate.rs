@@ -198,8 +198,9 @@ pub fn simulate(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadyPolicy {
     /// First-come-first-served: tasks leave the ready pool in the order
-    /// they became ready — the pre-rework shared-queue discipline
-    /// (`execute_fifo`).
+    /// they became ready. No executor schedules this way any more (the
+    /// shared-FIFO executor it models was deleted in PR 13); it remains the
+    /// simulator's baseline for [`ReadyPolicy::Priority`].
     Fifo,
     /// Highest unit bottom-level first (ties to the lower task id) — the
     /// rule of the work-stealing executor's priority pools.

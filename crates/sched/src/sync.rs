@@ -1,12 +1,12 @@
-//! The executors' hand-rolled synchronization primitives, extracted so
+//! The executor's hand-rolled synchronization primitives, extracted so
 //! they can be model-checked.
 //!
-//! Everything the worker loops in [`crate::executor`] synchronize through
+//! Everything the worker loop in [`crate::executor`] synchronizes through
 //! lives here: the sleep [`Gate`] (park/notify with the no-lost-wakeup
-//! protocol), the legacy FIFO [`ReadyQueue`], the [`Countdown`] of
-//! unretired tasks, and the [`AbortFlag`]. The module is public so the
-//! loom harness (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`)
-//! can drive the same types the production executors use.
+//! protocol), the [`Countdown`] of unretired tasks, and the [`AbortFlag`].
+//! The module is public so the loom harness (`tests/loom.rs`, built with
+//! `RUSTFLAGS="--cfg loom"`) can drive the same types the production
+//! executor uses.
 //!
 //! Under `cfg(loom)` the [`Mutex`]/[`Condvar`]/atomic backends swap from
 //! `parking_lot`/`std` to the `loom` instrumented types, so every
@@ -203,79 +203,6 @@ impl Gate {
     }
 }
 
-/// The legacy FIFO ready queue (one deque + condvar), extracted verbatim
-/// from the pre-work-stealing executor.
-///
-/// [`ReadyQueue::wake_all`] locks the deque before broadcasting for the
-/// same no-lost-wakeup reason as [`Gate`]: a waiter inside
-/// [`ReadyQueue::pop`] checks the exit conditions while holding the deque
-/// lock, so an unlocked broadcast could slip between that check and the
-/// wait.
-#[derive(Debug, Default)]
-pub struct ReadyQueue {
-    deque: Mutex<std::collections::VecDeque<usize>>,
-    cv: Condvar,
-}
-
-impl ReadyQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        ReadyQueue {
-            deque: Mutex::new(std::collections::VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a task and wakes one waiter.
-    pub fn push(&self, t: usize) {
-        self.deque.lock().push_back(t);
-        self.cv.notify_one();
-    }
-
-    /// Tasks currently enqueued (watchdog stall reports).
-    pub fn len(&self) -> usize {
-        self.deque.lock().len()
-    }
-
-    /// `true` when no task is enqueued.
-    pub fn is_empty(&self) -> bool {
-        self.deque.lock().is_empty()
-    }
-
-    /// Pops a task, blocking until one arrives, `done` reports all work
-    /// retired, or `exit_now` reports an abort. The check order under the
-    /// deque lock is: abort → pop → done → wait. `parked(true)` /
-    /// `parked(false)` bracket every wait (telemetry + heartbeats).
-    pub fn pop<E, D, P>(&self, exit_now: E, done: D, mut parked: P) -> Option<usize>
-    where
-        E: Fn() -> bool,
-        D: Fn() -> bool,
-        P: FnMut(bool),
-    {
-        let mut q = self.deque.lock();
-        loop {
-            if exit_now() {
-                return None;
-            }
-            if let Some(t) = q.pop_front() {
-                return Some(t);
-            }
-            if done() {
-                return None;
-            }
-            parked(true);
-            self.cv.wait(&mut q);
-            parked(false);
-        }
-    }
-
-    /// Wakes every waiter (locking the deque first — see the type docs).
-    pub fn wake_all(&self) {
-        let _q = self.deque.lock();
-        self.cv.notify_all();
-    }
-}
-
 /// Count of unretired tasks; the retire path's `started == retired`
 /// accounting hinges on [`Countdown::retire`] returning `true` exactly
 /// once, for the last task.
@@ -345,18 +272,6 @@ mod tests {
         let g = Gate::new();
         assert_eq!(g.park_if(|| true, || true), Park::Exit);
         assert_eq!(g.park_if(|| false, || true), Park::Retry);
-    }
-
-    #[test]
-    fn ready_queue_pop_orders_checks() {
-        let q = ReadyQueue::new();
-        q.push(7);
-        // Abort beats an available task.
-        assert_eq!(q.pop(|| true, || false, |_| {}), None);
-        assert_eq!(q.pop(|| false, || false, |_| {}), Some(7));
-        assert!(q.is_empty());
-        // Done beats waiting.
-        assert_eq!(q.pop(|| false, || true, |_| {}), None);
     }
 
     #[test]

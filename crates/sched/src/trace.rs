@@ -14,11 +14,11 @@
 //!   hot path takes a lock or touches shared memory; recorders are drained
 //!   once, after the worker joins.
 //! * Recording is gated by [`TraceConfig`]: [`TraceMode::Off`] short-circuits
-//!   every recorder method before it reads the clock, so the untraced entry
-//!   points ([`crate::execute`], [`crate::execute_dag`], …) pay only a dead
-//!   branch per task. [`TraceMode::Counters`] keeps the timing/counter
-//!   aggregates but drops the event list; [`TraceMode::Full`] keeps both.
-//! * After `execute` the recorders are assembled into an [`ExecReport`]:
+//!   every recorder method before it reads the clock, so an untraced
+//!   [`crate::run`] pays only a dead branch per task.
+//!   [`TraceMode::Counters`] keeps the timing/counter aggregates but drops
+//!   the event list; [`TraceMode::Full`] keeps both.
+//! * After the run the recorders are assembled into an [`ExecReport`]:
 //!   a [`SchedStats`] aggregate (per-worker busy/idle/steal time, tasks run,
 //!   steals in/out, load imbalance) and, in full mode, an [`ExecTrace`]
 //!   whose [`ExecTrace::chrome_json`] renders the run as a Gantt chart in
@@ -43,7 +43,7 @@ pub enum TraceMode {
     Full,
 }
 
-/// Telemetry configuration handed to the traced executor entry points.
+/// Telemetry configuration of one executor run ([`crate::ExecRequest::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// What to record.
@@ -373,6 +373,25 @@ pub struct TaskPanic {
     pub message: String,
 }
 
+impl TaskPanic {
+    /// Records a payload caught by `catch_unwind`, keeping the message of
+    /// the `&str`/`String` payloads `panic!` produces.
+    pub(crate) fn caught(worker: usize, task: usize, payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        TaskPanic {
+            worker,
+            task,
+            message,
+        }
+    }
+}
+
 impl std::fmt::Display for TaskPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -409,7 +428,9 @@ impl FactorHealth {
     }
 }
 
-/// Everything a traced executor run produces.
+/// Everything an executor run produces. A worker panic or an interrupt
+/// travels in the report instead of unwinding: read [`Self::panic`] and
+/// [`Self::interrupt`], or call [`Self::rethrow`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecReport {
     /// Aggregate statistics (always filled when tracing is on).
@@ -430,6 +451,14 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
+    /// Re-raises a contained worker panic on the calling thread, message
+    /// included — for callers with no error channel of their own.
+    pub fn rethrow(&self) {
+        if let Some(p) = &self.panic {
+            panic!("{p}");
+        }
+    }
+
     /// Every counter this run produced, uniformly: the scheduler counters
     /// ([`SchedStats::counters`]) plus the numeric-health counts. One flat
     /// `(name, value)` list so reports and tools never reach into

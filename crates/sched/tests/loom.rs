@@ -27,9 +27,7 @@
 #![cfg(loom)]
 
 use splu_sched::sync::{AbortFlag, Countdown, Gate, Park};
-use splu_sched::{
-    execute_dag_with_priorities_report_budgeted, CancelToken, RunBudget, TraceConfig,
-};
+use splu_sched::{run, CancelToken, ExecRequest, RunBudget, TraceConfig};
 use std::sync::{Arc, Mutex};
 
 /// Invariant 1: the push-then-notify / check-then-park protocol never
@@ -133,26 +131,20 @@ fn started_equals_retired_under_cancel() {
     // A diamond: 0 → {1, 2} → 3.
     const N: usize = 4;
     const PREDS: [usize; N] = [0, 1, 1, 2];
-    const SUCCS: [&[usize]; N] = [&[1, 2], &[3], &[3], &[]];
-    const PRIO: [u64; N] = [3, 2, 2, 1];
 
     for trip_at in 0..=4usize {
         loom::model(move || {
+            let succs: [Vec<usize>; N] = [vec![1, 2], vec![3], vec![3], vec![]];
             let token = CancelToken::new();
             token.cancel_after_checkpoints(trip_at);
             let budget = RunBudget::unbounded().with_token(token);
-            let report = execute_dag_with_priorities_report_budgeted(
-                N,
-                &PREDS,
-                |t: usize| SUCCS[t],
-                &PRIO,
-                2,
-                1,
-                |_| 0,
-                |_| {},
-                &TraceConfig::counters(),
-                &budget,
-            );
+            let req = ExecRequest {
+                threads: 2,
+                trace: TraceConfig::counters(),
+                budget: &budget,
+                ..ExecRequest::new(&PREDS, &succs)
+            };
+            let report = run(&req, |_| {});
             assert!(report.panic.is_none());
             assert_eq!(
                 report.stats.tasks_started, report.stats.tasks_retired,
