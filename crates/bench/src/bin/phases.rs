@@ -1,5 +1,5 @@
 //! Per-phase wall-time breakdown of the full pipeline — parse through the
-//! triangular solves — before and after the parallel front half, written to
+//! triangular solves — at one and at eight front-half threads, written to
 //! `BENCH_phases.json` (schema: [`splu_bench::json::validate_bench_phases`]).
 //!
 //! ```text
@@ -10,30 +10,34 @@
 //! restricts the run (the CI smoke job passes `goodwin`). Set
 //! `PARSPLU_REDUCED=1` for CI-sized inputs.
 //!
+//! Every row walks the front half `analyze_with` runs: `symbolic_fill` is
+//! the skeleton pass plus [`splu_core::fill_from_skeleton`] on the
+//! relabelled skeleton, `eforest_postorder` is the postorder from the
+//! skeleton's parents plus relabelling the skeleton and permuting the
+//! original entries — no filled structure is ever permuted.
+//!
 //! Three records per matrix:
 //!
-//! * `front_threads = 1, kind = "measured"` — the sequential pipeline
-//!   ("before": the phase profile that motivates parallelizing the front
-//!   half);
-//! * `front_threads = 8, kind = "measured"` — the chunked parallel front
-//!   half ([`splu_core::static_fill_parallel_with_parents`] and
+//! * `front_threads = 1, kind = "measured"` — one front thread;
+//! * `front_threads = 8, kind = "measured"` — eight front threads
+//!   ([`splu_core::fill_from_skeleton`] and
 //!   [`splu_core::postorder_parallel`]) and the 8-thread numeric phase,
 //!   measured on *this* host, however many cores it has;
 //! * `front_threads = 8, kind = "simulated"` — the projection onto 8 real
 //!   cores: `symbolic_fill = skeleton + (fill + assembly) / 8` from the
 //!   individually measured sub-phase times (the skeleton pass is the only
-//!   sequential part of the chunked formulation; fill chunks and the
-//!   assembly scatters both run thread-parallel), and `numeric` from the
-//!   calibrated Origin-2000 simulator at 8 virtual processors. Phases
-//!   that stay sequential carry their measured wall time unchanged.
+//!   sequential part; fill chunks and the assembly scatters both run
+//!   thread-parallel), and `numeric` from the calibrated Origin-2000
+//!   simulator at 8 virtual processors. Phases that stay sequential carry
+//!   their measured wall time unchanged.
 //!
 //! The `kind` field keeps downstream tooling from averaging projections
 //! into wall-clock rows, exactly as in `BENCH_factor.json`.
 
 use splu_bench::{calibrated_model, json, min_time, simulated_seconds, suite, Prepared};
 use splu_core::{
-    analyze, factor_numeric_with, postorder_parallel, static_fill_parallel_with_parents,
-    BlockMatrix, KernelChoice, NumericRequest, Options, SparseLu, SymbolicRequest, TaskGraphKind,
+    analyze, factor_numeric_with, fill_from_skeleton, postorder_parallel, BlockMatrix,
+    KernelChoice, NumericRequest, Options, SparseLu, SymbolicRequest, TaskGraphKind,
 };
 use splu_matgen::manufactured_rhs;
 use splu_ordering::{column_min_degree, maximum_transversal, StructuralRank};
@@ -43,9 +47,8 @@ use splu_sparse::scaling::equilibrate;
 use splu_sparse::Permutation;
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::{
-    amalgamate, assemble_filled, fill_columns, fill_skeleton, postorder_permutation,
-    static_symbolic_factorization, supernode_partition, EliminationForest, FillScratch, FilledLu,
-    SupernodeOptions,
+    amalgamate, assemble_filled, fill_columns, fill_skeleton, supernode_partition,
+    EliminationForest, FillScratch, SupernodeOptions,
 };
 use std::fmt::Write as _;
 
@@ -117,56 +120,59 @@ fn main() {
         });
         let p2 = p1.permuted(&q, &q);
 
-        // -- symbolic fill: the tentpole phase, three ways.
-        let f = static_symbolic_factorization(&p2).expect("zero-free diagonal");
-        let t_fill_seq = secs(|| {
-            let _ = static_symbolic_factorization(&p2).expect("zero-free diagonal");
+        // -- eforest + postorder: the forest and its postorder from the
+        //    skeleton's parents, the skeleton relabelled, the original
+        //    entries permuted.
+        let skel2 = fill_skeleton(&p2).expect("zero-free diagonal");
+        let postordered = |threads: usize| {
+            let forest = EliminationForest::from_parent_vec(skel2.parents().to_vec());
+            let po = postorder_parallel(&forest, threads);
+            (p2.permuted(&po, &po), skel2.relabeled(&po))
+        };
+        let t_po_seq = secs(|| {
+            let _ = postordered(1);
         });
-        let req = SymbolicRequest::new().front_threads(FRONT_THREADS);
-        let (_, parents) =
-            static_fill_parallel_with_parents(&p2, &req).expect("parallel fill succeeds");
-        let t_fill_par = secs(|| {
-            let _ = static_fill_parallel_with_parents(&p2, &req).expect("parallel fill succeeds");
+        let t_po_par = secs(|| {
+            let _ = postordered(FRONT_THREADS);
         });
-        // Sub-phases of the chunked formulation, for the 8-core projection:
-        // the skeleton pass is sequential; fill chunks and the assembly
-        // scatters are thread-parallel with no cross-chunk dependencies.
-        let skel = fill_skeleton(&p2).expect("zero-free diagonal");
+        let (p3, skel) = postordered(1);
+
+        // -- symbolic fill: the skeleton pass plus the fill from the
+        //    relabelled skeleton, at one and at eight threads.
         let t_skel = secs(|| {
             let _ = fill_skeleton(&p2).expect("zero-free diagonal");
         });
-        let ranges = skel.partition(&p2, FRONT_THREADS * 4);
+        let fill_at = |threads: usize| {
+            let req = SymbolicRequest::new().front_threads(threads);
+            t_skel
+                + secs(|| {
+                    let _ = fill_from_skeleton(&p3, &skel, &req).expect("fill succeeds");
+                })
+        };
+        let t_fill_seq = fill_at(1);
+        let t_fill_par = fill_at(FRONT_THREADS);
+        // Sub-phases for the 8-core projection: the skeleton pass is
+        // sequential; fill chunks and the assembly scatters are
+        // thread-parallel with no cross-chunk dependencies.
+        let ranges = skel.partition(&p3, FRONT_THREADS * 4);
         let chunks: Vec<_> = {
             let mut scratch = FillScratch::new(skel.n());
             ranges
                 .iter()
-                .map(|r| fill_columns(&p2, &skel, r.clone(), &mut scratch))
+                .map(|r| fill_columns(&p3, &skel, r.clone(), &mut scratch))
                 .collect()
         };
         let t_chunks = secs(|| {
             let mut scratch = FillScratch::new(skel.n());
             for r in &ranges {
-                let _ = fill_columns(&p2, &skel, r.clone(), &mut scratch);
+                let _ = fill_columns(&p3, &skel, r.clone(), &mut scratch);
             }
         });
         let t_asm = secs(|| {
             let _ = assemble_filled(&skel, &chunks).expect("assembly succeeds");
         });
         let t_fill_sim = t_skel + (t_chunks + t_asm) / FRONT_THREADS as f64;
-
-        // -- eforest + postorder: forest construction, the postorder
-        //    permutation, and the symmetric permute of the filled pattern.
-        let po = postorder_permutation(&f);
-        let f2 = FilledLu::from_parts(f.l.permuted(&po, &po), f.u.permuted(&po, &po));
-        let t_po_seq = secs(|| {
-            let po = postorder_permutation(&f);
-            let _ = FilledLu::from_parts(f.l.permuted(&po, &po), f.u.permuted(&po, &po));
-        });
-        let t_po_par = secs(|| {
-            let forest = EliminationForest::from_parent_vec(parents.clone());
-            let po = postorder_parallel(&forest, FRONT_THREADS);
-            let _ = FilledLu::from_parts(f.l.permuted(&po, &po), f.u.permuted(&po, &po));
-        });
+        let f2 = assemble_filled(&skel, &chunks).expect("assembly succeeds");
 
         // -- supernode partition (incl. amalgamation and block structure).
         let t_sn = secs(|| {

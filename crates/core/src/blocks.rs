@@ -247,16 +247,11 @@ pub struct BlockMatrix {
 }
 
 impl BlockMatrix {
-    /// Assembles the block storage of `a` (already permuted into
-    /// factorization order) under the given block structure.
-    ///
-    /// Every structurally nonzero block of `Ā` is allocated (zero-filled)
-    /// and the entries of `a` scattered into place.
-    pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
+    /// Allocates every structurally nonzero block of `Ā` under the given
+    /// block structure, zero-filled and unfactored.
+    pub fn zeros(bs: &BlockStructure) -> Self {
         let nb = bs.num_blocks();
         let part = &bs.partition;
-        assert_eq!(a.ncols(), part.n(), "matrix and partition disagree");
-        let block_of = part.block_of_cols();
 
         // Per column J: U-region block rows (I < J), from the row lists.
         let mut u_region: Vec<Vec<usize>> = vec![Vec::new(); nb];
@@ -295,25 +290,39 @@ impl BlockMatrix {
             stacks.push(StackMap { l_rows, offsets });
         }
         let col_starts = (0..nb).map(|jb| part.range(jb).start).collect();
-        let mut bm = BlockMatrix {
+        BlockMatrix {
             columns,
             stacks,
             n: part.n(),
             col_starts,
             panel_copies: AtomicUsize::new(0),
-        };
-        // Scatter values.
+        }
+    }
+
+    /// Assembles the block storage of `a` (already permuted into
+    /// factorization order) under the given block structure: [`Self::zeros`]
+    /// with the entries of `a` scattered into place.
+    pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
+        let mut bm = Self::zeros(bs);
+        bm.scatter(a, bs);
+        bm
+    }
+
+    /// Stores every entry of `a` (in factorization order) at its place.
+    fn scatter(&mut self, a: &CscMatrix, bs: &BlockStructure) {
+        assert_eq!(a.ncols(), self.n, "matrix and structure disagree");
+        let part = &bs.partition;
+        let block_of = part.block_of_cols();
         for (i, j, v) in a.triplets() {
             let (ib, jb) = (block_of[i], block_of[j]);
             let li = i - part.range(ib).start;
             let lj = j - part.range(jb).start;
-            let col = bm.columns[jb].get_mut();
+            let col = self.columns[jb].get_mut();
             let mut blk = col
                 .block_mut(ib)
-                .expect("original entry outside the filled block structure");
+                .expect("entry outside the filled block structure");
             blk[(li, lj)] = v;
         }
-        bm
     }
 
     /// Zeroes every stored value and empties the pivot sequences **in
@@ -340,21 +349,8 @@ impl BlockMatrix {
     /// rescatter, forget pivots) — for repeated factorizations with the same
     /// structure without reallocating.
     pub fn reset_from(&mut self, a: &CscMatrix, bs: &BlockStructure) {
-        assert_eq!(a.ncols(), self.n, "matrix and structure disagree");
-        let part = &bs.partition;
-        let block_of = part.block_of_cols();
         self.reset_values();
-        for (i, j, v) in a.triplets() {
-            let (ib, jb) = (block_of[i], block_of[j]);
-            let li = i - part.range(ib).start;
-            let lj = j - part.range(jb).start;
-            let col = self.columns[jb].get_mut();
-            let mut blk = col
-                .block_mut(ib)
-                .expect("entry outside the filled block structure");
-            blk[(li, lj)] = v;
-        }
-        self.panel_copies.store(0, Ordering::Relaxed);
+        self.scatter(a, bs);
     }
 
     /// Matrix order (scalar).

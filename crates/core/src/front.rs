@@ -1,20 +1,19 @@
-//! Parallel front half: threaded static symbolic fill and postorder
-//! construction, driven by the same work-stealing executor as the numeric
+//! The front half's threaded steps: static symbolic fill from a skeleton
+//! and postorder construction, driven by the same executor as the numeric
 //! phase.
 //!
-//! The chunked formulation (see [`splu_symbolic::static_fact`]) splits
-//! static symbolic factorization into a cheap sequential **skeleton** pass
-//! (the union–find merge loop, which also yields the elimination-forest
-//! parents and every factor-column length) and an embarrassingly parallel
-//! **fill** pass: each column's `Ū` structure is an independent bounded
-//! reachability climb through the skeleton forest (the GSoFa-style
-//! per-column formulation). Chunks of columns are scheduled as independent
-//! tasks on `splu_sched`, each worker reusing a pooled
-//! [`FillScratch`]; the per-chunk outputs are merged **deterministically**
-//! (chunks tile the column range in ascending order and every entry's
-//! final position is fixed before assembly starts), so the L/U patterns
-//! are bitwise identical to the sequential path for every thread count,
-//! chunking, and schedule.
+//! Static symbolic factorization (see [`splu_symbolic::static_fact`]) is a
+//! cheap sequential **skeleton** pass (the union–find merge loop, which
+//! also yields the elimination-forest parents and every factor-column
+//! length) and an embarrassingly parallel **fill** pass: each column's `Ū`
+//! structure is an independent bounded reachability climb through the
+//! skeleton forest (the GSoFa-style per-column formulation). Chunks of
+//! columns are scheduled as independent tasks on `splu_sched`, each worker
+//! reusing a pooled [`FillScratch`]; the per-chunk outputs are merged
+//! **deterministically** (chunks tile the column range in ascending order
+//! and every entry's final position is fixed before assembly starts), so
+//! the L/U patterns are bitwise identical for every thread count, chunking,
+//! and schedule — one thread is the same code, not another algorithm.
 //!
 //! Cancellation: a [`RunBudget`] bounds the fill phase at chunk
 //! boundaries exactly as it bounds the numeric phase at task boundaries —
@@ -24,11 +23,13 @@ use crate::observe::ObsSession;
 use crate::{LuError, Options};
 use parking_lot::Mutex;
 use splu_obs::{Counter, Track};
-use splu_sched::{run, CancelToken, EventKind, ExecRequest, Interrupt, RunBudget, TraceConfig};
+use splu_sched::{
+    run, CancelToken, EventKind, ExecRequest, ExecSchedule, Interrupt, RunBudget, TraceConfig,
+};
 use splu_sparse::{Permutation, SparsityPattern};
 use splu_symbolic::{
-    assemble_filled_threads, fill_columns, fill_skeleton, EliminationForest, FillChunk,
-    FillScratch, FilledLu,
+    assemble_filled_threads, fill_columns, EliminationForest, FillChunk, FillScratch, FillSkeleton,
+    FilledLu,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -40,8 +41,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicRequest {
     /// Worker threads for the front half: symbolic-fill chunks, the
-    /// assembly scatters, and postorder segments. `1` (the default) is the
-    /// sequential path.
+    /// assembly scatters, and postorder segments (`1` by default).
     pub front_threads: usize,
     /// Fill chunks created per front thread (more chunks → better load
     /// balance, slightly more scheduling overhead).
@@ -151,12 +151,10 @@ fn map_interrupt(interrupt: Interrupt, columns_done: usize) -> LuError {
     }
 }
 
-/// Parallel static symbolic factorization: sequential skeleton pass, fill
-/// chunks scheduled as independent tasks on the work-stealing executor,
-/// threaded deterministic assembly. Returns the filled structure together
-/// with the skeleton's elimination-forest parent vector (`usize::MAX`
-/// marks roots), which equals `EliminationForest::from_filled(&filled)`'s
-/// parents — callers get the forest without a second pass over `Ū`.
+/// Fills `L̄`, `Ū` and the row-major `Ū` of `pattern` from its skeleton
+/// (`skel == fill_skeleton(pattern)`, possibly obtained by
+/// [`FillSkeleton::relabeled`]): fill chunks scheduled as independent tasks
+/// on the executor, then the threaded deterministic assembly.
 ///
 /// The result is **bitwise identical** to
 /// [`splu_symbolic::static_symbolic_factorization`] for every
@@ -164,17 +162,14 @@ fn map_interrupt(interrupt: Interrupt, columns_done: usize) -> LuError {
 /// runs, never *what* it produces (each column's climb output is a pure
 /// function of the skeleton) nor *where* it lands (all positions are fixed
 /// by the skeleton's length arrays before assembly).
-pub fn static_fill_parallel_with_parents(
+pub fn fill_from_skeleton(
     pattern: &SparsityPattern,
+    skel: &FillSkeleton,
     req: &SymbolicRequest,
-) -> Result<(FilledLu, Vec<usize>), LuError> {
+) -> Result<FilledLu, LuError> {
     let threads = req.front_threads.max(1);
     let obs = req.obs.as_ref();
     let metrics = obs.map(|o| o.metrics().as_ref());
-    let skel = {
-        let _s = obs.map(|o| o.trace().span(Track::Driver, "fill_skeleton"));
-        fill_skeleton(pattern)?
-    };
     let n = skel.n();
 
     // Effective budget: a deadline or watchdog without a caller token gets
@@ -195,13 +190,18 @@ pub fn static_fill_parallel_with_parents(
     // An observed run records each chunk as a span on its front-thread
     // track (shared-epoch executor trace, replayed below) and counts the
     // Ū entries it produced; the unobserved configuration is `off` and the
-    // task body touches no counters, so the historical path is unchanged.
+    // task body touches no counters.
     let exec_config = match obs {
         Some(o) => o.executor_trace_config(n_chunks, threads),
         None => TraceConfig::off(),
     };
+    // With a schedule attached, one untraced thread replays the chunks
+    // inline on the calling thread — no worker is spawned (and no second
+    // allocator arena grown) for what is then a plain loop.
+    let schedule = ExecSchedule::for_dag(&pred_counts, &successors);
     let exec = ExecRequest {
         threads,
+        schedule: Some(&schedule),
         trace: exec_config,
         budget: &budget,
         ..ExecRequest::new(&pred_counts, &successors)
@@ -215,7 +215,7 @@ pub fn static_fill_parallel_with_parents(
             .unwrap_or_else(|| FillScratch::new(n));
         let cols = ranges[t].clone();
         let filled_here = cols.len();
-        let chunk = fill_columns(pattern, &skel, cols, &mut scratch);
+        let chunk = fill_columns(pattern, skel, cols, &mut scratch);
         if let Some(reg) = metrics {
             // Every chunk boundary is a budget poll; u_idx counts the
             // Ū entries (diagonal included) this chunk contributed.
@@ -259,12 +259,12 @@ pub fn static_fill_parallel_with_parents(
         .collect();
     let filled = {
         let _s = obs.map(|o| o.trace().span(Track::Driver, "fill_assembly"));
-        assemble_filled_threads(&skel, &chunks, threads)?
+        assemble_filled_threads(skel, &chunks, threads)?
     };
     if let Some(reg) = metrics {
         reg.add(Counter::FillL, filled.l.nnz() as u64);
     }
-    Ok((filled, skel.parents().to_vec()))
+    Ok(filled)
 }
 
 /// Parallel postorder: the forest's trees are disjoint, so each root's

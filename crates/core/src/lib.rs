@@ -44,9 +44,7 @@ mod solve;
 pub use blocks::{BlockMatrix, ColumnData, StackMap};
 pub use costs::{estimate_task_costs, total_flops};
 pub use error::LuError;
-pub use front::{
-    postorder_parallel, postorder_parallel_obs, static_fill_parallel_with_parents, SymbolicRequest,
-};
+pub use front::{fill_from_skeleton, postorder_parallel, postorder_parallel_obs, SymbolicRequest};
 pub use numeric::{
     factor_left_looking, factor_task, factor_task_with_policy, factor_task_with_rule, update_task,
     update_task_with,
@@ -80,8 +78,7 @@ use splu_sched::{block_forest, build_eforest_graph, build_sstar_graph, Mapping, 
 use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::{
-    amalgamate, postorder_permutation, static_symbolic_factorization, supernode_partition,
-    EliminationForest, FilledLu, SupernodeOptions,
+    amalgamate, fill_skeleton, supernode_partition, EliminationForest, FilledLu, SupernodeOptions,
 };
 
 /// Fill-reducing ordering choices.
@@ -124,8 +121,8 @@ pub struct Options {
     /// Worker threads for the numerical phase.
     pub threads: usize,
     /// Worker threads for the symbolic front half (static fill chunks,
-    /// assembly scatters, postorder segments). `1` (the default) is the
-    /// sequential path; any value produces bitwise-identical structures.
+    /// assembly scatters, postorder segments). Any value produces
+    /// bitwise-identical structures.
     pub front_threads: usize,
     /// Task-to-worker mapping (paper: static 1D column mapping).
     pub mapping: Mapping,
@@ -363,10 +360,7 @@ pub struct SymbolicLu {
 impl SymbolicLu {
     /// Builds the requested task dependence graph for this structure.
     pub fn build_graph(&self, kind: TaskGraphKind) -> TaskGraph {
-        match kind {
-            TaskGraphKind::EForest => build_eforest_graph(&self.block_structure),
-            TaskGraphKind::SStar => build_sstar_graph(&self.block_structure),
-        }
+        build_graph(&self.block_structure, kind)
     }
 
     /// Permutes an input matrix into factorization order.
@@ -441,6 +435,13 @@ impl NumericLu<'_> {
     }
 }
 
+fn build_graph(bs: &BlockStructure, kind: TaskGraphKind) -> TaskGraph {
+    match kind {
+        TaskGraphKind::EForest => build_eforest_graph(bs),
+        TaskGraphKind::SStar => build_sstar_graph(bs),
+    }
+}
+
 /// Runs the full analysis pipeline on a sparsity pattern.
 ///
 /// Equivalent to [`analyze_with`] under the front-half request implied by
@@ -452,23 +453,34 @@ pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SymbolicLu, 
 
 /// Runs the full analysis pipeline with an explicit front-half request.
 ///
-/// `req.front_threads == 1` is the historical sequential path;
-/// `req.front_threads > 1` runs the chunked parallel static fill
-/// ([`static_fill_parallel_with_parents`]) and the stitched parallel
-/// postorder ([`postorder_parallel`]) — both bitwise identical to the
-/// sequential path, so the returned [`SymbolicLu`] does not depend on the
-/// thread count.
+/// There is one front half at every thread count: the skeleton of the
+/// static symbolic factorization, the eforest postorder taken from its
+/// parents, and the fill written directly in postordered labels
+/// ([`fill_from_skeleton`] on the relabelled skeleton). `req.front_threads`
+/// only sets how many workers run the fill chunks, the assembly scatters
+/// and the postorder segments; the returned [`SymbolicLu`] is bitwise the
+/// same for every value.
 ///
 /// `req.budget` bounds the front half: the ordering polls it once per
-/// elimination round, the parallel fill at every chunk boundary, and the
-/// driver between phases, returning [`LuError::Cancelled`] /
+/// elimination round, the fill at every chunk boundary, and the driver
+/// between phases, returning [`LuError::Cancelled`] /
 /// [`LuError::DeadlineExceeded`] with the number of completed factor
-/// columns attached (0 while still ordering).
+/// columns attached (0 until the fill has run).
 pub fn analyze_with(
     pattern: &SparsityPattern,
     opts: &Options,
     req: &SymbolicRequest,
 ) -> Result<SymbolicLu, LuError> {
+    analyze_parts(pattern, opts, req).map(|(sym, _graph)| sym)
+}
+
+/// [`analyze_with`], also handing back the task graph of `opts.task_graph`
+/// that the statistics were taken from (a session keeps it).
+pub(crate) fn analyze_parts(
+    pattern: &SparsityPattern,
+    opts: &Options,
+    req: &SymbolicRequest,
+) -> Result<(SymbolicLu, TaskGraph), LuError> {
     if !pattern.is_square() {
         return Err(LuError::NotSquare {
             nrows: pattern.nrows(),
@@ -537,44 +549,37 @@ pub fn analyze_with(
     let mut row_perm = q.compose(&rp0);
     let mut col_perm = q.clone();
 
-    // 2. Static symbolic factorization; the parallel path also yields the
-    // eforest parents, saving the `from_filled` pass below. Both paths
-    // count the same fill totals (the parallel path per chunk, the
-    // sequential one from the result) — the structures are bitwise equal.
+    // 2. Skeleton of the static symbolic factorization: the eforest parents
+    // and the exact length of every L̄ column and Ū row, before any column
+    // is filled.
     check(0)?;
-    let (f2, parents) = {
+    let skel = {
         let _p = obs.map(|o| o.phase("symbolic_fill"));
-        if req.front_threads <= 1 {
-            let f = static_symbolic_factorization(&p2)?;
-            if let Some(o) = obs {
-                o.metrics().add(Counter::FillL, f.l.nnz() as u64);
-                o.metrics().add(Counter::FillU, f.u.nnz() as u64);
-            }
-            (f, None)
-        } else {
-            let (f, par) = static_fill_parallel_with_parents(&p2, req)?;
-            (f, Some(par))
-        }
+        let _s = obs.map(|o| o.trace().span(Track::Driver, "fill_skeleton"));
+        fill_skeleton(&p2)?
     };
+    let btf_blocks = skel.parents().iter().filter(|&&p| p == usize::MAX).count();
 
-    // 3. Eforest postordering (Theorem 3: permute the structures directly).
-    check(n)?;
-    let filled = {
+    // 3. Eforest postordering. Theorem 3: the filled structure of the
+    // postordered pattern is the postordered filled structure, so only the
+    // skeleton and the original entries are relabelled here and the fill
+    // below lands in factorization order.
+    let (p3, skel) = {
         let _p = obs.map(|o| o.phase("eforest_postorder"));
         if opts.postorder {
-            let po = match parents {
-                Some(par) => {
-                    let forest = EliminationForest::from_parent_vec(par);
-                    postorder_parallel_obs(&forest, req.front_threads, obs)
-                }
-                None => postorder_permutation(&f2),
-            };
+            let forest = EliminationForest::from_parent_vec(skel.parents().to_vec());
+            let po = postorder_parallel_obs(&forest, req.front_threads, obs);
             row_perm = po.compose(&row_perm);
             col_perm = po.compose(&col_perm);
-            FilledLu::from_parts(f2.l.permuted(&po, &po), f2.u.permuted(&po, &po))
+            (p2.permuted(&po, &po), skel.relabeled(&po))
         } else {
-            f2
+            (p2, skel)
         }
+    };
+    check(0)?;
+    let filled = {
+        let _p = obs.map(|o| o.phase("symbolic_fill"));
+        fill_from_skeleton(&p3, &skel, req)?
     };
     check(n)?;
 
@@ -592,14 +597,9 @@ pub fn analyze_with(
         (supernodes_exact, block_structure, bf)
     };
 
-    // 5. Statistics, including the chosen task graph's shape.
+    // 5. The chosen task graph, and the statistics that describe it.
     let _graph_phase = obs.map(|o| o.phase("graph_build"));
-    let scalar_forest = EliminationForest::from_filled(&filled);
-    let btf_blocks = scalar_forest.roots().len();
-    let graph = match opts.task_graph {
-        TaskGraphKind::EForest => build_eforest_graph(&block_structure),
-        TaskGraphKind::SStar => build_sstar_graph(&block_structure),
-    };
+    let graph = build_graph(&block_structure, opts.task_graph);
     let flops_estimate = total_flops(&estimate_task_costs(&block_structure, &graph));
     let stats = Stats {
         n,
@@ -619,7 +619,7 @@ pub fn analyze_with(
         critical_path: graph.critical_path_len(),
         flops_estimate,
     };
-    Ok(SymbolicLu {
+    let sym = SymbolicLu {
         row_perm,
         col_perm,
         filled,
@@ -627,7 +627,8 @@ pub fn analyze_with(
         block_forest: bf,
         stats,
         opts: opts.clone(),
-    })
+    };
+    Ok((sym, graph))
 }
 
 /// The one-stop factorization object — a thin wrapper over [`SluSession`]
@@ -676,11 +677,7 @@ impl SparseLu {
         opts: &Options,
         obs: Option<&ObsSession>,
     ) -> Result<SparseLu, LuError> {
-        for (_, j, v) in a.triplets() {
-            if !v.is_finite() {
-                return Err(LuError::NonFiniteInput { column: j });
-            }
-        }
+        session::check_finite(a)?;
         // Equilibration shares the canonical "scale_transversal" phase with
         // the transversal inside `analyze_with` (spans of one name sum).
         let equil = {
@@ -688,15 +685,18 @@ impl SparseLu {
             opts.equilibrate
                 .then(|| splu_sparse::scaling::equilibrate(a))
         };
-        let work = equil.as_ref().map(|e| &e.scaled).unwrap_or(a);
-        let mut session = match obs {
-            Some(o) => SluSession::analyze_observed(work.pattern(), opts, o)?,
-            None => SluSession::analyze(work.pattern(), opts)?,
+        let work = match &equil {
+            Some(e) => {
+                // The reciprocal of a subnormal row maximum overflows.
+                session::check_finite(&e.scaled)?;
+                &e.scaled
+            }
+            None => a,
         };
-        match obs {
-            Some(o) => session.factor_observed(work, o)?,
-            None => session.factor(work)?,
-        }
+        // The session was analyzed on this very pattern and the values were
+        // scanned above: hash and scan once per factorization, not twice.
+        let mut session = SluSession::analyze_inner(work.pattern(), opts, obs)?;
+        session.factor_checked(work, obs)?;
         let mut lu = SparseLu {
             health: session.health().clone(),
             session,

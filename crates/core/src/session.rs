@@ -35,7 +35,7 @@ use crate::blocks::BlockMatrix;
 use crate::observe::ObsSession;
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
-use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
+use crate::{analyze_parts, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use std::sync::Arc;
@@ -63,6 +63,21 @@ pub fn pattern_hash(pattern: &SparsityPattern) -> u64 {
         eat(&mut h, i as u64);
     }
     h
+}
+
+/// Rejects non-finite entries, naming the first offending column — checked
+/// before the parallel phase can propagate them silently. Allocates
+/// nothing on the accepting path.
+pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
+    if a.values().iter().any(|v| !v.is_finite()) {
+        // Cold path: walk the triplets to name the offending column.
+        for (_, j, v) in a.triplets() {
+            if !v.is_finite() {
+                return Err(LuError::NonFiniteInput { column: j });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Where the `t`-th nonzero of the (original-order) input lands inside the
@@ -115,7 +130,7 @@ impl SluSession {
         Self::analyze_inner(pattern, opts, Some(session))
     }
 
-    fn analyze_inner(
+    pub(crate) fn analyze_inner(
         pattern: &SparsityPattern,
         opts: &Options,
         obs: Option<&ObsSession>,
@@ -124,12 +139,10 @@ impl SluSession {
         if let Some(o) = obs {
             sreq = sreq.observe(o.clone());
         }
-        let sym = analyze_with(pattern, opts, &sreq)?;
-        let (graph, schedule) = {
+        let (sym, graph) = analyze_parts(pattern, opts, &sreq)?;
+        let schedule = {
             let _p = obs.map(|o| o.phase("graph_build"));
-            let graph = sym.build_graph(opts.task_graph);
-            let schedule = Arc::new(ExecSchedule::for_graph(&graph));
-            (graph, schedule)
+            Arc::new(ExecSchedule::for_graph(&graph))
         };
         Ok(SluSession {
             budget: opts.budget.clone(),
@@ -183,16 +196,23 @@ impl SluSession {
     }
 
     fn factor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
-        self.check_values(a)?;
-        let (bm, scatter) = {
+        self.check_pattern(a)?;
+        check_finite(a)?;
+        self.factor_checked(a, obs)
+    }
+
+    /// [`Self::factor_inner`] for a caller that has itself established what
+    /// the two checks establish: `a` has the analyzed pattern and only
+    /// finite values.
+    pub(crate) fn factor_checked(
+        &mut self,
+        a: &CscMatrix,
+        obs: Option<&ObsSession>,
+    ) -> Result<(), LuError> {
+        {
             let _p = obs.map(|o| o.phase("graph_build"));
-            let permuted = self.sym.permute_matrix(a);
-            let bm = BlockMatrix::assemble(&permuted, &self.sym.block_structure);
-            let scatter = Self::build_scatter(&self.sym, a, &bm);
-            (bm, scatter)
-        };
-        self.bm = Some(bm);
-        self.scatter = scatter;
+            self.assemble_fresh(a);
+        }
         self.run_numeric(obs)
     }
 
@@ -200,30 +220,19 @@ impl SluSession {
         if self.bm.is_none() {
             return self.factor_inner(a, obs);
         }
-        self.check_values(a)?;
-        {
-            let bm = self.bm.as_mut().expect("storage checked above");
-            bm.reset_values();
-            let values = a.values();
-            debug_assert_eq!(values.len(), self.scatter.len());
-            for (e, &v) in self.scatter.iter().zip(values) {
-                let col = bm.column_mut(e.jb as usize);
-                let dst = if e.ublock == SCATTER_PANEL {
-                    col.panel.data_mut()
-                } else {
-                    col.ublocks[e.ublock as usize].data_mut()
-                };
-                dst[e.flat as usize] = v;
-            }
-        }
+        self.check_pattern(a)?;
+        check_finite(a)?;
+        self.bm
+            .as_mut()
+            .expect("storage checked above")
+            .reset_values();
+        self.scatter_values(a);
         self.run_numeric(obs)
     }
 
-    /// Rejects values the session cannot factor: a pattern whose hash
-    /// disagrees with the analyzed one, or non-finite entries (checked
-    /// before the parallel phase can propagate them silently). Allocates
-    /// nothing on the accepting path.
-    fn check_values(&self, a: &CscMatrix) -> Result<(), LuError> {
+    /// Rejects values whose pattern hash disagrees with the analyzed one.
+    /// Allocates nothing on the accepting path.
+    fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuError> {
         let got = pattern_hash(a.pattern());
         if got != self.pattern_hash {
             return Err(LuError::PatternMismatch {
@@ -231,46 +240,78 @@ impl SluSession {
                 got,
             });
         }
-        if a.values().iter().any(|v| !v.is_finite()) {
-            // Cold path: walk the triplets to name the offending column.
-            for (_, j, v) in a.triplets() {
-                if !v.is_finite() {
-                    return Err(LuError::NonFiniteInput { column: j });
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Precomputes, for each nonzero of the original-order input (in
-    /// `values()` order), its destination inside the block storage.
-    fn build_scatter(sym: &SymbolicLu, a: &CscMatrix, bm: &BlockMatrix) -> Vec<ScatterEntry> {
+    /// Replaces the storage by freshly allocated zeros holding `a`'s
+    /// values; the first call also derives the scatter map that puts them
+    /// there (and that every later factor and refactor reuses).
+    fn assemble_fresh(&mut self, a: &CscMatrix) {
+        // The old factors go first, so two copies never coexist.
+        self.bm = None;
+        let bm = BlockMatrix::zeros(&self.sym.block_structure);
+        // (An empty map is that of an empty matrix: rebuilding it is free.)
+        if self.scatter.is_empty() {
+            self.scatter = Self::build_scatter(&self.sym, a.pattern(), &bm);
+        }
+        self.bm = Some(bm);
+        self.scatter_values(a);
+    }
+
+    /// Stores `a`'s values into the (zeroed) storage through the scatter
+    /// map: plain indexed stores, no permutation lookups, no allocation.
+    fn scatter_values(&mut self, a: &CscMatrix) {
+        let bm = self.bm.as_mut().expect("storage allocated by the caller");
+        let values = a.values();
+        debug_assert_eq!(values.len(), self.scatter.len());
+        for (e, &v) in self.scatter.iter().zip(values) {
+            let col = bm.column_mut(e.jb as usize);
+            let dst = if e.ublock == SCATTER_PANEL {
+                col.panel.data_mut()
+            } else {
+                col.ublocks[e.ublock as usize].data_mut()
+            };
+            dst[e.flat as usize] = v;
+        }
+    }
+
+    /// Derives, for each nonzero of the analyzed (original-order) pattern
+    /// in `values()` order, its destination inside the block storage from
+    /// the two permutations and the block layout of `bm`.
+    fn build_scatter(
+        sym: &SymbolicLu,
+        pattern: &SparsityPattern,
+        bm: &BlockMatrix,
+    ) -> Vec<ScatterEntry> {
         let part = &sym.block_structure.partition;
         let block_of = part.block_of_cols();
-        let mut scatter = Vec::with_capacity(a.nnz());
-        for (i, j, _) in a.triplets() {
-            let ni = sym.row_perm.new_of(i);
+        let mut scatter = Vec::with_capacity(pattern.nnz());
+        for j in 0..pattern.ncols() {
             let nj = sym.col_perm.new_of(j);
-            let (ib, jb) = (block_of[ni], block_of[nj]);
-            let li = ni - part.range(ib).start;
+            let jb = block_of[nj];
             let lj = nj - part.range(jb).start;
             let col = bm.column(jb).read();
-            let pos = col
-                .find(ib)
-                .expect("original entry outside the filled block structure");
-            let (ublock, flat) = if pos < col.u_count() {
-                let nrows = col.ublocks[pos].nrows();
-                (pos as u32, (lj * nrows + li) as u32)
-            } else {
-                let t = pos - col.u_count();
-                let nrows = col.panel.nrows();
-                (SCATTER_PANEL, (lj * nrows + col.l_offsets[t] + li) as u32)
-            };
-            scatter.push(ScatterEntry {
-                jb: jb as u32,
-                ublock,
-                flat,
-            });
+            for &i in pattern.col(j) {
+                let ni = sym.row_perm.new_of(i);
+                let ib = block_of[ni];
+                let li = ni - part.range(ib).start;
+                let pos = col
+                    .find(ib)
+                    .expect("original entry outside the filled block structure");
+                let (ublock, flat) = if pos < col.u_count() {
+                    let nrows = col.ublocks[pos].nrows();
+                    (pos as u32, (lj * nrows + li) as u32)
+                } else {
+                    let t = pos - col.u_count();
+                    let nrows = col.panel.nrows();
+                    (SCATTER_PANEL, (lj * nrows + col.l_offsets[t] + li) as u32)
+                };
+                scatter.push(ScatterEntry {
+                    jb: jb as u32,
+                    ublock,
+                    flat,
+                });
+            }
         }
         scatter
     }
@@ -542,6 +583,21 @@ mod tests {
         let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.37).sin()).collect();
         let x = s.try_solve(&b).unwrap();
         assert!(relative_residual(&a, &x, &b) < 1e-10);
+    }
+
+    /// The one-pass scatter-map load equals permute + `assemble`, on the
+    /// first call (map built) and on a later one (map reused).
+    #[test]
+    fn scatter_map_storage_is_bitwise_the_assembled_storage() {
+        for m in splu_matgen::paper_suite(splu_matgen::Scale::Reduced) {
+            let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
+            for a in [m.a.clone(), revalue(&m.a, 3)] {
+                s.assemble_fresh(&a);
+                let permuted = s.sym.permute_matrix(&a);
+                let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
+                assert_same_factors(s.bm.as_ref().unwrap(), &want, m.name);
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ use std::collections::BinaryHeap;
 /// weighted external degree of every boundary supervariable, and merges
 /// boundary supervariables that became indistinguishable.
 pub fn min_degree(pattern: &SparsityPattern) -> Permutation {
-    mmd(pattern, false, &mut || true).expect("uncancellable run cannot be cancelled")
+    mmd(pattern, false, &mut || true, detect_and_merge)
+        .expect("uncancellable run cannot be cancelled")
 }
 
 /// [`min_degree`] with a cancellation callback, polled once per elimination
@@ -44,7 +45,7 @@ pub fn min_degree_with(
     pattern: &SparsityPattern,
     keep_going: &mut dyn FnMut() -> bool,
 ) -> Option<Permutation> {
-    mmd(pattern, false, keep_going)
+    mmd(pattern, false, keep_going, detect_and_merge)
 }
 
 /// Multiple-elimination minimum degree: each round eliminates an
@@ -59,7 +60,8 @@ pub fn min_degree_with(
 /// generally **differs** from single elimination but has comparable fill;
 /// it is a valid bijection for any input.
 pub fn min_degree_multi(pattern: &SparsityPattern) -> Permutation {
-    mmd(pattern, true, &mut || true).expect("uncancellable run cannot be cancelled")
+    mmd(pattern, true, &mut || true, detect_and_merge)
+        .expect("uncancellable run cannot be cancelled")
 }
 
 /// [`min_degree_multi`] with a cancellation callback, polled once per
@@ -68,8 +70,21 @@ pub fn min_degree_multi_with(
     pattern: &SparsityPattern,
     keep_going: &mut dyn FnMut() -> bool,
 ) -> Option<Permutation> {
-    mmd(pattern, true, keep_going)
+    mmd(pattern, true, keep_going, detect_and_merge)
 }
+
+/// Supervariable detection over a freshly updated boundary; see
+/// [`detect_and_merge`]. A parameter of [`mmd`] so the tests can run the
+/// whole ordering over the reference routine.
+type Merge = fn(
+    boundary: &[usize],
+    adj: &mut [Vec<usize>],
+    var_elems: &mut [Vec<usize>],
+    alive: &mut [bool],
+    weight: &mut [usize],
+    members: &mut [Vec<usize>],
+    scratch: &mut Vec<(u64, usize)>,
+);
 
 /// Shared driver for single and multiple elimination.
 ///
@@ -81,6 +96,7 @@ fn mmd(
     pattern: &SparsityPattern,
     multi: bool,
     keep_going: &mut dyn FnMut() -> bool,
+    merge: Merge,
 ) -> Option<Permutation> {
     assert!(pattern.is_square(), "min_degree requires a square pattern");
     let n = pattern.ncols();
@@ -116,6 +132,7 @@ fn mmd(
     let mut touched: Vec<usize> = Vec::new();
     let mut tmark = vec![usize::MAX; n];
     let mut tstamp = 0usize;
+    let mut merge_scratch: Vec<(u64, usize)> = Vec::new();
 
     while order.len() < n {
         if !keep_going() {
@@ -219,23 +236,24 @@ fn mmd(
                 var_elems[i].retain(|&e| !absorbed[e]);
                 var_elems[i].push(p);
             }
-            elem_bound[p] = boundary.clone();
+            elem_bound[p] = boundary;
+            let boundary = &elem_bound[p];
 
-            // Supervariable detection: bucket boundary variables by a cheap
+            // Supervariable detection: group boundary variables by a cheap
             // hash of their quotient adjacency; verify and merge equal ones.
             if boundary.len() > 1 {
-                detect_and_merge(
-                    &boundary,
+                merge(
+                    boundary,
                     &mut adj,
                     &mut var_elems,
-                    &mut elem_bound,
                     &mut alive,
                     &mut weight,
                     &mut members,
+                    &mut merge_scratch,
                 );
             }
 
-            for &i in &boundary {
+            for &i in boundary {
                 if alive[i] && tmark[i] != tstamp {
                     tmark[i] = tstamp;
                     touched.push(i);
@@ -282,61 +300,51 @@ fn mmd(
 /// adjacency matches exactly: same surviving `adj` sets (ignoring each
 /// other) and same element lists. Both lists are small after the boundary
 /// update, so sorting them for comparison is cheap.
-#[allow(clippy::too_many_arguments)]
+///
+/// Candidates are the runs of equal hash in `scratch`, sorted in place by
+/// `(hash, position in the boundary)`: within a run the pairs are compared
+/// in boundary order, and runs do not interact (a merge rewrites only the
+/// lists of its own pair), so the outcome does not depend on the order of
+/// the runs. Nothing is allocated once `scratch` has grown.
 fn detect_and_merge(
     boundary: &[usize],
     adj: &mut [Vec<usize>],
     var_elems: &mut [Vec<usize>],
-    elem_bound: &mut [Vec<usize>],
     alive: &mut [bool],
     weight: &mut [usize],
     members: &mut [Vec<usize>],
+    scratch: &mut Vec<(u64, usize)>,
 ) {
-    use std::collections::HashMap;
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for &i in boundary {
+    scratch.clear();
+    for (pos, &i) in boundary.iter().enumerate() {
         if !alive[i] {
             continue;
         }
         adj[i].sort_unstable();
         var_elems[i].sort_unstable();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &v in &adj[i] {
-            h ^= (v as u64).wrapping_mul(0x1000_0000_01b3);
-            h = h.rotate_left(13);
-        }
-        for &e in &var_elems[i] {
-            h ^= (e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h = h.rotate_left(7);
-        }
-        buckets.entry(h).or_default().push(i);
+        scratch.push((adjacency_hash(&adj[i], &var_elems[i]), pos));
     }
-    for group in buckets.values() {
-        if group.len() < 2 {
-            continue;
-        }
-        for a in 0..group.len() {
-            let i = group[a];
+    scratch.sort_unstable();
+    for group in scratch.chunk_by(|x, y| x.0 == y.0) {
+        for (a, &(_, pos_i)) in group.iter().enumerate() {
+            let i = boundary[pos_i];
             if !alive[i] {
                 continue;
             }
-            for &j in &group[a + 1..] {
-                if !alive[j] {
-                    continue;
-                }
-                if var_elems[i] != var_elems[j] {
+            for &(_, pos_j) in &group[a + 1..] {
+                let j = boundary[pos_j];
+                if !alive[j] || var_elems[i] != var_elems[j] {
                     continue;
                 }
                 // adj sets must match modulo the pair itself.
-                let eq = {
-                    let ai: Vec<usize> = adj[i].iter().copied().filter(|&v| v != j).collect();
-                    let aj: Vec<usize> = adj[j].iter().copied().filter(|&v| v != i).collect();
-                    ai == aj
-                };
-                if !eq {
+                let ai = adj[i].iter().filter(|&&v| v != j);
+                let aj = adj[j].iter().filter(|&&v| v != i);
+                if !ai.eq(aj) {
                     continue;
                 }
-                // Merge j into i.
+                // Merge j into i. Dead entries in element boundaries and
+                // adjacency lists are filtered lazily through the `alive`
+                // checks.
                 alive[j] = false;
                 weight[i] += weight[j];
                 let m = std::mem::take(&mut members[j]);
@@ -344,13 +352,23 @@ fn detect_and_merge(
                 adj[j] = Vec::new();
                 var_elems[j] = Vec::new();
                 adj[i].retain(|&v| v != j);
-                // Dead entries in element boundaries and adjacency lists are
-                // filtered lazily through the `alive` checks; elem_bound is
-                // not rewritten here.
-                let _ = &elem_bound;
             }
         }
     }
+}
+
+/// Cheap order-dependent hash of a (sorted) quotient adjacency.
+fn adjacency_hash(adj: &[usize], elems: &[usize]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &v in adj {
+        h ^= (v as u64).wrapping_mul(0x1000_0000_01b3);
+        h = h.rotate_left(13);
+    }
+    for &e in elems {
+        h ^= (e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h = h.rotate_left(7);
+    }
+    h
 }
 
 /// Minimum-degree ordering of the `AᵀA` pattern of a (generally rectangular
@@ -392,6 +410,109 @@ pub fn column_min_degree_multi_with(
 mod tests {
     use super::*;
     use splu_sparse::SparsityPattern;
+
+    /// The routine [`detect_and_merge`] replaced, kept as its oracle: a
+    /// `HashMap` of buckets per call and two filtered copies per compared pair.
+    ///
+    /// Two boundary variables are indistinguishable when their quotient-graph
+    /// adjacency matches exactly: same surviving `adj` sets (ignoring each
+    /// other) and same element lists. Both lists are small after the boundary
+    /// update, so sorting them for comparison is cheap.
+    fn detect_and_merge_reference(
+        boundary: &[usize],
+        adj: &mut [Vec<usize>],
+        var_elems: &mut [Vec<usize>],
+        alive: &mut [bool],
+        weight: &mut [usize],
+        members: &mut [Vec<usize>],
+        _scratch: &mut Vec<(u64, usize)>,
+    ) {
+        use std::collections::HashMap;
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        for &i in boundary {
+            if !alive[i] {
+                continue;
+            }
+            adj[i].sort_unstable();
+            var_elems[i].sort_unstable();
+            let h = adjacency_hash(&adj[i], &var_elems[i]);
+            buckets.entry(h).or_default().push(i);
+        }
+        for group in buckets.values() {
+            if group.len() < 2 {
+                continue;
+            }
+            for a in 0..group.len() {
+                let i = group[a];
+                if !alive[i] {
+                    continue;
+                }
+                for &j in &group[a + 1..] {
+                    if !alive[j] {
+                        continue;
+                    }
+                    if var_elems[i] != var_elems[j] {
+                        continue;
+                    }
+                    // adj sets must match modulo the pair itself.
+                    let eq = {
+                        let ai: Vec<usize> = adj[i].iter().copied().filter(|&v| v != j).collect();
+                        let aj: Vec<usize> = adj[j].iter().copied().filter(|&v| v != i).collect();
+                        ai == aj
+                    };
+                    if !eq {
+                        continue;
+                    }
+                    // Merge j into i.
+                    alive[j] = false;
+                    weight[i] += weight[j];
+                    let m = std::mem::take(&mut members[j]);
+                    members[i].extend(m);
+                    adj[j] = Vec::new();
+                    var_elems[j] = Vec::new();
+                    adj[i].retain(|&v| v != j);
+                }
+            }
+        }
+    }
+
+    /// The allocation-free supervariable detection orders exactly as the
+    /// routine it replaced, on the `AᵀA` graphs of the paper suite and on
+    /// random graphs, single and multiple elimination.
+    #[test]
+    fn in_place_merge_orders_exactly_as_the_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut cases: Vec<SparsityPattern> = splu_matgen::paper_suite(splu_matgen::Scale::Reduced)
+            .iter()
+            .map(|m| m.a.pattern().ata())
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(77);
+        for n in [2usize, 9, 30, 60, 120] {
+            for per_vertex in [1usize, 3, 6] {
+                let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+                for _ in 0..per_vertex * n {
+                    e.push((rng.gen_range(0..n), rng.gen_range(0..n)));
+                }
+                // Duplicated vertices make indistinguishable pairs common.
+                let doubled = e.iter().flat_map(|&(i, j)| {
+                    [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(di, dj)| (2 * i + di, 2 * j + dj))
+                });
+                cases.push(SparsityPattern::from_entries(2 * n, 2 * n, doubled).unwrap());
+                cases.push(SparsityPattern::from_entries(n, n, e).unwrap());
+            }
+        }
+        for p in &cases {
+            for multi in [false, true] {
+                assert_eq!(
+                    mmd(p, multi, &mut || true, detect_and_merge),
+                    mmd(p, multi, &mut || true, detect_and_merge_reference),
+                    "n={} multi={multi}",
+                    p.ncols()
+                );
+            }
+        }
+    }
 
     /// Counts Cholesky fill of a symmetric pattern eliminated in the given
     /// order (brute-force reference: dense boolean elimination).

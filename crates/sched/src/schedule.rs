@@ -28,7 +28,7 @@
 //! schedule.
 
 use crate::control::{Interrupt, RunBudget};
-use crate::graph::TaskGraph;
+use crate::graph::{bottom_levels, TaskGraph};
 use crate::trace::{ExecReport, TaskPanic};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,11 +69,14 @@ impl ExecSchedule {
     /// Computes the schedule for `graph`: its bottom levels and the task
     /// order a one-worker priority executor would acquire.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        Self::with_priorities(
-            graph.pred_counts(),
-            graph.successor_lists(),
-            graph.bottom_levels(),
-        )
+        Self::for_dag(graph.pred_counts(), graph.successor_lists())
+    }
+
+    /// [`Self::for_graph`] over the DAG view an [`crate::ExecRequest`] is
+    /// built on, for callers whose tasks are not a [`TaskGraph`].
+    pub fn for_dag(pred_counts: &[usize], successors: &[Vec<usize>]) -> Self {
+        let priority = bottom_levels(pred_counts, successors);
+        Self::with_priorities(pred_counts, successors, priority)
     }
 
     /// The schedule of an arbitrary DAG view under caller-chosen priorities.

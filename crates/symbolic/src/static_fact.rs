@@ -13,8 +13,21 @@
 //! union. Because all candidates end up structurally identical, the
 //! implementation keeps one shared structure per *row class* (union–find),
 //! which is how S+ achieves near-linear behaviour.
+//!
+//! There is one implementation, in three steps. [`fill_skeleton`] runs the
+//! merge loop keeping only what later steps need — the eforest parents,
+//! each row's first candidate step, and the exact length of every `L̄`
+//! column and `Ū` row. [`fill_columns`] then computes any range of `Ū`
+//! columns independently as bounded climbs through that forest, and
+//! [`assemble_filled_threads`] lays `L̄`, `Ū` and the row-major `Ū` out
+//! with counting scatters, no comparison sort anywhere. Since the skeleton
+//! already holds the forest, a caller that wants the structure in
+//! postordered labels relabels the skeleton ([`FillSkeleton::relabeled`])
+//! and fills the permuted pattern, instead of filling first and rebuilding
+//! every column afterwards. [`static_symbolic_reference`] is the brute-force
+//! oracle the tests compare against.
 
-use splu_sparse::{SparseError, SparsityPattern};
+use splu_sparse::{Permutation, SparseError, SparsityPattern};
 use std::ops::Range;
 
 /// Structures of the filled factors `L̄` (lower, including the unit
@@ -109,156 +122,18 @@ impl From<SparseError> for SymbolicError {
 }
 
 /// Runs the static symbolic factorization on a square pattern with a
-/// zero-free diagonal.
+/// zero-free diagonal: the skeleton pass, every column's climb as one chunk,
+/// and the counting assembly — the one-chunk, one-thread spelling of the
+/// path `splu-core`'s analysis drives with more chunks and threads (the
+/// result does not depend on either).
 pub fn static_symbolic_factorization(pattern: &SparsityPattern) -> Result<FilledLu, SymbolicError> {
-    if !pattern.is_square() {
-        return Err(SymbolicError::NotSquare);
-    }
-    let n = pattern.ncols();
-    for j in 0..n {
-        if !pattern.contains(j, j) {
-            return Err(SymbolicError::ZeroOnDiagonal(j));
-        }
-    }
-    if n == 0 {
-        let empty = SparsityPattern::empty(0, 0);
-        return Ok(FilledLu::from_parts(empty.clone(), empty));
-    }
-
-    // Row structures, by row: columns of each row, sorted.
-    let by_rows = pattern.transpose();
-
-    // Union–find over rows; each class representative owns a shared
-    // structure (sorted column list, trimmed to columns ≥ current step) and
-    // the list of member rows still uneliminated.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-
-    let mut class_struct: Vec<Vec<usize>> = (0..n).map(|i| by_rows.col(i).to_vec()).collect();
-    let mut class_rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    // Buckets: class representatives whose smallest remaining column is k.
-    let mut bucket: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        let first = class_struct[i][0];
-        bucket[first].push(i);
-    }
-
-    let mut l_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut u_rows: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut merge_scratch: Vec<usize> = Vec::new();
-    let mut in_union = vec![false; n];
-
-    for k in 0..n {
-        // Representatives of classes whose first remaining column is k.
-        let mut reps: Vec<usize> = Vec::new();
-        for cand in std::mem::take(&mut bucket[k]) {
-            let r = find(&mut parent, cand);
-            if !class_rows[r].is_empty()
-                && !class_struct[r].is_empty()
-                && class_struct[r][0] == k
-                && !reps.contains(&r)
-            {
-                reps.push(r);
-            }
-        }
-        debug_assert!(
-            !reps.is_empty(),
-            "zero-free diagonal guarantees a candidate class at step {k}"
-        );
-
-        // Union of the candidate structures (columns ≥ k).
-        merge_scratch.clear();
-        for &r in &reps {
-            for &c in &class_struct[r] {
-                if !in_union[c] {
-                    in_union[c] = true;
-                    merge_scratch.push(c);
-                }
-            }
-        }
-        merge_scratch.sort_unstable();
-        for &c in &merge_scratch {
-            in_union[c] = false;
-        }
-        // Ū row k = the union (starts at k by construction).
-        u_rows.push(merge_scratch.clone());
-
-        // L̄ column k = all rows in the candidate classes (all ≥ k).
-        let mut lcol: Vec<usize> = Vec::new();
-        for &r in &reps {
-            lcol.extend_from_slice(&class_rows[r]);
-        }
-        lcol.sort_unstable();
-        debug_assert_eq!(lcol.first(), Some(&k), "pivot row k must be a candidate");
-        l_cols.push(lcol);
-
-        // Merge the classes into one; drop column k and row k from it.
-        let root = reps[0];
-        for &r in &reps[1..] {
-            parent[r] = root;
-            let rows = std::mem::take(&mut class_rows[r]);
-            class_rows[root].extend(rows);
-            class_struct[r] = Vec::new();
-        }
-        class_rows[root].retain(|&i| i != k);
-        let mut s = std::mem::take(&mut merge_scratch);
-        s.retain(|&c| c > k);
-        class_struct[root] = s;
-        if !class_rows[root].is_empty() {
-            debug_assert!(
-                !class_struct[root].is_empty(),
-                "surviving rows must have a diagonal entry ahead"
-            );
-            let first = class_struct[root][0];
-            bucket[first].push(root);
-        }
-    }
-
-    // Assemble L̄ (by columns) and Ū (by columns, from its rows).
-    let l = SparsityPattern::new(
-        n,
-        n,
-        {
-            let mut ptr = Vec::with_capacity(n + 1);
-            ptr.push(0);
-            let mut acc = 0;
-            for c in &l_cols {
-                acc += c.len();
-                ptr.push(acc);
-            }
-            ptr
-        },
-        l_cols.concat(),
-    )?;
-    let u_row_pattern = SparsityPattern::new(
-        n,
-        n,
-        {
-            let mut ptr = Vec::with_capacity(n + 1);
-            ptr.push(0);
-            let mut acc = 0;
-            for r in &u_rows {
-                acc += r.len();
-                ptr.push(acc);
-            }
-            ptr
-        },
-        u_rows.concat(),
-    )?;
-    // `u_row_pattern` holds row i in its column slot i; transposing yields
-    // the column-compressed Ū.
-    let u = u_row_pattern.transpose();
-    Ok(FilledLu::from_parts(l, u))
+    let skel = fill_skeleton(pattern)?;
+    let whole = fill_columns(pattern, &skel, 0..skel.n(), &mut FillScratch::new(skel.n()));
+    assemble_filled(&skel, &[whole])
 }
 
-/// Output of the sequential skeleton pass of the chunked (parallel-friendly)
-/// static symbolic factorization — see [`fill_skeleton`].
+/// Output of the sequential skeleton pass of the static symbolic
+/// factorization — see [`fill_skeleton`].
 ///
 /// The skeleton is everything the per-column reachability pass needs:
 ///
@@ -313,6 +188,39 @@ impl FillSkeleton {
         self.l_len.iter().sum::<usize>() + self.u_len.iter().sum::<usize>() - self.n
     }
 
+    /// The skeleton of `pattern.permuted(po, po)` for a postorder `po` of
+    /// [`Self::parents`] (`po.old_of(new) = old`), without running the merge
+    /// loop again.
+    ///
+    /// Theorem 3 makes the filled structure of the permuted pattern the
+    /// permuted filled structure, so the forest and the lengths only change
+    /// labels: `parent'[po(k)] = po(parent[k])`, lengths carried over. The
+    /// row minima move with them, `first'[po(r)] = po(first[r])`: the
+    /// entries of row `r` left of the diagonal lie on the branch
+    /// `first[r] → … → r` (rows of `L̄` are branches), whose nodes a
+    /// postorder numbers in ascending order, and the entries right of it
+    /// stay right of it because `Ū` stays upper triangular.
+    pub fn relabeled(&self, po: &Permutation) -> FillSkeleton {
+        assert_eq!(po.len(), self.n, "postorder length");
+        let relabel = |old: usize| match old {
+            usize::MAX => usize::MAX,
+            old => po.new_of(old),
+        };
+        let olds = po.as_slice().iter();
+        let out = FillSkeleton {
+            n: self.n,
+            parent: olds.clone().map(|&k| relabel(self.parent[k])).collect(),
+            first: olds.clone().map(|&r| relabel(self.first[r])).collect(),
+            l_len: olds.clone().map(|&k| self.l_len[k]).collect(),
+            u_len: olds.map(|&k| self.u_len[k]).collect(),
+        };
+        debug_assert!(
+            (0..out.n).all(|k| out.parent[k] > k && out.first[k] <= k),
+            "relabeled needs a topological order of the forest"
+        );
+        out
+    }
+
     /// Cuts `0..n` into at most roughly `n_chunks` contiguous column ranges
     /// of approximately equal estimated fill work (per-column weight:
     /// one unit plus the original column count plus the `L̄` column count).
@@ -348,9 +256,8 @@ impl FillSkeleton {
     }
 }
 
-/// Runs the sequential skeleton pass: the union–find merge loop of
-/// [`static_symbolic_factorization`] stripped of all sorting and of `Ū`
-/// materialization. Costs `O(|Ū| + nnz)` integer operations and produces a
+/// Runs the sequential skeleton pass: the union–find merge loop of the
+/// George–Ng scheme with no sorting and no `Ū` materialization. Costs `O(|Ū| + nnz)` integer operations and produces a
 /// [`FillSkeleton`] from which every filled column can then be computed
 /// *independently* (see [`fill_columns`]) — the GSoFa-style reachability
 /// formulation: `ū_ij ≠ 0` iff some row `r` with `a_rj ≠ 0` has `i` on its
@@ -367,8 +274,8 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
     }
     let by_rows = pattern.transpose();
 
-    // Union–find over rows, as in the sequential algorithm; classes keep
-    // their structures *unsorted* and track the minimum separately.
+    // Union–find over rows; each class owns one shared structure (kept
+    // *unsorted*, minimum tracked separately) and its uneliminated rows.
     let mut uf: Vec<usize> = (0..n).collect();
     fn find(uf: &mut [usize], mut x: usize) -> usize {
         while uf[x] != x {
@@ -602,9 +509,7 @@ where
 }
 
 /// Assembles chunk outputs (which must tile `0..n` in ascending order) into
-/// a [`FilledLu`] bitwise identical to the sequential
-/// [`static_symbolic_factorization`] result, using up to `nthreads` threads
-/// for the scatter passes.
+/// a [`FilledLu`], using up to `nthreads` threads for the scatter passes.
 ///
 /// No comparison sorts anywhere: every CSC pointer array is known exactly
 /// from the skeleton's `l_len`/`u_len` and the chunk pointers, and
@@ -727,25 +632,6 @@ pub fn assemble_filled(
     chunks: &[FillChunk],
 ) -> Result<FilledLu, SymbolicError> {
     assemble_filled_threads(skel, chunks, 1)
-}
-
-/// Sequential driver over the chunked formulation: skeleton pass, then
-/// chunks of `chunk_cols` columns in order. Produces output bitwise
-/// identical to [`static_symbolic_factorization`]; the parallel driver in
-/// `splu-core` schedules the same chunks on the work-stealing executor.
-pub fn static_symbolic_chunked(
-    pattern: &SparsityPattern,
-    chunk_cols: usize,
-) -> Result<FilledLu, SymbolicError> {
-    let skel = fill_skeleton(pattern)?;
-    let n = skel.n();
-    let chunk_cols = chunk_cols.max(1);
-    let mut scratch = FillScratch::new(n);
-    let chunks: Vec<FillChunk> = (0..n)
-        .step_by(chunk_cols)
-        .map(|s| fill_columns(pattern, &skel, s..(s + chunk_cols).min(n), &mut scratch))
-        .collect();
-    assemble_filled(&skel, &chunks)
 }
 
 /// Brute-force reference implementation on dense boolean matrices, O(n³).
@@ -950,8 +836,21 @@ mod tests {
         assert_eq!(f.nnz_filled(), 0);
     }
 
+    /// The fill of `p` over chunks of `chunk_cols` columns.
+    fn chunked(p: &SparsityPattern, chunk_cols: usize) -> FilledLu {
+        let skel = fill_skeleton(p).unwrap();
+        let n = skel.n();
+        let mut scratch = FillScratch::new(n);
+        let chunks: Vec<FillChunk> = (0..n)
+            .step_by(chunk_cols)
+            .map(|s| fill_columns(p, &skel, s..(s + chunk_cols).min(n), &mut scratch))
+            .collect();
+        assemble_filled(&skel, &chunks).unwrap()
+    }
+
     #[test]
-    fn chunked_is_bitwise_identical_to_sequential() {
+    fn every_chunking_matches_the_dense_reference() {
+        let mut cases = vec![fig1_pattern()];
         for (n, extra, seed) in [
             (1usize, 0usize, 1u64),
             (2, 2, 2),
@@ -961,31 +860,36 @@ mod tests {
             (40, 90, 6),
             (60, 200, 7),
         ] {
-            let p = random_pattern(n, extra, seed);
-            let seq = static_symbolic_factorization(&p).unwrap();
+            cases.push(random_pattern(n, extra, seed));
+        }
+        for p in &cases {
+            let slow = static_symbolic_reference(p).unwrap();
+            assert_eq!(static_symbolic_factorization(p).unwrap(), slow);
             for chunk in [1usize, 3, 8, 64] {
-                let par = static_symbolic_chunked(&p, chunk).unwrap();
-                assert_eq!(
-                    par, seq,
-                    "chunked mismatch (n={n}, seed={seed}, chunk={chunk})"
-                );
+                assert_eq!(chunked(p, chunk), slow, "n={}, chunk={chunk}", p.ncols());
             }
         }
-        let p = fig1_pattern();
-        assert_eq!(
-            static_symbolic_chunked(&p, 2).unwrap(),
-            static_symbolic_factorization(&p).unwrap()
-        );
     }
 
+    /// Theorem 3 on the skeleton: relabelling by the postorder of its own
+    /// forest gives the skeleton of the permuted pattern, and filling that
+    /// pattern from it gives the permuted filled structure.
     #[test]
-    fn chunked_matches_dense_reference() {
-        for seed in 0..6 {
-            let p = random_pattern(18, 40, seed);
-            let fast = static_symbolic_chunked(&p, 5).unwrap();
+    fn relabeled_skeleton_fills_straight_into_postorder() {
+        use crate::eforest::EliminationForest;
+        for seed in 0..12 {
+            let p = random_pattern(26, 45, seed);
+            let skel = fill_skeleton(&p).unwrap();
+            let po = EliminationForest::from_parent_vec(skel.parents().to_vec()).postorder();
+            let p3 = p.permuted(&po, &po);
+            let skel3 = skel.relabeled(&po);
+            assert_eq!(skel3, fill_skeleton(&p3).unwrap(), "seed {seed}");
+            let whole = fill_columns(&p3, &skel3, 0..26, &mut FillScratch::new(26));
+            let direct = assemble_filled(&skel3, &[whole]).unwrap();
             let slow = static_symbolic_reference(&p).unwrap();
-            assert_eq!(fast.l, slow.l, "L mismatch, seed={seed}");
-            assert_eq!(fast.u, slow.u, "U mismatch, seed={seed}");
+            let rebuilt =
+                FilledLu::from_parts(slow.l.permuted(&po, &po), slow.u.permuted(&po, &po));
+            assert_eq!(direct, rebuilt, "seed {seed}");
         }
     }
 
@@ -1005,20 +909,6 @@ mod tests {
                 assert_eq!(skel_parent, forest.parent(j), "node {j}, seed {seed}");
             }
         }
-    }
-
-    #[test]
-    fn skeleton_rejects_bad_inputs_like_sequential() {
-        let rect = SparsityPattern::empty(2, 3);
-        assert_eq!(fill_skeleton(&rect).unwrap_err(), SymbolicError::NotSquare);
-        let holed = SparsityPattern::from_entries(2, 2, vec![(0, 0), (0, 1)]).unwrap();
-        assert_eq!(
-            fill_skeleton(&holed).unwrap_err(),
-            SymbolicError::ZeroOnDiagonal(1)
-        );
-        let empty = SparsityPattern::empty(0, 0);
-        let f = static_symbolic_chunked(&empty, 4).unwrap();
-        assert_eq!(f.n(), 0);
     }
 
     #[test]

@@ -141,7 +141,28 @@ impl Default for SupernodeOptions {
 }
 
 /// Panel storage (in entries) and exact nonzeros of a candidate supernode
-/// `[a, c)`, counting both the `L̄` and `Ū` panels.
+/// `[a, c)` whose columns form a **parent chain** of the eforest
+/// (`parent(j) = j + 1` for `a ≤ j < c − 1`), counting both the `L̄` and
+/// `Ū` panels — O(1).
+///
+/// Chain nesting: when `p = parent(k)`, every row of `L̄_{*k}∖{k}` leaves
+/// step `k` with the structure `Ū_{k*}∖{k}`, whose minimum is `p`; each is
+/// therefore still uneliminated and a candidate at step `p`, so
+/// `L̄_{*k}∖{k} ⊆ L̄_{*p}` and `Ū_{k*}∖{k} ⊆ Ū_{p*}`. Along a chain the rows
+/// below and the columns right of the panel are thus exactly those of its
+/// last column, and the exact count is a difference of the CSC pointers.
+fn chain_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
+    let width = c - a;
+    let (l_ptr, u_ptr) = (f.l.col_ptr(), f.u_by_rows().col_ptr());
+    let exact = (l_ptr[c] - l_ptr[a]) + (u_ptr[c] - u_ptr[a]);
+    let outside = (f.l_col(c - 1).len() - 1) + (f.u_row(c - 1).len() - 1);
+    (width * (width + 1) + width * outside, exact)
+}
+
+/// [`chain_cost`] by brute force — collects, sorts and dedups the rows and
+/// columns outside the panel, for any `[a, c)`. The oracle the tests hold
+/// the O(1) formula to.
+#[cfg(test)]
 fn panel_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
     let width = c - a;
     // Rows below the panel reached by any column, columns right of the panel
@@ -202,7 +223,12 @@ pub fn amalgamate(f: &FilledLu, base: &Partition, opts: &SupernodeOptions) -> Pa
             if !chain_boundary(base.range(next).start) {
                 break;
             }
-            let (storage, exact) = panel_cost(f, group_start, cand_end);
+            // Every boundary inside [group_start, cand_end) is a chain
+            // boundary: the ones inside exact supernodes always are, the
+            // ones between them passed the test above.
+            let (storage, exact) = chain_cost(f, group_start, cand_end);
+            #[cfg(test)]
+            assert_eq!((storage, exact), panel_cost(f, group_start, cand_end));
             let zeros = storage.saturating_sub(exact);
             if (zeros as f64) > opts.rel_fill * storage as f64 {
                 break;
@@ -215,6 +241,29 @@ pub fn amalgamate(f: &FilledLu, base: &Partition, opts: &SupernodeOptions) -> Pa
         k = next;
     }
     Partition::from_starts(starts)
+}
+
+/// Sorted distinct blocks holding the entries of `cols`' columns `range`.
+/// `mark` is stamped, never cleared: `stamp` must be new to it.
+fn touched_blocks(
+    cols: &SparsityPattern,
+    range: std::ops::Range<usize>,
+    block_of: &[usize],
+    mark: &mut [usize],
+    stamp: usize,
+) -> Vec<usize> {
+    let mut blocks = Vec::new();
+    for k in range {
+        for &x in cols.col(k) {
+            let b = block_of[x];
+            if mark[b] != stamp {
+                mark[b] = stamp;
+                blocks.push(b);
+            }
+        }
+    }
+    blocks.sort_unstable();
+    blocks
 }
 
 /// Block structure of the filled matrix under a partition: which submatrix
@@ -236,26 +285,17 @@ impl BlockStructure {
     pub fn new(f: &FilledLu, partition: Partition) -> Self {
         let nb = partition.num_blocks();
         let block_of = partition.block_of_cols();
-        let mut l_blocks: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let mut u_blocks: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for jb in 0..nb {
-            let mut mark = vec![false; nb];
-            for j in partition.range(jb) {
-                for &i in f.l_col(j) {
-                    mark[block_of[i]] = true;
-                }
-            }
-            l_blocks[jb] = (jb..nb).filter(|&ib| mark[ib]).collect();
-        }
-        for ib in 0..nb {
-            let mut mark = vec![false; nb];
-            for i in partition.range(ib) {
-                for &c in f.u_row(i) {
-                    mark[block_of[c]] = true;
-                }
-            }
-            u_blocks[ib] = (ib..nb).filter(|&jb| mark[jb]).collect();
-        }
+        // One mark array for both passes, stamped per block, so a block's
+        // list costs its touched blocks, not a scan of all `nb`.
+        let mut mark = vec![usize::MAX; nb];
+        let part = &partition;
+        let l_blocks = (0..nb)
+            .map(|jb| touched_blocks(&f.l, part.range(jb), &block_of, &mut mark, jb))
+            .collect();
+        let u_by_rows = f.u_by_rows();
+        let u_blocks = (0..nb)
+            .map(|ib| touched_blocks(u_by_rows, part.range(ib), &block_of, &mut mark, nb + ib))
+            .collect();
         BlockStructure {
             partition,
             l_blocks,
@@ -445,6 +485,105 @@ mod tests {
         }
         let bp = bs.block_pattern();
         assert!(bp.has_zero_free_diagonal());
+    }
+
+    /// Filled structures of the reduced paper suite (minimum-degree
+    /// ordered) and of random patterns, each as filled and postordered.
+    fn suite_and_random_filled() -> Vec<FilledLu> {
+        use splu_matgen::{paper_suite, random_pattern, Scale};
+        let mut patterns: Vec<SparsityPattern> = paper_suite(Scale::Reduced)
+            .iter()
+            .map(|m| {
+                let q = splu_ordering::column_min_degree(m.a.pattern());
+                m.a.pattern().permuted(&q, &q)
+            })
+            .collect();
+        patterns.extend((0..16).map(|seed| random_pattern(20 + 3 * seed as usize, 90, seed)));
+        let mut out = Vec::new();
+        for p in patterns {
+            let f = filled(&p);
+            let po = postorder_permutation(&f);
+            out.push(filled(&p.permuted(&po, &po)));
+            out.push(f);
+        }
+        out
+    }
+
+    /// The O(1) chain formula equals the brute-force panel cost on every
+    /// parent chain of exact supernodes, and `amalgamate` (which asserts
+    /// the same at every boundary it evaluates) runs clean under loose
+    /// and tight options.
+    #[test]
+    fn chain_cost_equals_brute_force_on_every_chain() {
+        let mut chains = 0usize;
+        for f in suite_and_random_filled() {
+            let base = supernode_partition(&f);
+            let starts = base.starts();
+            for (k, &a) in starts[..starts.len() - 1].iter().enumerate() {
+                for &c in &starts[k + 1..] {
+                    assert_eq!(chain_cost(&f, a, c), panel_cost(&f, a, c), "[{a}, {c})");
+                    chains += 1;
+                    let chain_goes_on =
+                        c < f.n() && f.l_col(c - 1).len() > 1 && f.u_row(c - 1).get(1) == Some(&c);
+                    if !chain_goes_on {
+                        break;
+                    }
+                }
+            }
+            for (max_width, rel_fill) in [(48, 0.3), (8, 0.9), (200, 1.0), (48, 0.0)] {
+                let am = amalgamate(
+                    &f,
+                    &base,
+                    &SupernodeOptions {
+                        max_width,
+                        rel_fill,
+                    },
+                );
+                assert_eq!(am.n(), f.n());
+            }
+        }
+        assert!(chains > 1000, "only {chains} chains checked");
+    }
+
+    /// The builder `BlockStructure::new` replaced: a fresh mark array and a
+    /// scan of all blocks per block.
+    fn block_structure_quadratic(f: &FilledLu, partition: Partition) -> BlockStructure {
+        let nb = partition.num_blocks();
+        let block_of = partition.block_of_cols();
+        let scan = |kb: usize, list: &dyn Fn(usize) -> Vec<usize>| -> Vec<usize> {
+            let mut mark = vec![false; nb];
+            for k in partition.range(kb) {
+                for x in list(k) {
+                    mark[block_of[x]] = true;
+                }
+            }
+            (kb..nb).filter(|&b| mark[b]).collect()
+        };
+        let l_blocks = (0..nb)
+            .map(|jb| scan(jb, &|j| f.l_col(j).to_vec()))
+            .collect();
+        let u_blocks = (0..nb)
+            .map(|ib| scan(ib, &|i| f.u_row(i).to_vec()))
+            .collect();
+        BlockStructure {
+            partition,
+            l_blocks,
+            u_blocks,
+        }
+    }
+
+    #[test]
+    fn block_structure_equals_the_quadratic_builder() {
+        for f in suite_and_random_filled() {
+            let exact = supernode_partition(&f);
+            let merged = amalgamate(&f, &exact, &SupernodeOptions::default());
+            for part in [exact, merged, Partition::singletons(f.n())] {
+                assert_eq!(
+                    BlockStructure::new(&f, part.clone()),
+                    block_structure_quadratic(&f, part)
+                );
+            }
+        }
     }
 
     #[test]

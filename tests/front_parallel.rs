@@ -1,24 +1,31 @@
-//! Invariance gate for the parallel front half.
+//! Invariance gate for the front half.
 //!
-//! The tentpole guarantee: with the default single-elimination ordering,
-//! the threaded front half (chunked static symbolic fill, threaded
-//! assembly, per-subtree postorder) is **bitwise identical** to the
-//! sequential pipeline for every thread count — the executor only decides
-//! *when* chunks run, never *what* they produce nor *where* it lands.
-//! These tests pin that across the reduced paper suite and random
-//! patterns (proptest), and check the opt-in multiple-elimination
-//! ordering is a valid permutation with bounded extra fill.
+//! There is one front half: skeleton, postorder from its parents, fill
+//! written straight into postordered labels. Its guarantees, pinned here
+//! across the reduced paper suite and random patterns (proptest):
+//!
+//! * the fill from a skeleton (chunk climbs on the executor, threaded
+//!   assembly, per-subtree postorder) is **bitwise identical** for every
+//!   thread count and chunking — the executor only decides *when* chunks
+//!   run, never *what* they produce nor *where* it lands;
+//! * filling the postordered pattern from the *relabelled* skeleton gives
+//!   exactly the brute-force reference structure, permuted (Theorem 3);
+//! * the opt-in multiple-elimination ordering is a valid permutation with
+//!   bounded extra fill.
 
 use parsplu::core::{
-    analyze, analyze_with, postorder_parallel, postorder_parallel_obs,
-    static_fill_parallel_with_parents, ObsSession, Options, OrderingChoice, SymbolicRequest,
+    analyze, analyze_with, fill_from_skeleton, postorder_parallel, postorder_parallel_obs,
+    ObsSession, Options, OrderingChoice, SymbolicRequest,
 };
 use parsplu::matgen::{paper_suite, random_pattern, random_unsymmetric, Scale};
 use parsplu::ordering::{
     column_min_degree, column_min_degree_multi, maximum_transversal, StructuralRank,
 };
 use parsplu::sparse::{Permutation, SparsityPattern};
-use parsplu::symbolic::{postorder_permutation, static_symbolic_factorization, EliminationForest};
+use parsplu::symbolic::{
+    fill_skeleton, postorder_permutation, static_fact::static_symbolic_reference,
+    static_symbolic_factorization, EliminationForest, FilledLu,
+};
 use proptest::prelude::*;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -37,16 +44,15 @@ fn assert_parallel_fill_matches(p: &SparsityPattern, what: &str) {
     let f_seq = static_symbolic_factorization(p).expect("sequential fill succeeds");
     let forest_seq = EliminationForest::from_filled(&f_seq);
     let po_seq = postorder_permutation(&f_seq);
+    let skel = fill_skeleton(p).expect("skeleton succeeds");
     for threads in THREADS {
         let req = SymbolicRequest::new().front_threads(threads);
-        let (f_par, parents) =
-            static_fill_parallel_with_parents(p, &req).expect("parallel fill succeeds");
+        let f_par = fill_from_skeleton(p, &skel, &req).expect("parallel fill succeeds");
         // L and U patterns: bitwise identical (same pointer and index
         // arrays), not merely isomorphic.
-        assert_eq!(f_par.l, f_seq.l, "{what}: L differs at {threads} threads");
-        assert_eq!(f_par.u, f_seq.u, "{what}: U differs at {threads} threads");
+        assert_eq!(f_par, f_seq, "{what}: fill differs at {threads} threads");
         // Eforest parents come straight from the skeleton pass.
-        let forest_par = EliminationForest::from_parent_vec(parents);
+        let forest_par = EliminationForest::from_parent_vec(skel.parents().to_vec());
         assert_eq!(
             forest_par, forest_seq,
             "{what}: eforest differs at {threads} threads"
@@ -58,6 +64,47 @@ fn assert_parallel_fill_matches(p: &SparsityPattern, what: &str) {
             "{what}: postorder differs at {threads} threads"
         );
     }
+}
+
+/// The fill written straight into postordered labels — postorder from
+/// the skeleton's parents, skeleton relabelled, postordered pattern filled
+/// from it — against the brute-force reference permuted after the fact.
+fn assert_direct_postorder_fill_matches_reference(p: &SparsityPattern, what: &str) {
+    let reference = static_symbolic_reference(p).expect("reference fill succeeds");
+    let skel = fill_skeleton(p).expect("skeleton succeeds");
+    let po = EliminationForest::from_parent_vec(skel.parents().to_vec()).postorder();
+    let p3 = p.permuted(&po, &po);
+    let skel3 = skel.relabeled(&po);
+    assert_eq!(
+        skel3,
+        fill_skeleton(&p3).expect("postorder keeps the diagonal"),
+        "{what}: relabelled skeleton is not the permuted pattern's"
+    );
+    let want = FilledLu::from_parts(
+        reference.l.permuted(&po, &po),
+        reference.u.permuted(&po, &po),
+    );
+    for threads in THREADS {
+        for chunks in [1usize, 3] {
+            let req = SymbolicRequest::new()
+                .front_threads(threads)
+                .chunks_per_thread(chunks);
+            let direct = fill_from_skeleton(&p3, &skel3, &req).expect("fill succeeds");
+            assert_eq!(direct, want, "{what}: {threads} threads x {chunks} chunks");
+            // `postorder: false` is the same code with the identity.
+            let plain = fill_from_skeleton(p, &skel, &req).expect("fill succeeds");
+            assert_eq!(plain, reference, "{what}: unpermuted, {threads} x {chunks}");
+        }
+    }
+}
+
+#[test]
+fn direct_postorder_fill_on_a_forest_of_several_trees() {
+    let p = parsplu::symbolic::fixtures::fig1_pattern();
+    let skel = fill_skeleton(&p).unwrap();
+    let roots = skel.parents().iter().filter(|&&x| x == usize::MAX);
+    assert!(roots.count() > 1);
+    assert_direct_postorder_fill_matches_reference(&p, "fig1");
 }
 
 #[test]
@@ -106,24 +153,17 @@ fn traced_front_half_is_bitwise_identical_to_untraced() {
         let p = diagonalized(m.a.pattern());
         let q = column_min_degree(&p);
         let pq = p.permuted(&q, &q);
+        let skel = fill_skeleton(&pq).expect("skeleton succeeds");
         for threads in THREADS {
             let plain_req = SymbolicRequest::new().front_threads(threads);
-            let (f_plain, par_plain) =
-                static_fill_parallel_with_parents(&pq, &plain_req).expect("untraced fill");
+            let f_plain = fill_from_skeleton(&pq, &skel, &plain_req).expect("untraced fill");
             let session = ObsSession::with_events();
             let traced_req = SymbolicRequest::new()
                 .front_threads(threads)
                 .observe(session.clone());
-            let (f_traced, par_traced) =
-                static_fill_parallel_with_parents(&pq, &traced_req).expect("traced fill");
-            assert_eq!(f_traced.l, f_plain.l, "{}@{threads}: L differs", m.name);
-            assert_eq!(f_traced.u, f_plain.u, "{}@{threads}: U differs", m.name);
-            assert_eq!(
-                par_traced, par_plain,
-                "{}@{threads}: parents differ",
-                m.name
-            );
-            let forest = EliminationForest::from_parent_vec(par_plain);
+            let f_traced = fill_from_skeleton(&pq, &skel, &traced_req).expect("traced fill");
+            assert_eq!(f_traced, f_plain, "{}@{threads}: fill differs", m.name);
+            let forest = EliminationForest::from_parent_vec(skel.parents().to_vec());
             assert_eq!(
                 postorder_parallel_obs(&forest, threads, Some(&session)),
                 postorder_parallel(&forest, threads),
@@ -160,17 +200,13 @@ fn traced_end_to_end_factorization_is_bitwise_identical() {
 fn front_spans_land_on_the_session_trace_as_chrome_tracks() {
     use splu_bench::json::{parse, validate_chrome_trace};
     let m = &paper_suite(Scale::Reduced)[0];
-    let p = diagonalized(m.a.pattern());
-    let q = column_min_degree(&p);
-    let pq = p.permuted(&q, &q);
     let session = ObsSession::with_events();
-    let req = SymbolicRequest::new()
-        .front_threads(4)
-        .observe(session.clone());
-    let (f, parents) = static_fill_parallel_with_parents(&pq, &req).expect("fill succeeds");
-    let forest = EliminationForest::from_parent_vec(parents);
-    postorder_parallel_obs(&forest, 4, Some(&session));
-    drop(f);
+    let opts = Options {
+        front_threads: 4,
+        ..Options::default()
+    };
+    let req = SymbolicRequest::from_options(&opts).observe(session.clone());
+    analyze_with(m.a.pattern(), &opts, &req).expect("analysis succeeds");
     // The session's own export must already be a valid Chrome trace with
     // the front half's spans on driver + front tracks.
     let doc = parse(&session.chrome_json()).expect("valid JSON");
@@ -253,6 +289,42 @@ proptest! {
         // factorization to compare; skip them.
         if p.has_zero_free_diagonal() {
             assert_parallel_fill_matches(&p, "random pattern");
+        }
+    }
+
+    /// Filling straight into postordered labels equals permuting the
+    /// brute-force reference afterwards, for every thread count and
+    /// chunking, on forests of one tree and of many (density 0 is the
+    /// identity: `n` roots).
+    #[test]
+    fn direct_postorder_fill_matches_permuted_reference(
+        n in 1usize..40,
+        density in 0usize..5,
+        seed in 0u64..1024,
+    ) {
+        let p = diagonalized(&random_pattern(n, n * density, seed));
+        if p.has_zero_free_diagonal() {
+            assert_direct_postorder_fill_matches_reference(&p, "random pattern");
+        }
+    }
+
+    /// The driver's filled structure is the reference structure of the
+    /// matrix it says it factors, with the postorder and without it.
+    #[test]
+    fn analyze_fill_is_the_reference_of_the_permuted_input(
+        n in 2usize..36,
+        extra in 1usize..5,
+        seed in 0u64..512,
+    ) {
+        let a = random_unsymmetric(n, extra, seed);
+        for postorder in [true, false] {
+            for front_threads in [1usize, 4] {
+                let opts = Options { postorder, front_threads, ..Options::default() };
+                let sym = analyze(a.pattern(), &opts).expect("analysis succeeds");
+                let factored = a.pattern().permuted(&sym.row_perm, &sym.col_perm);
+                let want = static_symbolic_reference(&factored).expect("zero-free diagonal");
+                prop_assert_eq!(&sym.filled, &want);
+            }
         }
     }
 
