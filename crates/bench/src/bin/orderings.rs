@@ -1,27 +1,47 @@
-//! Ablation: the effect of the fill-reducing ordering (DESIGN.md §6) on the
-//! static structure, supernode counts and estimated factorization flops.
+//! The fill-reducing ordering, priced: what the minimum-degree column
+//! ordering costs to compute and what the permutation it returns costs
+//! downstream (DESIGN.md §5.3 and §6).
 //!
-//! The paper fixes minimum degree on `AᵀA`; this binary quantifies why —
-//! natural and RCM orderings inflate the static structure dramatically on
-//! the same matrices.
+//! One row per suite matrix plus the 40 × 40 two-unknown FEM mesh the
+//! benchmark refactors: ordering wall time (minimum of [`splu_bench::REPS`]
+//! runs on the transversal-permuted pattern, as the analysis calls it),
+//! entries of the static structure `Ā`, the cost model's flops, and the
+//! dense words the block storage allocates. The natural and RCM columns
+//! are the ablation: the same structure count when minimum degree is
+//! replaced.
 //!
 //! ```text
 //! cargo run --release -p splu-bench --bin orderings
 //! ```
 
-use splu_bench::suite;
-use splu_core::{analyze, Options, OrderingChoice};
+use splu_bench::{min_time, suite};
+use splu_core::{analyze, Options, OrderingChoice, SparseLu};
+use splu_matgen::fem2d_unsymmetric;
+use splu_ordering::{column_min_degree, maximum_transversal, StructuralRank};
+use splu_sparse::{CscMatrix, Permutation};
 
 fn main() {
-    println!("Ordering ablation: static fill and work by fill-reducing ordering");
+    println!("Ordering: time of minimum degree and the structure it leaves");
     println!(
-        "{:<10} {:>14} {:>14} {:>14}   {:>10} {:>10}",
-        "Matrix", "MD |Abar|", "natural", "RCM", "MD flops", "RCM flops"
+        "{:<10} {:>9} {:>11} {:>11} {:>11}   {:>11} {:>11}",
+        "Matrix", "order ms", "MD |Abar|", "MD flops", "MD words", "natural", "RCM"
     );
-    for m in suite() {
-        let run = |ordering: OrderingChoice| {
+    let mut rows: Vec<(&str, CscMatrix)> = suite().into_iter().map(|m| (m.name, m.a)).collect();
+    rows.push(("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)));
+    for (name, a) in &rows {
+        let StructuralRank::Full(rp0) = maximum_transversal(a.pattern()) else {
+            panic!("{name}: structurally singular");
+        };
+        let p1 = a
+            .pattern()
+            .permuted(&rp0, &Permutation::identity(a.ncols()));
+        let order = min_time(|| {
+            std::hint::black_box(column_min_degree(std::hint::black_box(&p1)));
+        });
+        let lu = SparseLu::factor(a, &Options::default()).expect("factorization succeeds");
+        let filled_under = |ordering: OrderingChoice| {
             analyze(
-                m.a.pattern(),
+                a.pattern(),
                 &Options {
                     ordering,
                     ..Options::default()
@@ -29,19 +49,18 @@ fn main() {
             )
             .expect("analysis succeeds")
             .stats
+            .nnz_filled
         };
-        let md = run(OrderingChoice::MinDegreeAtA);
-        let nat = run(OrderingChoice::Natural);
-        let rcm = run(OrderingChoice::Rcm);
         println!(
-            "{:<10} {:>14} {:>14} {:>14}   {:>10.2e} {:>10.2e}",
-            m.name,
-            md.nnz_filled,
-            nat.nnz_filled,
-            rcm.nnz_filled,
-            md.flops_estimate,
-            rcm.flops_estimate
+            "{:<10} {:>9.2} {:>11} {:>11.4e} {:>11}   {:>11} {:>11}",
+            name,
+            order.as_secs_f64() * 1e3,
+            lu.stats().nnz_filled,
+            lu.stats().flops_estimate,
+            lu.storage().words,
+            filled_under(OrderingChoice::Natural),
+            filled_under(OrderingChoice::Rcm),
         );
     }
-    println!("\n(MD = minimum degree on AtA, the paper's choice)");
+    println!("\n(MD = approximate minimum degree on the rows of A, the AtA column ordering)");
 }

@@ -62,6 +62,10 @@ struct Record {
     matrix: String,
     front_threads: usize,
     kind: &'static str,
+    /// Entries of the static structure `Ā` and the cost model's flops
+    /// under the ordering the walls were measured with.
+    fill_nnz: usize,
+    model_flops: f64,
     phases: [f64; json::PHASE_NAMES.len()],
 }
 
@@ -111,9 +115,7 @@ fn main() {
         });
         let p1 = p.permuted(&rp, &Permutation::identity(p.ncols()));
 
-        // -- ordering: minimum degree on AᵀA (the default path; the
-        //    multiple-elimination variant changes the permutation, so the
-        //    breakdown sticks to the ordering every other row uses).
+        // -- ordering: approximate minimum degree on the graph of AᵀA.
         let q = column_min_degree(&p1);
         let t_ord = secs(|| {
             let _ = column_min_degree(&p1);
@@ -184,6 +186,7 @@ fn main() {
         // -- graph build, numeric, solve: via the driver's analysis so the
         //    numeric phase runs on exactly the structure `solve` uses.
         let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
+        let (fill_nnz, model_flops) = (sym.stats.nnz_filled, sym.stats.flops_estimate);
         let t_graph = secs(|| {
             let _ = sym.build_graph(TaskGraphKind::EForest);
         });
@@ -247,6 +250,8 @@ fn main() {
                 matrix: m.name.to_string(),
                 front_threads,
                 kind,
+                fill_nnz,
+                model_flops,
                 phases,
             });
         }
@@ -264,8 +269,8 @@ fn main() {
         }
         writeln!(
             doc,
-            "  {{\"matrix\": \"{}\", \"front_threads\": {}, \"kind\": \"{}\", \"phases\": {{{}}}}}{}",
-            r.matrix, r.front_threads, r.kind, phases, sep
+            "  {{\"matrix\": \"{}\", \"front_threads\": {}, \"kind\": \"{}\", \"fill_nnz\": {}, \"model_flops\": {:e}, \"phases\": {{{}}}}}{}",
+            r.matrix, r.front_threads, r.kind, r.fill_nnz, r.model_flops, phases, sep
         )
         .expect("string write");
     }

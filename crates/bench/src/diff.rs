@@ -113,9 +113,12 @@ impl ArtifactKind {
                 },
                 MetricSpec::time("seconds_per_call"),
             ],
+            // The walls, and the structure they were measured on: a
+            // permutation that got worse shows here before it shows as time.
             ArtifactKind::Phases => PHASE_NAMES
                 .iter()
                 .map(|p| MetricSpec::nested_time(p))
+                .chain(["fill_nnz", "model_flops"].map(MetricSpec::count))
                 .collect(),
             // `speedup` records carry the timing metrics, `serve` records
             // the throughput; the missing ones are skipped per record.
@@ -162,6 +165,16 @@ impl MetricSpec {
             name,
             lower_is_better: true,
             abs_floor: 1e-4,
+            absolute_only: false,
+        }
+    }
+
+    /// A structural count (deterministic: no noise floor).
+    fn count(name: &'static str) -> MetricSpec {
+        MetricSpec {
+            name,
+            lower_is_better: true,
+            abs_floor: 0.0,
             absolute_only: false,
         }
     }
@@ -523,8 +536,8 @@ mod tests {
     }
 
     #[test]
-    fn phases_compare_nested_walls() {
-        let mk = |numeric: f64| {
+    fn phases_compare_nested_walls_and_structure() {
+        let mk = |numeric: f64, fill: u64| {
             let fields: Vec<String> = PHASE_NAMES
                 .iter()
                 .map(|p| {
@@ -534,18 +547,30 @@ mod tests {
                 .collect();
             parse(&format!(
                 "[{{\"matrix\": \"m\", \"front_threads\": 8, \"kind\": \"measured\", \
-                  \"phases\": {{{}}}}}]",
+                  \"fill_nnz\": {fill}, \"model_flops\": 1e6, \"phases\": {{{}}}}}]",
                 fields.join(", ")
             ))
             .unwrap()
         };
-        let base = mk(1.0);
-        let slow = mk(1.5);
-        let report =
-            diff_artifacts(ArtifactKind::Phases, &base, &slow, &DiffOptions::default()).unwrap();
-        let regs = report.regressions();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "phases.numeric");
+        let base = mk(1.0, 1000);
+        let regressions = |current: &Json| {
+            diff_artifacts(
+                ArtifactKind::Phases,
+                &base,
+                current,
+                &DiffOptions::default(),
+            )
+            .unwrap()
+            .regressions()
+            .iter()
+            .map(|d| d.metric.clone())
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(regressions(&mk(1.5, 1000)), ["phases.numeric"]);
+        // A worse permutation is a regression at equal walls; a few
+        // percent of fill is not.
+        assert_eq!(regressions(&mk(1.0, 1200)), ["fill_nnz"]);
+        assert!(regressions(&mk(1.0, 1050)).is_empty());
     }
 
     #[test]

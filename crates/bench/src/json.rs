@@ -381,7 +381,9 @@ pub const PHASE_NAMES: [&str; 9] = [
 ];
 
 /// Validates `BENCH_phases.json`: an array of records each with `matrix`,
-/// `front_threads` (≥ 1), a `kind` of `measured`/`simulated`, and a
+/// `front_threads` (≥ 1), a `kind` of `measured`/`simulated`, the
+/// structure the walls were measured on — `fill_nnz` (entries of `Ā`, a
+/// positive integer) and `model_flops` (the cost model's count) — and a
 /// `phases` object mapping every name in [`PHASE_NAMES`] to a finite
 /// non-negative wall time in seconds.
 pub fn validate_bench_phases(doc: &Json) -> Result<usize, String> {
@@ -396,6 +398,14 @@ pub fn validate_bench_phases(doc: &Json) -> Result<usize, String> {
         let kind = require_str(r, "kind", &ctx)?;
         if kind != "measured" && kind != "simulated" {
             return Err(format!("{ctx}: bad kind {kind:?}"));
+        }
+        let fill = require_num(r, "fill_nnz", &ctx)?;
+        if fill < 1.0 || fill.fract() != 0.0 {
+            return Err(format!("{ctx}: bad fill_nnz {fill}"));
+        }
+        let flops = require_num(r, "model_flops", &ctx)?;
+        if !flops.is_finite() || flops < 0.0 {
+            return Err(format!("{ctx}: bad model_flops {flops}"));
         }
         let phases = r
             .get("phases")
@@ -694,7 +704,7 @@ mod tests {
             .collect();
         let good = format!(
             "[{{\"matrix\": \"goodwin\", \"front_threads\": 8, \"kind\": \"simulated\", \
-              \"phases\": {{{}}}}}]",
+              \"fill_nnz\": 9, \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
             phases.join(", ")
         );
         assert_eq!(validate_bench_phases(&parse(&good).unwrap()), Ok(1));
@@ -708,7 +718,7 @@ mod tests {
                 .collect();
             let bad = format!(
                 "[{{\"matrix\": \"m\", \"front_threads\": 1, \"kind\": \"measured\", \
-                  \"phases\": {{{}}}}}]",
+                  \"fill_nnz\": 9, \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
                 partial
                     .iter()
                     .map(|s| s.as_str())
@@ -724,19 +734,30 @@ mod tests {
             // front_threads must be a positive integer.
             format!(
                 "[{{\"matrix\": \"m\", \"front_threads\": 0, \"kind\": \"measured\", \
-                  \"phases\": {{{}}}}}]",
+                  \"fill_nnz\": 9, \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
                 phases.join(", ")
             ),
             // kind is constrained.
             format!(
                 "[{{\"matrix\": \"m\", \"front_threads\": 1, \"kind\": \"guessed\", \
-                  \"phases\": {{{}}}}}]",
+                  \"fill_nnz\": 9, \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
+                phases.join(", ")
+            ),
+            // The structure counts are required, and fill is a whole number.
+            format!(
+                "[{{\"matrix\": \"m\", \"front_threads\": 1, \"kind\": \"measured\", \
+                  \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
+                phases.join(", ")
+            ),
+            format!(
+                "[{{\"matrix\": \"m\", \"front_threads\": 1, \"kind\": \"measured\", \
+                  \"fill_nnz\": 9.5, \"model_flops\": 2.5e3, \"phases\": {{{}}}}}]",
                 phases.join(", ")
             ),
             // Wall times must be non-negative.
             format!(
                 "[{{\"matrix\": \"m\", \"front_threads\": 1, \"kind\": \"measured\", \
-                  \"phases\": {{{}, \"parse\": -1.0}}}}]",
+                  \"fill_nnz\": 9, \"model_flops\": 2.5e3, \"phases\": {{{}, \"parse\": -1.0}}}}]",
                 phases.join(", ")
             ),
         ] {

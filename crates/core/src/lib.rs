@@ -71,8 +71,7 @@ pub use condest::estimate_inverse_1norm;
 
 use splu_obs::{Counter, Track};
 use splu_ordering::{
-    column_min_degree_multi_with, column_min_degree_with, maximum_transversal,
-    reverse_cuthill_mckee, StructuralRank,
+    column_min_degree_with, maximum_transversal, reverse_cuthill_mckee, StructuralRank,
 };
 use splu_sched::{block_forest, build_eforest_graph, build_sstar_graph, Mapping, TaskGraph};
 use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
@@ -84,13 +83,9 @@ use splu_symbolic::{
 /// Fill-reducing ordering choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderingChoice {
-    /// Minimum degree on the pattern of `AᵀA` — the paper's choice.
+    /// Approximate minimum degree on the graph of `AᵀA` — the paper's
+    /// choice — computed on the rows of `A` without forming the product.
     MinDegreeAtA,
-    /// Multiple-elimination minimum degree on `AᵀA`: each round eliminates
-    /// an independent set of minimum-degree vertices with deferred degree
-    /// updates (the parallel-friendly variant). Produces a different but
-    /// comparable-quality permutation; off by default.
-    MinDegreeMulti,
     /// Keep the given order (after the transversal).
     Natural,
     /// Reverse Cuthill–McKee on the symmetrized pattern (ablation).
@@ -515,31 +510,20 @@ pub(crate) fn analyze_parts(
     };
 
     // 1. Fill-reducing ordering, applied symmetrically to keep the
-    // diagonal. The minimum-degree variants poll the budget between
-    // elimination rounds; an observed run records each round as a span
-    // between consecutive polls and counts the polls as checkpoints.
+    // diagonal. Minimum degree polls the budget once per pivot; an observed
+    // run counts the polls as checkpoints and receives the ordering's own
+    // counters.
     let ordering_phase = obs.map(|o| o.phase("ordering"));
-    let round = std::cell::Cell::new(0usize);
-    let round_started = std::cell::Cell::new(None::<std::time::Instant>);
     let mut keep_going = || {
         if let Some(o) = obs {
             o.metrics().incr(Counter::BudgetCheckpoints);
-            if o.trace().is_enabled() {
-                let now = std::time::Instant::now();
-                if let Some(prev) = round_started.get() {
-                    let r = round.get();
-                    o.trace()
-                        .record_between(Track::Driver, format!("mindeg round {r}"), prev, now);
-                    round.set(r + 1);
-                }
-                round_started.set(Some(now));
-            }
         }
         !req.tripped()
     };
     let q = match opts.ordering {
-        OrderingChoice::MinDegreeAtA => column_min_degree_with(&p1, &mut keep_going),
-        OrderingChoice::MinDegreeMulti => column_min_degree_multi_with(&p1, &mut keep_going),
+        OrderingChoice::MinDegreeAtA => {
+            column_min_degree_with(&p1, obs.map(|o| &**o.metrics()), &mut keep_going)
+        }
         OrderingChoice::Natural => Some(Permutation::identity(n)),
         OrderingChoice::Rcm => keep_going().then(|| reverse_cuthill_mckee(&p1)),
     }
@@ -1033,7 +1017,6 @@ mod tests {
         };
         for ordering in [
             OrderingChoice::MinDegreeAtA,
-            OrderingChoice::MinDegreeMulti,
             OrderingChoice::Natural,
             OrderingChoice::Rcm,
         ] {

@@ -69,11 +69,24 @@ pub enum Counter {
     JournalAppends,
     /// Journal compactions that completed (atomic snapshot + rename).
     JournalCompactions,
+    /// Pivot steps of the minimum-degree ordering (each eliminates one
+    /// supervariable and whatever is mass-eliminated with it). Every
+    /// column is counted once in pivots + merged + mass-eliminated.
+    OrderingPivots,
+    /// Supervariables merged into another by the ordering's
+    /// indistinguishability test.
+    OrderingMerged,
+    /// Elements of the ordering's quotient graph absorbed into a newer one:
+    /// those of each pivot beyond the first, plus aggressive absorptions.
+    OrderingAbsorbed,
+    /// Supervariables eliminated together with a pivot of the ordering
+    /// because only its new element was left on them.
+    OrderingMassEliminated,
 }
 
 impl Counter {
     /// All counters, in registry order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 23] = [
         Counter::FillL,
         Counter::FillU,
         Counter::FactorCalls,
@@ -93,6 +106,10 @@ impl Counter {
         Counter::JobsDedupedReplay,
         Counter::JournalAppends,
         Counter::JournalCompactions,
+        Counter::OrderingPivots,
+        Counter::OrderingMerged,
+        Counter::OrderingAbsorbed,
+        Counter::OrderingMassEliminated,
     ];
 
     /// Stable snake_case name, used as the JSON key in run reports.
@@ -117,6 +134,10 @@ impl Counter {
             Counter::JobsDedupedReplay => "jobs_deduped_replay",
             Counter::JournalAppends => "journal_appends",
             Counter::JournalCompactions => "journal_compactions",
+            Counter::OrderingPivots => "ordering_pivots",
+            Counter::OrderingMerged => "ordering_merged",
+            Counter::OrderingAbsorbed => "ordering_absorbed",
+            Counter::OrderingMassEliminated => "ordering_mass_eliminated",
         }
     }
 }

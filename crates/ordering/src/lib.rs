@@ -7,8 +7,9 @@
 //!    zero-free diagonal — the paper cites Duff's algorithm \[3\]; see
 //!    [`maximum_transversal`];
 //! 2. a **fill-reducing column ordering**, "the minimum degree algorithm on
-//!    `AᵀA`" — see [`min_degree`] and the convenience wrapper
-//!    [`column_min_degree`].
+//!    `AᵀA`" — [`column_min_degree`], an approximate minimum degree that
+//!    orders the graph of `AᵀA` through the rows of `A` and never forms the
+//!    product.
 //!
 //! [`reverse_cuthill_mckee`] is provided as an additional profile-reducing
 //! ordering for comparison experiments (not used by the paper itself).
@@ -23,9 +24,6 @@ mod mindeg;
 mod rcm;
 mod transversal;
 
-pub use mindeg::{
-    column_min_degree, column_min_degree_multi, column_min_degree_multi_with,
-    column_min_degree_with, min_degree, min_degree_multi, min_degree_multi_with, min_degree_with,
-};
+pub use mindeg::{column_min_degree, column_min_degree_with};
 pub use rcm::reverse_cuthill_mckee;
 pub use transversal::{maximum_transversal, StructuralRank};

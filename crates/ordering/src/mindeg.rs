@@ -1,771 +1,758 @@
-//! Minimum-degree fill-reducing ordering.
+//! Approximate minimum degree column ordering, computed straight on `A`.
 //!
 //! The paper (Section 1) uses "the minimum degree algorithm on `AᵀA`" as its
 //! fill-reducing ordering, exactly as the SuperLU family does for the column
-//! ordering. [`min_degree`] implements the classical minimum (external)
-//! degree algorithm on a symmetric pattern using a quotient graph with
-//! element absorption — the George–Liu formulation — augmented with
-//! **supervariable merging**: indistinguishable vertices (identical
-//! adjacency in the quotient graph) are collapsed and eliminated together,
-//! which is what makes the method practical on FEM-style graphs with
-//! repeated connectivity (goodwin drops from seconds to tens of
-//! milliseconds). [`column_min_degree`] is the convenience wrapper that
-//! forms the `AᵀA` pattern first.
+//! ordering. [`column_min_degree`] orders that graph without forming it:
+//! every row of `A` is a clique on the columns it touches, and the union of
+//! those cliques *is* `AᵀA`, so the quotient graph of the elimination starts
+//! with **the rows as its elements** and has no variable–variable edges at
+//! all. A dense row costs its length, not its length squared.
+//!
+//! The elimination is the sequential core of AMD (Amestoy, Davis and Duff;
+//! restated in §2 of "Parallelizing the Approximate Minimum Degree Ordering
+//! Algorithm", PAPERS.md):
+//!
+//! * **approximate external degree** `min(n−k, d_old + |Lp∖i|,
+//!   |Lp∖i| + Σ_e |Le∖Lp|)`, with every `|Le∖Lp|` of a pivot obtained in one
+//!   pass over the element lists of `Lp` (the `w` stamps);
+//! * **degree buckets** with a moving minimum — a pivot is the head of the
+//!   first non-empty bucket, and a re-scored variable goes to the head of
+//!   its bucket;
+//! * **aggressive element absorption** (`|Le∖Lp| = 0` kills `e`) and **mass
+//!   elimination** (a variable left with the new element only goes with the
+//!   pivot);
+//! * **supervariables**: variables of `Lp` whose element lists hash equal
+//!   are compared and merged, so indistinguishable columns are eliminated
+//!   as one;
+//! * identical rows are **deduplicated** before the first pivot — a clique
+//!   counted twice doubles every degree bound built on it.
+//!
+//! The whole state is `u32` arrays sized once from `nnz(A)`, the row count
+//! and the column count; nothing is allocated per pivot and nothing is
+//! iterated in hash order, so the permutation is a pure function of the
+//! pattern.
 
+use splu_obs::{Counter, MetricsRegistry};
 use splu_sparse::{Permutation, SparsityPattern};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Computes a minimum-degree ordering of a **symmetric** square pattern.
+/// Null link, empty bucket.
+const NONE: u32 = u32::MAX;
+/// Tags the first word of a live element list while the pool is compacted;
+/// every index stored in the pool is below it.
+const HEADER: u32 = 1 << 31;
+
+/// Approximate-minimum-degree ordering of the columns of `pattern` on the
+/// graph of `AᵀA` — the paper's fill-reducing column ordering.
 ///
-/// Returns a permutation `p` such that eliminating vertices in the order
-/// `p.old_of(0), p.old_of(1), …` keeps fill low. Only the union of the
-/// pattern and its transpose is considered, so callers may pass unsymmetric
-/// patterns and get the ordering of the symmetrized graph.
-///
-/// Quotient-graph state per surviving supervariable `i`:
-///
-/// * `adj[i]` — still-uncovered neighbouring supervariables;
-/// * `var_elems[i]` — elements (cliques from past eliminations) touching it;
-/// * `weight[i]` — number of original vertices it represents;
-/// * `members[i]` — those original vertices.
-///
-/// Eliminating the minimum-degree supervariable replaces it and all its
-/// elements by one new element (element absorption), recomputes the exact
-/// weighted external degree of every boundary supervariable, and merges
-/// boundary supervariables that became indistinguishable.
-pub fn min_degree(pattern: &SparsityPattern) -> Permutation {
-    mmd(pattern, false, &mut || true, detect_and_merge)
-        .expect("uncancellable run cannot be cancelled")
-}
-
-/// [`min_degree`] with a cancellation callback, polled once per elimination
-/// round. Returns `None` when `keep_going` reports `false`.
-pub fn min_degree_with(
-    pattern: &SparsityPattern,
-    keep_going: &mut dyn FnMut() -> bool,
-) -> Option<Permutation> {
-    mmd(pattern, false, keep_going, detect_and_merge)
-}
-
-/// Multiple-elimination minimum degree: each round eliminates an
-/// **independent set** of minimum-degree supervariables instead of a single
-/// one, with the exact degree updates deferred to the end of the round.
-///
-/// This is the parallel-friendly variant of [`min_degree`] (Liu's multiple
-/// minimum degree): the eliminations within a round touch disjoint
-/// boundaries, so a threaded implementation could process them
-/// concurrently, and the deferred update visits each affected vertex once
-/// per round rather than once per elimination. The resulting permutation
-/// generally **differs** from single elimination but has comparable fill;
-/// it is a valid bijection for any input.
-pub fn min_degree_multi(pattern: &SparsityPattern) -> Permutation {
-    mmd(pattern, true, &mut || true, detect_and_merge)
-        .expect("uncancellable run cannot be cancelled")
-}
-
-/// [`min_degree_multi`] with a cancellation callback, polled once per
-/// elimination round. Returns `None` when `keep_going` reports `false`.
-pub fn min_degree_multi_with(
-    pattern: &SparsityPattern,
-    keep_going: &mut dyn FnMut() -> bool,
-) -> Option<Permutation> {
-    mmd(pattern, true, keep_going, detect_and_merge)
-}
-
-/// Supervariable detection over a freshly updated boundary; see
-/// [`detect_and_merge`]. A parameter of [`mmd`] so the tests can run the
-/// whole ordering over the reference routine.
-type Merge = fn(
-    boundary: &[usize],
-    adj: &mut [Vec<usize>],
-    var_elems: &mut [Vec<usize>],
-    alive: &mut [bool],
-    weight: &mut [usize],
-    members: &mut [Vec<usize>],
-    scratch: &mut Vec<(u64, usize)>,
-);
-
-/// Shared driver for single and multiple elimination.
-///
-/// With `multi = false` each round pops exactly one valid minimum-degree
-/// candidate and the deferred update degenerates to the classical
-/// per-elimination boundary update, so the ordering is identical to the
-/// historical single-elimination implementation.
-fn mmd(
-    pattern: &SparsityPattern,
-    multi: bool,
-    keep_going: &mut dyn FnMut() -> bool,
-    merge: Merge,
-) -> Option<Permutation> {
-    assert!(pattern.is_square(), "min_degree requires a square pattern");
-    let n = pattern.ncols();
-    if n == 0 {
-        return Some(Permutation::identity(0));
-    }
-    let sym = pattern.union(&pattern.transpose());
-
-    let mut adj: Vec<Vec<usize>> = (0..n)
-        .map(|j| sym.col(j).iter().copied().filter(|&i| i != j).collect())
-        .collect();
-    let mut elem_bound: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut var_elems: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut alive = vec![true; n]; // supervariable still in the graph
-    let mut absorbed = vec![false; n]; // per element id
-    let mut weight = vec![1usize; n];
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-
-    // Weighted external degree (counts original vertices, not
-    // supervariables).
-    let mut degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|i| Reverse((degree[i], i))).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut mark = vec![usize::MAX; n];
-    let mut stamp = 0usize;
-
-    // Batch-selection scratch (multi mode).
-    let mut sel_mark = vec![false; n]; // vertex chosen for this round
-    let mut elem_sel = vec![false; n]; // element adjacent to a chosen vertex
-                                       // Union of round boundaries for the deferred degree update.
-    let mut touched: Vec<usize> = Vec::new();
-    let mut tmark = vec![usize::MAX; n];
-    let mut tstamp = 0usize;
-    let mut merge_scratch: Vec<(u64, usize)> = Vec::new();
-
-    while order.len() < n {
-        if !keep_going() {
-            return None;
-        }
-
-        // Select this round's batch: the first valid minimum-degree
-        // candidate, plus (in multi mode) every further candidate of the
-        // same degree that is independent of the ones already chosen —
-        // no direct edge to a chosen vertex, no shared element.
-        let mut batch: Vec<usize> = Vec::new();
-        let mut marked_elems: Vec<usize> = Vec::new();
-        let d_min = loop {
-            let Reverse((d, cand)) = heap.pop().expect("heap exhausted before all eliminated");
-            if alive[cand] && d == degree[cand] {
-                batch.push(cand);
-                break d;
-            }
-        };
-        if multi {
-            sel_mark[batch[0]] = true;
-            for &e in &var_elems[batch[0]] {
-                if !absorbed[e] && !elem_sel[e] {
-                    elem_sel[e] = true;
-                    marked_elems.push(e);
-                }
-            }
-            let mut rejected: Vec<usize> = Vec::new();
-            while let Some(&Reverse((d, cand))) = heap.peek() {
-                if d > d_min {
-                    break;
-                }
-                heap.pop();
-                if !alive[cand] || d != degree[cand] {
-                    continue; // stale entry
-                }
-                let independent = adj[cand].iter().all(|&v| !sel_mark[v])
-                    && var_elems[cand].iter().all(|&e| absorbed[e] || !elem_sel[e]);
-                if independent {
-                    sel_mark[cand] = true;
-                    for &e in &var_elems[cand] {
-                        if !absorbed[e] && !elem_sel[e] {
-                            elem_sel[e] = true;
-                            marked_elems.push(e);
-                        }
-                    }
-                    batch.push(cand);
-                } else {
-                    rejected.push(cand);
-                }
-            }
-            for cand in rejected {
-                heap.push(Reverse((degree[cand], cand)));
-            }
-            for &p in &batch {
-                sel_mark[p] = false;
-            }
-            for &e in &marked_elems {
-                elem_sel[e] = false;
-            }
-        }
-
-        // Eliminate the batch. Members are pairwise non-adjacent, so each
-        // elimination leaves the others' structures and degrees untouched.
-        tstamp += 1;
-        touched.clear();
-        for &p in &batch {
-            alive[p] = false;
-            order.extend_from_slice(&members[p]);
-            members[p] = Vec::new();
-
-            // Form the new element boundary L_p.
-            stamp += 1;
-            let mut boundary: Vec<usize> = Vec::new();
-            for &i in &adj[p] {
-                if alive[i] && mark[i] != stamp {
-                    mark[i] = stamp;
-                    boundary.push(i);
-                }
-            }
-            for &e in &var_elems[p] {
-                if absorbed[e] {
-                    continue;
-                }
-                for &i in &elem_bound[e] {
-                    if alive[i] && mark[i] != stamp {
-                        mark[i] = stamp;
-                        boundary.push(i);
-                    }
-                }
-                absorbed[e] = true;
-                elem_bound[e] = Vec::new();
-            }
-            adj[p] = Vec::new();
-            var_elems[p] = Vec::new();
-
-            // Update boundary adjacency: drop covered edges and absorbed
-            // elements, register the new element.
-            for &i in &boundary {
-                adj[i].retain(|&v| alive[v] && mark[v] != stamp);
-                var_elems[i].retain(|&e| !absorbed[e]);
-                var_elems[i].push(p);
-            }
-            elem_bound[p] = boundary;
-            let boundary = &elem_bound[p];
-
-            // Supervariable detection: group boundary variables by a cheap
-            // hash of their quotient adjacency; verify and merge equal ones.
-            if boundary.len() > 1 {
-                merge(
-                    boundary,
-                    &mut adj,
-                    &mut var_elems,
-                    &mut alive,
-                    &mut weight,
-                    &mut members,
-                    &mut merge_scratch,
-                );
-            }
-
-            for &i in boundary {
-                if alive[i] && tmark[i] != tstamp {
-                    tmark[i] = tstamp;
-                    touched.push(i);
-                }
-            }
-        }
-
-        // Deferred exact weighted external degree over the union of the
-        // round's boundaries (each affected vertex once per round).
-        for idx in 0..touched.len() {
-            let i = touched[idx];
-            if !alive[i] {
-                continue; // merged away
-            }
-            stamp += 1;
-            mark[i] = stamp;
-            let mut d = 0usize;
-            for &v in &adj[i] {
-                if alive[v] && mark[v] != stamp {
-                    mark[v] = stamp;
-                    d += weight[v];
-                }
-            }
-            for &e in &var_elems[i] {
-                for &v in &elem_bound[e] {
-                    if alive[v] && mark[v] != stamp {
-                        mark[v] = stamp;
-                        d += weight[v];
-                    }
-                }
-            }
-            degree[i] = d;
-            heap.push(Reverse((d, i)));
-        }
-    }
-
-    Some(Permutation::from_vec(order).expect("elimination order is a bijection"))
-}
-
-/// Detects indistinguishable supervariables on a freshly updated boundary
-/// and merges them (second into first), transferring weight and members.
-///
-/// Two boundary variables are indistinguishable when their quotient-graph
-/// adjacency matches exactly: same surviving `adj` sets (ignoring each
-/// other) and same element lists. Both lists are small after the boundary
-/// update, so sorting them for comparison is cheap.
-///
-/// Candidates are the runs of equal hash in `scratch`, sorted in place by
-/// `(hash, position in the boundary)`: within a run the pairs are compared
-/// in boundary order, and runs do not interact (a merge rewrites only the
-/// lists of its own pair), so the outcome does not depend on the order of
-/// the runs. Nothing is allocated once `scratch` has grown.
-fn detect_and_merge(
-    boundary: &[usize],
-    adj: &mut [Vec<usize>],
-    var_elems: &mut [Vec<usize>],
-    alive: &mut [bool],
-    weight: &mut [usize],
-    members: &mut [Vec<usize>],
-    scratch: &mut Vec<(u64, usize)>,
-) {
-    scratch.clear();
-    for (pos, &i) in boundary.iter().enumerate() {
-        if !alive[i] {
-            continue;
-        }
-        adj[i].sort_unstable();
-        var_elems[i].sort_unstable();
-        scratch.push((adjacency_hash(&adj[i], &var_elems[i]), pos));
-    }
-    scratch.sort_unstable();
-    for group in scratch.chunk_by(|x, y| x.0 == y.0) {
-        for (a, &(_, pos_i)) in group.iter().enumerate() {
-            let i = boundary[pos_i];
-            if !alive[i] {
-                continue;
-            }
-            for &(_, pos_j) in &group[a + 1..] {
-                let j = boundary[pos_j];
-                if !alive[j] || var_elems[i] != var_elems[j] {
-                    continue;
-                }
-                // adj sets must match modulo the pair itself.
-                let ai = adj[i].iter().filter(|&&v| v != j);
-                let aj = adj[j].iter().filter(|&&v| v != i);
-                if !ai.eq(aj) {
-                    continue;
-                }
-                // Merge j into i. Dead entries in element boundaries and
-                // adjacency lists are filtered lazily through the `alive`
-                // checks.
-                alive[j] = false;
-                weight[i] += weight[j];
-                let m = std::mem::take(&mut members[j]);
-                members[i].extend(m);
-                adj[j] = Vec::new();
-                var_elems[j] = Vec::new();
-                adj[i].retain(|&v| v != j);
-            }
-        }
-    }
-}
-
-/// Cheap order-dependent hash of a (sorted) quotient adjacency.
-fn adjacency_hash(adj: &[usize], elems: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in adj {
-        h ^= (v as u64).wrapping_mul(0x1000_0000_01b3);
-        h = h.rotate_left(13);
-    }
-    for &e in elems {
-        h ^= (e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h = h.rotate_left(7);
-    }
-    h
-}
-
-/// Minimum-degree ordering of the `AᵀA` pattern of a (generally rectangular
-/// or unsymmetric) matrix — the paper's fill-reducing column ordering.
+/// Returns a permutation `p` such that eliminating columns in the order
+/// `p.old_of(0), p.old_of(1), …` keeps the fill of `AᵀA` low. The pattern
+/// may be rectangular.
 pub fn column_min_degree(pattern: &SparsityPattern) -> Permutation {
-    min_degree(&pattern.ata())
+    column_min_degree_with(pattern, None, &mut || true)
+        .expect("uncancellable run cannot be cancelled")
 }
 
-/// [`column_min_degree`] with a cancellation callback (see
-/// [`min_degree_with`]).
+/// [`column_min_degree`] with a cancellation callback, polled once per
+/// pivot (the first poll comes after the workspace is built); returns
+/// `None` as soon as `keep_going` reports `false`. A registry, when given,
+/// receives the run's pivot, merge, absorption and mass-elimination counts.
 pub fn column_min_degree_with(
     pattern: &SparsityPattern,
+    metrics: Option<&MetricsRegistry>,
     keep_going: &mut dyn FnMut() -> bool,
 ) -> Option<Permutation> {
-    if !keep_going() {
-        return None;
+    let mut q = Quotient::new(pattern, 2);
+    q.eliminate(keep_going)?;
+    if let Some(reg) = metrics {
+        reg.add(Counter::OrderingPivots, q.pivots);
+        reg.add(Counter::OrderingMerged, q.merged);
+        reg.add(Counter::OrderingAbsorbed, q.absorbed);
+        reg.add(Counter::OrderingMassEliminated, q.mass_eliminated);
     }
-    min_degree_with(&pattern.ata(), keep_going)
+    Some(Permutation::from_vec(q.order).expect("elimination order is a bijection"))
 }
 
-/// Multiple-elimination minimum-degree ordering of the `AᵀA` pattern (see
-/// [`min_degree_multi`]).
-pub fn column_min_degree_multi(pattern: &SparsityPattern) -> Permutation {
-    min_degree_multi(&pattern.ata())
+/// The quotient graph of the elimination: variables are the columns of
+/// `A`, elements are rows of `A` and, later, the cliques pivots leave.
+///
+/// `pool[..nnz]` holds each variable's element list at the pattern's own
+/// column offsets — a list never grows, because a variable that enters a
+/// new element lost at least one absorbed one. `pool[nnz..]` holds the
+/// element lists: the rows first, new elements appended at `free`, dead
+/// space reclaimed by [`Quotient::compact`]. The live element words never
+/// exceed `nnz` (a new element is smaller than the lists it replaces), so
+/// after a compaction at least `nnz + n` words are free.
+struct Quotient<'a> {
+    n: usize,
+    vstart: &'a [usize],
+    pool: Vec<u32>,
+    free: usize,
+
+    // Per variable.
+    /// Live length of the element list.
+    vlen: Vec<u32>,
+    /// Columns the supervariable stands for; `0` once eliminated or merged.
+    nv: Vec<u32>,
+    /// Approximate external degree, in columns.
+    degree: Vec<u32>,
+    /// Bucket links; inside a pivot, `next` chains a hash bucket and `prev`
+    /// keeps the hash.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Members of a supervariable, principal first.
+    chain_next: Vec<u32>,
+    chain_tail: Vec<u32>,
+    /// `in_lp[i] == p` while `i` is in the element pivot `p` is forming.
+    in_lp: Vec<u32>,
+    /// Degree bucket heads and the moving minimum.
+    head: Vec<u32>,
+    mindeg: usize,
+    /// Hash bucket heads of the supervariable detection.
+    bucket: Vec<u32>,
+
+    // Per element (row slot; a new element takes the slot of one it absorbs).
+    estart: Vec<u32>,
+    elen: Vec<u32>,
+    /// Weighted size `|Le|` in columns; exact while `e` lives.
+    edeg: Vec<u32>,
+    /// `0`: dead. `≥ wflg`: `w[e] − wflg = |Le∖Lp|` for the current pivot.
+    /// Otherwise alive and not yet seen by it.
+    w: Vec<u32>,
+    wflg: u32,
+    /// Largest `edeg` so far: how far one pivot can push `w` past `wflg`.
+    lemax: u32,
+
+    order: Vec<usize>,
+    pivots: u64,
+    merged: u64,
+    absorbed: u64,
+    mass_eliminated: u64,
 }
 
-/// [`column_min_degree_multi`] with a cancellation callback.
-pub fn column_min_degree_multi_with(
-    pattern: &SparsityPattern,
-    keep_going: &mut dyn FnMut() -> bool,
-) -> Option<Permutation> {
-    if !keep_going() {
-        return None;
+impl<'a> Quotient<'a> {
+    /// Builds the initial graph: rows as elements (duplicates dropped),
+    /// columns bucketed by the degree bound `Σ_e (|Le| − 1)`. `wflg` is the
+    /// first stamp (`≥ 2`; a parameter so a test can start next to the
+    /// wrap-around).
+    fn new(pattern: &'a SparsityPattern, wflg: u32) -> Self {
+        let (m, n, nnz) = (pattern.nrows(), pattern.ncols(), pattern.nnz());
+        assert!(
+            m.max(n) < (HEADER / 2) as usize && nnz < (NONE / 4) as usize,
+            "pattern too large for the 32-bit ordering workspace"
+        );
+        let mut pool = vec![0u32; 3 * nnz + n];
+        for (slot, &r) in pool.iter_mut().zip(pattern.row_indices()) {
+            *slot = r as u32;
+        }
+        // Row lists behind the column lists; columns ascend within a row.
+        let mut elen = vec![0u32; m];
+        for &r in pattern.row_indices() {
+            elen[r] += 1;
+        }
+        let mut estart = vec![0u32; m];
+        let mut at = nnz as u32;
+        for r in 0..m {
+            estart[r] = at;
+            at += elen[r];
+        }
+        let mut w = estart.clone();
+        for j in 0..n {
+            for &r in pattern.col(j) {
+                pool[w[r] as usize] = j as u32;
+                w[r] += 1;
+            }
+        }
+        // Identical rows are one clique: keep the first of each. `edeg`
+        // heads the hash buckets and `w` links them until both are set
+        // below.
+        let mut edeg = vec![NONE; m];
+        for r in 0..m {
+            let row = |r: usize| &pool[estart[r] as usize..(estart[r] + elen[r]) as usize];
+            let cols = row(r);
+            if cols.is_empty() {
+                continue;
+            }
+            let h = cols.iter().fold(cols.len(), |h, &c| {
+                h.wrapping_mul(31).wrapping_add(c as usize)
+            }) % m;
+            let mut twin = edeg[h];
+            while twin != NONE && row(twin as usize) != cols {
+                twin = w[twin as usize];
+            }
+            if twin == NONE {
+                w[r] = edeg[h];
+                edeg[h] = r as u32;
+            } else {
+                elen[r] = 0;
+            }
+        }
+        for r in 0..m {
+            w[r] = (elen[r] != 0) as u32;
+            edeg[r] = elen[r];
+        }
+        let mut q = Quotient {
+            n,
+            vstart: pattern.col_ptr(),
+            pool,
+            free: 2 * nnz,
+            vlen: vec![0; n],
+            nv: vec![1; n],
+            degree: vec![0; n],
+            next: vec![NONE; n],
+            prev: vec![NONE; n],
+            chain_next: vec![NONE; n],
+            chain_tail: (0..n as u32).collect(),
+            in_lp: vec![NONE; n],
+            head: vec![NONE; n],
+            mindeg: 0,
+            bucket: vec![NONE; n],
+            lemax: elen.iter().copied().max().unwrap_or(0),
+            estart,
+            elen,
+            edeg,
+            w,
+            wflg,
+            order: Vec::with_capacity(n),
+            pivots: 0,
+            merged: 0,
+            absorbed: 0,
+            mass_eliminated: 0,
+        };
+        // Last column first, so each bucket is headed by its lowest column.
+        for j in (0..n).rev() {
+            let vs = q.vstart[j];
+            let mut dst = vs;
+            let mut deg = 0usize;
+            for k in vs..q.vstart[j + 1] {
+                let e = q.pool[k] as usize;
+                if q.w[e] != 0 {
+                    q.pool[dst] = e as u32;
+                    dst += 1;
+                    deg += q.elen[e] as usize - 1;
+                }
+            }
+            q.vlen[j] = (dst - vs) as u32;
+            q.degree[j] = deg.min(n - 1) as u32;
+            q.push_front(j);
+        }
+        q
     }
-    min_degree_multi_with(&pattern.ata(), keep_going)
+
+    /// Puts `i` at the head of the bucket of `degree[i]`.
+    fn push_front(&mut self, i: usize) {
+        let d = self.degree[i] as usize;
+        let h = self.head[d];
+        self.next[i] = h;
+        self.prev[i] = NONE;
+        if h != NONE {
+            self.prev[h as usize] = i as u32;
+        }
+        self.head[d] = i as u32;
+        self.mindeg = self.mindeg.min(d);
+    }
+
+    /// Takes `i` out of the bucket of `degree[i]`.
+    fn unlink(&mut self, i: usize) {
+        let (p, nx) = (self.prev[i], self.next[i]);
+        if p == NONE {
+            self.head[self.degree[i] as usize] = nx;
+        } else {
+            self.next[p as usize] = nx;
+        }
+        if nx != NONE {
+            self.prev[nx as usize] = p;
+        }
+    }
+
+    /// Appends the columns of supervariable `i` to the order and retires it.
+    fn emit(&mut self, i: usize) {
+        let mut v = i as u32;
+        while v != NONE {
+            self.order.push(v as usize);
+            v = self.chain_next[v as usize];
+        }
+        self.nv[i] = 0;
+    }
+
+    /// Slides the live element lists down to the start of the element
+    /// region. Each list's first word is swapped for a tagged element id
+    /// (the word itself waits in `estart`), so one scan of the pool finds
+    /// the lists in storage order.
+    fn compact(&mut self) {
+        let base = self.vstart[self.n];
+        for e in 0..self.w.len() {
+            if self.w[e] != 0 {
+                let s = self.estart[e] as usize;
+                self.estart[e] = self.pool[s];
+                self.pool[s] = HEADER | e as u32;
+            }
+        }
+        let (mut src, mut dst) = (base, base);
+        while src < self.free {
+            let word = self.pool[src];
+            if word & HEADER == 0 {
+                src += 1;
+                continue;
+            }
+            let e = (word ^ HEADER) as usize;
+            let len = self.elen[e] as usize;
+            self.pool[dst] = self.estart[e];
+            self.pool.copy_within(src + 1..src + len, dst + 1);
+            self.estart[e] = dst as u32;
+            src += len;
+            dst += len;
+        }
+        self.free = dst;
+    }
+
+    /// Eliminates every column, filling `order`; `None` when `keep_going`
+    /// stops it.
+    fn eliminate(&mut self, keep_going: &mut dyn FnMut() -> bool) -> Option<()> {
+        let n = self.n;
+        while self.order.len() < n {
+            if !keep_going() {
+                return None;
+            }
+            if self.wflg as usize + 2 * n >= NONE as usize {
+                for w in self.w.iter_mut().filter(|w| **w != 0) {
+                    *w = 1;
+                }
+                self.wflg = 2;
+            }
+            while self.head[self.mindeg] == NONE {
+                self.mindeg += 1;
+            }
+            let me = self.head[self.mindeg] as usize;
+            self.unlink(me);
+            self.emit(me);
+            self.pivots += 1;
+            let (vs, ve) = (self.vstart[me], self.vstart[me] + self.vlen[me] as usize);
+            if vs == ve {
+                continue; // touches no row: nothing to form
+            }
+
+            // The new element Lp: the union of the pivot's elements, which
+            // it absorbs, appended to the pool; it takes the slot of the
+            // first of them.
+            let slot = self.pool[vs] as usize;
+            let words: usize = (vs..ve)
+                .map(|k| self.elen[self.pool[k] as usize] as usize)
+                .sum();
+            if self.pool.len() - self.free < words.min(n - self.order.len()) {
+                self.compact();
+            }
+            let lstart = self.free;
+            let mut lend = lstart;
+            let mut degme = 0u32;
+            for k in vs..ve {
+                let e = self.pool[k] as usize;
+                let es = self.estart[e] as usize;
+                for t in es..es + self.elen[e] as usize {
+                    let i = self.pool[t] as usize;
+                    if self.nv[i] != 0 && self.in_lp[i] != me as u32 {
+                        self.in_lp[i] = me as u32;
+                        degme += self.nv[i];
+                        self.pool[lend] = i as u32;
+                        lend += 1;
+                        self.unlink(i);
+                    }
+                }
+                self.w[e] = 0;
+            }
+            self.absorbed += (ve - vs - 1) as u64;
+
+            // One pass gives |Le∖Lp| for every element that meets Lp: the
+            // first visit stamps |Le|, every visit subtracts the visitor.
+            let wflg = self.wflg;
+            for t in lstart..lend {
+                let i = self.pool[t] as usize;
+                let nvi = self.nv[i];
+                let vs = self.vstart[i];
+                for k in vs..vs + self.vlen[i] as usize {
+                    let e = self.pool[k] as usize;
+                    let we = self.w[e];
+                    if we >= wflg {
+                        self.w[e] = we - nvi;
+                    } else if we != 0 {
+                        self.w[e] = self.edeg[e] + wflg - nvi;
+                    }
+                }
+            }
+
+            // Re-score Lp. Each list drops its dead elements (the absorbed
+            // ones, and those that now lie inside Lp) and gains `slot`.
+            for t in lstart..lend {
+                let i = self.pool[t] as usize;
+                let vs = self.vstart[i];
+                let (mut dst, mut deg, mut hash) = (vs, 0usize, slot);
+                for k in vs..vs + self.vlen[i] as usize {
+                    let e = self.pool[k] as usize;
+                    let we = self.w[e];
+                    if we > wflg {
+                        deg += (we - wflg) as usize;
+                        hash += e;
+                        self.pool[dst] = e as u32;
+                        dst += 1;
+                    } else if we != 0 {
+                        self.w[e] = 0;
+                        self.absorbed += 1;
+                    }
+                }
+                if deg == 0 {
+                    // Only the new element is left: i goes with the pivot.
+                    degme -= self.nv[i];
+                    self.mass_eliminated += 1;
+                    self.vlen[i] = 0;
+                    self.emit(i);
+                } else {
+                    self.pool[dst] = slot as u32;
+                    self.vlen[i] = (dst + 1 - vs) as u32;
+                    self.degree[i] = self.degree[i].min(deg.min(n) as u32);
+                    let h = hash % n;
+                    self.prev[i] = h as u32;
+                    self.next[i] = self.bucket[h];
+                    self.bucket[h] = i as u32;
+                }
+            }
+            self.lemax = self.lemax.max(degme);
+            self.wflg += self.lemax;
+
+            // Supervariables: within a hash bucket, a variable whose list
+            // is the stamped list of an earlier one merges into it.
+            for t in lstart..lend {
+                let i = self.pool[t] as usize;
+                if self.nv[i] == 0 {
+                    continue;
+                }
+                let h = self.prev[i] as usize;
+                let mut i = std::mem::replace(&mut self.bucket[h], NONE);
+                while i != NONE && self.next[i as usize] != NONE {
+                    let iu = i as usize;
+                    let (vs, len) = (self.vstart[iu], self.vlen[iu]);
+                    for k in vs..vs + len as usize {
+                        self.w[self.pool[k] as usize] = self.wflg;
+                    }
+                    let mut last = iu;
+                    let mut j = self.next[iu];
+                    while j != NONE {
+                        let ju = j as usize;
+                        let js = self.vstart[ju];
+                        let same = self.vlen[ju] == len
+                            && self.pool[js..js + len as usize]
+                                .iter()
+                                .all(|&e| self.w[e as usize] == self.wflg);
+                        if same {
+                            self.nv[iu] += self.nv[ju];
+                            self.nv[ju] = 0;
+                            self.vlen[ju] = 0;
+                            self.chain_next[self.chain_tail[iu] as usize] = j;
+                            self.chain_tail[iu] = self.chain_tail[ju];
+                            self.next[last] = self.next[ju];
+                            self.merged += 1;
+                        } else {
+                            last = ju;
+                        }
+                        j = self.next[ju];
+                    }
+                    self.wflg += 1;
+                    i = self.next[iu];
+                }
+            }
+
+            // Final degrees, back into the buckets; Lp keeps its survivors.
+            let left = (n - self.order.len()) as u32;
+            let mut dst = lstart;
+            for t in lstart..lend {
+                let i = self.pool[t] as usize;
+                let nvi = self.nv[i];
+                if nvi == 0 {
+                    continue;
+                }
+                self.degree[i] = (self.degree[i] + degme - nvi).min(left - nvi);
+                self.push_front(i);
+                self.pool[dst] = i as u32;
+                dst += 1;
+            }
+            self.estart[slot] = lstart as u32;
+            self.elen[slot] = (dst - lstart) as u32;
+            self.edeg[slot] = degme;
+            self.w[slot] = (degme != 0) as u32;
+            self.free = dst;
+        }
+        Some(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splu_sparse::SparsityPattern;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use splu_matgen::{paper_suite, Scale};
 
-    /// The routine [`detect_and_merge`] replaced, kept as its oracle: a
-    /// `HashMap` of buckets per call and two filtered copies per compared pair.
-    ///
-    /// Two boundary variables are indistinguishable when their quotient-graph
-    /// adjacency matches exactly: same surviving `adj` sets (ignoring each
-    /// other) and same element lists. Both lists are small after the boundary
-    /// update, so sorting them for comparison is cheap.
-    fn detect_and_merge_reference(
-        boundary: &[usize],
-        adj: &mut [Vec<usize>],
-        var_elems: &mut [Vec<usize>],
-        alive: &mut [bool],
-        weight: &mut [usize],
-        members: &mut [Vec<usize>],
-        _scratch: &mut Vec<(u64, usize)>,
-    ) {
-        use std::collections::HashMap;
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for &i in boundary {
-            if !alive[i] {
-                continue;
-            }
-            adj[i].sort_unstable();
-            var_elems[i].sort_unstable();
-            let h = adjacency_hash(&adj[i], &var_elems[i]);
-            buckets.entry(h).or_default().push(i);
-        }
-        for group in buckets.values() {
-            if group.len() < 2 {
-                continue;
-            }
-            for a in 0..group.len() {
-                let i = group[a];
-                if !alive[i] {
-                    continue;
-                }
-                for &j in &group[a + 1..] {
-                    if !alive[j] {
-                        continue;
-                    }
-                    if var_elems[i] != var_elems[j] {
-                        continue;
-                    }
-                    // adj sets must match modulo the pair itself.
-                    let eq = {
-                        let ai: Vec<usize> = adj[i].iter().copied().filter(|&v| v != j).collect();
-                        let aj: Vec<usize> = adj[j].iter().copied().filter(|&v| v != i).collect();
-                        ai == aj
-                    };
-                    if !eq {
-                        continue;
-                    }
-                    // Merge j into i.
-                    alive[j] = false;
-                    weight[i] += weight[j];
-                    let m = std::mem::take(&mut members[j]);
-                    members[i].extend(m);
-                    adj[j] = Vec::new();
-                    var_elems[j] = Vec::new();
-                    adj[i].retain(|&v| v != j);
-                }
-            }
-        }
-    }
-
-    /// The allocation-free supervariable detection orders exactly as the
-    /// routine it replaced, on the `AᵀA` graphs of the paper suite and on
-    /// random graphs, single and multiple elimination.
-    #[test]
-    fn in_place_merge_orders_exactly_as_the_reference() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut cases: Vec<SparsityPattern> = splu_matgen::paper_suite(splu_matgen::Scale::Reduced)
+    /// A pattern whose `AᵀA` graph is exactly the given graph: one row per
+    /// edge (a clique on its two ends) and one per vertex (the diagonal).
+    fn incidence(n: usize, edges: &[(usize, usize)]) -> SparsityPattern {
+        let rows = edges
             .iter()
-            .map(|m| m.a.pattern().ata())
-            .collect();
-        let mut rng = SmallRng::seed_from_u64(77);
-        for n in [2usize, 9, 30, 60, 120] {
-            for per_vertex in [1usize, 3, 6] {
-                let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-                for _ in 0..per_vertex * n {
-                    e.push((rng.gen_range(0..n), rng.gen_range(0..n)));
-                }
-                // Duplicated vertices make indistinguishable pairs common.
-                let doubled = e.iter().flat_map(|&(i, j)| {
-                    [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(di, dj)| (2 * i + di, 2 * j + dj))
-                });
-                cases.push(SparsityPattern::from_entries(2 * n, 2 * n, doubled).unwrap());
-                cases.push(SparsityPattern::from_entries(n, n, e).unwrap());
-            }
-        }
-        for p in &cases {
-            for multi in [false, true] {
-                assert_eq!(
-                    mmd(p, multi, &mut || true, detect_and_merge),
-                    mmd(p, multi, &mut || true, detect_and_merge_reference),
-                    "n={} multi={multi}",
-                    p.ncols()
-                );
-            }
-        }
+            .enumerate()
+            .flat_map(|(r, &(a, b))| [(r, a), (r, b)])
+            .chain((0..n).map(|v| (edges.len() + v, v)));
+        SparsityPattern::from_entries(edges.len() + n, n, rows).unwrap()
     }
 
-    /// Counts Cholesky fill of a symmetric pattern eliminated in the given
-    /// order (brute-force reference: dense boolean elimination).
-    fn fill_count(pattern: &SparsityPattern, perm: &Permutation) -> usize {
-        let n = pattern.ncols();
-        let sym = pattern.union(&pattern.transpose());
-        let b = sym.permuted(perm, perm);
-        let mut m = vec![vec![false; n]; n];
-        for (i, j) in b.entries() {
-            m[i][j] = true;
-            m[j][i] = true;
+    /// Dense adjacency of the `AᵀA` graph, diagonal cleared.
+    fn ata_dense(pattern: &SparsityPattern) -> Vec<Vec<bool>> {
+        let mut m = pattern.ata().to_dense();
+        for (v, row) in m.iter_mut().enumerate() {
+            row[v] = false;
         }
+        m
+    }
+
+    /// Eliminates `v` from a dense graph: its neighbours become a clique.
+    /// Returns the edges added.
+    fn eliminate(m: &mut [Vec<bool>], alive: &mut [bool], v: usize) -> usize {
+        alive[v] = false;
+        let nbrs: Vec<usize> = (0..m.len()).filter(|&u| alive[u] && m[v][u]).collect();
         let mut fill = 0;
-        for k in 0..n {
-            for i in k + 1..n {
-                if m[i][k] {
-                    for j in k + 1..n {
-                        if m[k][j] && !m[i][j] {
-                            m[i][j] = true;
-                            fill += 1;
-                        }
-                    }
+        for (k, &a) in nbrs.iter().enumerate() {
+            for &b in &nbrs[k + 1..] {
+                if !m[a][b] {
+                    m[a][b] = true;
+                    m[b][a] = true;
+                    fill += 1;
                 }
             }
         }
         fill
     }
 
-    fn path_pattern(n: usize) -> SparsityPattern {
-        let mut e = Vec::new();
-        for i in 0..n {
-            e.push((i, i));
-            if i + 1 < n {
-                e.push((i, i + 1));
-                e.push((i + 1, i));
-            }
-        }
-        SparsityPattern::from_entries(n, n, e).unwrap()
+    /// Fill (edges added) of eliminating the `AᵀA` graph in the given order
+    /// — brute force, dense boolean elimination.
+    fn fill_count(pattern: &SparsityPattern, perm: &Permutation) -> usize {
+        let mut m = ata_dense(pattern);
+        let mut alive = vec![true; m.len()];
+        (0..m.len())
+            .map(|k| eliminate(&mut m, &mut alive, perm.old_of(k)))
+            .sum()
     }
 
-    fn star_pattern(n: usize) -> SparsityPattern {
-        let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 1..n {
-            e.push((0, i));
-            e.push((i, 0));
-        }
-        SparsityPattern::from_entries(n, n, e).unwrap()
+    /// The oracle: fill of the **exact** minimum-degree elimination of the
+    /// `AᵀA` graph, lowest index among ties.
+    fn exact_min_degree_fill(pattern: &SparsityPattern) -> usize {
+        let mut m = ata_dense(pattern);
+        let n = m.len();
+        let mut alive = vec![true; n];
+        (0..n)
+            .map(|_| {
+                let degree = |v: usize| (0..n).filter(|&u| alive[u] && m[v][u]).count();
+                let v = (0..n)
+                    .filter(|&v| alive[v])
+                    .min_by_key(|&v| degree(v))
+                    .unwrap();
+                eliminate(&mut m, &mut alive, v)
+            })
+            .sum()
     }
 
-    fn grid_pattern(nx: usize, ny: usize) -> SparsityPattern {
-        let n = nx * ny;
+    fn path(n: usize) -> SparsityPattern {
+        incidence(n, &(1..n).map(|v| (v - 1, v)).collect::<Vec<_>>())
+    }
+
+    fn grid_edges(nx: usize, ny: usize) -> Vec<(usize, usize)> {
         let id = |x: usize, y: usize| x + y * nx;
         let mut e = Vec::new();
         for y in 0..ny {
             for x in 0..nx {
-                let v = id(x, y);
-                e.push((v, v));
                 if x + 1 < nx {
-                    e.push((v, id(x + 1, y)));
-                    e.push((id(x + 1, y), v));
+                    e.push((id(x, y), id(x + 1, y)));
                 }
                 if y + 1 < ny {
-                    e.push((v, id(x, y + 1)));
-                    e.push((id(x, y + 1), v));
+                    e.push((id(x, y), id(x, y + 1)));
                 }
             }
         }
-        SparsityPattern::from_entries(n, n, e).unwrap()
+        e
+    }
+
+    fn random_square(n: usize, extra: usize, rng: &mut SmallRng) -> SparsityPattern {
+        let entries = (0..n)
+            .map(|i| (i, i))
+            .chain((0..extra).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))))
+            .collect::<Vec<_>>();
+        SparsityPattern::from_entries(n, n, entries).unwrap()
+    }
+
+    /// Every row and column twice: the two-unknowns-per-node shape, where
+    /// both the row dedup and the supervariables have work to do.
+    fn doubled(p: &SparsityPattern) -> SparsityPattern {
+        let entries = p.entries().flat_map(|(i, j)| {
+            [(0, 0), (1, 0), (0, 1), (1, 1)].map(|(di, dj)| (2 * i + di, 2 * j + dj))
+        });
+        SparsityPattern::from_entries(2 * p.nrows(), 2 * p.ncols(), entries).unwrap()
     }
 
     #[test]
-    fn star_center_is_eliminated_last() {
-        let p = star_pattern(8);
-        let perm = min_degree(&p);
-        // Leaves have degree 1, the hub degree 7: a leaf (or merged leaf
-        // supervariable) is eliminated first and the elimination is
-        // fill-free.
-        assert_ne!(perm.old_of(0), 0);
-        assert_eq!(fill_count(&p, &perm), 0);
-    }
+    fn path_star_and_complete_graph_order_without_fill() {
+        let p = path(12);
+        assert_eq!(fill_count(&p, &column_min_degree(&p)), 0);
 
-    #[test]
-    fn path_graph_has_no_fill_under_md() {
-        let p = path_pattern(12);
-        let perm = min_degree(&p);
-        assert_eq!(fill_count(&p, &perm), 0);
-    }
+        let star = incidence(8, &(1..8).map(|v| (0, v)).collect::<Vec<_>>());
+        let perm = column_min_degree(&star);
+        assert_ne!(perm.old_of(0), 0, "a leaf goes before the hub");
+        assert_eq!(fill_count(&star, &perm), 0);
 
-    #[test]
-    fn grid_fill_is_no_worse_than_natural() {
-        let p = grid_pattern(6, 6);
-        let md = min_degree(&p);
-        let natural = Permutation::identity(36);
-        let f_md = fill_count(&p, &md);
-        let f_nat = fill_count(&p, &natural);
-        assert!(
-            f_md < f_nat,
-            "minimum degree should beat natural on a grid: {f_md} vs {f_nat}"
-        );
-    }
-
-    #[test]
-    fn supervariable_merging_preserves_quality_on_duplicated_graphs() {
-        // Two dofs per node with identical connectivity: the classic
-        // supervariable case. Fill must stay comparable to the grid case.
-        let nx = 5;
-        let ny = 5;
-        let base = grid_pattern(nx, ny);
-        let n = nx * ny;
-        let mut e = Vec::new();
-        for (i, j) in base.entries() {
-            for di in 0..2usize {
-                for dj in 0..2usize {
-                    e.push((2 * i + di, 2 * j + dj));
-                }
-            }
-        }
-        let p = SparsityPattern::from_entries(2 * n, 2 * n, e).unwrap();
-        let perm = min_degree(&p);
-        assert_eq!(perm.len(), 2 * n);
-        // Sanity: the fill of the doubled problem stays within a small
-        // factor of 4x the single-dof fill (2x2 blocks ~ 4x entries).
-        let single = fill_count(&base, &min_degree(&base));
-        let doubled = fill_count(&p, &perm);
-        assert!(
-            doubled <= 8 * single.max(8),
-            "supervariables degraded quality: {doubled} vs base {single}"
-        );
-    }
-
-    #[test]
-    fn ordering_is_a_permutation_on_random_graphs() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(7);
-        for n in [1usize, 2, 3, 10, 40, 80] {
-            let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-            for _ in 0..4 * n {
-                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                e.push((a, b));
-                e.push((b, a));
-            }
-            let p = SparsityPattern::from_entries(n, n, e).unwrap();
-            let perm = min_degree(&p);
-            assert_eq!(perm.len(), n);
-            let _ = fill_count(&p, &perm);
-        }
-    }
-
-    #[test]
-    fn column_min_degree_runs_on_unsymmetric_input() {
-        let n = 10;
-        let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 0..n - 1 {
-            e.push((i, i + 1));
-        }
-        let p = SparsityPattern::from_entries(n, n, e).unwrap();
-        let perm = column_min_degree(&p);
+        let n = 12;
+        let complete =
+            SparsityPattern::from_entries(n, n, (0..n).flat_map(|i| (0..n).map(move |j| (i, j))))
+                .unwrap();
+        let perm = column_min_degree(&complete);
         assert_eq!(perm.len(), n);
+        assert_eq!(fill_count(&complete, &perm), 0);
     }
 
     #[test]
-    fn empty_and_singleton() {
-        let p0 = SparsityPattern::empty(0, 0);
-        assert_eq!(min_degree(&p0).len(), 0);
-        let p1 = SparsityPattern::identity(1);
-        assert_eq!(min_degree(&p1).as_slice(), &[0]);
+    fn grid_fill_beats_the_natural_order() {
+        let p = incidence(36, &grid_edges(6, 6));
+        let f_md = fill_count(&p, &column_min_degree(&p));
+        let f_nat = fill_count(&p, &Permutation::identity(36));
+        assert!(f_md < f_nat, "minimum degree {f_md} vs natural {f_nat}");
     }
 
+    /// The approximate degrees cost little against exact minimum degree:
+    /// summed over each family of graphs, fill stays within 1.15× of the
+    /// brute-force oracle's.
     #[test]
-    fn multi_orderings_are_bijections_with_comparable_fill() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut cases: Vec<SparsityPattern> = vec![
-            path_pattern(12),
-            star_pattern(8),
-            grid_pattern(6, 6),
-            SparsityPattern::identity(1),
-        ];
-        for n in [10usize, 40, 80] {
-            let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-            for _ in 0..4 * n {
-                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                e.push((a, b));
-                e.push((b, a));
+    fn fill_stays_within_15_percent_of_exact_minimum_degree() {
+        let mut rng = SmallRng::seed_from_u64(77);
+        let mut random = Vec::new();
+        let mut twins = Vec::new();
+        for n in [9usize, 30, 60, 120] {
+            for per_column in [1usize, 2, 4] {
+                let p = random_square(n, per_column * n, &mut rng);
+                twins.push(doubled(&p));
+                random.push(p);
             }
-            cases.push(SparsityPattern::from_entries(n, n, e).unwrap());
         }
-        for p in &cases {
-            let n = p.ncols();
-            let multi = min_degree_multi(p);
-            assert_eq!(multi.len(), n); // Permutation::from_vec enforced bijection
-            let f_single = fill_count(p, &min_degree(p));
-            let f_multi = fill_count(p, &multi);
-            // Multiple elimination may differ but must stay in the same
-            // quality class (the 1.25x bound from the suite-level test,
-            // with an additive slack for tiny fills).
+        for (nx, ny) in [(5, 5), (8, 6), (12, 9)] {
+            let g = incidence(nx * ny, &grid_edges(nx, ny));
+            twins.push(doubled(&g));
+            random.push(g);
+        }
+        let suite: Vec<SparsityPattern> = paper_suite(Scale::Reduced)
+            .iter()
+            .map(|m| m.a.pattern().clone())
+            .collect();
+        for (family, cases) in [("random", random), ("twins", twins), ("suite", suite)] {
+            let ours: usize = cases
+                .iter()
+                .map(|p| fill_count(p, &column_min_degree(p)))
+                .sum();
+            let exact: usize = cases.iter().map(exact_min_degree_fill).sum();
             assert!(
-                4 * f_multi <= 5 * f_single + 40,
-                "n={n}: multi fill {f_multi} vs single {f_single}"
+                ours * 100 <= exact * 115,
+                "{family}: fill {ours} against the oracle's {exact}"
             );
         }
     }
 
     #[test]
-    fn multi_batches_independent_vertices() {
-        // On a path, all interior vertices have degree 2 and alternate ones
-        // are independent; multiple elimination must still produce a valid
-        // fill-free ordering.
-        let p = path_pattern(30);
-        let perm = min_degree_multi(&p);
-        assert_eq!(fill_count(&p, &perm), 0);
+    fn every_input_shape_gives_a_bijection() {
+        assert_eq!(column_min_degree(&SparsityPattern::empty(0, 0)).len(), 0);
+        assert_eq!(
+            column_min_degree(&SparsityPattern::identity(1)).as_slice(),
+            &[0]
+        );
+        // Columns no row touches, and more rows than columns.
+        assert_eq!(column_min_degree(&SparsityPattern::empty(3, 5)).len(), 5);
+        assert_eq!(column_min_degree(&incidence(4, &[(0, 3)])).len(), 4);
+        // `Permutation::from_vec` rejects anything but a bijection.
+        let mut rng = SmallRng::seed_from_u64(7);
+        for n in [2usize, 3, 10, 40, 80, 300] {
+            for extra in [0, n, 4 * n, 12 * n] {
+                let p = random_square(n, extra, &mut rng);
+                assert_eq!(column_min_degree(&p).len(), n);
+                assert_eq!(column_min_degree(&doubled(&p)).len(), 2 * n);
+            }
+        }
+    }
+
+    #[test]
+    fn identical_columns_collapse_to_one_supervariable() {
+        // Columns 1 and 2 sit in the same two rows. Whichever of 0 and 3
+        // is the first pivot, its element holds both with equal lists.
+        let p = SparsityPattern::from_entries(
+            3,
+            4,
+            [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 3)],
+        )
+        .unwrap();
+        let reg = MetricsRegistry::new();
+        let perm = column_min_degree_with(&p, Some(&reg), &mut || true).unwrap();
+        assert_eq!(reg.get(Counter::OrderingMerged), 1);
+        assert_eq!(perm.new_of(1).abs_diff(perm.new_of(2)), 1, "ordered as one");
+        // Four columns in fewer pivots; nothing is counted twice.
+        let eliminated = reg.get(Counter::OrderingPivots)
+            + reg.get(Counter::OrderingMerged)
+            + reg.get(Counter::OrderingMassEliminated);
+        assert_eq!(eliminated, 4);
     }
 
     #[test]
     fn cancellation_stops_the_ordering() {
-        let p = grid_pattern(6, 6);
-        assert!(min_degree_with(&p, &mut || true).is_some());
-        assert!(min_degree_with(&p, &mut || false).is_none());
-        assert!(min_degree_multi_with(&p, &mut || false).is_none());
-        assert!(column_min_degree_with(&p, &mut || false).is_none());
-        assert!(column_min_degree_multi_with(&p, &mut || false).is_none());
-        // Cancel mid-run: allow a few rounds, then stop.
-        let mut budget = 3usize;
-        let got = min_degree_with(&p, &mut || {
-            budget = budget.saturating_sub(1);
-            budget > 0
+        let p = incidence(36, &grid_edges(6, 6));
+        assert!(column_min_degree_with(&p, None, &mut || true).is_some());
+        assert!(column_min_degree_with(&p, None, &mut || false).is_none());
+        // One poll per pivot: stop at pivot n/2.
+        let mut polls = 0;
+        let stopped = column_min_degree_with(&p, None, &mut || {
+            polls += 1;
+            polls <= 18
         });
-        assert!(got.is_none());
+        assert!(stopped.is_none());
+        assert_eq!(polls, 19);
     }
 
     #[test]
-    fn column_min_degree_multi_runs_on_unsymmetric_input() {
-        let n = 10;
-        let mut e: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-        for i in 0..n - 1 {
-            e.push((i, i + 1));
+    fn the_permutation_is_a_function_of_the_pattern() {
+        for m in paper_suite(Scale::Reduced) {
+            let p = m.a.pattern();
+            let first = column_min_degree(p);
+            assert_eq!(first, column_min_degree(p), "{}", m.name);
+            // Stamps that wrap around mid-run are reset, not reused.
+            let mut q = Quotient::new(p, NONE - 2 * p.ncols() as u32 - 40);
+            q.eliminate(&mut || true).unwrap();
+            assert_eq!(first.as_slice(), &q.order[..], "{}", m.name);
         }
-        let p = SparsityPattern::from_entries(n, n, e).unwrap();
-        assert_eq!(column_min_degree_multi(&p).len(), n);
     }
 
     #[test]
-    fn complete_graph_collapses_to_supervariables() {
-        // In K_n every vertex is indistinguishable after the first
-        // elimination; the ordering must still enumerate all vertices.
-        let n = 12;
-        let p =
-            SparsityPattern::from_entries(n, n, (0..n).flat_map(|i| (0..n).map(move |j| (i, j))))
-                .unwrap();
-        let perm = min_degree(&p);
-        assert_eq!(perm.len(), n);
-        assert_eq!(fill_count(&p, &perm), 0); // already complete
+    fn compaction_moves_the_element_lists_and_nothing_else() {
+        let p = random_square(300, 900, &mut SmallRng::seed_from_u64(3));
+        let uninterrupted = column_min_degree(&p);
+        // Stop between two pivots, with dead lists scattered over the pool.
+        let mut q = Quotient::new(&p, 2);
+        let mut polls = 0;
+        let stopped = q.eliminate(&mut || {
+            polls += 1;
+            polls <= 120
+        });
+        assert!(stopped.is_none());
+        let lists = |q: &Quotient| -> Vec<Vec<u32>> {
+            (0..q.w.len())
+                .filter(|&e| q.w[e] != 0)
+                .map(|e| q.pool[q.estart[e] as usize..][..q.elen[e] as usize].to_vec())
+                .collect()
+        };
+        let before = lists(&q);
+        let live: usize = before.iter().map(Vec::len).sum();
+        assert!(q.free > p.nnz() + live, "nothing to reclaim yet");
+        q.compact();
+        assert_eq!(q.free, p.nnz() + live);
+        assert_eq!(lists(&q), before);
+        // The rest of the run does not notice.
+        q.eliminate(&mut || true).unwrap();
+        assert_eq!(uninterrupted.as_slice(), &q.order[..]);
     }
 }

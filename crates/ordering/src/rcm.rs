@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 ///
 /// Each connected component is started from a pseudo-peripheral vertex found
 /// by repeated BFS. Returns a permutation in the same convention as
-/// [`crate::min_degree`].
+/// [`crate::column_min_degree`].
 pub fn reverse_cuthill_mckee(pattern: &SparsityPattern) -> Permutation {
     assert!(pattern.is_square(), "RCM requires a square pattern");
     let n = pattern.ncols();

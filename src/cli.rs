@@ -157,11 +157,10 @@ OPTIONS:
                         (static fill, assembly, postorder); the factor
                         structure is bitwise identical for every N  [1]
   --graph eforest|sstar task dependence graph                    [eforest]
-  --ordering mindeg|mindeg-multi|natural|rcm                     [mindeg]
-                        `mindeg-multi` eliminates an independent set of
-                        minimum-degree vertices per pass (a different but
-                        valid permutation); `md` is accepted as an alias
-                        for `mindeg`
+  --ordering mindeg|natural|rcm                                  [mindeg]
+                        mindeg: approximate minimum degree on the graph
+                        of AtA; `md` and `mindeg-multi` are accepted as
+                        spellings of it
   --no-postorder        skip the eforest postordering
   --no-amalgamation     keep exact supernodes
   --dynamic             dynamic scheduling instead of static 1D
@@ -280,8 +279,7 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
             "--ordering" => {
                 let v = it.next().ok_or("--ordering needs a value")?;
                 cli.opts.ordering = match v.as_str() {
-                    "mindeg" | "md" => OrderingChoice::MinDegreeAtA,
-                    "mindeg-multi" => OrderingChoice::MinDegreeMulti,
+                    "mindeg" | "md" | "mindeg-multi" => OrderingChoice::MinDegreeAtA,
                     "natural" => OrderingChoice::Natural,
                     "rcm" => OrderingChoice::Rcm,
                     _ => return Err(format!("unknown ordering `{v}`")),

@@ -9,18 +9,14 @@
 //!   thread count and chunking — the executor only decides *when* chunks
 //!   run, never *what* they produce nor *where* it lands;
 //! * filling the postordered pattern from the *relabelled* skeleton gives
-//!   exactly the brute-force reference structure, permuted (Theorem 3);
-//! * the opt-in multiple-elimination ordering is a valid permutation with
-//!   bounded extra fill.
+//!   exactly the brute-force reference structure, permuted (Theorem 3).
 
 use parsplu::core::{
     analyze, analyze_with, fill_from_skeleton, postorder_parallel, postorder_parallel_obs,
-    ObsSession, Options, OrderingChoice, SymbolicRequest,
+    ObsSession, Options, SymbolicRequest,
 };
 use parsplu::matgen::{paper_suite, random_pattern, random_unsymmetric, Scale};
-use parsplu::ordering::{
-    column_min_degree, column_min_degree_multi, maximum_transversal, StructuralRank,
-};
+use parsplu::ordering::{column_min_degree, maximum_transversal, StructuralRank};
 use parsplu::sparse::{Permutation, SparsityPattern};
 use parsplu::symbolic::{
     fill_skeleton, postorder_permutation, static_fact::static_symbolic_reference,
@@ -230,43 +226,6 @@ fn front_spans_land_on_the_session_trace_as_chrome_tracks() {
         if e.name.starts_with("fill ") || e.name.starts_with("postorder root ") {
             assert!(e.track.tid() >= 1, "span {} not on a front track", e.name);
         }
-    }
-}
-
-#[test]
-fn mindeg_multi_is_a_valid_permutation_with_bounded_fill() {
-    for m in paper_suite(Scale::Reduced) {
-        let p = diagonalized(m.a.pattern());
-        let q_single = column_min_degree(&p);
-        let q_multi = column_min_degree_multi(&p);
-        // A bijection over all columns (Permutation::from_vec validates on
-        // construction; re-check through the round trip anyway).
-        let mut seen = vec![false; p.ncols()];
-        for j in 0..p.ncols() {
-            let t = q_multi.new_of(j);
-            assert!(!seen[t], "{}: column {j} maps to duplicate {t}", m.name);
-            seen[t] = true;
-        }
-        // Fill within 1.25x of single-elimination on the suite.
-        let fill = |q: &Permutation| {
-            let pq = p.permuted(q, q);
-            static_symbolic_factorization(&pq)
-                .expect("zero-free diagonal survives symmetric permutation")
-                .nnz_filled()
-        };
-        let (f_single, f_multi) = (fill(&q_single), fill(&q_multi));
-        assert!(
-            4 * f_multi <= 5 * f_single,
-            "{}: multi fill {f_multi} vs single {f_single} exceeds 1.25x",
-            m.name
-        );
-        // And the end-to-end driver accepts the option.
-        let opts = Options {
-            ordering: OrderingChoice::MinDegreeMulti,
-            ..Options::default()
-        };
-        let sym = analyze(m.a.pattern(), &opts).expect("analysis succeeds");
-        assert_eq!(sym.col_perm.len(), m.a.ncols());
     }
 }
 

@@ -189,6 +189,19 @@ fn run_report_schema_validates_and_carries_the_registry_values() {
                 c.name()
             );
         }
+        // The ordering's counters account for every column exactly once:
+        // as a pivot, merged into one, or mass-eliminated with one; and
+        // the ordering polled the budget once per pivot.
+        let get = |c: Counter| session.metrics().get(c);
+        assert_eq!(
+            get(Counter::OrderingPivots)
+                + get(Counter::OrderingMerged)
+                + get(Counter::OrderingMassEliminated),
+            m.a.ncols() as u64,
+            "{}",
+            m.name
+        );
+        assert!(get(Counter::BudgetCheckpoints) >= get(Counter::OrderingPivots));
         // Phase walls: every canonical phase the driver runs is present
         // and positive... parse is CLI-only, so expect the other eight.
         let phases = doc.get("phases_s").expect("phases object");
@@ -283,6 +296,9 @@ fn chrome_trace_shows_all_phases_and_both_processes_on_one_epoch() {
     ] {
         assert!(names.contains(&phase), "missing phase span {phase}");
     }
+    // ...the ordering is one span, not one per pivot...
+    assert_eq!(names.iter().filter(|n| **n == "ordering").count(), 1);
+    assert!(!names.iter().any(|n| n.starts_with("mindeg")));
     // ...the pipeline and numeric-executor processes are both named...
     assert!(meta_names.contains(&"pipeline"));
     assert!(meta_names.contains(&"numeric executor"));
