@@ -28,8 +28,8 @@ fn main() {
     let a = paper_matrix("saylr4", scale).expect("known matrix");
     println!("Amalgamation ablation on saylr4 (n = {})", a.ncols());
     println!(
-        "{:<22} {:>6} {:>8} {:>10} {:>12} {:>10}",
-        "config", "SN", "max w", "pad frac", "tasks", "factor"
+        "{:<22} {:>6} {:>8} {:>10} {:>10} {:>12} {:>10}",
+        "config", "SN", "max w", "words", "pad frac", "tasks", "factor"
     );
     let configs: Vec<(String, Option<SupernodeOptions>)> = vec![
         ("exact (none)".into(), None),
@@ -79,10 +79,11 @@ fn main() {
         let words = bm.storage_words();
         let pad = 1.0 - sym.stats.nnz_filled as f64 / words as f64;
         println!(
-            "{:<22} {:>6} {:>8} {:>10.3} {:>12} {:>9.1?}",
+            "{:<22} {:>6} {:>8} {:>10} {:>10.3} {:>12} {:>9.1?}",
             label,
             sym.stats.supernodes,
             sym.stats.max_supernode_width,
+            words,
             pad,
             sym.stats.graph_tasks,
             t

@@ -94,12 +94,18 @@ pub fn time_factor(p: &Prepared, graph: &TaskGraph, threads: usize) -> Duration 
 
 /// A cost model calibrated so that the simulated one-processor makespan of
 /// `graph` matches the measured serial factorization time — grounding the
-/// Origin-2000 simulator in this machine's reality (DESIGN.md §5.2).
+/// Origin-2000 simulator in this machine's reality (DESIGN.md §5.2). Every
+/// constant is a multiple of the time per flop, so the calibration scales
+/// simulated times and leaves their ratios alone.
 pub fn calibrated_model(p: &Prepared, graph: &TaskGraph, serial: Duration) -> CostModel {
+    // Dispatch overhead: a few hundred flop-equivalents per task.
+    const TASK_OVERHEAD_FLOPS: f64 = 400.0;
     let costs = estimate_task_costs(&p.sym.block_structure, graph);
     let flops: f64 = costs.iter().map(|c| c.flops).sum();
-    let spf = if flops > 0.0 {
-        serial.as_secs_f64() / flops
+    // On one processor a task costs its flops plus the dispatch overhead.
+    let serial_flops = flops + TASK_OVERHEAD_FLOPS * costs.len() as f64;
+    let spf = if serial_flops > 0.0 {
+        serial.as_secs_f64() / serial_flops
     } else {
         2.0e-8
     };
@@ -109,8 +115,7 @@ pub fn calibrated_model(p: &Prepared, graph: &TaskGraph, serial: Duration) -> Co
         // slower than a local flop stream, per the Origin's ~100 MB/s
         // effective remote bandwidth vs its cached flop rate.
         seconds_per_word: spf * 4.0,
-        // Dispatch overhead: a few hundred flop-equivalents per task.
-        task_overhead: spf * 400.0,
+        task_overhead: spf * TASK_OVERHEAD_FLOPS,
         // Run-time messaging/dispatch latency per cross-processor
         // dependence: a few thousand flop-equivalents (≈10 µs at 1999 flop
         // rates) — the cost RAPID pays on every inter-processor DAG edge.

@@ -1,24 +1,19 @@
 //! Structural flop/communication estimates per task, feeding the
 //! list-scheduling simulator (DESIGN.md §5, substitution 2).
 
+use crate::numeric::factor_flops;
 use splu_sched::{Task, TaskCost, TaskGraph};
 use splu_symbolic::supernode::BlockStructure;
 
-/// Stacked panel height of block column `k` (diagonal block included).
-fn stack_height(bs: &BlockStructure, k: usize) -> usize {
-    bs.l_blocks[k]
-        .iter()
-        .map(|&ib| bs.partition.width(ib))
-        .sum()
-}
-
 /// Estimates per-task flops and communication volume from the block
-/// structure alone.
+/// structure alone, over the shapes the compact storage runs the kernels
+/// on (`m_k = w_k + |R_k|` panel rows, `s = |S_kj|` stored columns), so the
+/// run-time kernel counters add up to exactly these numbers.
 ///
-/// * `Factor(k)`: panel LU of an `m × w` panel —
-///   `Σ_c (m − c − 1) · (1 + 2 (w − c − 1))` flops, no remote reads.
-/// * `Update(k, j)`: `trsm` (`w_k² · w_j`) plus the Schur `gemm`
-///   (`2 (m_k − w_k) w_k w_j`); reads the remote panel of column `k`
+/// * `Factor(k)`: panel LU of an `m_k × w_k` panel —
+///   `Σ_c (m_k − c − 1) · (1 + 2 (w_k − c − 1))` flops, no remote reads.
+/// * `Update(k, j)`: `trsm` (`w_k (w_k − 1) · s`) plus the Schur `gemm`
+///   (`2 |R_k| w_k s`); reads the remote panel of column `k`
 ///   (`m_k · w_k` words plus the pivot sequence).
 pub fn estimate_task_costs(bs: &BlockStructure, graph: &TaskGraph) -> Vec<TaskCost> {
     graph
@@ -26,15 +21,9 @@ pub fn estimate_task_costs(bs: &BlockStructure, graph: &TaskGraph) -> Vec<TaskCo
         .iter()
         .map(|t| match *t {
             Task::Factor(k) => {
-                let m = stack_height(bs, k);
                 let w = bs.partition.width(k);
-                let mut flops = 0.0_f64;
-                for c in 0..w {
-                    let below = (m - c - 1) as f64;
-                    flops += below * (1.0 + 2.0 * (w - c - 1) as f64);
-                }
                 TaskCost {
-                    flops,
+                    flops: factor_flops(w + bs.l_rows.col(k).len(), w) as f64,
                     comm_words: 0.0,
                     reads_remote: false,
                     src_col: k,
@@ -42,14 +31,14 @@ pub fn estimate_task_costs(bs: &BlockStructure, graph: &TaskGraph) -> Vec<TaskCo
                 }
             }
             Task::Update { src, dst } => {
-                let m = stack_height(bs, src) as f64;
+                let below = bs.l_rows.col(src).len() as f64;
                 let wk = bs.partition.width(src) as f64;
-                let wj = bs.partition.width(dst) as f64;
-                let trsm = wk * (wk - 1.0) * wj;
-                let gemm = 2.0 * (m - wk) * wk * wj;
+                let s = bs.u_cols_in(src, dst).len() as f64;
+                let trsm = wk * (wk - 1.0) * s;
+                let gemm = 2.0 * below * wk * s;
                 TaskCost {
                     flops: trsm + gemm,
-                    comm_words: m * wk + wk,
+                    comm_words: (below + wk) * wk + wk,
                     reads_remote: true,
                     src_col: src,
                     dst_col: dst,

@@ -41,7 +41,7 @@ mod request;
 mod session;
 mod solve;
 
-pub use blocks::{BlockMatrix, ColumnData, StackMap};
+pub use blocks::{BlockMatrix, ColumnData};
 pub use costs::{estimate_task_costs, total_flops};
 pub use error::LuError;
 pub use front::{fill_from_skeleton, postorder_parallel, postorder_parallel_obs, SymbolicRequest};
@@ -974,13 +974,15 @@ impl SparseLu {
 /// Storage accounting for a factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorStorage {
-    /// Dense words allocated by the block storage (explicit zeros
-    /// included).
+    /// Words the compact block storage holds:
+    /// `Σ_K w_K · (w_K + |R_K| + |C_K|)` over the supernodes `K`
+    /// ([`BlockStructure::storage_words`]).
     pub words: usize,
     /// Entries of the scalar static structure `Ā`.
     pub structural: usize,
-    /// Fraction of the stored words that are structural padding (explicit
-    /// zeros introduced by blocking and amalgamation).
+    /// Fraction of the stored words that are explicit zeros. Exact
+    /// supernodes store `Ā` and nothing else, so this is what amalgamation
+    /// added — zero with [`Options::amalgamation`] off.
     pub padding_fraction: f64,
 }
 
@@ -1146,9 +1148,8 @@ mod tests {
         let s = lu.storage();
         assert!(s.words >= s.structural);
         assert!((0.0..1.0).contains(&s.padding_fraction));
-        // No amalgamation + singleton-ish supernodes → padding only from
-        // exact supernode blocks; with amalgamation off it still holds that
-        // words >= structural.
+        assert_eq!(s.words, lu.symbolic().block_structure.storage_words());
+        // Exact supernodes store the scalar structure and nothing else.
         let lu2 = SparseLu::factor(
             &a,
             &Options {
@@ -1157,7 +1158,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(lu2.storage().padding_fraction <= s.padding_fraction + 1e-12);
+        assert_eq!(lu2.storage().words, lu2.storage().structural);
+        assert_eq!(lu2.storage().padding_fraction, 0.0);
     }
 
     #[test]

@@ -2,29 +2,33 @@
 //! plus the sequential and parallel drivers.
 //!
 //! Partial pivoting happens **inside the static structure**: `Factor(k)`
-//! searches the whole stacked panel of block column `k`. Positions outside
-//! the scalar candidate set of a column hold exact zeros (the George–Ng
-//! closure keeps them zero), so the max-magnitude search can never select a
-//! non-candidate row, and every interchange exchanges two rows of the same
-//! merged row class — which have identical structure. That is why applying
-//! the recorded interchanges lazily to each destination column in
-//! `Update(k, j)` is always possible: either both rows are stored in the
-//! destination column, or both are structurally (hence numerically) zero
-//! there.
+//! searches the whole panel of block column `k` — its diagonal block and
+//! the stored rows `R_k`. Every interchange exchanges two candidate rows of
+//! the same column, which the static symbolic factorization gave the same
+//! structure from that column on, so applying the recorded interchanges
+//! lazily to each destination column in `Update(k, j)` is always possible:
+//! the partner row stores at least the columns `S_kj` the pivot row stores,
+//! and holds zeros in whatever else it stores (see
+//! [`crate::blocks::ColumnData::swap_rows`]).
 //!
-//! Storage is panel-major (see [`crate::blocks`]): the L-region of a block
-//! column *is* the stacked panel, so `Factor(k)` pivots **in place** — no
-//! gather into a temporary and no scatter back — and `Update(k, j)` reads
-//! the `L(i, k)` operands as strided row ranges of column `k`'s panel
-//! straight into the gemm kernel. [`BlockMatrix::panel_copy_count`] stays
-//! at zero across the whole factorization (asserted by the test-suite).
+//! Storage is compact (see [`crate::blocks`]): the panel of a block column
+//! *is* what `Factor(k)` pivots over, **in place**, and `Update(k, j)` is
+//! one `trsm` on `Ū(k, j)`, **one** `gemm` of the whole sub-diagonal panel
+//! of `k` into a scratch matrix, and an indexed add of that into column
+//! `j`. An element of column `j` therefore receives, per source `k`, one
+//! addition of a sum that depends on `k`'s panel and `Ū(k, j)` only — and
+//! two sources that may run in either order never touch the same row — so
+//! the factors do not depend on the schedule.
+//! [`BlockMatrix::panel_copy_count`] stays at zero across the whole
+//! factorization (asserted by the test-suite).
 
-use crate::blocks::BlockMatrix;
+use crate::blocks::{BlockMatrix, ColumnData, UpdateMap};
 use crate::LuError;
-use splu_dense::{Dispatch, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
+use splu_dense::{Dispatch, MatMut, MatRef, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
+use std::ops::Range;
 
-/// Flops of a panel LU over an `m × w` stacked panel, exactly the cost
+/// Flops of a panel LU over an `m × w` panel, exactly the cost
 /// model of `crate::costs::estimate_task_costs`:
 /// `Σ_c (m − c − 1) · (1 + 2 (w − c − 1))`. The formula is integral, so
 /// the counted value equals the model's `f64` estimate bit-for-bit on any
@@ -39,7 +43,7 @@ pub(crate) fn factor_flops(m: usize, w: usize) -> u64 {
 }
 
 /// Factorizes block column `k`: runs panel LU with partial pivoting **in
-/// place** on the stored stacked panel and records the pivot sequence.
+/// place** on the stored panel and records the pivot sequence.
 pub fn factor_task(bm: &BlockMatrix, k: usize, pivot_threshold: f64) -> Result<(), LuError> {
     factor_task_with_rule(bm, k, PivotRule::Partial, pivot_threshold)
 }
@@ -124,11 +128,10 @@ pub fn factor_task_with_policy(
         .collect())
 }
 
-/// Updates block column `j` by the factored block column `k`:
-/// applies `k`'s pivot interchanges to column `j`, computes
-/// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and performs the Schur updates
-/// `B̄(I, j) ← B̄(I, j) − L(I, k) · Ū(k, j)` — each `L(I, k)` read as a
-/// strided row range of column `k`'s stored panel (zero copies).
+/// Updates block column `j` by the factored block column `k`: applies
+/// `k`'s pivot interchanges to column `j`, computes
+/// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds the Schur complement
+/// `−L̄_below(k) · Ū(k, j)` into the rows of column `j` that `R_k` names.
 pub fn update_task(bm: &BlockMatrix, k: usize, j: usize) {
     update_task_with(bm, k, j, &Dispatch::portable())
 }
@@ -142,8 +145,8 @@ pub fn update_task_with(bm: &BlockMatrix, k: usize, j: usize, kernels: &Dispatch
 }
 
 /// [`update_task_with`] with optional kernel-call metering: each executed
-/// `trsm`/`gemm` adds its call and its model flop count
-/// ([`crate::costs::estimate_task_costs`]'s formulas) to the registry.
+/// `trsm`/`gemm` adds its call and its flop count — the very shapes
+/// [`crate::costs::estimate_task_costs`] prices — to the registry.
 /// Counting never changes what runs — `None` is the production fast path.
 pub(crate) fn update_task_metered(
     bm: &BlockMatrix,
@@ -153,55 +156,84 @@ pub(crate) fn update_task_metered(
     metrics: Option<&MetricsRegistry>,
 ) {
     debug_assert!(k < j);
-    let stack = bm.stack(k);
+    let u = bm.layout().update(k, j);
     let col_k = bm.column(k).read();
     let mut col_j = bm.column(j).write();
+    replay_interchanges(bm, u, &col_k, &mut col_j);
+    solve_u_block(u, &col_k, &mut col_j, kernels, metrics);
+    let below = col_k.panel.nrows() - col_k.width();
+    schur_rows(bm, u, &col_k, &mut col_j, 0..below, kernels, metrics);
+}
+
+/// Stage 1 of `Update(k, j)`: the interchanges of `Factor(k)`, over the
+/// columns `S_kj`.
+pub(crate) fn replay_interchanges(
+    bm: &BlockMatrix,
+    u: &UpdateMap,
+    col_k: &ColumnData,
+    col_j: &mut ColumnData,
+) {
     let piv = col_k
         .pivots
         .as_ref()
         .expect("Update(k, j) scheduled before Factor(k)");
-
-    // 1. Apply the interchanges of Factor(k) to column j.
     for (c, &p) in piv.swaps().iter().enumerate() {
-        if c == p {
-            continue;
+        if c != p {
+            col_j.swap_rows(bm.layout(), u, c, p);
         }
-        col_j.swap_scalar_rows(stack.locate(c), stack.locate(p));
     }
+}
 
-    // 2. Ū(k, j) = L(k, k)⁻¹ · B̄(k, j) (unit lower triangular solve). The
-    //    diagonal block is the top square of column k's panel; B̄(k, j) is
-    //    in column j's U-region because k < j.
+/// Stage 2: `Ū(k, j) = L(k, k)⁻¹ · B̄(k, j)` (unit lower triangular solve)
+/// with the diagonal block read off the top of column `k`'s panel.
+pub(crate) fn solve_u_block(
+    u: &UpdateMap,
+    col_k: &ColumnData,
+    col_j: &mut ColumnData,
+    kernels: &Dispatch,
+    metrics: Option<&MetricsRegistry>,
+) {
     let w_k = col_k.width();
-    let w_j = col_j.width();
     let diag = col_k.panel.row_range(0..w_k);
-    let qk = col_j.find(k).expect("Update(k, j) requires block B̄(k, j)");
-    debug_assert!(qk < col_j.u_count());
-    kernels.trsm_lower_unit(diag, col_j.ublocks[qk].as_view_mut());
+    kernels.trsm_lower_unit(diag, col_j.ublocks[u.ublock()].as_view_mut());
     if let Some(reg) = metrics {
         reg.incr(Counter::TrsmCalls);
         reg.add(
             Counter::TrsmFlops,
-            (w_k * w_k.saturating_sub(1) * w_j) as u64,
+            (w_k * w_k.saturating_sub(1) * u.ncols()) as u64,
         );
     }
+}
 
-    // 3. Schur updates down the L blocks of column k. A missing destination
-    //    block means the contribution is structurally — hence exactly —
-    //    zero (see module docs), and can be skipped.
-    for (t, &ib) in stack.l_rows.iter().enumerate().skip(1) {
-        if let Some(q) = col_j.find(ib) {
-            let l_ik = col_k
-                .panel
-                .row_range(stack.offsets[t]..stack.offsets[t + 1]);
-            let (dst, u_kj) = col_j.dst_and_u(q, qk);
-            kernels.gemm_sub(dst, l_ik, u_kj);
-            if let Some(reg) = metrics {
-                let rows = stack.offsets[t + 1] - stack.offsets[t];
-                reg.incr(Counter::GemmCalls);
-                reg.add(Counter::GemmFlops, (2 * rows * w_k * w_j) as u64);
-            }
-        }
+/// Stage 3, for the positions `rows` of `R_k`: one `gemm` of those panel
+/// rows by `Ū(k, j)` into a scratch matrix, then the indexed add into
+/// column `j`. The coarse task passes all of `R_k`, a fine `Gemm` task the
+/// rows of one block row; per element the operations are the same.
+pub(crate) fn schur_rows(
+    bm: &BlockMatrix,
+    u: &UpdateMap,
+    col_k: &ColumnData,
+    col_j: &mut ColumnData,
+    rows: Range<usize>,
+    kernels: &Dispatch,
+    metrics: Option<&MetricsRegistry>,
+) {
+    let (m, s, w_k) = (rows.len(), u.ncols(), col_k.width());
+    if m == 0 {
+        return;
+    }
+    bm.with_scratch(m * s, |t| {
+        t.fill(0.0);
+        kernels.gemm_sub(
+            MatMut::from_slice(t, m, s, m),
+            col_k.panel.row_range(w_k + rows.start..w_k + rows.end),
+            col_j.ublocks[u.ublock()].as_view(),
+        );
+        col_j.scatter_add(bm.layout(), u, MatRef::from_slice(t, m, s, m), rows);
+    });
+    if let Some(reg) = metrics {
+        reg.incr(Counter::GemmCalls);
+        reg.add(Counter::GemmFlops, (2 * m * w_k * s) as u64);
     }
 }
 
@@ -218,16 +250,7 @@ pub(crate) fn update_task_metered(
 pub fn factor_left_looking(bm: &BlockMatrix, pivot_threshold: f64) -> Result<(), LuError> {
     let nb = bm.num_block_cols();
     for j in 0..nb {
-        // Sources = U-region block rows of column j, ascending.
-        let sources: Vec<usize> = {
-            let col = bm.column(j).read();
-            col.block_rows
-                .iter()
-                .copied()
-                .take_while(|&k| k < j)
-                .collect()
-        };
-        for k in sources {
+        for (k, _) in bm.sources(j) {
             update_task(bm, k, j);
         }
         factor_task(bm, j, pivot_threshold)?;
@@ -300,6 +323,70 @@ mod tests {
             }
         }
         a = CscMatrix::from_triplets(n, n, &trips).unwrap();
+        factor_and_check(&a);
+    }
+
+    /// `Factor(K)` exchanges a row of `K` with a row of a later block row
+    /// `I` whose block `Ū(I, J)` stores **more** columns than `Ū(K, J)`:
+    /// the replay runs over `S_KJ` only, and what `I` stores beyond it is
+    /// still zero at that step.
+    #[test]
+    fn interchange_into_a_block_with_more_columns() {
+        // K = {0}, I = {2}, J = {3, 4, 5}. Row 2 is a pivot candidate of
+        // columns 0 and 1; row 1 reaches column 4 and row 4 (a candidate of
+        // column 2) column 5, so row 2 ends up storing {3, 4, 5} of J while
+        // row 0 stores {3}. The diagonal of column 0 is tiny.
+        let mut trips = vec![
+            (0, 0, 1e-9),
+            (0, 3, 2.0),
+            (1, 1, 3.0),
+            (1, 4, -1.5),
+            (2, 0, 1.0),
+            (2, 1, 0.5),
+            (2, 2, 2.5),
+            (2, 3, -0.75),
+            (4, 2, 0.25),
+        ];
+        for i in 3..6 {
+            for j in 3..6 {
+                trips.push((
+                    i,
+                    j,
+                    if i == j {
+                        4.0
+                    } else {
+                        0.5 + (i + 2 * j) as f64 / 16.0
+                    },
+                ));
+            }
+        }
+        let a = CscMatrix::from_triplets(6, 6, &trips).unwrap();
+        let f = static_symbolic_factorization(a.pattern()).unwrap();
+        let bs = BlockStructure::new(&f, supernode_partition(&f));
+        let block_of = bs.partition.block_of_cols();
+        let (k, i, j) = (block_of[0], block_of[2], block_of[3]);
+        assert!(k < i && i < j && bs.partition.range(j) == (3..6));
+        assert_eq!(bs.u_cols_in(k, j), [3]);
+        assert_eq!(bs.u_cols_in(i, j), [3, 4, 5]);
+
+        let bm = BlockMatrix::assemble(&a, &bs);
+        let graph = build_eforest_graph(&bs);
+        factor_numeric_with(&bm, &NumericRequest::coarse(&graph, Mapping::Static1D)).unwrap();
+        let swaps = bm.column(k).read().pivots.clone().unwrap();
+        assert_eq!(bs.panel_row(k, swaps.swaps()[0]), 2, "row 0 went to row 2");
+
+        // The dense oracle makes the same choices, so its U is ours.
+        let mut dense = DenseMat::from_fn(6, 6, |r, c| a.get(r, c));
+        lu_full(&mut dense).unwrap();
+        bm.for_each_entry(|r, c, v| {
+            if r <= c {
+                assert!(
+                    (v - dense[(r, c)]).abs() < 1e-14,
+                    "U({r},{c}): {v} vs {}",
+                    dense[(r, c)]
+                );
+            }
+        });
         factor_and_check(&a);
     }
 

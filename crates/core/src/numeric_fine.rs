@@ -2,11 +2,12 @@
 //! (`Apply`/`Trsm`/`Gemm` stages per update — the paper's §6 future-work
 //! direction, see `splu_sched::fine`).
 //!
-//! The task bodies are split out of [`crate::update_task`]:
+//! The task bodies are the three stages of [`crate::update_task`]:
 //!
 //! * [`apply_task`] — apply `Factor(src)`'s interchanges to column `dst`;
 //! * [`trsm_task`] — `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)`;
-//! * [`gemm_task`] — one Schur update `B̄(row, dst) −= L(row, src)·Ū(src, dst)`.
+//! * [`gemm_task`] — the Schur update of the rows of block row `row`: one
+//!   destination segment of the coarse task's scatter.
 //!
 //! Because per-element write sets and orders are identical to the coarse
 //! tasks', the factored matrix is **bit-identical** to the coarse execution
@@ -17,27 +18,17 @@
 //! production 2D build would shard the locks per block.
 
 use crate::blocks::BlockMatrix;
+use crate::numeric::{replay_interchanges, schur_rows, solve_u_block};
 use splu_dense::Dispatch;
-use splu_obs::{Counter, MetricsRegistry};
+use splu_obs::MetricsRegistry;
 
 /// Applies `Factor(src)`'s pivot interchanges to block column `dst`.
 pub fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
     debug_assert!(src < dst);
-    let stack = bm.stack(src);
+    let u = bm.layout().update(src, dst);
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();
-    let piv = col_src
-        .pivots
-        .as_ref()
-        .expect("Apply(src, dst) scheduled before Factor(src)");
-    for (c, &p) in piv.swaps().iter().enumerate() {
-        if c == p {
-            continue;
-        }
-        // A side without storage in column dst is structurally zero there
-        // (see crate::numeric docs) and the swap degenerates to a no-op.
-        col_dst.swap_scalar_rows(stack.locate(c), stack.locate(p));
-    }
+    replay_interchanges(bm, u, &col_src, &mut col_dst);
 }
 
 /// Computes `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)` in place. The
@@ -61,26 +52,14 @@ pub(crate) fn trsm_task_metered(
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
+    let u = bm.layout().update(src, dst);
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();
-    let w = col_src.width();
-    let diag = col_src.panel.row_range(0..w);
-    let q = col_dst
-        .find(src)
-        .expect("Trsm(src, dst) requires block B̄(src, dst)");
-    debug_assert!(q < col_dst.u_count());
-    kernels.trsm_lower_unit(diag, col_dst.ublocks[q].as_view_mut());
-    if let Some(reg) = metrics {
-        reg.incr(Counter::TrsmCalls);
-        reg.add(
-            Counter::TrsmFlops,
-            (w * w.saturating_sub(1) * col_dst.width()) as u64,
-        );
-    }
+    solve_u_block(u, &col_src, &mut col_dst, kernels, metrics);
 }
 
-/// One Schur update: `B̄(row, dst) −= L(row, src) · Ū(src, dst)`, with
-/// `L(row, src)` read as a strided row range of column `src`'s panel.
+/// One Schur update: the rows of block row `row` that column `src`'s panel
+/// stores, times `Ū(src, dst)`, added into block `(row, dst)`.
 pub fn gemm_task(bm: &BlockMatrix, src: usize, dst: usize, row: usize) {
     gemm_task_with(bm, src, dst, row, &Dispatch::portable())
 }
@@ -101,30 +80,12 @@ pub(crate) fn gemm_task_metered(
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
-    let stack = bm.stack(src);
+    let lay = bm.layout();
+    let u = lay.update(src, dst);
+    let rows = lay.l_block_rows(src, row);
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();
-    let t = stack
-        .find_row(row)
-        .expect("Gemm(src, dst, row) requires L(row, src)");
-    let l = col_src
-        .panel
-        .row_range(stack.offsets[t]..stack.offsets[t + 1]);
-    let q_dst = col_dst
-        .find(row)
-        .expect("fine graph only schedules present destinations");
-    let q_u = col_dst.find(src).expect("Ū(src, dst) block exists");
-    debug_assert!(q_u < col_dst.u_count());
-    let (dst_blk, u_blk) = col_dst.dst_and_u(q_dst, q_u);
-    kernels.gemm_sub(dst_blk, l, u_blk);
-    if let Some(reg) = metrics {
-        let rows = stack.offsets[t + 1] - stack.offsets[t];
-        reg.incr(Counter::GemmCalls);
-        reg.add(
-            Counter::GemmFlops,
-            (2 * rows * col_src.width() * col_dst.width()) as u64,
-        );
-    }
+    schur_rows(bm, u, &col_src, &mut col_dst, rows, kernels, metrics);
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@
 //! The right-hand side is sharded into per-block-row segments behind cheap
 //! mutexes; since concurrent writers are element-disjoint, lock contention
 //! is the only cost and the result is **bit-identical** to the sequential
-//! solve (asserted by the tests).
+//! solve (asserted by the tests): both run `crate::solve`'s per-column
+//! steps.
 
 use crate::blocks::BlockMatrix;
+use crate::solve::{backward_diagonal, forward_column};
 use parking_lot::Mutex;
 use splu_sched::{run, ExecRequest};
 use splu_symbolic::supernode::BlockStructure;
@@ -71,22 +73,24 @@ pub fn solve_permuted_parallel(
         threads: nthreads,
         ..ExecRequest::new(&fwd_pred, &fwd_succ)
     };
+    let block_of = part.block_of_cols();
+    // (block row, row inside its segment) of a global row.
+    let locate = |r: usize| (block_of[r], r - part.range(block_of[r]).start);
     run(&forward, |k| {
-        let stack = bm.stack(k);
         let col = bm.column(k).read();
         let piv = col
             .pivots
             .as_ref()
             .expect("solve requires a completed factorization");
-        // Apply interchanges. Swapped rows live in this column's stack
+        // Apply interchanges. Swapped rows live in this column's panel
         // (its own block row + ancestors) — disjoint from concurrent
         // sibling work, but possibly in shared segments: lock per swap.
         for (c, &p) in piv.swaps().iter().enumerate() {
             if c == p {
                 continue;
             }
-            let (ib1, r1) = stack.locate(c);
-            let (ib2, r2) = stack.locate(p);
+            let (ib1, r1) = locate(bs.panel_row(k, c));
+            let (ib2, r2) = locate(bs.panel_row(k, p));
             if ib1 == ib2 {
                 let mut seg = shards.segs[ib1].lock();
                 seg.swap(r1, r2);
@@ -99,38 +103,22 @@ pub fn solve_permuted_parallel(
                 std::mem::swap(&mut s_lo[rlo], &mut s_hi[rhi]);
             }
         }
-        // Unit-lower solve on the diagonal block.
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        let mut yk = {
-            let seg = shards.segs[k].lock();
-            seg.clone()
-        };
-        for c in 0..w {
-            let s = yk[c];
-            if s != 0.0 {
-                let dcol = diag.col(c);
-                for r in c + 1..w {
-                    yk[r] -= dcol[r] * s;
-                }
-            }
-        }
+        // Unit-lower solve on the diagonal block, and the product headed
+        // for the rows below.
+        let rows = bs.l_rows.col(k);
+        let mut y = vec![0.0; rows.len()];
         {
             let mut seg = shards.segs[k].lock();
-            seg.copy_from_slice(&yk);
+            forward_column(&col.panel, &mut seg, &mut y);
         }
-        // Eliminate the sub-diagonal blocks.
-        for &ib in &stack.l_rows[1..] {
-            let blk = col.block(ib).expect("L block exists");
+        // Add it in, one lock per block row the rows fall into.
+        let mut t = 0;
+        while t < rows.len() {
+            let (ib, _) = locate(rows[t]);
             let mut seg = shards.segs[ib].lock();
-            for c in 0..w {
-                let s = yk[c];
-                if s != 0.0 {
-                    let bcol = blk.col(c);
-                    for (r, &v) in bcol.iter().enumerate() {
-                        seg[r] -= v * s;
-                    }
-                }
+            while t < rows.len() && rows[t] < part.range(ib).end {
+                seg[rows[t] - part.range(ib).start] += y[t];
+                t += 1;
             }
         }
     })
@@ -150,8 +138,7 @@ pub fn solve_permuted_parallel(
         // Sources per destination block row, ascending; chain descending.
         let mut sources: Vec<Vec<usize>> = vec![Vec::new(); nb];
         for j in 0..nb {
-            let col = bm.column(j).read();
-            for &ib in col.block_rows.iter().take_while(|&&ib| ib < j) {
+            for (ib, _) in bm.sources(j) {
                 sources[ib].push(j);
             }
         }
@@ -177,38 +164,18 @@ pub fn solve_permuted_parallel(
     };
     run(&backward, |k| {
         let col = bm.column(k).read();
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        let mut xk = {
-            let seg = shards.segs[k].lock();
+        let xk = {
+            let mut seg = shards.segs[k].lock();
+            backward_diagonal(&col.panel, &mut seg);
             seg.clone()
         };
-        for c in (0..w).rev() {
-            let dcol = diag.col(c);
-            xk[c] /= dcol[c];
-            let s = xk[c];
-            if s != 0.0 {
-                for r in 0..c {
-                    xk[r] -= dcol[r] * s;
-                }
-            }
-        }
-        {
-            let mut seg = shards.segs[k].lock();
-            seg.copy_from_slice(&xk);
-        }
-        for (pos, &ib) in col.block_rows.iter().enumerate() {
-            if ib >= k {
-                break;
-            }
-            let blk = &col.ublocks[pos];
+        for (blk, (ib, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
             let mut seg = shards.segs[ib].lock();
-            for c in 0..w {
-                let s = xk[c];
+            for (x, &lc) in cols.iter().enumerate() {
+                let s = xk[lc as usize];
                 if s != 0.0 {
-                    let bcol = blk.col(c);
-                    for (r, &v) in bcol.iter().enumerate() {
-                        seg[r] -= v * s;
+                    for (xr, &v) in seg.iter_mut().zip(blk.col(x)) {
+                        *xr -= v * s;
                     }
                 }
             }
@@ -217,7 +184,6 @@ pub fn solve_permuted_parallel(
     .rethrow();
 
     shards.gather(b, bs);
-    let _ = part;
 }
 
 #[cfg(test)]

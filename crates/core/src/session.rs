@@ -31,7 +31,7 @@
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
 //! over this API) scales the values before handing them to the session.
 
-use crate::blocks::BlockMatrix;
+use crate::blocks::{BlockMatrix, ValueSlot};
 use crate::observe::ObsSession;
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
@@ -40,29 +40,35 @@ use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use std::sync::Arc;
 
-/// FNV-1a hash of a sparsity pattern (dimensions, column pointers, row
-/// indices) — the session cache key. Two matrices share a hash exactly when
-/// they share the structure the symbolic phases consume, so cached
-/// orderings, fill, supernodes, and task graphs apply to either.
+/// Hash of a sparsity pattern (dimensions, column pointers, row indices) —
+/// the session cache key. Two matrices share a hash exactly when they share
+/// the structure the symbolic phases consume (up to 64-bit collisions), so
+/// cached orderings, fill, supernodes, and task graphs apply to either.
+///
+/// One multiply-rotate step per word and a splitmix64-style avalanche at
+/// the end: it runs on every `factor` and `refactor`. The value is compared
+/// within one process only and never persisted, so the function may change
+/// between versions.
 pub fn pattern_hash(pattern: &SparsityPattern) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    const MUL: u64 = 0xbf58_476d_1ce4_e5b9;
     #[inline]
-    fn eat(h: &mut u64, x: u64) {
-        for b in x.to_le_bytes() {
-            *h = (*h ^ b as u64).wrapping_mul(PRIME);
-        }
+    fn eat(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(MUL).rotate_left(29)
     }
-    let mut h = OFFSET;
-    eat(&mut h, pattern.nrows() as u64);
-    eat(&mut h, pattern.ncols() as u64);
+    let mut h = eat(SEED, pattern.nrows() as u64);
+    h = eat(h, pattern.ncols() as u64);
     for &p in pattern.col_ptr() {
-        eat(&mut h, p as u64);
+        h = eat(h, p as u64);
     }
     for &i in pattern.row_indices() {
-        eat(&mut h, i as u64);
+        h = eat(h, i as u64);
     }
-    h
+    h ^= h >> 30;
+    h = h.wrapping_mul(MUL);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 /// Rejects non-finite entries, naming the first offending column — checked
@@ -80,21 +86,6 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
     Ok(())
 }
 
-/// Where the `t`-th nonzero of the (original-order) input lands inside the
-/// block storage — precomputed once so a refactorization scatters values
-/// with plain indexed stores, no permutation lookups and no allocation.
-#[derive(Debug, Clone, Copy)]
-struct ScatterEntry {
-    /// Destination block column.
-    jb: u32,
-    /// Index into the column's `ublocks`, or `u32::MAX` for the panel.
-    ublock: u32,
-    /// Column-major flat index inside that dense storage.
-    flat: u32,
-}
-
-const SCATTER_PANEL: u32 = u32::MAX;
-
 /// A persistent solver session: cached symbolic analysis + task graph +
 /// executor schedule for one sparsity pattern, with reusable numeric
 /// storage. See the [module docs](self) for the lifecycle.
@@ -104,7 +95,9 @@ pub struct SluSession {
     schedule: Arc<ExecSchedule>,
     pattern_hash: u64,
     bm: Option<BlockMatrix>,
-    scatter: Vec<ScatterEntry>,
+    /// Where each nonzero of the (original-order) input lands inside the
+    /// block storage, in `values()` order.
+    scatter: Vec<ValueSlot>,
     health: FactorHealth,
     factored: bool,
     budget: RunBudget,
@@ -157,7 +150,7 @@ impl SluSession {
         })
     }
 
-    /// The cache key: the FNV-1a hash of the analyzed pattern.
+    /// The cache key: [`pattern_hash`] of the analyzed pattern.
     pub fn pattern_hash(&self) -> u64 {
         self.pattern_hash
     }
@@ -222,11 +215,9 @@ impl SluSession {
         }
         self.check_pattern(a)?;
         check_finite(a)?;
-        self.bm
-            .as_mut()
-            .expect("storage checked above")
-            .reset_values();
-        self.scatter_values(a);
+        let bm = self.bm.as_mut().expect("storage checked above");
+        bm.reset_values();
+        bm.store_values(&self.scatter, a.values());
         self.run_numeric(obs)
     }
 
@@ -244,76 +235,21 @@ impl SluSession {
     }
 
     /// Replaces the storage by freshly allocated zeros holding `a`'s
-    /// values; the first call also derives the scatter map that puts them
-    /// there (and that every later factor and refactor reuses).
+    /// values; the first call also builds the index maps of the storage and
+    /// the scatter map that puts the values there (every later factor and
+    /// refactor reuses both).
     fn assemble_fresh(&mut self, a: &CscMatrix) {
         // The old factors go first, so two copies never coexist.
-        self.bm = None;
-        let bm = BlockMatrix::zeros(&self.sym.block_structure);
+        let bm = match self.bm.take() {
+            Some(old) => old.into_zeros(),
+            None => BlockMatrix::zeros(&self.sym.block_structure),
+        };
         // (An empty map is that of an empty matrix: rebuilding it is free.)
         if self.scatter.is_empty() {
-            self.scatter = Self::build_scatter(&self.sym, a.pattern(), &bm);
+            let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+            self.scatter = bm.value_slots(a.pattern(), |i| rows.new_of(i), |j| cols.old_of(j));
         }
-        self.bm = Some(bm);
-        self.scatter_values(a);
-    }
-
-    /// Stores `a`'s values into the (zeroed) storage through the scatter
-    /// map: plain indexed stores, no permutation lookups, no allocation.
-    fn scatter_values(&mut self, a: &CscMatrix) {
-        let bm = self.bm.as_mut().expect("storage allocated by the caller");
-        let values = a.values();
-        debug_assert_eq!(values.len(), self.scatter.len());
-        for (e, &v) in self.scatter.iter().zip(values) {
-            let col = bm.column_mut(e.jb as usize);
-            let dst = if e.ublock == SCATTER_PANEL {
-                col.panel.data_mut()
-            } else {
-                col.ublocks[e.ublock as usize].data_mut()
-            };
-            dst[e.flat as usize] = v;
-        }
-    }
-
-    /// Derives, for each nonzero of the analyzed (original-order) pattern
-    /// in `values()` order, its destination inside the block storage from
-    /// the two permutations and the block layout of `bm`.
-    fn build_scatter(
-        sym: &SymbolicLu,
-        pattern: &SparsityPattern,
-        bm: &BlockMatrix,
-    ) -> Vec<ScatterEntry> {
-        let part = &sym.block_structure.partition;
-        let block_of = part.block_of_cols();
-        let mut scatter = Vec::with_capacity(pattern.nnz());
-        for j in 0..pattern.ncols() {
-            let nj = sym.col_perm.new_of(j);
-            let jb = block_of[nj];
-            let lj = nj - part.range(jb).start;
-            let col = bm.column(jb).read();
-            for &i in pattern.col(j) {
-                let ni = sym.row_perm.new_of(i);
-                let ib = block_of[ni];
-                let li = ni - part.range(ib).start;
-                let pos = col
-                    .find(ib)
-                    .expect("original entry outside the filled block structure");
-                let (ublock, flat) = if pos < col.u_count() {
-                    let nrows = col.ublocks[pos].nrows();
-                    (pos as u32, (lj * nrows + li) as u32)
-                } else {
-                    let t = pos - col.u_count();
-                    let nrows = col.panel.nrows();
-                    (SCATTER_PANEL, (lj * nrows + col.l_offsets[t] + li) as u32)
-                };
-                scatter.push(ScatterEntry {
-                    jb: jb as u32,
-                    ublock,
-                    flat,
-                });
-            }
-        }
-        scatter
+        self.bm.insert(bm).store_values(&self.scatter, a.values());
     }
 
     fn run_numeric(&mut self, obs: Option<&ObsSession>) -> Result<(), LuError> {
@@ -508,8 +444,8 @@ impl SluSession {
         let numeric = self
             .bm
             .as_ref()
-            .map_or(0, |bm| 8 * bm.storage_words() as u64);
-        let scatter = (self.scatter.len() * std::mem::size_of::<ScatterEntry>()) as u64;
+            .map_or(0, |bm| 8 * bm.storage_words() as u64 + bm.map_bytes());
+        let scatter = (self.scatter.len() * std::mem::size_of::<ValueSlot>()) as u64;
         symbolic + graph + numeric + scatter
     }
 
@@ -570,6 +506,28 @@ mod tests {
         assert_ne!(pattern_hash(a.pattern()), pattern_hash(c.pattern()));
         let d = random_matrix(26, 70, 3);
         assert_ne!(pattern_hash(a.pattern()), pattern_hash(d.pattern()));
+    }
+
+    /// Every word feeds the hash: one moved row index, one shifted column
+    /// pointer, and swapped dimensions each change it.
+    #[test]
+    fn pattern_hash_sees_single_word_changes() {
+        let rect = |nrows, ncols, ptr: &[usize], idx: &[usize]| {
+            pattern_hash(&SparsityPattern::new(nrows, ncols, ptr.to_vec(), idx.to_vec()).unwrap())
+        };
+        let base = rect(5, 4, &[0, 2, 3, 5, 6], &[0, 3, 1, 2, 4, 3]);
+        // Row index 3 of column 0 moved to 4.
+        assert_ne!(base, rect(5, 4, &[0, 2, 3, 5, 6], &[0, 4, 1, 2, 4, 3]));
+        // The entry at row 1 handed from column 1 to column 0.
+        assert_ne!(base, rect(5, 4, &[0, 3, 3, 5, 6], &[0, 1, 3, 2, 4, 3]));
+        // Same arrays, one more row; and the two dimensions swapped.
+        let ptr = [0usize, 1, 2, 3];
+        let idx = [0usize, 1, 2];
+        assert_ne!(rect(3, 3, &ptr, &idx), rect(4, 3, &ptr, &idx));
+        assert_ne!(
+            pattern_hash(&SparsityPattern::empty(2, 3)),
+            pattern_hash(&SparsityPattern::empty(3, 2)),
+        );
     }
 
     #[test]

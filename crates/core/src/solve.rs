@@ -5,9 +5,25 @@
 //! S*: a pivot sequence is broadcast, never written back). The forward
 //! solve therefore interleaves each block column's interchanges right before
 //! eliminating with it, exactly mirroring the factorization's update order.
+//!
+//! The sweeps follow the compact storage: the sub-diagonal panel of a block
+//! column multiplies the solved segment into a scratch vector that is then
+//! added at the rows `R_k` ([`BlockStructure::l_rows`]); a `Ū(i, k)` block
+//! multiplies the entries of the segment at its stored columns `S_ik` into
+//! the (contiguous) rows of `i`. [`solve_many_permuted`] does the same with
+//! the BLAS-3 kernels, and [`crate::solve_permuted_parallel`] the same per
+//! task, so all three agree bit for bit.
 
 use crate::blocks::BlockMatrix;
 use splu_symbolic::supernode::BlockStructure;
+
+/// Longest row list `|R_k|` — the scratch a sweep needs.
+pub(crate) fn max_rows_below(bs: &BlockStructure) -> usize {
+    (0..bs.num_blocks())
+        .map(|k| bs.l_rows.col(k).len())
+        .max()
+        .unwrap_or(0)
+}
 
 /// Solves `Ā x = b` **in factorization order**: `b` is the right-hand side
 /// already permuted by the driver's total row permutation; the result is the
@@ -16,51 +32,26 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
     assert_eq!(b.len(), bm.n(), "rhs length mismatch");
     let part = &bs.partition;
     let nb = bm.num_block_cols();
+    let mut scratch = vec![0.0; max_rows_below(bs)];
 
     // Forward sweep: apply interchanges, solve the unit-lower diagonal
-    // block, then eliminate the sub-diagonal blocks.
+    // block, then eliminate the rows below through the scratch vector.
     for k in 0..nb {
-        let stack = bm.stack(k);
         let col = bm.column(k).read();
         let piv = col
             .pivots
             .as_ref()
             .expect("solve requires a completed factorization");
-        let k_start = part.range(k).start;
-        let global_row = |pos: usize| -> usize {
-            let (ib, local) = stack.locate(pos);
-            part.range(ib).start + local
-        };
         for (c, &p) in piv.swaps().iter().enumerate() {
             if c != p {
-                b.swap(global_row(c), global_row(p));
+                b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
             }
         }
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        // Unit-lower solve within the diagonal block.
-        for c in 0..w {
-            let s = b[k_start + c];
-            if s != 0.0 {
-                let dcol = diag.col(c);
-                for r in c + 1..w {
-                    b[k_start + r] -= dcol[r] * s;
-                }
-            }
-        }
-        // Eliminate the L blocks below.
-        for &ib in &stack.l_rows[1..] {
-            let blk = col.block(ib).expect("L block exists");
-            let i_start = part.range(ib).start;
-            for c in 0..w {
-                let s = b[k_start + c];
-                if s != 0.0 {
-                    let bcol = blk.col(c);
-                    for (r, &v) in bcol.iter().enumerate() {
-                        b[i_start + r] -= v * s;
-                    }
-                }
-            }
+        let (start, rows) = (part.range(k).start, bs.l_rows.col(k));
+        let y = &mut scratch[..rows.len()];
+        forward_column(&col.panel, &mut b[start..start + col.width()], y);
+        for (&r, &v) in rows.iter().zip(&*y) {
+            b[r] += v;
         }
     }
 
@@ -68,34 +59,52 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
     // eliminate the U blocks above.
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        let k_start = part.range(k).start;
-        for c in (0..w).rev() {
-            let dcol = diag.col(c);
-            b[k_start + c] /= dcol[c];
-            let s = b[k_start + c];
-            if s != 0.0 {
-                for r in 0..c {
-                    b[k_start + r] -= dcol[r] * s;
+        let (head, tail) = b.split_at_mut(part.range(k).start);
+        let xk = &mut tail[..col.width()];
+        backward_diagonal(&col.panel, xk);
+        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+            let xi = &mut head[part.range(src)];
+            for (x, &lc) in cols.iter().enumerate() {
+                let s = xk[lc as usize];
+                if s != 0.0 {
+                    for (xr, &v) in xi.iter_mut().zip(blk.col(x)) {
+                        *xr -= v * s;
+                    }
                 }
             }
         }
-        // U-region blocks of column k (block rows < k).
-        for (pos, &ib) in col.block_rows.iter().enumerate() {
-            if ib >= k {
-                break;
+    }
+}
+
+/// One block column of the forward sweep: the unit-lower solve on the
+/// diagonal block in `xk`, and `y = −L̄_below · xk`. One pass over the
+/// panel.
+pub(crate) fn forward_column(panel: &splu_dense::DenseMat, xk: &mut [f64], y: &mut [f64]) {
+    let w = xk.len();
+    y.fill(0.0);
+    for c in 0..w {
+        let s = xk[c];
+        if s != 0.0 {
+            let pcol = panel.col(c);
+            for r in c + 1..w {
+                xk[r] -= pcol[r] * s;
             }
-            let blk = &col.ublocks[pos];
-            let i_start = part.range(ib).start;
-            for c in 0..w {
-                let s = b[k_start + c];
-                if s != 0.0 {
-                    let bcol = blk.col(c);
-                    for (r, &v) in bcol.iter().enumerate() {
-                        b[i_start + r] -= v * s;
-                    }
-                }
+            for (yt, &v) in y.iter_mut().zip(&pcol[w..]) {
+                *yt -= v * s;
+            }
+        }
+    }
+}
+
+/// The upper-triangular solve on the diagonal block of one block column.
+pub(crate) fn backward_diagonal(panel: &splu_dense::DenseMat, xk: &mut [f64]) {
+    for c in (0..xk.len()).rev() {
+        let pcol = panel.col(c);
+        xk[c] /= pcol[c];
+        let s = xk[c];
+        if s != 0.0 {
+            for r in 0..c {
+                xk[r] -= pcol[r] * s;
             }
         }
     }
@@ -114,87 +123,67 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
     let part = &bs.partition;
     let nb = bm.num_block_cols();
 
-    // Ūᵀ y = b: left-looking forward sweep over block rows. The U-region
-    // blocks of column k are exactly the transposed contributions into
-    // block k.
+    // Ūᵀ y = b: left-looking forward sweep over block rows. The U blocks of
+    // column k are exactly the transposed contributions into block k.
     for k in 0..nb {
         let col = bm.column(k).read();
-        let k_start = part.range(k).start;
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        // Subtract U(i, k)ᵀ · y_i for every U-region block i < k.
-        for (pos, &ib) in col.block_rows.iter().enumerate() {
-            if ib >= k {
-                break;
-            }
-            let blk = &col.ublocks[pos];
-            let i_start = part.range(ib).start;
-            for c in 0..w {
-                let bcol = blk.col(c);
-                let mut s = 0.0;
-                for (r, &v) in bcol.iter().enumerate() {
-                    s += v * b[i_start + r];
-                }
-                b[k_start + c] -= s;
+        let (head, tail) = b.split_at_mut(part.range(k).start);
+        let yk = &mut tail[..col.width()];
+        // Subtract Ū(i, k)ᵀ · y_i for every source i < k.
+        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+            let yi = &head[part.range(src)];
+            for (x, &lc) in cols.iter().enumerate() {
+                let dot: f64 = blk.col(x).iter().zip(yi).map(|(&v, &y)| v * y).sum();
+                yk[lc as usize] -= dot;
             }
         }
         // Diagonal block: Uᵀ is lower triangular → forward substitution
         // over the local columns of U (rows of Uᵀ).
-        for c in 0..w {
-            let dcol = diag.col(c);
-            let mut s = b[k_start + c];
-            for (r, &v) in dcol.iter().enumerate().take(c) {
-                s -= v * b[k_start + r];
+        for c in 0..yk.len() {
+            let dcol = col.panel.col(c);
+            let mut s = yk[c];
+            for r in 0..c {
+                s -= dcol[r] * yk[r];
             }
-            b[k_start + c] = s / dcol[c];
+            yk[c] = s / dcol[c];
         }
     }
 
     // x = Π_{k=N..1} (Pᵏᵀ Lᵏ⁻ᵀ) y: per block column from the last to the
-    // first, a transposed unit-triangular solve over the stacked panel,
-    // then the interchanges in reverse.
+    // first, a transposed unit-triangular solve over the panel, then the
+    // interchanges in reverse.
+    let mut gathered = vec![0.0; max_rows_below(bs)];
     for k in (0..nb).rev() {
-        let stack = bm.stack(k);
         let col = bm.column(k).read();
-        let diag = col.block(k).expect("diagonal block exists");
-        let w = diag.ncols();
-        let k_start = part.range(k).start;
-        // Subtract L(i, k)ᵀ · x_i for the sub-diagonal blocks, into the
-        // diagonal segment.
-        for &ib in &stack.l_rows[1..] {
-            let blk = col.block(ib).expect("L block exists");
-            let i_start = part.range(ib).start;
-            for c in 0..w {
-                let bcol = blk.col(c);
-                let mut s = 0.0;
-                for (r, &v) in bcol.iter().enumerate() {
-                    s += v * b[i_start + r];
-                }
-                b[k_start + c] -= s;
-            }
+        let (start, w, rows) = (part.range(k).start, col.width(), bs.l_rows.col(k));
+        // Subtract L̄_belowᵀ · x_{R_k} from the diagonal segment.
+        let xr = &mut gathered[..rows.len()];
+        for (g, &r) in xr.iter_mut().zip(rows) {
+            *g = b[r];
+        }
+        for c in 0..w {
+            let below = &col.panel.col(c)[w..];
+            let dot: f64 = below.iter().zip(&*xr).map(|(&v, &x)| v * x).sum();
+            b[start + c] -= dot;
         }
         // Lᵀ of the unit-lower diagonal block is unit upper: backward
         // substitution over local columns, x_c ← x_c − Σ_{r>c} L(r,c)·x_r.
         for c in (0..w).rev() {
-            let dcol = diag.col(c);
-            let mut s = b[k_start + c];
+            let dcol = col.panel.col(c);
+            let mut s = b[start + c];
             for r in c + 1..w {
-                s -= dcol[r] * b[k_start + r];
+                s -= dcol[r] * b[start + r];
             }
-            b[k_start + c] = s;
+            b[start + c] = s;
         }
         // Apply the interchanges of Factor(k) in reverse.
         let piv = col
             .pivots
             .as_ref()
             .expect("solve requires a completed factorization");
-        let global_row = |pos: usize| -> usize {
-            let (ib, local) = stack.locate(pos);
-            part.range(ib).start + local
-        };
         for (c, &p) in piv.swaps().iter().enumerate().rev() {
             if c != p {
-                b.swap(global_row(c), global_row(p));
+                b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
             }
         }
     }
@@ -209,7 +198,7 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
 /// off-diagonal eliminations) — the multi-RHS payoff of the supernodal
 /// storage.
 pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64], nrhs: usize) {
-    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatRef};
+    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatMut, MatRef};
     let n = bm.n();
     assert_eq!(b.len(), n * nrhs, "rhs block size mismatch");
     if n == 0 || nrhs == 0 {
@@ -221,61 +210,70 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     // X as a dense n × nrhs matrix (column-major, same layout as `b`); the
     // kernels work on row ranges of it in place.
     let mut x = DenseMat::from_col_major(n, nrhs, b.to_vec());
-    // The one copy a step needs: X_k, which the eliminations read while
-    // they write other rows of X.
-    let max_w = (0..nb).map(|k| part.width(k)).max().unwrap_or(0);
-    let mut xk_buf = vec![0.0; max_w * nrhs];
-    fn copy_rows<'a>(x: &DenseMat, rows: std::ops::Range<usize>, buf: &'a mut [f64]) -> MatRef<'a> {
-        let (w, nrhs) = (rows.len(), x.ncols());
+    // The copies a step needs: the rows of X_k an elimination reads while
+    // it writes other rows of X, and the product headed for the rows R_k.
+    let mut xk_buf = vec![0.0; part.max_width() * nrhs];
+    let mut t_buf = vec![0.0; max_rows_below(bs) * nrhs];
+    /// The rows `rows` of `x`, gathered into `buf`.
+    fn gather<'a>(
+        x: &DenseMat,
+        rows: impl ExactSizeIterator<Item = usize> + Clone,
+        buf: &'a mut [f64],
+    ) -> MatRef<'a> {
+        let (m, nrhs) = (rows.len(), x.ncols());
         for c in 0..nrhs {
-            buf[c * w..(c + 1) * w].copy_from_slice(&x.col(c)[rows.clone()]);
+            let xc = x.col(c);
+            for (dst, r) in buf[c * m..(c + 1) * m].iter_mut().zip(rows.clone()) {
+                *dst = xc[r];
+            }
         }
-        MatRef::from_slice(&buf[..w * nrhs], w, nrhs, w)
+        MatRef::from_slice(&buf[..m * nrhs], m, nrhs, m)
     }
 
     // Forward sweep.
     for k in 0..nb {
-        let stack = bm.stack(k);
         let col = bm.column(k).read();
         let piv = col
             .pivots
             .as_ref()
             .expect("solve requires a completed factorization");
-        let k_range = part.range(k);
-        let global_row = |pos: usize| -> usize {
-            let (ib, local) = stack.locate(pos);
-            part.range(ib).start + local
-        };
         for (c, &p) in piv.swaps().iter().enumerate() {
             if c != p {
-                x.swap_rows(global_row(c), global_row(p));
+                x.swap_rows(bs.panel_row(k, c), bs.panel_row(k, p));
             }
         }
-        let diag = col.block(k).expect("diagonal block exists");
-        kernels.trsm_lower_unit(diag, x.row_range_mut(k_range.clone()));
-        let xk = copy_rows(&x, k_range, &mut xk_buf);
-        // Eliminate below: X_i -= L(i, k) · X_k.
-        for &ib in &stack.l_rows[1..] {
-            let blk = col.block(ib).expect("L block exists");
-            let i_start = part.range(ib).start;
-            kernels.gemm_sub(x.row_range_mut(i_start..i_start + blk.nrows()), blk, xk);
+        let (k_range, w, rows) = (part.range(k), col.width(), bs.l_rows.col(k));
+        kernels.trsm_lower_unit(col.panel.row_range(0..w), x.row_range_mut(k_range.clone()));
+        if rows.is_empty() {
+            continue;
+        }
+        // T = −L̄_below · X_k, then X_{R_k} += T.
+        let xk = gather(&x, k_range, &mut xk_buf);
+        let m = rows.len();
+        let t = &mut t_buf[..m * nrhs];
+        t.fill(0.0);
+        kernels.gemm_sub(
+            MatMut::from_slice(t, m, nrhs, m),
+            col.panel.row_range(w..w + m),
+            xk,
+        );
+        for c in 0..nrhs {
+            let xc = x.col_mut(c);
+            for (&r, &v) in rows.iter().zip(&t[c * m..(c + 1) * m]) {
+                xc[r] += v;
+            }
         }
     }
 
     // Backward sweep.
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
-        let diag = col.block(k).expect("diagonal block exists");
-        let k_range = part.range(k);
-        kernels.trsm_upper(diag, x.row_range_mut(k_range.clone()));
-        let xk = copy_rows(&x, k_range, &mut xk_buf);
-        for (pos, &ib) in col.block_rows.iter().enumerate() {
-            if ib >= k {
-                break;
-            }
-            let blk = col.ublocks[pos].as_view();
-            let i_start = part.range(ib).start;
-            kernels.gemm_sub(x.row_range_mut(i_start..i_start + blk.nrows()), blk, xk);
+        let (k_range, w) = (part.range(k), col.width());
+        kernels.trsm_upper(col.panel.row_range(0..w), x.row_range_mut(k_range.clone()));
+        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+            let stored = cols.iter().map(|&lc| k_range.start + lc as usize);
+            let xs = gather(&x, stored, &mut xk_buf);
+            kernels.gemm_sub(x.row_range_mut(part.range(src)), blk.as_view(), xs);
         }
     }
     b.copy_from_slice(x.data());
@@ -293,9 +291,8 @@ pub fn det_permuted(bm: &BlockMatrix, bs: &BlockStructure) -> (f64, f64) {
     let mut ln_abs = 0.0_f64;
     for k in 0..bm.num_block_cols() {
         let col = bm.column(k).read();
-        let diag = col.block(k).expect("diagonal block exists");
         for c in 0..part.width(k) {
-            let d = diag[(c, c)];
+            let d = col.panel[(c, c)];
             if d == 0.0 {
                 return (0.0, f64::NEG_INFINITY);
             }

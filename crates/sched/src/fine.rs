@@ -260,15 +260,12 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
     }
 }
 
-/// Per-task time for the fine decomposition under a grid and model.
+/// Per-task time for the fine decomposition under a grid and model, over
+/// the shapes of the compact storage: `|R_k|` stored rows below supernode
+/// `k`, `|S_kj|` stored columns of `Ū(k, j)`.
 fn fine_task_time(bs: &BlockStructure, grid: &Grid, model: &CostModel, t: FineTask) -> f64 {
     let w = |b: usize| bs.partition.width(b) as f64;
-    let stack_height = |k: usize| -> f64 {
-        bs.l_blocks[k]
-            .iter()
-            .map(|&ib| bs.partition.width(ib))
-            .sum::<usize>() as f64
-    };
+    let stack_height = |k: usize| -> f64 { w(k) + bs.l_rows.col(k).len() as f64 };
     let remote = |a: (usize, usize), b: (usize, usize)| -> bool {
         grid.nprocs() > 1 && grid.owner(a.0, a.1) != grid.owner(b.0, b.1)
     };
@@ -294,7 +291,7 @@ fn fine_task_time(bs: &BlockStructure, grid: &Grid, model: &CostModel, t: FineTa
         }
         FineTask::Apply { src, dst } => {
             let wk = w(src);
-            let wj = w(dst);
+            let wj = bs.u_cols_in(src, dst).len() as f64;
             let comm = if remote((src, src), (src, dst)) {
                 wk * model.seconds_per_word
             } else {
@@ -304,7 +301,7 @@ fn fine_task_time(bs: &BlockStructure, grid: &Grid, model: &CostModel, t: FineTa
         }
         FineTask::Trsm { src, dst } => {
             let wk = w(src);
-            let wj = w(dst);
+            let wj = bs.u_cols_in(src, dst).len() as f64;
             let comm = if remote((src, src), (src, dst)) {
                 wk * wk * model.seconds_per_word
             } else {
@@ -314,8 +311,8 @@ fn fine_task_time(bs: &BlockStructure, grid: &Grid, model: &CostModel, t: FineTa
         }
         FineTask::Gemm { src, dst, row } => {
             let wk = w(src);
-            let wj = w(dst);
-            let wi = w(row);
+            let wj = bs.u_cols_in(src, dst).len() as f64;
+            let wi = bs.l_rows_in(src, row).len() as f64;
             let mut comm = 0.0;
             if remote((row, src), (row, dst)) {
                 comm += wi * wk * model.seconds_per_word; // L(i, k)

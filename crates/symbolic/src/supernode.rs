@@ -243,31 +243,62 @@ pub fn amalgamate(f: &FilledLu, base: &Partition, opts: &SupernodeOptions) -> Pa
     Partition::from_starts(starts)
 }
 
-/// Sorted distinct blocks holding the entries of `cols`' columns `range`.
-/// `mark` is stamped, never cleared: `stamp` must be new to it.
-fn touched_blocks(
+/// Sorted distinct indices at or beyond `range.end` that the lists of
+/// `cols` over `range` reach — the union fallback for a block that is not a
+/// parent chain. `mark` is stamped, never cleared: `stamp` must be new to
+/// it.
+fn union_beyond(
     cols: &SparsityPattern,
     range: std::ops::Range<usize>,
-    block_of: &[usize],
-    mark: &mut [usize],
+    mark: &mut Vec<usize>,
     stamp: usize,
 ) -> Vec<usize> {
-    let mut blocks = Vec::new();
+    mark.resize(cols.nrows(), usize::MAX);
+    let end = range.end;
+    let mut out = Vec::new();
     for k in range {
         for &x in cols.col(k) {
-            let b = block_of[x];
-            if mark[b] != stamp {
-                mark[b] = stamp;
-                blocks.push(b);
+            if x >= end && mark[x] != stamp {
+                mark[x] = stamp;
+                out.push(x);
             }
         }
     }
-    blocks.sort_unstable();
+    out.sort_unstable();
+    out
+}
+
+/// The entries of the ascending `list` that fall inside `range`.
+fn within(list: &[usize], range: std::ops::Range<usize>) -> &[usize] {
+    let lo = list.partition_point(|&x| x < range.start);
+    let hi = list.partition_point(|&x| x < range.end);
+    &list[lo..hi]
+}
+
+/// `k` followed by the distinct blocks of the ascending indices `outside`.
+fn blocks_of(k: usize, outside: &[usize], block_of: &[usize]) -> Vec<usize> {
+    let mut blocks = vec![k];
+    for &x in outside {
+        let b = block_of[x];
+        if blocks.last() != Some(&b) {
+            blocks.push(b);
+        }
+    }
     blocks
 }
 
 /// Block structure of the filled matrix under a partition: which submatrix
-/// blocks `B̄(I, J)` are structurally nonzero.
+/// blocks `B̄(I, J)` are structurally nonzero, and which scalar rows and
+/// columns of them the compact supernodal storage keeps.
+///
+/// Supernode `K` stores **dense subrows** in `L̄` — every row of
+/// [`Self::l_rows`]`.col(K)` across the whole width of `K` — and **dense
+/// subcolumns** in `Ū` — every column of [`Self::u_cols`]`.col(K)` across
+/// the whole height of `K` (S\*'s layout). For a supernode whose columns
+/// form a parent chain of the eforest (every partition the analysis
+/// produces), the chain-nesting lemma on [`chain_cost`] makes those two
+/// lists the off-diagonal structure of its **last** column and row; any
+/// other block falls back to the union over its columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStructure {
     /// The column/row partition (identical, as in the paper).
@@ -278,28 +309,83 @@ pub struct BlockStructure {
     /// For each block row `I`: sorted block columns `J ≥ I` with a nonzero
     /// `Ū` block (always starts with `I` itself).
     pub u_blocks: Vec<Vec<usize>>,
+    /// Column `K` lists `R_K`: the scalar rows below supernode `K` that its
+    /// `L̄` panel stores, ascending (`n × N`).
+    pub l_rows: SparsityPattern,
+    /// Column `K` lists `C_K`: the scalar columns right of supernode `K`
+    /// that its `Ū` blocks store, ascending (`n × N`).
+    pub u_cols: SparsityPattern,
 }
 
 impl BlockStructure {
     /// Computes the block structure of `f` under `partition`.
     pub fn new(f: &FilledLu, partition: Partition) -> Self {
-        let nb = partition.num_blocks();
+        let (n, nb) = (partition.n(), partition.num_blocks());
         let block_of = partition.block_of_cols();
-        // One mark array for both passes, stamped per block, so a block's
-        // list costs its touched blocks, not a scan of all `nb`.
-        let mut mark = vec![usize::MAX; nb];
-        let part = &partition;
-        let l_blocks = (0..nb)
-            .map(|jb| touched_blocks(&f.l, part.range(jb), &block_of, &mut mark, jb))
-            .collect();
         let u_by_rows = f.u_by_rows();
-        let u_blocks = (0..nb)
-            .map(|ib| touched_blocks(u_by_rows, part.range(ib), &block_of, &mut mark, nb + ib))
-            .collect();
+        let mut mark = Vec::new();
+        let (mut l_ptr, mut l_idx) = (vec![0usize], Vec::new());
+        let (mut u_ptr, mut u_idx) = (vec![0usize], Vec::new());
+        let mut l_blocks = Vec::with_capacity(nb);
+        let mut u_blocks = Vec::with_capacity(nb);
+        for k in 0..nb {
+            let r = partition.range(k);
+            let last = r.end - 1;
+            let chain = (r.start..last)
+                .all(|j| f.l_col(j).len() > 1 && f.u_row(j).get(1) == Some(&(j + 1)));
+            let (l_at, u_at) = (l_idx.len(), u_idx.len());
+            if chain {
+                l_idx.extend_from_slice(&f.l_col(last)[1..]);
+                u_idx.extend_from_slice(&f.u_row(last)[1..]);
+            } else {
+                l_idx.extend(union_beyond(&f.l, r.clone(), &mut mark, 2 * k));
+                u_idx.extend(union_beyond(u_by_rows, r, &mut mark, 2 * k + 1));
+            }
+            l_blocks.push(blocks_of(k, &l_idx[l_at..], &block_of));
+            u_blocks.push(blocks_of(k, &u_idx[u_at..], &block_of));
+            l_ptr.push(l_idx.len());
+            u_ptr.push(u_idx.len());
+        }
         BlockStructure {
             partition,
             l_blocks,
             u_blocks,
+            l_rows: SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
+            u_cols: SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
+        }
+    }
+
+    /// Words the compact storage holds under this structure:
+    /// `Σ_K w_K · (w_K + |R_K| + |C_K|)`.
+    pub fn storage_words(&self) -> usize {
+        (0..self.num_blocks())
+            .map(|k| {
+                let w = self.partition.width(k);
+                w * (w + self.l_rows.col(k).len() + self.u_cols.col(k).len())
+            })
+            .sum()
+    }
+
+    /// The rows of `R_K` inside block row `i` — what the `L̄` block
+    /// `(i, k)` stores (a contiguous run of the sorted list).
+    pub fn l_rows_in(&self, k: usize, i: usize) -> &[usize] {
+        within(self.l_rows.col(k), self.partition.range(i))
+    }
+
+    /// The columns `S_KJ = C_K ∩ J` — what the `Ū` block `(k, j)` stores (a
+    /// contiguous run of the sorted list).
+    pub fn u_cols_in(&self, k: usize, j: usize) -> &[usize] {
+        within(self.u_cols.col(k), self.partition.range(j))
+    }
+
+    /// Global row of position `pos` of supernode `k`'s panel: its own rows
+    /// first, then `R_K`.
+    pub fn panel_row(&self, k: usize, pos: usize) -> usize {
+        let own = self.partition.range(k);
+        if pos < own.len() {
+            own.start + pos
+        } else {
+            self.l_rows.col(k)[pos - own.len()]
         }
     }
 
@@ -545,10 +631,12 @@ mod tests {
         assert!(chains > 1000, "only {chains} chains checked");
     }
 
-    /// The builder `BlockStructure::new` replaced: a fresh mark array and a
-    /// scan of all blocks per block.
+    /// `BlockStructure::new` by brute force: a fresh mark array and a scan
+    /// of all blocks per block, and the row/column lists as the sorted
+    /// union over **every** column of the block — the oracle for the
+    /// chain-nesting shortcut (last column only).
     fn block_structure_quadratic(f: &FilledLu, partition: Partition) -> BlockStructure {
-        let nb = partition.num_blocks();
+        let (n, nb) = (partition.n(), partition.num_blocks());
         let block_of = partition.block_of_cols();
         let scan = |kb: usize, list: &dyn Fn(usize) -> Vec<usize>| -> Vec<usize> {
             let mut mark = vec![false; nb];
@@ -559,16 +647,31 @@ mod tests {
             }
             (kb..nb).filter(|&b| mark[b]).collect()
         };
+        let outside = |list: &dyn Fn(usize) -> Vec<usize>| -> SparsityPattern {
+            let entries = (0..nb).flat_map(|kb| {
+                let end = partition.range(kb).end;
+                partition
+                    .range(kb)
+                    .flat_map(list)
+                    .filter(move |&x| x >= end)
+                    .map(move |x| (x, kb))
+            });
+            SparsityPattern::from_entries(n, nb, entries).unwrap()
+        };
         let l_blocks = (0..nb)
             .map(|jb| scan(jb, &|j| f.l_col(j).to_vec()))
             .collect();
         let u_blocks = (0..nb)
             .map(|ib| scan(ib, &|i| f.u_row(i).to_vec()))
             .collect();
+        let l_rows = outside(&|j| f.l_col(j).to_vec());
+        let u_cols = outside(&|i| f.u_row(i).to_vec());
         BlockStructure {
             partition,
             l_blocks,
             u_blocks,
+            l_rows,
+            u_cols,
         }
     }
 
@@ -577,10 +680,37 @@ mod tests {
         for f in suite_and_random_filled() {
             let exact = supernode_partition(&f);
             let merged = amalgamate(&f, &exact, &SupernodeOptions::default());
-            for part in [exact, merged, Partition::singletons(f.n())] {
+            // Pairs of columns: most are not parent chains, so the union
+            // fallback runs too.
+            let pairs = Partition::from_starts((0..f.n()).step_by(2).chain([f.n()]).collect());
+            for part in [exact, merged, Partition::singletons(f.n()), pairs] {
                 assert_eq!(
                     BlockStructure::new(&f, part.clone()),
                     block_structure_quadratic(&f, part)
+                );
+            }
+        }
+    }
+
+    /// The compact storage is what `chain_cost` prices (which counts the
+    /// diagonal in both triangles), and holds exactly the scalar structure
+    /// when nothing is amalgamated.
+    #[test]
+    fn storage_words_are_the_chain_costs_and_exact_without_amalgamation() {
+        for f in suite_and_random_filled() {
+            let exact = supernode_partition(&f);
+            let merged = amalgamate(&f, &exact, &SupernodeOptions::default());
+            for part in [exact.clone(), merged] {
+                let priced: usize = (0..part.num_blocks())
+                    .map(|k| chain_cost(&f, part.range(k).start, part.range(k).end).0)
+                    .sum();
+                let bs = BlockStructure::new(&f, part);
+                assert_eq!(bs.storage_words(), priced - f.n());
+            }
+            for part in [exact, Partition::singletons(f.n())] {
+                assert_eq!(
+                    BlockStructure::new(&f, part).storage_words(),
+                    f.nnz_filled()
                 );
             }
         }

@@ -8,10 +8,10 @@
 //!   every front-thread count (the parallel chunked path counts
 //!   per-chunk, the sequential path counts from the result — both must
 //!   land on the analytic value);
-//! * factor and trsm flop counters equal the `costs.rs` model exactly
-//!   (the formulas are integral); gemm is bounded by the model (the
-//!   executor skips structurally-zero destination blocks) and equals it
-//!   on a dense matrix where no block is missing;
+//! * factor, trsm and gemm flop counters equal the `costs.rs` model
+//!   exactly (the formulas are integral, and the model prices the very
+//!   shapes the compact storage hands the kernels), on the sparse suite
+//!   and on a dense matrix;
 //! * run reports schema-validate through the bench crate's validator and
 //!   carry the registry's values verbatim;
 //! * the combined Chrome trace is well-formed and shows the pipeline
@@ -66,7 +66,8 @@ fn counted_fill_matches_symbolic_lengths_at_every_front_thread_count() {
 
 /// The model's flops per task, split into the factor / trsm / gemm terms
 /// the registry counts separately (`costs.rs` only exposes the sum per
-/// task, but its two Update terms are recomputable from the widths).
+/// task, but its two Update terms are recomputable from the source width
+/// and the number of columns `|S_kj|` the block `Ū(k, j)` stores).
 fn model_flop_split(a: &CscMatrix, opts: &Options) -> (f64, f64, f64) {
     let sym = analyze(a.pattern(), opts).expect("analysis succeeds");
     let graph = sym.build_graph(opts.task_graph);
@@ -76,9 +77,10 @@ fn model_flop_split(a: &CscMatrix, opts: &Options) -> (f64, f64, f64) {
         match *t {
             Task::Factor(_) => factor += c.flops,
             Task::Update { src, dst } => {
-                let wk = sym.block_structure.partition.width(src) as f64;
-                let wj = sym.block_structure.partition.width(dst) as f64;
-                let t = wk * (wk - 1.0) * wj;
+                let bs = &sym.block_structure;
+                let wk = bs.partition.width(src) as f64;
+                let s = bs.u_cols_in(src, dst).len() as f64;
+                let t = wk * (wk - 1.0) * s;
                 trsm += t;
                 gemm += c.flops - t;
             }
@@ -98,8 +100,8 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
         SparseLu::factor_observed(&m.a, &opts, &session).expect("factorization succeeds");
         let (factor_model, trsm_model, gemm_model) = model_flop_split(&m.a, &opts);
         let reg = session.metrics();
-        // Factor and trsm: the executed work is exactly the model (both
-        // formulas are integral, so the f64 model is exact too).
+        // The executed work is exactly the model (the formulas are
+        // integral, so the f64 model is exact too).
         assert_eq!(
             reg.get(Counter::FactorFlops) as f64,
             factor_model,
@@ -112,14 +114,11 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             "{}: trsm flops != model",
             m.name
         );
-        // Gemm: the executor skips updates into structurally-zero
-        // destination blocks, so counted <= model.
-        assert!(
-            reg.get(Counter::GemmFlops) as f64 <= gemm_model,
-            "{}: gemm flops {} exceed model {}",
-            m.name,
-            reg.get(Counter::GemmFlops),
-            gemm_model
+        assert_eq!(
+            reg.get(Counter::GemmFlops) as f64,
+            gemm_model,
+            "{}: gemm flops != model",
+            m.name
         );
         // And one trsm call per Update task.
         let n_updates = {
@@ -137,8 +136,7 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
 
 #[test]
 fn counted_gemm_flops_equal_the_model_on_a_dense_matrix() {
-    // Fully dense: every destination block exists, so the skip never
-    // fires and counted gemm flops equal the model term exactly.
+    // Fully dense: one supernode, or a few wide ones under amalgamation.
     let n = 24;
     let a = CscMatrix::from_triplets_iter(
         n,

@@ -118,3 +118,33 @@ fn eforest_graph_is_sparser_suitewide() {
         );
     }
 }
+
+/// At paper size the compact storage pads little: what amalgamation adds
+/// stays under 15 % of the stored words on the four front patterns of the
+/// benchmark and on its 40×40 mesh, and nothing at all is added without it.
+#[test]
+fn compact_storage_pads_only_what_amalgamation_adds() {
+    use parsplu::matgen::{fem2d_unsymmetric, paper_matrix};
+    let mut inputs: Vec<(&str, parsplu::sparse::CscMatrix)> =
+        ["sherman3", "orsreg1", "lnsp3937", "saylr4"]
+            .into_iter()
+            .map(|name| (name, paper_matrix(name, Scale::Full).unwrap()))
+            .collect();
+    inputs.push(("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)));
+    for (name, a) in inputs {
+        let sym = analyze(a.pattern(), &Options::default()).unwrap();
+        let words = sym.block_structure.storage_words();
+        let padding = 1.0 - sym.stats.nnz_filled as f64 / words as f64;
+        assert!((0.0..=0.15).contains(&padding), "{name}: padding {padding}");
+        let exact = Options {
+            amalgamation: None,
+            ..Options::default()
+        };
+        let sym = analyze(a.pattern(), &exact).unwrap();
+        assert_eq!(
+            sym.block_structure.storage_words(),
+            sym.stats.nnz_filled,
+            "{name}"
+        );
+    }
+}
