@@ -363,11 +363,10 @@ pub fn validate_bench_factor(doc: &Json) -> Result<usize, String> {
 
 /// The pipeline phases a `BENCH_phases.json` record must report, in
 /// pipeline order: everything from reading the matrix file through the
-/// triangular solves. `symbolic_fill` is the phase the parallel front half
-/// targets; records at `front_threads > 1` exist in `measured` form (wall
-/// clock on this host, however many cores it has) and `simulated` form
-/// (the measured sequential-skeleton + parallelizable-portion split
-/// projected onto the requested thread count — see EXPERIMENTS.md).
+/// triangular solves. `--bin phases` writes one `measured` record per
+/// matrix at `front_threads = 1`; artifacts from before the threaded fill
+/// was removed also carry `front_threads = 8` records, `measured` and
+/// `simulated` (see EXPERIMENTS.md), and still validate.
 pub const PHASE_NAMES: [&str; 9] = [
     "parse",
     "scale_transversal",
@@ -445,11 +444,9 @@ pub fn validate_run_report(doc: &Json) -> Result<usize, String> {
     for key in ["ordering", "task_graph", "mapping", "pivot_rule", "kernels"] {
         require_str(options, key, "run report.options")?;
     }
-    for key in ["threads", "front_threads"] {
-        let v = require_num(options, key, "run report.options")?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("run report.options.{key}: bad count {v}"));
-        }
+    let threads = require_num(options, "threads", "run report.options")?;
+    if threads < 0.0 || threads.fract() != 0.0 {
+        return Err(format!("run report.options.threads: bad count {threads}"));
     }
     let phases = match doc.get("phases_s") {
         Some(Json::Obj(m)) => m,

@@ -22,9 +22,9 @@
 //!   stall is cooperative: the watchdog's abort cancels the run token,
 //!   which releases the parked task so the run drains instead of leaking
 //!   a thread;
-//! * [`FailScenario::cancel_at_symbolic_chunk`] — the symbolic-fill chunk
-//!   task cancels the run token at its own entry, exercising
-//!   cancel-during-symbolic in the parallel front half
+//! * [`FailScenario::cancel_during_symbolic`] — the analysis driver
+//!   cancels the run token between the skeleton and the block lists,
+//!   exercising cancel-during-symbolic in the front half
 //!   ([`crate::analyze_with`]).
 //!
 //! The scenario lock is a `parking_lot`-style mutex that **never
@@ -35,7 +35,7 @@
 //! that.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Sentinel for "injection point disarmed".
@@ -45,13 +45,13 @@ static SCENARIO_LOCK: Mutex<()> = Mutex::new(());
 static PANIC_AT_FACTOR: AtomicUsize = AtomicUsize::new(OFF);
 static FORCE_BREAKDOWN_AT: AtomicUsize = AtomicUsize::new(OFF);
 static STALL_AT_FACTOR: AtomicUsize = AtomicUsize::new(OFF);
-static CANCEL_AT_SYMBOLIC_CHUNK: AtomicUsize = AtomicUsize::new(OFF);
+static CANCEL_DURING_SYMBOLIC: AtomicBool = AtomicBool::new(false);
 
 fn reset() {
     PANIC_AT_FACTOR.store(OFF, Ordering::SeqCst);
     FORCE_BREAKDOWN_AT.store(OFF, Ordering::SeqCst);
     STALL_AT_FACTOR.store(OFF, Ordering::SeqCst);
-    CANCEL_AT_SYMBOLIC_CHUNK.store(OFF, Ordering::SeqCst);
+    CANCEL_DURING_SYMBOLIC.store(false, Ordering::SeqCst);
 }
 
 /// RAII guard over one fault-injection scenario: creation takes the
@@ -90,13 +90,11 @@ impl FailScenario {
         STALL_AT_FACTOR.store(k, Ordering::SeqCst);
     }
 
-    /// Arms a cancellation of the run token at the entry of symbolic-fill
-    /// chunk task `chunk`, exercising cancel-during-symbolic: the chunk
-    /// trips the budget exactly when a front-half task is in flight, so
-    /// the drain path of the parallel symbolic driver is covered
-    /// deterministically.
-    pub fn cancel_at_symbolic_chunk(&self, chunk: usize) {
-        CANCEL_AT_SYMBOLIC_CHUNK.store(chunk, Ordering::SeqCst);
+    /// Arms a cancellation of the run token inside the analysis, after
+    /// the skeleton pass and before the block lists are built: the budget
+    /// trips with the symbolic phases half done, deterministically.
+    pub fn cancel_during_symbolic(&self) {
+        CANCEL_DURING_SYMBOLIC.store(true, Ordering::SeqCst);
     }
 }
 
@@ -126,14 +124,11 @@ pub(crate) fn forced_breakdown_column() -> Option<usize> {
     (v != OFF).then_some(v)
 }
 
-/// Checked at the entry of symbolic-fill chunk task `chunk`: cancels the
-/// run token when this chunk is the armed injection target. The knob is
+/// Checked by the analysis driver at the checkpoint between the skeleton
+/// and the block lists: cancels the run token when armed. The knob is
 /// cleared on firing so retries (or the next scenario) see it disarmed.
-pub(crate) fn maybe_cancel_symbolic(chunk: usize, token: Option<&crate::CancelToken>) {
-    if CANCEL_AT_SYMBOLIC_CHUNK
-        .compare_exchange(chunk, OFF, Ordering::SeqCst, Ordering::SeqCst)
-        .is_ok()
-    {
+pub(crate) fn maybe_cancel_symbolic(token: Option<&crate::CancelToken>) {
+    if CANCEL_DURING_SYMBOLIC.swap(false, Ordering::SeqCst) {
         if let Some(t) = token {
             t.cancel();
         }

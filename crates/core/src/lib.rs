@@ -44,7 +44,7 @@ mod solve;
 pub use blocks::{BlockMatrix, ColumnData};
 pub use costs::{estimate_task_costs, total_flops};
 pub use error::LuError;
-pub use front::{fill_from_skeleton, postorder_parallel, postorder_parallel_obs, SymbolicRequest};
+pub use front::SymbolicRequest;
 pub use numeric::{
     factor_left_looking, factor_task, factor_task_with_policy, factor_task_with_rule, update_task,
     update_task_with,
@@ -69,16 +69,14 @@ pub use splu_sched::{
 mod condest;
 pub use condest::estimate_inverse_1norm;
 
-use splu_obs::{Counter, Track};
+use splu_obs::Counter;
 use splu_ordering::{
     column_min_degree_with, maximum_transversal, reverse_cuthill_mckee, StructuralRank,
 };
 use splu_sched::{block_forest, build_eforest_graph, build_sstar_graph, Mapping, TaskGraph};
 use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
-use splu_symbolic::{
-    amalgamate, fill_skeleton, supernode_partition, EliminationForest, FilledLu, SupernodeOptions,
-};
+use splu_symbolic::{fill_skeleton, EliminationForest, SupernodeOptions};
 
 /// Fill-reducing ordering choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,10 +113,6 @@ pub struct Options {
     pub task_graph: TaskGraphKind,
     /// Worker threads for the numerical phase.
     pub threads: usize,
-    /// Worker threads for the symbolic front half (static fill chunks,
-    /// assembly scatters, postorder segments). Any value produces
-    /// bitwise-identical structures.
-    pub front_threads: usize,
     /// Task-to-worker mapping (paper: static 1D column mapping).
     pub mapping: Mapping,
     /// Absolute pivot rejection threshold (`0.0`: any nonzero pivot).
@@ -153,7 +147,6 @@ impl Default for Options {
             amalgamation: Some(SupernodeOptions::default()),
             task_graph: TaskGraphKind::EForest,
             threads: 1,
-            front_threads: 1,
             mapping: Mapping::Static1D,
             pivot_threshold: 0.0,
             pivot_rule: PivotRule::Partial,
@@ -222,12 +215,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// Worker threads for the symbolic front half (must be ≥ 1).
-    pub fn front_threads(mut self, front_threads: usize) -> Self {
-        self.opts.front_threads = front_threads;
-        self
-    }
-
     /// Task-to-worker mapping.
     pub fn mapping(mut self, mapping: Mapping) -> Self {
         self.opts.mapping = mapping;
@@ -277,9 +264,6 @@ impl OptionsBuilder {
         let o = self.opts;
         if o.threads == 0 {
             return invalid("threads must be at least 1".into());
-        }
-        if o.front_threads == 0 {
-            return invalid("front_threads must be at least 1".into());
         }
         if !o.pivot_threshold.is_finite() || o.pivot_threshold < 0.0 {
             return invalid(format!(
@@ -333,16 +317,16 @@ pub struct Stats {
     pub flops_estimate: f64,
 }
 
-/// The analysis product: permutations, filled structure, block structure and
-/// the block-level eforest — everything the numerical phase needs.
+/// The analysis product: permutations, block structure and the block-level
+/// eforest — everything the numerical phase needs. The scalar `L̄`/`Ū` is
+/// never written: the block structure's per-supernode row and column lists
+/// are what the compact storage is laid out from.
 pub struct SymbolicLu {
     /// Total row permutation: the factored matrix is
     /// `A[row_perm, col_perm]`.
     pub row_perm: Permutation,
     /// Total column permutation.
     pub col_perm: Permutation,
-    /// Filled structure in factorization order.
-    pub filled: FilledLu,
     /// Supernode partition and block-level structure.
     pub block_structure: BlockStructure,
     /// Block-level LU elimination forest.
@@ -440,27 +424,26 @@ fn build_graph(bs: &BlockStructure, kind: TaskGraphKind) -> TaskGraph {
 /// Runs the full analysis pipeline on a sparsity pattern.
 ///
 /// Equivalent to [`analyze_with`] under the front-half request implied by
-/// `opts` ([`SymbolicRequest::from_options`]): `opts.front_threads` workers
-/// and `opts.budget` as the bound.
+/// `opts` ([`SymbolicRequest::from_options`]): `opts.budget` as the bound.
 pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SymbolicLu, LuError> {
     analyze_with(pattern, opts, &SymbolicRequest::from_options(opts))
 }
 
 /// Runs the full analysis pipeline with an explicit front-half request.
 ///
-/// There is one front half at every thread count: the skeleton of the
-/// static symbolic factorization, the eforest postorder taken from its
-/// parents, and the fill written directly in postordered labels
-/// ([`fill_from_skeleton`] on the relabelled skeleton). `req.front_threads`
-/// only sets how many workers run the fill chunks, the assembly scatters
-/// and the postorder segments; the returned [`SymbolicLu`] is bitwise the
-/// same for every value.
+/// The symbolic phases are skeleton → postorder → block lists: the
+/// skeleton of the static symbolic factorization (eforest parents, each
+/// row's first candidate step, the length of every `L̄` column and `Ū`
+/// row), the eforest postorder taken from its parents and applied to its
+/// labels, the supernode partition decided on the lengths, and the
+/// per-supernode row and column lists walked out of the forest
+/// ([`BlockStructure::from_skeleton`]). No scalar filled structure is
+/// written at any point.
 ///
 /// `req.budget` bounds the front half: the ordering polls it once per
-/// elimination round, the fill at every chunk boundary, and the driver
-/// between phases, returning [`LuError::Cancelled`] /
-/// [`LuError::DeadlineExceeded`] with the number of completed factor
-/// columns attached (0 until the fill has run).
+/// pivot and the driver between phases, returning [`LuError::Cancelled`] /
+/// [`LuError::DeadlineExceeded`] with the number of factor columns whose
+/// structure is known attached (0 until the skeleton has run).
 pub fn analyze_with(
     pattern: &SparsityPattern,
     opts: &Options,
@@ -534,25 +517,31 @@ pub(crate) fn analyze_parts(
     let mut col_perm = q.clone();
 
     // 2. Skeleton of the static symbolic factorization: the eforest parents
-    // and the exact length of every L̄ column and Ū row, before any column
-    // is filled.
+    // and the exact length of every L̄ column and Ū row. Everything below
+    // is read off it; no column is ever filled.
     check(0)?;
     let skel = {
         let _p = obs.map(|o| o.phase("symbolic_fill"));
-        let _s = obs.map(|o| o.trace().span(Track::Driver, "fill_skeleton"));
         fill_skeleton(&p2)?
     };
     let btf_blocks = skel.parents().iter().filter(|&&p| p == usize::MAX).count();
+    let nnz_filled = skel.nnz_filled();
+    if let Some(o) = obs {
+        let sum = |len: &[usize]| len.iter().sum::<usize>() as u64;
+        o.metrics().add(Counter::FillL, sum(skel.l_len()));
+        o.metrics().add(Counter::FillU, sum(skel.u_len()));
+    }
+    #[cfg(feature = "failpoints")]
+    failpoints::maybe_cancel_symbolic(req.budget.token.as_ref());
+    check(n)?;
 
     // 3. Eforest postordering. Theorem 3: the filled structure of the
     // postordered pattern is the postordered filled structure, so only the
-    // skeleton and the original entries are relabelled here and the fill
-    // below lands in factorization order.
+    // skeleton's labels and the original entries move.
     let (p3, skel) = {
         let _p = obs.map(|o| o.phase("eforest_postorder"));
         if opts.postorder {
-            let forest = EliminationForest::from_parent_vec(skel.parents().to_vec());
-            let po = postorder_parallel_obs(&forest, req.front_threads, obs);
+            let po = EliminationForest::from_parent_vec(skel.parents().to_vec()).postorder();
             row_perm = po.compose(&row_perm);
             col_perm = po.compose(&col_perm);
             (p2.permuted(&po, &po), skel.relabeled(&po))
@@ -560,23 +549,19 @@ pub(crate) fn analyze_parts(
             (p2, skel)
         }
     };
-    check(0)?;
-    let filled = {
-        let _p = obs.map(|o| o.phase("symbolic_fill"));
-        fill_from_skeleton(&p3, &skel, req)?
-    };
     check(n)?;
 
-    // 4. Supernodes (+ amalgamation) and the block structure.
+    // 4. Supernodes (+ amalgamation) from the lengths, their row and column
+    // lists from two walks through the forest.
     let (supernodes_exact, block_structure, bf) = {
         let _p = obs.map(|o| o.phase("supernode_partition"));
-        let exact = supernode_partition(&filled);
+        let exact = skel.supernode_partition();
         let supernodes_exact = exact.num_blocks();
         let partition = match &opts.amalgamation {
-            Some(sn_opts) => amalgamate(&filled, &exact, sn_opts),
+            Some(sn_opts) => skel.amalgamate(&exact, sn_opts),
             None => exact,
         };
-        let block_structure = BlockStructure::new(&filled, partition);
+        let block_structure = BlockStructure::from_skeleton(&p3, &skel, partition);
         let bf = block_forest(&block_structure);
         (supernodes_exact, block_structure, bf)
     };
@@ -588,11 +573,11 @@ pub(crate) fn analyze_parts(
     let stats = Stats {
         n,
         nnz_a: pattern.nnz(),
-        nnz_filled: filled.nnz_filled(),
+        nnz_filled,
         fill_ratio: if pattern.nnz() == 0 {
             0.0
         } else {
-            filled.nnz_filled() as f64 / pattern.nnz() as f64
+            nnz_filled as f64 / pattern.nnz() as f64
         },
         supernodes_exact,
         supernodes: block_structure.num_blocks(),
@@ -606,7 +591,6 @@ pub(crate) fn analyze_parts(
     let sym = SymbolicLu {
         row_perm,
         col_perm,
-        filled,
         block_structure,
         block_forest: bf,
         stats,

@@ -3,10 +3,10 @@
 //! the tooling consumes:
 //!
 //! * a **combined Chrome trace** ([`ObsSession::chrome_json`]): driver
-//!   phase spans (transversal, ordering rounds, symbolic skeleton,
-//!   postorder, partition, graph build, solve), per-front-thread fill and
-//!   postorder tracks, and the numeric executor's per-worker task events —
-//!   all on one epoch fixed when the session was created;
+//!   phase spans (transversal, ordering, symbolic skeleton, postorder,
+//!   partition and block lists, graph build, solve) and the numeric
+//!   executor's per-worker task events — all on one epoch fixed when the
+//!   session was created;
 //! * a **machine-readable [`RunReport`]** ([`ObsSession::report`]):
 //!   versions, resolved options and kernel, per-phase wall times, every
 //!   counter ([`splu_obs::Counter`] plus the scheduler's
@@ -22,7 +22,7 @@
 
 use crate::{LuError, Options, SparseLu, Stats};
 use parking_lot::Mutex;
-use splu_obs::{heap_stats, reset_heap_peak, HeapStats, MetricsRegistry, PipelineTrace, Track};
+use splu_obs::{heap_stats, reset_heap_peak, HeapStats, MetricsRegistry, PipelineTrace};
 use splu_obs::{SpanEvent, SpanGuard};
 use splu_sched::{EventKind, ExecTrace, FactorHealth, SchedStats, TraceConfig};
 use std::fmt::Write as _;
@@ -48,10 +48,9 @@ pub const PHASE_NAMES: [&str; 9] = [
 struct Captured {
     /// Numeric executor aggregate (filled by `SparseLu::factor_observed`).
     sched: Option<SchedStats>,
-    /// Numeric executor event stream (full-event sessions only).
-    numeric_trace: Option<ExecTrace>,
-    /// Display label per numeric task id, for the Chrome export.
-    numeric_labels: Vec<String>,
+    /// Numeric executor event stream with the display label of every task
+    /// id, for the Chrome export (full-event sessions only).
+    numeric_trace: Option<(ExecTrace, Vec<String>)>,
     /// Numeric health report.
     health: Option<FactorHealth>,
     /// Per-phase heap high-water bytes (counting allocator installed only).
@@ -96,9 +95,8 @@ impl ObsSession {
         }
     }
 
-    /// A full session: like [`ObsSession::new`] plus per-task event
-    /// streams from the fill, postorder, and numeric executors — the
-    /// combined Chrome trace input.
+    /// A full session: like [`ObsSession::new`] plus the numeric
+    /// executor's per-task event stream — the combined Chrome trace input.
     pub fn with_events() -> Self {
         ObsSession {
             collect_events: true,
@@ -145,30 +143,28 @@ impl ObsSession {
         PhaseGuard {
             session: self,
             name,
-            span: Some(self.trace.span(Track::Driver, name)),
+            span: Some(self.trace.span(name)),
         }
     }
 
     /// Deposits the numeric executor's results: aggregate stats, health,
-    /// and (in event sessions) the event stream with display labels.
+    /// and (in event sessions) the event stream with one display label per
+    /// task id.
     pub fn capture_numeric(
         &self,
         stats: SchedStats,
         health: FactorHealth,
-        numeric_trace: Option<ExecTrace>,
-        labels: Vec<String>,
+        numeric_trace: Option<(ExecTrace, Vec<String>)>,
     ) {
         let mut cap = self.captured.lock();
         cap.sched = Some(stats);
         cap.health = Some(health);
         cap.numeric_trace = numeric_trace;
-        cap.numeric_labels = labels;
     }
 
     /// Renders everything the session observed as one Chrome `trace_event`
-    /// JSON document: pid 0 carries the driver and front-thread tracks
-    /// (phase spans, fill chunks, postorder segments), pid 1 the numeric
-    /// executor's workers — all sharing the session epoch.
+    /// JSON document: pid 0 carries the driver's phase spans, pid 1 the
+    /// numeric executor's workers — all sharing the session epoch.
     pub fn chrome_json(&self) -> String {
         let events = self.trace.events();
         let cap = self.captured.lock();
@@ -178,20 +174,13 @@ impl ObsSession {
             "  {{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 0, \"tid\": 0, \
              \"args\": {{\"name\": \"pipeline\"}}}},"
         );
-        let mut tracks: Vec<Track> = events.iter().map(|e| e.track).collect();
-        tracks.sort_by_key(|t| t.tid());
-        tracks.dedup();
-        for t in &tracks {
-            let _ = writeln!(
-                out,
-                "  {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": {}, \
-                 \"args\": {{\"name\": \"{}\"}}}},",
-                t.tid(),
-                escape_json(&t.label()),
-            );
-        }
+        let _ = writeln!(
+            out,
+            "  {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 0, \
+             \"args\": {{\"name\": \"driver\"}}}},"
+        );
         let numeric = cap.numeric_trace.as_ref();
-        if let Some(nt) = numeric {
+        if let Some((nt, _)) = numeric {
             let _ = writeln!(
                 out,
                 "  {{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 1, \"tid\": 0, \
@@ -206,7 +195,7 @@ impl ObsSession {
             }
         }
         let n_span = events.len();
-        let n_num = numeric.map_or(0, |t| t.events.len());
+        let n_num = numeric.map_or(0, |(t, _)| t.events.len());
         for (i, e) in events.iter().enumerate() {
             let sep = if i + 1 == n_span && n_num == 0 {
                 ""
@@ -216,18 +205,17 @@ impl ObsSession {
             let _ = writeln!(
                 out,
                 "  {{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"phase\", \"pid\": 0, \
-                 \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{}}}}{sep}",
+                 \"tid\": 0, \"ts\": {}, \"dur\": {}, \"args\": {{}}}}{sep}",
                 escape_json(&e.name),
-                e.track.tid(),
                 e.start_us,
                 e.dur_us,
             );
         }
-        if let Some(nt) = numeric {
+        if let Some((nt, labels)) = numeric {
             for (i, e) in nt.events.iter().enumerate() {
                 let (name, cat) = match e.kind {
                     EventKind::Task { tid } => (
-                        cap.numeric_labels
+                        labels
                             .get(tid)
                             .cloned()
                             .unwrap_or_else(|| format!("task {tid}")),
@@ -267,15 +255,10 @@ impl ObsSession {
         PHASE_NAMES
             .iter()
             .filter_map(|&name| {
-                let total_us: u64 = events
-                    .iter()
-                    .filter(|e| e.track == Track::Driver && e.name == name)
-                    .map(|e| e.dur_us)
-                    .sum();
-                let seen = events
-                    .iter()
-                    .any(|e| e.track == Track::Driver && e.name == name);
-                seen.then_some((name, total_us as f64 / 1e6))
+                let mut spans = events.iter().filter(|e| e.name == name).peekable();
+                spans.peek()?;
+                let total_us: u64 = spans.map(|e| e.dur_us).sum();
+                Some((name, total_us as f64 / 1e6))
             })
             .collect()
     }
@@ -465,7 +448,7 @@ impl RunReport {
         let _ = writeln!(
             out,
             "  \"options\": {{\"ordering\": \"{:?}\", \"postorder\": {}, \"amalgamation\": {}, \
-             \"task_graph\": \"{:?}\", \"threads\": {}, \"front_threads\": {}, \
+             \"task_graph\": \"{:?}\", \"threads\": {}, \
              \"mapping\": \"{:?}\", \"pivot_threshold\": {}, \"pivot_rule\": \"{:?}\", \
              \"equilibrate\": {}, \"kernels\": \"{:?}\", \"breakdown\": \"{:?}\"}},",
             o.ordering,
@@ -473,7 +456,6 @@ impl RunReport {
             o.amalgamation.is_some(),
             o.task_graph,
             o.threads,
-            o.front_threads,
             o.mapping,
             json_f64(o.pivot_threshold),
             o.pivot_rule,
@@ -648,6 +630,29 @@ mod tests {
         assert_eq!(s.kind, "singular");
     }
 
+    /// Task labels are built for the Chrome export and nothing else: a
+    /// report-grade session (what the daemon runs every job under) holds
+    /// none, an event session one per task.
+    #[test]
+    fn task_labels_are_captured_with_an_event_stream_only() {
+        let a = splu_matgen::random_diag_dominant(30, 80, 3, 4.0);
+        let mut s = crate::SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+        let report_grade = ObsSession::new();
+        s.factor_observed(&a, &report_grade).unwrap();
+        let cap = report_grade.captured.lock();
+        assert!(cap.sched.is_some() && cap.numeric_trace.is_none());
+        drop(cap);
+        let events = ObsSession::with_events();
+        s.refactor_observed(&a, &events).unwrap();
+        let cap = events.captured.lock();
+        let (trace, labels) = cap.numeric_trace.as_ref().expect("event stream captured");
+        assert_eq!(labels.len(), s.graph().len());
+        assert!(trace.events.iter().all(|e| match e.kind {
+            EventKind::Task { tid } => labels[tid].starts_with(['F', 'U']),
+            _ => true,
+        }));
+    }
+
     #[test]
     fn phase_walls_aggregate_by_canonical_name() {
         let session = ObsSession::new();
@@ -662,7 +667,7 @@ mod tests {
         }
         // Non-canonical names are recorded as spans but not phases.
         {
-            let _s = session.trace().span(Track::Driver, "assemble");
+            let _s = session.trace().span("assemble");
         }
         let walls = session.phase_walls();
         let names: Vec<_> = walls.iter().map(|(n, _)| *n).collect();

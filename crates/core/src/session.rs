@@ -273,18 +273,18 @@ impl SluSession {
         let report = factor_numeric_with(bm, &nreq)?;
         drop(numeric_phase);
         if let Some(o) = obs {
-            let labels: Vec<String> = (0..self.graph.len())
-                .map(|t| match self.graph.task(t) {
-                    splu_sched::Task::Factor(k) => format!("F({k})"),
-                    splu_sched::Task::Update { src, dst } => format!("U({src},{dst})"),
-                })
-                .collect();
-            o.capture_numeric(
-                report.stats.clone(),
-                report.health.clone(),
-                report.trace.clone(),
-                labels,
-            );
+            // Labels serve the Chrome export of an event stream; a
+            // report-grade run has none and formats no string per task.
+            let labelled = report.trace.map(|trace| {
+                let labels = (0..self.graph.len())
+                    .map(|t| match self.graph.task(t) {
+                        splu_sched::Task::Factor(k) => format!("F({k})"),
+                        splu_sched::Task::Update { src, dst } => format!("U({src},{dst})"),
+                    })
+                    .collect();
+                (trace, labels)
+            });
+            o.capture_numeric(report.stats, report.health.clone(), labelled);
         }
         self.health = report.health;
         self.factored = true;
@@ -425,21 +425,36 @@ impl SluSession {
     }
 
     /// Resident bytes this session holds: the dense panel/U-block storage
-    /// (dominant term, exact via [`BlockMatrix::storage_words`]), the
-    /// cached scatter map, and an estimate of the symbolic structures
-    /// (filled pattern indices, permutations, forest, task graph and
-    /// schedule) from the analysis statistics. This is the quantity a
-    /// session pool budgets and evicts on; it intentionally counts only
+    /// (dominant term, exact via [`BlockMatrix::storage_words`]) with its
+    /// index maps, the cached scatter map, and the symbolic state — the
+    /// block structure's row, column and block lists, the two permutations
+    /// with their inverses, the block forest, the task graph and its
+    /// schedule — counted from the lengths of the arrays that hold them
+    /// (no scalar `L̄`/`Ū` exists to count). This is the quantity a session
+    /// pool budgets and evicts on; it intentionally counts only
     /// per-session state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
-        let s = &self.sym.stats;
-        // Filled pattern row indices + column pointers, two permutations
-        // with their inverses, eforest parents and postorder.
-        let symbolic = (s.nnz_filled as u64) * usz + 8 * (s.n as u64) * usz;
-        // Task graph adjacency (successors + predecessor counts) and the
-        // cached schedule (priorities + sequential order).
-        let graph = (self.graph.len() as u64 + s.graph_edges as u64) * 2 * usz
+        let vec_header = std::mem::size_of::<Vec<usize>>() as u64;
+        let bs = &self.sym.block_structure;
+        let (n, nb) = (self.sym.stats.n as u64, bs.num_blocks() as u64);
+        let block_list_words: usize = (bs.l_blocks.iter().chain(&bs.u_blocks))
+            .map(|blocks| blocks.len())
+            .sum();
+        // R_K / C_K with their pointers, the block lists (one `Vec` per
+        // supernode and factor), the partition; four permutation arrays;
+        // the forest's parents and one child list per node.
+        let lists = (bs.l_rows.nnz() + bs.u_cols.nnz() + block_list_words) as u64 * usz
+            + 2 * nb * vec_header
+            + 3 * (nb + 1) * usz;
+        let symbolic = lists + 4 * n * usz + nb * (2 * usz + vec_header);
+        // Task graph: the task, its successor list and its predecessor
+        // count per task, one word per edge; schedule: priority and
+        // sequential position per task.
+        let tasks = self.graph.len() as u64;
+        let graph = tasks * (std::mem::size_of::<splu_sched::Task>() as u64 + vec_header + usz)
+            + self.sym.stats.graph_edges as u64 * usz
+            + nb * usz
             + (self.schedule.len() as u64) * 2 * 8;
         let numeric = self
             .bm

@@ -7,7 +7,7 @@
 //!   checkpoints). Counting is a relaxed atomic add; an absent registry
 //!   is a `None` check.
 //! * [`span`] — an epoch-aligned span recorder for the *phases* of a run
-//!   (ordering, symbolic skeleton/chunks, postorder, partition, numeric,
+//!   (ordering, symbolic skeleton, postorder, partition, numeric,
 //!   solve). Spans from every phase land on one shared epoch so a single
 //!   Chrome trace shows the whole pipeline; the disabled recorder never
 //!   reads the clock, preserving the scheduler's bitwise-invariance
@@ -28,4 +28,4 @@ pub mod span;
 
 pub use alloc::{heap_stats, reset_heap_peak, CountingAlloc, HeapStats};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
-pub use span::{PipelineTrace, SpanEvent, SpanGuard, Track};
+pub use span::{PipelineTrace, SpanEvent, SpanGuard};

@@ -2,8 +2,8 @@
 //!
 //! The registry is a fixed array of `AtomicU64`s indexed by [`Counter`];
 //! recording is a single relaxed `fetch_add`, so hot loops (kernel
-//! dispatch, fill chunks) can count unconditionally once they hold a
-//! registry reference. Counters are *facts about the run* — entry counts,
+//! dispatch) can count unconditionally once they hold a registry
+//! reference. Counters are *facts about the run* — entry counts,
 //! flop counts, event counts — not timings; timings live in
 //! [`crate::span`] and in the scheduler's own per-worker clocks.
 
@@ -15,11 +15,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Entries of the filled `L̄` pattern (diagonal included), counted at
-    /// assembly. Ground truth: `Σ_j l_len(j)` from the skeleton pass.
+    /// Entries of the filled `L̄` pattern (diagonal included):
+    /// `Σ_j l_len(j)` from the skeleton pass.
     FillL,
-    /// Entries of the filled `Ū` pattern (diagonal included), counted as
-    /// fill chunks complete. Ground truth: `Σ_i u_len(i)`.
+    /// Entries of the filled `Ū` pattern (diagonal included):
+    /// `Σ_i u_len(i)` from the skeleton pass.
     FillU,
     /// Factor-task kernel invocations (panel factorizations).
     FactorCalls,
@@ -37,8 +37,8 @@ pub enum Counter {
     /// Columns whose pivot was perturbed by graceful-degradation
     /// pivoting (matches `FactorHealth::perturbed.len()`).
     PerturbedColumns,
-    /// Budget polls observed by the front half (ordering rounds, fill
-    /// chunk boundaries) — how often a cancellation could have landed.
+    /// Budget polls observed by the front half (ordering pivots, phase
+    /// boundaries) — how often a cancellation could have landed.
     BudgetCheckpoints,
     /// Serve-daemon sessions evicted under the session memory budget
     /// (LRU order; pinned in-flight sessions are never chosen).

@@ -1,60 +1,27 @@
 //! Epoch-aligned phase spans for the whole pipeline.
 //!
-//! [`PipelineTrace`] records named intervals (ordering passes, symbolic
-//! skeleton, fill chunks, postorder segments, partition, numeric, solve)
-//! against one epoch fixed when the trace is created, so every phase of a
-//! run lands on the same timeline and a single Chrome trace shows the
-//! pipeline end to end. The numeric executor keeps its own lock-free
-//! per-worker recorder (`splu_sched::trace`); its events are merged onto
-//! this epoch at export time by sharing the epoch through `TraceConfig`.
+//! [`PipelineTrace`] records named intervals (ordering, symbolic skeleton,
+//! postorder, partition, numeric, solve) against one epoch fixed when the
+//! trace is created, so every phase of a run lands on the same timeline
+//! and a single Chrome trace shows the pipeline end to end. Every span is
+//! the driver thread's: the phases run on the thread that called them. The
+//! numeric executor keeps its own lock-free per-worker recorder
+//! (`splu_sched::trace`); its events are merged onto this epoch at export
+//! time by sharing the epoch through `TraceConfig`.
 //!
 //! The disabled trace is `None` inside and **never reads the clock** — the
 //! same discipline as `TraceMode::Off` — so tracing cannot perturb the
-//! bitwise-invariance guarantees of the front half. Recording takes a
-//! plain mutex: phase spans are coarse (dozens to a few thousand per run,
-//! not per-kernel-call), so contention is nil; the per-event hot paths
-//! (fill chunks) time themselves locally and push one event at completion.
+//! bitwise-invariance guarantees of the pipeline. Recording takes a plain
+//! mutex: phase spans are coarse (about a dozen per run, not
+//! per-kernel-call), so contention is nil.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Which timeline row a span belongs to in the exported trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Track {
-    /// The driver thread: sequential phases (parse, transversal, ordering,
-    /// skeleton, partition, graph build, solve) and whole-phase envelopes.
-    Driver,
-    /// One front-half worker (symbolic fill chunks, postorder segments);
-    /// the index is the executor's worker id.
-    Front(usize),
-}
-
-impl Track {
-    /// The stable Chrome-trace `tid` for this track. Driver is 0; front
-    /// workers are 1-based so they never collide with it.
-    pub fn tid(self) -> usize {
-        match self {
-            Track::Driver => 0,
-            Track::Front(w) => 1 + w,
-        }
-    }
-
-    /// Human-readable track name for trace metadata.
-    pub fn label(self) -> String {
-        match self {
-            Track::Driver => "driver".to_string(),
-            Track::Front(w) => format!("front-{w}"),
-        }
-    }
-}
-
 /// One recorded interval, epoch-relative.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Timeline row.
-    pub track: Track,
-    /// Span name as shown in the trace viewer (e.g. `"ordering"`,
-    /// `"fill_chunk 128..160"`).
+    /// Span name as shown in the trace viewer (e.g. `"ordering"`).
     pub name: String,
     /// Start, microseconds since the trace epoch.
     pub start_us: u64,
@@ -118,13 +85,12 @@ impl PipelineTrace {
 
     /// Opens a span that records itself when dropped. On the disabled
     /// trace this returns an inert guard without touching the clock.
-    pub fn span(&self, track: Track, name: impl Into<String>) -> SpanGuard {
+    pub fn span(&self, name: impl Into<String>) -> SpanGuard {
         match &self.inner {
             None => SpanGuard { state: None },
             Some(inner) => SpanGuard {
                 state: Some(SpanState {
                     inner: Arc::clone(inner),
-                    track,
                     name: name.into(),
                     start: Instant::now(),
                 }),
@@ -132,54 +98,14 @@ impl PipelineTrace {
         }
     }
 
-    /// Records a span from externally captured instants (events replayed
-    /// from another recorder that shared this epoch). Starts before the
-    /// epoch clamp to it.
-    pub fn record_between(
-        &self,
-        track: Track,
-        name: impl Into<String>,
-        start: Instant,
-        end: Instant,
-    ) {
-        if let Some(inner) = &self.inner {
-            let start_us = start
-                .checked_duration_since(inner.epoch)
-                .map_or(0, |d| d.as_micros() as u64);
-            let end_us = end
-                .checked_duration_since(inner.epoch)
-                .map_or(0, |d| d.as_micros() as u64);
-            inner.events.lock().unwrap().push(SpanEvent {
-                track,
-                name: name.into(),
-                start_us,
-                dur_us: end_us.saturating_sub(start_us),
-            });
-        }
-    }
-
-    /// Records a span from epoch-relative microsecond timestamps (events
-    /// imported from a recorder that already measured against this
-    /// trace's epoch).
-    pub fn record_rel(&self, track: Track, name: impl Into<String>, start_us: u64, dur_us: u64) {
-        if let Some(inner) = &self.inner {
-            inner.events.lock().unwrap().push(SpanEvent {
-                track,
-                name: name.into(),
-                start_us,
-                dur_us,
-            });
-        }
-    }
-
-    /// A snapshot of every recorded span, sorted by `(track, start)` so
-    /// export order is deterministic regardless of recording interleaving.
+    /// A snapshot of every recorded span, sorted by start (guards record
+    /// when they drop, so an enclosing span is pushed after its children).
     pub fn events(&self) -> Vec<SpanEvent> {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => {
                 let mut ev = inner.events.lock().unwrap().clone();
-                ev.sort_by_key(|e| (e.track.tid(), e.start_us, e.name.clone()));
+                ev.sort_by(|a, b| (a.start_us, &a.name).cmp(&(b.start_us, &b.name)));
                 ev
             }
         }
@@ -189,7 +115,6 @@ impl PipelineTrace {
 #[derive(Debug)]
 struct SpanState {
     inner: Arc<Inner>,
-    track: Track,
     name: String,
     start: Instant,
 }
@@ -209,7 +134,6 @@ impl Drop for SpanGuard {
                 .map_or(0, |d| d.as_micros() as u64);
             let dur_us = s.start.elapsed().as_micros() as u64;
             s.inner.events.lock().unwrap().push(SpanEvent {
-                track: s.track,
                 name: s.name,
                 start_us,
                 dur_us,
@@ -228,30 +152,26 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(t.epoch().is_none());
         {
-            let _g = t.span(Track::Driver, "ordering");
+            let _g = t.span("ordering");
         }
-        t.record_rel(Track::Front(0), "chunk", 0, 10);
         assert!(t.events().is_empty());
     }
 
     #[test]
-    fn spans_record_on_drop_in_track_order() {
+    fn spans_record_on_drop_in_start_order() {
         let t = PipelineTrace::enabled();
         {
-            let _g = t.span(Track::Front(1), "fill_chunk 0..8");
+            let _outer = t.span("symbolic_fill");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let _inner = t.span("ordering");
         }
-        {
-            let _g = t.span(Track::Driver, "ordering");
-        }
-        t.record_rel(Track::Driver, "imported", 5, 7);
+        // The inner guard dropped (and recorded) first; the snapshot is by
+        // start all the same.
         let ev = t.events();
-        assert_eq!(ev.len(), 3);
-        // Driver (tid 0) sorts before Front(1) (tid 2).
-        assert_eq!(ev[0].track, Track::Driver);
-        assert_eq!(ev[2].track, Track::Front(1));
-        assert_eq!(ev[2].name, "fill_chunk 0..8");
-        let imported = ev.iter().find(|e| e.name == "imported").unwrap();
-        assert_eq!((imported.start_us, imported.dur_us), (5, 7));
+        assert_eq!(ev.len(), 2);
+        assert_eq!(ev[0].name, "symbolic_fill");
+        assert_eq!(ev[1].name, "ordering");
+        assert!(ev[0].start_us + ev[0].dur_us >= ev[1].start_us + ev[1].dur_us);
     }
 
     #[test]
@@ -259,18 +179,11 @@ mod tests {
         let a = PipelineTrace::enabled();
         let b = a.clone();
         {
-            let _g = b.span(Track::Driver, "solve");
+            let _g = b.span("solve");
         }
         assert_eq!(a.events().len(), 1);
         assert_eq!(a, b);
         assert_ne!(a, PipelineTrace::enabled());
         assert_eq!(PipelineTrace::off(), PipelineTrace::off());
-    }
-
-    #[test]
-    fn tids_are_disjoint() {
-        assert_eq!(Track::Driver.tid(), 0);
-        assert_eq!(Track::Front(0).tid(), 1);
-        assert_eq!(Track::Front(3).tid(), 4);
     }
 }

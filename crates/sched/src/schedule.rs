@@ -69,12 +69,7 @@ impl ExecSchedule {
     /// Computes the schedule for `graph`: its bottom levels and the task
     /// order a one-worker priority executor would acquire.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        Self::for_dag(graph.pred_counts(), graph.successor_lists())
-    }
-
-    /// [`Self::for_graph`] over the DAG view an [`crate::ExecRequest`] is
-    /// built on, for callers whose tasks are not a [`TaskGraph`].
-    pub fn for_dag(pred_counts: &[usize], successors: &[Vec<usize>]) -> Self {
+        let (pred_counts, successors) = (graph.pred_counts(), graph.successor_lists());
         let priority = bottom_levels(pred_counts, successors);
         Self::with_priorities(pred_counts, successors, priority)
     }

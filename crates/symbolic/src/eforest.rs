@@ -184,32 +184,6 @@ impl EliminationForest {
         Permutation::from_vec(order).expect("DFS visits every node once")
     }
 
-    /// Postorder of the single tree rooted at `root` (children in ascending
-    /// order) — the `root` segment of [`Self::postorder`].
-    ///
-    /// Trees of the forest are disjoint, so segments can be computed
-    /// independently (on different workers); concatenating them in
-    /// ascending root order reproduces the full postorder exactly, which is
-    /// how the parallel front half stitches per-subtree DFS runs.
-    ///
-    /// # Panics
-    /// Panics (debug) when `root` is not a root.
-    pub fn postorder_segment(&self, root: usize) -> Vec<usize> {
-        debug_assert!(self.parent[root] == NONE, "postorder_segment needs a root");
-        let mut order = Vec::new();
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(x, ci)) = stack.last() {
-            if ci < self.children[x].len() {
-                stack.last_mut().expect("stack nonempty").1 += 1;
-                stack.push((self.children[x][ci], 0));
-            } else {
-                order.push(x);
-                stack.pop();
-            }
-        }
-        order
-    }
-
     /// Graphviz DOT rendering of the forest (edges point child → parent).
     pub fn to_dot(&self, name: &str) -> String {
         use std::fmt::Write;
@@ -562,24 +536,6 @@ mod tests {
         assert_eq!(forest.height(), 2);
         assert_eq!(forest.subtree_sizes(), vec![1, 1, 3, 1, 5, 1]);
         assert!(forest.is_postordered());
-    }
-
-    #[test]
-    fn stitched_segments_reproduce_the_postorder() {
-        for seed in 0..8 {
-            let p = random_pattern(24, 50, seed);
-            let f = filled(&p);
-            let forest = EliminationForest::from_filled(&f);
-            let mut stitched = Vec::new();
-            for root in forest.roots() {
-                stitched.extend(forest.postorder_segment(root));
-            }
-            assert_eq!(
-                stitched,
-                forest.postorder().as_slice().to_vec(),
-                "segment stitching diverged (seed {seed})"
-            );
-        }
     }
 
     #[test]

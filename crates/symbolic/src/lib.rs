@@ -32,8 +32,7 @@ pub use coletree::{ata_cholesky_bound, column_etree, etree_symmetric};
 pub use eforest::{EliminationForest, ExtendedEforest};
 pub use postorder::{block_triangular_form, postorder_permutation, BtfBlock};
 pub use static_fact::{
-    assemble_filled, assemble_filled_threads, fill_columns, fill_skeleton,
-    static_symbolic_factorization, static_symbolic_reference, FillChunk, FillScratch, FillSkeleton,
-    FilledLu, SymbolicError,
+    assemble_filled, fill_columns, fill_skeleton, static_symbolic_factorization,
+    static_symbolic_reference, FillSkeleton, FilledLu, SymbolicError, UnsortedColumns,
 };
 pub use supernode::{amalgamate, supernode_partition, BlockStructure, Partition, SupernodeOptions};

@@ -11,24 +11,25 @@
 //! the candidate rows' structures; column `k` of `L̄` becomes the candidate
 //! row set; every remaining candidate row's structure is replaced by that
 //! union. Because all candidates end up structurally identical, the
-//! implementation keeps one shared structure per *row class* (union–find),
-//! which is how S+ achieves near-linear behaviour.
+//! implementation keeps one shared structure per *row class*, which is how
+//! S+ achieves near-linear behaviour.
 //!
-//! There is one implementation, in three steps. [`fill_skeleton`] runs the
-//! merge loop keeping only what later steps need — the eforest parents,
-//! each row's first candidate step, and the exact length of every `L̄`
-//! column and `Ū` row. [`fill_columns`] then computes any range of `Ū`
-//! columns independently as bounded climbs through that forest, and
-//! [`assemble_filled_threads`] lays `L̄`, `Ū` and the row-major `Ū` out
-//! with counting scatters, no comparison sort anywhere. Since the skeleton
-//! already holds the forest, a caller that wants the structure in
-//! postordered labels relabels the skeleton ([`FillSkeleton::relabeled`])
-//! and fills the permuted pattern, instead of filling first and rebuilding
-//! every column afterwards. [`static_symbolic_reference`] is the brute-force
-//! oracle the tests compare against.
+//! [`fill_skeleton`] runs that merge loop keeping only what later steps
+//! need — the eforest parents, each row's first candidate step, and the
+//! exact length of every `L̄` column and `Ū` row. The analysis stops there:
+//! the supernode partition and the per-supernode row and column lists are
+//! read off the skeleton ([`crate::supernode`]), relabelled into postorder
+//! by [`FillSkeleton::relabeled`] first, and no scalar `L̄`/`Ū` is written.
+//!
+//! The scalar structure is the **oracle**: [`fill_columns`] computes `Ū`
+//! columns as bounded climbs through the skeleton's forest,
+//! [`assemble_filled`] lays `L̄`, `Ū` and the row-major `Ū` out with
+//! counting scatters (no comparison sort anywhere), and
+//! [`static_symbolic_factorization`] is the two in sequence — what the
+//! theorem suites, the paper binaries and the benchmark's phase walk call.
+//! [`static_symbolic_reference`] is the brute-force oracle behind that one.
 
 use splu_sparse::{Permutation, SparseError, SparsityPattern};
-use std::ops::Range;
 
 /// Structures of the filled factors `L̄` (lower, including the unit
 /// diagonal) and `Ū` (upper, including the diagonal).
@@ -122,14 +123,11 @@ impl From<SparseError> for SymbolicError {
 }
 
 /// Runs the static symbolic factorization on a square pattern with a
-/// zero-free diagonal: the skeleton pass, every column's climb as one chunk,
-/// and the counting assembly — the one-chunk, one-thread spelling of the
-/// path `splu-core`'s analysis drives with more chunks and threads (the
-/// result does not depend on either).
+/// zero-free diagonal and writes the scalar structure out: the skeleton
+/// pass, every column's climbs, and the counting assembly.
 pub fn static_symbolic_factorization(pattern: &SparsityPattern) -> Result<FilledLu, SymbolicError> {
     let skel = fill_skeleton(pattern)?;
-    let whole = fill_columns(pattern, &skel, 0..skel.n(), &mut FillScratch::new(skel.n()));
-    assemble_filled(&skel, &[whole])
+    Ok(assemble_filled(&skel, &fill_columns(pattern, &skel)))
 }
 
 /// Output of the sequential skeleton pass of the static symbolic
@@ -220,98 +218,73 @@ impl FillSkeleton {
         );
         out
     }
-
-    /// Cuts `0..n` into at most roughly `n_chunks` contiguous column ranges
-    /// of approximately equal estimated fill work (per-column weight:
-    /// one unit plus the original column count plus the `L̄` column count).
-    /// Deterministic for a fixed `(pattern, n_chunks)`; the chunked result
-    /// is independent of the chunking anyway because every column is
-    /// computed independently.
-    pub fn partition(&self, pattern: &SparsityPattern, n_chunks: usize) -> Vec<Range<usize>> {
-        let n = self.n;
-        if n == 0 {
-            return Vec::new();
-        }
-        let n_chunks = n_chunks.clamp(1, n);
-        let weights: Vec<usize> = (0..n)
-            .map(|j| 1 + pattern.col(j).len() + self.l_len[j])
-            .collect();
-        let total: usize = weights.iter().sum();
-        let target = total.div_ceil(n_chunks);
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0usize;
-        for (j, w) in weights.iter().enumerate() {
-            acc += w;
-            if acc >= target {
-                out.push(start..j + 1);
-                start = j + 1;
-                acc = 0;
-            }
-        }
-        if start < n {
-            out.push(start..n);
-        }
-        out
-    }
 }
 
-/// Runs the sequential skeleton pass: the union–find merge loop of the
-/// George–Ng scheme with no sorting and no `Ū` materialization. Costs `O(|Ū| + nnz)` integer operations and produces a
-/// [`FillSkeleton`] from which every filled column can then be computed
-/// *independently* (see [`fill_columns`]) — the GSoFa-style reachability
-/// formulation: `ū_ij ≠ 0` iff some row `r` with `a_rj ≠ 0` has `i` on its
-/// candidate-step chain `first(r), parent(first(r)), …` with `i ≤ j`.
-pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, SymbolicError> {
+/// Checks what every symbolic entry point requires of its input: a square
+/// pattern with a zero-free diagonal.
+fn check_input(pattern: &SparsityPattern) -> Result<(), SymbolicError> {
     if !pattern.is_square() {
         return Err(SymbolicError::NotSquare);
     }
+    match (0..pattern.ncols()).find(|&j| !pattern.contains(j, j)) {
+        Some(j) => Err(SymbolicError::ZeroOnDiagonal(j)),
+        None => Ok(()),
+    }
+}
+
+/// Runs the sequential skeleton pass: the row-class merge loop of the
+/// George–Ng scheme with no sorting and no `Ū` materialization. Costs
+/// `O(|Ū| + nnz)` integer operations and produces a [`FillSkeleton`], from
+/// which the supernodes and their row and column lists — or, for the
+/// oracle, every filled column (see [`fill_columns`]) — follow by
+/// reachability, the GSoFa-style formulation: `ū_ij ≠ 0` iff some row `r`
+/// with `a_rj ≠ 0` has `i` on its candidate-step chain
+/// `first(r), parent(first(r)), …` with `i ≤ j`.
+///
+/// A class is named by one of its rows and is only ever looked at in the
+/// bucket of its structure's minimum — its next candidate step — so no
+/// union–find is needed to resolve names: a class cannot be merged away
+/// before that step, because every merge at a step `k` involves classes
+/// whose minimum *is* `k`. What a class keeps is its structure (the row's
+/// own entries, borrowed, until its first merge; unsorted, minimum tracked
+/// by the bucket it sits in) and the *number* of its uneliminated rows: row
+/// `k` always belongs to the class formed at step `k` (its diagonal entry
+/// makes it a candidate), so eliminating it is a decrement.
+pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, SymbolicError> {
+    check_input(pattern)?;
     let n = pattern.ncols();
-    for j in 0..n {
-        if !pattern.contains(j, j) {
-            return Err(SymbolicError::ZeroOnDiagonal(j));
-        }
-    }
     let by_rows = pattern.transpose();
-
-    // Union–find over rows; each class owns one shared structure (kept
-    // *unsorted*, minimum tracked separately) and its uneliminated rows.
-    let mut uf: Vec<usize> = (0..n).collect();
-    fn find(uf: &mut [usize], mut x: usize) -> usize {
-        while uf[x] != x {
-            uf[x] = uf[uf[x]];
-            x = uf[x];
-        }
-        x
-    }
-
-    let mut class_struct: Vec<Vec<usize>> = (0..n).map(|i| by_rows.col(i).to_vec()).collect();
     // `by_rows` columns are sorted, so element 0 is the row minimum.
-    let first: Vec<usize> = (0..n).map(|i| class_struct[i][0]).collect();
-    let mut class_min: Vec<usize> = first.clone();
-    let mut class_rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut bucket: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        bucket[first[i]].push(i);
+    let first: Vec<usize> = (0..n).map(|i| by_rows.col(i)[0]).collect();
+
+    // Per class: the union its latest merge left it (empty until then — the
+    // structure is still `by_rows.col(class)`), and its uneliminated rows.
+    let mut merged_struct: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut rows_left = vec![1usize; n];
+    // Bucket `k` lists the classes whose structure minimum is `k`, threaded
+    // through `next`: a class sits in one bucket at a time.
+    const NIL: usize = usize::MAX;
+    let mut head = vec![NIL; n];
+    let mut next = vec![NIL; n];
+    for i in (0..n).rev() {
+        next[i] = head[first[i]];
+        head[first[i]] = i;
     }
 
     let mut parent = vec![usize::MAX; n];
     let mut l_len = vec![0usize; n];
     let mut u_len = vec![0usize; n];
-    let mut in_union = vec![false; n];
+    // `in_union[c] == k` marks column `c` as already in step `k`'s union.
+    let mut in_union = vec![usize::MAX; n];
     let mut merged: Vec<usize> = Vec::new();
+    let mut reps: Vec<usize> = Vec::new();
 
     for k in 0..n {
-        let mut reps: Vec<usize> = Vec::new();
-        for cand in std::mem::take(&mut bucket[k]) {
-            let r = find(&mut uf, cand);
-            if !class_rows[r].is_empty()
-                && !class_struct[r].is_empty()
-                && class_min[r] == k
-                && !reps.contains(&r)
-            {
-                reps.push(r);
-            }
+        reps.clear();
+        let mut class = head[k];
+        while class != NIL {
+            reps.push(class);
+            class = next[class];
         }
         debug_assert!(
             !reps.is_empty(),
@@ -323,46 +296,49 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
         merged.clear();
         let mut min = usize::MAX;
         for &r in &reps {
-            for &c in &class_struct[r] {
-                if c > k && !in_union[c] {
-                    in_union[c] = true;
+            let structure = match merged_struct[r].as_slice() {
+                [] => by_rows.col(r),
+                merged => merged,
+            };
+            for &c in structure {
+                if c > k && in_union[c] != k {
+                    in_union[c] = k;
                     merged.push(c);
                     min = min.min(c);
                 }
             }
         }
-        for &c in &merged {
-            in_union[c] = false;
-        }
 
         // L̄ column k = all rows in the candidate classes; Ū row k = {k} ∪
-        // the trimmed union. Only the counts are recorded — the entries are
-        // reconstructed later from `(first, parent)`.
-        l_len[k] = reps.iter().map(|&r| class_rows[r].len()).sum();
+        // the trimmed union. Only the counts are recorded.
+        let rows: usize = reps.iter().map(|&r| rows_left[r]).sum();
+        l_len[k] = rows;
         u_len[k] = merged.len() + 1;
 
-        // Merge the classes into one; drop row k; re-bucket at the new
-        // minimum (recycling the old root structure as the next scratch).
+        // Merge the classes into one, drop row k, and re-bucket at the new
+        // minimum. The root's old buffer becomes the next step's scratch; a
+        // class that never merged owns none and gets an exact copy instead.
         let root = reps[0];
         for &r in &reps[1..] {
-            uf[r] = root;
-            let rows = std::mem::take(&mut class_rows[r]);
-            class_rows[root].extend(rows);
-            class_struct[r] = Vec::new();
+            merged_struct[r] = Vec::new();
         }
-        class_rows[root].retain(|&i| i != k);
-        if class_rows[root].is_empty() {
-            class_struct[root] = Vec::new();
+        if rows == 1 {
+            merged_struct[root] = Vec::new();
+            continue;
+        }
+        debug_assert!(
+            min != usize::MAX,
+            "surviving rows must have a diagonal entry ahead"
+        );
+        parent[k] = min;
+        rows_left[root] = rows - 1;
+        if merged_struct[root].capacity() == 0 {
+            merged_struct[root] = merged.clone();
         } else {
-            debug_assert!(
-                min != usize::MAX,
-                "surviving rows must have a diagonal entry ahead"
-            );
-            parent[k] = min;
-            class_min[root] = min;
-            std::mem::swap(&mut class_struct[root], &mut merged);
-            bucket[min].push(root);
+            std::mem::swap(&mut merged_struct[root], &mut merged);
         }
+        next[root] = head[min];
+        head[min] = root;
     }
 
     Ok(FillSkeleton {
@@ -374,79 +350,50 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
     })
 }
 
-/// Reusable per-worker scratch for [`fill_columns`]: a column-stamped mark
-/// array, so no clearing between columns (or chunks) is needed.
-#[derive(Debug)]
-pub struct FillScratch {
-    mark: Vec<usize>,
-    stamp: usize,
-}
-
-impl FillScratch {
-    /// Fresh scratch for an order-`n` problem.
-    pub fn new(n: usize) -> Self {
-        FillScratch {
-            mark: vec![usize::MAX; n],
-            stamp: 0,
-        }
-    }
-}
-
-/// `Ū` columns of one contiguous column range, flat and **unsorted within
-/// each column** (climb discovery order) — the output of [`fill_columns`],
-/// consumed by [`assemble_filled`].
-///
-/// The discovery order depends only on `(pattern, skeleton, column)`, never
-/// on the worker or chunk that computed it, so even the raw bytes here are
-/// schedule-independent.
+/// `Ū` by columns, flat and **unsorted within each column** (climb
+/// discovery order) — the output of [`fill_columns`], consumed by
+/// [`assemble_filled`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FillChunk {
-    /// The column range this chunk covers.
-    pub cols: Range<usize>,
-    /// Chunk-local column pointers into `u_idx` (length `cols.len() + 1`).
-    pub u_ptr: Vec<usize>,
-    /// Concatenated `Ū` column row indices, unsorted within each column.
-    pub u_idx: Vec<usize>,
+pub struct UnsortedColumns {
+    /// Column pointers into `idx` (length `n + 1`).
+    pub ptr: Vec<usize>,
+    /// Concatenated column row indices, unsorted within each column.
+    pub idx: Vec<usize>,
 }
 
-/// Computes the `Ū` columns `cols` from the skeleton — the embarrassingly
-/// parallel half of the chunked factorization.
+/// Computes the columns of `Ū` from the skeleton.
 ///
 /// Per column `j`, the `Ū` column is the union of parent-chain climbs
 /// `first[r], parent[first[r]], …` truncated at `j`, one climb per
 /// structural entry `a_rj`. Climbs stop at the first already-marked node,
 /// so the column costs `O(|A_{*j}| + |Ū_{*j}|)`. Nothing is sorted here:
 /// [`assemble_filled`] orders both factors with linear counting passes.
-pub fn fill_columns(
-    pattern: &SparsityPattern,
-    skel: &FillSkeleton,
-    cols: Range<usize>,
-    scratch: &mut FillScratch,
-) -> FillChunk {
-    assert!(cols.end <= skel.n, "column range out of bounds");
-    let mut u_ptr = Vec::with_capacity(cols.len() + 1);
-    u_ptr.push(0);
-    let mut u_idx: Vec<usize> = Vec::with_capacity(4 * cols.len());
-    for j in cols.clone() {
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
+pub fn fill_columns(pattern: &SparsityPattern, skel: &FillSkeleton) -> UnsortedColumns {
+    let n = skel.n;
+    assert_eq!(pattern.ncols(), n, "pattern and skeleton orders differ");
+    let mut ptr = Vec::with_capacity(n + 1);
+    ptr.push(0);
+    let mut idx: Vec<usize> = Vec::with_capacity(skel.u_len.iter().sum());
+    // `seen_in_col[x] == j` marks row `x` as already in column `j`.
+    let mut seen_in_col = vec![usize::MAX; n];
+    for j in 0..n {
         for &r in pattern.col(j) {
             let mut x = skel.first[r];
             // `parent` entries are either > x or usize::MAX, so the `x <= j`
             // bound also terminates dead-class chains.
-            while x <= j && scratch.mark[x] != stamp {
-                scratch.mark[x] = stamp;
-                u_idx.push(x);
+            while x <= j && seen_in_col[x] != j {
+                seen_in_col[x] = j;
+                idx.push(x);
                 x = skel.parent[x];
             }
         }
-        u_ptr.push(u_idx.len());
+        ptr.push(idx.len());
     }
-    FillChunk { cols, u_ptr, u_idx }
+    UnsortedColumns { ptr, idx }
 }
 
 /// Exclusive prefix sum of `lens` as a CSC pointer array.
-fn prefix_ptr(lens: &[usize]) -> Vec<usize> {
+pub(crate) fn prefix_ptr(lens: &[usize]) -> Vec<usize> {
     let mut ptr = Vec::with_capacity(lens.len() + 1);
     let mut acc = 0usize;
     ptr.push(0);
@@ -457,62 +404,10 @@ fn prefix_ptr(lens: &[usize]) -> Vec<usize> {
     ptr
 }
 
-/// Splits the destination index range `0..n` of a scatter into at most `t`
-/// sub-ranges carrying roughly equal numbers of entries per `ptr`.
-/// The ranges tile `0..n` in ascending order (some may be empty).
-fn balance_ranges(ptr: &[usize], t: usize) -> Vec<Range<usize>> {
-    let n = ptr.len() - 1;
-    let nnz = ptr[n];
-    let t = t.clamp(1, n.max(1));
-    let mut ranges = Vec::with_capacity(t);
-    let mut start = 0usize;
-    for k in 1..=t {
-        let end = if k == t {
-            n
-        } else {
-            // First destination whose cumulative count reaches k/t of nnz.
-            ptr.partition_point(|&p| p < nnz * k / t).clamp(start, n)
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
-/// Runs a counting scatter with destination-range ownership: the output is
-/// split at `ptr` boundaries into one contiguous sub-slice per balanced
-/// destination range, and `run(range, out_range)` fills each — on the
-/// calling thread when `nthreads <= 1`, on scoped threads otherwise.
-///
-/// Because every entry's final position is fixed by `ptr` before any thread
-/// starts, the assembled output is **position-exact**: bitwise identical
-/// for every `nthreads`.
-fn scatter_by_dest<F>(ptr: &[usize], out: &mut [usize], nthreads: usize, run: F)
-where
-    F: Fn(Range<usize>, &mut [usize]) + Sync,
-{
-    let n = ptr.len() - 1;
-    if nthreads <= 1 {
-        run(0..n, out);
-        return;
-    }
-    let ranges = balance_ranges(ptr, nthreads);
-    std::thread::scope(|s| {
-        let mut rest = out;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut(ptr[r.end] - ptr[r.start]);
-            rest = tail;
-            let run = &run;
-            s.spawn(move || run(r, head));
-        }
-    });
-}
-
-/// Assembles chunk outputs (which must tile `0..n` in ascending order) into
-/// a [`FilledLu`], using up to `nthreads` threads for the scatter passes.
+/// Assembles the skeleton and the unsorted `Ū` columns into a [`FilledLu`].
 ///
 /// No comparison sorts anywhere: every CSC pointer array is known exactly
-/// from the skeleton's `l_len`/`u_len` and the chunk pointers, and
+/// from the skeleton's `l_len`/`u_len` and the column pointers, and
 ///
 /// * `L̄` rows are **branches** (row `i` = the ascending parent path
 ///   `first[i] → … → i`), so scanning rows in ascending order while walking
@@ -520,134 +415,68 @@ where
 /// * the unsorted `Ū` columns scatter (ascending column scan) into the
 ///   row-major `Ū`, which therefore comes out sorted, and a second scatter
 ///   (ascending row scan) back yields the column-compressed `Ū` sorted.
-///
-/// Each scatter parallelizes by destination-range ownership (see
-/// [`scatter_by_dest`]); the output is position-exact, so the result is
-/// bitwise independent of `nthreads`, chunking and scheduling — a sorted
-/// CSC representation of a set family is unique.
-pub fn assemble_filled_threads(
-    skel: &FillSkeleton,
-    chunks: &[FillChunk],
-    nthreads: usize,
-) -> Result<FilledLu, SymbolicError> {
+pub fn assemble_filled(skel: &FillSkeleton, u_cols: &UnsortedColumns) -> FilledLu {
     let n = skel.n;
-    let mut next = 0usize;
-    for ch in chunks {
-        assert_eq!(
-            ch.cols.start, next,
-            "chunks must tile the column range in order"
-        );
-        assert_eq!(ch.u_ptr.len(), ch.cols.len() + 1, "malformed chunk");
-        next = ch.cols.end;
-    }
-    assert_eq!(next, n, "chunks must cover every column");
+    assert_eq!(u_cols.ptr.len(), n + 1, "one Ū column per skeleton column");
 
     // L̄ columns: scan rows ascending, walk each row's branch, scatter the
-    // row index into every branch node's column. Branches ascend (parents
-    // exceed children), so a thread owning destinations `[a, b)` can skip
-    // rows whose branch starts at or beyond `b` and stop each walk at `b`.
+    // row index into every branch node's column.
     let l_ptr = prefix_ptr(&skel.l_len);
     let mut l_idx = vec![0usize; l_ptr[n]];
-    scatter_by_dest(&l_ptr, &mut l_idx, nthreads, |r, out| {
-        let base = l_ptr[r.start];
-        let mut cursor: Vec<usize> = l_ptr[r.start..r.end].iter().map(|&p| p - base).collect();
-        for i in r.start..n {
-            let mut x = skel.first[i];
-            if x >= r.end {
-                continue;
+    let mut cursor = l_ptr[..n].to_vec();
+    for i in 0..n {
+        let mut x = skel.first[i];
+        loop {
+            l_idx[cursor[x]] = i;
+            cursor[x] += 1;
+            if x == i {
+                break;
             }
-            loop {
-                if x >= r.start {
-                    out[cursor[x - r.start]] = i;
-                    cursor[x - r.start] += 1;
-                }
-                if x == i {
-                    break;
-                }
-                x = skel.parent[x];
-                debug_assert!(x <= i, "row branch overshot its row");
-                if x >= r.end {
-                    break;
-                }
-            }
-        }
-        debug_assert!((r.start..r.end).all(|j| cursor[j - r.start] == l_ptr[j + 1] - base));
-    });
-
-    // Row-major Ū by one scatter of the unsorted chunk columns (ascending
-    // column scan → sorted rows).
-    let ur_ptr = prefix_ptr(&skel.u_len);
-    let mut ur_idx = vec![0usize; ur_ptr[n]];
-    scatter_by_dest(&ur_ptr, &mut ur_idx, nthreads, |r, out| {
-        let base = ur_ptr[r.start];
-        let mut cursor: Vec<usize> = ur_ptr[r.start..r.end].iter().map(|&p| p - base).collect();
-        for ch in chunks {
-            for (k, j) in ch.cols.clone().enumerate() {
-                for &i in &ch.u_idx[ch.u_ptr[k]..ch.u_ptr[k + 1]] {
-                    if i >= r.start && i < r.end {
-                        out[cursor[i - r.start]] = j;
-                        cursor[i - r.start] += 1;
-                    }
-                }
-            }
-        }
-        debug_assert!((r.start..r.end).all(|i| cursor[i - r.start] == ur_ptr[i + 1] - base));
-    });
-
-    // Column-compressed Ū by scattering back (ascending row scan → sorted
-    // columns). Rows of the row-major Ū are sorted, so each thread narrows
-    // to its destination window by binary search instead of filtering.
-    let mut u_col_lens = vec![0usize; n];
-    for ch in chunks {
-        for (k, j) in ch.cols.clone().enumerate() {
-            u_col_lens[j] = ch.u_ptr[k + 1] - ch.u_ptr[k];
+            x = skel.parent[x];
+            debug_assert!(x <= i, "row branch overshot its row");
         }
     }
-    let u_ptr = prefix_ptr(&u_col_lens);
-    let mut u_idx = vec![0usize; u_ptr[n]];
-    scatter_by_dest(&u_ptr, &mut u_idx, nthreads, |r, out| {
-        let base = u_ptr[r.start];
-        let mut cursor: Vec<usize> = u_ptr[r.start..r.end].iter().map(|&p| p - base).collect();
-        for i in 0..n {
-            let row = &ur_idx[ur_ptr[i]..ur_ptr[i + 1]];
-            let lo = row.partition_point(|&j| j < r.start);
-            let hi = lo + row[lo..].partition_point(|&j| j < r.end);
-            for &j in &row[lo..hi] {
-                out[cursor[j - r.start]] = i;
-                cursor[j - r.start] += 1;
-            }
+    debug_assert!((0..n).all(|j| cursor[j] == l_ptr[j + 1]));
+
+    // Row-major Ū by one scatter of the unsorted columns (ascending column
+    // scan → sorted rows).
+    let ur_ptr = prefix_ptr(&skel.u_len);
+    let mut ur_idx = vec![0usize; ur_ptr[n]];
+    cursor.copy_from_slice(&ur_ptr[..n]);
+    for j in 0..n {
+        for &i in &u_cols.idx[u_cols.ptr[j]..u_cols.ptr[j + 1]] {
+            ur_idx[cursor[i]] = j;
+            cursor[i] += 1;
         }
-        debug_assert!((r.start..r.end).all(|j| cursor[j - r.start] == u_ptr[j + 1] - base));
-    });
+    }
+    debug_assert!((0..n).all(|i| cursor[i] == ur_ptr[i + 1]));
 
-    let l = SparsityPattern::from_sorted_parts(n, n, l_ptr, l_idx);
-    let u = SparsityPattern::from_sorted_parts(n, n, u_ptr, u_idx);
-    let u_rows = SparsityPattern::from_sorted_parts(n, n, ur_ptr, ur_idx);
-    Ok(FilledLu { l, u, u_rows })
-}
+    // Column-compressed Ū by scattering back (ascending row scan → sorted
+    // columns).
+    let mut u_idx = vec![0usize; u_cols.idx.len()];
+    cursor.copy_from_slice(&u_cols.ptr[..n]);
+    for i in 0..n {
+        for &j in &ur_idx[ur_ptr[i]..ur_ptr[i + 1]] {
+            u_idx[cursor[j]] = i;
+            cursor[j] += 1;
+        }
+    }
+    debug_assert!((0..n).all(|j| cursor[j] == u_cols.ptr[j + 1]));
 
-/// Single-threaded [`assemble_filled_threads`].
-pub fn assemble_filled(
-    skel: &FillSkeleton,
-    chunks: &[FillChunk],
-) -> Result<FilledLu, SymbolicError> {
-    assemble_filled_threads(skel, chunks, 1)
+    FilledLu {
+        l: SparsityPattern::from_sorted_parts(n, n, l_ptr, l_idx),
+        u: SparsityPattern::from_sorted_parts(n, n, u_cols.ptr.clone(), u_idx),
+        u_rows: SparsityPattern::from_sorted_parts(n, n, ur_ptr, ur_idx),
+    }
 }
 
 /// Brute-force reference implementation on dense boolean matrices, O(n³).
 ///
 /// Used by the test-suite (and available to downstream property tests) to
-/// validate the union–find implementation.
+/// validate the skeleton-based implementation.
 pub fn static_symbolic_reference(pattern: &SparsityPattern) -> Result<FilledLu, SymbolicError> {
-    if !pattern.is_square() {
-        return Err(SymbolicError::NotSquare);
-    }
+    check_input(pattern)?;
     let n = pattern.ncols();
-    for j in 0..n {
-        if !pattern.contains(j, j) {
-            return Err(SymbolicError::ZeroOnDiagonal(j));
-        }
-    }
     let mut a = vec![vec![false; n]; n];
     for (i, j) in pattern.entries() {
         a[i][j] = true;
@@ -836,20 +665,144 @@ mod tests {
         assert_eq!(f.nnz_filled(), 0);
     }
 
-    /// The fill of `p` over chunks of `chunk_cols` columns.
-    fn chunked(p: &SparsityPattern, chunk_cols: usize) -> FilledLu {
-        let skel = fill_skeleton(p).unwrap();
-        let n = skel.n();
-        let mut scratch = FillScratch::new(n);
-        let chunks: Vec<FillChunk> = (0..n)
-            .step_by(chunk_cols)
-            .map(|s| fill_columns(p, &skel, s..(s + chunk_cols).min(n), &mut scratch))
-            .collect();
-        assemble_filled(&skel, &chunks).unwrap()
+    /// [`fill_skeleton`] as it was written first: union–find over rows, one
+    /// owned structure and one explicit row list per class, `Vec` buckets.
+    /// The oracle the leaner loop is held to, array for array.
+    fn fill_skeleton_with_row_lists(pattern: &SparsityPattern) -> FillSkeleton {
+        let n = pattern.ncols();
+        let by_rows = pattern.transpose();
+
+        // Union–find over rows; each class owns one shared structure (kept
+        // *unsorted*, minimum tracked separately) and its uneliminated rows.
+        let mut uf: Vec<usize> = (0..n).collect();
+        fn find(uf: &mut [usize], mut x: usize) -> usize {
+            while uf[x] != x {
+                uf[x] = uf[uf[x]];
+                x = uf[x];
+            }
+            x
+        }
+
+        let mut class_struct: Vec<Vec<usize>> = (0..n).map(|i| by_rows.col(i).to_vec()).collect();
+        // `by_rows` columns are sorted, so element 0 is the row minimum.
+        let first: Vec<usize> = (0..n).map(|i| class_struct[i][0]).collect();
+        let mut class_min: Vec<usize> = first.clone();
+        let mut class_rows: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let mut bucket: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            bucket[first[i]].push(i);
+        }
+
+        let mut parent = vec![usize::MAX; n];
+        let mut l_len = vec![0usize; n];
+        let mut u_len = vec![0usize; n];
+        let mut in_union = vec![false; n];
+        let mut merged: Vec<usize> = Vec::new();
+
+        for k in 0..n {
+            let mut reps: Vec<usize> = Vec::new();
+            for cand in std::mem::take(&mut bucket[k]) {
+                let r = find(&mut uf, cand);
+                if !class_rows[r].is_empty()
+                    && !class_struct[r].is_empty()
+                    && class_min[r] == k
+                    && !reps.contains(&r)
+                {
+                    reps.push(r);
+                }
+            }
+            debug_assert!(
+                !reps.is_empty(),
+                "zero-free diagonal guarantees a candidate class at step {k}"
+            );
+
+            // Trimmed union (columns > k) of the candidate structures, tracking
+            // its minimum — no sort needed.
+            merged.clear();
+            let mut min = usize::MAX;
+            for &r in &reps {
+                for &c in &class_struct[r] {
+                    if c > k && !in_union[c] {
+                        in_union[c] = true;
+                        merged.push(c);
+                        min = min.min(c);
+                    }
+                }
+            }
+            for &c in &merged {
+                in_union[c] = false;
+            }
+
+            // L̄ column k = all rows in the candidate classes; Ū row k = {k} ∪
+            // the trimmed union. Only the counts are recorded — the entries are
+            // reconstructed later from `(first, parent)`.
+            l_len[k] = reps.iter().map(|&r| class_rows[r].len()).sum();
+            u_len[k] = merged.len() + 1;
+
+            // Merge the classes into one; drop row k; re-bucket at the new
+            // minimum (recycling the old root structure as the next scratch).
+            let root = reps[0];
+            for &r in &reps[1..] {
+                uf[r] = root;
+                let rows = std::mem::take(&mut class_rows[r]);
+                class_rows[root].extend(rows);
+                class_struct[r] = Vec::new();
+            }
+            class_rows[root].retain(|&i| i != k);
+            if class_rows[root].is_empty() {
+                class_struct[root] = Vec::new();
+            } else {
+                debug_assert!(
+                    min != usize::MAX,
+                    "surviving rows must have a diagonal entry ahead"
+                );
+                parent[k] = min;
+                class_min[root] = min;
+                std::mem::swap(&mut class_struct[root], &mut merged);
+                bucket[min].push(root);
+            }
+        }
+
+        FillSkeleton {
+            n,
+            parent,
+            first,
+            l_len,
+            u_len,
+        }
     }
 
     #[test]
-    fn every_chunking_matches_the_dense_reference() {
+    fn skeleton_equals_the_row_list_oracle() {
+        let mut cases = vec![
+            fig1_pattern(),
+            SparsityPattern::empty(0, 0),
+            SparsityPattern::identity(1),
+            SparsityPattern::identity(9),
+        ];
+        let dense = |n: usize| (0..n).flat_map(move |i| (0..n).map(move |j| (i, j)));
+        cases.push(SparsityPattern::from_entries(6, 6, dense(6)).unwrap());
+        for seed in 0..40u64 {
+            let n = 1 + (seed as usize * 7) % 60;
+            cases.push(random_pattern(n, n * (seed as usize % 6), seed));
+        }
+        for m in splu_matgen::paper_suite(splu_matgen::Scale::Reduced) {
+            let q = splu_ordering::column_min_degree(m.a.pattern());
+            cases.push(m.a.pattern().permuted(&q, &q));
+            cases.push(m.a.pattern().clone());
+        }
+        for p in &cases {
+            assert_eq!(
+                fill_skeleton(p).unwrap(),
+                fill_skeleton_with_row_lists(p),
+                "n = {}",
+                p.ncols()
+            );
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_random_patterns() {
         let mut cases = vec![fig1_pattern()];
         for (n, extra, seed) in [
             (1usize, 0usize, 1u64),
@@ -865,9 +818,6 @@ mod tests {
         for p in &cases {
             let slow = static_symbolic_reference(p).unwrap();
             assert_eq!(static_symbolic_factorization(p).unwrap(), slow);
-            for chunk in [1usize, 3, 8, 64] {
-                assert_eq!(chunked(p, chunk), slow, "n={}, chunk={chunk}", p.ncols());
-            }
         }
     }
 
@@ -884,8 +834,7 @@ mod tests {
             let p3 = p.permuted(&po, &po);
             let skel3 = skel.relabeled(&po);
             assert_eq!(skel3, fill_skeleton(&p3).unwrap(), "seed {seed}");
-            let whole = fill_columns(&p3, &skel3, 0..26, &mut FillScratch::new(26));
-            let direct = assemble_filled(&skel3, &[whole]).unwrap();
+            let direct = assemble_filled(&skel3, &fill_columns(&p3, &skel3));
             let slow = static_symbolic_reference(&p).unwrap();
             let rebuilt =
                 FilledLu::from_parts(slow.l.permuted(&po, &po), slow.u.permuted(&po, &po));
@@ -907,63 +856,6 @@ mod tests {
                     v => Some(v),
                 };
                 assert_eq!(skel_parent, forest.parent(j), "node {j}, seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_tiles_the_column_range() {
-        let p = random_pattern(37, 80, 9);
-        let skel = fill_skeleton(&p).unwrap();
-        for n_chunks in [1usize, 2, 5, 16, 100] {
-            let parts = skel.partition(&p, n_chunks);
-            let mut next = 0;
-            for r in &parts {
-                assert_eq!(r.start, next);
-                assert!(r.end > r.start);
-                next = r.end;
-            }
-            assert_eq!(next, 37);
-            // Identical partitions on repeated calls (determinism).
-            assert_eq!(parts, skel.partition(&p, n_chunks));
-        }
-    }
-
-    #[test]
-    fn chunks_are_schedule_independent() {
-        // Computing the same column in different chunks / scratches yields
-        // the same result — the per-column independence the parallel
-        // driver's determinism rests on.
-        let p = random_pattern(30, 70, 12);
-        let skel = fill_skeleton(&p).unwrap();
-        let mut s1 = FillScratch::new(30);
-        let mut s2 = FillScratch::new(30);
-        let whole = fill_columns(&p, &skel, 0..30, &mut s1);
-        for j in 0..30 {
-            let single = fill_columns(&p, &skel, j..j + 1, &mut s2);
-            // Even the raw (unsorted) climb output bytes match per column.
-            assert_eq!(
-                single.u_idx,
-                whole.u_idx[whole.u_ptr[j]..whole.u_ptr[j + 1]],
-                "column {j} differs across chunkings"
-            );
-        }
-    }
-
-    #[test]
-    fn assembly_is_bitwise_identical_across_thread_counts() {
-        for (n, extra, seed) in [(1usize, 0usize, 1u64), (17, 40, 5), (60, 200, 9)] {
-            let p = random_pattern(n, extra, seed);
-            let skel = fill_skeleton(&p).unwrap();
-            let mut scratch = FillScratch::new(n);
-            let chunks: Vec<FillChunk> = (0..n)
-                .step_by(7)
-                .map(|s| fill_columns(&p, &skel, s..(s + 7).min(n), &mut scratch))
-                .collect();
-            let seq = assemble_filled(&skel, &chunks).unwrap();
-            for t in [2usize, 3, 8, 64] {
-                let par = assemble_filled_threads(&skel, &chunks, t).unwrap();
-                assert_eq!(seq, par, "n={n} seed={seed} nthreads={t}");
             }
         }
     }

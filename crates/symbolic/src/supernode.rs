@@ -11,8 +11,17 @@
 //! [`amalgamate`] merges adjacent supernodes while the fraction of explicit
 //! zeros it introduces stays below a threshold — the paper's amalgamation
 //! step.
+//!
+//! None of this needs the scalar structure. Partition and amalgamation
+//! read three arrays — the eforest parents and the lengths of every `L̄`
+//! column and `Ū` row ([`ChainCounts`]) — and the row and column lists of
+//! the supernodes are two walks through the forest
+//! ([`BlockStructure::from_skeleton`]); the analysis takes all of it from
+//! the [`FillSkeleton`]. The `&FilledLu` spellings read the same three
+//! arrays off a filled structure and run the same rule, and
+//! [`BlockStructure::new`] copies the lists out of it: the oracle path.
 
-use crate::static_fact::FilledLu;
+use crate::static_fact::{prefix_ptr, FillSkeleton, FilledLu};
 use splu_sparse::SparsityPattern;
 
 /// A partition of `0..n` into consecutive blocks (supernodes).
@@ -99,26 +108,163 @@ impl Partition {
     }
 }
 
+/// What the partition and amalgamation rules read: the eforest parents
+/// (`usize::MAX` = root) and the entry counts of every `L̄` column and `Ū`
+/// row, diagonal included.
+///
+/// Chain nesting: when `p = parent(k)`, every row of `L̄_{*k}∖{k}` leaves
+/// step `k` with the structure `Ū_{k*}∖{k}`, whose minimum is `p`; each is
+/// therefore still uneliminated and a candidate at step `p`, so
+/// `L̄_{*k}∖{k} ⊆ L̄_{*p}` and `Ū_{k*}∖{k} ⊆ Ū_{p*}`. Between a column and
+/// its parent, sets are nested — so equal *counts* are equal *sets*, and
+/// along a chain the rows below and the columns right of a panel are
+/// exactly those of its last column.
+#[derive(Debug, Clone, Copy)]
+struct ChainCounts<'a> {
+    parent: &'a [usize],
+    l_len: &'a [usize],
+    u_len: &'a [usize],
+}
+
+impl<'a> ChainCounts<'a> {
+    fn of_skeleton(skel: &'a FillSkeleton) -> Self {
+        ChainCounts {
+            parent: skel.parents(),
+            l_len: skel.l_len(),
+            u_len: skel.u_len(),
+        }
+    }
+
+    /// Runs `rule` on the three arrays read off a filled structure
+    /// (Definition 1: `parent(j)` is the first off-diagonal of `Ū` row `j`
+    /// when `L̄` column `j` has one).
+    fn with_filled<T>(f: &FilledLu, rule: impl FnOnce(ChainCounts<'_>) -> T) -> T {
+        let n = f.n();
+        let l_len: Vec<usize> = (0..n).map(|j| f.l_col(j).len()).collect();
+        let u_len: Vec<usize> = (0..n).map(|i| f.u_row(i).len()).collect();
+        let parent: Vec<usize> = (0..n)
+            .map(|j| match (l_len[j], f.u_row(j).get(1)) {
+                (2.., Some(&p)) => p,
+                _ => usize::MAX,
+            })
+            .collect();
+        rule(ChainCounts {
+            parent: &parent,
+            l_len: &l_len,
+            u_len: &u_len,
+        })
+    }
+
+    /// `parent(b − 1) = b`: columns `b − 1` and `b` may share a supernode.
+    fn chain_boundary(&self, b: usize) -> bool {
+        self.parent[b - 1] == b
+    }
+
+    /// The exact partition: `j` and `j + 1` share a supernode iff
+    /// `parent(j) = j + 1` and both nested inclusions are equalities.
+    fn partition(&self) -> Partition {
+        let n = self.parent.len();
+        let mut starts = vec![0usize];
+        for b in 1..n {
+            let same = self.chain_boundary(b)
+                && self.l_len[b - 1] == self.l_len[b] + 1
+                && self.u_len[b - 1] == self.u_len[b] + 1;
+            if !same {
+                starts.push(b);
+            }
+        }
+        if n > 0 {
+            starts.push(n);
+        }
+        Partition::from_starts(starts)
+    }
+
+    /// `cum[j] = Σ_{i<j} (l_len[i] + u_len[i])`, what [`Self::chain_cost`]
+    /// takes its exact counts from.
+    fn prefix_sums(&self) -> Vec<usize> {
+        let both: Vec<usize> = (self.l_len.iter().zip(self.u_len))
+            .map(|(l, u)| l + u)
+            .collect();
+        prefix_ptr(&both)
+    }
+
+    /// Panel storage (in entries) and exact nonzeros of a candidate
+    /// supernode `[a, c)` whose columns form a **parent chain** of the
+    /// eforest (`parent(j) = j + 1` for `a ≤ j < c − 1`), counting both
+    /// the `L̄` and `Ū` panels — O(1) given [`Self::prefix_sums`].
+    fn chain_cost(&self, cum: &[usize], a: usize, c: usize) -> (usize, usize) {
+        let width = c - a;
+        let outside = (self.l_len[c - 1] - 1) + (self.u_len[c - 1] - 1);
+        (width * (width + 1) + width * outside, cum[c] - cum[a])
+    }
+
+    /// See [`amalgamate`].
+    fn amalgamate(&self, base: &Partition, opts: &SupernodeOptions) -> Partition {
+        let nb = base.num_blocks();
+        if nb == 0 {
+            return base.clone();
+        }
+        let cum = self.prefix_sums();
+        let mut starts = vec![0usize];
+        let mut group_start = 0usize; // column index
+        let mut k = 0usize;
+        while k < nb {
+            // Try to extend the current group [group_start, end_k) with block k+1.
+            let mut end = base.range(k).end;
+            let mut next = k + 1;
+            while next < nb {
+                let cand_end = base.range(next).end;
+                if cand_end - group_start > opts.max_width {
+                    break;
+                }
+                if !self.chain_boundary(base.range(next).start) {
+                    break;
+                }
+                // Every boundary inside [group_start, cand_end) is a chain
+                // boundary: the ones inside exact supernodes always are, the
+                // ones between them passed the test above.
+                let (storage, exact) = self.chain_cost(&cum, group_start, cand_end);
+                let zeros = storage.saturating_sub(exact);
+                if (zeros as f64) > opts.rel_fill * storage as f64 {
+                    break;
+                }
+                end = cand_end;
+                next += 1;
+            }
+            starts.push(end);
+            group_start = end;
+            k = next;
+        }
+        Partition::from_starts(starts)
+    }
+}
+
 /// Computes the exact L/U supernode partition of a filled structure.
 ///
 /// Columns `j` and `j + 1` share a supernode iff the sub-diagonal structure
 /// of `L̄` column `j` equals that of column `j + 1` **and** the
 /// super-diagonal structure of `Ū` row `j` equals that of row `j + 1`
-/// (both including the required `(j+1, j)` / `(j, j+1)` couplings).
+/// (both including the required `(j+1, j)` / `(j, j+1)` couplings) —
+/// decided on the counts, see [`FillSkeleton::supernode_partition`].
 pub fn supernode_partition(f: &FilledLu) -> Partition {
-    let n = f.n();
-    let mut starts = vec![0usize];
-    for j in 0..n.saturating_sub(1) {
-        let l_match = f.l_col(j)[1..] == *f.l_col(j + 1);
-        let u_match = f.u_row(j)[1..] == *f.u_row(j + 1);
-        if !(l_match && u_match) {
-            starts.push(j + 1);
-        }
+    ChainCounts::with_filled(f, |counts| counts.partition())
+}
+
+impl FillSkeleton {
+    /// The exact L/U supernode partition of the structure this skeleton
+    /// describes, without the structure: `j` and `j + 1` share a supernode
+    /// iff `parent(j) = j + 1`, `|L̄_{*j}| = |L̄_{*j+1}| + 1` and
+    /// `|Ū_{j*}| = |Ū_{j+1*}| + 1`. Column `j`'s sets minus their diagonal
+    /// are nested in those of its parent, so the counts agree exactly when
+    /// the sets do.
+    pub fn supernode_partition(&self) -> Partition {
+        ChainCounts::of_skeleton(self).partition()
     }
-    if n > 0 {
-        starts.push(n);
+
+    /// [`amalgamate`] on the structure this skeleton describes.
+    pub fn amalgamate(&self, base: &Partition, opts: &SupernodeOptions) -> Partition {
+        ChainCounts::of_skeleton(self).amalgamate(base, opts)
     }
-    Partition::from_starts(starts)
 }
 
 /// Tuning knobs for [`amalgamate`].
@@ -140,28 +286,9 @@ impl Default for SupernodeOptions {
     }
 }
 
-/// Panel storage (in entries) and exact nonzeros of a candidate supernode
-/// `[a, c)` whose columns form a **parent chain** of the eforest
-/// (`parent(j) = j + 1` for `a ≤ j < c − 1`), counting both the `L̄` and
-/// `Ū` panels — O(1).
-///
-/// Chain nesting: when `p = parent(k)`, every row of `L̄_{*k}∖{k}` leaves
-/// step `k` with the structure `Ū_{k*}∖{k}`, whose minimum is `p`; each is
-/// therefore still uneliminated and a candidate at step `p`, so
-/// `L̄_{*k}∖{k} ⊆ L̄_{*p}` and `Ū_{k*}∖{k} ⊆ Ū_{p*}`. Along a chain the rows
-/// below and the columns right of the panel are thus exactly those of its
-/// last column, and the exact count is a difference of the CSC pointers.
-fn chain_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
-    let width = c - a;
-    let (l_ptr, u_ptr) = (f.l.col_ptr(), f.u_by_rows().col_ptr());
-    let exact = (l_ptr[c] - l_ptr[a]) + (u_ptr[c] - u_ptr[a]);
-    let outside = (f.l_col(c - 1).len() - 1) + (f.u_row(c - 1).len() - 1);
-    (width * (width + 1) + width * outside, exact)
-}
-
-/// [`chain_cost`] by brute force — collects, sorts and dedups the rows and
-/// columns outside the panel, for any `[a, c)`. The oracle the tests hold
-/// the O(1) formula to.
+/// [`ChainCounts::chain_cost`] by brute force — collects, sorts and dedups
+/// the rows and columns outside the panel, for any `[a, c)`. The oracle the
+/// tests hold the O(1) formula to.
 #[cfg(test)]
 fn panel_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
     let width = c - a;
@@ -199,48 +326,7 @@ fn panel_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
 /// A single greedy left-to-right pass: each group is extended with the next
 /// supernode as long as the chain relation and the fill criterion hold.
 pub fn amalgamate(f: &FilledLu, base: &Partition, opts: &SupernodeOptions) -> Partition {
-    let nb = base.num_blocks();
-    if nb == 0 {
-        return base.clone();
-    }
-    // Scalar parent relation at the candidate boundaries: parent(b - 1) = b
-    // iff column b-1 has off-diagonal L entries and b is the first
-    // off-diagonal of Ū row b-1.
-    let chain_boundary =
-        |b: usize| -> bool { f.l_col(b - 1).len() > 1 && f.u_row(b - 1).get(1) == Some(&b) };
-    let mut starts = vec![0usize];
-    let mut group_start = 0usize; // column index
-    let mut k = 0usize;
-    while k < nb {
-        // Try to extend the current group [group_start, end_k) with block k+1.
-        let mut end = base.range(k).end;
-        let mut next = k + 1;
-        while next < nb {
-            let cand_end = base.range(next).end;
-            if cand_end - group_start > opts.max_width {
-                break;
-            }
-            if !chain_boundary(base.range(next).start) {
-                break;
-            }
-            // Every boundary inside [group_start, cand_end) is a chain
-            // boundary: the ones inside exact supernodes always are, the
-            // ones between them passed the test above.
-            let (storage, exact) = chain_cost(f, group_start, cand_end);
-            #[cfg(test)]
-            assert_eq!((storage, exact), panel_cost(f, group_start, cand_end));
-            let zeros = storage.saturating_sub(exact);
-            if (zeros as f64) > opts.rel_fill * storage as f64 {
-                break;
-            }
-            end = cand_end;
-            next += 1;
-        }
-        starts.push(end);
-        group_start = end;
-        k = next;
-    }
-    Partition::from_starts(starts)
+    ChainCounts::with_filled(f, |counts| counts.amalgamate(base, opts))
 }
 
 /// Sorted distinct indices at or beyond `range.end` that the lists of
@@ -296,9 +382,11 @@ fn blocks_of(k: usize, outside: &[usize], block_of: &[usize]) -> Vec<usize> {
 /// subcolumns** in `Ū` — every column of [`Self::u_cols`]`.col(K)` across
 /// the whole height of `K` (S\*'s layout). For a supernode whose columns
 /// form a parent chain of the eforest (every partition the analysis
-/// produces), the chain-nesting lemma on [`chain_cost`] makes those two
-/// lists the off-diagonal structure of its **last** column and row; any
-/// other block falls back to the union over its columns.
+/// produces), chain nesting (see [`ChainCounts`]) makes those two lists
+/// the off-diagonal structure of its **last** column and row:
+/// [`Self::from_skeleton`] walks them out of the eforest, [`Self::new`]
+/// copies them from a filled structure and falls back to the union over
+/// the columns for any other block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockStructure {
     /// The column/row partition (identical, as in the paper).
@@ -318,7 +406,111 @@ pub struct BlockStructure {
 }
 
 impl BlockStructure {
-    /// Computes the block structure of `f` under `partition`.
+    /// Computes the block structure under `partition` of the filled
+    /// structure that `skel` (the skeleton of `pattern`) describes, without
+    /// that structure — in `O(n + nnz(A) + Σ_K (|R_K| + |C_K|))`.
+    ///
+    /// Both lists are walks through the eforest at supernode granularity.
+    /// A walk that stands on a column of supernode `K` on its way to a
+    /// label beyond `K` passes the rest of `K` (its columns are a parent
+    /// chain), so it may record `K` once and jump to `parent(last_K)`:
+    ///
+    /// * `R_K` — row `i` of `L̄` is the branch `first[i] → … → i`
+    ///   (Theorem 1), so row `i` belongs to `R_K` of every supernode its
+    ///   branch passes before the one holding `i`. Rows are scanned in
+    ///   ascending order and a branch meets a supernode once: the lists
+    ///   come out sorted, without a sort.
+    /// * `C_K` — column `j` of `Ū` is the union over its entries `a_rj` of
+    ///   the climbs from `first[r]`, cut off at `j` (Theorem 2), so `j`
+    ///   belongs to `C_K` of every supernode a climb passes before the one
+    ///   holding `j`. A climb stops at a supernode another climb of the
+    ///   same column already recorded (one stamp per supernode); columns
+    ///   are scanned in ascending order, so these lists are sorted too.
+    ///
+    /// The sizes `|R_K| = |L̄_{*last_K}| − 1`, `|C_K| = |Ū_{last_K*}| − 1`
+    /// are known before the first index is written.
+    ///
+    /// # Panics
+    /// Panics when a block of `partition` is not a parent chain of the
+    /// eforest (the partitions [`FillSkeleton::supernode_partition`] and
+    /// [`FillSkeleton::amalgamate`] produce always are): its lists would
+    /// not be those of its last column. [`Self::new`] handles such blocks.
+    pub fn from_skeleton(
+        pattern: &SparsityPattern,
+        skel: &FillSkeleton,
+        partition: Partition,
+    ) -> Self {
+        let (n, nb) = (partition.n(), partition.num_blocks());
+        assert_eq!(n, skel.n(), "partition and skeleton orders differ");
+        assert_eq!(n, pattern.ncols(), "pattern and skeleton orders differ");
+        let (parent, first) = (skel.parents(), skel.first());
+        let last: Vec<usize> = (0..nb).map(|k| partition.range(k).end - 1).collect();
+        for k in 0..nb {
+            assert!(
+                partition
+                    .range(k)
+                    .all(|j| j == last[k] || parent[j] == j + 1),
+                "the partition is not made of eforest chains"
+            );
+        }
+        let block_of = partition.block_of_cols();
+        let sizes = |len: &[usize]| -> Vec<usize> { last.iter().map(|&j| len[j] - 1).collect() };
+        let (l_ptr, u_ptr) = (
+            prefix_ptr(&sizes(skel.l_len())),
+            prefix_ptr(&sizes(skel.u_len())),
+        );
+
+        let mut l_idx = vec![0usize; l_ptr[nb]];
+        let mut cursor = l_ptr[..nb].to_vec();
+        for i in 0..n {
+            let (mut k, home) = (block_of[first[i]], block_of[i]);
+            while k != home {
+                l_idx[cursor[k]] = i;
+                cursor[k] += 1;
+                k = block_of[parent[last[k]]];
+            }
+        }
+        debug_assert!((0..nb).all(|k| cursor[k] == l_ptr[k + 1]));
+
+        let mut u_idx = vec![0usize; u_ptr[nb]];
+        cursor.copy_from_slice(&u_ptr[..nb]);
+        let mut seen_in_col = vec![usize::MAX; nb];
+        for j in 0..n {
+            let home = block_of[j];
+            for &r in pattern.col(j) {
+                let mut k = block_of[first[r]];
+                while k != home && seen_in_col[k] != j {
+                    seen_in_col[k] = j;
+                    u_idx[cursor[k]] = j;
+                    cursor[k] += 1;
+                    // A climb whose class dies before column `j` ends at a
+                    // root (`usize::MAX`).
+                    match parent[last[k]] {
+                        p if p <= j => k = block_of[p],
+                        _ => break,
+                    }
+                }
+            }
+        }
+        debug_assert!((0..nb).all(|k| cursor[k] == u_ptr[k + 1]));
+
+        let blocks = |ptr: &[usize], idx: &[usize]| -> Vec<Vec<usize>> {
+            (0..nb)
+                .map(|k| blocks_of(k, &idx[ptr[k]..ptr[k + 1]], &block_of))
+                .collect()
+        };
+        BlockStructure {
+            l_blocks: blocks(&l_ptr, &l_idx),
+            u_blocks: blocks(&u_ptr, &u_idx),
+            l_rows: SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
+            u_cols: SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
+            partition,
+        }
+    }
+
+    /// Computes the block structure of `f` under `partition` — the scalar
+    /// oracle [`Self::from_skeleton`] is held to, and the builder for
+    /// partitions that are not made of chains.
     pub fn new(f: &FilledLu, partition: Partition) -> Self {
         let (n, nb) = (partition.n(), partition.num_blocks());
         let block_of = partition.block_of_cols();
@@ -573,9 +765,9 @@ mod tests {
         assert!(bp.has_zero_free_diagonal());
     }
 
-    /// Filled structures of the reduced paper suite (minimum-degree
-    /// ordered) and of random patterns, each as filled and postordered.
-    fn suite_and_random_filled() -> Vec<FilledLu> {
+    /// Patterns of the reduced paper suite (minimum-degree ordered) and
+    /// random ones, each as given and postordered.
+    fn suite_and_random_patterns() -> Vec<SparsityPattern> {
         use splu_matgen::{paper_suite, random_pattern, Scale};
         let mut patterns: Vec<SparsityPattern> = paper_suite(Scale::Reduced)
             .iter()
@@ -587,18 +779,102 @@ mod tests {
         patterns.extend((0..16).map(|seed| random_pattern(20 + 3 * seed as usize, 90, seed)));
         let mut out = Vec::new();
         for p in patterns {
-            let f = filled(&p);
-            let po = postorder_permutation(&f);
-            out.push(filled(&p.permuted(&po, &po)));
-            out.push(f);
+            let po = postorder_permutation(&filled(&p));
+            out.push(p.permuted(&po, &po));
+            out.push(p);
         }
         out
     }
 
+    /// The filled structures of [`suite_and_random_patterns`].
+    fn suite_and_random_filled() -> Vec<FilledLu> {
+        suite_and_random_patterns().iter().map(filled).collect()
+    }
+
+    const AMALGAMATIONS: [(usize, f64); 4] = [(48, 0.3), (8, 0.9), (200, 1.0), (48, 0.0)];
+
+    fn chain_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
+        ChainCounts::with_filled(f, |counts| counts.chain_cost(&counts.prefix_sums(), a, c))
+    }
+
+    /// One rule, two spellings: partition and amalgamation read off the
+    /// skeleton equal those read off the filled structure, and the lists
+    /// walked out of the forest equal the ones copied from it.
+    #[test]
+    fn skeleton_spelling_equals_the_filled_spelling() {
+        use crate::static_fact::fill_skeleton;
+        for p in suite_and_random_patterns() {
+            let (skel, f) = (fill_skeleton(&p).unwrap(), filled(&p));
+            let exact = skel.supernode_partition();
+            assert_eq!(exact, supernode_partition(&f));
+            let mut partitions = vec![exact.clone(), Partition::singletons(f.n())];
+            for (max_width, rel_fill) in AMALGAMATIONS {
+                let opts = SupernodeOptions {
+                    max_width,
+                    rel_fill,
+                };
+                let merged = skel.amalgamate(&exact, &opts);
+                assert_eq!(merged, amalgamate(&f, &exact, &opts));
+                partitions.push(merged);
+            }
+            for part in partitions {
+                assert_eq!(
+                    BlockStructure::from_skeleton(&p, &skel, part.clone()),
+                    BlockStructure::new(&f, part)
+                );
+            }
+            // The driver's route: postorder from the skeleton's parents,
+            // labels moved, nothing recomputed.
+            let po = crate::EliminationForest::from_parent_vec(skel.parents().to_vec()).postorder();
+            let (p3, skel3) = (p.permuted(&po, &po), skel.relabeled(&po));
+            let part = skel3.amalgamate(&skel3.supernode_partition(), &SupernodeOptions::default());
+            assert_eq!(
+                BlockStructure::from_skeleton(&p3, &skel3, part.clone()),
+                BlockStructure::new(&filled(&p3), part)
+            );
+        }
+    }
+
+    #[test]
+    fn skeleton_spelling_on_the_smallest_and_the_extreme_patterns() {
+        use crate::static_fact::fill_skeleton;
+        let dense = |n: usize| {
+            let all = (0..n).flat_map(move |i| (0..n).map(move |j| (i, j)));
+            SparsityPattern::from_entries(n, n, all).unwrap()
+        };
+        for (p, supernodes) in [
+            (SparsityPattern::empty(0, 0), 0),
+            (SparsityPattern::identity(1), 1),
+            (SparsityPattern::identity(6), 6),
+            (dense(5), 1),
+        ] {
+            let (skel, f) = (fill_skeleton(&p).unwrap(), filled(&p));
+            let exact = skel.supernode_partition();
+            assert_eq!(exact.num_blocks(), supernodes);
+            assert_eq!(exact, supernode_partition(&f));
+            let merged = skel.amalgamate(&exact, &SupernodeOptions::default());
+            assert_eq!(merged, amalgamate(&f, &exact, &SupernodeOptions::default()));
+            let bs = BlockStructure::from_skeleton(&p, &skel, merged.clone());
+            assert_eq!(bs, BlockStructure::new(&f, merged));
+            // Nothing outside the diagonal blocks in any of the four.
+            assert_eq!(bs.l_rows.nnz() + bs.u_cols.nnz(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not made of eforest chains")]
+    fn from_skeleton_refuses_a_partition_that_is_not_made_of_chains() {
+        use crate::static_fact::fill_skeleton;
+        // Two columns with no coupling: a forest of two roots.
+        let p = SparsityPattern::identity(2);
+        let skel = fill_skeleton(&p).unwrap();
+        BlockStructure::from_skeleton(&p, &skel, Partition::from_starts(vec![0, 2]));
+    }
+
     /// The O(1) chain formula equals the brute-force panel cost on every
-    /// parent chain of exact supernodes, and `amalgamate` (which asserts
-    /// the same at every boundary it evaluates) runs clean under loose
-    /// and tight options.
+    /// parent chain of exact supernodes — a superset of the boundaries
+    /// `amalgamate` evaluates — and `amalgamate` covers every column under
+    /// loose and tight options.
     #[test]
     fn chain_cost_equals_brute_force_on_every_chain() {
         let mut chains = 0usize;
@@ -616,7 +892,7 @@ mod tests {
                     }
                 }
             }
-            for (max_width, rel_fill) in [(48, 0.3), (8, 0.9), (200, 1.0), (48, 0.0)] {
+            for (max_width, rel_fill) in AMALGAMATIONS {
                 let am = amalgamate(
                     &f,
                     &base,

@@ -153,9 +153,8 @@ SERVE MODE:
 
 OPTIONS:
   --threads <N>         worker threads for the numerical phase   [1]
-  --front-threads <N>   worker threads for the symbolic front half
-                        (static fill, assembly, postorder); the factor
-                        structure is bitwise identical for every N  [1]
+  --front-threads <N>   accepted (a positive integer) and ignored: the
+                        symbolic front half runs on the calling thread
   --graph eforest|sstar task dependence graph                    [eforest]
   --ordering mindeg|natural|rcm                                  [mindeg]
                         mindeg: approximate minimum degree on the graph
@@ -194,8 +193,7 @@ OPTIONS:
                         current/peak bytes
   --trace <file>        write a Chrome trace (chrome://tracing, Perfetto)
                         of the whole pipeline on one shared timeline:
-                        driver phases, per-front-thread fill chunks and
-                        postorder segments, and numeric executor workers
+                        driver phases and numeric executor workers
   --dot-forest <file>   (analyze) write the block eforest as Graphviz DOT
   --dot-graph <file>    (analyze) write the task graph as Graphviz DOT
   --rhs <file>          (solve) right-hand side, one value per line
@@ -293,7 +291,8 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
                 if n == 0 {
                     return Err("front-thread count must be positive".to_string());
                 }
-                cli.opts.front_threads = n;
+                // Accepted for old scripts and journaled job lines; the
+                // analysis runs on the calling thread.
             }
             "--rhs" => {
                 cli.rhs = Some(it.next().ok_or("--rhs needs a path")?.clone());

@@ -210,44 +210,35 @@ fn factorization_recovers_after_injected_panic() {
     }
 }
 
-/// A cancellation that fires exactly while a symbolic-fill chunk task is
-/// in flight surfaces as [`LuError::Cancelled`] from the front half — the
-/// run budget covers the symbolic phases, not just the numeric one — and
-/// a fresh budget lets the same inputs analyze cleanly afterwards.
+/// A cancellation that fires inside the analysis — after the skeleton,
+/// before the block lists — surfaces as [`LuError::Cancelled`] from the
+/// front half: the run budget covers the symbolic phases, not just the
+/// numeric one, and a fresh budget lets the same inputs analyze cleanly
+/// afterwards.
 #[test]
 fn cancel_during_symbolic_fill_is_contained() {
     let a = random_unsymmetric(40, 3, 5);
-    for &threads in &[2usize, 4, 8] {
-        let scenario = FailScenario::new();
-        // Chunk 0 always exists, so the injection fires deterministically
-        // with a front-half task in flight.
-        scenario.cancel_at_symbolic_chunk(0);
-        let token = CancelToken::new();
-        let o = Options {
-            front_threads: threads,
-            budget: RunBudget {
-                token: Some(token.clone()),
-                ..RunBudget::default()
-            },
-            ..Options::default()
-        };
-        match analyze(a.pattern(), &o).map(|_| ()) {
-            Err(LuError::Cancelled { .. }) => {}
-            other => panic!("front_threads={threads}: expected Cancelled, got {other:?}"),
-        }
-        assert!(
-            token.is_cancelled(),
-            "the failpoint cancels the caller's own token"
-        );
-        drop(scenario);
-        // Scenario dropped, fresh budget: the same pattern analyzes (and
-        // the full pipeline factors) cleanly.
-        let o2 = Options {
-            front_threads: threads,
-            ..Options::default()
-        };
-        analyze(a.pattern(), &o2).expect("clean analysis after contained cancellation");
+    let scenario = FailScenario::new();
+    scenario.cancel_during_symbolic();
+    let token = CancelToken::new();
+    let o = Options {
+        budget: RunBudget {
+            token: Some(token.clone()),
+            ..RunBudget::default()
+        },
+        ..Options::default()
+    };
+    match analyze(a.pattern(), &o).map(|_| ()) {
+        Err(LuError::Cancelled { .. }) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
     }
+    assert!(
+        token.is_cancelled(),
+        "the failpoint cancels the caller's own token"
+    );
+    drop(scenario);
+    // Scenario dropped, fresh budget: the same pattern analyzes cleanly.
+    analyze(a.pattern(), &Options::default()).expect("clean analysis after contained cancellation");
 }
 
 /// A `Factor` task parked indefinitely by the stall failpoint is diagnosed

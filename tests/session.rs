@@ -196,18 +196,15 @@ fn sparse_lu_is_a_session_wrapper_with_fallible_solves() {
 fn options_builder_validates() {
     let opts = Options::builder()
         .threads(3)
-        .front_threads(2)
         .equilibrate(true)
         .build()
         .unwrap();
     assert_eq!(opts.threads, 3);
-    assert_eq!(opts.front_threads, 2);
     assert!(opts.equilibrate);
     let default_built = OptionsBuilder::default().build().unwrap();
     assert_eq!(default_built, Options::default());
     for bad in [
         Options::builder().threads(0).build(),
-        Options::builder().front_threads(0).build(),
         Options::builder().pivot_threshold(-1.0).build(),
         Options::builder().pivot_threshold(f64::NAN).build(),
         Options::builder()
