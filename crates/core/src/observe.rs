@@ -24,7 +24,7 @@ use crate::{LuError, Options, SparseLu, Stats};
 use parking_lot::Mutex;
 use splu_obs::{heap_stats, reset_heap_peak, HeapStats, MetricsRegistry, PipelineTrace};
 use splu_obs::{SpanEvent, SpanGuard};
-use splu_sched::{EventKind, ExecTrace, FactorHealth, SchedStats, TraceConfig};
+use splu_sched::{EventKind, ExecTrace, FactorHealth, SchedStats, Task, TraceConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -48,9 +48,9 @@ pub const PHASE_NAMES: [&str; 9] = [
 struct Captured {
     /// Numeric executor aggregate (filled by `SparseLu::factor_observed`).
     sched: Option<SchedStats>,
-    /// Numeric executor event stream with the display label of every task
-    /// id, for the Chrome export (full-event sessions only).
-    numeric_trace: Option<(ExecTrace, Vec<String>)>,
+    /// Numeric executor event stream with the task behind every task id,
+    /// which the Chrome export labels (full-event sessions only).
+    numeric_trace: Option<(ExecTrace, Vec<Task>)>,
     /// Numeric health report.
     health: Option<FactorHealth>,
     /// Per-phase heap high-water bytes (counting allocator installed only).
@@ -148,13 +148,13 @@ impl ObsSession {
     }
 
     /// Deposits the numeric executor's results: aggregate stats, health,
-    /// and (in event sessions) the event stream with one display label per
-    /// task id.
+    /// and (in event sessions) the event stream with the graph's tasks by
+    /// task id — labels are formatted when a trace is rendered, not per run.
     pub fn capture_numeric(
         &self,
         stats: SchedStats,
         health: FactorHealth,
-        numeric_trace: Option<(ExecTrace, Vec<String>)>,
+        numeric_trace: Option<(ExecTrace, Vec<Task>)>,
     ) {
         let mut cap = self.captured.lock();
         cap.sched = Some(stats);
@@ -211,14 +211,15 @@ impl ObsSession {
                 e.dur_us,
             );
         }
-        if let Some((nt, labels)) = numeric {
+        if let Some((nt, tasks)) = numeric {
             for (i, e) in nt.events.iter().enumerate() {
                 let (name, cat) = match e.kind {
                     EventKind::Task { tid } => (
-                        labels
-                            .get(tid)
-                            .cloned()
-                            .unwrap_or_else(|| format!("task {tid}")),
+                        match tasks.get(tid) {
+                            Some(Task::Factor(k)) => format!("F({k})"),
+                            Some(Task::Update { src, dst }) => format!("U({src},{dst})"),
+                            None => format!("task {tid}"),
+                        },
                         "task",
                     ),
                     EventKind::Steal { victim, success } => (
@@ -630,11 +631,12 @@ mod tests {
         assert_eq!(s.kind, "singular");
     }
 
-    /// Task labels are built for the Chrome export and nothing else: a
-    /// report-grade session (what the daemon runs every job under) holds
-    /// none, an event session one per task.
+    /// Task labels serve the Chrome export and nothing else: a report-grade
+    /// session (what the daemon runs every job under) captures no event
+    /// stream, an event session captures the stream with the graph's tasks
+    /// and formats a label only when the trace is rendered.
     #[test]
-    fn task_labels_are_captured_with_an_event_stream_only() {
+    fn task_labels_are_formatted_by_the_chrome_export_only() {
         let a = splu_matgen::random_diag_dominant(30, 80, 3, 4.0);
         let mut s = crate::SluSession::analyze(a.pattern(), &Options::default()).unwrap();
         let report_grade = ObsSession::new();
@@ -645,12 +647,17 @@ mod tests {
         let events = ObsSession::with_events();
         s.refactor_observed(&a, &events).unwrap();
         let cap = events.captured.lock();
-        let (trace, labels) = cap.numeric_trace.as_ref().expect("event stream captured");
-        assert_eq!(labels.len(), s.graph().len());
-        assert!(trace.events.iter().all(|e| match e.kind {
-            EventKind::Task { tid } => labels[tid].starts_with(['F', 'U']),
-            _ => true,
-        }));
+        let (trace, tasks) = cap.numeric_trace.as_ref().expect("event stream captured");
+        assert_eq!(tasks.as_slice(), s.graph().tasks());
+        assert_eq!(trace.events.len(), tasks.len(), "one event per task");
+        drop(cap);
+        let json = events.chrome_json();
+        assert_eq!(json.matches("\"cat\": \"task\"").count(), s.graph().len());
+        assert!(json.contains("\"name\": \"F(0)\"") && json.contains("\"name\": \"U("));
+        assert!(
+            !json.contains("\"name\": \"task "),
+            "every task id has a label"
+        );
     }
 
     #[test]

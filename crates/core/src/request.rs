@@ -93,7 +93,8 @@ pub struct NumericRequest<'g> {
     pub pivot_rule: PivotRule,
     /// Absolute pivot rejection threshold (`0.0`: any nonzero pivot).
     pub pivot_threshold: f64,
-    /// Scheduler telemetry; [`TraceConfig::off`] is the untraced fast path.
+    /// Scheduler telemetry; [`TraceConfig::off`] records nothing. Tracing
+    /// does not change the path a run takes through the executor.
     pub trace: TraceConfig,
     /// Dense kernel selection, resolved once into a [`Dispatch`] table.
     pub kernels: KernelChoice,
@@ -113,10 +114,11 @@ pub struct NumericRequest<'g> {
     /// Cached executor schedule for the **coarse** graph (a session computes
     /// it once per analysis with [`ExecSchedule::for_graph`]). With a
     /// schedule attached, parallel runs skip the per-run bottom-level
-    /// recomputation, and an untraced single-threaded run without a watchdog
-    /// replays the precomputed order **inline with zero heap allocation**
-    /// ([`ExecRequest::runs_inline`]) — the session `refactor` hot path. The
-    /// factors are bitwise identical either way. Ignored by the fine graph.
+    /// recomputation, and a single-threaded run without a watchdog
+    /// ([`ExecRequest::runs_inline`]) replays the precomputed order inline
+    /// instead of computing it — **with zero heap allocation** when
+    /// untraced, the session `refactor` hot path. The factors are bitwise
+    /// identical either way. Ignored by the fine graph.
     pub schedule: Option<Arc<ExecSchedule>>,
 }
 
@@ -249,8 +251,8 @@ pub fn factor_numeric_with(
     // Effective budget: a deadline or watchdog without a caller token gets
     // an internal one, so a budget trip can release cooperative waiters
     // (e.g. the stall failpoint) that poll the token. Creating it
-    // allocates, so the allocation-free inline replay — which handles the
-    // deadline itself — goes without.
+    // allocates, so the inline replay — allocation-free when untraced, and
+    // checking the deadline itself — goes without.
     let mut budget = req.budget.clone();
     if !exec.runs_inline()
         && budget.token.is_none()

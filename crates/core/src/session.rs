@@ -181,9 +181,11 @@ impl SluSession {
         self.refactor_inner(a, None)
     }
 
-    /// [`Self::refactor`] under an observability session. Tracing takes
-    /// the observed (allocating) executor path; phase walls still show
-    /// symbolic time exactly zero.
+    /// [`Self::refactor`] under an observability session. At one thread
+    /// this is the same inline replay with the executor's recorder attached
+    /// — the observed run executes the program the unobserved one does, and
+    /// what it allocates (the report) does not grow with the task count;
+    /// phase walls still show symbolic time exactly zero.
     pub fn refactor_observed(&mut self, a: &CscMatrix, obs: &ObsSession) -> Result<(), LuError> {
         self.refactor_inner(a, Some(obs))
     }
@@ -273,17 +275,11 @@ impl SluSession {
         let report = factor_numeric_with(bm, &nreq)?;
         drop(numeric_phase);
         if let Some(o) = obs {
-            // Labels serve the Chrome export of an event stream; a
-            // report-grade run has none and formats no string per task.
-            let labelled = report.trace.map(|trace| {
-                let labels = (0..self.graph.len())
-                    .map(|t| match self.graph.task(t) {
-                        splu_sched::Task::Factor(k) => format!("F({k})"),
-                        splu_sched::Task::Update { src, dst } => format!("U({src},{dst})"),
-                    })
-                    .collect();
-                (trace, labels)
-            });
+            // The Chrome export labels the events of an event stream by
+            // task; a report-grade run has none and copies nothing.
+            let labelled = report
+                .trace
+                .map(|trace| (trace, self.graph.tasks().to_vec()));
             o.capture_numeric(report.stats, report.health.clone(), labelled);
         }
         self.health = report.health;

@@ -405,6 +405,8 @@ pub(crate) struct Supervisor<'b> {
     armed: bool,
     pub(crate) abort: crate::sync::AbortFlag,
     pub(crate) remaining: Countdown,
+    /// Tasks no worker has acquired yet; counted on armed runs only.
+    unacquired: Countdown,
     interrupted: Mutex<Option<Interrupt>>,
     hearts: Vec<Heart>,
     stop: MonitorStop,
@@ -417,6 +419,7 @@ impl<'b> Supervisor<'b> {
             armed: budget.is_armed(),
             abort: crate::sync::AbortFlag::new(),
             remaining: Countdown::new(n_tasks),
+            unacquired: Countdown::new(n_tasks),
             interrupted: Mutex::new(None),
             hearts: (0..nthreads).map(|_| Heart::new()).collect(),
             stop: MonitorStop {
@@ -438,35 +441,26 @@ impl<'b> Supervisor<'b> {
         if self.abort.is_set() {
             return true;
         }
-        // A finished run cannot be interrupted: without this, a token
-        // cancelled between the last retirement and worker exit would
-        // stamp a spurious interrupt onto a complete result.
-        if !self.armed || self.remaining.is_done() {
+        if !self.armed {
             return false;
         }
-        if let Some(t) = &self.budget.token {
-            if t.checkpoint() {
-                self.trip(
-                    Interrupt::Cancelled {
-                        tasks_pending: self.remaining.remaining(),
-                    },
-                    wake,
-                );
-                return true;
-            }
+        let tasks_pending = self.remaining.remaining();
+        let why = if self.budget.token.as_ref().is_some_and(|t| t.checkpoint()) {
+            Interrupt::Cancelled { tasks_pending }
+        } else if self.budget.deadline.is_some_and(|d| Instant::now() >= d) {
+            Interrupt::DeadlineExceeded { tasks_pending }
+        } else {
+            return false;
+        };
+        // A run whose every task has been acquired can no longer be
+        // interrupted: an abort only blocks acquisitions, so it completes.
+        // Read after the token, so that a cancel issued from inside the
+        // last task (ordered after its acquisition) finds the count at zero.
+        if self.unacquired.is_done() {
+            return false;
         }
-        if let Some(d) = self.budget.deadline {
-            if Instant::now() >= d {
-                self.trip(
-                    Interrupt::DeadlineExceeded {
-                        tasks_pending: self.remaining.remaining(),
-                    },
-                    wake,
-                );
-                return true;
-            }
-        }
-        false
+        self.trip(why, wake);
+        true
     }
 
     /// Records the interrupt (first one wins) and aborts the run: cancel
@@ -509,7 +503,11 @@ impl<'b> Supervisor<'b> {
 
     // -- heartbeats (always compiled in; relaxed, uncontended) --
 
-    pub(crate) fn beat_task(&self, w: usize, tid: usize) {
+    /// Worker `w` acquired task `tid` and is about to run it.
+    pub(crate) fn note_acquired(&self, w: usize, tid: usize) {
+        if self.armed {
+            self.unacquired.retire();
+        }
         let h = &self.hearts[w];
         h.beats.fetch_add(1, Ordering::Relaxed);
         h.last_task.store(tid, Ordering::Relaxed);
@@ -723,14 +721,34 @@ mod tests {
         let sup = Supervisor::new(3, 1, &unarmed);
         assert!(!sup.check_budget(&|| {}));
 
-        // A cancelled token no longer trips once every task has retired.
+        // A cancelled token no longer trips once every task has been
+        // acquired — the run completes whatever happens now — and stays
+        // inert after the last retirement.
         let token = CancelToken::new();
         let budget = RunBudget::unbounded().with_token(token.clone());
         let sup = Supervisor::new(1, 1, &budget);
-        assert!(!sup.remaining.retire() || sup.remaining.is_done());
+        sup.note_acquired(0, 0);
         token.cancel();
         assert!(!sup.check_budget(&|| {}));
+        assert!(sup.remaining.retire() && sup.remaining.is_done());
+        assert!(!sup.check_budget(&|| {}));
         assert_eq!(sup.finish(), None);
+    }
+
+    /// The other side of the contract: with a task still unacquired the
+    /// same cancelled token trips, and the interrupt counts what is pending.
+    #[test]
+    fn check_budget_trips_while_a_task_is_unacquired() {
+        let token = CancelToken::new();
+        let budget = RunBudget::unbounded().with_token(token.clone());
+        let sup = Supervisor::new(2, 1, &budget);
+        sup.note_acquired(0, 0);
+        token.cancel();
+        assert!(sup.check_budget(&|| {}));
+        assert_eq!(
+            sup.finish(),
+            Some(Interrupt::Cancelled { tasks_pending: 2 })
+        );
     }
 
     #[test]

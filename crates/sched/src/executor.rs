@@ -36,10 +36,9 @@
 //!   `RwLock`-guarded and Gilbert's disjoint-row-structure property makes
 //!   concurrent updates of one column commute bitwise.
 //!
-//! A request that [`ExecRequest::runs_inline`] — one worker, a cached
-//! order, no tracing, no watchdog — never reaches the worker loop: [`run`]
-//! replays the cached order on the calling thread without allocating (see
-//! [`crate::schedule`]).
+//! **One worker never spawns**: a request that [`ExecRequest::runs_inline`]
+//! (one worker, no watchdog to feed) is replayed by [`run`] on the calling
+//! thread, traced or not — see [`crate::schedule`].
 //!
 //! The synchronization primitives the worker loop is built on — the sleep
 //! [`Gate`], the [`crate::sync::Countdown`] of unretired tasks and the
@@ -75,6 +74,7 @@ use crate::graph::bottom_levels;
 use crate::schedule::{replay_inline, ExecSchedule, Ready};
 use crate::sync::{AtomicUsize, Gate, Mutex, Ordering, Park};
 use crate::trace::{assemble_report, ExecReport, TaskPanic, TraceConfig, WorkerRecorder};
+use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -157,14 +157,10 @@ impl<'a> ExecRequest<'a> {
         }
     }
 
-    /// Whether [`run`] replays the cached order inline on the calling
-    /// thread — allocation-free — instead of spawning workers: one worker,
-    /// a cached schedule, tracing off, no watchdog to feed.
+    /// Whether [`run`] replays the one-worker order inline on the calling
+    /// thread instead of spawning workers: one worker, no watchdog to feed.
     pub fn runs_inline(&self) -> bool {
-        self.schedule.is_some()
-            && self.threads <= 1
-            && !self.trace.is_on()
-            && self.budget.watchdog.is_none()
+        self.threads <= 1 && self.budget.watchdog.is_none()
     }
 }
 
@@ -199,10 +195,26 @@ where
             n_tasks,
             "schedule/graph task count mismatch"
         );
-        if req.runs_inline() {
-            return replay_inline(schedule, runner, req.budget);
-        }
     }
+    if req.runs_inline() {
+        // No cached schedule: the one it would hold is computed for the run.
+        let schedule = req.schedule.map_or_else(
+            || Cow::Owned(ExecSchedule::for_dag(req.pred_counts, req.successors)),
+            Cow::Borrowed,
+        );
+        return replay_inline(&schedule, runner, req.budget, config);
+    }
+    run_workers(req, runner)
+}
+
+/// The worker loop of [`run`]: several workers, or an armed watchdog.
+pub(crate) fn run_workers<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
+where
+    F: Fn(usize) + Sync,
+{
+    let n_tasks = req.pred_counts.len();
+    let nthreads = req.threads.max(1);
+    let config = &req.trace;
     // Event timestamps measure from the shared epoch when the caller set
     // one (pipeline-aligned traces); wall-clock always from executor start.
     let start = Instant::now();
@@ -347,7 +359,7 @@ where
                         };
 
                         let t0 = rec.begin();
-                        sup.beat_task(w, tid);
+                        sup.note_acquired(w, tid);
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
                             // Containment: record the first panic for the
                             // report, then abort so no worker stays parked
@@ -884,13 +896,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// A completed run is never stamped with a late cancellation: cancel
-    /// the token from the runner of the last task — by the time any worker
-    /// re-checks the budget, `remaining == 0` and the check is inert.
+    /// A run that will complete is never stamped with a late cancellation:
+    /// cancel the token from the runner of the last task. An idle worker
+    /// that sees the cancel at its next budget check — before or after the
+    /// task retires — also sees that every task has been acquired, and the
+    /// check is inert (`Supervisor::check_budget`).
     #[test]
     fn cancel_during_last_task_yields_clean_run() {
         let one = graph_of(1, vec![(0, 0)], true);
-        for _ in 0..100 {
+        for _ in 0..1000 {
             let token = CancelToken::new();
             let t2 = token.clone();
             let budget = RunBudget::unbounded().with_token(token);

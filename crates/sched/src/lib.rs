@@ -19,8 +19,8 @@
 //!   DAG, the worker count, the [`Placement`] of ready tasks (the paper's
 //!   static 1D column-block mapping — owner-only, our RAPID substitute — or
 //!   work stealing), tracing and the run budget; tasks are scheduled by
-//!   critical-path (bottom-level) priority, and a one-worker request with a
-//!   cached [`ExecSchedule`] replays inline without allocating;
+//!   critical-path (bottom-level) priority, and a one-worker request
+//!   replays its order inline on the calling thread, traced or not;
 //! * [`simulate`] — a deterministic list-scheduling simulator with a
 //!   flops + latency cost model, used to evaluate processor counts beyond
 //!   the physical cores of the host (DESIGN.md §5, substitution 2). Its

@@ -7,29 +7,29 @@
 //! computes it once as an [`ExecSchedule`] and attaches it to every
 //! [`crate::ExecRequest`]:
 //!
-//! * a request that [`crate::ExecRequest::runs_inline`] replays the
-//!   precomputed sequential order **inline on the calling thread**: no
-//!   worker spawn, no pools, no atomics — and, critically, **zero heap
-//!   allocation**, which is what makes a session's `refactor` hot path
-//!   allocation-free under the `alloc-track` counting allocator. Budget
-//!   semantics mirror the parallel supervisor: the cancellation token and
-//!   deadline are checked before every task acquisition (token first, then
-//!   deadline, matching `Supervisor::check_budget`), and a run that has
-//!   retired its last task can no longer be interrupted;
+//! * a request that [`crate::ExecRequest::runs_inline`] — one worker, no
+//!   watchdog — replays the sequential order **inline on the calling
+//!   thread** ([`replay_inline`]): no worker spawn, no pools, no atomics,
+//!   traced or not, so an observed run executes the program an unobserved
+//!   one does. Untraced and with the cached schedule it performs **zero
+//!   heap allocation** (a session's `refactor` hot path, asserted under the
+//!   `alloc-track` counting allocator); without a cached schedule the same
+//!   order is computed for the run;
 //! * every other request takes the worker loop with the cached priorities,
-//!   skipping the per-run bottom-level sweep (worker threads are still
-//!   spawned per run — a scoped-thread executor cannot be allocation-free).
+//!   skipping the per-run bottom-level sweep.
 //!
 //! The sequential order is produced by draining the worker loop's own
 //! ready pool ([`Ready`]: same max-heap, same tie-break on lower task id)
 //! on one simulated worker, so the inline replay acquires tasks in the
-//! order the real executor would — and the factored values are bitwise
-//! identical either way, as the determinism suite asserts for every
-//! schedule.
+//! order the worker loop would at one worker — and the factored values are
+//! bitwise identical either way, as the determinism suite asserts for
+//! every schedule.
 
 use crate::control::{Interrupt, RunBudget};
 use crate::graph::{bottom_levels, TaskGraph};
-use crate::trace::{ExecReport, TaskPanic};
+use crate::trace::{
+    assemble_report, ExecReport, TaskPanic, TraceConfig, TraceMode, WorkerRecorder,
+};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -69,7 +69,11 @@ impl ExecSchedule {
     /// Computes the schedule for `graph`: its bottom levels and the task
     /// order a one-worker priority executor would acquire.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        let (pred_counts, successors) = (graph.pred_counts(), graph.successor_lists());
+        Self::for_dag(graph.pred_counts(), graph.successor_lists())
+    }
+
+    /// [`Self::for_graph`] over the DAG view an [`crate::ExecRequest`] takes.
+    pub(crate) fn for_dag(pred_counts: &[usize], successors: &[Vec<usize>]) -> Self {
         let priority = bottom_levels(pred_counts, successors);
         Self::with_priorities(pred_counts, successors, priority)
     }
@@ -136,56 +140,80 @@ impl ExecSchedule {
 /// precomputed order — the path [`crate::run`] takes for a request that
 /// [`crate::ExecRequest::runs_inline`].
 ///
-/// Performs **no heap allocation**: no threads, no pools, no recorders.
-/// The budget is honoured at every task-acquisition boundary with the
-/// supervisor's semantics — token checkpoint first, then deadline; a
-/// deadline trip also cancels the run's token (when one is attached) so
-/// cooperative waiters inside tasks release; and once the last task has
-/// retired the run can no longer be interrupted. A panicking task is
-/// contained and reported through [`ExecReport::panic`], exactly like the
-/// worker loop.
-pub(crate) fn replay_inline<F>(schedule: &ExecSchedule, runner: F, budget: &RunBudget) -> ExecReport
-where
-    F: Fn(usize),
-{
+/// Untraced it performs **no heap allocation** and reads no clock. Traced,
+/// it fills the [`WorkerRecorder`] of a one-worker report:
+/// [`TraceMode::Full`] records an epoch-relative `Task` event per task,
+/// [`TraceMode::Counters`] reads the clock twice per run — busy is the
+/// replay's wall; a calling thread never idles, steals or parks. The budget
+/// is honoured before every task acquisition with the supervisor's
+/// semantics — token checkpoint first, then deadline; a deadline trip also
+/// cancels the run's token (when one is attached) so cooperative waiters
+/// inside tasks release. A panicking task is contained and reported through
+/// [`ExecReport::panic`], exactly like the worker loop.
+pub(crate) fn replay_inline(
+    schedule: &ExecSchedule,
+    runner: impl Fn(usize),
+    budget: &RunBudget,
+    config: &TraceConfig,
+) -> ExecReport {
     let mut report = ExecReport::default();
     let n = schedule.seq_order.len();
     report.stats.nthreads = 1;
     report.stats.n_tasks = n;
+    let start = config.is_on().then(Instant::now);
+    let mut rec = start.map(|t| WorkerRecorder::new(0, 1, config, config.epoch.unwrap_or(t)));
+    let per_task = config.mode == TraceMode::Full;
+    // Back to back: a task's end opens the next interval, one clock read each.
+    let mut t0 = per_task.then(Instant::now);
     let armed = budget.is_armed();
     for (done, &tid) in schedule.seq_order.iter().enumerate() {
         if armed {
             // Same precedence as Supervisor::check_budget: the token is
             // consulted before the deadline, so a cancelled run with an
             // expired deadline still reports cancellation.
-            if let Some(token) = &budget.token {
-                if token.checkpoint() {
-                    report.interrupt = Some(Interrupt::Cancelled {
-                        tasks_pending: n - done,
-                    });
-                    return report;
-                }
+            let tasks_pending = n - done;
+            if budget.token.as_ref().is_some_and(|t| t.checkpoint()) {
+                report.interrupt = Some(Interrupt::Cancelled { tasks_pending });
+                break;
             }
-            if let Some(deadline) = budget.deadline {
-                if Instant::now() >= deadline {
-                    if let Some(token) = &budget.token {
-                        token.cancel();
-                    }
-                    report.interrupt = Some(Interrupt::DeadlineExceeded {
-                        tasks_pending: n - done,
-                    });
-                    return report;
+            if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                if let Some(token) = &budget.token {
+                    token.cancel();
                 }
+                report.interrupt = Some(Interrupt::DeadlineExceeded { tasks_pending });
+                break;
             }
         }
         report.stats.tasks_started += 1;
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
             report.panic = Some(TaskPanic::caught(0, tid, payload.as_ref()));
-            return report;
+            break;
+        }
+        if let Some(rec) = &mut rec {
+            t0 = rec.end_task(t0, tid);
         }
         report.stats.tasks_retired += 1;
     }
-    report
+    let Some((start, rec)) = start.zip(rec) else {
+        return report;
+    };
+    let wall_s = start.elapsed().as_secs_f64();
+    let (w, mut stats, events) = rec.finish();
+    if !per_task {
+        stats.busy_s = wall_s;
+    }
+    stats.tasks_run = report.stats.tasks_started;
+    stats.tasks_retired = report.stats.tasks_retired;
+    let drained = vec![(w, stats, events)];
+    assemble_report(
+        n,
+        1,
+        wall_s,
+        config,
+        drained,
+        report.panic,
+        report.interrupt,
+    )
 }
 
 #[cfg(all(test, not(loom)))]
@@ -193,23 +221,49 @@ mod tests {
     use super::*;
     use crate::control::CancelToken;
     use crate::executor::tests::random_graph;
-    use crate::executor::{run, ExecRequest, Mapping};
-    use crate::trace::TraceConfig;
+    use crate::executor::{run, run_workers, ExecRequest, Mapping};
+    use crate::trace::EventKind;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
 
+    /// Untraced, and with the recorder attached in both of its modes.
+    fn trace_modes(g: &TaskGraph) -> [TraceConfig; 3] {
+        [
+            TraceConfig::off(),
+            TraceConfig::counters(),
+            TraceConfig::full(g.len(), 1),
+        ]
+    }
+
     /// [`run`] on the cached schedule of `g` with everything else at its
-    /// default — the request shape that replays inline.
-    fn replay(g: &TaskGraph, budget: &RunBudget, runner: impl Fn(usize) + Sync) -> ExecReport {
+    /// default — a request that replays inline, whatever the tracing.
+    fn replay(
+        g: &TaskGraph,
+        budget: &RunBudget,
+        trace: TraceConfig,
+        runner: impl Fn(usize) + Sync,
+    ) -> ExecReport {
         let s = ExecSchedule::for_graph(g);
         let req = ExecRequest {
             schedule: Some(&s),
             budget,
+            trace,
             ..ExecRequest::new(g.pred_counts(), g.successor_lists())
         };
         assert!(req.runs_inline());
         run(&req, runner)
+    }
+
+    /// The order in which `exec` hands the tasks of `req` to its runner.
+    fn acquisition_order(
+        req: &ExecRequest<'_>,
+        exec: impl FnOnce(&ExecRequest<'_>, &(dyn Fn(usize) + Sync)) -> ExecReport,
+    ) -> Vec<usize> {
+        let acquired = Mutex::new(Vec::new());
+        let report = exec(req, &|t| acquired.lock().unwrap().push(t));
+        assert!(report.panic.is_none() && report.interrupt.is_none());
+        acquired.into_inner().unwrap()
     }
 
     #[test]
@@ -238,10 +292,11 @@ mod tests {
         }
     }
 
-    /// The replay claim: `seq_order` is the order a real one-worker run
-    /// acquires. Counters tracing keeps the request off the inline path,
-    /// so the order recorded here is the worker loop's own; the priorities
-    /// are arbitrary (with ties), not bottom levels.
+    /// The replay claim: `seq_order` is the order the worker loop acquires
+    /// at one worker. [`run`] never enters the loop with one worker, so the
+    /// loop is called directly; the priorities are arbitrary (with ties),
+    /// not bottom levels, and the inline replay of the same schedule —
+    /// counters on, which used to select the loop — hands out the same order.
     #[test]
     fn seq_order_is_the_one_worker_acquisition_order() {
         use rand::rngs::SmallRng;
@@ -256,91 +311,183 @@ mod tests {
                 trace: TraceConfig::counters(),
                 ..ExecRequest::new(g.pred_counts(), g.successor_lists())
             };
-            assert!(!req.runs_inline(), "a traced run takes the worker loop");
-            let acquired = Mutex::new(Vec::new());
-            let report = run(&req, |t| acquired.lock().unwrap().push(t));
-            report.stats.assert_consistent();
-            assert_eq!(acquired.into_inner().unwrap(), s.seq_order(), "seed {seed}");
+            assert!(req.runs_inline(), "one worker never spawns, traced or not");
+            let looped = acquisition_order(&req, |req, runner| {
+                let report = run_workers(req, runner);
+                report.stats.assert_consistent();
+                report
+            });
+            assert_eq!(looped, s.seq_order(), "seed {seed}");
+            let inline = acquisition_order(&req, |req, runner| run(req, runner));
+            assert_eq!(inline, s.seq_order(), "seed {seed}");
         }
+    }
+
+    /// Computed-order inline == cached-order inline == one-worker loop
+    /// order, under the bottom-level priorities every unscheduled request
+    /// gets — which tie on these graphs, so the tie-break is exercised.
+    #[test]
+    fn computed_and_cached_inline_orders_are_the_one_worker_loop_order() {
+        let mut tied = false;
+        for seed in 0..12u64 {
+            let g = random_graph(18, 45, seed);
+            let s = ExecSchedule::for_graph(&g);
+            let mut levels = s.priorities().to_vec();
+            levels.sort_unstable();
+            tied |= levels.windows(2).any(|w| w[0] == w[1]);
+            let computed = ExecRequest::new(g.pred_counts(), g.successor_lists());
+            let cached = ExecRequest {
+                schedule: Some(&s),
+                ..computed
+            };
+            for req in [&computed, &cached] {
+                assert!(req.runs_inline());
+                let inline = acquisition_order(req, |req, runner| run(req, runner));
+                assert_eq!(inline, s.seq_order(), "inline, seed {seed}");
+                let looped = acquisition_order(req, |req, runner| run_workers(req, runner));
+                assert_eq!(looped, s.seq_order(), "worker loop, seed {seed}");
+            }
+        }
+        assert!(tied, "the graphs must exercise the priority tie-break");
     }
 
     #[test]
     fn inline_replay_runs_every_task_once() {
         let g = random_graph(12, 30, 2);
-        let order = Mutex::new(Vec::new());
-        let report = replay(&g, &RunBudget::default(), |t| order.lock().unwrap().push(t));
-        assert_eq!(
-            order.into_inner().unwrap(),
-            ExecSchedule::for_graph(&g).seq_order()
-        );
-        assert!(report.panic.is_none() && report.interrupt.is_none());
-        assert_eq!(report.stats.tasks_started, g.len() as u64);
-        assert_eq!(report.stats.tasks_retired, g.len() as u64);
+        for trace in trace_modes(&g) {
+            let order = Mutex::new(Vec::new());
+            let report = replay(&g, &RunBudget::default(), trace, |t| {
+                order.lock().unwrap().push(t)
+            });
+            assert_eq!(
+                order.into_inner().unwrap(),
+                ExecSchedule::for_graph(&g).seq_order()
+            );
+            assert!(report.panic.is_none() && report.interrupt.is_none());
+            assert_eq!(report.stats.tasks_started, g.len() as u64);
+            assert_eq!(report.stats.tasks_retired, g.len() as u64);
+        }
+    }
+
+    /// The recorder of the inline replay fills the report shapes of a
+    /// one-worker loop run: one `WorkerStats`, busy inside the wall, no
+    /// idle, steal or park; full mode adds one `Task` event per task, in
+    /// `seq_order`, back to back on the caller's epoch.
+    #[test]
+    fn inline_replay_records_like_a_one_worker_run() {
+        let g = random_graph(16, 40, 8);
+        let s = ExecSchedule::for_graph(&g);
+        let epoch = Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        for trace in [TraceConfig::counters(), TraceConfig::full(g.len(), 1)] {
+            let report = replay(&g, &RunBudget::default(), trace.with_epoch(epoch), |_| {
+                std::thread::sleep(Duration::from_micros(20))
+            });
+            report.stats.assert_consistent();
+            assert_eq!(report.stats.nthreads, 1);
+            let [w] = report.stats.workers.as_slice() else {
+                panic!("one worker, one stats block");
+            };
+            assert!(w.busy_s > 0.0 && w.busy_s <= report.stats.wall_s);
+            assert_eq!((w.idle_s, w.steal_s), (0.0, 0.0));
+            assert_eq!((w.parks, w.steal_attempts, w.steals_in), (0, 0, 0));
+            let Some(events) = report.trace.map(|t| t.events) else {
+                assert_eq!(trace.mode, TraceMode::Counters);
+                continue;
+            };
+            let tids: Vec<usize> = events
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::Task { tid } => tid,
+                    other => panic!("a calling thread records tasks only, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(tids, s.seq_order());
+            assert!(events[0].start_ns >= 2_000_000, "events sit on the epoch");
+            assert!(events
+                .iter()
+                .all(|e| e.worker == 0 && e.start_ns <= e.end_ns));
+            assert!(events.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+        }
     }
 
     #[test]
     fn inline_replay_honours_cancellation_before_each_task() {
         let g = random_graph(12, 30, 3);
-        let token = CancelToken::new();
-        token.cancel_after_checkpoints(3);
-        let budget = RunBudget::default().with_token(token);
-        let ran = AtomicUsize::new(0);
-        let report = replay(&g, &budget, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        // Two checkpoints pass, the third trips before the third task.
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            report.interrupt,
-            Some(Interrupt::Cancelled {
-                tasks_pending: g.len() - 2
-            })
-        );
+        for trace in trace_modes(&g) {
+            let token = CancelToken::new();
+            token.cancel_after_checkpoints(3);
+            let budget = RunBudget::default().with_token(token);
+            let ran = AtomicUsize::new(0);
+            let report = replay(&g, &budget, trace, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+            // Two checkpoints pass, the third trips before the third task.
+            assert_eq!(ran.load(Ordering::Relaxed), 2);
+            assert_eq!(
+                report.interrupt,
+                Some(Interrupt::Cancelled {
+                    tasks_pending: g.len() - 2
+                })
+            );
+            assert_eq!(report.stats.tasks_started, 2);
+            assert_eq!(report.stats.tasks_retired, 2);
+        }
     }
 
     #[test]
     fn inline_replay_never_interrupts_a_finished_run() {
         let g = random_graph(10, 20, 4);
-        // Checked only before acquisitions: with an exact trip budget of
-        // len+1 checkpoints the run finishes clean.
-        let token = CancelToken::new();
-        token.cancel_after_checkpoints(g.len() + 1);
-        let budget = RunBudget::default().with_token(token);
-        let report = replay(&g, &budget, |_| {});
-        assert!(report.interrupt.is_none());
-        assert_eq!(report.stats.tasks_retired, g.len() as u64);
+        for trace in trace_modes(&g) {
+            // Checked only before acquisitions: with an exact trip budget of
+            // len+1 checkpoints the run finishes clean.
+            let token = CancelToken::new();
+            token.cancel_after_checkpoints(g.len() + 1);
+            let budget = RunBudget::default().with_token(token);
+            let report = replay(&g, &budget, trace, |_| {});
+            assert!(report.interrupt.is_none());
+            assert_eq!(report.stats.tasks_retired, g.len() as u64);
+        }
     }
 
     #[test]
     fn inline_replay_expired_deadline_trips_and_cancels_token() {
         let g = random_graph(10, 20, 5);
-        let token = CancelToken::new();
-        let budget = RunBudget::default()
-            .with_token(token.clone())
-            .with_deadline(Instant::now() - Duration::from_millis(1));
-        let report = replay(&g, &budget, |_| {});
-        assert_eq!(
-            report.interrupt,
-            Some(Interrupt::DeadlineExceeded {
-                tasks_pending: g.len()
-            })
-        );
-        assert!(token.is_cancelled());
+        for trace in trace_modes(&g) {
+            let token = CancelToken::new();
+            let budget = RunBudget::default()
+                .with_token(token.clone())
+                .with_deadline(Instant::now() - Duration::from_millis(1));
+            let report = replay(&g, &budget, trace, |_| {});
+            assert_eq!(
+                report.interrupt,
+                Some(Interrupt::DeadlineExceeded {
+                    tasks_pending: g.len()
+                })
+            );
+            assert!(token.is_cancelled());
+            assert_eq!(report.stats.tasks_started, 0);
+        }
     }
 
     #[test]
     fn inline_replay_contains_panics() {
         let g = random_graph(10, 20, 6);
-        let ran = AtomicUsize::new(0);
-        let report = replay(&g, &RunBudget::default(), |_| {
-            if ran.fetch_add(1, Ordering::Relaxed) == 1 {
-                panic!("injected");
+        for trace in trace_modes(&g) {
+            let ran = AtomicUsize::new(0);
+            let report = replay(&g, &RunBudget::default(), trace, |_| {
+                if ran.fetch_add(1, Ordering::Relaxed) == 1 {
+                    panic!("injected");
+                }
+            });
+            let p = report.panic.expect("panic reported");
+            assert_eq!(p.worker, 0);
+            assert!(p.message.contains("injected"));
+            assert_eq!(report.stats.tasks_retired, 1);
+            if let Some(t) = report.trace {
+                assert_eq!(t.events.len(), 1, "the panicked task closes no event");
             }
-        });
-        let p = report.panic.expect("panic reported");
-        assert_eq!(p.worker, 0);
-        assert!(p.message.contains("injected"));
-        assert_eq!(report.stats.tasks_retired, 1);
+        }
     }
 
     #[test]

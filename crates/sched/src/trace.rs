@@ -29,7 +29,7 @@
 //! compared side by side.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How much telemetry the executor records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -594,14 +594,15 @@ impl WorkerRecorder {
         }
     }
 
-    /// Close a task interval opened by [`Self::begin`].
+    /// Close a task interval opened by [`Self::begin`]. Returns its end,
+    /// which opens the next interval of a back-to-back replay.
     #[inline]
-    pub(crate) fn end_task(&mut self, t0: Option<Instant>, tid: usize) {
-        let Some(t0) = t0 else { return };
-        let (s, e) = self.interval_ns(t0);
+    pub(crate) fn end_task(&mut self, t0: Option<Instant>, tid: usize) -> Option<Instant> {
+        let (s, e) = self.interval_ns(t0?);
         self.stats.busy_s += (e - s) as f64 / 1e9;
         self.stats.tasks_run += 1;
         self.push(EventKind::Task { tid }, s, e);
+        Some(self.epoch + Duration::from_nanos(e))
     }
 
     /// Close a victim-scan interval opened by [`Self::begin`].

@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::Path;
 
-use crate::{CooMatrix, CscMatrix, SparseError};
+use crate::{CooMatrix, CscMatrix, SparseError, SparsityPattern};
 
 /// Reads a Matrix Market file (`coordinate real/integer/pattern`,
 /// `general`/`symmetric`/`skew-symmetric`).
@@ -29,19 +29,151 @@ fn tok_err(line: usize, token: &str, msg: &str) -> SparseError {
     }
 }
 
+/// A cursor over the text after the banner: tokens by a single pass over
+/// the bytes, lines counted as their feeds go by. Whitespace is what
+/// `char::is_whitespace` says it is — bytes on the ASCII fast path, a decoded
+/// `char` at a multi-byte lead byte — so tokens and trimmed lines are those
+/// of `str::split_whitespace` and `str::trim`, whatever the text holds.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based number of the line `pos` is in.
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Byte length of the whitespace character at `at`; 0 when a token
+    /// character, or the end of the text, is there.
+    #[inline(always)]
+    fn white_len(&self, at: usize) -> usize {
+        match self.text.as_bytes().get(at) {
+            Some(b'\t'..=b'\r' | b' ') => 1,
+            Some(&lead) if lead >= 0xC0 => self.wide_white_len(at),
+            _ => 0,
+        }
+    }
+
+    /// [`Self::white_len`] at the lead byte of a multi-byte character.
+    #[cold]
+    fn wide_white_len(&self, at: usize) -> usize {
+        let c = self.text[at..].chars().next();
+        c.filter(|c| c.is_whitespace()).map_or(0, char::len_utf8)
+    }
+
+    /// Skips whitespace up to, not over, the next line feed.
+    #[inline]
+    fn skip_blanks(&mut self) {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        while at < bytes.len() && bytes[at] != b'\n' && !bytes[at].is_ascii_graphic() {
+            match self.white_len(at) {
+                0 => break,
+                n => at += n,
+            }
+        }
+        self.pos = at;
+    }
+
+    /// Moves past the line feed that ends the current line.
+    #[inline]
+    fn skip_line(&mut self) {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        while at < bytes.len() && bytes[at] != b'\n' {
+            at += 1;
+        }
+        self.pos = (at + 1).min(bytes.len());
+        self.line += 1;
+    }
+
+    /// Advances to the first token of the next data line — comment lines
+    /// (`%` first) and blank lines are skipped — and returns where that line
+    /// starts; `None` at the end of the text.
+    #[inline]
+    fn next_data_line(&mut self) -> Option<usize> {
+        while self.pos < self.text.len() {
+            let start = self.pos;
+            self.skip_blanks();
+            match self.text.as_bytes().get(self.pos) {
+                None | Some(b'\n' | b'%') => self.skip_line(),
+                Some(_) => return Some(start),
+            }
+        }
+        None
+    }
+
+    /// The next token of the current line; empty at its end.
+    #[inline]
+    fn token(&mut self) -> &'a str {
+        self.skip_blanks();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut at = start;
+        // Printable ASCII belongs to the token; any other byte may start a
+        // whitespace character.
+        while at < bytes.len() && (bytes[at].is_ascii_graphic() || self.white_len(at) == 0) {
+            at += 1;
+        }
+        self.pos = at;
+        &self.text[start..at]
+    }
+
+    /// The next token of the current line, and what it says as an index:
+    /// `str::parse::<usize>`, with the loop it would run folded into the
+    /// scan for the all-digit tokens that cannot overflow; signs, overflow
+    /// and junk take the library's path, so acceptance is the library's.
+    #[inline]
+    fn index(&mut self) -> (&'a str, Option<usize>) {
+        self.skip_blanks();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut at = start;
+        let mut v = 0u64;
+        while at < bytes.len() && bytes[at].is_ascii_digit() && at - start < 18 {
+            v = v * 10 + u64::from(bytes[at] - b'0');
+            at += 1;
+        }
+        if at > start && (at == bytes.len() || self.white_len(at) != 0) {
+            self.pos = at;
+            return (&self.text[start..at], usize::try_from(v).ok());
+        }
+        let tok = self.token();
+        (tok, tok.parse().ok())
+    }
+
+    /// The current line from `start`, trimmed — the token an error about
+    /// the whole line names.
+    fn line_from(&self, start: usize) -> &'a str {
+        let rest = &self.text[start..];
+        rest.split('\n').next().unwrap_or(rest).trim()
+    }
+}
+
 /// Parses Matrix Market text. See [`read_matrix_market`].
 ///
 /// Malformed entry lines are rejected with [`SparseError::ParseAt`] naming
 /// the 1-based line and offending token; non-finite values (`nan`, `inf` —
 /// which `f64` parsing would otherwise accept) and out-of-range indices are
 /// rejected the same way.
+///
+/// One pass over the bytes into three flat arrays. Entries in strictly
+/// increasing (column, row) order of a `general` matrix — what
+/// [`format_matrix_market`] writes — *are* the compressed columns; any
+/// other order, duplicates and symmetric expansion go through
+/// [`CscMatrix::from_triplets_iter`]. The entry count of the size line
+/// reserves no more than the rest of the text could hold.
 pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| SparseError::Parse("empty file".into()))?;
-    let header_lc = header.to_ascii_lowercase();
-    if !header_lc.starts_with("%%matrixmarket") {
+    if text.is_empty() {
+        return Err(SparseError::Parse("empty file".into()));
+    }
+    let mut cur = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+    };
+    let header_lc = cur.line_from(0).to_ascii_lowercase();
+    let banner = text.get(.."%%matrixmarket".len());
+    if !banner.is_some_and(|b| b.eq_ignore_ascii_case("%%matrixmarket")) {
         return Err(SparseError::Parse("missing MatrixMarket banner".into()));
     }
     let toks: Vec<&str> = header_lc.split_whitespace().collect();
@@ -60,11 +192,13 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
             "unsupported symmetry `{symmetry}`"
         )));
     }
+    let valued = field != "pattern";
+    cur.skip_line();
 
-    let mut data = lines.filter(|(_, l)| !l.trim_start().starts_with('%') && !l.trim().is_empty());
-    let (size_ln, size_line) = data
-        .next()
+    let size_start = cur
+        .next_data_line()
         .ok_or_else(|| SparseError::Parse("missing size line".into()))?;
+    let (size_ln, size_line) = (cur.line, cur.line_from(size_start));
     let dims: Vec<usize> = size_line
         .split_whitespace()
         .map(|t| {
@@ -73,36 +207,46 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
         })
         .collect::<Result<_, _>>()?;
     if dims.len() != 3 {
-        return Err(tok_err(
-            size_ln,
-            size_line.trim(),
-            "size line must have 3 fields",
-        ));
+        return Err(tok_err(size_ln, size_line, "size line must have 3 fields"));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    cur.skip_line();
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
-    let mut seen = 0usize;
-    for (ln, line) in data {
-        let mut it = line.split_whitespace();
-        let r_tok = it
-            .next()
-            .ok_or_else(|| tok_err(ln, line.trim(), "missing row index"))?;
-        let r: usize = r_tok
-            .parse()
-            .map_err(|_| tok_err(ln, r_tok, "bad row index"))?;
-        let c_tok = it
-            .next()
-            .ok_or_else(|| tok_err(ln, line.trim(), "missing column index"))?;
-        let c: usize = c_tok
-            .parse()
-            .map_err(|_| tok_err(ln, c_tok, "bad column index"))?;
-        let v: f64 = if field == "pattern" {
+    // The column pointers are the one array the shape alone sizes: a column
+    // count this machine cannot hold is refused here, not in the allocator.
+    let mut col_ptr: Vec<usize> = Vec::new();
+    if ncols == usize::MAX || col_ptr.try_reserve_exact(ncols + 1).is_err() {
+        return Err(tok_err(
+            size_ln,
+            size_line,
+            "column count exceeds what can be allocated",
+        ));
+    }
+    // An entry line is at least `1 1\n`: the text bounds the reservation, so
+    // a size line cannot ask for more memory than the file could fill.
+    let cap = nnz.min((text.len() - cur.pos) / 4 + 1);
+    let mut rows: Vec<usize> = Vec::with_capacity(cap);
+    let mut cols: Vec<usize> = Vec::with_capacity(cap);
+    let mut vals: Vec<f64> = Vec::with_capacity(cap);
+    // Whether every entry so far follows its predecessor in (column, row).
+    let mut sorted = true;
+    let mut last = None;
+    while let Some(start) = cur.next_data_line() {
+        let ln = cur.line;
+        let (r_tok, r) = cur.index();
+        let r = r.ok_or_else(|| tok_err(ln, r_tok, "bad row index"))?;
+        let (c_tok, c) = cur.index();
+        if c_tok.is_empty() {
+            return Err(tok_err(ln, cur.line_from(start), "missing column index"));
+        }
+        let c = c.ok_or_else(|| tok_err(ln, c_tok, "bad column index"))?;
+        let v: f64 = if !valued {
             1.0
         } else {
-            let v_tok = it
-                .next()
-                .ok_or_else(|| tok_err(ln, line.trim(), "missing value"))?;
+            let v_tok = cur.token();
+            if v_tok.is_empty() {
+                return Err(tok_err(ln, cur.line_from(start), "missing value"));
+            }
             let v: f64 = v_tok.parse().map_err(|_| tok_err(ln, v_tok, "bad value"))?;
             if !v.is_finite() {
                 return Err(tok_err(ln, v_tok, "non-finite value (NaN/Inf rejected)"));
@@ -112,25 +256,45 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
         if r == 0 || c == 0 || r > nrows || c > ncols {
             return Err(tok_err(
                 ln,
-                line.trim(),
+                cur.line_from(start),
                 &format!("1-based entry indices outside the declared {nrows}x{ncols} shape"),
             ));
         }
-        let (r, c) = (r - 1, c - 1);
-        coo.push(r, c, v);
-        match symmetry {
-            "symmetric" if r != c => coo.push(c, r, v),
-            "skew-symmetric" if r != c => coo.push(c, r, -v),
-            _ => {}
-        }
-        seen += 1;
+        let at = (c - 1, r - 1);
+        sorted &= last < Some(at);
+        last = Some(at);
+        rows.push(at.1);
+        cols.push(at.0);
+        vals.push(v);
+        cur.skip_line();
     }
-    if seen != nnz {
+    if vals.len() != nnz {
         return Err(SparseError::Parse(format!(
-            "expected {nnz} entries, found {seen}"
+            "expected {nnz} entries, found {}",
+            vals.len()
         )));
     }
-    Ok(coo.to_csc())
+    if sorted && symmetry == "general" {
+        col_ptr.resize(ncols + 1, 0);
+        for &c in &cols {
+            col_ptr[c + 1] += 1;
+        }
+        for j in 0..ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let pattern = SparsityPattern::new(nrows, ncols, col_ptr, rows)?;
+        return CscMatrix::from_pattern_values(pattern, vals);
+    }
+    drop(col_ptr);
+    // Symmetric storage is expanded: the mirrored entry follows its
+    // original, as a reader pushing both into one triplet list has it.
+    let (mirrored, skew) = (symmetry != "general", symmetry == "skew-symmetric");
+    let entries = rows.iter().zip(&cols).zip(&vals);
+    let triplets = entries.flat_map(|((&r, &c), &v)| {
+        let twin = (mirrored && r != c).then(|| (c, r, if skew { -v } else { v }));
+        std::iter::once((r, c, v)).chain(twin)
+    });
+    CscMatrix::from_triplets_iter(nrows, ncols, triplets)
 }
 
 /// Writes a matrix in Matrix Market `coordinate real general` format.
@@ -448,6 +612,455 @@ pub fn format_harwell_boeing(m: &CscMatrix, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reader this module shipped until the byte pass replaced it —
+    /// `lines` and `split_whitespace` into a COO, then `to_csc` — kept
+    /// verbatim as the oracle of the differential tests below.
+    fn parse_by_lines(text: &str) -> Result<CscMatrix, SparseError> {
+        let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| SparseError::Parse("empty file".into()))?;
+        let header_lc = header.to_ascii_lowercase();
+        if !header_lc.starts_with("%%matrixmarket") {
+            return Err(SparseError::Parse("missing MatrixMarket banner".into()));
+        }
+        let toks: Vec<&str> = header_lc.split_whitespace().collect();
+        if toks.len() < 5 || toks[1] != "matrix" || toks[2] != "coordinate" {
+            return Err(SparseError::Parse(
+                "only `matrix coordinate` files are supported".into(),
+            ));
+        }
+        let field = toks[3];
+        let symmetry = toks[4];
+        if !matches!(field, "real" | "integer" | "pattern") {
+            return Err(SparseError::Parse(format!("unsupported field `{field}`")));
+        }
+        if !matches!(symmetry, "general" | "symmetric" | "skew-symmetric") {
+            return Err(SparseError::Parse(format!(
+                "unsupported symmetry `{symmetry}`"
+            )));
+        }
+
+        let mut data =
+            lines.filter(|(_, l)| !l.trim_start().starts_with('%') && !l.trim().is_empty());
+        let (size_ln, size_line) = data
+            .next()
+            .ok_or_else(|| SparseError::Parse("missing size line".into()))?;
+        let dims: Vec<usize> = size_line
+            .split_whitespace()
+            .map(|t| {
+                t.parse::<usize>()
+                    .map_err(|_| tok_err(size_ln, t, "bad size token"))
+            })
+            .collect::<Result<_, _>>()?;
+        if dims.len() != 3 {
+            return Err(tok_err(
+                size_ln,
+                size_line.trim(),
+                "size line must have 3 fields",
+            ));
+        }
+        let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+
+        let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz);
+        let mut seen = 0usize;
+        for (ln, line) in data {
+            let mut it = line.split_whitespace();
+            let r_tok = it
+                .next()
+                .ok_or_else(|| tok_err(ln, line.trim(), "missing row index"))?;
+            let r: usize = r_tok
+                .parse()
+                .map_err(|_| tok_err(ln, r_tok, "bad row index"))?;
+            let c_tok = it
+                .next()
+                .ok_or_else(|| tok_err(ln, line.trim(), "missing column index"))?;
+            let c: usize = c_tok
+                .parse()
+                .map_err(|_| tok_err(ln, c_tok, "bad column index"))?;
+            let v: f64 = if field == "pattern" {
+                1.0
+            } else {
+                let v_tok = it
+                    .next()
+                    .ok_or_else(|| tok_err(ln, line.trim(), "missing value"))?;
+                let v: f64 = v_tok.parse().map_err(|_| tok_err(ln, v_tok, "bad value"))?;
+                if !v.is_finite() {
+                    return Err(tok_err(ln, v_tok, "non-finite value (NaN/Inf rejected)"));
+                }
+                v
+            };
+            if r == 0 || c == 0 || r > nrows || c > ncols {
+                return Err(tok_err(
+                    ln,
+                    line.trim(),
+                    &format!("1-based entry indices outside the declared {nrows}x{ncols} shape"),
+                ));
+            }
+            let (r, c) = (r - 1, c - 1);
+            coo.push(r, c, v);
+            match symmetry {
+                "symmetric" if r != c => coo.push(c, r, v),
+                "skew-symmetric" if r != c => coo.push(c, r, -v),
+                _ => {}
+            }
+            seen += 1;
+        }
+        if seen != nnz {
+            return Err(SparseError::Parse(format!(
+                "expected {nnz} entries, found {seen}"
+            )));
+        }
+        Ok(coo.to_csc())
+    }
+
+    /// Both readers on `text`: the same matrix to the bit — pointers,
+    /// indices, value bits — or the same error, line, token and message.
+    /// The one place they part: a mirrored entry outside a non-square shape
+    /// trips the assertion of the oracle's `CooMatrix::push` on the spot,
+    /// where the byte pass reads on and returns a structured error — the
+    /// triplet constructor's `IndexOutOfBounds`, unless a later line is
+    /// malformed.
+    fn differential(text: &str) -> Result<CscMatrix, SparseError> {
+        let got = parse_matrix_market(text);
+        let Ok(want) = std::panic::catch_unwind(|| parse_by_lines(text)) else {
+            assert!(
+                got.is_err(),
+                "the oracle panicked on {text:?}, the reader said {got:?}"
+            );
+            return got;
+        };
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.pattern(), w.pattern(), "structure for {text:?}");
+                let bits =
+                    |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "value bits for {text:?}");
+            }
+            _ => assert_eq!(got, want, "for {text:?}"),
+        }
+        got
+    }
+
+    /// Matrix Market text of `entries` (0-based) under the given banner
+    /// words; `pattern` files carry no value, `integer` ones a whole number.
+    fn mm_text(
+        field: &str,
+        symmetry: &str,
+        (nrows, ncols): (usize, usize),
+        entries: &[(usize, usize, f64)],
+    ) -> String {
+        use std::fmt::Write;
+        let mut out = format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n");
+        let _ = writeln!(out, "{nrows} {ncols} {}", entries.len());
+        for &(i, j, v) in entries {
+            let _ = match field {
+                "pattern" => writeln!(out, "{} {}", i + 1, j + 1),
+                "integer" => writeln!(out, "{} {} {}", i + 1, j + 1, (v * 100.0).round()),
+                _ => writeln!(out, "{} {} {:.17e}", i + 1, j + 1, v),
+            };
+        }
+        out
+    }
+
+    /// The reduced paper suite, taken over as triplets (the generators
+    /// return matrices of this crate's non-test build).
+    fn reduced_suite() -> Vec<(&'static str, CscMatrix)> {
+        splu_matgen::paper_suite(splu_matgen::Scale::Reduced)
+            .into_iter()
+            .map(|m| {
+                let a = CscMatrix::from_triplets_iter(m.a.nrows(), m.a.ncols(), m.a.triplets());
+                (m.name, a.expect("suite matrices are valid"))
+            })
+            .collect()
+    }
+
+    /// What every writer here emits takes the direct path — entries in
+    /// (column, row) order — and comes back as the matrix, bit for bit.
+    #[test]
+    fn reader_matches_the_oracle_on_the_writers_output() {
+        for (name, a) in reduced_suite() {
+            let b = differential(&format_matrix_market(&a)).unwrap();
+            assert_eq!(a, b, "{name}");
+        }
+    }
+
+    /// The same entries in any other shape go through the triplet path:
+    /// shuffled, with duplicates (summed), and under every banner.
+    #[test]
+    fn reader_matches_the_oracle_on_unsorted_duplicated_and_expanded_entries() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(20);
+        let shuffle = |entries: &mut Vec<(usize, usize, f64)>, rng: &mut SmallRng| {
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.gen_range(0..=i));
+            }
+        };
+        for (name, a) in reduced_suite() {
+            let shape = (a.nrows(), a.ncols());
+            let mut entries: Vec<_> = a.triplets().collect();
+            shuffle(&mut entries, &mut rng);
+            let b = differential(&mm_text("real", "general", shape, &entries)).unwrap();
+            assert_eq!(a, b, "{name}: the order of the lines is immaterial");
+            for _ in 0..entries.len() / 4 {
+                let twice = entries[rng.gen_range(0..entries.len())];
+                entries.push(twice);
+            }
+            shuffle(&mut entries, &mut rng);
+            for field in ["real", "integer", "pattern"] {
+                for symmetry in ["general", "symmetric", "skew-symmetric"] {
+                    let m = differential(&mm_text(field, symmetry, shape, &entries)).unwrap();
+                    assert!(m.nnz() >= a.nnz(), "{name} {field} {symmetry}");
+                }
+            }
+            // Sorted entries under a symmetric banner still need expanding.
+            let sorted: Vec<_> = a.triplets().collect();
+            let m = differential(&mm_text("real", "symmetric", shape, &sorted)).unwrap();
+            assert!(m.nnz() >= a.nnz(), "{name}");
+        }
+    }
+
+    /// Line endings, blanks, comments and tokens the format allows or the
+    /// old reader happened to take: the byte pass reads every one of them
+    /// the same way — and words every refusal the same way.
+    #[test]
+    fn reader_matches_the_oracle_on_layout_and_malformed_input() {
+        const BANNER: &str = "%%MatrixMarket matrix coordinate real general";
+        let bodies = [
+            // CRLF endings, tabs, leading blanks, a missing final newline.
+            "2 2 2\r\n1 1 1.5\r\n2 2 -2.5\r\n",
+            "2\t2\t2\n\t1\t1\t1.5\n  2  2  -2.5",
+            "  2 2 2  \n   1 1 1.5   \n2 2 -2.5 trailing words ignored\n",
+            // Comment and blank lines before the size line and between entries.
+            "% c\n\n   \n2 2 2\n% between\n1 1 1.5\n\n \t \n  % indented\n2 2 -2.5\n%\n",
+            // Other whitespace: vertical tab, form feed, a carriage return
+            // inside a line, no-break, em and ideographic spaces, NEL.
+            "2\x0b2\x0c2\n1\r1\r1.5\n2\u{a0}2\u{2003}-2.5\u{3000}\n",
+            "2 2 1\n\u{85}1\u{2028}2 3.5\n\u{a0}\n\u{a0}% not a token\n",
+            // Index spellings `str::parse::<usize>` takes or refuses.
+            "2 2 2\n+1 01 1.5\n0002 2 -2.5\n",
+            "2 2 1\n-1 1 1.0\n",
+            "2 2 1\n1 + 1.0\n",
+            "2 2 1\n1 1. 1.0\n",
+            "2 2 1\n18446744073709551615 1 1.0\n",
+            "2 2 1\n18446744073709551616 1 1.0\n",
+            "2 2 1\n1 99999999999999999999999 1.0\n",
+            "2 2 1\n1 999999999999999999 1.0\n",
+            "2 2 1\n1 1\u{e9} 1.0\n",
+            // Values: every float spelling, then the non-finite ones.
+            "2 2 2\n1 1 +1.5E+3\n2 2 .5e-3\n",
+            "2 2 1\n1 1 nan\n",
+            "2 2 1\n1 1 -NaN\n",
+            "2 2 1\n2 1 inf\n",
+            "2 2 1\n2 1 -Infinity\n",
+            "2 2 1\n1 2 1e999\n",
+            "2 2 1\n1 2 -1e999\n",
+            "2 2 1\n1 2 1e-999\n",
+            "2 2 1\n1 2 1.0.0\n",
+            "2 2 1\n1 2 0x10\n",
+            "2 2 1\n1 2 \u{221e}\n",
+            // Indices outside the shape; the value is looked at first.
+            "2 2 1\n0 1 1.0\n",
+            "2 2 1\n1 0 1.0\n",
+            "2 2 1\n3 1 1.0\n",
+            "2 2 1\n1 3 1.0\n",
+            "2 2 1\n3 3 nan\n",
+            "0 0 0\n",
+            "0 0 1\n1 1 1.0\n",
+            "3 5 0\n",
+            // Missing fields.
+            "2 2 1\n1\n",
+            "2 2 1\n  1 1  \r\n",
+            // Entry counts: short, long, and a bad line past the count.
+            "2 2 3\n1 1 1.0\n2 2 2.0\n",
+            "2 2 1\n1 1 1.0\n2 2 2.0\n",
+            "2 2 1\n1 1 1.0\n2 2 oops\n",
+            "2 2 0\n",
+            // Size lines.
+            "",
+            "\n\n% only comments\n",
+            "2 2\n1 1 1.0\n",
+            "2 2 1 7\n1 1 1.0\n",
+            "2 two 1\n1 1 1.0\n",
+            "2 2 1 x\n",
+            "2 -2 1\n",
+            "+2 2 1\n1 1 1.0",
+            // Order and duplicates on a small scale.
+            "2 2 3\n2 2 1.0\n1 1 2.0\n2 2 0.5\n",
+            "2 2 2\n1 1 1.0\n1 1 1.0\n",
+            "2 2 2\n2 1 1.0\n1 1 1.0\n",
+            "2 3 4\n1 1 1.0\n2 1 0.0\n2 3 -0.0\n1 3 4.0\n",
+        ];
+        for body in bodies {
+            let _ = differential(&format!("{BANNER}\n{body}"));
+            let _ = differential(&format!("{BANNER}\r\n{body}"));
+        }
+        let banners = [
+            "",
+            "\n",
+            " %%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n",
+            "%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarke",
+            "%%MatrixMarket\u{e9} matrix coordinate real general\n1 1 1\n1 1 1.0\n",
+            "%%matrixMARKETx MATRIX Coordinate REAL General extra\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix array real general\n1 1\n1.0\n",
+            "%%MatrixMarket tensor coordinate real general\n",
+            "%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1.0 0.0\n",
+            "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarket\tmatrix\u{a0}coordinate  pattern   symmetric\n2 2 2\n2 1\n2 2\n",
+            "%%MatrixMarket matrix coordinate integer skew-symmetric\r\n2 2 1\r\n2 1 3\r\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2\n",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1 nan\n",
+            "%%MatrixMarket matrix coordinate real general",
+        ];
+        for text in banners {
+            let _ = differential(text);
+        }
+        let mirrored_out = "%%MatrixMarket matrix coordinate real symmetric\n1 3 1\n1 2 1.0\n";
+        assert!(matches!(
+            parse_matrix_market(mirrored_out),
+            Err(SparseError::IndexOutOfBounds { row: 1, col: 0, .. })
+        ));
+    }
+
+    /// The size line reserves nothing the text could not fill: an entry
+    /// count (or a column count) far past the machine's memory comes back
+    /// as a structured error — the oracle would die in the allocator.
+    #[test]
+    fn reader_bounds_what_the_size_line_reserves() {
+        let text = "%%MatrixMarket matrix coordinate real general\n1 1 99999999999999\n";
+        assert!(text.len() <= 80, "a file this small asks for terabytes");
+        assert_eq!(
+            parse_matrix_market(text),
+            Err(SparseError::Parse(
+                "expected 99999999999999 entries, found 0".into()
+            ))
+        );
+        let one = format!("{text}1 1 2.5\n");
+        assert_eq!(
+            parse_matrix_market(&one),
+            Err(SparseError::Parse(
+                "expected 99999999999999 entries, found 1".into()
+            ))
+        );
+        for ncols in ["99999999999999999", "18446744073709551615"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n1 {ncols} 0\n");
+            match parse_matrix_market(&text) {
+                Err(SparseError::ParseAt { line: 2, token, .. }) => {
+                    assert_eq!(token, format!("1 {ncols} 0"))
+                }
+                other => panic!("expected a refusal of the size line, got {other:?}"),
+            }
+        }
+    }
+
+    /// Text built from the format's own pieces — banner words, comments,
+    /// blanks of every kind, index- and value-like tokens, line endings —
+    /// put together at random. Numbers stay under six digits, so the
+    /// oracle's unbounded reservation stays small.
+    fn arb_text() -> impl Strategy<Value = String> {
+        const SEPS: [&str; 8] = [" ", " ", "  ", "\t", "\u{a0}", "\u{2003}", "\x0b", "\r"];
+        const ENDS: [&str; 4] = ["\n", "\n", "\r\n", " \n"];
+        const WORDS: [&str; 16] = [
+            "0", "1", "2", "3", "+2", "03", "-1", "1.5", "-2.5e-3", "nan", "inf", "1e999", "x",
+            "1.0.0", "%", "\u{e9}",
+        ];
+        Just(()).prop_perturb(|(), mut rng| {
+            let mut pick = move |n: usize| (rng.next_u64() % n as u64) as usize;
+            let mut text = String::new();
+            let mut valued = true;
+            match pick(10) {
+                0 => {}
+                1 => text.push_str("%%MatrixMarket matrix coordinate real\n"),
+                _ => {
+                    let field = ["real", "REAL", "integer", "pattern"][pick(4)];
+                    valued = field != "pattern";
+                    let symmetry = ["general", "general", "symmetric", "skew-symmetric"][pick(4)];
+                    let sep = SEPS[pick(SEPS.len() - 1)];
+                    text.push_str("%%MatrixMarket matrix coordinate");
+                    text.push_str(&format!("{sep}{field}{sep}{symmetry}{}", ENDS[pick(4)]));
+                }
+            }
+            let (nrows, ncols) = (1 + pick(3), 1 + pick(3));
+            let mut body = String::new();
+            let mut entries = 0;
+            for _ in 0..pick(9) {
+                for _ in 0..pick(3) {
+                    body.push_str(SEPS[pick(SEPS.len())]);
+                }
+                match pick(16) {
+                    0 => body.push_str("% comment 1 1 1"),
+                    1 => {}
+                    2 | 3 => {
+                        entries += 1;
+                        for _ in 0..1 + pick(4) {
+                            body.push_str(WORDS[pick(16)]);
+                            body.push_str(SEPS[pick(SEPS.len())]);
+                        }
+                    }
+                    // Mostly well-formed entries inside the shape, so that
+                    // whole files parse.
+                    _ => {
+                        entries += 1;
+                        let sep = SEPS[pick(SEPS.len())];
+                        let value = ["1.5", "-2.5e-3", "2", "0", "-0.0", "1e-320"][pick(6)];
+                        let (i, j) = (1 + pick(nrows), 1 + pick(ncols));
+                        let stray = usize::from(pick(24) == 0);
+                        body.push_str(&format!("{}{sep}{j}", i + stray));
+                        if valued || pick(6) == 0 {
+                            body.push_str(&format!("{sep}{value}"));
+                        }
+                    }
+                }
+                body.push_str(ENDS[pick(4)]);
+            }
+            if pick(12) != 0 {
+                // A size line that is mostly right about the entries below.
+                let nnz = if pick(6) == 0 { pick(9) } else { entries };
+                text.push_str(&format!("{nrows} {ncols} {nnz}{}", ENDS[pick(4)]));
+            }
+            text.push_str(&body);
+            if pick(4) == 0 {
+                text.truncate(text.trim_end().len());
+            }
+            text
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Structured input: the two readers agree on every text.
+        #[test]
+        fn reader_matches_the_oracle_on_arbitrary_structured_text(text in arb_text()) {
+            let _ = differential(&text);
+        }
+
+        /// Arbitrary bytes, bare and behind a valid banner: a structured
+        /// error or a valid matrix — the oracle's — never a panic.
+        #[test]
+        fn reader_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..160),
+        ) {
+            let raw = String::from_utf8_lossy(&bytes);
+            let _ = differential(&raw);
+            let behind = format!("%%MatrixMarket matrix coordinate real general\n{raw}");
+            if let Ok(m) = differential(&behind) {
+                let p = m.pattern();
+                let again = SparsityPattern::new(
+                    p.nrows(),
+                    p.ncols(),
+                    p.col_ptr().to_vec(),
+                    p.row_indices().to_vec(),
+                );
+                prop_assert!(again.is_ok(), "invariants of {:?}", behind);
+            }
+        }
+    }
 
     #[test]
     fn matrix_market_roundtrip() {

@@ -35,8 +35,11 @@
 //!   ack under `--durability strict`; on startup the journal is replayed
 //!   through the same job path, reviving every session bitwise
 //!   identically (the pipeline is deterministic, so replaying inputs
-//!   reconstructs state exactly). The journal is compacted down to
-//!   live-session state once it outgrows its post-compaction baseline.
+//!   reconstructs state exactly). Replay re-executes what a compaction
+//!   would have kept — each session's last `analyze` line and the last
+//!   numeric line since — and restores superseded job ids id-only. The
+//!   journal is compacted down to live-session state once it outgrows its
+//!   post-compaction baseline.
 //! * **Idempotency** — a client may tag any job with `--job-id <token>`;
 //!   per-session applied-id tracking plus a bounded response cache means
 //!   a retried duplicate returns the original response instead of
@@ -58,7 +61,7 @@ use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{Lane, LaneRejected};
 use splu_sparse::{relative_residual, CscMatrix};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, ErrorKind, Write as IoWrite};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -772,17 +775,24 @@ impl<'e> Engine<'e> {
         Ok(engine)
     }
 
-    /// Re-executes recovered journal records in order. `Job` lines run
-    /// through [`serve_job`] exactly like live traffic (minus the
-    /// duplicate check and re-journaling); `AppliedIds` records restore
-    /// the idempotency trackers id-only.
+    /// Re-executes what the recovered journal records leave standing
+    /// ([`reduce_for_replay`]: of each session, the last `analyze` line and
+    /// the last numeric line since), in order. `Job` lines run through
+    /// [`serve_job`] exactly like live traffic (minus the duplicate check
+    /// and re-journaling); `AppliedIds` records — journaled ones and those
+    /// the reduction put in place of superseded jobs — restore the
+    /// idempotency trackers id-only.
     fn replay(&self, records: Vec<Record>) {
         if records.is_empty() {
             return;
         }
         self.replaying.store(true, Ordering::Release);
+        let journaled = records
+            .iter()
+            .filter(|rec| matches!(rec, Record::Job { .. }))
+            .count();
         let mut jobs = 0u64;
-        for rec in records {
+        for rec in reduce_for_replay(records) {
             match rec {
                 Record::Job { line, .. } => {
                     jobs += 1;
@@ -808,7 +818,10 @@ impl<'e> Engine<'e> {
         self.replaying.store(false, Ordering::Release);
         let sessions = self.pool.stats().sessions as u64;
         self.metrics.add(Counter::SessionsReplayed, sessions);
-        eprintln!("parsplu serve: replayed {jobs} journaled job(s), revived {sessions} session(s)");
+        eprintln!(
+            "parsplu serve: replayed {jobs} of {journaled} journaled job(s) (the rest \
+             superseded), revived {sessions} session(s)"
+        );
     }
 
     /// The engine's configuration.
@@ -1181,6 +1194,52 @@ fn refusal_response(id: u64, op: &str, name: &str) -> String {
         json_escape(op),
         json_escape(name),
     )
+}
+
+/// Reduces recovered journal records to what a compaction would have kept
+/// — the rule of [`Engine::gather_snapshot`]: a session's state under
+/// replay is its last `analyze` line plus the last numeric line since (a
+/// `factor` or `refactor` replaces the values wholesale, an `analyze` the
+/// session). Only those are left to re-execute; a job they supersede is
+/// restored id-only, in its place in the order, exactly as an `AppliedIds`
+/// record restores it — so its retry sees `duplicate_replay`, as it does
+/// after any compaction. Lines this daemon does not journal pass through.
+fn reduce_for_replay(records: Vec<Record>) -> Vec<Record> {
+    // Per session, the record index of [last analyze, last numeric since].
+    let mut standing: HashMap<String, [Option<usize>; 2]> = HashMap::new();
+    // Per record, (job id, session) of a journaled mutating job line.
+    let mut heads = Vec::with_capacity(records.len());
+    for (i, rec) in records.iter().enumerate() {
+        heads.push(None);
+        let Record::Job { line, .. } = rec else {
+            continue;
+        };
+        let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let job_id = extract_job_id(&mut toks).ok().flatten();
+        let (Some(op), Some(name)) = (toks.first(), toks.get(1)) else {
+            continue;
+        };
+        let slot = standing.entry(name.clone()).or_default();
+        match op.as_str() {
+            "analyze" => *slot = [Some(i), None],
+            "factor" | "refactor" => slot[1] = Some(i),
+            _ => continue,
+        }
+        heads[i] = Some((job_id, name.clone()));
+    }
+    let standing: HashSet<usize> = standing.into_values().flatten().flatten().collect();
+    let reduced = records.into_iter().zip(heads).enumerate();
+    reduced
+        .filter_map(|(i, (rec, head))| match head {
+            Some((job_id, session)) if !standing.contains(&i) => {
+                job_id.map(|id| Record::AppliedIds {
+                    session,
+                    ids: vec![id],
+                })
+            }
+            _ => Some(rec),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1960,6 +2019,51 @@ mod tests {
         let b = [1.0, 2.0, 0.0]; // -0.0 and 0.0 differ bitwise
         assert_ne!(solution_hash(&a), solution_hash(&b));
         assert_eq!(solution_hash(&a), solution_hash(&[1.0, 2.0, -0.0]));
+    }
+
+    /// The reduction keeps each session's last `analyze` and the last
+    /// numeric line since, in journal order; superseded jobs become id-only
+    /// records in place (or vanish when they carried no id); everything
+    /// that is not a journaled mutating job line passes through.
+    #[test]
+    fn replay_reduction_keeps_what_a_compaction_keeps() {
+        let job = |line: &str| Record::Job {
+            job_id: None,
+            line: line.to_string(),
+        };
+        let ids = |session: &str, ids: &[&str]| Record::AppliedIds {
+            session: session.to_string(),
+            ids: ids.iter().map(|s| s.to_string()).collect(),
+        };
+        let journal = vec![
+            ids("a", &["old"]),
+            job("analyze a m.mtx --job-id 1"),
+            job("factor a v0.mtx"),
+            job("analyze b m.mtx"),
+            job("--job-id 2 refactor a v1.mtx"),
+            job("refactor b v1.mtx --job-id 3"),
+            Record::Compacted { live_sessions: 2 },
+            job("analyze a m.mtx --threads 2"),
+            job("refactor a v2.mtx --job-id 4"),
+            job("refactor a v3.mtx --job-id 5"),
+            job("solve a"),
+        ];
+        let want = vec![
+            ids("a", &["old"]),
+            ids("a", &["1"]),
+            job("analyze b m.mtx"),
+            ids("a", &["2"]),
+            job("refactor b v1.mtx --job-id 3"),
+            Record::Compacted { live_sessions: 2 },
+            job("analyze a m.mtx --threads 2"),
+            ids("a", &["4"]),
+            job("refactor a v3.mtx --job-id 5"),
+            job("solve a"),
+        ];
+        assert_eq!(reduce_for_replay(journal), want);
+        // What a compaction leaves behind is already reduced.
+        assert_eq!(reduce_for_replay(want.clone()), want);
+        assert!(reduce_for_replay(Vec::new()).is_empty());
     }
 
     fn tiny_entry() -> ServeEntry {

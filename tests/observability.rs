@@ -14,9 +14,16 @@
 //! * run reports schema-validate through the bench crate's validator and
 //!   carry the registry's values verbatim;
 //! * the combined Chrome trace is well-formed and shows the pipeline
-//!   phase tracks next to the numeric executor's workers on one epoch.
+//!   phase tracks next to the numeric executor's workers on one epoch;
+//! * a one-thread observed run is the unobserved run with a recorder
+//!   attached: bitwise the same factors, the report of one worker that
+//!   never idled, and — in an event session — one labelled task event per
+//!   task, in the cached order, back to back inside the `numeric` span.
 
-use parsplu::core::{analyze, estimate_task_costs, factor_reported, ObsSession, Options, SparseLu};
+use parsplu::core::{
+    analyze, estimate_task_costs, factor_reported, MatrixMeta, ObsSession, Options, RunStatus,
+    SluSession, SparseLu,
+};
 use parsplu::matgen::{paper_suite, Scale};
 use parsplu::obs::Counter;
 use parsplu::sched::Task;
@@ -348,4 +355,113 @@ fn perturbed_columns_counter_matches_health() {
             lu.health().perturbed_columns.len() as u64
         );
     }
+}
+
+/// Every stored word of the session's factors, with its position, as bits.
+fn factor_bits(s: &SluSession) -> Vec<(usize, usize, u64)> {
+    let mut words = Vec::new();
+    let bm = s.block_matrix().expect("factored");
+    bm.for_each_entry(|i, j, v| words.push((i, j, v.to_bits())));
+    words
+}
+
+/// One thread, no watchdog: an observed run replays inline like an
+/// unobserved one, so the factors are the same to the bit and the report
+/// is that of one worker that was busy for the whole run.
+#[test]
+fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
+    for m in paper_suite(Scale::Reduced) {
+        let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
+        s.factor(&m.a).unwrap();
+        s.refactor(&m.a).unwrap();
+        let unobserved = factor_bits(&s);
+        for obs in [ObsSession::new(), ObsSession::with_events()] {
+            s.refactor_observed(&m.a, &obs).unwrap();
+            assert!(factor_bits(&s) == unobserved, "{}: factors moved", m.name);
+            let meta = MatrixMeta::from_stats(m.name, s.stats());
+            let report = obs.report(meta, s.options(), RunStatus::success());
+            let sched = report.sched.expect("the numeric phase ran");
+            let n_tasks = s.graph().len();
+            assert_eq!(sched.n_tasks, n_tasks, "{}", m.name);
+            assert_eq!(sched.tasks_started, n_tasks as u64, "{}", m.name);
+            assert_eq!(sched.tasks_retired, n_tasks as u64, "{}", m.name);
+            sched.assert_consistent();
+            assert_eq!((sched.nthreads, sched.workers.len()), (1, 1), "{}", m.name);
+            let busy = sched.busy_total();
+            assert!(
+                0.0 < busy && busy <= sched.wall_s,
+                "{}: busy {busy}",
+                m.name
+            );
+            assert_eq!(sched.idle_total(), 0.0, "{}", m.name);
+            assert_eq!(sched.steal_total(), 0.0, "{}", m.name);
+            for (name, v) in sched.counters() {
+                if matches!(name, "steals" | "steal_attempts" | "parks") {
+                    assert_eq!(v, 0, "{}: a calling thread never {name}", m.name);
+                }
+            }
+        }
+    }
+}
+
+/// An event session of a one-thread run: exactly one labelled `Task` event
+/// per task on the one worker track, in the cached one-worker order, back
+/// to back, inside the driver's `numeric` span on the shared epoch.
+#[test]
+fn event_session_records_one_task_event_per_task_in_replay_order() {
+    let m = &paper_suite(Scale::Reduced)[0];
+    let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
+    s.factor(&m.a).unwrap();
+    let obs = ObsSession::with_events();
+    // Let the epoch age, so run-relative stamps could not pass for shared ones.
+    std::thread::sleep(std::time::Duration::from_millis(3));
+    s.refactor_observed(&m.a, &obs).unwrap();
+    let doc = parse(&obs.chrome_json()).expect("chrome trace is valid JSON");
+    validate_chrome_trace(&doc).expect("chrome trace schema-validates");
+    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    let field = |e: &splu_bench::json::Json, key: &str| e.get(key).and_then(|v| v.as_num());
+    let numeric = events
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("numeric"))
+        .expect("the driver's numeric span");
+    let (phase_ts, phase_dur) = (
+        field(numeric, "ts").unwrap(),
+        field(numeric, "dur").unwrap(),
+    );
+    assert!(
+        phase_ts >= 3000.0,
+        "the numeric span sits on the session epoch"
+    );
+    let tasks: Vec<_> = events
+        .iter()
+        .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("task"))
+        .collect();
+    let want: Vec<String> = (s.schedule().seq_order().iter())
+        .map(|&t| match s.graph().task(t) {
+            Task::Factor(k) => format!("F({k})"),
+            Task::Update { src, dst } => format!("U({src},{dst})"),
+        })
+        .collect();
+    let got: Vec<&str> = tasks
+        .iter()
+        .map(|e| e.get("name").and_then(|n| n.as_str()).unwrap())
+        .collect();
+    assert_eq!(got, want, "one event per task, in the replay's order");
+    let mut last_end = phase_ts - 1.0;
+    for e in &tasks {
+        assert_eq!((field(e, "pid"), field(e, "tid")), (Some(1.0), Some(0.0)));
+        let (ts, dur) = (field(e, "ts").unwrap(), field(e, "dur").unwrap());
+        // Stamps print to the nanosecond; spans are whole microseconds.
+        assert!(ts + 1e-3 >= last_end, "task events overlap at {ts}");
+        assert!(dur >= 0.0);
+        last_end = ts + dur;
+    }
+    assert!(
+        last_end <= phase_ts + phase_dur + 1.0,
+        "task events outlive the numeric span"
+    );
+    assert!(!events.iter().any(|e| matches!(
+        e.get("cat").and_then(|c| c.as_str()),
+        Some("steal" | "idle")
+    )));
 }

@@ -587,6 +587,117 @@ fn journal_replays_sessions_bitwise_identically_across_restarts() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Replay re-executes what a compaction would have kept — per session the
+/// last `analyze` line and the last numeric line since — and restores the
+/// ids of superseded jobs id-only: the revived sessions solve to the bits
+/// of an engine that ran the whole history, a retry of a superseded id is
+/// a `duplicate_replay`, a retry of a standing one gets a cached response.
+#[test]
+fn journal_replay_re_executes_only_what_a_compaction_would_keep() {
+    use parsplu::sparse::io::{read_matrix_market, write_matrix_market};
+    let path = gen_matrix("reduce");
+    // Two more value sets on the same pattern.
+    let revalued: Vec<String> = [1.5, -0.75]
+        .iter()
+        .enumerate()
+        .map(|(k, scale)| {
+            let mut a = read_matrix_market(path.as_ref()).unwrap();
+            for (t, v) in a.values_mut().iter_mut().enumerate() {
+                *v *= scale + 0.001 * (t % 7) as f64;
+            }
+            let p = tmp(&format!("reduce_v{k}"));
+            write_matrix_market(&a, p.as_ref()).unwrap();
+            p
+        })
+        .collect();
+    let (v1, v2) = (&revalued[0], &revalued[1]);
+    let state = tmp_state_dir("reduce");
+    let cfg = |state_dir| ServeConfig {
+        workers: 1,
+        state_dir,
+        ..ServeConfig::default()
+    };
+    // Nine journaled jobs over two sessions; `a` is re-analyzed midway, so
+    // its first five lines are superseded, `b` keeps an analyze and a factor.
+    let history = format!(
+        "analyze a {path} --job-id a1\nfactor a {path} --job-id a2\n\
+         analyze b {path}\nrefactor a {v1} --job-id a3\nfactor b {v1} --job-id b1\n\
+         analyze a {path} --job-id a4\nrefactor a {v1} --job-id a5\n\
+         factor b {v2} --job-id b2\nrefactor a {v2} --job-id a6\n"
+    );
+    let solves = "solve a\nsolve b --transpose\n";
+    let hashes = |responses: &[String]| -> Vec<String> {
+        responses
+            .iter()
+            .map(|l| parse(l).unwrap())
+            .filter(|v| v.get("op").and_then(|o| o.as_str()) == Some("solve"))
+            .map(|v| {
+                v.get("x_hash")
+                    .and_then(|h| h.as_str())
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    };
+    // The reference never restarts: it runs the whole history, then solves.
+    let reference = hashes(&run_script(cfg(None), format!("{history}{solves}quit\n")));
+    assert_eq!(reference.len(), 2);
+
+    let journaled = run_script(cfg(Some(state.clone())), format!("{history}quit\n"));
+    assert_eq!(journaled.len(), 9, "{journaled:?}");
+    // The restart: the `stats` line is answered first, inline, so its job
+    // count is the replay's plus itself.
+    let script = format!(
+        "stats\n{solves}refactor a {v1} --job-id a3\nrefactor a {v1} --job-id a5\n\
+         factor b {v1} --job-id b1\nrefactor a {v2} --job-id a6\nsolve a\nquit\n"
+    );
+    let responses = run_script(cfg(Some(state.clone())), script);
+    assert_eq!(responses.len(), 8, "{responses:?}");
+    let parsed: Vec<_> = responses.iter().map(|l| parse(l).unwrap()).collect();
+    let stats = parsed
+        .iter()
+        .find(|v| v.get("op").and_then(|o| o.as_str()) == Some("stats"))
+        .expect("a stats response");
+    let count = |key: &str| stats.get(key).and_then(|n| n.as_num());
+    assert_eq!(count("sessions_replayed"), Some(2.0));
+    assert_eq!(
+        count("jobs_dispatched"),
+        Some(5.0),
+        "2 standing lines per session re-executed, not the 9 journaled: {responses:?}"
+    );
+    assert_eq!(hashes(&responses)[..2], reference[..], "bitwise revival");
+    let kind_of = |job_id: &str| {
+        let reply = parsed
+            .iter()
+            .find(|v| v.get("job_id").and_then(|j| j.as_str()) == Some(job_id));
+        reply.and_then(|v| v.get("kind").and_then(|k| k.as_str()).map(String::from))
+    };
+    for superseded in ["a3", "a5", "b1"] {
+        assert_eq!(
+            kind_of(superseded).as_deref(),
+            Some("duplicate_replay"),
+            "{superseded}: {responses:?}"
+        );
+    }
+    // The standing refactor answers its retry from the response cache the
+    // replay filled, and nothing was applied twice: `a` still solves to
+    // the reference's bits.
+    let retried = parsed
+        .iter()
+        .filter(|v| v.get("op").and_then(|o| o.as_str()) == Some("refactor"))
+        .find(|v| v.get("status").and_then(|s| s.as_str()) == Some("ok"))
+        .unwrap_or_else(|| panic!("the retry of a6 must be answered ok: {responses:?}"));
+    assert!(
+        retried.get("report").is_some(),
+        "the cached response, whole"
+    );
+    assert_eq!(hashes(&responses)[2], reference[0]);
+    let _ = std::fs::remove_dir_all(&state);
+    for p in [&path, v1, v2] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn applied_ids_without_cached_responses_refuse_with_exit_9() {
     use parsplu::persist::{Durability, Journal, Record};

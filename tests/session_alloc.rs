@@ -2,14 +2,17 @@
 //! the counting global allocator: after the first factorization, a
 //! one-thread untraced `SluSession::refactor` must not grow the heap
 //! high-water mark by a single byte — storage reset, value scatter,
-//! schedule replay, and pivot recycling all run in place.
+//! schedule replay, and pivot recycling all run in place. An *observed*
+//! refactor (counters session) is the same replay with one recorder
+//! attached: what it allocates is bounded by a constant, whatever the task
+//! count — no worker loop ran.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
 //! would race the global peak counter.
 
-use parsplu::core::{Options, SluSession};
-use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
+use parsplu::core::{ObsSession, Options, SluSession};
+use parsplu::matgen::{manufactured_rhs, paper_matrix, paper_suite, Scale};
 use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
 use parsplu::sparse::{relative_residual, CscMatrix};
 
@@ -51,4 +54,35 @@ fn refactor_hot_path_allocates_nothing() {
     let (_, b) = manufactured_rhs(last, 41);
     let x = s.try_solve(&b).unwrap();
     assert!(relative_residual(last, &x, &b) < 1e-9);
+
+    // Observed, counters mode: the same inline replay with the recorder of
+    // its one worker attached. The report's single `WorkerStats`, a phase
+    // span and the captured aggregates are all it allocates — no in-degree
+    // vector, no ready pool, no event or label per task — so the growth of
+    // the high-water mark stays under one bound on graphs whose task counts
+    // are far apart, a bound that a single word per task would break: the
+    // count-based proof that no worker loop ran.
+    const OBSERVED_BOUND: u64 = 1024;
+    let mut task_counts = Vec::new();
+    for scale in [Scale::Reduced, Scale::Full] {
+        let a = paper_matrix("sherman3", scale).unwrap();
+        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+        s.factor(&a).unwrap();
+        s.refactor_observed(&a, &ObsSession::new()).unwrap();
+        let obs = ObsSession::new();
+        reset_heap_peak();
+        let base = heap_stats().unwrap().peak_bytes;
+        s.refactor_observed(&a, &obs).unwrap();
+        let grown = heap_stats().unwrap().peak_bytes - base;
+        let tasks = s.graph().len() as u64;
+        assert!(
+            grown <= OBSERVED_BOUND,
+            "an observed refactor of {tasks} tasks grew the heap peak by {grown} bytes"
+        );
+        task_counts.push(tasks);
+    }
+    assert!(
+        task_counts[1] >= 16 * task_counts[0] && 8 * task_counts[1] > 16 * OBSERVED_BOUND,
+        "task counts {task_counts:?}: far apart, and a word per task breaks the bound"
+    );
 }
