@@ -2,11 +2,18 @@
 //! bound (Cholesky of `AᵀA`) "substantially overestimates" the factor
 //! structures, while the George–Ng static structure is much tighter — yet
 //! still an overestimate of the entries a dynamic (Gilbert–Peierls)
-//! factorization actually produces.
+//! factorization actually produces — and prices what a session gives back
+//! when it refactors on the structure its own pivots fill.
 //!
-//! Columns: nonzeros of `A`; the actual `|L|+|U|` from Gilbert–Peierls with
-//! partial pivoting; the static structure `|Ā|`; the `AᵀA` Cholesky bound;
-//! and the two overestimation factors.
+//! First table: nonzeros of `A`; the actual `|L|+|U|` from Gilbert–Peierls
+//! with partial pivoting; the static structure `|Ā|`; the `AᵀA` Cholesky
+//! bound; and the two overestimation factors. Second table, at the
+//! granularity the compact storage has (a row of `R_K`, a column of
+//! `S_KJ`): stored words and model flops of the static block structure
+//! against those of the realised structure a session derives from the
+//! pivot history of one factorization (DESIGN.md §5.5), and the
+//! interchanges that history took. The second table also prices the
+//! 40×40×2 mesh `benchmark/` refactors.
 //!
 //! ```text
 //! cargo run --release -p splu-bench --bin fill_bounds
@@ -14,7 +21,8 @@
 
 use splu_bench::suite;
 use splu_core::gp::gp_factor;
-use splu_core::{analyze, Options};
+use splu_core::{analyze, estimate_task_costs, total_flops, Options, SluSession};
+use splu_matgen::fem2d_unsymmetric;
 use splu_symbolic::ata_cholesky_bound;
 
 fn main() {
@@ -23,18 +31,19 @@ fn main() {
         "{:<10} {:>9} {:>10} {:>10} {:>11} {:>9} {:>9}",
         "Matrix", "|A|", "GP actual", "static", "AtA bound", "sta/act", "ata/act"
     );
-    for m in suite() {
-        let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
+    let mut rows: Vec<_> = suite().into_iter().map(|m| (m.name, m.a)).collect();
+    for (name, a) in &rows {
+        let sym = analyze(a.pattern(), &Options::default()).expect("analysis succeeds");
         // Run GP on the same permuted matrix so the orderings match.
-        let permuted = sym.permute_matrix(&m.a);
+        let permuted = sym.permute_matrix(a);
         let gp = gp_factor(&permuted, 0.0).expect("factorization succeeds");
         let actual = gp.l_nnz() + gp.u_nnz();
         let stat = sym.stats.nnz_filled;
         let bound = ata_cholesky_bound(permuted.pattern());
         println!(
             "{:<10} {:>9} {:>10} {:>10} {:>11} {:>9.2} {:>9.2}",
-            m.name,
-            m.a.nnz(),
+            name,
+            a.nnz(),
             actual,
             stat,
             bound,
@@ -44,4 +53,40 @@ fn main() {
     }
     println!("\n(static/actual is the price of a pivoting-independent structure;");
     println!(" AtA/actual shows how much looser the column-etree bound is)");
+
+    println!("\nRealised structure: what the pivot history of one factorization fills");
+    println!(
+        "{:<10} {:>10} {:>11} {:>11} {:>11} {:>7} {:>7} {:>8}",
+        "Matrix", "GP actual", "static wds", "realised", "static fl", "real fl", "fl x", "interch"
+    );
+    rows.push(("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)));
+    for (name, a) in &rows {
+        let mut s = SluSession::analyze(a.pattern(), &Options::default()).expect("analysis");
+        // Two factorizations on one history move the third onto its
+        // realised structure.
+        for _ in 0..3 {
+            s.refactor(a).expect("factorization succeeds");
+        }
+        assert!(
+            s.is_realised(),
+            "{name}: the same values repeat their pivots"
+        );
+        let gp = gp_factor(&s.symbolic().permute_matrix(a), 0.0).expect("factorization succeeds");
+        let flops = |bs| total_flops(&estimate_task_costs(bs, s.graph()));
+        let (stat, real) = (s.static_structure(), &s.symbolic().block_structure);
+        let history = s.block_matrix().expect("factored").pivot_rows();
+        println!(
+            "{:<10} {:>10} {:>11} {:>11} {:>11.4e} {:>7.4e} {:>7.2} {:>8}",
+            name,
+            gp.l_nnz() + gp.u_nnz(),
+            stat.storage_words(),
+            real.storage_words(),
+            flops(stat),
+            flops(real),
+            flops(stat) / flops(real),
+            history.iter().enumerate().filter(|&(c, &r)| c != r).count(),
+        );
+    }
+    println!("\n(words and model flops of the compact block storage, default amalgamation;");
+    println!(" `fl x` = static flops / realised flops, the ceiling of a refactor's gain)");
 }

@@ -353,13 +353,13 @@ impl Layout {
         &self.upds[self.upd_ptr[j]..self.upd_ptr[j + 1]]
     }
 
-    /// The map of `Update(k, j)`.
-    pub(crate) fn update(&self, k: usize, j: usize) -> &UpdateMap {
+    /// The map of `Update(k, j)`; `None` when the structure holds no block
+    /// `Ū(k, j)` — a realised structure lacks the blocks its pivot history
+    /// never fills, under a task graph that still names them.
+    pub(crate) fn update(&self, k: usize, j: usize) -> Option<&UpdateMap> {
         let into_j = self.updates(j);
-        let at = into_j
-            .binary_search_by_key(&k, |u| u.src as usize)
-            .expect("Update(k, j) requires block Ū(k, j)");
-        &into_j[at]
+        let at = into_j.binary_search_by_key(&k, |u| u.src as usize).ok()?;
+        Some(&into_j[at])
     }
 
     /// The columns `S_KJ` of `Ū(K, J)`, as columns of block column `J`.
@@ -379,10 +379,21 @@ impl Layout {
 
     /// Global row of every position of `R_K`, in order.
     fn global_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
-        let blocks = &self.lblks[self.lblk_ptr[k]..];
-        (self.row_ptr[k]..self.row_ptr[k + 1]).map(move |at| {
-            self.starts[blocks[self.owner[at] as usize].block as usize] + self.lrow[at] as usize
-        })
+        let w = self.width(k);
+        (w..w + self.rows_below(k)).map(move |pos| self.panel_row(k, pos))
+    }
+
+    /// Global row of position `pos` of supernode `k`'s panel: its own rows
+    /// first, then `R_K`.
+    fn panel_row(&self, k: usize, pos: usize) -> usize {
+        match pos.checked_sub(self.width(k)) {
+            None => self.starts[k] + pos,
+            Some(t) => {
+                let at = self.row_ptr[k] + t;
+                let lb = &self.lblks[self.lblk_ptr[k] + self.owner[at] as usize];
+                self.starts[lb.block as usize] + self.lrow[at] as usize
+            }
+        }
     }
 
     /// Where `R_K[t]` lives in column `J` for the update `u = (K, J)`, and
@@ -411,6 +422,138 @@ impl Layout {
                 cols: self.local_cols(u),
             }
         }
+    }
+
+    /// The **realised structure** of one pivot history, as one flag per
+    /// entry of `bs.l_rows` and one per entry of `bs.u_cols` (`bs` is the
+    /// structure this layout was built from; [`realised_structure`] turns
+    /// the flags into lists): what can become nonzero when the input's
+    /// entries are those at `slots` and every `Factor(K)` takes the
+    /// interchanges `history` records (the global pivot row of every
+    /// column). A boolean replay of the factorization at the granularity
+    /// the storage has — a row of `R_K`, a column of `C_K` — visiting the
+    /// updates as the left-looking order does, so that the flags of `R_K`
+    /// and of `S_KJ` are final when `Update(K, J)` is replayed:
+    ///
+    /// 1. `K`'s interchanges with rows outside its own block row unite the
+    ///    flags of `Ū(K, J)`'s columns with those of the partner row's
+    ///    storage in column `J`, both ways;
+    /// 2. every live row of `K` times every live column of `Ū(K, J)` marks
+    ///    its destination.
+    ///
+    /// Step 2 marks a full cross product, so the lists nest as
+    /// [`Layout::new`] needs them to. The first row of `R_K` and the first
+    /// column of `C_K` are kept wherever `bs` has both — they are the edge
+    /// of the block eforest, which the solves and the task graph of `bs`
+    /// keep using — and are seeded as live, so the nesting holds for them
+    /// too.
+    pub(crate) fn realised_flags(
+        &self,
+        bs: &BlockStructure,
+        slots: &[ValueSlot],
+        history: &[usize],
+    ) -> (Vec<bool>, Vec<bool>) {
+        let nb = self.num_blocks();
+        assert_eq!(bs.l_rows.col_ptr(), &self.row_ptr[..], "another structure");
+        assert_eq!(history.len(), self.n, "one pivot row per column");
+        let mut row_live = vec![false; self.lrow.len()];
+        let mut col_live = vec![false; self.ucol.len()];
+        for k in 0..nb {
+            if self.rows_below(k) > 0 && self.col_ptr[k] < self.col_ptr[k + 1] {
+                row_live[self.row_ptr[k]] = true;
+                col_live[self.col_ptr[k]] = true;
+            }
+        }
+        for s in slots {
+            let j = s.jb as usize;
+            if s.ublock == IN_PANEL {
+                let w = self.width(j);
+                let row = s.flat as usize % (w + self.rows_below(j));
+                if row >= w {
+                    row_live[self.row_ptr[j] + row - w] = true;
+                }
+            } else {
+                let u = &self.updates(j)[s.ublock as usize];
+                let k = u.src as usize;
+                let x = s.flat as usize / self.width(k);
+                col_live[self.col_ptr[k] + u.cols.start as usize + x] = true;
+            }
+        }
+
+        let mut live_x: Vec<usize> = Vec::new();
+        for j in 0..nb {
+            let (w_j, into_j) = (self.width(j), self.updates(j));
+            for u in into_j {
+                let k = u.src as usize;
+                let (ck, s_kj) = (self.col_ptr[k] + u.cols.start as usize, u.cols.len());
+                let own = self.starts[k]..self.starts[k + 1];
+                for &g in &history[own.clone()] {
+                    if g < own.end {
+                        // Inside the block row: whole columns stay whole.
+                        continue;
+                    }
+                    let t = (bs.l_rows.col(k).binary_search(&g))
+                        .expect("a recorded pivot row is a row of the panel");
+                    match self.row_dest(u, t) {
+                        RowDest::Above { q, cols, .. } => {
+                            let ui = &into_j[q];
+                            let ci = self.col_ptr[ui.src as usize] + ui.cols.start as usize;
+                            for (x, &c) in cols.iter().enumerate() {
+                                let both = col_live[ck + x] | col_live[ci + c as usize];
+                                col_live[ck + x] = both;
+                                col_live[ci + c as usize] = both;
+                            }
+                        }
+                        // The diagonal block of `J` is stored whole.
+                        RowDest::Panel { row, .. } if row < w_j => {
+                            col_live[ck..ck + s_kj].fill(true);
+                        }
+                        RowDest::Panel { row, .. } => {
+                            let at = self.row_ptr[j] + row - w_j;
+                            if row_live[at] {
+                                col_live[ck..ck + s_kj].fill(true);
+                            } else {
+                                row_live[at] = col_live[ck..ck + s_kj].contains(&true);
+                            }
+                        }
+                    }
+                }
+
+                live_x.clear();
+                live_x.extend((0..s_kj).filter(|&x| col_live[ck + x]));
+                if live_x.is_empty() {
+                    continue;
+                }
+                let rk = self.row_ptr[k];
+                // Rows above block row J: one Ū(I, J) per L̄ block of K.
+                let above = self.lblks[self.lblk_ptr[k]..self.lblk_ptr[k + 1]]
+                    .iter()
+                    .take_while(|lb| lb.rows.start < u.t_diag);
+                for (b, lb) in above.enumerate() {
+                    let rows = rk + lb.rows.start as usize..rk + lb.rows.end as usize;
+                    if !row_live[rows].contains(&true) {
+                        continue;
+                    }
+                    let ui = &into_j[self.targets[u.targets as usize + b] as usize];
+                    let ci = self.col_ptr[ui.src as usize] + ui.cols.start as usize;
+                    let cmap = &self.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
+                    for &x in &live_x {
+                        col_live[ci + cmap[x] as usize] = true;
+                    }
+                }
+                // Rows inside block row J land in its diagonal block, which
+                // is stored whole; rows below it in the rows of R_J.
+                let rel = &self.rel[u.row_rel as usize..];
+                for t in u.t_below as usize..self.rows_below(k) {
+                    if row_live[rk + t] {
+                        let row = rel[t - u.t_below as usize] as usize;
+                        row_live[self.row_ptr[j] + row - w_j] = true;
+                    }
+                }
+            }
+        }
+
+        (row_live, col_live)
     }
 
     /// Calls `visit(e, slot)` for entry number `e` (in storage order) of
@@ -483,6 +626,35 @@ impl Layout {
             }
         }
     }
+}
+
+/// The sub-structure of `bs` that keeps the rows of `R_K` and the columns of
+/// `C_K` flagged in `row_live` / `col_live` (one flag per list entry, as
+/// [`Layout::realised_flags`] returns them).
+pub(crate) fn realised_structure(
+    bs: &BlockStructure,
+    row_live: &[bool],
+    col_live: &[bool],
+) -> BlockStructure {
+    let nb = bs.num_blocks();
+    let kept = |lists: &SparsityPattern, live: &[bool]| {
+        let mut ptr = Vec::with_capacity(nb + 1);
+        // Sized exactly: the session keeps these lists.
+        let mut idx = Vec::with_capacity(live.iter().filter(|&&l| l).count());
+        for k in 0..nb {
+            ptr.push(idx.len());
+            let at = lists.col_ptr()[k];
+            let live = &live[at..at + lists.col(k).len()];
+            idx.extend(lists.col(k).iter().zip(live).filter(|x| *x.1).map(|x| *x.0));
+        }
+        ptr.push(idx.len());
+        SparsityPattern::from_sorted_parts(lists.nrows(), nb, ptr, idx)
+    };
+    BlockStructure::from_lists(
+        bs.partition.clone(),
+        kept(&bs.l_rows, row_live),
+        kept(&bs.u_cols, col_live),
+    )
 }
 
 /// Where a stored row of the source lives in the destination column of an
@@ -649,6 +821,83 @@ impl BlockMatrix {
         let layout = self.layout;
         drop(self.columns);
         Self::with_layout(layout)
+    }
+
+    /// Drops the values and hands back the index maps.
+    pub(crate) fn into_layout(self) -> Arc<Layout> {
+        self.layout
+    }
+
+    /// The pivot history of a completed factorization: the global
+    /// (factorization-order) row every column's pivot came from, which is
+    /// the column itself where no interchange was taken. Comparable across
+    /// storages of one partition, whatever rows each stores.
+    pub fn pivot_rows(&self) -> Vec<usize> {
+        let mut history = Vec::new();
+        self.swap_history(&mut history);
+        history
+    }
+
+    /// The first difference between two factored storages of one
+    /// partition, as a message — `None` when they hold the same factors:
+    /// the same pivots as global rows and, bit for bit, the same word at
+    /// every global position both store, with exact zeros wherever only
+    /// one of them stores a word (a realised storage leaves out what its
+    /// pivot history never fills). Diagnostics and tests.
+    pub fn factor_difference(&self, other: &BlockMatrix) -> Option<String> {
+        let (mine, theirs) = (self.pivot_rows(), other.pivot_rows());
+        if let Some(c) = (0..mine.len().max(theirs.len())).find(|&c| mine.get(c) != theirs.get(c)) {
+            return Some(format!("pivot of column {c} differs"));
+        }
+        let mut words = std::collections::HashMap::new();
+        self.for_each_entry(|i, j, v| {
+            words.insert((i, j), v);
+        });
+        let mut first = None;
+        other.for_each_entry(|i, j, v| {
+            let same = match words.remove(&(i, j)) {
+                Some(w) => w.to_bits() == v.to_bits(),
+                None => v == 0.0,
+            };
+            if !same {
+                first.get_or_insert(format!("word ({i},{j}) differs"));
+            }
+        });
+        first.or_else(|| {
+            (words.into_iter().find(|&(_, v)| v != 0.0))
+                .map(|((i, j), _)| format!("word ({i},{j}) is stored on one side only"))
+        })
+    }
+
+    /// Writes the pivot history of the completed factorization these
+    /// columns hold — the global row every column's pivot came from — into
+    /// `history`, and returns whether `history` held exactly that already.
+    pub(crate) fn swap_history(&self, history: &mut Vec<usize>) -> bool {
+        let lay = &*self.layout;
+        let mut same = history.len() == lay.n;
+        history.resize(lay.n, 0);
+        for (k, col) in self.columns.iter().enumerate() {
+            let col = col.read();
+            let swaps = (col.pivots.as_ref())
+                .expect("a completed factorization")
+                .swaps();
+            for (&p, h) in swaps.iter().zip(&mut history[lay.starts[k]..]) {
+                let row = lay.panel_row(k, p);
+                same &= *h == row;
+                *h = row;
+            }
+        }
+        same
+    }
+
+    /// The first (global) column of block column `k` whose pivot came from
+    /// another row than `history` records, if any.
+    pub(crate) fn pivot_divergence(&self, k: usize, history: &[usize]) -> Option<usize> {
+        let (lay, col) = (&*self.layout, self.columns[k].read());
+        let swaps = col.pivots.as_ref().expect("Factor(k) ran").swaps();
+        (swaps.iter().zip(&history[lay.starts[k]..]))
+            .position(|(&p, &row)| lay.panel_row(k, p) != row)
+            .map(|c| lay.starts[k] + c)
     }
 
     /// Assembles the block storage of `a` (already permuted into

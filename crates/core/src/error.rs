@@ -36,6 +36,16 @@ pub enum LuError {
         /// Global column index (in factorization order) where it appeared.
         column: usize,
     },
+    /// A run that was handed a pivot history
+    /// ([`NumericRequest::expect_history`](crate::NumericRequest::expect_history))
+    /// chose another pivot row; the remaining tasks drained as no-ops. A
+    /// session never returns this: it answers the job through the static
+    /// structure instead.
+    PivotHistoryDiverged {
+        /// Global column index (in factorization order) of the first
+        /// differing pivot of the block column that noticed.
+        column: usize,
+    },
     /// A worker thread panicked during the parallel factorization. The
     /// executors contain the panic (no unwind, no hang, no poisoned state)
     /// and the driver reports it as this structured error.
@@ -136,6 +146,9 @@ impl std::fmt::Display for LuError {
                     f,
                     "non-finite pivot region at factorization column {column}"
                 )
+            }
+            LuError::PivotHistoryDiverged { column } => {
+                write!(f, "pivot history diverged at factorization column {column}")
             }
             LuError::WorkerPanic { worker, task } => {
                 write!(f, "worker {worker} panicked in task {task}")

@@ -51,7 +51,8 @@ pub use numeric::{
 };
 pub use numeric_fine::{apply_task, gemm_task, gemm_task_with, trsm_task, trsm_task_with};
 pub use observe::{
-    factor_reported, MatrixMeta, ObsSession, RunReport, RunStatus, PHASE_NAMES, REPORT_SCHEMA,
+    factor_reported, MatrixMeta, ObsSession, RefactorPath, RunReport, RunStatus, PHASE_NAMES,
+    REPORT_SCHEMA,
 };
 pub use psolve::solve_permuted_parallel;
 pub use request::{factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest};
@@ -941,32 +942,29 @@ impl SparseLu {
 
     /// Storage accounting of the factored block matrix.
     pub fn storage(&self) -> FactorStorage {
-        let words = self.bm().storage_words();
-        let structural = self.sym().stats.nnz_filled;
-        FactorStorage {
-            words,
-            structural,
-            padding_fraction: if words == 0 {
-                0.0
-            } else {
-                1.0 - structural as f64 / words as f64
-            },
-        }
+        self.session
+            .storage()
+            .expect("a constructed SparseLu always holds factors")
     }
 }
 
 /// Storage accounting for a factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorStorage {
-    /// Words the compact block storage holds:
+    /// Words the block storage actually holds:
     /// `Σ_K w_K · (w_K + |R_K| + |C_K|)` over the supernodes `K`
-    /// ([`BlockStructure::storage_words`]).
+    /// ([`BlockStructure::storage_words`]) of the structure it is laid out
+    /// from — the static one, or the realised one of a session's pivot
+    /// history.
     pub words: usize,
+    /// The same sum over the static structure (equal to `words` unless the
+    /// storage is a realised one).
+    pub static_words: usize,
     /// Entries of the scalar static structure `Ā`.
     pub structural: usize,
-    /// Fraction of the stored words that are explicit zeros. Exact
-    /// supernodes store `Ā` and nothing else, so this is what amalgamation
-    /// added — zero with [`Options::amalgamation`] off.
+    /// Fraction of the static structure's words that are explicit zeros.
+    /// Exact supernodes store `Ā` and nothing else, so this is what
+    /// amalgamation added — zero with [`Options::amalgamation`] off.
     pub padding_fraction: f64,
 }
 

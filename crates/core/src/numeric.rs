@@ -156,7 +156,10 @@ pub(crate) fn update_task_metered(
     metrics: Option<&MetricsRegistry>,
 ) {
     debug_assert!(k < j);
-    let u = bm.layout().update(k, j);
+    // A realised structure holds no block its pivot history never fills.
+    let Some(u) = bm.layout().update(k, j) else {
+        return;
+    };
     let col_k = bm.column(k).read();
     let mut col_j = bm.column(j).write();
     replay_interchanges(bm, u, &col_k, &mut col_j);

@@ -25,7 +25,10 @@ use splu_obs::MetricsRegistry;
 /// Applies `Factor(src)`'s pivot interchanges to block column `dst`.
 pub fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
     debug_assert!(src < dst);
-    let u = bm.layout().update(src, dst);
+    let u = bm
+        .layout()
+        .update(src, dst)
+        .expect("the fine graph names stored blocks only");
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();
     replay_interchanges(bm, u, &col_src, &mut col_dst);
@@ -52,7 +55,10 @@ pub(crate) fn trsm_task_metered(
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
-    let u = bm.layout().update(src, dst);
+    let u = bm
+        .layout()
+        .update(src, dst)
+        .expect("the fine graph names stored blocks only");
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();
     solve_u_block(u, &col_src, &mut col_dst, kernels, metrics);
@@ -81,7 +87,9 @@ pub(crate) fn gemm_task_metered(
     metrics: Option<&MetricsRegistry>,
 ) {
     let lay = bm.layout();
-    let u = lay.update(src, dst);
+    let u = lay
+        .update(src, dst)
+        .expect("the fine graph names stored blocks only");
     let rows = lay.l_block_rows(src, row);
     let col_src = bm.column(src).read();
     let mut col_dst = bm.column(dst).write();

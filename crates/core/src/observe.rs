@@ -55,6 +55,24 @@ struct Captured {
     health: Option<FactorHealth>,
     /// Per-phase heap high-water bytes (counting allocator installed only).
     heap_phases: Vec<(&'static str, u64)>,
+    /// The structure a session `refactor` ran on.
+    refactor: Option<RefactorPath>,
+}
+
+/// Which structure a session `refactor` factored on (DESIGN.md §5.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefactorPath {
+    /// The static structure `Ā`, valid for every pivot sequence.
+    Static,
+    /// The realised structure of the session's recorded pivot history.
+    Realised,
+    /// The pivots left the recorded history at this (global,
+    /// factorization-order) column; the job was answered through the
+    /// static structure.
+    Fallback {
+        /// First differing pivot column of the block column that noticed.
+        column: usize,
+    },
 }
 
 /// One observed run. Cheap to clone (shared handles); create with
@@ -160,6 +178,11 @@ impl ObsSession {
         cap.sched = Some(stats);
         cap.health = Some(health);
         cap.numeric_trace = numeric_trace;
+    }
+
+    /// Deposits which structure a session `refactor` ran on.
+    pub fn capture_refactor(&self, path: RefactorPath) {
+        self.captured.lock().refactor = Some(path);
     }
 
     /// Renders everything the session observed as one Chrome `trace_event`
@@ -299,6 +322,7 @@ impl ObsSession {
             counters,
             sched: cap.sched.clone(),
             health: cap.health.clone(),
+            refactor: cap.refactor,
             heap: heap_stats(),
             heap_phases: cap.heap_phases.clone(),
             status,
@@ -419,6 +443,9 @@ pub struct RunReport {
     pub sched: Option<SchedStats>,
     /// Numeric health (perturbed columns, growth, condition estimate).
     pub health: Option<FactorHealth>,
+    /// The structure a session `refactor` ran on (`None` for any other
+    /// run).
+    pub refactor: Option<RefactorPath>,
     /// Heap counters at report time (counting allocator installed only).
     pub heap: Option<HeapStats>,
     /// Per-phase heap high-water bytes (counting allocator installed only).
@@ -524,6 +551,23 @@ impl RunReport {
             }
             None => {
                 let _ = writeln!(out, "  \"health\": null,");
+            }
+        }
+        match self.refactor {
+            None => {
+                let _ = writeln!(out, "  \"refactor\": null,");
+            }
+            Some(path) => {
+                let (name, diverged) = match path {
+                    RefactorPath::Static => ("static", None),
+                    RefactorPath::Realised => ("realised", None),
+                    RefactorPath::Fallback { column } => ("fallback", Some(column)),
+                };
+                let _ = writeln!(
+                    out,
+                    "  \"refactor\": {{\"path\": \"{name}\", \"diverged_column\": {}}},",
+                    diverged.map_or("null".to_string(), |c| c.to_string()),
+                );
             }
         }
         match &self.heap {

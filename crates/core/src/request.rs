@@ -120,6 +120,14 @@ pub struct NumericRequest<'g> {
     /// untraced, the session `refactor` hot path. The factors are bitwise
     /// identical either way. Ignored by the fine graph.
     pub schedule: Option<Arc<ExecSchedule>>,
+    /// The pivot history this run must reproduce: the global row every
+    /// column's pivot comes from. After each `Factor(K)` its interchanges
+    /// are compared with these (`O(w_K)`); the first difference ends the
+    /// run like a numerical breakdown, with
+    /// [`LuError::PivotHistoryDiverged`]. A session sets it when the
+    /// storage is laid out for that history only. `None` (the default)
+    /// compares nothing.
+    pub history: Option<&'g [usize]>,
 }
 
 impl<'g> NumericRequest<'g> {
@@ -147,6 +155,7 @@ impl<'g> NumericRequest<'g> {
             budget: RunBudget::default(),
             metrics: None,
             schedule: None,
+            history: None,
         }
     }
 
@@ -201,6 +210,12 @@ impl<'g> NumericRequest<'g> {
     /// Attaches a cached executor schedule (see the field docs).
     pub fn schedule(mut self, schedule: Arc<ExecSchedule>) -> Self {
         self.schedule = Some(schedule);
+        self
+    }
+
+    /// Holds the run to a pivot history (see the field docs).
+    pub fn expect_history(mut self, history: &'g [usize]) -> Self {
+        self.history = Some(history);
         self
     }
 }
@@ -299,6 +314,14 @@ pub fn factor_numeric_with(
             &dispatch,
         ) {
             Ok(p) => {
+                let diverged = req.history.and_then(|h| bm.pivot_divergence(k, h));
+                if let Some(column) = diverged {
+                    failed.store(true, Ordering::Release);
+                    first_error
+                        .lock()
+                        .get_or_insert(LuError::PivotHistoryDiverged { column });
+                    return;
+                }
                 columns_done.fetch_add(1, Ordering::Relaxed);
                 if let Some(reg) = metrics {
                     let col = bm.column(k).read();

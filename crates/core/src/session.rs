@@ -27,17 +27,32 @@
 //! the parallel path reuses only the per-task priorities) — which the
 //! session invariance suite asserts across thread counts and mappings.
 //!
+//! **Realised structure.** The static `Ā` is valid for every pivot
+//! sequence, which a session that sees the same sequence step after step
+//! pays for on each of them. When the last two completed factorizations
+//! took the same pivot history, `refactor` derives the sub-structure that
+//! history can fill ([`crate::blocks`]' boolean replay), lays the storage
+//! out from it and runs the same driver, graph and schedule on it, holding
+//! every `Factor(K)` to the recorded interchanges. Equal pivots mean —
+//! by induction over the columns — that every word left out was exactly
+//! zero, so the factors are bitwise the static ones; the first unequal
+//! pivot drains the run, the session goes back to the static structure and
+//! answers the job from there. [`SluSession::factor`] always runs static.
+//! DESIGN.md §5.4–5.5.
+//!
 //! Equilibration is a *values* transformation, so the session itself
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
 //! over this API) scales the values before handing them to the session.
 
-use crate::blocks::{BlockMatrix, ValueSlot};
-use crate::observe::ObsSession;
+use crate::blocks::{realised_structure, BlockMatrix, ValueSlot};
+use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
 use crate::{analyze_parts, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
+use splu_obs::Counter;
 use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
 use splu_sparse::{CscMatrix, SparsityPattern};
+use splu_symbolic::supernode::BlockStructure;
 use std::sync::Arc;
 
 /// Hash of a sparsity pattern (dimensions, column pointers, row indices) —
@@ -90,7 +105,16 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
 /// executor schedule for one sparsity pattern, with reusable numeric
 /// storage. See the [module docs](self) for the lifecycle.
 pub struct SluSession {
+    /// `sym.block_structure` is the structure of the current storage: the
+    /// static one, or the realised one of `history`.
     sym: SymbolicLu,
+    /// The static structure, held aside while a realised one is cached.
+    static_bs: Option<BlockStructure>,
+    /// Global pivot row of every column. On the static structure: of the
+    /// factorization completed before the one `bm` holds (empty when that
+    /// one was not looked at). On a realised structure: the history it was
+    /// derived from, which every run on it reproduces or leaves.
+    history: Vec<usize>,
     graph: TaskGraph,
     schedule: Arc<ExecSchedule>,
     pattern_hash: u64,
@@ -140,6 +164,8 @@ impl SluSession {
         Ok(SluSession {
             budget: opts.budget.clone(),
             sym,
+            static_bs: None,
+            history: Vec::new(),
             graph,
             schedule,
             pattern_hash: pattern_hash(pattern),
@@ -158,7 +184,9 @@ impl SluSession {
     /// Numeric-only factorization of `a` (original order, same pattern as
     /// analyzed): assembles fresh block storage and factors over the cached
     /// graph. No symbolic phase runs. Use [`Self::refactor`] to also reuse
-    /// the storage of a previous factorization.
+    /// the storage of a previous factorization. Always on the static
+    /// structure — this is the oracle `refactor` is held to — so it drops a
+    /// cached realised structure and the recorded pivot history.
     pub fn factor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.factor_inner(a, None)
     }
@@ -177,6 +205,13 @@ impl SluSession {
     /// identical to [`Self::factor`] of the same values. Before the first
     /// [`Self::factor`] this simply *is* a factor call (storage must be
     /// allocated once).
+    ///
+    /// A call that finds the last two completed factorizations on one pivot
+    /// history first moves the session onto that history's realised
+    /// structure (once per history; see the [module docs](self)); from then
+    /// on the same steps run on the smaller storage, and a run whose pivots
+    /// leave the history is repeated on the static structure before this
+    /// returns.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.refactor_inner(a, None)
     }
@@ -206,6 +241,8 @@ impl SluSession {
     ) -> Result<(), LuError> {
         {
             let _p = obs.map(|o| o.phase("graph_build"));
+            self.drop_realised();
+            self.history.clear();
             self.assemble_fresh(a);
         }
         self.run_numeric(obs)
@@ -213,14 +250,96 @@ impl SluSession {
 
     fn refactor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
         if self.bm.is_none() {
+            if let Some(o) = obs {
+                o.capture_refactor(RefactorPath::Static);
+            }
             return self.factor_inner(a, obs);
         }
         self.check_pattern(a)?;
         check_finite(a)?;
+        // The one rule that moves a session onto a realised structure: the
+        // factorization `bm` holds took the history of the one before it.
+        if self.static_bs.is_none() && self.factored {
+            let bm = self.bm.as_ref().expect("storage checked above");
+            if bm.swap_history(&mut self.history) {
+                let _p = obs.map(|o| o.phase("graph_build"));
+                self.realise(a.pattern());
+            }
+        }
         let bm = self.bm.as_mut().expect("storage checked above");
         bm.reset_values();
         bm.store_values(&self.scatter, a.values());
-        self.run_numeric(obs)
+        let mut path = if self.is_realised() {
+            RefactorPath::Realised
+        } else {
+            RefactorPath::Static
+        };
+        let mut outcome = self.run_numeric(obs);
+        if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
+            // These values pivot differently: the realised storage may lack
+            // what they fill. The static structure answers the job.
+            {
+                let _p = obs.map(|o| o.phase("graph_build"));
+                self.drop_realised();
+                self.assemble_fresh(a);
+            }
+            path = RefactorPath::Fallback { column };
+            outcome = self.run_numeric(obs);
+        }
+        if let Some(o) = obs {
+            o.capture_refactor(path);
+            match path {
+                RefactorPath::Realised if outcome.is_ok() => {
+                    o.metrics().incr(Counter::RefactorRealised);
+                    let words = self.sym.block_structure.storage_words();
+                    o.metrics().record_max(Counter::RealisedWords, words as u64);
+                }
+                RefactorPath::Fallback { .. } => o.metrics().incr(Counter::RefactorFallback),
+                _ => {}
+            }
+        }
+        outcome
+    }
+
+    /// Moves the session from the static structure onto the realised
+    /// structure of `history`. Frees before it allocates — the static
+    /// values first (the replay reads the index maps only), then those maps
+    /// and the old scatter map before the new lists, maps and values exist —
+    /// so nothing of the smaller storage coexists with its larger
+    /// counterpart.
+    fn realise(&mut self, pattern: &SparsityPattern) {
+        let storage = self.bm.take().expect("factors of the recorded history");
+        let layout = storage.into_layout();
+        let static_bs = &self.sym.block_structure;
+        let (rows, cols) = layout.realised_flags(static_bs, &self.scatter, &self.history);
+        drop(layout);
+        self.scatter = Vec::new();
+        let realised = realised_structure(static_bs, &rows, &cols);
+        drop((rows, cols));
+        let bm = BlockMatrix::zeros(&realised);
+        self.scatter = self.slots_in(&bm, pattern);
+        self.bm = Some(bm);
+        self.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, realised));
+        self.factored = false;
+    }
+
+    /// Back to the static structure, if a realised one is cached: its
+    /// storage, maps and scatter map go; [`Self::assemble_fresh`] rebuilds
+    /// the static ones.
+    fn drop_realised(&mut self) {
+        if let Some(static_bs) = self.static_bs.take() {
+            self.sym.block_structure = static_bs;
+            self.bm = None;
+            self.scatter = Vec::new();
+            self.factored = false;
+        }
+    }
+
+    /// Where each nonzero of the analyzed (original-order) pattern lands
+    /// inside `bm`.
+    fn slots_in(&self, bm: &BlockMatrix, pattern: &SparsityPattern) -> Vec<ValueSlot> {
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        bm.value_slots(pattern, |i| rows.new_of(i), |j| cols.old_of(j))
     }
 
     /// Rejects values whose pattern hash disagrees with the analyzed one.
@@ -248,8 +367,7 @@ impl SluSession {
         };
         // (An empty map is that of an empty matrix: rebuilding it is free.)
         if self.scatter.is_empty() {
-            let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-            self.scatter = bm.value_slots(a.pattern(), |i| rows.new_of(i), |j| cols.old_of(j));
+            self.scatter = self.slots_in(&bm, a.pattern());
         }
         self.bm.insert(bm).store_values(&self.scatter, a.values());
     }
@@ -267,6 +385,9 @@ impl SluSession {
             .breakdown(opts.breakdown)
             .budget(self.budget.clone())
             .schedule(Arc::clone(&self.schedule));
+        if self.static_bs.is_some() {
+            nreq = nreq.expect_history(&self.history);
+        }
         if let Some(o) = obs {
             nreq = nreq
                 .trace(o.executor_trace_config(self.graph.len(), opts.threads.max(1)))
@@ -422,28 +543,39 @@ impl SluSession {
 
     /// Resident bytes this session holds: the dense panel/U-block storage
     /// (dominant term, exact via [`BlockMatrix::storage_words`]) with its
-    /// index maps, the cached scatter map, and the symbolic state — the
-    /// block structure's row, column and block lists, the two permutations
-    /// with their inverses, the block forest, the task graph and its
-    /// schedule — counted from the lengths of the arrays that hold them
-    /// (no scalar `L̄`/`Ū` exists to count). This is the quantity a session
-    /// pool budgets and evicts on; it intentionally counts only
-    /// per-session state, not transient factorization workspace.
+    /// index maps, the cached scatter map, the recorded pivot history, and
+    /// the symbolic state — the block structure's row, column and block
+    /// lists (of **both** structures while a realised one is cached), the
+    /// two permutations with their inverses, the block forest, the task
+    /// graph and its schedule — counted from the lengths of the arrays that
+    /// hold them (no scalar `L̄`/`Ū` exists to count). Storage, maps and
+    /// scatter map are those actually held: the realised ones while a
+    /// realised structure is cached. This is the quantity a session pool
+    /// budgets and evicts on; it intentionally counts only per-session
+    /// state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
         let vec_header = std::mem::size_of::<Vec<usize>>() as u64;
-        let bs = &self.sym.block_structure;
-        let (n, nb) = (self.sym.stats.n as u64, bs.num_blocks() as u64);
-        let block_list_words: usize = (bs.l_blocks.iter().chain(&bs.u_blocks))
-            .map(|blocks| blocks.len())
-            .sum();
+        let (n, nb) = (
+            self.sym.stats.n as u64,
+            self.sym.block_structure.num_blocks() as u64,
+        );
         // R_K / C_K with their pointers, the block lists (one `Vec` per
-        // supernode and factor), the partition; four permutation arrays;
-        // the forest's parents and one child list per node.
-        let lists = (bs.l_rows.nnz() + bs.u_cols.nnz() + block_list_words) as u64 * usz
-            + 2 * nb * vec_header
-            + 3 * (nb + 1) * usz;
-        let symbolic = lists + 4 * n * usz + nb * (2 * usz + vec_header);
+        // supernode and factor), the partition.
+        let lists = |bs: &BlockStructure| {
+            let block_list_words: usize = (bs.l_blocks.iter().chain(&bs.u_blocks))
+                .map(|blocks| blocks.len())
+                .sum();
+            (bs.l_rows.nnz() + bs.u_cols.nnz() + block_list_words) as u64 * usz
+                + 2 * nb * vec_header
+                + 3 * (nb + 1) * usz
+        };
+        // Four permutation arrays; the forest's parents and one child list
+        // per node.
+        let symbolic = lists(&self.sym.block_structure)
+            + self.static_bs.as_ref().map_or(0, lists)
+            + 4 * n * usz
+            + nb * (2 * usz + vec_header);
         // Task graph: the task, its successor list and its predecessor
         // count per task, one word per edge; schedule: priority and
         // sequential position per task.
@@ -457,7 +589,39 @@ impl SluSession {
             .as_ref()
             .map_or(0, |bm| 8 * bm.storage_words() as u64 + bm.map_bytes());
         let scatter = (self.scatter.len() * std::mem::size_of::<ValueSlot>()) as u64;
-        symbolic + graph + numeric + scatter
+        symbolic + graph + numeric + scatter + self.history.capacity() as u64 * usz
+    }
+
+    /// The static structure `Ā` of the analysis, valid for every pivot
+    /// sequence. [`Self::symbolic`]`().block_structure` is the structure of
+    /// the *current* storage — this one, or a sub-structure of it while the
+    /// session refactors on the realised structure of its pivot history.
+    pub fn static_structure(&self) -> &BlockStructure {
+        self.static_bs.as_ref().unwrap_or(&self.sym.block_structure)
+    }
+
+    /// `true` while the session holds a realised structure (the storage is
+    /// laid out for one pivot history only).
+    pub fn is_realised(&self) -> bool {
+        self.static_bs.is_some()
+    }
+
+    /// Storage accounting of the block storage the session holds (`None`
+    /// before the first factor call).
+    pub fn storage(&self) -> Option<crate::FactorStorage> {
+        let words = self.bm.as_ref()?.storage_words();
+        let static_words = self.static_structure().storage_words();
+        let structural = self.sym.stats.nnz_filled;
+        Some(crate::FactorStorage {
+            words,
+            static_words,
+            structural,
+            padding_fraction: if static_words == 0 {
+                0.0
+            } else {
+                1.0 - structural as f64 / static_words as f64
+            },
+        })
     }
 
     /// The numeric phase's robustness report for the latest factorization.
@@ -492,20 +656,17 @@ mod tests {
     }
 
     fn assert_same_factors(x: &BlockMatrix, y: &BlockMatrix, what: &str) {
-        assert_eq!(x.num_block_cols(), y.num_block_cols());
-        for k in 0..x.num_block_cols() {
-            let cx = x.column(k).read();
-            let cy = y.column(k).read();
-            assert_eq!(cx.pivots, cy.pivots, "{what}: pivots differ at {k}");
-            assert_eq!(
-                cx.panel.data(),
-                cy.panel.data(),
-                "{what}: panel differs at {k}"
-            );
-            for (bx, by) in cx.ublocks.iter().zip(&cy.ublocks) {
-                assert_eq!(bx.data(), by.data(), "{what}: U differs at {k}");
-            }
-        }
+        assert_eq!(x.factor_difference(y), None, "{what}");
+    }
+
+    /// Unfactored storages: the same word at every position.
+    fn assert_same_words(x: &BlockMatrix, y: &BlockMatrix, what: &str) {
+        let words = |bm: &BlockMatrix| {
+            let mut w = Vec::new();
+            bm.for_each_entry(|i, j, v| w.push((i, j, v.to_bits())));
+            w
+        };
+        assert!(words(x) == words(y), "{what}: stored words differ");
     }
 
     #[test]
@@ -564,7 +725,7 @@ mod tests {
                 s.assemble_fresh(&a);
                 let permuted = s.sym.permute_matrix(&a);
                 let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
-                assert_same_factors(s.bm.as_ref().unwrap(), &want, m.name);
+                assert_same_words(s.bm.as_ref().unwrap(), &want, m.name);
             }
         }
     }

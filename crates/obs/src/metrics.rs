@@ -82,11 +82,21 @@ pub enum Counter {
     /// Supervariables eliminated together with a pivot of the ordering
     /// because only its new element was left on them.
     OrderingMassEliminated,
+    /// Session refactorizations that ran to completion on the realised
+    /// structure of their pivot history.
+    RefactorRealised,
+    /// Session refactorizations whose pivots left the recorded history and
+    /// that were answered through the static structure instead.
+    RefactorFallback,
+    /// Words of factor storage a session held on a realised structure
+    /// (recorded with [`MetricsRegistry::record_max`], not summed; zero
+    /// while every refactorization ran on the static structure).
+    RealisedWords,
 }
 
 impl Counter {
     /// All counters, in registry order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 26] = [
         Counter::FillL,
         Counter::FillU,
         Counter::FactorCalls,
@@ -110,6 +120,9 @@ impl Counter {
         Counter::OrderingMerged,
         Counter::OrderingAbsorbed,
         Counter::OrderingMassEliminated,
+        Counter::RefactorRealised,
+        Counter::RefactorFallback,
+        Counter::RealisedWords,
     ];
 
     /// Stable snake_case name, used as the JSON key in run reports.
@@ -138,6 +151,9 @@ impl Counter {
             Counter::OrderingMerged => "ordering_merged",
             Counter::OrderingAbsorbed => "ordering_absorbed",
             Counter::OrderingMassEliminated => "ordering_mass_eliminated",
+            Counter::RefactorRealised => "refactor_realised",
+            Counter::RefactorFallback => "refactor_fallback",
+            Counter::RealisedWords => "realised_words",
         }
     }
 }

@@ -494,16 +494,33 @@ impl BlockStructure {
         }
         debug_assert!((0..nb).all(|k| cursor[k] == u_ptr[k + 1]));
 
-        let blocks = |ptr: &[usize], idx: &[usize]| -> Vec<Vec<usize>> {
-            (0..nb)
-                .map(|k| blocks_of(k, &idx[ptr[k]..ptr[k + 1]], &block_of))
+        Self::from_lists(
+            partition,
+            SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
+            SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
+        )
+    }
+
+    /// The block structure whose supernode `K` stores the rows
+    /// `l_rows.col(K)` and the columns `u_cols.col(K)` (both `n × N`,
+    /// ascending, beyond `K`): the block lists are the distinct blocks of
+    /// those.
+    pub fn from_lists(
+        partition: Partition,
+        l_rows: SparsityPattern,
+        u_cols: SparsityPattern,
+    ) -> Self {
+        let block_of = partition.block_of_cols();
+        let blocks = |lists: &SparsityPattern| -> Vec<Vec<usize>> {
+            (0..partition.num_blocks())
+                .map(|k| blocks_of(k, lists.col(k), &block_of))
                 .collect()
         };
         BlockStructure {
-            l_blocks: blocks(&l_ptr, &l_idx),
-            u_blocks: blocks(&u_ptr, &u_idx),
-            l_rows: SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
-            u_cols: SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
+            l_blocks: blocks(&l_rows),
+            u_blocks: blocks(&u_cols),
+            l_rows,
+            u_cols,
             partition,
         }
     }
@@ -513,19 +530,15 @@ impl BlockStructure {
     /// partitions that are not made of chains.
     pub fn new(f: &FilledLu, partition: Partition) -> Self {
         let (n, nb) = (partition.n(), partition.num_blocks());
-        let block_of = partition.block_of_cols();
         let u_by_rows = f.u_by_rows();
         let mut mark = Vec::new();
         let (mut l_ptr, mut l_idx) = (vec![0usize], Vec::new());
         let (mut u_ptr, mut u_idx) = (vec![0usize], Vec::new());
-        let mut l_blocks = Vec::with_capacity(nb);
-        let mut u_blocks = Vec::with_capacity(nb);
         for k in 0..nb {
             let r = partition.range(k);
             let last = r.end - 1;
             let chain = (r.start..last)
                 .all(|j| f.l_col(j).len() > 1 && f.u_row(j).get(1) == Some(&(j + 1)));
-            let (l_at, u_at) = (l_idx.len(), u_idx.len());
             if chain {
                 l_idx.extend_from_slice(&f.l_col(last)[1..]);
                 u_idx.extend_from_slice(&f.u_row(last)[1..]);
@@ -533,18 +546,14 @@ impl BlockStructure {
                 l_idx.extend(union_beyond(&f.l, r.clone(), &mut mark, 2 * k));
                 u_idx.extend(union_beyond(u_by_rows, r, &mut mark, 2 * k + 1));
             }
-            l_blocks.push(blocks_of(k, &l_idx[l_at..], &block_of));
-            u_blocks.push(blocks_of(k, &u_idx[u_at..], &block_of));
             l_ptr.push(l_idx.len());
             u_ptr.push(u_idx.len());
         }
-        BlockStructure {
+        Self::from_lists(
             partition,
-            l_blocks,
-            u_blocks,
-            l_rows: SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
-            u_cols: SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
-        }
+            SparsityPattern::from_sorted_parts(n, nb, l_ptr, l_idx),
+            SparsityPattern::from_sorted_parts(n, nb, u_ptr, u_idx),
+        )
     }
 
     /// Words the compact storage holds under this structure:

@@ -153,8 +153,6 @@ SERVE MODE:
 
 OPTIONS:
   --threads <N>         worker threads for the numerical phase   [1]
-  --front-threads <N>   accepted (a positive integer) and ignored: the
-                        symbolic front half runs on the calling thread
   --graph eforest|sstar task dependence graph                    [eforest]
   --ordering mindeg|natural|rcm                                  [mindeg]
                         mindeg: approximate minimum degree on the graph
@@ -282,17 +280,6 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
                     "rcm" => OrderingChoice::Rcm,
                     _ => return Err(format!("unknown ordering `{v}`")),
                 };
-            }
-            "--front-threads" => {
-                let v = it.next().ok_or("--front-threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad front-thread count `{v}`"))?;
-                if n == 0 {
-                    return Err("front-thread count must be positive".to_string());
-                }
-                // Accepted for old scripts and journaled job lines; the
-                // analysis runs on the calling thread.
             }
             "--rhs" => {
                 cli.rhs = Some(it.next().ok_or("--rhs needs a path")?.clone());

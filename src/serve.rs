@@ -1095,7 +1095,7 @@ impl<'e> Engine<'e> {
             None => "null".to_string(),
         };
         format!(
-            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{}}}"#,
+            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{}}}"#,
             self.cfg.workers,
             self.cfg.queue_cap,
             depths.join(","),
@@ -1115,6 +1115,9 @@ impl<'e> Engine<'e> {
             self.metrics.get(Counter::JournalCompactions),
             self.metrics.get(Counter::SessionsReplayed),
             self.metrics.get(Counter::JobsDedupedReplay),
+            self.metrics.get(Counter::RefactorRealised),
+            self.metrics.get(Counter::RefactorFallback),
+            self.metrics.get(Counter::RealisedWords),
         )
     }
 
@@ -1415,6 +1418,13 @@ fn serve_job_inner(
             } else {
                 e.session.factor_observed(&a, &obs)
             };
+            // The job's report keeps its own 0/1 (which path this job ran);
+            // `stats` answers for the daemon's lifetime.
+            for c in [Counter::RefactorRealised, Counter::RefactorFallback] {
+                engine.metrics.add(c, obs.metrics().get(c));
+            }
+            let words = obs.metrics().get(Counter::RealisedWords);
+            engine.metrics.record_max(Counter::RealisedWords, words);
             let meta = MatrixMeta::from_stats(&matrix_name(path), e.session.stats());
             let opts = e.session.options().clone();
             let result = match outcome {

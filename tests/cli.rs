@@ -63,27 +63,6 @@ fn gen_analyze_solve_condest_roundtrip() {
 }
 
 #[test]
-fn front_threads_leave_the_analysis_invariant() {
-    // `analyze` output is pure statistics (no timings), so the threaded
-    // front half must reproduce it byte for byte: the parallel symbolic
-    // fill and postorder are bitwise identical to the sequential path.
-    let path = tmp("frontthreads");
-    run(&args(&["gen", "saylr4", &path, "--reduced"])).unwrap();
-    let base = run(&args(&["analyze", &path])).unwrap();
-    for threads in ["2", "4", "8"] {
-        let out = run(&args(&["analyze", &path, "--front-threads", threads])).unwrap();
-        assert_eq!(base, out, "--front-threads {threads}");
-    }
-    let out = run(&args(&["solve", &path, "--front-threads", "4"])).unwrap();
-    assert!(out.contains("scaled residual"), "{out}");
-    for bad in ["0", "-1", "x"] {
-        let err = run(&args(&["analyze", &path, "--front-threads", bad])).unwrap_err();
-        assert_eq!(err.exit_code, 2, "{bad}: {err}");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn kernel_choice_is_accepted_and_solution_invariant() {
     let path = tmp("kernels");
     run(&args(&["gen", "saylr4", &path, "--reduced"])).unwrap();
@@ -118,10 +97,12 @@ fn flag_errors_are_reported() {
         .unwrap_err()
         .message
         .contains("needs a value"));
-    assert!(run(&args(&["solve", &path, "--wat"]))
-        .unwrap_err()
-        .message
-        .contains("unknown option"));
+    // `--front-threads` went with the threaded fill it configured.
+    for unknown in [&["--wat"][..], &["--front-threads", "4"]] {
+        let err = run(&args(&[&["solve", &path], unknown].concat())).unwrap_err();
+        assert!(err.message.contains("unknown option"), "{err}");
+        assert_eq!(err.exit_code, 2, "{err}");
+    }
     assert!(run(&args(&["gen", "nosuch", &path]))
         .unwrap_err()
         .message
@@ -404,8 +385,6 @@ fn report_and_trace_flags_write_validating_artifacts() {
         "solve",
         &path,
         "--threads",
-        "2",
-        "--front-threads",
         "2",
         "--report",
         &report_path,

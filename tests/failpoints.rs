@@ -383,6 +383,67 @@ fn session_survives_injected_panic_during_refactor() {
     }
 }
 
+/// The same containment while the session refactors on the **realised**
+/// structure of its pivot history: a panic, a cancellation or a deadline
+/// that lands in such a run leaves the session unfactored and still on that
+/// structure, and the next refactor is bitwise a fresh static factorization
+/// (`BlockMatrix::factor_difference`).
+#[test]
+fn realised_refactor_survives_panic_cancel_and_deadline() {
+    use parsplu::core::SluSession;
+    use std::time::Instant;
+    let a = random_unsymmetric(48, 3, 11);
+    let mut vals = a.clone();
+    for v in vals.values_mut() {
+        *v *= 1.25;
+    }
+    for threads in [1usize, 2, 4] {
+        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+            let what = format!("threads={threads} {mapping:?}");
+            let o = opts(threads, mapping);
+            let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
+            s.factor(&a).unwrap();
+            s.refactor(&a).unwrap();
+            s.refactor(&a).unwrap();
+            assert!(s.is_realised(), "{what}");
+            for fault in ["panic", "cancel", "deadline"] {
+                let scenario = FailScenario::new();
+                match fault {
+                    "panic" => scenario.panic_at_factor(s.stats().supernodes / 2),
+                    "cancel" => {
+                        let token = CancelToken::new();
+                        token.cancel_after_checkpoints(2);
+                        s.set_budget(RunBudget::unbounded().with_token(token));
+                    }
+                    _ => s.set_budget(RunBudget {
+                        deadline: Some(Instant::now() - Duration::from_millis(10)),
+                        ..RunBudget::default()
+                    }),
+                }
+                let err = s.refactor(&vals).unwrap_err();
+                assert!(
+                    matches!(
+                        (fault, &err),
+                        ("panic", LuError::WorkerPanic { .. })
+                            | ("cancel", LuError::Cancelled { .. })
+                            | ("deadline", LuError::DeadlineExceeded { .. })
+                    ),
+                    "{what} {fault}: {err:?}"
+                );
+                assert!(!s.is_factored() && s.is_realised(), "{what} {fault}");
+                drop(scenario);
+                s.set_budget(RunBudget::unbounded());
+                s.refactor(&vals).expect("session reusable after the fault");
+                assert!(s.is_realised(), "{what} {fault}");
+                let mut fresh = SluSession::analyze(a.pattern(), &o).unwrap();
+                fresh.factor(&vals).unwrap();
+                let (x, y) = (s.block_matrix().unwrap(), fresh.block_matrix().unwrap());
+                assert_eq!(x.factor_difference(y), None, "{what} {fault}");
+            }
+        }
+    }
+}
+
 /// Arming a failpoint while [`PivotRule::Diagonal`] and natural ordering
 /// are active exercises the restricted-pivoting panel path too.
 #[test]

@@ -21,8 +21,8 @@
 //!   task, in the cached order, back to back inside the `numeric` span.
 
 use parsplu::core::{
-    analyze, estimate_task_costs, factor_reported, MatrixMeta, ObsSession, Options, RunStatus,
-    SluSession, SparseLu,
+    analyze, estimate_task_costs, factor_reported, total_flops, MatrixMeta, ObsSession, Options,
+    RunStatus, SluSession, SparseLu,
 };
 use parsplu::matgen::{paper_suite, Scale};
 use parsplu::obs::Counter;
@@ -131,6 +131,51 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
                 .count() as u64
         };
         assert_eq!(reg.get(Counter::TrsmCalls), n_updates, "{}", m.name);
+
+        // A session that has settled on its pivot history runs the kernels
+        // of the realised structure — the model's flops over *those* lists,
+        // under the same (static) graph, one trsm per block it still holds
+        // — and `factor` runs the static ones again.
+        let counted = |obs: &ObsSession| {
+            let reg = obs.metrics();
+            reg.get(Counter::FactorFlops)
+                + reg.get(Counter::TrsmFlops)
+                + reg.get(Counter::GemmFlops)
+        };
+        let mut s = SluSession::analyze(m.a.pattern(), &opts).unwrap();
+        s.factor(&m.a).unwrap();
+        s.refactor(&m.a).unwrap();
+        let obs = ObsSession::new();
+        s.refactor_observed(&m.a, &obs).unwrap();
+        assert_eq!(
+            obs.metrics().get(Counter::RefactorRealised),
+            1,
+            "{}",
+            m.name
+        );
+        let realised = &s.symbolic().block_structure;
+        let model = total_flops(&estimate_task_costs(realised, s.graph()));
+        assert_eq!(counted(&obs) as f64, model, "{}: realised flops", m.name);
+        assert!(model < factor_model + trsm_model + gemm_model, "{}", m.name);
+        let blocks: usize = realised.u_blocks.iter().map(|b| b.len() - 1).sum();
+        assert_eq!(
+            obs.metrics().get(Counter::TrsmCalls),
+            blocks as u64,
+            "{}",
+            m.name
+        );
+        assert_eq!(
+            obs.metrics().get(Counter::RealisedWords),
+            realised.storage_words() as u64
+        );
+        let obs = ObsSession::new();
+        s.factor_observed(&m.a, &obs).unwrap();
+        assert_eq!(
+            counted(&obs) as f64,
+            factor_model + trsm_model + gemm_model,
+            "{}: factor is static",
+            m.name
+        );
     }
 }
 
@@ -373,6 +418,9 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
     for m in paper_suite(Scale::Reduced) {
         let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
         s.factor(&m.a).unwrap();
+        // The second refactor settles on the realised structure; the
+        // observed ones below then replay the very same program.
+        s.refactor(&m.a).unwrap();
         s.refactor(&m.a).unwrap();
         let unobserved = factor_bits(&s);
         for obs in [ObsSession::new(), ObsSession::with_events()] {

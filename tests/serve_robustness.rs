@@ -466,9 +466,37 @@ fn tcp_daemon_multiplexes_clients_and_survives_disconnects() {
         Some(hash_wire.as_str()),
         "recovered session solves bitwise identically"
     );
+    // Three time steps on the same values: the first refactor records the
+    // pivot history, the second finds it repeated and moves the session
+    // onto its realised structure, the third stays there. Each reply says
+    // which path ran, the solution keeps its bits, and `stats` counts.
+    for want in ["static", "realised", "realised"] {
+        c1.send(&format!("refactor s1 {path}"));
+        let v = parse(&c1.recv()).unwrap();
+        assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
+        let ran = v.get("report").and_then(|r| r.get("refactor")).unwrap();
+        assert_eq!(
+            ran.get("path").and_then(|p| p.as_str()),
+            Some(want),
+            "{ran:?}"
+        );
+    }
+    c1.send("solve s1");
+    let v = parse(&c1.recv()).unwrap();
+    assert_eq!(
+        v.get("x_hash").and_then(|h| h.as_str()),
+        Some(hash_wire.as_str()),
+        "the realised factors solve bitwise identically"
+    );
     c1.send("stats");
     let v = parse(&c1.recv()).unwrap();
     assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
+    let stat = |key: &str| v.get(key).and_then(|c| c.as_num()).unwrap();
+    assert_eq!(
+        (stat("refactor_realised"), stat("refactor_fallback")),
+        (2.0, 0.0)
+    );
+    assert!(stat("realised_words") > 0.0);
     assert!(
         v.get("connections_dropped")
             .and_then(|c| c.as_num())
@@ -483,7 +511,7 @@ fn tcp_daemon_multiplexes_clients_and_survives_disconnects() {
     assert_eq!(ack.get("op").and_then(|o| o.as_str()), Some("shutdown"));
     assert_eq!(ack.get("drained").and_then(|d| d.as_bool()), Some(true));
     let summary = daemon.join().unwrap();
-    assert!(summary.jobs >= 8, "{summary:?}");
+    assert!(summary.jobs >= 12, "{summary:?}");
     assert_eq!(summary.connections, 3);
     let _ = std::fs::remove_file(&path);
 }

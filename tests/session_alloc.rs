@@ -1,8 +1,11 @@
 //! The zero-allocation guarantee of the refactor hot path, asserted with
-//! the counting global allocator: after the first factorization, a
-//! one-thread untraced `SluSession::refactor` must not grow the heap
-//! high-water mark by a single byte — storage reset, value scatter,
-//! schedule replay, and pivot recycling all run in place. An *observed*
+//! the counting global allocator: once the session has settled on the
+//! structure of its pivot history (a factorization and two refactors: the
+//! second derives the realised structure), a one-thread untraced
+//! `SluSession::refactor` must not grow the heap high-water mark by a
+//! single byte — storage reset, value scatter, schedule replay, pivot
+//! recycling and the per-column compare against the recorded history all
+//! run in place. An *observed*
 //! refactor (counters session) is the same replay with one recorder
 //! attached: what it allocates is bounded by a constant, whatever the task
 //! count — no worker loop ran.
@@ -34,9 +37,15 @@ fn refactor_hot_path_allocates_nothing() {
     let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
     s.factor(&m.a).unwrap();
     let new_values: Vec<CscMatrix> = (0..3).map(|k| revalue(&m.a, k)).collect();
-    // Warm-up refactor: lets any lazily-grown scratch (none expected, but
-    // e.g. pivot vectors reach their high-water capacity here) stabilize.
+    // Warm-up: the first refactor records the pivot history (its buffer is
+    // allocated here), the second finds it repeated and moves the session
+    // onto the realised structure (new storage, maps, pivot vectors).
     s.refactor(&new_values[0]).unwrap();
+    s.refactor(&new_values[1]).unwrap();
+    assert!(
+        s.is_realised(),
+        "the steady state under test is the realised one"
+    );
     for (round, vals) in new_values.iter().enumerate() {
         reset_heap_peak();
         let base = heap_stats().expect("allocator installed").peak_bytes;
@@ -49,6 +58,7 @@ fn refactor_hot_path_allocates_nothing() {
             after - base
         );
     }
+    assert!(s.is_realised(), "no round left the recorded history");
     // The factors produced under the no-alloc regime are still right.
     let last = new_values.last().unwrap();
     let (_, b) = manufactured_rhs(last, 41);
@@ -69,6 +79,8 @@ fn refactor_hot_path_allocates_nothing() {
         let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
         s.factor(&a).unwrap();
         s.refactor_observed(&a, &ObsSession::new()).unwrap();
+        s.refactor_observed(&a, &ObsSession::new()).unwrap();
+        assert!(s.is_realised());
         let obs = ObsSession::new();
         reset_heap_peak();
         let base = heap_stats().unwrap().peak_bytes;
