@@ -19,11 +19,11 @@
 //! cargo run --release -p splu-bench --bin fill_bounds
 //! ```
 
+use splu_bench::coletree::ata_cholesky_bound;
 use splu_bench::suite;
 use splu_core::gp::gp_factor;
 use splu_core::{analyze, estimate_task_costs, total_flops, Options, SluSession};
 use splu_matgen::fem2d_unsymmetric;
-use splu_symbolic::ata_cholesky_bound;
 
 fn main() {
     println!("Structure bounds: actual fill vs static structure vs AtA (SuperLU) bound");

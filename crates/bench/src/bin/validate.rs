@@ -1,55 +1,41 @@
 //! Schema-validates observability artifacts on disk.
 //!
 //! ```text
-//! validate <file.json>... [--kind run-report|chrome-trace|factor|sched|kernels|phases|service]
+//! validate <file.json>... [--kind run-report|chrome-trace]
 //! ```
 //!
 //! Without `--kind`, each file's kind is sniffed from its content: an
 //! object carrying the `parsplu-run-report/1` schema tag is a run report,
-//! an object with `traceEvents` is a Chrome trace, and arrays fall back
-//! to the `BENCH_*` kind inferred from the file name. Exit codes: 0 all
+//! an object with `traceEvents` is a Chrome trace. Exit codes: 0 all
 //! valid, 2 on any schema violation, unreadable file, or usage error.
 
-use splu_bench::diff::ArtifactKind;
 use splu_bench::json::{parse, validate_chrome_trace, validate_run_report, Json};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: validate <file.json>... \
-         [--kind run-report|chrome-trace|factor|sched|kernels|phases|service]"
-    );
+    eprintln!("usage: validate <file.json>... [--kind run-report|chrome-trace]");
     ExitCode::from(2)
 }
 
-/// Validates one parsed document as `kind`, returning a human label and
-/// the validator's count on success.
-fn validate_as(kind: &str, doc: &Json) -> Result<(String, usize), String> {
+/// Validates one parsed document as `kind`, returning a human label on
+/// success.
+fn validate_as(kind: &str, doc: &Json) -> Result<String, String> {
     match kind {
-        "run-report" => validate_run_report(doc).map(|n| (format!("run report ({n} counters)"), n)),
-        "chrome-trace" => {
-            validate_chrome_trace(doc).map(|n| (format!("chrome trace ({n} events)"), n))
-        }
-        other => {
-            let k =
-                ArtifactKind::from_arg(other).ok_or_else(|| format!("unknown kind {other:?}"))?;
-            k.validate(doc)?;
-            let n = doc.as_arr().map_or(0, <[Json]>::len);
-            Ok((format!("{k:?} artifact ({n} records)"), n))
-        }
+        "run-report" => validate_run_report(doc).map(|n| format!("run report ({n} counters)")),
+        "chrome-trace" => validate_chrome_trace(doc).map(|n| format!("chrome trace ({n} events)")),
+        other => Err(format!("unknown kind {other:?}")),
     }
 }
 
-/// Sniffs the artifact kind from the document shape, falling back to the
-/// file name for `BENCH_*` arrays.
-fn sniff_kind(path: &str, doc: &Json) -> Option<String> {
+/// Sniffs the artifact kind from the document shape.
+fn sniff_kind(doc: &Json) -> Option<&'static str> {
     if doc.get("schema").and_then(Json::as_str) == Some("parsplu-run-report/1") {
-        return Some("run-report".to_string());
+        Some("run-report")
+    } else if doc.get("traceEvents").is_some() {
+        Some("chrome-trace")
+    } else {
+        None
     }
-    if doc.get("traceEvents").is_some() {
-        return Some("chrome-trace".to_string());
-    }
-    ArtifactKind::from_name(path).map(|k| format!("{k:?}").to_lowercase())
 }
 
 fn main() -> ExitCode {
@@ -89,7 +75,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let kind = match kind_arg.clone().or_else(|| sniff_kind(path, &doc)) {
+        let kind = match kind_arg.as_deref().or_else(|| sniff_kind(&doc)) {
             Some(k) => k,
             None => {
                 eprintln!("validate: {path}: cannot sniff artifact kind; pass --kind");
@@ -97,8 +83,8 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        match validate_as(&kind, &doc) {
-            Ok((label, _)) => println!("validate: {path}: valid {label}"),
+        match validate_as(kind, &doc) {
+            Ok(label) => println!("validate: {path}: valid {label}"),
             Err(e) => {
                 eprintln!("validate: {path}: schema violation: {e}");
                 failed = true;

@@ -8,8 +8,12 @@
 //! benchmark binary): Liu's etree algorithm with path compression and a
 //! symbolic Cholesky factorization for the `AᵀA` bound.
 
-use crate::eforest::EliminationForest;
+// Index-based loops are the natural idiom for the symbolic algorithms here
+// (as in `splu-symbolic`, where this module used to live).
+#![allow(clippy::needless_range_loop)]
+
 use splu_sparse::SparsityPattern;
+use splu_symbolic::EliminationForest;
 
 /// Computes the elimination tree of a **symmetric** pattern (only the lower
 /// triangle is read) using Liu's algorithm with path compression.
@@ -37,12 +41,6 @@ pub fn etree_symmetric(pattern: &SparsityPattern) -> EliminationForest {
         }
     }
     EliminationForest::from_parent_vec(parent)
-}
-
-/// The column elimination tree of a (generally unsymmetric) matrix: the
-/// etree of `AᵀA` — the structure SuperLU postorders.
-pub fn column_etree(pattern: &SparsityPattern) -> EliminationForest {
-    etree_symmetric(&pattern.ata())
 }
 
 /// Symbolic Cholesky factorization of a **symmetric** pattern: returns the
@@ -93,9 +91,8 @@ pub fn ata_cholesky_bound(pattern: &SparsityPattern) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::fig1_pattern;
-    use crate::static_fact::static_symbolic_factorization;
     use splu_sparse::SparsityPattern;
+    use splu_symbolic::static_symbolic_factorization;
 
     fn dense_chol_fill(p: &SparsityPattern) -> Vec<Vec<usize>> {
         // O(n³) boolean elimination reference.
@@ -183,19 +180,6 @@ mod tests {
                 "AᵀA bound {bound} below static structure {} (seed {seed})",
                 f.nnz_filled()
             );
-        }
-    }
-
-    #[test]
-    fn column_etree_of_fig1_is_a_tree_over_all_nodes() {
-        let p = fig1_pattern();
-        let forest = column_etree(&p);
-        assert_eq!(forest.n(), 7);
-        // Every node's parent, when present, is larger.
-        for j in 0..7 {
-            if let Some(par) = forest.parent(j) {
-                assert!(par > j);
-            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Shared machinery for the table/figure binaries (one binary per table or
-//! figure of the paper — see DESIGN.md §4) and the criterion benches.
+//! figure of the paper — see DESIGN.md §4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
+pub mod coletree;
 pub mod json;
 
 use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu, TaskGraphKind};

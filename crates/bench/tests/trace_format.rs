@@ -1,14 +1,14 @@
 //! The Chrome `trace_event` export is valid JSON with in-order per-worker
 //! event streams — checked with the crate's own parser
 //! ([`splu_bench::json`]), i.e. the same validation CI applies to the
-//! `perf_report` artifacts.
+//! CLI's `--trace` output.
 
 use splu_bench::json;
 use splu_core::{
     analyze, factor_numeric_with, BlockMatrix, NumericRequest, Options, TaskGraphKind, TraceConfig,
 };
 use splu_matgen::{paper_suite, Scale};
-use splu_sched::{EventKind, Mapping, Task};
+use splu_sched::{EventKind, Mapping};
 
 #[test]
 fn chrome_trace_json_is_valid_and_per_worker_monotone() {
@@ -56,10 +56,7 @@ fn chrome_trace_json_is_valid_and_per_worker_monotone() {
 
     // Rendered JSON: parses, matches the Chrome trace schema, and carries
     // exactly the recorded events as "X" records.
-    let rendered = trace.chrome_json(&|tid| match graph.task(tid) {
-        Task::Factor(k) => format!("F({k})"),
-        Task::Update { src, dst } => format!("U({src},{dst})"),
-    });
+    let rendered = trace.chrome_json(&|tid| graph.task(tid).to_string());
     let doc = json::parse(&rendered).expect("chrome trace is valid JSON");
     let complete = json::validate_chrome_trace(&doc).expect("chrome trace matches schema");
     assert_eq!(complete, trace.events.len(), "one X record per event");

@@ -1,9 +1,9 @@
-//! A minimal JSON reader for serve responses.
+//! The workspace's one JSON reader.
 //!
-//! The workspace is offline (no serde), and the client crate sits below
-//! the bench crate in the dependency order, so it carries its own tiny
-//! recursive-descent parser: one-line serve responses are flat objects of
-//! strings, numbers and booleans, which is all this needs to be good at.
+//! The workspace is offline (no serde). This small recursive-descent
+//! parser reads the one-line serve responses here and, re-exported as
+//! `splu_bench::json`, the run reports and Chrome traces the schema
+//! validators check.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +29,14 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
+            _ => None,
+        }
+    }
+
+    /// The elements if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
             _ => None,
         }
     }
@@ -251,6 +259,23 @@ mod tests {
             Some("0xdeadbeefcafef00d")
         );
         assert_eq!(v.get("none"), Some(&Json::Null));
+        let nested = v.get("nested").and_then(Json::as_arr).unwrap();
+        assert_eq!(nested.len(), 3);
+        assert_eq!(nested[1].as_num(), Some(2.0));
+        assert_eq!(nested[2].get("a").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("id").and_then(Json::as_arr), None);
+    }
+
+    #[test]
+    fn parses_scalars_and_nesting() {
+        let v = parse(r#"{"a": [1, -2.5e3, "x\n\"y\"", true, null], "b": {}}"#).unwrap();
+        let arr = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_num(), Some(1.0));
+        assert_eq!(arr[1].as_num(), Some(-2500.0));
+        assert_eq!(arr[2].as_str(), Some("x\n\"y\""));
+        assert_eq!(arr[3], Json::Bool(true));
+        assert_eq!(arr[4], Json::Null);
+        assert_eq!(v.get("b"), Some(&Json::Obj(BTreeMap::new())));
     }
 
     #[test]
@@ -264,5 +289,8 @@ mod tests {
         assert!(parse(r#"{"a":1} extra"#).is_err());
         assert!(parse(r#"{"a":01x}"#).is_err());
         assert!(parse("").is_err());
+        for bad in ["[1,]", "{\"a\" 1}", "[1] x", "\"\\q\"", "nul"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

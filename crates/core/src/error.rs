@@ -52,7 +52,8 @@ pub enum LuError {
     WorkerPanic {
         /// Index of the worker thread that panicked.
         worker: usize,
-        /// Human-readable description of the task that panicked.
+        /// The task that panicked, as the graph labels it: `F(k)` or
+        /// `U(src,dst)` (`splu_sched::Task`'s `Display`).
         task: String,
     },
     /// The run's [`CancelToken`](splu_sched::CancelToken) was cancelled
@@ -251,10 +252,10 @@ mod tests {
             .contains('9'));
         let wp = LuError::WorkerPanic {
             worker: 2,
-            task: "Factor(5)".into(),
+            task: "F(5)".into(),
         };
         assert!(wp.to_string().contains("worker 2"));
-        assert!(wp.to_string().contains("Factor(5)"));
+        assert!(wp.to_string().contains("task F(5)"));
     }
 
     #[test]

@@ -31,7 +31,6 @@ mod costs;
 mod error;
 #[cfg(feature = "failpoints")]
 pub mod failpoints;
-mod front;
 pub mod gp;
 mod numeric;
 mod numeric_fine;
@@ -44,7 +43,6 @@ mod solve;
 pub use blocks::{BlockMatrix, ColumnData};
 pub use costs::{estimate_task_costs, total_flops};
 pub use error::LuError;
-pub use front::SymbolicRequest;
 pub use numeric::{
     factor_left_looking, factor_task, factor_task_with_policy, factor_task_with_rule, update_task,
     update_task_with,
@@ -55,7 +53,9 @@ pub use observe::{
     REPORT_SCHEMA,
 };
 pub use psolve::solve_permuted_parallel;
-pub use request::{factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest};
+pub use request::{
+    factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, SymbolicRequest,
+};
 pub use session::{pattern_hash, SluSession};
 pub use solve::{
     det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_transposed_permuted,

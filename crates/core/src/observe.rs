@@ -29,8 +29,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Canonical pipeline phase names, in pipeline order — the driver spans
-/// that [`RunReport::phases_s`] aggregates. Matches
-/// `splu_bench::json::PHASE_NAMES`.
+/// that [`RunReport::phases_s`] aggregates, and the only names
+/// `splu_bench::json::validate_run_report` accepts there.
 pub const PHASE_NAMES: [&str; 9] = [
     "parse",
     "scale_transversal",
@@ -239,8 +239,7 @@ impl ObsSession {
                 let (name, cat) = match e.kind {
                     EventKind::Task { tid } => (
                         match tasks.get(tid) {
-                            Some(Task::Factor(k)) => format!("F({k})"),
-                            Some(Task::Update { src, dst }) => format!("U({src},{dst})"),
+                            Some(task) => task.to_string(),
                             None => format!("task {tid}"),
                         },
                         "task",

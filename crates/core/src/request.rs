@@ -1,7 +1,8 @@
 //! The unified numeric-phase entry point: a [`NumericRequest`] names every
 //! parameter of one factorization — task graph, worker count and mapping,
 //! pivoting, tracing, and kernel selection — and
-//! [`factor_numeric_with`] is the single driver that runs it.
+//! [`factor_numeric_with`] is the single driver that runs it. Its sibling
+//! [`SymbolicRequest`] bounds and observes the analysis phases.
 //!
 //! Historically each parameter combination grew its own entry point
 //! (`factor_with_graph`, `factor_with_graph_rule`, `…_traced`,
@@ -22,8 +23,9 @@
 use crate::blocks::BlockMatrix;
 use crate::numeric::{factor_flops, factor_task_with_policy, update_task_metered};
 use crate::numeric_fine::{apply_task, gemm_task_metered, trsm_task_metered};
+use crate::observe::ObsSession;
 use crate::solve::growth_factor;
-use crate::LuError;
+use crate::{LuError, Options};
 use parking_lot::Mutex;
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
@@ -33,6 +35,7 @@ use splu_sched::{
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What the factorization does at a column whose static structure offers no
 /// pivot above the threshold.
@@ -220,6 +223,85 @@ impl<'g> NumericRequest<'g> {
     }
 }
 
+/// Parameters of one symbolic front half — transversal, ordering, the
+/// skeleton of the static symbolic factorization, eforest postorder,
+/// supernodes and their row and column lists — which runs on the calling
+/// thread. Build with [`SymbolicRequest::new`] or
+/// [`SymbolicRequest::from_options`], adjust with the chainable setters,
+/// run with [`crate::analyze_with`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SymbolicRequest {
+    /// Bounds on the front half, as [`NumericRequest::budget`] bounds the
+    /// numeric phase: cancellation token and wall-clock deadline, checked
+    /// once per ordering pivot and between phases (so `--time-limit` covers
+    /// symbolic runs too); an interrupted run returns
+    /// [`LuError::Cancelled`] / [`LuError::DeadlineExceeded`].
+    pub budget: RunBudget,
+    /// Observability session: when set, the front half records phase spans
+    /// into its [`crate::observe::ObsSession::trace`] and counts fill
+    /// entries / budget checkpoints into its metrics registry. `None` (the
+    /// default) records and counts nothing — the unobserved path never
+    /// reads the clock.
+    pub obs: Option<ObsSession>,
+}
+
+impl SymbolicRequest {
+    /// The default request: unbounded, unobserved.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The front-half request implied by driver options: the budget is
+    /// lifted from [`Options::budget`].
+    pub fn from_options(opts: &Options) -> Self {
+        SymbolicRequest::new().budget(opts.budget.clone())
+    }
+
+    /// Sets the run budget (cancellation / deadline).
+    pub fn budget(mut self, budget: RunBudget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Attaches an observability session (spans + counters).
+    pub fn observe(mut self, session: ObsSession) -> Self {
+        self.obs = Some(session);
+        self
+    }
+
+    fn deadline_passed(&self) -> bool {
+        self.budget.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Whether the budget asks the front half to stop (token cancelled or
+    /// deadline passed).
+    pub(crate) fn tripped(&self) -> bool {
+        self.budget.token.as_ref().is_some_and(|t| t.is_cancelled()) || self.deadline_passed()
+    }
+
+    /// The error a tripped budget maps to. `columns_done` counts factor
+    /// columns whose structure was completed before the trip.
+    pub(crate) fn trip_error(&self, columns_done: usize, tasks_pending: usize) -> LuError {
+        budget_error(self.deadline_passed(), columns_done, tasks_pending)
+    }
+}
+
+/// The error of a run its [`RunBudget`] stopped — a missed deadline or a
+/// cancellation — with the progress made; both phases report these two.
+fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> LuError {
+    if deadline {
+        LuError::DeadlineExceeded {
+            columns_done,
+            tasks_pending,
+        }
+    } else {
+        LuError::Cancelled {
+            columns_done,
+            tasks_pending,
+        }
+    }
+}
+
 /// Runs one numeric factorization described by `req` over the assembled
 /// block storage, returning the executor's [`ExecReport`] (with the
 /// zero-copy counter filled in from the block storage). On numerical
@@ -367,7 +449,7 @@ pub fn factor_numeric_with(
     }
     if let Some(p) = report.panic.take() {
         let task = match req.graph {
-            GraphRef::Coarse { graph, .. } => format!("{:?}", graph.task(p.task)),
+            GraphRef::Coarse { graph, .. } => graph.task(p.task).to_string(),
             GraphRef::Fine(fg) => format!("{:?}", fg.tasks()[p.task]),
         };
         return Err(LuError::WorkerPanic {
@@ -378,14 +460,12 @@ pub fn factor_numeric_with(
     if let Some(interrupt) = report.interrupt.take() {
         let columns_done = columns_done.load(Ordering::Relaxed);
         return Err(match interrupt {
-            Interrupt::Cancelled { tasks_pending } => LuError::Cancelled {
-                columns_done,
-                tasks_pending,
-            },
-            Interrupt::DeadlineExceeded { tasks_pending } => LuError::DeadlineExceeded {
-                columns_done,
-                tasks_pending,
-            },
+            Interrupt::Cancelled { tasks_pending } => {
+                budget_error(false, columns_done, tasks_pending)
+            }
+            Interrupt::DeadlineExceeded { tasks_pending } => {
+                budget_error(true, columns_done, tasks_pending)
+            }
             Interrupt::Stalled(report) => LuError::Stalled {
                 columns_done,
                 report,

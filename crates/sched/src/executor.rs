@@ -277,12 +277,12 @@ where
         });
     }
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         if let Some(cfg) = req.budget.watchdog {
             let sup = &sup;
             let wake_all = &wake_all;
             let pools = &pools;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 sup.monitor(cfg, wake_all, &|| {
                     pools.iter().map(|p| p.lock().len()).collect()
                 });
@@ -298,7 +298,7 @@ where
             let drained = &drained;
             let panicked = &panicked;
             let wake_all = &wake_all;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rec = WorkerRecorder::new(w, nthreads, config, epoch);
                 let my_gate = &gates[if queue_of.is_some() { w } else { 0 }];
                 // The worker body proper; a closure so the recorder is
@@ -403,8 +403,7 @@ where
                 drained.lock().push(rec.finish());
             });
         }
-    })
-    .expect("executor scope failed");
+    });
     let leftover = sup.remaining.remaining();
     let interrupt = sup.finish();
     let panicked = panicked.into_inner();

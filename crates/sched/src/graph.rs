@@ -18,6 +18,17 @@ pub enum Task {
     },
 }
 
+/// `F(k)` / `U(src,dst)` — the one spelling every artifact uses (DOT
+/// export, trace span labels, panic reports).
+impl std::fmt::Display for Task {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Task::Factor(k) => write!(f, "F({k})"),
+            Task::Update { src, dst } => write!(f, "U({src},{dst})"),
+        }
+    }
+}
+
 impl Task {
     /// The block column whose data this task writes — the key of the 1D
     /// mapping (`Factor(k)` and every `Update(·, k)` live on `owner(k)`).
@@ -161,10 +172,7 @@ impl TaskGraph {
     /// Graphviz DOT rendering of the task graph (Figure 4 style).
     pub fn to_dot(&self, name: &str) -> String {
         use std::fmt::Write;
-        let label = |t: Task| match t {
-            Task::Factor(k) => format!("\"F({k})\""),
-            Task::Update { src, dst } => format!("\"U({src},{dst})\""),
-        };
+        let label = |t: Task| format!("\"{t}\"");
         let mut out = String::new();
         let _ = writeln!(out, "digraph {name} {{");
         let _ = writeln!(out, "  node [shape=box, fontsize=10];");
@@ -519,6 +527,12 @@ mod tests {
     fn home_column_is_destination() {
         assert_eq!(Task::Factor(3).home_column(), 3);
         assert_eq!(Task::Update { src: 1, dst: 5 }.home_column(), 5);
+    }
+
+    #[test]
+    fn tasks_display_as_the_papers_labels() {
+        assert_eq!(Task::Factor(3).to_string(), "F(3)");
+        assert_eq!(Task::Update { src: 3, dst: 7 }.to_string(), "U(3,7)");
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! Both runtimes are observable through the telemetry layer (`trace`
 //! module): with [`ExecRequest::trace`] on, [`run`] records lock-free
 //! per-worker event streams and steal/idle counters into its [`ExecReport`]
-//! ([`SchedStats`] + Chrome-trace export via [`ExecTrace::chrome_json`]),
-//! and [`simulate_dynamic_traced`] emits the comparable predicted schedule
-//! ([`SimEvent`], exported by [`sim_chrome_json`]).
+//! ([`SchedStats`] + Chrome-trace export via [`ExecTrace::chrome_json`]).
 //!
 //! A run is bounded by its [`RunBudget`] ([`ExecRequest::budget`]): a
 //! shareable [`CancelToken`], an absolute deadline, and an opt-in liveness
@@ -67,13 +65,10 @@ pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
 pub use graph::{block_forest, build_eforest_graph, build_sstar_graph, Task, TaskGraph};
 pub use lane::{Lane, LaneRejected};
 pub use schedule::ExecSchedule;
-pub use simulate::{
-    simulate, simulate_dynamic, simulate_dynamic_traced, simulate_static_order,
-    simulate_static_order_fifo, CostModel, ReadyPolicy, SimEvent, SimResult, TaskCost,
-};
+pub use simulate::{simulate, simulate_static_order, CostModel, SimResult, TaskCost};
 pub use trace::{
-    sim_chrome_json, EventKind, ExecReport, ExecTrace, FactorHealth, SchedStats, TaskPanic,
-    TraceConfig, TraceEvent, TraceMode, WorkerStats,
+    EventKind, ExecReport, ExecTrace, FactorHealth, SchedStats, TaskPanic, TraceConfig, TraceEvent,
+    TraceMode, WorkerStats,
 };
 
 // Re-exported so downstream crates can name the forest type the graph

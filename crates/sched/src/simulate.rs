@@ -193,175 +193,6 @@ pub fn simulate(
     }
 }
 
-/// How a dynamic scheduler picks among the tasks whose predecessors have
-/// all completed (see [`simulate_dynamic`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadyPolicy {
-    /// First-come-first-served: tasks leave the ready pool in the order
-    /// they became ready. No executor schedules this way any more (the
-    /// shared-FIFO executor it models was deleted in PR 13); it remains the
-    /// simulator's baseline for [`ReadyPolicy::Priority`].
-    Fifo,
-    /// Highest unit bottom-level first (ties to the lower task id) — the
-    /// rule of the work-stealing executor's priority pools.
-    Priority,
-}
-
-/// One scheduled task interval of a simulation run — the simulator's
-/// counterpart of the executor's `Task` trace event, so measured and
-/// predicted schedules can be exported and compared in the same
-/// Chrome-trace shape (see [`crate::sim_chrome_json`]). Times are model
-/// seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimEvent {
-    /// Virtual processor the task ran on.
-    pub proc: usize,
-    /// Task id in the simulated graph.
-    pub task: usize,
-    /// Model time the task started.
-    pub start: f64,
-    /// Model time the task finished.
-    pub finish: f64,
-}
-
-/// Discrete-event simulation of **dynamic self-scheduling**: whenever a
-/// processor frees up, it takes a task from the shared ready pool under
-/// `policy`, preferring tasks already released at that instant and
-/// otherwise idling until the earliest release. This mirrors the real
-/// executor's semantics (a task enters the pool only when its last
-/// predecessor retires), so the FIFO-vs-priority gap measured here is the
-/// scheduling-policy effect in isolation — observable at processor counts
-/// the host does not physically have.
-///
-/// Communication follows [`Mapping::Dynamic`]'s pessimistic rule: with more
-/// than one processor, every remote-reading task pays its word cost, and
-/// every dependence crossing the (dynamic, hence unknowable) placement pays
-/// the messaging latency.
-pub fn simulate_dynamic(
-    graph: &TaskGraph,
-    nprocs: usize,
-    costs: &[TaskCost],
-    model: &CostModel,
-    policy: ReadyPolicy,
-) -> SimResult {
-    simulate_dynamic_traced(graph, nprocs, costs, model, policy).0
-}
-
-/// [`simulate_dynamic`] additionally returning the per-processor schedule
-/// as an event stream comparable with the real executor's trace.
-pub fn simulate_dynamic_traced(
-    graph: &TaskGraph,
-    nprocs: usize,
-    costs: &[TaskCost],
-    model: &CostModel,
-    policy: ReadyPolicy,
-) -> (SimResult, Vec<SimEvent>) {
-    assert_eq!(costs.len(), graph.len(), "one cost per task");
-    let nprocs = nprocs.max(1);
-    let time_of = |t: usize| -> f64 {
-        let c = &costs[t];
-        let mut time = model.task_overhead + c.flops * model.seconds_per_flop;
-        if c.reads_remote && nprocs > 1 {
-            time += c.comm_words * model.seconds_per_word;
-        }
-        time
-    };
-    // The executor's exact priority source: unit bottom levels.
-    let unit_levels = graph.bottom_levels();
-
-    let mut indeg: Vec<usize> = graph.pred_counts().to_vec();
-    let mut release = vec![0.0_f64; graph.len()];
-    // Ready pool: (task, arrival sequence number).
-    let mut pool: Vec<(usize, usize)> = Vec::new();
-    let mut arrivals = 0usize;
-    for t in 0..graph.len() {
-        if indeg[t] == 0 {
-            pool.push((t, arrivals));
-            arrivals += 1;
-        }
-    }
-    let mut proc_free = vec![0.0_f64; nprocs];
-    let mut busy = vec![0.0_f64; nprocs];
-    let mut total_work = 0.0;
-    let mut makespan = 0.0_f64;
-    let mut scheduled = 0usize;
-    let mut events: Vec<SimEvent> = Vec::with_capacity(graph.len());
-
-    while !pool.is_empty() {
-        // Earliest-free processor makes the next pick.
-        let proc = (0..nprocs)
-            .min_by(|&a, &b| proc_free[a].total_cmp(&proc_free[b]))
-            .expect("nprocs >= 1");
-        let now = proc_free[proc];
-        // Candidates released by `now`; if the processor would idle, only
-        // the earliest release(s) are up for grabs.
-        let released: Vec<usize> = (0..pool.len())
-            .filter(|&i| release[pool[i].0] <= now)
-            .collect();
-        let pick_from: Vec<usize> = if released.is_empty() {
-            let earliest = pool
-                .iter()
-                .map(|&(t, _)| release[t])
-                .fold(f64::INFINITY, f64::min);
-            (0..pool.len())
-                .filter(|&i| release[pool[i].0] <= earliest)
-                .collect()
-        } else {
-            released
-        };
-        let chosen = *pick_from
-            .iter()
-            .min_by(|&&a, &&b| {
-                let (ta, seq_a) = pool[a];
-                let (tb, seq_b) = pool[b];
-                match policy {
-                    ReadyPolicy::Fifo => seq_a.cmp(&seq_b),
-                    ReadyPolicy::Priority => unit_levels[tb]
-                        .cmp(&unit_levels[ta])
-                        .then_with(|| ta.cmp(&tb)),
-                }
-            })
-            .expect("pool nonempty");
-        let (t, _) = pool.swap_remove(chosen);
-        scheduled += 1;
-        let time = time_of(t);
-        let start = now.max(release[t]);
-        let finish = start + time;
-        proc_free[proc] = finish;
-        busy[proc] += time;
-        total_work += time;
-        makespan = makespan.max(finish);
-        events.push(SimEvent {
-            proc,
-            task: t,
-            start,
-            finish,
-        });
-        for &s in graph.successors(t) {
-            let visible = if nprocs > 1 {
-                finish + model.edge_latency
-            } else {
-                finish
-            };
-            release[s] = release[s].max(visible);
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                pool.push((s, arrivals));
-                arrivals += 1;
-            }
-        }
-    }
-    assert_eq!(scheduled, graph.len(), "cycle in task graph");
-    (
-        SimResult {
-            makespan,
-            total_work,
-            busy,
-        },
-        events,
-    )
-}
-
 /// Simulates a **static-order** schedule, emulating the RAPID run-time the
 /// paper uses: an inspector phase fixes each processor's task order before
 /// execution, and at run time every processor executes its list *in order*,
@@ -425,61 +256,9 @@ pub fn simulate_static_order(
         }
     }
     assert_eq!(schedule.len(), graph.len(), "cycle in task graph");
-    run_static_schedule(graph, nprocs, costs, model, &schedule)
-}
 
-/// Like [`simulate_static_order`], but the inspector lays tasks out in plain
-/// breadth-first (Kahn queue) topological order instead of by critical-path
-/// priority — the pre-priority FIFO discipline, kept as the baseline the
-/// scheduling rework is measured against on processor counts beyond the
-/// physical cores of the host.
-pub fn simulate_static_order_fifo(
-    graph: &TaskGraph,
-    nprocs: usize,
-    costs: &[TaskCost],
-    model: &CostModel,
-) -> SimResult {
-    assert_eq!(costs.len(), graph.len(), "one cost per task");
-    let mut indeg: Vec<usize> = graph.pred_counts().to_vec();
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..graph.len()).filter(|&t| indeg[t] == 0).collect();
-    let mut schedule: Vec<usize> = Vec::with_capacity(graph.len());
-    while let Some(t) = queue.pop_front() {
-        schedule.push(t);
-        for &s in graph.successors(t) {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push_back(s);
-            }
-        }
-    }
-    assert_eq!(schedule.len(), graph.len(), "cycle in task graph");
-    run_static_schedule(graph, nprocs.max(1), costs, model, &schedule)
-}
-
-/// Evaluates a fixed global task order on `nprocs` owner-mapped processors:
-/// every processor executes its subsequence in order, stalling until each
-/// task's predecessors are visible (cross-processor edges pay the messaging
-/// latency).
-fn run_static_schedule(
-    graph: &TaskGraph,
-    nprocs: usize,
-    costs: &[TaskCost],
-    model: &CostModel,
-    schedule: &[usize],
-) -> SimResult {
-    let owner = |t: usize| costs[t].dst_col % nprocs;
-    let time_of = |t: usize| -> f64 {
-        let c = &costs[t];
-        let mut time = model.task_overhead + c.flops * model.seconds_per_flop;
-        if c.reads_remote && costs[t].src_col % nprocs != owner(t) {
-            time += c.comm_words * model.seconds_per_word;
-        }
-        time
-    };
     // Executor: longest-path evaluation with per-processor sequencing.
     let mut finish = vec![0.0_f64; graph.len()];
-    let mut start = vec![0.0_f64; graph.len()];
     let mut proc_free = vec![0.0_f64; nprocs];
     let mut busy = vec![0.0_f64; nprocs];
     let mut total_work = 0.0;
@@ -492,7 +271,7 @@ fn run_static_schedule(
             preds[s].push(t);
         }
     }
-    for &t in schedule {
+    for &t in &schedule {
         let p = owner(t);
         let mut ready = proc_free[p];
         for &q in &preds[t] {
@@ -504,7 +283,6 @@ fn run_static_schedule(
             ready = ready.max(finish[q] + lat);
         }
         let time = time_of(t);
-        start[t] = ready;
         finish[t] = ready + time;
         proc_free[p] = finish[t];
         busy[p] += time;
@@ -689,84 +467,6 @@ mod tests {
         assert!((r.total_work - r.makespan).abs() < 1e-9);
     }
 
-    /// Dynamic self-scheduling with priority selection satisfies the same
-    /// validity bounds as FIFO and does not lose to it on average — the
-    /// scheduling claim of the executor rework, checked in the model where
-    /// processor counts beyond the host's cores are observable.
-    #[test]
-    fn dynamic_priority_policy_beats_fifo_on_average() {
-        let model = CostModel {
-            seconds_per_flop: 1.0,
-            seconds_per_word: 0.0,
-            task_overhead: 0.1,
-            edge_latency: 2.0,
-        };
-        let mut ratio_sum = 0.0;
-        let mut count = 0usize;
-        for seed in 0..10 {
-            let g = graph_from(22, 48, seed, seed % 2 == 0);
-            let costs = unit_costs(&g);
-            for p in [2usize, 4, 8] {
-                let rp = simulate_dynamic(&g, p, &costs, &model, ReadyPolicy::Priority);
-                let rf = simulate_dynamic(&g, p, &costs, &model, ReadyPolicy::Fifo);
-                let cp = g.critical_path_len() as f64;
-                assert!(rp.makespan >= cp - 1e-9, "below critical path");
-                assert!(rf.makespan >= cp - 1e-9, "below critical path");
-                ratio_sum += rp.makespan / rf.makespan;
-                count += 1;
-            }
-        }
-        let mean = ratio_sum / count as f64;
-        assert!(
-            mean <= 1.0 + 1e-9,
-            "priority policy lost to FIFO on average: {mean}"
-        );
-    }
-
-    #[test]
-    fn dynamic_sim_one_proc_equals_serial_work() {
-        let g = graph_from(14, 28, 4, true);
-        let costs = unit_costs(&g);
-        for policy in [ReadyPolicy::Fifo, ReadyPolicy::Priority] {
-            let r = simulate_dynamic(&g, 1, &costs, &unit_model(), policy);
-            assert!((r.makespan - g.len() as f64).abs() < 1e-9, "{policy:?}");
-            assert!((r.total_work - r.makespan).abs() < 1e-9, "{policy:?}");
-        }
-    }
-
-    /// The FIFO inspector is a valid schedule (same bounds) and the
-    /// priority inspector never loses to it on average — the scheduling
-    /// claim of the executor rework, checked in the model where processor
-    /// counts beyond the host's cores are observable.
-    #[test]
-    fn priority_order_beats_fifo_order_on_average() {
-        let model = CostModel {
-            seconds_per_flop: 1.0,
-            seconds_per_word: 0.0,
-            task_overhead: 0.1,
-            edge_latency: 2.0,
-        };
-        let mut ratio_sum = 0.0;
-        let mut count = 0usize;
-        for seed in 0..10 {
-            let g = graph_from(22, 48, seed, seed % 2 == 0);
-            let costs = unit_costs(&g);
-            for p in [2usize, 4, 8] {
-                let rp = simulate_static_order(&g, p, &costs, &model);
-                let rf = simulate_static_order_fifo(&g, p, &costs, &model);
-                let cp = g.critical_path_len() as f64;
-                assert!(rf.makespan >= cp - 1e-9, "below critical path");
-                ratio_sum += rp.makespan / rf.makespan;
-                count += 1;
-            }
-        }
-        let mean = ratio_sum / count as f64;
-        assert!(
-            mean <= 1.0 + 1e-9,
-            "priority inspector lost to FIFO on average: {mean}"
-        );
-    }
-
     #[test]
     fn static_order_respects_dependences_and_graham_bound() {
         for seed in 0..6 {
@@ -819,33 +519,6 @@ mod tests {
             mean <= 1.01,
             "eforest graph should not lose on average: {mean}"
         );
-    }
-
-    /// The simulator's event stream covers every task exactly once, stays
-    /// within the makespan, and is non-overlapping per processor — the
-    /// properties that make it comparable with the executor's trace.
-    #[test]
-    fn dynamic_sim_event_stream_is_a_valid_schedule() {
-        let g = graph_from(18, 36, 5, true);
-        let costs = unit_costs(&g);
-        for policy in [ReadyPolicy::Fifo, ReadyPolicy::Priority] {
-            let (r, events) = simulate_dynamic_traced(&g, 3, &costs, &unit_model(), policy);
-            assert_eq!(events.len(), g.len(), "one event per task");
-            let mut seen = vec![false; g.len()];
-            for e in &events {
-                assert!(!seen[e.task], "task scheduled twice");
-                seen[e.task] = true;
-                assert!(e.finish <= r.makespan + 1e-9);
-                assert!(e.start <= e.finish);
-            }
-            for p in 0..3 {
-                let mut free = 0.0;
-                for e in events.iter().filter(|e| e.proc == p) {
-                    assert!(e.start >= free - 1e-9, "overlap on proc {p}");
-                    free = e.finish;
-                }
-            }
-        }
     }
 
     #[test]

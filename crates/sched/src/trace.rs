@@ -23,10 +23,6 @@
 //!   steals in/out, load imbalance) and, in full mode, an [`ExecTrace`]
 //!   whose [`ExecTrace::chrome_json`] renders the run as a Gantt chart in
 //!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
-//!
-//! The simulator emits the same shape of data ([`crate::SimEvent`], exported
-//! by [`sim_chrome_json`]) so a measured run and its model prediction can be
-//! compared side by side.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -270,39 +266,6 @@ impl SchedStats {
         let out: u64 = self.workers.iter().map(|w| w.steals_out).sum();
         assert_eq!(in_, out, "steals_in and steals_out must balance");
     }
-
-    /// One row per worker: busy / idle / steal seconds, task and steal
-    /// counts — the table `perf_report` prints.
-    pub fn table(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:>6} {:>10} {:>10} {:>10} {:>7} {:>9} {:>10} {:>8}",
-            "worker", "busy_s", "idle_s", "steal_s", "tasks", "steals_in", "steals_out", "parks"
-        );
-        for (i, w) in self.workers.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "{:>6} {:>10.6} {:>10.6} {:>10.6} {:>7} {:>9} {:>10} {:>8}",
-                i, w.busy_s, w.idle_s, w.steal_s, w.tasks_run, w.steals_in, w.steals_out, w.parks
-            );
-        }
-        let _ = writeln!(
-            s,
-            "{:>6} {:>10.6} {:>10.6} {:>10.6} {:>7} {:>9} {:>10}   wall {:.6}s  imbalance {:.2}  efficiency {:.2}",
-            "total",
-            self.busy_total(),
-            self.idle_total(),
-            self.steal_total(),
-            self.tasks_started,
-            self.steals_total(),
-            self.workers.iter().map(|w| w.steals_out).sum::<u64>(),
-            self.wall_s,
-            self.load_imbalance(),
-            self.parallel_efficiency()
-        );
-        s
-    }
 }
 
 /// The raw event streams of one run ([`TraceMode::Full`] only).
@@ -471,39 +434,6 @@ impl ExecReport {
         ));
         out
     }
-}
-
-/// Renders a simulator schedule ([`crate::SimEvent`] stream, model seconds)
-/// in the same Chrome `trace_event` JSON shape as [`ExecTrace::chrome_json`]
-/// so predicted and measured Gantt charts load side by side.
-pub fn sim_chrome_json(
-    events: &[crate::SimEvent],
-    nprocs: usize,
-    label: &dyn Fn(usize) -> String,
-) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    for p in 0..nprocs {
-        let _ = writeln!(
-            out,
-            "  {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": {p}, \
-             \"args\": {{\"name\": \"sim proc {p}\"}}}},"
-        );
-    }
-    for (i, e) in events.iter().enumerate() {
-        let sep = if i + 1 == events.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "  {{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"task\", \"pid\": 0, \
-             \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"task\": {}}}}}{sep}",
-            escape_json(&label(e.task)),
-            e.proc,
-            e.start * 1e6,
-            (e.finish - e.start) * 1e6,
-            e.task,
-        );
-    }
-    out.push_str("]}\n");
-    out
 }
 
 fn escape_json(s: &str) -> String {
@@ -787,6 +717,5 @@ mod tests {
         assert!((stats.load_imbalance() - 2.0 / 1.5).abs() < 1e-12);
         assert!((stats.parallel_efficiency() - 0.75).abs() < 1e-12);
         stats.assert_consistent();
-        assert!(stats.table().contains("worker"));
     }
 }

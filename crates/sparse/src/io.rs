@@ -445,6 +445,12 @@ pub fn parse_harwell_boeing(text: &str) -> Result<CscMatrix, SparseError> {
             "unsupported value type `{value_type}`"
         )));
     }
+    let mirrored = matches!(symmetry, 'S' | 'Z');
+    if mirrored && nrows != ncols {
+        return Err(SparseError::Parse(format!(
+            "symmetric storage of a {nrows}x{ncols} matrix"
+        )));
+    }
 
     let fmt_line = lines
         .next()
@@ -470,6 +476,20 @@ pub fn parse_harwell_boeing(text: &str) -> Result<CscMatrix, SparseError> {
         lines
             .next()
             .ok_or_else(|| SparseError::Parse("missing RHS format line".into()))?;
+    }
+
+    // A field occupies at least one byte of the body, so a header that
+    // promises more fields than the body has bytes is refused here, before
+    // anything is sized from it.
+    let body_bytes: usize = lines.clone().map(str::len).sum();
+    let per_entry = if val_fmt.is_some() { 2 } else { 1 };
+    let fields = ncols
+        .checked_add(1)
+        .and_then(|ptrs| nnz.checked_mul(per_entry)?.checked_add(ptrs));
+    if fields.is_none_or(|f| f > body_bytes) {
+        return Err(SparseError::Parse(format!(
+            "header promises {ncols} columns and {nnz} entries, the body has {body_bytes} bytes"
+        )));
     }
 
     let ptr_fields = read_fixed_fields(&mut lines, &ptr_fmt, ncols + 1)?;
@@ -508,12 +528,12 @@ pub fn parse_harwell_boeing(text: &str) -> Result<CscMatrix, SparseError> {
         vec![1.0; nnz]
     };
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, nnz * 2);
+    let zero_pointer = || SparseError::Parse("zero column pointer".into());
+    let cap = if mirrored { nnz * 2 } else { nnz };
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, cap);
     for j in 0..ncols {
-        let lo = col_ptr[j]
-            .checked_sub(1)
-            .ok_or_else(|| SparseError::Parse("zero column pointer".into()))?;
-        let hi = col_ptr[j + 1] - 1;
+        let lo = col_ptr[j].checked_sub(1).ok_or_else(zero_pointer)?;
+        let hi = col_ptr[j + 1].checked_sub(1).ok_or_else(zero_pointer)?;
         if hi > nnz || lo > hi {
             return Err(SparseError::Parse("inconsistent column pointers".into()));
         }
@@ -521,6 +541,12 @@ pub fn parse_harwell_boeing(text: &str) -> Result<CscMatrix, SparseError> {
             let i = row_idx[k]
                 .checked_sub(1)
                 .ok_or_else(|| SparseError::Parse("zero row index".into()))?;
+            if i >= nrows {
+                return Err(SparseError::Parse(format!(
+                    "row index {} outside {nrows} rows",
+                    i + 1
+                )));
+            }
             coo.push(i, j, values[k]);
             if symmetry == 'S' && i != j {
                 coo.push(j, i, values[k]);
@@ -1248,6 +1274,167 @@ RSA                        2             2             2             0
         let text = format_harwell_boeing(&a, "empties");
         let b = parse_harwell_boeing(&text).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A Harwell–Boeing file with the given type-line fields and body; the
+    /// card counts only matter for `valcrd > 0` (values present).
+    fn hb_text(mxtype: &str, dims: &str, ptrs: &str, inds: &str, vals: Option<&str>) -> String {
+        let valcrd = usize::from(vals.is_some());
+        format!(
+            "hostile\n 3 1 1 {valcrd} 0\n{mxtype} {dims} 0\n(6I3) (8I3) (4E16.8)\n{ptrs}\n{inds}\n{}",
+            vals.map_or(String::new(), |v| format!("{v}\n"))
+        )
+    }
+
+    /// Headers and bodies that lie: each is a `SparseError::Parse`, never a
+    /// panic, an overflow or an allocation sized from the lie.
+    #[test]
+    fn harwell_boeing_hostile_inputs_are_parse_errors() {
+        let max = usize::MAX;
+        let two = Some("         1.0E+00         2.0E+00");
+        let cases = [
+            // A zero pointer, first or later (`col_ptr[j + 1] - 1`).
+            (
+                hb_text("RUA", "2 2 2", "  1  0  3", "  1  2", two),
+                "zero column pointer",
+            ),
+            (
+                hb_text("RUA", "2 2 2", "  0  2  3", "  1  2", two),
+                "zero column pointer",
+            ),
+            // Pointers that run backwards or past the entries.
+            (
+                hb_text("RUA", "2 2 2", "  1  3  2", "  1  2", two),
+                "inconsistent",
+            ),
+            (
+                hb_text("RUA", "2 2 2", "  1  2  9", "  1  2", two),
+                "inconsistent",
+            ),
+            // Row indices of zero and beyond the declared rows.
+            (
+                hb_text("RUA", "2 2 2", "  1  2  3", "  0  2", two),
+                "zero row index",
+            ),
+            (
+                hb_text("RUA", "2 2 2", "  1  2  3", "  1  3", two),
+                "row index 3",
+            ),
+            // Symmetric and skew expansion need a square matrix.
+            (
+                hb_text("RSA", "3 2 2", "  1  2  3", "  1  3", two),
+                "symmetric storage",
+            ),
+            (
+                hb_text("RZA", "2 3 2", "  1  2  3  3", "  1  2", two),
+                "symmetric storage",
+            ),
+            // Counts the body cannot hold, up to the ones that overflow.
+            (
+                hb_text("RUA", &format!("2 {max} 2"), "  1  2  3", "  1  2", two),
+                "header promises",
+            ),
+            (
+                hb_text(
+                    "RUA",
+                    &format!("2 {} 2", max - 1),
+                    "  1  2  3",
+                    "  1  2",
+                    two,
+                ),
+                "header promises",
+            ),
+            (
+                hb_text("RUA", &format!("2 2 {max}"), "  1  2  3", "  1  2", two),
+                "header promises",
+            ),
+            (
+                hb_text(
+                    "RUA",
+                    &format!("2 2 {}", max / 2 + 1),
+                    "  1  2  3",
+                    "  1  2",
+                    two,
+                ),
+                "header promises",
+            ),
+            (
+                hb_text("PUA", &format!("2 2 {max}"), "  1  2  3", "  1  2", None),
+                "header promises",
+            ),
+            (
+                hb_text("PUA", "2 2 1000000000000", "  1  2  3", "  1  2", None),
+                "header promises",
+            ),
+            (
+                hb_text("RUA", "2 1000000000000 2", "  1  2  3", "  1  2", two),
+                "header promises",
+            ),
+        ];
+        for (text, want) in &cases {
+            match std::panic::catch_unwind(|| parse_harwell_boeing(text)) {
+                Ok(Err(SparseError::Parse(msg))) => {
+                    assert!(msg.contains(want), "{text:?}: `{msg}` lacks `{want}`")
+                }
+                Ok(other) => panic!("expected a parse error for {text:?}, got {other:?}"),
+                Err(_) => panic!("panicked on {text:?}"),
+            }
+        }
+        // The same shapes with honest numbers parse.
+        let ok = hb_text("RUA", "2 2 2", "  1  2  3", "  1  2", two);
+        assert_eq!(parse_harwell_boeing(&ok).unwrap().get(1, 1), 2.0);
+        let pattern = hb_text("PUA", "2 2 2", "  1  2  3", "  1  2", None);
+        assert_eq!(parse_harwell_boeing(&pattern).unwrap().nnz(), 2);
+    }
+
+    /// Every position of a valid file, overwritten with bytes drawn from a
+    /// fixed seed: the reader answers with a matrix or a
+    /// `SparseError::Parse`, whatever the damage.
+    #[test]
+    fn harwell_boeing_survives_single_byte_mutations() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let a = CscMatrix::from_triplets(
+            4,
+            4,
+            &[
+                (0, 0, 1.5),
+                (3, 0, -2.25e-7),
+                (1, 1, 3.0),
+                (0, 2, 4.125e9),
+                (2, 2, -5.5),
+                (3, 3, 7.0),
+            ],
+        )
+        .unwrap();
+        for valid in [
+            format_harwell_boeing(&a, "mutation seed"),
+            format_harwell_boeing(&a, "mutation seed").replacen("RUA", "RSA", 1),
+        ] {
+            parse_harwell_boeing(&valid).expect("the unmutated file parses");
+            let mut rng = SmallRng::seed_from_u64(23);
+            for pos in 0..valid.len() {
+                for round in 0..6 {
+                    // Digits and blanks do the structural damage (counts,
+                    // pointers, field boundaries); the rest is any ASCII.
+                    let byte = match round {
+                        0 => b'0',
+                        1 => b'9',
+                        2 => b' ',
+                        3 => b'\n',
+                        _ => rng.gen_range(0u8..128),
+                    };
+                    let mut bytes = valid.clone().into_bytes();
+                    bytes[pos] = byte;
+                    let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+                    match std::panic::catch_unwind(|| parse_harwell_boeing(&text)) {
+                        Ok(Ok(_) | Err(SparseError::Parse(_))) => {}
+                        Ok(Err(e)) => panic!("byte {pos} <- {byte:#04x}: unstructured {e:?}"),
+                        Err(_) => panic!("byte {pos} <- {byte:#04x}: panicked"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

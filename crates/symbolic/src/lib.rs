@@ -21,14 +21,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coletree;
 pub mod eforest;
 pub mod fixtures;
 pub mod postorder;
 pub mod static_fact;
 pub mod supernode;
 
-pub use coletree::{ata_cholesky_bound, column_etree, etree_symmetric};
 pub use eforest::{EliminationForest, ExtendedEforest};
 pub use postorder::{block_triangular_form, postorder_permutation, BtfBlock};
 pub use static_fact::{

@@ -324,7 +324,7 @@ fn panel_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
 /// supernode blocks and the rule-4 edge targets always exist.
 ///
 /// A single greedy left-to-right pass: each group is extended with the next
-/// supernode as long as the chain relation and the fill criterion hold.
+/// supernode as long as the chain relation and the fill bound hold.
 pub fn amalgamate(f: &FilledLu, base: &Partition, opts: &SupernodeOptions) -> Partition {
     ChainCounts::with_filled(f, |counts| counts.amalgamate(base, opts))
 }

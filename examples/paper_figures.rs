@@ -6,7 +6,7 @@
 //! cargo run --example paper_figures
 //! ```
 
-use parsplu::sched::{build_eforest_graph, build_sstar_graph, Task};
+use parsplu::sched::{build_eforest_graph, build_sstar_graph};
 use parsplu::symbolic::fixtures::fig1_pattern;
 use parsplu::symbolic::supernode::BlockStructure;
 use parsplu::symbolic::{
@@ -85,11 +85,7 @@ fn main() {
     println!("\nedges of the eforest graph:");
     for t in 0..eforest.len() {
         for &s in eforest.successors(t) {
-            let show = |task: Task| match task {
-                Task::Factor(k) => format!("F({k})"),
-                Task::Update { src, dst } => format!("U({src},{dst})"),
-            };
-            println!("  {} -> {}", show(eforest.task(t)), show(eforest.task(s)));
+            println!("  {} -> {}", eforest.task(t), eforest.task(s));
         }
     }
     println!("\nok");

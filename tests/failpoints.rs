@@ -67,10 +67,7 @@ proptest! {
             match SparseLu::factor(&a, &o).map(|_| ()) {
                 Err(LuError::WorkerPanic { worker, task }) => {
                     prop_assert!(worker < threads.max(1), "worker {worker}");
-                    prop_assert!(
-                        task.contains(&format!("Factor({k})")),
-                        "task `{task}` should name Factor({k})"
-                    );
+                    prop_assert_eq!(&task, &format!("F({k})"));
                 }
                 other => {
                     return Err(TestCaseError::fail(format!(

@@ -485,10 +485,7 @@ fn event_session_records_one_task_event_per_task_in_replay_order() {
         .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("task"))
         .collect();
     let want: Vec<String> = (s.schedule().seq_order().iter())
-        .map(|&t| match s.graph().task(t) {
-            Task::Factor(k) => format!("F({k})"),
-            Task::Update { src, dst } => format!("U({src},{dst})"),
-        })
+        .map(|&t| s.graph().task(t).to_string())
         .collect();
     let got: Vec<&str> = tasks
         .iter()
