@@ -5,7 +5,7 @@
 
 use splu_bench::json;
 use splu_core::{
-    analyze, factor_numeric_with, BlockMatrix, NumericRequest, Options, TaskGraphKind, TraceConfig,
+    analyze, factor_numeric_with, BlockMatrix, NumericRequest, ObsSession, Options, TaskGraphKind,
 };
 use splu_matgen::{paper_suite, Scale};
 use splu_sched::{EventKind, Mapping};
@@ -21,17 +21,24 @@ fn chrome_trace_json_is_valid_and_per_worker_monotone() {
     let graph = sym.build_graph(TaskGraphKind::EForest);
     let bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
 
+    // An event session's numeric phase, as `SluSession::run_numeric` runs
+    // it, with the raw stream looked at before the session takes it.
     let threads = 4;
-    let config = TraceConfig::full(graph.len(), threads);
-    let report = factor_numeric_with(
-        &bm,
-        &NumericRequest::coarse(&graph, Mapping::Dynamic)
-            .threads(threads)
-            .trace(config),
-    )
-    .expect("factorization succeeds");
+    let obs = ObsSession::with_events();
+    let report = {
+        let _p = obs.phase("numeric");
+        factor_numeric_with(
+            &bm,
+            &NumericRequest::coarse(&graph, Mapping::Dynamic)
+                .threads(threads)
+                .trace(obs.executor_trace_config(graph.len(), threads)),
+        )
+        .expect("factorization succeeds")
+    };
     report.stats.assert_consistent();
-    let trace = report.trace.expect("full mode keeps the event stream");
+    let trace = report
+        .trace
+        .expect("an event session keeps the event stream");
 
     // Raw event stream: per-worker timestamps are monotone non-decreasing
     // and every interval is well-formed.
@@ -55,11 +62,20 @@ fn chrome_trace_json_is_valid_and_per_worker_monotone() {
     assert_eq!(task_events, graph.len(), "one Task event per task");
 
     // Rendered JSON: parses, matches the Chrome trace schema, and carries
-    // exactly the recorded events as "X" records.
-    let rendered = trace.chrome_json(&|tid| graph.task(tid).to_string());
-    let doc = json::parse(&rendered).expect("chrome trace is valid JSON");
+    // exactly the recorded events and the phase spans as "X" records.
+    let n_events = trace.events.len();
+    obs.capture_numeric(
+        report.stats,
+        report.health,
+        Some((trace, graph.tasks().to_vec())),
+    );
+    let doc = json::parse(&obs.chrome_json()).expect("chrome trace is valid JSON");
     let complete = json::validate_chrome_trace(&doc).expect("chrome trace matches schema");
-    assert_eq!(complete, trace.events.len(), "one X record per event");
+    assert_eq!(
+        complete,
+        n_events + obs.span_events().len(),
+        "one X record per event and per phase span"
+    );
     assert!(
         doc.get("traceEvents")
             .and_then(json::Json::as_arr)

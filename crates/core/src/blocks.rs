@@ -26,10 +26,6 @@
 //! pattern shares them. They exist because the lists **nest**: a row
 //! `r ∈ R_K` is a pivot candidate of `K`'s last column, so the static
 //! symbolic factorization gave it every column of `C_K` (DESIGN.md §5.5).
-//!
-//! A debug counter ([`BlockMatrix::panel_copy_count`]) records any code
-//! path that gathers or scatters a whole panel; the factorization keeps it
-//! at zero, which the test-suite asserts.
 
 use parking_lot::RwLock;
 use splu_dense::{DenseMat, MatRef, Pivots};
@@ -37,7 +33,6 @@ use splu_sparse::{CscMatrix, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The values of one block column, plus the pivot sequence once factored.
@@ -774,13 +769,10 @@ fn swap_into(mine: &mut DenseMat, c: usize, theirs: &mut DenseMat, row: usize, c
 
 /// The block matrix: per-column values behind `RwLock`s (readers: updates
 /// sourcing the column; writer: the column's own factor/update tasks),
-/// over one shared [`Layout`].
+/// over one shared `Layout` (the index maps).
 pub struct BlockMatrix {
     layout: Arc<Layout>,
     columns: Vec<RwLock<ColumnData>>,
-    /// Panel gather/scatter copies performed since assembly — instrumenting
-    /// the zero-copy claim; see [`Self::panel_copy_count`].
-    panel_copies: AtomicUsize,
 }
 
 impl BlockMatrix {
@@ -807,11 +799,7 @@ impl BlockMatrix {
                 })
             })
             .collect();
-        BlockMatrix {
-            layout,
-            columns,
-            panel_copies: AtomicUsize::new(0),
-        }
+        BlockMatrix { layout, columns }
     }
 
     /// Fresh zeroed storage with this matrix's structure, sharing its index
@@ -974,7 +962,6 @@ impl BlockMatrix {
             }
             col.panel.data_mut().fill(0.0);
         }
-        self.panel_copies.store(0, Ordering::Relaxed);
     }
 
     /// Resets the storage to hold the values of `a` again (zero everything,
@@ -1003,11 +990,6 @@ impl BlockMatrix {
     /// The lock guarding block column `j`.
     pub fn column(&self, j: usize) -> &RwLock<ColumnData> {
         &self.columns[j]
-    }
-
-    /// Exclusive access to column `j` without locking (requires `&mut`).
-    pub fn column_mut(&mut self, j: usize) -> &mut ColumnData {
-        self.columns[j].get_mut()
     }
 
     /// The index maps.
@@ -1104,20 +1086,6 @@ impl BlockMatrix {
                 u.max(c.panel.max_abs())
             })
             .fold(0.0f64, f64::max)
-    }
-
-    /// Records one panel gather or scatter copy. `Factor(k)` pivots in
-    /// place, so the factorization never calls this; any future code path
-    /// that reintroduces a panel copy must, and the regression test on
-    /// [`Self::panel_copy_count`] will catch it.
-    pub fn record_panel_copy(&self) {
-        self.panel_copies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of panel gather/scatter copies since assembly (zero for the
-    /// whole factor + solve pipeline).
-    pub fn panel_copy_count(&self) -> usize {
-        self.panel_copies.load(Ordering::Relaxed)
     }
 
     /// Total dense storage in f64 words: `Σ_K w_K · (w_K + |R_K| + |C_K|)`
@@ -1274,17 +1242,6 @@ mod tests {
         let mx = dense.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert_eq!(bm.one_norm(), one);
         assert_eq!(bm.max_abs(), mx);
-    }
-
-    #[test]
-    fn panel_copy_counter_starts_at_zero_and_records() {
-        let (a, bs) = fig1_setup();
-        let mut bm = BlockMatrix::assemble(&a, &bs);
-        assert_eq!(bm.panel_copy_count(), 0);
-        bm.record_panel_copy();
-        assert_eq!(bm.panel_copy_count(), 1);
-        bm.reset_from(&a, &bs);
-        assert_eq!(bm.panel_copy_count(), 0, "reset clears the counter");
     }
 
     #[test]

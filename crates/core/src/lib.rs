@@ -15,10 +15,12 @@
 //! assert!(splu_sparse::relative_residual(&a, &x, &b) < 1e-10);
 //! ```
 //!
-//! The phases are also exposed separately ([`analyze`], [`SymbolicLu`],
-//! [`NumericLu`]) so the benchmark harness can re-run the numerical phase
-//! with different processor counts and task graphs against one symbolic
-//! analysis, exactly as the paper's experiments do.
+//! A caller that refactorizes one pattern with new values holds an
+//! [`SluSession`] instead. The phases are also exposed separately
+//! ([`analyze`] → [`SymbolicLu`], [`BlockMatrix::assemble`],
+//! [`factor_numeric_with`], [`solve_permuted`]) so the experiments can
+//! re-run the numerical phase with different processor counts and task
+//! graphs against one symbolic analysis, exactly as the paper's do.
 
 // Index-based loops are the natural idiom for the numerical kernels and
 // symbolic algorithms in this crate; iterator rewrites obscure the maths.
@@ -43,11 +45,7 @@ mod solve;
 pub use blocks::{BlockMatrix, ColumnData};
 pub use costs::{estimate_task_costs, total_flops};
 pub use error::LuError;
-pub use numeric::{
-    factor_left_looking, factor_task, factor_task_with_policy, factor_task_with_rule, update_task,
-    update_task_with,
-};
-pub use numeric_fine::{apply_task, gemm_task, gemm_task_with, trsm_task, trsm_task_with};
+pub use numeric::factor_left_looking;
 pub use observe::{
     factor_reported, MatrixMeta, ObsSession, RefactorPath, RunReport, RunStatus, PHASE_NAMES,
     REPORT_SCHEMA,
@@ -347,72 +345,6 @@ impl SymbolicLu {
     pub fn permute_matrix(&self, a: &CscMatrix) -> CscMatrix {
         a.permuted(&self.row_perm, &self.col_perm)
     }
-
-    /// Runs the numerical factorization of `a` (in **original** order) over
-    /// a prebuilt graph — the benchmark entry point that lets callers time
-    /// the numerical phase alone and vary threads/graph.
-    pub fn factor_numeric(
-        &self,
-        a: &CscMatrix,
-        graph: &TaskGraph,
-        threads: usize,
-        mapping: Mapping,
-        pivot_threshold: f64,
-    ) -> Result<NumericLu<'_>, LuError> {
-        let permuted = self.permute_matrix(a);
-        self.factor_numeric_permuted(&permuted, graph, threads, mapping, pivot_threshold)
-    }
-
-    /// Same as [`Self::factor_numeric`] but takes the matrix already in
-    /// factorization order (lets benchmarks hoist the permutation).
-    pub fn factor_numeric_permuted(
-        &self,
-        permuted: &CscMatrix,
-        graph: &TaskGraph,
-        threads: usize,
-        mapping: Mapping,
-        pivot_threshold: f64,
-    ) -> Result<NumericLu<'_>, LuError> {
-        let bm = BlockMatrix::assemble(permuted, &self.block_structure);
-        factor_numeric_with(
-            &bm,
-            &NumericRequest::coarse(graph, mapping)
-                .threads(threads)
-                .pivot_threshold(pivot_threshold)
-                .kernels(self.opts.kernels)
-                .breakdown(self.opts.breakdown)
-                .budget(self.opts.budget.clone()),
-        )?;
-        Ok(NumericLu { sym: self, bm })
-    }
-}
-
-/// A completed numerical factorization borrowing its symbolic analysis.
-pub struct NumericLu<'a> {
-    sym: &'a SymbolicLu,
-    bm: BlockMatrix,
-}
-
-impl NumericLu<'_> {
-    /// Solves `A x = b` for the original-order `b`, returning original-order
-    /// `x`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut y = self.sym.row_perm.apply_vec(b);
-        solve_permuted(&self.bm, &self.sym.block_structure, &mut y);
-        self.sym.col_perm.apply_inverse_vec(&y)
-    }
-
-    /// Solves `Aᵀ x = b` for the original-order `b`.
-    pub fn solve_transposed(&self, b: &[f64]) -> Vec<f64> {
-        let mut y = self.sym.col_perm.apply_vec(b);
-        solve_transposed_permuted(&self.bm, &self.sym.block_structure, &mut y);
-        self.sym.row_perm.apply_inverse_vec(&y)
-    }
-
-    /// The underlying block storage (diagnostics, storage accounting).
-    pub fn block_matrix(&self) -> &BlockMatrix {
-        &self.bm
-    }
 }
 
 fn build_graph(bs: &BlockStructure, kind: TaskGraphKind) -> TaskGraph {
@@ -700,37 +632,87 @@ impl SparseLu {
             .expect("a constructed SparseLu always holds factors")
     }
 
-    fn check_len(&self, b: &[f64], nrhs: usize) -> Result<(), LuError> {
-        let expected = self.sym().stats.n * nrhs;
-        if b.len() != expected {
-            return Err(LuError::DimensionMismatch {
-                expected,
-                got: b.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Fallible [`Self::solve`]: rejects a wrong-length right-hand side
-    /// with [`LuError::DimensionMismatch`] instead of panicking.
+    /// Solves `A x = b`, or an error when `b` has the wrong length
+    /// ([`LuError::DimensionMismatch`]). If the factorization perturbed
+    /// pivots ([`BreakdownPolicy::Perturb`]), the solve automatically
+    /// routes through iterative refinement against the retained input
+    /// matrix, so the returned solution is accurate for `A` itself, not the
+    /// perturbed nearby matrix; check the achieved residual with
+    /// [`splu_sparse::relative_residual`].
     pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        self.check_len(b, 1)?;
-        Ok(self.solve(b))
+        match &self.refine_with {
+            Some(a) => Ok(self.try_solve_refined(a, b, 1e-12, 20)?.0),
+            None => self.solve_raw(b),
+        }
     }
 
-    /// Fallible [`Self::solve_transposed`].
+    /// [`Self::try_solve`], panicking on a dimension mismatch.
+    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The session's solve through the stored factors, with no refinement
+    /// — the raw factors' answer — between the equilibration scales.
+    fn solve_raw(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
+        let Some(eq) = &self.equil else {
+            return self.session.try_solve(b);
+        };
+        self.session.check_len(b, 1)?;
+        let y = self.session.try_solve(&eq.scale_rhs(b))?;
+        Ok(eq.unscale_solution(&y))
+    }
+
+    /// Solves `Aᵀ x = b` (fallible form).
     pub fn try_solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        self.check_len(b, 1)?;
-        Ok(self.solve_transposed(b))
+        let Some(eq) = &self.equil else {
+            return self.session.try_solve_transposed(b);
+        };
+        // S = R·A·C was factored, so Aᵀ = C⁻¹ Sᵀ R⁻¹ and
+        // x = R · S⁻ᵀ · (C b): the scale vectors swap roles.
+        self.session.check_len(b, 1)?;
+        let scaled: Vec<f64> = b.iter().zip(&eq.col_scale).map(|(&v, &s)| v * s).collect();
+        let y = self.session.try_solve_transposed(&scaled)?;
+        Ok(y.iter().zip(&eq.row_scale).map(|(&v, &s)| v * s).collect())
     }
 
-    /// Fallible [`Self::solve_many`].
+    /// [`Self::try_solve_transposed`], panicking on a dimension mismatch.
+    pub fn solve_transposed(&self, b: &[f64]) -> Vec<f64> {
+        self.try_solve_transposed(b)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Solves `A X = B` for `nrhs` right-hand sides stored column-major in
+    /// `b` (`n × nrhs`), returning the solutions in the same layout
+    /// (fallible form).
+    ///
+    /// Walks the factors once, applying every elimination step to all
+    /// right-hand sides with the BLAS-3 kernels.
     pub fn try_solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, LuError> {
-        self.check_len(b, nrhs)?;
-        Ok(self.solve_many(b, nrhs))
+        let Some(eq) = &self.equil else {
+            return self.session.try_solve_many(b, nrhs);
+        };
+        self.session.check_len(b, nrhs)?;
+        let rows = eq.row_scale.iter().cycle();
+        let scaled: Vec<f64> = b.iter().zip(rows).map(|(&v, &s)| v * s).collect();
+        let mut x = self.session.try_solve_many(&scaled, nrhs)?;
+        for (v, &s) in x.iter_mut().zip(eq.col_scale.iter().cycle()) {
+            *v *= s;
+        }
+        Ok(x)
     }
 
-    /// Fallible [`Self::solve_refined`].
+    /// [`Self::try_solve_many`], panicking on a dimension mismatch.
+    pub fn solve_many(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
+        self.try_solve_many(b, nrhs)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Solves `A x = b` with iterative refinement against the original
+    /// matrix: repeat `x ← x + A⁻¹(b − A x)` until the scaled residual
+    /// drops below `tol` or `max_iters` refinements have run. Returns the
+    /// solution and the number of refinement steps taken (fallible form).
+    /// Refines over the raw solve — the automatic routing in
+    /// [`Self::try_solve`] lands here and must not recurse.
     pub fn try_solve_refined(
         &self,
         a: &CscMatrix,
@@ -738,92 +720,10 @@ impl SparseLu {
         tol: f64,
         max_iters: usize,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        self.check_len(b, 1)?;
-        Ok(self.refine(a, b, tol, max_iters))
+        solve::refine(a, b, tol, max_iters, |rhs| self.solve_raw(rhs))
     }
 
-    /// Solves `A x = b`. If the factorization perturbed pivots
-    /// ([`BreakdownPolicy::Perturb`]), the solve automatically routes
-    /// through iterative refinement against the retained input matrix, so
-    /// the returned solution is accurate for `A` itself, not the perturbed
-    /// nearby matrix; check the achieved residual with
-    /// [`splu_sparse::relative_residual`].
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match &self.refine_with {
-            Some(a) => self.refine(a, b, 1e-12, 20).0,
-            None => self.solve_raw(b),
-        }
-    }
-
-    /// One forward/backward substitution through the stored factors, with
-    /// no refinement — the raw factors' answer.
-    fn solve_raw(&self, b: &[f64]) -> Vec<f64> {
-        let scaled_b;
-        let rhs: &[f64] = match &self.equil {
-            Some(eq) => {
-                scaled_b = eq.scale_rhs(b);
-                &scaled_b
-            }
-            None => b,
-        };
-        let mut y = self.sym().row_perm.apply_vec(rhs);
-        solve_permuted(self.bm(), &self.sym().block_structure, &mut y);
-        let x = self.sym().col_perm.apply_inverse_vec(&y);
-        match &self.equil {
-            Some(eq) => eq.unscale_solution(&x),
-            None => x,
-        }
-    }
-
-    /// Solves `A x = b` with the forest-scheduled parallel triangular
-    /// solve (bit-identical to [`Self::solve`], asserted by the tests).
-    pub fn solve_parallel(&self, b: &[f64], nthreads: usize) -> Vec<f64> {
-        let scaled_b;
-        let rhs: &[f64] = match &self.equil {
-            Some(eq) => {
-                scaled_b = eq.scale_rhs(b);
-                &scaled_b
-            }
-            None => b,
-        };
-        let mut y = self.sym().row_perm.apply_vec(rhs);
-        solve_permuted_parallel(self.bm(), &self.sym().block_structure, &mut y, nthreads);
-        let x = self.sym().col_perm.apply_inverse_vec(&y);
-        match &self.equil {
-            Some(eq) => eq.unscale_solution(&x),
-            None => x,
-        }
-    }
-
-    /// Solves `Aᵀ x = b`.
-    pub fn solve_transposed(&self, b: &[f64]) -> Vec<f64> {
-        // With equilibration S = R·A·C was factored, so Aᵀ = C⁻¹ Sᵀ R⁻¹ and
-        // x = R · S⁻ᵀ · (C b): the scale vectors swap roles.
-        let scaled_b;
-        let rhs: &[f64] = match &self.equil {
-            Some(eq) => {
-                scaled_b = b
-                    .iter()
-                    .zip(&eq.col_scale)
-                    .map(|(&v, &s)| v * s)
-                    .collect::<Vec<f64>>();
-                &scaled_b
-            }
-            None => b,
-        };
-        let mut y = self.sym().col_perm.apply_vec(rhs);
-        solve_transposed_permuted(self.bm(), &self.sym().block_structure, &mut y);
-        let x = self.sym().row_perm.apply_inverse_vec(&y);
-        match &self.equil {
-            Some(eq) => x.iter().zip(&eq.row_scale).map(|(&v, &s)| v * s).collect(),
-            None => x,
-        }
-    }
-
-    /// Solves `A x = b` with iterative refinement against the original
-    /// matrix: repeat `x ← x + A⁻¹(b − A x)` until the scaled residual
-    /// drops below `tol` or `max_iters` refinements have run. Returns the
-    /// solution and the number of refinement steps taken.
+    /// [`Self::try_solve_refined`], panicking on a dimension mismatch.
     pub fn solve_refined(
         &self,
         a: &CscMatrix,
@@ -831,26 +731,8 @@ impl SparseLu {
         tol: f64,
         max_iters: usize,
     ) -> (Vec<f64>, usize) {
-        self.refine(a, b, tol, max_iters)
-    }
-
-    /// Refinement loop over the raw (unrouted) solve — shared by
-    /// [`Self::solve_refined`] and the automatic routing in
-    /// [`Self::solve`], which must not recurse back into itself.
-    fn refine(&self, a: &CscMatrix, b: &[f64], tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-        let mut x = self.solve_raw(b);
-        for it in 0..max_iters {
-            if splu_sparse::relative_residual(a, &x, b) <= tol {
-                return (x, it);
-            }
-            let mut r = b.to_vec();
-            a.mat_vec_sub(&x, &mut r);
-            let dx = self.solve_raw(&r);
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
-        }
-        (x, max_iters)
+        self.try_solve_refined(a, b, tol, max_iters)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The numeric phase's robustness report: perturbed columns, largest
@@ -873,43 +755,6 @@ impl SparseLu {
     /// Options used to build this factorization.
     pub fn options(&self) -> &Options {
         &self.sym().opts
-    }
-
-    /// Solves `A X = B` for `nrhs` right-hand sides stored column-major in
-    /// `b` (`n × nrhs`), returning the solutions in the same layout.
-    ///
-    /// Walks the factors once, applying every elimination step to all
-    /// right-hand sides with the BLAS-3 kernels.
-    pub fn solve_many(&self, b: &[f64], nrhs: usize) -> Vec<f64> {
-        let n = self.sym().stats.n;
-        assert_eq!(b.len(), n * nrhs, "rhs block size mismatch");
-        // Permute (and scale) each column into factorization order.
-        let mut work = Vec::with_capacity(b.len());
-        for r in 0..nrhs {
-            let col = &b[r * n..(r + 1) * n];
-            let scaled;
-            let rhs: &[f64] = match &self.equil {
-                Some(eq) => {
-                    scaled = eq.scale_rhs(col);
-                    &scaled
-                }
-                None => col,
-            };
-            work.extend(self.sym().row_perm.apply_vec(rhs));
-        }
-        solve_many_permuted(self.bm(), &self.sym().block_structure, &mut work, nrhs);
-        let mut out = Vec::with_capacity(b.len());
-        for r in 0..nrhs {
-            let x = self
-                .sym()
-                .col_perm
-                .apply_inverse_vec(&work[r * n..(r + 1) * n]);
-            match &self.equil {
-                Some(eq) => out.extend(eq.unscale_solution(&x)),
-                None => out.extend(x),
-            }
-        }
-        out
     }
 
     /// Sign and natural log of `|det(A)|`.
@@ -1308,17 +1153,20 @@ mod tests {
         let gs = sym.build_graph(TaskGraphKind::SStar);
         assert!(ge.num_edges() <= gs.num_edges());
         let b: Vec<f64> = (0..45).map(|i| (i as f64).sin()).collect();
-        let n1 = sym
-            .factor_numeric(&a, &ge, 1, Mapping::Static1D, 0.0)
-            .unwrap();
-        let n2 = sym
-            .factor_numeric(&a, &gs, 2, Mapping::Static1D, 0.0)
-            .unwrap();
-        let x1 = n1.solve(&b);
-        let x2 = n2.solve(&b);
+        let permuted = sym.permute_matrix(&a);
+        let solve_over = |graph: &TaskGraph, threads: usize| {
+            let bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
+            let req = NumericRequest::coarse(graph, Mapping::Static1D).threads(threads);
+            factor_numeric_with(&bm, &req).unwrap();
+            assert!(bm.storage_words() > 0);
+            let mut y = sym.row_perm.apply_vec(&b);
+            solve_permuted(&bm, &sym.block_structure, &mut y);
+            sym.col_perm.apply_inverse_vec(&y)
+        };
+        let x1 = solve_over(&ge, 1);
+        let x2 = solve_over(&gs, 2);
         for i in 0..45 {
             assert!((x1[i] - x2[i]).abs() < 1e-10);
         }
-        assert!(n1.block_matrix().storage_words() > 0);
     }
 }

@@ -19,8 +19,6 @@
 //! addition of a sum that depends on `k`'s panel and `Ū(k, j)` only — and
 //! two sources that may run in either order never touch the same row — so
 //! the factors do not depend on the schedule.
-//! [`BlockMatrix::panel_copy_count`] stays at zero across the whole
-//! factorization (asserted by the test-suite).
 
 use crate::blocks::{BlockMatrix, ColumnData, UpdateMap};
 use crate::LuError;
@@ -42,35 +40,11 @@ pub(crate) fn factor_flops(m: usize, w: usize) -> u64 {
     flops
 }
 
-/// Factorizes block column `k`: runs panel LU with partial pivoting **in
-/// place** on the stored panel and records the pivot sequence.
-pub fn factor_task(bm: &BlockMatrix, k: usize, pivot_threshold: f64) -> Result<(), LuError> {
-    factor_task_with_rule(bm, k, PivotRule::Partial, pivot_threshold)
-}
-
-/// [`factor_task`] with an explicit pivot-selection rule (threshold or
-/// static-diagonal pivoting; see [`PivotRule`]).
-pub fn factor_task_with_rule(
-    bm: &BlockMatrix,
-    k: usize,
-    rule: PivotRule,
-    pivot_threshold: f64,
-) -> Result<(), LuError> {
-    factor_task_with_policy(
-        bm,
-        k,
-        rule,
-        pivot_threshold,
-        PanelBreakdown::Error,
-        None,
-        &Dispatch::portable(),
-    )
-    .map(|_| ())
-}
-
-/// [`factor_task_with_rule`] under an explicit breakdown policy: with
-/// [`PanelBreakdown::Perturb`] a column with no acceptable pivot gets its
-/// diagonal replaced instead of failing, and the perturbed columns are
+/// `Factor(k)`: runs the panel LU **in place** on the stored panel of block
+/// column `k` under `rule` and records the pivot sequence.
+///
+/// With [`PanelBreakdown::Perturb`] a column with no acceptable pivot gets
+/// its diagonal replaced instead of failing, and the perturbed columns are
 /// returned as **global** (factorization-order) column indices with their
 /// perturbation magnitudes. `force_breakdown_at` deterministically treats
 /// that global column as below threshold (the fault-injection hook).
@@ -78,9 +52,9 @@ pub fn factor_task_with_rule(
 /// Every column index this function emits — in errors and in the perturbed
 /// list — is global, mapped through [`BlockMatrix::global_col_start`], so
 /// callers never remap panel-local indices themselves. `kernels` is the
-/// table the driver resolved once per factorization, as for
-/// [`update_task_with`].
-pub fn factor_task_with_policy(
+/// table the driver resolved once per factorization; every table produces
+/// bit-identical results (the contract on [`Dispatch::gemm_sub`]).
+pub(crate) fn factor_task(
     bm: &BlockMatrix,
     k: usize,
     rule: PivotRule,
@@ -128,27 +102,14 @@ pub fn factor_task_with_policy(
         .collect())
 }
 
-/// Updates block column `j` by the factored block column `k`: applies
-/// `k`'s pivot interchanges to column `j`, computes
-/// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds the Schur complement
+/// `Update(k, j)`: applies `k`'s pivot interchanges to block column `j`,
+/// computes `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds the Schur complement
 /// `−L̄_below(k) · Ū(k, j)` into the rows of column `j` that `R_k` names.
-pub fn update_task(bm: &BlockMatrix, k: usize, j: usize) {
-    update_task_with(bm, k, j, &Dispatch::portable())
-}
-
-/// [`update_task`] through an explicit kernel [`Dispatch`] table — the form
-/// the unified driver calls, with the table resolved once per
-/// factorization. Every table produces bit-identical results (the contract
-/// on [`splu_dense::gemm_sub_view`]).
-pub fn update_task_with(bm: &BlockMatrix, k: usize, j: usize, kernels: &Dispatch) {
-    update_task_metered(bm, k, j, kernels, None)
-}
-
-/// [`update_task_with`] with optional kernel-call metering: each executed
-/// `trsm`/`gemm` adds its call and its flop count — the very shapes
-/// [`crate::costs::estimate_task_costs`] prices — to the registry.
+///
+/// With a registry, each executed `trsm`/`gemm` adds its call and its flop
+/// count — the very shapes [`crate::costs::estimate_task_costs`] prices.
 /// Counting never changes what runs — `None` is the production fast path.
-pub(crate) fn update_task_metered(
+pub(crate) fn update_task(
     bm: &BlockMatrix,
     k: usize,
     j: usize,
@@ -251,12 +212,20 @@ pub(crate) fn schur_rows(
 /// execution — which the test-suite asserts. Exposed as an ablation and as
 /// a simple driver for callers that do not want the scheduler.
 pub fn factor_left_looking(bm: &BlockMatrix, pivot_threshold: f64) -> Result<(), LuError> {
-    let nb = bm.num_block_cols();
-    for j in 0..nb {
+    let kernels = Dispatch::portable();
+    for j in 0..bm.num_block_cols() {
         for (k, _) in bm.sources(j) {
-            update_task(bm, k, j);
+            update_task(bm, k, j, &kernels, None);
         }
-        factor_task(bm, j, pivot_threshold)?;
+        factor_task(
+            bm,
+            j,
+            PivotRule::Partial,
+            pivot_threshold,
+            PanelBreakdown::Error,
+            None,
+            &kernels,
+        )?;
     }
     Ok(())
 }
@@ -282,7 +251,6 @@ mod tests {
         let bm = BlockMatrix::assemble(a, &bs);
         let graph = build_eforest_graph(&bs);
         factor_numeric_with(&bm, &NumericRequest::coarse(&graph, Mapping::Static1D)).unwrap();
-        assert_eq!(bm.panel_copy_count(), 0, "factorization must be zero-copy");
 
         // Dense oracle.
         let n = a.nrows();
@@ -436,23 +404,6 @@ mod tests {
                 "panel values differ at column {k}"
             );
         }
-    }
-
-    /// The acceptance instrument of the zero-copy layout: a full graph
-    /// factorization never gathers or scatters a panel.
-    #[test]
-    fn graph_factorization_performs_zero_panel_copies() {
-        let a = fig1_matrix();
-        let f = static_symbolic_factorization(a.pattern()).unwrap();
-        let bs = BlockStructure::new(&f, supernode_partition(&f));
-        let bm = BlockMatrix::assemble(&a, &bs);
-        let graph = build_eforest_graph(&bs);
-        factor_numeric_with(
-            &bm,
-            &NumericRequest::coarse(&graph, Mapping::Dynamic).threads(4),
-        )
-        .unwrap();
-        assert_eq!(bm.panel_copy_count(), 0);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! (`Apply`/`Trsm`/`Gemm` stages per update — the paper's §6 future-work
 //! direction, see `splu_sched::fine`).
 //!
-//! The task bodies are the three stages of [`crate::update_task`]:
+//! The task bodies are the three stages of the coarse `Update(src, dst)`
+//! (`crate::numeric::update_task`):
 //!
-//! * [`apply_task`] — apply `Factor(src)`'s interchanges to column `dst`;
-//! * [`trsm_task`] — `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)`;
-//! * [`gemm_task`] — the Schur update of the rows of block row `row`: one
+//! * `apply_task` — apply `Factor(src)`'s interchanges to column `dst`;
+//! * `trsm_task` — `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)`;
+//! * `gemm_task` — the Schur update of the rows of block row `row`: one
 //!   destination segment of the coarse task's scatter.
 //!
 //! Because per-element write sets and orders are identical to the coarse
@@ -22,8 +23,9 @@ use crate::numeric::{replay_interchanges, schur_rows, solve_u_block};
 use splu_dense::Dispatch;
 use splu_obs::MetricsRegistry;
 
-/// Applies `Factor(src)`'s pivot interchanges to block column `dst`.
-pub fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
+/// `Apply(src, dst)`: `Factor(src)`'s pivot interchanges on block column
+/// `dst`.
+pub(crate) fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
     debug_assert!(src < dst);
     let u = bm
         .layout()
@@ -34,21 +36,10 @@ pub fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
     replay_interchanges(bm, u, &col_src, &mut col_dst);
 }
 
-/// Computes `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)` in place. The
-/// diagonal block is read straight off the top of column `src`'s panel.
-pub fn trsm_task(bm: &BlockMatrix, src: usize, dst: usize) {
-    trsm_task_with(bm, src, dst, &Dispatch::portable())
-}
-
-/// [`trsm_task`] through an explicit kernel [`Dispatch`] table (resolved
-/// once per factorization by the unified driver).
-pub fn trsm_task_with(bm: &BlockMatrix, src: usize, dst: usize, kernels: &Dispatch) {
-    trsm_task_metered(bm, src, dst, kernels, None)
-}
-
-/// [`trsm_task_with`] with optional kernel-call metering (same counting
-/// contract as `crate::numeric::update_task_metered`).
-pub(crate) fn trsm_task_metered(
+/// `Trsm(src, dst)`: `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)` in place,
+/// the diagonal block read straight off the top of column `src`'s panel.
+/// `kernels` and `metrics` as for `crate::numeric::update_task`.
+pub(crate) fn trsm_task(
     bm: &BlockMatrix,
     src: usize,
     dst: usize,
@@ -64,21 +55,10 @@ pub(crate) fn trsm_task_metered(
     solve_u_block(u, &col_src, &mut col_dst, kernels, metrics);
 }
 
-/// One Schur update: the rows of block row `row` that column `src`'s panel
-/// stores, times `Ū(src, dst)`, added into block `(row, dst)`.
-pub fn gemm_task(bm: &BlockMatrix, src: usize, dst: usize, row: usize) {
-    gemm_task_with(bm, src, dst, row, &Dispatch::portable())
-}
-
-/// [`gemm_task`] through an explicit kernel [`Dispatch`] table (resolved
-/// once per factorization by the unified driver).
-pub fn gemm_task_with(bm: &BlockMatrix, src: usize, dst: usize, row: usize, kernels: &Dispatch) {
-    gemm_task_metered(bm, src, dst, row, kernels, None)
-}
-
-/// [`gemm_task_with`] with optional kernel-call metering (same counting
-/// contract as `crate::numeric::update_task_metered`).
-pub(crate) fn gemm_task_metered(
+/// `Gemm(src, dst, row)`: the rows of block row `row` that column `src`'s
+/// panel stores, times `Ū(src, dst)`, added into block `(row, dst)`.
+/// `kernels` and `metrics` as for `crate::numeric::update_task`.
+pub(crate) fn gemm_task(
     bm: &BlockMatrix,
     src: usize,
     dst: usize,
@@ -130,7 +110,6 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let bm_fine = BlockMatrix::assemble(&a, &bs);
                 factor_numeric_with(&bm_fine, &NumericRequest::fine(&fg).threads(threads)).unwrap();
-                assert_eq!(bm_fine.panel_copy_count(), 0);
                 for k in 0..bm_fine.num_block_cols() {
                     let cf = bm_fine.column(k).read();
                     let cc = bm_coarse.column(k).read();

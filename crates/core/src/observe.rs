@@ -132,11 +132,6 @@ impl ObsSession {
         &self.metrics
     }
 
-    /// Whether executors should record full per-task event streams.
-    pub fn collect_events(&self) -> bool {
-        self.collect_events
-    }
-
     /// The executor trace configuration this session implies: full
     /// recording on the shared epoch for event sessions, counters only
     /// otherwise.
@@ -612,12 +607,18 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escapes `s` for the inside of a JSON string literal: quotes, backslashes
+/// and every control character. The one escaper behind the run report, the
+/// Chrome trace and the daemon's replies.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 8);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -701,6 +702,27 @@ mod tests {
             !json.contains("\"name\": \"task "),
             "every task id has a label"
         );
+    }
+
+    /// A name from outside the program — here a hostile matrix name, on a
+    /// span and in the report — is escaped in both documents.
+    #[test]
+    fn hostile_names_are_escaped_in_the_chrome_trace_and_the_report() {
+        let name = "m\"x\\y\nz\u{1}";
+        let escaped = "m\\\"x\\\\y\\nz\\u0001";
+        let session = ObsSession::new();
+        drop(session.trace().span(name));
+        let json = session.chrome_json();
+        assert!(json.contains(escaped), "{json}");
+        assert!(json.contains("\"traceEvents\""));
+        assert!(json.trim_end().ends_with("]}"));
+        let matrix = MatrixMeta {
+            name: name.to_string(),
+            n: 1,
+            nnz: 1,
+        };
+        let report = session.report(matrix, &Options::default(), RunStatus::success());
+        assert!(report.to_json().contains(escaped));
     }
 
     #[test]

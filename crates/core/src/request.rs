@@ -17,12 +17,12 @@
 //! factorization** (CPU feature probing included), and that table threads
 //! through every `Factor`/`Update`/`Trsm`/`Gemm` task body — all of which preserve
 //! the bitwise-equivalence contract documented on
-//! [`splu_dense::gemm_sub_view`], so the factors are independent of the
+//! [`Dispatch::gemm_sub`], so the factors are independent of the
 //! selected kernels.
 
 use crate::blocks::BlockMatrix;
-use crate::numeric::{factor_flops, factor_task_with_policy, update_task_metered};
-use crate::numeric_fine::{apply_task, gemm_task_metered, trsm_task_metered};
+use crate::numeric::{factor_flops, factor_task, update_task};
+use crate::numeric_fine::{apply_task, gemm_task, trsm_task};
 use crate::observe::ObsSession;
 use crate::solve::growth_factor;
 use crate::{LuError, Options};
@@ -145,8 +145,7 @@ impl<'g> NumericRequest<'g> {
         Self::with_graph(GraphRef::Fine(graph))
     }
 
-    /// A request over an explicit [`GraphRef`] (same defaults).
-    pub fn with_graph(graph: GraphRef<'g>) -> Self {
+    fn with_graph(graph: GraphRef<'g>) -> Self {
         NumericRequest {
             graph,
             threads: 1,
@@ -303,8 +302,7 @@ fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> Lu
 }
 
 /// Runs one numeric factorization described by `req` over the assembled
-/// block storage, returning the executor's [`ExecReport`] (with the
-/// zero-copy counter filled in from the block storage). On numerical
+/// block storage, returning the executor's [`ExecReport`]. On numerical
 /// breakdown under [`BreakdownPolicy::Error`] the remaining tasks drain as
 /// no-ops and the first error is returned; under
 /// [`BreakdownPolicy::Perturb`] the run completes and the perturbed
@@ -386,7 +384,7 @@ pub fn factor_numeric_with(
         let force = crate::failpoints::forced_breakdown_column();
         #[cfg(not(feature = "failpoints"))]
         let force = None;
-        match factor_task_with_policy(
+        match factor_task(
             bm,
             k,
             req.pivot_rule,
@@ -430,19 +428,18 @@ pub fn factor_numeric_with(
         match req.graph {
             GraphRef::Coarse { graph, .. } => match graph.task(tid) {
                 Task::Factor(k) => factor(k),
-                Task::Update { src, dst } => update_task_metered(bm, src, dst, &dispatch, metrics),
+                Task::Update { src, dst } => update_task(bm, src, dst, &dispatch, metrics),
             },
             GraphRef::Fine(fg) => match fg.tasks()[tid] {
                 FineTask::Factor(k) => factor(k),
                 FineTask::Apply { src, dst } => apply_task(bm, src, dst),
-                FineTask::Trsm { src, dst } => trsm_task_metered(bm, src, dst, &dispatch, metrics),
+                FineTask::Trsm { src, dst } => trsm_task(bm, src, dst, &dispatch, metrics),
                 FineTask::Gemm { src, dst, row } => {
-                    gemm_task_metered(bm, src, dst, row, &dispatch, metrics)
+                    gemm_task(bm, src, dst, row, &dispatch, metrics)
                 }
             },
         }
     });
-    report.stats.panel_copies = bm.panel_copy_count();
     report.stats.kernel = dispatch.name();
     if let Some(e) = first_error.into_inner() {
         return Err(e);
@@ -517,7 +514,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.stats.kernel, "baseline");
-        assert_eq!(report.stats.panel_copies, 0);
 
         for kernels in [KernelChoice::Portable, KernelChoice::Auto] {
             let coarse_req = NumericRequest::coarse(&graph, Mapping::Dynamic)

@@ -103,7 +103,7 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
 
 /// A persistent solver session: cached symbolic analysis + task graph +
 /// executor schedule for one sparsity pattern, with reusable numeric
-/// storage. See the [module docs](self) for the lifecycle.
+/// storage. The module docs of `session.rs` describe the lifecycle.
 pub struct SluSession {
     /// `sym.block_structure` is the structure of the current storage: the
     /// static one, or the realised one of `history`.
@@ -208,10 +208,9 @@ impl SluSession {
     ///
     /// A call that finds the last two completed factorizations on one pivot
     /// history first moves the session onto that history's realised
-    /// structure (once per history; see the [module docs](self)); from then
-    /// on the same steps run on the smaller storage, and a run whose pivots
-    /// leave the history is repeated on the static structure before this
-    /// returns.
+    /// structure (once per history; DESIGN.md §5.4); from then on the same
+    /// steps run on the smaller storage, and a run whose pivots leave the
+    /// history is repeated on the static structure before this returns.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.refactor_inner(a, None)
     }
@@ -478,22 +477,10 @@ impl SluSession {
         tol: f64,
         max_iters: usize,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        let mut x = self.try_solve(b)?;
-        for it in 0..max_iters {
-            if splu_sparse::relative_residual(a, &x, b) <= tol {
-                return Ok((x, it));
-            }
-            let mut r = b.to_vec();
-            a.mat_vec_sub(&x, &mut r);
-            let dx = self.try_solve(&r)?;
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
-        }
-        Ok((x, max_iters))
+        crate::solve::refine(a, b, tol, max_iters, |rhs| self.try_solve(rhs))
     }
 
-    fn check_len(&self, b: &[f64], nrhs: usize) -> Result<(), LuError> {
+    pub(crate) fn check_len(&self, b: &[f64], nrhs: usize) -> Result<(), LuError> {
         let expected = self.sym.stats.n * nrhs;
         if b.len() != expected {
             return Err(LuError::DimensionMismatch {

@@ -15,6 +15,8 @@
 //! task, so all three agree bit for bit.
 
 use crate::blocks::BlockMatrix;
+use crate::LuError;
+use splu_sparse::CscMatrix;
 use splu_symbolic::supernode::BlockStructure;
 
 /// Longest row list `|R_k|` — the scratch a sweep needs.
@@ -277,6 +279,33 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
         }
     }
     b.copy_from_slice(x.data());
+}
+
+/// Iterative refinement of `A x = b` over `solve`, one raw solve through
+/// some factors of (a matrix near) `a`: repeat `x ← x + solve(b − A x)`
+/// until the scaled residual drops to `tol` or `max_iters` steps have run.
+/// Returns the solution and the number of steps taken; the first error of
+/// `solve` ends the loop.
+pub(crate) fn refine(
+    a: &CscMatrix,
+    b: &[f64],
+    tol: f64,
+    max_iters: usize,
+    solve: impl Fn(&[f64]) -> Result<Vec<f64>, LuError>,
+) -> Result<(Vec<f64>, usize), LuError> {
+    let mut x = solve(b)?;
+    for it in 0..max_iters {
+        if splu_sparse::relative_residual(a, &x, b) <= tol {
+            return Ok((x, it));
+        }
+        let mut r = b.to_vec();
+        a.mat_vec_sub(&x, &mut r);
+        let dx = solve(&r)?;
+        for (xi, di) in x.iter_mut().zip(&dx) {
+            *xi += di;
+        }
+    }
+    Ok((x, max_iters))
 }
 
 /// Log-magnitude and sign of `det(Ā)` from a factored block matrix, in

@@ -12,11 +12,10 @@
 //! This test drives the `Mapping::Dynamic` (stealing) executor at 1, 2, 4
 //! and 8 threads over random diagonally-dominant matrices and compares
 //! every stored `Ū` block, every L panel and every pivot sequence bitwise
-//! against the sequential reference, also asserting the zero-copy counter
-//! stayed at zero. Every run repeats under each [`KernelChoice`] — the
-//! kernel dispatch layer promises the same bits, so the instantiation
-//! picked for this CPU must reproduce the sequential baseline reference
-//! exactly.
+//! against the sequential reference. Every run repeats under each
+//! [`KernelChoice`] — the kernel dispatch layer promises the same bits, so
+//! the instantiation picked for this CPU must reproduce the sequential
+//! baseline reference exactly.
 
 use proptest::prelude::*;
 use splu_core::{
@@ -63,7 +62,6 @@ proptest! {
                         .kernels(kernels),
                 )
                 .unwrap();
-                prop_assert_eq!(bm.panel_copy_count(), 0, "threads {}", threads);
                 for k in 0..bm.num_block_cols() {
                     let cd = bm.column(k).read();
                     let cs = bm_seq.column(k).read();

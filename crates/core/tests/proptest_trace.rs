@@ -58,7 +58,6 @@ proptest! {
             // Accounting invariants of the report itself.
             report.stats.assert_consistent();
             prop_assert_eq!(report.stats.nthreads, threads);
-            prop_assert_eq!(report.stats.panel_copies, 0);
             let trace = report.trace.as_ref().expect("full mode keeps events");
             let task_events = trace
                 .events

@@ -1,7 +1,7 @@
 //! Kernel selection: a [`KernelChoice`] names a policy, a [`Dispatch`] is
 //! the resolved instantiation the numeric phase calls through.
 //!
-//! There is one kernel source ([`super::tile`] and the panel LU in
+//! There is one kernel source (`super::tile` and the panel LU in
 //! `crate::lu`), generic over the register-tile height `MR`. This module
 //! compiles it once per instruction set — baseline (`MR = 4`), AVX2
 //! (`MR = 8`) and AVX-512F (`MR = 16`) on x86_64 — by inlining it into one
@@ -9,7 +9,7 @@
 //! picks the widest one the CPU reports. The sparse driver resolves once
 //! per factorization and hands the same `Dispatch` to every `Factor` and
 //! `Update` task. All instantiations run the same per-element operation
-//! sequence (see [`super::tile`]), so factors are bit-for-bit independent
+//! sequence (see `super::tile`), so factors are bit-for-bit independent
 //! of the choice.
 
 use super::tile;
@@ -119,9 +119,9 @@ fn run_avx512f(op: Op<'_>) -> Result<(), PanelError> {
 
 /// The resolved kernel instantiation. Copy it around freely.
 ///
-/// The field is private and only [`Dispatch::portable`] and
-/// [`Dispatch::detected`] set it: a `Dispatch` is the proof that the CPU
-/// can run its instantiation.
+/// The field is private and only [`Dispatch::portable`] and the CPU probe
+/// behind [`Dispatch::available`] / [`Dispatch::resolve`] set it: a
+/// `Dispatch` is the proof that the CPU can run its instantiation.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
     isa: Isa,
@@ -189,31 +189,85 @@ impl Dispatch {
         }
     }
 
-    /// `C ← C − A · B` through the selected instantiation.
+    /// `C ← C − A · B` on strided views, through the selected instantiation.
+    ///
+    /// The supernodal update kernel: `B̄(i, j) ← B̄(i, j) − L(i, k) · Ū(k, j)`,
+    /// where `L(i, k)` is typically a row range of column `k`'s stacked panel.
+    ///
+    /// # The bitwise-equivalence contract
+    ///
+    /// For each element `C(i, j)` the sequence of IEEE-754 operations is fixed:
+    /// one `c ← c − a·s` (round(mul) then round(sub), never fused) per inner
+    /// index `k`, in ascending `k`, skipping exactly the `k` whose scalars
+    /// `B(k, ·)` over the element's column group are all zero. Column groups
+    /// are the aligned quads `4q..4q + 4` and, past the last full quad, single
+    /// columns. Which registers hold `c` between two steps, how many rows a
+    /// tile covers and which instruction set the loop was compiled for only
+    /// regroup *independent* element streams, so every instantiation — and the
+    /// axpy-shaped kernel this replaced — produces **bitwise identical**
+    /// results. That is what keeps factors independent of the selected
+    /// kernels, lets the determinism property tests double as cross-kernel
+    /// equivalence tests, and is asserted by `proptest_kernel_equivalence` on
+    /// ragged shapes.
+    ///
+    /// The triangular solves and the panel LU apply the same rule to the rows
+    /// they update by tile (everything outside the current strip of
+    /// `tile::SB` columns); inside a strip they skip per column, on that
+    /// column's own scalar.
     #[inline]
     pub fn gemm_sub(&self, c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
         let done = self.run(Op::GemmSub(c, a, b));
         debug_assert!(done.is_ok());
     }
 
-    /// `X ← L⁻¹ · X` (`L` unit lower triangular) through the selected
-    /// instantiation.
+    /// `X ← L⁻¹ · X` where `L` is **unit** lower triangular (strict lower
+    /// part of `l` is read; the diagonal is taken as 1, the upper part
+    /// ignored), on strided views, through the selected instantiation.
+    ///
+    /// Used to turn a factored diagonal block into the `Ū` row blocks:
+    /// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` — with `L(k, k)` read straight from the
+    /// top of column `k`'s stacked panel.
     #[inline]
     pub fn trsm_lower_unit(&self, l: MatRef<'_>, x: MatMut<'_>) {
         let done = self.run(Op::TrsmLowerUnit(l, x));
         debug_assert!(done.is_ok());
     }
 
-    /// `X ← U⁻¹ · X` (`U` upper triangular) through the selected
-    /// instantiation.
+    /// `X ← U⁻¹ · X` where `U` is upper triangular with a nonzero diagonal
+    /// (strict lower part of `u` is ignored), on strided views, through the
+    /// selected instantiation.
     #[inline]
     pub fn trsm_upper(&self, u: MatRef<'_>, x: MatMut<'_>) {
         let done = self.run(Op::TrsmUpper(u, x));
         debug_assert!(done.is_ok());
     }
 
-    /// Panel LU through the selected instantiation; the arguments are those
-    /// of [`crate::lu_panel_with_policy_into`].
+    /// Factorizes an `m × w` panel (`m ≥ w`) in place through the selected
+    /// instantiation, recording into caller-provided storage.
+    ///
+    /// On return the strict lower trapezoid holds the multipliers `L` (unit
+    /// diagonal implicit) and the upper `w × w` triangle holds `U`. The pivot
+    /// rows are chosen by `rule` over **all** panel rows `c..m` — in the
+    /// sparse driver those are exactly the candidate pivot rows of the static
+    /// symbolic factorization, so any choice stays inside the static
+    /// structure.
+    ///
+    /// A column whose chosen candidate falls at or below `pivot_threshold`
+    /// fails with [`PanelError::Singular`] under [`PanelBreakdown::Error`];
+    /// under [`PanelBreakdown::Perturb`] its diagonal is replaced by
+    /// `sign(d) · value`, elimination continues, and the column is reported
+    /// in [`PanelOutcome::perturbed`]. Any NaN/∞ in a column's pivot region
+    /// fails with [`PanelError::NonFinite`] under either policy.
+    ///
+    /// `force_breakdown_at` is a deterministic fault-injection hook for the
+    /// robustness test-suite: the named panel-local column is treated as if
+    /// its best candidate fell below the threshold, regardless of the actual
+    /// values. Production callers pass `None`.
+    ///
+    /// `out` is cleared and refilled; its vectors keep their allocations, so
+    /// a refactorization of a panel whose outcome is recycled performs no
+    /// heap allocation here (the swap sequence has the same length every
+    /// time). On error `out`'s contents are unspecified.
     pub fn lu_panel_into(
         &self,
         panel: &mut DenseMat,

@@ -1,84 +1,40 @@
 //! BLAS-3 style kernels: `gemm` and `trsm` on column-major matrices.
 //!
-//! The kernels operate on strided views ([`MatRef`] / [`MatMut`]) so
-//! sub-blocks of a stacked supernode panel feed them **in place** — no
-//! gather into temporaries. The [`DenseMat`] entry points are thin wrappers
-//! over whole-matrix views.
+//! The kernels operate on strided views ([`crate::MatRef`] /
+//! [`crate::MatMut`]) so sub-blocks of a stacked supernode panel feed them
+//! **in place** — no gather into temporaries. The [`DenseMat`] entry points
+//! are thin wrappers over whole-matrix views.
 //!
-//! All of them — and the panel LU — are one source, [`tile`], in which an
+//! All of them — and the panel LU — are one source, `tile`, in which an
 //! `MR × 4` tile of the updated matrix stays in registers while a block of
 //! inner indices is applied to it. [`Dispatch`] holds the instantiation
 //! (baseline, AVX2, AVX-512F) a factorization resolved **once** from its
 //! [`KernelChoice`]; the free functions here are the baseline one. Every
-//! instantiation obeys the contract spelled out on [`gemm_sub_view`].
+//! instantiation obeys the contract spelled out on [`Dispatch::gemm_sub`].
 
 pub mod dispatch;
 pub(crate) mod tile;
 
 pub use dispatch::{Dispatch, KernelChoice};
 
-use crate::view::{MatMut, MatRef};
 use crate::DenseMat;
 
-/// `C ← C − A · B` on strided views — the baseline instantiation.
-///
-/// The supernodal update kernel: `B̄(i, j) ← B̄(i, j) − L(i, k) · Ū(k, j)`,
-/// where `L(i, k)` is typically a row range of column `k`'s stacked panel.
-///
-/// # The bitwise-equivalence contract
-///
-/// For each element `C(i, j)` the sequence of IEEE-754 operations is fixed:
-/// one `c ← c − a·s` (round(mul) then round(sub), never fused) per inner
-/// index `k`, in ascending `k`, skipping exactly the `k` whose scalars
-/// `B(k, ·)` over the element's column group are all zero. Column groups
-/// are the aligned quads `4q..4q + 4` and, past the last full quad, single
-/// columns. Which registers hold `c` between two steps, how many rows a
-/// tile covers and which instruction set the loop was compiled for only
-/// regroup *independent* element streams, so every instantiation — and the
-/// axpy-shaped kernel this replaced — produces **bitwise identical**
-/// results. That is what keeps factors independent of the selected
-/// kernels, lets the determinism property tests double as cross-kernel
-/// equivalence tests, and is asserted by `proptest_kernel_equivalence` on
-/// ragged shapes.
-///
-/// The triangular solves and the panel LU apply the same rule to the rows
-/// they update by tile (everything outside the current strip of
-/// `tile::SB` columns); inside a strip they skip per column, on that
-/// column's own scalar.
-pub fn gemm_sub_view(c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
-    Dispatch::portable().gemm_sub(c, a, b);
-}
-
-/// `C ← C − A · B` on owned matrices; see [`gemm_sub_view`].
+/// `C ← C − A · B` on owned matrices, baseline instantiation; see
+/// [`Dispatch::gemm_sub`].
 pub fn gemm_sub(c: &mut DenseMat, a: &DenseMat, b: &DenseMat) {
-    gemm_sub_view(c.as_view_mut(), a.as_view(), b.as_view());
+    Dispatch::portable().gemm_sub(c.as_view_mut(), a.as_view(), b.as_view());
 }
 
-/// `X ← L⁻¹ · X` where `L` is **unit** lower triangular (strict lower part
-/// of `l` is read; the diagonal is taken as 1, the upper part ignored), on
-/// strided views.
-///
-/// Used to turn a factored diagonal block into the `Ū` row blocks:
-/// `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` — with `L(k, k)` read straight from the
-/// top of column `k`'s stacked panel.
-pub fn trsm_lower_unit_view(l: MatRef<'_>, x: MatMut<'_>) {
-    Dispatch::portable().trsm_lower_unit(l, x);
-}
-
-/// `X ← L⁻¹ · X` on owned matrices; see [`trsm_lower_unit_view`].
+/// `X ← L⁻¹ · X` (`L` unit lower triangular) on owned matrices, baseline
+/// instantiation; see [`Dispatch::trsm_lower_unit`].
 pub fn trsm_lower_unit(l: &DenseMat, x: &mut DenseMat) {
-    trsm_lower_unit_view(l.as_view(), x.as_view_mut());
+    Dispatch::portable().trsm_lower_unit(l.as_view(), x.as_view_mut());
 }
 
-/// `X ← U⁻¹ · X` where `U` is upper triangular with a nonzero diagonal
-/// (strict lower part of `u` is ignored), on strided views.
-pub fn trsm_upper_view(u: MatRef<'_>, x: MatMut<'_>) {
-    Dispatch::portable().trsm_upper(u, x);
-}
-
-/// `X ← U⁻¹ · X` on owned matrices; see [`trsm_upper_view`].
+/// `X ← U⁻¹ · X` (`U` upper triangular) on owned matrices, baseline
+/// instantiation; see [`Dispatch::trsm_upper`].
 pub fn trsm_upper(u: &DenseMat, x: &mut DenseMat) {
-    trsm_upper_view(u.as_view(), x.as_view_mut());
+    Dispatch::portable().trsm_upper(u.as_view(), x.as_view_mut());
 }
 
 #[cfg(test)]
@@ -134,7 +90,7 @@ mod tests {
             gemm_sub(&mut c_cmp, &a_cmp, &b);
             // Strided in place.
             c_panel = c_orig.clone();
-            gemm_sub_view(
+            Dispatch::portable().gemm_sub(
                 c_panel.row_range_mut(cr.0..cr.1),
                 panel.row_range(ar.0..ar.1),
                 b.as_view(),
@@ -153,7 +109,7 @@ mod tests {
         let x_orig = x_panel.clone();
         let mut x_cmp = x_orig.row_range(10..15).to_dense();
         trsm_lower_unit(&l.to_dense(), &mut x_cmp);
-        trsm_lower_unit_view(l, x_panel.row_range_mut(10..15));
+        Dispatch::portable().trsm_lower_unit(l, x_panel.row_range_mut(10..15));
         assert_eq!(x_panel.row_range(10..15).to_dense().data(), x_cmp.data());
     }
 

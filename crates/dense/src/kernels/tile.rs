@@ -108,7 +108,7 @@ impl<'a, const N: usize, const CAP: usize> Terms<'a, N, CAP> {
     }
 }
 
-/// `C ← C − A · B`; see [`crate::gemm_sub_view`].
+/// `C ← C − A · B`; see [`crate::Dispatch::gemm_sub`].
 #[inline(always)]
 pub(crate) fn gemm_sub<const MR: usize>(mut c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     assert_eq!(a.nrows(), c.nrows(), "gemm_sub: row mismatch");
@@ -168,7 +168,7 @@ pub(crate) fn forward_strip<const MR: usize, const N: usize>(
     terms.apply::<MR>(x.each_mut().map(|xq| &mut xq[k1..]));
 }
 
-/// `X ← L⁻¹ · X`; see [`crate::trsm_lower_unit_view`].
+/// `X ← L⁻¹ · X`; see [`crate::Dispatch::trsm_lower_unit`].
 #[inline(always)]
 pub(crate) fn trsm_lower_unit<const MR: usize>(l: MatRef<'_>, mut x: MatMut<'_>) {
     assert_eq!(l.nrows(), l.ncols(), "trsm: L must be square");
@@ -220,7 +220,7 @@ fn backward_strip<const MR: usize, const N: usize>(
     terms.apply::<MR>(x.each_mut().map(|xq| &mut xq[..k0]));
 }
 
-/// `X ← U⁻¹ · X`; see [`crate::trsm_upper_view`].
+/// `X ← U⁻¹ · X`; see [`crate::Dispatch::trsm_upper`].
 #[inline(always)]
 pub(crate) fn trsm_upper<const MR: usize>(u: MatRef<'_>, mut x: MatMut<'_>) {
     assert_eq!(u.nrows(), u.ncols(), "trsm: U must be square");

@@ -8,11 +8,14 @@
 //! * [`DenseMat`] — an owned column-major matrix;
 //! * [`MatRef`] / [`MatMut`] — borrowed strided views (a leading-dimension
 //!   layout), so kernels run in place on row ranges of stacked panels;
-//! * [`gemm_sub`] / [`gemm_sub_view`] — `C ← C − A·B` (the supernodal
-//!   update kernel);
-//! * [`trsm_lower_unit`] / [`trsm_lower_unit_view`] — `X ← L⁻¹·X` with `L`
-//!   unit lower triangular (computes `Ū` blocks from a factored panel);
-//! * [`lu_panel`] — panel LU with partial pivoting (the `Factor(k)` task);
+//! * [`Dispatch::gemm_sub`] — `C ← C − A·B` (the supernodal update
+//!   kernel);
+//! * [`Dispatch::trsm_lower_unit`] — `X ← L⁻¹·X` with `L` unit lower
+//!   triangular (computes `Ū` blocks from a factored panel);
+//! * [`Dispatch::lu_panel_into`] — panel LU with partial pivoting (the
+//!   `Factor(k)` task); [`lu_panel`], [`gemm_sub`], [`trsm_lower_unit`] and
+//!   [`trsm_upper`] are its owned-matrix, baseline-instantiation
+//!   conveniences for oracles and benchmarks;
 //! * [`apply_row_swaps`] / [`Pivots`] — the pivot-sequence representation
 //!   shared with the sparse driver;
 //! * [`lu_full`], [`lu_solve`] — full dense LU, the oracle the test-suites
@@ -21,7 +24,7 @@
 //!   one register-tiled source compiled once per instruction set, the
 //!   widest one the CPU supports is picked at run time, and all of them
 //!   produce bit-for-bit identical factors (see the contract on
-//!   [`gemm_sub_view`]).
+//!   [`Dispatch::gemm_sub`]).
 
 // Index-based loops are the natural idiom for the numerical kernels and
 // symbolic algorithms in this crate; iterator rewrites obscure the maths.
@@ -36,13 +39,10 @@ mod lu;
 mod mat;
 mod view;
 
-pub use kernels::{
-    gemm_sub, gemm_sub_view, trsm_lower_unit, trsm_lower_unit_view, trsm_upper, trsm_upper_view,
-    Dispatch, KernelChoice,
-};
+pub use kernels::{gemm_sub, trsm_lower_unit, trsm_upper, Dispatch, KernelChoice};
 pub use lu::{
-    apply_row_swaps, lu_full, lu_panel, lu_panel_with_policy, lu_panel_with_policy_into,
-    lu_panel_with_rule, lu_solve, PanelBreakdown, PanelError, PanelOutcome, PivotRule, Pivots,
+    apply_row_swaps, lu_full, lu_panel, lu_solve, PanelBreakdown, PanelError, PanelOutcome,
+    PivotRule, Pivots,
 };
 pub use mat::DenseMat;
 pub use view::{MatMut, MatRef};

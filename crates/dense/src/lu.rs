@@ -53,16 +53,6 @@ impl Pivots {
             v.swap(c, r);
         }
     }
-
-    /// The permutation vector `perm[new_local_row] = old_local_row` realised
-    /// by the swap sequence over `m` rows.
-    pub fn as_row_permutation(&self, m: usize) -> Vec<usize> {
-        let mut p: Vec<usize> = (0..m).collect();
-        for (c, &r) in self.swaps.iter().enumerate() {
-            p.swap(c, r);
-        }
-        p
-    }
 }
 
 /// Applies a pivot sequence to the rows of a matrix (in factorization
@@ -147,84 +137,22 @@ pub enum PivotRule {
     Diagonal,
 }
 
-/// Factorizes an `m × w` panel (`m ≥ w`) in place with partial pivoting.
-///
-/// On return the strict lower trapezoid holds the multipliers `L` (unit
-/// diagonal implicit) and the upper `w × w` triangle holds `U`. The pivot
-/// rows are chosen over **all** panel rows `c..m` — in the sparse driver
-/// those are exactly the candidate pivot rows of the static symbolic
-/// factorization, so any choice stays inside the static structure.
+/// Factorizes an `m × w` panel (`m ≥ w`) in place with partial pivoting —
+/// the oracle and benchmark convenience over
+/// [`crate::Dispatch::lu_panel_into`] (baseline instantiation,
+/// [`PivotRule::Partial`], [`PanelBreakdown::Error`]), which documents the
+/// result.
 pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, PanelError> {
-    lu_panel_with_rule(panel, PivotRule::Partial, pivot_threshold)
-}
-
-/// [`lu_panel`] with an explicit pivot-selection rule.
-pub fn lu_panel_with_rule(
-    panel: &mut DenseMat,
-    rule: PivotRule,
-    pivot_threshold: f64,
-) -> Result<Pivots, PanelError> {
-    lu_panel_with_policy(panel, rule, pivot_threshold, PanelBreakdown::Error, None)
-        .map(|out| out.pivots)
-}
-
-/// [`lu_panel_with_rule`] with an explicit breakdown policy.
-///
-/// Under [`PanelBreakdown::Error`] this is exactly [`lu_panel_with_rule`].
-/// Under [`PanelBreakdown::Perturb`] a column whose best candidate falls at
-/// or below `pivot_threshold` has its diagonal replaced by
-/// `sign(d) · value` and elimination continues; the perturbed columns are
-/// reported in [`PanelOutcome::perturbed`]. Any NaN/∞ in a column's pivot
-/// region fails with [`PanelError::NonFinite`] under either policy.
-///
-/// `force_breakdown_at` is a deterministic fault-injection hook for the
-/// robustness test-suite: the named panel-local column is treated as if its
-/// best candidate fell below the threshold, regardless of the actual
-/// values. Production callers pass `None`.
-pub fn lu_panel_with_policy(
-    panel: &mut DenseMat,
-    rule: PivotRule,
-    pivot_threshold: f64,
-    breakdown: PanelBreakdown,
-    force_breakdown_at: Option<usize>,
-) -> Result<PanelOutcome, PanelError> {
     let mut out = PanelOutcome::default();
-    lu_panel_with_policy_into(
-        panel,
-        rule,
-        pivot_threshold,
-        breakdown,
-        force_breakdown_at,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// [`lu_panel_with_policy`] recording into caller-provided storage.
-///
-/// `out` is cleared and refilled; its vectors keep their allocations, so a
-/// refactorization of a panel whose outcome is recycled performs no heap
-/// allocation here (the swap sequence has the same length every time). On
-/// error `out`'s contents are unspecified.
-///
-/// This is the baseline instantiation; [`crate::Dispatch::lu_panel_into`]
-/// runs the same source compiled for the host's instruction set.
-pub fn lu_panel_with_policy_into(
-    panel: &mut DenseMat,
-    rule: PivotRule,
-    pivot_threshold: f64,
-    breakdown: PanelBreakdown,
-    force_breakdown_at: Option<usize>,
-    out: &mut PanelOutcome,
-) -> Result<(), PanelError> {
     crate::Dispatch::portable().lu_panel_into(
         panel,
-        rule,
+        PivotRule::Partial,
         pivot_threshold,
-        breakdown,
-        force_breakdown_at,
-        out,
-    )
+        PanelBreakdown::Error,
+        None,
+        &mut out,
+    )?;
+    Ok(out.pivots)
 }
 
 /// The panel LU source, generic over the tile height `MR` (see
@@ -381,6 +309,32 @@ mod tests {
         DenseMat::from_fn(r, c, |_, _| rng.gen_range(-1.0..1.0))
     }
 
+    /// [`crate::Dispatch::lu_panel_into`] on the baseline instantiation,
+    /// into a fresh outcome.
+    fn lu_panel_into(
+        panel: &mut DenseMat,
+        rule: PivotRule,
+        pivot_threshold: f64,
+        breakdown: PanelBreakdown,
+        force_breakdown_at: Option<usize>,
+    ) -> Result<PanelOutcome, PanelError> {
+        let mut out = PanelOutcome::default();
+        crate::Dispatch::portable().lu_panel_into(
+            panel,
+            rule,
+            pivot_threshold,
+            breakdown,
+            force_breakdown_at,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    /// The pivots under `rule`, zero threshold, [`PanelBreakdown::Error`].
+    fn ruled(panel: &mut DenseMat, rule: PivotRule) -> Result<Pivots, PanelError> {
+        lu_panel_into(panel, rule, 0.0, PanelBreakdown::Error, None).map(|out| out.pivots)
+    }
+
     /// Reconstructs `P·A` from the in-place panel factorization and checks
     /// it equals `L·U`.
     fn check_panel(orig: &DenseMat, lu: &DenseMat, piv: &Pivots) {
@@ -472,8 +426,6 @@ mod tests {
         let mut v = vec![10.0, 20.0, 30.0];
         piv.apply_vec(&mut v);
         assert_eq!(v, vec![30.0, 20.0, 10.0]);
-        assert_eq!(piv.as_row_permutation(3), vec![2, 1, 0]);
-        assert_eq!(Pivots::identity(3).as_row_permutation(3), vec![0, 1, 2]);
         assert!(Pivots::identity(2).is_identity());
         assert_eq!(piv.len(), 2);
         assert!(!piv.is_empty());
@@ -485,10 +437,10 @@ mod tests {
         // diagonal (2 ≥ 0.5·3); τ = 0.9 swaps (2 < 0.9·3).
         let base = DenseMat::from_col_major(2, 2, vec![2.0, -3.0, 1.0, 1.0]);
         let mut a = base.clone();
-        let p = lu_panel_with_rule(&mut a, PivotRule::Threshold(0.5), 0.0).unwrap();
+        let p = ruled(&mut a, PivotRule::Threshold(0.5)).unwrap();
         assert!(p.is_identity(), "τ=0.5 must keep the diagonal");
         let mut b = base.clone();
-        let p = lu_panel_with_rule(&mut b, PivotRule::Threshold(0.9), 0.0).unwrap();
+        let p = ruled(&mut b, PivotRule::Threshold(0.9)).unwrap();
         assert_eq!(p.swaps()[0], 1, "τ=0.9 must swap");
         // Either way the factorization is exact.
         check_panel(&base, &a, &Pivots::identity(2));
@@ -497,11 +449,11 @@ mod tests {
     #[test]
     fn diagonal_rule_never_swaps_and_fails_on_zero_diagonal() {
         let mut ok = DenseMat::from_col_major(2, 2, vec![1.0, 5.0, 2.0, 3.0]);
-        let p = lu_panel_with_rule(&mut ok, PivotRule::Diagonal, 0.0).unwrap();
+        let p = ruled(&mut ok, PivotRule::Diagonal).unwrap();
         assert!(p.is_identity());
         let mut bad = DenseMat::from_col_major(2, 2, vec![0.0, 5.0, 2.0, 3.0]);
         assert_eq!(
-            lu_panel_with_rule(&mut bad, PivotRule::Diagonal, 0.0),
+            ruled(&mut bad, PivotRule::Diagonal),
             Err(PanelError::Singular { column: 0 })
         );
     }
@@ -515,7 +467,7 @@ mod tests {
         let mut b = orig.clone();
         // τ = 1.0 only keeps the diagonal on exact ties; random data has
         // none, so the factorizations coincide.
-        let pb = lu_panel_with_rule(&mut b, PivotRule::Threshold(1.0), 0.0).unwrap();
+        let pb = ruled(&mut b, PivotRule::Threshold(1.0)).unwrap();
         assert_eq!(pa, pb);
         assert_eq!(a.data(), b.data());
     }
@@ -534,7 +486,7 @@ mod tests {
         // Column 0 has no candidate above the threshold; Perturb replaces
         // the diagonal by sign(d)·value and finishes.
         let mut a = DenseMat::from_col_major(2, 2, vec![-1e-30, 1e-31, 1.0, 2.0]);
-        let out = lu_panel_with_policy(
+        let out = lu_panel_into(
             &mut a,
             PivotRule::Partial,
             1e-20,
@@ -557,7 +509,7 @@ mod tests {
         let mut a = orig.clone();
         let pa = lu_panel(&mut a, 0.0).unwrap();
         let mut b = orig.clone();
-        let out = lu_panel_with_policy(
+        let out = lu_panel_into(
             &mut b,
             PivotRule::Partial,
             0.0,
@@ -578,7 +530,7 @@ mod tests {
         let orig = random_mat(6, 3, &mut rng);
         let mut a = orig.clone();
         assert_eq!(
-            lu_panel_with_policy(
+            lu_panel_into(
                 &mut a,
                 PivotRule::Partial,
                 0.0,
@@ -588,7 +540,7 @@ mod tests {
             Err(PanelError::Singular { column: 1 })
         );
         let mut b = orig.clone();
-        let out = lu_panel_with_policy(
+        let out = lu_panel_into(
             &mut b,
             PivotRule::Partial,
             0.0,
@@ -603,7 +555,7 @@ mod tests {
     fn non_finite_pivot_region_is_rejected() {
         for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut a = DenseMat::from_col_major(2, 2, vec![1.0, poison, 1.0, 2.0]);
-            let err = lu_panel_with_policy(
+            let err = lu_panel_into(
                 &mut a,
                 PivotRule::Partial,
                 0.0,

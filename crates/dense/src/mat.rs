@@ -112,11 +112,6 @@ impl DenseMat {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Matrix–matrix product into a fresh matrix (naive; used by tests and
     /// small utility paths — the performance kernel is [`crate::gemm_sub`]).
     pub fn matmul(&self, rhs: &DenseMat) -> DenseMat {
@@ -239,7 +234,6 @@ mod tests {
         let m = DenseMat::from_col_major(2, 2, vec![1.0, 0.0, 0.0, -2.0]);
         assert_eq!(m.matvec(&[3.0, 4.0]), vec![3.0, -8.0]);
         assert_eq!(m.max_abs(), 2.0);
-        assert!((m.frobenius_norm() - (5.0_f64).sqrt()).abs() < 1e-15);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property test: every kernel instantiation the host CPU supports is
 //! **bitwise identical** to the baseline one.
 //!
-//! The dispatch layer's contract (documented on `gemm_sub_view`) is that a
+//! The dispatch layer's contract (documented on `Dispatch::gemm_sub`) is that a
 //! `KernelChoice` changes only throughput, never bits: all instantiations
 //! are the same source and run the same per-element IEEE-754 operation
 //! sequence. This suite drives `gemm`, both `trsm`s and the panel LU
@@ -21,7 +21,7 @@ fn bits(m: &DenseMat) -> Vec<u64> {
     m.data().iter().map(|x| x.to_bits()).collect()
 }
 
-/// The portable `gemm_sub_view` as it was before the register-tiled
+/// The portable `gemm_sub` as it was before the register-tiled
 /// kernels: four `C` columns updated by one `A` column per `k`, `C` re-read
 /// and re-stored each time. The new kernels must reproduce its bits.
 fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {

@@ -83,7 +83,7 @@ impl Grid {
     }
 
     /// Owner of a fine task (by the block it writes).
-    pub fn owner_of(&self, t: FineTask) -> usize {
+    fn owner_of(&self, t: FineTask) -> usize {
         match t {
             FineTask::Factor(k) => self.owner(k, k),
             FineTask::Apply { src, dst } | FineTask::Trsm { src, dst } => self.owner(src, dst),

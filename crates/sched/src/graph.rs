@@ -129,7 +129,7 @@ impl TaskGraph {
 
     /// A topological order of the task ids (Kahn). Panics on cycles, which
     /// would indicate a builder bug.
-    pub fn topo_order(&self) -> Vec<usize> {
+    fn topo_order(&self) -> Vec<usize> {
         topo_order(&self.pred_count, &self.succ)
     }
 
@@ -317,11 +317,6 @@ pub fn build_sstar_graph(bs: &BlockStructure) -> TaskGraph {
 /// characterization of Section 2), so they touch disjoint data.
 pub fn build_eforest_graph(bs: &BlockStructure) -> TaskGraph {
     let forest = block_forest(bs);
-    build_eforest_graph_with(bs, &forest)
-}
-
-/// [`build_eforest_graph`] with a precomputed block forest.
-pub fn build_eforest_graph_with(bs: &BlockStructure, forest: &EliminationForest) -> TaskGraph {
     let (mut g, update_ids) = base_graph(bs);
     // Fast lookup: id of U(k, j).
     let find_update = |ids: &Vec<Vec<(usize, usize)>>, k: usize, j: usize| -> Option<usize> {

@@ -9,16 +9,14 @@
 //! (DESIGN.md §5.4); the scheduler's own executor keeps its unbounded
 //! ready pools because a factorization's task count is known and finite.
 //!
-//! Lanes track their instantaneous depth and a high-water mark
-//! ([`Lane::peak_depth`]) so the daemon can export peak queue depth as a
-//! gated metric, and they support cooperative shutdown: [`Lane::close`]
-//! wakes every blocked consumer, which then drain the remaining items and
-//! observe `None`. Closing never discards accepted work — graceful
-//! shutdown runs the queue dry first.
+//! Lanes report their depth after every accepted push, so the daemon can
+//! export peak queue depth as a gated metric, and they support cooperative
+//! shutdown: [`Lane::close`] wakes every blocked consumer, which then drain
+//! the remaining items and observe `None`. Closing never discards accepted
+//! work — graceful shutdown runs the queue dry first.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Why a [`Lane::try_push`] refused an item. The item rides back to the
 /// caller so a rejection response can still describe the job.
@@ -45,12 +43,12 @@ struct LaneState<T> {
     closed: bool,
 }
 
-/// A bounded, close-able job queue. See the [module docs](self).
+/// A bounded, close-able job queue (the module docs of `lane.rs` have the
+/// backpressure contract).
 pub struct Lane<T> {
     state: Mutex<LaneState<T>>,
     available: Condvar,
     capacity: usize,
-    peak: AtomicUsize,
 }
 
 impl<T> Lane<T> {
@@ -63,7 +61,6 @@ impl<T> Lane<T> {
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
-            peak: AtomicUsize::new(0),
         }
     }
 
@@ -84,7 +81,6 @@ impl<T> Lane<T> {
         s.queue.push_back(item);
         let depth = s.queue.len();
         drop(s);
-        self.peak.fetch_max(depth, Ordering::Relaxed);
         self.available.notify_one();
         Ok(depth)
     }
@@ -117,11 +113,6 @@ impl<T> Lane<T> {
         self.state.lock().queue.len()
     }
 
-    /// High-water mark of the queue depth since construction.
-    pub fn peak_depth(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
     /// The bound this lane enforces.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -142,7 +133,6 @@ mod tests {
         assert_eq!(lane.pop(), Some(1));
         assert_eq!(lane.pop(), Some(2));
         assert_eq!(lane.depth(), 0);
-        assert_eq!(lane.peak_depth(), 2);
     }
 
     #[test]
@@ -201,7 +191,8 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut accepted = 0usize;
                     for i in 0..100 {
-                        if lane.try_push(p * 1000 + i).is_ok() {
+                        if let Ok(depth) = lane.try_push(p * 1000 + i) {
+                            assert!(depth <= 8, "depth {depth} > capacity");
                             accepted += 1;
                         }
                     }
@@ -223,10 +214,5 @@ mod tests {
         lane.close();
         let consumed = consumer.join().unwrap();
         assert_eq!(accepted, consumed, "every accepted item is consumed");
-        assert!(
-            lane.peak_depth() <= 8,
-            "peak {} > capacity",
-            lane.peak_depth()
-        );
     }
 }

@@ -30,7 +30,8 @@
 //! Both runtimes are observable through the telemetry layer (`trace`
 //! module): with [`ExecRequest::trace`] on, [`run`] records lock-free
 //! per-worker event streams and steal/idle counters into its [`ExecReport`]
-//! ([`SchedStats`] + Chrome-trace export via [`ExecTrace::chrome_json`]).
+//! ([`SchedStats`] + the raw [`ExecTrace`] that `splu-core`'s
+//! `ObsSession::chrome_json` exports as a Chrome trace).
 //!
 //! A run is bounded by its [`RunBudget`] ([`ExecRequest::budget`]): a
 //! shareable [`CancelToken`], an absolute deadline, and an opt-in liveness

@@ -1,7 +1,7 @@
 //! The executor's hand-rolled synchronization primitives, extracted so
 //! they can be model-checked.
 //!
-//! Everything the worker loop in [`crate::executor`] synchronizes through
+//! Everything the worker loop in `crate::executor` synchronizes through
 //! lives here: the sleep [`Gate`] (park/notify with the no-lost-wakeup
 //! protocol), the [`Countdown`] of unretired tasks, and the [`AbortFlag`].
 //! The module is public so the loom harness (`tests/loom.rs`, built with
@@ -16,14 +16,14 @@
 //! configurations.
 
 #[cfg(not(loom))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use parking_lot::{Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 #[cfg(loom)]
-pub use loom_shim::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use loom_shim::{Condvar, Mutex, MutexGuard};
 
 /// parking_lot-style wrappers over the `loom` instrumented primitives:
 /// `lock()` returns the guard directly and `wait` takes `&mut guard`, so
@@ -73,17 +73,6 @@ mod loom_shim {
         }
     }
 
-    /// Whether a [`Condvar::wait_for`] returned because of a timeout.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult(bool);
-
-    impl WaitTimeoutResult {
-        /// `true` when the wait ended because the timeout elapsed.
-        pub fn timed_out(&self) -> bool {
-            self.0
-        }
-    }
-
     /// Instrumented condition variable compatible with [`Mutex`].
     #[derive(Debug, Default)]
     pub struct Condvar(loom::sync::Condvar);
@@ -101,20 +90,15 @@ mod loom_shim {
             guard.0 = Some(inner);
         }
 
-        /// Blocks until notified or `timeout` elapses; returns whether the
-        /// wait timed out.
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: std::time::Duration,
-        ) -> WaitTimeoutResult {
+        /// Blocks until notified or `timeout` elapses (the one caller
+        /// re-checks its condition either way).
+        pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
             let inner = guard.0.take().expect("guard present before wait");
-            let (inner, result) = self
+            let (inner, _timed_out) = self
                 .0
                 .wait_timeout(inner, timeout)
                 .unwrap_or_else(|e| e.into_inner());
             guard.0 = Some(inner);
-            WaitTimeoutResult(result.timed_out())
         }
 
         /// Wakes one parked waiter.

@@ -20,11 +20,10 @@
 //!   the event list; [`TraceMode::Full`] keeps both.
 //! * After the run the recorders are assembled into an [`ExecReport`]:
 //!   a [`SchedStats`] aggregate (per-worker busy/idle/steal time, tasks run,
-//!   steals in/out, load imbalance) and, in full mode, an [`ExecTrace`]
-//!   whose [`ExecTrace::chrome_json`] renders the run as a Gantt chart in
-//!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
+//!   steals in/out, load imbalance) and, in full mode, an [`ExecTrace`] —
+//!   the raw events `splu-core`'s `ObsSession::chrome_json` renders as a
+//!   Gantt chart for `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// How much telemetry the executor records.
@@ -180,10 +179,6 @@ pub struct SchedStats {
     pub tasks_started: u64,
     /// Tasks fully retired (successors released), summed over workers.
     pub tasks_retired: u64,
-    /// Panel gather/scatter copies the numeric layer performed
-    /// (`BlockMatrix::panel_copy_count`; zero for the zero-copy layout).
-    /// Left 0 by the raw executor — the numeric drivers fill it.
-    pub panel_copies: usize,
     /// Dense kernel instantiation the numeric layer ran through
     /// (`"baseline"`, `"avx2"`, `"avx512f"`). Left `""` by the raw executor
     /// — the numeric drivers fill it.
@@ -245,7 +240,6 @@ impl SchedStats {
                 self.workers.iter().map(|w| w.steal_attempts).sum(),
             ),
             ("parks", self.workers.iter().map(|w| w.parks).sum()),
-            ("panel_copies", self.panel_copies as u64),
         ]
     }
 
@@ -276,50 +270,6 @@ pub struct ExecTrace {
     /// All recorded events, grouped by worker in recording order (each
     /// worker's subsequence has monotone non-decreasing timestamps).
     pub events: Vec<TraceEvent>,
-}
-
-impl ExecTrace {
-    /// Renders the event streams as Chrome `trace_event` JSON (the
-    /// `{"traceEvents": [...]}` envelope), loadable in `chrome://tracing`
-    /// and Perfetto. `label` maps an executor task id to a display name
-    /// (e.g. `F(3)` / `U(2,5)`); workers become Chrome threads.
-    pub fn chrome_json(&self, label: &dyn Fn(usize) -> String) -> String {
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        for w in 0..self.nthreads {
-            let _ = writeln!(
-                out,
-                "  {{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": {w}, \
-                 \"args\": {{\"name\": \"worker {w}\"}}}},"
-            );
-        }
-        for (i, e) in self.events.iter().enumerate() {
-            let (name, cat, args) = match e.kind {
-                EventKind::Task { tid } => (label(tid), "task", format!("{{\"task\": {tid}}}")),
-                EventKind::Steal { victim, success } => (
-                    if success {
-                        format!("steal<-{victim}")
-                    } else {
-                        "steal-miss".to_string()
-                    },
-                    "steal",
-                    format!("{{\"victim\": {victim}, \"success\": {success}}}"),
-                ),
-                EventKind::Park => ("idle".to_string(), "idle", "{}".to_string()),
-            };
-            let sep = if i + 1 == self.events.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "  {{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"{cat}\", \"pid\": 0, \
-                 \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {args}}}{sep}",
-                escape_json(&name),
-                e.worker,
-                e.start_ns as f64 / 1e3,
-                (e.end_ns - e.start_ns) as f64 / 1e3,
-            );
-        }
-        out.push_str("]}\n");
-        out
-    }
 }
 
 /// A worker panic caught and contained by the executor. The run is aborted
@@ -366,7 +316,7 @@ impl std::fmt::Display for TaskPanic {
 }
 
 /// Numeric-layer health report of one factorization. Like
-/// [`SchedStats::panel_copies`], this is left at its default by the raw
+/// [`SchedStats::kernel`], this is left at its default by the raw
 /// executor — the numeric drivers fill it (and [`splu-core`'s `SparseLu`]
 /// adds the condition estimate).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -434,21 +384,6 @@ impl ExecReport {
         ));
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +542,6 @@ pub(crate) fn assemble_report(
         workers,
         tasks_started,
         tasks_retired,
-        panel_copies: 0,
         kernel: "",
     };
     let trace = (config.mode == TraceMode::Full).then_some(ExecTrace {
@@ -668,23 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_escapes_and_closes() {
-        let trace = ExecTrace {
-            nthreads: 1,
-            events: vec![TraceEvent {
-                worker: 0,
-                kind: EventKind::Task { tid: 0 },
-                start_ns: 10,
-                end_ns: 1010,
-            }],
-        };
-        let json = trace.chrome_json(&|_| "F(\"0\")".to_string());
-        assert!(json.contains("\\\"0\\\""));
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.trim_end().ends_with("]}"));
-    }
-
-    #[test]
     fn stats_helpers() {
         let stats = SchedStats {
             nthreads: 2,
@@ -710,7 +627,6 @@ mod tests {
             ],
             tasks_started: 3,
             tasks_retired: 3,
-            panel_copies: 0,
             kernel: "portable",
         };
         assert!((stats.busy_total() - 3.0).abs() < 1e-12);

@@ -9,7 +9,10 @@
 //! cargo run --release --example fluid_flow
 //! ```
 
-use parsplu::core::{analyze, estimate_task_costs, Options, TaskGraphKind};
+use parsplu::core::{
+    analyze, estimate_task_costs, factor_numeric_with, solve_permuted, BlockMatrix, NumericRequest,
+    Options, TaskGraphKind,
+};
 use parsplu::matgen::{manufactured_rhs, navier_stokes_2d};
 use parsplu::sched::{simulate, CostModel, Mapping};
 use parsplu::sparse::relative_residual;
@@ -24,6 +27,7 @@ fn main() {
     );
     let sym = analyze(a.pattern(), &Options::default()).expect("analysis succeeds");
     let (_, b) = manufactured_rhs(&a, 3);
+    let permuted = sym.permute_matrix(&a);
 
     for kind in [TaskGraphKind::SStar, TaskGraphKind::EForest] {
         let graph = sym.build_graph(kind);
@@ -35,11 +39,13 @@ fn main() {
         );
         for threads in [1usize, 2] {
             let t = Instant::now();
-            let num = sym
-                .factor_numeric(&a, &graph, threads, Mapping::Static1D, 0.0)
-                .expect("factorization succeeds");
+            let bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
+            let req = NumericRequest::coarse(&graph, Mapping::Static1D).threads(threads);
+            factor_numeric_with(&bm, &req).expect("factorization succeeds");
             let dt = t.elapsed();
-            let x = num.solve(&b);
+            let mut y = sym.row_perm.apply_vec(&b);
+            solve_permuted(&bm, &sym.block_structure, &mut y);
+            let x = sym.col_perm.apply_inverse_vec(&y);
             let resid = relative_residual(&a, &x, &b);
             println!("  threads = {threads}: factor {dt:>9.2?}  residual {resid:.2e}");
         }

@@ -6,9 +6,8 @@
 //! cargo run --release --example pipeline_tour
 //! ```
 
-use parsplu::core::{analyze, Options, TaskGraphKind};
+use parsplu::core::{Options, SluSession};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
-use parsplu::sched::Mapping;
 use parsplu::sparse::relative_residual;
 use std::time::Instant;
 
@@ -19,26 +18,25 @@ fn main() {
     );
     for m in paper_suite(Scale::Full) {
         let t0 = Instant::now();
-        let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
+        let mut session =
+            SluSession::analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
         let t_analyze = t0.elapsed();
-        let graph = sym.build_graph(TaskGraphKind::EForest);
         let t1 = Instant::now();
-        let num = sym
-            .factor_numeric(&m.a, &graph, 1, Mapping::Static1D, 0.0)
-            .expect("factorization succeeds");
+        session.factor(&m.a).expect("factorization succeeds");
         let t_factor = t1.elapsed();
         let (_, b) = manufactured_rhs(&m.a, 5);
         let t2 = Instant::now();
-        let x = num.solve(&b);
+        let x = session.solve(&b);
         let t_solve = t2.elapsed();
+        let stats = session.stats();
         let resid = relative_residual(&m.a, &x, &b);
         println!(
             "{:<9} {:>6} {:>8} {:>6.1} {:>6} {:>9.2?} {:>9.2?} {:>9.2?} {:>10.2e}",
             m.name,
-            sym.stats.n,
-            sym.stats.nnz_a,
-            sym.stats.fill_ratio,
-            sym.stats.supernodes,
+            stats.n,
+            stats.nnz_a,
+            stats.fill_ratio,
+            stats.supernodes,
             t_analyze,
             t_factor,
             t_solve,

@@ -1,19 +1,19 @@
 //! Oil-reservoir time stepping: one symbolic analysis, many numerical
-//! factorizations.
+//! refactorizations of one session.
 //!
 //! Implicit reservoir simulators (the source of the orsreg/saylr/sherman
 //! matrices the paper evaluates on) solve a pressure system every time step.
 //! The coefficients change with the saturation field, but the *pattern*
 //! stays fixed — exactly the situation static symbolic factorization is
-//! built for: analyze once, then re-run only the numerical phase each step.
+//! built for: analyze once, then re-run only the numerical phase each step
+//! (`SluSession::refactor`, which also reuses the factor storage).
 //!
 //! ```text
 //! cargo run --release --example reservoir
 //! ```
 
-use parsplu::core::{analyze, Options, TaskGraphKind};
+use parsplu::core::{Options, SluSession};
 use parsplu::matgen::{grid3d_anisotropic, GridOptions};
-use parsplu::sched::Mapping;
 use parsplu::sparse::{relative_residual, CscMatrix};
 use std::time::Instant;
 
@@ -38,13 +38,16 @@ fn main() {
     println!("reservoir grid 21x21x5: n = {n}, nnz = {}", a0.nnz());
 
     let t0 = Instant::now();
-    let sym = analyze(a0.pattern(), &Options::default()).expect("analysis succeeds");
-    let graph = sym.build_graph(TaskGraphKind::EForest);
+    let opts = Options {
+        threads: 2,
+        ..Options::default()
+    };
+    let mut session = SluSession::analyze(a0.pattern(), &opts).expect("analysis succeeds");
     println!(
         "analysis once: {:?} (supernodes = {}, tasks = {})",
         t0.elapsed(),
-        sym.stats.supernodes,
-        sym.stats.graph_tasks
+        session.stats().supernodes,
+        session.stats().graph_tasks
     );
 
     // Pseudo time loop: pressure solve per step, reusing the analysis.
@@ -60,11 +63,11 @@ fn main() {
         b[n - 1] -= 80.0;
 
         let t = Instant::now();
-        let num = sym
-            .factor_numeric(&a, &graph, 2, Mapping::Static1D, 0.0)
+        session
+            .refactor(&a)
             .expect("numeric factorization succeeds");
         total_numeric += t.elapsed();
-        pressure = num.solve(&b);
+        pressure = session.solve(&b);
 
         let resid = relative_residual(&a, &pressure, &b);
         assert!(resid < 1e-10, "step {step}: residual {resid}");

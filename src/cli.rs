@@ -644,24 +644,6 @@ fn cmd_gen(name: &str, out_path: &str, flags: &[String]) -> Result<String, CliEr
 
 use std::sync::Mutex;
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Flattens a pretty-printed JSON document onto one line. Safe because the
 /// writer escapes newlines inside string values, so every literal newline
 /// and its indentation is inter-token whitespace.

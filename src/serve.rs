@@ -15,7 +15,7 @@
 //!   structured error, then resynchronizes at the next newline, so a
 //!   garbage client cannot buffer the daemon out of memory or poison the
 //!   stream for others.
-//! * **Session memory budgeting** — the [`SessionPool`] accounts resident
+//! * **Session memory budgeting** — the `SessionPool` accounts resident
 //!   bytes per session ([`SluSession::resident_bytes`] plus retained
 //!   values) and evicts idle sessions in LRU order to honor
 //!   `--session-budget`. Evicted sessions leave a tombstone: the next job
@@ -52,10 +52,9 @@
 //! `oversize_frame`, `invalid_frame`, `idle_timeout`) next to the CLI
 //! exit code a local run would have used.
 
-use crate::cli::{
-    compact_json, json_escape, load, matrix_name, parse_flags, read_vector, CliError,
-};
+use crate::cli::{compact_json, load, matrix_name, parse_flags, read_vector, Cli, CliError};
 use crate::persist::{Damage, Durability, Journal, Record};
+use splu_core::observe::escape_json;
 use splu_core::{CancelToken, LuError, MatrixMeta, ObsSession, RunReport, RunStatus, SluSession};
 use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
@@ -1043,8 +1042,8 @@ impl<'e> Engine<'e> {
                 let _ = (item.reply)(&format!(
                     r#"{{"id":{},"op":"{}","session":"{}","status":"error","kind":"overloaded","exit_code":8,"queue_depth":{depth},"retry_after_hint":{hint:.3},"error":"lane queue is full ({depth} job(s) ahead); retry after the hint"}}"#,
                     item.id,
-                    json_escape(op),
-                    json_escape(name),
+                    escape_json(op),
+                    escape_json(name),
                 ));
                 Submitted::Rejected
             }
@@ -1194,8 +1193,8 @@ pub enum FrameFault {
 fn refusal_response(id: u64, op: &str, name: &str) -> String {
     format!(
         r#"{{"id":{id},"op":"{}","session":"{}","status":"error","kind":"shutting_down","exit_code":8,"error":"the daemon is draining and accepts no new jobs"}}"#,
-        json_escape(op),
-        json_escape(name),
+        escape_json(op),
+        escape_json(name),
     )
 }
 
@@ -1267,7 +1266,7 @@ fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToke
         Err(msg) => {
             return format!(
                 r#"{{"id":{id},"op":"","session":"","status":"error","kind":"bad_request","exit_code":2,"error":"{}"}}"#,
-                json_escape(&msg)
+                escape_json(&msg)
             )
         }
     };
@@ -1275,8 +1274,8 @@ fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToke
     let name = toks.get(1).cloned().unwrap_or_default();
     let head = format!(
         r#"{{"id":{id},"op":"{}","session":"{}""#,
-        json_escape(&op),
-        json_escape(&name)
+        escape_json(&op),
+        escape_json(&name)
     );
     let replaying = engine.replaying.load(Ordering::Acquire);
     if let Some(jid) = &job_id {
@@ -1290,7 +1289,7 @@ fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToke
                 IdStatus::Evicted => {
                     return format!(
                         r#"{head},"status":"error","kind":"duplicate_replay","exit_code":9,"job_id":"{}","error":"job id already applied but its response is no longer cached; the work was done — query the session instead of retrying"}}"#,
-                        json_escape(jid)
+                        escape_json(jid)
                     );
                 }
             }
@@ -1317,7 +1316,7 @@ fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToke
                         // (idempotently) once the disk recovers.
                         return format!(
                             r#"{head},"status":"error","kind":"journal_corrupt","exit_code":10,"error":"job applied in memory but the journal append failed ({}); durability is not guaranteed — retry once the state-dir is writable"}}"#,
-                            json_escape(&e.to_string())
+                            escape_json(&e.to_string())
                         );
                     }
                     engine.metrics.incr(Counter::JournalAppends);
@@ -1333,9 +1332,24 @@ fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToke
             r#"{head},"status":"error","kind":"{}","exit_code":{},"error":"{}"}}"#,
             kind_of_exit(e.exit_code),
             e.exit_code,
-            json_escape(&e.message)
+            escape_json(&e.message)
         ),
     }
+}
+
+/// [`parse_flags`] for a serve op. `--equilibrate` is refused rather than
+/// ignored: a session factors the values as given (scaling is what
+/// `SparseLu` adds for the one-shot commands), and the job's run report
+/// would say `"equilibrate": true` of factors that were never scaled.
+fn serve_flags(args: &[String], token: Option<&CancelToken>) -> Result<Cli, CliError> {
+    let cli = parse_flags(args, token)?;
+    if cli.opts.equilibrate {
+        return Err(CliError::from(
+            "`--equilibrate` is not a serve option: scaling is a SparseLu feature of the \
+             one-shot `parsplu solve`; a session factors the values as given",
+        ));
+    }
+    Ok(cli)
 }
 
 /// The fallible body of [`serve_job`]: returns extra JSON fields (each
@@ -1358,7 +1372,7 @@ fn serve_job_inner(
             let path = toks
                 .get(2)
                 .ok_or_else(|| CliError::from("`analyze` needs a matrix path"))?;
-            let cli = parse_flags(&toks[3..], token)?;
+            let cli = serve_flags(&toks[3..], token)?;
             let obs = ObsSession::new();
             let a = {
                 let _p = obs.phase("parse");
@@ -1403,7 +1417,7 @@ fn serve_job_inner(
             let path = toks
                 .get(2)
                 .ok_or_else(|| CliError::from(format!("`{op}` needs a values path")))?;
-            let cli = parse_flags(&toks[3..], token)?;
+            let cli = serve_flags(&toks[3..], token)?;
             let mut pin = engine.pool.pin(name)?;
             let cell = Arc::clone(pin.cell());
             let mut e = cell.lock().unwrap();
@@ -1449,7 +1463,7 @@ fn serve_job_inner(
             Ok(format!(r#","resident_bytes":{bytes},"report":{report}"#))
         }
         "solve" => {
-            let cli = parse_flags(&toks[2..], token)?;
+            let cli = serve_flags(&toks[2..], token)?;
             let pin = engine.pool.pin(name)?;
             let cell = Arc::clone(pin.cell());
             let e = cell.lock().unwrap();

@@ -4,8 +4,8 @@
 //! suite at reduced scale.
 
 use parsplu::core::{
-    analyze, estimate_inverse_1norm, factor_left_looking, factor_numeric_with, BlockMatrix,
-    NumericRequest, Options, SparseLu, TaskGraphKind,
+    analyze, estimate_inverse_1norm, factor_left_looking, factor_numeric_with, solve_permuted,
+    solve_permuted_parallel, BlockMatrix, NumericRequest, Options, SparseLu, TaskGraphKind,
 };
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
 use parsplu::sched::{block_forest, build_fine_graph, Mapping};
@@ -47,12 +47,18 @@ fn left_looking_and_fine_execution_match_the_driver_numerically() {
         let permuted = sym.permute_matrix(&m.a);
         let graph = sym.build_graph(TaskGraphKind::EForest);
 
+        let solve = |bm: &BlockMatrix, b: &[f64]| {
+            let mut y = sym.row_perm.apply_vec(b);
+            solve_permuted(bm, &sym.block_structure, &mut y);
+            sym.col_perm.apply_inverse_vec(&y)
+        };
+
         // Reference: graph-driven coarse execution.
-        let reference = sym
-            .factor_numeric_permuted(&permuted, &graph, 2, Mapping::Static1D, 0.0)
-            .unwrap();
+        let reference = BlockMatrix::assemble(&permuted, &sym.block_structure);
+        let req = NumericRequest::coarse(&graph, Mapping::Static1D).threads(2);
+        factor_numeric_with(&reference, &req).unwrap();
         let (_, b) = manufactured_rhs(&m.a, 9);
-        let x_ref = reference.solve(&b);
+        let x_ref = solve(&reference, &b);
 
         // Left-looking on a fresh assembly.
         let bm_left = BlockMatrix::assemble(&permuted, &sym.block_structure);
@@ -65,10 +71,7 @@ fn left_looking_and_fine_execution_match_the_driver_numerically() {
 
         // Solve through each factored storage via the permuted interface.
         for bm in [&bm_left, &bm_fine] {
-            let mut y = sym.row_perm.apply_vec(&b);
-            parsplu::core::solve_permuted(bm, &sym.block_structure, &mut y);
-            let x = sym.col_perm.apply_inverse_vec(&y);
-            assert_eq!(x, x_ref, "{}: executions disagree", m.name);
+            assert_eq!(solve(bm, &b), x_ref, "{}: executions disagree", m.name);
         }
     }
 }
@@ -79,8 +82,11 @@ fn parallel_solve_matches_sequential_suitewide() {
         let (_, b) = manufactured_rhs(&m.a, 8);
         let lu = SparseLu::factor(&m.a, &Options::default()).unwrap();
         let x_seq = lu.solve(&b);
+        let (sym, bm) = (lu.symbolic(), lu.session().block_matrix().unwrap());
         for threads in [1usize, 2, 4] {
-            let x_par = lu.solve_parallel(&b, threads);
+            let mut y = sym.row_perm.apply_vec(&b);
+            solve_permuted_parallel(bm, &sym.block_structure, &mut y, threads);
+            let x_par = sym.col_perm.apply_inverse_vec(&y);
             assert_eq!(x_par, x_seq, "{}: threads={threads}", m.name);
         }
     }

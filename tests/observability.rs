@@ -215,8 +215,8 @@ fn run_report_schema_validates_and_carries_the_registry_values() {
         result.expect("factorization succeeds");
         let doc = parse(&report.to_json()).expect("report is valid JSON");
         let n_counters = validate_run_report(&doc).expect("report schema-validates");
-        // Registry counters plus the scheduler's six.
-        assert_eq!(n_counters, Counter::ALL.len() + 6, "{}", m.name);
+        // Registry counters plus the scheduler's five.
+        assert_eq!(n_counters, Counter::ALL.len() + 5, "{}", m.name);
         let counters = doc.get("counters").expect("counters object");
         for c in Counter::ALL {
             let v = counters

@@ -157,6 +157,45 @@ proptest! {
     }
 }
 
+/// A session ignores `Options::equilibrate`, so a serve op that asks for
+/// scaling is refused — not acknowledged with a report that says
+/// `"equilibrate": true` of unscaled factors — and the session stays usable.
+#[test]
+fn equilibrate_is_refused_on_serve_ops_as_a_bad_request() {
+    let path = gen_matrix("equil");
+    let script = format!(
+        "analyze e {path} --equilibrate
+analyze e {path}
+factor e {path} --equilibrate
+         factor e {path}
+solve e --equilibrate
+solve e
+quit
+"
+    );
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let responses = run_script(cfg, script);
+    assert_eq!(responses.len(), 6, "{responses:?}");
+    for (i, l) in responses.iter().enumerate() {
+        let v = parse(l).unwrap();
+        let status = v.get("status").and_then(|s| s.as_str());
+        if i % 2 == 1 {
+            assert_eq!(status, Some("ok"), "{l}");
+            assert!(!l.contains(r#""equilibrate": true"#), "{l}");
+            continue;
+        }
+        assert_eq!(status, Some("error"), "{l}");
+        assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("bad_request"));
+        assert_eq!(v.get("exit_code").and_then(|c| c.as_num()), Some(2.0));
+        let message = v.get("error").and_then(|e| e.as_str()).unwrap();
+        assert!(message.contains("SparseLu"), "{message}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn oversize_and_nul_frames_are_rejected_and_the_stream_resyncs() {
     let path = gen_matrix("frames");

@@ -1,0 +1,234 @@
+//! One differential suite for the solve doors: `SparseLu`, `SluSession`
+//! (on the static and on a realised structure) and the free sweeps
+//! `solve_permuted` / `solve_permuted_parallel`, over the reduced paper
+//! suite × {static session, realised session after three `refactor`s} ×
+//! {equilibrate off, on}.
+//!
+//! `SparseLu` is "scale → the session's solve → unscale", so whatever the
+//! combination its answer is — bit for bit — the session's answer on the
+//! matrix the session was given (`A`, or `R·A·C`), between the same scales.
+
+use parsplu::core::gp::gp_factor;
+use parsplu::core::{
+    solve_permuted, solve_permuted_parallel, LuError, Options, SluSession, SparseLu,
+};
+use parsplu::dense::{lu_full, lu_solve, DenseMat};
+use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
+use parsplu::sparse::scaling::equilibrate;
+use parsplu::sparse::{relative_residual, CscMatrix};
+
+const MANY: usize = 8;
+
+fn scaled(v: &[f64], by: &[f64]) -> Vec<f64> {
+    v.iter().zip(by).map(|(&v, &s)| v * s).collect()
+}
+
+/// `max |x − want| / max |want|`.
+fn relative_error(x: &[f64], want: &[f64]) -> f64 {
+    let norm = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let err = x
+        .iter()
+        .zip(want)
+        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    err / norm
+}
+
+fn is_mismatch<T: std::fmt::Debug>(r: Result<T, LuError>, expected: usize, got: usize) -> bool {
+    matches!(r, Err(LuError::DimensionMismatch { expected: e, got: g }) if e == expected && g == got)
+}
+
+/// One suite matrix with its right-hand sides and the two oracles' answers
+/// for `A x = b` and `Aᵀ x = b`.
+struct Case {
+    name: &'static str,
+    a: CscMatrix,
+    b: Vec<f64>,
+    /// `MANY` right-hand sides, column-major; column 0 is `b`.
+    bb: Vec<f64>,
+    gp: [Vec<f64>; 2],
+    dense: [Vec<f64>; 2],
+}
+
+fn cases() -> Vec<Case> {
+    paper_suite(Scale::Reduced)
+        .into_iter()
+        .map(|m| {
+            let n = m.a.ncols();
+            let b = manufactured_rhs(&m.a, 41).1;
+            let mut bb = b.clone();
+            for r in 1..MANY {
+                bb.extend(manufactured_rhs(&m.a, 41 + r as u64).1);
+            }
+            let at = m.a.transpose();
+            let oracles = |a: &CscMatrix| {
+                let mut x_gp = b.clone();
+                gp_factor(a, 0.0).unwrap().solve(&mut x_gp);
+                let mut lu = DenseMat::from_fn(n, n, |i, j| a.get(i, j));
+                let piv = lu_full(&mut lu).unwrap();
+                let mut x_dense = b.clone();
+                lu_solve(&lu, &piv, &mut x_dense);
+                (x_gp, x_dense)
+            };
+            let ((gp, dense), (gp_t, dense_t)) = (oracles(&m.a), oracles(&at));
+            Case {
+                name: m.name,
+                a: m.a,
+                b,
+                bb,
+                gp: [gp, gp_t],
+                dense: [dense, dense_t],
+            }
+        })
+        .collect()
+}
+
+/// A session holding factors of `work`: after one `factor` (static), or
+/// after three `refactor`s (the third runs on the realised structure).
+fn session_on(work: &CscMatrix, realised: bool) -> SluSession {
+    let mut s = SluSession::analyze(work.pattern(), &Options::default()).unwrap();
+    if realised {
+        for _ in 0..3 {
+            s.refactor(work).unwrap();
+        }
+    } else {
+        s.factor(work).unwrap();
+    }
+    assert_eq!(s.is_realised(), realised);
+    s
+}
+
+fn check(case: &Case, equil: bool, realised: bool) {
+    let what = format!("{} equilibrate={equil} realised={realised}", case.name);
+    let (a, b, bb) = (&case.a, &case.b[..], &case.bb[..]);
+    let n = a.ncols();
+    let opts = Options {
+        equilibrate: equil,
+        ..Options::default()
+    };
+    let lu = SparseLu::factor(a, &opts).unwrap();
+    // The matrix the session sees and the scales around its solves (all
+    // ones without equilibration: multiplying by 1.0 changes no bit).
+    let eq = equil.then(|| equilibrate(a));
+    let ones = vec![1.0; n];
+    let (work, rows, cols) = match &eq {
+        Some(eq) => (&eq.scaled, &eq.row_scale[..], &eq.col_scale[..]),
+        None => (a, &ones[..], &ones[..]),
+    };
+    let s = session_on(work, realised);
+    let columns = |v: &[f64], by: &[f64]| -> Vec<f64> {
+        v.chunks(n).flat_map(|col| scaled(col, by)).collect()
+    };
+
+    // SparseLu is the session between the scales, bit for bit.
+    let x = lu.try_solve(b).unwrap();
+    let via_session = scaled(&s.try_solve(&scaled(b, rows)).unwrap(), cols);
+    assert_eq!(x, via_session, "{what}: solve");
+    if !equil {
+        assert_eq!(x, s.try_solve(b).unwrap(), "{what}: solve, unscaled");
+    }
+    let xt = lu.try_solve_transposed(b).unwrap();
+    let via_session = scaled(&s.try_solve_transposed(&scaled(b, cols)).unwrap(), rows);
+    assert_eq!(xt, via_session, "{what}: transposed solve");
+    let xs = lu.try_solve_many(bb, MANY).unwrap();
+    let via_session = columns(&s.try_solve_many(&columns(bb, rows), MANY).unwrap(), cols);
+    assert_eq!(xs, via_session, "{what}: many");
+    assert_eq!(lu.solve(b), x);
+    assert_eq!(lu.solve_transposed(b), xt);
+    assert_eq!(lu.solve_many(bb, MANY), xs);
+    assert_eq!(
+        s.solve(&scaled(b, rows)),
+        s.try_solve(&scaled(b, rows)).unwrap()
+    );
+
+    // Column r of the blocked solve is the single solve of column r, on
+    // both objects.
+    let ss = s.try_solve_many(bb, MANY).unwrap();
+    for r in 0..MANY {
+        let col = r * n..(r + 1) * n;
+        let single = lu.try_solve(&bb[col.clone()]).unwrap();
+        assert_eq!(xs[col.clone()], single[..], "{what}: SparseLu column {r}");
+        let single = s.try_solve(&bb[col.clone()]).unwrap();
+        assert_eq!(ss[col], single[..], "{what}: session column {r}");
+    }
+
+    // The free sweeps on the structure the session holds.
+    let (sym, bm) = (s.symbolic(), s.block_matrix().unwrap());
+    let mut y = sym.row_perm.apply_vec(b);
+    solve_permuted(bm, &sym.block_structure, &mut y);
+    assert_eq!(sym.col_perm.apply_inverse_vec(&y), s.try_solve(b).unwrap());
+    for threads in [1usize, 2, 4] {
+        let mut y_par = sym.row_perm.apply_vec(b);
+        solve_permuted_parallel(bm, &sym.block_structure, &mut y_par, threads);
+        assert_eq!(y_par, y, "{what}: parallel sweep, {threads} threads");
+    }
+
+    // Both oracles, forward and transposed.
+    for (x, t) in [(&x, 0), (&xt, 1)] {
+        let (e_gp, e_dense) = (
+            relative_error(x, &case.gp[t]),
+            relative_error(x, &case.dense[t]),
+        );
+        assert!(e_gp < 1e-9, "{what}: transposed={t} vs gp: {e_gp}");
+        assert!(e_dense < 1e-9, "{what}: transposed={t} vs dense: {e_dense}");
+    }
+
+    // Refinement: never worse, and no step from a converged start.
+    let r0 = relative_residual(a, &x, b);
+    let (x1, steps) = lu.try_solve_refined(a, b, 0.0, 2).unwrap();
+    assert_eq!(steps, 2);
+    let r1 = relative_residual(a, &x1, b);
+    assert!(r1 <= r0 * 10.0 + 1e-15, "{what}: SparseLu {r0} → {r1}");
+    assert_eq!(lu.try_solve_refined(a, b, 1e-2, 4).unwrap(), (x.clone(), 0));
+    assert_eq!(lu.solve_refined(a, b, 1e-2, 4), (x, 0));
+    let wb = scaled(b, rows);
+    let y0 = s.try_solve(&wb).unwrap();
+    let r0 = relative_residual(work, &y0, &wb);
+    let (y1, steps) = s.solve_refined(work, &wb, 0.0, 2).unwrap();
+    assert_eq!(steps, 2);
+    let r1 = relative_residual(work, &y1, &wb);
+    assert!(r1 <= r0 * 10.0 + 1e-15, "{what}: session {r0} → {r1}");
+    assert_eq!(s.solve_refined(work, &wb, 1e-2, 4).unwrap(), (y0, 0));
+
+    // Wrong lengths are structured errors on every fallible door.
+    let (short, long) = (&b[..n - 1], &bb[..2 * n + 1]);
+    assert!(is_mismatch(lu.try_solve(short), n, n - 1), "{what}");
+    assert!(is_mismatch(lu.try_solve_transposed(short), n, n - 1));
+    assert!(is_mismatch(lu.try_solve_many(long, 2), 2 * n, 2 * n + 1));
+    assert!(is_mismatch(
+        lu.try_solve_refined(a, short, 0.0, 1),
+        n,
+        n - 1
+    ));
+    assert!(is_mismatch(s.try_solve(short), n, n - 1), "{what}");
+    assert!(is_mismatch(s.try_solve_transposed(short), n, n - 1));
+    assert!(is_mismatch(s.try_solve_many(long, 2), 2 * n, 2 * n + 1));
+    assert!(is_mismatch(s.solve_refined(work, short, 0.0, 1), n, n - 1));
+}
+
+#[test]
+fn every_solve_door_agrees_on_static_and_realised_structures() {
+    for case in cases() {
+        for equil in [false, true] {
+            for realised in [false, true] {
+                check(&case, equil, realised);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_session_without_factors_answers_not_factored_on_every_door() {
+    let a = &paper_suite(Scale::Reduced)[0].a;
+    let b = manufactured_rhs(a, 41).1;
+    let s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+    let nf = |r: Result<Vec<f64>, LuError>| matches!(r, Err(LuError::NotFactored));
+    assert!(nf(s.try_solve(&b)));
+    assert!(nf(s.try_solve_transposed(&b)));
+    assert!(nf(s.try_solve_many(&b, 1)));
+    assert!(matches!(
+        s.solve_refined(a, &b, 0.0, 1),
+        Err(LuError::NotFactored)
+    ));
+    // Factors first, then the length: a short vector changes nothing.
+    assert!(nf(s.try_solve(&b[..1])));
+}
