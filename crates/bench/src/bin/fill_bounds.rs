@@ -22,7 +22,7 @@
 use splu_bench::coletree::ata_cholesky_bound;
 use splu_bench::suite;
 use splu_core::gp::gp_factor;
-use splu_core::{analyze, estimate_task_costs, total_flops, Options, SluSession};
+use splu_core::{analyze, estimate_task_costs, total_flops, Options, SluSession, TaskGraphKind};
 use splu_matgen::fem2d_unsymmetric;
 
 fn main() {
@@ -72,7 +72,8 @@ fn main() {
             "{name}: the same values repeat their pivots"
         );
         let gp = gp_factor(&s.symbolic().permute_matrix(a), 0.0).expect("factorization succeeds");
-        let flops = |bs| total_flops(&estimate_task_costs(bs, s.graph()));
+        let graph = s.symbolic().build_graph(TaskGraphKind::EForest);
+        let flops = |bs| total_flops(&estimate_task_costs(bs, &graph));
         let (stat, real) = (s.static_structure(), &s.symbolic().block_structure);
         let history = s.block_matrix().expect("factored").pivot_rows();
         println!(

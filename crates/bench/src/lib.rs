@@ -9,8 +9,9 @@ pub mod json;
 
 use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu, TaskGraphKind};
 use splu_matgen::{paper_suite, BenchMatrix, Scale};
-use splu_sched::{simulate, CostModel, Mapping, TaskGraph};
+use splu_sched::{simulate, CostModel, ExecSchedule, Mapping, TaskGraph, TraceConfig};
 use splu_sparse::CscMatrix;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Number of repetitions for wall-clock measurements (minimum reported —
@@ -84,12 +85,46 @@ pub fn prepare_suite() -> Vec<Prepared> {
 /// paper's Table 2 also times the numerical phase only); each repetition
 /// re-scatters the values and factors in place.
 pub fn time_factor(p: &Prepared, graph: &TaskGraph, threads: usize) -> Duration {
+    factor_times(p, graph, threads, REPS, TraceConfig::off())
+        .into_iter()
+        .map(|(t, _)| t)
+        .min()
+        .expect("REPS > 0")
+}
+
+/// Untimed runs before the timed ones: the first derives the range plan
+/// the storage then keeps (on several threads), and on a virtual machine
+/// whose idle second core wakes slowly the first two-thread runs after a
+/// single-threaded stretch run up to 1.8× slower (EXPERIMENTS.md, "Range
+/// tasks").
+pub const WARMUP: usize = 5;
+
+/// `runs` numerical factorizations of a prepared problem after [`WARMUP`]
+/// untimed ones, as a session runs them (storage reset in place, the
+/// graph's cached schedule, so a run on several threads reuses its range
+/// plan), each with its wall time and the measured critical path of the
+/// report (full tracing on several threads only).
+pub fn factor_times(
+    p: &Prepared,
+    graph: &TaskGraph,
+    threads: usize,
+    runs: usize,
+    trace: TraceConfig,
+) -> Vec<(Duration, Option<f64>)> {
     let mut bm = splu_core::BlockMatrix::assemble(&p.permuted, &p.sym.block_structure);
-    let req = NumericRequest::coarse(graph, Mapping::Static1D).threads(threads);
-    min_time(|| {
-        bm.reset_from(&p.permuted, &p.sym.block_structure);
-        splu_core::factor_numeric_with(&bm, &req).expect("factorization succeeds");
-    })
+    let req = NumericRequest::coarse(graph, Mapping::Static1D)
+        .threads(threads)
+        .schedule(Arc::new(ExecSchedule::for_graph(graph)))
+        .trace(trace);
+    (0..WARMUP + runs)
+        .map(|_| {
+            bm.reset_from(&p.permuted, &p.sym.block_structure);
+            let t = Instant::now();
+            let report = splu_core::factor_numeric_with(&bm, &req).expect("factorization succeeds");
+            (t.elapsed(), report.stats.critical_path_s)
+        })
+        .skip(WARMUP)
+        .collect()
 }
 
 /// A cost model calibrated so that the simulated one-processor makespan of

@@ -27,13 +27,15 @@
 //! `r ∈ R_K` is a pivot candidate of `K`'s last column, so the static
 //! symbolic factorization gave it every column of `C_K` (DESIGN.md §5.5).
 
-use parking_lot::RwLock;
+use crate::request::RangePlan;
+use parking_lot::{Mutex, RwLock};
 use splu_dense::{DenseMat, MatRef, Pivots};
+use splu_sched::{ExecSchedule, Task};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The values of one block column, plus the pivot sequence once factored.
 #[derive(Debug)]
@@ -111,6 +113,11 @@ pub(crate) struct UpdateMap {
 }
 
 impl UpdateMap {
+    /// The source supernode `K`.
+    pub(crate) fn src(&self) -> usize {
+        self.src as usize
+    }
+
     /// Index of `Ū(K, J)` in column `J`'s `ublocks`.
     pub(crate) fn ublock(&self) -> usize {
         self.q as usize
@@ -153,7 +160,13 @@ pub(crate) struct Layout {
     rel: Vec<u32>,
     /// Largest `|R_K| · |S_KJ|` over all updates.
     scratch_len: usize,
+    /// The range plan of the last run on several threads over this layout.
+    plan: Mutex<Option<KeptPlan>>,
 }
+
+/// A range plan with the schedule (of the coarse graph) and the thread
+/// count it was derived for.
+type KeptPlan = (Weak<ExecSchedule>, usize, Arc<RangePlan>);
 
 /// Appends to `rel`, for every entry of `sub`, its position in `sup`. Both
 /// ascend, and `sub ⊆ sup` is the nesting the layout leans on.
@@ -327,6 +340,29 @@ impl Layout {
             targets,
             rel,
             scratch_len,
+            plan: Mutex::new(None),
+        }
+    }
+
+    /// The range plan of runs under `schedule` on `threads` workers:
+    /// the one kept from the last such run, or `derive`'s, kept for the
+    /// next. A schedule belongs to one graph, so it names the graph.
+    pub(crate) fn range_plan(
+        &self,
+        schedule: &Arc<ExecSchedule>,
+        threads: usize,
+        derive: impl FnOnce() -> RangePlan,
+    ) -> Arc<RangePlan> {
+        let mut kept = self.plan.lock();
+        match &*kept {
+            Some((s, t, plan)) if *t == threads && Weak::as_ptr(s) == Arc::as_ptr(schedule) => {
+                Arc::clone(plan)
+            }
+            _ => {
+                let plan = Arc::new(derive());
+                *kept = Some((Arc::downgrade(schedule), threads, Arc::clone(&plan)));
+                plan
+            }
         }
     }
 
@@ -334,13 +370,20 @@ impl Layout {
         self.starts.len() - 1
     }
 
-    fn width(&self, k: usize) -> usize {
+    pub(crate) fn width(&self, k: usize) -> usize {
         self.starts[k + 1] - self.starts[k]
     }
 
     /// `|R_K|`.
-    fn rows_below(&self, k: usize) -> usize {
+    pub(crate) fn rows_below(&self, k: usize) -> usize {
         self.row_ptr[k + 1] - self.row_ptr[k]
+    }
+
+    /// Id of the first task of block column `j` in the left-looking order
+    /// ([`BlockMatrix::tasks`]): every column before it holds one
+    /// `Update` per stored source and its `Factor`.
+    pub(crate) fn task_start(&self, j: usize) -> usize {
+        self.upd_ptr[j] + j
     }
 
     /// The updates into column `j`, in ascending source.
@@ -878,10 +921,15 @@ impl BlockMatrix {
         same
     }
 
-    /// The first (global) column of block column `k` whose pivot came from
-    /// another row than `history` records, if any.
-    pub(crate) fn pivot_divergence(&self, k: usize, history: &[usize]) -> Option<usize> {
-        let (lay, col) = (&*self.layout, self.columns[k].read());
+    /// The first (global) column of block column `k`, factored in `col`,
+    /// whose pivot came from another row than `history` records, if any.
+    pub(crate) fn pivot_divergence(
+        &self,
+        k: usize,
+        col: &ColumnData,
+        history: &[usize],
+    ) -> Option<usize> {
+        let lay = &*self.layout;
         let swaps = col.pivots.as_ref().expect("Factor(k) ran").swaps();
         (swaps.iter().zip(&history[lay.starts[k]..]))
             .position(|(&p, &row)| lay.panel_row(k, p) != row)
@@ -1007,6 +1055,31 @@ impl BlockMatrix {
             .map(move |u| (u.src as usize, lay.local_cols(u)))
     }
 
+    /// The tasks this storage is factored by, in the **left-looking
+    /// order**: for each block column `j` ascending, `Update(k, j)` for its
+    /// stored sources `k` ascending, then `Factor(j)` — the order
+    /// [`crate::factor_left_looking`] runs them, a topological order of
+    /// both task graphs. A task's position here is its id in the reports,
+    /// traces and panics of a numeric run. A realised storage holds fewer
+    /// updates than the static structure's graph names: the blocks its
+    /// pivot history never fills are no tasks.
+    pub fn tasks(&self) -> impl Iterator<Item = Task> + '_ {
+        let lay = &*self.layout;
+        (0..self.num_block_cols()).flat_map(move |j| {
+            (lay.updates(j).iter())
+                .map(move |u| Task::Update {
+                    src: u.src(),
+                    dst: j,
+                })
+                .chain(std::iter::once(Task::Factor(j)))
+        })
+    }
+
+    /// Number of [`Self::tasks`].
+    pub fn num_tasks(&self) -> usize {
+        self.layout.task_start(self.num_block_cols())
+    }
+
     /// Global (factorization-order) scalar column index of the first column
     /// of block column `k` — the offset that maps a panel-local column to
     /// its global index, so every caller reports breakdown positions in the
@@ -1102,15 +1175,18 @@ impl BlockMatrix {
             .sum()
     }
 
-    /// Bytes of index maps behind the values.
+    /// Bytes of index maps behind the values, with the range plan kept
+    /// for runs on several threads.
     pub(crate) fn map_bytes(&self) -> u64 {
         use std::mem::size_of;
         let lay = &*self.layout;
         let words = lay.lrow.len() + lay.owner.len() + lay.ucol.len() + lay.rel.len();
+        let plan = lay.plan.lock().as_ref().map_or(0, |(_, _, p)| p.bytes());
         (words * size_of::<u32>()
             + lay.targets.len() * size_of::<u32>()
             + lay.lblks.len() * size_of::<LBlock>()
             + lay.upds.len() * size_of::<UpdateMap>()) as u64
+            + plan
     }
 }
 

@@ -31,14 +31,12 @@ pub fn estimate_task_costs(bs: &BlockStructure, graph: &TaskGraph) -> Vec<TaskCo
                 }
             }
             Task::Update { src, dst } => {
-                let below = bs.l_rows.col(src).len() as f64;
-                let wk = bs.partition.width(src) as f64;
-                let s = bs.u_cols_in(src, dst).len() as f64;
-                let trsm = wk * (wk - 1.0) * s;
-                let gemm = 2.0 * below * wk * s;
+                let (w, below) = (bs.partition.width(src), bs.l_rows.col(src).len());
+                let s = bs.u_cols_in(src, dst).len();
+                let (wk, below_f) = (w as f64, below as f64);
                 TaskCost {
-                    flops: trsm + gemm,
-                    comm_words: (below + wk) * wk + wk,
+                    flops: update_flops(w, below, s),
+                    comm_words: (below_f + wk) * wk + wk,
                     reads_remote: true,
                     src_col: src,
                     dst_col: dst,
@@ -46,6 +44,16 @@ pub fn estimate_task_costs(bs: &BlockStructure, graph: &TaskGraph) -> Vec<TaskCo
             }
         })
         .collect()
+}
+
+/// Model flops of `Update(k, j)` for a source of width `w_k` with `below`
+/// rows of `R_k` and `s = |S_kj|` stored columns: the `trsm`
+/// `w_k (w_k − 1) s` plus the Schur `gemm` `2 |R_k| w_k s`.
+pub(crate) fn update_flops(w_k: usize, below: usize, s: usize) -> f64 {
+    let (wk, below, s) = (w_k as f64, below as f64, s as f64);
+    let trsm = wk * (wk - 1.0) * s;
+    let gemm = 2.0 * below * wk * s;
+    trsm + gemm
 }
 
 /// Total flops of a task-cost vector (serial work under the flop model).

@@ -286,7 +286,10 @@ impl OptionsBuilder {
     }
 }
 
-/// Structural statistics gathered during analysis.
+/// Structural statistics gathered during analysis. The task-graph fields
+/// describe the graph of [`Options::task_graph`] over the static
+/// structure — read off the block lists and the block eforest, without
+/// building it (equal to what [`SymbolicLu::build_graph`]'s graph reports).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stats {
     /// Matrix order.
@@ -326,19 +329,34 @@ pub struct SymbolicLu {
     pub row_perm: Permutation,
     /// Total column permutation.
     pub col_perm: Permutation,
-    /// Supernode partition and block-level structure.
+    /// Supernode partition and block-level structure: the static one, or
+    /// — in a session refactoring on one pivot history — the realised
+    /// sub-structure its storage is laid out from.
     pub block_structure: BlockStructure,
     /// Block-level LU elimination forest.
     pub block_forest: EliminationForest,
     /// Structural statistics (graph fields reflect `opts.task_graph`).
     pub stats: Stats,
+    /// The static structure, held aside while `block_structure` is a
+    /// realised one.
+    static_bs: Option<BlockStructure>,
     opts: Options,
 }
 
 impl SymbolicLu {
-    /// Builds the requested task dependence graph for this structure.
+    /// Builds the requested task dependence graph over the **static**
+    /// structure — the tasks every factorization of the pattern runs; a
+    /// realised storage skips the blocks it lacks. (A realised
+    /// sub-structure is not closed under the graph rules: rule 4 would
+    /// name updates it does not hold.)
     pub fn build_graph(&self, kind: TaskGraphKind) -> TaskGraph {
-        build_graph(&self.block_structure, kind)
+        build_graph(self.static_structure(), kind)
+    }
+
+    /// The static structure `Ā`, valid for every pivot sequence:
+    /// [`Self::block_structure`], unless that holds a realised one.
+    pub fn static_structure(&self) -> &BlockStructure {
+        self.static_bs.as_ref().unwrap_or(&self.block_structure)
     }
 
     /// Permutes an input matrix into factorization order.
@@ -352,6 +370,86 @@ fn build_graph(bs: &BlockStructure, kind: TaskGraphKind) -> TaskGraph {
         TaskGraphKind::EForest => build_eforest_graph(bs),
         TaskGraphKind::SStar => build_sstar_graph(bs),
     }
+}
+
+/// What the graph of `kind` over `bs` would report — tasks, dependence
+/// edges, critical path in tasks, and the model flops of
+/// [`estimate_task_costs`] — without building it. One walk through the
+/// updates in the left-looking order, a topological order of both graphs,
+/// keeps each task's top level (the longest path ending at it):
+///
+/// * eforest (rules 3–5): `U(i, j)` follows `F(i)` and `U(c, j)` of the
+///   children `c` of `i`; `F(j)` follows the updates from `j`'s children;
+///   a root's update ends its chain (Theorem 2). One edge per update
+///   from its factor, one more from every update of a non-root;
+/// * S*: the updates into `j` form a chain by ascending source that ends
+///   at `F(j)` — two edges per update.
+///
+/// Flops are summed in the graph's own task order, so the total is the
+/// built graph's to the bit.
+fn graph_stats(
+    bs: &BlockStructure,
+    forest: &EliminationForest,
+    kind: TaskGraphKind,
+) -> (usize, usize, usize, f64) {
+    let nb = bs.num_blocks();
+    let width = |k: usize| bs.partition.width(k);
+    let below = |k: usize| bs.l_rows.col(k).len();
+    let mut flops: f64 = (0..nb)
+        .map(|k| numeric::factor_flops(width(k) + below(k), width(k)) as f64)
+        .sum();
+    // The sources of every column, ascending (the block lists by column).
+    let mut src_ptr = vec![0usize; nb + 1];
+    let mut from_non_roots = 0;
+    for k in 0..nb {
+        for &j in &bs.u_blocks[k][1..] {
+            flops += costs::update_flops(width(k), below(k), bs.u_cols_in(k, j).len());
+            src_ptr[j + 1] += 1;
+            from_non_roots += usize::from(forest.parent(k).is_some());
+        }
+    }
+    for j in 0..nb {
+        src_ptr[j + 1] += src_ptr[j];
+    }
+    let updates = src_ptr[nb];
+    let mut sources = vec![0usize; updates];
+    let mut fill = src_ptr.clone();
+    for k in 0..nb {
+        for &j in &bs.u_blocks[k][1..] {
+            sources[fill[j]] = k;
+            fill[j] += 1;
+        }
+    }
+    let mut top_f = vec![0usize; nb];
+    // Eforest: the longest chain into `U(i, j)` through the children of
+    // `i`, for the column `j` at hand.
+    let mut via_children = vec![0usize; nb];
+    let mut critical_path = 0;
+    for j in 0..nb {
+        // The longest chain into `F(j)`, and (S*) the update chain so far.
+        let (mut into_f, mut chain) = (0, 0);
+        for &i in &sources[src_ptr[j]..src_ptr[j + 1]] {
+            let before = match kind {
+                TaskGraphKind::EForest => std::mem::take(&mut via_children[i]),
+                TaskGraphKind::SStar => chain,
+            };
+            let top = 1 + top_f[i].max(before);
+            critical_path = critical_path.max(top);
+            match (kind, forest.parent(i)) {
+                (TaskGraphKind::SStar, _) => (chain, into_f) = (top, top),
+                (TaskGraphKind::EForest, Some(p)) if p == j => into_f = into_f.max(top),
+                (TaskGraphKind::EForest, Some(p)) => via_children[p] = via_children[p].max(top),
+                (TaskGraphKind::EForest, None) => {}
+            }
+        }
+        top_f[j] = 1 + into_f;
+        critical_path = critical_path.max(top_f[j]);
+    }
+    let edges = match kind {
+        TaskGraphKind::EForest => updates + from_non_roots,
+        TaskGraphKind::SStar => 2 * updates,
+    };
+    (nb + updates, edges, critical_path, flops)
 }
 
 /// Runs the full analysis pipeline on a sparsity pattern.
@@ -382,16 +480,6 @@ pub fn analyze_with(
     opts: &Options,
     req: &SymbolicRequest,
 ) -> Result<SymbolicLu, LuError> {
-    analyze_parts(pattern, opts, req).map(|(sym, _graph)| sym)
-}
-
-/// [`analyze_with`], also handing back the task graph of `opts.task_graph`
-/// that the statistics were taken from (a session keeps it).
-pub(crate) fn analyze_parts(
-    pattern: &SparsityPattern,
-    opts: &Options,
-    req: &SymbolicRequest,
-) -> Result<(SymbolicLu, TaskGraph), LuError> {
     if !pattern.is_square() {
         return Err(LuError::NotSquare {
             nrows: pattern.nrows(),
@@ -499,10 +587,11 @@ pub(crate) fn analyze_parts(
         (supernodes_exact, block_structure, bf)
     };
 
-    // 5. The chosen task graph, and the statistics that describe it.
+    // 5. The statistics of the chosen task graph, read off the lists: the
+    // graph itself is built by a session that runs on several threads.
     let _graph_phase = obs.map(|o| o.phase("graph_build"));
-    let graph = build_graph(&block_structure, opts.task_graph);
-    let flops_estimate = total_flops(&estimate_task_costs(&block_structure, &graph));
+    let (graph_tasks, graph_edges, critical_path, flops_estimate) =
+        graph_stats(&block_structure, &bf, opts.task_graph);
     let stats = Stats {
         n,
         nnz_a: pattern.nnz(),
@@ -516,20 +605,20 @@ pub(crate) fn analyze_parts(
         supernodes: block_structure.num_blocks(),
         max_supernode_width: block_structure.partition.max_width(),
         btf_blocks,
-        graph_tasks: graph.len(),
-        graph_edges: graph.num_edges(),
-        critical_path: graph.critical_path_len(),
+        graph_tasks,
+        graph_edges,
+        critical_path,
         flops_estimate,
     };
-    let sym = SymbolicLu {
+    Ok(SymbolicLu {
         row_perm,
         col_perm,
         block_structure,
         block_forest: bf,
         stats,
+        static_bs: None,
         opts: opts.clone(),
-    };
-    Ok((sym, graph))
+    })
 }
 
 /// The one-stop factorization object — a thin wrapper over [`SluSession`]

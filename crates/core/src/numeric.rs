@@ -1,5 +1,5 @@
-//! The numerical factorization: `Factor(k)` and `Update(k, j)` task bodies
-//! plus the sequential and parallel drivers.
+//! The numerical factorization: the `Factor(k)` and `Update(k, j)` task
+//! bodies and the **range body** every driver runs them through.
 //!
 //! Partial pivoting happens **inside the static structure**: `Factor(k)`
 //! searches the whole panel of block column `k` — its diagonal block and
@@ -19,12 +19,22 @@
 //! addition of a sum that depends on `k`'s panel and `Ū(k, j)` only — and
 //! two sources that may run in either order never touch the same row — so
 //! the factors do not depend on the schedule.
+//!
+//! A **range** of block columns runs as [`factor_left_looking`] runs the
+//! whole matrix: per column, one write lock, its updates by ascending
+//! source, then its factor ([`TaskBodies::columns`]). At one thread the
+//! whole matrix is one range; on several, every eforest subtree small
+//! enough is one (`crate::request`), and the tasks above them run one by
+//! one through the same body.
 
 use crate::blocks::{BlockMatrix, ColumnData, UpdateMap};
 use crate::LuError;
+use parking_lot::Mutex;
 use splu_dense::{Dispatch, MatMut, MatRef, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
+use splu_sched::{CancelToken, Task};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Flops of a panel LU over an `m × w` panel, exactly the cost
 /// model of `crate::costs::estimate_task_costs`:
@@ -40,93 +50,26 @@ pub(crate) fn factor_flops(m: usize, w: usize) -> u64 {
     flops
 }
 
-/// `Factor(k)`: runs the panel LU **in place** on the stored panel of block
-/// column `k` under `rule` and records the pivot sequence.
-///
-/// With [`PanelBreakdown::Perturb`] a column with no acceptable pivot gets
-/// its diagonal replaced instead of failing, and the perturbed columns are
-/// returned as **global** (factorization-order) column indices with their
-/// perturbation magnitudes. `force_breakdown_at` deterministically treats
-/// that global column as below threshold (the fault-injection hook).
-///
-/// Every column index this function emits — in errors and in the perturbed
-/// list — is global, mapped through [`BlockMatrix::global_col_start`], so
-/// callers never remap panel-local indices themselves. `kernels` is the
-/// table the driver resolved once per factorization; every table produces
-/// bit-identical results (the contract on [`Dispatch::gemm_sub`]).
-pub(crate) fn factor_task(
-    bm: &BlockMatrix,
-    k: usize,
-    rule: PivotRule,
-    pivot_threshold: f64,
-    breakdown: PanelBreakdown,
-    force_breakdown_at: Option<usize>,
-    kernels: &Dispatch,
-) -> Result<Vec<(usize, f64)>, LuError> {
-    let start = bm.global_col_start(k);
-    let mut col = bm.column(k).write();
-    let width = col.width();
-    let force_local = force_breakdown_at
-        .filter(|&g| g >= start && g < start + width)
-        .map(|g| g - start);
-    // Recycle the column's previous pivot storage (if any): on a session
-    // refactorization the swap vector's capacity survives the reset, so the
-    // panel LU below performs no heap allocation.
-    let mut out = PanelOutcome {
-        pivots: col.pivots.take().unwrap_or_default(),
-        perturbed: Vec::new(),
-    };
-    kernels
-        .lu_panel_into(
-            &mut col.panel,
-            rule,
-            pivot_threshold,
-            breakdown,
-            force_local,
-            &mut out,
-        )
-        .map_err(|e| match e {
-            // Report the global column (in factorization order).
-            PanelError::Singular { column } => LuError::NumericallySingular {
-                column: start + column,
-            },
-            PanelError::NonFinite { column } => LuError::NonFinitePivot {
-                column: start + column,
-            },
-        })?;
-    col.pivots = Some(out.pivots);
-    Ok(out
-        .perturbed
-        .into_iter()
-        .map(|(c, v)| (start + c, v))
-        .collect())
-}
-
-/// `Update(k, j)`: applies `k`'s pivot interchanges to block column `j`,
-/// computes `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds the Schur complement
-/// `−L̄_below(k) · Ū(k, j)` into the rows of column `j` that `R_k` names.
+/// `Update(k, j)` on the held columns: applies `k`'s pivot interchanges
+/// to block column `j`, computes `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds
+/// the Schur complement `−L̄_below(k) · Ū(k, j)` into the rows of column
+/// `j` that `R_k` names.
 ///
 /// With a registry, each executed `trsm`/`gemm` adds its call and its flop
 /// count — the very shapes [`crate::costs::estimate_task_costs`] prices.
 /// Counting never changes what runs — `None` is the production fast path.
-pub(crate) fn update_task(
+fn update_columns(
     bm: &BlockMatrix,
-    k: usize,
-    j: usize,
+    u: &UpdateMap,
+    col_k: &ColumnData,
+    col_j: &mut ColumnData,
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
-    debug_assert!(k < j);
-    // A realised structure holds no block its pivot history never fills.
-    let Some(u) = bm.layout().update(k, j) else {
-        return;
-    };
-    let col_k = bm.column(k).read();
-    let mut col_j = bm.column(j).write();
-    replay_interchanges(bm, u, &col_k, &mut col_j);
-    solve_u_block(u, &col_k, &mut col_j, kernels, metrics);
+    replay_interchanges(bm, u, col_k, col_j);
+    solve_u_block(u, col_k, col_j, kernels, metrics);
     let below = col_k.panel.nrows() - col_k.width();
-    schur_rows(bm, u, &col_k, &mut col_j, 0..below, kernels, metrics);
+    schur_rows(bm, u, col_k, col_j, 0..below, kernels, metrics);
 }
 
 /// Stage 1 of `Update(k, j)`: the interchanges of `Factor(k)`, over the
@@ -201,6 +144,222 @@ pub(crate) fn schur_rows(
     }
 }
 
+/// One numeric factorization's task bodies and what they share: the
+/// storage, the pivoting parameters and kernel table the driver resolved
+/// once, the counters registry, the pivot history `Factor` is held to, and
+/// the run's outcome so far — the first error, the columns factored, the
+/// perturbed columns. Shared by every worker of a run.
+pub(crate) struct TaskBodies<'a> {
+    bm: &'a BlockMatrix,
+    rule: PivotRule,
+    threshold: f64,
+    breakdown: PanelBreakdown,
+    kernels: &'a Dispatch,
+    pub(crate) metrics: Option<&'a MetricsRegistry>,
+    /// The global pivot row of every column this run must reproduce:
+    /// after each `Factor(K)` its interchanges are compared with these,
+    /// and the first difference fails the run with
+    /// [`LuError::PivotHistoryDiverged`].
+    pub(crate) history: Option<&'a [usize]>,
+    /// The run's token: a stalled `Factor` (fault injection) waits for it.
+    #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
+    pub(crate) token: Option<&'a CancelToken>,
+    failed: AtomicBool,
+    pub(crate) first_error: Mutex<Option<LuError>>,
+    pub(crate) columns_done: AtomicUsize,
+    pub(crate) perturbed: Mutex<Vec<(usize, f64)>>,
+}
+
+impl<'a> TaskBodies<'a> {
+    /// The bodies of a factorization of `bm` under `rule` / `threshold` /
+    /// `breakdown` through `kernels`, uncounted, held to no history.
+    pub(crate) fn new(
+        bm: &'a BlockMatrix,
+        rule: PivotRule,
+        threshold: f64,
+        breakdown: PanelBreakdown,
+        kernels: &'a Dispatch,
+    ) -> Self {
+        TaskBodies {
+            bm,
+            rule,
+            threshold,
+            breakdown,
+            kernels,
+            metrics: None,
+            history: None,
+            token: None,
+            failed: AtomicBool::new(false),
+            first_error: Mutex::new(None),
+            columns_done: AtomicUsize::new(0),
+            perturbed: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `true` once a task of the run failed: the remaining ones drain.
+    pub(crate) fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    fn fail(&self, e: LuError) {
+        self.failed.store(true, Ordering::Release);
+        self.first_error.lock().get_or_insert(e);
+    }
+
+    /// Runs the panel LU of block column `k` **in place** on its held
+    /// column data `col` and records the pivot sequence.
+    ///
+    /// With [`PanelBreakdown::Perturb`] a column with no acceptable pivot
+    /// gets its diagonal replaced instead of failing, and the perturbed
+    /// columns are returned as **global** (factorization-order) column
+    /// indices with their perturbation magnitudes. `force_breakdown_at`
+    /// deterministically treats that global column as below threshold (the
+    /// fault-injection hook).
+    ///
+    /// Every column index this function emits — in errors and in the
+    /// perturbed list — is global, mapped through
+    /// [`BlockMatrix::global_col_start`], so callers never remap
+    /// panel-local indices themselves. The kernel table is the one the
+    /// driver resolved once per factorization; every table produces
+    /// bit-identical results (the contract on [`Dispatch::gemm_sub`]).
+    fn panel_lu(
+        &self,
+        k: usize,
+        col: &mut ColumnData,
+        force_breakdown_at: Option<usize>,
+    ) -> Result<Vec<(usize, f64)>, LuError> {
+        let start = self.bm.global_col_start(k);
+        let width = col.width();
+        let force_local = force_breakdown_at
+            .filter(|&g| g >= start && g < start + width)
+            .map(|g| g - start);
+        // Recycle the column's previous pivot storage (if any): on a
+        // session refactorization the swap vector's capacity survives the
+        // reset, so the panel LU below performs no heap allocation.
+        let mut out = PanelOutcome {
+            pivots: col.pivots.take().unwrap_or_default(),
+            perturbed: Vec::new(),
+        };
+        self.kernels
+            .lu_panel_into(
+                &mut col.panel,
+                self.rule,
+                self.threshold,
+                self.breakdown,
+                force_local,
+                &mut out,
+            )
+            .map_err(|e| match e {
+                // Report the global column (in factorization order).
+                PanelError::Singular { column } => LuError::NumericallySingular {
+                    column: start + column,
+                },
+                PanelError::NonFinite { column } => LuError::NonFinitePivot {
+                    column: start + column,
+                },
+            })?;
+        col.pivots = Some(out.pivots);
+        Ok(out
+            .perturbed
+            .into_iter()
+            .map(|(c, v)| (start + c, v))
+            .collect())
+    }
+
+    /// `Factor(k)` on the held column `col`: the panel LU, the history
+    /// trip-wire and the counters. `false` when it failed (the error is
+    /// recorded).
+    pub(crate) fn factor(&self, k: usize, col: &mut ColumnData) -> bool {
+        #[cfg(feature = "failpoints")]
+        crate::failpoints::maybe_panic_factor(k);
+        #[cfg(feature = "failpoints")]
+        crate::failpoints::maybe_stall_factor(k, &|| {
+            self.failed() || self.token.is_some_and(|t| t.is_cancelled())
+        });
+        #[cfg(feature = "failpoints")]
+        let force = crate::failpoints::forced_breakdown_column();
+        #[cfg(not(feature = "failpoints"))]
+        let force = None;
+        let perturbed = match self.panel_lu(k, col, force) {
+            Ok(p) => p,
+            Err(e) => {
+                self.fail(e);
+                return false;
+            }
+        };
+        if let Some(column) = self
+            .history
+            .and_then(|h| self.bm.pivot_divergence(k, col, h))
+        {
+            self.fail(LuError::PivotHistoryDiverged { column });
+            return false;
+        }
+        self.columns_done.fetch_add(1, Ordering::Relaxed);
+        if let Some(reg) = self.metrics {
+            reg.incr(Counter::FactorCalls);
+            reg.add(
+                Counter::FactorFlops,
+                factor_flops(col.panel.nrows(), col.width()),
+            );
+        }
+        if !perturbed.is_empty() {
+            self.perturbed.lock().extend(perturbed);
+        }
+        true
+    }
+
+    /// The tasks of block column `j` from the left-looking order:
+    /// `Update(k, j)` for the stored sources at positions `srcs` of the
+    /// column's ascending list, then `Factor(j)` when `factor` is set —
+    /// under one write lock on the column. `begin` is called before each
+    /// task and stops the column when it returns `false`; so does a failed
+    /// run. `false`: stopped.
+    fn column(
+        &self,
+        j: usize,
+        srcs: Range<usize>,
+        factor: bool,
+        begin: &mut dyn FnMut() -> bool,
+    ) -> bool {
+        let bm = self.bm;
+        let mut col_j = bm.column(j).write();
+        for u in &bm.layout().updates(j)[srcs] {
+            if self.failed() || !begin() {
+                return false;
+            }
+            let col_k = bm.column(u.src()).read();
+            update_columns(bm, u, &col_k, &mut col_j, self.kernels, self.metrics);
+        }
+        !factor || (!self.failed() && begin() && self.factor(j, &mut col_j))
+    }
+
+    /// The **range task**: every task of the block columns `cols`, in the
+    /// left-looking order — [`factor_left_looking`]'s loop over `cols`.
+    /// `false`: stopped by `begin` or a failure.
+    pub(crate) fn columns(&self, cols: Range<usize>, begin: &mut dyn FnMut() -> bool) -> bool {
+        let lay = self.bm.layout();
+        cols.into_iter()
+            .all(|j| self.column(j, 0..lay.updates(j).len(), true, begin))
+    }
+
+    /// One task of the coarse graph. An `Update` whose block the storage
+    /// does not hold (a realised structure) is no task: nothing runs.
+    pub(crate) fn task(&self, task: Task, begin: &mut dyn FnMut() -> bool) {
+        let ups = |j: usize| self.bm.layout().updates(j);
+        match task {
+            Task::Factor(j) => {
+                let n = ups(j).len();
+                self.column(j, n..n, true, begin);
+            }
+            Task::Update { src, dst } => {
+                if let Ok(q) = ups(dst).binary_search_by_key(&src, UpdateMap::src) {
+                    self.column(dst, q..q + 1, false, begin);
+                }
+            }
+        }
+    }
+}
+
 /// Sequential **left-looking** (fan-in) factorization: for each block
 /// column `j` in order, first apply every update `U(k, j)` with `k < j`
 /// (ascending — a topological order of both task graphs), then `Factor(j)`.
@@ -209,25 +368,22 @@ pub(crate) fn schur_rows(
 /// right-looking order the S* task formulation suggests. Both are
 /// topological orders of the same dependence DAG over identical task
 /// bodies, so the results are **bit-identical** to the graph-driven
-/// execution — which the test-suite asserts. Exposed as an ablation and as
-/// a simple driver for callers that do not want the scheduler.
+/// execution — which the test-suite asserts. It is the range task itself
+/// (`TaskBodies::columns` over every column) with portable kernels,
+/// partial pivoting and nothing observed: what a one-thread
+/// [`crate::factor_numeric_with`] runs, and the oracle of the bitwise
+/// suites.
 pub fn factor_left_looking(bm: &BlockMatrix, pivot_threshold: f64) -> Result<(), LuError> {
     let kernels = Dispatch::portable();
-    for j in 0..bm.num_block_cols() {
-        for (k, _) in bm.sources(j) {
-            update_task(bm, k, j, &kernels, None);
-        }
-        factor_task(
-            bm,
-            j,
-            PivotRule::Partial,
-            pivot_threshold,
-            PanelBreakdown::Error,
-            None,
-            &kernels,
-        )?;
-    }
-    Ok(())
+    let bodies = TaskBodies::new(
+        bm,
+        PivotRule::Partial,
+        pivot_threshold,
+        PanelBreakdown::Error,
+        &kernels,
+    );
+    bodies.columns(0..bm.num_block_cols(), &mut || true);
+    bodies.first_error.into_inner().map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

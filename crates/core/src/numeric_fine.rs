@@ -3,7 +3,7 @@
 //! direction, see `splu_sched::fine`).
 //!
 //! The task bodies are the three stages of the coarse `Update(src, dst)`
-//! (`crate::numeric::update_task`):
+//! (`crate::numeric`):
 //!
 //! * `apply_task` — apply `Factor(src)`'s interchanges to column `dst`;
 //! * `trsm_task` — `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)`;
@@ -38,7 +38,7 @@ pub(crate) fn apply_task(bm: &BlockMatrix, src: usize, dst: usize) {
 
 /// `Trsm(src, dst)`: `Ū(src, dst) = L(src, src)⁻¹ B̄(src, dst)` in place,
 /// the diagonal block read straight off the top of column `src`'s panel.
-/// `kernels` and `metrics` as for `crate::numeric::update_task`.
+/// `kernels` and `metrics` as for the coarse `Update`.
 pub(crate) fn trsm_task(
     bm: &BlockMatrix,
     src: usize,
@@ -57,7 +57,7 @@ pub(crate) fn trsm_task(
 
 /// `Gemm(src, dst, row)`: the rows of block row `row` that column `src`'s
 /// panel stores, times `Ū(src, dst)`, added into block `(row, dst)`.
-/// `kernels` and `metrics` as for `crate::numeric::update_task`.
+/// `kernels` and `metrics` as for the coarse `Update`.
 pub(crate) fn gemm_task(
     bm: &BlockMatrix,
     src: usize,

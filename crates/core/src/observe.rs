@@ -48,8 +48,9 @@ pub const PHASE_NAMES: [&str; 9] = [
 struct Captured {
     /// Numeric executor aggregate (filled by `SparseLu::factor_observed`).
     sched: Option<SchedStats>,
-    /// Numeric executor event stream with the task behind every task id,
-    /// which the Chrome export labels (full-event sessions only).
+    /// Numeric executor event stream with the task behind every task id
+    /// ([`crate::BlockMatrix::tasks`]), which the Chrome export labels
+    /// (full-event sessions only).
     numeric_trace: Option<(ExecTrace, Vec<Task>)>,
     /// Numeric health report.
     health: Option<FactorHealth>,
@@ -161,8 +162,8 @@ impl ObsSession {
     }
 
     /// Deposits the numeric executor's results: aggregate stats, health,
-    /// and (in event sessions) the event stream with the graph's tasks by
-    /// task id — labels are formatted when a trace is rendered, not per run.
+    /// and (in event sessions) the event stream with the tasks by task id —
+    /// labels are formatted when a trace is rendered, not per run.
     pub fn capture_numeric(
         &self,
         stats: SchedStats,
@@ -510,7 +511,8 @@ impl RunReport {
                     out,
                     "  \"sched\": {{\"nthreads\": {}, \"n_tasks\": {}, \"wall_s\": {}, \
                      \"busy_s\": {}, \"idle_s\": {}, \"steal_s\": {}, \
-                     \"load_imbalance\": {}, \"parallel_efficiency\": {}}},",
+                     \"load_imbalance\": {}, \"parallel_efficiency\": {}, \
+                     \"critical_path_s\": {}}},",
                     s.nthreads,
                     s.n_tasks,
                     json_f64(s.wall_s),
@@ -519,6 +521,7 @@ impl RunReport {
                     json_f64(s.steal_total()),
                     json_f64(s.load_imbalance()),
                     json_f64(s.parallel_efficiency()),
+                    s.critical_path_s.map_or("null".to_string(), json_f64),
                 );
             }
             None => {
@@ -677,8 +680,8 @@ mod tests {
 
     /// Task labels serve the Chrome export and nothing else: a report-grade
     /// session (what the daemon runs every job under) captures no event
-    /// stream, an event session captures the stream with the graph's tasks
-    /// and formats a label only when the trace is rendered.
+    /// stream, an event session captures the stream with the storage's
+    /// tasks and formats a label only when the trace is rendered.
     #[test]
     fn task_labels_are_formatted_by_the_chrome_export_only() {
         let a = splu_matgen::random_diag_dominant(30, 80, 3, 4.0);
@@ -692,11 +695,12 @@ mod tests {
         s.refactor_observed(&a, &events).unwrap();
         let cap = events.captured.lock();
         let (trace, tasks) = cap.numeric_trace.as_ref().expect("event stream captured");
-        assert_eq!(tasks.as_slice(), s.graph().tasks());
+        let bm = s.block_matrix().unwrap();
+        assert!(tasks.iter().copied().eq(bm.tasks()));
         assert_eq!(trace.events.len(), tasks.len(), "one event per task");
         drop(cap);
         let json = events.chrome_json();
-        assert_eq!(json.matches("\"cat\": \"task\"").count(), s.graph().len());
+        assert_eq!(json.matches("\"cat\": \"task\"").count(), bm.num_tasks());
         assert!(json.contains("\"name\": \"F(0)\"") && json.contains("\"name\": \"U("));
         assert!(
             !json.contains("\"name\": \"task "),

@@ -76,7 +76,7 @@ pub fn solve_permuted_parallel(
     let block_of = part.block_of_cols();
     // (block row, row inside its segment) of a global row.
     let locate = |r: usize| (block_of[r], r - part.range(block_of[r]).start);
-    run(&forward, |k| {
+    run(&forward, |k, _| {
         let col = bm.column(k).read();
         let piv = col
             .pivots
@@ -162,7 +162,7 @@ pub fn solve_permuted_parallel(
         threads: nthreads,
         ..ExecRequest::new(&bwd_pred, &bwd_succ)
     };
-    run(&backward, |k| {
+    run(&backward, |k, _| {
         let col = bm.column(k).read();
         let xk = {
             let mut seg = shards.segs[k].lock();

@@ -13,6 +13,19 @@
 //! dense kernel layer, or the cached [`ExecSchedule`] a solver session
 //! replays) become fields with defaults instead of new functions.
 //!
+//! **What runs is a range plan.** Postordering makes every eforest subtree
+//! a contiguous range of block columns whose tasks touch only that range
+//! and its ancestors. At one thread the whole matrix is one range — the
+//! coarse graph is not consulted, no schedule is computed, and the run is
+//! [`crate::factor_left_looking`]'s loop with the request's kernels,
+//! pivoting, budget and recorder. On several threads the coarse graph is
+//! contracted: every maximal subtree whose model flops fall under
+//! `total / (RANGES_PER_THREAD · P)` becomes one node running its columns
+//! as one range, the tasks above them stay nodes of their own, and the
+//! edges between nodes are the graph's. Per element this is a topological
+//! order of the same DAG over the same task bodies, so the factors are
+//! bitwise those of any other order.
+//!
 //! The kernel choice resolves to one [`Dispatch`] table **once per
 //! factorization** (CPU feature probing included), and that table threads
 //! through every `Factor`/`Update`/`Trsm`/`Gemm` task body — all of which preserve
@@ -21,19 +34,20 @@
 //! selected kernels.
 
 use crate::blocks::BlockMatrix;
-use crate::numeric::{factor_flops, factor_task, update_task};
+use crate::costs::update_flops;
+use crate::numeric::{factor_flops, TaskBodies};
 use crate::numeric_fine::{apply_task, gemm_task, trsm_task};
 use crate::observe::ObsSession;
 use crate::solve::growth_factor;
 use crate::{LuError, Options};
-use parking_lot::Mutex;
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{
     run, CancelToken, ExecReport, ExecRequest, ExecSchedule, FineGraph, FineTask, Interrupt,
     Mapping, RunBudget, Task, TaskGraph, TraceConfig,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,12 +84,18 @@ impl BreakdownPolicy {
 /// Which task dependence graph drives the factorization.
 #[derive(Clone, Copy)]
 pub enum GraphRef<'g> {
-    /// The coarse `Factor`/`Update` graph, executed under a task-to-worker
-    /// [`Mapping`].
+    /// No graph: the whole matrix is one range, run on one thread in
+    /// [`crate::factor_left_looking`]'s order — what a coarse request runs
+    /// at one thread too, whatever [`NumericRequest::threads`] says.
+    LeftLooking,
+    /// The coarse `Factor`/`Update` graph: at one thread not consulted (one
+    /// range), on several contracted into ranges and executed under a
+    /// task-to-worker [`Mapping`].
     Coarse {
         /// The dependence graph.
         graph: &'g TaskGraph,
-        /// Task-to-worker mapping (paper: static 1D column mapping).
+        /// Task-to-worker mapping (paper: static 1D column mapping; a
+        /// range goes to an owner by its flops).
         mapping: Mapping,
     },
     /// The fine-grained `Apply`/`Trsm`/`Gemm` decomposition, executed on a
@@ -84,8 +104,9 @@ pub enum GraphRef<'g> {
 }
 
 /// All parameters of one numeric factorization. Build with
-/// [`NumericRequest::coarse`] / [`NumericRequest::fine`], adjust with the
-/// chainable setters, run with [`factor_numeric_with`].
+/// [`NumericRequest::left_looking`] / [`NumericRequest::coarse`] /
+/// [`NumericRequest::fine`], adjust with the chainable setters, run with
+/// [`factor_numeric_with`].
 #[derive(Clone)]
 pub struct NumericRequest<'g> {
     /// The task graph (and, for the coarse form, its mapping).
@@ -114,14 +135,13 @@ pub struct NumericRequest<'g> {
     /// column total lands in [`splu_obs::Counter::PerturbedColumns`].
     /// `None` (the default) skips all counting.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Cached executor schedule for the **coarse** graph (a session computes
-    /// it once per analysis with [`ExecSchedule::for_graph`]). With a
-    /// schedule attached, parallel runs skip the per-run bottom-level
-    /// recomputation, and a single-threaded run without a watchdog
-    /// ([`ExecRequest::runs_inline`]) replays the precomputed order inline
-    /// instead of computing it — **with zero heap allocation** when
-    /// untraced, the session `refactor` hot path. The factors are bitwise
-    /// identical either way. Ignored by the fine graph.
+    /// Cached executor schedule of the **coarse** graph (a session on
+    /// several threads computes it once per analysis with
+    /// [`ExecSchedule::for_graph`]): its per-task priorities rank the nodes
+    /// of the contracted graph — each node takes its tasks' highest —
+    /// which saves a bottom-level sweep per run. A one-thread run needs
+    /// none. The factors are bitwise identical either way. Ignored by the
+    /// fine graph.
     pub schedule: Option<Arc<ExecSchedule>>,
     /// The pivot history this run must reproduce: the global row every
     /// column's pivot comes from. After each `Factor(K)` its interchanges
@@ -134,6 +154,12 @@ pub struct NumericRequest<'g> {
 }
 
 impl<'g> NumericRequest<'g> {
+    /// A request without a graph ([`GraphRef::LeftLooking`]) with the
+    /// defaults of [`Self::coarse`]: the one-thread plan.
+    pub fn left_looking() -> Self {
+        Self::with_graph(GraphRef::LeftLooking)
+    }
+
     /// A request over the coarse graph with the defaults: 1 thread, partial
     /// pivoting with zero threshold, tracing off, kernels picked for the CPU.
     pub fn coarse(graph: &'g TaskGraph, mapping: Mapping) -> Self {
@@ -301,6 +327,230 @@ fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> Lu
     }
 }
 
+/// Subtrees collapsed into one range hold at most `1 / (RANGES_PER_THREAD ·
+/// P)` of the model flops on `P` threads — half a worker's share. Larger
+/// cuts leave too few ranges to balance; smaller ones leave the chains at
+/// the top of a forest (sherman3: 14 columns, 79 % of the flops, 1,650
+/// updates under a cut of 1/8) as single tasks that cost the executor more
+/// than they run. Measured on two threads over the benchmark's patterns
+/// (EXPERIMENTS.md, "Range tasks").
+const RANGES_PER_THREAD: usize = 2;
+
+/// A node of a [`RangePlan`].
+#[derive(Debug, Clone, PartialEq)]
+enum PlanNode {
+    /// A range: every task of these block columns.
+    Columns(Range<usize>),
+    /// One task of the coarse graph.
+    Task(Task),
+}
+
+/// The DAG a coarse request runs on several threads: the coarse graph
+/// with every maximal eforest subtree that is a contiguous range of block
+/// columns and whose model flops fall under the cut contracted into one
+/// node, and the tasks above them kept as they are. Nodes are numbered in
+/// the left-looking order of their tasks, which the executor's task ids
+/// follow ([`BlockMatrix::tasks`]). A storage keeps the plan of its last
+/// run (`crate::blocks::Layout::range_plan`).
+#[derive(Debug)]
+pub(crate) struct RangePlan {
+    nodes: Vec<PlanNode>,
+    /// Node `t` runs tasks `bounds[t]..bounds[t + 1]` of the storage.
+    bounds: Vec<usize>,
+    pred_counts: Vec<usize>,
+    successors: Vec<Vec<usize>>,
+    /// Per node, its tasks' highest priority.
+    schedule: ExecSchedule,
+    /// Per node, its worker under [`Mapping::Static1D`].
+    owner: Vec<usize>,
+}
+
+impl RangePlan {
+    /// Contracts `graph` for `threads` workers over the storage `bm`,
+    /// ranking the nodes by `priority` (one per task of `graph`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `graph` is not over `bm`'s partition, or when an edge of
+    /// it would leave a contracted task set and come back — the contraction
+    /// must keep every set convex, which holds for any graph whose edges
+    /// never lead from a task to one of a lower block column (both
+    /// builders' graphs).
+    pub(crate) fn new(
+        bm: &BlockMatrix,
+        graph: &TaskGraph,
+        priority: &[u64],
+        threads: usize,
+    ) -> Self {
+        let (lay, nb) = (bm.layout(), bm.num_block_cols());
+        assert_eq!(graph.num_block_cols(), nb, "a graph of another partition");
+        assert_eq!(priority.len(), graph.len(), "one priority per task");
+        // The model flops of each column's tasks on this storage, and the
+        // block eforest: a column's parent is the first column it updates,
+        // when it has rows below (`splu_sched::block_forest`).
+        let mut flops = vec![0.0f64; nb];
+        let mut parent = vec![usize::MAX; nb];
+        for j in 0..nb {
+            let w = lay.width(j);
+            flops[j] = factor_flops(w + lay.rows_below(j), w) as f64;
+            for u in lay.updates(j) {
+                let k = u.src();
+                flops[j] += update_flops(lay.width(k), lay.rows_below(k), u.ncols());
+                if parent[k] == usize::MAX && lay.rows_below(k) > 0 {
+                    parent[k] = j;
+                }
+            }
+        }
+        // Per subtree (a parent follows its children): flops, first column
+        // and size; the subtree is a range of columns when they agree.
+        let mut sub = flops.clone();
+        let mut first: Vec<usize> = (0..nb).collect();
+        let mut size = vec![1usize; nb];
+        for j in 0..nb {
+            let p = parent[j];
+            if p != usize::MAX {
+                sub[p] += sub[j];
+                first[p] = first[p].min(first[j]);
+                size[p] += size[j];
+            }
+        }
+        let cut = flops.iter().sum::<f64>() / (RANGES_PER_THREAD * threads) as f64;
+        // The root of the range holding each column, top down.
+        let mut root = vec![usize::MAX; nb];
+        for j in (0..nb).rev() {
+            root[j] = match parent[j] {
+                p if p != usize::MAX && root[p] != usize::MAX => root[p],
+                _ if sub[j] <= cut && j + 1 - first[j] == size[j] => j,
+                _ => usize::MAX,
+            };
+        }
+
+        // The updates into every column outside a range, by ascending
+        // source (the graph lists them by source, then destination).
+        let mut into_ptr = vec![0usize; nb + 1];
+        for t in graph.tasks() {
+            if let Task::Update { dst, .. } = *t {
+                into_ptr[dst + 1] += usize::from(root[dst] == usize::MAX);
+            }
+        }
+        for j in 0..nb {
+            into_ptr[j + 1] += into_ptr[j];
+        }
+        let mut into = vec![0usize; into_ptr[nb]];
+        let mut fill = into_ptr.clone();
+        for (t, task) in graph.tasks().iter().enumerate() {
+            if let Task::Update { dst, .. } = *task {
+                if root[dst] == usize::MAX {
+                    into[fill[dst]] = t;
+                    fill[dst] += 1;
+                }
+            }
+        }
+        // Nodes in the left-looking order — a range at its first column,
+        // else each update into the column, then its factor — with their
+        // tasks on this storage as bounds. `node_of` maps the tasks whose
+        // edges may leave their node: every task outside a range, and a
+        // range's factors (only `F(k) → U(k, j)` raises the block column).
+        let mut nodes = Vec::new();
+        let mut bounds = vec![0usize];
+        let mut node_of = vec![usize::MAX; graph.len()];
+        let mut walk = Vec::new();
+        for j in 0..nb {
+            let r = root[j];
+            if r == usize::MAX {
+                let tasks = into[into_ptr[j]..into_ptr[j + 1]].iter().copied();
+                for t in tasks.chain([graph.factor_id(j)]) {
+                    let task = graph.task(t);
+                    let n = match task {
+                        Task::Factor(_) => 1,
+                        Task::Update { src, dst } => usize::from(lay.update(src, dst).is_some()),
+                    };
+                    node_of[t] = nodes.len();
+                    walk.push(t);
+                    nodes.push(PlanNode::Task(task));
+                    bounds.push(bounds[bounds.len() - 1] + n);
+                }
+                continue;
+            }
+            if j == first[r] {
+                nodes.push(PlanNode::Columns(j..r + 1));
+                bounds.push(bounds[bounds.len() - 1] + lay.task_start(r + 1) - lay.task_start(j));
+            }
+            node_of[graph.factor_id(j)] = nodes.len() - 1;
+            walk.push(graph.factor_id(j));
+        }
+
+        // Edges between nodes, once each, walking the tasks in node order;
+        // a node's priority is its tasks' highest (a range's are at its
+        // factors: each update precedes a factor of its column).
+        let nn = nodes.len();
+        let (mut pred_counts, mut successors) = (vec![0usize; nn], vec![Vec::new(); nn]);
+        let (mut prio, mut seen) = (vec![0u64; nn], vec![usize::MAX; nn]);
+        for &t in &walk {
+            let a = node_of[t];
+            prio[a] = prio[a].max(priority[t]);
+            for &s in graph.successors(t) {
+                let b = match node_of[s] {
+                    // An update inside a range (where the factor is too).
+                    usize::MAX => node_of[graph.factor_id(graph.task(s).home_column())],
+                    b => b,
+                };
+                if b == a || seen[b] == a {
+                    continue;
+                }
+                assert!(
+                    a < b,
+                    "{} reaches back into node {b}: a contracted task set is not convex",
+                    graph.task(t)
+                );
+                seen[b] = a;
+                successors[a].push(b);
+                pred_counts[b] += 1;
+            }
+        }
+
+        // Owners: a task goes with its column (`j mod P`), a range — the
+        // largest first — to the least loaded worker.
+        let mut load = vec![0.0f64; threads];
+        for j in (0..nb).filter(|&j| root[j] == usize::MAX) {
+            load[j % threads] += flops[j];
+        }
+        let mut owner = vec![0usize; nn];
+        let mut ranges = Vec::new();
+        for (id, node) in nodes.iter().enumerate() {
+            match node {
+                PlanNode::Task(t) => owner[id] = t.home_column() % threads,
+                PlanNode::Columns(cols) => ranges.push((sub[cols.end - 1], id)),
+            }
+        }
+        ranges.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (f, id) in ranges {
+            let w = (0..threads)
+                .min_by(|&x, &y| load[x].total_cmp(&load[y]))
+                .unwrap_or(0);
+            owner[id] = w;
+            load[w] += f;
+        }
+        let schedule = ExecSchedule::with_priorities(prio);
+        RangePlan {
+            nodes,
+            bounds,
+            pred_counts,
+            successors,
+            schedule,
+            owner,
+        }
+    }
+
+    /// Bytes the plan holds.
+    pub(crate) fn bytes(&self) -> u64 {
+        let usz = std::mem::size_of::<usize>();
+        let edges: usize = self.successors.iter().map(Vec::len).sum();
+        let per_node = std::mem::size_of::<PlanNode>() + std::mem::size_of::<Vec<usize>>();
+        (self.nodes.len() * (per_node + 6 * usz) + edges * usz) as u64
+    }
+}
+
 /// Runs one numeric factorization described by `req` over the assembled
 /// block storage, returning the executor's [`ExecReport`]. On numerical
 /// breakdown under [`BreakdownPolicy::Error`] the remaining tasks drain as
@@ -308,41 +558,65 @@ fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> Lu
 /// [`BreakdownPolicy::Perturb`] the run completes and the perturbed
 /// columns land in the report's [`splu_sched::FactorHealth`]. A worker
 /// panic is contained by the executor and surfaces as
-/// [`LuError::WorkerPanic`] — never as an unwind or a hang.
+/// [`LuError::WorkerPanic`] naming the task that panicked — never as an
+/// unwind or a hang.
 ///
 /// A bounded run ([`NumericRequest::budget`]) that is cancelled, misses its
 /// deadline, or trips the liveness watchdog likewise drains every worker
 /// and returns the matching [`LuError`] variant with the number of block
-/// columns completed and tasks still pending.
+/// columns completed and tasks still pending. The budget is polled before
+/// every task — each `Factor`/`Update` of a range included — and a task
+/// id in the report (panics, stalls, trace events) is the task's position
+/// in [`BlockMatrix::tasks`].
 ///
 /// This is the single driver behind every public factorization entry point;
-/// the kernel table is resolved from `req.kernels` exactly once here.
+/// the kernel table is resolved from `req.kernels` exactly once here. What
+/// it runs is the range plan of the module docs: one range at one thread
+/// (or without a graph), the contracted coarse graph on several, the fine
+/// graph as it is.
 pub fn factor_numeric_with(
     bm: &BlockMatrix,
     req: &NumericRequest<'_>,
 ) -> Result<ExecReport, LuError> {
     let dispatch = Dispatch::resolve(req.kernels);
-    // The executor's view of either graph form: the DAG, plus — coarse
-    // only — the static 1D owner map and the session's cached schedule.
     let threads = req.threads.max(1);
-    let home = |t: usize| match req.graph {
-        GraphRef::Coarse { graph, .. } => graph.task(t).home_column() % threads,
-        GraphRef::Fine(_) => 0,
-    };
-    let exec = match req.graph {
-        GraphRef::Coarse { graph, mapping } => ExecRequest {
-            placement: mapping.placement(&home),
-            schedule: req.schedule.as_deref(),
-            ..ExecRequest::new(graph.pred_counts(), graph.successor_lists())
+    // The executed DAG: the contracted coarse graph on several threads,
+    // the fine graph, or else the whole matrix as one node of every task.
+    // With a schedule the storage keeps the plan for the next run.
+    let plan =
+        match (req.graph, &req.schedule) {
+            (GraphRef::Coarse { graph, .. }, Some(schedule)) if threads > 1 => {
+                Some(bm.layout().range_plan(schedule, threads, || {
+                    RangePlan::new(bm, graph, schedule.priorities(), threads)
+                }))
+            }
+            (GraphRef::Coarse { graph, .. }, None) if threads > 1 => Some(Arc::new(
+                RangePlan::new(bm, graph, &graph.bottom_levels(), threads),
+            )),
+            _ => None,
+        };
+    let owner = |node: usize| plan.as_ref().map_or(0, |p| p.owner[node]);
+    let whole = [0, bm.num_tasks()];
+    let no_successor = [Vec::new()];
+    let mut exec = match (&plan, req.graph) {
+        (Some(p), GraphRef::Coarse { mapping, .. }) => ExecRequest {
+            task_bounds: Some(&p.bounds),
+            schedule: Some(&p.schedule),
+            placement: mapping.placement(&owner),
+            threads,
+            ..ExecRequest::new(&p.pred_counts, &p.successors)
         },
-        GraphRef::Fine(fg) => ExecRequest::new(fg.pred_counts(), fg.successor_lists()),
+        (_, GraphRef::Fine(fg)) => ExecRequest {
+            threads,
+            ..ExecRequest::new(fg.pred_counts(), fg.successor_lists())
+        },
+        _ => ExecRequest {
+            task_bounds: Some(&whole),
+            ..ExecRequest::new(&[0], &no_successor)
+        },
     };
-    let mut exec = ExecRequest {
-        threads,
-        trace: req.trace,
-        budget: &req.budget,
-        ..exec
-    };
+    exec.trace = req.trace;
+    exec.budget = &req.budget;
     // Effective budget: a deadline or watchdog without a caller token gets
     // an internal one, so a budget trip can release cooperative waiters
     // (e.g. the stall failpoint) that poll the token. Creating it
@@ -356,10 +630,6 @@ pub fn factor_numeric_with(
         budget.token = Some(CancelToken::new());
     }
     exec.budget = &budget;
-    let failed = AtomicBool::new(false);
-    let columns_done = AtomicUsize::new(0);
-    let first_error: Mutex<Option<LuError>> = Mutex::new(None);
-    let perturbed: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
     // Resolve the policy once: the perturbation is `eps·‖A‖₁` of the
     // assembled values, and the element-growth estimate needs `max|a_ij|`
     // from before the factorization overwrites the storage.
@@ -372,82 +642,54 @@ pub fn factor_numeric_with(
         }
     };
     let metrics = req.metrics.as_deref();
-    let factor = |k: usize| {
-        #[cfg(feature = "failpoints")]
-        crate::failpoints::maybe_panic_factor(k);
-        #[cfg(feature = "failpoints")]
-        crate::failpoints::maybe_stall_factor(k, &|| {
-            failed.load(Ordering::Acquire)
-                || budget.token.as_ref().is_some_and(|t| t.is_cancelled())
-        });
-        #[cfg(feature = "failpoints")]
-        let force = crate::failpoints::forced_breakdown_column();
-        #[cfg(not(feature = "failpoints"))]
-        let force = None;
-        match factor_task(
-            bm,
-            k,
-            req.pivot_rule,
-            req.pivot_threshold,
-            panel_policy,
-            force,
-            &dispatch,
-        ) {
-            Ok(p) => {
-                let diverged = req.history.and_then(|h| bm.pivot_divergence(k, h));
-                if let Some(column) = diverged {
-                    failed.store(true, Ordering::Release);
-                    first_error
-                        .lock()
-                        .get_or_insert(LuError::PivotHistoryDiverged { column });
-                    return;
-                }
-                columns_done.fetch_add(1, Ordering::Relaxed);
-                if let Some(reg) = metrics {
-                    let col = bm.column(k).read();
-                    reg.incr(Counter::FactorCalls);
-                    reg.add(
-                        Counter::FactorFlops,
-                        factor_flops(col.panel.nrows(), col.width()),
-                    );
-                }
-                if !p.is_empty() {
-                    perturbed.lock().extend(p);
-                }
-            }
-            Err(e) => {
-                failed.store(true, Ordering::Release);
-                first_error.lock().get_or_insert(e);
-            }
-        }
-    };
-    let mut report = run(&exec, |tid| {
-        if failed.load(Ordering::Acquire) {
+    let mut bodies = TaskBodies::new(
+        bm,
+        req.pivot_rule,
+        req.pivot_threshold,
+        panel_policy,
+        &dispatch,
+    );
+    bodies.metrics = metrics;
+    bodies.history = req.history;
+    bodies.token = budget.token.as_ref();
+    let mut report = run(&exec, |node, steps| {
+        if bodies.failed() {
             return;
         }
-        match req.graph {
-            GraphRef::Coarse { graph, .. } => match graph.task(tid) {
-                Task::Factor(k) => factor(k),
-                Task::Update { src, dst } => update_task(bm, src, dst, &dispatch, metrics),
-            },
-            GraphRef::Fine(fg) => match fg.tasks()[tid] {
-                FineTask::Factor(k) => factor(k),
+        let mut begin = || steps.begin();
+        match (req.graph, &plan) {
+            (GraphRef::Fine(fg), _) => match fg.tasks()[node] {
+                FineTask::Factor(k) => {
+                    bodies.factor(k, &mut bm.column(k).write());
+                }
                 FineTask::Apply { src, dst } => apply_task(bm, src, dst),
                 FineTask::Trsm { src, dst } => trsm_task(bm, src, dst, &dispatch, metrics),
                 FineTask::Gemm { src, dst, row } => {
                     gemm_task(bm, src, dst, row, &dispatch, metrics)
                 }
             },
+            (_, Some(p)) => match &p.nodes[node] {
+                PlanNode::Columns(cols) => {
+                    bodies.columns(cols.clone(), &mut begin);
+                }
+                PlanNode::Task(task) => bodies.task(*task, &mut begin),
+            },
+            (_, None) => {
+                bodies.columns(0..bm.num_block_cols(), &mut begin);
+            }
         }
     });
     report.stats.kernel = dispatch.name();
-    if let Some(e) = first_error.into_inner() {
+    let columns_done = bodies.columns_done.load(Ordering::Relaxed);
+    if let Some(e) = bodies.first_error.into_inner() {
         return Err(e);
     }
     if let Some(p) = report.panic.take() {
         let task = match req.graph {
-            GraphRef::Coarse { graph, .. } => graph.task(p.task).to_string(),
             GraphRef::Fine(fg) => format!("{:?}", fg.tasks()[p.task]),
+            _ => (bm.tasks().nth(p.task))
+                .expect("a task id of this storage")
+                .to_string(),
         };
         return Err(LuError::WorkerPanic {
             worker: p.worker,
@@ -455,7 +697,6 @@ pub fn factor_numeric_with(
         });
     }
     if let Some(interrupt) = report.interrupt.take() {
-        let columns_done = columns_done.load(Ordering::Relaxed);
         return Err(match interrupt {
             Interrupt::Cancelled { tasks_pending } => {
                 budget_error(false, columns_done, tasks_pending)
@@ -469,7 +710,7 @@ pub fn factor_numeric_with(
             },
         });
     }
-    let mut perturbed = perturbed.into_inner();
+    let mut perturbed = bodies.perturbed.into_inner();
     if let Some(reg) = metrics {
         reg.add(Counter::PerturbedColumns, perturbed.len() as u64);
     }
@@ -591,6 +832,127 @@ mod tests {
             let col = bm.column(k).read();
             let piv = col.pivots.as_ref().unwrap();
             assert!(piv.swaps().iter().enumerate().all(|(c, &p)| c == p));
+        }
+    }
+
+    /// A random matrix of diagonal blocks of the given sizes coupled only
+    /// upwards — block upper triangular, so its eforest has a tree per
+    /// block, and the coupling entries are Theorem 2's updates from the
+    /// roots of earlier trees into later ones. `weak` diagonals make
+    /// partial pivoting interchange rows.
+    fn forest_matrix(sizes: &[usize], seed: u64, weak: bool) -> CscMatrix {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n: usize = sizes.iter().sum();
+        let mut trips = Vec::new();
+        let mut lo = 0;
+        for &m in sizes {
+            for i in lo..lo + m {
+                let d = if weak && rng.gen_range(0..3) == 0 {
+                    1e-3
+                } else {
+                    4.0
+                };
+                trips.push((i, i, d));
+                for _ in 0..2 {
+                    trips.push((rng.gen_range(lo..lo + m), i, rng.gen_range(-1.0..1.0)));
+                }
+            }
+            if lo > 0 {
+                for _ in 0..m / 2 + 1 {
+                    trips.push((
+                        rng.gen_range(0..lo),
+                        rng.gen_range(lo..lo + m),
+                        rng.gen_range(-1.0..1.0),
+                    ));
+                }
+            }
+            lo += m;
+        }
+        CscMatrix::from_triplets(n, n, &trips).unwrap()
+    }
+
+    /// The coarse graph run task by task through the executor as a plain
+    /// DAG — each `Update` and `Factor` its own node, locking its own
+    /// columns — the one-thread path before range tasks.
+    fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph, history: Option<&[usize]>) -> bool {
+        let kernels = Dispatch::resolve(KernelChoice::Auto);
+        let mut bodies =
+            TaskBodies::new(bm, PivotRule::Partial, 0.0, PanelBreakdown::Error, &kernels);
+        bodies.history = history;
+        let exec = ExecRequest::new(graph.pred_counts(), graph.successor_lists());
+        run(&exec, |t, _| {
+            if !bodies.failed() {
+                bodies.task(graph.task(t), &mut || true);
+            }
+        })
+        .rethrow();
+        bodies.first_error.into_inner().is_none()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Range execution equals the per-task graph replay bit for bit —
+        /// pivots and every stored word — on random forests of one to
+        /// three trees, at 1/2/4/8 threads, under both mappings, over both
+        /// graph kinds, on the static structure and on the realised one of
+        /// the replay's pivot history (held to that history).
+        #[test]
+        fn range_execution_is_bitwise_the_graph_replay(
+            sizes in proptest::collection::vec(4usize..24, 1..4),
+            seed in 0u64..1000,
+            weak in 0usize..2,
+        ) {
+            let a = forest_matrix(&sizes, seed, weak == 1);
+            let sym = crate::analyze(a.pattern(), &Options::default()).unwrap();
+            let p = sym.permute_matrix(&a);
+            let bs = &sym.block_structure;
+            let static_graph = sym.build_graph(crate::TaskGraphKind::EForest);
+            let oracle = BlockMatrix::assemble(&p, bs);
+            if !graph_replay(&oracle, &static_graph, None) {
+                // Singular: the executor must say so too (checked elsewhere).
+                return Ok(());
+            }
+            let history = oracle.pivot_rows();
+            let slots = oracle.value_slots(p.pattern(), |i| i, |j| j);
+            let (rows, cols) = oracle.layout().realised_flags(bs, &slots, &history);
+            let realised = crate::blocks::realised_structure(bs, &rows, &cols);
+            for kind in [crate::TaskGraphKind::EForest, crate::TaskGraphKind::SStar] {
+                let graph = sym.build_graph(kind);
+                let schedule = Arc::new(ExecSchedule::for_graph(&graph));
+                for (structure, held) in [(bs, None), (&realised, Some(&history[..]))] {
+                    let want = BlockMatrix::assemble(&p, structure);
+                    proptest::prop_assert!(graph_replay(&want, &graph, held));
+                    for threads in [1, 2, 4, 8] {
+                        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                            let mut bm = BlockMatrix::assemble(&p, structure);
+                            let mut req = NumericRequest::coarse(&graph, mapping).threads(threads);
+                            if threads % 4 != 0 {
+                                req = req.schedule(Arc::clone(&schedule));
+                            }
+                            if let Some(h) = held {
+                                req = req.expect_history(h);
+                            }
+                            for _ in 0..2 {
+                                bm.reset_from(&p, structure);
+                                let report = factor_numeric_with(&bm, &req).unwrap();
+                                proptest::prop_assert_eq!(report.stats.n_tasks, bm.num_tasks());
+                                proptest::prop_assert_eq!(
+                                    bm.factor_difference(&want),
+                                    None,
+                                    "{:?} threads={} {:?} realised={}",
+                                    kind,
+                                    threads,
+                                    mapping,
+                                    held.is_some()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -6,11 +6,13 @@
 //! depends only on the sparsity pattern, while device- and
 //! circuit-simulation workloads change the numeric *values* every step. A
 //! [`SluSession`] caches all of the symbolic state (keyed by a pattern
-//! hash, [`pattern_hash`]) plus the executor schedule, and exposes:
+//! hash, [`pattern_hash`]) — on several threads also the task graph and
+//! its executor schedule; a one-thread session factors the whole matrix as
+//! one range and holds neither — and exposes:
 //!
 //! * [`SluSession::analyze`] — the symbolic half, run once per pattern;
 //! * [`SluSession::factor`] — numeric-only: assembles block storage for the
-//!   given values and factors over the cached graph (no symbolic phases);
+//!   given values and factors it (no symbolic phases);
 //! * [`SluSession::refactor`] — the hot path: additionally reuses the
 //!   already-allocated panel-major storage and the cached scatter map, so
 //!   with one thread, tracing off, and no watchdog it performs **zero heap
@@ -22,9 +24,7 @@
 //! with [`LuError::PatternMismatch`]; a solve before the first successful
 //! factorization returns [`LuError::NotFactored`]. The refactorization is
 //! **bitwise identical** to a fresh factorization of the same values —
-//! same task bodies, same acquisition order (the cached
-//! [`ExecSchedule`] replays the one-worker priority executor exactly, and
-//! the parallel path reuses only the per-task priorities) — which the
+//! same task bodies in a topological order of the same DAG — which the
 //! session invariance suite asserts across thread counts and mappings.
 //!
 //! **Realised structure.** The static `Ā` is valid for every pivot
@@ -32,7 +32,7 @@
 //! pays for on each of them. When the last two completed factorizations
 //! took the same pivot history, `refactor` derives the sub-structure that
 //! history can fill ([`crate::blocks`]' boolean replay), lays the storage
-//! out from it and runs the same driver, graph and schedule on it, holding
+//! out from it and runs the same driver (and graph) on it, holding
 //! every `Factor(K)` to the recorded interchanges. Equal pivots mean —
 //! by induction over the columns — that every word left out was exactly
 //! zero, so the factors are bitwise the static ones; the first unequal
@@ -48,7 +48,7 @@ use crate::blocks::{realised_structure, BlockMatrix, ValueSlot};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
-use crate::{analyze_parts, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
+use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_obs::Counter;
 use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
 use splu_sparse::{CscMatrix, SparsityPattern};
@@ -101,22 +101,23 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
     Ok(())
 }
 
-/// A persistent solver session: cached symbolic analysis + task graph +
-/// executor schedule for one sparsity pattern, with reusable numeric
-/// storage. The module docs of `session.rs` describe the lifecycle.
+/// A persistent solver session: cached symbolic analysis (plus, on several
+/// threads, task graph and executor schedule) for one sparsity pattern,
+/// with reusable numeric storage. The module docs of `session.rs` describe
+/// the lifecycle.
 pub struct SluSession {
     /// `sym.block_structure` is the structure of the current storage: the
-    /// static one, or the realised one of `history`.
+    /// static one, or the realised one of `history` (the static one then
+    /// held aside in `sym`).
     sym: SymbolicLu,
-    /// The static structure, held aside while a realised one is cached.
-    static_bs: Option<BlockStructure>,
     /// Global pivot row of every column. On the static structure: of the
     /// factorization completed before the one `bm` holds (empty when that
     /// one was not looked at). On a realised structure: the history it was
     /// derived from, which every run on it reproduces or leaves.
     history: Vec<usize>,
-    graph: TaskGraph,
-    schedule: Arc<ExecSchedule>,
+    /// The task graph of the static structure and its schedule — held by
+    /// a session of several threads only.
+    graph: Option<(TaskGraph, Arc<ExecSchedule>)>,
     pattern_hash: u64,
     bm: Option<BlockMatrix>,
     /// Where each nonzero of the (original-order) input lands inside the
@@ -129,9 +130,11 @@ pub struct SluSession {
 
 impl SluSession {
     /// Runs the full symbolic analysis for `pattern` and caches everything
-    /// the numeric phase needs: permutations, filled structure, supernode
-    /// partition, the task graph of `opts.task_graph`, and its executor
-    /// schedule. No numeric storage is allocated yet.
+    /// the numeric phase needs: permutations, supernode partition and
+    /// block lists — and, when `opts.threads > 1`, the task graph of
+    /// `opts.task_graph` with its executor schedule (one thread factors the
+    /// whole matrix as one range: no graph is built). No numeric storage
+    /// is allocated yet.
     pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
         Self::analyze_inner(pattern, opts, None)
     }
@@ -156,18 +159,18 @@ impl SluSession {
         if let Some(o) = obs {
             sreq = sreq.observe(o.clone());
         }
-        let (sym, graph) = analyze_parts(pattern, opts, &sreq)?;
-        let schedule = {
+        let sym = analyze_with(pattern, opts, &sreq)?;
+        let graph = (opts.threads > 1).then(|| {
             let _p = obs.map(|o| o.phase("graph_build"));
-            Arc::new(ExecSchedule::for_graph(&graph))
-        };
+            let graph = sym.build_graph(opts.task_graph);
+            let schedule = Arc::new(ExecSchedule::for_graph(&graph));
+            (graph, schedule)
+        });
         Ok(SluSession {
             budget: opts.budget.clone(),
             sym,
-            static_bs: None,
             history: Vec::new(),
             graph,
-            schedule,
             pattern_hash: pattern_hash(pattern),
             bm: None,
             scatter: Vec::new(),
@@ -182,8 +185,8 @@ impl SluSession {
     }
 
     /// Numeric-only factorization of `a` (original order, same pattern as
-    /// analyzed): assembles fresh block storage and factors over the cached
-    /// graph. No symbolic phase runs. Use [`Self::refactor`] to also reuse
+    /// analyzed): assembles fresh block storage and factors it. No symbolic
+    /// phase runs. Use [`Self::refactor`] to also reuse
     /// the storage of a previous factorization. Always on the static
     /// structure — this is the oracle `refactor` is held to — so it drops a
     /// cached realised structure and the recorded pivot history.
@@ -199,9 +202,9 @@ impl SluSession {
 
     /// Refactorizes with new values: resets the existing panel-major
     /// storage in place, scatters `a`'s values through the cached scatter
-    /// map, and re-runs the numeric phase over the cached graph and
-    /// schedule. With `threads <= 1`, tracing off, and no watchdog the
-    /// whole path performs **zero heap allocation**; the result is bitwise
+    /// map, and re-runs the numeric phase. With `threads <= 1`, tracing
+    /// off, and no watchdog the whole path performs **zero heap
+    /// allocation**; the result is bitwise
     /// identical to [`Self::factor`] of the same values. Before the first
     /// [`Self::factor`] this simply *is* a factor call (storage must be
     /// allocated once).
@@ -216,10 +219,10 @@ impl SluSession {
     }
 
     /// [`Self::refactor`] under an observability session. At one thread
-    /// this is the same inline replay with the executor's recorder attached
-    /// — the observed run executes the program the unobserved one does, and
-    /// what it allocates (the report) does not grow with the task count;
-    /// phase walls still show symbolic time exactly zero.
+    /// this is the same range with the executor's recorder attached — the
+    /// observed run executes the program the unobserved one does, and what
+    /// it allocates (the report) does not grow with the task count; phase
+    /// walls still show symbolic time exactly zero.
     pub fn refactor_observed(&mut self, a: &CscMatrix, obs: &ObsSession) -> Result<(), LuError> {
         self.refactor_inner(a, Some(obs))
     }
@@ -258,7 +261,7 @@ impl SluSession {
         check_finite(a)?;
         // The one rule that moves a session onto a realised structure: the
         // factorization `bm` holds took the history of the one before it.
-        if self.static_bs.is_none() && self.factored {
+        if !self.is_realised() && self.factored {
             let bm = self.bm.as_ref().expect("storage checked above");
             if bm.swap_history(&mut self.history) {
                 let _p = obs.map(|o| o.phase("graph_build"));
@@ -318,7 +321,7 @@ impl SluSession {
         let bm = BlockMatrix::zeros(&realised);
         self.scatter = self.slots_in(&bm, pattern);
         self.bm = Some(bm);
-        self.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, realised));
+        self.sym.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, realised));
         self.factored = false;
     }
 
@@ -326,7 +329,7 @@ impl SluSession {
     /// storage, maps and scatter map go; [`Self::assemble_fresh`] rebuilds
     /// the static ones.
     fn drop_realised(&mut self) {
-        if let Some(static_bs) = self.static_bs.take() {
+        if let Some(static_bs) = self.sym.static_bs.take() {
             self.sym.block_structure = static_bs;
             self.bm = None;
             self.scatter = Vec::new();
@@ -376,20 +379,25 @@ impl SluSession {
         let bm = self.bm.as_ref().expect("storage assembled by the caller");
         let opts = &self.sym.opts;
         let numeric_phase = obs.map(|o| o.phase("numeric"));
-        let mut nreq = NumericRequest::coarse(&self.graph, opts.mapping)
+        let nreq = match &self.graph {
+            Some((graph, schedule)) => {
+                NumericRequest::coarse(graph, opts.mapping).schedule(Arc::clone(schedule))
+            }
+            None => NumericRequest::left_looking(),
+        };
+        let mut nreq = nreq
             .threads(opts.threads)
             .pivot_rule(opts.pivot_rule)
             .pivot_threshold(opts.pivot_threshold)
             .kernels(opts.kernels)
             .breakdown(opts.breakdown)
-            .budget(self.budget.clone())
-            .schedule(Arc::clone(&self.schedule));
-        if self.static_bs.is_some() {
+            .budget(self.budget.clone());
+        if self.is_realised() {
             nreq = nreq.expect_history(&self.history);
         }
         if let Some(o) = obs {
             nreq = nreq
-                .trace(o.executor_trace_config(self.graph.len(), opts.threads.max(1)))
+                .trace(o.executor_trace_config(bm.num_tasks(), opts.threads.max(1)))
                 .metrics(Arc::clone(o.metrics()));
         }
         let report = factor_numeric_with(bm, &nreq)?;
@@ -397,9 +405,7 @@ impl SluSession {
         if let Some(o) = obs {
             // The Chrome export labels the events of an event stream by
             // task; a report-grade run has none and copies nothing.
-            let labelled = report
-                .trace
-                .map(|trace| (trace, self.graph.tasks().to_vec()));
+            let labelled = report.trace.map(|trace| (trace, bm.tasks().collect()));
             o.capture_numeric(report.stats, report.health.clone(), labelled);
         }
         self.health = report.health;
@@ -518,14 +524,17 @@ impl SluSession {
         &self.sym.opts
     }
 
-    /// The cached task graph.
-    pub fn graph(&self) -> &TaskGraph {
-        &self.graph
+    /// The cached task graph of the static structure — held on several
+    /// threads only (`None` at one thread, where the whole matrix is one
+    /// range and no graph is built).
+    pub fn graph(&self) -> Option<&TaskGraph> {
+        self.graph.as_ref().map(|(graph, _)| graph)
     }
 
-    /// The cached executor schedule (shared with every factorization).
-    pub fn schedule(&self) -> &Arc<ExecSchedule> {
-        &self.schedule
+    /// The cached executor schedule of [`Self::graph`] (shared with every
+    /// factorization), under the same condition.
+    pub fn schedule(&self) -> Option<&Arc<ExecSchedule>> {
+        self.graph.as_ref().map(|(_, schedule)| schedule)
     }
 
     /// Resident bytes this session holds: the dense panel/U-block storage
@@ -533,13 +542,14 @@ impl SluSession {
     /// index maps, the cached scatter map, the recorded pivot history, and
     /// the symbolic state — the block structure's row, column and block
     /// lists (of **both** structures while a realised one is cached), the
-    /// two permutations with their inverses, the block forest, the task
-    /// graph and its schedule — counted from the lengths of the arrays that
-    /// hold them (no scalar `L̄`/`Ū` exists to count). Storage, maps and
-    /// scatter map are those actually held: the realised ones while a
-    /// realised structure is cached. This is the quantity a session pool
-    /// budgets and evicts on; it intentionally counts only per-session
-    /// state, not transient factorization workspace.
+    /// two permutations with their inverses, the block forest, and the
+    /// task graph with its schedule while one is held — counted from the
+    /// lengths of the arrays that hold them (no scalar `L̄`/`Ū` exists to
+    /// count). Storage, maps and scatter map are those actually held: the
+    /// realised ones while a realised structure is cached. This is the
+    /// quantity a session pool budgets and evicts on; it intentionally
+    /// counts only per-session state, not transient factorization
+    /// workspace.
     pub fn resident_bytes(&self) -> u64 {
         let usz = std::mem::size_of::<usize>() as u64;
         let vec_header = std::mem::size_of::<Vec<usize>>() as u64;
@@ -560,17 +570,18 @@ impl SluSession {
         // Four permutation arrays; the forest's parents and one child list
         // per node.
         let symbolic = lists(&self.sym.block_structure)
-            + self.static_bs.as_ref().map_or(0, lists)
+            + self.sym.static_bs.as_ref().map_or(0, lists)
             + 4 * n * usz
             + nb * (2 * usz + vec_header);
         // Task graph: the task, its successor list and its predecessor
-        // count per task, one word per edge; schedule: priority and
-        // sequential position per task.
-        let tasks = self.graph.len() as u64;
-        let graph = tasks * (std::mem::size_of::<splu_sched::Task>() as u64 + vec_header + usz)
-            + self.sym.stats.graph_edges as u64 * usz
-            + nb * usz
-            + (self.schedule.len() as u64) * 2 * 8;
+        // count per task, one word per edge; schedule: a priority per task.
+        let graph = self.graph.as_ref().map_or(0, |(graph, schedule)| {
+            let tasks = graph.len() as u64;
+            tasks * (std::mem::size_of::<splu_sched::Task>() as u64 + vec_header + usz)
+                + self.sym.stats.graph_edges as u64 * usz
+                + nb * usz
+                + (schedule.len() as u64) * 8
+        });
         let numeric = self
             .bm
             .as_ref()
@@ -584,13 +595,13 @@ impl SluSession {
     /// the *current* storage — this one, or a sub-structure of it while the
     /// session refactors on the realised structure of its pivot history.
     pub fn static_structure(&self) -> &BlockStructure {
-        self.static_bs.as_ref().unwrap_or(&self.sym.block_structure)
+        self.sym.static_structure()
     }
 
     /// `true` while the session holds a realised structure (the storage is
     /// laid out for one pivot history only).
     pub fn is_realised(&self) -> bool {
-        self.static_bs.is_some()
+        self.sym.static_bs.is_some()
     }
 
     /// Storage accounting of the block storage the session holds (`None`

@@ -2,13 +2,14 @@
 //!
 //! Install [`CountingAlloc`] as the binary's `#[global_allocator]` (the
 //! `parsplu` CLI does this behind the `alloc-track` feature) and
-//! [`heap_stats`] reports live and high-water heap bytes; the driver
+//! [`heap_stats`] reports live and high-water heap bytes and counts the
+//! allocations; the driver
 //! resets the high-water mark at each phase boundary to attribute peaks
 //! per phase. When no counting allocator is installed, [`heap_stats`]
 //! returns `None` and the whole module costs nothing.
 //!
-//! The counters are relaxed atomics on the allocation path — two adds and
-//! a `fetch_max` per allocation — which is measurable but small next to
+//! The counters are relaxed atomics on the allocation path — three adds
+//! and a `fetch_max` per allocation — which is measurable but small next to
 //! the allocation itself; that is why installation is opt-in rather than
 //! default.
 
@@ -17,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// Live and high-water heap byte counts from the counting allocator.
@@ -27,6 +29,8 @@ pub struct HeapStats {
     /// High-water mark since process start or the last
     /// [`reset_heap_peak`].
     pub peak_bytes: u64,
+    /// Allocations (and growing reallocations) since process start.
+    pub allocations: u64,
 }
 
 /// Heap counters, or `None` when no [`CountingAlloc`] is installed as the
@@ -38,6 +42,7 @@ pub fn heap_stats() -> Option<HeapStats> {
     Some(HeapStats {
         current_bytes: CURRENT.load(Ordering::Relaxed),
         peak_bytes: PEAK.load(Ordering::Relaxed),
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
     })
 }
 
@@ -60,6 +65,7 @@ impl CountingAlloc {
     #[inline]
     fn on_alloc(size: usize) {
         INSTALLED.store(true, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         let now = CURRENT.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         PEAK.fetch_max(now, Ordering::Relaxed);
     }

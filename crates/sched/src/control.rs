@@ -8,7 +8,8 @@
 //! a report instead of hanging:
 //!
 //! * **Cancellation** — a [`CancelToken`] shared with the caller (or a
-//!   SIGINT handler). Checked at every task-acquisition boundary.
+//!   SIGINT handler). Checked before every task starts — each task of a
+//!   multi-task node included.
 //! * **Deadline** — an absolute [`Instant`]; also checked at task
 //!   boundaries, so enforcement latency is bounded by the longest single
 //!   task.
@@ -368,14 +369,16 @@ const STATE_PARKED: u8 = 3;
 const STATE_EXITED: u8 = 4;
 
 /// One worker's liveness cell: heartbeat epoch + last observed state +
-/// last started task. All accesses are relaxed — the watchdog only needs
-/// eventual visibility, and the hot path must stay a handful of
-/// uncontended stores per task.
+/// last started task + tasks retired. All accesses are relaxed — the
+/// watchdog and the interrupt's pending count only need eventual
+/// visibility, and the hot path must stay a handful of uncontended stores
+/// per task.
 #[derive(Debug)]
 struct Heart {
     beats: AtomicU64,
     state: AtomicU8,
     last_task: AtomicUsize,
+    retired: AtomicUsize,
 }
 
 impl Heart {
@@ -384,6 +387,7 @@ impl Heart {
             beats: AtomicU64::new(0),
             state: AtomicU8::new(STATE_STARTING),
             last_task: AtomicUsize::new(usize::MAX),
+            retired: AtomicUsize::new(0),
         }
     }
 }
@@ -396,7 +400,7 @@ struct MonitorStop {
 }
 
 /// Shared run-control state for one executor run: the abort latch, the
-/// unretired-task countdown, the first-interrupt slot, the per-worker
+/// unretired-node countdown, the first-interrupt slot, the per-worker
 /// liveness cells, and the watchdog plumbing. The executor threads one
 /// `Supervisor` through its worker loop.
 pub(crate) struct Supervisor<'b> {
@@ -404,8 +408,11 @@ pub(crate) struct Supervisor<'b> {
     /// `true` when a token or deadline needs checking at task boundaries.
     armed: bool,
     pub(crate) abort: crate::sync::AbortFlag,
+    /// DAG nodes not yet retired: the run ends when it reaches zero.
     pub(crate) remaining: Countdown,
-    /// Tasks no worker has acquired yet; counted on armed runs only.
+    /// Tasks of all nodes together.
+    n_tasks: usize,
+    /// Tasks no worker has started yet; counted on armed runs only.
     unacquired: Countdown,
     interrupted: Mutex<Option<Interrupt>>,
     hearts: Vec<Heart>,
@@ -413,12 +420,18 @@ pub(crate) struct Supervisor<'b> {
 }
 
 impl<'b> Supervisor<'b> {
-    pub(crate) fn new(n_tasks: usize, nthreads: usize, budget: &'b RunBudget) -> Self {
+    pub(crate) fn new(
+        n_nodes: usize,
+        n_tasks: usize,
+        nthreads: usize,
+        budget: &'b RunBudget,
+    ) -> Self {
         Supervisor {
             budget,
             armed: budget.is_armed(),
             abort: crate::sync::AbortFlag::new(),
-            remaining: Countdown::new(n_tasks),
+            remaining: Countdown::new(n_nodes),
+            n_tasks,
             unacquired: Countdown::new(n_tasks),
             interrupted: Mutex::new(None),
             hearts: (0..nthreads).map(|_| Heart::new()).collect(),
@@ -433,18 +446,26 @@ impl<'b> Supervisor<'b> {
         self.abort.is_set()
     }
 
+    /// Tasks not yet retired.
+    fn pending(&self) -> usize {
+        let retired: usize = (self.hearts.iter())
+            .map(|h| h.retired.load(Ordering::Relaxed))
+            .sum();
+        self.n_tasks - retired
+    }
+
     /// The task-boundary budget check. Returns `true` when the worker
-    /// must stop acquiring work — because the run is already aborted, or
+    /// must not start the task — because the run is already aborted, or
     /// because this very check tripped the token/deadline. `wake` is the
     /// executor's broadcast (all gates).
-    pub(crate) fn check_budget<W: Fn()>(&self, wake: &W) -> bool {
+    pub(crate) fn check_budget(&self, wake: &dyn Fn()) -> bool {
         if self.abort.is_set() {
             return true;
         }
         if !self.armed {
             return false;
         }
-        let tasks_pending = self.remaining.remaining();
+        let tasks_pending = self.pending();
         let why = if self.budget.token.as_ref().is_some_and(|t| t.checkpoint()) {
             Interrupt::Cancelled { tasks_pending }
         } else if self.budget.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -452,10 +473,10 @@ impl<'b> Supervisor<'b> {
         } else {
             return false;
         };
-        // A run whose every task has been acquired can no longer be
-        // interrupted: an abort only blocks acquisitions, so it completes.
-        // Read after the token, so that a cancel issued from inside the
-        // last task (ordered after its acquisition) finds the count at zero.
+        // A run whose every task has started can no longer be interrupted:
+        // an abort only blocks starts, so it completes. Read after the
+        // token, so that a cancel issued from inside the last task (ordered
+        // after its start) finds the count at zero.
         if self.unacquired.is_done() {
             return false;
         }
@@ -468,7 +489,7 @@ impl<'b> Supervisor<'b> {
     /// bodies), latch the abort, broadcast every gate, stop the monitor.
     /// The slot is written before the token/abort stores so a concurrent
     /// tripper cannot observe the abort and skip recording its reason.
-    pub(crate) fn trip<W: Fn()>(&self, why: Interrupt, wake: &W) {
+    pub(crate) fn trip(&self, why: Interrupt, wake: &dyn Fn()) {
         {
             let mut slot = self.interrupted.lock();
             if slot.is_none() {
@@ -486,7 +507,7 @@ impl<'b> Supervisor<'b> {
     /// The panic-containment abort: same drain path as [`Self::trip`]
     /// but records no interrupt — the panic itself is the reason and
     /// travels through [`crate::ExecReport::panic`].
-    pub(crate) fn abort_for_panic<W: Fn()>(&self, wake: &W) {
+    pub(crate) fn abort_for_panic(&self, wake: &dyn Fn()) {
         if let Some(t) = &self.budget.token {
             t.cancel();
         }
@@ -503,7 +524,7 @@ impl<'b> Supervisor<'b> {
 
     // -- heartbeats (always compiled in; relaxed, uncontended) --
 
-    /// Worker `w` acquired task `tid` and is about to run it.
+    /// Worker `w` starts task `tid`.
     pub(crate) fn note_acquired(&self, w: usize, tid: usize) {
         if self.armed {
             self.unacquired.retire();
@@ -512,6 +533,11 @@ impl<'b> Supervisor<'b> {
         h.beats.fetch_add(1, Ordering::Relaxed);
         h.last_task.store(tid, Ordering::Relaxed);
         h.state.store(STATE_RUNNING, Ordering::Relaxed);
+    }
+
+    /// Worker `w` finished a task.
+    pub(crate) fn note_retired(&self, w: usize) {
+        self.hearts[w].retired.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn beat_scan(&self, w: usize) {
@@ -574,11 +600,12 @@ impl<'b> Supervisor<'b> {
     /// [`RunBudget::watchdog`] is set. Polls the progress signature; when
     /// it freezes for a full stall window while tasks remain, captures a
     /// [`StallReport`] and trips the run.
-    pub(crate) fn monitor<W, D>(&self, cfg: WatchdogConfig, wake: &W, queue_depths: &D)
-    where
-        W: Fn(),
-        D: Fn() -> Vec<usize>,
-    {
+    pub(crate) fn monitor(
+        &self,
+        cfg: WatchdogConfig,
+        wake: &dyn Fn(),
+        queue_depths: &dyn Fn() -> Vec<usize>,
+    ) {
         let poll = cfg.poll();
         let mut last_sig = self.progress_signature();
         let mut last_change = Instant::now();
@@ -602,14 +629,13 @@ impl<'b> Supervisor<'b> {
                 last_change = Instant::now();
                 continue;
             }
-            let pending = self.remaining.remaining();
-            if pending == 0 {
+            if self.remaining.is_done() {
                 return;
             }
             if last_change.elapsed() >= cfg.stall_window {
                 let report = StallReport {
                     stalled_for: last_change.elapsed(),
-                    tasks_pending: pending,
+                    tasks_pending: self.pending(),
                     workers: self.snapshot_workers(),
                     queue_depths: queue_depths(),
                 };
@@ -704,7 +730,7 @@ mod tests {
     #[test]
     fn supervisor_first_interrupt_wins() {
         let budget = RunBudget::unbounded().with_token(CancelToken::new());
-        let sup = Supervisor::new(5, 2, &budget);
+        let sup = Supervisor::new(5, 5, 2, &budget);
         sup.trip(Interrupt::Cancelled { tasks_pending: 5 }, &|| {});
         sup.trip(Interrupt::DeadlineExceeded { tasks_pending: 4 }, &|| {});
         assert!(sup.is_aborted());
@@ -718,7 +744,7 @@ mod tests {
     #[test]
     fn check_budget_is_inert_when_unarmed_or_done() {
         let unarmed = RunBudget::unbounded();
-        let sup = Supervisor::new(3, 1, &unarmed);
+        let sup = Supervisor::new(3, 3, 1, &unarmed);
         assert!(!sup.check_budget(&|| {}));
 
         // A cancelled token no longer trips once every task has been
@@ -726,10 +752,11 @@ mod tests {
         // inert after the last retirement.
         let token = CancelToken::new();
         let budget = RunBudget::unbounded().with_token(token.clone());
-        let sup = Supervisor::new(1, 1, &budget);
+        let sup = Supervisor::new(1, 1, 1, &budget);
         sup.note_acquired(0, 0);
         token.cancel();
         assert!(!sup.check_budget(&|| {}));
+        sup.note_retired(0);
         assert!(sup.remaining.retire() && sup.remaining.is_done());
         assert!(!sup.check_budget(&|| {}));
         assert_eq!(sup.finish(), None);
@@ -741,7 +768,7 @@ mod tests {
     fn check_budget_trips_while_a_task_is_unacquired() {
         let token = CancelToken::new();
         let budget = RunBudget::unbounded().with_token(token.clone());
-        let sup = Supervisor::new(2, 1, &budget);
+        let sup = Supervisor::new(2, 2, 1, &budget);
         sup.note_acquired(0, 0);
         token.cancel();
         assert!(sup.check_budget(&|| {}));
@@ -754,7 +781,7 @@ mod tests {
     #[test]
     fn expired_deadline_trips_deadline_exceeded() {
         let budget = RunBudget::unbounded().with_deadline(Instant::now() - Duration::from_secs(1));
-        let sup = Supervisor::new(4, 1, &budget);
+        let sup = Supervisor::new(4, 4, 1, &budget);
         assert!(sup.check_budget(&|| {}));
         assert_eq!(
             sup.finish(),

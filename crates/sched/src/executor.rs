@@ -4,11 +4,17 @@
 //! An [`ExecRequest`] names everything a run depends on: the DAG
 //! (in-degrees plus successor lists — a [`TaskGraph`](crate::TaskGraph), a
 //! [`FineGraph`](crate::FineGraph) and ad-hoc slices are all viewed this
-//! way), an optional cached [`ExecSchedule`], the worker count, the
-//! [`Placement`] of ready tasks, the [`TraceConfig`] and the [`RunBudget`].
-//! Every phase that schedules work — numeric factorization, symbolic fill,
-//! postorder segments, the triangular sweeps — builds a request and calls
-//! [`run`].
+//! way), how many tasks each of its nodes holds, an optional cached
+//! [`ExecSchedule`], the worker count, the [`Placement`] of ready tasks,
+//! the [`TraceConfig`] and the [`RunBudget`]. Every phase that schedules
+//! work — the numeric factorization, the parallel triangular sweeps —
+//! builds a request and calls [`run`].
+//!
+//! A node is the unit of scheduling, a **task** the unit of accounting: a
+//! node of several tasks ([`ExecRequest::task_bounds`]; the numeric
+//! phase's range of block columns) runs them back to back on one worker
+//! and announces each through [`Steps::begin`], so budget checkpoints,
+//! heartbeats, recorder events and panic reports stay per task.
 //!
 //! Tasks are dispatched from per-worker **ready pools ordered by
 //! priority**: the cached schedule's, or else each task's unit *bottom
@@ -38,7 +44,8 @@
 //!
 //! **One worker never spawns**: a request that [`ExecRequest::runs_inline`]
 //! (one worker, no watchdog to feed) is replayed by [`run`] on the calling
-//! thread, traced or not — see [`crate::schedule`].
+//! thread, traced or not — see [`crate::schedule`]; a one-node DAG needs
+//! no order to replay and allocates nothing for it.
 //!
 //! The synchronization primitives the worker loop is built on — the sleep
 //! [`Gate`], the [`crate::sync::Countdown`] of unretired tasks and the
@@ -61,19 +68,21 @@
 //!
 //! The same abort-broadcast path also serves the **run budget**
 //! ([`crate::RunBudget`]): a cancellation token and a deadline are checked
-//! at every task-acquisition boundary, and an armed watchdog spawns a
-//! monitor that reads the per-worker heartbeat epochs and aborts a run that
-//! makes no progress for a full stall window. An interrupted run **drains**
-//! — workers exit at their next boundary, parked workers are woken — and
-//! the reason lands in [`ExecReport::interrupt`]. All checks are
-//! cooperative: a task body is never killed mid-flight, so enforcement
-//! latency is bounded by the longest single task.
+//! before every task starts, and an armed watchdog spawns a monitor that
+//! reads the per-worker heartbeat epochs (one per task started) and aborts
+//! a run that makes no progress for a full stall window. An interrupted
+//! run **drains** — workers exit at their next boundary, parked workers
+//! are woken — and the reason lands in [`ExecReport::interrupt`]. All
+//! checks are cooperative: a task body is never killed mid-flight, so
+//! enforcement latency is bounded by the longest single task.
 
 use crate::control::{RunBudget, Supervisor};
-use crate::graph::bottom_levels;
-use crate::schedule::{replay_inline, ExecSchedule, Ready};
+use crate::graph::{bottom_levels, topo_order};
+use crate::schedule::{one_worker_order, replay_inline, ExecSchedule, Ready};
 use crate::sync::{AtomicUsize, Gate, Mutex, Ordering, Park};
-use crate::trace::{assemble_report, ExecReport, TaskPanic, TraceConfig, WorkerRecorder};
+use crate::trace::{
+    assemble_report, EventKind, ExecReport, TaskPanic, TraceConfig, TraceEvent, WorkerRecorder,
+};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -125,12 +134,18 @@ static UNBOUNDED: RunBudget = RunBudget {
 /// [`ExecRequest::new`] and override fields with struct-update syntax.
 #[derive(Clone, Copy)]
 pub struct ExecRequest<'a> {
-    /// In-degree of each task; its length is the task count.
+    /// In-degree of each node; its length is the node count.
     pub pred_counts: &'a [usize],
-    /// Successor ids of each task.
+    /// Successor ids of each node.
     pub successors: &'a [Vec<usize>],
-    /// Cached priorities and one-worker order; `None` schedules by unit
-    /// bottom levels computed per run.
+    /// The tasks of each node: node `t` runs tasks `b[t]..b[t + 1]` of
+    /// `Some(b)` (non-decreasing from `b[0] = 0`, one entry more than there
+    /// are nodes; a node may hold none), and its runner announces each
+    /// through [`Steps::begin`]. `None`: node `t` is the one task `t`,
+    /// which the executor announces before calling the runner.
+    pub task_bounds: Option<&'a [usize]>,
+    /// Cached node priorities; `None` schedules by unit bottom levels
+    /// computed per run.
     pub schedule: Option<&'a ExecSchedule>,
     /// Worker threads (`0` is taken as `1`).
     pub threads: usize,
@@ -149,6 +164,7 @@ impl<'a> ExecRequest<'a> {
         ExecRequest {
             pred_counts,
             successors,
+            task_bounds: None,
             schedule: None,
             threads: 1,
             placement: Placement::Steal,
@@ -162,11 +178,85 @@ impl<'a> ExecRequest<'a> {
     pub fn runs_inline(&self) -> bool {
         self.threads <= 1 && self.budget.watchdog.is_none()
     }
+
+    /// Tasks of all nodes together.
+    pub(crate) fn n_tasks(&self) -> usize {
+        let nodes = self.pred_counts.len();
+        self.task_bounds.map_or(nodes, |b| b[nodes])
+    }
+
+    /// Id of the first task of `node`.
+    pub(crate) fn first_task(&self, node: usize) -> usize {
+        self.task_bounds.map_or(node, |b| b[node])
+    }
 }
 
-/// Runs every task of the request's DAG once, honouring all dependence
-/// edges and always preferring the ready task of highest priority.
-/// `runner` is invoked with each task id.
+/// The executor's side of a running node: a runner of a node of several
+/// tasks ([`ExecRequest::task_bounds`]) calls [`Steps::begin`] before each
+/// of them, which closes the task before it (its recorder event, its
+/// retirement), polls the run budget, beats the worker's heart and opens
+/// the next task id — one checkpoint, one heartbeat and one recorded
+/// task per task, however many a node holds. The runner of a one-task
+/// node never calls it: the executor has announced that task already.
+pub struct Steps<'s>(pub(crate) &'s mut dyn Announce);
+
+impl Steps<'_> {
+    /// The node's next task starts now. `false`: the run is draining (its
+    /// budget tripped, or another task panicked) — return without running
+    /// it.
+    pub fn begin(&mut self) -> bool {
+        self.0.begin()
+    }
+}
+
+/// How a run announces tasks: on the calling thread or in a worker.
+pub(crate) trait Announce {
+    fn begin(&mut self) -> bool;
+}
+
+/// [`Announce`] inside the worker loop: the supervisor's checks and
+/// heartbeats, and the worker's recorder.
+struct WorkerSteps<'a, 'r> {
+    sup: &'a Supervisor<'a>,
+    w: usize,
+    rec: &'r mut WorkerRecorder,
+    wake: &'a dyn Fn(),
+    t0: Option<Instant>,
+    /// The task running, once announced.
+    open: Option<usize>,
+    /// Id the next announcement starts.
+    next: usize,
+}
+
+impl WorkerSteps<'_, '_> {
+    /// Retires the task running, if any.
+    fn close(&mut self) {
+        if let Some(tid) = self.open.take() {
+            self.rec.end_task(self.t0, tid);
+            self.rec.count_retired();
+            self.sup.note_retired(self.w);
+        }
+    }
+}
+
+impl Announce for WorkerSteps<'_, '_> {
+    fn begin(&mut self) -> bool {
+        self.close();
+        if self.sup.check_budget(self.wake) {
+            return false;
+        }
+        self.t0 = self.rec.begin();
+        self.sup.note_acquired(self.w, self.next);
+        self.open = Some(self.next);
+        self.next += 1;
+        true
+    }
+}
+
+/// Runs every node of the request's DAG once, honouring all dependence
+/// edges and always preferring the ready node of highest priority.
+/// `runner` is invoked with each node id and the [`Steps`] it announces
+/// the node's tasks through.
 ///
 /// The run never unwinds and never hangs on a failing task: a worker panic
 /// is contained in [`ExecReport::panic`], a tripped budget drains the run
@@ -175,34 +265,41 @@ impl<'a> ExecRequest<'a> {
 ///
 /// # Panics
 ///
-/// Panics when the DAG has a cycle, or when a cached schedule was built
-/// for a different task count.
+/// Panics when the DAG has a cycle, when a cached schedule was built for a
+/// different node count, or when the task bounds do not cover the nodes.
 #[must_use = "a contained worker panic or interrupt is only visible in the report"]
 pub fn run<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, &mut Steps<'_>) + Sync,
 {
-    let n_tasks = req.pred_counts.len();
+    let n_nodes = req.pred_counts.len();
     let nthreads = req.threads.max(1);
     let config = &req.trace;
-    if n_tasks == 0 {
+    if n_nodes == 0 {
         return assemble_report(0, nthreads, 0.0, config, Vec::new(), None, None);
     }
-    assert_eq!(req.successors.len(), n_tasks, "one successor list per task");
+    assert_eq!(req.successors.len(), n_nodes, "one successor list per node");
     if let Some(schedule) = req.schedule {
         assert_eq!(
             schedule.len(),
-            n_tasks,
+            n_nodes,
             "schedule/graph task count mismatch"
         );
     }
+    if let Some(b) = req.task_bounds {
+        assert!(b.len() == n_nodes + 1 && b[0] == 0, "task bounds per node");
+        debug_assert!(b.windows(2).all(|w| w[0] <= w[1]));
+    }
     if req.runs_inline() {
-        // No cached schedule: the one it would hold is computed for the run.
-        let schedule = req.schedule.map_or_else(
-            || Cow::Owned(ExecSchedule::for_dag(req.pred_counts, req.successors)),
-            Cow::Borrowed,
-        );
-        return replay_inline(&schedule, runner, req.budget, config);
+        // One node needs no order; more replay the one-worker order.
+        let computed;
+        let order: &[usize] = if n_nodes == 1 {
+            &[0]
+        } else {
+            computed = one_worker_order(req.pred_counts, req.successors, &priorities(req));
+            &computed
+        };
+        return replay_inline(order, req, runner);
     }
     run_workers(req, runner)
 }
@@ -210,23 +307,18 @@ where
 /// The worker loop of [`run`]: several workers, or an armed watchdog.
 pub(crate) fn run_workers<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, &mut Steps<'_>) + Sync,
 {
-    let n_tasks = req.pred_counts.len();
+    let n_nodes = req.pred_counts.len();
+    let n_tasks = req.n_tasks();
     let nthreads = req.threads.max(1);
     let config = &req.trace;
     // Event timestamps measure from the shared epoch when the caller set
     // one (pipeline-aligned traces); wall-clock always from executor start.
     let start = Instant::now();
     let epoch = config.epoch.unwrap_or(start);
-    let computed;
-    let priority: &[u64] = match req.schedule {
-        Some(schedule) => schedule.priorities(),
-        None => {
-            computed = bottom_levels(req.pred_counts, req.successors);
-            &computed
-        }
-    };
+    let priority = priorities(req);
+    let priority: &[u64] = &priority;
     // With one worker there is one pool either way.
     let queue_of = match req.placement {
         Placement::Owner(queue_of) if nthreads > 1 => Some(queue_of),
@@ -244,7 +336,7 @@ where
         .iter()
         .map(|&c| AtomicUsize::new(c))
         .collect();
-    let sup = Supervisor::new(n_tasks, nthreads, req.budget);
+    let sup = Supervisor::new(n_nodes, n_tasks, nthreads, req.budget);
     // Drained worker recorders; locked once per worker, at exit.
     let drained = Mutex::new(Vec::with_capacity(nthreads));
     // First caught worker panic; reported through `ExecReport::panic`
@@ -305,11 +397,12 @@ where
                 // drained on every exit path, panicked or clean.
                 let mut body = || {
                     'work: loop {
-                        // Acquire a task: own pool first, then (stealing
-                        // only) the first non-empty victim. The budget
-                        // check runs first, outside every lock.
-                        let tid = 'acquire: loop {
-                            if sup.check_budget(wake_all) {
+                        // Acquire a node: own pool first, then (stealing
+                        // only) the first non-empty victim. The budget is
+                        // polled when a task starts; here only a drained
+                        // run stops the search.
+                        let node = 'acquire: loop {
+                            if sup.is_aborted() {
                                 return;
                             }
                             if let Some(r) = pools[w].lock().pop() {
@@ -358,22 +451,40 @@ where
                             }
                         };
 
-                        let t0 = rec.begin();
-                        sup.note_acquired(w, tid);
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
+                        let mut steps = WorkerSteps {
+                            sup,
+                            w,
+                            rec: &mut rec,
+                            wake: wake_all,
+                            t0: None,
+                            open: None,
+                            next: req.first_task(node),
+                        };
+                        if req.task_bounds.is_none() && !steps.begin() {
+                            return;
+                        }
+                        let ran =
+                            catch_unwind(AssertUnwindSafe(|| runner(node, &mut Steps(&mut steps))));
+                        if let Err(payload) = ran {
                             // Containment: record the first panic for the
                             // report, then abort so no worker stays parked
-                            // behind a task that will never retire. Nothing
+                            // behind a node that will never retire. Nothing
                             // unwinds out of the scope.
-                            panicked
-                                .lock()
-                                .get_or_insert_with(|| TaskPanic::caught(w, tid, payload.as_ref()));
+                            let task = steps.open.unwrap_or(steps.next);
+                            panicked.lock().get_or_insert_with(|| {
+                                TaskPanic::caught(w, task, payload.as_ref())
+                            });
                             sup.abort_for_panic(wake_all);
                             return;
                         }
-                        rec.end_task(t0, tid);
+                        steps.close();
+                        if sup.is_aborted() {
+                            // The node may have stopped short: release
+                            // nothing, the run is draining.
+                            return;
+                        }
 
-                        for &s in &successors[tid] {
+                        for &s in &successors[node] {
                             if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 let pool = match queue_of {
                                     Some(queue_of) => queue_of(s),
@@ -386,11 +497,10 @@ where
                                 gates[if queue_of.is_some() { pool } else { 0 }].notify_one();
                             }
                         }
-                        rec.count_retired();
                         if sup.remaining.retire() {
-                            // Last task retired: broadcast once on every gate
-                            // so each parked worker wakes exactly once and
-                            // exits, and release the watchdog monitor.
+                            // Last node retired: broadcast once on every
+                            // gate so each parked worker wakes exactly once
+                            // and exits, and release the watchdog monitor.
                             wake_all();
                             sup.on_last_retire();
                             return;
@@ -409,9 +519,9 @@ where
     let panicked = panicked.into_inner();
     debug_assert!(
         panicked.is_some() || interrupt.is_some() || leftover == 0,
-        "clean shutdown must retire every task"
+        "clean shutdown must retire every node"
     );
-    assemble_report(
+    let mut report = assemble_report(
         n_tasks,
         nthreads,
         start.elapsed().as_secs_f64(),
@@ -419,9 +529,47 @@ where
         drained.into_inner(),
         panicked,
         interrupt,
-    )
+    );
+    if let Some(trace) = report.trace.as_ref().filter(|_| nthreads > 1) {
+        report.stats.critical_path_s = Some(critical_path_s(req, &trace.events));
+    }
+    report
 }
 
+/// The request's node priorities: its schedule's, or unit bottom levels.
+fn priorities<'a>(req: &ExecRequest<'a>) -> Cow<'a, [u64]> {
+    match req.schedule {
+        Some(schedule) => Cow::Borrowed(schedule.priorities()),
+        None => Cow::Owned(bottom_levels(req.pred_counts, req.successors)),
+    }
+}
+
+/// The measured critical path of a traced run: the longest chain of node
+/// spans along the DAG's edges, in seconds, where a node's span is the
+/// summed duration of its tasks' events.
+fn critical_path_s(req: &ExecRequest<'_>, events: &[TraceEvent]) -> f64 {
+    let n = req.pred_counts.len();
+    let mut span = vec![0u64; n];
+    for e in events {
+        if let EventKind::Task { tid } = e.kind {
+            let node = req
+                .task_bounds
+                .map_or(tid, |b| b.partition_point(|&first| first <= tid) - 1);
+            span[node] += e.end_ns - e.start_ns;
+        }
+    }
+    // Longest chain ending just before each node, in topological order.
+    let mut before = vec![0u64; n];
+    let mut longest = 0;
+    for t in topo_order(req.pred_counts, req.successors) {
+        let end = before[t] + span[t];
+        longest = longest.max(end);
+        for &s in &req.successors[t] {
+            before[s] = before[s].max(end);
+        }
+    }
+    longest as f64 / 1e9
+}
 #[cfg(all(test, not(loom)))]
 pub(crate) mod tests {
     use super::*;
@@ -491,7 +639,7 @@ pub(crate) mod tests {
             budget,
             ..ExecRequest::new(graph.pred_counts(), graph.successor_lists())
         };
-        run(&req, |t| runner(graph.task(t)))
+        run(&req, |t, _| runner(graph.task(t)))
     }
 
     /// Runs a graph and records the completion order; asserts every task ran
@@ -659,7 +807,7 @@ pub(crate) mod tests {
                     schedule,
                     ..ExecRequest::new(g.pred_counts(), g.successor_lists())
                 };
-                let report = run(&req, |_| panic!("no tasks expected"));
+                let report = run(&req, |_, _| panic!("no tasks expected"));
                 assert!(report.panic.is_none() && report.interrupt.is_none());
                 assert_eq!(report.stats.nthreads, 3);
                 assert_eq!(report.stats.workers.len(), 3);
@@ -684,7 +832,7 @@ pub(crate) mod tests {
         let log = PlMutex::new(Vec::<usize>::new());
         run(
             &ExecRequest::new(g.pred_counts(), g.successor_lists()),
-            |t| log.lock().push(t),
+            |t, _| log.lock().push(t),
         )
         .rethrow();
         let order = log.into_inner();
@@ -973,5 +1121,236 @@ pub(crate) mod tests {
         );
         assert!(report.interrupt.is_none());
         report.stats.assert_consistent();
+    }
+
+    // -- nodes of several tasks (task bounds) --
+
+    /// Six nodes of 0–4 tasks each over a diamond-shaped DAG: one node
+    /// holds none, as a numeric plan's node over an unstored block does.
+    const NODE_PREDS: [usize; 6] = [0, 1, 1, 1, 2, 1];
+    const BOUNDS: [usize; 7] = [0, 3, 3, 7, 8, 12, 14];
+
+    fn node_succs() -> Vec<Vec<usize>> {
+        vec![vec![1, 2, 3], vec![4], vec![4], vec![5], vec![], vec![]]
+    }
+
+    /// A runner announcing every task of its node, recording
+    /// `(node, task)` — the task id is the node's first plus a count.
+    fn announcing<'l>(
+        log: &'l PlMutex<Vec<(usize, usize)>>,
+    ) -> impl Fn(usize, &mut Steps<'_>) + Sync + 'l {
+        move |node, steps| {
+            for t in BOUNDS[node]..BOUNDS[node + 1] {
+                if !steps.begin() {
+                    return;
+                }
+                log.lock().push((node, t));
+            }
+        }
+    }
+
+    /// Every task of every node is announced once, on one worker, in
+    /// order inside its node, after every task of the nodes before it;
+    /// the counters count tasks, not nodes — inline and in the worker
+    /// loop, traced or not.
+    #[test]
+    fn nodes_of_several_tasks_announce_each_task_once() {
+        let succs = node_succs();
+        for p in [1, 2, 4] {
+            for mapping in BOTH {
+                for trace in [TraceConfig::counters(), TraceConfig::full(14, p)] {
+                    let log = PlMutex::new(Vec::new());
+                    let home = |t: usize| t % p;
+                    let req = ExecRequest {
+                        task_bounds: Some(&BOUNDS),
+                        threads: p,
+                        placement: mapping.placement(&home),
+                        trace,
+                        ..ExecRequest::new(&NODE_PREDS, &succs)
+                    };
+                    let report = run(&req, announcing(&log));
+                    report.stats.assert_consistent();
+                    assert_eq!(report.stats.n_tasks, 14);
+                    let log = log.into_inner();
+                    let mut tasks: Vec<usize> = log.iter().map(|&(_, t)| t).collect();
+                    tasks.sort_unstable();
+                    assert_eq!(tasks, (0..14).collect::<Vec<_>>(), "p={p}");
+                    let pos = |t: usize| log.iter().position(|&(_, x)| x == t).unwrap();
+                    for node in 0..6 {
+                        let own = BOUNDS[node]..BOUNDS[node + 1];
+                        assert!(own.clone().all(|t| log[pos(t)].0 == node));
+                        assert!(own
+                            .clone()
+                            .zip(own.clone().skip(1))
+                            .all(|(a, b)| pos(a) < pos(b)));
+                        for &s in &succs[node] {
+                            for (a, b) in own.clone().zip(BOUNDS[s]..BOUNDS[s + 1]) {
+                                assert!(pos(a) < pos(b), "edge {node} -> {s} (p={p})");
+                            }
+                        }
+                    }
+                    if let Some(t) = report.trace {
+                        let task_events = t
+                            .events
+                            .iter()
+                            .filter(|e| matches!(e.kind, EventKind::Task { .. }))
+                            .count();
+                        assert_eq!(task_events, 14, "one event per task, not per node");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The budget is polled before every task of a node: a token armed
+    /// for `n` checkpoints stops the run at the `n`-th task boundary, with
+    /// `n − 1` tasks run and the rest pending — whichever node the
+    /// boundary falls in.
+    #[test]
+    fn cancellation_stops_at_the_nth_task_boundary() {
+        let succs = node_succs();
+        for n in 1..=15 {
+            let token = CancelToken::new();
+            token.cancel_after_checkpoints(n);
+            let budget = RunBudget::unbounded().with_token(token);
+            let log = PlMutex::new(Vec::new());
+            let req = ExecRequest {
+                task_bounds: Some(&BOUNDS),
+                budget: &budget,
+                ..ExecRequest::new(&NODE_PREDS, &succs)
+            };
+            let report = run(&req, announcing(&log));
+            let ran = log.into_inner().len();
+            if n <= 14 {
+                assert_eq!(ran, n - 1, "n={n}");
+                assert_eq!(
+                    report.interrupt,
+                    Some(Interrupt::Cancelled {
+                        tasks_pending: 14 - (n - 1)
+                    })
+                );
+                assert_eq!(report.stats.tasks_started, (n - 1) as u64);
+            } else {
+                assert_eq!((ran, report.interrupt), (14, None));
+            }
+        }
+    }
+
+    /// A panic inside a node names the task that was running, inline and
+    /// on a worker.
+    #[test]
+    fn a_panic_inside_a_node_names_its_task() {
+        let succs = node_succs();
+        for p in [1, 2] {
+            let req = ExecRequest {
+                task_bounds: Some(&BOUNDS),
+                threads: p,
+                ..ExecRequest::new(&NODE_PREDS, &succs)
+            };
+            let report = run(&req, |node, steps| {
+                for t in BOUNDS[node]..BOUNDS[node + 1] {
+                    if !steps.begin() {
+                        return;
+                    }
+                    if t == 9 {
+                        panic!("task 9 fails");
+                    }
+                }
+            });
+            let tp = report.panic.expect("the panic is contained");
+            assert_eq!((tp.task, tp.message.as_str()), (9, "task 9 fails"), "p={p}");
+        }
+    }
+
+    /// The watchdog hears one heartbeat per task of a node: a run of one
+    /// node whose sixth task never returns is diagnosed with that task as
+    /// the worker's last and exactly six beats.
+    #[test]
+    fn watchdog_hears_every_task_of_a_node() {
+        let (bounds, succs) = ([0, 10], [vec![]]);
+        let token = CancelToken::new();
+        let t2 = token.clone();
+        let budget = RunBudget::unbounded()
+            .with_token(token)
+            .with_watchdog(WatchdogConfig::new(Duration::from_millis(50)));
+        let req = ExecRequest {
+            task_bounds: Some(&bounds),
+            budget: &budget,
+            ..ExecRequest::new(&[0], &succs)
+        };
+        assert!(!req.runs_inline(), "a watchdog needs the worker loop");
+        let report = run(&req, |_, steps| {
+            for t in 0..10 {
+                if !steps.begin() {
+                    return;
+                }
+                while t == 5 && !t2.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        });
+        match report.interrupt {
+            Some(Interrupt::Stalled(r)) => {
+                let [w] = r.workers.as_slice() else {
+                    panic!("one worker")
+                };
+                assert_eq!((w.last_task, w.heartbeats), (Some(5), 6));
+                assert_eq!(r.tasks_pending, 5, "tasks 5..10 never retired");
+            }
+            other => panic!("expected a stall, got {other:?}"),
+        }
+    }
+
+    /// The measured critical path of a traced run on several workers is
+    /// the longest chain of node spans: the whole run's task time along a
+    /// chain, the longest single node's when nothing depends on anything.
+    #[test]
+    fn measured_critical_path_follows_the_edges() {
+        let bounds = [0, 2, 5, 6];
+        let span = |events: &[TraceEvent], node: usize| -> u64 {
+            events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Task { tid } if (bounds[node]..bounds[node + 1]).contains(&tid) => {
+                        Some(e.end_ns - e.start_ns)
+                    }
+                    _ => None,
+                })
+                .sum()
+        };
+        let sleepy = |node: usize, steps: &mut Steps<'_>| {
+            for _ in bounds[node]..bounds[node + 1] {
+                if !steps.begin() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_micros(300));
+            }
+        };
+        let chain: [Vec<usize>; 3] = [vec![1], vec![2], vec![]];
+        let apart: [Vec<usize>; 3] = [vec![], vec![], vec![]];
+        for (preds, succs) in [([0, 1, 1], &chain), ([0, 0, 0], &apart)] {
+            let req = ExecRequest {
+                task_bounds: Some(&bounds),
+                threads: 2,
+                trace: TraceConfig::full(6, 2),
+                ..ExecRequest::new(&preds, succs)
+            };
+            let report = run(&req, sleepy);
+            let events = report.trace.expect("full trace").events;
+            let spans: Vec<u64> = (0..3).map(|n| span(&events, n)).collect();
+            let want = if preds == [0, 1, 1] {
+                spans.iter().sum::<u64>()
+            } else {
+                *spans.iter().max().unwrap()
+            };
+            assert_eq!(report.stats.critical_path_s, Some(want as f64 / 1e9));
+        }
+        // One worker, or no events: nothing is measured.
+        let req = ExecRequest {
+            task_bounds: Some(&bounds),
+            trace: TraceConfig::full(6, 1),
+            ..ExecRequest::new(&[0, 1, 1], &chain)
+        };
+        assert_eq!(run(&req, sleepy).stats.critical_path_s, None);
     }
 }

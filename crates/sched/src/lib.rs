@@ -61,7 +61,7 @@ mod trace;
 pub use control::{
     CancelToken, Interrupt, RunBudget, StallReport, WatchdogConfig, WorkerSnapshot, WorkerState,
 };
-pub use executor::{run, ExecRequest, Mapping, Placement};
+pub use executor::{run, ExecRequest, Mapping, Placement, Steps};
 pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
 pub use graph::{block_forest, build_eforest_graph, build_sstar_graph, Task, TaskGraph};
 pub use lane::{Lane, LaneRejected};

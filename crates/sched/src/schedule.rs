@@ -1,42 +1,35 @@
-//! Cached executor schedules for repeated factorizations.
+//! Executor priorities, cached across runs, and the inline replay.
 //!
-//! A solver session factors the same task graph many times (numeric
-//! refactorization with unchanged structure). The executor's per-run
-//! preparation — bottom-level priorities and, for a single worker, the
-//! whole acquisition order — depends only on the graph, so a session
-//! computes it once as an [`ExecSchedule`] and attaches it to every
-//! [`crate::ExecRequest`]:
+//! The worker loop prefers the ready node of highest priority — by
+//! default its unit bottom level, the longest dependence path from it to
+//! a sink. That depends on the graph only, so a solver session on several
+//! threads computes it once per analysis as an [`ExecSchedule`] and
+//! attaches it to every [`crate::ExecRequest`], skipping the per-run
+//! sweep (the numeric layer ranks the nodes of its range plan by it).
 //!
-//! * a request that [`crate::ExecRequest::runs_inline`] — one worker, no
-//!   watchdog — replays the sequential order **inline on the calling
-//!   thread** ([`replay_inline`]): no worker spawn, no pools, no atomics,
-//!   traced or not, so an observed run executes the program an unobserved
-//!   one does. Untraced and with the cached schedule it performs **zero
-//!   heap allocation** (a session's `refactor` hot path, asserted under the
-//!   `alloc-track` counting allocator); without a cached schedule the same
-//!   order is computed for the run;
-//! * every other request takes the worker loop with the cached priorities,
-//!   skipping the per-run bottom-level sweep.
-//!
-//! The sequential order is produced by draining the worker loop's own
-//! ready pool ([`Ready`]: same max-heap, same tie-break on lower task id)
-//! on one simulated worker, so the inline replay acquires tasks in the
-//! order the worker loop would at one worker — and the factored values are
-//! bitwise identical either way, as the determinism suite asserts for
-//! every schedule.
+//! A request that [`crate::ExecRequest::runs_inline`] — one worker, no
+//! watchdog — is replayed **inline on the calling thread**
+//! ([`replay_inline`]): no worker spawn, no pools, no atomics, traced or
+//! not, so an observed run executes the program an unobserved one does.
+//! A DAG of one node — a one-thread numeric phase, the session `refactor`
+//! hot path — replays with **zero heap allocation** when untraced
+//! (asserted under the `alloc-track` counting allocator); a larger one
+//! first computes its order ([`one_worker_order`]) by draining the worker
+//! loop's own ready pool ([`Ready`]: same max-heap, same tie-break on
+//! lower task id) on one simulated worker, so the inline replay acquires
+//! nodes in the order the worker loop would at one worker.
 
 use crate::control::{Interrupt, RunBudget};
+use crate::executor::{Announce, ExecRequest, Steps};
 use crate::graph::{bottom_levels, TaskGraph};
-use crate::trace::{
-    assemble_report, ExecReport, TaskPanic, TraceConfig, TraceMode, WorkerRecorder,
-};
+use crate::trace::{assemble_report, ExecReport, TaskPanic, TraceMode, WorkerRecorder};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Ready-pool entry: max-heap by priority, ties broken toward the lower
 /// task id so pool order is reproducible. The worker loop's pools and the
-/// sequential-order simulation below share this one ordering.
+/// one-worker order below share this one ordering.
 #[derive(PartialEq, Eq)]
 pub(crate) struct Ready {
     pub(crate) prio: u64,
@@ -58,86 +51,132 @@ impl PartialOrd for Ready {
 }
 
 /// The per-graph executor state a session caches across factorizations:
-/// bottom-level priorities plus the single-worker acquisition order.
+/// one priority per node, higher first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecSchedule {
     priority: Vec<u64>,
-    seq_order: Vec<usize>,
 }
 
 impl ExecSchedule {
-    /// Computes the schedule for `graph`: its bottom levels and the task
-    /// order a one-worker priority executor would acquire.
+    /// The schedule of `graph`: its unit bottom levels.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        Self::for_dag(graph.pred_counts(), graph.successor_lists())
+        Self::with_priorities(bottom_levels(graph.pred_counts(), graph.successor_lists()))
     }
 
-    /// [`Self::for_graph`] over the DAG view an [`crate::ExecRequest`] takes.
-    pub(crate) fn for_dag(pred_counts: &[usize], successors: &[Vec<usize>]) -> Self {
-        let priority = bottom_levels(pred_counts, successors);
-        Self::with_priorities(pred_counts, successors, priority)
+    /// A schedule of caller-chosen priorities, one per node.
+    pub fn with_priorities(priority: Vec<u64>) -> Self {
+        ExecSchedule { priority }
     }
 
-    /// The schedule of an arbitrary DAG view under caller-chosen priorities.
-    pub(crate) fn with_priorities(
-        pred_counts: &[usize],
-        successors: &[Vec<usize>],
-        priority: Vec<u64>,
-    ) -> Self {
-        let n = pred_counts.len();
-        assert_eq!(priority.len(), n, "one priority per task");
-        let mut indeg = pred_counts.to_vec();
-        let mut heap: BinaryHeap<Ready> = (0..n)
-            .filter(|&t| indeg[t] == 0)
-            .map(|tid| Ready {
-                prio: priority[tid],
-                tid,
-            })
-            .collect();
-        let mut seq_order = Vec::with_capacity(n);
-        while let Some(r) = heap.pop() {
-            seq_order.push(r.tid);
-            for &s in &successors[r.tid] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    heap.push(Ready {
-                        prio: priority[s],
-                        tid: s,
-                    });
-                }
-            }
-        }
-        assert_eq!(seq_order.len(), n, "task graph must be acyclic");
-        ExecSchedule {
-            priority,
-            seq_order,
-        }
-    }
-
-    /// Number of tasks the schedule covers.
+    /// Number of nodes the schedule covers.
     pub fn len(&self) -> usize {
-        self.seq_order.len()
+        self.priority.len()
     }
 
     /// `true` for the empty graph's schedule.
     pub fn is_empty(&self) -> bool {
-        self.seq_order.is_empty()
+        self.priority.is_empty()
     }
 
-    /// Bottom-level priority per task id.
+    /// Priority per node id.
     pub fn priorities(&self) -> &[u64] {
         &self.priority
     }
+}
 
-    /// The single-worker acquisition order (every task id exactly once,
-    /// topologically consistent).
-    pub fn seq_order(&self) -> &[usize] {
-        &self.seq_order
+/// The order a one-worker executor acquires the nodes of a DAG in under
+/// `priority`: every node exactly once, after its predecessors.
+pub(crate) fn one_worker_order(
+    pred_counts: &[usize],
+    successors: &[Vec<usize>],
+    priority: &[u64],
+) -> Vec<usize> {
+    let n = pred_counts.len();
+    assert_eq!(priority.len(), n, "one priority per node");
+    let mut indeg = pred_counts.to_vec();
+    let mut heap: BinaryHeap<Ready> = (0..n)
+        .filter(|&t| indeg[t] == 0)
+        .map(|tid| Ready {
+            prio: priority[tid],
+            tid,
+        })
+        .collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(r) = heap.pop() {
+        order.push(r.tid);
+        for &s in &successors[r.tid] {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                heap.push(Ready {
+                    prio: priority[s],
+                    tid: s,
+                });
+            }
+        }
+    }
+    assert_eq!(order.len(), n, "task graph must be acyclic");
+    order
+}
+
+/// [`Announce`] on the calling thread: the budget checked in place, the
+/// run's one recorder, plain counters.
+struct Inline<'a> {
+    budget: &'a RunBudget,
+    armed: bool,
+    rec: Option<WorkerRecorder>,
+    t0: Option<Instant>,
+    /// The task running, once announced.
+    open: Option<usize>,
+    /// Id the next announcement starts.
+    next: usize,
+    n_tasks: usize,
+    started: u64,
+    retired: u64,
+    interrupt: Option<Interrupt>,
+}
+
+impl Inline<'_> {
+    /// Retires the task running, if any. Back to back: a task's end opens
+    /// the next interval, one clock read each.
+    fn close(&mut self) {
+        if let Some(tid) = self.open.take() {
+            if let Some(rec) = &mut self.rec {
+                self.t0 = rec.end_task(self.t0, tid);
+            }
+            self.retired += 1;
+        }
     }
 }
 
-/// Runs the (non-empty) schedule inline on the calling thread in the
-/// precomputed order — the path [`crate::run`] takes for a request that
+impl Announce for Inline<'_> {
+    fn begin(&mut self) -> bool {
+        self.close();
+        if self.armed {
+            // Same precedence as Supervisor::check_budget: the token is
+            // consulted before the deadline, so a cancelled run with an
+            // expired deadline still reports cancellation.
+            let tasks_pending = self.n_tasks - self.retired as usize;
+            if self.budget.token.as_ref().is_some_and(|t| t.checkpoint()) {
+                self.interrupt = Some(Interrupt::Cancelled { tasks_pending });
+                return false;
+            }
+            if self.budget.deadline.is_some_and(|d| Instant::now() >= d) {
+                if let Some(token) = &self.budget.token {
+                    token.cancel();
+                }
+                self.interrupt = Some(Interrupt::DeadlineExceeded { tasks_pending });
+                return false;
+            }
+        }
+        self.started += 1;
+        self.open = Some(self.next);
+        self.next += 1;
+        true
+    }
+}
+
+/// Runs the nodes of `req` inline on the calling thread in `order` — the
+/// path [`crate::run`] takes for a request that
 /// [`crate::ExecRequest::runs_inline`].
 ///
 /// Untraced it performs **no heap allocation** and reads no clock. Traced,
@@ -145,75 +184,67 @@ impl ExecSchedule {
 /// [`TraceMode::Full`] records an epoch-relative `Task` event per task,
 /// [`TraceMode::Counters`] reads the clock twice per run — busy is the
 /// replay's wall; a calling thread never idles, steals or parks. The budget
-/// is honoured before every task acquisition with the supervisor's
-/// semantics — token checkpoint first, then deadline; a deadline trip also
-/// cancels the run's token (when one is attached) so cooperative waiters
-/// inside tasks release. A panicking task is contained and reported through
+/// is honoured before every task starts with the supervisor's semantics —
+/// token checkpoint first, then deadline; a deadline trip also cancels the
+/// run's token (when one is attached) so cooperative waiters inside tasks
+/// release. A panicking task is contained and reported through
 /// [`ExecReport::panic`], exactly like the worker loop.
 pub(crate) fn replay_inline(
-    schedule: &ExecSchedule,
-    runner: impl Fn(usize),
-    budget: &RunBudget,
-    config: &TraceConfig,
+    order: &[usize],
+    req: &ExecRequest<'_>,
+    runner: impl Fn(usize, &mut Steps<'_>),
 ) -> ExecReport {
-    let mut report = ExecReport::default();
-    let n = schedule.seq_order.len();
-    report.stats.nthreads = 1;
-    report.stats.n_tasks = n;
+    let config = &req.trace;
+    let n_tasks = req.n_tasks();
     let start = config.is_on().then(Instant::now);
-    let mut rec = start.map(|t| WorkerRecorder::new(0, 1, config, config.epoch.unwrap_or(t)));
-    let per_task = config.mode == TraceMode::Full;
-    // Back to back: a task's end opens the next interval, one clock read each.
-    let mut t0 = per_task.then(Instant::now);
-    let armed = budget.is_armed();
-    for (done, &tid) in schedule.seq_order.iter().enumerate() {
-        if armed {
-            // Same precedence as Supervisor::check_budget: the token is
-            // consulted before the deadline, so a cancelled run with an
-            // expired deadline still reports cancellation.
-            let tasks_pending = n - done;
-            if budget.token.as_ref().is_some_and(|t| t.checkpoint()) {
-                report.interrupt = Some(Interrupt::Cancelled { tasks_pending });
-                break;
-            }
-            if budget.deadline.is_some_and(|d| Instant::now() >= d) {
-                if let Some(token) = &budget.token {
-                    token.cancel();
-                }
-                report.interrupt = Some(Interrupt::DeadlineExceeded { tasks_pending });
-                break;
-            }
-        }
-        report.stats.tasks_started += 1;
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(tid))) {
-            report.panic = Some(TaskPanic::caught(0, tid, payload.as_ref()));
+    let mut line = Inline {
+        budget: req.budget,
+        armed: req.budget.is_armed(),
+        rec: start.map(|t| WorkerRecorder::new(0, 1, config, config.epoch.unwrap_or(t))),
+        t0: (config.mode == TraceMode::Full).then(Instant::now),
+        open: None,
+        next: 0,
+        n_tasks,
+        started: 0,
+        retired: 0,
+        interrupt: None,
+    };
+    let mut panic = None;
+    for &node in order {
+        line.next = req.first_task(node);
+        if req.task_bounds.is_none() && !line.begin() {
             break;
         }
-        if let Some(rec) = &mut rec {
-            t0 = rec.end_task(t0, tid);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| runner(node, &mut Steps(&mut line))))
+        {
+            let task = line.open.unwrap_or(line.next);
+            panic = Some(TaskPanic::caught(0, task, payload.as_ref()));
+            break;
         }
-        report.stats.tasks_retired += 1;
+        if line.interrupt.is_some() {
+            break;
+        }
+        line.close();
     }
-    let Some((start, rec)) = start.zip(rec) else {
+    let Some((start, rec)) = start.zip(line.rec) else {
+        let mut report = ExecReport::default();
+        report.stats.nthreads = 1;
+        report.stats.n_tasks = n_tasks;
+        report.stats.tasks_started = line.started;
+        report.stats.tasks_retired = line.retired;
+        report.panic = panic;
+        report.interrupt = line.interrupt;
         return report;
     };
     let wall_s = start.elapsed().as_secs_f64();
     let (w, mut stats, events) = rec.finish();
-    if !per_task {
+    if config.mode != TraceMode::Full {
         stats.busy_s = wall_s;
     }
-    stats.tasks_run = report.stats.tasks_started;
-    stats.tasks_retired = report.stats.tasks_retired;
+    stats.tasks_run = line.started;
+    stats.tasks_retired = line.retired;
     let drained = vec![(w, stats, events)];
-    assemble_report(
-        n,
-        1,
-        wall_s,
-        config,
-        drained,
-        report.panic,
-        report.interrupt,
-    )
+    assemble_report(n_tasks, 1, wall_s, config, drained, panic, line.interrupt)
 }
 
 #[cfg(all(test, not(loom)))]
@@ -222,7 +253,7 @@ mod tests {
     use crate::control::CancelToken;
     use crate::executor::tests::random_graph;
     use crate::executor::{run, run_workers, ExecRequest, Mapping};
-    use crate::trace::EventKind;
+    use crate::trace::{EventKind, TraceConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
@@ -252,7 +283,7 @@ mod tests {
             ..ExecRequest::new(g.pred_counts(), g.successor_lists())
         };
         assert!(req.runs_inline());
-        run(&req, runner)
+        run(&req, |t, _| runner(t))
     }
 
     /// The order in which `exec` hands the tasks of `req` to its runner.
@@ -266,22 +297,28 @@ mod tests {
         acquired.into_inner().unwrap()
     }
 
+    /// The one-worker order of `g` under its bottom levels.
+    fn bottom_level_order(g: &TaskGraph) -> Vec<usize> {
+        let s = ExecSchedule::for_graph(g);
+        one_worker_order(g.pred_counts(), g.successor_lists(), s.priorities())
+    }
+
     #[test]
-    fn seq_order_is_a_topological_cover() {
+    fn one_worker_order_is_a_topological_cover() {
         for seed in 0..6u64 {
             let g = random_graph(16, 40, seed);
-            let s = ExecSchedule::for_graph(&g);
-            assert_eq!(s.len(), g.len());
+            assert_eq!(ExecSchedule::for_graph(&g).len(), g.len());
+            let order = bottom_level_order(&g);
             // Every task appears exactly once.
             let mut seen = vec![false; g.len()];
-            for &t in s.seq_order() {
+            for &t in &order {
                 assert!(!seen[t], "task {t} scheduled twice");
                 seen[t] = true;
             }
             assert!(seen.iter().all(|&b| b));
             // Topological: a task appears after all its predecessors.
             let mut pos = vec![0usize; g.len()];
-            for (i, &t) in s.seq_order().iter().enumerate() {
+            for (i, &t) in order.iter().enumerate() {
                 pos[t] = i;
             }
             for t in 0..g.len() {
@@ -292,20 +329,22 @@ mod tests {
         }
     }
 
-    /// The replay claim: `seq_order` is the order the worker loop acquires
-    /// at one worker. [`run`] never enters the loop with one worker, so the
-    /// loop is called directly; the priorities are arbitrary (with ties),
-    /// not bottom levels, and the inline replay of the same schedule —
-    /// counters on, which used to select the loop — hands out the same order.
+    /// The replay claim: [`one_worker_order`] is the order the worker loop
+    /// acquires at one worker. [`run`] never enters the loop with one
+    /// worker, so the loop is called directly; the priorities are arbitrary
+    /// (with ties), not bottom levels, and the inline replay of the same
+    /// schedule — counters on, which used to select the loop — hands out
+    /// the same order.
     #[test]
-    fn seq_order_is_the_one_worker_acquisition_order() {
+    fn one_worker_order_is_the_one_worker_acquisition_order() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for seed in 0..12u64 {
             let g = random_graph(18, 45, seed);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
             let priority: Vec<u64> = (0..g.len()).map(|_| rng.gen_range(0..5)).collect();
-            let s = ExecSchedule::with_priorities(g.pred_counts(), g.successor_lists(), priority);
+            let want = one_worker_order(g.pred_counts(), g.successor_lists(), &priority);
+            let s = ExecSchedule::with_priorities(priority);
             let req = ExecRequest {
                 schedule: Some(&s),
                 trace: TraceConfig::counters(),
@@ -313,19 +352,20 @@ mod tests {
             };
             assert!(req.runs_inline(), "one worker never spawns, traced or not");
             let looped = acquisition_order(&req, |req, runner| {
-                let report = run_workers(req, runner);
+                let report = run_workers(req, |t, _| runner(t));
                 report.stats.assert_consistent();
                 report
             });
-            assert_eq!(looped, s.seq_order(), "seed {seed}");
-            let inline = acquisition_order(&req, |req, runner| run(req, runner));
-            assert_eq!(inline, s.seq_order(), "seed {seed}");
+            assert_eq!(looped, want, "seed {seed}");
+            let inline = acquisition_order(&req, |req, runner| run(req, |t, _| runner(t)));
+            assert_eq!(inline, want, "seed {seed}");
         }
     }
 
-    /// Computed-order inline == cached-order inline == one-worker loop
-    /// order, under the bottom-level priorities every unscheduled request
-    /// gets — which tie on these graphs, so the tie-break is exercised.
+    /// Computed-priority inline == cached-priority inline == one-worker
+    /// loop order, under the bottom-level priorities every unscheduled
+    /// request gets — which tie on these graphs, so the tie-break is
+    /// exercised.
     #[test]
     fn computed_and_cached_inline_orders_are_the_one_worker_loop_order() {
         let mut tied = false;
@@ -335,6 +375,7 @@ mod tests {
             let mut levels = s.priorities().to_vec();
             levels.sort_unstable();
             tied |= levels.windows(2).any(|w| w[0] == w[1]);
+            let want = bottom_level_order(&g);
             let computed = ExecRequest::new(g.pred_counts(), g.successor_lists());
             let cached = ExecRequest {
                 schedule: Some(&s),
@@ -342,10 +383,11 @@ mod tests {
             };
             for req in [&computed, &cached] {
                 assert!(req.runs_inline());
-                let inline = acquisition_order(req, |req, runner| run(req, runner));
-                assert_eq!(inline, s.seq_order(), "inline, seed {seed}");
-                let looped = acquisition_order(req, |req, runner| run_workers(req, runner));
-                assert_eq!(looped, s.seq_order(), "worker loop, seed {seed}");
+                let inline = acquisition_order(req, |req, runner| run(req, |t, _| runner(t)));
+                assert_eq!(inline, want, "inline, seed {seed}");
+                let looped =
+                    acquisition_order(req, |req, runner| run_workers(req, |t, _| runner(t)));
+                assert_eq!(looped, want, "worker loop, seed {seed}");
             }
         }
         assert!(tied, "the graphs must exercise the priority tie-break");
@@ -359,10 +401,7 @@ mod tests {
             let report = replay(&g, &RunBudget::default(), trace, |t| {
                 order.lock().unwrap().push(t)
             });
-            assert_eq!(
-                order.into_inner().unwrap(),
-                ExecSchedule::for_graph(&g).seq_order()
-            );
+            assert_eq!(order.into_inner().unwrap(), bottom_level_order(&g));
             assert!(report.panic.is_none() && report.interrupt.is_none());
             assert_eq!(report.stats.tasks_started, g.len() as u64);
             assert_eq!(report.stats.tasks_retired, g.len() as u64);
@@ -372,11 +411,11 @@ mod tests {
     /// The recorder of the inline replay fills the report shapes of a
     /// one-worker loop run: one `WorkerStats`, busy inside the wall, no
     /// idle, steal or park; full mode adds one `Task` event per task, in
-    /// `seq_order`, back to back on the caller's epoch.
+    /// the one-worker order, back to back on the caller's epoch.
     #[test]
     fn inline_replay_records_like_a_one_worker_run() {
         let g = random_graph(16, 40, 8);
-        let s = ExecSchedule::for_graph(&g);
+        let want = bottom_level_order(&g);
         let epoch = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         for trace in [TraceConfig::counters(), TraceConfig::full(g.len(), 1)] {
@@ -402,7 +441,7 @@ mod tests {
                     other => panic!("a calling thread records tasks only, got {other:?}"),
                 })
                 .collect();
-            assert_eq!(tids, s.seq_order());
+            assert_eq!(tids, want);
             assert!(events[0].start_ns >= 2_000_000, "events sit on the epoch");
             assert!(events
                 .iter()
@@ -511,7 +550,7 @@ mod tests {
                 trace: TraceConfig::counters(),
                 ..ExecRequest::new(g.pred_counts(), g.successor_lists())
             };
-            let report = run(&req, |_| {
+            let report = run(&req, |_, _| {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(ran.load(Ordering::Relaxed), g.len());

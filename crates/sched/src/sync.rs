@@ -139,9 +139,14 @@ pub enum Park {
 /// last-retire and abort broadcasts go through [`Gate::notify_all`],
 /// which also locks first, and parkers re-check `should_exit` under the
 /// lock. This is the invariant the loom harness model-checks.
+///
+/// The lock guards the count of parked workers too, so a notify that
+/// finds nobody parked skips the condition variable — and with it a
+/// wake-up system call per released task on a run whose workers are busy.
 #[derive(Debug, Default)]
 pub struct Gate {
-    lock: Mutex<()>,
+    /// Workers parked on the gate.
+    lock: Mutex<usize>,
     cv: Condvar,
 }
 
@@ -149,21 +154,23 @@ impl Gate {
     /// Creates a gate.
     pub fn new() -> Self {
         Gate {
-            lock: Mutex::new(()),
+            lock: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
 
-    /// Wakes one parked worker (locking first — see the type docs).
+    /// Wakes one parked worker, if any (locking first — see the type docs).
     pub fn notify_one(&self) {
-        let _guard = self.lock.lock();
-        self.cv.notify_one();
+        if *self.lock.lock() > 0 {
+            self.cv.notify_one();
+        }
     }
 
     /// Wakes every parked worker (locking first — see the type docs).
     pub fn notify_all(&self) {
-        let _guard = self.lock.lock();
-        self.cv.notify_all();
+        if *self.lock.lock() > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// The park protocol: under the gate lock, first consult
@@ -175,14 +182,16 @@ impl Gate {
         E: FnOnce() -> bool,
         W: FnOnce() -> bool,
     {
-        let mut guard = self.lock.lock();
+        let mut parked = self.lock.lock();
         if should_exit() {
             return Park::Exit;
         }
         if has_work() {
             return Park::Retry;
         }
-        self.cv.wait(&mut guard);
+        *parked += 1;
+        self.cv.wait(&mut parked);
+        *parked -= 1;
         Park::Waited
     }
 }

@@ -163,19 +163,18 @@ pub struct WorkerStats {
 }
 
 /// Aggregate scheduler statistics for one executor run — the single home of
-/// the counters previously scattered over ad-hoc atomics, plus the numeric
-/// layer's zero-copy counter.
+/// the counters previously scattered over ad-hoc atomics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
     /// Worker threads the run used.
     pub nthreads: usize,
-    /// Tasks the DAG contained.
+    /// Tasks the DAG's nodes held.
     pub n_tasks: usize,
     /// Wall-clock seconds from executor start to the last worker joining.
     pub wall_s: f64,
     /// Per-worker breakdown.
     pub workers: Vec<WorkerStats>,
-    /// Tasks handed to runners, summed over workers.
+    /// Tasks started, summed over workers.
     pub tasks_started: u64,
     /// Tasks fully retired (successors released), summed over workers.
     pub tasks_retired: u64,
@@ -183,6 +182,10 @@ pub struct SchedStats {
     /// (`"baseline"`, `"avx2"`, `"avx512f"`). Left `""` by the raw executor
     /// — the numeric drivers fill it.
     pub kernel: &'static str,
+    /// The measured critical path: seconds of the longest chain of node
+    /// spans along the DAG's edges (a node's span is the summed duration
+    /// of its tasks). Recorded by fully traced runs on several workers.
+    pub critical_path_s: Option<f64>,
 }
 
 impl SchedStats {
@@ -543,6 +546,7 @@ pub(crate) fn assemble_report(
         tasks_started,
         tasks_retired,
         kernel: "",
+        critical_path_s: None,
     };
     let trace = (config.mode == TraceMode::Full).then_some(ExecTrace {
         nthreads,
@@ -628,6 +632,7 @@ mod tests {
             tasks_started: 3,
             tasks_retired: 3,
             kernel: "portable",
+            critical_path_s: None,
         };
         assert!((stats.busy_total() - 3.0).abs() < 1e-12);
         assert!((stats.load_imbalance() - 2.0 / 1.5).abs() < 1e-12);

@@ -144,7 +144,7 @@ fn started_equals_retired_under_cancel() {
                 budget: &budget,
                 ..ExecRequest::new(&PREDS, &succs)
             };
-            let report = run(&req, |_| {});
+            let report = run(&req, |_, _| {});
             assert!(report.panic.is_none());
             assert_eq!(
                 report.stats.tasks_started, report.stats.tasks_retired,

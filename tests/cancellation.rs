@@ -179,3 +179,63 @@ fn asynchronous_cancel_mid_run_drains() {
         canceller.join().unwrap();
     }
 }
+
+/// At one thread the whole matrix is one range, and the budget is polled
+/// before every task of it: a token armed for `n` checkpoints stops the
+/// run at the `n`-th task boundary — the first `n − 1` tasks of the
+/// left-looking order ran, exactly the block columns whose `Factor` is
+/// among them are factored, and the rest is pending. One checkpoint more
+/// than there are tasks lets the run finish.
+#[test]
+fn one_thread_cancellation_stops_at_the_nth_task_boundary() {
+    use parsplu::core::SluSession;
+    use parsplu::sched::Task;
+    let a = random_unsymmetric(40, 3, 4);
+    let tasks: Vec<Task> = {
+        let mut s = SluSession::analyze(a.pattern(), &opts(1, Mapping::Static1D)).unwrap();
+        s.factor(&a).unwrap();
+        s.block_matrix().unwrap().tasks().collect()
+    };
+    for n in [
+        1,
+        2,
+        3,
+        7,
+        20,
+        tasks.len() / 2,
+        tasks.len(),
+        tasks.len() + 1,
+    ] {
+        let mut s = SluSession::analyze(a.pattern(), &opts(1, Mapping::Static1D)).unwrap();
+        let token = CancelToken::new();
+        token.cancel_after_checkpoints(n);
+        s.set_budget(RunBudget::unbounded().with_token(token));
+        let outcome = s.factor(&a);
+        if n > tasks.len() {
+            outcome.expect("a checkpoint for every task and one to spare");
+            continue;
+        }
+        let ran = &tasks[..n - 1];
+        let factored: Vec<usize> = (ran.iter())
+            .filter_map(|t| match *t {
+                Task::Factor(k) => Some(k),
+                Task::Update { .. } => None,
+            })
+            .collect();
+        match outcome {
+            Err(LuError::Cancelled {
+                columns_done,
+                tasks_pending,
+            }) => {
+                assert_eq!(tasks_pending, tasks.len() - (n - 1), "n={n}");
+                assert_eq!(columns_done, factored.len(), "n={n}");
+            }
+            other => panic!("n={n}: expected Cancelled, got {other:?}"),
+        }
+        let bm = s.block_matrix().expect("storage assembled");
+        for k in 0..bm.num_block_cols() {
+            let has_pivots = bm.column(k).read().pivots.is_some();
+            assert_eq!(has_pivots, factored.contains(&k), "n={n}, column {k}");
+        }
+    }
+}

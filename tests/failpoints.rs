@@ -49,8 +49,10 @@ proptest! {
 
     /// An injected panic inside `Factor(k)` surfaces as
     /// [`LuError::WorkerPanic`] naming the task — on every thread count
-    /// and mapping, with the executor quiescent afterwards (the test
-    /// returning at all proves no worker was left parked).
+    /// and mapping (at one thread from inside the range of the whole
+    /// matrix, on several from a range or a task of its own), with the
+    /// executor quiescent afterwards (the test returning at all proves no
+    /// worker was left parked).
     #[test]
     fn injected_factor_panic_becomes_worker_panic_error(
         seed in 0u64..32,
@@ -459,4 +461,37 @@ fn forced_breakdown_hits_the_diagonal_rule_path() {
         Err(LuError::NumericallySingular { column }) => assert_eq!(column, 17),
         other => panic!("expected NumericallySingular(17), got {other:?}"),
     }
+}
+
+/// A watchdog-armed one-thread run still beats its heart once per task:
+/// the whole matrix is one range on one worker, and a `Factor` stalled in
+/// its middle is diagnosed at that very task — the worker's last task is
+/// that `F(k)`, its heartbeats one per task started up to it.
+#[test]
+fn a_one_thread_watchdog_hears_every_task_of_the_range() {
+    use parsplu::core::SluSession;
+    use parsplu::sched::Task;
+    let a = random_unsymmetric(40, 3, 9);
+    let o = Options {
+        budget: RunBudget::unbounded()
+            .with_watchdog(WatchdogConfig::new(Duration::from_millis(60))),
+        ..opts(1, Mapping::Static1D)
+    };
+    let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
+    let k = s.stats().supernodes / 2;
+    let scenario = FailScenario::new();
+    scenario.stall_at_factor(k);
+    let report = match s.factor(&a) {
+        Err(LuError::Stalled { report, .. }) => report,
+        other => panic!("expected Stalled, got {other:?}"),
+    };
+    drop(scenario);
+    let id = (s.block_matrix().unwrap().tasks())
+        .position(|t| t == Task::Factor(k))
+        .unwrap();
+    assert!(id > 0, "the stalled task is not the range's first");
+    let [w] = report.workers.as_slice() else {
+        panic!("one worker");
+    };
+    assert_eq!((w.last_task, w.heartbeats), (Some(id), id as u64 + 1));
 }

@@ -18,7 +18,8 @@
 //! * a one-thread observed run is the unobserved run with a recorder
 //!   attached: bitwise the same factors, the report of one worker that
 //!   never idled, and — in an event session — one labelled task event per
-//!   task, in the cached order, back to back inside the `numeric` span.
+//!   task, in the left-looking order, back to back inside the `numeric`
+//!   span.
 
 use parsplu::core::{
     analyze, estimate_task_costs, factor_reported, total_flops, MatrixMeta, ObsSession, Options,
@@ -154,7 +155,8 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             m.name
         );
         let realised = &s.symbolic().block_structure;
-        let model = total_flops(&estimate_task_costs(realised, s.graph()));
+        let graph = s.graph().expect("a two-thread session holds its graph");
+        let model = total_flops(&estimate_task_costs(realised, graph));
         assert_eq!(counted(&obs) as f64, model, "{}: realised flops", m.name);
         assert!(model < factor_model + trsm_model + gemm_model, "{}", m.name);
         let blocks: usize = realised.u_blocks.iter().map(|b| b.len() - 1).sum();
@@ -268,6 +270,19 @@ fn run_report_schema_validates_and_carries_the_registry_values() {
                 .and_then(|k| k.as_str()),
             Some("ok"),
             "{}",
+            m.name
+        );
+        // Events on two threads: the measured critical path, a chain of
+        // node spans, is positive and no longer than the busy time.
+        let sched = report.sched.as_ref().expect("the numeric phase ran");
+        let cp = (doc.get("sched"))
+            .and_then(|s| s.get("critical_path_s"))
+            .and_then(|v| v.as_num())
+            .unwrap_or_else(|| panic!("{}: no measured critical path", m.name));
+        assert_eq!(Some(cp), sched.critical_path_s, "{}", m.name);
+        assert!(
+            0.0 < cp && cp <= sched.busy_total() + 1e-9,
+            "{}: {cp}",
             m.name
         );
     }
@@ -429,7 +444,10 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
             let meta = MatrixMeta::from_stats(m.name, s.stats());
             let report = obs.report(meta, s.options(), RunStatus::success());
             let sched = report.sched.expect("the numeric phase ran");
-            let n_tasks = s.graph().len();
+            // One task per stored update and per factor: the realised
+            // storage's, not the static graph's.
+            let n_tasks = s.block_matrix().unwrap().num_tasks();
+            assert!(n_tasks <= s.stats().graph_tasks, "{}", m.name);
             assert_eq!(sched.n_tasks, n_tasks, "{}", m.name);
             assert_eq!(sched.tasks_started, n_tasks as u64, "{}", m.name);
             assert_eq!(sched.tasks_retired, n_tasks as u64, "{}", m.name);
@@ -443,6 +461,10 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
             );
             assert_eq!(sched.idle_total(), 0.0, "{}", m.name);
             assert_eq!(sched.steal_total(), 0.0, "{}", m.name);
+            assert_eq!(
+                sched.critical_path_s, None,
+                "one thread: nothing to measure"
+            );
             for (name, v) in sched.counters() {
                 if matches!(name, "steals" | "steal_attempts" | "parks") {
                     assert_eq!(v, 0, "{}: a calling thread never {name}", m.name);
@@ -452,9 +474,10 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
     }
 }
 
-/// An event session of a one-thread run: exactly one labelled `Task` event
-/// per task on the one worker track, in the cached one-worker order, back
-/// to back, inside the driver's `numeric` span on the shared epoch.
+/// An event session of a one-thread run — one range, no graph held:
+/// exactly one labelled `Task` event per task on the one worker track, in
+/// the left-looking order, back to back, inside the driver's `numeric` span
+/// on the shared epoch.
 #[test]
 fn event_session_records_one_task_event_per_task_in_replay_order() {
     let m = &paper_suite(Scale::Reduced)[0];
@@ -484,14 +507,15 @@ fn event_session_records_one_task_event_per_task_in_replay_order() {
         .iter()
         .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("task"))
         .collect();
-    let want: Vec<String> = (s.schedule().seq_order().iter())
-        .map(|&t| s.graph().task(t).to_string())
+    assert!(s.graph().is_none() && s.schedule().is_none());
+    let want: Vec<String> = (s.block_matrix().unwrap().tasks())
+        .map(|t| t.to_string())
         .collect();
     let got: Vec<&str> = tasks
         .iter()
         .map(|e| e.get("name").and_then(|n| n.as_str()).unwrap())
         .collect();
-    assert_eq!(got, want, "one event per task, in the replay's order");
+    assert_eq!(got, want, "one event per task, in the left-looking order");
     let mut last_end = phase_ts - 1.0;
     for e in &tasks {
         assert_eq!((field(e, "pid"), field(e, "tid")), (Some(1.0), Some(0.0)));

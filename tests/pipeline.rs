@@ -148,3 +148,44 @@ fn compact_storage_pads_only_what_amalgamation_adds() {
         );
     }
 }
+
+/// The analysis reports the task graph's tasks, edges, critical path and
+/// model flops without building it; those values are the ones read off
+/// the built graph — to the bit for the flops — on the whole suite at
+/// both scales and the benchmark's mesh, for both graph kinds, postordered
+/// or not, with or without amalgamation.
+#[test]
+fn graph_statistics_without_a_graph_are_the_built_graphs() {
+    use parsplu::core::{estimate_task_costs, total_flops};
+    use parsplu::matgen::fem2d_unsymmetric;
+    let mut matrices: Vec<(String, parsplu::sparse::CscMatrix)> = Vec::new();
+    for scale in [Scale::Reduced, Scale::Full] {
+        for m in paper_suite(scale) {
+            matrices.push((format!("{} ({scale:?})", m.name), m.a));
+        }
+    }
+    matrices.push(("mesh40x40".into(), fem2d_unsymmetric(40, 40, 2, 1)));
+    for (name, a) in &matrices {
+        for task_graph in [TaskGraphKind::EForest, TaskGraphKind::SStar] {
+            for (postorder, amalgamation) in [(true, true), (false, true), (true, false)] {
+                let opts = Options {
+                    task_graph,
+                    postorder,
+                    amalgamation: amalgamation.then(Default::default),
+                    ..Options::default()
+                };
+                let sym = analyze(a.pattern(), &opts).unwrap();
+                let g = sym.build_graph(task_graph);
+                let s = &sym.stats;
+                let what = format!(
+                    "{name} {task_graph:?} postorder={postorder} amalgamation={amalgamation}"
+                );
+                assert_eq!(s.graph_tasks, g.len(), "{what}");
+                assert_eq!(s.graph_edges, g.num_edges(), "{what}");
+                assert_eq!(s.critical_path, g.critical_path_len(), "{what}");
+                let flops = total_flops(&estimate_task_costs(&sym.block_structure, &g));
+                assert_eq!(s.flops_estimate.to_bits(), flops.to_bits(), "{what}");
+            }
+        }
+    }
+}

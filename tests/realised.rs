@@ -447,3 +447,50 @@ proptest! {
         }
     }
 }
+
+/// The graph builders on a realised session: `SymbolicLu::build_graph`
+/// builds over the static structure — the tasks every factorization of
+/// the pattern runs — whichever structure the storage holds. Built over
+/// the realised lists instead, the eforest builder panicked (rule 4 named
+/// an update those lists dropped) and the S* builder returned a graph of
+/// other tasks, on the full-scale sherman3 analogue as on the suite.
+#[test]
+fn graph_builders_read_the_static_structure_of_a_realised_session() {
+    use parsplu::core::TaskGraphKind;
+    use parsplu::matgen::paper_matrix;
+    use parsplu::sched::{build_eforest_graph, build_sstar_graph};
+    let full = (
+        "sherman3 (full)",
+        paper_matrix("sherman3", Scale::Full).unwrap(),
+    );
+    let suite = paper_suite(Scale::Reduced)
+        .into_iter()
+        .map(|m| (m.name, m.a));
+    let mut dropped_blocks = 0;
+    for (name, a) in std::iter::once(full).chain(suite) {
+        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+        for _ in 0..3 {
+            s.refactor(&a).unwrap();
+        }
+        assert!(s.is_realised(), "{name}");
+        let (sym, static_bs) = (s.symbolic(), s.static_structure());
+        let blocks = |bs: &parsplu::symbolic::BlockStructure| -> usize {
+            bs.u_blocks.iter().map(|b| b.len() - 1).sum()
+        };
+        dropped_blocks += blocks(static_bs) - blocks(&sym.block_structure);
+        for (kind, built) in [
+            (TaskGraphKind::EForest, build_eforest_graph(static_bs)),
+            (TaskGraphKind::SStar, build_sstar_graph(static_bs)),
+        ] {
+            let g = sym.build_graph(kind);
+            assert_eq!(g.tasks(), built.tasks(), "{name} {kind:?}");
+            assert_eq!(
+                g.successor_lists(),
+                built.successor_lists(),
+                "{name} {kind:?}"
+            );
+            assert_eq!(g.len(), s.stats().graph_tasks, "{name} {kind:?}");
+        }
+    }
+    assert!(dropped_blocks > 0, "the realised lists leave blocks out");
+}

@@ -227,3 +227,49 @@ fn factor_then_many_refactors_stay_consistent() {
         );
     }
 }
+
+/// A one-thread session factors the whole matrix as one range: it builds
+/// and holds no task graph and no schedule, and `resident_bytes` drops by
+/// exactly the term the previous accounting charged for them — on the
+/// full-scale sherman3 analogue, 7,281 tasks and 11,182 edges:
+/// `tasks · (size_of(Task) + Vec header + word) + edges · word + N · word`
+/// for the graph, two words per task for the schedule (bottom level and
+/// one-worker position). A session of two threads holds the graph and a
+/// one-word-per-task schedule, and is charged for exactly those.
+#[test]
+fn one_thread_sessions_hold_no_graph_or_schedule() {
+    use parsplu::matgen::paper_matrix;
+    use std::mem::size_of;
+    /// The previous `resident_bytes` of this analyzed, unfactored session.
+    const RESIDENT_WITH_GRAPH: u64 = 1_301_784;
+    let a = paper_matrix("sherman3", Scale::Full).unwrap();
+    let one = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+    assert!(one.graph().is_none() && one.schedule().is_none());
+    let st = one.stats();
+    let (tasks, edges, nb) = (
+        st.graph_tasks as u64,
+        st.graph_edges as u64,
+        st.supernodes as u64,
+    );
+    assert_eq!((tasks, edges, nb), (7281, 11182, 1690));
+    let word = size_of::<usize>() as u64;
+    let graph_term = tasks * (size_of::<parsplu::sched::Task>() + size_of::<Vec<usize>>()) as u64
+        + (tasks + edges + nb) * word;
+    assert_eq!(
+        RESIDENT_WITH_GRAPH - one.resident_bytes(),
+        graph_term + tasks * 2 * 8
+    );
+
+    let opts = Options {
+        threads: 2,
+        ..Options::default()
+    };
+    let two = SluSession::analyze(a.pattern(), &opts).unwrap();
+    let graph = two.graph().expect("a two-thread session holds its graph");
+    assert_eq!(graph.len() as u64, tasks);
+    assert_eq!(two.schedule().map(|s| s.len()), Some(graph.len()));
+    assert_eq!(
+        two.resident_bytes() - one.resident_bytes(),
+        graph_term + tasks * 8
+    );
+}

@@ -3,12 +3,11 @@
 //! structure of its pivot history (a factorization and two refactors: the
 //! second derives the realised structure), a one-thread untraced
 //! `SluSession::refactor` must not grow the heap high-water mark by a
-//! single byte — storage reset, value scatter, schedule replay, pivot
-//! recycling and the per-column compare against the recorded history all
-//! run in place. An *observed*
-//! refactor (counters session) is the same replay with one recorder
-//! attached: what it allocates is bounded by a constant, whatever the task
-//! count — no worker loop ran.
+//! single byte — storage reset, value scatter, the one range of the whole
+//! matrix, pivot recycling and the per-column compare against the recorded
+//! history all run in place. An *observed* refactor (counters session) is
+//! the same range with one recorder attached: what it allocates is bounded
+//! by a constant, whatever the task count — no worker loop ran.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
@@ -86,7 +85,7 @@ fn refactor_hot_path_allocates_nothing() {
         let base = heap_stats().unwrap().peak_bytes;
         s.refactor_observed(&a, &obs).unwrap();
         let grown = heap_stats().unwrap().peak_bytes - base;
-        let tasks = s.graph().len() as u64;
+        let tasks = s.stats().graph_tasks as u64;
         assert!(
             grown <= OBSERVED_BOUND,
             "an observed refactor of {tasks} tasks grew the heap peak by {grown} bytes"
