@@ -12,9 +12,7 @@
 //! ```
 
 use splu_bench::min_time;
-use splu_core::{
-    analyze, factor_numeric_with, BlockMatrix, NumericRequest, Options, TaskGraphKind,
-};
+use splu_core::{analyze, factor_numeric_with, BlockMatrix, NumericRequest, Options};
 use splu_matgen::{paper_matrix, Scale};
 use splu_sched::Mapping;
 use splu_symbolic::SupernodeOptions;
@@ -68,7 +66,7 @@ fn main() {
             ..Options::default()
         };
         let sym = analyze(a.pattern(), &opts).expect("analysis succeeds");
-        let graph = sym.build_graph(TaskGraphKind::EForest);
+        let graph = sym.build_graph();
         let permuted = sym.permute_matrix(&a);
         let mut bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
         let req = NumericRequest::coarse(&graph, Mapping::Static1D);

@@ -5,15 +5,17 @@
 //! is reported for a 1D mapping and for 2D grids at the same processor
 //! counts, with the calibrated Origin-style cost model. The expectation
 //! (confirmed by the S+ line of work) is that 2D mappings relieve the
-//! single-owner bottleneck of large block columns as P grows.
+//! single-owner bottleneck of large block columns as P grows. The fine
+//! decomposition is simulated only; what executes is the coarse graph.
 //!
 //! ```text
 //! cargo run --release -p splu-bench --bin twod
 //! ```
 
-use splu_bench::{calibrated_model, min_time, prepare_suite, time_factor};
-use splu_core::{factor_numeric_with, BlockMatrix, NumericRequest};
-use splu_sched::{block_forest, build_fine_graph, simulate_fine, Grid};
+use splu_bench::{
+    build_fine_graph, calibrated_model, prepare_suite, simulate_fine, time_factor, Grid,
+};
+use splu_sched::block_forest;
 
 fn main() {
     println!("Future work: 1D vs 2D mapping on the fine-grained task DAG (simulated)");
@@ -46,35 +48,4 @@ fn main() {
         );
     }
     println!("\n(fine DAG: Apply/Trsm/Gemm stages per update; 'm' = model milliseconds)");
-
-    // Reality check: the fine decomposition also *executes* numerically
-    // (bit-identical to the coarse tasks — enforced by the test-suite);
-    // measured here at host scale.
-    println!("\nMeasured fine-DAG execution on this host (wall milliseconds):");
-    println!(
-        "{:<10} {:>10} {:>10} {:>12}",
-        "Matrix", "fine P=1", "fine P=2", "coarse P=2"
-    );
-    for p in prepare_suite().into_iter().take(3) {
-        let forest = block_forest(&p.sym.block_structure);
-        let fg = build_fine_graph(&p.sym.block_structure, &forest);
-        let mut bm = BlockMatrix::assemble(&p.permuted, &p.sym.block_structure);
-        let mut run_fine = |threads: usize| {
-            let req = NumericRequest::fine(&fg).threads(threads);
-            min_time(|| {
-                bm.reset_from(&p.permuted, &p.sym.block_structure);
-                factor_numeric_with(&bm, &req).expect("factorization succeeds");
-            })
-        };
-        let f1 = run_fine(1);
-        let f2 = run_fine(2);
-        let c2 = time_factor(&p, &p.eforest, 2);
-        println!(
-            "{:<10} {:>9.1}m {:>9.1}m {:>11.1}m",
-            p.name,
-            f1.as_secs_f64() * 1e3,
-            f2.as_secs_f64() * 1e3,
-            c2.as_secs_f64() * 1e3
-        );
-    }
 }

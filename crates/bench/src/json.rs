@@ -85,7 +85,7 @@ pub fn validate_run_report(doc: &Json) -> Result<usize, String> {
         }
     }
     let options = doc.get("options").ok_or("run report: missing options")?;
-    for key in ["ordering", "task_graph", "mapping", "pivot_rule", "kernels"] {
+    for key in ["ordering", "mapping", "pivot_rule", "kernels"] {
         require_str(options, key, "run report.options")?;
     }
     let threads = require_num(options, "threads", "run report.options")?;
@@ -170,8 +170,8 @@ mod tests {
             format!(
                 r#"{{"schema": "parsplu-run-report/1", "package_version": "0",
                     "matrix": {{"name": "m", "n": 3, "nnz": 7}},
-                    "options": {{"ordering": "mindeg", "task_graph": "eforest",
-                                 "mapping": "static1d", "pivot_rule": "partial",
+                    "options": {{"ordering": "mindeg", "mapping": "static1d",
+                                 "pivot_rule": "partial",
                                  "kernels": "auto", "threads": 1}},
                     "phases_s": {{{phases}}}, "counters": {{"tasks_started": 4}},
                     "kernel": null, "sched": null, "health": null, "heap": null,

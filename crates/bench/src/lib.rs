@@ -1,15 +1,25 @@
 //! Shared machinery for the table/figure binaries (one binary per table or
-//! figure of the paper — see DESIGN.md §4).
+//! figure of the paper — see DESIGN.md §4), and the experiment-only code
+//! they run that production never does: the list-scheduling simulator
+//! ([`simulate()`], [`simulate_static_order`]) that stands in for the
+//! paper's 8-processor machine, and the fine-grained `Apply`/`Trsm`/`Gemm`
+//! decomposition of Section 6's future work ([`build_fine_graph`],
+//! [`simulate_fine`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coletree;
+mod fine;
 pub mod json;
+mod simulate;
 
-use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu, TaskGraphKind};
+pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
+pub use simulate::{simulate, simulate_static_order, CostModel, SimResult};
+
+use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu};
 use splu_matgen::{paper_suite, BenchMatrix, Scale};
-use splu_sched::{simulate, CostModel, ExecSchedule, Mapping, TaskGraph, TraceConfig};
+use splu_sched::{build_sstar_graph, ExecSchedule, Mapping, TaskGraph, TraceConfig};
 use splu_sparse::CscMatrix;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,8 +76,8 @@ pub fn prepare_suite() -> Vec<Prepared> {
         .map(|m| {
             let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
             let permuted = sym.permute_matrix(&m.a);
-            let eforest = sym.build_graph(TaskGraphKind::EForest);
-            let sstar = sym.build_graph(TaskGraphKind::SStar);
+            let eforest = sym.build_graph();
+            let sstar = build_sstar_graph(&sym.block_structure);
             Prepared {
                 name: m.name,
                 a: m.a,

@@ -4,9 +4,7 @@
 //! CLI's `--trace` output.
 
 use splu_bench::json;
-use splu_core::{
-    analyze, factor_numeric_with, BlockMatrix, NumericRequest, ObsSession, Options, TaskGraphKind,
-};
+use splu_core::{analyze, factor_numeric_with, BlockMatrix, NumericRequest, ObsSession, Options};
 use splu_matgen::{paper_suite, Scale};
 use splu_sched::{EventKind, Mapping};
 
@@ -18,7 +16,7 @@ fn chrome_trace_json_is_valid_and_per_worker_monotone() {
         .expect("suite is non-empty");
     let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis succeeds");
     let permuted = sym.permute_matrix(&m.a);
-    let graph = sym.build_graph(TaskGraphKind::EForest);
+    let graph = sym.build_graph();
     let bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
 
     // An event session's numeric phase, as `SluSession::run_numeric` runs

@@ -406,15 +406,6 @@ impl Layout {
         &self.ucol[base + u.cols.start as usize..base + u.cols.end as usize]
     }
 
-    /// Positions of `R_K` held by `K`'s `L̄` block in block row `row`.
-    pub(crate) fn l_block_rows(&self, k: usize, row: usize) -> Range<usize> {
-        let blocks = &self.lblks[self.lblk_ptr[k]..self.lblk_ptr[k + 1]];
-        let at = blocks
-            .binary_search_by_key(&row, |lb| lb.block as usize)
-            .expect("Gemm(src, dst, row) requires block L̄(row, src)");
-        blocks[at].rows.start as usize..blocks[at].rows.end as usize
-    }
-
     /// Global row of every position of `R_K`, in order.
     fn global_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
         let w = self.width(k);
@@ -735,44 +726,36 @@ impl ColumnData {
         }
     }
 
-    /// Adds rows `rows` (positions of `R_K`) of the scratch product
-    /// `T = −L̄_below(K)·Ū(K, J)` into this column; `t` holds exactly those
-    /// rows, one column per column of `S_KJ`.
-    pub(crate) fn scatter_add(
-        &mut self,
-        lay: &Layout,
-        u: &UpdateMap,
-        t: MatRef<'_>,
-        rows: Range<usize>,
-    ) {
+    /// Adds the scratch product `T = −L̄_below(K)·Ū(K, J)` into this
+    /// column; `t` holds one row per position of `R_K` and one column per
+    /// column of `S_KJ`.
+    pub(crate) fn scatter_add(&mut self, lay: &Layout, u: &UpdateMap, t: MatRef<'_>) {
         let k = u.src as usize;
         let lrow = &lay.lrow[lay.row_ptr[k]..lay.row_ptr[k + 1]];
-        let first = rows.start;
+        let end = t.nrows();
         let (t_diag, t_below) = (u.t_diag as usize, u.t_below as usize);
         // Rows above block row J: one Ū(I, J) block per L̄ block of K.
-        let mut at = rows.start;
-        while at < rows.end.min(t_diag) {
+        let mut at = 0;
+        while at < end.min(t_diag) {
             let b = lay.owner[lay.row_ptr[k] + at] as usize;
             let lb = &lay.lblks[lay.lblk_ptr[k] + b];
-            let seg = at..rows.end.min(lb.rows.end as usize);
+            let seg = at..end.min(lb.rows.end as usize);
             let dst = &mut self.ublocks[lay.targets[u.targets as usize + b] as usize];
             let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
-            add_rows(dst, cmap, &lrow[seg.clone()], t, seg.start - first);
+            add_rows(dst, cmap, &lrow[seg.clone()], t, seg.start);
             at = seg.end;
         }
         // Rows inside block row J land in the diagonal block at their local
         // rows, rows below it in the panel rows of R_J.
         let cols = lay.local_cols(u);
-        let diag = rows.start.max(t_diag)..rows.end.min(t_below);
+        let diag = t_diag.min(end)..t_below.min(end);
         if !diag.is_empty() {
             let rmap = &lrow[diag.clone()];
-            add_rows(&mut self.panel, cols, rmap, t, diag.start - first);
+            add_rows(&mut self.panel, cols, rmap, t, diag.start);
         }
-        let below = rows.start.max(t_below)..rows.end;
-        if !below.is_empty() {
-            let rel = &lay.rel[u.row_rel as usize..];
-            let rmap = &rel[below.start - t_below..below.end - t_below];
-            add_rows(&mut self.panel, cols, rmap, t, below.start - first);
+        if t_below < end {
+            let rmap = &lay.rel[u.row_rel as usize..][..end - t_below];
+            add_rows(&mut self.panel, cols, rmap, t, t_below);
         }
     }
 }

@@ -1,9 +1,27 @@
 //! Structural flop/communication estimates per task, feeding the
-//! list-scheduling simulator (DESIGN.md §5, substitution 2).
+//! list-scheduling simulator of `splu-bench` (DESIGN.md §5, substitution 2).
 
 use crate::numeric::factor_flops;
-use splu_sched::{Task, TaskCost, TaskGraph};
+use splu_sched::{Task, TaskGraph};
 use splu_symbolic::supernode::BlockStructure;
+
+/// Work attributed to one task.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct TaskCost {
+    /// Floating-point operations the task performs.
+    pub flops: f64,
+    /// Words moved from another processor's memory when the source block
+    /// column lives on a different owner (1D mapping).
+    pub comm_words: f64,
+    /// `true` when the task reads a remote block column (i.e. it is an
+    /// `Update(k, j)` with `k ≠ j`); `Factor` tasks read only local data.
+    pub reads_remote: bool,
+    /// Source block column (for ownership checks); ignored unless
+    /// `reads_remote`.
+    pub src_col: usize,
+    /// Destination (home) block column.
+    pub dst_col: usize,
+}
 
 /// Estimates per-task flops and communication volume from the block
 /// structure alone, over the shapes the compact storage runs the kernels

@@ -35,7 +35,6 @@ mod error;
 pub mod failpoints;
 pub mod gp;
 mod numeric;
-mod numeric_fine;
 pub mod observe;
 mod psolve;
 mod request;
@@ -43,7 +42,7 @@ mod session;
 mod solve;
 
 pub use blocks::{BlockMatrix, ColumnData};
-pub use costs::{estimate_task_costs, total_flops};
+pub use costs::{estimate_task_costs, total_flops, TaskCost};
 pub use error::LuError;
 pub use numeric::factor_left_looking;
 pub use observe::{
@@ -72,7 +71,7 @@ use splu_obs::Counter;
 use splu_ordering::{
     column_min_degree_with, maximum_transversal, reverse_cuthill_mckee, StructuralRank,
 };
-use splu_sched::{block_forest, build_eforest_graph, build_sstar_graph, Mapping, TaskGraph};
+use splu_sched::{block_forest, build_eforest_graph, Mapping, TaskGraph};
 use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::{fill_skeleton, EliminationForest, SupernodeOptions};
@@ -89,16 +88,6 @@ pub enum OrderingChoice {
     Rcm,
 }
 
-/// Task dependence graph choices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskGraphKind {
-    /// The paper's least-dependence graph built from the block eforest.
-    EForest,
-    /// The S* graph: per destination column, updates chained by ascending
-    /// source index.
-    SStar,
-}
-
 /// Driver configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
@@ -108,8 +97,6 @@ pub struct Options {
     pub postorder: bool,
     /// Supernode amalgamation; `None` keeps exact supernodes.
     pub amalgamation: Option<SupernodeOptions>,
-    /// Which task dependence graph drives the factorization.
-    pub task_graph: TaskGraphKind,
     /// Worker threads for the numerical phase.
     pub threads: usize,
     /// Task-to-worker mapping (paper: static 1D column mapping).
@@ -144,7 +131,6 @@ impl Default for Options {
             ordering: OrderingChoice::MinDegreeAtA,
             postorder: true,
             amalgamation: Some(SupernodeOptions::default()),
-            task_graph: TaskGraphKind::EForest,
             threads: 1,
             mapping: Mapping::Static1D,
             pivot_threshold: 0.0,
@@ -199,12 +185,6 @@ impl OptionsBuilder {
     /// Supernode amalgamation; `None` keeps exact supernodes.
     pub fn amalgamation(mut self, amalgamation: Option<SupernodeOptions>) -> Self {
         self.opts.amalgamation = amalgamation;
-        self
-    }
-
-    /// Task dependence graph kind.
-    pub fn task_graph(mut self, task_graph: TaskGraphKind) -> Self {
-        self.opts.task_graph = task_graph;
         self
     }
 
@@ -287,9 +267,9 @@ impl OptionsBuilder {
 }
 
 /// Structural statistics gathered during analysis. The task-graph fields
-/// describe the graph of [`Options::task_graph`] over the static
-/// structure — read off the block lists and the block eforest, without
-/// building it (equal to what [`SymbolicLu::build_graph`]'s graph reports).
+/// describe the eforest graph over the static structure — read off the
+/// block lists and the block eforest, without building it (equal to what
+/// [`SymbolicLu::build_graph`]'s graph reports).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stats {
     /// Matrix order.
@@ -309,11 +289,11 @@ pub struct Stats {
     /// Diagonal blocks of the block-upper-triangular form (trees of the
     /// eforest); meaningful when postordering is on.
     pub btf_blocks: usize,
-    /// Tasks in the chosen dependence graph.
+    /// Tasks in the eforest dependence graph.
     pub graph_tasks: usize,
-    /// Edges in the chosen dependence graph.
+    /// Edges in the eforest dependence graph.
     pub graph_edges: usize,
-    /// Critical path length (tasks) of the chosen graph.
+    /// Critical path length (tasks) of the eforest graph.
     pub critical_path: usize,
     /// Estimated factorization flops (structural model).
     pub flops_estimate: f64,
@@ -335,7 +315,7 @@ pub struct SymbolicLu {
     pub block_structure: BlockStructure,
     /// Block-level LU elimination forest.
     pub block_forest: EliminationForest,
-    /// Structural statistics (graph fields reflect `opts.task_graph`).
+    /// Structural statistics (graph fields describe the eforest graph).
     pub stats: Stats,
     /// The static structure, held aside while `block_structure` is a
     /// realised one.
@@ -344,13 +324,13 @@ pub struct SymbolicLu {
 }
 
 impl SymbolicLu {
-    /// Builds the requested task dependence graph over the **static**
+    /// Builds the eforest task dependence graph over the **static**
     /// structure — the tasks every factorization of the pattern runs; a
     /// realised storage skips the blocks it lacks. (A realised
     /// sub-structure is not closed under the graph rules: rule 4 would
     /// name updates it does not hold.)
-    pub fn build_graph(&self, kind: TaskGraphKind) -> TaskGraph {
-        build_graph(self.static_structure(), kind)
+    pub fn build_graph(&self) -> TaskGraph {
+        build_eforest_graph(self.static_structure())
     }
 
     /// The static structure `Ā`, valid for every pivot sequence:
@@ -365,33 +345,19 @@ impl SymbolicLu {
     }
 }
 
-fn build_graph(bs: &BlockStructure, kind: TaskGraphKind) -> TaskGraph {
-    match kind {
-        TaskGraphKind::EForest => build_eforest_graph(bs),
-        TaskGraphKind::SStar => build_sstar_graph(bs),
-    }
-}
-
-/// What the graph of `kind` over `bs` would report — tasks, dependence
+/// What the eforest graph over `bs` would report — tasks, dependence
 /// edges, critical path in tasks, and the model flops of
 /// [`estimate_task_costs`] — without building it. One walk through the
-/// updates in the left-looking order, a topological order of both graphs,
-/// keeps each task's top level (the longest path ending at it):
-///
-/// * eforest (rules 3–5): `U(i, j)` follows `F(i)` and `U(c, j)` of the
-///   children `c` of `i`; `F(j)` follows the updates from `j`'s children;
-///   a root's update ends its chain (Theorem 2). One edge per update
-///   from its factor, one more from every update of a non-root;
-/// * S*: the updates into `j` form a chain by ascending source that ends
-///   at `F(j)` — two edges per update.
+/// updates in the left-looking order, a topological order of the graph,
+/// keeps each task's top level (the longest path ending at it): by rules
+/// 3–5, `U(i, j)` follows `F(i)` and `U(c, j)` of the children `c` of `i`;
+/// `F(j)` follows the updates from `j`'s children; a root's update ends
+/// its chain (Theorem 2). One edge per update from its factor, one more
+/// from every update of a non-root.
 ///
 /// Flops are summed in the graph's own task order, so the total is the
 /// built graph's to the bit.
-fn graph_stats(
-    bs: &BlockStructure,
-    forest: &EliminationForest,
-    kind: TaskGraphKind,
-) -> (usize, usize, usize, f64) {
+fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize, usize, f64) {
     let nb = bs.num_blocks();
     let width = |k: usize| bs.partition.width(k);
     let below = |k: usize| bs.l_rows.col(k).len();
@@ -421,35 +387,26 @@ fn graph_stats(
         }
     }
     let mut top_f = vec![0usize; nb];
-    // Eforest: the longest chain into `U(i, j)` through the children of
-    // `i`, for the column `j` at hand.
+    // The longest chain into `U(i, j)` through the children of `i`, for the
+    // column `j` at hand.
     let mut via_children = vec![0usize; nb];
     let mut critical_path = 0;
     for j in 0..nb {
-        // The longest chain into `F(j)`, and (S*) the update chain so far.
-        let (mut into_f, mut chain) = (0, 0);
+        // The longest chain into `F(j)`.
+        let mut into_f = 0;
         for &i in &sources[src_ptr[j]..src_ptr[j + 1]] {
-            let before = match kind {
-                TaskGraphKind::EForest => std::mem::take(&mut via_children[i]),
-                TaskGraphKind::SStar => chain,
-            };
-            let top = 1 + top_f[i].max(before);
+            let top = 1 + top_f[i].max(std::mem::take(&mut via_children[i]));
             critical_path = critical_path.max(top);
-            match (kind, forest.parent(i)) {
-                (TaskGraphKind::SStar, _) => (chain, into_f) = (top, top),
-                (TaskGraphKind::EForest, Some(p)) if p == j => into_f = into_f.max(top),
-                (TaskGraphKind::EForest, Some(p)) => via_children[p] = via_children[p].max(top),
-                (TaskGraphKind::EForest, None) => {}
+            match forest.parent(i) {
+                Some(p) if p == j => into_f = into_f.max(top),
+                Some(p) => via_children[p] = via_children[p].max(top),
+                None => {}
             }
         }
         top_f[j] = 1 + into_f;
         critical_path = critical_path.max(top_f[j]);
     }
-    let edges = match kind {
-        TaskGraphKind::EForest => updates + from_non_roots,
-        TaskGraphKind::SStar => 2 * updates,
-    };
-    (nb + updates, edges, critical_path, flops)
+    (nb + updates, updates + from_non_roots, critical_path, flops)
 }
 
 /// Runs the full analysis pipeline on a sparsity pattern.
@@ -587,11 +544,11 @@ pub fn analyze_with(
         (supernodes_exact, block_structure, bf)
     };
 
-    // 5. The statistics of the chosen task graph, read off the lists: the
+    // 5. The statistics of the eforest task graph, read off the lists: the
     // graph itself is built by a session that runs on several threads.
     let _graph_phase = obs.map(|o| o.phase("graph_build"));
     let (graph_tasks, graph_edges, critical_path, flops_estimate) =
-        graph_stats(&block_structure, &bf, opts.task_graph);
+        graph_stats(&block_structure, &bf);
     let stats = Stats {
         n,
         nnz_a: pattern.nnz(),
@@ -939,28 +896,25 @@ mod tests {
             OrderingChoice::Rcm,
         ] {
             for postorder in [false, true] {
-                for task_graph in [TaskGraphKind::EForest, TaskGraphKind::SStar] {
-                    for amalgamation in [None, Some(SupernodeOptions::default())] {
-                        let opts = Options {
-                            ordering,
-                            postorder,
-                            task_graph,
-                            amalgamation,
-                            ..Options::default()
-                        };
-                        let lu = SparseLu::factor(&a, &opts).unwrap();
-                        let x = lu.solve(&b);
-                        assert!(
-                            relative_residual(&a, &x, &b) < 1e-9,
-                            "bad residual for {opts:?}"
-                        );
-                        let err: f64 = x
-                            .iter()
-                            .zip(&reference)
-                            .map(|(p, q)| (p - q).abs())
-                            .fold(0.0, f64::max);
-                        assert!(err < 1e-6, "diverges from GP for {opts:?}: {err}");
-                    }
+                for amalgamation in [None, Some(SupernodeOptions::default())] {
+                    let opts = Options {
+                        ordering,
+                        postorder,
+                        amalgamation,
+                        ..Options::default()
+                    };
+                    let lu = SparseLu::factor(&a, &opts).unwrap();
+                    let x = lu.solve(&b);
+                    assert!(
+                        relative_residual(&a, &x, &b) < 1e-9,
+                        "bad residual for {opts:?}"
+                    );
+                    let err: f64 = x
+                        .iter()
+                        .zip(&reference)
+                        .map(|(p, q)| (p - q).abs())
+                        .fold(0.0, f64::max);
+                    assert!(err < 1e-6, "diverges from GP for {opts:?}: {err}");
                 }
             }
         }
@@ -1234,28 +1188,26 @@ mod tests {
         assert!(relative_residual(&a, &x2, &b) < 1e-2);
     }
 
+    /// One analysis, the default path against an S* graph handed to the
+    /// range plan: the contraction keeps any graph's order per element, so
+    /// the factors are bitwise the default path's.
     #[test]
     fn symbolic_reuse_across_graphs_and_threads() {
         let a = random_matrix(45, 130, 21);
         let sym = analyze(a.pattern(), &Options::default()).unwrap();
-        let ge = sym.build_graph(TaskGraphKind::EForest);
-        let gs = sym.build_graph(TaskGraphKind::SStar);
-        assert!(ge.num_edges() <= gs.num_edges());
-        let b: Vec<f64> = (0..45).map(|i| (i as f64).sin()).collect();
+        let bs = &sym.block_structure;
+        let sstar = splu_sched::build_sstar_graph(bs);
+        assert!(sym.build_graph().num_edges() <= sstar.num_edges());
         let permuted = sym.permute_matrix(&a);
-        let solve_over = |graph: &TaskGraph, threads: usize| {
-            let bm = BlockMatrix::assemble(&permuted, &sym.block_structure);
-            let req = NumericRequest::coarse(graph, Mapping::Static1D).threads(threads);
-            factor_numeric_with(&bm, &req).unwrap();
-            assert!(bm.storage_words() > 0);
-            let mut y = sym.row_perm.apply_vec(&b);
-            solve_permuted(&bm, &sym.block_structure, &mut y);
-            sym.col_perm.apply_inverse_vec(&y)
-        };
-        let x1 = solve_over(&ge, 1);
-        let x2 = solve_over(&gs, 2);
-        for i in 0..45 {
-            assert!((x1[i] - x2[i]).abs() < 1e-10);
+        let want = BlockMatrix::assemble(&permuted, bs);
+        factor_numeric_with(&want, &NumericRequest::left_looking()).unwrap();
+        for threads in [2, 4] {
+            for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                let bm = BlockMatrix::assemble(&permuted, bs);
+                let req = NumericRequest::coarse(&sstar, mapping).threads(threads);
+                factor_numeric_with(&bm, &req).unwrap();
+                assert_eq!(bm.factor_difference(&want), None, "{threads} {mapping:?}");
+            }
         }
     }
 }

@@ -51,9 +51,11 @@ pub(crate) fn factor_flops(m: usize, w: usize) -> u64 {
 }
 
 /// `Update(k, j)` on the held columns: applies `k`'s pivot interchanges
-/// to block column `j`, computes `Ū(k, j) = L(k, k)⁻¹ B̄(k, j)` and adds
-/// the Schur complement `−L̄_below(k) · Ū(k, j)` into the rows of column
-/// `j` that `R_k` names.
+/// to block column `j` over the columns `S_kj`, computes `Ū(k, j) =
+/// L(k, k)⁻¹ B̄(k, j)` with the diagonal block read off the top of column
+/// `k`'s panel, and adds the Schur complement `−L̄_below(k) · Ū(k, j)` into
+/// the rows of column `j` that `R_k` names: one `gemm` of the sub-diagonal
+/// panel into a scratch matrix, then the indexed add.
 ///
 /// With a registry, each executed `trsm`/`gemm` adds its call and its flop
 /// count — the very shapes [`crate::costs::estimate_task_costs`] prices.
@@ -66,20 +68,6 @@ fn update_columns(
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
-    replay_interchanges(bm, u, col_k, col_j);
-    solve_u_block(u, col_k, col_j, kernels, metrics);
-    let below = col_k.panel.nrows() - col_k.width();
-    schur_rows(bm, u, col_k, col_j, 0..below, kernels, metrics);
-}
-
-/// Stage 1 of `Update(k, j)`: the interchanges of `Factor(k)`, over the
-/// columns `S_kj`.
-pub(crate) fn replay_interchanges(
-    bm: &BlockMatrix,
-    u: &UpdateMap,
-    col_k: &ColumnData,
-    col_j: &mut ColumnData,
-) {
     let piv = col_k
         .pivots
         .as_ref()
@@ -89,43 +77,14 @@ pub(crate) fn replay_interchanges(
             col_j.swap_rows(bm.layout(), u, c, p);
         }
     }
-}
-
-/// Stage 2: `Ū(k, j) = L(k, k)⁻¹ · B̄(k, j)` (unit lower triangular solve)
-/// with the diagonal block read off the top of column `k`'s panel.
-pub(crate) fn solve_u_block(
-    u: &UpdateMap,
-    col_k: &ColumnData,
-    col_j: &mut ColumnData,
-    kernels: &Dispatch,
-    metrics: Option<&MetricsRegistry>,
-) {
-    let w_k = col_k.width();
+    let (w_k, s) = (col_k.width(), u.ncols());
     let diag = col_k.panel.row_range(0..w_k);
     kernels.trsm_lower_unit(diag, col_j.ublocks[u.ublock()].as_view_mut());
     if let Some(reg) = metrics {
         reg.incr(Counter::TrsmCalls);
-        reg.add(
-            Counter::TrsmFlops,
-            (w_k * w_k.saturating_sub(1) * u.ncols()) as u64,
-        );
+        reg.add(Counter::TrsmFlops, (w_k * w_k.saturating_sub(1) * s) as u64);
     }
-}
-
-/// Stage 3, for the positions `rows` of `R_k`: one `gemm` of those panel
-/// rows by `Ū(k, j)` into a scratch matrix, then the indexed add into
-/// column `j`. The coarse task passes all of `R_k`, a fine `Gemm` task the
-/// rows of one block row; per element the operations are the same.
-pub(crate) fn schur_rows(
-    bm: &BlockMatrix,
-    u: &UpdateMap,
-    col_k: &ColumnData,
-    col_j: &mut ColumnData,
-    rows: Range<usize>,
-    kernels: &Dispatch,
-    metrics: Option<&MetricsRegistry>,
-) {
-    let (m, s, w_k) = (rows.len(), u.ncols(), col_k.width());
+    let m = col_k.panel.nrows() - w_k;
     if m == 0 {
         return;
     }
@@ -133,10 +92,10 @@ pub(crate) fn schur_rows(
         t.fill(0.0);
         kernels.gemm_sub(
             MatMut::from_slice(t, m, s, m),
-            col_k.panel.row_range(w_k + rows.start..w_k + rows.end),
+            col_k.panel.row_range(w_k..w_k + m),
             col_j.ublocks[u.ublock()].as_view(),
         );
-        col_j.scatter_add(bm.layout(), u, MatRef::from_slice(t, m, s, m), rows);
+        col_j.scatter_add(bm.layout(), u, MatRef::from_slice(t, m, s, m));
     });
     if let Some(reg) = metrics {
         reg.incr(Counter::GemmCalls);

@@ -471,13 +471,12 @@ impl RunReport {
         let _ = writeln!(
             out,
             "  \"options\": {{\"ordering\": \"{:?}\", \"postorder\": {}, \"amalgamation\": {}, \
-             \"task_graph\": \"{:?}\", \"threads\": {}, \
-             \"mapping\": \"{:?}\", \"pivot_threshold\": {}, \"pivot_rule\": \"{:?}\", \
-             \"equilibrate\": {}, \"kernels\": \"{:?}\", \"breakdown\": \"{:?}\"}},",
+             \"threads\": {}, \"mapping\": \"{:?}\", \"pivot_threshold\": {}, \
+             \"pivot_rule\": \"{:?}\", \"equilibrate\": {}, \"kernels\": \"{:?}\", \
+             \"breakdown\": \"{:?}\"}},",
             o.ordering,
             o.postorder,
             o.amalgamation.is_some(),
-            o.task_graph,
             o.threads,
             o.mapping,
             json_f64(o.pivot_threshold),

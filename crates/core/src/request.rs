@@ -2,20 +2,14 @@
 //! parameter of one factorization — task graph, worker count and mapping,
 //! pivoting, tracing, and kernel selection — and
 //! [`factor_numeric_with`] is the single driver that runs it. Its sibling
-//! [`SymbolicRequest`] bounds and observes the analysis phases.
+//! [`SymbolicRequest`] bounds and observes the analysis phases. New
+//! parameters (like [`KernelChoice`] for the dense kernel layer, or the
+//! cached [`ExecSchedule`] a solver session replays) become fields with
+//! defaults instead of new functions.
 //!
-//! Historically each parameter combination grew its own entry point
-//! (`factor_with_graph`, `factor_with_graph_rule`, `…_traced`,
-//! `factor_with_fine_graph`, …): six functions whose signatures drifted
-//! apart — the fine-grained path, for instance, could not select a pivot
-//! rule. The request struct collapsed them, their deprecated shims have
-//! since been retired, and new parameters (like [`KernelChoice`] for the
-//! dense kernel layer, or the cached [`ExecSchedule`] a solver session
-//! replays) become fields with defaults instead of new functions.
-//!
-//! **What runs is a range plan.** Postordering makes every eforest subtree
-//! a contiguous range of block columns whose tasks touch only that range
-//! and its ancestors. At one thread the whole matrix is one range — the
+//! **What runs is a range plan**, and nothing else. Postordering makes
+//! every eforest subtree a contiguous range of block columns whose tasks
+//! touch only that range and its ancestors. At one thread the whole matrix is one range — the
 //! coarse graph is not consulted, no schedule is computed, and the run is
 //! [`crate::factor_left_looking`]'s loop with the request's kernels,
 //! pivoting, budget and recorder. On several threads the coarse graph is
@@ -28,23 +22,21 @@
 //!
 //! The kernel choice resolves to one [`Dispatch`] table **once per
 //! factorization** (CPU feature probing included), and that table threads
-//! through every `Factor`/`Update`/`Trsm`/`Gemm` task body — all of which preserve
-//! the bitwise-equivalence contract documented on
-//! [`Dispatch::gemm_sub`], so the factors are independent of the
-//! selected kernels.
+//! through every `Factor`/`Update` task body — all of which preserve the
+//! bitwise-equivalence contract documented on [`Dispatch::gemm_sub`], so
+//! the factors are independent of the selected kernels.
 
 use crate::blocks::BlockMatrix;
 use crate::costs::update_flops;
 use crate::numeric::{factor_flops, TaskBodies};
-use crate::numeric_fine::{apply_task, gemm_task, trsm_task};
 use crate::observe::ObsSession;
 use crate::solve::growth_factor;
 use crate::{LuError, Options};
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{
-    run, CancelToken, ExecReport, ExecRequest, ExecSchedule, FineGraph, FineTask, Interrupt,
-    Mapping, RunBudget, Task, TaskGraph, TraceConfig,
+    run, CancelToken, ExecReport, ExecRequest, ExecSchedule, Interrupt, Mapping, RunBudget, Task,
+    TaskGraph, TraceConfig,
 };
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -88,9 +80,11 @@ pub enum GraphRef<'g> {
     /// [`crate::factor_left_looking`]'s order — what a coarse request runs
     /// at one thread too, whatever [`NumericRequest::threads`] says.
     LeftLooking,
-    /// The coarse `Factor`/`Update` graph: at one thread not consulted (one
-    /// range), on several contracted into ranges and executed under a
-    /// task-to-worker [`Mapping`].
+    /// The coarse `Factor`/`Update` graph — the eforest graph, or any
+    /// other over the same tasks whose edges never lead to a lower block
+    /// column (the S* graph): at one thread not consulted (one range), on
+    /// several contracted into ranges and executed under a task-to-worker
+    /// [`Mapping`].
     Coarse {
         /// The dependence graph.
         graph: &'g TaskGraph,
@@ -98,15 +92,11 @@ pub enum GraphRef<'g> {
         /// range goes to an owner by its flops).
         mapping: Mapping,
     },
-    /// The fine-grained `Apply`/`Trsm`/`Gemm` decomposition, executed on a
-    /// single shared priority pool.
-    Fine(&'g FineGraph),
 }
 
 /// All parameters of one numeric factorization. Build with
-/// [`NumericRequest::left_looking`] / [`NumericRequest::coarse`] /
-/// [`NumericRequest::fine`], adjust with the chainable setters, run with
-/// [`factor_numeric_with`].
+/// [`NumericRequest::left_looking`] / [`NumericRequest::coarse`], adjust
+/// with the chainable setters, run with [`factor_numeric_with`].
 #[derive(Clone)]
 pub struct NumericRequest<'g> {
     /// The task graph (and, for the coarse form, its mapping).
@@ -140,8 +130,7 @@ pub struct NumericRequest<'g> {
     /// [`ExecSchedule::for_graph`]): its per-task priorities rank the nodes
     /// of the contracted graph — each node takes its tasks' highest —
     /// which saves a bottom-level sweep per run. A one-thread run needs
-    /// none. The factors are bitwise identical either way. Ignored by the
-    /// fine graph.
+    /// none. The factors are bitwise identical either way.
     pub schedule: Option<Arc<ExecSchedule>>,
     /// The pivot history this run must reproduce: the global row every
     /// column's pivot comes from. After each `Factor(K)` its interchanges
@@ -164,11 +153,6 @@ impl<'g> NumericRequest<'g> {
     /// pivoting with zero threshold, tracing off, kernels picked for the CPU.
     pub fn coarse(graph: &'g TaskGraph, mapping: Mapping) -> Self {
         Self::with_graph(GraphRef::Coarse { graph, mapping })
-    }
-
-    /// A request over the fine-grained graph (same defaults).
-    pub fn fine(graph: &'g FineGraph) -> Self {
-        Self::with_graph(GraphRef::Fine(graph))
     }
 
     fn with_graph(graph: GraphRef<'g>) -> Self {
@@ -572,17 +556,16 @@ impl RangePlan {
 /// This is the single driver behind every public factorization entry point;
 /// the kernel table is resolved from `req.kernels` exactly once here. What
 /// it runs is the range plan of the module docs: one range at one thread
-/// (or without a graph), the contracted coarse graph on several, the fine
-/// graph as it is.
+/// (or without a graph), the contracted coarse graph on several.
 pub fn factor_numeric_with(
     bm: &BlockMatrix,
     req: &NumericRequest<'_>,
 ) -> Result<ExecReport, LuError> {
     let dispatch = Dispatch::resolve(req.kernels);
     let threads = req.threads.max(1);
-    // The executed DAG: the contracted coarse graph on several threads,
-    // the fine graph, or else the whole matrix as one node of every task.
-    // With a schedule the storage keeps the plan for the next run.
+    // The executed DAG: the contracted coarse graph on several threads, or
+    // else the whole matrix as one node of every task. With a schedule the
+    // storage keeps the plan for the next run.
     let plan =
         match (req.graph, &req.schedule) {
             (GraphRef::Coarse { graph, .. }, Some(schedule)) if threads > 1 => {
@@ -605,10 +588,6 @@ pub fn factor_numeric_with(
             placement: mapping.placement(&owner),
             threads,
             ..ExecRequest::new(&p.pred_counts, &p.successors)
-        },
-        (_, GraphRef::Fine(fg)) => ExecRequest {
-            threads,
-            ..ExecRequest::new(fg.pred_counts(), fg.successor_lists())
         },
         _ => ExecRequest {
             task_bounds: Some(&whole),
@@ -657,24 +636,12 @@ pub fn factor_numeric_with(
             return;
         }
         let mut begin = || steps.begin();
-        match (req.graph, &plan) {
-            (GraphRef::Fine(fg), _) => match fg.tasks()[node] {
-                FineTask::Factor(k) => {
-                    bodies.factor(k, &mut bm.column(k).write());
-                }
-                FineTask::Apply { src, dst } => apply_task(bm, src, dst),
-                FineTask::Trsm { src, dst } => trsm_task(bm, src, dst, &dispatch, metrics),
-                FineTask::Gemm { src, dst, row } => {
-                    gemm_task(bm, src, dst, row, &dispatch, metrics)
-                }
-            },
-            (_, Some(p)) => match &p.nodes[node] {
-                PlanNode::Columns(cols) => {
-                    bodies.columns(cols.clone(), &mut begin);
-                }
-                PlanNode::Task(task) => bodies.task(*task, &mut begin),
-            },
-            (_, None) => {
+        match plan.as_ref().map(|p| &p.nodes[node]) {
+            Some(PlanNode::Columns(cols)) => {
+                bodies.columns(cols.clone(), &mut begin);
+            }
+            Some(PlanNode::Task(task)) => bodies.task(*task, &mut begin),
+            None => {
                 bodies.columns(0..bm.num_block_cols(), &mut begin);
             }
         }
@@ -685,12 +652,9 @@ pub fn factor_numeric_with(
         return Err(e);
     }
     if let Some(p) = report.panic.take() {
-        let task = match req.graph {
-            GraphRef::Fine(fg) => format!("{:?}", fg.tasks()[p.task]),
-            _ => (bm.tasks().nth(p.task))
-                .expect("a task id of this storage")
-                .to_string(),
-        };
+        let task = (bm.tasks().nth(p.task))
+            .expect("a task id of this storage")
+            .to_string();
         return Err(LuError::WorkerPanic {
             worker: p.worker,
             task,
@@ -728,7 +692,7 @@ pub fn factor_numeric_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splu_sched::{block_forest, build_eforest_graph, build_fine_graph};
+    use splu_sched::{build_eforest_graph, build_sstar_graph};
     use splu_sparse::CscMatrix;
     use splu_symbolic::static_fact::static_symbolic_factorization;
     use splu_symbolic::supernode::{supernode_partition, BlockStructure};
@@ -737,16 +701,14 @@ mod tests {
         splu_matgen::random_diag_dominant(n, extra, seed, 3.0)
     }
 
-    /// One request drives both graph forms, and every kernel choice yields
-    /// bit-identical factors on both.
+    /// One request drives one and two threads, and every kernel choice
+    /// yields bit-identical factors.
     #[test]
-    fn unified_driver_is_kernel_and_graph_invariant() {
+    fn unified_driver_is_kernel_invariant() {
         let a = random_matrix(40, 150, 17);
         let f = static_symbolic_factorization(a.pattern()).unwrap();
         let bs = BlockStructure::new(&f, supernode_partition(&f));
         let graph = build_eforest_graph(&bs);
-        let forest = block_forest(&bs);
-        let fg = build_fine_graph(&bs, &forest);
 
         let bm_ref = BlockMatrix::assemble(&a, &bs);
         let report = factor_numeric_with(
@@ -757,27 +719,12 @@ mod tests {
         assert_eq!(report.stats.kernel, "baseline");
 
         for kernels in [KernelChoice::Portable, KernelChoice::Auto] {
-            let coarse_req = NumericRequest::coarse(&graph, Mapping::Dynamic)
+            let req = NumericRequest::coarse(&graph, Mapping::Dynamic)
                 .threads(2)
                 .kernels(kernels);
-            let fine_req = NumericRequest::fine(&fg).threads(2).kernels(kernels);
-            for req in [coarse_req, fine_req] {
-                let bm = BlockMatrix::assemble(&a, &bs);
-                factor_numeric_with(&bm, &req).unwrap();
-                for k in 0..bm.num_block_cols() {
-                    let c = bm.column(k).read();
-                    let r = bm_ref.column(k).read();
-                    assert_eq!(c.pivots, r.pivots, "pivots differ ({kernels:?}, col {k})");
-                    assert_eq!(
-                        c.panel.data(),
-                        r.panel.data(),
-                        "panel differs ({kernels:?}, col {k})"
-                    );
-                    for (cb, rb) in c.ublocks.iter().zip(&r.ublocks) {
-                        assert_eq!(cb.data(), rb.data(), "U differs ({kernels:?}, col {k})");
-                    }
-                }
-            }
+            let bm = BlockMatrix::assemble(&a, &bs);
+            factor_numeric_with(&bm, &req).unwrap();
+            assert_eq!(bm.factor_difference(&bm_ref), None, "{kernels:?}");
         }
     }
 
@@ -809,30 +756,6 @@ mod tests {
         }
         let req = req.budget(RunBudget::default());
         factor_numeric_with(&bm, &req).unwrap();
-    }
-
-    /// The fine path honours the pivot rule (it could not before the
-    /// request API).
-    #[test]
-    fn fine_path_honours_pivot_rule() {
-        let a = random_matrix(30, 100, 5);
-        let f = static_symbolic_factorization(a.pattern()).unwrap();
-        let bs = BlockStructure::new(&f, supernode_partition(&f));
-        let forest = block_forest(&bs);
-        let fg = build_fine_graph(&bs, &forest);
-
-        // Diagonally dominant → the diagonal rule does zero interchanges.
-        let bm = BlockMatrix::assemble(&a, &bs);
-        factor_numeric_with(
-            &bm,
-            &NumericRequest::fine(&fg).pivot_rule(PivotRule::Diagonal),
-        )
-        .unwrap();
-        for k in 0..bm.num_block_cols() {
-            let col = bm.column(k).read();
-            let piv = col.pivots.as_ref().unwrap();
-            assert!(piv.swaps().iter().enumerate().all(|(c, &p)| c == p));
-        }
     }
 
     /// A random matrix of diagonal blocks of the given sizes coupled only
@@ -896,9 +819,10 @@ mod tests {
 
         /// Range execution equals the per-task graph replay bit for bit —
         /// pivots and every stored word — on random forests of one to
-        /// three trees, at 1/2/4/8 threads, under both mappings, over both
-        /// graph kinds, on the static structure and on the realised one of
-        /// the replay's pivot history (held to that history).
+        /// three trees, at 1/2/4/8 threads, under both mappings, over the
+        /// graphs of both builders, on the static structure and on the
+        /// realised one of the replay's pivot history (held to that
+        /// history).
         #[test]
         fn range_execution_is_bitwise_the_graph_replay(
             sizes in proptest::collection::vec(4usize..24, 1..4),
@@ -909,7 +833,7 @@ mod tests {
             let sym = crate::analyze(a.pattern(), &Options::default()).unwrap();
             let p = sym.permute_matrix(&a);
             let bs = &sym.block_structure;
-            let static_graph = sym.build_graph(crate::TaskGraphKind::EForest);
+            let static_graph = sym.build_graph();
             let oracle = BlockMatrix::assemble(&p, bs);
             if !graph_replay(&oracle, &static_graph, None) {
                 // Singular: the executor must say so too (checked elsewhere).
@@ -919,8 +843,11 @@ mod tests {
             let slots = oracle.value_slots(p.pattern(), |i| i, |j| j);
             let (rows, cols) = oracle.layout().realised_flags(bs, &slots, &history);
             let realised = crate::blocks::realised_structure(bs, &rows, &cols);
-            for kind in [crate::TaskGraphKind::EForest, crate::TaskGraphKind::SStar] {
-                let graph = sym.build_graph(kind);
+            for (kind, build) in [
+                ("eforest", build_eforest_graph as fn(&BlockStructure) -> TaskGraph),
+                ("sstar", build_sstar_graph),
+            ] {
+                let graph = build(bs);
                 let schedule = Arc::new(ExecSchedule::for_graph(&graph));
                 for (structure, held) in [(bs, None), (&realised, Some(&history[..]))] {
                     let want = BlockMatrix::assemble(&p, structure);
@@ -942,7 +869,7 @@ mod tests {
                                 proptest::prop_assert_eq!(
                                     bm.factor_difference(&want),
                                     None,
-                                    "{:?} threads={} {:?} realised={}",
+                                    "{} threads={} {:?} realised={}",
                                     kind,
                                     threads,
                                     mapping,

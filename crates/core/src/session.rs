@@ -131,10 +131,9 @@ pub struct SluSession {
 impl SluSession {
     /// Runs the full symbolic analysis for `pattern` and caches everything
     /// the numeric phase needs: permutations, supernode partition and
-    /// block lists — and, when `opts.threads > 1`, the task graph of
-    /// `opts.task_graph` with its executor schedule (one thread factors the
-    /// whole matrix as one range: no graph is built). No numeric storage
-    /// is allocated yet.
+    /// block lists — and, when `opts.threads > 1`, the eforest task graph
+    /// with its executor schedule (one thread factors the whole matrix as
+    /// one range: no graph is built). No numeric storage is allocated yet.
     pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
         Self::analyze_inner(pattern, opts, None)
     }
@@ -162,7 +161,7 @@ impl SluSession {
         let sym = analyze_with(pattern, opts, &sreq)?;
         let graph = (opts.threads > 1).then(|| {
             let _p = obs.map(|o| o.phase("graph_build"));
-            let graph = sym.build_graph(opts.task_graph);
+            let graph = sym.build_graph();
             let schedule = Arc::new(ExecSchedule::for_graph(&graph));
             (graph, schedule)
         });

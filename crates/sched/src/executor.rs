@@ -3,8 +3,8 @@
 //!
 //! An [`ExecRequest`] names everything a run depends on: the DAG
 //! (in-degrees plus successor lists — a [`TaskGraph`](crate::TaskGraph), a
-//! [`FineGraph`](crate::FineGraph) and ad-hoc slices are all viewed this
-//! way), how many tasks each of its nodes holds, an optional cached
+//! contracted range plan and ad-hoc slices are all viewed this way), how
+//! many tasks each of its nodes holds, an optional cached
 //! [`ExecSchedule`], the worker count, the [`Placement`] of ready tasks,
 //! the [`TraceConfig`] and the [`RunBudget`]. Every phase that schedules
 //! work — the numeric factorization, the parallel triangular sweeps —
@@ -20,8 +20,7 @@
 //! priority**: the cached schedule's, or else each task's unit *bottom
 //! level* — the length of the longest dependence path from it to a sink of
 //! the DAG — so workers always prefer the task deepest on the critical
-//! path. This is the same rule the static-order simulator's inspector uses
-//! ([`crate::simulate_static_order`]).
+//! path.
 //!
 //! Two placements of ready tasks are supported:
 //!

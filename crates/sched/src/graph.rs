@@ -127,12 +127,6 @@ impl TaskGraph {
         &self.succ
     }
 
-    /// A topological order of the task ids (Kahn). Panics on cycles, which
-    /// would indicate a builder bug.
-    fn topo_order(&self) -> Vec<usize> {
-        topo_order(&self.pred_count, &self.succ)
-    }
-
     /// Length of the longest path in tasks (unit task weights) — the
     /// height of the DAG, a parallelism indicator used by the experiments.
     pub fn critical_path_len(&self) -> usize {
@@ -146,27 +140,6 @@ impl TaskGraph {
     /// the ready task deepest on the critical path.
     pub fn bottom_levels(&self) -> Vec<u64> {
         bottom_levels(&self.pred_count, &self.succ)
-    }
-
-    /// Weighted bottom levels: `level(t) = time_of(t) + max over successors
-    /// s of (level(s) + edge_latency(t, s))`, computed by one reverse
-    /// topological sweep. Shared by the static-order simulator's inspector
-    /// ([`crate::simulate_static_order`]) and the executor's priority rule
-    /// (unit weights, [`Self::bottom_levels`]).
-    pub fn bottom_levels_with<T, E>(&self, time_of: T, edge_latency: E) -> Vec<f64>
-    where
-        T: Fn(usize) -> f64,
-        E: Fn(usize, usize) -> f64,
-    {
-        let mut level = vec![0.0_f64; self.len()];
-        for &t in self.topo_order().iter().rev() {
-            let mut best = 0.0_f64;
-            for &s in &self.succ[t] {
-                best = best.max(level[s] + edge_latency(t, s));
-            }
-            level[t] = best + time_of(t);
-        }
-        level
     }
 
     /// Graphviz DOT rendering of the task graph (Figure 4 style).
@@ -210,7 +183,7 @@ impl TaskGraph {
 }
 
 /// Kahn topological order of a DAG given as in-degrees plus successor
-/// lists. Panics on a cycle.
+/// lists. Panics on a cycle, which would indicate a builder bug.
 pub(crate) fn topo_order(pred_counts: &[usize], successors: &[Vec<usize>]) -> Vec<usize> {
     let n = pred_counts.len();
     let mut indeg = pred_counts.to_vec();
@@ -493,7 +466,7 @@ mod tests {
     fn topo_order_is_valid_for_both() {
         let bs = fig1_blocks();
         for g in [build_sstar_graph(&bs), build_eforest_graph(&bs)] {
-            let order = g.topo_order();
+            let order = topo_order(g.pred_counts(), g.successor_lists());
             let mut pos = vec![0usize; g.len()];
             for (p, &t) in order.iter().enumerate() {
                 pos[t] = p;

@@ -13,21 +13,17 @@
 //!   forest (rules 1–5 of Section 4). Updates from independent subtrees run
 //!   concurrently.
 //!
-//! Two runtimes consume the graphs:
+//! [`run`] is the one multithreaded executor: an [`ExecRequest`] names the
+//! DAG, the worker count, the [`Placement`] of ready tasks (the paper's
+//! static 1D column-block mapping — owner-only, our RAPID substitute — or
+//! work stealing), tracing and the run budget; tasks are scheduled by
+//! critical-path (bottom-level) priority, and a one-worker request replays
+//! its order inline on the calling thread, traced or not. The
+//! list-scheduling simulator that evaluates processor counts beyond the
+//! host's cores (DESIGN.md §5, substitution 2) lives with the experiments
+//! in `splu-bench`.
 //!
-//! * [`run`] — the one multithreaded executor: an [`ExecRequest`] names the
-//!   DAG, the worker count, the [`Placement`] of ready tasks (the paper's
-//!   static 1D column-block mapping — owner-only, our RAPID substitute — or
-//!   work stealing), tracing and the run budget; tasks are scheduled by
-//!   critical-path (bottom-level) priority, and a one-worker request
-//!   replays its order inline on the calling thread, traced or not;
-//! * [`simulate`] — a deterministic list-scheduling simulator with a
-//!   flops + latency cost model, used to evaluate processor counts beyond
-//!   the physical cores of the host (DESIGN.md §5, substitution 2). Its
-//!   static-order inspector and the executor share one priority source:
-//!   [`TaskGraph::bottom_levels_with`].
-//!
-//! Both runtimes are observable through the telemetry layer (`trace`
+//! The executor is observable through the telemetry layer (`trace`
 //! module): with [`ExecRequest::trace`] on, [`run`] records lock-free
 //! per-worker event streams and steal/idle counters into its [`ExecReport`]
 //! ([`SchedStats`] + the raw [`ExecTrace`] that `splu-core`'s
@@ -50,11 +46,9 @@
 
 mod control;
 mod executor;
-pub mod fine;
 mod graph;
 mod lane;
 mod schedule;
-mod simulate;
 pub mod sync;
 mod trace;
 
@@ -62,11 +56,9 @@ pub use control::{
     CancelToken, Interrupt, RunBudget, StallReport, WatchdogConfig, WorkerSnapshot, WorkerState,
 };
 pub use executor::{run, ExecRequest, Mapping, Placement, Steps};
-pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
 pub use graph::{block_forest, build_eforest_graph, build_sstar_graph, Task, TaskGraph};
 pub use lane::{Lane, LaneRejected};
 pub use schedule::ExecSchedule;
-pub use simulate::{simulate, simulate_static_order, CostModel, SimResult, TaskCost};
 pub use trace::{
     EventKind, ExecReport, ExecTrace, FactorHealth, SchedStats, TaskPanic, TraceConfig, TraceEvent,
     TraceMode, WorkerStats,

@@ -11,11 +11,12 @@
 
 use parsplu::core::{
     analyze, estimate_task_costs, factor_numeric_with, solve_permuted, BlockMatrix, NumericRequest,
-    Options, TaskGraphKind,
+    Options,
 };
 use parsplu::matgen::{manufactured_rhs, navier_stokes_2d};
-use parsplu::sched::{simulate, CostModel, Mapping};
+use parsplu::sched::{build_sstar_graph, Mapping};
 use parsplu::sparse::relative_residual;
+use splu_bench::{simulate, CostModel};
 use std::time::Instant;
 
 fn main() {
@@ -29,10 +30,13 @@ fn main() {
     let (_, b) = manufactured_rhs(&a, 3);
     let permuted = sym.permute_matrix(&a);
 
-    for kind in [TaskGraphKind::SStar, TaskGraphKind::EForest] {
-        let graph = sym.build_graph(kind);
+    let graphs = [
+        ("SStar", build_sstar_graph(&sym.block_structure)),
+        ("EForest", sym.build_graph()),
+    ];
+    for (kind, graph) in graphs {
         println!(
-            "\n{kind:?}: {} tasks, {} edges, critical path {}",
+            "\n{kind}: {} tasks, {} edges, critical path {}",
             graph.len(),
             graph.num_edges(),
             graph.critical_path_len()

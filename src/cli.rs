@@ -7,7 +7,7 @@
 use splu_core::{
     analyze, analyze_with, estimate_inverse_1norm, BreakdownPolicy, CancelToken, KernelChoice,
     LuError, MatrixMeta, ObsSession, Options, OrderingChoice, PivotRule, RunStatus, SparseLu,
-    SymbolicRequest, TaskGraphKind, WatchdogConfig,
+    SymbolicRequest, WatchdogConfig,
 };
 use splu_matgen::{manufactured_rhs, paper_matrix, Scale};
 use splu_sched::Mapping;
@@ -153,7 +153,6 @@ SERVE MODE:
 
 OPTIONS:
   --threads <N>         worker threads for the numerical phase   [1]
-  --graph eforest|sstar task dependence graph                    [eforest]
   --ordering mindeg|natural|rcm                                  [mindeg]
                         mindeg: approximate minimum degree on the graph
                         of AtA; `md` and `mindeg-multi` are accepted as
@@ -263,14 +262,6 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 cli.opts.threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
-            }
-            "--graph" => {
-                let v = it.next().ok_or("--graph needs a value")?;
-                cli.opts.task_graph = match v.as_str() {
-                    "eforest" => TaskGraphKind::EForest,
-                    "sstar" => TaskGraphKind::SStar,
-                    _ => return Err(format!("unknown graph `{v}`")),
-                };
             }
             "--ordering" => {
                 let v = it.next().ok_or("--ordering needs a value")?;
@@ -473,7 +464,7 @@ fn cmd_analyze(
         let _ = writeln!(out, "wrote block eforest DOT to {p}");
     }
     if let Some(p) = &cli.dot_graph {
-        let g = sym.build_graph(cli.opts.task_graph);
+        let g = sym.build_graph();
         std::fs::write(p, g.to_dot("tasks")).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote task graph DOT to {p}");
     }

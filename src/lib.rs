@@ -13,8 +13,9 @@
 //!   elimination forest, postordering, block-triangular detection and L/U
 //!   supernode partitioning.
 //! * [`dense`] — hand-written dense kernels (`gemm`, `trsm`, panel LU).
-//! * [`sched`] — S* and eforest-guided task dependence graphs, threaded DAG
-//!   executor and the virtual-machine list-scheduling simulator.
+//! * [`sched`] — S* and eforest-guided task dependence graphs and the
+//!   threaded DAG executor (the list-scheduling simulators that stand in
+//!   for the paper's machine live in the `splu-bench` crate).
 //! * [`core`] — the supernodal numerical factorization with partial pivoting
 //!   and the [`core::SparseLu`] end-to-end driver.
 //! * [`obs`] — observability primitives: the lock-free metrics registry,

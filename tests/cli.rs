@@ -39,15 +39,7 @@ fn gen_analyze_solve_condest_roundtrip() {
     assert!(out.contains("scaled residual"), "{out}");
     assert!(!out.contains("WARNING"), "{out}");
 
-    let out = run(&args(&[
-        "solve",
-        &path,
-        "--threads",
-        "2",
-        "--graph",
-        "sstar",
-    ]))
-    .unwrap();
+    let out = run(&args(&["solve", &path, "--threads", "2", "--dynamic"])).unwrap();
     assert!(out.contains("scaled residual"), "{out}");
 
     let out = run(&args(&["solve", &path, "--transpose", "--equilibrate"])).unwrap();
@@ -89,10 +81,6 @@ fn kernel_choice_is_accepted_and_solution_invariant() {
 fn flag_errors_are_reported() {
     let path = tmp("flags");
     run(&args(&["gen", "sherman5", &path, "--reduced"])).unwrap();
-    assert!(run(&args(&["solve", &path, "--graph", "bogus"]))
-        .unwrap_err()
-        .message
-        .contains("unknown graph"));
     assert!(run(&args(&["solve", &path, "--threads"]))
         .unwrap_err()
         .message
@@ -107,6 +95,41 @@ fn flag_errors_are_reported() {
         .unwrap_err()
         .message
         .contains("unknown matrix"));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The eforest graph is the only one a run executes: `--graph` is an
+/// unknown option of the one-shot commands and of serve jobs alike, not a
+/// flag accepted and ignored.
+#[test]
+fn graph_flag_is_refused_as_an_unknown_option() {
+    use parsplu::cli::serve_loop;
+    use std::io::Cursor;
+    use std::sync::Mutex;
+    let path = tmp("graph_flag");
+    run(&args(&["gen", "sherman3", &path, "--reduced"])).unwrap();
+    for kind in ["sstar", "eforest"] {
+        let err = run(&args(&["solve", &path, "--graph", kind])).unwrap_err();
+        assert!(err.message.contains("unknown option `--graph`"), "{err}");
+        assert_eq!(err.exit_code, 2, "{err}");
+    }
+    let script = format!("analyze s {path} --graph sstar\nanalyze s {path}\n");
+    let writer = Mutex::new(Vec::new());
+    assert_eq!(
+        serve_loop(Cursor::new(script), &writer, 1, None).unwrap(),
+        2
+    );
+    let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
+    let lines: Vec<&str> = out.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert!(lines[0].contains(r#""status":"error""#), "{}", lines[0]);
+    assert!(lines[0].contains(r#""exit_code":2"#), "{}", lines[0]);
+    assert!(
+        lines[0].contains("unknown option `--graph`"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains(r#""status":"ok""#), "{}", lines[1]);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,14 +1,14 @@
 //! Integration coverage of the extended public API: condition estimation,
 //! determinant, growth factor, multi-RHS, transpose solve, refinement,
-//! left-looking and fine-grained execution — all across the benchmark
-//! suite at reduced scale.
+//! left-looking and S*-graph execution — all across the benchmark suite
+//! at reduced scale.
 
 use parsplu::core::{
     analyze, estimate_inverse_1norm, factor_left_looking, factor_numeric_with, solve_permuted,
-    solve_permuted_parallel, BlockMatrix, NumericRequest, Options, SparseLu, TaskGraphKind,
+    solve_permuted_parallel, BlockMatrix, NumericRequest, Options, SparseLu,
 };
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
-use parsplu::sched::{block_forest, build_fine_graph, Mapping};
+use parsplu::sched::{build_sstar_graph, Mapping};
 use parsplu::sparse::relative_residual;
 
 #[test]
@@ -41,11 +41,11 @@ fn transpose_and_forward_solves_are_consistent_suitewide() {
 }
 
 #[test]
-fn left_looking_and_fine_execution_match_the_driver_numerically() {
+fn left_looking_and_sstar_execution_match_the_driver_numerically() {
     for m in paper_suite(Scale::Reduced).into_iter().take(3) {
         let sym = analyze(m.a.pattern(), &Options::default()).unwrap();
         let permuted = sym.permute_matrix(&m.a);
-        let graph = sym.build_graph(TaskGraphKind::EForest);
+        let graph = sym.build_graph();
 
         let solve = |bm: &BlockMatrix, b: &[f64]| {
             let mut y = sym.row_perm.apply_vec(b);
@@ -63,14 +63,14 @@ fn left_looking_and_fine_execution_match_the_driver_numerically() {
         // Left-looking on a fresh assembly.
         let bm_left = BlockMatrix::assemble(&permuted, &sym.block_structure);
         factor_left_looking(&bm_left, 0.0).unwrap();
-        // Fine-grained on a fresh assembly.
-        let forest = block_forest(&sym.block_structure);
-        let fg = build_fine_graph(&sym.block_structure, &forest);
-        let bm_fine = BlockMatrix::assemble(&permuted, &sym.block_structure);
-        factor_numeric_with(&bm_fine, &NumericRequest::fine(&fg).threads(2)).unwrap();
+        // The S* graph's range plan on a fresh assembly.
+        let sstar = build_sstar_graph(&sym.block_structure);
+        let bm_sstar = BlockMatrix::assemble(&permuted, &sym.block_structure);
+        let req = NumericRequest::coarse(&sstar, Mapping::Dynamic).threads(2);
+        factor_numeric_with(&bm_sstar, &req).unwrap();
 
         // Solve through each factored storage via the permuted interface.
-        for bm in [&bm_left, &bm_fine] {
+        for bm in [&bm_left, &bm_sstar] {
             assert_eq!(solve(bm, &b), x_ref, "{}: executions disagree", m.name);
         }
     }

@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use parsplu::core::gp::gp_factor;
-use parsplu::core::{Options, SparseLu, TaskGraphKind};
+use parsplu::core::{factor_numeric_with, BlockMatrix, NumericRequest, Options, SparseLu};
 use parsplu::dense::{lu_full, lu_solve, DenseMat};
+use parsplu::sched::{build_sstar_graph, Mapping};
 use parsplu::sparse::{relative_residual, CscMatrix};
 
 /// Strategy: a random well-conditioned sparse matrix (diagonally dominant)
@@ -30,16 +31,26 @@ fn matrix_and_rhs(max_n: usize) -> impl Strategy<Value = (CscMatrix, Vec<f64>)> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The full pipeline is backward stable on random sparse systems, for
-    /// both task graphs.
+    /// The full pipeline is backward stable on random sparse systems, and
+    /// the S* graph handed to the range plan factors bitwise like it at 2
+    /// and 4 threads under both mappings.
     #[test]
     fn supernodal_solver_is_backward_stable((a, b) in matrix_and_rhs(40)) {
-        for task_graph in [TaskGraphKind::EForest, TaskGraphKind::SStar] {
-            let opts = Options { task_graph, ..Options::default() };
-            let lu = SparseLu::factor(&a, &opts).expect("diagonally dominant");
-            let x = lu.solve(&b);
-            let r = relative_residual(&a, &x, &b);
-            prop_assert!(r < 1e-11, "residual {} with {:?}", r, task_graph);
+        let lu = SparseLu::factor(&a, &Options::default()).expect("diagonally dominant");
+        let x = lu.solve(&b);
+        let r = relative_residual(&a, &x, &b);
+        prop_assert!(r < 1e-11, "residual {}", r);
+        let sym = lu.symbolic();
+        let (bs, permuted) = (&sym.block_structure, sym.permute_matrix(&a));
+        let sstar = build_sstar_graph(bs);
+        for threads in [2, 4] {
+            for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                let bm = BlockMatrix::assemble(&permuted, bs);
+                let req = NumericRequest::coarse(&sstar, mapping).threads(threads);
+                factor_numeric_with(&bm, &req).expect("diagonally dominant");
+                let want = lu.session().block_matrix().unwrap();
+                prop_assert_eq!(bm.factor_difference(want), None, "{} {:?}", threads, mapping);
+            }
         }
     }
 

@@ -71,7 +71,7 @@ fn counted_fill_matches_symbolic_lengths_at_every_front_thread_count() {
 /// and the number of columns `|S_kj|` the block `Ū(k, j)` stores).
 fn model_flop_split(a: &CscMatrix, opts: &Options) -> (f64, f64, f64) {
     let sym = analyze(a.pattern(), opts).expect("analysis succeeds");
-    let graph = sym.build_graph(opts.task_graph);
+    let graph = sym.build_graph();
     let costs = estimate_task_costs(&sym.block_structure, &graph);
     let (mut factor, mut trsm, mut gemm) = (0.0, 0.0, 0.0);
     for (t, c) in graph.tasks().iter().zip(&costs) {
@@ -124,7 +124,7 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
         // And one trsm call per Update task.
         let n_updates = {
             let sym = analyze(m.a.pattern(), &opts).unwrap();
-            let graph = sym.build_graph(opts.task_graph);
+            let graph = sym.build_graph();
             graph
                 .tasks()
                 .iter()

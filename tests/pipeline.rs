@@ -1,24 +1,36 @@
 //! End-to-end integration tests: the full pipeline on every benchmark
 //! generator, across task graphs, thread counts and mappings.
 
-use parsplu::core::{analyze, Options, SparseLu, TaskGraphKind};
+use parsplu::core::{analyze, factor_numeric_with, BlockMatrix, NumericRequest, Options, SparseLu};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
-use parsplu::sched::Mapping;
+use parsplu::sched::{build_sstar_graph, Mapping};
 use parsplu::sparse::relative_residual;
 
+/// The default path solves every suite matrix, and the S* graph handed to
+/// the range plan factors it bitwise like the default path at 2 and 4
+/// threads under both mappings.
 #[test]
 fn whole_suite_factors_and_solves_with_both_graphs() {
     for m in paper_suite(Scale::Reduced) {
         let (_, b) = manufactured_rhs(&m.a, 17);
-        for task_graph in [TaskGraphKind::EForest, TaskGraphKind::SStar] {
-            let opts = Options {
-                task_graph,
-                ..Options::default()
-            };
-            let lu = SparseLu::factor(&m.a, &opts).unwrap_or_else(|e| panic!("{}: {e}", m.name));
-            let x = lu.solve(&b);
-            let r = relative_residual(&m.a, &x, &b);
-            assert!(r < 1e-10, "{} ({task_graph:?}): residual {r}", m.name);
+        let lu = SparseLu::factor(&m.a, &Options::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", m.name));
+        let x = lu.solve(&b);
+        let r = relative_residual(&m.a, &x, &b);
+        assert!(r < 1e-10, "{}: residual {r}", m.name);
+
+        let sym = lu.symbolic();
+        let (bs, permuted) = (&sym.block_structure, sym.permute_matrix(&m.a));
+        let want = lu.session().block_matrix().unwrap();
+        let sstar = build_sstar_graph(bs);
+        for threads in [2, 4] {
+            for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                let bm = BlockMatrix::assemble(&permuted, bs);
+                let req = NumericRequest::coarse(&sstar, mapping).threads(threads);
+                factor_numeric_with(&bm, &req).unwrap();
+                let what = format!("{} S* threads={threads} {mapping:?}", m.name);
+                assert_eq!(bm.factor_difference(want), None, "{what}");
+            }
         }
     }
 }
@@ -103,8 +115,8 @@ fn supernode_counts_shrink_with_postordering_suitewide() {
 fn eforest_graph_is_sparser_suitewide() {
     for m in paper_suite(Scale::Reduced) {
         let sym = analyze(m.a.pattern(), &Options::default()).expect("analysis");
-        let e = sym.build_graph(TaskGraphKind::EForest);
-        let s = sym.build_graph(TaskGraphKind::SStar);
+        let e = sym.build_graph();
+        let s = build_sstar_graph(&sym.block_structure);
         assert_eq!(e.len(), s.len(), "{}: task sets differ", m.name);
         assert!(
             e.num_edges() <= s.num_edges(),
@@ -149,11 +161,11 @@ fn compact_storage_pads_only_what_amalgamation_adds() {
     }
 }
 
-/// The analysis reports the task graph's tasks, edges, critical path and
-/// model flops without building it; those values are the ones read off
+/// The analysis reports the eforest graph's tasks, edges, critical path
+/// and model flops without building it; those values are the ones read off
 /// the built graph — to the bit for the flops — on the whole suite at
-/// both scales and the benchmark's mesh, for both graph kinds, postordered
-/// or not, with or without amalgamation.
+/// both scales and the benchmark's mesh, postordered or not, with or
+/// without amalgamation.
 #[test]
 fn graph_statistics_without_a_graph_are_the_built_graphs() {
     use parsplu::core::{estimate_task_costs, total_flops};
@@ -166,26 +178,21 @@ fn graph_statistics_without_a_graph_are_the_built_graphs() {
     }
     matrices.push(("mesh40x40".into(), fem2d_unsymmetric(40, 40, 2, 1)));
     for (name, a) in &matrices {
-        for task_graph in [TaskGraphKind::EForest, TaskGraphKind::SStar] {
-            for (postorder, amalgamation) in [(true, true), (false, true), (true, false)] {
-                let opts = Options {
-                    task_graph,
-                    postorder,
-                    amalgamation: amalgamation.then(Default::default),
-                    ..Options::default()
-                };
-                let sym = analyze(a.pattern(), &opts).unwrap();
-                let g = sym.build_graph(task_graph);
-                let s = &sym.stats;
-                let what = format!(
-                    "{name} {task_graph:?} postorder={postorder} amalgamation={amalgamation}"
-                );
-                assert_eq!(s.graph_tasks, g.len(), "{what}");
-                assert_eq!(s.graph_edges, g.num_edges(), "{what}");
-                assert_eq!(s.critical_path, g.critical_path_len(), "{what}");
-                let flops = total_flops(&estimate_task_costs(&sym.block_structure, &g));
-                assert_eq!(s.flops_estimate.to_bits(), flops.to_bits(), "{what}");
-            }
+        for (postorder, amalgamation) in [(true, true), (false, true), (true, false)] {
+            let opts = Options {
+                postorder,
+                amalgamation: amalgamation.then(Default::default),
+                ..Options::default()
+            };
+            let sym = analyze(a.pattern(), &opts).unwrap();
+            let g = sym.build_graph();
+            let s = &sym.stats;
+            let what = format!("{name} postorder={postorder} amalgamation={amalgamation}");
+            assert_eq!(s.graph_tasks, g.len(), "{what}");
+            assert_eq!(s.graph_edges, g.num_edges(), "{what}");
+            assert_eq!(s.critical_path, g.critical_path_len(), "{what}");
+            let flops = total_flops(&estimate_task_costs(&sym.block_structure, &g));
+            assert_eq!(s.flops_estimate.to_bits(), flops.to_bits(), "{what}");
         }
     }
 }

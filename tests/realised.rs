@@ -453,10 +453,13 @@ proptest! {
 /// the pattern runs — whichever structure the storage holds. Built over
 /// the realised lists instead, the eforest builder panicked (rule 4 named
 /// an update those lists dropped) and the S* builder returned a graph of
-/// other tasks, on the full-scale sherman3 analogue as on the suite.
+/// other tasks, on the full-scale sherman3 analogue as on the suite. The
+/// S* graph of the static structure, handed to the range plan, factors
+/// bitwise like the realised session at 2 and 4 threads under both
+/// mappings.
 #[test]
 fn graph_builders_read_the_static_structure_of_a_realised_session() {
-    use parsplu::core::TaskGraphKind;
+    use parsplu::core::{factor_numeric_with, NumericRequest};
     use parsplu::matgen::paper_matrix;
     use parsplu::sched::{build_eforest_graph, build_sstar_graph};
     let full = (
@@ -478,18 +481,23 @@ fn graph_builders_read_the_static_structure_of_a_realised_session() {
             bs.u_blocks.iter().map(|b| b.len() - 1).sum()
         };
         dropped_blocks += blocks(static_bs) - blocks(&sym.block_structure);
-        for (kind, built) in [
-            (TaskGraphKind::EForest, build_eforest_graph(static_bs)),
-            (TaskGraphKind::SStar, build_sstar_graph(static_bs)),
-        ] {
-            let g = sym.build_graph(kind);
-            assert_eq!(g.tasks(), built.tasks(), "{name} {kind:?}");
-            assert_eq!(
-                g.successor_lists(),
-                built.successor_lists(),
-                "{name} {kind:?}"
-            );
-            assert_eq!(g.len(), s.stats().graph_tasks, "{name} {kind:?}");
+        let (g, built) = (sym.build_graph(), build_eforest_graph(static_bs));
+        assert_eq!(g.tasks(), built.tasks(), "{name}");
+        assert_eq!(g.successor_lists(), built.successor_lists(), "{name}");
+        assert_eq!(g.len(), s.stats().graph_tasks, "{name}");
+
+        let sstar = build_sstar_graph(static_bs);
+        assert_eq!(sstar.tasks(), built.tasks(), "{name}");
+        let permuted = sym.permute_matrix(&a);
+        let want = s.block_matrix().unwrap();
+        for threads in [2, 4] {
+            for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                let bm = BlockMatrix::assemble(&permuted, static_bs);
+                let req = NumericRequest::coarse(&sstar, mapping).threads(threads);
+                factor_numeric_with(&bm, &req).unwrap();
+                let what = format!("{name} S* threads={threads} {mapping:?}");
+                assert_eq!(bm.factor_difference(want), None, "{what}");
+            }
         }
     }
     assert!(dropped_blocks > 0, "the realised lists leave blocks out");

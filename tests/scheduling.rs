@@ -1,12 +1,12 @@
-//! Integration tests of the scheduling layer on real (reduced-scale)
-//! benchmark structures: simulator invariants and executor/simulator
-//! consistency.
+//! Integration tests of the simulators (`splu-bench`) on real
+//! (reduced-scale) benchmark structures: simulator invariants and the
+//! paper's graph comparison.
 
-use parsplu::core::{analyze, estimate_task_costs, Options, TaskGraphKind};
+use parsplu::core::{analyze, estimate_task_costs, Options};
 use parsplu::matgen::{paper_suite, Scale};
-use parsplu::sched::{
-    block_forest, build_fine_graph, simulate, simulate_fine, simulate_static_order, CostModel,
-    Grid, Mapping,
+use parsplu::sched::{block_forest, build_sstar_graph, Mapping};
+use splu_bench::{
+    build_fine_graph, simulate, simulate_fine, simulate_static_order, CostModel, Grid,
 };
 
 fn model() -> CostModel {
@@ -22,7 +22,7 @@ fn model() -> CostModel {
 fn simulated_makespans_shrink_with_processors_on_the_suite() {
     for m in paper_suite(Scale::Reduced) {
         let sym = analyze(m.a.pattern(), &Options::default()).unwrap();
-        let g = sym.build_graph(TaskGraphKind::EForest);
+        let g = sym.build_graph();
         let costs = estimate_task_costs(&sym.block_structure, &g);
         let mk = |p: usize| simulate(&g, p, Mapping::Dynamic, &costs, &model()).makespan;
         let (m1, m2, m8) = (mk(1), mk(2), mk(8));
@@ -36,7 +36,7 @@ fn simulated_makespans_shrink_with_processors_on_the_suite() {
 fn all_three_disciplines_agree_at_one_processor() {
     for m in paper_suite(Scale::Reduced).into_iter().take(3) {
         let sym = analyze(m.a.pattern(), &Options::default()).unwrap();
-        let g = sym.build_graph(TaskGraphKind::EForest);
+        let g = sym.build_graph();
         let costs = estimate_task_costs(&sym.block_structure, &g);
         let md = model();
         let a = simulate(&g, 1, Mapping::Static1D, &costs, &md).makespan;
@@ -56,8 +56,8 @@ fn eforest_graph_beats_sstar_under_dynamic_simulation_suitewide() {
         let mut count = 0;
         for m in paper_suite(Scale::Reduced) {
             let sym = analyze(m.a.pattern(), &Options::default()).unwrap();
-            let ge = sym.build_graph(TaskGraphKind::EForest);
-            let gs = sym.build_graph(TaskGraphKind::SStar);
+            let ge = sym.build_graph();
+            let gs = build_sstar_graph(&sym.block_structure);
             let ce = estimate_task_costs(&sym.block_structure, &ge);
             let cs = estimate_task_costs(&sym.block_structure, &gs);
             let te = simulate(&ge, p, Mapping::Dynamic, &ce, &model()).makespan;
@@ -79,7 +79,7 @@ fn fine_decomposition_covers_the_same_work() {
         let sym = analyze(m.a.pattern(), &Options::default()).unwrap();
         let forest = block_forest(&sym.block_structure);
         let fg = build_fine_graph(&sym.block_structure, &forest);
-        let coarse = sym.build_graph(TaskGraphKind::EForest);
+        let coarse = sym.build_graph();
         assert!(fg.len() >= coarse.len(), "{}", m.name);
         // Simulated serial fine work should be within 2x of coarse serial
         // work under the same pure-flop model (stage splitting adds only

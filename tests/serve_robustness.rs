@@ -196,6 +196,45 @@ quit
     let _ = std::fs::remove_file(&path);
 }
 
+/// `--graph` is no option at all: a job line carrying it is answered with
+/// the structured unknown-option `bad_request` (exit 2) the one-shot
+/// command exits with, and the session analyzes cleanly without it.
+#[test]
+fn graph_flag_is_refused_on_serve_ops_as_a_bad_request() {
+    let path = gen_matrix("graph_flag");
+    let err = run(&args(&["solve", &path, "--graph", "sstar"])).unwrap_err();
+    assert!(err.message.contains("unknown option `--graph`"), "{err}");
+    assert_eq!(err.exit_code, 2, "{err}");
+    let script =
+        format!("analyze s {path} --graph sstar\nanalyze s {path}\nfactor s {path}\nquit\n");
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let responses = run_script(cfg, script);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    let v: Vec<_> = responses.iter().map(|l| parse(l).unwrap()).collect();
+    let str_of = |i: usize, key: &str| v[i].get(key).and_then(|s| s.as_str()).map(String::from);
+    assert_eq!(
+        str_of(0, "status").as_deref(),
+        Some("error"),
+        "{}",
+        responses[0]
+    );
+    assert_eq!(str_of(0, "kind").as_deref(), Some("bad_request"));
+    assert_eq!(v[0].get("exit_code").and_then(|c| c.as_num()), Some(2.0));
+    let message = str_of(0, "error").unwrap();
+    assert!(message.contains("unknown option `--graph`"), "{message}");
+    for (r, line) in v.iter().zip(&responses).skip(1) {
+        assert_eq!(
+            r.get("status").and_then(|s| s.as_str()),
+            Some("ok"),
+            "{line}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn oversize_and_nul_frames_are_rejected_and_the_stream_resyncs() {
     let path = gen_matrix("frames");
