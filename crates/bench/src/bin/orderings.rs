@@ -6,7 +6,7 @@
 //! benchmark refactors: ordering wall time (minimum of [`splu_bench::REPS`]
 //! runs on the transversal-permuted pattern, as the analysis calls it),
 //! entries of the static structure `Ā`, the cost model's flops, and the
-//! dense words the block storage allocates. The natural and RCM columns
+//! dense words the block storage of `Ā` allocates. The natural and RCM columns
 //! are the ablation: the same structure count when minimum degree is
 //! replaced.
 //!
@@ -57,7 +57,7 @@ fn main() {
             order.as_secs_f64() * 1e3,
             lu.stats().nnz_filled,
             lu.stats().flops_estimate,
-            lu.storage().words,
+            lu.storage().static_words,
             filled_under(OrderingChoice::Natural),
             filled_under(OrderingChoice::Rcm),
         );

@@ -168,11 +168,11 @@ pub(crate) struct Layout {
 /// count it was derived for.
 type KeptPlan = (Weak<ExecSchedule>, usize, Arc<RangePlan>);
 
-/// Appends to `rel`, for every entry of `sub`, its position in `sup`. Both
-/// ascend, and `sub ⊆ sup` is the nesting the layout leans on.
-fn push_positions(rel: &mut Vec<u32>, sub: &[usize], sup: &[usize]) {
+/// The position in `sup` of every entry of `sub`. Both ascend, and
+/// `sub ⊆ sup` is the nesting the layout leans on.
+fn positions<'a>(sub: &'a [usize], sup: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
     let mut p = 0usize;
-    for &x in sub {
+    sub.iter().map(move |&x| {
         while p < sup.len() && sup[p] < x {
             p += 1;
         }
@@ -180,8 +180,8 @@ fn push_positions(rel: &mut Vec<u32>, sub: &[usize], sup: &[usize]) {
             p < sup.len() && sup[p] == x,
             "row/column lists do not nest: the partition is not made of eforest chains"
         );
-        rel.push(idx32(p));
-    }
+        p
+    })
 }
 
 impl Layout {
@@ -227,7 +227,7 @@ impl Layout {
                 }
                 lb.c0 = idx32(c0);
                 lb.crel = idx32(rel.len());
-                push_positions(&mut rel, &ck[c0..], bs.u_cols.col(i));
+                rel.extend(positions(&ck[c0..], bs.u_cols.col(i)).map(idx32));
             }
         }
         lblk_ptr.push(lblks.len());
@@ -283,7 +283,7 @@ impl Layout {
                 }
                 tcur[k] = t;
                 let row_rel = rel.len();
-                push_positions(&mut rel, &rk[t..], bs.l_rows.col(j));
+                rel.extend(positions(&rk[t..], bs.l_rows.col(j)).map(idx32));
                 let width = idx32(end_j - start_j);
                 for p in &mut rel[row_rel..] {
                     *p += width;
@@ -406,6 +406,16 @@ impl Layout {
         &self.ucol[base + u.cols.start as usize..base + u.cols.end as usize]
     }
 
+    /// Whether a pivot of a column of supernode `k` from global row `row`
+    /// agrees with one recorded from `was` at the granularity the realised
+    /// structure has: both inside `k`'s diagonal block, or the same row.
+    /// [`Self::realised_flags`] reads no more of a history than this, so
+    /// histories that agree at every column share one realised structure.
+    fn same_pivot(&self, k: usize, was: usize, row: usize) -> bool {
+        let end = self.starts[k + 1];
+        was == row || (was < end && row < end)
+    }
+
     /// Global row of every position of `R_K`, in order.
     fn global_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
         let w = self.width(k);
@@ -456,58 +466,35 @@ impl Layout {
     /// The **realised structure** of one pivot history, as one flag per
     /// entry of `bs.l_rows` and one per entry of `bs.u_cols` (`bs` is the
     /// structure this layout was built from; [`realised_structure`] turns
-    /// the flags into lists): what can become nonzero when the input's
-    /// entries are those at `slots` and every `Factor(K)` takes the
-    /// interchanges `history` records (the global pivot row of every
-    /// column). A boolean replay of the factorization at the granularity
-    /// the storage has — a row of `R_K`, a column of `C_K` — visiting the
-    /// updates as the left-looking order does, so that the flags of `R_K`
-    /// and of `S_KJ` are final when `Update(K, J)` is replayed:
+    /// the flags into lists): what can become nonzero when the input has
+    /// the entries `seeds` flags ([`seed_flags`]) and every `Factor(K)`
+    /// takes the interchanges `history` records (the global pivot row of
+    /// every column). A boolean replay of the factorization at the
+    /// granularity the storage has — a row of `R_K`, a column of `C_K` —
+    /// visiting the updates as the left-looking order does, so that the
+    /// flags of `R_K` and of `S_KJ` are final when `Update(K, J)` is
+    /// replayed:
     ///
     /// 1. `K`'s interchanges with rows outside its own block row unite the
     ///    flags of `Ū(K, J)`'s columns with those of the partner row's
-    ///    storage in column `J`, both ways;
+    ///    storage in column `J`, both ways (interchanges inside the block
+    ///    row are not read: whole columns stay whole — so every history
+    ///    that agrees with `history` in [`Self::same_pivot`]'s sense has
+    ///    these flags, and the in-block ones have [`in_block_flags`]');
     /// 2. every live row of `K` times every live column of `Ū(K, J)` marks
     ///    its destination.
     ///
     /// Step 2 marks a full cross product, so the lists nest as
-    /// [`Layout::new`] needs them to. The first row of `R_K` and the first
-    /// column of `C_K` are kept wherever `bs` has both — they are the edge
-    /// of the block eforest, which the solves and the task graph of `bs`
-    /// keep using — and are seeded as live, so the nesting holds for them
-    /// too.
+    /// [`Layout::new`] needs them to; so do the seeds.
     pub(crate) fn realised_flags(
         &self,
         bs: &BlockStructure,
-        slots: &[ValueSlot],
+        (mut row_live, mut col_live): (Vec<bool>, Vec<bool>),
         history: &[usize],
     ) -> (Vec<bool>, Vec<bool>) {
         let nb = self.num_blocks();
         assert_eq!(bs.l_rows.col_ptr(), &self.row_ptr[..], "another structure");
         assert_eq!(history.len(), self.n, "one pivot row per column");
-        let mut row_live = vec![false; self.lrow.len()];
-        let mut col_live = vec![false; self.ucol.len()];
-        for k in 0..nb {
-            if self.rows_below(k) > 0 && self.col_ptr[k] < self.col_ptr[k + 1] {
-                row_live[self.row_ptr[k]] = true;
-                col_live[self.col_ptr[k]] = true;
-            }
-        }
-        for s in slots {
-            let j = s.jb as usize;
-            if s.ublock == IN_PANEL {
-                let w = self.width(j);
-                let row = s.flat as usize % (w + self.rows_below(j));
-                if row >= w {
-                    row_live[self.row_ptr[j] + row - w] = true;
-                }
-            } else {
-                let u = &self.updates(j)[s.ublock as usize];
-                let k = u.src as usize;
-                let x = s.flat as usize / self.width(k);
-                col_live[self.col_ptr[k] + u.cols.start as usize + x] = true;
-            }
-        }
 
         let mut live_x: Vec<usize> = Vec::new();
         for j in 0..nb {
@@ -657,9 +644,110 @@ impl Layout {
     }
 }
 
+/// The flags both derivations start from, one per entry of `bs.l_rows` /
+/// `bs.u_cols`: an entry of `pattern` (whose rows `new_row` and columns
+/// `old_col` relate to factorization order as in [`Layout::locate_entries`])
+/// below its diagonal block is a live row of `R_J`, one right of it a live
+/// column of `C_I`; and the first row of `R_K` and column of `C_K` are live
+/// wherever `bs` has both — the edge of the block eforest, which the solves
+/// and the task graph of `bs` keep using.
+pub(crate) fn seed_flags(
+    bs: &BlockStructure,
+    pattern: &SparsityPattern,
+    new_row: impl Fn(usize) -> usize,
+    old_col: impl Fn(usize) -> usize,
+) -> (Vec<bool>, Vec<bool>) {
+    let (rows, cols) = (&bs.l_rows, &bs.u_cols);
+    let (rp, cp, starts) = (rows.col_ptr(), cols.col_ptr(), bs.partition.starts());
+    let block_of = bs.partition.block_of_cols();
+    let (mut row_live, mut col_live) = (vec![false; rows.nnz()], vec![false; cols.nnz()]);
+    // Per block column J, where each row of R_J sits; per block row I, a
+    // cursor into C_I that ascending columns only move forward.
+    let mut at = vec![usize::MAX; bs.partition.n()];
+    let mut cursor = cp[..bs.num_blocks()].to_vec();
+    for jb in 0..bs.num_blocks() {
+        if rp[jb] < rp[jb + 1] && cp[jb] < cp[jb + 1] {
+            row_live[rp[jb]] = true;
+            col_live[cp[jb]] = true;
+        }
+        for p in rp[jb]..rp[jb + 1] {
+            at[rows.row_indices()[p]] = p;
+        }
+        for j in starts[jb]..starts[jb + 1] {
+            for &i in pattern.col(old_col(j)) {
+                let i = new_row(i);
+                let flag = if i >= starts[jb + 1] {
+                    let p = at[i];
+                    let held = (rp[jb]..rp[jb + 1]).contains(&p);
+                    assert!(held, "entry outside the filled block structure");
+                    &mut row_live[p]
+                } else if i < starts[jb] {
+                    let ib = block_of[i];
+                    let c = &mut cursor[ib];
+                    *c += cols.row_indices()[*c..cp[ib + 1]].partition_point(|&x| x < j);
+                    let held = *c < cp[ib + 1] && cols.row_indices()[*c] == j;
+                    assert!(held, "entry outside the filled block structure");
+                    &mut col_live[*c]
+                } else {
+                    continue;
+                };
+                *flag = true;
+            }
+        }
+    }
+    (row_live, col_live)
+}
+
+/// The realised structure every **in-block** pivot history shares — one in
+/// which each column's pivot comes from its own supernode's diagonal block,
+/// the identity among them — as flags for [`realised_structure`], read off
+/// `bs`'s lists and the seeds of the input ([`seed_flags`]) without
+/// building storage or index maps. [`Layout::realised_flags`] reads any such
+/// history as the identity and computes these flags by a left-looking
+/// replay over the storage; this is the same replay right-looking over the
+/// lists. Once the supernodes before `K` are visited, `K`'s flags are final,
+/// and its updates make the live columns of `C_K` beyond every block row
+/// `I` that a live row of `R_K` lies in live in `C_I` (they write `Ū(I, J)`
+/// there), and the live rows of `R_K` beyond every block column `J` that a
+/// live column of `C_K` lies in live in `R_J` (they write `J`'s panel
+/// there).
+pub(crate) fn in_block_flags(
+    bs: &BlockStructure,
+    (mut row_live, mut col_live): (Vec<bool>, Vec<bool>),
+) -> (Vec<bool>, Vec<bool>) {
+    let (rows, cols, starts) = (&bs.l_rows, &bs.u_cols, bs.partition.starts());
+    let block_of = bs.partition.block_of_cols();
+    // For every block B an entry of `by` lies in, the entries of `what`
+    // beyond B are live in `lists.col(B)`, which holds them all.
+    let spread = |by: &[usize], what: &[usize], lists: &SparsityPattern, live: &mut [bool]| {
+        let (mut t, mut w) = (0, 0);
+        while t < by.len() {
+            let b = block_of[by[t]];
+            t += by[t..].iter().take_while(|&&x| x < starts[b + 1]).count();
+            w += what[w..].iter().take_while(|&&x| x < starts[b + 1]).count();
+            for p in positions(&what[w..], lists.col(b)) {
+                live[lists.col_ptr()[b] + p] = true;
+            }
+        }
+    };
+    let live = |lists: &SparsityPattern, k: usize, flags: &[bool], out: &mut Vec<usize>| {
+        let on = &flags[lists.col_ptr()[k]..];
+        out.clear();
+        out.extend(lists.col(k).iter().zip(on).filter(|x| *x.1).map(|x| *x.0));
+    };
+    let (mut live_rows, mut live_cols) = (Vec::new(), Vec::new());
+    for k in 0..bs.num_blocks() {
+        live(rows, k, &row_live, &mut live_rows);
+        live(cols, k, &col_live, &mut live_cols);
+        spread(&live_rows, &live_cols, cols, &mut col_live);
+        spread(&live_cols, &live_rows, rows, &mut row_live);
+    }
+    (row_live, col_live)
+}
+
 /// The sub-structure of `bs` that keeps the rows of `R_K` and the columns of
 /// `C_K` flagged in `row_live` / `col_live` (one flag per list entry, as
-/// [`Layout::realised_flags`] returns them).
+/// [`Layout::realised_flags`] and [`in_block_flags`] return them).
 pub(crate) fn realised_structure(
     bs: &BlockStructure,
     row_live: &[bool],
@@ -885,7 +973,8 @@ impl BlockMatrix {
 
     /// Writes the pivot history of the completed factorization these
     /// columns hold — the global row every column's pivot came from — into
-    /// `history`, and returns whether `history` held exactly that already.
+    /// `history`, and returns whether `history` held one it agrees with
+    /// ([`Layout::same_pivot`] at every column) already.
     pub(crate) fn swap_history(&self, history: &mut Vec<usize>) -> bool {
         let lay = &*self.layout;
         let mut same = history.len() == lay.n;
@@ -897,7 +986,7 @@ impl BlockMatrix {
                 .swaps();
             for (&p, h) in swaps.iter().zip(&mut history[lay.starts[k]..]) {
                 let row = lay.panel_row(k, p);
-                same &= *h == row;
+                same &= lay.same_pivot(k, *h, row);
                 *h = row;
             }
         }
@@ -905,7 +994,8 @@ impl BlockMatrix {
     }
 
     /// The first (global) column of block column `k`, factored in `col`,
-    /// whose pivot came from another row than `history` records, if any.
+    /// whose pivot disagrees with the one `history` records
+    /// ([`Layout::same_pivot`]), if any.
     pub(crate) fn pivot_divergence(
         &self,
         k: usize,
@@ -915,7 +1005,7 @@ impl BlockMatrix {
         let lay = &*self.layout;
         let swaps = col.pivots.as_ref().expect("Factor(k) ran").swaps();
         (swaps.iter().zip(&history[lay.starts[k]..]))
-            .position(|(&p, &row)| lay.panel_row(k, p) != row)
+            .position(|(&p, &was)| !lay.same_pivot(k, was, lay.panel_row(k, p)))
             .map(|c| lay.starts[k] + c)
     }
 

@@ -38,12 +38,13 @@ pub enum LuError {
     },
     /// A run that was handed a pivot history
     /// ([`NumericRequest::expect_history`](crate::NumericRequest::expect_history))
-    /// chose another pivot row; the remaining tasks drained as no-ops. A
-    /// session never returns this: it answers the job through the static
-    /// structure instead.
+    /// chose a pivot row that disagrees with it at block granularity; the
+    /// remaining tasks drained as no-ops. Neither a session nor
+    /// [`crate::SparseLu`] returns this: they answer the job through the
+    /// static structure instead.
     PivotHistoryDiverged {
         /// Global column index (in factorization order) of the first
-        /// differing pivot of the block column that noticed.
+        /// disagreeing pivot of the block column that noticed.
         column: usize,
     },
     /// A worker thread panicked during the parallel factorization. The

@@ -598,6 +598,12 @@ pub struct SparseLu {
 impl SparseLu {
     /// Analyzes and factorizes `a` with the given options.
     ///
+    /// The numeric phase speculates: it runs on the realised structure that
+    /// `a`'s pattern fills while every pivot stays inside its supernode's
+    /// diagonal block, and re-runs on the static structure only when one
+    /// leaves it. Either way the factors are bitwise those of
+    /// [`SluSession::factor`], the static oracle (DESIGN.md §5.4).
+    ///
     /// Input values are validated up front: any NaN or infinity is rejected
     /// as [`LuError::NonFiniteInput`] before the (parallel) numeric phase
     /// can propagate it silently.
@@ -643,7 +649,7 @@ impl SparseLu {
         // The session was analyzed on this very pattern and the values were
         // scanned above: hash and scan once per factorization, not twice.
         let mut session = SluSession::analyze_inner(work.pattern(), opts, obs)?;
-        session.factor_checked(work, obs)?;
+        session.factor_speculative(work, obs)?;
         let mut lu = SparseLu {
             health: session.health().clone(),
             session,
@@ -831,7 +837,9 @@ impl SparseLu {
         growth_factor(self.bm(), max_a)
     }
 
-    /// Storage accounting of the factored block matrix.
+    /// Storage accounting of the factored block matrix: the words held —
+    /// those of the realised structure unless the speculation fell back —
+    /// next to the static structure's.
     pub fn storage(&self) -> FactorStorage {
         self.session
             .storage()
@@ -842,11 +850,11 @@ impl SparseLu {
 /// Storage accounting for a factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorStorage {
-    /// Words the block storage actually holds:
-    /// `Σ_K w_K · (w_K + |R_K| + |C_K|)` over the supernodes `K`
-    /// ([`BlockStructure::storage_words`]) of the structure it is laid out
-    /// from — the static one, or the realised one of a session's pivot
-    /// history.
+    /// Words the block storage holds: `Σ_K w_K · (w_K + |R_K| + |C_K|)`
+    /// over the supernodes `K` ([`BlockStructure::storage_words`]) of the
+    /// structure it is laid out from — the static one, or a realised one (a
+    /// session's pivot history, or the speculation of
+    /// [`SparseLu::factor`]).
     pub words: usize,
     /// The same sum over the static structure (equal to `words` unless the
     /// storage is a realised one).
@@ -1016,9 +1024,12 @@ mod tests {
         let a = random_matrix(45, 140, 3);
         let lu = SparseLu::factor(&a, &Options::default()).unwrap();
         let s = lu.storage();
-        assert!(s.words >= s.structural);
+        assert!(s.static_words >= s.structural);
         assert!((0.0..1.0).contains(&s.padding_fraction));
+        // The held words are those of the realised structure the factors
+        // were computed on.
         assert_eq!(s.words, lu.symbolic().block_structure.storage_words());
+        assert!(lu.session().is_realised() && s.words < s.static_words);
         // Exact supernodes store the scalar structure and nothing else.
         let lu2 = SparseLu::factor(
             &a,
@@ -1028,8 +1039,10 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(lu2.storage().words, lu2.storage().structural);
-        assert_eq!(lu2.storage().padding_fraction, 0.0);
+        let s2 = lu2.storage();
+        assert_eq!(s2.static_words, s2.structural);
+        assert!(s2.words <= s2.static_words);
+        assert_eq!(s2.padding_fraction, 0.0);
     }
 
     #[test]

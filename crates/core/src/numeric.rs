@@ -116,8 +116,8 @@ pub(crate) struct TaskBodies<'a> {
     kernels: &'a Dispatch,
     pub(crate) metrics: Option<&'a MetricsRegistry>,
     /// The global pivot row of every column this run must reproduce:
-    /// after each `Factor(K)` its interchanges are compared with these,
-    /// and the first difference fails the run with
+    /// after each `Factor(K)` its interchanges are compared with these at
+    /// block granularity, and the first disagreement fails the run with
     /// [`LuError::PivotHistoryDiverged`].
     pub(crate) history: Option<&'a [usize]>,
     /// The run's token: a stalled `Factor` (fault injection) waits for it.

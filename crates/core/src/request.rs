@@ -134,11 +134,12 @@ pub struct NumericRequest<'g> {
     pub schedule: Option<Arc<ExecSchedule>>,
     /// The pivot history this run must reproduce: the global row every
     /// column's pivot comes from. After each `Factor(K)` its interchanges
-    /// are compared with these (`O(w_K)`); the first difference ends the
-    /// run like a numerical breakdown, with
-    /// [`LuError::PivotHistoryDiverged`]. A session sets it when the
-    /// storage is laid out for that history only. `None` (the default)
-    /// compares nothing.
+    /// are compared with these (`O(w_K)`) at block granularity — a pivot
+    /// inside `K`'s diagonal block agrees with any other there, one outside
+    /// only with the same row — and the first disagreement ends the run
+    /// like a numerical breakdown, with [`LuError::PivotHistoryDiverged`].
+    /// A session sets it when the storage is laid out for the histories
+    /// that agree with it only. `None` (the default) compares nothing.
     pub history: Option<&'g [usize]>,
 }
 
@@ -840,8 +841,8 @@ mod tests {
                 return Ok(());
             }
             let history = oracle.pivot_rows();
-            let slots = oracle.value_slots(p.pattern(), |i| i, |j| j);
-            let (rows, cols) = oracle.layout().realised_flags(bs, &slots, &history);
+            let seeds = crate::blocks::seed_flags(bs, p.pattern(), |i| i, |j| j);
+            let (rows, cols) = oracle.layout().realised_flags(bs, seeds, &history);
             let realised = crate::blocks::realised_structure(bs, &rows, &cols);
             for (kind, build) in [
                 ("eforest", build_eforest_graph as fn(&BlockStructure) -> TaskGraph),

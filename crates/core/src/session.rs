@@ -30,21 +30,24 @@
 //! **Realised structure.** The static `Ā` is valid for every pivot
 //! sequence, which a session that sees the same sequence step after step
 //! pays for on each of them. When the last two completed factorizations
-//! took the same pivot history, `refactor` derives the sub-structure that
-//! history can fill ([`crate::blocks`]' boolean replay), lays the storage
-//! out from it and runs the same driver (and graph) on it, holding
-//! every `Factor(K)` to the recorded interchanges. Equal pivots mean —
-//! by induction over the columns — that every word left out was exactly
-//! zero, so the factors are bitwise the static ones; the first unequal
-//! pivot drains the run, the session goes back to the static structure and
-//! answers the job from there. [`SluSession::factor`] always runs static.
-//! DESIGN.md §5.4–5.5.
+//! took the same pivot history — at block granularity: every pivot inside
+//! its diagonal block agrees with any other there — `refactor` derives the
+//! sub-structure that history can fill ([`crate::blocks`]' boolean
+//! replay), lays the storage out from it and runs the same driver (and
+//! graph) on it, holding every `Factor(K)` to the recorded interchanges.
+//! Agreeing pivots mean — by induction over the columns — that every word
+//! left out was exactly zero, so the factors are bitwise the static ones;
+//! the first disagreeing pivot drains the run, the session goes back to
+//! the static structure and answers the job from there.
+//! [`SluSession::factor`] always runs static: it is the oracle. The
+//! one-shot [`crate::SparseLu::factor`] speculates instead, on the
+//! structure of the in-block histories. DESIGN.md §5.4–5.5.
 //!
 //! Equilibration is a *values* transformation, so the session itself
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
 //! over this API) scales the values before handing them to the session.
 
-use crate::blocks::{realised_structure, BlockMatrix, ValueSlot};
+use crate::blocks::{in_block_flags, realised_structure, seed_flags, BlockMatrix, ValueSlot};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
@@ -209,10 +212,11 @@ impl SluSession {
     /// allocated once).
     ///
     /// A call that finds the last two completed factorizations on one pivot
-    /// history first moves the session onto that history's realised
-    /// structure (once per history; DESIGN.md §5.4); from then on the same
-    /// steps run on the smaller storage, and a run whose pivots leave the
-    /// history is repeated on the static structure before this returns.
+    /// history (at block granularity) first moves the session onto that
+    /// history's realised structure (once per history; DESIGN.md §5.4);
+    /// from then on the same steps run on the smaller storage, and a run
+    /// whose pivots leave the history is repeated on the static structure
+    /// before this returns.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.refactor_inner(a, None)
     }
@@ -229,17 +233,6 @@ impl SluSession {
     fn factor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
         self.check_pattern(a)?;
         check_finite(a)?;
-        self.factor_checked(a, obs)
-    }
-
-    /// [`Self::factor_inner`] for a caller that has itself established what
-    /// the two checks establish: `a` has the analyzed pattern and only
-    /// finite values.
-    pub(crate) fn factor_checked(
-        &mut self,
-        a: &CscMatrix,
-        obs: Option<&ObsSession>,
-    ) -> Result<(), LuError> {
         {
             let _p = obs.map(|o| o.phase("graph_build"));
             self.drop_realised();
@@ -247,6 +240,33 @@ impl SluSession {
             self.assemble_fresh(a);
         }
         self.run_numeric(obs)
+    }
+
+    /// The speculative one-shot factorization behind [`crate::SparseLu`],
+    /// for a freshly analyzed session and values its caller has checked for
+    /// the analyzed pattern and finiteness: the storage is laid out from
+    /// the realised structure of the in-block pivot histories, derived from
+    /// the static lists and `a`'s pattern, and the run is held to the
+    /// identity history at block granularity. A pivot that leaves its
+    /// diagonal block answers the job through the static structure — the
+    /// factors are bitwise [`Self::factor`]'s either way (DESIGN.md §5.4).
+    pub(crate) fn factor_speculative(
+        &mut self,
+        a: &CscMatrix,
+        obs: Option<&ObsSession>,
+    ) -> Result<(), LuError> {
+        {
+            let _p = obs.map(|o| o.phase("graph_build"));
+            let static_bs = &self.sym.block_structure;
+            let (row_live, col_live) = in_block_flags(static_bs, self.seeds(a.pattern()));
+            let realised = realised_structure(static_bs, &row_live, &col_live);
+            drop((row_live, col_live));
+            self.history = (0..self.sym.stats.n).collect();
+            self.lay_out(realised, a.pattern());
+            let bm = self.bm.as_mut().expect("laid out above");
+            bm.store_values(&self.scatter, a.values());
+        }
+        self.run_or_fall_back(a, obs, RefactorPath::Realised)
     }
 
     fn refactor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
@@ -270,15 +290,28 @@ impl SluSession {
         let bm = self.bm.as_mut().expect("storage checked above");
         bm.reset_values();
         bm.store_values(&self.scatter, a.values());
-        let mut path = if self.is_realised() {
+        let path = if self.is_realised() {
             RefactorPath::Realised
         } else {
             RefactorPath::Static
         };
+        self.run_or_fall_back(a, obs, path)
+    }
+
+    /// Runs the numeric phase on the storage as it stands — laid out from
+    /// the structure `path` names, holding `a`'s values — and, when a
+    /// realised run's pivots leave its history, answers `a` through the
+    /// static structure instead: these values may fill what the realised
+    /// storage lacks. The realised storage goes before the static one is
+    /// assembled. An observed run records which structure answered.
+    fn run_or_fall_back(
+        &mut self,
+        a: &CscMatrix,
+        obs: Option<&ObsSession>,
+        mut path: RefactorPath,
+    ) -> Result<(), LuError> {
         let mut outcome = self.run_numeric(obs);
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
-            // These values pivot differently: the realised storage may lack
-            // what they fill. The static structure answers the job.
             {
                 let _p = obs.map(|o| o.phase("graph_build"));
                 self.drop_realised();
@@ -304,19 +337,27 @@ impl SluSession {
 
     /// Moves the session from the static structure onto the realised
     /// structure of `history`. Frees before it allocates — the static
-    /// values first (the replay reads the index maps only), then those maps
-    /// and the old scatter map before the new lists, maps and values exist —
+    /// values and the scatter map first (the replay reads the index maps
+    /// only), then those maps before the new lists, maps and values exist —
     /// so nothing of the smaller storage coexists with its larger
     /// counterpart.
     fn realise(&mut self, pattern: &SparsityPattern) {
-        let storage = self.bm.take().expect("factors of the recorded history");
-        let layout = storage.into_layout();
-        let static_bs = &self.sym.block_structure;
-        let (rows, cols) = layout.realised_flags(static_bs, &self.scatter, &self.history);
-        drop(layout);
+        let layout = (self.bm.take().expect("factors of the recorded history")).into_layout();
         self.scatter = Vec::new();
-        let realised = realised_structure(static_bs, &rows, &cols);
-        drop((rows, cols));
+        let bs = &self.sym.block_structure;
+        let (row_live, col_live) = layout.realised_flags(bs, self.seeds(pattern), &self.history);
+        drop(layout);
+        let realised = realised_structure(bs, &row_live, &col_live);
+        drop((row_live, col_live));
+        self.lay_out(realised, pattern);
+    }
+
+    /// Puts the session, on the static structure and holding no storage,
+    /// onto the sub-structure `realised` of it: zeroed storage with its
+    /// maps, and the scatter map of `pattern` into it. The static lists are
+    /// held aside.
+    fn lay_out(&mut self, realised: BlockStructure, pattern: &SparsityPattern) {
+        debug_assert!(self.bm.is_none() && !self.is_realised());
         let bm = BlockMatrix::zeros(&realised);
         self.scatter = self.slots_in(&bm, pattern);
         self.bm = Some(bm);
@@ -334,6 +375,14 @@ impl SluSession {
             self.scatter = Vec::new();
             self.factored = false;
         }
+    }
+
+    /// The entries of the analyzed (original-order) pattern in the static
+    /// lists: where every derivation of a realised structure starts.
+    fn seeds(&self, pattern: &SparsityPattern) -> (Vec<bool>, Vec<bool>) {
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let static_bs = self.sym.static_structure();
+        seed_flags(static_bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j))
     }
 
     /// Where each nonzero of the analyzed (original-order) pattern lands

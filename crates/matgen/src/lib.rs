@@ -570,6 +570,56 @@ pub fn tiny_pivot_matrix(n: usize, tiny_cols: &[usize], tiny: f64, seed: u64) ->
     coo.to_csc()
 }
 
+/// Partial pivoting that leaves the diagonal block: a `1e-3` diagonal, one
+/// entry of magnitude 4 per column at a shuffled row, and `2n` entries of
+/// magnitude below `0.2`. Nearly every pivot comes from the strong entry,
+/// which lies outside the column's supernode for most columns — so a
+/// one-shot factorization's speculation on the in-block structure falls
+/// back to the static one.
+pub fn cross_block_pivots(n: usize, seed: u64) -> CscMatrix {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rows: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        rows.swap(i, rng.gen_range(0..=i));
+    }
+    let mut coo = CooMatrix::with_capacity(n, n, 4 * n);
+    for (j, &strong) in rows.iter().enumerate() {
+        coo.push(j, j, 1e-3);
+        coo.push(strong, j, if rng.gen_bool(0.5) { 4.0 } else { -4.0 });
+    }
+    for _ in 0..2 * n {
+        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        coo.push(i, j, rng.gen_range(-0.2..0.2));
+    }
+    coo.to_csc()
+}
+
+/// Partial pivoting that stays inside the diagonal block: `blocks` dense
+/// `width × width` diagonal blocks, each a `1e-3` diagonal under entries of
+/// magnitude 1 to 2, chained by one row of every block coupled to all
+/// columns of the next with entries of magnitude below `1e-3`. Every column
+/// interchanges, always for a row of its own dense block; the columns of a
+/// block share their structure, so a supernode never splits one.
+pub fn in_block_pivots(blocks: usize, width: usize, seed: u64) -> CscMatrix {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = blocks * width;
+    let mut coo = CooMatrix::with_capacity(n, n, n * (width + 1));
+    for b in 0..blocks {
+        let block = b * width..(b + 1) * width;
+        let coupled = (b > 0).then(|| rng.gen_range(block.start - width..block.start));
+        for j in block.clone() {
+            for i in block.clone() {
+                let v = rng.gen_range(1.0..2.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                coo.push(i, j, if i == j { 1e-3 } else { v });
+            }
+            if let Some(r) = coupled {
+                coo.push(r, j, rng.gen_range(-1e-3..1e-3));
+            }
+        }
+    }
+    coo.to_csc()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,6 +776,24 @@ mod tests {
     #[should_panic(expected = "needs a subdiagonal row")]
     fn tiny_pivot_matrix_rejects_last_column() {
         tiny_pivot_matrix(10, &[9], 1e-30, 1);
+    }
+
+    #[test]
+    fn pivoting_stress_generators_are_deterministic_with_weak_diagonals() {
+        let a = in_block_pivots(4, 5, 3);
+        assert_eq!(a, in_block_pivots(4, 5, 3));
+        // Four dense 5 × 5 blocks and one coupling per column of the last three.
+        assert_eq!((a.ncols(), a.nnz()), (20, 4 * 25 + 3 * 5));
+        for j in 0..20 {
+            assert_eq!(a.get(j, j), 1e-3, "column {j}");
+        }
+        let b = cross_block_pivots(30, 4);
+        assert_eq!(b, cross_block_pivots(30, 4));
+        assert!(b.pattern().has_zero_free_diagonal());
+        let strong = (0..30)
+            .filter(|&j| (0..30).any(|i| b.get(i, j).abs() > 3.0))
+            .count();
+        assert_eq!(strong, 30, "one strong entry per column");
     }
 
     #[test]

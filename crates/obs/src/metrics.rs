@@ -82,15 +82,17 @@ pub enum Counter {
     /// Supervariables eliminated together with a pivot of the ordering
     /// because only its new element was left on them.
     OrderingMassEliminated,
-    /// Session refactorizations that ran to completion on the realised
-    /// structure of their pivot history.
+    /// Session refactorizations and one-shot factorizations that ran to
+    /// completion on a realised structure — a session's pivot history, or
+    /// the in-block histories a one-shot factorization speculates on.
     RefactorRealised,
-    /// Session refactorizations whose pivots left the recorded history and
-    /// that were answered through the static structure instead.
+    /// Session refactorizations and one-shot factorizations whose pivots
+    /// left the history they were held to and that were answered through
+    /// the static structure instead.
     RefactorFallback,
-    /// Words of factor storage a session held on a realised structure
-    /// (recorded with [`MetricsRegistry::record_max`], not summed; zero
-    /// while every refactorization ran on the static structure).
+    /// Words of factor storage held on a realised structure (recorded with
+    /// [`MetricsRegistry::record_max`], not summed; zero while every
+    /// factorization ran on the static structure).
     RealisedWords,
 }
 

@@ -577,8 +577,9 @@ fn cmd_solve(
     }
     let _ = writeln!(
         out,
-        "factor storage    : {} words ({:.1}% padding)",
+        "factor storage    : {} words held of {} static ({:.1}% padding)",
         st.words,
+        st.static_words,
         100.0 * st.padding_fraction
     );
     if let Some(o) = &session {

@@ -54,6 +54,37 @@ fn gen_analyze_solve_condest_roundtrip() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `solve` reports the words the one-shot factorization holds — those of
+/// the realised structure its speculation ran on — next to the static
+/// structure's, with the static structure's padding.
+#[test]
+fn factor_storage_line_prints_held_and_static_words() {
+    use parsplu::core::{Options, SparseLu};
+    use parsplu::matgen::{paper_matrix, Scale};
+    let path = tmp("storage");
+    run(&args(&["gen", "orsreg1", &path, "--reduced"])).unwrap();
+    let a = paper_matrix("orsreg1", Scale::Reduced).unwrap();
+    for (flags, amalgamation) in [(&[][..], true), (&["--no-amalgamation"][..], false)] {
+        let out = run(&args(&[&["solve", &path][..], flags].concat())).unwrap();
+        let line = out.lines().find(|l| l.starts_with("factor storage"));
+        let opts = Options {
+            amalgamation: amalgamation.then(Default::default),
+            ..Options::default()
+        };
+        let st = SparseLu::factor(&a, &opts).unwrap().storage();
+        assert!(st.words < st.static_words, "{st:?}");
+        assert_eq!(st.static_words == st.structural, !amalgamation, "{st:?}");
+        let want = format!(
+            "factor storage    : {} words held of {} static ({:.1}% padding)",
+            st.words,
+            st.static_words,
+            100.0 * st.padding_fraction
+        );
+        assert_eq!(line, Some(&want[..]), "{flags:?}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn kernel_choice_is_accepted_and_solution_invariant() {
     let path = tmp("kernels");

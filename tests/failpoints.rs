@@ -443,6 +443,62 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
     }
 }
 
+/// A fault during the speculative run of `SparseLu::factor` — an injected
+/// panic, a forced breakdown, a cancellation — ends the call with the error
+/// the static path (`SluSession::factor` after the same analysis) returns,
+/// on every thread count and mapping: no fault becomes a fallback.
+#[test]
+fn faults_during_the_speculative_run_are_the_static_paths_errors() {
+    use parsplu::core::SluSession;
+    let a = random_unsymmetric(40, 3, 13);
+    let col = a.ncols() / 2;
+    for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+        for &threads in &THREADS {
+            let nb = analyze(a.pattern(), &opts(threads, mapping))
+                .unwrap()
+                .block_structure
+                .num_blocks();
+            for fault in ["panic", "breakdown", "cancel"] {
+                let scenario = FailScenario::new();
+                match fault {
+                    "panic" => scenario.panic_at_factor(nb / 2),
+                    "breakdown" => scenario.force_breakdown_at(col),
+                    _ => {}
+                }
+                // A token per run, cancelling at the third task boundary
+                // of the numeric phase (the analysis only reads it).
+                let budgeted = || {
+                    let token = CancelToken::new();
+                    if fault == "cancel" {
+                        token.cancel_after_checkpoints(3);
+                    }
+                    Options {
+                        budget: RunBudget::unbounded().with_token(token),
+                        ..opts(threads, mapping)
+                    }
+                };
+                let one_shot = SparseLu::factor(&a, &budgeted()).map(|_| ()).unwrap_err();
+                let mut s = SluSession::analyze(a.pattern(), &budgeted()).unwrap();
+                let fixed = s.factor(&a).unwrap_err();
+                let what =
+                    format!("threads={threads} {mapping:?} {fault}: {one_shot:?} vs {fixed:?}");
+                match (&one_shot, &fixed) {
+                    (
+                        LuError::WorkerPanic { task, .. },
+                        LuError::WorkerPanic { task: want, .. },
+                    ) => assert!(task == want && *task == format!("F({})", nb / 2), "{what}"),
+                    (
+                        LuError::NumericallySingular { column },
+                        LuError::NumericallySingular { column: want },
+                    ) => assert!(column == want && *column == col, "{what}"),
+                    (LuError::Cancelled { .. }, LuError::Cancelled { .. }) => {}
+                    _ => panic!("{what}"),
+                }
+            }
+        }
+    }
+}
+
 /// Arming a failpoint while [`PivotRule::Diagonal`] and natural ordering
 /// are active exercises the restricted-pivoting panel path too.
 #[test]

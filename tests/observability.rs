@@ -7,10 +7,12 @@
 //! * fill counters equal the column sums of the scalar structure the
 //!   oracle path writes for the matrix the driver factors (the driver
 //!   itself counts from the skeleton's lengths and writes none);
-//! * factor, trsm and gemm flop counters equal the `costs.rs` model
-//!   exactly (the formulas are integral, and the model prices the very
-//!   shapes the compact storage hands the kernels), on the sparse suite
-//!   and on a dense matrix;
+//! * factor, trsm and gemm flop counters equal the `costs.rs` model over
+//!   the lists the factors were computed on — realised for a speculating
+//!   `SparseLu::factor` or a settled `refactor`, static for
+//!   `SluSession::factor` — exactly (the formulas are integral, and the
+//!   model prices the very shapes the compact storage hands the kernels),
+//!   on the sparse suite and on a dense matrix;
 //! * run reports schema-validate through the bench crate's validator and
 //!   carry the registry's values verbatim;
 //! * the combined Chrome trace is well-formed and shows the pipeline
@@ -27,9 +29,9 @@ use parsplu::core::{
 };
 use parsplu::matgen::{paper_suite, Scale};
 use parsplu::obs::Counter;
-use parsplu::sched::Task;
+use parsplu::sched::{Task, TaskGraph};
 use parsplu::sparse::CscMatrix;
-use parsplu::symbolic::static_symbolic_factorization;
+use parsplu::symbolic::{static_symbolic_factorization, BlockStructure};
 use splu_bench::json::{parse, validate_chrome_trace, validate_run_report};
 
 /// `Σ_j |L̄_{*j}|` and `Σ_i |Ū_{i*}|` (diagonals included) of the scalar
@@ -65,20 +67,18 @@ fn counted_fill_matches_symbolic_lengths_at_every_front_thread_count() {
     }
 }
 
-/// The model's flops per task, split into the factor / trsm / gemm terms
-/// the registry counts separately (`costs.rs` only exposes the sum per
-/// task, but its two Update terms are recomputable from the source width
-/// and the number of columns `|S_kj|` the block `Ū(k, j)` stores).
-fn model_flop_split(a: &CscMatrix, opts: &Options) -> (f64, f64, f64) {
-    let sym = analyze(a.pattern(), opts).expect("analysis succeeds");
-    let graph = sym.build_graph();
-    let costs = estimate_task_costs(&sym.block_structure, &graph);
+/// The model's flops per task over the lists of `bs`, split into the factor
+/// / trsm / gemm terms the registry counts separately (`costs.rs` only
+/// exposes the sum per task, but its two Update terms are recomputable from
+/// the source width and the number of columns `|S_kj|` the block `Ū(k, j)`
+/// stores; a block `bs` does not hold stores none and costs nothing).
+fn model_flop_split(bs: &BlockStructure, graph: &TaskGraph) -> (f64, f64, f64) {
+    let costs = estimate_task_costs(bs, graph);
     let (mut factor, mut trsm, mut gemm) = (0.0, 0.0, 0.0);
     for (t, c) in graph.tasks().iter().zip(&costs) {
         match *t {
             Task::Factor(_) => factor += c.flops,
             Task::Update { src, dst } => {
-                let bs = &sym.block_structure;
                 let wk = bs.partition.width(src) as f64;
                 let s = bs.u_cols_in(src, dst).len() as f64;
                 let t = wk * (wk - 1.0) * s;
@@ -90,6 +90,44 @@ fn model_flop_split(a: &CscMatrix, opts: &Options) -> (f64, f64, f64) {
     (factor, trsm, gemm)
 }
 
+/// The `Ū` blocks off the diagonal `bs` holds: one `Update`, one trsm each.
+fn held_blocks(bs: &BlockStructure) -> u64 {
+    bs.u_blocks.iter().map(|b| b.len() as u64 - 1).sum()
+}
+
+/// The kernel counters of an observed run, against the model over the lists
+/// the factors were computed on, under the static graph.
+fn assert_counted_is_the_model(
+    obs: &ObsSession,
+    bs: &BlockStructure,
+    graph: &TaskGraph,
+    what: &str,
+) {
+    let reg = obs.metrics();
+    let (factor, trsm, gemm) = model_flop_split(bs, graph);
+    // The formulas are integral, so the f64 model is exact too.
+    assert_eq!(
+        reg.get(Counter::FactorFlops) as f64,
+        factor,
+        "{what}: factor flops"
+    );
+    assert_eq!(
+        reg.get(Counter::TrsmFlops) as f64,
+        trsm,
+        "{what}: trsm flops"
+    );
+    assert_eq!(
+        reg.get(Counter::GemmFlops) as f64,
+        gemm,
+        "{what}: gemm flops"
+    );
+    assert_eq!(
+        reg.get(Counter::TrsmCalls),
+        held_blocks(bs),
+        "{what}: trsm calls"
+    );
+}
+
 #[test]
 fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
     for m in paper_suite(Scale::Reduced) {
@@ -97,87 +135,46 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             threads: 2,
             ..Options::default()
         };
+        let name = m.name;
+        // The one-shot factor speculates, and no suite pattern takes an
+        // interchange: its kernels run on the realised lists.
         let session = ObsSession::new();
-        SparseLu::factor_observed(&m.a, &opts, &session).expect("factorization succeeds");
-        let (factor_model, trsm_model, gemm_model) = model_flop_split(&m.a, &opts);
-        let reg = session.metrics();
-        // The executed work is exactly the model (the formulas are
-        // integral, so the f64 model is exact too).
+        let lu = SparseLu::factor_observed(&m.a, &opts, &session).expect("factorization succeeds");
         assert_eq!(
-            reg.get(Counter::FactorFlops) as f64,
-            factor_model,
-            "{}: factor flops != model",
-            m.name
+            session.metrics().get(Counter::RefactorRealised),
+            1,
+            "{name}"
         );
-        assert_eq!(
-            reg.get(Counter::TrsmFlops) as f64,
-            trsm_model,
-            "{}: trsm flops != model",
-            m.name
-        );
-        assert_eq!(
-            reg.get(Counter::GemmFlops) as f64,
-            gemm_model,
-            "{}: gemm flops != model",
-            m.name
-        );
-        // And one trsm call per Update task.
-        let n_updates = {
-            let sym = analyze(m.a.pattern(), &opts).unwrap();
-            let graph = sym.build_graph();
-            graph
-                .tasks()
-                .iter()
-                .filter(|t| matches!(t, Task::Update { .. }))
-                .count() as u64
-        };
-        assert_eq!(reg.get(Counter::TrsmCalls), n_updates, "{}", m.name);
+        let (sym, static_bs) = (lu.symbolic(), lu.session().static_structure());
+        let graph = sym.build_graph();
+        assert_counted_is_the_model(&session, &sym.block_structure, &graph, name);
+        let static_model = total_flops(&estimate_task_costs(static_bs, &graph));
+        let speculated = total_flops(&estimate_task_costs(&sym.block_structure, &graph));
+        assert!(speculated < static_model, "{name}");
 
-        // A session that has settled on its pivot history runs the kernels
-        // of the realised structure — the model's flops over *those* lists,
-        // under the same (static) graph, one trsm per block it still holds
-        // — and `factor` runs the static ones again.
-        let counted = |obs: &ObsSession| {
-            let reg = obs.metrics();
-            reg.get(Counter::FactorFlops)
-                + reg.get(Counter::TrsmFlops)
-                + reg.get(Counter::GemmFlops)
-        };
+        // A session that has settled on its (interchange-free) pivot history
+        // runs the kernels of the same realised lists; `factor` runs the
+        // static ones again.
         let mut s = SluSession::analyze(m.a.pattern(), &opts).unwrap();
         s.factor(&m.a).unwrap();
         s.refactor(&m.a).unwrap();
         let obs = ObsSession::new();
         s.refactor_observed(&m.a, &obs).unwrap();
-        assert_eq!(
-            obs.metrics().get(Counter::RefactorRealised),
-            1,
-            "{}",
-            m.name
-        );
+        assert_eq!(obs.metrics().get(Counter::RefactorRealised), 1, "{name}");
         let realised = &s.symbolic().block_structure;
-        let graph = s.graph().expect("a two-thread session holds its graph");
-        let model = total_flops(&estimate_task_costs(realised, graph));
-        assert_eq!(counted(&obs) as f64, model, "{}: realised flops", m.name);
-        assert!(model < factor_model + trsm_model + gemm_model, "{}", m.name);
-        let blocks: usize = realised.u_blocks.iter().map(|b| b.len() - 1).sum();
         assert_eq!(
-            obs.metrics().get(Counter::TrsmCalls),
-            blocks as u64,
-            "{}",
-            m.name
+            realised, &sym.block_structure,
+            "{name}: one realised structure"
         );
+        assert_counted_is_the_model(&obs, realised, &graph, name);
         assert_eq!(
             obs.metrics().get(Counter::RealisedWords),
             realised.storage_words() as u64
         );
         let obs = ObsSession::new();
         s.factor_observed(&m.a, &obs).unwrap();
-        assert_eq!(
-            counted(&obs) as f64,
-            factor_model + trsm_model + gemm_model,
-            "{}: factor is static",
-            m.name
-        );
+        let what = format!("{name}: factor is static");
+        assert_counted_is_the_model(&obs, static_bs, &graph, &what);
     }
 }
 
@@ -198,12 +195,11 @@ fn counted_gemm_flops_equal_the_model_on_a_dense_matrix() {
     .unwrap();
     let opts = Options::default();
     let session = ObsSession::new();
-    SparseLu::factor_observed(&a, &opts, &session).expect("dense factorization succeeds");
-    let (factor_model, trsm_model, gemm_model) = model_flop_split(&a, &opts);
-    let reg = session.metrics();
-    assert_eq!(reg.get(Counter::FactorFlops) as f64, factor_model);
-    assert_eq!(reg.get(Counter::TrsmFlops) as f64, trsm_model);
-    assert_eq!(reg.get(Counter::GemmFlops) as f64, gemm_model);
+    let lu = SparseLu::factor_observed(&a, &opts, &session).expect("dense factorization succeeds");
+    // A dense pattern fills all of its static structure, pivots or not.
+    let sym = lu.symbolic();
+    assert_eq!(&sym.block_structure, lu.session().static_structure());
+    assert_counted_is_the_model(&session, &sym.block_structure, &sym.build_graph(), "dense");
 }
 
 #[test]

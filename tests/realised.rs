@@ -322,9 +322,11 @@ fn sixteen_value_sets_of_one_history_fit_the_derived_lists() {
     }
 }
 
-/// One sub-diagonal entry scaled above its diagonal flips that column's
-/// pivot: the job is answered through the static structure, bit for bit,
-/// and the session re-derives once two factorizations agree again.
+/// One entry below its column's diagonal block, scaled above the diagonal,
+/// flips that column's pivot out of the block: the job is answered through
+/// the static structure, bit for bit, and the session re-derives once two
+/// factorizations agree again. (A pivot that stays in its block keeps the
+/// realised structure: `tests/speculation.rs`.)
 #[test]
 fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
     let m = &paper_suite(Scale::Reduced)[0];
@@ -339,13 +341,16 @@ fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
         );
         assert!(s.is_realised());
 
-        // The first entry below the diagonal in factorization order.
+        // The first entry below its column's diagonal block in
+        // factorization order.
         let sym = s.symbolic();
+        let part = &s.static_structure().partition;
+        let block_of = part.block_of_cols();
         let (e, row, col) = (m.a.triplets().enumerate())
             .map(|(e, (i, j, _))| (e, sym.row_perm.new_of(i), sym.col_perm.new_of(j)))
-            .filter(|&(_, r, c)| r > c)
+            .filter(|&(_, r, c)| r >= part.range(block_of[c]).end)
             .min_by_key(|&(_, _, c)| c)
-            .expect("a sub-diagonal entry");
+            .expect("an entry below a diagonal block");
         let mut flipped = dominant_values(&m.a, 310);
         flipped.values_mut()[e] = 1e3;
 

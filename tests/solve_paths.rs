@@ -7,6 +7,9 @@
 //! `SparseLu` is "scale → the session's solve → unscale", so whatever the
 //! combination its answer is — bit for bit — the session's answer on the
 //! matrix the session was given (`A`, or `R·A·C`), between the same scales.
+//! Its own factors come from a speculative run on the realised structure
+//! of the in-block pivot histories, which answers as the static session
+//! does at every thread count and mapping.
 
 use parsplu::core::gp::gp_factor;
 use parsplu::core::{
@@ -211,6 +214,52 @@ fn every_solve_door_agrees_on_static_and_realised_structures() {
         for equil in [false, true] {
             for realised in [false, true] {
                 check(&case, equil, realised);
+            }
+        }
+    }
+}
+
+/// `SparseLu::factor` speculates on the realised structure of the in-block
+/// pivot histories, which every suite matrix keeps to: at every thread
+/// count and mapping its factors are the static session's
+/// (`SluSession::factor`, one thread) and so is every solve, bit for bit.
+#[test]
+fn the_speculative_one_shot_factor_solves_as_the_static_session() {
+    use parsplu::sched::Mapping;
+    let bits = |x: Vec<f64>| -> Vec<u64> { x.into_iter().map(f64::to_bits).collect() };
+    for m in paper_suite(Scale::Reduced) {
+        let a = &m.a;
+        let reference = session_on(a, false);
+        let b = manufactured_rhs(a, 41).1;
+        let bb: Vec<f64> = (0..MANY as u64)
+            .flat_map(|r| manufactured_rhs(a, 50 + r).1)
+            .collect();
+        let want = (
+            bits(reference.try_solve(&b).unwrap()),
+            bits(reference.try_solve_transposed(&b).unwrap()),
+            bits(reference.try_solve_many(&bb, MANY).unwrap()),
+        );
+        for threads in [1usize, 2, 4, 8] {
+            for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+                let what = format!("{} threads={threads} {mapping:?}", m.name);
+                let opts = Options {
+                    threads,
+                    mapping,
+                    ..Options::default()
+                };
+                let lu = SparseLu::factor(a, &opts).unwrap();
+                assert!(lu.session().is_realised(), "{what}");
+                let (bm, static_bm) = (lu.session().block_matrix(), reference.block_matrix());
+                assert_eq!(
+                    bm.unwrap().factor_difference(static_bm.unwrap()),
+                    None,
+                    "{what}"
+                );
+                assert_eq!(bits(lu.try_solve(&b).unwrap()), want.0, "{what}: solve");
+                let xt = lu.try_solve_transposed(&b).unwrap();
+                assert_eq!(bits(xt), want.1, "{what}: transposed");
+                let xs = lu.try_solve_many(&bb, MANY).unwrap();
+                assert_eq!(bits(xs), want.2, "{what}: many");
             }
         }
     }

@@ -1,0 +1,86 @@
+//! What the speculative one-shot factorization holds, asserted with the
+//! counting global allocator against the static path (`SluSession::analyze`
+//! + `factor`) on the same input:
+//!
+//! * a speculation that holds never allocates the static storage: its heap
+//!   peak stays below the static path's by at least half of what the values
+//!   of the static storage and of the realised one differ by;
+//! * a fallback frees the realised storage before it assembles the static
+//!   one: its heap peak stays below the static path's plus half of the
+//!   realised storage's values — holding both at once would add all of
+//!   them.
+//!
+//! This file installs the counting allocator for its whole test binary,
+//! so it holds exactly one test: a concurrent test in the same process
+//! would race the global peak counter.
+
+use parsplu::core::{Options, SluSession, SparseLu};
+use parsplu::matgen::{cross_block_pivots, fem2d_unsymmetric, paper_matrix, Scale};
+use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
+use parsplu::sparse::CscMatrix;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the growth of the heap peak over the live bytes before
+/// it ran.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = heap_stats().expect("allocator installed").current_bytes;
+    reset_heap_peak();
+    let out = f();
+    (out, heap_stats().unwrap().peak_bytes - before)
+}
+
+/// The heap peak of the static path: analysis, then `factor`.
+fn static_peak(a: &CscMatrix) -> u64 {
+    peak_of(|| {
+        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+        s.factor(a).unwrap();
+        s
+    })
+    .1
+}
+
+/// `a` with every value replaced by a column-dominant one: no interchange,
+/// so the speculation holds on `a`'s pattern.
+fn dominant(a: &CscMatrix) -> CscMatrix {
+    let trips: Vec<(usize, usize, f64)> = a
+        .triplets()
+        .map(|(i, j, _)| (i, j, if i == j { 1e3 } else { 1e-3 }))
+        .collect();
+    CscMatrix::from_triplets(a.nrows(), a.ncols(), &trips).unwrap()
+}
+
+#[test]
+fn speculation_never_holds_the_static_storage_beside_the_realised_one() {
+    let held = [
+        ("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)),
+        ("sherman3", paper_matrix("sherman3", Scale::Full).unwrap()),
+    ];
+    for (name, a) in &held {
+        let (lu, spec) = peak_of(|| SparseLu::factor(a, &Options::default()).unwrap());
+        assert!(lu.session().is_realised(), "{name}");
+        let st = lu.storage();
+        drop(lu);
+        let stat = static_peak(a);
+        let gap = 8 * (st.static_words - st.words) as u64;
+        assert!(
+            spec + gap / 2 < stat,
+            "{name}: {spec} + {gap} / 2 >= {stat}"
+        );
+    }
+
+    let a = cross_block_pivots(400, 7);
+    let (lu, fallback) = peak_of(|| SparseLu::factor(&a, &Options::default()).unwrap());
+    assert!(!lu.session().is_realised(), "the pivots leave their blocks");
+    drop(lu);
+    let realised = SparseLu::factor(&dominant(&a), &Options::default()).unwrap();
+    assert!(realised.session().is_realised());
+    let realised_values = 8 * realised.storage().words as u64;
+    drop(realised);
+    let stat = static_peak(&a);
+    assert!(
+        fallback < stat + realised_values / 2,
+        "a fallback peaked at {fallback}: the static path's {stat} plus the realised values' {realised_values}"
+    );
+}
