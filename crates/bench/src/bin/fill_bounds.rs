@@ -3,17 +3,16 @@
 //! structures, while the George–Ng static structure is much tighter — yet
 //! still an overestimate of the entries a dynamic (Gilbert–Peierls)
 //! factorization actually produces — and prices what a session gives back
-//! when it refactors on the structure its own pivots fill.
+//! by factoring on the structure its pivots fill.
 //!
 //! First table: nonzeros of `A`; the actual `|L|+|U|` from Gilbert–Peierls
 //! with partial pivoting; the static structure `|Ā|`; the `AᵀA` Cholesky
 //! bound; and the two overestimation factors. Second table, at the
 //! granularity the compact storage has (a row of `R_K`, a column of
 //! `S_KJ`): stored words and model flops of the static block structure
-//! against those of the realised structure a session derives from the
-//! pivot history of one factorization (DESIGN.md §5.5), and the
-//! interchanges that history took. The second table also prices the
-//! 40×40×2 mesh `benchmark/` refactors.
+//! against those of the in-block structure a session's `factor` runs on
+//! (DESIGN.md §5.4–5.5), and the interchanges that factorization took. The
+//! second table also prices the 40×40×2 mesh `benchmark/` refactors.
 //!
 //! ```text
 //! cargo run --release -p splu-bench --bin fill_bounds
@@ -62,15 +61,8 @@ fn main() {
     rows.push(("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)));
     for (name, a) in &rows {
         let mut s = SluSession::analyze(a.pattern(), &Options::default()).expect("analysis");
-        // Two factorizations on one history move the third onto its
-        // realised structure.
-        for _ in 0..3 {
-            s.refactor(a).expect("factorization succeeds");
-        }
-        assert!(
-            s.is_realised(),
-            "{name}: the same values repeat their pivots"
-        );
+        s.factor(a).expect("factorization succeeds");
+        assert!(s.is_realised(), "{name}: the pivots stay in their blocks");
         let gp = gp_factor(&s.symbolic().permute_matrix(a), 0.0).expect("factorization succeeds");
         let graph = s.symbolic().build_graph();
         let flops = |bs| total_flops(&estimate_task_costs(bs, &graph));

@@ -160,6 +160,11 @@ pub(crate) struct Layout {
     rel: Vec<u32>,
     /// Largest `|R_K| · |S_KJ|` over all updates.
     scratch_len: usize,
+    /// Laid out from the in-block structure ([`in_block_flags`]): every
+    /// `Factor(K)` on this storage must take its pivots from `K`'s diagonal
+    /// block, and fails the run with [`crate::LuError::PivotHistoryDiverged`]
+    /// when one comes from below it (the wire).
+    in_block: bool,
     /// The range plan of the last run on several threads over this layout.
     plan: Mutex<Option<KeptPlan>>,
 }
@@ -185,7 +190,7 @@ fn positions<'a>(sub: &'a [usize], sup: &'a [usize]) -> impl Iterator<Item = usi
 }
 
 impl Layout {
-    fn new(bs: &BlockStructure) -> Self {
+    fn new(bs: &BlockStructure, in_block: bool) -> Self {
         let part = &bs.partition;
         let (n, nb) = (part.n(), part.num_blocks());
         let starts = part.starts().to_vec();
@@ -340,6 +345,7 @@ impl Layout {
             targets,
             rel,
             scratch_len,
+            in_block,
             plan: Mutex::new(None),
         }
     }
@@ -392,8 +398,8 @@ impl Layout {
     }
 
     /// The map of `Update(k, j)`; `None` when the structure holds no block
-    /// `Ū(k, j)` — a realised structure lacks the blocks its pivot history
-    /// never fills, under a task graph that still names them.
+    /// `Ū(k, j)` — the in-block structure lacks the blocks its pivots never
+    /// fill, under a task graph that still names them.
     pub(crate) fn update(&self, k: usize, j: usize) -> Option<&UpdateMap> {
         let into_j = self.updates(j);
         let at = into_j.binary_search_by_key(&k, |u| u.src as usize).ok()?;
@@ -404,16 +410,6 @@ impl Layout {
     pub(crate) fn local_cols(&self, u: &UpdateMap) -> &[u32] {
         let base = self.col_ptr[u.src as usize];
         &self.ucol[base + u.cols.start as usize..base + u.cols.end as usize]
-    }
-
-    /// Whether a pivot of a column of supernode `k` from global row `row`
-    /// agrees with one recorded from `was` at the granularity the realised
-    /// structure has: both inside `k`'s diagonal block, or the same row.
-    /// [`Self::realised_flags`] reads no more of a history than this, so
-    /// histories that agree at every column share one realised structure.
-    fn same_pivot(&self, k: usize, was: usize, row: usize) -> bool {
-        let end = self.starts[k + 1];
-        was == row || (was < end && row < end)
     }
 
     /// Global row of every position of `R_K`, in order.
@@ -461,115 +457,6 @@ impl Layout {
                 cols: self.local_cols(u),
             }
         }
-    }
-
-    /// The **realised structure** of one pivot history, as one flag per
-    /// entry of `bs.l_rows` and one per entry of `bs.u_cols` (`bs` is the
-    /// structure this layout was built from; [`realised_structure`] turns
-    /// the flags into lists): what can become nonzero when the input has
-    /// the entries `seeds` flags ([`seed_flags`]) and every `Factor(K)`
-    /// takes the interchanges `history` records (the global pivot row of
-    /// every column). A boolean replay of the factorization at the
-    /// granularity the storage has — a row of `R_K`, a column of `C_K` —
-    /// visiting the updates as the left-looking order does, so that the
-    /// flags of `R_K` and of `S_KJ` are final when `Update(K, J)` is
-    /// replayed:
-    ///
-    /// 1. `K`'s interchanges with rows outside its own block row unite the
-    ///    flags of `Ū(K, J)`'s columns with those of the partner row's
-    ///    storage in column `J`, both ways (interchanges inside the block
-    ///    row are not read: whole columns stay whole — so every history
-    ///    that agrees with `history` in [`Self::same_pivot`]'s sense has
-    ///    these flags, and the in-block ones have [`in_block_flags`]');
-    /// 2. every live row of `K` times every live column of `Ū(K, J)` marks
-    ///    its destination.
-    ///
-    /// Step 2 marks a full cross product, so the lists nest as
-    /// [`Layout::new`] needs them to; so do the seeds.
-    pub(crate) fn realised_flags(
-        &self,
-        bs: &BlockStructure,
-        (mut row_live, mut col_live): (Vec<bool>, Vec<bool>),
-        history: &[usize],
-    ) -> (Vec<bool>, Vec<bool>) {
-        let nb = self.num_blocks();
-        assert_eq!(bs.l_rows.col_ptr(), &self.row_ptr[..], "another structure");
-        assert_eq!(history.len(), self.n, "one pivot row per column");
-
-        let mut live_x: Vec<usize> = Vec::new();
-        for j in 0..nb {
-            let (w_j, into_j) = (self.width(j), self.updates(j));
-            for u in into_j {
-                let k = u.src as usize;
-                let (ck, s_kj) = (self.col_ptr[k] + u.cols.start as usize, u.cols.len());
-                let own = self.starts[k]..self.starts[k + 1];
-                for &g in &history[own.clone()] {
-                    if g < own.end {
-                        // Inside the block row: whole columns stay whole.
-                        continue;
-                    }
-                    let t = (bs.l_rows.col(k).binary_search(&g))
-                        .expect("a recorded pivot row is a row of the panel");
-                    match self.row_dest(u, t) {
-                        RowDest::Above { q, cols, .. } => {
-                            let ui = &into_j[q];
-                            let ci = self.col_ptr[ui.src as usize] + ui.cols.start as usize;
-                            for (x, &c) in cols.iter().enumerate() {
-                                let both = col_live[ck + x] | col_live[ci + c as usize];
-                                col_live[ck + x] = both;
-                                col_live[ci + c as usize] = both;
-                            }
-                        }
-                        // The diagonal block of `J` is stored whole.
-                        RowDest::Panel { row, .. } if row < w_j => {
-                            col_live[ck..ck + s_kj].fill(true);
-                        }
-                        RowDest::Panel { row, .. } => {
-                            let at = self.row_ptr[j] + row - w_j;
-                            if row_live[at] {
-                                col_live[ck..ck + s_kj].fill(true);
-                            } else {
-                                row_live[at] = col_live[ck..ck + s_kj].contains(&true);
-                            }
-                        }
-                    }
-                }
-
-                live_x.clear();
-                live_x.extend((0..s_kj).filter(|&x| col_live[ck + x]));
-                if live_x.is_empty() {
-                    continue;
-                }
-                let rk = self.row_ptr[k];
-                // Rows above block row J: one Ū(I, J) per L̄ block of K.
-                let above = self.lblks[self.lblk_ptr[k]..self.lblk_ptr[k + 1]]
-                    .iter()
-                    .take_while(|lb| lb.rows.start < u.t_diag);
-                for (b, lb) in above.enumerate() {
-                    let rows = rk + lb.rows.start as usize..rk + lb.rows.end as usize;
-                    if !row_live[rows].contains(&true) {
-                        continue;
-                    }
-                    let ui = &into_j[self.targets[u.targets as usize + b] as usize];
-                    let ci = self.col_ptr[ui.src as usize] + ui.cols.start as usize;
-                    let cmap = &self.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
-                    for &x in &live_x {
-                        col_live[ci + cmap[x] as usize] = true;
-                    }
-                }
-                // Rows inside block row J land in its diagonal block, which
-                // is stored whole; rows below it in the rows of R_J.
-                let rel = &self.rel[u.row_rel as usize..];
-                for t in u.t_below as usize..self.rows_below(k) {
-                    if row_live[rk + t] {
-                        let row = rel[t - u.t_below as usize] as usize;
-                        row_live[self.row_ptr[j] + row - w_j] = true;
-                    }
-                }
-            }
-        }
-
-        (row_live, col_live)
     }
 
     /// Calls `visit(e, slot)` for entry number `e` (in storage order) of
@@ -644,7 +531,7 @@ impl Layout {
     }
 }
 
-/// The flags both derivations start from, one per entry of `bs.l_rows` /
+/// The flags [`in_block_flags`] starts from, one per entry of `bs.l_rows` /
 /// `bs.u_cols`: an entry of `pattern` (whose rows `new_row` and columns
 /// `old_col` relate to factorization order as in [`Layout::locate_entries`])
 /// below its diagonal block is a live row of `R_J`, one right of it a live
@@ -698,19 +585,21 @@ pub(crate) fn seed_flags(
     (row_live, col_live)
 }
 
-/// The realised structure every **in-block** pivot history shares — one in
-/// which each column's pivot comes from its own supernode's diagonal block,
-/// the identity among them — as flags for [`realised_structure`], read off
-/// `bs`'s lists and the seeds of the input ([`seed_flags`]) without
-/// building storage or index maps. [`Layout::realised_flags`] reads any such
-/// history as the identity and computes these flags by a left-looking
-/// replay over the storage; this is the same replay right-looking over the
-/// lists. Once the supernodes before `K` are visited, `K`'s flags are final,
-/// and its updates make the live columns of `C_K` beyond every block row
-/// `I` that a live row of `R_K` lies in live in `C_I` (they write `Ū(I, J)`
-/// there), and the live rows of `R_K` beyond every block column `J` that a
-/// live column of `C_K` lies in live in `R_J` (they write `J`'s panel
-/// there).
+/// The **in-block structure**: what can become nonzero when every column's
+/// pivot comes from its own supernode's diagonal block (the identity among
+/// such pivot sequences) — an interchange inside the block row moves two
+/// rows that store the same columns, so they all fill the same words. As
+/// flags for [`realised_structure`], read off `bs`'s lists and the seeds of
+/// the input ([`seed_flags`]) without building storage or index maps: the
+/// boolean replay of the factorization at the granularity the storage has
+/// (a row of `R_K`, a column of `C_K`), run right-looking over the lists
+/// (the test module keeps the left-looking replay over the static maps as
+/// its reference). Once the supernodes before `K` are visited, `K`'s flags
+/// are final, and its updates make the live columns of `C_K` beyond every
+/// block row `I` that a live row of `R_K` lies in live in `C_I` (they write
+/// `Ū(I, J)` there), and the live rows of `R_K` beyond every block column
+/// `J` that a live column of `C_K` lies in live in `R_J` (they write `J`'s
+/// panel there).
 pub(crate) fn in_block_flags(
     bs: &BlockStructure,
     (mut row_live, mut col_live): (Vec<bool>, Vec<bool>),
@@ -747,7 +636,7 @@ pub(crate) fn in_block_flags(
 
 /// The sub-structure of `bs` that keeps the rows of `R_K` and the columns of
 /// `C_K` flagged in `row_live` / `col_live` (one flag per list entry, as
-/// [`Layout::realised_flags`] and [`in_block_flags`] return them).
+/// [`in_block_flags`] returns them).
 pub(crate) fn realised_structure(
     bs: &BlockStructure,
     row_live: &[bool],
@@ -893,7 +782,16 @@ impl BlockMatrix {
     /// Allocates the compact storage of `Ā` under the given block
     /// structure, zero-filled and unfactored, and builds its index maps.
     pub fn zeros(bs: &BlockStructure) -> Self {
-        Self::with_layout(Arc::new(Layout::new(bs)))
+        Self::laid_out(bs, false)
+    }
+
+    /// [`Self::zeros`], wired when `in_block` says `bs` is the in-block
+    /// structure ([`in_block_flags`]): a `Factor(K)` on it that takes a
+    /// pivot from below `K`'s diagonal block fails the run with
+    /// [`crate::LuError::PivotHistoryDiverged`]: such a pivot may fill
+    /// what the storage leaves out.
+    pub(crate) fn laid_out(bs: &BlockStructure, in_block: bool) -> Self {
+        Self::with_layout(Arc::new(Layout::new(bs, in_block)))
     }
 
     /// Fresh zeroed storage over an existing layout.
@@ -925,27 +823,29 @@ impl BlockMatrix {
         Self::with_layout(layout)
     }
 
-    /// Drops the values and hands back the index maps.
-    pub(crate) fn into_layout(self) -> Arc<Layout> {
-        self.layout
-    }
-
     /// The pivot history of a completed factorization: the global
     /// (factorization-order) row every column's pivot came from, which is
     /// the column itself where no interchange was taken. Comparable across
     /// storages of one partition, whatever rows each stores.
     pub fn pivot_rows(&self) -> Vec<usize> {
-        let mut history = Vec::new();
-        self.swap_history(&mut history);
-        history
+        let lay = &*self.layout;
+        let mut rows = Vec::with_capacity(lay.n);
+        for (k, col) in self.columns.iter().enumerate() {
+            let col = col.read();
+            let swaps = (col.pivots.as_ref())
+                .expect("a completed factorization")
+                .swaps();
+            rows.extend(swaps.iter().map(|&p| lay.panel_row(k, p)));
+        }
+        rows
     }
 
     /// The first difference between two factored storages of one
     /// partition, as a message — `None` when they hold the same factors:
     /// the same pivots as global rows and, bit for bit, the same word at
     /// every global position both store, with exact zeros wherever only
-    /// one of them stores a word (a realised storage leaves out what its
-    /// pivot history never fills). Diagnostics and tests.
+    /// one of them stores a word (the in-block storage leaves out what its
+    /// pivots never fill). Diagnostics and tests.
     pub fn factor_difference(&self, other: &BlockMatrix) -> Option<String> {
         let (mine, theirs) = (self.pivot_rows(), other.pivot_rows());
         if let Some(c) = (0..mine.len().max(theirs.len())).find(|&c| mine.get(c) != theirs.get(c)) {
@@ -971,42 +871,16 @@ impl BlockMatrix {
         })
     }
 
-    /// Writes the pivot history of the completed factorization these
-    /// columns hold — the global row every column's pivot came from — into
-    /// `history`, and returns whether `history` held one it agrees with
-    /// ([`Layout::same_pivot`] at every column) already.
-    pub(crate) fn swap_history(&self, history: &mut Vec<usize>) -> bool {
+    /// The wire: on wired storage ([`Self::laid_out`]), the first (global)
+    /// column of block column `k`, factored in `col`, whose pivot came from
+    /// below `k`'s diagonal block, if any; `None` on any other storage.
+    pub(crate) fn pivot_left_block(&self, k: usize, col: &ColumnData) -> Option<usize> {
         let lay = &*self.layout;
-        let mut same = history.len() == lay.n;
-        history.resize(lay.n, 0);
-        for (k, col) in self.columns.iter().enumerate() {
-            let col = col.read();
-            let swaps = (col.pivots.as_ref())
-                .expect("a completed factorization")
-                .swaps();
-            for (&p, h) in swaps.iter().zip(&mut history[lay.starts[k]..]) {
-                let row = lay.panel_row(k, p);
-                same &= lay.same_pivot(k, *h, row);
-                *h = row;
-            }
+        if !lay.in_block {
+            return None;
         }
-        same
-    }
-
-    /// The first (global) column of block column `k`, factored in `col`,
-    /// whose pivot disagrees with the one `history` records
-    /// ([`Layout::same_pivot`]), if any.
-    pub(crate) fn pivot_divergence(
-        &self,
-        k: usize,
-        col: &ColumnData,
-        history: &[usize],
-    ) -> Option<usize> {
-        let lay = &*self.layout;
         let swaps = col.pivots.as_ref().expect("Factor(k) ran").swaps();
-        (swaps.iter().zip(&history[lay.starts[k]..]))
-            .position(|(&p, &was)| !lay.same_pivot(k, was, lay.panel_row(k, p)))
-            .map(|c| lay.starts[k] + c)
+        (swaps.iter().position(|&p| p >= col.width())).map(|c| lay.starts[k] + c)
     }
 
     /// Assembles the block storage of `a` (already permuted into
@@ -1133,9 +1007,9 @@ impl BlockMatrix {
     /// stored sources `k` ascending, then `Factor(j)` — the order
     /// [`crate::factor_left_looking`] runs them, a topological order of
     /// both task graphs. A task's position here is its id in the reports,
-    /// traces and panics of a numeric run. A realised storage holds fewer
+    /// traces and panics of a numeric run. The in-block storage holds fewer
     /// updates than the static structure's graph names: the blocks its
-    /// pivot history never fills are no tasks.
+    /// pivots never fill are no tasks.
     pub fn tasks(&self) -> impl Iterator<Item = Task> + '_ {
         let lay = &*self.layout;
         (0..self.num_block_cols()).flat_map(move |j| {
@@ -1416,5 +1290,118 @@ mod tests {
         let f = static_symbolic_factorization(&p).unwrap();
         let bs = BlockStructure::new(&f, Partition::from_starts(vec![0, 2, 3, 4]));
         BlockMatrix::zeros(&bs);
+    }
+
+    /// The reference for [`in_block_flags`]: the boolean replay of the
+    /// identity pivot history over the maps of the static storage, in the
+    /// left-looking order, in which the flags of `R_K` and of `S_KJ` are
+    /// final when `Update(K, J)` is replayed. Every live row of `K` times
+    /// every live column of `Ū(K, J)` marks its destination: per `L̄` block
+    /// of `K` above `J` the mapped columns of `Ū(I, J)`, below `J` the
+    /// mapped rows of `R_J`. (A pivot from below `K`'s block would first
+    /// unite the flags of the two rows it exchanges; one inside the block
+    /// exchanges rows that store the same columns, so every in-block
+    /// history replays as the identity.)
+    fn identity_replay(
+        lay: &Layout,
+        (mut row_live, mut col_live): (Vec<bool>, Vec<bool>),
+    ) -> (Vec<bool>, Vec<bool>) {
+        let mut live_x: Vec<usize> = Vec::new();
+        for j in 0..lay.num_blocks() {
+            let (w_j, into_j) = (lay.width(j), lay.updates(j));
+            for u in into_j {
+                let k = u.src as usize;
+                let ck = lay.col_ptr[k] + u.cols.start as usize;
+                live_x.clear();
+                live_x.extend((0..u.cols.len()).filter(|&x| col_live[ck + x]));
+                if live_x.is_empty() {
+                    continue;
+                }
+                let rk = lay.row_ptr[k];
+                let above = lay.lblks[lay.lblk_ptr[k]..lay.lblk_ptr[k + 1]]
+                    .iter()
+                    .take_while(|lb| lb.rows.start < u.t_diag);
+                for (b, lb) in above.enumerate() {
+                    let rows = rk + lb.rows.start as usize..rk + lb.rows.end as usize;
+                    if !row_live[rows].contains(&true) {
+                        continue;
+                    }
+                    let ui = &into_j[lay.targets[u.targets as usize + b] as usize];
+                    let ci = lay.col_ptr[ui.src as usize] + ui.cols.start as usize;
+                    let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
+                    for &x in &live_x {
+                        col_live[ci + cmap[x] as usize] = true;
+                    }
+                }
+                // Rows inside block row J land in its diagonal block, which
+                // is stored whole; rows below it in the rows of R_J.
+                let rel = &lay.rel[u.row_rel as usize..];
+                for t in u.t_below as usize..lay.rows_below(k) {
+                    if row_live[rk + t] {
+                        let row = rel[t - u.t_below as usize] as usize;
+                        row_live[lay.row_ptr[j] + row - w_j] = true;
+                    }
+                }
+            }
+        }
+        (row_live, col_live)
+    }
+
+    /// Analyzes `pattern` under `opts` and holds [`in_block_flags`] to the
+    /// replay; `true` when the in-block structure leaves something out.
+    fn in_block_is_the_replay(pattern: &SparsityPattern, opts: &crate::Options) -> bool {
+        let sym = crate::analyze(pattern, opts).unwrap();
+        let (bs, rows, cols) = (&sym.block_structure, &sym.row_perm, &sym.col_perm);
+        let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
+        let want = identity_replay(&Layout::new(bs, false), seeds.clone());
+        let got = in_block_flags(bs, seeds);
+        assert!(got == want, "the in-block flags are not the replay's");
+        got.0.contains(&false) || got.1.contains(&false)
+    }
+
+    /// On the suite — reduced in a debug build; full-scale plus the
+    /// benchmark's 40×40 mesh in a release build — the right-looking merge
+    /// over the lists derives the replay's flags, and they leave words out.
+    #[test]
+    fn in_block_flags_are_the_identity_replay_on_the_suite() {
+        use splu_matgen::{fem2d_unsymmetric, paper_suite, Scale};
+        let scale = if cfg!(debug_assertions) {
+            Scale::Reduced
+        } else {
+            Scale::Full
+        };
+        let mut cases: Vec<_> = paper_suite(scale)
+            .into_iter()
+            .map(|m| (m.name, m.a))
+            .collect();
+        if scale == Scale::Full {
+            cases.push(("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)));
+        }
+        for (name, a) in &cases {
+            let leaves_out = in_block_is_the_replay(a.pattern(), &crate::Options::default());
+            assert!(leaves_out, "{name}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The same on random patterns, postordered or not, with
+        /// amalgamation on or off.
+        #[test]
+        fn in_block_flags_are_the_identity_replay_on_random_patterns(
+            n in 8usize..64,
+            extra in 1usize..4,
+            seed in 0u64..1000,
+            postorder in 0usize..2,
+            amalgamation in 0usize..2,
+        ) {
+            let opts = crate::Options {
+                postorder: postorder == 1,
+                amalgamation: (amalgamation == 1).then(SupernodeOptions::default),
+                ..crate::Options::default()
+            };
+            in_block_is_the_replay(&splu_matgen::random_pattern(n, extra * n, seed), &opts);
+        }
     }
 }

@@ -36,15 +36,14 @@ pub enum LuError {
         /// Global column index (in factorization order) where it appeared.
         column: usize,
     },
-    /// A run that was handed a pivot history
-    /// ([`NumericRequest::expect_history`](crate::NumericRequest::expect_history))
-    /// chose a pivot row that disagrees with it at block granularity; the
-    /// remaining tasks drained as no-ops. Neither a session nor
-    /// [`crate::SparseLu`] returns this: they answer the job through the
-    /// static structure instead.
+    /// A run on storage laid out from the in-block structure took a pivot
+    /// from below its column's diagonal block — it may fill what that
+    /// storage leaves out; the remaining tasks drained as no-ops. Neither a
+    /// session nor [`crate::SparseLu`] returns this: they answer the job
+    /// through the static structure instead.
     PivotHistoryDiverged {
-        /// Global column index (in factorization order) of the first
-        /// disagreeing pivot of the block column that noticed.
+        /// Global column index (in factorization order) of the first such
+        /// pivot of the block column that noticed.
         column: usize,
     },
     /// A worker thread panicked during the parallel factorization. The
@@ -150,7 +149,10 @@ impl std::fmt::Display for LuError {
                 )
             }
             LuError::PivotHistoryDiverged { column } => {
-                write!(f, "pivot history diverged at factorization column {column}")
+                write!(
+                    f,
+                    "the pivot of factorization column {column} left its diagonal block"
+                )
             }
             LuError::WorkerPanic { worker, task } => {
                 write!(f, "worker {worker} panicked in task {task}")

@@ -309,24 +309,24 @@ pub struct SymbolicLu {
     pub row_perm: Permutation,
     /// Total column permutation.
     pub col_perm: Permutation,
-    /// Supernode partition and block-level structure: the static one, or
-    /// — in a session refactoring on one pivot history — the realised
-    /// sub-structure its storage is laid out from.
+    /// Supernode partition and block-level structure of a session's
+    /// storage: the in-block sub-structure it is laid out from, or the
+    /// static one (after analysis, and after a pivot left its block).
     pub block_structure: BlockStructure,
     /// Block-level LU elimination forest.
     pub block_forest: EliminationForest,
     /// Structural statistics (graph fields describe the eforest graph).
     pub stats: Stats,
-    /// The static structure, held aside while `block_structure` is a
-    /// realised one.
+    /// The static structure, held aside while `block_structure` is the
+    /// in-block one.
     static_bs: Option<BlockStructure>,
     opts: Options,
 }
 
 impl SymbolicLu {
     /// Builds the eforest task dependence graph over the **static**
-    /// structure — the tasks every factorization of the pattern runs; a
-    /// realised storage skips the blocks it lacks. (A realised
+    /// structure — the tasks every factorization of the pattern runs; the
+    /// in-block storage skips the blocks it lacks. (The in-block
     /// sub-structure is not closed under the graph rules: rule 4 would
     /// name updates it does not hold.)
     pub fn build_graph(&self) -> TaskGraph {
@@ -334,7 +334,7 @@ impl SymbolicLu {
     }
 
     /// The static structure `Ā`, valid for every pivot sequence:
-    /// [`Self::block_structure`], unless that holds a realised one.
+    /// [`Self::block_structure`], unless that holds the in-block one.
     pub fn static_structure(&self) -> &BlockStructure {
         self.static_bs.as_ref().unwrap_or(&self.block_structure)
     }
@@ -598,11 +598,11 @@ pub struct SparseLu {
 impl SparseLu {
     /// Analyzes and factorizes `a` with the given options.
     ///
-    /// The numeric phase speculates: it runs on the realised structure that
-    /// `a`'s pattern fills while every pivot stays inside its supernode's
-    /// diagonal block, and re-runs on the static structure only when one
-    /// leaves it. Either way the factors are bitwise those of
-    /// [`SluSession::factor`], the static oracle (DESIGN.md §5.4).
+    /// The numeric phase is [`SluSession::factor`]'s: it runs on the
+    /// in-block structure that `a`'s pattern fills while every pivot stays
+    /// inside its supernode's diagonal block, and re-runs on the static
+    /// structure only when one leaves it. Either way the factors are
+    /// bitwise the static ones (DESIGN.md §5.4).
     ///
     /// Input values are validated up front: any NaN or infinity is rejected
     /// as [`LuError::NonFiniteInput`] before the (parallel) numeric phase
@@ -638,18 +638,11 @@ impl SparseLu {
             opts.equilibrate
                 .then(|| splu_sparse::scaling::equilibrate(a))
         };
-        let work = match &equil {
-            Some(e) => {
-                // The reciprocal of a subnormal row maximum overflows.
-                session::check_finite(&e.scaled)?;
-                &e.scaled
-            }
-            None => a,
-        };
-        // The session was analyzed on this very pattern and the values were
-        // scanned above: hash and scan once per factorization, not twice.
+        // The session checks the values it factors: the reciprocal of a
+        // subnormal row maximum overflows.
+        let work = equil.as_ref().map_or(a, |e| &e.scaled);
         let mut session = SluSession::analyze_inner(work.pattern(), opts, obs)?;
-        session.factor_speculative(work, obs)?;
+        session.factor_inner(work, obs)?;
         let mut lu = SparseLu {
             health: session.health().clone(),
             session,
@@ -838,7 +831,7 @@ impl SparseLu {
     }
 
     /// Storage accounting of the factored block matrix: the words held —
-    /// those of the realised structure unless the speculation fell back —
+    /// those of the in-block structure unless a pivot left its block —
     /// next to the static structure's.
     pub fn storage(&self) -> FactorStorage {
         self.session
@@ -852,12 +845,11 @@ impl SparseLu {
 pub struct FactorStorage {
     /// Words the block storage holds: `Σ_K w_K · (w_K + |R_K| + |C_K|)`
     /// over the supernodes `K` ([`BlockStructure::storage_words`]) of the
-    /// structure it is laid out from — the static one, or a realised one (a
-    /// session's pivot history, or the speculation of
-    /// [`SparseLu::factor`]).
+    /// structure it is laid out from — the in-block one, or the static one
+    /// after a pivot left its block.
     pub words: usize,
     /// The same sum over the static structure (equal to `words` unless the
-    /// storage is a realised one).
+    /// storage is the in-block one).
     pub static_words: usize,
     /// Entries of the scalar static structure `Ā`.
     pub structural: usize,
@@ -1026,7 +1018,7 @@ mod tests {
         let s = lu.storage();
         assert!(s.static_words >= s.structural);
         assert!((0.0..1.0).contains(&s.padding_fraction));
-        // The held words are those of the realised structure the factors
+        // The held words are those of the in-block structure the factors
         // were computed on.
         assert_eq!(s.words, lu.symbolic().block_structure.storage_words());
         assert!(lu.session().is_realised() && s.words < s.static_words);

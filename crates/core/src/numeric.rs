@@ -105,9 +105,9 @@ fn update_columns(
 
 /// One numeric factorization's task bodies and what they share: the
 /// storage, the pivoting parameters and kernel table the driver resolved
-/// once, the counters registry, the pivot history `Factor` is held to, and
-/// the run's outcome so far — the first error, the columns factored, the
-/// perturbed columns. Shared by every worker of a run.
+/// once, the counters registry, and the run's outcome so far — the first
+/// error, the columns factored, the perturbed columns. Shared by every
+/// worker of a run.
 pub(crate) struct TaskBodies<'a> {
     bm: &'a BlockMatrix,
     rule: PivotRule,
@@ -115,11 +115,6 @@ pub(crate) struct TaskBodies<'a> {
     breakdown: PanelBreakdown,
     kernels: &'a Dispatch,
     pub(crate) metrics: Option<&'a MetricsRegistry>,
-    /// The global pivot row of every column this run must reproduce:
-    /// after each `Factor(K)` its interchanges are compared with these at
-    /// block granularity, and the first disagreement fails the run with
-    /// [`LuError::PivotHistoryDiverged`].
-    pub(crate) history: Option<&'a [usize]>,
     /// The run's token: a stalled `Factor` (fault injection) waits for it.
     #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
     pub(crate) token: Option<&'a CancelToken>,
@@ -131,7 +126,7 @@ pub(crate) struct TaskBodies<'a> {
 
 impl<'a> TaskBodies<'a> {
     /// The bodies of a factorization of `bm` under `rule` / `threshold` /
-    /// `breakdown` through `kernels`, uncounted, held to no history.
+    /// `breakdown` through `kernels`, uncounted.
     pub(crate) fn new(
         bm: &'a BlockMatrix,
         rule: PivotRule,
@@ -146,7 +141,6 @@ impl<'a> TaskBodies<'a> {
             breakdown,
             kernels,
             metrics: None,
-            history: None,
             token: None,
             failed: AtomicBool::new(false),
             first_error: Mutex::new(None),
@@ -225,9 +219,9 @@ impl<'a> TaskBodies<'a> {
             .collect())
     }
 
-    /// `Factor(k)` on the held column `col`: the panel LU, the history
-    /// trip-wire and the counters. `false` when it failed (the error is
-    /// recorded).
+    /// `Factor(k)` on the held column `col`: the panel LU, the wire of the
+    /// in-block storage and the counters. `false` when it failed (the error
+    /// is recorded).
     pub(crate) fn factor(&self, k: usize, col: &mut ColumnData) -> bool {
         #[cfg(feature = "failpoints")]
         crate::failpoints::maybe_panic_factor(k);
@@ -246,10 +240,7 @@ impl<'a> TaskBodies<'a> {
                 return false;
             }
         };
-        if let Some(column) = self
-            .history
-            .and_then(|h| self.bm.pivot_divergence(k, col, h))
-        {
+        if let Some(column) = self.bm.pivot_left_block(k, col) {
             self.fail(LuError::PivotHistoryDiverged { column });
             return false;
         }
@@ -302,7 +293,7 @@ impl<'a> TaskBodies<'a> {
     }
 
     /// One task of the coarse graph. An `Update` whose block the storage
-    /// does not hold (a realised structure) is no task: nothing runs.
+    /// does not hold (the in-block structure) is no task: nothing runs.
     pub(crate) fn task(&self, task: Task, begin: &mut dyn FnMut() -> bool) {
         let ups = |j: usize| self.bm.layout().updates(j);
         match task {

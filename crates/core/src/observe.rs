@@ -56,23 +56,22 @@ struct Captured {
     health: Option<FactorHealth>,
     /// Per-phase heap high-water bytes (counting allocator installed only).
     heap_phases: Vec<(&'static str, u64)>,
-    /// The structure a session `refactor` or a `SparseLu::factor` ran on.
+    /// The structure a session `factor` / `refactor` (or a
+    /// `SparseLu::factor`) ran on.
     refactor: Option<RefactorPath>,
 }
 
-/// Which structure answered a session `refactor` or a speculative
-/// [`SparseLu::factor`] (DESIGN.md §5.4).
+/// Which structure answered a session `factor` or `refactor` (and so a
+/// [`SparseLu::factor`]; DESIGN.md §5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefactorPath {
     /// The static structure `Ā`, valid for every pivot sequence.
     Static,
-    /// A realised structure: that of the session's recorded pivot history,
-    /// or that of the in-block histories a one-shot factorization
-    /// speculates on.
+    /// The in-block structure: what the input fills while every pivot
+    /// comes from its own supernode's diagonal block.
     Realised,
-    /// The pivots left the history the run was held to at this (global,
-    /// factorization-order) column; the job was answered through the
-    /// static structure.
+    /// A pivot left its diagonal block at this (global, factorization-
+    /// order) column; the job was answered through the static structure.
     Fallback {
         /// First differing pivot column of the block column that noticed.
         column: usize,
@@ -179,8 +178,7 @@ impl ObsSession {
         cap.numeric_trace = numeric_trace;
     }
 
-    /// Deposits which structure a session `refactor` or a `SparseLu::factor`
-    /// ran on.
+    /// Deposits which structure a session `factor` / `refactor` ran on.
     pub fn capture_refactor(&self, path: RefactorPath) {
         self.captured.lock().refactor = Some(path);
     }
@@ -442,8 +440,8 @@ pub struct RunReport {
     pub sched: Option<SchedStats>,
     /// Numeric health (perturbed columns, growth, condition estimate).
     pub health: Option<FactorHealth>,
-    /// The structure a session `refactor` or a `SparseLu::factor` ran on
-    /// (`None` for any other run).
+    /// The structure a session `factor` / `refactor` (or a
+    /// `SparseLu::factor`) ran on (`None` for any other run).
     pub refactor: Option<RefactorPath>,
     /// Heap counters at report time (counting allocator installed only).
     pub heap: Option<HeapStats>,

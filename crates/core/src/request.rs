@@ -132,15 +132,6 @@ pub struct NumericRequest<'g> {
     /// which saves a bottom-level sweep per run. A one-thread run needs
     /// none. The factors are bitwise identical either way.
     pub schedule: Option<Arc<ExecSchedule>>,
-    /// The pivot history this run must reproduce: the global row every
-    /// column's pivot comes from. After each `Factor(K)` its interchanges
-    /// are compared with these (`O(w_K)`) at block granularity — a pivot
-    /// inside `K`'s diagonal block agrees with any other there, one outside
-    /// only with the same row — and the first disagreement ends the run
-    /// like a numerical breakdown, with [`LuError::PivotHistoryDiverged`].
-    /// A session sets it when the storage is laid out for the histories
-    /// that agree with it only. `None` (the default) compares nothing.
-    pub history: Option<&'g [usize]>,
 }
 
 impl<'g> NumericRequest<'g> {
@@ -168,7 +159,6 @@ impl<'g> NumericRequest<'g> {
             budget: RunBudget::default(),
             metrics: None,
             schedule: None,
-            history: None,
         }
     }
 
@@ -223,12 +213,6 @@ impl<'g> NumericRequest<'g> {
     /// Attaches a cached executor schedule (see the field docs).
     pub fn schedule(mut self, schedule: Arc<ExecSchedule>) -> Self {
         self.schedule = Some(schedule);
-        self
-    }
-
-    /// Holds the run to a pivot history (see the field docs).
-    pub fn expect_history(mut self, history: &'g [usize]) -> Self {
-        self.history = Some(history);
         self
     }
 }
@@ -630,7 +614,6 @@ pub fn factor_numeric_with(
         &dispatch,
     );
     bodies.metrics = metrics;
-    bodies.history = req.history;
     bodies.token = budget.token.as_ref();
     let mut report = run(&exec, |node, steps| {
         if bodies.failed() {
@@ -800,11 +783,9 @@ mod tests {
     /// The coarse graph run task by task through the executor as a plain
     /// DAG — each `Update` and `Factor` its own node, locking its own
     /// columns — the one-thread path before range tasks.
-    fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph, history: Option<&[usize]>) -> bool {
+    fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph) -> Result<(), LuError> {
         let kernels = Dispatch::resolve(KernelChoice::Auto);
-        let mut bodies =
-            TaskBodies::new(bm, PivotRule::Partial, 0.0, PanelBreakdown::Error, &kernels);
-        bodies.history = history;
+        let bodies = TaskBodies::new(bm, PivotRule::Partial, 0.0, PanelBreakdown::Error, &kernels);
         let exec = ExecRequest::new(graph.pred_counts(), graph.successor_lists());
         run(&exec, |t, _| {
             if !bodies.failed() {
@@ -812,18 +793,19 @@ mod tests {
             }
         })
         .rethrow();
-        bodies.first_error.into_inner().is_none()
+        bodies.first_error.into_inner().map_or(Ok(()), Err)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Range execution equals the per-task graph replay bit for bit —
-        /// pivots and every stored word — on random forests of one to
+        /// Range execution equals the per-task graph replay on the static
+        /// structure bit for bit — pivots and every stored word, the
+        /// reference holding the static words — on random forests of one to
         /// three trees, at 1/2/4/8 threads, under both mappings, over the
-        /// graphs of both builders, on the static structure and on the
-        /// realised one of the replay's pivot history (held to that
-        /// history).
+        /// graphs of both builders, on the static storage and on the wired
+        /// in-block one. When a pivot of the replay leaves its diagonal
+        /// block, every run on the in-block storage trips the wire instead.
         #[test]
         fn range_execution_is_bitwise_the_graph_replay(
             sizes in proptest::collection::vec(4usize..24, 1..4),
@@ -833,49 +815,58 @@ mod tests {
             let a = forest_matrix(&sizes, seed, weak == 1);
             let sym = crate::analyze(a.pattern(), &Options::default()).unwrap();
             let p = sym.permute_matrix(&a);
-            let bs = &sym.block_structure;
-            let static_graph = sym.build_graph();
+            let bs = sym.static_structure();
             let oracle = BlockMatrix::assemble(&p, bs);
-            if !graph_replay(&oracle, &static_graph, None) {
+            proptest::prop_assert_eq!(oracle.storage_words(), bs.storage_words());
+            if graph_replay(&oracle, &sym.build_graph()).is_err() {
                 // Singular: the executor must say so too (checked elsewhere).
                 return Ok(());
             }
-            let history = oracle.pivot_rows();
+            let block_of = bs.partition.block_of_cols();
+            let left = (oracle.pivot_rows().into_iter().enumerate())
+                .any(|(c, r)| r >= bs.partition.range(block_of[c]).end);
             let seeds = crate::blocks::seed_flags(bs, p.pattern(), |i| i, |j| j);
-            let (rows, cols) = oracle.layout().realised_flags(bs, seeds, &history);
-            let realised = crate::blocks::realised_structure(bs, &rows, &cols);
+            let (rows, cols) = crate::blocks::in_block_flags(bs, seeds);
+            let in_block = crate::blocks::realised_structure(bs, &rows, &cols);
             for (kind, build) in [
                 ("eforest", build_eforest_graph as fn(&BlockStructure) -> TaskGraph),
                 ("sstar", build_sstar_graph),
             ] {
                 let graph = build(bs);
                 let schedule = Arc::new(ExecSchedule::for_graph(&graph));
-                for (structure, held) in [(bs, None), (&realised, Some(&history[..]))] {
-                    let want = BlockMatrix::assemble(&p, structure);
-                    proptest::prop_assert!(graph_replay(&want, &graph, held));
+                for (structure, wired) in [(bs, false), (&in_block, true)] {
+                    let tripped = wired && left;
+                    let mut bm = BlockMatrix::laid_out(structure, wired);
+                    bm.reset_from(&p, structure);
+                    let replayed = graph_replay(&bm, &graph);
+                    proptest::prop_assert_eq!(replayed.is_err(), tripped);
                     for threads in [1, 2, 4, 8] {
                         for mapping in [Mapping::Static1D, Mapping::Dynamic] {
-                            let mut bm = BlockMatrix::assemble(&p, structure);
-                            let mut req = NumericRequest::coarse(&graph, mapping).threads(threads);
+                            let mut req =
+                                NumericRequest::coarse(&graph, mapping).threads(threads);
                             if threads % 4 != 0 {
                                 req = req.schedule(Arc::clone(&schedule));
                             }
-                            if let Some(h) = held {
-                                req = req.expect_history(h);
-                            }
+                            let what =
+                                format!("{kind} threads={threads} {mapping:?} wired={wired}");
                             for _ in 0..2 {
                                 bm.reset_from(&p, structure);
-                                let report = factor_numeric_with(&bm, &req).unwrap();
-                                proptest::prop_assert_eq!(report.stats.n_tasks, bm.num_tasks());
-                                proptest::prop_assert_eq!(
-                                    bm.factor_difference(&want),
-                                    None,
-                                    "{} threads={} {:?} realised={}",
-                                    kind,
-                                    threads,
-                                    mapping,
-                                    held.is_some()
-                                );
+                                match factor_numeric_with(&bm, &req) {
+                                    Ok(report) => {
+                                        proptest::prop_assert!(!tripped, "{} ran through", what);
+                                        let n_tasks = report.stats.n_tasks;
+                                        proptest::prop_assert_eq!(n_tasks, bm.num_tasks());
+                                        let difference = bm.factor_difference(&oracle);
+                                        proptest::prop_assert_eq!(difference, None, "{}", what);
+                                    }
+                                    Err(e) => proptest::prop_assert!(
+                                        tripped
+                                            && matches!(e, LuError::PivotHistoryDiverged { .. }),
+                                        "{}: {:?}",
+                                        what,
+                                        e
+                                    ),
+                                }
                             }
                         }
                     }

@@ -27,21 +27,18 @@
 //! same task bodies in a topological order of the same DAG — which the
 //! session invariance suite asserts across thread counts and mappings.
 //!
-//! **Realised structure.** The static `Ā` is valid for every pivot
-//! sequence, which a session that sees the same sequence step after step
-//! pays for on each of them. When the last two completed factorizations
-//! took the same pivot history — at block granularity: every pivot inside
-//! its diagonal block agrees with any other there — `refactor` derives the
-//! sub-structure that history can fill ([`crate::blocks`]' boolean
-//! replay), lays the storage out from it and runs the same driver (and
-//! graph) on it, holding every `Factor(K)` to the recorded interchanges.
-//! Agreeing pivots mean — by induction over the columns — that every word
-//! left out was exactly zero, so the factors are bitwise the static ones;
-//! the first disagreeing pivot drains the run, the session goes back to
-//! the static structure and answers the job from there.
-//! [`SluSession::factor`] always runs static: it is the oracle. The
-//! one-shot [`crate::SparseLu::factor`] speculates instead, on the
-//! structure of the in-block histories. DESIGN.md §5.4–5.5.
+//! **The in-block structure.** The static `Ā` is valid for every pivot
+//! sequence; the factorizations the pattern sees rarely need that. A
+//! session lays its storage out on the sub-structure that the input's
+//! entries can fill while every pivot comes from its own supernode's
+//! diagonal block ([`crate::blocks`]' `in_block_flags`, derived from the
+//! static lists by the first `factor`), and every `Factor(K)` on it checks
+//! that its pivots did — the wire. A held wire means, by induction over the
+//! columns, that every word left out was exactly zero, so the factors are
+//! bitwise the static ones. A tripped wire drains the run; the session
+//! goes back to the static structure and answers the job from there. Later
+//! `refactor`s stay static; the next `factor` speculates again.
+//! DESIGN.md §5.4–5.5.
 //!
 //! Equilibration is a *values* transformation, so the session itself
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
@@ -110,14 +107,9 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
 /// the lifecycle.
 pub struct SluSession {
     /// `sym.block_structure` is the structure of the current storage: the
-    /// static one, or the realised one of `history` (the static one then
-    /// held aside in `sym`).
+    /// in-block one (the static one then held aside in `sym`), or the
+    /// static one after a tripped wire.
     sym: SymbolicLu,
-    /// Global pivot row of every column. On the static structure: of the
-    /// factorization completed before the one `bm` holds (empty when that
-    /// one was not looked at). On a realised structure: the history it was
-    /// derived from, which every run on it reproduces or leaves.
-    history: Vec<usize>,
     /// The task graph of the static structure and its schedule — held by
     /// a session of several threads only.
     graph: Option<(TaskGraph, Arc<ExecSchedule>)>,
@@ -171,7 +163,6 @@ impl SluSession {
         Ok(SluSession {
             budget: opts.budget.clone(),
             sym,
-            history: Vec::new(),
             graph,
             pattern_hash: pattern_hash(pattern),
             bm: None,
@@ -189,9 +180,12 @@ impl SluSession {
     /// Numeric-only factorization of `a` (original order, same pattern as
     /// analyzed): assembles fresh block storage and factors it. No symbolic
     /// phase runs. Use [`Self::refactor`] to also reuse
-    /// the storage of a previous factorization. Always on the static
-    /// structure — this is the oracle `refactor` is held to — so it drops a
-    /// cached realised structure and the recorded pivot history.
+    /// the storage of a previous factorization. It speculates: the storage
+    /// is laid out from the in-block structure (derived on the first call,
+    /// and again on the first after a tripped wire), and a pivot that
+    /// leaves its diagonal block answers the job through the static
+    /// structure. The factors are bitwise the static ones either way
+    /// (DESIGN.md §5.4).
     pub fn factor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.factor_inner(a, None)
     }
@@ -211,12 +205,10 @@ impl SluSession {
     /// [`Self::factor`] this simply *is* a factor call (storage must be
     /// allocated once).
     ///
-    /// A call that finds the last two completed factorizations on one pivot
-    /// history (at block granularity) first moves the session onto that
-    /// history's realised structure (once per history; DESIGN.md §5.4);
-    /// from then on the same steps run on the smaller storage, and a run
-    /// whose pivots leave the history is repeated on the static structure
-    /// before this returns.
+    /// It runs on the structure the storage holds: on the in-block one, a
+    /// run whose pivots leave their blocks is repeated on the static
+    /// structure before this returns, and the session stays there until the
+    /// next [`Self::factor`].
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.refactor_inner(a, None)
     }
@@ -230,63 +222,30 @@ impl SluSession {
         self.refactor_inner(a, Some(obs))
     }
 
-    fn factor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
-        self.check_pattern(a)?;
-        check_finite(a)?;
-        {
-            let _p = obs.map(|o| o.phase("graph_build"));
-            self.drop_realised();
-            self.history.clear();
-            self.assemble_fresh(a);
-        }
-        self.run_numeric(obs)
-    }
-
-    /// The speculative one-shot factorization behind [`crate::SparseLu`],
-    /// for a freshly analyzed session and values its caller has checked for
-    /// the analyzed pattern and finiteness: the storage is laid out from
-    /// the realised structure of the in-block pivot histories, derived from
-    /// the static lists and `a`'s pattern, and the run is held to the
-    /// identity history at block granularity. A pivot that leaves its
-    /// diagonal block answers the job through the static structure — the
-    /// factors are bitwise [`Self::factor`]'s either way (DESIGN.md §5.4).
-    pub(crate) fn factor_speculative(
+    /// [`Self::factor`] (observed or not). [`crate::SparseLu`] enters here.
+    pub(crate) fn factor_inner(
         &mut self,
         a: &CscMatrix,
         obs: Option<&ObsSession>,
     ) -> Result<(), LuError> {
+        self.check_pattern(a)?;
+        check_finite(a)?;
         {
             let _p = obs.map(|o| o.phase("graph_build"));
-            let static_bs = &self.sym.block_structure;
-            let (row_live, col_live) = in_block_flags(static_bs, self.seeds(a.pattern()));
-            let realised = realised_structure(static_bs, &row_live, &col_live);
-            drop((row_live, col_live));
-            self.history = (0..self.sym.stats.n).collect();
-            self.lay_out(realised, a.pattern());
-            let bm = self.bm.as_mut().expect("laid out above");
-            bm.store_values(&self.scatter, a.values());
+            if !self.is_realised() {
+                self.speculate(a.pattern());
+            }
+            self.assemble_fresh(a);
         }
         self.run_or_fall_back(a, obs, RefactorPath::Realised)
     }
 
     fn refactor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
         if self.bm.is_none() {
-            if let Some(o) = obs {
-                o.capture_refactor(RefactorPath::Static);
-            }
             return self.factor_inner(a, obs);
         }
         self.check_pattern(a)?;
         check_finite(a)?;
-        // The one rule that moves a session onto a realised structure: the
-        // factorization `bm` holds took the history of the one before it.
-        if !self.is_realised() && self.factored {
-            let bm = self.bm.as_ref().expect("storage checked above");
-            if bm.swap_history(&mut self.history) {
-                let _p = obs.map(|o| o.phase("graph_build"));
-                self.realise(a.pattern());
-            }
-        }
         let bm = self.bm.as_mut().expect("storage checked above");
         bm.reset_values();
         bm.store_values(&self.scatter, a.values());
@@ -299,10 +258,10 @@ impl SluSession {
     }
 
     /// Runs the numeric phase on the storage as it stands — laid out from
-    /// the structure `path` names, holding `a`'s values — and, when a
-    /// realised run's pivots leave its history, answers `a` through the
-    /// static structure instead: these values may fill what the realised
-    /// storage lacks. The realised storage goes before the static one is
+    /// the structure `path` names, holding `a`'s values — and, when a run
+    /// on the in-block structure trips its wire, answers `a` through the
+    /// static structure instead: these values may fill what the in-block
+    /// storage lacks. The in-block storage goes before the static one is
     /// assembled. An observed run records which structure answered.
     fn run_or_fall_back(
         &mut self,
@@ -314,7 +273,9 @@ impl SluSession {
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
             {
                 let _p = obs.map(|o| o.phase("graph_build"));
-                self.drop_realised();
+                self.sym.block_structure = (self.sym.static_bs.take())
+                    .expect("only storage laid out on the in-block structure is wired");
+                (self.bm, self.scatter) = (None, Vec::new());
                 self.assemble_fresh(a);
             }
             path = RefactorPath::Fallback { column };
@@ -335,54 +296,19 @@ impl SluSession {
         outcome
     }
 
-    /// Moves the session from the static structure onto the realised
-    /// structure of `history`. Frees before it allocates — the static
-    /// values and the scatter map first (the replay reads the index maps
-    /// only), then those maps before the new lists, maps and values exist —
-    /// so nothing of the smaller storage coexists with its larger
-    /// counterpart.
-    fn realise(&mut self, pattern: &SparsityPattern) {
-        let layout = (self.bm.take().expect("factors of the recorded history")).into_layout();
-        self.scatter = Vec::new();
-        let bs = &self.sym.block_structure;
-        let (row_live, col_live) = layout.realised_flags(bs, self.seeds(pattern), &self.history);
-        drop(layout);
-        let realised = realised_structure(bs, &row_live, &col_live);
-        drop((row_live, col_live));
-        self.lay_out(realised, pattern);
-    }
-
-    /// Puts the session, on the static structure and holding no storage,
-    /// onto the sub-structure `realised` of it: zeroed storage with its
-    /// maps, and the scatter map of `pattern` into it. The static lists are
-    /// held aside.
-    fn lay_out(&mut self, realised: BlockStructure, pattern: &SparsityPattern) {
-        debug_assert!(self.bm.is_none() && !self.is_realised());
-        let bm = BlockMatrix::zeros(&realised);
-        self.scatter = self.slots_in(&bm, pattern);
-        self.bm = Some(bm);
-        self.sym.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, realised));
-        self.factored = false;
-    }
-
-    /// Back to the static structure, if a realised one is cached: its
-    /// storage, maps and scatter map go; [`Self::assemble_fresh`] rebuilds
-    /// the static ones.
-    fn drop_realised(&mut self) {
-        if let Some(static_bs) = self.sym.static_bs.take() {
-            self.sym.block_structure = static_bs;
-            self.bm = None;
-            self.scatter = Vec::new();
-            self.factored = false;
-        }
-    }
-
-    /// The entries of the analyzed (original-order) pattern in the static
-    /// lists: where every derivation of a realised structure starts.
-    fn seeds(&self, pattern: &SparsityPattern) -> (Vec<bool>, Vec<bool>) {
+    /// Moves the session from the static structure onto the in-block one:
+    /// the static storage and scatter map go, the lists are derived from
+    /// the static ones and the entries of the analyzed (original-order)
+    /// `pattern`, and the static lists are held aside.
+    /// [`Self::assemble_fresh`] lays the storage out.
+    fn speculate(&mut self, pattern: &SparsityPattern) {
+        (self.bm, self.scatter) = (None, Vec::new());
         let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        let static_bs = self.sym.static_structure();
-        seed_flags(static_bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j))
+        let static_bs = &self.sym.block_structure;
+        let seeds = seed_flags(static_bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
+        let (row_live, col_live) = in_block_flags(static_bs, seeds);
+        let in_block = realised_structure(static_bs, &row_live, &col_live);
+        self.sym.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, in_block));
     }
 
     /// Where each nonzero of the analyzed (original-order) pattern lands
@@ -406,14 +332,15 @@ impl SluSession {
     }
 
     /// Replaces the storage by freshly allocated zeros holding `a`'s
-    /// values; the first call also builds the index maps of the storage and
-    /// the scatter map that puts the values there (every later factor and
-    /// refactor reuses both).
+    /// values; the first call on a structure also builds the index maps of
+    /// the storage — wired on the in-block structure — and the scatter map
+    /// that puts the values there (every later factor and refactor reuses
+    /// both).
     fn assemble_fresh(&mut self, a: &CscMatrix) {
         // The old factors go first, so two copies never coexist.
         let bm = match self.bm.take() {
             Some(old) => old.into_zeros(),
-            None => BlockMatrix::zeros(&self.sym.block_structure),
+            None => BlockMatrix::laid_out(&self.sym.block_structure, self.is_realised()),
         };
         // (An empty map is that of an empty matrix: rebuilding it is free.)
         if self.scatter.is_empty() {
@@ -440,9 +367,6 @@ impl SluSession {
             .kernels(opts.kernels)
             .breakdown(opts.breakdown)
             .budget(self.budget.clone());
-        if self.is_realised() {
-            nreq = nreq.expect_history(&self.history);
-        }
         if let Some(o) = obs {
             nreq = nreq
                 .trace(o.executor_trace_config(bm.num_tasks(), opts.threads.max(1)))
@@ -587,14 +511,14 @@ impl SluSession {
 
     /// Resident bytes this session holds: the dense panel/U-block storage
     /// (dominant term, exact via [`BlockMatrix::storage_words`]) with its
-    /// index maps, the cached scatter map, the recorded pivot history, and
-    /// the symbolic state — the block structure's row, column and block
-    /// lists (of **both** structures while a realised one is cached), the
+    /// index maps, the cached scatter map, and the symbolic state — the
+    /// block structure's row, column and block lists (of **both**
+    /// structures while the in-block one is held), the
     /// two permutations with their inverses, the block forest, and the
     /// task graph with its schedule while one is held — counted from the
     /// lengths of the arrays that hold them (no scalar `L̄`/`Ū` exists to
     /// count). Storage, maps and scatter map are those actually held: the
-    /// realised ones while a realised structure is cached. This is the
+    /// in-block ones while the in-block structure is held. This is the
     /// quantity a session pool budgets and evicts on; it intentionally
     /// counts only per-session state, not transient factorization
     /// workspace.
@@ -635,19 +559,20 @@ impl SluSession {
             .as_ref()
             .map_or(0, |bm| 8 * bm.storage_words() as u64 + bm.map_bytes());
         let scatter = (self.scatter.len() * std::mem::size_of::<ValueSlot>()) as u64;
-        symbolic + graph + numeric + scatter + self.history.capacity() as u64 * usz
+        symbolic + graph + numeric + scatter
     }
 
     /// The static structure `Ā` of the analysis, valid for every pivot
     /// sequence. [`Self::symbolic`]`().block_structure` is the structure of
-    /// the *current* storage — this one, or a sub-structure of it while the
-    /// session refactors on the realised structure of its pivot history.
+    /// the *current* storage — this one after a tripped wire, else the
+    /// in-block sub-structure of it.
     pub fn static_structure(&self) -> &BlockStructure {
         self.sym.static_structure()
     }
 
-    /// `true` while the session holds a realised structure (the storage is
-    /// laid out for one pivot history only).
+    /// `true` while the session holds the in-block structure (the storage
+    /// is laid out for pivots inside their diagonal blocks only): from the
+    /// first factorization until a pivot leaves its block.
     pub fn is_realised(&self) -> bool {
         self.sym.static_bs.is_some()
     }

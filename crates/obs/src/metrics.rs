@@ -82,16 +82,16 @@ pub enum Counter {
     /// Supervariables eliminated together with a pivot of the ordering
     /// because only its new element was left on them.
     OrderingMassEliminated,
-    /// Session refactorizations and one-shot factorizations that ran to
-    /// completion on a realised structure — a session's pivot history, or
-    /// the in-block histories a one-shot factorization speculates on.
+    /// Session factorizations and refactorizations that ran to completion
+    /// on the in-block structure — what the input fills while every pivot
+    /// comes from its own supernode's diagonal block.
     RefactorRealised,
-    /// Session refactorizations and one-shot factorizations whose pivots
-    /// left the history they were held to and that were answered through
-    /// the static structure instead.
+    /// Session factorizations and refactorizations whose pivots left their
+    /// diagonal blocks and that were answered through the static structure
+    /// instead.
     RefactorFallback,
-    /// Words of factor storage held on a realised structure (recorded with
-    /// [`MetricsRegistry::record_max`], not summed; zero while every
+    /// Words of factor storage held on the in-block structure (recorded
+    /// with [`MetricsRegistry::record_max`], not summed; zero while every
     /// factorization ran on the static structure).
     RealisedWords,
 }

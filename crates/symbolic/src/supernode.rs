@@ -14,7 +14,7 @@
 //!
 //! None of this needs the scalar structure. Partition and amalgamation
 //! read three arrays — the eforest parents and the lengths of every `L̄`
-//! column and `Ū` row ([`ChainCounts`]) — and the row and column lists of
+//! column and `Ū` row (`ChainCounts`) — and the row and column lists of
 //! the supernodes are two walks through the forest
 //! ([`BlockStructure::from_skeleton`]); the analysis takes all of it from
 //! the [`FillSkeleton`]. The `&FilledLu` spellings read the same three
@@ -382,7 +382,7 @@ fn blocks_of(k: usize, outside: &[usize], block_of: &[usize]) -> Vec<usize> {
 /// subcolumns** in `Ū` — every column of [`Self::u_cols`]`.col(K)` across
 /// the whole height of `K` (S\*'s layout). For a supernode whose columns
 /// form a parent chain of the eforest (every partition the analysis
-/// produces), chain nesting (see [`ChainCounts`]) makes those two lists
+/// produces), chain nesting (see the module docs) makes those two lists
 /// the off-diagonal structure of its **last** column and row:
 /// [`Self::from_skeleton`] walks them out of the eforest, [`Self::new`]
 /// copies them from a filled structure and falls back to the union over

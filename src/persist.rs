@@ -56,7 +56,7 @@ pub enum Durability {
     /// survives `SIGKILL`.
     #[default]
     Strict,
-    /// Batched syncs (every [`RELAXED_SYNC_EVERY`] appends and on
+    /// Batched syncs (every `RELAXED_SYNC_EVERY` = 32 appends and on
     /// drain): faster, but a crash can lose the un-synced tail of
     /// acknowledged work.
     Relaxed,

@@ -55,8 +55,8 @@ fn gen_analyze_solve_condest_roundtrip() {
 }
 
 /// `solve` reports the words the one-shot factorization holds — those of
-/// the realised structure its speculation ran on — next to the static
-/// structure's, with the static structure's padding.
+/// the in-block structure it ran on — next to the static structure's, with
+/// the static structure's padding.
 #[test]
 fn factor_storage_line_prints_held_and_static_words() {
     use parsplu::core::{Options, SparseLu};

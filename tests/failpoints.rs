@@ -12,6 +12,9 @@
 
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::StaticFactors;
 use parsplu::core::failpoints::FailScenario;
 use parsplu::core::{
     analyze, BreakdownPolicy, CancelToken, LuError, Options, OrderingChoice, PivotRule, RunBudget,
@@ -331,9 +334,9 @@ fn scenario_lock_survives_a_panicking_holder() {
 }
 
 /// An injected worker panic *during a refactorization* is contained, the
-/// session stays reusable, and the recovery refactor is bitwise identical
-/// to a fresh factorization of the same values — the cached schedule and
-/// recycled storage carry no state over from the aborted run.
+/// session stays reusable, and the recovery refactor is bitwise the static
+/// factors of the same values — the cached schedule and recycled storage
+/// carry no state over from the aborted run.
 #[test]
 fn session_survives_injected_panic_during_refactor() {
     use parsplu::core::SluSession;
@@ -362,30 +365,24 @@ fn session_survives_injected_panic_during_refactor() {
                 ));
             }
             // Scenario dropped: the same session refactors cleanly, and the
-            // factors match a from-scratch session bit for bit.
+            // factors are the static ones bit for bit.
             s.refactor(&vals)
                 .expect("session reusable after contained panic");
-            let mut fresh = SluSession::analyze(a.pattern(), &o).unwrap();
-            fresh.factor(&vals).unwrap();
-            let (x, y) = (s.block_matrix().unwrap(), fresh.block_matrix().unwrap());
-            for k in 0..x.num_block_cols() {
-                let cx = x.column(k).read();
-                let cy = y.column(k).read();
-                assert_eq!(cx.pivots, cy.pivots, "threads={threads}: pivots at {k}");
-                assert_eq!(
-                    cx.panel.data(),
-                    cy.panel.data(),
-                    "threads={threads}: panel at {k}"
-                );
-            }
+            let reference = StaticFactors::of(&vals);
+            let x = s.block_matrix().unwrap();
+            assert_eq!(
+                x.factor_difference(&reference.bm),
+                None,
+                "threads={threads} {mapping:?}"
+            );
         }
     }
 }
 
-/// The same containment while the session refactors on the **realised**
-/// structure of its pivot history: a panic, a cancellation or a deadline
-/// that lands in such a run leaves the session unfactored and still on that
-/// structure, and the next refactor is bitwise a fresh static factorization
+/// The same containment while the session refactors on the **in-block**
+/// structure: a panic, a cancellation or a deadline that lands in such a
+/// run leaves the session unfactored and still on that structure, and the
+/// next refactor is bitwise the static factors
 /// (`BlockMatrix::factor_difference`).
 #[test]
 fn realised_refactor_survives_panic_cancel_and_deadline() {
@@ -396,14 +393,13 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
     for v in vals.values_mut() {
         *v *= 1.25;
     }
+    let reference = StaticFactors::of(&vals);
     for threads in [1usize, 2, 4] {
         for mapping in [Mapping::Static1D, Mapping::Dynamic] {
             let what = format!("threads={threads} {mapping:?}");
             let o = opts(threads, mapping);
             let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
             s.factor(&a).unwrap();
-            s.refactor(&a).unwrap();
-            s.refactor(&a).unwrap();
             assert!(s.is_realised(), "{what}");
             for fault in ["panic", "cancel", "deadline"] {
                 let scenario = FailScenario::new();
@@ -434,10 +430,8 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
                 s.set_budget(RunBudget::unbounded());
                 s.refactor(&vals).expect("session reusable after the fault");
                 assert!(s.is_realised(), "{what} {fault}");
-                let mut fresh = SluSession::analyze(a.pattern(), &o).unwrap();
-                fresh.factor(&vals).unwrap();
-                let (x, y) = (s.block_matrix().unwrap(), fresh.block_matrix().unwrap());
-                assert_eq!(x.factor_difference(y), None, "{what} {fault}");
+                let x = s.block_matrix().unwrap();
+                assert_eq!(x.factor_difference(&reference.bm), None, "{what} {fault}");
             }
         }
     }
@@ -445,11 +439,10 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
 
 /// A fault during the speculative run of `SparseLu::factor` — an injected
 /// panic, a forced breakdown, a cancellation — ends the call with the error
-/// the static path (`SluSession::factor` after the same analysis) returns,
-/// on every thread count and mapping: no fault becomes a fallback.
+/// a run on the static storage returns under the same options, on every
+/// thread count and mapping: no fault becomes a fallback.
 #[test]
 fn faults_during_the_speculative_run_are_the_static_paths_errors() {
-    use parsplu::core::SluSession;
     let a = random_unsymmetric(40, 3, 13);
     let col = a.ncols() / 2;
     for mapping in [Mapping::Static1D, Mapping::Dynamic] {
@@ -478,8 +471,9 @@ fn faults_during_the_speculative_run_are_the_static_paths_errors() {
                     }
                 };
                 let one_shot = SparseLu::factor(&a, &budgeted()).map(|_| ()).unwrap_err();
-                let mut s = SluSession::analyze(a.pattern(), &budgeted()).unwrap();
-                let fixed = s.factor(&a).unwrap_err();
+                let fixed = StaticFactors::factor(&a, &budgeted())
+                    .map(|_| ())
+                    .unwrap_err();
                 let what =
                     format!("threads={threads} {mapping:?} {fault}: {one_shot:?} vs {fixed:?}");
                 match (&one_shot, &fixed) {

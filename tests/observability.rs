@@ -8,11 +8,11 @@
 //!   oracle path writes for the matrix the driver factors (the driver
 //!   itself counts from the skeleton's lengths and writes none);
 //! * factor, trsm and gemm flop counters equal the `costs.rs` model over
-//!   the lists the factors were computed on — realised for a speculating
-//!   `SparseLu::factor` or a settled `refactor`, static for
-//!   `SluSession::factor` — exactly (the formulas are integral, and the
-//!   model prices the very shapes the compact storage hands the kernels),
-//!   on the sparse suite and on a dense matrix;
+//!   the lists the factors were computed on — the in-block ones for a
+//!   `SparseLu::factor` or a session's `factor` / `refactor`, the static
+//!   ones for a run on the static storage — exactly (the formulas are
+//!   integral, and the model prices the very shapes the compact storage
+//!   hands the kernels), on the sparse suite and on a dense matrix;
 //! * run reports schema-validate through the bench crate's validator and
 //!   carry the registry's values verbatim;
 //! * the combined Chrome trace is well-formed and shows the pipeline
@@ -24,8 +24,8 @@
 //!   span.
 
 use parsplu::core::{
-    analyze, estimate_task_costs, factor_reported, total_flops, MatrixMeta, ObsSession, Options,
-    RunStatus, SluSession, SparseLu,
+    analyze, estimate_task_costs, factor_numeric_with, factor_reported, total_flops, BlockMatrix,
+    MatrixMeta, NumericRequest, ObsSession, Options, RunStatus, SluSession, SparseLu,
 };
 use parsplu::matgen::{paper_suite, Scale};
 use parsplu::obs::Counter;
@@ -137,7 +137,7 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
         };
         let name = m.name;
         // The one-shot factor speculates, and no suite pattern takes an
-        // interchange: its kernels run on the realised lists.
+        // interchange: its kernels run on the in-block lists.
         let session = ObsSession::new();
         let lu = SparseLu::factor_observed(&m.a, &opts, &session).expect("factorization succeeds");
         assert_eq!(
@@ -152,19 +152,17 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
         let speculated = total_flops(&estimate_task_costs(&sym.block_structure, &graph));
         assert!(speculated < static_model, "{name}");
 
-        // A session that has settled on its (interchange-free) pivot history
-        // runs the kernels of the same realised lists; `factor` runs the
-        // static ones again.
+        // A session's refactor runs the kernels of the same in-block lists;
+        // a run on the static storage runs the static ones.
         let mut s = SluSession::analyze(m.a.pattern(), &opts).unwrap();
         s.factor(&m.a).unwrap();
-        s.refactor(&m.a).unwrap();
         let obs = ObsSession::new();
         s.refactor_observed(&m.a, &obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::RefactorRealised), 1, "{name}");
         let realised = &s.symbolic().block_structure;
         assert_eq!(
             realised, &sym.block_structure,
-            "{name}: one realised structure"
+            "{name}: one in-block structure"
         );
         assert_counted_is_the_model(&obs, realised, &graph, name);
         assert_eq!(
@@ -172,8 +170,12 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             realised.storage_words() as u64
         );
         let obs = ObsSession::new();
-        s.factor_observed(&m.a, &obs).unwrap();
-        let what = format!("{name}: factor is static");
+        let bm = BlockMatrix::assemble(&sym.permute_matrix(&m.a), static_bs);
+        let req = NumericRequest::coarse(&graph, opts.mapping)
+            .threads(opts.threads)
+            .metrics(std::sync::Arc::clone(obs.metrics()));
+        factor_numeric_with(&bm, &req).unwrap();
+        let what = format!("{name}: the static storage");
         assert_counted_is_the_model(&obs, static_bs, &graph, &what);
     }
 }
@@ -429,9 +431,8 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
     for m in paper_suite(Scale::Reduced) {
         let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
         s.factor(&m.a).unwrap();
-        // The second refactor settles on the realised structure; the
-        // observed ones below then replay the very same program.
-        s.refactor(&m.a).unwrap();
+        // On the in-block structure since the factor: the observed
+        // refactors below replay the very same program.
         s.refactor(&m.a).unwrap();
         let unobserved = factor_bits(&s);
         for obs in [ObsSession::new(), ObsSession::with_events()] {
@@ -440,7 +441,7 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
             let meta = MatrixMeta::from_stats(m.name, s.stats());
             let report = obs.report(meta, s.options(), RunStatus::success());
             let sched = report.sched.expect("the numeric phase ran");
-            // One task per stored update and per factor: the realised
+            // One task per stored update and per factor: the in-block
             // storage's, not the static graph's.
             let n_tasks = s.block_matrix().unwrap().num_tasks();
             assert!(n_tasks <= s.stats().graph_tasks, "{}", m.name);

@@ -1,14 +1,19 @@
-//! Differential suite for refactorization on the realised structure
-//! (DESIGN.md §5.4–5.5): whatever path a `refactor` takes — static,
-//! realised, or the fallback after a diverged pivot — its factors are the
-//! static `factor`'s of the same values **bit for bit**: pivots as global
-//! rows, every stored word at its global position, every word the realised
-//! storage leaves out exactly zero in the static one, and every solve route.
+//! Differential suite for sessions on the in-block structure (DESIGN.md
+//! §5.4–5.5): whatever path a `factor` or `refactor` takes — the in-block
+//! structure, the fallback after a pivot left its diagonal block, or the
+//! static structure a session stays on after one — its factors are the
+//! static oracle's (`common::StaticFactors`) of the same values **bit for
+//! bit**: pivots as global rows, every stored word at its global position,
+//! every word the in-block storage leaves out exactly zero in the static
+//! one, and every solve route.
 
+mod common;
+
+use common::{first_out_of_block, StaticFactors};
 use parsplu::core::{
-    solve_permuted_parallel, BlockMatrix, ObsSession, Options, RefactorPath, SluSession,
+    solve_permuted_parallel, BlockMatrix, ObsSession, Options, RefactorPath, RunStatus, SluSession,
 };
-use parsplu::matgen::{fig1_matrix, paper_suite, random_pattern, Scale};
+use parsplu::matgen::{cross_block_pivots, fig1_matrix, paper_suite, random_pattern, Scale};
 use parsplu::obs::Counter;
 use parsplu::sched::{block_forest, Mapping};
 use parsplu::sparse::CscMatrix;
@@ -110,18 +115,22 @@ fn interchanges(bm: &BlockMatrix) -> usize {
     rows.iter().enumerate().filter(|&(c, &r)| c != r).count()
 }
 
-/// The factors and solves of `s` against those of `reference`, a session on
-/// the static structure that ran `factor` on the same values.
-fn assert_bitwise_static(s: &SluSession, reference: &SluSession, what: &str) {
-    assert!(!reference.is_realised(), "{what}: factor stays static");
-    let (bm, want) = (s.block_matrix().unwrap(), reference.block_matrix().unwrap());
-    assert_eq!(bm.factor_difference(want), None, "{what}");
+/// The factors and solves of `s` against the static factors of the same
+/// values.
+fn assert_bitwise_static(s: &SluSession, reference: &StaticFactors, what: &str) {
+    let bm = s.block_matrix().unwrap();
+    assert_eq!(bm.factor_difference(&reference.bm), None, "{what}");
 
     // The storage is the one of the structure the session hands out, the
     // maps can be rebuilt from it, and it keeps the block eforest.
     let (bs, static_bs) = (&s.symbolic().block_structure, s.static_structure());
     assert_eq!(bm.storage_words(), bs.storage_words(), "{what}");
-    assert_eq!(static_bs, &reference.symbolic().block_structure, "{what}");
+    assert_eq!(static_bs, &reference.sym.block_structure, "{what}");
+    assert_eq!(
+        s.storage().unwrap().static_words,
+        reference.bm.storage_words(),
+        "{what}"
+    );
     if s.is_realised() {
         assert!(bs.storage_words() <= static_bs.storage_words(), "{what}");
         for k in 0..bs.num_blocks() {
@@ -141,17 +150,17 @@ fn assert_bitwise_static(s: &SluSession, reference: &SluSession, what: &str) {
 
     let n = bm.n();
     let b = rhs(n, 0xb0b);
-    let x = reference.try_solve(&b).unwrap();
+    let x = reference.solve(&b);
     assert_eq!(bits(&s.try_solve(&b).unwrap()), bits(&x), "{what}: solve");
     assert_eq!(
         bits(&s.try_solve_transposed(&b).unwrap()),
-        bits(&reference.try_solve_transposed(&b).unwrap()),
+        bits(&reference.solve_transposed(&b)),
         "{what}: transposed solve"
     );
     let bb: Vec<f64> = (0..MANY).flat_map(|r| rhs(n, 77 + r as u64)).collect();
     assert_eq!(
         bits(&s.try_solve_many(&bb, MANY).unwrap()),
-        bits(&reference.try_solve_many(&bb, MANY).unwrap()),
+        bits(&reference.solve_many(&bb, MANY)),
         "{what}: {MANY} right-hand sides"
     );
     for threads in [2, 4] {
@@ -160,21 +169,30 @@ fn assert_bitwise_static(s: &SluSession, reference: &SluSession, what: &str) {
     }
 }
 
+/// Value sets with their static factors.
+fn with_references(sets: Vec<CscMatrix>, opts: &Options) -> Vec<(CscMatrix, StaticFactors)> {
+    (sets.into_iter())
+        .map(|a| {
+            let reference = StaticFactors::factor(&a, opts).unwrap();
+            (a, reference)
+        })
+        .collect()
+}
+
+/// The structure an observed `factor` / `refactor` of `s` ran on.
+fn path_of(obs: &ObsSession, s: &SluSession) -> Option<RefactorPath> {
+    (obs.report(Default::default(), s.options(), RunStatus::success())).refactor
+}
+
 /// Feeds `sets` to `s.refactor` one after the other and holds every result
-/// to `reference.factor` of the same values; returns how many of the calls
-/// ran (to completion) on a realised structure.
-fn refactor_all(
-    s: &mut SluSession,
-    reference: &mut SluSession,
-    sets: &[CscMatrix],
-    what: &str,
-) -> u64 {
+/// to the static factors of the same values; returns how many of the calls
+/// ran (to completion) on the in-block structure.
+fn refactor_all(s: &mut SluSession, sets: &[(CscMatrix, StaticFactors)], what: &str) -> u64 {
     let mut realised = 0;
-    for (step, a) in sets.iter().enumerate() {
+    for (step, (a, reference)) in sets.iter().enumerate() {
         let obs = ObsSession::new();
         s.refactor_observed(a, &obs).unwrap();
         realised += obs.metrics().get(Counter::RefactorRealised);
-        reference.factor(a).unwrap();
         assert_bitwise_static(s, reference, &format!("{what}, step {step}"));
     }
     realised
@@ -191,17 +209,20 @@ fn options(threads: usize, mapping: Mapping) -> Options {
 #[test]
 fn realised_refactor_is_bitwise_the_static_factor_suitewide() {
     for m in paper_suite(Scale::Reduced) {
-        let sets: Vec<CscMatrix> = (0..5).map(|k| dominant_values(&m.a, k)).collect();
-        let mut reference = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
+        let sets = (0..5).map(|k| dominant_values(&m.a, k)).collect();
+        let sets = with_references(sets, &Options::default());
         for threads in [1usize, 2, 4] {
             for mapping in [Mapping::Static1D, Mapping::Dynamic] {
                 let what = format!("{} threads={threads} {mapping:?}", m.name);
                 let mut s = SluSession::analyze(m.a.pattern(), &options(threads, mapping)).unwrap();
-                s.factor(&sets[0]).unwrap();
-                let realised = refactor_all(&mut s, &mut reference, &sets[1..], &what);
-                // The first refactor finds one history, the second two equal
-                // ones: it and every later one run realised.
-                assert_eq!(realised, 3, "{what}");
+                let obs = ObsSession::new();
+                s.factor_observed(&sets[0].0, &obs).unwrap();
+                assert_eq!(path_of(&obs, &s), Some(RefactorPath::Realised), "{what}");
+                assert_bitwise_static(&s, &sets[0].1, &what);
+                // The first factorization speculates, and every refactor
+                // stays on its structure.
+                let realised = refactor_all(&mut s, &sets[1..], &what);
+                assert_eq!(realised, 4, "{what}");
                 assert!(s.is_realised(), "{what}");
                 assert_eq!(interchanges(s.block_matrix().unwrap()), 0, "{what}");
             }
@@ -209,8 +230,10 @@ fn realised_refactor_is_bitwise_the_static_factor_suitewide() {
     }
 }
 
-/// Histories **with** interchanges: the flags of a block's columns travel
-/// with the rows that `Factor(K)` exchanges.
+/// Histories **with** interchanges: one whose pivots stay inside their
+/// blocks keeps the in-block structure; one whose pivots leave them falls
+/// back once — on the first `factor` — and refactors on the static
+/// structure from then on. Bitwise the static factors throughout.
 #[test]
 fn histories_with_interchanges_derive_correctly() {
     // The two hand-made cases of `core::numeric`'s unit tests: tiny
@@ -256,9 +279,17 @@ fn histories_with_interchanges_derive_correctly() {
         let n = 40 + 17 * seed as usize;
         cases.push((format!("weak diagonal n={n}"), weak_diagonal(n, seed)));
     }
-    let mut moved = 0;
+    let (mut moved, mut fell_back) = (0, 0);
     for (name, a) in &cases {
         for amalgamation in [Some(SupernodeOptions::default()), None] {
+            let reference_opts = Options {
+                amalgamation,
+                ..Options::default()
+            };
+            let reference = StaticFactors::factor(a, &reference_opts).unwrap();
+            let leaves = first_out_of_block(&reference.bm).is_some();
+            let sets = (1..5).map(|k| column_scaled(a, k)).collect();
+            let sets = with_references(sets, &reference_opts);
             for (threads, mapping) in [
                 (1, Mapping::Static1D),
                 (2, Mapping::Dynamic),
@@ -272,152 +303,140 @@ fn histories_with_interchanges_derive_correctly() {
                     amalgamation,
                     ..options(threads, mapping)
                 };
-                let reference_opts = Options {
-                    amalgamation,
-                    ..Options::default()
-                };
-                let mut reference = SluSession::analyze(a.pattern(), &reference_opts).unwrap();
                 let mut s = SluSession::analyze(a.pattern(), &opts).unwrap();
-                s.factor(a).unwrap();
-                let sets: Vec<CscMatrix> = (1..5).map(|k| column_scaled(a, k)).collect();
-                let realised = refactor_all(&mut s, &mut reference, &sets, &what);
-                assert_eq!(realised, 3, "{what}: column scalings keep the history");
+                let obs = ObsSession::new();
+                s.factor_observed(a, &obs).unwrap();
+                let fallbacks = obs.metrics().get(Counter::RefactorFallback);
+                assert_eq!(fallbacks, u64::from(leaves), "{what}");
+                assert_bitwise_static(&s, &reference, &what);
+                // Column scalings keep the history: in its blocks the
+                // structure holds, out of them the session stays static.
+                let realised = refactor_all(&mut s, &sets, &what);
+                assert_eq!(realised, if leaves { 0 } else { 4 }, "{what}");
+                assert_eq!(s.is_realised(), !leaves, "{what}");
                 moved += interchanges(s.block_matrix().unwrap());
+                fell_back += fallbacks;
             }
         }
     }
     assert!(moved > 500, "only {moved} interchanges were replayed");
+    assert!(fell_back > 0, "no history left its blocks");
 }
 
 /// Sixteen random value sets that share the interchange-free history: the
-/// lists derived from the first two hold every nonzero of all of them (the
+/// lists the first `factor` derives hold every nonzero of all of them (the
 /// wire never trips, and the static factors are zero outside the lists).
+/// They are the pattern's: derived once per session, whatever the values.
 #[test]
 fn sixteen_value_sets_of_one_history_fit_the_derived_lists() {
     for m in paper_suite(Scale::Reduced).into_iter().take(4) {
-        let mut reference = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
         let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
         s.factor(&dominant_values(&m.a, 100)).unwrap();
-        s.refactor(&dominant_values(&m.a, 101)).unwrap();
-        let sets: Vec<CscMatrix> = (0..16).map(|k| dominant_values(&m.a, 200 + k)).collect();
+        assert!(s.is_realised(), "{}", m.name);
         let lists = s.symbolic().block_structure.clone();
-        let realised = refactor_all(&mut s, &mut reference, &sets, m.name);
+        let static_words = s.static_structure().storage_words();
+        assert!(lists.storage_words() < static_words, "{}", m.name);
+
+        let sets = (0..16).map(|k| dominant_values(&m.a, 200 + k)).collect();
+        let sets = with_references(sets, &Options::default());
+        let realised = refactor_all(&mut s, &sets, m.name);
         assert_eq!(realised, 16, "{}", m.name);
         assert!(s.is_realised());
-        // Derived once: the second call moved the session, nothing since.
-        let after_first = {
-            let mut t = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
-            t.factor(&dominant_values(&m.a, 100)).unwrap();
-            t.refactor(&dominant_values(&m.a, 101)).unwrap();
-            assert!(!t.is_realised() && t.symbolic().block_structure == lists);
-            t.refactor(&sets[0]).unwrap();
-            t.symbolic().block_structure.clone()
-        };
-        assert_eq!(s.symbolic().block_structure, after_first, "{}", m.name);
-        assert!(
-            after_first.storage_words() < lists.storage_words(),
-            "{}",
-            m.name
-        );
+        assert_eq!(s.symbolic().block_structure, lists, "{}", m.name);
+
+        let mut t = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
+        t.factor(&sets[15].0).unwrap();
+        assert_eq!(t.symbolic().block_structure, lists, "{}", m.name);
     }
 }
 
-/// One entry below its column's diagonal block, scaled above the diagonal,
-/// flips that column's pivot out of the block: the job is answered through
-/// the static structure, bit for bit, and the session re-derives once two
-/// factorizations agree again. (A pivot that stays in its block keeps the
-/// realised structure: `tests/speculation.rs`.)
+/// `matgen::cross_block_pivots` takes pivots from below their diagonal
+/// blocks: a `factor` trips the wire and answers the job through the static
+/// structure (the report names the column); a `refactor` after it stays
+/// static; the next `factor` speculates again — holding on values whose
+/// pivots stay in their blocks, tripping once more on a `refactor` of the
+/// cross-block values. Bitwise the static factors throughout, at 1/2/4/8
+/// threads under both mappings. (A pivot that stays in its block keeps the
+/// in-block structure: `tests/speculation.rs`.)
 #[test]
 fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
-    let m = &paper_suite(Scale::Reduced)[0];
-    for (threads, mapping) in [(1, Mapping::Static1D), (2, Mapping::Dynamic)] {
-        let mut reference = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
-        let mut s = SluSession::analyze(m.a.pattern(), &options(threads, mapping)).unwrap();
-        let sets: Vec<CscMatrix> = (0..3).map(|k| dominant_values(&m.a, 300 + k)).collect();
-        s.factor(&sets[0]).unwrap();
-        assert_eq!(
-            refactor_all(&mut s, &mut reference, &sets[1..], "agreeing"),
-            1
-        );
-        assert!(s.is_realised());
+    let a = cross_block_pivots(90, 2);
+    let reference = StaticFactors::of(&a);
+    let first = first_out_of_block(&reference.bm).expect("a pivot leaves its block");
+    let history = reference.bm.pivot_rows();
+    let scaled = column_scaled(&a, 1);
+    let scaled_reference = StaticFactors::of(&scaled);
+    let held = dominant_values(&a, 400);
+    let held_reference = StaticFactors::of(&held);
+    assert_eq!(first_out_of_block(&held_reference.bm), None);
+    for threads in [1usize, 2, 4, 8] {
+        for mapping in [Mapping::Static1D, Mapping::Dynamic] {
+            let what = format!("threads={threads} {mapping:?}");
+            let mut s = SluSession::analyze(a.pattern(), &options(threads, mapping)).unwrap();
+            let fallback = |s: &SluSession, obs: &ObsSession| {
+                assert_eq!(obs.metrics().get(Counter::RefactorFallback), 1, "{what}");
+                assert_eq!(obs.metrics().get(Counter::RefactorRealised), 0, "{what}");
+                let report = obs.report(Default::default(), s.options(), RunStatus::success());
+                let Some(RefactorPath::Fallback { column }) = report.refactor else {
+                    panic!("{what}: expected a fallback, got {:?}", report.refactor);
+                };
+                // One worker meets the first such column; several may meet
+                // another one first — still one whose pivot left its block.
+                if threads == 1 {
+                    assert_eq!(column, first, "{what}");
+                }
+                let bm = &reference.bm;
+                let k = (0..bm.num_block_cols())
+                    .rfind(|&k| bm.global_col_start(k) <= column)
+                    .unwrap();
+                assert!(history[column] >= bm.global_col_start(k + 1), "{what}");
+                let named =
+                    format!(r#""refactor": {{"path": "fallback", "diverged_column": {column}}}"#);
+                assert!(report.to_json().contains(&named), "{what}");
+                assert!(!s.is_realised() && s.is_factored(), "{what}");
+            };
 
-        // The first entry below its column's diagonal block in
-        // factorization order.
-        let sym = s.symbolic();
-        let part = &s.static_structure().partition;
-        let block_of = part.block_of_cols();
-        let (e, row, col) = (m.a.triplets().enumerate())
-            .map(|(e, (i, j, _))| (e, sym.row_perm.new_of(i), sym.col_perm.new_of(j)))
-            .filter(|&(_, r, c)| r >= part.range(block_of[c]).end)
-            .min_by_key(|&(_, _, c)| c)
-            .expect("an entry below a diagonal block");
-        let mut flipped = dominant_values(&m.a, 310);
-        flipped.values_mut()[e] = 1e3;
+            let obs = ObsSession::new();
+            s.factor_observed(&a, &obs).unwrap();
+            fallback(&s, &obs);
+            assert_bitwise_static(&s, &reference, &format!("{what}: factor"));
 
-        let obs = ObsSession::new();
-        s.refactor_observed(&flipped, &obs).unwrap();
-        assert_eq!(obs.metrics().get(Counter::RefactorFallback), 1);
-        assert_eq!(obs.metrics().get(Counter::RefactorRealised), 0);
-        let report = obs.report(
-            Default::default(),
-            s.options(),
-            parsplu::core::RunStatus::success(),
-        );
-        match report.refactor {
-            // One worker meets the flipped column first; several may notice
-            // a later consequence of it before.
-            Some(RefactorPath::Fallback { column }) if threads == 1 => assert_eq!(column, col),
-            Some(RefactorPath::Fallback { column }) => assert!(column >= col),
-            other => panic!("expected a fallback, got {other:?}"),
+            let obs = ObsSession::new();
+            s.refactor_observed(&scaled, &obs).unwrap();
+            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Static), "{what}");
+            assert_bitwise_static(&s, &scaled_reference, &format!("{what}: static"));
+
+            let obs = ObsSession::new();
+            s.factor_observed(&held, &obs).unwrap();
+            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Realised), "{what}");
+            assert!(s.is_realised(), "{what}");
+            assert_bitwise_static(&s, &held_reference, &format!("{what}: again"));
+
+            let obs = ObsSession::new();
+            s.refactor_observed(&a, &obs).unwrap();
+            fallback(&s, &obs);
+            assert_bitwise_static(&s, &reference, &format!("{what}: refactor"));
+
+            let obs = ObsSession::new();
+            s.refactor_observed(&held, &obs).unwrap();
+            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Static), "{what}");
+            assert_bitwise_static(&s, &held_reference, &format!("{what}: stays"));
         }
-        assert!(report
-            .to_json()
-            .contains(r#""refactor": {"path": "fallback", "diverged_column": "#));
-        assert!(!s.is_realised() && s.is_factored());
-        reference.factor(&flipped).unwrap();
-        assert_bitwise_static(&s, &reference, "fallback");
-        assert_eq!(s.block_matrix().unwrap().pivot_rows()[col], row);
-
-        // The flipped history stays: one static refactor records it twice
-        // in a row, the next derives from it.
-        let stays: Vec<CscMatrix> = (1..4).map(|k| column_scaled(&flipped, k)).collect();
-        let obs = ObsSession::new();
-        s.refactor_observed(&stays[0], &obs).unwrap();
-        assert!(!s.is_realised());
-        assert_eq!(
-            obs.report(
-                Default::default(),
-                s.options(),
-                parsplu::core::RunStatus::success()
-            )
-            .refactor,
-            Some(RefactorPath::Static)
-        );
-        assert_eq!(
-            refactor_all(&mut s, &mut reference, &stays[1..], "re-derived"),
-            2
-        );
-        assert!(s.is_realised());
-
-        // `factor` is the oracle: it always returns to the static structure.
-        s.factor(&sets[0]).unwrap();
-        assert!(!s.is_realised());
-        reference.factor(&sets[0]).unwrap();
-        assert_bitwise_static(&s, &reference, "factor after realised");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any sequence of value sets on a random pattern — repeats of one
-    /// history, fresh histories, flips back — refactors to the static
-    /// factors, whichever path each call takes.
+    /// Any sequence of `factor`s and `refactor`s of value sets on a random
+    /// pattern — repeats of one history, fresh histories, flips back —
+    /// yields the static factors, whichever path each call takes.
     #[test]
     fn any_refactor_sequence_is_bitwise_static(
         n in 8usize..48,
         seed in 0u64..1000,
         weak in proptest::collection::vec(0usize..4, 6),
+        factor_at in 0usize..64,
         threads in 1usize..4,
     ) {
         let pattern = random_pattern(n, 3 * n, seed);
@@ -426,7 +445,8 @@ proptest! {
         ).unwrap();
         // Step k: a dominant value set (history: no interchange) or, for
         // `weak[k] == 0`, one whose diagonal is tiny; consecutive equal
-        // draws share a history through column scalings.
+        // draws share a history through column scalings. Bit k of
+        // `factor_at` makes the step a `factor`.
         let tiny: Vec<(usize, usize, f64)> = dominant_values(&ones, seed + 1)
             .triplets()
             .map(|(i, j, v)| (i, j, if i == j { 1e-3 } else { v }))
@@ -438,16 +458,21 @@ proptest! {
         let sets: Vec<CscMatrix> = weak.iter().enumerate()
             .map(|(k, &w)| column_scaled(&base[usize::from(w == 0)], k as u64))
             .collect();
-        let mut reference = SluSession::analyze(&pattern, &Options::default()).unwrap();
         let mut s = SluSession::analyze(&pattern, &options(threads, Mapping::Dynamic)).unwrap();
         // A weak diagonal may be singular: both sides must then say so.
         for (step, a) in sets.iter().enumerate() {
-            match (s.refactor(a), reference.factor(a)) {
-                (Ok(()), Ok(())) => assert_bitwise_static(&s, &reference, &format!("step {step}")),
+            let got = if factor_at >> step & 1 == 1 { s.factor(a) } else { s.refactor(a) };
+            match (got, StaticFactors::factor(a, &Options::default())) {
+                (Ok(()), Ok(reference)) => {
+                    assert_bitwise_static(&s, &reference, &format!("step {step}"))
+                }
                 // Which singular column a parallel run meets first is the
                 // schedule's business.
                 (Err(_), Err(_)) => {}
-                (got, want) => panic!("step {step}: {got:?} against the static {want:?}"),
+                (got, want) => panic!(
+                    "step {step}: {got:?} against the static {:?}",
+                    want.map(|_| ())
+                ),
             }
         }
     }
@@ -456,7 +481,7 @@ proptest! {
 /// The graph builders on a realised session: `SymbolicLu::build_graph`
 /// builds over the static structure — the tasks every factorization of
 /// the pattern runs — whichever structure the storage holds. Built over
-/// the realised lists instead, the eforest builder panicked (rule 4 named
+/// the in-block lists instead, the eforest builder panicked (rule 4 named
 /// an update those lists dropped) and the S* builder returned a graph of
 /// other tasks, on the full-scale sherman3 analogue as on the suite. The
 /// S* graph of the static structure, handed to the range plan, factors
@@ -477,9 +502,7 @@ fn graph_builders_read_the_static_structure_of_a_realised_session() {
     let mut dropped_blocks = 0;
     for (name, a) in std::iter::once(full).chain(suite) {
         let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
-        for _ in 0..3 {
-            s.refactor(&a).unwrap();
-        }
+        s.factor(&a).unwrap();
         assert!(s.is_realised(), "{name}");
         let (sym, static_bs) = (s.symbolic(), s.static_structure());
         let blocks = |bs: &parsplu::symbolic::BlockStructure| -> usize {
@@ -505,5 +528,5 @@ fn graph_builders_read_the_static_structure_of_a_realised_session() {
             }
         }
     }
-    assert!(dropped_blocks > 0, "the realised lists leave blocks out");
+    assert!(dropped_blocks > 0, "the in-block lists leave blocks out");
 }

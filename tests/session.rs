@@ -23,8 +23,8 @@ fn revalue(a: &CscMatrix, salt: u64) -> CscMatrix {
 }
 
 /// Same pivots (as global rows) and the same word at every global
-/// position; a word only one side stores — a realised storage leaves out
-/// what its pivot history never fills — is exactly zero.
+/// position; a word only one side stores — the in-block storage leaves out
+/// what pivots inside their blocks never fill — is exactly zero.
 fn assert_bitwise_equal(x: &BlockMatrix, y: &BlockMatrix, what: &str) {
     assert_eq!(x.factor_difference(y), None, "{what}");
 }

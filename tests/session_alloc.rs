@@ -1,11 +1,10 @@
 //! The zero-allocation guarantee of the refactor hot path, asserted with
-//! the counting global allocator: once the session has settled on the
-//! structure of its pivot history (a factorization and two refactors: the
-//! second derives the realised structure), a one-thread untraced
+//! the counting global allocator: after the first factorization (which
+//! lays the storage out on the in-block structure), a one-thread untraced
 //! `SluSession::refactor` must not grow the heap high-water mark by a
 //! single byte — storage reset, value scatter, the one range of the whole
-//! matrix, pivot recycling and the per-column compare against the recorded
-//! history all run in place. An *observed* refactor (counters session) is
+//! matrix, pivot recycling and the wire's per-column check all run in
+//! place. An *observed* refactor (counters session) is
 //! the same range with one recorder attached: what it allocates is bounded
 //! by a constant, whatever the task count — no worker loop ran.
 //!
@@ -36,14 +35,11 @@ fn refactor_hot_path_allocates_nothing() {
     let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
     s.factor(&m.a).unwrap();
     let new_values: Vec<CscMatrix> = (0..3).map(|k| revalue(&m.a, k)).collect();
-    // Warm-up: the first refactor records the pivot history (its buffer is
-    // allocated here), the second finds it repeated and moves the session
-    // onto the realised structure (new storage, maps, pivot vectors).
+    // Warm-up: the first refactor allocates the pivot vectors.
     s.refactor(&new_values[0]).unwrap();
-    s.refactor(&new_values[1]).unwrap();
     assert!(
         s.is_realised(),
-        "the steady state under test is the realised one"
+        "the steady state under test is the in-block one"
     );
     for (round, vals) in new_values.iter().enumerate() {
         reset_heap_peak();
@@ -57,7 +53,7 @@ fn refactor_hot_path_allocates_nothing() {
             after - base
         );
     }
-    assert!(s.is_realised(), "no round left the recorded history");
+    assert!(s.is_realised(), "no round left the in-block structure");
     // The factors produced under the no-alloc regime are still right.
     let last = new_values.last().unwrap();
     let (_, b) = manufactured_rhs(last, 41);
@@ -77,7 +73,6 @@ fn refactor_hot_path_allocates_nothing() {
         let a = paper_matrix("sherman3", scale).unwrap();
         let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
         s.factor(&a).unwrap();
-        s.refactor_observed(&a, &ObsSession::new()).unwrap();
         s.refactor_observed(&a, &ObsSession::new()).unwrap();
         assert!(s.is_realised());
         let obs = ObsSession::new();

@@ -1,16 +1,19 @@
 //! One differential suite for the solve doors: `SparseLu`, `SluSession`
-//! (on the static and on a realised structure) and the free sweeps
-//! `solve_permuted` / `solve_permuted_parallel`, over the reduced paper
-//! suite × {static session, realised session after three `refactor`s} ×
+//! (on the in-block structure) and the free sweeps `solve_permuted` /
+//! `solve_permuted_parallel` (on the session's storage and on the static
+//! oracle's, `common::StaticFactors`), over the reduced paper suite ×
 //! {equilibrate off, on}.
 //!
 //! `SparseLu` is "scale → the session's solve → unscale", so whatever the
 //! combination its answer is — bit for bit — the session's answer on the
 //! matrix the session was given (`A`, or `R·A·C`), between the same scales.
-//! Its own factors come from a speculative run on the realised structure
-//! of the in-block pivot histories, which answers as the static session
-//! does at every thread count and mapping.
+//! The session's factors come from a speculative run on the in-block
+//! structure, which answers as the static factors do at every thread count
+//! and mapping.
 
+mod common;
+
+use common::StaticFactors;
 use parsplu::core::gp::gp_factor;
 use parsplu::core::{
     solve_permuted, solve_permuted_parallel, LuError, Options, SluSession, SparseLu,
@@ -85,23 +88,22 @@ fn cases() -> Vec<Case> {
         .collect()
 }
 
-/// A session holding factors of `work`: after one `factor` (static), or
-/// after three `refactor`s (the third runs on the realised structure).
-fn session_on(work: &CscMatrix, realised: bool) -> SluSession {
+/// A session holding factors of `work` — on the in-block structure, which
+/// every suite matrix keeps to — and the static factors of `work`.
+fn session_on(work: &CscMatrix) -> (SluSession, StaticFactors) {
     let mut s = SluSession::analyze(work.pattern(), &Options::default()).unwrap();
-    if realised {
-        for _ in 0..3 {
-            s.refactor(work).unwrap();
-        }
-    } else {
-        s.factor(work).unwrap();
-    }
-    assert_eq!(s.is_realised(), realised);
-    s
+    s.factor(work).unwrap();
+    assert!(s.is_realised());
+    let reference = StaticFactors::of(work);
+    assert_eq!(
+        s.storage().unwrap().static_words,
+        reference.bm.storage_words()
+    );
+    (s, reference)
 }
 
-fn check(case: &Case, equil: bool, realised: bool) {
-    let what = format!("{} equilibrate={equil} realised={realised}", case.name);
+fn check(case: &Case, equil: bool) {
+    let what = format!("{} equilibrate={equil}", case.name);
     let (a, b, bb) = (&case.a, &case.b[..], &case.bb[..]);
     let n = a.ncols();
     let opts = Options {
@@ -117,7 +119,7 @@ fn check(case: &Case, equil: bool, realised: bool) {
         Some(eq) => (&eq.scaled, &eq.row_scale[..], &eq.col_scale[..]),
         None => (a, &ones[..], &ones[..]),
     };
-    let s = session_on(work, realised);
+    let (s, reference) = session_on(work);
     let columns = |v: &[f64], by: &[f64]| -> Vec<f64> {
         v.chunks(n).flat_map(|col| scaled(col, by)).collect()
     };
@@ -154,16 +156,34 @@ fn check(case: &Case, equil: bool, realised: bool) {
         assert_eq!(ss[col], single[..], "{what}: session column {r}");
     }
 
-    // The free sweeps on the structure the session holds.
+    // The free sweeps on the structure the session holds and on the
+    // static one, and the static factors' other solves.
     let (sym, bm) = (s.symbolic(), s.block_matrix().unwrap());
     let mut y = sym.row_perm.apply_vec(b);
     solve_permuted(bm, &sym.block_structure, &mut y);
     assert_eq!(sym.col_perm.apply_inverse_vec(&y), s.try_solve(b).unwrap());
-    for threads in [1usize, 2, 4] {
-        let mut y_par = sym.row_perm.apply_vec(b);
-        solve_permuted_parallel(bm, &sym.block_structure, &mut y_par, threads);
-        assert_eq!(y_par, y, "{what}: parallel sweep, {threads} threads");
+    let storages = [
+        (bm, &sym.block_structure, "held"),
+        (&reference.bm, &reference.sym.block_structure, "static"),
+    ];
+    for (bm, bs, held) in storages {
+        let mut y_static = sym.row_perm.apply_vec(b);
+        solve_permuted(bm, bs, &mut y_static);
+        assert_eq!(y_static, y, "{what}: {held} sweep");
+        for threads in [1usize, 2, 4] {
+            let mut y_par = sym.row_perm.apply_vec(b);
+            solve_permuted_parallel(bm, bs, &mut y_par, threads);
+            assert_eq!(y_par, y, "{what}: {held} parallel sweep, {threads} threads");
+        }
     }
+    let wb = scaled(b, rows);
+    assert_eq!(reference.solve(&wb), s.try_solve(&wb).unwrap(), "{what}");
+    let wb = scaled(b, cols);
+    let xt_static = reference.solve_transposed(&wb);
+    assert_eq!(xt_static, s.try_solve_transposed(&wb).unwrap(), "{what}");
+    let wbb = columns(bb, rows);
+    let xs_static = reference.solve_many(&wbb, MANY);
+    assert_eq!(xs_static, s.try_solve_many(&wbb, MANY).unwrap(), "{what}");
 
     // Both oracles, forward and transposed.
     for (x, t) in [(&x, 0), (&xt, 1)] {
@@ -212,32 +232,29 @@ fn check(case: &Case, equil: bool, realised: bool) {
 fn every_solve_door_agrees_on_static_and_realised_structures() {
     for case in cases() {
         for equil in [false, true] {
-            for realised in [false, true] {
-                check(&case, equil, realised);
-            }
+            check(&case, equil);
         }
     }
 }
 
-/// `SparseLu::factor` speculates on the realised structure of the in-block
-/// pivot histories, which every suite matrix keeps to: at every thread
-/// count and mapping its factors are the static session's
-/// (`SluSession::factor`, one thread) and so is every solve, bit for bit.
+/// `SparseLu::factor` speculates on the in-block structure, which every
+/// suite matrix keeps to: at every thread count and mapping its factors are
+/// the static ones (one thread) and so is every solve, bit for bit.
 #[test]
 fn the_speculative_one_shot_factor_solves_as_the_static_session() {
     use parsplu::sched::Mapping;
     let bits = |x: Vec<f64>| -> Vec<u64> { x.into_iter().map(f64::to_bits).collect() };
     for m in paper_suite(Scale::Reduced) {
         let a = &m.a;
-        let reference = session_on(a, false);
+        let reference = StaticFactors::of(a);
         let b = manufactured_rhs(a, 41).1;
         let bb: Vec<f64> = (0..MANY as u64)
             .flat_map(|r| manufactured_rhs(a, 50 + r).1)
             .collect();
         let want = (
-            bits(reference.try_solve(&b).unwrap()),
-            bits(reference.try_solve_transposed(&b).unwrap()),
-            bits(reference.try_solve_many(&bb, MANY).unwrap()),
+            bits(reference.solve(&b)),
+            bits(reference.solve_transposed(&b)),
+            bits(reference.solve_many(&bb, MANY)),
         );
         for threads in [1usize, 2, 4, 8] {
             for mapping in [Mapping::Static1D, Mapping::Dynamic] {
@@ -249,12 +266,8 @@ fn the_speculative_one_shot_factor_solves_as_the_static_session() {
                 };
                 let lu = SparseLu::factor(a, &opts).unwrap();
                 assert!(lu.session().is_realised(), "{what}");
-                let (bm, static_bm) = (lu.session().block_matrix(), reference.block_matrix());
-                assert_eq!(
-                    bm.unwrap().factor_difference(static_bm.unwrap()),
-                    None,
-                    "{what}"
-                );
+                let bm = lu.session().block_matrix().unwrap();
+                assert_eq!(bm.factor_difference(&reference.bm), None, "{what}");
                 assert_eq!(bits(lu.try_solve(&b).unwrap()), want.0, "{what}: solve");
                 let xt = lu.try_solve_transposed(&b).unwrap();
                 assert_eq!(bits(xt), want.1, "{what}: transposed");

@@ -1,17 +1,18 @@
 //! Differential suite for the speculative one-shot factorization (DESIGN.md
-//! §5.4): `SparseLu::factor` runs on the realised structure of the in-block
-//! pivot histories — derived from the static lists and the input's pattern —
-//! and falls back to the static structure only when a pivot leaves its
-//! diagonal block. Whichever structure answers, the factors are those of
-//! `SluSession::factor`, the static oracle, bit for bit.
+//! §5.4): `SparseLu::factor` — a session's first `factor` — runs on the
+//! in-block structure, derived from the static lists and the input's
+//! pattern, and falls back to the static structure only when a pivot leaves
+//! its diagonal block. Whichever structure answers, the factors are the
+//! static oracle's (`common::StaticFactors`), bit for bit.
 //!
-//! In a debug build the lists are checked on the reduced suite; a release
-//! build (CI's "Speculation differential" step) checks the full-scale suite
-//! and the benchmark's 40×40 mesh.
+//! In a debug build the suite cases are the reduced suite; a release build
+//! (CI's "Speculation differential" step) runs the full-scale suite and the
+//! benchmark's 40×40 mesh.
 
-use parsplu::core::{
-    BlockMatrix, ObsSession, Options, RefactorPath, RunStatus, SluSession, SparseLu,
-};
+mod common;
+
+use common::{first_out_of_block, StaticFactors};
+use parsplu::core::{ObsSession, Options, RefactorPath, RunStatus, SluSession, SparseLu};
 use parsplu::matgen::{
     cross_block_pivots, fem2d_unsymmetric, in_block_pivots, paper_suite, random_pattern, Scale,
 };
@@ -31,26 +32,24 @@ fn options(threads: usize, mapping: Mapping) -> Options {
     }
 }
 
-/// The static oracle: `factor` of `a` on a fresh one-thread session.
-fn static_factor(a: &CscMatrix, opts: &Options) -> SluSession {
+/// The static oracle: `a` factored on one thread under `opts`.
+fn static_factor(a: &CscMatrix, opts: &Options) -> StaticFactors {
     let opts = Options {
         threads: 1,
         ..opts.clone()
     };
-    let mut s = SluSession::analyze(a.pattern(), &opts).unwrap();
-    s.factor(a).unwrap();
-    s
+    StaticFactors::factor(a, &opts).unwrap()
 }
 
-/// A session settled on `a`'s pivot history: a factorization and two
-/// refactors, the second of which derives that history's realised
-/// structure by replay and runs on it.
+/// A session after a `factor` and a `refactor` of `a`: on the in-block
+/// structure, derived once.
 fn settled(a: &CscMatrix, opts: &Options) -> SluSession {
     let mut s = SluSession::analyze(a.pattern(), opts).unwrap();
-    for _ in 0..3 {
-        s.refactor(a).unwrap();
-    }
-    assert!(s.is_realised(), "the same values repeat their pivots");
+    s.factor(a).unwrap();
+    assert!(s.is_realised(), "the pivots stay in their blocks");
+    let lists = s.symbolic().block_structure.clone();
+    s.refactor(a).unwrap();
+    assert!(s.is_realised() && s.symbolic().block_structure == lists);
     s
 }
 
@@ -90,17 +89,14 @@ fn interchanges(history: &[usize]) -> usize {
 /// (pivots as global rows, every word both store, zeros where only the
 /// static storage has one), the storage of the structure it hands out, and
 /// every solve to the bit.
-fn assert_bitwise_static(lu: &SparseLu, reference: &SluSession, what: &str) {
-    let (bm, want) = (
-        lu.session().block_matrix().unwrap(),
-        reference.block_matrix().unwrap(),
-    );
-    assert_eq!(bm.factor_difference(want), None, "{what}");
+fn assert_bitwise_static(lu: &SparseLu, reference: &StaticFactors, what: &str) {
+    let bm = lu.session().block_matrix().unwrap();
+    assert_eq!(bm.factor_difference(&reference.bm), None, "{what}");
     let (held, static_bs) = (
         &lu.symbolic().block_structure,
         lu.session().static_structure(),
     );
-    assert_eq!(static_bs, &reference.symbolic().block_structure, "{what}");
+    assert_eq!(static_bs, &reference.sym.block_structure, "{what}");
     assert_eq!(
         block_forest(held),
         block_forest(static_bs),
@@ -110,7 +106,7 @@ fn assert_bitwise_static(lu: &SparseLu, reference: &SluSession, what: &str) {
     let st = lu.storage();
     assert_eq!(
         (st.words, st.static_words),
-        (held.storage_words(), static_bs.storage_words())
+        (held.storage_words(), reference.bm.storage_words())
     );
 
     let n = bm.n();
@@ -127,19 +123,21 @@ fn assert_bitwise_static(lu: &SparseLu, reference: &SluSession, what: &str) {
     );
     assert_eq!(
         bits(&lu.solve_transposed(&b)),
-        bits(&reference.try_solve_transposed(&b).unwrap()),
+        bits(&reference.solve_transposed(&b)),
         "{what}: transposed solve"
     );
     assert_eq!(
         bits(&lu.solve_many(&bb, MANY)),
-        bits(&reference.try_solve_many(&bb, MANY).unwrap()),
+        bits(&reference.solve_many(&bb, MANY)),
         "{what}: {MANY} right-hand sides"
     );
 }
 
-/// On the suite and the mesh, whose values take no interchange, the lists
-/// the speculation derives are the ones a session replays out of the
-/// identity history, and the factors are the static ones.
+/// On the suite and the mesh, whose values take the identity history, the
+/// speculation holds, leaves words out, and its factors are the static
+/// ones; a session's `factor` and `refactor` run on the same lists. (That
+/// the lists are the boolean replay of the identity history over the static
+/// storage is `blocks`' unit test, on the same cases.)
 #[test]
 fn derived_lists_are_the_replay_of_the_identity_history() {
     let scale = if cfg!(debug_assertions) {
@@ -160,15 +158,17 @@ fn derived_lists_are_the_replay_of_the_identity_history() {
         let lu = SparseLu::factor_observed(a, &opts, &obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::RefactorRealised), 1, "{name}");
         assert!(lu.session().is_realised(), "{name}");
-        let s = settled(a, &opts);
-        let history = s.block_matrix().unwrap().pivot_rows();
+        let history = lu.session().block_matrix().unwrap().pivot_rows();
         assert_eq!(interchanges(&history), 0, "{name}: the identity history");
+        let s = settled(a, &opts);
         assert_eq!(
             lu.symbolic().block_structure,
             s.symbolic().block_structure,
             "{name}"
         );
         assert!(lu.storage().words < lu.storage().static_words, "{name}");
+        let st = s.storage().unwrap();
+        assert!(st.words < st.static_words, "{name}");
         assert_bitwise_static(&lu, &static_factor(a, &opts), name);
     }
 }
@@ -194,20 +194,12 @@ proptest! {
         };
         let lu = SparseLu::factor(&a, &opts).unwrap();
         prop_assert!(lu.session().is_realised());
+        let history = lu.session().block_matrix().unwrap().pivot_rows();
+        prop_assert_eq!(interchanges(&history), 0);
         let s = settled(&a, &opts);
-        prop_assert_eq!(interchanges(&s.block_matrix().unwrap().pivot_rows()), 0);
         prop_assert_eq!(&lu.symbolic().block_structure, &s.symbolic().block_structure);
         assert_bitwise_static(&lu, &static_factor(&a, &opts), "random pattern");
     }
-}
-
-/// The first column of `history` whose pivot row lies outside the column's
-/// diagonal block in `bm`'s partition.
-fn first_out_of_block(bm: &BlockMatrix, history: &[usize]) -> Option<usize> {
-    (0..bm.num_block_cols()).find_map(|k| {
-        let (start, end) = (bm.global_col_start(k), bm.global_col_start(k + 1));
-        (start..end).find(|&c| history[c] >= end)
-    })
 }
 
 /// Pivots that leave their diagonal block trip the wire: the job is
@@ -219,9 +211,8 @@ fn a_pivot_that_leaves_its_block_is_answered_statically() {
     for (n, seed) in [(60, 1), (90, 2), (140, 3)] {
         let a = cross_block_pivots(n, seed);
         let reference = static_factor(&a, &Options::default());
-        let history = reference.block_matrix().unwrap().pivot_rows();
-        let first = first_out_of_block(reference.block_matrix().unwrap(), &history)
-            .expect("a pivot leaves its block");
+        let history = reference.bm.pivot_rows();
+        let first = first_out_of_block(&reference.bm).expect("a pivot leaves its block");
         for threads in [1usize, 2, 4, 8] {
             for mapping in [Mapping::Static1D, Mapping::Dynamic] {
                 let what = format!("n={n} threads={threads} {mapping:?}");
@@ -238,7 +229,7 @@ fn a_pivot_that_leaves_its_block_is_answered_statically() {
                 if threads == 1 {
                     assert_eq!(column, first, "{what}");
                 }
-                let bm = reference.block_matrix().unwrap();
+                let bm = &reference.bm;
                 let k = (0..bm.num_block_cols())
                     .rfind(|&k| bm.global_col_start(k) <= column)
                     .unwrap();
@@ -272,11 +263,11 @@ fn reshuffled(a: &CscMatrix, salt: u64) -> CscMatrix {
     b
 }
 
-/// Pivots that stay inside their diagonal blocks keep the realised
+/// Pivots that stay inside their diagonal blocks keep the in-block
 /// structure: the one-shot factorization answers from it, and a session
-/// settled on one in-block history refactors values with another on it
-/// too — bitwise the static factors, at 1/2/4/8 threads under both
-/// mappings.
+/// that factored values of one in-block history refactors values with
+/// another on it too — bitwise the static factors, at 1/2/4/8 threads
+/// under both mappings.
 #[test]
 fn in_block_interchanges_keep_the_realised_structure() {
     for (blocks, width, seed) in [(12, 5, 1), (20, 8, 2), (9, 16, 3)] {
@@ -284,10 +275,7 @@ fn in_block_interchanges_keep_the_realised_structure() {
         let other = reshuffled(&a, seed);
         let reference = static_factor(&a, &Options::default());
         let other_reference = static_factor(&other, &Options::default());
-        let (bm, other_bm) = (
-            reference.block_matrix().unwrap(),
-            other_reference.block_matrix().unwrap(),
-        );
+        let (bm, other_bm) = (&reference.bm, &other_reference.bm);
         let (history, other_history) = (bm.pivot_rows(), other_bm.pivot_rows());
         let what = format!("{blocks}x{width}");
         assert!(
@@ -295,8 +283,8 @@ fn in_block_interchanges_keep_the_realised_structure() {
             "{what}: {}",
             interchanges(&history)
         );
-        assert_eq!(first_out_of_block(bm, &history), None, "{what}");
-        assert_eq!(first_out_of_block(other_bm, &other_history), None, "{what}");
+        assert_eq!(first_out_of_block(bm), None, "{what}");
+        assert_eq!(first_out_of_block(other_bm), None, "{what}");
         assert_ne!(history, other_history, "{what}: another in-block history");
         for threads in [1usize, 2, 4, 8] {
             for mapping in [Mapping::Static1D, Mapping::Dynamic] {
@@ -308,7 +296,8 @@ fn in_block_interchanges_keep_the_realised_structure() {
                 assert!(lu.session().is_realised(), "{what}");
                 assert_bitwise_static(&lu, &reference, &what);
 
-                // The replay reads an in-block history as the identity.
+                // A session's lists are the one-shot's, and another
+                // in-block history keeps them.
                 let mut s = settled(&a, &opts);
                 let lists = &s.symbolic().block_structure;
                 assert_eq!(lists, &lu.symbolic().block_structure, "{what}");

@@ -1,20 +1,21 @@
 //! What the speculative one-shot factorization holds, asserted with the
-//! counting global allocator against the static path (`SluSession::analyze`
-//! + `factor`) on the same input:
+//! counting global allocator against the static path (analysis, then the
+//! input assembled into the storage of the static structure and factored)
+//! on the same input:
 //!
 //! * a speculation that holds never allocates the static storage: its heap
 //!   peak stays below the static path's by at least half of what the values
-//!   of the static storage and of the realised one differ by;
-//! * a fallback frees the realised storage before it assembles the static
+//!   of the static storage and of the in-block one differ by;
+//! * a fallback frees the in-block storage before it assembles the static
 //!   one: its heap peak stays below the static path's plus half of the
-//!   realised storage's values — holding both at once would add all of
+//!   in-block storage's values — holding both at once would add all of
 //!   them.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
 //! would race the global peak counter.
 
-use parsplu::core::{Options, SluSession, SparseLu};
+use parsplu::core::{analyze, factor_left_looking, BlockMatrix, Options, SparseLu};
 use parsplu::matgen::{cross_block_pivots, fem2d_unsymmetric, paper_matrix, Scale};
 use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
 use parsplu::sparse::CscMatrix;
@@ -31,12 +32,13 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, heap_stats().unwrap().peak_bytes - before)
 }
 
-/// The heap peak of the static path: analysis, then `factor`.
+/// The heap peak of the static path.
 fn static_peak(a: &CscMatrix) -> u64 {
     peak_of(|| {
-        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
-        s.factor(a).unwrap();
-        s
+        let sym = analyze(a.pattern(), &Options::default()).unwrap();
+        let bm = BlockMatrix::assemble(&sym.permute_matrix(a), &sym.block_structure);
+        factor_left_looking(&bm, 0.0).unwrap();
+        (sym, bm)
     })
     .1
 }
@@ -74,13 +76,13 @@ fn speculation_never_holds_the_static_storage_beside_the_realised_one() {
     let (lu, fallback) = peak_of(|| SparseLu::factor(&a, &Options::default()).unwrap());
     assert!(!lu.session().is_realised(), "the pivots leave their blocks");
     drop(lu);
-    let realised = SparseLu::factor(&dominant(&a), &Options::default()).unwrap();
-    assert!(realised.session().is_realised());
-    let realised_values = 8 * realised.storage().words as u64;
-    drop(realised);
+    let held = SparseLu::factor(&dominant(&a), &Options::default()).unwrap();
+    assert!(held.session().is_realised());
+    let in_block_values = 8 * held.storage().words as u64;
+    drop(held);
     let stat = static_peak(&a);
     assert!(
-        fallback < stat + realised_values / 2,
-        "a fallback peaked at {fallback}: the static path's {stat} plus the realised values' {realised_values}"
+        fallback < stat + in_block_values / 2,
+        "a fallback peaked at {fallback}: the static path's {stat} plus the in-block values' {in_block_values}"
     );
 }
