@@ -888,22 +888,25 @@ impl BlockMatrix {
     /// with the entries of `a` scattered into place.
     pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
         let mut bm = Self::zeros(bs);
-        bm.scatter(a);
+        bm.scatter(a, |i| i, |j| j);
         bm
     }
 
-    /// Stores every entry of `a` (in factorization order) at its place.
-    fn scatter(&mut self, a: &CscMatrix) {
+    /// Stores every entry of `a` at its place, its rows `new_row` and its
+    /// columns `old_col` relating to factorization order as in
+    /// [`Layout::locate_entries`]: one pass, no slot is kept.
+    pub(crate) fn scatter(
+        &mut self,
+        a: &CscMatrix,
+        new_row: impl Fn(usize) -> usize,
+        old_col: impl Fn(usize) -> usize,
+    ) {
         let values = a.values();
         let columns = &mut self.columns;
-        self.layout.locate_entries(
-            a.pattern(),
-            |i| i,
-            |j| j,
-            |e, slot| {
+        self.layout
+            .locate_entries(a.pattern(), new_row, old_col, |e, slot| {
                 *Self::slot_mut(columns, slot) = values[e];
-            },
-        );
+            });
     }
 
     fn slot_mut(columns: &mut [RwLock<ColumnData>], slot: ValueSlot) -> &mut f64 {
@@ -969,7 +972,7 @@ impl BlockMatrix {
             "storage was built for another structure"
         );
         self.reset_values();
-        self.scatter(a);
+        self.scatter(a, |i| i, |j| j);
     }
 
     /// Matrix order (scalar).

@@ -641,7 +641,8 @@ impl SparseLu {
         // The session checks the values it factors: the reciprocal of a
         // subnormal row maximum overflows.
         let work = equil.as_ref().map_or(a, |e| &e.scaled);
-        let mut session = SluSession::analyze_inner(work.pattern(), opts, obs)?;
+        // Never refactored: the session keeps no scatter map.
+        let mut session = SluSession::analyze_inner(work.pattern(), opts, obs, true)?;
         session.factor_inner(work, obs)?;
         let mut lu = SparseLu {
             health: session.health().clone(),

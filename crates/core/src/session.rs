@@ -20,6 +20,15 @@
 //! * [`SluSession::solve`] / [`SluSession::try_solve`] /
 //!   [`SluSession::solve_refined`] — operate on the latest factors.
 //!
+//! **The scatter map.** A session a caller holds builds, with its storage
+//! at its first `factor`, the map from each input nonzero to the word that
+//! receives it (one 12-byte slot per nonzero), which every `refactor`
+//! reuses. Built lazily at the first `refactor`, it is allocated after
+//! the storage, between factorizations, and a prototype of that raised the
+//! daemon benchmark's peak RSS (EXPERIMENTS.md). The session inside a
+//! [`crate::SparseLu`] is never refactored: its `factor` places `A`'s
+//! values in the one pass that locates them, and it keeps no map.
+//!
 //! Values whose pattern hash disagrees with the analyzed one are rejected
 //! with [`LuError::PatternMismatch`]; a solve before the first successful
 //! factorization returns [`LuError::NotFactored`]. The refactorization is
@@ -116,8 +125,13 @@ pub struct SluSession {
     pattern_hash: u64,
     bm: Option<BlockMatrix>,
     /// Where each nonzero of the (original-order) input lands inside the
-    /// block storage, in `values()` order.
+    /// block storage, in `values()` order, reused by every later `factor`
+    /// and `refactor` on the same storage. Empty in a one-shot session.
     scatter: Vec<ValueSlot>,
+    /// Set for the session [`crate::SparseLu`] holds and never refactors:
+    /// its storage receives the values straight from the one pass that
+    /// locates them, and no scatter map is kept.
+    one_shot: bool,
     health: FactorHealth,
     factored: bool,
     budget: RunBudget,
@@ -130,7 +144,7 @@ impl SluSession {
     /// with its executor schedule (one thread factors the whole matrix as
     /// one range: no graph is built). No numeric storage is allocated yet.
     pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
-        Self::analyze_inner(pattern, opts, None)
+        Self::analyze_inner(pattern, opts, None, false)
     }
 
     /// [`Self::analyze`] under an observability session: the symbolic
@@ -141,13 +155,16 @@ impl SluSession {
         opts: &Options,
         session: &ObsSession,
     ) -> Result<SluSession, LuError> {
-        Self::analyze_inner(pattern, opts, Some(session))
+        Self::analyze_inner(pattern, opts, Some(session), false)
     }
 
+    /// [`Self::analyze`] (observed or not); `one_shot` marks a session that
+    /// is factored and never refactored — [`crate::SparseLu`]'s.
     pub(crate) fn analyze_inner(
         pattern: &SparsityPattern,
         opts: &Options,
         obs: Option<&ObsSession>,
+        one_shot: bool,
     ) -> Result<SluSession, LuError> {
         let mut sreq = SymbolicRequest::from_options(opts);
         if let Some(o) = obs {
@@ -167,6 +184,7 @@ impl SluSession {
             pattern_hash: pattern_hash(pattern),
             bm: None,
             scatter: Vec::new(),
+            one_shot,
             health: FactorHealth::default(),
             factored: false,
         })
@@ -241,7 +259,8 @@ impl SluSession {
     }
 
     fn refactor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
-        if self.bm.is_none() {
+        // A one-shot session keeps no scatter map to refactor through.
+        if self.bm.is_none() || self.one_shot {
             return self.factor_inner(a, obs);
         }
         self.check_pattern(a)?;
@@ -311,13 +330,6 @@ impl SluSession {
         self.sym.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, in_block));
     }
 
-    /// Where each nonzero of the analyzed (original-order) pattern lands
-    /// inside `bm`.
-    fn slots_in(&self, bm: &BlockMatrix, pattern: &SparsityPattern) -> Vec<ValueSlot> {
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        bm.value_slots(pattern, |i| rows.new_of(i), |j| cols.old_of(j))
-    }
-
     /// Rejects values whose pattern hash disagrees with the analyzed one.
     /// Allocates nothing on the accepting path.
     fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuError> {
@@ -333,20 +345,28 @@ impl SluSession {
 
     /// Replaces the storage by freshly allocated zeros holding `a`'s
     /// values; the first call on a structure also builds the index maps of
-    /// the storage — wired on the in-block structure — and the scatter map
-    /// that puts the values there (every later factor and refactor reuses
-    /// both).
+    /// the storage — wired on the in-block structure — and, in a held
+    /// session, the scatter map that puts the values there (every later
+    /// factor and refactor reuses both). A one-shot session places the
+    /// values in the pass that locates them and keeps no map.
     fn assemble_fresh(&mut self, a: &CscMatrix) {
         // The old factors go first, so two copies never coexist.
         let bm = match self.bm.take() {
             Some(old) => old.into_zeros(),
             None => BlockMatrix::laid_out(&self.sym.block_structure, self.is_realised()),
         };
+        let bm = self.bm.insert(bm);
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let (new_row, old_col) = (|i| rows.new_of(i), |j| cols.old_of(j));
+        if self.one_shot {
+            bm.scatter(a, new_row, old_col);
+            return;
+        }
         // (An empty map is that of an empty matrix: rebuilding it is free.)
         if self.scatter.is_empty() {
-            self.scatter = self.slots_in(&bm, a.pattern());
+            self.scatter = bm.value_slots(a.pattern(), new_row, old_col);
         }
-        self.bm.insert(bm).store_values(&self.scatter, a.values());
+        bm.store_values(&self.scatter, a.values());
     }
 
     fn run_numeric(&mut self, obs: Option<&ObsSession>) -> Result<(), LuError> {
@@ -511,7 +531,9 @@ impl SluSession {
 
     /// Resident bytes this session holds: the dense panel/U-block storage
     /// (dominant term, exact via [`BlockMatrix::storage_words`]) with its
-    /// index maps, the cached scatter map, and the symbolic state — the
+    /// index maps, the cached scatter map (one slot per input nonzero, held
+    /// from the first `factor` on; the session of a [`crate::SparseLu`]
+    /// keeps none), and the symbolic state — the
     /// block structure's row, column and block lists (of **both**
     /// structures while the in-block one is held), the
     /// two permutations with their inverses, the block forest, and the
@@ -686,19 +708,51 @@ mod tests {
         assert!(relative_residual(&a, &x, &b) < 1e-10);
     }
 
-    /// The one-pass scatter-map load equals permute + `assemble`, on the
-    /// first call (map built) and on a later one (map reused).
+    /// Both placements equal permute + `assemble`, on the static and the
+    /// in-block structure: through the scatter map of a held session, on
+    /// the first call (map built) and on a later one (map reused), and
+    /// straight from the locating pass in a one-shot session, which keeps
+    /// no map.
     #[test]
     fn scatter_map_storage_is_bitwise_the_assembled_storage() {
         for m in splu_matgen::paper_suite(splu_matgen::Scale::Reduced) {
-            let mut s = SluSession::analyze(m.a.pattern(), &Options::default()).unwrap();
-            for a in [m.a.clone(), revalue(&m.a, 3)] {
-                s.assemble_fresh(&a);
-                let permuted = s.sym.permute_matrix(&a);
-                let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
-                assert_same_words(s.bm.as_ref().unwrap(), &want, m.name);
+            let cases =
+                [false, true].map(|one_shot| [false, true].map(|in_block| (one_shot, in_block)));
+            for (one_shot, in_block) in cases.into_iter().flatten() {
+                let what = format!("{} one_shot={one_shot} in_block={in_block}", m.name);
+                let opts = Options::default();
+                let mut s =
+                    SluSession::analyze_inner(m.a.pattern(), &opts, None, one_shot).unwrap();
+                if in_block {
+                    s.speculate(m.a.pattern());
+                }
+                for a in [m.a.clone(), revalue(&m.a, 3)] {
+                    s.assemble_fresh(&a);
+                    let permuted = s.sym.permute_matrix(&a);
+                    let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
+                    assert_same_words(s.bm.as_ref().unwrap(), &want, &what);
+                    let map_len = if one_shot { 0 } else { a.nnz() };
+                    assert_eq!(s.scatter.len(), map_len, "{what}");
+                }
             }
         }
+    }
+
+    /// A `refactor` of a one-shot session, which has no map to refactor
+    /// through, runs as a `factor`: the held session's factors.
+    #[test]
+    fn one_shot_refactor_factors_the_new_values() {
+        let a = random_matrix(45, 140, 21);
+        let a2 = revalue(&a, 9);
+        let opts = Options::default();
+        let mut one_shot = SluSession::analyze_inner(a.pattern(), &opts, None, true).unwrap();
+        one_shot.factor(&a).unwrap();
+        one_shot.refactor(&a2).unwrap();
+        assert!(one_shot.scatter.is_empty());
+        let mut held = SluSession::analyze(a.pattern(), &opts).unwrap();
+        held.factor(&a2).unwrap();
+        let (x, y) = (one_shot.bm.as_ref(), held.bm.as_ref());
+        assert_same_factors(x.unwrap(), y.unwrap(), "one-shot refactor");
     }
 
     #[test]

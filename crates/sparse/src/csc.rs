@@ -191,10 +191,11 @@ impl CscMatrix {
         y
     }
 
-    /// Infinity norm: maximum absolute row sum.
+    /// Infinity norm: maximum absolute row sum. Each row sums its entries
+    /// in column order, as a walk of [`Self::triplets`] would.
     pub fn inf_norm(&self) -> f64 {
         let mut row_sum = vec![0.0_f64; self.nrows()];
-        for (i, _, v) in self.triplets() {
+        for (&i, &v) in self.pattern.row_indices().iter().zip(&self.values) {
             row_sum[i] += v.abs();
         }
         row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))

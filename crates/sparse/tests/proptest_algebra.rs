@@ -1,7 +1,8 @@
 //! Property tests for the sparse substrate's algebra: permutations,
-//! patterns, equilibration and matrix-vector products.
+//! patterns, equilibration, matrix-vector products and the infinity norm.
 
 use proptest::prelude::*;
+use splu_matgen::{paper_suite, Scale};
 use splu_sparse::scaling::equilibrate;
 use splu_sparse::{CscMatrix, Permutation};
 
@@ -116,5 +117,31 @@ proptest! {
         prop_assert_eq!(p.lower().union(&p.upper()), p.clone());
         prop_assert!(p.lower().is_lower_triangular());
         prop_assert!(p.upper().is_upper_triangular());
+    }
+}
+
+/// The infinity norm summed along the triplet walk: the reference order.
+fn triplet_inf_norm(a: &CscMatrix) -> f64 {
+    let mut row_sum = vec![0.0_f64; a.nrows()];
+    for (i, _, v) in a.triplets() {
+        row_sum[i] += v.abs();
+    }
+    row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))
+}
+
+#[test]
+fn inf_norm_is_bitwise_the_triplet_order_sum_on_the_suite() {
+    for m in paper_suite(Scale::Reduced) {
+        let (got, want) = (m.a.inf_norm(), triplet_inf_norm(&m.a));
+        assert_eq!(got.to_bits(), want.to_bits(), "{}", m.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn inf_norm_is_bitwise_the_triplet_order_sum(a in arb_square(20)) {
+        prop_assert_eq!(a.inf_norm().to_bits(), triplet_inf_norm(&a).to_bits());
     }
 }

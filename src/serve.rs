@@ -1506,6 +1506,16 @@ fn serve_job_inner(
 // Stdio loop
 // ---------------------------------------------------------------------------
 
+/// Writes one response: the line and its newline in a single `write_all`
+/// (two writes are two segments on a `TCP_NODELAY` socket, and two client
+/// wake-ups), then a flush. `false` when either fails.
+fn write_line(w: &mut impl IoWrite, s: &str) -> bool {
+    let mut line = Vec::with_capacity(s.len() + 1);
+    line.extend_from_slice(s.as_bytes());
+    line.push(b'\n');
+    w.write_all(&line).is_ok() && w.flush().is_ok()
+}
+
 /// The serve-mode engine on a single reader/writer pair, factored out so
 /// the integration tests can drive it in-process: reads line-delimited
 /// jobs from `reader`, dispatches them over `workers` threads, and writes
@@ -1536,10 +1546,7 @@ pub fn serve_loop_with<R: BufRead, W: IoWrite + Send>(
     let mut frames = FrameReader::new(reader, engine.cfg().max_line_bytes);
     std::thread::scope(|scope| {
         let workers = engine.start_workers(scope);
-        let reply: Reply<'_> = Arc::new(move |s: &str| {
-            let mut w = writer.lock().unwrap();
-            writeln!(w, "{s}").is_ok() && w.flush().is_ok()
-        });
+        let reply: Reply<'_> = Arc::new(move |s: &str| write_line(&mut *writer.lock().unwrap(), s));
         loop {
             if token.is_some_and(|t| t.is_cancelled()) {
                 break;
@@ -1825,8 +1832,7 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
             if sink.dead.load(Ordering::Acquire) {
                 return false;
             }
-            let mut w = sink.stream.lock().unwrap();
-            let ok = writeln!(w, "{s}").is_ok() && w.flush().is_ok();
+            let ok = write_line(&mut *sink.stream.lock().unwrap(), s);
             if !ok && !sink.dead.swap(true, Ordering::AcqRel) {
                 metrics.incr(Counter::ConnectionsDropped);
                 token.cancel();
@@ -2162,5 +2168,41 @@ mod tests {
         assert_eq!(err.exit_code, 2);
         assert!(err.message.contains("--session-budget"));
         assert_eq!(pool.stats().sessions, 0);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl IoWrite for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each response reaches the writer as one `write`: the line and its
+    /// newline together.
+    #[test]
+    fn every_response_is_one_write() {
+        let writer = Mutex::new(CountingWriter::default());
+        let script = "solve nosuch\nfrobnicate x\nrefactor nosuch m.mtx\n";
+        assert_eq!(
+            serve_loop(Cursor::new(script), &writer, 2, None).unwrap(),
+            3
+        );
+        let writes = writer.into_inner().unwrap().writes;
+        assert_eq!(writes.len(), 3, "{writes:?}");
+        for w in &writes {
+            let line = std::str::from_utf8(w).unwrap();
+            assert!(line.starts_with('{') && line.ends_with("}\n"), "{line}");
+            assert_eq!(line.matches('\n').count(), 1, "{line}");
+        }
     }
 }

@@ -204,8 +204,10 @@ proptest! {
 
 /// Pivots that leave their diagonal block trip the wire: the job is
 /// answered through the static structure, bit for bit, the report names
-/// the fallback and its column, and the session holds the static storage —
-/// at 1/2/4/8 threads under both mappings.
+/// the fallback and its column, and the session holds the static storage
+/// and no scatter map (a held session that falls back on the same input
+/// holds one 12-byte slot per nonzero more) — at 1/2/4/8 threads under
+/// both mappings.
 #[test]
 fn a_pivot_that_leaves_its_block_is_answered_statically() {
     for (n, seed) in [(60, 1), (90, 2), (140, 3)] {
@@ -244,6 +246,14 @@ fn a_pivot_that_leaves_its_block_is_answered_statically() {
                 assert!(!lu.session().is_realised(), "{what}");
                 assert_eq!(lu.storage().words, lu.storage().static_words, "{what}");
                 assert_bitwise_static(&lu, &reference, &what);
+                let mut held = SluSession::analyze(a.pattern(), lu.options()).unwrap();
+                held.factor(&a).unwrap();
+                assert!(!held.is_realised(), "{what}");
+                assert_eq!(
+                    held.resident_bytes() - lu.session().resident_bytes(),
+                    12 * a.nnz() as u64,
+                    "{what}: the one-shot keeps no map"
+                );
             }
         }
     }

@@ -9,13 +9,16 @@
 //! * a fallback frees the in-block storage before it assembles the static
 //!   one: its heap peak stays below the static path's plus half of the
 //!   in-block storage's values — holding both at once would add all of
-//!   them.
+//!   them;
+//! * a one-shot factorization holds what its session's `resident_bytes`
+//!   says, to 10 %, and no scatter map: a held session on the same input
+//!   holds exactly one map slot per nonzero more.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
 //! would race the global peak counter.
 
-use parsplu::core::{analyze, factor_left_looking, BlockMatrix, Options, SparseLu};
+use parsplu::core::{analyze, factor_left_looking, BlockMatrix, Options, SluSession, SparseLu};
 use parsplu::matgen::{cross_block_pivots, fem2d_unsymmetric, paper_matrix, Scale};
 use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
 use parsplu::sparse::CscMatrix;
@@ -30,6 +33,17 @@ fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     reset_heap_peak();
     let out = f();
     (out, heap_stats().unwrap().peak_bytes - before)
+}
+
+/// One slot of a held session's scatter map: block column, U block and
+/// flat index, three `u32`s.
+const MAP_SLOT_BYTES: u64 = 12;
+
+/// `f`'s result and the live bytes it leaves behind.
+fn live_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = heap_stats().expect("allocator installed").current_bytes;
+    let out = f();
+    (out, heap_stats().unwrap().current_bytes - before)
 }
 
 /// The heap peak of the static path.
@@ -59,6 +73,31 @@ fn speculation_never_holds_the_static_storage_beside_the_realised_one() {
         ("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)),
         ("sherman3", paper_matrix("sherman3", Scale::Full).unwrap()),
     ];
+
+    // Warm up what outlives a factorization (thread-local scratch, kernel
+    // dispatch) before counting what one holds.
+    let (_, mesh) = &held[0];
+    drop(SparseLu::factor(mesh, &Options::default()).unwrap());
+    let (lu, lu_live) = live_of(|| SparseLu::factor(mesh, &Options::default()).unwrap());
+    let resident = lu.session().resident_bytes();
+    assert!(
+        lu_live.abs_diff(resident) * 10 <= resident,
+        "resident_bytes says {resident}, the allocator counts {lu_live}"
+    );
+    let (session, session_live) = live_of(|| {
+        let mut s = SluSession::analyze(mesh.pattern(), &Options::default()).unwrap();
+        s.factor(mesh).unwrap();
+        s
+    });
+    let map = MAP_SLOT_BYTES * mesh.nnz() as u64;
+    assert_eq!(
+        session_live - lu_live,
+        map,
+        "live bytes beyond the one-shot's"
+    );
+    assert_eq!(session.resident_bytes() - resident, map);
+    drop((lu, session));
+
     for (name, a) in &held {
         let (lu, spec) = peak_of(|| SparseLu::factor(a, &Options::default()).unwrap());
         assert!(lu.session().is_realised(), "{name}");
