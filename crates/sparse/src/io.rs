@@ -7,6 +7,7 @@
 //! dropped in when available (see DESIGN.md §5).
 
 use std::fs;
+use std::io::{self, Read};
 use std::path::Path;
 
 use crate::{CooMatrix, CscMatrix, SparseError, SparsityPattern};
@@ -42,6 +43,14 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
     /// Byte length of the whitespace character at `at`; 0 when a token
     /// character, or the end of the text, is there.
     #[inline(always)]
@@ -141,12 +150,101 @@ impl<'a> Cursor<'a> {
         (tok, tok.parse().ok())
     }
 
+    /// The 1-based row, column and value of the entry line that starts at
+    /// `start` (`1.0` when the file is not `valued`); the rest of the line
+    /// is left unread. Indices are not checked against the shape.
+    #[inline(always)]
+    fn entry(&mut self, start: usize, valued: bool) -> Result<(usize, usize, f64), SparseError> {
+        let ln = self.line;
+        let (r_tok, r) = self.index();
+        let r = r.ok_or_else(|| tok_err(ln, r_tok, "bad row index"))?;
+        let (c_tok, c) = self.index();
+        if c_tok.is_empty() {
+            return Err(tok_err(ln, self.line_from(start), "missing column index"));
+        }
+        let c = c.ok_or_else(|| tok_err(ln, c_tok, "bad column index"))?;
+        if !valued {
+            return Ok((r, c, 1.0));
+        }
+        let v_tok = self.token();
+        if v_tok.is_empty() {
+            return Err(tok_err(ln, self.line_from(start), "missing value"));
+        }
+        let v: f64 = v_tok.parse().map_err(|_| tok_err(ln, v_tok, "bad value"))?;
+        if !v.is_finite() {
+            return Err(tok_err(ln, v_tok, "non-finite value (NaN/Inf rejected)"));
+        }
+        Ok((r, c, v))
+    }
+
     /// The current line from `start`, trimmed — the token an error about
     /// the whole line names.
     fn line_from(&self, start: usize) -> &'a str {
         let rest = &self.text[start..];
         rest.split('\n').next().unwrap_or(rest).trim()
     }
+}
+
+/// How a Matrix Market file stores its entries.
+#[derive(Clone, Copy, PartialEq)]
+enum Symmetry {
+    General,
+    Symmetric,
+    SkewSymmetric,
+}
+
+/// Reads the banner line at the start of `cur`'s text and moves past it:
+/// whether entries carry values (every field but `pattern`) and how they
+/// are stored.
+fn read_banner(cur: &mut Cursor<'_>) -> Result<(bool, Symmetry), SparseError> {
+    let header_lc = cur.line_from(0).to_ascii_lowercase();
+    let banner = cur.text.get(.."%%matrixmarket".len());
+    if !banner.is_some_and(|b| b.eq_ignore_ascii_case("%%matrixmarket")) {
+        return Err(SparseError::Parse("missing MatrixMarket banner".into()));
+    }
+    let toks: Vec<&str> = header_lc.split_whitespace().collect();
+    if toks.len() < 5 || toks[1] != "matrix" || toks[2] != "coordinate" {
+        return Err(SparseError::Parse(
+            "only `matrix coordinate` files are supported".into(),
+        ));
+    }
+    let field = toks[3];
+    if !matches!(field, "real" | "integer" | "pattern") {
+        return Err(SparseError::Parse(format!("unsupported field `{field}`")));
+    }
+    let symmetry = match toks[4] {
+        "general" => Symmetry::General,
+        "symmetric" => Symmetry::Symmetric,
+        "skew-symmetric" => Symmetry::SkewSymmetric,
+        other => {
+            return Err(SparseError::Parse(format!(
+                "unsupported symmetry `{other}`"
+            )))
+        }
+    };
+    cur.skip_line();
+    Ok((field != "pattern", symmetry))
+}
+
+/// Reads the size line — the first data line after the banner — and moves
+/// past it: its 1-based line number, its trimmed text, and
+/// `[nrows, ncols, nnz]`.
+fn read_size_line<'a>(cur: &mut Cursor<'a>) -> Result<(usize, &'a str, [usize; 3]), SparseError> {
+    let size_start = cur
+        .next_data_line()
+        .ok_or_else(|| SparseError::Parse("missing size line".into()))?;
+    let (size_ln, size_line) = (cur.line, cur.line_from(size_start));
+    let dims: Vec<usize> = size_line
+        .split_whitespace()
+        .map(|t| {
+            t.parse::<usize>()
+                .map_err(|_| tok_err(size_ln, t, "bad size token"))
+        })
+        .collect::<Result<_, _>>()?;
+    let dims = <[usize; 3]>::try_from(dims)
+        .map_err(|_| tok_err(size_ln, size_line, "size line must have 3 fields"))?;
+    cur.skip_line();
+    Ok((size_ln, size_line, dims))
 }
 
 /// Parses Matrix Market text. See [`read_matrix_market`].
@@ -166,51 +264,9 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     if text.is_empty() {
         return Err(SparseError::Parse("empty file".into()));
     }
-    let mut cur = Cursor {
-        text,
-        pos: 0,
-        line: 1,
-    };
-    let header_lc = cur.line_from(0).to_ascii_lowercase();
-    let banner = text.get(.."%%matrixmarket".len());
-    if !banner.is_some_and(|b| b.eq_ignore_ascii_case("%%matrixmarket")) {
-        return Err(SparseError::Parse("missing MatrixMarket banner".into()));
-    }
-    let toks: Vec<&str> = header_lc.split_whitespace().collect();
-    if toks.len() < 5 || toks[1] != "matrix" || toks[2] != "coordinate" {
-        return Err(SparseError::Parse(
-            "only `matrix coordinate` files are supported".into(),
-        ));
-    }
-    let field = toks[3];
-    let symmetry = toks[4];
-    if !matches!(field, "real" | "integer" | "pattern") {
-        return Err(SparseError::Parse(format!("unsupported field `{field}`")));
-    }
-    if !matches!(symmetry, "general" | "symmetric" | "skew-symmetric") {
-        return Err(SparseError::Parse(format!(
-            "unsupported symmetry `{symmetry}`"
-        )));
-    }
-    let valued = field != "pattern";
-    cur.skip_line();
-
-    let size_start = cur
-        .next_data_line()
-        .ok_or_else(|| SparseError::Parse("missing size line".into()))?;
-    let (size_ln, size_line) = (cur.line, cur.line_from(size_start));
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<usize>()
-                .map_err(|_| tok_err(size_ln, t, "bad size token"))
-        })
-        .collect::<Result<_, _>>()?;
-    if dims.len() != 3 {
-        return Err(tok_err(size_ln, size_line, "size line must have 3 fields"));
-    }
-    let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
-    cur.skip_line();
+    let mut cur = Cursor::new(text);
+    let (valued, symmetry) = read_banner(&mut cur)?;
+    let (size_ln, size_line, [nrows, ncols, nnz]) = read_size_line(&mut cur)?;
 
     // The column pointers are the one array the shape alone sizes: a column
     // count this machine cannot hold is refused here, not in the allocator.
@@ -232,30 +288,10 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     let mut sorted = true;
     let mut last = None;
     while let Some(start) = cur.next_data_line() {
-        let ln = cur.line;
-        let (r_tok, r) = cur.index();
-        let r = r.ok_or_else(|| tok_err(ln, r_tok, "bad row index"))?;
-        let (c_tok, c) = cur.index();
-        if c_tok.is_empty() {
-            return Err(tok_err(ln, cur.line_from(start), "missing column index"));
-        }
-        let c = c.ok_or_else(|| tok_err(ln, c_tok, "bad column index"))?;
-        let v: f64 = if !valued {
-            1.0
-        } else {
-            let v_tok = cur.token();
-            if v_tok.is_empty() {
-                return Err(tok_err(ln, cur.line_from(start), "missing value"));
-            }
-            let v: f64 = v_tok.parse().map_err(|_| tok_err(ln, v_tok, "bad value"))?;
-            if !v.is_finite() {
-                return Err(tok_err(ln, v_tok, "non-finite value (NaN/Inf rejected)"));
-            }
-            v
-        };
+        let (r, c, v) = cur.entry(start, valued)?;
         if r == 0 || c == 0 || r > nrows || c > ncols {
             return Err(tok_err(
-                ln,
+                cur.line,
                 cur.line_from(start),
                 &format!("1-based entry indices outside the declared {nrows}x{ncols} shape"),
             ));
@@ -274,7 +310,7 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
             vals.len()
         )));
     }
-    if sorted && symmetry == "general" {
+    if sorted && symmetry == Symmetry::General {
         col_ptr.resize(ncols + 1, 0);
         for &c in &cols {
             col_ptr[c + 1] += 1;
@@ -288,13 +324,142 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     drop(col_ptr);
     // Symmetric storage is expanded: the mirrored entry follows its
     // original, as a reader pushing both into one triplet list has it.
-    let (mirrored, skew) = (symmetry != "general", symmetry == "skew-symmetric");
+    let (mirrored, skew) = (
+        symmetry != Symmetry::General,
+        symmetry == Symmetry::SkewSymmetric,
+    );
     let entries = rows.iter().zip(&cols).zip(&vals);
     let triplets = entries.flat_map(|((&r, &c), &v)| {
         let twin = (mirrored && r != c).then(|| (c, r, if skew { -v } else { v }));
         std::iter::once((r, c, v)).chain(twin)
     });
     CscMatrix::from_triplets_iter(nrows, ncols, triplets)
+}
+
+/// The buffer a streaming read ([`read_matrix_market_values`], a
+/// right-hand side in serve mode) holds, whatever the file's size.
+pub const STREAM_CHUNK: usize = 64 * 1024;
+
+/// A reader's text as runs of whole lines through one fixed buffer: every
+/// run but the last ends with a line feed, and a line cut by the end of
+/// the buffer is carried to the front of the next run.
+pub struct LineChunks<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// Bytes of `buf` filled.
+    len: usize,
+    /// Where the bytes not yet handed out start.
+    start: usize,
+    eof: bool,
+}
+
+impl<R: Read> LineChunks<R> {
+    /// A `bytes`-byte buffer (at least one) over `inner`.
+    pub fn new(inner: R, bytes: usize) -> Self {
+        LineChunks {
+            inner,
+            buf: vec![0; bytes.max(1)],
+            len: 0,
+            start: 0,
+            eof: false,
+        }
+    }
+
+    /// The next run of whole lines; `None` once the input is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// A read error, a line longer than the buffer, or bytes that are not
+    /// UTF-8 ([`io::ErrorKind::InvalidData`] for the last two).
+    pub fn next_chunk(&mut self) -> io::Result<Option<&str>> {
+        self.buf.copy_within(self.start..self.len, 0);
+        (self.len, self.start) = (self.len - self.start, 0);
+        while self.len < self.buf.len() && !self.eof {
+            match self.inner.read(&mut self.buf[self.len..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.len += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let end = if self.eof {
+            self.len
+        } else {
+            let last_feed = self.buf[..self.len].iter().rposition(|&b| b == b'\n');
+            let longer =
+                || io::Error::new(io::ErrorKind::InvalidData, "a line outgrows the buffer");
+            last_feed.ok_or_else(longer)? + 1
+        };
+        if end == 0 {
+            return Ok(None);
+        }
+        self.start = end;
+        std::str::from_utf8(&self.buf[..end])
+            .map(Some)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// The values of the Matrix Market file at `path` if its entries are
+/// exactly `pattern`'s, in compressed-column order, under a `real` or
+/// `integer` `general` banner: one pass through a [`STREAM_CHUNK`]-byte
+/// buffer into one array of `pattern.nnz()` values, with no triplets and
+/// no pattern built.
+///
+/// `Some` only when [`read_matrix_market`] would return `pattern` with
+/// these values, bit for bit: the banner, size line and entries go through
+/// that reader's own cursor. Any deviation — another layout, order or
+/// entry, a token it refuses, bytes that are not UTF-8, a line longer than
+/// the buffer, a banner and size line that do not both fit the first
+/// buffer, a read error — is `None`, and the caller reads the file
+/// with [`read_matrix_market`], whose matrix or error is the file's.
+pub fn read_matrix_market_values(path: &Path, pattern: &SparsityPattern) -> Option<Vec<f64>> {
+    stream_values(fs::File::open(path).ok()?, pattern, STREAM_CHUNK)
+}
+
+/// [`read_matrix_market_values`] over any reader, `chunk` bytes at a time.
+pub(crate) fn stream_values(
+    reader: impl Read,
+    pattern: &SparsityPattern,
+    chunk: usize,
+) -> Option<Vec<f64>> {
+    let (col_ptr, rows) = (pattern.col_ptr(), pattern.row_indices());
+    let mut chunks = LineChunks::new(reader, chunk);
+    // `None` until the banner and the size line, which must both be in the
+    // first run of lines, have been read.
+    let mut vals: Option<Vec<f64>> = None;
+    let mut col = 0;
+    while let Some(text) = chunks.next_chunk().ok()? {
+        let mut cur = Cursor::new(text);
+        let vals = match &mut vals {
+            Some(vals) => vals,
+            None => {
+                let (valued, symmetry) = read_banner(&mut cur).ok()?;
+                if !valued || symmetry != Symmetry::General {
+                    return None;
+                }
+                let (_, _, dims) = read_size_line(&mut cur).ok()?;
+                if dims != [pattern.nrows(), pattern.ncols(), pattern.nnz()] {
+                    return None;
+                }
+                vals.insert(Vec::with_capacity(pattern.nnz()))
+            }
+        };
+        while let Some(start) = cur.next_data_line() {
+            let k = vals.len();
+            let &row = rows.get(k)?;
+            while col_ptr[col + 1] <= k {
+                col += 1;
+            }
+            let (r, c, v) = cur.entry(start, true).ok()?;
+            if (r, c) != (row + 1, col + 1) {
+                return None;
+            }
+            vals.push(v);
+            cur.skip_line();
+        }
+    }
+    vals.filter(|v| v.len() == pattern.nnz())
 }
 
 /// Writes a matrix in Matrix Market `coordinate real general` format.
@@ -1085,6 +1250,167 @@ mod tests {
                 );
                 prop_assert!(again.is_ok(), "invariants of {:?}", behind);
             }
+        }
+    }
+
+    /// The reduced sherman3 analogue as the writer formats it, and its
+    /// pattern: what a daemon session holds and a values file repeats.
+    fn sherman3_values() -> (String, SparsityPattern) {
+        let (_, a) = reduced_suite()
+            .into_iter()
+            .find(|(name, _)| *name == "sherman3")
+            .expect("the suite has sherman3");
+        (format_matrix_market(&a), a.pattern().clone())
+    }
+
+    /// Chunk sizes of the streaming tests: below the banner line (nothing
+    /// streams), around the longest entry line, and the production size.
+    const CHUNKS: [usize; 9] = [1, 7, 46, 64, 65, 100, 257, 4096, STREAM_CHUNK];
+
+    /// [`stream_values`] on `bytes` at every chunk size of `chunks` against
+    /// the general reader on the same bytes as a file (whose text must be
+    /// UTF-8): `Some` only with the values that reader returns alongside
+    /// `pattern` itself, bit for bit. Returns the chunk sizes that
+    /// streamed.
+    fn stream_agrees(bytes: &[u8], pattern: &SparsityPattern, chunks: &[usize]) -> Vec<usize> {
+        let whole = std::str::from_utf8(bytes).map(parse_matrix_market);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut streamed = Vec::new();
+        for &chunk in chunks {
+            let Some(vals) = stream_values(bytes, pattern, chunk) else {
+                continue;
+            };
+            let Ok(Ok(m)) = &whole else {
+                panic!("{chunk}-byte chunks streamed a file the reader refuses: {whole:?}");
+            };
+            assert_eq!(m.pattern(), pattern, "{chunk}-byte chunks");
+            assert_eq!(bits(m.values()), bits(&vals), "{chunk}-byte chunks");
+            streamed.push(chunk);
+        }
+        streamed
+    }
+
+    /// An edit a values file can suffer on its way to the reader, chosen by
+    /// `kind` and placed by `a` and `b`.
+    fn mutate(text: &str, kind: u64, a: u64, b: u64) -> Vec<u8> {
+        let mut lines: Vec<String> = text.split_inclusive('\n').map(String::from).collect();
+        let pick = |x: u64, n: usize| (x % n.max(1) as u64) as usize;
+        let n = lines.len();
+        match kind % 10 {
+            0 => {
+                let mut bytes = text.as_bytes().to_vec();
+                let at = pick(a, bytes.len());
+                bytes[at] ^= 1 << (b % 8);
+                return bytes;
+            }
+            1 => lines.swap(pick(a, n), pick(b, n)),
+            2 | 8 => {
+                // An entry moved to another row of its column, or to the
+                // next column in its row.
+                let at = 2 + pick(a, n - 2);
+                if let [r, c, v] = lines[at].split_whitespace().collect::<Vec<_>>()[..] {
+                    lines[at] = match (kind % 10, c.parse::<usize>()) {
+                        (8, Ok(c)) => format!("{r} {} {v}\n", c % 160 + 1),
+                        _ => format!("{} {c} {v}\n", 1 + pick(b, 160)),
+                    };
+                }
+            }
+            3 => return text.as_bytes()[..pick(a, text.len())].to_vec(),
+            4 => return text.replace('\n', "\r\n").into_bytes(),
+            5 => lines.insert(1 + pick(a, n), format!("%{}\n", " c".repeat(pick(b, 40)))),
+            6 => return text.trim_end_matches('\n').as_bytes().to_vec(),
+            9 => {
+                let at = pick(a, n);
+                lines.insert(at, lines[at].clone());
+            }
+            _ => {
+                // Blanks that push a line across a buffer edge, or past it.
+                let at = pick(a, n);
+                let line = lines[at].trim_end_matches('\n').to_string();
+                lines[at] = format!("{line}{}\n", " \t".repeat(pick(b, 80)));
+            }
+        }
+        lines.concat().into_bytes()
+    }
+
+    /// The writer's file streams at every chunk that holds its banner and
+    /// size line — lines cut by the buffer's edge carried over — and so do
+    /// the layouts the reader takes the same way: CRLF, comment lines, no
+    /// final newline, blanks at the ends of lines. A file out of order,
+    /// with an entry moved or repeated, or cut short never streams; every
+    /// answer is the reader's.
+    #[test]
+    fn streamed_values_are_the_readers_or_nothing() {
+        let (text, pattern) = sherman3_values();
+        let fits = &CHUNKS[3..];
+        assert_eq!(stream_agrees(text.as_bytes(), &pattern, &CHUNKS), fits);
+        // A comment between the banner and the size line pushes the size
+        // line out of the first 64 or 65 bytes.
+        let (none, past_comment): (&[usize], &[usize]) = (&[], &CHUNKS[5..]);
+        for (kind, a, b, want) in [
+            (4, 0, 0, fits),
+            (5, 0, 7, past_comment),
+            (5, 300, 3, fits),
+            (6, 0, 0, fits),
+            (7, 20, 5, fits),
+            (7, 561, 9, fits),
+            (1, 5, 9, none),
+            (1, 0, 1, none),
+            (2, 7, 100, none),
+            (8, 7, 0, none),
+            (8, 561, 0, none),
+            (9, 300, 0, none),
+            (9, 563, 0, none),
+            (3, 9000, 0, none),
+        ] {
+            let bytes = mutate(&text, kind, a, b);
+            let streamed = stream_agrees(&bytes, &pattern, &CHUNKS);
+            assert_eq!(streamed, want, "mutation {kind} at ({a}, {b})");
+        }
+        // A line longer than the buffer, and one that is not UTF-8.
+        let long = text.replacen("\n1 1 ", &format!("\n1 1 {}", " ".repeat(300)), 1);
+        assert_eq!(
+            stream_agrees(long.as_bytes(), &pattern, &CHUNKS),
+            [4096, STREAM_CHUNK]
+        );
+        let mut latin1 = text.into_bytes();
+        let end = latin1.len() - 1;
+        latin1.splice(end..end, [b' ', 0xe9]);
+        assert!(stream_agrees(&latin1, &pattern, &CHUNKS).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Up to three edits of a valid values file, at a chunk size of
+        /// 1..320 bytes and the production one: the streamed values are
+        /// the reader's, or nothing streams.
+        #[test]
+        fn streamed_values_survive_random_edits(
+            edits in proptest::collection::vec((0u64..10, 0u64..100_000, 0u64..1000), 1..4),
+            chunk in 1usize..320,
+        ) {
+            let (text, pattern) = sherman3_values();
+            let mut bytes = text.into_bytes();
+            for (kind, a, b) in edits {
+                let text = String::from_utf8_lossy(&bytes).into_owned();
+                bytes = mutate(&text, kind, a, b);
+            }
+            let _ = stream_agrees(&bytes, &pattern, &[chunk, STREAM_CHUNK]);
+        }
+
+        /// Arbitrary bytes, bare and behind the valid banner and size line
+        /// of a 2 x 2 pattern: nothing streams that the reader would not
+        /// read as that pattern, and nothing panics.
+        #[test]
+        fn streamed_values_survive_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..160),
+            chunk in 1usize..64,
+        ) {
+            let pattern = SparsityPattern::new(2, 2, vec![0, 1, 2], vec![0, 1]).unwrap();
+            let _ = stream_agrees(&bytes, &pattern, &[chunk, STREAM_CHUNK]);
+            let behind = [&b"%%MatrixMarket matrix coordinate real general\n2 2 2\n"[..], &bytes].concat();
+            let _ = stream_agrees(&behind, &pattern, &[chunk + 64, STREAM_CHUNK]);
         }
     }
 

@@ -11,7 +11,7 @@ use splu_core::{
 };
 use splu_matgen::{manufactured_rhs, paper_matrix, Scale};
 use splu_sched::Mapping;
-use splu_sparse::io::{read_matrix_market, write_matrix_market};
+use splu_sparse::io::{read_matrix_market, write_matrix_market, LineChunks, STREAM_CHUNK};
 use splu_sparse::{relative_residual, CscMatrix};
 use std::fmt;
 use std::fmt::Write as _;
@@ -477,7 +477,41 @@ fn cmd_analyze(
     Ok(out)
 }
 
+/// Reads the `n` values of a right-hand side file (`solve --rhs`): one
+/// value per line, blank lines and `#` / `%` comment lines skipped.
+///
+/// One pass through a [`STREAM_CHUNK`]-byte buffer into one array of `n`
+/// values. A file the pass does not take as it stands — one that
+/// [`parse_vector`] would refuse, or whose bytes are not UTF-8, or with a
+/// line longer than the buffer — is read again by [`parse_vector`], so
+/// the vector or the error is that reader's.
 pub(crate) fn read_vector(path: &str, n: usize) -> Result<Vec<f64>, String> {
+    let file = std::fs::File::open(path).ok();
+    let streamed = file.and_then(|f| stream_vector(f, n, STREAM_CHUNK));
+    streamed.map_or_else(|| parse_vector(path, n), Ok)
+}
+
+/// The streaming pass of [`read_vector`], `chunk` bytes at a time: `None`
+/// where the file needs [`parse_vector`].
+fn stream_vector(reader: impl std::io::Read, n: usize, chunk: usize) -> Option<Vec<f64>> {
+    let mut lines = LineChunks::new(reader, chunk);
+    let mut v = Vec::with_capacity(n);
+    while let Some(text) = lines.next_chunk().ok()? {
+        for l in text.split('\n').map(str::trim) {
+            if l.is_empty() || l.starts_with('#') || l.starts_with('%') {
+                continue;
+            }
+            if v.len() == n {
+                return None;
+            }
+            v.push(l.parse::<f64>().ok()?);
+        }
+    }
+    (v.len() == n).then_some(v)
+}
+
+/// [`read_vector`] over the whole text of the file at once.
+fn parse_vector(path: &str, n: usize) -> Result<Vec<f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let v: Vec<f64> = text
         .lines()
@@ -782,5 +816,146 @@ pub fn run_with_token(args: &[String], token: Option<&CancelToken>) -> Result<St
                 "unknown or incomplete command `{cmd}`\n\n{USAGE}"
             ))),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Chunk sizes: below a value line, around one, and the production
+    /// size.
+    const CHUNKS: [usize; 7] = [1, 5, 24, 25, 64, 1000, STREAM_CHUNK];
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `bytes` as a right-hand side file of `n` values, read whole and
+    /// streamed at every chunk size of `chunks`: the stream yields the
+    /// whole reader's values or nothing, and [`read_vector`] answers exactly
+    /// as that reader does — values to the bit, or the same error.
+    /// Returns the chunk sizes that streamed.
+    fn vector_agrees(bytes: &[u8], n: usize, chunks: &[usize]) -> Vec<usize> {
+        static FILES: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "parsplu-rhs-{}-{}.txt",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        let path_s = path.to_str().unwrap();
+        let whole = parse_vector(path_s, n);
+        let mut streamed = Vec::new();
+        for &chunk in chunks {
+            if let Some(v) = stream_vector(bytes, n, chunk) {
+                let want = whole.as_ref().map(|w| bits(w));
+                assert_eq!(want, Ok(bits(&v)), "{chunk}-byte chunks of {bytes:?}");
+                streamed.push(chunk);
+            }
+        }
+        let got = read_vector(path_s, n);
+        match (&got, &whole) {
+            (Ok(g), Ok(w)) => assert_eq!(bits(g), bits(w)),
+            _ => assert_eq!(got, whole),
+        }
+        std::fs::remove_file(&path).unwrap();
+        streamed
+    }
+
+    /// A right-hand side as a client writes one: a comment, then one value
+    /// per line in the shortest digits that read back to the same `f64`.
+    fn rhs_text(n: usize) -> String {
+        let values = (0..n).map(|i| format!("{:e}\n", (i as f64 * 0.37).sin() / 3.0));
+        std::iter::once("# b\n".to_string()).chain(values).collect()
+    }
+
+    /// The client's layout streams at every chunk holding its longest line,
+    /// so do CRLF endings, comment and blank lines, blanks around a value
+    /// and a missing final newline; a short, long or malformed file never
+    /// streams, and every answer is the whole reader's.
+    #[test]
+    fn streamed_vector_is_the_readers_or_nothing() {
+        let text = rhs_text(160);
+        // The chunk sizes that hold a line of `len` bytes and its feed.
+        let holding = |len: usize| CHUNKS.into_iter().filter(|&c| c > len).collect::<Vec<_>>();
+        let longest = text.lines().map(str::len).max().unwrap();
+        let fits = holding(longest);
+        assert!(fits.len() < CHUNKS.len(), "some chunk sizes cut a line");
+        assert_eq!(vector_agrees(text.as_bytes(), 160, &CHUNKS), fits);
+        let crlf = text.replace('\n', "\r\n");
+        assert_eq!(
+            vector_agrees(crlf.as_bytes(), 160, &CHUNKS),
+            holding(longest + 1)
+        );
+        let commented = text.replacen("\n", "\n% c\n\n  \t\n", 40);
+        assert_eq!(vector_agrees(commented.as_bytes(), 160, &CHUNKS), fits);
+        let padded = text.replace('\n', " \t\n");
+        assert_eq!(
+            vector_agrees(padded.as_bytes(), 160, &CHUNKS),
+            holding(longest + 2)
+        );
+        let unterminated = text.trim_end();
+        assert_eq!(vector_agrees(unterminated.as_bytes(), 160, &CHUNKS), fits);
+        for n in [159, 161] {
+            assert!(vector_agrees(text.as_bytes(), n, &CHUNKS).is_empty());
+        }
+        for bad in ["1.0x", "nan", "inf", "1 2", "\u{e9}"] {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines[100] = bad;
+            let bytes = lines.join("\n").into_bytes();
+            let streams = matches!(bad, "nan" | "inf");
+            assert_eq!(
+                vector_agrees(&bytes, 160, &CHUNKS).is_empty(),
+                !streams,
+                "{bad}"
+            );
+        }
+        let mut latin1 = text.into_bytes();
+        latin1.splice(40..40, [0xe9]);
+        assert!(vector_agrees(&latin1, 160, &CHUNKS).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A client's file with a flipped byte, two lines swapped, a cut,
+        /// or a line padded past a buffer edge, at a chunk size of 1..64
+        /// bytes: the stream agrees with the whole reader.
+        #[test]
+        fn streamed_vector_survives_random_edits(
+            kind in 0u64..4,
+            a in 0usize..4000,
+            b in 0usize..4000,
+            chunk in 1usize..64,
+        ) {
+            let text = rhs_text(160);
+            let mut bytes = text.clone().into_bytes();
+            match kind {
+                0 => bytes[a % text.len()] ^= 1 << (b % 8),
+                1 => {
+                    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+                    let n = lines.len();
+                    lines.swap(a % n, b % n);
+                    bytes = lines.concat().into_bytes();
+                }
+                2 => bytes.truncate(a % text.len()),
+                _ => bytes.splice(a % text.len()..a % text.len(), vec![b' '; b % 40]).for_each(drop),
+            }
+            let _ = vector_agrees(&bytes, 160, &[chunk, STREAM_CHUNK]);
+        }
+
+        /// Arbitrary bytes: the stream agrees with the whole reader, and
+        /// nothing panics.
+        #[test]
+        fn streamed_vector_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..120),
+            n in 0usize..6,
+            chunk in 1usize..40,
+        ) {
+            let _ = vector_agrees(&bytes, n, &[chunk, STREAM_CHUNK]);
+        }
     }
 }

@@ -40,6 +40,11 @@
 //!   numeric line since — and restores superseded job ids id-only. The
 //!   journal is compacted down to live-session state once it outgrows its
 //!   post-compaction baseline.
+//! * **Values-only input** — a `factor`/`refactor` on a session that holds
+//!   a matrix streams its values file against the held pattern
+//!   ([`splu_sparse::io::read_matrix_market_values`]) and swaps the values
+//!   in; a file in any other layout is read again by the general reader,
+//!   whose matrix or error the job then answers with.
 //! * **Idempotency** — a client may tag any job with `--job-id <token>`;
 //!   per-session applied-id tracking plus a bounded response cache means
 //!   a retried duplicate returns the original response instead of
@@ -59,10 +64,11 @@ use splu_core::{CancelToken, LuError, MatrixMeta, ObsSession, RunReport, RunStat
 use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{Lane, LaneRejected};
+use splu_sparse::io::read_matrix_market_values;
 use splu_sparse::{relative_residual, CscMatrix};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, ErrorKind, Write as IoWrite};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -710,6 +716,13 @@ pub struct Engine<'e> {
     replaying: AtomicBool,
     /// splitmix64 sequence feeding the retry-hint jitter.
     jitter_seq: AtomicU64,
+    /// `factor`/`refactor` jobs whose values file was streamed against the
+    /// session's held pattern.
+    values_streamed: AtomicU64,
+    /// `factor`/`refactor` jobs whose values file the general Matrix
+    /// Market reader read: no held matrix yet, or a file that deviates
+    /// from the held pattern's layout.
+    values_parsed: AtomicU64,
     started: Instant,
 }
 
@@ -739,6 +752,8 @@ impl<'e> Engine<'e> {
             trackers: Mutex::new(HashMap::new()),
             replaying: AtomicBool::new(false),
             jitter_seq: AtomicU64::new(0),
+            values_streamed: AtomicU64::new(0),
+            values_parsed: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -1094,7 +1109,7 @@ impl<'e> Engine<'e> {
             None => "null".to_string(),
         };
         format!(
-            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{}}}"#,
+            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{}}}"#,
             self.cfg.workers,
             self.cfg.queue_cap,
             depths.join(","),
@@ -1117,6 +1132,8 @@ impl<'e> Engine<'e> {
             self.metrics.get(Counter::RefactorRealised),
             self.metrics.get(Counter::RefactorFallback),
             self.metrics.get(Counter::RealisedWords),
+            self.values_streamed.load(Ordering::Relaxed),
+            self.values_parsed.load(Ordering::Relaxed),
         )
     }
 
@@ -1420,17 +1437,22 @@ fn serve_job_inner(
             let cli = serve_flags(&toks[3..], token)?;
             let mut pin = engine.pool.pin(name)?;
             let cell = Arc::clone(pin.cell());
-            let mut e = cell.lock().unwrap();
+            let mut guard = cell.lock().unwrap();
+            let e = &mut *guard;
             let obs = ObsSession::new();
-            let a = {
+            let values = {
                 let _p = obs.phase("parse");
-                load(path)?
+                read_values(engine, e.matrix.as_mut(), path)?
+            };
+            let a = match &values {
+                Values::Held(_) => e.matrix.as_ref().expect("streamed into the held matrix"),
+                Values::Parsed(a) => a,
             };
             e.session.set_budget(cli.opts.budget.clone());
             let outcome = if op == "refactor" {
-                e.session.refactor_observed(&a, &obs)
+                e.session.refactor_observed(a, &obs)
             } else {
-                e.session.factor_observed(&a, &obs)
+                e.session.factor_observed(a, &obs)
             };
             // The job's report keeps its own 0/1 (which path this job ran);
             // `stats` answers for the daemon's lifetime.
@@ -1443,21 +1465,29 @@ fn serve_job_inner(
             let opts = e.session.options().clone();
             let result = match outcome {
                 Ok(()) => {
-                    e.matrix = Some(a);
+                    // The values held before go now, not after the report.
+                    match values {
+                        Values::Held(previous) => drop(previous),
+                        Values::Parsed(a) => e.matrix = Some(a),
+                    }
                     e.numeric_line = Some(line.to_string());
                     let mut report = obs.report(meta, &opts, RunStatus::success());
                     engine.fold_daemon_counters(&mut report);
-                    Ok((entry_bytes(&e), compact_json(&report.to_json())))
+                    Ok((entry_bytes(e), compact_json(&report.to_json())))
                 }
                 Err(err) => {
                     // The session survives a failed or interrupted
-                    // factorization; the report records the error.
+                    // factorization, and the held matrix keeps the values
+                    // it had; the report records the error.
+                    if let (Values::Held(mut previous), Some(held)) = (values, &mut e.matrix) {
+                        held.values_mut().swap_with_slice(&mut previous);
+                    }
                     let _ = obs.report(meta, &opts, RunStatus::from_error(&err));
-                    pin.set_bytes(entry_bytes(&e));
+                    pin.set_bytes(entry_bytes(e));
                     Err(err)
                 }
             };
-            drop(e);
+            drop(guard);
             let (bytes, report) = result.map_err(CliError::from)?;
             pin.set_bytes(bytes);
             Ok(format!(r#","resident_bytes":{bytes},"report":{report}"#))
@@ -1500,6 +1530,38 @@ fn serve_job_inner(
         }
         other => Err(CliError::from(format!("unknown serve op `{other}`"))),
     }
+}
+
+/// The values a `factor`/`refactor` job factors.
+enum Values {
+    /// Streamed into the held matrix; what it held before, to put back if
+    /// the factorization fails.
+    Held(Vec<f64>),
+    /// A whole matrix from the general reader.
+    Parsed(CscMatrix),
+}
+
+/// Reads a `factor`/`refactor` job's values file. With a `held` matrix the
+/// file is streamed against its pattern ([`read_matrix_market_values`]),
+/// and the values are swapped into it: the job allocates one value array
+/// and a fixed read buffer, where the general reader builds the text, three
+/// triplet arrays and a pattern. Any deviation from the held layout — or
+/// no held matrix — reads the file through [`load`], so the matrix, or the
+/// error, is the general reader's.
+fn read_values(
+    engine: &Engine<'_>,
+    held: Option<&mut CscMatrix>,
+    path: &str,
+) -> Result<Values, CliError> {
+    if let Some(held) = held {
+        if let Some(mut vals) = read_matrix_market_values(Path::new(path), held.pattern()) {
+            held.values_mut().swap_with_slice(&mut vals);
+            engine.values_streamed.fetch_add(1, Ordering::Relaxed);
+            return Ok(Values::Held(vals));
+        }
+    }
+    engine.values_parsed.fetch_add(1, Ordering::Relaxed);
+    Ok(Values::Parsed(load(path)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -2203,6 +2265,56 @@ mod tests {
             let line = std::str::from_utf8(w).unwrap();
             assert!(line.starts_with('{') && line.ends_with("}\n"), "{line}");
             assert_eq!(line.matches('\n').count(), 1, "{line}");
+        }
+    }
+
+    /// A streamed job whose factorization fails — a numerically singular
+    /// value set, an expired deadline — leaves the held matrix with the
+    /// values it had: the stream swapped the new ones in, the failure swaps
+    /// them back. A job that streams and succeeds keeps the new ones.
+    #[test]
+    fn a_failed_streamed_job_leaves_the_held_values() {
+        let a = splu_matgen::grid3d_anisotropic(4, 4, 2, splu_matgen::GridOptions::default());
+        let dir = std::env::temp_dir();
+        let file = |name: &str, m: &CscMatrix| {
+            let p = dir.join(format!("parsplu-held-{}-{name}.mtx", std::process::id()));
+            splu_sparse::io::write_matrix_market(m, &p).unwrap();
+            p.to_str().unwrap().to_string()
+        };
+        let mut zeros = a.clone();
+        zeros.values_mut().fill(0.0);
+        let mut doubled = a.clone();
+        doubled.values_mut().iter_mut().for_each(|v| *v *= 2.0);
+        let paths = [
+            file("a", &a),
+            file("zeros", &zeros),
+            file("doubled", &doubled),
+        ];
+        let [base, zero_values, doubled_values] = &paths;
+        let engine = Engine::new(ServeConfig::default());
+        let held = || {
+            let pin = engine.pool.pin("s").unwrap();
+            let e = pin.cell().lock().unwrap();
+            e.matrix.as_ref().unwrap().values().to_vec()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for line in [format!("analyze s {base}"), format!("factor s {base}")] {
+            assert!(serve_job(&engine, 0, &line, None).contains(r#""status":"ok""#));
+        }
+        for line in [
+            format!("refactor s {zero_values}"),
+            format!("refactor s {doubled_values} --time-limit 0.000000001"),
+        ] {
+            let reply = serve_job(&engine, 0, &line, None);
+            assert!(reply.contains(r#""status":"error""#), "{reply}");
+            assert_eq!(bits(&held()), bits(a.values()), "after {line}");
+        }
+        let reply = serve_job(&engine, 0, &format!("refactor s {doubled_values}"), None);
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+        assert_eq!(bits(&held()), bits(doubled.values()));
+        assert_eq!(engine.values_streamed.load(Ordering::Relaxed), 3);
+        for p in paths {
+            let _ = std::fs::remove_file(p);
         }
     }
 }

@@ -7,6 +7,8 @@
 // Each test binary that includes this module uses a part of it.
 #![allow(dead_code)]
 
+pub mod stepped;
+
 use parsplu::core::{
     analyze, factor_numeric_with, solve_many_permuted, solve_permuted, solve_transposed_permuted,
     BlockMatrix, LuError, NumericRequest, Options, SymbolicLu,
