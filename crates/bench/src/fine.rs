@@ -167,7 +167,7 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
         pred_count[b] += 1;
     };
     for k in 0..nb {
-        for &j in bs.u_blocks[k].iter().skip(1) {
+        for &j in &bs.u_blocks.col(k)[1..] {
             let apply = add(
                 &mut tasks,
                 &mut succ,
@@ -183,7 +183,7 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
             edge(&mut succ, &mut pred_count, factor_id[k], apply);
             edge(&mut succ, &mut pred_count, apply, trsm);
             let mut gemms = Vec::new();
-            for &i in bs.l_blocks[k].iter().skip(1) {
+            for &i in &bs.l_blocks.col(k)[1..] {
                 // Destination block (i, j) may be structurally absent; the
                 // contribution is then exactly zero (see splu-core) and no
                 // task is needed.

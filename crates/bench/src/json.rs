@@ -163,7 +163,8 @@ mod tests {
     use super::*;
 
     /// The validator takes its phase vocabulary from `splu_core`: every
-    /// canonical name passes, a tenth one is refused.
+    /// canonical name passes — the set-up phases of a `factor` (`derive`,
+    /// `layout`, `assemble`) included — and any other is refused.
     #[test]
     fn run_report_phases_are_pinned_to_core_phase_names() {
         let report = |phases: &str| {
@@ -184,8 +185,11 @@ mod tests {
             .collect();
         let good = parse(&report(&all.join(", "))).unwrap();
         assert_eq!(validate_run_report(&good), Ok(1));
-        let tenth = parse(&report(&format!("{}, \"warmup\": 0.001", all.join(", ")))).unwrap();
-        let err = validate_run_report(&tenth).unwrap_err();
+        assert!(["derive", "layout", "assemble"]
+            .iter()
+            .all(|p| PHASE_NAMES.contains(p)));
+        let unknown = parse(&report(&format!("{}, \"warmup\": 0.001", all.join(", ")))).unwrap();
+        let err = validate_run_report(&unknown).unwrap_err();
         assert!(err.contains("unknown phase \"warmup\""), "{err}");
     }
 

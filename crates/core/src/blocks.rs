@@ -26,25 +26,41 @@
 //! pattern shares them. They exist because the lists **nest**: a row
 //! `r ∈ R_K` is a pivot candidate of `K`'s last column, so the static
 //! symbolic factorization gave it every column of `C_K` (DESIGN.md §5.5).
+//!
+//! **One buffer per block column.** Column `J` lives in one `Vec<f64>`
+//! ([`ColumnData`]): the panel first, then every `Ū(K, J)` in ascending
+//! source `K`, each column-major at an offset the [`Layout`] keeps. A task
+//! takes disjoint views of it with `split_at_mut`, so a session holds one
+//! allocation per block column (and its pivot sequence) however many
+//! blocks the column has. The buffer is allocated and receives `A`'s
+//! values in the one pass that locates them, column by column.
+//!
+//! **The value slot.** Where an input nonzero lands is one `u32`: its
+//! offset inside its block column's buffer; the block column follows from
+//! the entry's column. A held session keeps one slot per nonzero and
+//! refactors through them with plain indexed stores.
 
 use crate::request::RangePlan;
 use parking_lot::{Mutex, RwLock};
-use splu_dense::{DenseMat, MatRef, Pivots};
+use splu_dense::{MatMut, MatRef, Pivots};
 use splu_sched::{ExecSchedule, Task};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 
 /// The values of one block column, plus the pivot sequence once factored.
 #[derive(Debug)]
 pub struct ColumnData {
-    /// One `w_K × |S_KJ|` block per source `K` of this column, in ascending
-    /// `K` (the order of [`BlockMatrix::sources`]).
-    pub ublocks: Vec<DenseMat>,
-    /// The `L̄` panel: the diagonal block on top, then the rows `R_J`.
-    pub panel: DenseMat,
+    /// The `L̄` panel (`height × width`: the diagonal block on top, then the
+    /// rows `R_J`), then one `w_K × |S_KJ|` block `Ū(K, J)` per source `K`
+    /// in ascending `K` (the order of [`BlockMatrix::sources`]), all
+    /// column-major.
+    data: Vec<f64>,
+    width: u32,
+    height: u32,
     /// Pivot sequence of `Factor(J)` over the panel rows; `None` until
     /// factored.
     pub pivots: Option<Pivots>,
@@ -54,24 +70,60 @@ impl ColumnData {
     /// Width of the block column.
     #[inline]
     pub fn width(&self) -> usize {
-        self.panel.ncols()
+        self.width as usize
+    }
+
+    /// Rows of the panel: the width plus `|R_J|`.
+    #[inline]
+    pub(crate) fn height(&self) -> usize {
+        self.height as usize
+    }
+
+    /// The column's buffer: the panel, then its `Ū` blocks
+    /// ([`BlockMatrix::ublocks`]).
+    pub fn data(&self) -> &[f64] {
+        &self.data
+    }
+
+    fn panel_len(&self) -> usize {
+        self.width() * self.height()
+    }
+
+    /// The `L̄` panel.
+    pub fn panel(&self) -> MatRef<'_> {
+        self.panel_rows(0..self.height())
+    }
+
+    /// Rows `r` of the panel, as a strided view.
+    pub(crate) fn panel_rows(&self, r: Range<usize>) -> MatRef<'_> {
+        let (w, ld) = (self.width(), self.height());
+        MatRef::from_slice(&self.data[r.start..self.panel_len()], r.len(), w, ld)
+    }
+
+    pub(crate) fn panel_mut(&mut self) -> MatMut<'_> {
+        let (w, ld) = (self.width(), self.height());
+        MatMut::from_slice(&mut self.data[..w * ld], ld, w, ld)
+    }
+
+    /// `Ū(K, J)` for the update `u = (K, J)` into this column.
+    pub(crate) fn ublock(&self, lay: &Layout, u: &UpdateMap) -> MatRef<'_> {
+        let w_k = lay.width(u.src());
+        MatRef::from_slice(&self.data[u.span(w_k)], w_k, u.ncols(), w_k)
+    }
+
+    pub(crate) fn ublock_mut(&mut self, lay: &Layout, u: &UpdateMap) -> MatMut<'_> {
+        ublock_in(lay, &mut self.data, 0, u)
     }
 }
 
-/// Where one nonzero of the input lands inside the block storage —
-/// precomputed once per pattern so a refactorization scatters values with
-/// plain indexed stores.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ValueSlot {
-    /// Destination block column.
-    jb: u32,
-    /// Index into the column's `ublocks`, or [`IN_PANEL`].
-    ublock: u32,
-    /// Column-major flat index inside that dense storage.
-    flat: u32,
+/// `Ū(K, J)` of the update `u` inside `data`, which starts at offset `base`
+/// of column `J`'s buffer.
+fn ublock_in<'a>(lay: &Layout, data: &'a mut [f64], base: usize, u: &UpdateMap) -> MatMut<'a> {
+    let w_k = lay.width(u.src());
+    let span = u.span(w_k);
+    let data = &mut data[span.start - base..span.end - base];
+    MatMut::from_slice(data, w_k, u.ncols(), w_k)
 }
-
-const IN_PANEL: u32 = u32::MAX;
 
 fn idx32(x: usize) -> u32 {
     u32::try_from(x).expect("block storage index exceeds u32")
@@ -96,17 +148,17 @@ struct LBlock {
 pub(crate) struct UpdateMap {
     /// Source supernode `K`.
     src: u32,
-    /// Index of `Ū(K, J)` in column `J`'s `ublocks`.
-    q: u32,
+    /// Offset of `Ū(K, J)` in column `J`'s buffer.
+    off: u32,
     /// Positions of `S_KJ` inside `C_K`.
     cols: Range<u32>,
     /// `R_K[..t_diag]` lies above block row `J`, `R_K[t_diag..t_below]`
     /// inside it, `R_K[t_below..]` below it.
     t_diag: u32,
     t_below: u32,
-    /// `targets[targets + b]` is the index, in column `J`'s `ublocks`, of
-    /// `Ū(I, J)` for the `b`-th `L̄` block `I` of `K` — one per block above
-    /// block row `J`.
+    /// `targets[targets + b]` is the index, in the layout's updates, of
+    /// `Update(I, J)` for the `b`-th `L̄` block `I` of `K` — one per block
+    /// above block row `J`; its block `Ū(I, J)` receives those rows.
     targets: u32,
     /// `rel[row_rel + (t − t_below)]` is the panel row of `R_K[t]` in `J`.
     row_rel: u32,
@@ -118,19 +170,21 @@ impl UpdateMap {
         self.src as usize
     }
 
-    /// Index of `Ū(K, J)` in column `J`'s `ublocks`.
-    pub(crate) fn ublock(&self) -> usize {
-        self.q as usize
-    }
-
     /// `|S_KJ|`.
     pub(crate) fn ncols(&self) -> usize {
         self.cols.len()
     }
+
+    /// Where `Ū(K, J)` lies in column `J`'s buffer, `w_k` being `K`'s
+    /// width.
+    fn span(&self, w_k: usize) -> Range<usize> {
+        let off = self.off as usize;
+        off..off + w_k * self.ncols()
+    }
 }
 
-/// The structure-only half of the storage: shapes and the relative index
-/// maps, shared (read-only, lock-free) by every task and every
+/// The structure-only half of the storage: shapes, offsets and the relative
+/// index maps, shared (read-only, lock-free) by every task and every
 /// factorization of one pattern.
 #[derive(Debug)]
 pub(crate) struct Layout {
@@ -189,13 +243,42 @@ fn positions<'a>(sub: &'a [usize], sup: &'a [usize]) -> impl Iterator<Item = usi
     })
 }
 
+/// How many entries of the ascending `list` lie below `end`.
+fn count_below(list: &[usize], end: usize) -> usize {
+    list.partition_point(|&x| x < end)
+}
+
+/// Bytes of a vector's elements.
+fn vec_bytes<T>(v: &[T]) -> usize {
+    std::mem::size_of_val(v)
+}
+
 impl Layout {
-    fn new(bs: &BlockStructure, in_block: bool) -> Self {
+    /// The layout of the storage of `bs`, wired when `in_block` says `bs`
+    /// is the in-block structure ([`in_block_flags`]): a `Factor(K)` on it
+    /// that takes a pivot from below `K`'s diagonal block fails the run
+    /// with [`crate::LuError::PivotHistoryDiverged`]: such a pivot may fill
+    /// what the storage leaves out.
+    pub(crate) fn new(bs: &BlockStructure, in_block: bool) -> Self {
         let part = &bs.partition;
         let (n, nb) = (part.n(), part.num_blocks());
         let starts = part.starts().to_vec();
         let block_of = part.block_of_cols();
-        let mut rel: Vec<u32> = Vec::new();
+        // The relative maps hold, per L̄ block I of K, the columns of C_K
+        // beyond I, and per update (K, J) the rows of R_K beyond J; per
+        // update, one target per L̄ block of K above J.
+        let beyond = |list: &[usize], blocks: &[usize]| -> usize {
+            (blocks.iter())
+                .map(|&b| list.len() - count_below(list, starts[b + 1]))
+                .sum()
+        };
+        let (mut rel_len, mut targets_len) = (0, 0);
+        for k in 0..nb {
+            let (ls, us) = (&bs.l_blocks.col(k)[1..], &bs.u_blocks.col(k)[1..]);
+            rel_len += beyond(bs.u_cols.col(k), ls) + beyond(bs.l_rows.col(k), us);
+            targets_len += us.iter().map(|&j| count_below(ls, j)).sum::<usize>();
+        }
+        let mut rel: Vec<u32> = Vec::with_capacity(rel_len);
 
         // Per supernode K: where its rows and columns sit in their own
         // blocks, and the column maps into the rows below.
@@ -203,7 +286,7 @@ impl Layout {
         let mut owner = Vec::with_capacity(bs.l_rows.nnz());
         let mut ucol = Vec::with_capacity(bs.u_cols.nnz());
         let mut lblk_ptr = Vec::with_capacity(nb + 1);
-        let mut lblks: Vec<LBlock> = Vec::new();
+        let mut lblks: Vec<LBlock> = Vec::with_capacity(bs.l_blocks.nnz() - nb);
         for k in 0..nb {
             lblk_ptr.push(lblks.len());
             let first = lblks.len();
@@ -240,7 +323,7 @@ impl Layout {
         // Per block column J: its sources, ascending.
         let mut upd_ptr = vec![0usize; nb + 1];
         for k in 0..nb {
-            for &j in &bs.u_blocks[k][1..] {
+            for &j in &bs.u_blocks.col(k)[1..] {
                 upd_ptr[j + 1] += 1;
             }
         }
@@ -250,7 +333,7 @@ impl Layout {
         let mut srcs = vec![0usize; upd_ptr[nb]];
         let mut fill = upd_ptr.clone();
         for k in 0..nb {
-            for &j in &bs.u_blocks[k][1..] {
+            for &j in &bs.u_blocks.col(k)[1..] {
                 srcs[fill[j]] = k;
                 fill[j] += 1;
             }
@@ -261,15 +344,19 @@ impl Layout {
         let (row_ptr, col_ptr) = (bs.l_rows.col_ptr(), bs.u_cols.col_ptr());
         let mut ccur = vec![0usize; nb];
         let mut tcur = vec![0usize; nb];
-        let mut q_of = vec![(usize::MAX, 0u32); nb];
+        // The block column each supernode's last update went into, and that
+        // update's index.
+        let mut upd_of = vec![(usize::MAX, 0u32); nb];
         let mut upds: Vec<UpdateMap> = Vec::with_capacity(srcs.len());
-        let mut targets: Vec<u32> = Vec::new();
+        let mut targets: Vec<u32> = Vec::with_capacity(targets_len);
         let mut scratch_len = 0usize;
         for j in 0..nb {
             let (start_j, end_j) = (starts[j], starts[j + 1]);
-            let sources = &srcs[upd_ptr[j]..upd_ptr[j + 1]];
-            for (q, &k) in sources.iter().enumerate() {
-                q_of[k] = (j, idx32(q));
+            let w_j = end_j - start_j;
+            // The Ū blocks follow the panel in the column's buffer.
+            let mut off = w_j * (w_j + row_ptr[j + 1] - row_ptr[j]);
+            for &k in &srcs[upd_ptr[j]..upd_ptr[j + 1]] {
+                upd_of[k] = (j, idx32(upds.len()));
                 let (ck, rk) = (bs.u_cols.col(k), bs.l_rows.col(k));
                 let a = ccur[k];
                 let mut b = a;
@@ -289,25 +376,25 @@ impl Layout {
                 tcur[k] = t;
                 let row_rel = rel.len();
                 rel.extend(positions(&rk[t..], bs.l_rows.col(j)).map(idx32));
-                let width = idx32(end_j - start_j);
                 for p in &mut rel[row_rel..] {
-                    *p += width;
+                    *p += idx32(w_j);
                 }
                 scratch_len = scratch_len.max(rk.len() * (b - a));
                 upds.push(UpdateMap {
                     src: idx32(k),
-                    q: idx32(q),
+                    off: idx32(off),
                     cols: idx32(a)..idx32(b),
                     t_diag: idx32(t_diag),
                     t_below: idx32(t),
                     targets: 0,
                     row_rel: idx32(row_rel),
                 });
+                off += (starts[k + 1] - starts[k]) * (b - a);
             }
             // Second pass, now that the first fixed where S_IJ starts in C_I
-            // for every source I of J: name the blocks Ū(I, J) the rows of K
-            // above block row J add into, and make K's column map into each
-            // relative to that block.
+            // for every source I of J: name the updates (I, J) whose blocks
+            // the rows of K above block row J add into, and make K's column
+            // map into each relative to that block.
             for at in upd_ptr[j]..upd_ptr[j + 1] {
                 upds[at].targets = idx32(targets.len());
                 let (k, cols) = (upds[at].src as usize, upds[at].cols.clone());
@@ -316,20 +403,21 @@ impl Layout {
                     t => owner[row_ptr[k] + t as usize - 1] as usize + 1,
                 };
                 for lb in &lblks[lblk_ptr[k]..][..above] {
-                    let (col, q) = q_of[lb.block as usize];
+                    let (col, ui) = upd_of[lb.block as usize];
                     assert_eq!(
                         col, j,
                         "row/column lists do not nest: the partition is not made of eforest chains"
                     );
-                    let seg = upds[upd_ptr[j] + q as usize].cols.start;
+                    let seg = upds[ui as usize].cols.start;
                     let first = (lb.crel + cols.start - lb.c0) as usize;
                     for p in &mut rel[first..first + cols.len()] {
                         *p -= seg;
                     }
-                    targets.push(q);
+                    targets.push(ui);
                 }
             }
         }
+        debug_assert_eq!((rel.len(), targets.len()), (rel_len, targets_len));
         Layout {
             n,
             starts,
@@ -383,6 +471,14 @@ impl Layout {
     /// `|R_K|`.
     pub(crate) fn rows_below(&self, k: usize) -> usize {
         self.row_ptr[k + 1] - self.row_ptr[k]
+    }
+
+    /// Length of column `j`'s buffer: its panel and its `Ū` blocks.
+    fn column_len(&self, j: usize) -> usize {
+        match self.updates(j).last() {
+            Some(u) => u.span(self.width(u.src())).end,
+            None => self.width(j) * (self.width(j) + self.rows_below(j)),
+        }
     }
 
     /// Id of the first task of block column `j` in the left-looking order
@@ -442,7 +538,7 @@ impl Layout {
             let lb = &self.lblks[self.lblk_ptr[k] + b];
             let first = (lb.crel + u.cols.start - lb.c0) as usize;
             RowDest::Above {
-                q: self.targets[u.targets as usize + b] as usize,
+                block: &self.upds[self.targets[u.targets as usize + b] as usize],
                 row,
                 cols: &self.rel[first..first + u.cols.len()],
             }
@@ -459,73 +555,110 @@ impl Layout {
         }
     }
 
-    /// Calls `visit(e, slot)` for entry number `e` (in storage order) of
-    /// every entry of `pattern`, whose rows `new_row` maps into
-    /// factorization order and whose column `old_col(j)` is factorization
-    /// column `j`. Linear in the entries plus the stored rows: each block
-    /// column stamps where its rows live, then looks its entries up.
-    fn locate_entries(
-        &self,
-        pattern: &SparsityPattern,
-        new_row: impl Fn(usize) -> usize,
-        old_col: impl Fn(usize) -> usize,
-        mut visit: impl FnMut(usize, ValueSlot),
-    ) {
-        assert_eq!(pattern.ncols(), self.n, "matrix and structure disagree");
-        // Per stored row of the current block column: (column stamp, ublock
-        // or IN_PANEL, row inside that storage).
-        let mut place = vec![(usize::MAX, 0u32, 0u32); self.n];
-        let mut cursor: Vec<usize> = Vec::new();
-        for j in 0..self.num_blocks() {
-            let (start, w) = (self.starts[j], self.width(j));
-            for r in 0..w {
-                place[start + r] = (j, IN_PANEL, idx32(r));
+    /// Bytes of the layout's arrays, with the range plan kept for runs on
+    /// several threads.
+    fn bytes(&self) -> u64 {
+        let words = vec_bytes(&self.lrow)
+            + vec_bytes(&self.owner)
+            + vec_bytes(&self.ucol)
+            + vec_bytes(&self.targets)
+            + vec_bytes(&self.rel);
+        let ptrs = vec_bytes(&self.starts)
+            + vec_bytes(&self.row_ptr)
+            + vec_bytes(&self.col_ptr)
+            + vec_bytes(&self.lblk_ptr)
+            + vec_bytes(&self.upd_ptr);
+        let maps = vec_bytes(&self.lblks) + vec_bytes(&self.upds);
+        let plan = self.plan.lock().as_ref().map_or(0, |(_, _, p)| p.bytes());
+        (size_of::<Self>() + words + ptrs + maps) as u64 + plan
+    }
+}
+
+/// Finds where the entries of an input land, one block column at a time:
+/// each block column stamps where its rows live, then looks its entries up
+/// — linear in the entries plus the stored rows. The entries' rows
+/// `new_row` maps into factorization order, and factorization column `j`
+/// is the input's column `old_col(j)`.
+struct Locator<'a, R, C> {
+    lay: &'a Layout,
+    pattern: &'a SparsityPattern,
+    new_row: R,
+    old_col: C,
+    /// Per row: (the block column that stamped it, the index of its update
+    /// among that column's or `IN_PANEL`, the row inside that storage).
+    place: Vec<(usize, u32, u32)>,
+    /// Per update into the current column: the position in `S_KJ` its
+    /// entries reached.
+    cursor: Vec<usize>,
+}
+
+const IN_PANEL: u32 = u32::MAX;
+
+impl<'a, R: Fn(usize) -> usize, C: Fn(usize) -> usize> Locator<'a, R, C> {
+    fn new(lay: &'a Layout, pattern: &'a SparsityPattern, new_row: R, old_col: C) -> Self {
+        assert_eq!(pattern.ncols(), lay.n, "matrix and structure disagree");
+        Locator {
+            lay,
+            pattern,
+            new_row,
+            old_col,
+            place: vec![(usize::MAX, 0, 0); lay.n],
+            cursor: Vec::with_capacity(
+                lay.upd_ptr
+                    .windows(2)
+                    .map(|p| p[1] - p[0])
+                    .max()
+                    .unwrap_or(0),
+            ),
+        }
+    }
+
+    /// Calls `visit(e, at)` for every entry of block column `j`: entry
+    /// number `e` of the pattern (in storage order) lands at offset `at` of
+    /// the column's buffer.
+    fn column(&mut self, j: usize, mut visit: impl FnMut(usize, usize)) {
+        let (lay, place) = (self.lay, &mut self.place);
+        let (start, w) = (lay.starts[j], lay.width(j));
+        for r in 0..w {
+            place[start + r] = (j, IN_PANEL, idx32(r));
+        }
+        for (t, r) in lay.global_rows(j).enumerate() {
+            place[r] = (j, IN_PANEL, idx32(w + t));
+        }
+        let into_j = lay.updates(j);
+        for (q, u) in into_j.iter().enumerate() {
+            let k = u.src as usize;
+            for r in 0..lay.width(k) {
+                place[lay.starts[k] + r] = (j, idx32(q), idx32(r));
             }
-            for (t, r) in self.global_rows(j).enumerate() {
-                place[r] = (j, IN_PANEL, idx32(w + t));
-            }
-            let into_j = self.updates(j);
-            for u in into_j {
-                let k = u.src as usize;
-                for r in 0..self.width(k) {
-                    place[self.starts[k] + r] = (j, u.q, idx32(r));
-                }
-            }
-            cursor.clear();
-            cursor.resize(into_j.len(), 0);
-            let ld = w + self.rows_below(j);
-            for lj in 0..w {
-                let col = old_col(start + lj);
-                let first = pattern.col_ptr()[col];
-                for (e, &i) in pattern.col(col).iter().enumerate() {
-                    let (stamp, ublock, row) = place[new_row(i)];
-                    assert_eq!(stamp, j, "entry outside the filled block structure");
-                    let flat = if ublock == IN_PANEL {
-                        lj * ld + row as usize
-                    } else {
-                        // Columns are visited in ascending order, so the
-                        // cursor into S_KJ only moves forward.
-                        let u = &into_j[ublock as usize];
-                        let cols = self.local_cols(u);
-                        let x = &mut cursor[ublock as usize];
-                        while *x < cols.len() && (cols[*x] as usize) < lj {
-                            *x += 1;
-                        }
-                        assert!(
-                            *x < cols.len() && cols[*x] as usize == lj,
-                            "entry outside the filled block structure"
-                        );
-                        *x * self.width(u.src as usize) + row as usize
-                    };
-                    visit(
-                        first + e,
-                        ValueSlot {
-                            jb: idx32(j),
-                            ublock,
-                            flat: idx32(flat),
-                        },
+        }
+        self.cursor.clear();
+        self.cursor.resize(into_j.len(), 0);
+        let ld = w + lay.rows_below(j);
+        for lj in 0..w {
+            let col = (self.old_col)(start + lj);
+            let first = self.pattern.col_ptr()[col];
+            for (e, &i) in self.pattern.col(col).iter().enumerate() {
+                let (stamp, q, row) = place[(self.new_row)(i)];
+                assert_eq!(stamp, j, "entry outside the filled block structure");
+                let at = if q == IN_PANEL {
+                    lj * ld + row as usize
+                } else {
+                    // Columns are visited in ascending order, so the cursor
+                    // into S_KJ only moves forward.
+                    let u = &into_j[q as usize];
+                    let cols = lay.local_cols(u);
+                    let x = &mut self.cursor[q as usize];
+                    while *x < cols.len() && (cols[*x] as usize) < lj {
+                        *x += 1;
+                    }
+                    assert!(
+                        *x < cols.len() && cols[*x] as usize == lj,
+                        "entry outside the filled block structure"
                     );
-                }
+                    u.off as usize + *x * lay.width(u.src()) + row as usize
+                };
+                visit(first + e, at);
             }
         }
     }
@@ -533,7 +666,7 @@ impl Layout {
 
 /// The flags [`in_block_flags`] starts from, one per entry of `bs.l_rows` /
 /// `bs.u_cols`: an entry of `pattern` (whose rows `new_row` and columns
-/// `old_col` relate to factorization order as in [`Layout::locate_entries`])
+/// `old_col` relate to factorization order as in [`BlockMatrix::assembled`])
 /// below its diagonal block is a live row of `R_J`, one right of it a live
 /// column of `C_I`; and the first row of `R_K` and column of `C_K` are live
 /// wherever `bs` has both — the edge of the block eforest, which the solves
@@ -624,7 +757,11 @@ pub(crate) fn in_block_flags(
         out.clear();
         out.extend(lists.col(k).iter().zip(on).filter(|x| *x.1).map(|x| *x.0));
     };
-    let (mut live_rows, mut live_cols) = (Vec::new(), Vec::new());
+    let longest = |lists: &SparsityPattern| (0..bs.num_blocks()).map(|k| lists.col(k).len()).max();
+    let (mut live_rows, mut live_cols) = (
+        Vec::with_capacity(longest(rows).unwrap_or(0)),
+        Vec::with_capacity(longest(cols).unwrap_or(0)),
+    );
     for k in 0..bs.num_blocks() {
         live(rows, k, &row_live, &mut live_rows);
         live(cols, k, &col_live, &mut live_cols);
@@ -666,9 +803,9 @@ pub(crate) fn realised_structure(
 /// Where a stored row of the source lives in the destination column of an
 /// update; `S_KJ[x]` is column `cols[x]` there.
 enum RowDest<'a> {
-    /// In `ublocks[q]`, at `row`.
+    /// In the block `Ū(I, J)` of the update `block`, at `row`.
     Above {
-        q: usize,
+        block: &'a UpdateMap,
         row: usize,
         cols: &'a [u32],
     },
@@ -686,19 +823,23 @@ impl ColumnData {
     /// structure at that step is inside `Ū_{K*}`), so nothing is lost —
     /// debug-asserted.
     pub(crate) fn swap_rows(&mut self, lay: &Layout, u: &UpdateMap, c: usize, p: usize) {
-        let q = u.q as usize;
-        let w_k = self.ublocks[q].nrows();
+        let w_k = lay.width(u.src());
         if p < w_k {
-            self.ublocks[q].swap_rows(c, p);
+            self.ublock_mut(lay, u).swap_rows(c, p);
             return;
         }
         match lay.row_dest(u, p - w_k) {
-            RowDest::Above { q: qi, row, cols } => {
-                let (head, tail) = self.ublocks.split_at_mut(qi);
-                swap_into(&mut head[q], c, &mut tail[0], row, cols);
+            RowDest::Above { block, row, cols } => {
+                // Ū(I, J) follows Ū(K, J) in the buffer: I > K.
+                let (head, tail) = self.data.split_at_mut(block.off as usize);
+                let theirs = ublock_in(lay, tail, block.off as usize, block);
+                swap_into(ublock_in(lay, head, 0, u), c, theirs, row, cols);
             }
             RowDest::Panel { row, cols } => {
-                swap_into(&mut self.ublocks[q], c, &mut self.panel, row, cols);
+                let (w, ld) = (self.width(), self.height());
+                let (panel, rest) = self.data.split_at_mut(w * ld);
+                let theirs = MatMut::from_slice(panel, ld, w, ld);
+                swap_into(ublock_in(lay, rest, w * ld, u), c, theirs, row, cols);
             }
         }
     }
@@ -717,9 +858,15 @@ impl ColumnData {
             let b = lay.owner[lay.row_ptr[k] + at] as usize;
             let lb = &lay.lblks[lay.lblk_ptr[k] + b];
             let seg = at..end.min(lb.rows.end as usize);
-            let dst = &mut self.ublocks[lay.targets[u.targets as usize + b] as usize];
+            let block = &lay.upds[lay.targets[u.targets as usize + b] as usize];
             let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
-            add_rows(dst, cmap, &lrow[seg.clone()], t, seg.start);
+            add_rows(
+                self.ublock_mut(lay, block),
+                cmap,
+                &lrow[seg.clone()],
+                t,
+                seg.start,
+            );
             at = seg.end;
         }
         // Rows inside block row J land in the diagonal block at their local
@@ -728,18 +875,18 @@ impl ColumnData {
         let diag = t_diag.min(end)..t_below.min(end);
         if !diag.is_empty() {
             let rmap = &lrow[diag.clone()];
-            add_rows(&mut self.panel, cols, rmap, t, diag.start);
+            add_rows(self.panel_mut(), cols, rmap, t, diag.start);
         }
         if t_below < end {
             let rmap = &lay.rel[u.row_rel as usize..][..end - t_below];
-            add_rows(&mut self.panel, cols, rmap, t, t_below);
+            add_rows(self.panel_mut(), cols, rmap, t, t_below);
         }
     }
 }
 
 /// `dst[rmap[i], cmap[x]] += t[t_first + i, x]` for every column `x` of
 /// `t` and every `i`.
-fn add_rows(dst: &mut DenseMat, cmap: &[u32], rmap: &[u32], t: MatRef<'_>, t_first: usize) {
+fn add_rows(mut dst: MatMut<'_>, cmap: &[u32], rmap: &[u32], t: MatRef<'_>, t_first: usize) {
     for x in 0..t.ncols() {
         let src = &t.col(x)[t_first..t_first + rmap.len()];
         let dcol = dst.col_mut(cmap[x] as usize);
@@ -752,7 +899,7 @@ fn add_rows(dst: &mut DenseMat, cmap: &[u32], rmap: &[u32], t: MatRef<'_>, t_fir
 /// Exchanges row `c` of `mine` (all its columns) with row `row` of `theirs`
 /// at the (ascending) columns `cols`. Debug builds check that `theirs`
 /// holds zeros in that row everywhere else.
-fn swap_into(mine: &mut DenseMat, c: usize, theirs: &mut DenseMat, row: usize, cols: &[u32]) {
+fn swap_into(mut mine: MatMut<'_>, c: usize, mut theirs: MatMut<'_>, row: usize, cols: &[u32]) {
     if cfg!(debug_assertions) {
         let mut keep = cols.iter().peekable();
         for dc in 0..theirs.ncols() {
@@ -782,45 +929,62 @@ impl BlockMatrix {
     /// Allocates the compact storage of `Ā` under the given block
     /// structure, zero-filled and unfactored, and builds its index maps.
     pub fn zeros(bs: &BlockStructure) -> Self {
-        Self::laid_out(bs, false)
+        Self::with_layout(Arc::new(Layout::new(bs, false)), |_, _| {})
     }
 
-    /// [`Self::zeros`], wired when `in_block` says `bs` is the in-block
-    /// structure ([`in_block_flags`]): a `Factor(K)` on it that takes a
-    /// pivot from below `K`'s diagonal block fails the run with
-    /// [`crate::LuError::PivotHistoryDiverged`]: such a pivot may fill
-    /// what the storage leaves out.
-    pub(crate) fn laid_out(bs: &BlockStructure, in_block: bool) -> Self {
-        Self::with_layout(Arc::new(Layout::new(bs, in_block)))
+    /// Assembles the block storage of `a` (already permuted into
+    /// factorization order) under the given block structure: [`Self::zeros`]
+    /// with the entries of `a` in place.
+    pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
+        Self::assembled(Arc::new(Layout::new(bs, false)), a, |i| i, |j| j, None)
     }
 
-    /// Fresh zeroed storage over an existing layout.
-    fn with_layout(layout: Arc<Layout>) -> Self {
+    /// The storage laid out by `layout`, each column's buffer allocated and
+    /// given the entries of `a` that land in it in one pass — the rows of
+    /// `a` mapping into factorization order by `new_row`, factorization
+    /// column `j` being `a`'s column `old_col(j)`. With `slots`, entry `e`
+    /// of `a` (in storage order) also records its offset in its column's
+    /// buffer at `slots[e]`.
+    pub(crate) fn assembled(
+        layout: Arc<Layout>,
+        a: &CscMatrix,
+        new_row: impl Fn(usize) -> usize,
+        old_col: impl Fn(usize) -> usize,
+        mut slots: Option<&mut [u32]>,
+    ) -> Self {
+        let values = a.values();
+        let lay = Arc::clone(&layout);
+        let mut loc = Locator::new(&lay, a.pattern(), new_row, old_col);
+        Self::with_layout(layout, |j, data| {
+            loc.column(j, |e, at| {
+                data[at] = values[e];
+                if let Some(slots) = slots.as_deref_mut() {
+                    slots[e] = idx32(at);
+                }
+            });
+        })
+    }
+
+    /// Storage over `layout`: every column's buffer allocated zeroed and
+    /// handed to `fill(j, buffer)` before the next one is.
+    pub(crate) fn with_layout(
+        layout: Arc<Layout>,
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) -> Self {
         let columns = (0..layout.num_blocks())
             .map(|j| {
-                let w = layout.width(j);
-                let ublocks = layout
-                    .updates(j)
-                    .iter()
-                    .map(|u| DenseMat::zeros(layout.width(u.src as usize), u.cols.len()))
-                    .collect();
+                let mut data = vec![0.0; layout.column_len(j)];
+                fill(j, &mut data);
+                let (w, below) = (layout.width(j), layout.rows_below(j));
                 RwLock::new(ColumnData {
-                    ublocks,
-                    panel: DenseMat::zeros(w + layout.rows_below(j), w),
+                    data,
+                    width: idx32(w),
+                    height: idx32(w + below),
                     pivots: None,
                 })
             })
             .collect();
         BlockMatrix { layout, columns }
-    }
-
-    /// Fresh zeroed storage with this matrix's structure, sharing its index
-    /// maps. Consumes `self` first, so two copies of the values never
-    /// coexist.
-    pub(crate) fn into_zeros(self) -> Self {
-        let layout = self.layout;
-        drop(self.columns);
-        Self::with_layout(layout)
     }
 
     /// The pivot history of a completed factorization: the global
@@ -871,7 +1035,7 @@ impl BlockMatrix {
         })
     }
 
-    /// The wire: on wired storage ([`Self::laid_out`]), the first (global)
+    /// The wire: on wired storage ([`Layout::new`]), the first (global)
     /// column of block column `k`, factored in `col`, whose pivot came from
     /// below `k`'s diagonal block, if any; `None` on any other storage.
     pub(crate) fn pivot_left_block(&self, k: usize, col: &ColumnData) -> Option<usize> {
@@ -883,18 +1047,9 @@ impl BlockMatrix {
         (swaps.iter().position(|&p| p >= col.width())).map(|c| lay.starts[k] + c)
     }
 
-    /// Assembles the block storage of `a` (already permuted into
-    /// factorization order) under the given block structure: [`Self::zeros`]
-    /// with the entries of `a` scattered into place.
-    pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
-        let mut bm = Self::zeros(bs);
-        bm.scatter(a, |i| i, |j| j);
-        bm
-    }
-
     /// Stores every entry of `a` at its place, its rows `new_row` and its
     /// columns `old_col` relating to factorization order as in
-    /// [`Layout::locate_entries`]: one pass, no slot is kept.
+    /// [`Self::assembled`]: the locating pass, no slot is kept.
     pub(crate) fn scatter(
         &mut self,
         a: &CscMatrix,
@@ -902,49 +1057,38 @@ impl BlockMatrix {
         old_col: impl Fn(usize) -> usize,
     ) {
         let values = a.values();
-        let columns = &mut self.columns;
-        self.layout
-            .locate_entries(a.pattern(), new_row, old_col, |e, slot| {
-                *Self::slot_mut(columns, slot) = values[e];
-            });
+        let mut loc = Locator::new(&self.layout, a.pattern(), new_row, old_col);
+        for (j, col) in self.columns.iter_mut().enumerate() {
+            let data = &mut col.get_mut().data;
+            loc.column(j, |e, at| data[at] = values[e]);
+        }
     }
 
-    fn slot_mut(columns: &mut [RwLock<ColumnData>], slot: ValueSlot) -> &mut f64 {
-        let col = columns[slot.jb as usize].get_mut();
-        let data = if slot.ublock == IN_PANEL {
-            col.panel.data_mut()
-        } else {
-            col.ublocks[slot.ublock as usize].data_mut()
-        };
-        &mut data[slot.flat as usize]
-    }
-
-    /// The slot of every entry of `pattern` in storage order, whose rows
-    /// `new_row` and whose columns `old_col` relate to factorization order
-    /// as in [`Layout::locate_entries`].
-    pub(crate) fn value_slots(
-        &self,
+    /// Stores `values[e]` at `slots[e]` of its column's buffer, for the
+    /// entries `e` of `pattern`, factorization column `j` being `pattern`'s
+    /// column `old_col(j)`: plain indexed stores, no allocation.
+    pub(crate) fn store_values(
+        &mut self,
         pattern: &SparsityPattern,
-        new_row: impl Fn(usize) -> usize,
         old_col: impl Fn(usize) -> usize,
-    ) -> Vec<ValueSlot> {
-        let mut slots = vec![ValueSlot::default(); pattern.nnz()];
-        self.layout
-            .locate_entries(pattern, new_row, old_col, |e, slot| slots[e] = slot);
-        slots
-    }
-
-    /// Stores `values[e]` at `slots[e]`: plain indexed stores, no
-    /// allocation.
-    pub(crate) fn store_values(&mut self, slots: &[ValueSlot], values: &[f64]) {
+        slots: &[u32],
+        values: &[f64],
+    ) {
         debug_assert_eq!(slots.len(), values.len());
-        for (&slot, &v) in slots.iter().zip(values) {
-            *Self::slot_mut(&mut self.columns, slot) = v;
+        let lay = &*self.layout;
+        for (j, col) in self.columns.iter_mut().enumerate() {
+            let data = &mut col.get_mut().data;
+            for c in (lay.starts[j]..lay.starts[j + 1]).map(&old_col) {
+                let entries = pattern.col_ptr()[c]..pattern.col_ptr()[c + 1];
+                for (&at, &v) in slots[entries.clone()].iter().zip(&values[entries]) {
+                    data[at as usize] = v;
+                }
+            }
         }
     }
 
     /// Zeroes every stored value and empties the pivot sequences **in
-    /// place** — every allocation (U blocks, panels, pivot swap vectors) is
+    /// place** — every allocation (column buffers, pivot swap vectors) is
     /// retained, so a rescatter + refactorization on top
     /// allocates nothing. After the reset, factored columns hold `Some`
     /// *empty* pivots rather than `None`; the factor task treats both as
@@ -955,10 +1099,7 @@ impl BlockMatrix {
             if let Some(p) = col.pivots.as_mut() {
                 p.clear();
             }
-            for blk in &mut col.ublocks {
-                blk.data_mut().fill(0.0);
-            }
-            col.panel.data_mut().fill(0.0);
+            col.data.fill(0.0);
         }
     }
 
@@ -995,14 +1136,26 @@ impl BlockMatrix {
         &self.layout
     }
 
-    /// The sources of block column `j` in ascending order — `ublocks[q]` of
-    /// the column is `Ū(K, j)` for the `q`-th pair `(K, S_Kj)` — each with
-    /// the columns of `j` its block stores.
+    /// The sources of block column `j` in ascending order — the `q`-th
+    /// block of [`Self::ublocks`] is `Ū(K, j)` for the `q`-th pair
+    /// `(K, S_Kj)` — each with the columns of `j` its block stores.
     pub fn sources(&self, j: usize) -> impl Iterator<Item = (usize, &[u32])> + '_ {
         let lay = &*self.layout;
         lay.updates(j)
             .iter()
             .map(move |u| (u.src as usize, lay.local_cols(u)))
+    }
+
+    /// The blocks `Ū(K, j)` of `col`, block column `j`, in ascending
+    /// source: each with its source `K` and the columns of `j` it stores
+    /// (`w_K × |S_Kj|`, column-major).
+    pub fn ublocks<'a>(
+        &'a self,
+        j: usize,
+        col: &'a ColumnData,
+    ) -> impl Iterator<Item = (usize, &'a [u32], MatRef<'a>)> + 'a {
+        let lay = &*self.layout;
+        (lay.updates(j).iter()).map(move |u| (u.src(), lay.local_cols(u), col.ublock(lay, u)))
     }
 
     /// The tasks this storage is factored by, in the **left-looking
@@ -1067,16 +1220,17 @@ impl BlockMatrix {
         for (j, col) in self.columns.iter().enumerate() {
             let col = col.read();
             let (start, w) = (lay.starts[j], lay.width(j));
-            for (u, blk) in lay.updates(j).iter().zip(&col.ublocks) {
-                let top = lay.starts[u.src as usize];
-                for (x, &lc) in lay.local_cols(u).iter().enumerate() {
+            for (src, cols, blk) in self.ublocks(j, &col) {
+                let top = lay.starts[src];
+                for (x, &lc) in cols.iter().enumerate() {
                     for (r, &v) in blk.col(x).iter().enumerate() {
                         visit(top + r, start + lc as usize, v);
                     }
                 }
             }
+            let panel = col.panel();
             for lj in 0..w {
-                let pcol = col.panel.col(lj);
+                let pcol = panel.col(lj);
                 for (r, &v) in pcol[..w].iter().enumerate() {
                     visit(start + r, start + lj, v);
                 }
@@ -1101,13 +1255,8 @@ impl BlockMatrix {
     /// `max |l/u_ij|` after factoring) — the two ends of the element-growth
     /// estimate.
     pub fn max_abs(&self) -> f64 {
-        self.columns
-            .iter()
-            .map(|c| {
-                let c = c.read();
-                let u = c.ublocks.iter().fold(0.0f64, |m, b| m.max(b.max_abs()));
-                u.max(c.panel.max_abs())
-            })
+        (self.columns.iter())
+            .map(|c| c.read().data.iter().fold(0.0f64, |m, &x| m.max(x.abs())))
             .fold(0.0f64, f64::max)
     }
 
@@ -1115,28 +1264,17 @@ impl BlockMatrix {
     /// ([`BlockStructure::storage_words`]), explicit zeros of amalgamated
     /// supernodes included.
     pub fn storage_words(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| {
-                let c = c.read();
-                let u: usize = c.ublocks.iter().map(|b| b.nrows() * b.ncols()).sum();
-                u + c.panel.nrows() * c.panel.ncols()
-            })
-            .sum()
+        self.columns.iter().map(|c| c.read().data.len()).sum()
     }
 
-    /// Bytes of index maps behind the values, with the range plan kept
-    /// for runs on several threads.
-    pub(crate) fn map_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let lay = &*self.layout;
-        let words = lay.lrow.len() + lay.owner.len() + lay.ucol.len() + lay.rel.len();
-        let plan = lay.plan.lock().as_ref().map_or(0, |(_, _, p)| p.bytes());
-        (words * size_of::<u32>()
-            + lay.targets.len() * size_of::<u32>()
-            + lay.lblks.len() * size_of::<LBlock>()
-            + lay.upds.len() * size_of::<UpdateMap>()) as u64
-            + plan
+    /// Bytes the storage holds: the column buffers and pivot sequences,
+    /// the column table, and the layout with its range plan — from the
+    /// lengths of the arrays.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let words = self.storage_words() * size_of::<f64>();
+        let pivots = self.n() * size_of::<usize>();
+        let table = self.columns.len() * size_of::<RwLock<ColumnData>>();
+        (words + pivots + table) as u64 + self.layout.bytes()
     }
 }
 
@@ -1208,13 +1346,13 @@ mod tests {
                     for (t, &r) in bs.l_rows.col(k).iter().enumerate() {
                         for (x, &c) in s_kj.iter().enumerate() {
                             let got = match lay.row_dest(u, t) {
-                                RowDest::Above { q, row, cols } => {
+                                RowDest::Above { block, row, cols } => {
                                     rows_checked[0] += 1;
-                                    col.ublocks[q][(row, cols[x] as usize)]
+                                    col.ublock(lay, block)[(row, cols[x] as usize)]
                                 }
                                 RowDest::Panel { row, cols } => {
                                     rows_checked[1] += 1;
-                                    col.panel[(row, cols[x] as usize)]
+                                    col.panel()[(row, cols[x] as usize)]
                                 }
                             };
                             assert_eq!(got, (r * n + c + 1) as f64, "U({k},{j}) row {r} col {c}");
@@ -1329,7 +1467,7 @@ mod tests {
                     if !row_live[rows].contains(&true) {
                         continue;
                     }
-                    let ui = &into_j[lay.targets[u.targets as usize + b] as usize];
+                    let ui = &lay.upds[lay.targets[u.targets as usize + b] as usize];
                     let ci = lay.col_ptr[ui.src as usize] + ui.cols.start as usize;
                     let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
                     for &x in &live_x {

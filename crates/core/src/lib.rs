@@ -299,10 +299,11 @@ pub struct Stats {
     pub flops_estimate: f64,
 }
 
-/// The analysis product: permutations, block structure and the block-level
-/// eforest — everything the numerical phase needs. The scalar `L̄`/`Ū` is
-/// never written: the block structure's per-supernode row and column lists
-/// are what the compact storage is laid out from.
+/// The analysis product: permutations and block structure — everything the
+/// numerical phase needs. The scalar `L̄`/`Ū` is never written: the block
+/// structure's per-supernode row and column lists are what the compact
+/// storage is laid out from, and the block eforest follows from its block
+/// lists ([`block_forest`]).
 pub struct SymbolicLu {
     /// Total row permutation: the factored matrix is
     /// `A[row_perm, col_perm]`.
@@ -313,8 +314,6 @@ pub struct SymbolicLu {
     /// storage: the in-block sub-structure it is laid out from, or the
     /// static one (after analysis, and after a pivot left its block).
     pub block_structure: BlockStructure,
-    /// Block-level LU elimination forest.
-    pub block_forest: EliminationForest,
     /// Structural statistics (graph fields describe the eforest graph).
     pub stats: Stats,
     /// The static structure, held aside while `block_structure` is the
@@ -368,7 +367,7 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     let mut src_ptr = vec![0usize; nb + 1];
     let mut from_non_roots = 0;
     for k in 0..nb {
-        for &j in &bs.u_blocks[k][1..] {
+        for &j in &bs.u_blocks.col(k)[1..] {
             flops += costs::update_flops(width(k), below(k), bs.u_cols_in(k, j).len());
             src_ptr[j + 1] += 1;
             from_non_roots += usize::from(forest.parent(k).is_some());
@@ -381,7 +380,7 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     let mut sources = vec![0usize; updates];
     let mut fill = src_ptr.clone();
     for k in 0..nb {
-        for &j in &bs.u_blocks[k][1..] {
+        for &j in &bs.u_blocks.col(k)[1..] {
             sources[fill[j]] = k;
             fill[j] += 1;
         }
@@ -571,7 +570,6 @@ pub fn analyze_with(
         row_perm,
         col_perm,
         block_structure,
-        block_forest: bf,
         stats,
         static_bs: None,
         opts: opts.clone(),

@@ -68,23 +68,24 @@ fn update_columns(
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
+    let lay = bm.layout();
     let piv = col_k
         .pivots
         .as_ref()
         .expect("Update(k, j) scheduled before Factor(k)");
     for (c, &p) in piv.swaps().iter().enumerate() {
         if c != p {
-            col_j.swap_rows(bm.layout(), u, c, p);
+            col_j.swap_rows(lay, u, c, p);
         }
     }
     let (w_k, s) = (col_k.width(), u.ncols());
-    let diag = col_k.panel.row_range(0..w_k);
-    kernels.trsm_lower_unit(diag, col_j.ublocks[u.ublock()].as_view_mut());
+    let diag = col_k.panel_rows(0..w_k);
+    kernels.trsm_lower_unit(diag, col_j.ublock_mut(lay, u));
     if let Some(reg) = metrics {
         reg.incr(Counter::TrsmCalls);
         reg.add(Counter::TrsmFlops, (w_k * w_k.saturating_sub(1) * s) as u64);
     }
-    let m = col_k.panel.nrows() - w_k;
+    let m = col_k.height() - w_k;
     if m == 0 {
         return;
     }
@@ -92,10 +93,10 @@ fn update_columns(
         t.fill(0.0);
         kernels.gemm_sub(
             MatMut::from_slice(t, m, s, m),
-            col_k.panel.row_range(w_k..w_k + m),
-            col_j.ublocks[u.ublock()].as_view(),
+            col_k.panel_rows(w_k..w_k + m),
+            col_j.ublock(lay, u),
         );
-        col_j.scatter_add(bm.layout(), u, MatRef::from_slice(t, m, s, m));
+        col_j.scatter_add(lay, u, MatRef::from_slice(t, m, s, m));
     });
     if let Some(reg) = metrics {
         reg.incr(Counter::GemmCalls);
@@ -195,7 +196,7 @@ impl<'a> TaskBodies<'a> {
         };
         self.kernels
             .lu_panel_into(
-                &mut col.panel,
+                col.panel_mut(),
                 self.rule,
                 self.threshold,
                 self.breakdown,
@@ -249,7 +250,7 @@ impl<'a> TaskBodies<'a> {
             reg.incr(Counter::FactorCalls);
             reg.add(
                 Counter::FactorFlops,
-                factor_flops(col.panel.nrows(), col.width()),
+                factor_flops(col.height(), col.width()),
             );
         }
         if !perturbed.is_empty() {
@@ -501,14 +502,7 @@ mod tests {
             let cr = bm_right.column(k).read();
             let cl = bm_left.column(k).read();
             assert_eq!(cr.pivots, cl.pivots, "pivot sequences differ at {k}");
-            for (br, bl) in cr.ublocks.iter().zip(&cl.ublocks) {
-                assert_eq!(br.data(), bl.data(), "U values differ at column {k}");
-            }
-            assert_eq!(
-                cr.panel.data(),
-                cl.panel.data(),
-                "panel values differ at column {k}"
-            );
+            assert_eq!(cr.data(), cl.data(), "values differ at column {k}");
         }
     }
 

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Canonical pipeline phase names, in pipeline order — the driver spans
 /// that [`RunReport::phases_s`] aggregates, and the only names
 /// `splu_bench::json::validate_run_report` accepts there.
-pub const PHASE_NAMES: [&str; 9] = [
+pub const PHASE_NAMES: [&str; 12] = [
     "parse",
     "scale_transversal",
     "ordering",
@@ -39,6 +39,9 @@ pub const PHASE_NAMES: [&str; 9] = [
     "eforest_postorder",
     "supernode_partition",
     "graph_build",
+    "derive",
+    "layout",
+    "assemble",
     "numeric",
     "solve",
 ];
@@ -744,7 +747,7 @@ mod tests {
         }
         // Non-canonical names are recorded as spans but not phases.
         {
-            let _s = session.trace().span("assemble");
+            let _s = session.trace().span("warmup");
         }
         let walls = session.phase_walls();
         let names: Vec<_> = walls.iter().map(|(n, _)| *n).collect();

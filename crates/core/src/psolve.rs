@@ -109,7 +109,7 @@ pub fn solve_permuted_parallel(
         let mut y = vec![0.0; rows.len()];
         {
             let mut seg = shards.segs[k].lock();
-            forward_column(&col.panel, &mut seg, &mut y);
+            forward_column(col.panel(), &mut seg, &mut y);
         }
         // Add it in, one lock per block row the rows fall into.
         let mut t = 0;
@@ -166,10 +166,10 @@ pub fn solve_permuted_parallel(
         let col = bm.column(k).read();
         let xk = {
             let mut seg = shards.segs[k].lock();
-            backward_diagonal(&col.panel, &mut seg);
+            backward_diagonal(col.panel(), &mut seg);
             seg.clone()
         };
-        for (blk, (ib, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+        for (ib, cols, blk) in bm.ublocks(k, &col) {
             let mut seg = shards.segs[ib].lock();
             for (x, &lc) in cols.iter().enumerate() {
                 let s = xk[lc as usize];

@@ -836,7 +836,8 @@ mod tests {
                 let schedule = Arc::new(ExecSchedule::for_graph(&graph));
                 for (structure, wired) in [(bs, false), (&in_block, true)] {
                     let tripped = wired && left;
-                    let mut bm = BlockMatrix::laid_out(structure, wired);
+                    let layout = crate::blocks::Layout::new(structure, wired);
+                    let mut bm = BlockMatrix::with_layout(Arc::new(layout), |_, _| {});
                     bm.reset_from(&p, structure);
                     let replayed = graph_replay(&bm, &graph);
                     proptest::prop_assert_eq!(replayed.is_err(), tripped);

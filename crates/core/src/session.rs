@@ -20,14 +20,16 @@
 //! * [`SluSession::solve`] / [`SluSession::try_solve`] /
 //!   [`SluSession::solve_refined`] — operate on the latest factors.
 //!
-//! **The scatter map.** A session a caller holds builds, with its storage
-//! at its first `factor`, the map from each input nonzero to the word that
-//! receives it (one 12-byte slot per nonzero), which every `refactor`
-//! reuses. Built lazily at the first `refactor`, it is allocated after
-//! the storage, between factorizations, and a prototype of that raised the
-//! daemon benchmark's peak RSS (EXPERIMENTS.md). The session inside a
-//! [`crate::SparseLu`] is never refactored: its `factor` places `A`'s
-//! values in the one pass that locates them, and it keeps no map.
+//! **The scatter map.** A session a caller holds records, in the pass that
+//! allocates its storage at its first `factor` and places the values, the
+//! slot of each input nonzero: the offset of the word that receives it
+//! inside its block column's buffer (4 bytes per nonzero), which every
+//! later `factor` and `refactor` reuses. Built lazily at the first
+//! `refactor`, it is allocated after the storage, between factorizations,
+//! and a prototype of that raised the daemon benchmark's peak RSS
+//! (EXPERIMENTS.md). The session inside a [`crate::SparseLu`] is never
+//! refactored: its `factor` places `A`'s values in the one pass that
+//! locates them, and it keeps no map.
 //!
 //! Values whose pattern hash disagrees with the analyzed one are rejected
 //! with [`LuError::PatternMismatch`]; a solve before the first successful
@@ -53,7 +55,7 @@
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
 //! over this API) scales the values before handing them to the session.
 
-use crate::blocks::{in_block_flags, realised_structure, seed_flags, BlockMatrix, ValueSlot};
+use crate::blocks::{in_block_flags, realised_structure, seed_flags, BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
@@ -124,10 +126,11 @@ pub struct SluSession {
     graph: Option<(TaskGraph, Arc<ExecSchedule>)>,
     pattern_hash: u64,
     bm: Option<BlockMatrix>,
-    /// Where each nonzero of the (original-order) input lands inside the
-    /// block storage, in `values()` order, reused by every later `factor`
-    /// and `refactor` on the same storage. Empty in a one-shot session.
-    scatter: Vec<ValueSlot>,
+    /// Where each nonzero of the (original-order) input lands: its offset
+    /// in the buffer of its block column (the block column of its column),
+    /// in `values()` order, reused by every later `factor` and `refactor`
+    /// on the same storage. Empty in a one-shot session.
+    slots: Vec<u32>,
     /// Set for the session [`crate::SparseLu`] holds and never refactors:
     /// its storage receives the values straight from the one pass that
     /// locates them, and no scatter map is kept.
@@ -183,7 +186,7 @@ impl SluSession {
             graph,
             pattern_hash: pattern_hash(pattern),
             bm: None,
-            scatter: Vec::new(),
+            slots: Vec::new(),
             one_shot,
             health: FactorHealth::default(),
             factored: false,
@@ -248,13 +251,11 @@ impl SluSession {
     ) -> Result<(), LuError> {
         self.check_pattern(a)?;
         check_finite(a)?;
-        {
-            let _p = obs.map(|o| o.phase("graph_build"));
-            if !self.is_realised() {
-                self.speculate(a.pattern());
-            }
-            self.assemble_fresh(a);
+        if !self.is_realised() {
+            let _p = obs.map(|o| o.phase("derive"));
+            self.speculate(a.pattern());
         }
+        self.assemble(a, obs);
         self.run_or_fall_back(a, obs, RefactorPath::Realised)
     }
 
@@ -265,9 +266,7 @@ impl SluSession {
         }
         self.check_pattern(a)?;
         check_finite(a)?;
-        let bm = self.bm.as_mut().expect("storage checked above");
-        bm.reset_values();
-        bm.store_values(&self.scatter, a.values());
+        self.refill(a);
         let path = if self.is_realised() {
             RefactorPath::Realised
         } else {
@@ -290,13 +289,10 @@ impl SluSession {
     ) -> Result<(), LuError> {
         let mut outcome = self.run_numeric(obs);
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
-            {
-                let _p = obs.map(|o| o.phase("graph_build"));
-                self.sym.block_structure = (self.sym.static_bs.take())
-                    .expect("only storage laid out on the in-block structure is wired");
-                (self.bm, self.scatter) = (None, Vec::new());
-                self.assemble_fresh(a);
-            }
+            self.sym.block_structure = (self.sym.static_bs.take())
+                .expect("only storage laid out on the in-block structure is wired");
+            (self.bm, self.slots) = (None, Vec::new());
+            self.assemble(a, obs);
             path = RefactorPath::Fallback { column };
             outcome = self.run_numeric(obs);
         }
@@ -319,9 +315,9 @@ impl SluSession {
     /// the static storage and scatter map go, the lists are derived from
     /// the static ones and the entries of the analyzed (original-order)
     /// `pattern`, and the static lists are held aside.
-    /// [`Self::assemble_fresh`] lays the storage out.
+    /// [`Self::assemble`] lays the storage out.
     fn speculate(&mut self, pattern: &SparsityPattern) {
-        (self.bm, self.scatter) = (None, Vec::new());
+        (self.bm, self.slots) = (None, Vec::new());
         let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
         let static_bs = &self.sym.block_structure;
         let seeds = seed_flags(static_bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
@@ -343,30 +339,46 @@ impl SluSession {
         Ok(())
     }
 
-    /// Replaces the storage by freshly allocated zeros holding `a`'s
-    /// values; the first call on a structure also builds the index maps of
-    /// the storage — wired on the in-block structure — and, in a held
-    /// session, the scatter map that puts the values there (every later
-    /// factor and refactor reuses both). A one-shot session places the
-    /// values in the pass that locates them and keeps no map.
-    fn assemble_fresh(&mut self, a: &CscMatrix) {
-        // The old factors go first, so two copies never coexist.
-        let bm = match self.bm.take() {
-            Some(old) => old.into_zeros(),
-            None => BlockMatrix::laid_out(&self.sym.block_structure, self.is_realised()),
-        };
-        let bm = self.bm.insert(bm);
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        let (new_row, old_col) = (|i| rows.new_of(i), |j| cols.old_of(j));
-        if self.one_shot {
-            bm.scatter(a, new_row, old_col);
+    /// Gives the storage `a`'s values. The first call on a structure lays
+    /// the storage out: the index maps (phase `layout`) — wired on the
+    /// in-block structure — then one buffer per block column, each
+    /// allocated and given its values in the pass that locates them
+    /// (phase `assemble`), which in a held session also records the slots
+    /// every later factor and refactor reuses. Later calls overwrite the
+    /// storage in place ([`Self::refill`]).
+    fn assemble(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) {
+        if self.bm.is_some() {
+            let _p = obs.map(|o| o.phase("assemble"));
+            self.refill(a);
             return;
         }
-        // (An empty map is that of an empty matrix: rebuilding it is free.)
-        if self.scatter.is_empty() {
-            self.scatter = bm.value_slots(a.pattern(), new_row, old_col);
+        let layout = {
+            let _p = obs.map(|o| o.phase("layout"));
+            Layout::new(&self.sym.block_structure, self.is_realised())
+        };
+        let _p = obs.map(|o| o.phase("assemble"));
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let (new_row, old_col) = (|i| rows.new_of(i), |j| cols.old_of(j));
+        if !self.one_shot {
+            self.slots = vec![0; a.nnz()];
         }
-        bm.store_values(&self.scatter, a.values());
+        let slots = (!self.one_shot).then_some(&mut self.slots[..]);
+        let bm = BlockMatrix::assembled(Arc::new(layout), a, new_row, old_col, slots);
+        self.bm = Some(bm);
+    }
+
+    /// Zeroes the storage in place and stores `a`'s values: through the
+    /// slots in a held session, by the locating pass in a one-shot one.
+    fn refill(&mut self, a: &CscMatrix) {
+        let bm = self.bm.as_mut().expect("storage laid out");
+        bm.reset_values();
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let old_col = |j| cols.old_of(j);
+        if self.one_shot {
+            bm.scatter(a, |i| rows.new_of(i), old_col);
+        } else {
+            bm.store_values(a.pattern(), old_col, &self.slots, a.values());
+        }
     }
 
     fn run_numeric(&mut self, obs: Option<&ObsSession>) -> Result<(), LuError> {
@@ -529,59 +541,51 @@ impl SluSession {
         self.graph.as_ref().map(|(_, schedule)| schedule)
     }
 
-    /// Resident bytes this session holds: the dense panel/U-block storage
-    /// (dominant term, exact via [`BlockMatrix::storage_words`]) with its
-    /// index maps, the cached scatter map (one slot per input nonzero, held
-    /// from the first `factor` on; the session of a [`crate::SparseLu`]
-    /// keeps none), and the symbolic state — the
-    /// block structure's row, column and block lists (of **both**
-    /// structures while the in-block one is held), the
-    /// two permutations with their inverses, the block forest, and the
-    /// task graph with its schedule while one is held — counted from the
-    /// lengths of the arrays that hold them (no scalar `L̄`/`Ū` exists to
-    /// count). Storage, maps and scatter map are those actually held: the
-    /// in-block ones while the in-block structure is held. This is the
-    /// quantity a session pool budgets and evicts on; it intentionally
-    /// counts only per-session state, not transient factorization
-    /// workspace.
+    /// Resident bytes this session holds, counted from the lengths of the
+    /// arrays that hold them: the block storage (one buffer per block
+    /// column, the pivot sequences, the index maps), the slots (4 bytes
+    /// per input nonzero, held from the first `factor` on; the session of
+    /// a [`crate::SparseLu`] keeps none), and the symbolic state — the
+    /// block structure's row, column and block lists and partition (of
+    /// **both** structures while the in-block one is held), the two
+    /// permutations with their inverses, and the task graph with its
+    /// schedule while one is held (no scalar `L̄`/`Ū` exists to count).
+    /// Storage, maps and slots are those actually held: the in-block ones
+    /// while the in-block structure is held. This is the quantity a session
+    /// pool budgets and evicts on; it intentionally counts only per-session
+    /// state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
-        let usz = std::mem::size_of::<usize>() as u64;
-        let vec_header = std::mem::size_of::<Vec<usize>>() as u64;
+        use std::mem::size_of;
+        let usz = size_of::<usize>() as u64;
+        let vec_header = size_of::<Vec<usize>>() as u64;
         let (n, nb) = (
             self.sym.stats.n as u64,
             self.sym.block_structure.num_blocks() as u64,
         );
-        // R_K / C_K with their pointers, the block lists (one `Vec` per
-        // supernode and factor), the partition.
+        let pattern = |p: &SparsityPattern| (p.col_ptr().len() + p.nnz()) as u64 * usz;
         let lists = |bs: &BlockStructure| {
-            let block_list_words: usize = (bs.l_blocks.iter().chain(&bs.u_blocks))
-                .map(|blocks| blocks.len())
-                .sum();
-            (bs.l_rows.nnz() + bs.u_cols.nnz() + block_list_words) as u64 * usz
-                + 2 * nb * vec_header
-                + 3 * (nb + 1) * usz
+            [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
+                .map(pattern)
+                .iter()
+                .sum::<u64>()
+                + (nb + 1) * usz
         };
-        // Four permutation arrays; the forest's parents and one child list
-        // per node.
+        // Four permutation arrays.
         let symbolic = lists(&self.sym.block_structure)
             + self.sym.static_bs.as_ref().map_or(0, lists)
-            + 4 * n * usz
-            + nb * (2 * usz + vec_header);
+            + 4 * n * usz;
         // Task graph: the task, its successor list and its predecessor
         // count per task, one word per edge; schedule: a priority per task.
         let graph = self.graph.as_ref().map_or(0, |(graph, schedule)| {
             let tasks = graph.len() as u64;
-            tasks * (std::mem::size_of::<splu_sched::Task>() as u64 + vec_header + usz)
+            tasks * (size_of::<splu_sched::Task>() as u64 + vec_header + usz)
                 + self.sym.stats.graph_edges as u64 * usz
                 + nb * usz
                 + (schedule.len() as u64) * 8
         });
-        let numeric = self
-            .bm
-            .as_ref()
-            .map_or(0, |bm| 8 * bm.storage_words() as u64 + bm.map_bytes());
-        let scatter = (self.scatter.len() * std::mem::size_of::<ValueSlot>()) as u64;
-        symbolic + graph + numeric + scatter
+        let numeric = self.bm.as_ref().map_or(0, BlockMatrix::resident_bytes);
+        let slots = (self.slots.len() * size_of::<u32>()) as u64;
+        symbolic + graph + numeric + slots
     }
 
     /// The static structure `Ā` of the analysis, valid for every pivot
@@ -709,10 +713,10 @@ mod tests {
     }
 
     /// Both placements equal permute + `assemble`, on the static and the
-    /// in-block structure: through the scatter map of a held session, on
-    /// the first call (map built) and on a later one (map reused), and
+    /// in-block structure: through the slots of a held session, on the
+    /// first call (slots recorded) and on a later one (slots reused), and
     /// straight from the locating pass in a one-shot session, which keeps
-    /// no map.
+    /// no slots.
     #[test]
     fn scatter_map_storage_is_bitwise_the_assembled_storage() {
         for m in splu_matgen::paper_suite(splu_matgen::Scale::Reduced) {
@@ -727,12 +731,12 @@ mod tests {
                     s.speculate(m.a.pattern());
                 }
                 for a in [m.a.clone(), revalue(&m.a, 3)] {
-                    s.assemble_fresh(&a);
+                    s.assemble(&a, None);
                     let permuted = s.sym.permute_matrix(&a);
                     let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
                     assert_same_words(s.bm.as_ref().unwrap(), &want, &what);
                     let map_len = if one_shot { 0 } else { a.nnz() };
-                    assert_eq!(s.scatter.len(), map_len, "{what}");
+                    assert_eq!(s.slots.len(), map_len, "{what}");
                 }
             }
         }
@@ -748,7 +752,7 @@ mod tests {
         let mut one_shot = SluSession::analyze_inner(a.pattern(), &opts, None, true).unwrap();
         one_shot.factor(&a).unwrap();
         one_shot.refactor(&a2).unwrap();
-        assert!(one_shot.scatter.is_empty());
+        assert!(one_shot.slots.is_empty());
         let mut held = SluSession::analyze(a.pattern(), &opts).unwrap();
         held.factor(&a2).unwrap();
         let (x, y) = (one_shot.bm.as_ref(), held.bm.as_ref());

@@ -16,6 +16,7 @@
 
 use crate::blocks::BlockMatrix;
 use crate::LuError;
+use splu_dense::MatRef;
 use splu_sparse::CscMatrix;
 use splu_symbolic::supernode::BlockStructure;
 
@@ -51,7 +52,7 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
         }
         let (start, rows) = (part.range(k).start, bs.l_rows.col(k));
         let y = &mut scratch[..rows.len()];
-        forward_column(&col.panel, &mut b[start..start + col.width()], y);
+        forward_column(col.panel(), &mut b[start..start + col.width()], y);
         for (&r, &v) in rows.iter().zip(&*y) {
             b[r] += v;
         }
@@ -63,8 +64,8 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
         let col = bm.column(k).read();
         let (head, tail) = b.split_at_mut(part.range(k).start);
         let xk = &mut tail[..col.width()];
-        backward_diagonal(&col.panel, xk);
-        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+        backward_diagonal(col.panel(), xk);
+        for (src, cols, blk) in bm.ublocks(k, &col) {
             let xi = &mut head[part.range(src)];
             for (x, &lc) in cols.iter().enumerate() {
                 let s = xk[lc as usize];
@@ -81,7 +82,7 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
 /// One block column of the forward sweep: the unit-lower solve on the
 /// diagonal block in `xk`, and `y = −L̄_below · xk`. One pass over the
 /// panel.
-pub(crate) fn forward_column(panel: &splu_dense::DenseMat, xk: &mut [f64], y: &mut [f64]) {
+pub(crate) fn forward_column(panel: MatRef<'_>, xk: &mut [f64], y: &mut [f64]) {
     let w = xk.len();
     y.fill(0.0);
     for c in 0..w {
@@ -99,7 +100,7 @@ pub(crate) fn forward_column(panel: &splu_dense::DenseMat, xk: &mut [f64], y: &m
 }
 
 /// The upper-triangular solve on the diagonal block of one block column.
-pub(crate) fn backward_diagonal(panel: &splu_dense::DenseMat, xk: &mut [f64]) {
+pub(crate) fn backward_diagonal(panel: MatRef<'_>, xk: &mut [f64]) {
     for c in (0..xk.len()).rev() {
         let pcol = panel.col(c);
         xk[c] /= pcol[c];
@@ -132,7 +133,7 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
         let (head, tail) = b.split_at_mut(part.range(k).start);
         let yk = &mut tail[..col.width()];
         // Subtract Ū(i, k)ᵀ · y_i for every source i < k.
-        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+        for (src, cols, blk) in bm.ublocks(k, &col) {
             let yi = &head[part.range(src)];
             for (x, &lc) in cols.iter().enumerate() {
                 let dot: f64 = blk.col(x).iter().zip(yi).map(|(&v, &y)| v * y).sum();
@@ -141,8 +142,9 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
         }
         // Diagonal block: Uᵀ is lower triangular → forward substitution
         // over the local columns of U (rows of Uᵀ).
+        let panel = col.panel();
         for c in 0..yk.len() {
-            let dcol = col.panel.col(c);
+            let dcol = panel.col(c);
             let mut s = yk[c];
             for r in 0..c {
                 s -= dcol[r] * yk[r];
@@ -158,20 +160,21 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
         let (start, w, rows) = (part.range(k).start, col.width(), bs.l_rows.col(k));
+        let panel = col.panel();
         // Subtract L̄_belowᵀ · x_{R_k} from the diagonal segment.
         let xr = &mut gathered[..rows.len()];
         for (g, &r) in xr.iter_mut().zip(rows) {
             *g = b[r];
         }
         for c in 0..w {
-            let below = &col.panel.col(c)[w..];
+            let below = &panel.col(c)[w..];
             let dot: f64 = below.iter().zip(&*xr).map(|(&v, &x)| v * x).sum();
             b[start + c] -= dot;
         }
         // Lᵀ of the unit-lower diagonal block is unit upper: backward
         // substitution over local columns, x_c ← x_c − Σ_{r>c} L(r,c)·x_r.
         for c in (0..w).rev() {
-            let dcol = col.panel.col(c);
+            let dcol = panel.col(c);
             let mut s = b[start + c];
             for r in c + 1..w {
                 s -= dcol[r] * b[start + r];
@@ -200,7 +203,7 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
 /// off-diagonal eliminations) — the multi-RHS payoff of the supernodal
 /// storage.
 pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64], nrhs: usize) {
-    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatMut, MatRef};
+    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatMut};
     let n = bm.n();
     assert_eq!(b.len(), n * nrhs, "rhs block size mismatch");
     if n == 0 || nrhs == 0 {
@@ -245,7 +248,7 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
             }
         }
         let (k_range, w, rows) = (part.range(k), col.width(), bs.l_rows.col(k));
-        kernels.trsm_lower_unit(col.panel.row_range(0..w), x.row_range_mut(k_range.clone()));
+        kernels.trsm_lower_unit(col.panel_rows(0..w), x.row_range_mut(k_range.clone()));
         if rows.is_empty() {
             continue;
         }
@@ -256,7 +259,7 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
         t.fill(0.0);
         kernels.gemm_sub(
             MatMut::from_slice(t, m, nrhs, m),
-            col.panel.row_range(w..w + m),
+            col.panel_rows(w..w + m),
             xk,
         );
         for c in 0..nrhs {
@@ -271,11 +274,11 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
         let (k_range, w) = (part.range(k), col.width());
-        kernels.trsm_upper(col.panel.row_range(0..w), x.row_range_mut(k_range.clone()));
-        for (blk, (src, cols)) in col.ublocks.iter().zip(bm.sources(k)) {
+        kernels.trsm_upper(col.panel_rows(0..w), x.row_range_mut(k_range.clone()));
+        for (src, cols, blk) in bm.ublocks(k, &col) {
             let stored = cols.iter().map(|&lc| k_range.start + lc as usize);
             let xs = gather(&x, stored, &mut xk_buf);
-            kernels.gemm_sub(x.row_range_mut(part.range(src)), blk.as_view(), xs);
+            kernels.gemm_sub(x.row_range_mut(part.range(src)), blk, xs);
         }
     }
     b.copy_from_slice(x.data());
@@ -320,8 +323,9 @@ pub fn det_permuted(bm: &BlockMatrix, bs: &BlockStructure) -> (f64, f64) {
     let mut ln_abs = 0.0_f64;
     for k in 0..bm.num_block_cols() {
         let col = bm.column(k).read();
+        let panel = col.panel();
         for c in 0..part.width(k) {
-            let d = col.panel[(c, c)];
+            let d = panel[(c, c)];
             if d == 0.0 {
                 return (0.0, f64::NEG_INFINITY);
             }
@@ -346,14 +350,7 @@ pub fn det_permuted(bm: &BlockMatrix, bs: &BlockStructure) -> (f64, f64) {
 /// stability diagnostic (small growth ⇒ the partial-pivoting factorization
 /// is backward stable).
 pub fn growth_factor(bm: &BlockMatrix, max_abs_a: f64) -> f64 {
-    let mut max_f = 0.0_f64;
-    for k in 0..bm.num_block_cols() {
-        let col = bm.column(k).read();
-        for blk in &col.ublocks {
-            max_f = max_f.max(blk.max_abs());
-        }
-        max_f = max_f.max(col.panel.max_abs());
-    }
+    let max_f = bm.max_abs();
     if max_abs_a == 0.0 {
         1.0
     } else {

@@ -15,7 +15,6 @@
 use super::tile;
 use crate::lu::{panel_lu, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
 use crate::view::{MatMut, MatRef};
-use crate::DenseMat;
 
 /// Which dense kernel instantiation the numeric phase uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,7 +67,7 @@ enum Op<'a> {
     TrsmLowerUnit(MatRef<'a>, MatMut<'a>),
     TrsmUpper(MatRef<'a>, MatMut<'a>),
     PanelLu {
-        panel: &'a mut DenseMat,
+        panel: MatMut<'a>,
         rule: PivotRule,
         pivot_threshold: f64,
         breakdown: PanelBreakdown,
@@ -270,7 +269,7 @@ impl Dispatch {
     /// time). On error `out`'s contents are unspecified.
     pub fn lu_panel_into(
         &self,
-        panel: &mut DenseMat,
+        panel: MatMut<'_>,
         rule: PivotRule,
         pivot_threshold: f64,
         breakdown: PanelBreakdown,

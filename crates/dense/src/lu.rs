@@ -1,7 +1,7 @@
 //! Panel and full dense LU with partial pivoting.
 
 use crate::kernels::tile::{forward_strip, NR, SB};
-use crate::DenseMat;
+use crate::{DenseMat, MatMut};
 
 /// A partial-pivoting interchange sequence, LAPACK `ipiv`-style: at step
 /// `c`, rows `c` and `swap[c]` were exchanged (`swap[c] ≥ c`).
@@ -145,7 +145,7 @@ pub enum PivotRule {
 pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, PanelError> {
     let mut out = PanelOutcome::default();
     crate::Dispatch::portable().lu_panel_into(
-        panel,
+        panel.as_view_mut(),
         PivotRule::Partial,
         pivot_threshold,
         PanelBreakdown::Error,
@@ -164,7 +164,7 @@ pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, Pa
 /// ascending column order, as in the unblocked algorithm.
 #[inline(always)]
 pub(crate) fn panel_lu<const MR: usize>(
-    panel: &mut DenseMat,
+    mut panel: MatMut<'_>,
     rule: PivotRule,
     pivot_threshold: f64,
     breakdown: PanelBreakdown,
@@ -183,7 +183,6 @@ pub(crate) fn panel_lu<const MR: usize>(
     out.pivots.swaps.clear();
     out.pivots.swaps.reserve(w);
     out.perturbed.clear();
-    let mut panel = panel.as_view_mut();
     for c0 in (0..w).step_by(SB) {
         let c1 = (c0 + SB).min(w);
         for c in c0..c1 {
@@ -320,7 +319,7 @@ mod tests {
     ) -> Result<PanelOutcome, PanelError> {
         let mut out = PanelOutcome::default();
         crate::Dispatch::portable().lu_panel_into(
-            panel,
+            panel.as_view_mut(),
             rule,
             pivot_threshold,
             breakdown,

@@ -197,7 +197,7 @@ proptest! {
         let factor = |d: &Dispatch| {
             let mut p = p0.clone();
             let mut out = PanelOutcome::default();
-            let status = d.lu_panel_into(&mut p, rule, 1.0e-300, breakdown, None, &mut out);
+            let status = d.lu_panel_into(p.as_view_mut(), rule, 1.0e-300, breakdown, None, &mut out);
             (status, out, bits(&p))
         };
         let reference = factor(&Dispatch::portable());
@@ -293,7 +293,7 @@ fn strips_match_unblocked_references() {
             let mut p = p0.clone();
             let mut out = PanelOutcome::default();
             d.lu_panel_into(
-                &mut p,
+                p.as_view_mut(),
                 PivotRule::Partial,
                 0.0,
                 PanelBreakdown::Error,

@@ -223,8 +223,8 @@ pub fn block_forest(bs: &BlockStructure) -> EliminationForest {
     let nb = bs.num_blocks();
     let mut parent = vec![usize::MAX; nb];
     for i in 0..nb {
-        if bs.l_blocks[i].len() > 1 {
-            if let Some(&p) = bs.u_blocks[i].get(1) {
+        if bs.l_blocks.col(i).len() > 1 {
+            if let Some(&p) = bs.u_blocks.col(i).get(1) {
                 parent[i] = p;
             }
         }
@@ -247,7 +247,7 @@ fn base_graph(bs: &BlockStructure) -> (TaskGraph, Vec<Vec<(usize, usize)>>) {
     }
     let mut update_ids: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nb];
     for k in 0..nb {
-        for &j in bs.u_blocks[k].iter().skip(1) {
+        for &j in &bs.u_blocks.col(k)[1..] {
             let id = g.add_task(Task::Update { src: k, dst: j });
             g.add_edge(g.factor_ids[k], id);
             update_ids[k].push((j, id));

@@ -362,15 +362,31 @@ fn within(list: &[usize], range: std::ops::Range<usize>) -> &[usize] {
 }
 
 /// `k` followed by the distinct blocks of the ascending indices `outside`.
-fn blocks_of(k: usize, outside: &[usize], block_of: &[usize]) -> Vec<usize> {
-    let mut blocks = vec![k];
-    for &x in outside {
-        let b = block_of[x];
-        if blocks.last() != Some(&b) {
-            blocks.push(b);
-        }
+fn blocks_of<'a>(
+    k: usize,
+    outside: &'a [usize],
+    block_of: &'a [usize],
+) -> impl Iterator<Item = usize> + 'a {
+    let mut prev = usize::MAX;
+    let blocks = std::iter::once(k).chain(outside.iter().map(|&x| block_of[x]));
+    blocks.filter(move |&b| std::mem::replace(&mut prev, b) != b)
+}
+
+/// The `N × N` block lists of the `n × N` lists `lists`: column `K` holds
+/// `K`, then the distinct blocks of `lists.col(K)` — one array, sized
+/// before it is written.
+fn block_lists(lists: &SparsityPattern, block_of: &[usize]) -> SparsityPattern {
+    let nb = lists.ncols();
+    let mut ptr = Vec::with_capacity(nb + 1);
+    ptr.push(0);
+    for k in 0..nb {
+        ptr.push(ptr[k] + blocks_of(k, lists.col(k), block_of).count());
     }
-    blocks
+    let mut idx = Vec::with_capacity(ptr[nb]);
+    for k in 0..nb {
+        idx.extend(blocks_of(k, lists.col(k), block_of));
+    }
+    SparsityPattern::from_sorted_parts(nb, nb, ptr, idx)
 }
 
 /// Block structure of the filled matrix under a partition: which submatrix
@@ -391,12 +407,12 @@ fn blocks_of(k: usize, outside: &[usize], block_of: &[usize]) -> Vec<usize> {
 pub struct BlockStructure {
     /// The column/row partition (identical, as in the paper).
     pub partition: Partition,
-    /// For each block column `J`: sorted block rows `I ≥ J` with a nonzero
-    /// `L̄` block (always starts with `J` itself).
-    pub l_blocks: Vec<Vec<usize>>,
-    /// For each block row `I`: sorted block columns `J ≥ I` with a nonzero
-    /// `Ū` block (always starts with `I` itself).
-    pub u_blocks: Vec<Vec<usize>>,
+    /// Column `J` lists the block rows `I ≥ J` with a nonzero `L̄` block,
+    /// ascending — always `J` itself first (`N × N`).
+    pub l_blocks: SparsityPattern,
+    /// Column `I` lists the block columns `J ≥ I` with a nonzero `Ū` block,
+    /// ascending — always `I` itself first (`N × N`).
+    pub u_blocks: SparsityPattern,
     /// Column `K` lists `R_K`: the scalar rows below supernode `K` that its
     /// `L̄` panel stores, ascending (`n × N`).
     pub l_rows: SparsityPattern,
@@ -511,14 +527,9 @@ impl BlockStructure {
         u_cols: SparsityPattern,
     ) -> Self {
         let block_of = partition.block_of_cols();
-        let blocks = |lists: &SparsityPattern| -> Vec<Vec<usize>> {
-            (0..partition.num_blocks())
-                .map(|k| blocks_of(k, lists.col(k), &block_of))
-                .collect()
-        };
         BlockStructure {
-            l_blocks: blocks(&l_rows),
-            u_blocks: blocks(&u_cols),
+            l_blocks: block_lists(&l_rows, &block_of),
+            u_blocks: block_lists(&u_cols, &block_of),
             l_rows,
             u_cols,
             partition,
@@ -598,9 +609,9 @@ impl BlockStructure {
     /// `true` when block `(ib, jb)` is structurally nonzero (either factor).
     pub fn block_nonzero(&self, ib: usize, jb: usize) -> bool {
         if ib >= jb {
-            self.l_blocks[jb].binary_search(&ib).is_ok()
+            self.l_blocks.col(jb).binary_search(&ib).is_ok()
         } else {
-            self.u_blocks[ib].binary_search(&jb).is_ok()
+            self.u_blocks.col(ib).binary_search(&jb).is_ok()
         }
     }
 
@@ -609,12 +620,12 @@ impl BlockStructure {
         let nb = self.num_blocks();
         let mut entries = Vec::new();
         for jb in 0..nb {
-            for &ib in &self.l_blocks[jb] {
+            for &ib in self.l_blocks.col(jb) {
                 entries.push((ib, jb));
             }
         }
         for ib in 0..nb {
-            for &jb in &self.u_blocks[ib] {
+            for &jb in self.u_blocks.col(ib) {
                 if jb > ib {
                     entries.push((ib, jb));
                 }
@@ -767,8 +778,8 @@ mod tests {
         // Diagonal blocks always present.
         for k in 0..bs.num_blocks() {
             assert!(bs.block_nonzero(k, k));
-            assert_eq!(bs.l_blocks[k][0], k);
-            assert_eq!(bs.u_blocks[k][0], k);
+            assert_eq!(bs.l_blocks.col(k)[0], k);
+            assert_eq!(bs.u_blocks.col(k)[0], k);
         }
         let bp = bs.block_pattern();
         assert!(bp.has_zero_free_diagonal());
@@ -923,14 +934,17 @@ mod tests {
     fn block_structure_quadratic(f: &FilledLu, partition: Partition) -> BlockStructure {
         let (n, nb) = (partition.n(), partition.num_blocks());
         let block_of = partition.block_of_cols();
-        let scan = |kb: usize, list: &dyn Fn(usize) -> Vec<usize>| -> Vec<usize> {
-            let mut mark = vec![false; nb];
-            for k in partition.range(kb) {
-                for x in list(k) {
-                    mark[block_of[x]] = true;
+        let scan = |list: &dyn Fn(usize) -> Vec<usize>| -> SparsityPattern {
+            let entries = (0..nb).flat_map(|kb| {
+                let mut mark = vec![false; nb];
+                for k in partition.range(kb) {
+                    for x in list(k) {
+                        mark[block_of[x]] = true;
+                    }
                 }
-            }
-            (kb..nb).filter(|&b| mark[b]).collect()
+                (kb..nb).filter(move |&b| mark[b]).map(move |b| (b, kb))
+            });
+            SparsityPattern::from_entries(nb, nb, entries).unwrap()
         };
         let outside = |list: &dyn Fn(usize) -> Vec<usize>| -> SparsityPattern {
             let entries = (0..nb).flat_map(|kb| {
@@ -943,12 +957,8 @@ mod tests {
             });
             SparsityPattern::from_entries(n, nb, entries).unwrap()
         };
-        let l_blocks = (0..nb)
-            .map(|jb| scan(jb, &|j| f.l_col(j).to_vec()))
-            .collect();
-        let u_blocks = (0..nb)
-            .map(|ib| scan(ib, &|i| f.u_row(i).to_vec()))
-            .collect();
+        let l_blocks = scan(&|j| f.l_col(j).to_vec());
+        let u_blocks = scan(&|i| f.u_row(i).to_vec());
         let l_rows = outside(&|j| f.l_col(j).to_vec());
         let u_cols = outside(&|i| f.u_row(i).to_vec());
         BlockStructure {

@@ -10,7 +10,7 @@ use splu_core::{
     SymbolicRequest, WatchdogConfig,
 };
 use splu_matgen::{manufactured_rhs, paper_matrix, Scale};
-use splu_sched::Mapping;
+use splu_sched::{block_forest, Mapping};
 use splu_sparse::io::{read_matrix_market, write_matrix_market, LineChunks, STREAM_CHUNK};
 use splu_sparse::{relative_residual, CscMatrix};
 use std::fmt;
@@ -460,7 +460,8 @@ fn cmd_analyze(
     );
     let _ = writeln!(out, "estimated flops   : {:.3e}", s.flops_estimate);
     if let Some(p) = &cli.dot_forest {
-        std::fs::write(p, sym.block_forest.to_dot("eforest")).map_err(|e| e.to_string())?;
+        std::fs::write(p, block_forest(&sym.block_structure).to_dot("eforest"))
+            .map_err(|e| e.to_string())?;
         let _ = writeln!(out, "wrote block eforest DOT to {p}");
     }
     if let Some(p) = &cli.dot_graph {

@@ -118,7 +118,6 @@ fn traced_front_half_is_bitwise_identical_to_untraced() {
         assert_eq!(traced.row_perm, plain.row_perm, "{}", m.name);
         assert_eq!(traced.col_perm, plain.col_perm, "{}", m.name);
         assert_eq!(traced.block_structure, plain.block_structure, "{}", m.name);
-        assert_eq!(traced.block_forest, plain.block_forest, "{}", m.name);
         assert_eq!(traced.stats, plain.stats, "{}", m.name);
     }
 }

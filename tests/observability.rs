@@ -92,7 +92,7 @@ fn model_flop_split(bs: &BlockStructure, graph: &TaskGraph) -> (f64, f64, f64) {
 
 /// The `Ū` blocks off the diagonal `bs` holds: one `Update`, one trsm each.
 fn held_blocks(bs: &BlockStructure) -> u64 {
-    bs.u_blocks.iter().map(|b| b.len() as u64 - 1).sum()
+    (bs.u_blocks.nnz() - bs.num_blocks()) as u64
 }
 
 /// The kernel counters of an observed run, against the model over the lists
@@ -245,7 +245,8 @@ fn run_report_schema_validates_and_carries_the_registry_values() {
         );
         assert!(get(Counter::BudgetCheckpoints) >= get(Counter::OrderingPivots));
         // Phase walls: every canonical phase the driver runs is present
-        // and positive... parse is CLI-only, so expect the other eight.
+        // and positive... parse is CLI-only and solve is not run here, so
+        // expect the other ten.
         let phases = doc.get("phases_s").expect("phases object");
         for name in [
             "scale_transversal",
@@ -254,6 +255,9 @@ fn run_report_schema_validates_and_carries_the_registry_values() {
             "eforest_postorder",
             "supernode_partition",
             "graph_build",
+            "derive",
+            "layout",
+            "assemble",
             "numeric",
         ] {
             let v = phases
@@ -346,6 +350,9 @@ fn chrome_trace_shows_all_phases_and_both_processes_on_one_epoch() {
         "eforest_postorder",
         "supernode_partition",
         "graph_build",
+        "derive",
+        "layout",
+        "assemble",
         "numeric",
     ] {
         assert!(names.contains(&phase), "missing phase span {phase}");

@@ -206,7 +206,7 @@ proptest! {
 /// answered through the static structure, bit for bit, the report names
 /// the fallback and its column, and the session holds the static storage
 /// and no scatter map (a held session that falls back on the same input
-/// holds one 12-byte slot per nonzero more) — at 1/2/4/8 threads under
+/// holds one 4-byte slot per nonzero more) — at 1/2/4/8 threads under
 /// both mappings.
 #[test]
 fn a_pivot_that_leaves_its_block_is_answered_statically() {
@@ -251,7 +251,7 @@ fn a_pivot_that_leaves_its_block_is_answered_statically() {
                 assert!(!held.is_realised(), "{what}");
                 assert_eq!(
                     held.resident_bytes() - lu.session().resident_bytes(),
-                    12 * a.nnz() as u64,
+                    4 * a.nnz() as u64,
                     "{what}: the one-shot keeps no map"
                 );
             }
