@@ -64,9 +64,10 @@ fn main() {
         s.factor(a).expect("factorization succeeds");
         assert!(s.is_realised(), "{name}: the pivots stay in their blocks");
         let gp = gp_factor(&s.symbolic().permute_matrix(a), 0.0).expect("factorization succeeds");
-        let graph = s.symbolic().build_graph();
+        let sym = analyze(a.pattern(), &Options::default()).expect("analysis succeeds");
+        let graph = sym.build_graph();
         let flops = |bs| total_flops(&estimate_task_costs(bs, &graph));
-        let (stat, real) = (s.static_structure(), &s.symbolic().block_structure);
+        let (stat, real) = (&sym.block_structure, &s.symbolic().block_structure);
         let history = s.block_matrix().expect("factored").pivot_rows();
         println!(
             "{:<10} {:>10} {:>11} {:>11} {:>11.4e} {:>7.4e} {:>7.2} {:>8}",

@@ -163,8 +163,9 @@ mod tests {
     use super::*;
 
     /// The validator takes its phase vocabulary from `splu_core`: every
-    /// canonical name passes — the set-up phases of a `factor` (`derive`,
-    /// `layout`, `assemble`) included — and any other is refused.
+    /// canonical name passes — the analysis' `derive`, a fallback's
+    /// `static_lists` and the set-up phases of a `factor` (`layout`,
+    /// `assemble`) included — and any other is refused.
     #[test]
     fn run_report_phases_are_pinned_to_core_phase_names() {
         let report = |phases: &str| {
@@ -185,7 +186,7 @@ mod tests {
             .collect();
         let good = parse(&report(&all.join(", "))).unwrap();
         assert_eq!(validate_run_report(&good), Ok(1));
-        assert!(["derive", "layout", "assemble"]
+        assert!(["derive", "static_lists", "layout", "assemble"]
             .iter()
             .all(|p| PHASE_NAMES.contains(p)));
         let unknown = parse(&report(&format!("{}, \"warmup\": 0.001", all.join(", ")))).unwrap();

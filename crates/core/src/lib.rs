@@ -297,6 +297,8 @@ pub struct Stats {
     pub critical_path: usize,
     /// Estimated factorization flops (structural model).
     pub flops_estimate: f64,
+    /// Words of the static structure ([`BlockStructure::storage_words`]).
+    pub static_words: usize,
 }
 
 /// The analysis product: permutations and block structure — everything the
@@ -310,32 +312,32 @@ pub struct SymbolicLu {
     pub row_perm: Permutation,
     /// Total column permutation.
     pub col_perm: Permutation,
-    /// Supernode partition and block-level structure of a session's
-    /// storage: the in-block sub-structure it is laid out from, or the
-    /// static one (after analysis, and after a pivot left its block).
+    /// Supernode partition and block-level structure: the static one of
+    /// [`analyze`]. A session holds the structure of its storage here —
+    /// the in-block sub-structure from its analysis on, the static one
+    /// after a pivot left its block.
     pub block_structure: BlockStructure,
     /// Structural statistics (graph fields describe the eforest graph).
     pub stats: Stats,
-    /// The static structure, held aside while `block_structure` is the
-    /// in-block one.
-    static_bs: Option<BlockStructure>,
     opts: Options,
 }
 
 impl SymbolicLu {
-    /// Builds the eforest task dependence graph over the **static**
-    /// structure — the tasks every factorization of the pattern runs; the
-    /// in-block storage skips the blocks it lacks. (The in-block
-    /// sub-structure is not closed under the graph rules: rule 4 would
-    /// name updates it does not hold.)
+    /// Builds the eforest task dependence graph over the static structure
+    /// [`analyze`] returns. A session's in-block lists are not closed under
+    /// the graph rules (rule 4 names updates they drop) and the builder
+    /// panics on some: a session's graph is [`SluSession::graph`].
     pub fn build_graph(&self) -> TaskGraph {
-        build_eforest_graph(self.static_structure())
+        build_eforest_graph(&self.block_structure)
     }
 
-    /// The static structure `Ā`, valid for every pivot sequence:
-    /// [`Self::block_structure`], unless that holds the in-block one.
-    pub fn static_structure(&self) -> &BlockStructure {
-        self.static_bs.as_ref().unwrap_or(&self.block_structure)
+    /// The static lists of the analyzed `pattern` (original order) under
+    /// the held permutations and partition, whatever `block_structure`
+    /// holds: a fallback's structure, equal to [`analyze`]'s.
+    pub(crate) fn static_lists(&self, pattern: &SparsityPattern) -> BlockStructure {
+        let permuted = pattern.permuted(&self.row_perm, &self.col_perm);
+        let skel = fill_skeleton(&permuted).expect("the analysis filled this pattern");
+        BlockStructure::from_skeleton(&permuted, &skel, self.block_structure.partition.clone())
     }
 
     /// Permutes an input matrix into factorization order.
@@ -565,13 +567,13 @@ pub fn analyze_with(
         graph_edges,
         critical_path,
         flops_estimate,
+        static_words: block_structure.storage_words(),
     };
     Ok(SymbolicLu {
         row_perm,
         col_perm,
         block_structure,
         stats,
-        static_bs: None,
         opts: opts.clone(),
     })
 }
@@ -664,10 +666,6 @@ impl SparseLu {
     /// solve methods apply the scales.
     pub fn session(&self) -> &SluSession {
         &self.session
-    }
-
-    fn sym(&self) -> &SymbolicLu {
-        self.session.symbolic()
     }
 
     fn bm(&self) -> &BlockMatrix {
@@ -788,17 +786,17 @@ impl SparseLu {
 
     /// Analysis statistics.
     pub fn stats(&self) -> &Stats {
-        &self.sym().stats
+        &self.symbolic().stats
     }
 
     /// The symbolic analysis.
     pub fn symbolic(&self) -> &SymbolicLu {
-        self.sym()
+        self.session.symbolic()
     }
 
     /// Options used to build this factorization.
     pub fn options(&self) -> &Options {
-        &self.sym().opts
+        &self.symbolic().opts
     }
 
     /// Sign and natural log of `|det(A)|`.
@@ -807,11 +805,11 @@ impl SparseLu {
     /// parities of the analysis permutations; equilibration scales are
     /// divided back out.
     pub fn determinant(&self) -> (f64, f64) {
-        let (mut sign, mut ln_abs) = det_permuted(self.bm(), &self.sym().block_structure);
-        if !self.sym().row_perm.is_even() {
+        let (mut sign, mut ln_abs) = det_permuted(self.bm(), &self.symbolic().block_structure);
+        if !self.symbolic().row_perm.is_even() {
             sign = -sign;
         }
-        if !self.sym().col_perm.is_even() {
+        if !self.symbolic().col_perm.is_even() {
             sign = -sign;
         }
         if let Some(eq) = &self.equil {
@@ -1034,6 +1032,31 @@ mod tests {
         assert_eq!(s2.static_words, s2.structural);
         assert!(s2.words <= s2.static_words);
         assert_eq!(s2.padding_fraction, 0.0);
+    }
+
+    /// What a fallback answers on — the static lists rebuilt from the
+    /// pattern, the permutations and the partition a session holds on the
+    /// in-block lists — is the analysis' static structure: on the suite
+    /// (reduced in a debug build, full-scale in a release one) under the
+    /// default options, without postordering and without amalgamation.
+    #[test]
+    fn static_lists_rebuild_the_analysis() {
+        use splu_matgen::Scale::{Full, Reduced};
+        let scale = if cfg!(debug_assertions) {
+            Reduced
+        } else {
+            Full
+        };
+        let (mut unordered, mut exact) = (Options::default(), Options::default());
+        (unordered.postorder, exact.amalgamation) = (false, None);
+        for m in splu_matgen::paper_suite(scale) {
+            for opts in [Options::default(), unordered.clone(), exact.clone()] {
+                let s = SluSession::analyze(m.a.pattern(), &opts).unwrap();
+                let want = analyze(m.a.pattern(), &opts).unwrap().block_structure;
+                let rebuilt = s.symbolic().static_lists(m.a.pattern());
+                assert!(rebuilt == want, "{} {opts:?}", m.name);
+            }
+        }
     }
 
     #[test]

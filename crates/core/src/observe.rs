@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Canonical pipeline phase names, in pipeline order — the driver spans
 /// that [`RunReport::phases_s`] aggregates, and the only names
 /// `splu_bench::json::validate_run_report` accepts there.
-pub const PHASE_NAMES: [&str; 12] = [
+pub const PHASE_NAMES: [&str; 13] = [
     "parse",
     "scale_transversal",
     "ordering",
@@ -40,6 +40,7 @@ pub const PHASE_NAMES: [&str; 12] = [
     "supernode_partition",
     "graph_build",
     "derive",
+    "static_lists",
     "layout",
     "assemble",
     "numeric",

@@ -815,7 +815,7 @@ mod tests {
             let a = forest_matrix(&sizes, seed, weak == 1);
             let sym = crate::analyze(a.pattern(), &Options::default()).unwrap();
             let p = sym.permute_matrix(&a);
-            let bs = sym.static_structure();
+            let bs = &sym.block_structure;
             let oracle = BlockMatrix::assemble(&p, bs);
             proptest::prop_assert_eq!(oracle.storage_words(), bs.storage_words());
             if graph_replay(&oracle, &sym.build_graph()).is_err() {

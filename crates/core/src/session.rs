@@ -11,12 +11,11 @@
 //! one range and holds neither — and exposes:
 //!
 //! * [`SluSession::analyze`] — the symbolic half, run once per pattern;
-//! * [`SluSession::factor`] — numeric-only: assembles block storage for the
-//!   given values and factors it (no symbolic phases);
-//! * [`SluSession::refactor`] — the hot path: additionally reuses the
-//!   already-allocated panel-major storage and the cached scatter map, so
-//!   with one thread, tracing off, and no watchdog it performs **zero heap
-//!   allocation** (asserted under the `alloc-track` counting allocator);
+//! * [`SluSession::factor`] / [`SluSession::refactor`] — numeric-only: the
+//!   first call assembles block storage for the given values, every later
+//!   one reuses it and the cached scatter map, so with one thread, tracing
+//!   off, and no watchdog it performs **zero heap allocation** (asserted
+//!   under the `alloc-track` counting allocator);
 //! * [`SluSession::solve`] / [`SluSession::try_solve`] /
 //!   [`SluSession::solve_refined`] — operate on the latest factors.
 //!
@@ -38,18 +37,18 @@
 //! same task bodies in a topological order of the same DAG — which the
 //! session invariance suite asserts across thread counts and mappings.
 //!
-//! **The in-block structure.** The static `Ā` is valid for every pivot
-//! sequence; the factorizations the pattern sees rarely need that. A
-//! session lays its storage out on the sub-structure that the input's
-//! entries can fill while every pivot comes from its own supernode's
-//! diagonal block ([`crate::blocks`]' `in_block_flags`, derived from the
-//! static lists by the first `factor`), and every `Factor(K)` on it checks
-//! that its pivots did — the wire. A held wire means, by induction over the
-//! columns, that every word left out was exactly zero, so the factors are
-//! bitwise the static ones. A tripped wire drains the run; the session
-//! goes back to the static structure and answers the job from there. Later
-//! `refactor`s stay static; the next `factor` speculates again.
-//! DESIGN.md §5.4–5.5.
+//! **One structure.** The static `Ā` is valid for every pivot sequence;
+//! the factorizations the pattern sees rarely need that. The analysis
+//! derives from the static lists and the pattern's entries the
+//! sub-structure that those entries can fill while every pivot comes from
+//! its own supernode's diagonal block ([`crate::blocks`]' `in_block_flags`),
+//! and the session holds that one alone: the storage is laid out on it, and
+//! every `Factor(K)` on it checks that its pivots did — the wire. A held
+//! wire means, by induction over the columns, that every word left out was
+//! exactly zero, so the factors are bitwise the static ones. A tripped wire
+//! drains the run; the session rebuilds the static lists from the pattern,
+//! the held permutations and partition, answers the job on them, and stays
+//! static for its life. DESIGN.md §5.4–5.5.
 //!
 //! Equilibration is a *values* transformation, so the session itself
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
@@ -63,7 +62,6 @@ use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_obs::Counter;
 use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
 use splu_sparse::{CscMatrix, SparsityPattern};
-use splu_symbolic::supernode::BlockStructure;
 use std::sync::Arc;
 
 /// Hash of a sparsity pattern (dimensions, column pointers, row indices) —
@@ -117,10 +115,11 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
 /// with reusable numeric storage. The module docs of `session.rs` describe
 /// the lifecycle.
 pub struct SluSession {
-    /// `sym.block_structure` is the structure of the current storage: the
-    /// in-block one (the static one then held aside in `sym`), or the
-    /// static one after a tripped wire.
+    /// `sym.block_structure` is the structure of the storage: the in-block
+    /// one, or the static one after a tripped wire.
     sym: SymbolicLu,
+    /// `true` until a pivot leaves its block: the structure is the wired in-block one.
+    realised: bool,
     /// The task graph of the static structure and its schedule — held by
     /// a session of several threads only.
     graph: Option<(TaskGraph, Arc<ExecSchedule>)>,
@@ -145,7 +144,8 @@ impl SluSession {
     /// the numeric phase needs: permutations, supernode partition and
     /// block lists — and, when `opts.threads > 1`, the eforest task graph
     /// with its executor schedule (one thread factors the whole matrix as
-    /// one range: no graph is built). No numeric storage is allocated yet.
+    /// one range: no graph is built) — then derives the in-block lists that
+    /// replace the static ones (phase `derive`). No storage is allocated.
     pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
         Self::analyze_inner(pattern, opts, None, false)
     }
@@ -173,16 +173,24 @@ impl SluSession {
         if let Some(o) = obs {
             sreq = sreq.observe(o.clone());
         }
-        let sym = analyze_with(pattern, opts, &sreq)?;
+        let mut sym = analyze_with(pattern, opts, &sreq)?;
         let graph = (opts.threads > 1).then(|| {
             let _p = obs.map(|o| o.phase("graph_build"));
             let graph = sym.build_graph();
             let schedule = Arc::new(ExecSchedule::for_graph(&graph));
             (graph, schedule)
         });
+        {
+            let _p = obs.map(|o| o.phase("derive"));
+            let (rows, cols, bs) = (&sym.row_perm, &sym.col_perm, &sym.block_structure);
+            let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
+            let (row_live, col_live) = in_block_flags(bs, seeds);
+            sym.block_structure = realised_structure(bs, &row_live, &col_live);
+        }
         Ok(SluSession {
             budget: opts.budget.clone(),
             sym,
+            realised: true,
             graph,
             pattern_hash: pattern_hash(pattern),
             bm: None,
@@ -199,14 +207,13 @@ impl SluSession {
     }
 
     /// Numeric-only factorization of `a` (original order, same pattern as
-    /// analyzed): assembles fresh block storage and factors it. No symbolic
-    /// phase runs. Use [`Self::refactor`] to also reuse
-    /// the storage of a previous factorization. It speculates: the storage
-    /// is laid out from the in-block structure (derived on the first call,
-    /// and again on the first after a tripped wire), and a pivot that
-    /// leaves its diagonal block answers the job through the static
-    /// structure. The factors are bitwise the static ones either way
-    /// (DESIGN.md §5.4).
+    /// analyzed): the first call lays the block storage out and assembles
+    /// `a` into it, a later one refills it in place — [`Self::refactor`] is
+    /// the same operation. No symbolic phase runs. It runs on the structure
+    /// the session holds: on the in-block one, a pivot that leaves its
+    /// diagonal block answers the job through the static structure, where
+    /// the session then stays. The factors are bitwise the static ones
+    /// either way (DESIGN.md §5.4).
     pub fn factor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
         self.factor_inner(a, None)
     }
@@ -217,21 +224,13 @@ impl SluSession {
         self.factor_inner(a, Some(obs))
     }
 
-    /// Refactorizes with new values: resets the existing panel-major
-    /// storage in place, scatters `a`'s values through the cached scatter
-    /// map, and re-runs the numeric phase. With `threads <= 1`, tracing
-    /// off, and no watchdog the whole path performs **zero heap
-    /// allocation**; the result is bitwise
-    /// identical to [`Self::factor`] of the same values. Before the first
-    /// [`Self::factor`] this simply *is* a factor call (storage must be
-    /// allocated once).
-    ///
-    /// It runs on the structure the storage holds: on the in-block one, a
-    /// run whose pivots leave their blocks is repeated on the static
-    /// structure before this returns, and the session stays there until the
-    /// next [`Self::factor`].
+    /// [`Self::factor`] under its hot-path name: once the storage is laid
+    /// out, it is reset in place, `a`'s values go through the cached
+    /// scatter map and the numeric phase re-runs — with `threads <= 1`,
+    /// tracing off and no watchdog, with **zero heap allocation**. The
+    /// result is bitwise identical to a fresh factorization of the values.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
-        self.refactor_inner(a, None)
+        self.factor_inner(a, None)
     }
 
     /// [`Self::refactor`] under an observability session. At one thread
@@ -240,10 +239,11 @@ impl SluSession {
     /// it allocates (the report) does not grow with the task count; phase
     /// walls still show symbolic time exactly zero.
     pub fn refactor_observed(&mut self, a: &CscMatrix, obs: &ObsSession) -> Result<(), LuError> {
-        self.refactor_inner(a, Some(obs))
+        self.factor_inner(a, Some(obs))
     }
 
-    /// [`Self::factor`] (observed or not). [`crate::SparseLu`] enters here.
+    /// [`Self::factor`] and [`Self::refactor`] (observed or not).
+    /// [`crate::SparseLu`] enters here.
     pub(crate) fn factor_inner(
         &mut self,
         a: &CscMatrix,
@@ -251,47 +251,30 @@ impl SluSession {
     ) -> Result<(), LuError> {
         self.check_pattern(a)?;
         check_finite(a)?;
-        if !self.is_realised() {
-            let _p = obs.map(|o| o.phase("derive"));
-            self.speculate(a.pattern());
-        }
         self.assemble(a, obs);
-        self.run_or_fall_back(a, obs, RefactorPath::Realised)
+        self.run_or_fall_back(a, obs)
     }
 
-    fn refactor_inner(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
-        // A one-shot session keeps no scatter map to refactor through.
-        if self.bm.is_none() || self.one_shot {
-            return self.factor_inner(a, obs);
-        }
-        self.check_pattern(a)?;
-        check_finite(a)?;
-        self.refill(a);
-        let path = if self.is_realised() {
+    /// Runs the numeric phase on the storage as it stands, holding `a`'s
+    /// values, and, when a run on the in-block structure trips its wire,
+    /// answers `a` through the static structure instead: these values may
+    /// fill what the in-block storage lacks. The in-block storage goes
+    /// before the static lists are rebuilt (phase `static_lists`) and the
+    /// static storage assembled. An observed run records which structure
+    /// answered.
+    fn run_or_fall_back(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
+        let mut path = if self.realised {
             RefactorPath::Realised
         } else {
             RefactorPath::Static
         };
-        self.run_or_fall_back(a, obs, path)
-    }
-
-    /// Runs the numeric phase on the storage as it stands — laid out from
-    /// the structure `path` names, holding `a`'s values — and, when a run
-    /// on the in-block structure trips its wire, answers `a` through the
-    /// static structure instead: these values may fill what the in-block
-    /// storage lacks. The in-block storage goes before the static one is
-    /// assembled. An observed run records which structure answered.
-    fn run_or_fall_back(
-        &mut self,
-        a: &CscMatrix,
-        obs: Option<&ObsSession>,
-        mut path: RefactorPath,
-    ) -> Result<(), LuError> {
         let mut outcome = self.run_numeric(obs);
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
-            self.sym.block_structure = (self.sym.static_bs.take())
-                .expect("only storage laid out on the in-block structure is wired");
-            (self.bm, self.slots) = (None, Vec::new());
+            (self.bm, self.slots, self.realised) = (None, Vec::new(), false);
+            self.sym.block_structure = {
+                let _p = obs.map(|o| o.phase("static_lists"));
+                self.sym.static_lists(a.pattern())
+            };
             self.assemble(a, obs);
             path = RefactorPath::Fallback { column };
             outcome = self.run_numeric(obs);
@@ -309,21 +292,6 @@ impl SluSession {
             }
         }
         outcome
-    }
-
-    /// Moves the session from the static structure onto the in-block one:
-    /// the static storage and scatter map go, the lists are derived from
-    /// the static ones and the entries of the analyzed (original-order)
-    /// `pattern`, and the static lists are held aside.
-    /// [`Self::assemble`] lays the storage out.
-    fn speculate(&mut self, pattern: &SparsityPattern) {
-        (self.bm, self.slots) = (None, Vec::new());
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        let static_bs = &self.sym.block_structure;
-        let seeds = seed_flags(static_bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
-        let (row_live, col_live) = in_block_flags(static_bs, seeds);
-        let in_block = realised_structure(static_bs, &row_live, &col_live);
-        self.sym.static_bs = Some(std::mem::replace(&mut self.sym.block_structure, in_block));
     }
 
     /// Rejects values whose pattern hash disagrees with the analyzed one.
@@ -345,16 +313,14 @@ impl SluSession {
     /// allocated and given its values in the pass that locates them
     /// (phase `assemble`), which in a held session also records the slots
     /// every later factor and refactor reuses. Later calls overwrite the
-    /// storage in place ([`Self::refill`]).
+    /// storage in place ([`Self::refill`]) and record no set-up phase.
     fn assemble(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) {
         if self.bm.is_some() {
-            let _p = obs.map(|o| o.phase("assemble"));
-            self.refill(a);
-            return;
+            return self.refill(a);
         }
         let layout = {
             let _p = obs.map(|o| o.phase("layout"));
-            Layout::new(&self.sym.block_structure, self.is_realised())
+            Layout::new(&self.sym.block_structure, self.realised)
         };
         let _p = obs.map(|o| o.phase("assemble"));
         let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
@@ -546,12 +512,11 @@ impl SluSession {
     /// column, the pivot sequences, the index maps), the slots (4 bytes
     /// per input nonzero, held from the first `factor` on; the session of
     /// a [`crate::SparseLu`] keeps none), and the symbolic state — the
-    /// block structure's row, column and block lists and partition (of
-    /// **both** structures while the in-block one is held), the two
-    /// permutations with their inverses, and the task graph with its
-    /// schedule while one is held (no scalar `L̄`/`Ū` exists to count).
-    /// Storage, maps and slots are those actually held: the in-block ones
-    /// while the in-block structure is held. This is the quantity a session
+    /// row, column and block lists and partition of the one structure it
+    /// holds (the in-block one, or the static one a fallback rebuilt), the
+    /// two permutations with their inverses, and the task
+    /// graph with its schedule while one is held (no scalar `L̄`/`Ū` exists
+    /// to count). This is the quantity a session
     /// pool budgets and evicts on; it intentionally counts only per-session
     /// state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
@@ -563,17 +528,13 @@ impl SluSession {
             self.sym.block_structure.num_blocks() as u64,
         );
         let pattern = |p: &SparsityPattern| (p.col_ptr().len() + p.nnz()) as u64 * usz;
-        let lists = |bs: &BlockStructure| {
-            [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
-                .map(pattern)
-                .iter()
-                .sum::<u64>()
-                + (nb + 1) * usz
-        };
-        // Four permutation arrays.
-        let symbolic = lists(&self.sym.block_structure)
-            + self.sym.static_bs.as_ref().map_or(0, lists)
-            + 4 * n * usz;
+        let bs = &self.sym.block_structure;
+        let lists: u64 = [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
+            .map(pattern)
+            .iter()
+            .sum();
+        // The partition, and four permutation arrays.
+        let symbolic = lists + (nb + 1) * usz + 4 * n * usz;
         // Task graph: the task, its successor list and its predecessor
         // count per task, one word per edge; schedule: a priority per task.
         let graph = self.graph.as_ref().map_or(0, |(graph, schedule)| {
@@ -588,26 +549,19 @@ impl SluSession {
         symbolic + graph + numeric + slots
     }
 
-    /// The static structure `Ā` of the analysis, valid for every pivot
-    /// sequence. [`Self::symbolic`]`().block_structure` is the structure of
-    /// the *current* storage — this one after a tripped wire, else the
-    /// in-block sub-structure of it.
-    pub fn static_structure(&self) -> &BlockStructure {
-        self.sym.static_structure()
-    }
-
     /// `true` while the session holds the in-block structure (the storage
     /// is laid out for pivots inside their diagonal blocks only): from the
-    /// first factorization until a pivot leaves its block.
+    /// analysis until a pivot leaves its block. After that the session
+    /// holds the static structure for its life.
     pub fn is_realised(&self) -> bool {
-        self.sym.static_bs.is_some()
+        self.realised
     }
 
     /// Storage accounting of the block storage the session holds (`None`
     /// before the first factor call).
     pub fn storage(&self) -> Option<crate::FactorStorage> {
         let words = self.bm.as_ref()?.storage_words();
-        let static_words = self.static_structure().storage_words();
+        let static_words = self.sym.stats.static_words;
         let structural = self.sym.stats.nnz_filled;
         Some(crate::FactorStorage {
             words,
@@ -727,8 +681,9 @@ mod tests {
                 let opts = Options::default();
                 let mut s =
                     SluSession::analyze_inner(m.a.pattern(), &opts, None, one_shot).unwrap();
-                if in_block {
-                    s.speculate(m.a.pattern());
+                if !in_block {
+                    s.sym.block_structure = s.sym.static_lists(m.a.pattern());
+                    s.realised = false;
                 }
                 for a in [m.a.clone(), revalue(&m.a, 3)] {
                     s.assemble(&a, None);

@@ -236,14 +236,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Convenience for optional registries: counts only when one is present.
-#[inline]
-pub fn add_opt(reg: Option<&MetricsRegistry>, c: Counter, delta: u64) {
-    if let Some(r) = reg {
-        r.add(c, delta);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -247,6 +247,16 @@ fn read_size_line<'a>(cur: &mut Cursor<'a>) -> Result<(usize, &'a str, [usize; 3
     Ok((size_ln, size_line, dims))
 }
 
+/// The size line of Matrix Market `text` — its number, its text and
+/// `[nrows, ncols, nnz]` — and whether the banner mirrors each entry (it
+/// is symmetric or skew-symmetric), read before any array is sized.
+pub fn matrix_market_size(text: &str) -> Result<(usize, &str, [usize; 3], bool), SparseError> {
+    let mut cur = Cursor::new(text);
+    let (_, symmetry) = read_banner(&mut cur)?;
+    let (line, size_line, dims) = read_size_line(&mut cur)?;
+    Ok((line, size_line, dims, symmetry != Symmetry::General))
+}
+
 /// Parses Matrix Market text. See [`read_matrix_market`].
 ///
 /// Malformed entry lines are rejected with [`SparseError::ParseAt`] naming

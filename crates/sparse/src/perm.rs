@@ -82,11 +82,6 @@ impl Permutation {
         &self.perm
     }
 
-    /// The inverse vector (`inv[old] = new`).
-    pub fn inverse_slice(&self) -> &[usize] {
-        &self.inv
-    }
-
     /// Returns the inverse permutation as an owned [`Permutation`].
     pub fn inverse(&self) -> Permutation {
         Permutation {

@@ -11,8 +11,10 @@ use splu_core::{
 };
 use splu_matgen::{manufactured_rhs, paper_matrix, Scale};
 use splu_sched::{block_forest, Mapping};
-use splu_sparse::io::{read_matrix_market, write_matrix_market, LineChunks, STREAM_CHUNK};
-use splu_sparse::{relative_residual, CscMatrix};
+use splu_sparse::io::{
+    matrix_market_size, parse_matrix_market, write_matrix_market, LineChunks, STREAM_CHUNK,
+};
+use splu_sparse::{relative_residual, CscMatrix, SparseError};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -362,8 +364,30 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
     Ok(cli)
 }
 
-pub(crate) fn load(path: &str) -> Result<CscMatrix, String> {
-    read_matrix_market(Path::new(path)).map_err(|e| format!("reading {path}: {e}"))
+/// Reads the Matrix Market file at `path` (the CLI's and the daemon's
+/// general reader). A size line that declares a non-square shape, or more
+/// columns than its entries can fill (a mirrored entry counts twice), is
+/// refused before an array is sized from it, as analysis would refuse it.
+pub(crate) fn load(path: &str) -> Result<CscMatrix, CliError> {
+    let read = |e: SparseError| CliError::from(format!("reading {path}: {e}"));
+    let text = std::fs::read_to_string(path).map_err(|e| read(e.into()))?;
+    if let Ok((line, size_line, [nrows, ncols, nnz], mirrored)) = matrix_market_size(&text) {
+        let refuse = |why: &str, e: LuError| CliError {
+            message: format!("reading {path}: line {line}: size line `{size_line}` {why}"),
+            ..CliError::from(e)
+        };
+        if nrows != ncols {
+            let why = "declares a non-square matrix, LU needs a square one";
+            return Err(refuse(why, LuError::NotSquare { nrows, ncols }));
+        }
+        let most = if mirrored { nnz.saturating_mul(2) } else { nnz };
+        if ncols > most {
+            let why =
+                format!("declares order {ncols} with {nnz} stored entries: structurally singular");
+            return Err(refuse(&why, LuError::StructurallySingular { rank: most }));
+        }
+    }
+    parse_matrix_market(&text).map_err(read)
 }
 
 pub(crate) fn matrix_name(path: &str) -> String {

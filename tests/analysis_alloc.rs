@@ -2,7 +2,8 @@
 //! allocator: no scalar `L̄`/`Ū` is written, so `analyze` peaks far below
 //! one word per filled entry and leaves only the per-supernode lists, the
 //! permutations and the block forest behind; a one-thread session makes
-//! not one allocation more (no task graph, no schedule); and a session's
+//! only the few allocations more of deriving its in-block lists (no task
+//! graph, no schedule) and holds no more than the analysis; and a session's
 //! `resident_bytes` (what the daemon's pool budgets and evicts on) says
 //! what the session really holds, to 10 %.
 //!
@@ -16,6 +17,10 @@ use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// What deriving the in-block lists allocates: the flags, the cursors, the
+/// kept lists and their block lists — a constant count.
+const DERIVE_ALLOCATIONS: u64 = 20;
 
 fn live_bytes() -> u64 {
     heap_stats().expect("allocator installed").current_bytes
@@ -45,10 +50,12 @@ fn analysis_never_holds_the_filled_structure() {
     }
 
     // A one-thread session factors the whole matrix as one range: its
-    // analysis is the plain one to the allocation — no task graph, no
-    // schedule, not even transiently — and it holds what that holds. Two
-    // threads add the graph and its schedule. Either way the session's own
-    // estimate must be the right size for a pool to budget on.
+    // analysis is the plain one plus the derivation of the in-block lists,
+    // a few arrays whatever the size — no task graph, no schedule, not even
+    // transiently — and it holds the in-block lists in place of the static
+    // ones, which are no smaller. Two threads add the graph and its
+    // schedule. Either way the session's own estimate must be the right
+    // size for a pool to budget on.
     for (name, a) in [("mesh40x40", &mesh), ("goodwin", &goodwin)] {
         let heap = |threads: usize| {
             let (before, allocations) = (live_bytes(), heap_stats().unwrap().allocations);
@@ -75,10 +82,10 @@ fn analysis_never_holds_the_filled_structure() {
             (heap_stats().unwrap().allocations - allocations, live)
         };
         let (allocations, live, estimate) = heap(1);
-        assert_eq!(
-            (allocations, live),
-            plain,
-            "{name}: one thread adds nothing"
+        assert!(
+            allocations <= plain.0 + DERIVE_ALLOCATIONS && live <= plain.1,
+            "{name}: one thread made {allocations} allocations and holds {live} bytes, \
+             the analysis {plain:?}"
         );
         assert!(
             live * 9 / 10 <= estimate && estimate <= live * 11 / 10,

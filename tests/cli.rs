@@ -310,7 +310,7 @@ fn malformed_matrix_file_exits_with_code_2_and_names_the_line() {
     let path = tmp("malformed");
     std::fs::write(
         &path,
-        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n",
     )
     .unwrap();
     let err = run(&args(&["solve", &path])).unwrap_err();
@@ -319,6 +319,16 @@ fn malformed_matrix_file_exits_with_code_2_and_names_the_line() {
         err.message.contains("line 3") && err.message.contains("non-finite"),
         "{err}"
     );
+    // A size line that declares more columns than entries is refused
+    // before the entries are read: structurally singular, naming line 2.
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n",
+    )
+    .unwrap();
+    let err = run(&args(&["solve", &path])).unwrap_err();
+    assert_eq!(err.exit_code, 3, "{err}");
+    assert!(err.message.contains("line 2: size line `2 2 1`"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -30,7 +30,7 @@ impl StaticFactors {
         let bm = BlockMatrix::assemble(&sym.permute_matrix(a), &sym.block_structure);
         assert_eq!(
             bm.storage_words(),
-            sym.static_structure().storage_words(),
+            sym.stats.static_words,
             "the oracle holds the static words"
         );
         let graph = sym.build_graph();

@@ -145,11 +145,13 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             1,
             "{name}"
         );
-        let (sym, static_bs) = (lu.symbolic(), lu.session().static_structure());
-        let graph = sym.build_graph();
-        assert_counted_is_the_model(&session, &sym.block_structure, &graph, name);
-        let static_model = total_flops(&estimate_task_costs(static_bs, &graph));
-        let speculated = total_flops(&estimate_task_costs(&sym.block_structure, &graph));
+        // The session's graph is the static structure's, built at analysis.
+        let static_sym = analyze(m.a.pattern(), &opts).unwrap();
+        let (sym, static_bs) = (lu.symbolic(), &static_sym.block_structure);
+        let graph = lu.session().graph().expect("two threads build a graph");
+        assert_counted_is_the_model(&session, &sym.block_structure, graph, name);
+        let static_model = total_flops(&estimate_task_costs(static_bs, graph));
+        let speculated = total_flops(&estimate_task_costs(&sym.block_structure, graph));
         assert!(speculated < static_model, "{name}");
 
         // A session's refactor runs the kernels of the same in-block lists;
@@ -164,19 +166,19 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             realised, &sym.block_structure,
             "{name}: one in-block structure"
         );
-        assert_counted_is_the_model(&obs, realised, &graph, name);
+        assert_counted_is_the_model(&obs, realised, graph, name);
         assert_eq!(
             obs.metrics().get(Counter::RealisedWords),
             realised.storage_words() as u64
         );
         let obs = ObsSession::new();
         let bm = BlockMatrix::assemble(&sym.permute_matrix(&m.a), static_bs);
-        let req = NumericRequest::coarse(&graph, opts.mapping)
+        let req = NumericRequest::coarse(graph, opts.mapping)
             .threads(opts.threads)
             .metrics(std::sync::Arc::clone(obs.metrics()));
         factor_numeric_with(&bm, &req).unwrap();
         let what = format!("{name}: the static storage");
-        assert_counted_is_the_model(&obs, static_bs, &graph, &what);
+        assert_counted_is_the_model(&obs, static_bs, graph, &what);
     }
 }
 
@@ -199,9 +201,42 @@ fn counted_gemm_flops_equal_the_model_on_a_dense_matrix() {
     let session = ObsSession::new();
     let lu = SparseLu::factor_observed(&a, &opts, &session).expect("dense factorization succeeds");
     // A dense pattern fills all of its static structure, pivots or not.
-    let sym = lu.symbolic();
-    assert_eq!(&sym.block_structure, lu.session().static_structure());
-    assert_counted_is_the_model(&session, &sym.block_structure, &sym.build_graph(), "dense");
+    let static_sym = analyze(a.pattern(), &opts).unwrap();
+    let bs = &lu.symbolic().block_structure;
+    assert_eq!(bs, &static_sym.block_structure);
+    assert_counted_is_the_model(&session, bs, &static_sym.build_graph(), "dense");
+}
+
+/// A session's analysis derives its in-block lists: `derive` is a phase of
+/// the analysis report and of no `factor` / `refactor` report. A fallback
+/// rebuilds the static lists, and its report shows what that took
+/// (`static_lists`); the static session's later jobs rebuild nothing.
+#[test]
+fn derive_is_an_analysis_phase_and_a_fallback_rebuilds_the_static_lists() {
+    let phases =
+        |obs: &ObsSession| -> Vec<&str> { obs.phase_walls().into_iter().map(|(p, _)| p).collect() };
+    let m = &paper_suite(Scale::Reduced)[0];
+    let a = parsplu::matgen::cross_block_pivots(90, 2);
+    for (what, a, falls_back) in [(m.name, &m.a, false), ("cross_block_pivots", &a, true)] {
+        let obs = ObsSession::new();
+        let mut s = SluSession::analyze_observed(a.pattern(), &Options::default(), &obs).unwrap();
+        let analysis = phases(&obs);
+        assert!(analysis.contains(&"derive"), "{what}: {analysis:?}");
+        assert!(!analysis.contains(&"layout"), "{what}: {analysis:?}");
+        for refactor in [false, true] {
+            let obs = ObsSession::new();
+            if refactor {
+                s.refactor_observed(a, &obs).unwrap();
+            } else {
+                s.factor_observed(a, &obs).unwrap();
+            }
+            let job = phases(&obs);
+            assert!(!job.contains(&"derive"), "{what}: {job:?}");
+            let rebuilt = job.contains(&"static_lists");
+            assert_eq!(rebuilt, falls_back && !refactor, "{what}: {job:?}");
+            assert_eq!(s.is_realised(), !falls_back, "{what}");
+        }
+    }
 }
 
 #[test]

@@ -123,9 +123,11 @@ fn assert_bitwise_static(s: &SluSession, reference: &StaticFactors, what: &str) 
 
     // The storage is the one of the structure the session hands out, the
     // maps can be rebuilt from it, and it keeps the block eforest.
-    let (bs, static_bs) = (&s.symbolic().block_structure, s.static_structure());
+    let (bs, static_bs) = (
+        &s.symbolic().block_structure,
+        &reference.sym.block_structure,
+    );
     assert_eq!(bm.storage_words(), bs.storage_words(), "{what}");
-    assert_eq!(static_bs, &reference.sym.block_structure, "{what}");
     assert_eq!(
         s.storage().unwrap().static_words,
         reference.bm.storage_words(),
@@ -333,7 +335,7 @@ fn sixteen_value_sets_of_one_history_fit_the_derived_lists() {
         s.factor(&dominant_values(&m.a, 100)).unwrap();
         assert!(s.is_realised(), "{}", m.name);
         let lists = s.symbolic().block_structure.clone();
-        let static_words = s.static_structure().storage_words();
+        let static_words = s.stats().static_words;
         assert!(lists.storage_words() < static_words, "{}", m.name);
 
         let sets = (0..16).map(|k| dominant_values(&m.a, 200 + k)).collect();
@@ -351,12 +353,12 @@ fn sixteen_value_sets_of_one_history_fit_the_derived_lists() {
 
 /// `matgen::cross_block_pivots` takes pivots from below their diagonal
 /// blocks: a `factor` trips the wire and answers the job through the static
-/// structure (the report names the column); a `refactor` after it stays
-/// static; the next `factor` speculates again — holding on values whose
-/// pivots stay in their blocks, tripping once more on a `refactor` of the
-/// cross-block values. Bitwise the static factors throughout, at 1/2/4/8
-/// threads under both mappings. (A pivot that stays in its block keeps the
-/// in-block structure: `tests/speculation.rs`.)
+/// structure (the report names the column); the session stays static for
+/// its life — a `refactor` after it, a `factor` of values whose pivots stay
+/// in their blocks, and a `refactor` of the cross-block values all run
+/// there, with no second fallback. Bitwise the static factors throughout,
+/// at 1/2/4/8 threads under both mappings. (A pivot that stays in its block
+/// keeps the in-block structure: `tests/speculation.rs`.)
 #[test]
 fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
     let a = cross_block_pivots(90, 2);
@@ -372,32 +374,33 @@ fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
         for mapping in [Mapping::Static1D, Mapping::Dynamic] {
             let what = format!("threads={threads} {mapping:?}");
             let mut s = SluSession::analyze(a.pattern(), &options(threads, mapping)).unwrap();
-            let fallback = |s: &SluSession, obs: &ObsSession| {
-                assert_eq!(obs.metrics().get(Counter::RefactorFallback), 1, "{what}");
-                assert_eq!(obs.metrics().get(Counter::RefactorRealised), 0, "{what}");
-                let report = obs.report(Default::default(), s.options(), RunStatus::success());
-                let Some(RefactorPath::Fallback { column }) = report.refactor else {
-                    panic!("{what}: expected a fallback, got {:?}", report.refactor);
-                };
-                // One worker meets the first such column; several may meet
-                // another one first — still one whose pivot left its block.
-                if threads == 1 {
-                    assert_eq!(column, first, "{what}");
-                }
-                let bm = &reference.bm;
-                let k = (0..bm.num_block_cols())
-                    .rfind(|&k| bm.global_col_start(k) <= column)
-                    .unwrap();
-                assert!(history[column] >= bm.global_col_start(k + 1), "{what}");
-                let named =
-                    format!(r#""refactor": {{"path": "fallback", "diverged_column": {column}}}"#);
-                assert!(report.to_json().contains(&named), "{what}");
-                assert!(!s.is_realised() && s.is_factored(), "{what}");
-            };
-
             let obs = ObsSession::new();
             s.factor_observed(&a, &obs).unwrap();
-            fallback(&s, &obs);
+            assert_eq!(obs.metrics().get(Counter::RefactorFallback), 1, "{what}");
+            assert_eq!(obs.metrics().get(Counter::RefactorRealised), 0, "{what}");
+            let report = obs.report(Default::default(), s.options(), RunStatus::success());
+            let Some(RefactorPath::Fallback { column }) = report.refactor else {
+                panic!("{what}: expected a fallback, got {:?}", report.refactor);
+            };
+            // One worker meets the first such column; several may meet
+            // another one first — still one whose pivot left its block.
+            if threads == 1 {
+                assert_eq!(column, first, "{what}");
+            }
+            let bm = &reference.bm;
+            let k = (0..bm.num_block_cols())
+                .rfind(|&k| bm.global_col_start(k) <= column)
+                .unwrap();
+            assert!(history[column] >= bm.global_col_start(k + 1), "{what}");
+            let named =
+                format!(r#""refactor": {{"path": "fallback", "diverged_column": {column}}}"#);
+            assert!(report.to_json().contains(&named), "{what}");
+            // The job paid for rebuilding the static lists.
+            assert!(
+                report.phases_s.iter().any(|(p, _)| *p == "static_lists"),
+                "{what}"
+            );
+            assert!(!s.is_realised() && s.is_factored(), "{what}");
             assert_bitwise_static(&s, &reference, &format!("{what}: factor"));
 
             let obs = ObsSession::new();
@@ -407,13 +410,13 @@ fn a_flipped_pivot_trips_the_wire_and_the_job_is_answered_statically() {
 
             let obs = ObsSession::new();
             s.factor_observed(&held, &obs).unwrap();
-            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Realised), "{what}");
-            assert!(s.is_realised(), "{what}");
-            assert_bitwise_static(&s, &held_reference, &format!("{what}: again"));
+            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Static), "{what}");
+            assert!(!s.is_realised(), "{what}");
+            assert_bitwise_static(&s, &held_reference, &format!("{what}: held factor"));
 
             let obs = ObsSession::new();
             s.refactor_observed(&a, &obs).unwrap();
-            fallback(&s, &obs);
+            assert_eq!(path_of(&obs, &s), Some(RefactorPath::Static), "{what}");
             assert_bitwise_static(&s, &reference, &format!("{what}: refactor"));
 
             let obs = ObsSession::new();
@@ -477,18 +480,17 @@ proptest! {
     }
 }
 
-/// The graph builders on a realised session: `SymbolicLu::build_graph`
-/// builds over the static structure — the tasks every factorization of
-/// the pattern runs — whichever structure the storage holds. Built over
-/// the in-block lists instead, the eforest builder panicked (rule 4 named
-/// an update those lists dropped) and the S* builder returned a graph of
-/// other tasks, on the full-scale sherman3 analogue as on the suite. The
-/// S* graph of the static structure, handed to the range plan, factors
-/// bitwise like the realised session at 2 and 4 threads under both
-/// mappings.
+/// The graph a realised session schedules is the static structure's — the
+/// tasks every factorization of the pattern runs — built at analysis before
+/// the in-block lists replace the static ones. Built over the in-block
+/// lists instead, the eforest builder panics (rule 4 names an update those
+/// lists dropped) and the S* builder returns a graph of other tasks, on the
+/// full-scale sherman3 analogue as on the suite. The S* graph of the static
+/// structure, handed to the range plan, factors bitwise like the realised
+/// session at 2 and 4 threads under both mappings.
 #[test]
 fn graph_builders_read_the_static_structure_of_a_realised_session() {
-    use parsplu::core::{factor_numeric_with, NumericRequest};
+    use parsplu::core::{analyze, factor_numeric_with, NumericRequest};
     use parsplu::matgen::paper_matrix;
     use parsplu::sched::{build_eforest_graph, build_sstar_graph};
     let full = (
@@ -500,15 +502,16 @@ fn graph_builders_read_the_static_structure_of_a_realised_session() {
         .map(|m| (m.name, m.a));
     let mut dropped_blocks = 0;
     for (name, a) in std::iter::once(full).chain(suite) {
-        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+        let mut s = SluSession::analyze(a.pattern(), &options(2, Mapping::Static1D)).unwrap();
         s.factor(&a).unwrap();
         assert!(s.is_realised(), "{name}");
-        let (sym, static_bs) = (s.symbolic(), s.static_structure());
+        let static_sym = analyze(a.pattern(), &Options::default()).unwrap();
+        let (sym, static_bs) = (s.symbolic(), &static_sym.block_structure);
         let blocks = |bs: &parsplu::symbolic::BlockStructure| -> usize {
             bs.u_blocks.nnz() - bs.num_blocks()
         };
         dropped_blocks += blocks(static_bs) - blocks(&sym.block_structure);
-        let (g, built) = (sym.build_graph(), build_eforest_graph(static_bs));
+        let (g, built) = (s.graph().unwrap(), build_eforest_graph(static_bs));
         assert_eq!(g.tasks(), built.tasks(), "{name}");
         assert_eq!(g.successor_lists(), built.successor_lists(), "{name}");
         assert_eq!(g.len(), s.stats().graph_tasks, "{name}");
