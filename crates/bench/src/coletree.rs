@@ -24,6 +24,7 @@ pub fn etree_symmetric(pattern: &SparsityPattern) -> EliminationForest {
     let mut ancestor = vec![usize::MAX; n];
     for j in 0..n {
         for &i in pattern.col(j) {
+            let i = i as usize;
             if i >= j {
                 continue;
             }
@@ -60,6 +61,7 @@ pub fn cholesky_column_structures(pattern: &SparsityPattern) -> Vec<Vec<usize>> 
         mark[j] = j;
         s.push(j);
         for &i in pattern.col(j) {
+            let i = i as usize;
             if i > j && mark[i] != j {
                 mark[i] = j;
                 s.push(i);

@@ -168,6 +168,7 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
     };
     for k in 0..nb {
         for &j in &bs.u_blocks.col(k)[1..] {
+            let j = j as usize;
             let apply = add(
                 &mut tasks,
                 &mut succ,
@@ -184,6 +185,7 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
             edge(&mut succ, &mut pred_count, apply, trsm);
             let mut gemms = Vec::new();
             for &i in &bs.l_blocks.col(k)[1..] {
+                let i = i as usize;
                 // Destination block (i, j) may be structurally absent; the
                 // contribution is then exactly zero (see splu-core) and no
                 // task is needed.

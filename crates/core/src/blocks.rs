@@ -229,7 +229,7 @@ type KeptPlan = (Weak<ExecSchedule>, usize, Arc<RangePlan>);
 
 /// The position in `sup` of every entry of `sub`. Both ascend, and
 /// `sub ⊆ sup` is the nesting the layout leans on.
-fn positions<'a>(sub: &'a [usize], sup: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+fn positions<'a>(sub: &'a [u32], sup: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
     let mut p = 0usize;
     sub.iter().map(move |&x| {
         while p < sup.len() && sup[p] < x {
@@ -244,8 +244,8 @@ fn positions<'a>(sub: &'a [usize], sup: &'a [usize]) -> impl Iterator<Item = usi
 }
 
 /// How many entries of the ascending `list` lie below `end`.
-fn count_below(list: &[usize], end: usize) -> usize {
-    list.partition_point(|&x| x < end)
+fn count_below(list: &[u32], end: usize) -> usize {
+    list.partition_point(|&x| (x as usize) < end)
 }
 
 /// Bytes of a vector's elements.
@@ -267,16 +267,19 @@ impl Layout {
         // The relative maps hold, per L̄ block I of K, the columns of C_K
         // beyond I, and per update (K, J) the rows of R_K beyond J; per
         // update, one target per L̄ block of K above J.
-        let beyond = |list: &[usize], blocks: &[usize]| -> usize {
+        let beyond = |list: &[u32], blocks: &[u32]| -> usize {
             (blocks.iter())
-                .map(|&b| list.len() - count_below(list, starts[b + 1]))
+                .map(|&b| list.len() - count_below(list, starts[b as usize + 1]))
                 .sum()
         };
         let (mut rel_len, mut targets_len) = (0, 0);
         for k in 0..nb {
             let (ls, us) = (&bs.l_blocks.col(k)[1..], &bs.u_blocks.col(k)[1..]);
             rel_len += beyond(bs.u_cols.col(k), ls) + beyond(bs.l_rows.col(k), us);
-            targets_len += us.iter().map(|&j| count_below(ls, j)).sum::<usize>();
+            targets_len += us
+                .iter()
+                .map(|&j| ls.partition_point(|&b| b < j))
+                .sum::<usize>();
         }
         let mut rel: Vec<u32> = Vec::with_capacity(rel_len);
 
@@ -291,6 +294,7 @@ impl Layout {
             lblk_ptr.push(lblks.len());
             let first = lblks.len();
             for (t, &r) in bs.l_rows.col(k).iter().enumerate() {
+                let r = r as usize;
                 let i = block_of[r];
                 if lblks.len() == first || lblks[lblks.len() - 1].block as usize != i {
                     lblks.push(LBlock {
@@ -306,11 +310,11 @@ impl Layout {
                 owner.push(idx32(at - first));
             }
             let ck = bs.u_cols.col(k);
-            ucol.extend(ck.iter().map(|&c| idx32(c - starts[block_of[c]])));
+            ucol.extend(ck.iter().map(|&c| c - starts[block_of[c as usize]] as u32));
             let mut c0 = 0usize;
             for lb in &mut lblks[first..] {
                 let i = lb.block as usize;
-                while c0 < ck.len() && ck[c0] < starts[i + 1] {
+                while c0 < ck.len() && (ck[c0] as usize) < starts[i + 1] {
                     c0 += 1;
                 }
                 lb.c0 = idx32(c0);
@@ -324,7 +328,7 @@ impl Layout {
         let mut upd_ptr = vec![0usize; nb + 1];
         for k in 0..nb {
             for &j in &bs.u_blocks.col(k)[1..] {
-                upd_ptr[j + 1] += 1;
+                upd_ptr[j as usize + 1] += 1;
             }
         }
         for j in 0..nb {
@@ -334,6 +338,7 @@ impl Layout {
         let mut fill = upd_ptr.clone();
         for k in 0..nb {
             for &j in &bs.u_blocks.col(k)[1..] {
+                let j = j as usize;
                 srcs[fill[j]] = k;
                 fill[j] += 1;
             }
@@ -360,17 +365,17 @@ impl Layout {
                 let (ck, rk) = (bs.u_cols.col(k), bs.l_rows.col(k));
                 let a = ccur[k];
                 let mut b = a;
-                while b < ck.len() && ck[b] < end_j {
+                while b < ck.len() && (ck[b] as usize) < end_j {
                     b += 1;
                 }
-                debug_assert!(b > a && ck[a] >= start_j);
+                debug_assert!(b > a && ck[a] as usize >= start_j);
                 ccur[k] = b;
                 let mut t = tcur[k];
-                while t < rk.len() && rk[t] < start_j {
+                while t < rk.len() && (rk[t] as usize) < start_j {
                     t += 1;
                 }
                 let t_diag = t;
-                while t < rk.len() && rk[t] < end_j {
+                while t < rk.len() && (rk[t] as usize) < end_j {
                     t += 1;
                 }
                 tcur[k] = t;
@@ -639,7 +644,7 @@ impl<'a, R: Fn(usize) -> usize, C: Fn(usize) -> usize> Locator<'a, R, C> {
             let col = (self.old_col)(start + lj);
             let first = self.pattern.col_ptr()[col];
             for (e, &i) in self.pattern.col(col).iter().enumerate() {
-                let (stamp, q, row) = place[(self.new_row)(i)];
+                let (stamp, q, row) = place[(self.new_row)(i as usize)];
                 assert_eq!(stamp, j, "entry outside the filled block structure");
                 let at = if q == IN_PANEL {
                     lj * ld + row as usize
@@ -691,11 +696,11 @@ pub(crate) fn seed_flags(
             col_live[cp[jb]] = true;
         }
         for p in rp[jb]..rp[jb + 1] {
-            at[rows.row_indices()[p]] = p;
+            at[rows.row_indices()[p] as usize] = p;
         }
         for j in starts[jb]..starts[jb + 1] {
             for &i in pattern.col(old_col(j)) {
-                let i = new_row(i);
+                let i = new_row(i as usize);
                 let flag = if i >= starts[jb + 1] {
                     let p = at[i];
                     let held = (rp[jb]..rp[jb + 1]).contains(&p);
@@ -704,8 +709,8 @@ pub(crate) fn seed_flags(
                 } else if i < starts[jb] {
                     let ib = block_of[i];
                     let c = &mut cursor[ib];
-                    *c += cols.row_indices()[*c..cp[ib + 1]].partition_point(|&x| x < j);
-                    let held = *c < cp[ib + 1] && cols.row_indices()[*c] == j;
+                    *c += count_below(&cols.row_indices()[*c..cp[ib + 1]], j);
+                    let held = *c < cp[ib + 1] && cols.row_indices()[*c] as usize == j;
                     assert!(held, "entry outside the filled block structure");
                     &mut col_live[*c]
                 } else {
@@ -741,18 +746,18 @@ pub(crate) fn in_block_flags(
     let block_of = bs.partition.block_of_cols();
     // For every block B an entry of `by` lies in, the entries of `what`
     // beyond B are live in `lists.col(B)`, which holds them all.
-    let spread = |by: &[usize], what: &[usize], lists: &SparsityPattern, live: &mut [bool]| {
+    let spread = |by: &[u32], what: &[u32], lists: &SparsityPattern, live: &mut [bool]| {
         let (mut t, mut w) = (0, 0);
         while t < by.len() {
-            let b = block_of[by[t]];
-            t += by[t..].iter().take_while(|&&x| x < starts[b + 1]).count();
-            w += what[w..].iter().take_while(|&&x| x < starts[b + 1]).count();
+            let b = block_of[by[t] as usize];
+            t += count_below(&by[t..], starts[b + 1]);
+            w += count_below(&what[w..], starts[b + 1]);
             for p in positions(&what[w..], lists.col(b)) {
                 live[lists.col_ptr()[b] + p] = true;
             }
         }
     };
-    let live = |lists: &SparsityPattern, k: usize, flags: &[bool], out: &mut Vec<usize>| {
+    let live = |lists: &SparsityPattern, k: usize, flags: &[bool], out: &mut Vec<u32>| {
         let on = &flags[lists.col_ptr()[k]..];
         out.clear();
         out.extend(lists.col(k).iter().zip(on).filter(|x| *x.1).map(|x| *x.0));
@@ -1355,6 +1360,7 @@ mod tests {
                                     col.panel()[(row, cols[x] as usize)]
                                 }
                             };
+                            let r = r as usize;
                             assert_eq!(got, (r * n + c + 1) as f64, "U({k},{j}) row {r} col {c}");
                         }
                     }

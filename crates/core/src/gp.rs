@@ -99,6 +99,7 @@ pub fn gp_factor(a: &CscMatrix, pivot_threshold: f64) -> Result<GpLu, LuError> {
         reach.clear();
         let (a_rows, a_vals) = a.col(j);
         for &r in a_rows {
+            let r = r as usize;
             if !visited[r] {
                 // Iterative DFS emitting nodes in postorder (reverse
                 // topological order for the solve below).
@@ -129,7 +130,7 @@ pub fn gp_factor(a: &CscMatrix, pivot_threshold: f64) -> Result<GpLu, LuError> {
         for &(r, v) in a_rows
             .iter()
             .zip(a_vals)
-            .map(|(&r, &v)| (r, v))
+            .map(|(&r, &v)| (r as usize, v))
             .collect::<Vec<_>>()
             .iter()
         {

@@ -370,6 +370,7 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     let mut from_non_roots = 0;
     for k in 0..nb {
         for &j in &bs.u_blocks.col(k)[1..] {
+            let j = j as usize;
             flops += costs::update_flops(width(k), below(k), bs.u_cols_in(k, j).len());
             src_ptr[j + 1] += 1;
             from_non_roots += usize::from(forest.parent(k).is_some());
@@ -383,6 +384,7 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     let mut fill = src_ptr.clone();
     for k in 0..nb {
         for &j in &bs.u_blocks.col(k)[1..] {
+            let j = j as usize;
             sources[fill[j]] = k;
             fill[j] += 1;
         }

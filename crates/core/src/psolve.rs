@@ -114,10 +114,10 @@ pub fn solve_permuted_parallel(
         // Add it in, one lock per block row the rows fall into.
         let mut t = 0;
         while t < rows.len() {
-            let (ib, _) = locate(rows[t]);
+            let (ib, _) = locate(rows[t] as usize);
             let mut seg = shards.segs[ib].lock();
-            while t < rows.len() && rows[t] < part.range(ib).end {
-                seg[rows[t] - part.range(ib).start] += y[t];
+            while t < rows.len() && (rows[t] as usize) < part.range(ib).end {
+                seg[rows[t] as usize - part.range(ib).start] += y[t];
                 t += 1;
             }
         }

@@ -527,10 +527,9 @@ impl SluSession {
             self.sym.stats.n as u64,
             self.sym.block_structure.num_blocks() as u64,
         );
-        let pattern = |p: &SparsityPattern| (p.col_ptr().len() + p.nnz()) as u64 * usz;
         let bs = &self.sym.block_structure;
         let lists: u64 = [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
-            .map(pattern)
+            .map(SparsityPattern::heap_bytes)
             .iter()
             .sum();
         // The partition, and four permutation arrays.
@@ -635,7 +634,7 @@ mod tests {
     /// pointer, and swapped dimensions each change it.
     #[test]
     fn pattern_hash_sees_single_word_changes() {
-        let rect = |nrows, ncols, ptr: &[usize], idx: &[usize]| {
+        let rect = |nrows, ncols, ptr: &[usize], idx: &[u32]| {
             pattern_hash(&SparsityPattern::new(nrows, ncols, ptr.to_vec(), idx.to_vec()).unwrap())
         };
         let base = rect(5, 4, &[0, 2, 3, 5, 6], &[0, 3, 1, 2, 4, 3]);
@@ -645,7 +644,7 @@ mod tests {
         assert_ne!(base, rect(5, 4, &[0, 3, 3, 5, 6], &[0, 1, 3, 2, 4, 3]));
         // Same arrays, one more row; and the two dimensions swapped.
         let ptr = [0usize, 1, 2, 3];
-        let idx = [0usize, 1, 2];
+        let idx = [0u32, 1, 2];
         assert_ne!(rect(3, 3, &ptr, &idx), rect(4, 3, &ptr, &idx));
         assert_ne!(
             pattern_hash(&SparsityPattern::empty(2, 3)),

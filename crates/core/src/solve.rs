@@ -54,7 +54,7 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
         let y = &mut scratch[..rows.len()];
         forward_column(col.panel(), &mut b[start..start + col.width()], y);
         for (&r, &v) in rows.iter().zip(&*y) {
-            b[r] += v;
+            b[r as usize] += v;
         }
     }
 
@@ -164,7 +164,7 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
         // Subtract L̄_belowᵀ · x_{R_k} from the diagonal segment.
         let xr = &mut gathered[..rows.len()];
         for (g, &r) in xr.iter_mut().zip(rows) {
-            *g = b[r];
+            *g = b[r as usize];
         }
         for c in 0..w {
             let below = &panel.col(c)[w..];
@@ -265,7 +265,7 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
         for c in 0..nrhs {
             let xc = x.col_mut(c);
             for (&r, &v) in rows.iter().zip(&t[c * m..(c + 1) * m]) {
-                xc[r] += v;
+                xc[r as usize] += v;
             }
         }
     }

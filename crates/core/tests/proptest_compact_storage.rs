@@ -66,7 +66,7 @@ fn product_form_defect(lu: &SparseLu, a: &CscMatrix) -> f64 {
             m.swap_rows(bs.panel_row(k, c), bs.panel_row(k, p));
         }
         for c in cols.clone() {
-            let below = (c + 1..cols.end).chain(rows.iter().copied());
+            let below = (c + 1..cols.end).chain(rows.iter().map(|&r| r as usize));
             for i in below {
                 let l = stored[(i, c)];
                 for j in 0..n {

@@ -739,7 +739,7 @@ mod tests {
             let off: f64 = rows
                 .iter()
                 .zip(vals)
-                .filter(|(&r, _)| r != i)
+                .filter(|(&r, _)| r as usize != i)
                 .map(|(_, v)| v.abs())
                 .sum();
             assert!(diag.abs() > off, "column {i} not dominant");
@@ -759,7 +759,7 @@ mod tests {
                 assert_eq!(d, 1e-30, "column {j}");
                 assert_eq!(a.get(j + 1, j), 3.0, "subdiagonal of column {j}");
                 let (rows, _) = a.col(j);
-                assert_eq!(rows, &[j, j + 1], "tiny column {j} structure");
+                assert_eq!(rows, &[j as u32, j as u32 + 1], "tiny column {j} structure");
             } else {
                 assert!(d >= 8.0, "column {j} diagonal {d}");
             }

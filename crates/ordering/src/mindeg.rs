@@ -141,13 +141,11 @@ impl<'a> Quotient<'a> {
             "pattern too large for the 32-bit ordering workspace"
         );
         let mut pool = vec![0u32; 3 * nnz + n];
-        for (slot, &r) in pool.iter_mut().zip(pattern.row_indices()) {
-            *slot = r as u32;
-        }
+        pool[..nnz].copy_from_slice(pattern.row_indices());
         // Row lists behind the column lists; columns ascend within a row.
         let mut elen = vec![0u32; m];
         for &r in pattern.row_indices() {
-            elen[r] += 1;
+            elen[r as usize] += 1;
         }
         let mut estart = vec![0u32; m];
         let mut at = nnz as u32;
@@ -158,6 +156,7 @@ impl<'a> Quotient<'a> {
         let mut w = estart.clone();
         for j in 0..n {
             for &r in pattern.col(j) {
+                let r = r as usize;
                 pool[w[r] as usize] = j as u32;
                 w[r] += 1;
             }

@@ -18,7 +18,12 @@ pub fn reverse_cuthill_mckee(pattern: &SparsityPattern) -> Permutation {
     assert!(pattern.is_square(), "RCM requires a square pattern");
     let n = pattern.ncols();
     let sym = pattern.union(&pattern.transpose());
-    let neighbors = |v: usize| sym.col(v).iter().copied().filter(move |&u| u != v);
+    let neighbors = |v: usize| {
+        sym.col(v)
+            .iter()
+            .map(|&u| u as usize)
+            .filter(move |&u| u != v)
+    };
     let degree: Vec<usize> = (0..n).map(|v| neighbors(v).count()).collect();
 
     let mut visited = vec![false; n];
@@ -62,6 +67,7 @@ fn pseudo_peripheral(sym: &SparsityPattern, start: usize, degree: &[usize]) -> u
         let mut far = current;
         while let Some(v) = q.pop_front() {
             for &u in sym.col(v) {
+                let u = u as usize;
                 if u != v && level[u] == usize::MAX {
                     level[u] = level[v] + 1;
                     if level[u] > level[far] {

@@ -38,6 +38,7 @@ pub fn maximum_transversal(pattern: &SparsityPattern) -> StructuralRank {
     // Cheap assignment: first unmatched row in each column.
     for c in 0..n {
         for &r in pattern.col(c) {
+            let r = r as usize;
             if match_row[r] == NONE {
                 match_row[r] = c;
                 match_col[c] = r;
@@ -71,7 +72,7 @@ pub fn maximum_transversal(pattern: &SparsityPattern) -> StructuralRank {
                 continue;
             }
             stack.last_mut().expect("stack nonempty").1 += 1;
-            let r = rows[idx];
+            let r = rows[idx] as usize;
             let owner = match_row[r];
             if owner == NONE {
                 // Augmenting path found: flip matches along the stack.

@@ -225,7 +225,7 @@ pub fn block_forest(bs: &BlockStructure) -> EliminationForest {
     for i in 0..nb {
         if bs.l_blocks.col(i).len() > 1 {
             if let Some(&p) = bs.u_blocks.col(i).get(1) {
-                parent[i] = p;
+                parent[i] = p as usize;
             }
         }
     }
@@ -248,6 +248,7 @@ fn base_graph(bs: &BlockStructure) -> (TaskGraph, Vec<Vec<(usize, usize)>>) {
     let mut update_ids: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nb];
     for k in 0..nb {
         for &j in &bs.u_blocks.col(k)[1..] {
+            let j = j as usize;
             let id = g.add_task(Task::Update { src: k, dst: j });
             g.add_edge(g.factor_ids[k], id);
             update_ids[k].push((j, id));

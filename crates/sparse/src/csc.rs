@@ -1,5 +1,6 @@
 //! Compressed sparse column matrices — the solver's working format.
 
+use crate::pattern::check_dims;
 use crate::{CsrMatrix, Permutation, SparseError, SparsityPattern};
 
 /// A numeric sparse matrix in compressed-column form.
@@ -52,7 +53,8 @@ impl CscMatrix {
     where
         I: IntoIterator<Item = (usize, usize, f64)>,
     {
-        let mut per_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
+        check_dims(nrows, ncols)?;
+        let mut per_col: Vec<Vec<(u32, f64)>> = vec![Vec::new(); ncols];
         for (r, c, v) in triplets {
             if r >= nrows || c >= ncols {
                 return Err(SparseError::IndexOutOfBounds {
@@ -62,22 +64,27 @@ impl CscMatrix {
                     ncols,
                 });
             }
-            per_col[c].push((r, v));
+            per_col[c].push((r as u32, v));
         }
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
+        // Duplicates are summed first, so the arrays below are sized exactly.
         for col in &mut per_col {
             col.sort_unstable_by_key(|&(r, _)| r);
-            let mut it = col.iter().copied().peekable();
-            while let Some((r, mut v)) = it.next() {
-                while matches!(it.peek(), Some(&(r2, _)) if r2 == r) {
-                    v += it.next().unwrap().1;
+            col.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
                 }
-                row_idx.push(r);
-                values.push(v);
-            }
+                same
+            });
+        }
+        let nnz = per_col.iter().map(Vec::len).sum();
+        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        let mut row_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        col_ptr.push(0);
+        for col in &per_col {
+            row_idx.extend(col.iter().map(|&(r, _)| r));
+            values.extend(col.iter().map(|&(_, v)| v));
             col_ptr.push(row_idx.len());
         }
         let pattern = SparsityPattern::new(nrows, ncols, col_ptr, row_idx)?;
@@ -128,8 +135,13 @@ impl CscMatrix {
         &mut self.values
     }
 
+    /// Bytes the pattern's index arrays and the values occupy on the heap.
+    pub fn heap_bytes(&self) -> u64 {
+        self.pattern.heap_bytes() + std::mem::size_of_val(&self.values[..]) as u64
+    }
+
     /// Row indices and values of column `j`.
-    pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
+    pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
         let lo = self.pattern.col_ptr()[j];
         let hi = self.pattern.col_ptr()[j + 1];
         (&self.pattern.row_indices()[lo..hi], &self.values[lo..hi])
@@ -138,9 +150,9 @@ impl CscMatrix {
     /// Value at `(i, j)`, zero when not stored.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (rows, vals) = self.col(j);
-        match rows.binary_search(&i) {
-            Ok(k) => vals[k],
-            Err(_) => 0.0,
+        match u32::try_from(i).map(|i| rows.binary_search(&i)) {
+            Ok(Ok(k)) => vals[k],
+            _ => 0.0,
         }
     }
 
@@ -148,7 +160,9 @@ impl CscMatrix {
     pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.ncols()).flat_map(move |j| {
             let (rows, vals) = self.col(j);
-            rows.iter().zip(vals).map(move |(&i, &v)| (i, j, v))
+            rows.iter()
+                .zip(vals)
+                .map(move |(&i, &v)| (i as usize, j, v))
         })
     }
 
@@ -163,7 +177,7 @@ impl CscMatrix {
             }
             let (rows, vals) = self.col(j);
             for (&i, &v) in rows.iter().zip(vals) {
-                y[i] += v * xj;
+                y[i as usize] += v * xj;
             }
         }
     }
@@ -179,7 +193,7 @@ impl CscMatrix {
             }
             let (rows, vals) = self.col(j);
             for (&i, &v) in rows.iter().zip(vals) {
-                y[i] -= v * xj;
+                y[i as usize] -= v * xj;
             }
         }
     }
@@ -196,7 +210,7 @@ impl CscMatrix {
     pub fn inf_norm(&self) -> f64 {
         let mut row_sum = vec![0.0_f64; self.nrows()];
         for (&i, &v) in self.pattern.row_indices().iter().zip(&self.values) {
-            row_sum[i] += v.abs();
+            row_sum[i as usize] += v.abs();
         }
         row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))
     }

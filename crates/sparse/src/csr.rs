@@ -9,7 +9,7 @@ pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -55,7 +55,7 @@ impl CsrMatrix {
     }
 
     /// Column indices and values of row `i` (columns strictly increasing).
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
@@ -64,9 +64,9 @@ impl CsrMatrix {
     /// Value at `(i, j)`, zero when not stored.
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (cols, vals) = self.row(i);
-        match cols.binary_search(&j) {
-            Ok(k) => vals[k],
-            Err(_) => 0.0,
+        match u32::try_from(j).map(|j| cols.binary_search(&j)) {
+            Ok(Ok(k)) => vals[k],
+            _ => 0.0,
         }
     }
 
@@ -82,7 +82,9 @@ impl CsrMatrix {
             self.ncols,
             (0..self.nrows).flat_map(|i| {
                 let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v))
+                cols.iter()
+                    .zip(vals)
+                    .map(move |(&j, &v)| (i, j as usize, v))
             }),
         )
         .expect("valid matrix converts")

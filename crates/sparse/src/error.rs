@@ -16,6 +16,13 @@ pub enum SparseError {
         /// Number of columns of the matrix.
         ncols: usize,
     },
+    /// A dimension does not fit the `u32` row indices a pattern stores.
+    DimensionTooLarge {
+        /// Number of rows asked for.
+        nrows: usize,
+        /// Number of columns asked for.
+        ncols: usize,
+    },
     /// A compressed structure was internally inconsistent.
     InvalidStructure(String),
     /// A permutation vector was not a bijection on `0..n`.
@@ -50,6 +57,12 @@ impl fmt::Display for SparseError {
                 f,
                 "entry ({row}, {col}) outside matrix dimensions {nrows}x{ncols}"
             ),
+            SparseError::DimensionTooLarge { nrows, ncols } => {
+                write!(
+                    f,
+                    "dimensions {nrows}x{ncols} exceed the 32-bit index range"
+                )
+            }
             SparseError::InvalidStructure(msg) => write!(f, "invalid sparse structure: {msg}"),
             SparseError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
             SparseError::Parse(msg) => write!(f, "parse error: {msg}"),

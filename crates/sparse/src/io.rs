@@ -10,6 +10,7 @@ use std::fs;
 use std::io::{self, Read};
 use std::path::Path;
 
+use crate::pattern::check_dims;
 use crate::{CooMatrix, CscMatrix, SparseError, SparsityPattern};
 
 /// Reads a Matrix Market file (`coordinate real/integer/pattern`,
@@ -277,11 +278,12 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     let mut cur = Cursor::new(text);
     let (valued, symmetry) = read_banner(&mut cur)?;
     let (size_ln, size_line, [nrows, ncols, nnz]) = read_size_line(&mut cur)?;
+    check_dims(nrows, ncols).map_err(|e| tok_err(size_ln, size_line, &e.to_string()))?;
 
     // The column pointers are the one array the shape alone sizes: a column
     // count this machine cannot hold is refused here, not in the allocator.
     let mut col_ptr: Vec<usize> = Vec::new();
-    if ncols == usize::MAX || col_ptr.try_reserve_exact(ncols + 1).is_err() {
+    if col_ptr.try_reserve_exact(ncols + 1).is_err() {
         return Err(tok_err(
             size_ln,
             size_line,
@@ -291,7 +293,7 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     // An entry line is at least `1 1\n`: the text bounds the reservation, so
     // a size line cannot ask for more memory than the file could fill.
     let cap = nnz.min((text.len() - cur.pos) / 4 + 1);
-    let mut rows: Vec<usize> = Vec::with_capacity(cap);
+    let mut rows: Vec<u32> = Vec::with_capacity(cap);
     let mut cols: Vec<usize> = Vec::with_capacity(cap);
     let mut vals: Vec<f64> = Vec::with_capacity(cap);
     // Whether every entry so far follows its predecessor in (column, row).
@@ -309,7 +311,7 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
         let at = (c - 1, r - 1);
         sorted &= last < Some(at);
         last = Some(at);
-        rows.push(at.1);
+        rows.push(at.1 as u32);
         cols.push(at.0);
         vals.push(v);
         cur.skip_line();
@@ -340,6 +342,7 @@ pub fn parse_matrix_market(text: &str) -> Result<CscMatrix, SparseError> {
     );
     let entries = rows.iter().zip(&cols).zip(&vals);
     let triplets = entries.flat_map(|((&r, &c), &v)| {
+        let r = r as usize;
         let twin = (mirrored && r != c).then(|| (c, r, if skew { -v } else { v }));
         std::iter::once((r, c, v)).chain(twin)
     });
@@ -462,7 +465,7 @@ pub(crate) fn stream_values(
                 col += 1;
             }
             let (r, c, v) = cur.entry(start, true).ok()?;
-            if (r, c) != (row + 1, col + 1) {
+            if (r, c) != (row as usize + 1, col + 1) {
                 return None;
             }
             vals.push(v);
@@ -666,6 +669,7 @@ pub fn parse_harwell_boeing(text: &str) -> Result<CscMatrix, SparseError> {
             "header promises {ncols} columns and {nnz} entries, the body has {body_bytes} bytes"
         )));
     }
+    check_dims(nrows, ncols).map_err(|e| SparseError::Parse(e.to_string()))?;
 
     let ptr_fields = read_fixed_fields(&mut lines, &ptr_fmt, ncols + 1)?;
     let ind_fields = read_fixed_fields(&mut lines, &ind_fmt, nnz)?;
@@ -794,7 +798,7 @@ pub fn format_harwell_boeing(m: &CscMatrix, title: &str) -> String {
     // 1-based column pointers.
     let mut ptrs = m.pattern().col_ptr().iter().map(|&p| p + 1);
     write_ints(&mut out, &mut ptrs);
-    let mut rows = m.pattern().row_indices().iter().map(|&r| r + 1);
+    let mut rows = m.pattern().row_indices().iter().map(|&r| r as usize + 1);
     write_ints(&mut out, &mut rows);
     let mut count = 0;
     for &v in m.values() {
@@ -1148,7 +1152,7 @@ mod tests {
                 "expected 99999999999999 entries, found 1".into()
             ))
         );
-        for ncols in ["99999999999999999", "18446744073709551615"] {
+        for ncols in ["4294967296", "99999999999999999", "18446744073709551615"] {
             let text = format!("%%MatrixMarket matrix coordinate real general\n1 {ncols} 0\n");
             match parse_matrix_market(&text) {
                 Err(SparseError::ParseAt { line: 2, token, .. }) => {
@@ -1387,6 +1391,24 @@ mod tests {
         let end = latin1.len() - 1;
         latin1.splice(end..end, [b' ', 0xe9]);
         assert!(stream_agrees(&latin1, &pattern, &CHUNKS).is_empty());
+    }
+
+    /// A row index past 2^32 whose low 32 bits name the pattern's row is a
+    /// deviation: nothing streams, and the reader refuses the file.
+    #[test]
+    fn streamed_values_refuse_a_row_past_u32() {
+        let pattern = SparsityPattern::new(6, 1, vec![0, 1], vec![4]).unwrap();
+        let file = |row: u64| {
+            format!("%%MatrixMarket matrix coordinate real general\n6 1 1\n{row} 1 2.5\n")
+        };
+        assert_eq!(
+            stream_agrees(file(5).as_bytes(), &pattern, &CHUNKS),
+            &CHUNKS[3..]
+        );
+        let wide = file((1 << 32) + 5);
+        assert!(wide.contains("\n4294967301 1 2.5\n"));
+        assert!(stream_agrees(wide.as_bytes(), &pattern, &CHUNKS).is_empty());
+        assert!(parse_matrix_market(&wide).is_err());
     }
 
     proptest! {

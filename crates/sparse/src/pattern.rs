@@ -8,12 +8,23 @@ use crate::{Permutation, SparseError};
 /// structure type consumed by every symbolic algorithm in the workspace
 /// (orderings, static symbolic factorization, elimination forests,
 /// supernode detection).
+///
+/// Row indices are `u32` and column pointers `usize` offsets, so both
+/// dimensions stay below 2^32 ([`SparseError::DimensionTooLarge`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsityPattern {
     nrows: usize,
     ncols: usize,
     col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    row_idx: Vec<u32>,
+}
+
+/// `Err` unless both dimensions fit a `u32` index.
+pub(crate) fn check_dims(nrows: usize, ncols: usize) -> Result<(), SparseError> {
+    if nrows.max(ncols) > u32::MAX as usize {
+        return Err(SparseError::DimensionTooLarge { nrows, ncols });
+    }
+    Ok(())
 }
 
 impl SparsityPattern {
@@ -24,8 +35,9 @@ impl SparsityPattern {
         nrows: usize,
         ncols: usize,
         col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
+        row_idx: Vec<u32>,
     ) -> Result<Self, SparseError> {
+        check_dims(nrows, ncols)?;
         if col_ptr.len() != ncols + 1 {
             return Err(SparseError::InvalidStructure(format!(
                 "col_ptr length {} != ncols + 1 = {}",
@@ -53,9 +65,9 @@ impl SparsityPattern {
                 }
             }
             if let Some(&last) = col.last() {
-                if last >= nrows {
+                if last as usize >= nrows {
                     return Err(SparseError::IndexOutOfBounds {
-                        row: last,
+                        row: last as usize,
                         col: j,
                         nrows,
                         ncols,
@@ -88,7 +100,7 @@ impl SparsityPattern {
         nrows: usize,
         ncols: usize,
         col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
+        row_idx: Vec<u32>,
     ) -> Self {
         if cfg!(debug_assertions) {
             return SparsityPattern::new(nrows, ncols, col_ptr, row_idx)
@@ -103,7 +115,11 @@ impl SparsityPattern {
     }
 
     /// Pattern with no entries.
+    ///
+    /// # Panics
+    /// When a dimension does not fit a `u32` index.
     pub fn empty(nrows: usize, ncols: usize) -> Self {
+        check_dims(nrows, ncols).expect("pattern dimensions exceed u32");
         SparsityPattern {
             nrows,
             ncols,
@@ -113,12 +129,16 @@ impl SparsityPattern {
     }
 
     /// The `n × n` identity pattern.
+    ///
+    /// # Panics
+    /// When `n` does not fit a `u32` index.
     pub fn identity(n: usize) -> Self {
+        check_dims(n, n).expect("pattern dimensions exceed u32");
         SparsityPattern {
             nrows: n,
             ncols: n,
             col_ptr: (0..=n).collect(),
-            row_idx: (0..n).collect(),
+            row_idx: (0..n as u32).collect(),
         }
     }
 
@@ -128,7 +148,8 @@ impl SparsityPattern {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut per_col: Vec<Vec<usize>> = vec![Vec::new(); ncols];
+        check_dims(nrows, ncols)?;
+        let mut per_col: Vec<Vec<u32>> = vec![Vec::new(); ncols];
         for (r, c) in entries {
             if r >= nrows || c >= ncols {
                 return Err(SparseError::IndexOutOfBounds {
@@ -138,7 +159,7 @@ impl SparsityPattern {
                     ncols,
                 });
             }
-            per_col[c].push(r);
+            per_col[c].push(r as u32);
         }
         let mut col_ptr = Vec::with_capacity(ncols + 1);
         let mut row_idx = Vec::new();
@@ -183,7 +204,7 @@ impl SparsityPattern {
 
     /// Row indices of column `j`, strictly increasing.
     #[inline]
-    pub fn col(&self, j: usize) -> &[usize] {
+    pub fn col(&self, j: usize) -> &[u32] {
         &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 
@@ -195,18 +216,24 @@ impl SparsityPattern {
 
     /// Concatenated row indices.
     #[inline]
-    pub fn row_indices(&self) -> &[usize] {
+    pub fn row_indices(&self) -> &[u32] {
         &self.row_idx
+    }
+
+    /// Bytes the two index arrays occupy on the heap.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        (size_of_val(&self.col_ptr[..]) + size_of_val(&self.row_idx[..])) as u64
     }
 
     /// `true` if entry `(i, j)` is structurally present (binary search).
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        self.col(j).binary_search(&i).is_ok()
+        u32::try_from(i).is_ok_and(|i| self.col(j).binary_search(&i).is_ok())
     }
 
     /// Iterator over all `(row, col)` entries in column-major order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.ncols).flat_map(move |j| self.col(j).iter().map(move |&i| (i, j)))
+        (0..self.ncols).flat_map(move |j| self.col(j).iter().map(move |&i| (i as usize, j)))
     }
 
     /// `true` when every diagonal entry `(i, i)` is present.
@@ -218,17 +245,18 @@ impl SparsityPattern {
     pub fn transpose(&self) -> SparsityPattern {
         let mut counts = vec![0usize; self.nrows + 1];
         for &r in &self.row_idx {
-            counts[r + 1] += 1;
+            counts[r as usize + 1] += 1;
         }
         for i in 0..self.nrows {
             counts[i + 1] += counts[i];
         }
         let col_ptr = counts.clone();
         let mut next = counts;
-        let mut row_idx = vec![0usize; self.nnz()];
+        let mut row_idx = vec![0u32; self.nnz()];
         for j in 0..self.ncols {
             for &r in self.col(j) {
-                row_idx[next[r]] = j;
+                let r = r as usize;
+                row_idx[next[r]] = j as u32;
                 next[r] += 1;
             }
         }
@@ -254,17 +282,17 @@ impl SparsityPattern {
         let mut row_idx = Vec::new();
         col_ptr.push(0);
         let mut mark = vec![usize::MAX; n];
-        let mut scratch: Vec<usize> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         for j in 0..n {
             scratch.clear();
             // Union of all rows of Aᵀ (i.e. columns of A) that intersect
             // column j of A.
             mark[j] = j;
-            scratch.push(j);
+            scratch.push(j as u32);
             for &r in self.col(j) {
-                for &c in at.col(r) {
-                    if mark[c] != j {
-                        mark[c] = j;
+                for &c in at.col(r as usize) {
+                    if mark[c as usize] != j {
+                        mark[c as usize] = j;
                         scratch.push(c);
                     }
                 }
@@ -336,11 +364,12 @@ impl SparsityPattern {
         let mut col_ptr = Vec::with_capacity(self.ncols + 1);
         let mut row_idx = Vec::with_capacity(self.nnz());
         col_ptr.push(0);
-        let mut scratch: Vec<usize> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
+        let new_row = |&old_i: &u32| row_perm.new_of(old_i as usize) as u32;
         for new_j in 0..self.ncols {
             let old_j = col_perm.old_of(new_j);
             scratch.clear();
-            scratch.extend(self.col(old_j).iter().map(|&old_i| row_perm.new_of(old_i)));
+            scratch.extend(self.col(old_j).iter().map(new_row));
             scratch.sort_unstable();
             row_idx.extend_from_slice(&scratch);
             col_ptr.push(row_idx.len());

@@ -42,12 +42,10 @@ pub fn pattern_stats(p: &SparsityPattern) -> MatrixStats {
         let col = p.col(j);
         max_col = max_col.max(col.len());
         for &i in col {
-            bandwidth = bandwidth.max(i.abs_diff(j));
+            bandwidth = bandwidth.max((i as usize).abs_diff(j));
         }
         if let Some(&last) = col.last() {
-            if last > j {
-                profile += last - j;
-            }
+            profile += (last as usize).saturating_sub(j);
         }
     }
     let mut matched = 0usize;

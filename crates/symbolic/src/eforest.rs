@@ -40,7 +40,7 @@ impl EliminationForest {
                 // u_row(j) starts with the diagonal j; the parent is the
                 // next entry if any.
                 if let Some(&p) = f.u_row(j).get(1) {
-                    parent[j] = p;
+                    parent[j] = p as usize;
                 }
             }
         }
@@ -240,6 +240,7 @@ impl ExtendedEforest {
         let mut seen = vec![false; n];
         for j in 0..n {
             for &i in f.l_col(j) {
+                let i = i as usize;
                 if !seen[i] {
                     seen[i] = true;
                     row_branch_start[i] = j;
@@ -253,11 +254,11 @@ impl ExtendedEforest {
             let col = f.u.col(j);
             for &i in col {
                 let has_member_child = forest
-                    .children(i)
+                    .children(i as usize)
                     .iter()
-                    .any(|&c| col.binary_search(&c).is_ok());
+                    .any(|&c| col.binary_search(&(c as u32)).is_ok());
                 if !has_member_child {
-                    col_subtree_leaves[j].push(i);
+                    col_subtree_leaves[j].push(i as usize);
                 }
             }
         }
@@ -409,7 +410,7 @@ mod tests {
             let forest = EliminationForest::from_filled(&f);
             for j in 0..18 {
                 for &i in f.u.col(j) {
-                    let mut x = i;
+                    let mut x = i as usize;
                     while let Some(k) = forest.parent(x) {
                         if k >= j {
                             break;
@@ -434,6 +435,7 @@ mod tests {
             let forest = EliminationForest::from_filled(&f);
             for j in 0..18 {
                 for &i in f.u.col(j) {
+                    let i = i as usize;
                     if i == j {
                         continue;
                     }

@@ -61,7 +61,7 @@ impl FilledLu {
     }
 
     /// Rows of `L̄` column `j` (strictly increasing, starts with `j`).
-    pub fn l_col(&self, j: usize) -> &[usize] {
+    pub fn l_col(&self, j: usize) -> &[u32] {
         self.l.col(j)
     }
 
@@ -70,7 +70,7 @@ impl FilledLu {
     /// `Ū` is stored transposed internally through [`Self::u`] being a
     /// column pattern; this accessor reads the row via the precomputed
     /// row-major copy.
-    pub fn u_row(&self, i: usize) -> &[usize] {
+    pub fn u_row(&self, i: usize) -> &[u32] {
         self.u_rows.col(i)
     }
 
@@ -255,11 +255,11 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
     let n = pattern.ncols();
     let by_rows = pattern.transpose();
     // `by_rows` columns are sorted, so element 0 is the row minimum.
-    let first: Vec<usize> = (0..n).map(|i| by_rows.col(i)[0]).collect();
+    let first: Vec<usize> = (0..n).map(|i| by_rows.col(i)[0] as usize).collect();
 
     // Per class: the union its latest merge left it (empty until then — the
     // structure is still `by_rows.col(class)`), and its uneliminated rows.
-    let mut merged_struct: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut merged_struct: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut rows_left = vec![1usize; n];
     // Bucket `k` lists the classes whose structure minimum is `k`, threaded
     // through `next`: a class sits in one bucket at a time.
@@ -276,7 +276,7 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
     let mut u_len = vec![0usize; n];
     // `in_union[c] == k` marks column `c` as already in step `k`'s union.
     let mut in_union = vec![usize::MAX; n];
-    let mut merged: Vec<usize> = Vec::new();
+    let mut merged: Vec<u32> = Vec::new();
     let mut reps: Vec<usize> = Vec::new();
 
     for k in 0..n {
@@ -300,10 +300,11 @@ pub fn fill_skeleton(pattern: &SparsityPattern) -> Result<FillSkeleton, Symbolic
                 [] => by_rows.col(r),
                 merged => merged,
             };
-            for &c in structure {
+            for &c32 in structure {
+                let c = c32 as usize;
                 if c > k && in_union[c] != k {
                     in_union[c] = k;
-                    merged.push(c);
+                    merged.push(c32);
                     min = min.min(c);
                 }
             }
@@ -358,7 +359,7 @@ pub struct UnsortedColumns {
     /// Column pointers into `idx` (length `n + 1`).
     pub ptr: Vec<usize>,
     /// Concatenated column row indices, unsorted within each column.
-    pub idx: Vec<usize>,
+    pub idx: Vec<u32>,
 }
 
 /// Computes the columns of `Ū` from the skeleton.
@@ -373,17 +374,17 @@ pub fn fill_columns(pattern: &SparsityPattern, skel: &FillSkeleton) -> UnsortedC
     assert_eq!(pattern.ncols(), n, "pattern and skeleton orders differ");
     let mut ptr = Vec::with_capacity(n + 1);
     ptr.push(0);
-    let mut idx: Vec<usize> = Vec::with_capacity(skel.u_len.iter().sum());
+    let mut idx: Vec<u32> = Vec::with_capacity(skel.u_len.iter().sum());
     // `seen_in_col[x] == j` marks row `x` as already in column `j`.
     let mut seen_in_col = vec![usize::MAX; n];
     for j in 0..n {
         for &r in pattern.col(j) {
-            let mut x = skel.first[r];
+            let mut x = skel.first[r as usize];
             // `parent` entries are either > x or usize::MAX, so the `x <= j`
             // bound also terminates dead-class chains.
             while x <= j && seen_in_col[x] != j {
                 seen_in_col[x] = j;
-                idx.push(x);
+                idx.push(x as u32);
                 x = skel.parent[x];
             }
         }
@@ -422,12 +423,12 @@ pub fn assemble_filled(skel: &FillSkeleton, u_cols: &UnsortedColumns) -> FilledL
     // L̄ columns: scan rows ascending, walk each row's branch, scatter the
     // row index into every branch node's column.
     let l_ptr = prefix_ptr(&skel.l_len);
-    let mut l_idx = vec![0usize; l_ptr[n]];
+    let mut l_idx = vec![0u32; l_ptr[n]];
     let mut cursor = l_ptr[..n].to_vec();
     for i in 0..n {
         let mut x = skel.first[i];
         loop {
-            l_idx[cursor[x]] = i;
+            l_idx[cursor[x]] = i as u32;
             cursor[x] += 1;
             if x == i {
                 break;
@@ -441,11 +442,12 @@ pub fn assemble_filled(skel: &FillSkeleton, u_cols: &UnsortedColumns) -> FilledL
     // Row-major Ū by one scatter of the unsorted columns (ascending column
     // scan → sorted rows).
     let ur_ptr = prefix_ptr(&skel.u_len);
-    let mut ur_idx = vec![0usize; ur_ptr[n]];
+    let mut ur_idx = vec![0u32; ur_ptr[n]];
     cursor.copy_from_slice(&ur_ptr[..n]);
     for j in 0..n {
         for &i in &u_cols.idx[u_cols.ptr[j]..u_cols.ptr[j + 1]] {
-            ur_idx[cursor[i]] = j;
+            let i = i as usize;
+            ur_idx[cursor[i]] = j as u32;
             cursor[i] += 1;
         }
     }
@@ -453,11 +455,12 @@ pub fn assemble_filled(skel: &FillSkeleton, u_cols: &UnsortedColumns) -> FilledL
 
     // Column-compressed Ū by scattering back (ascending row scan → sorted
     // columns).
-    let mut u_idx = vec![0usize; u_cols.idx.len()];
+    let mut u_idx = vec![0u32; u_cols.idx.len()];
     cursor.copy_from_slice(&u_cols.ptr[..n]);
     for i in 0..n {
         for &j in &ur_idx[ur_ptr[i]..ur_ptr[i + 1]] {
-            u_idx[cursor[j]] = i;
+            let j = j as usize;
+            u_idx[cursor[j]] = i as u32;
             cursor[j] += 1;
         }
     }
@@ -683,7 +686,9 @@ mod tests {
             x
         }
 
-        let mut class_struct: Vec<Vec<usize>> = (0..n).map(|i| by_rows.col(i).to_vec()).collect();
+        let mut class_struct: Vec<Vec<usize>> = (0..n)
+            .map(|i| by_rows.col(i).iter().map(|&c| c as usize).collect())
+            .collect();
         // `by_rows` columns are sorted, so element 0 is the row minimum.
         let first: Vec<usize> = (0..n).map(|i| class_struct[i][0]).collect();
         let mut class_min: Vec<usize> = first.clone();
@@ -866,9 +871,11 @@ mod tests {
         let f = static_symbolic_factorization(&p).unwrap();
         for i in 0..p.ncols() {
             for &j in f.u_row(i) {
-                assert!(f.u.contains(i, j));
+                assert!(f.u.contains(i, j as usize));
             }
-            let via_cols: Vec<usize> = (0..p.ncols()).filter(|&j| f.u.contains(i, j)).collect();
+            let via_cols: Vec<u32> = (0..p.ncols() as u32)
+                .filter(|&j| f.u.contains(i, j as usize))
+                .collect();
             assert_eq!(f.u_row(i), &via_cols[..]);
         }
     }

@@ -144,7 +144,7 @@ impl<'a> ChainCounts<'a> {
         let u_len: Vec<usize> = (0..n).map(|i| f.u_row(i).len()).collect();
         let parent: Vec<usize> = (0..n)
             .map(|j| match (l_len[j], f.u_row(j).get(1)) {
-                (2.., Some(&p)) => p,
+                (2.., Some(&p)) => p as usize,
                 _ => usize::MAX,
             })
             .collect();
@@ -299,8 +299,8 @@ fn panel_cost(f: &FilledLu, a: usize, c: usize) -> (usize, usize) {
     let mut exact = 0usize;
     for j in a..c {
         exact += f.l_col(j).len() + f.u_row(j).len();
-        l_rows.extend(f.l_col(j).iter().copied().filter(|&i| i >= c));
-        u_cols.extend(f.u_row(j).iter().copied().filter(|&x| x >= c));
+        l_rows.extend(f.l_col(j).iter().map(|&i| i as usize).filter(|&i| i >= c));
+        u_cols.extend(f.u_row(j).iter().map(|&x| x as usize).filter(|&x| x >= c));
     }
     l_rows.sort_unstable();
     l_rows.dedup();
@@ -338,14 +338,14 @@ fn union_beyond(
     range: std::ops::Range<usize>,
     mark: &mut Vec<usize>,
     stamp: usize,
-) -> Vec<usize> {
+) -> Vec<u32> {
     mark.resize(cols.nrows(), usize::MAX);
     let end = range.end;
     let mut out = Vec::new();
     for k in range {
         for &x in cols.col(k) {
-            if x >= end && mark[x] != stamp {
-                mark[x] = stamp;
+            if x as usize >= end && mark[x as usize] != stamp {
+                mark[x as usize] = stamp;
                 out.push(x);
             }
         }
@@ -355,20 +355,21 @@ fn union_beyond(
 }
 
 /// The entries of the ascending `list` that fall inside `range`.
-fn within(list: &[usize], range: std::ops::Range<usize>) -> &[usize] {
-    let lo = list.partition_point(|&x| x < range.start);
-    let hi = list.partition_point(|&x| x < range.end);
+fn within(list: &[u32], range: std::ops::Range<usize>) -> &[u32] {
+    let lo = list.partition_point(|&x| (x as usize) < range.start);
+    let hi = list.partition_point(|&x| (x as usize) < range.end);
     &list[lo..hi]
 }
 
 /// `k` followed by the distinct blocks of the ascending indices `outside`.
 fn blocks_of<'a>(
     k: usize,
-    outside: &'a [usize],
+    outside: &'a [u32],
     block_of: &'a [usize],
-) -> impl Iterator<Item = usize> + 'a {
-    let mut prev = usize::MAX;
-    let blocks = std::iter::once(k).chain(outside.iter().map(|&x| block_of[x]));
+) -> impl Iterator<Item = u32> + 'a {
+    let mut prev = u32::MAX;
+    let blocks =
+        std::iter::once(k as u32).chain(outside.iter().map(|&x| block_of[x as usize] as u32));
     blocks.filter(move |&b| std::mem::replace(&mut prev, b) != b)
 }
 
@@ -476,28 +477,28 @@ impl BlockStructure {
             prefix_ptr(&sizes(skel.u_len())),
         );
 
-        let mut l_idx = vec![0usize; l_ptr[nb]];
+        let mut l_idx = vec![0u32; l_ptr[nb]];
         let mut cursor = l_ptr[..nb].to_vec();
         for i in 0..n {
             let (mut k, home) = (block_of[first[i]], block_of[i]);
             while k != home {
-                l_idx[cursor[k]] = i;
+                l_idx[cursor[k]] = i as u32;
                 cursor[k] += 1;
                 k = block_of[parent[last[k]]];
             }
         }
         debug_assert!((0..nb).all(|k| cursor[k] == l_ptr[k + 1]));
 
-        let mut u_idx = vec![0usize; u_ptr[nb]];
+        let mut u_idx = vec![0u32; u_ptr[nb]];
         cursor.copy_from_slice(&u_ptr[..nb]);
         let mut seen_in_col = vec![usize::MAX; nb];
         for j in 0..n {
             let home = block_of[j];
             for &r in pattern.col(j) {
-                let mut k = block_of[first[r]];
+                let mut k = block_of[first[r as usize]];
                 while k != home && seen_in_col[k] != j {
                     seen_in_col[k] = j;
-                    u_idx[cursor[k]] = j;
+                    u_idx[cursor[k]] = j as u32;
                     cursor[k] += 1;
                     // A climb whose class dies before column `j` ends at a
                     // root (`usize::MAX`).
@@ -549,7 +550,7 @@ impl BlockStructure {
             let r = partition.range(k);
             let last = r.end - 1;
             let chain = (r.start..last)
-                .all(|j| f.l_col(j).len() > 1 && f.u_row(j).get(1) == Some(&(j + 1)));
+                .all(|j| f.l_col(j).len() > 1 && f.u_row(j).get(1) == Some(&(j as u32 + 1)));
             if chain {
                 l_idx.extend_from_slice(&f.l_col(last)[1..]);
                 u_idx.extend_from_slice(&f.u_row(last)[1..]);
@@ -580,13 +581,13 @@ impl BlockStructure {
 
     /// The rows of `R_K` inside block row `i` — what the `L̄` block
     /// `(i, k)` stores (a contiguous run of the sorted list).
-    pub fn l_rows_in(&self, k: usize, i: usize) -> &[usize] {
+    pub fn l_rows_in(&self, k: usize, i: usize) -> &[u32] {
         within(self.l_rows.col(k), self.partition.range(i))
     }
 
     /// The columns `S_KJ = C_K ∩ J` — what the `Ū` block `(k, j)` stores (a
     /// contiguous run of the sorted list).
-    pub fn u_cols_in(&self, k: usize, j: usize) -> &[usize] {
+    pub fn u_cols_in(&self, k: usize, j: usize) -> &[u32] {
         within(self.u_cols.col(k), self.partition.range(j))
     }
 
@@ -597,7 +598,7 @@ impl BlockStructure {
         if pos < own.len() {
             own.start + pos
         } else {
-            self.l_rows.col(k)[pos - own.len()]
+            self.l_rows.col(k)[pos - own.len()] as usize
         }
     }
 
@@ -609,9 +610,9 @@ impl BlockStructure {
     /// `true` when block `(ib, jb)` is structurally nonzero (either factor).
     pub fn block_nonzero(&self, ib: usize, jb: usize) -> bool {
         if ib >= jb {
-            self.l_blocks.col(jb).binary_search(&ib).is_ok()
+            self.l_blocks.col(jb).binary_search(&(ib as u32)).is_ok()
         } else {
-            self.u_blocks.col(ib).binary_search(&jb).is_ok()
+            self.u_blocks.col(ib).binary_search(&(jb as u32)).is_ok()
         }
     }
 
@@ -621,13 +622,13 @@ impl BlockStructure {
         let mut entries = Vec::new();
         for jb in 0..nb {
             for &ib in self.l_blocks.col(jb) {
-                entries.push((ib, jb));
+                entries.push((ib as usize, jb));
             }
         }
         for ib in 0..nb {
             for &jb in self.u_blocks.col(ib) {
-                if jb > ib {
-                    entries.push((ib, jb));
+                if jb as usize > ib {
+                    entries.push((ib, jb as usize));
                 }
             }
         }
@@ -778,8 +779,8 @@ mod tests {
         // Diagonal blocks always present.
         for k in 0..bs.num_blocks() {
             assert!(bs.block_nonzero(k, k));
-            assert_eq!(bs.l_blocks.col(k)[0], k);
-            assert_eq!(bs.u_blocks.col(k)[0], k);
+            assert_eq!(bs.l_blocks.col(k)[0] as usize, k);
+            assert_eq!(bs.u_blocks.col(k)[0] as usize, k);
         }
         let bp = bs.block_pattern();
         assert!(bp.has_zero_free_diagonal());
@@ -905,8 +906,9 @@ mod tests {
                 for &c in &starts[k + 1..] {
                     assert_eq!(chain_cost(&f, a, c), panel_cost(&f, a, c), "[{a}, {c})");
                     chains += 1;
-                    let chain_goes_on =
-                        c < f.n() && f.l_col(c - 1).len() > 1 && f.u_row(c - 1).get(1) == Some(&c);
+                    let chain_goes_on = c < f.n()
+                        && f.l_col(c - 1).len() > 1
+                        && f.u_row(c - 1).get(1) == Some(&(c as u32));
                     if !chain_goes_on {
                         break;
                     }
@@ -957,10 +959,11 @@ mod tests {
             });
             SparsityPattern::from_entries(n, nb, entries).unwrap()
         };
-        let l_blocks = scan(&|j| f.l_col(j).to_vec());
-        let u_blocks = scan(&|i| f.u_row(i).to_vec());
-        let l_rows = outside(&|j| f.l_col(j).to_vec());
-        let u_cols = outside(&|i| f.u_row(i).to_vec());
+        let wide = |list: &[u32]| list.iter().map(|&x| x as usize).collect();
+        let l_blocks = scan(&|j| wide(f.l_col(j)));
+        let u_blocks = scan(&|i| wide(f.u_row(i)));
+        let l_rows = outside(&|j| wide(f.l_col(j)));
+        let u_cols = outside(&|i| wide(f.u_row(i)));
         BlockStructure {
             partition,
             l_blocks,

@@ -321,14 +321,8 @@ pub(crate) struct ServeEntry {
     pub(crate) numeric_line: Option<String>,
 }
 
-/// Resident bytes a retained values matrix costs the pool.
-fn csc_bytes(a: &CscMatrix) -> u64 {
-    let usz = std::mem::size_of::<usize>() as u64;
-    (a.nnz() as u64) * (8 + usz) + (a.ncols() as u64 + 1) * usz
-}
-
 fn entry_bytes(e: &ServeEntry) -> u64 {
-    e.session.resident_bytes() + e.matrix.as_ref().map_or(0, csc_bytes)
+    e.session.resident_bytes() + e.matrix.as_ref().map_or(0, CscMatrix::heap_bytes)
 }
 
 enum Slot {

@@ -45,14 +45,14 @@ fn dominant_values(a: &CscMatrix, seed: u64) -> CscMatrix {
         let vals = &mut out.values_mut()[ptr[j]..ptr[j + 1]];
         let mut off = 0.0;
         for (v, &i) in vals.iter_mut().zip(&rows) {
-            if i != j {
+            if i as usize != j {
                 *v = rng.next();
                 off += v.abs();
             }
         }
         let at = rows
             .iter()
-            .position(|&i| i == j)
+            .position(|&i| i as usize == j)
             .expect("zero-free diagonal");
         vals[at] = (1.0 + off) * (1.5 + 0.5 * rng.next());
     }

@@ -5,7 +5,8 @@
 //! refactored with the matrix read, the held values replaced only on
 //! success. The oracle here walks that path on its own session, and every
 //! reply — status, error kind and text, and the `x_hash` of the solve
-//! after it — must match; `stats` counts which jobs streamed.
+//! after it — must match; `stats` counts which jobs streamed, and the
+//! `factor` reply charges the session plus the held matrix.
 
 mod common;
 
@@ -116,6 +117,11 @@ fn serve_against_oracle(a: &CscMatrix, files: &[(String, Vec<u8>)]) -> (f64, f64
     assert_eq!(replies.len(), script.len() - 1, "one reply per job");
 
     let mut oracle = Oracle::new(&read_matrix_market(base.as_ref()).unwrap());
+    // The pool charges a held session its `resident_bytes` plus the held
+    // matrix's `heap_bytes`.
+    let charged = replies[1].get("resident_bytes").and_then(|v| v.as_num());
+    let held = oracle.s.resident_bytes() + oracle.held.heap_bytes();
+    assert_eq!(charged, Some(held as f64), "what the factor job charges");
     for (k, ((stem, _), path)) in files.iter().zip(&paths).enumerate() {
         let (refactor, solve) = (&replies[2 + 2 * k], &replies[3 + 2 * k]);
         assert_eq!(

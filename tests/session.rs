@@ -243,10 +243,11 @@ fn one_thread_sessions_hold_no_graph_or_schedule() {
     /// The previous `resident_bytes` of this analyzed, unfactored session
     /// (when it held the graph), less what that accounting charged for the
     /// per-supernode block-list `Vec`s and the block forest a session no
-    /// longer holds, and less what the static lists held beyond the
-    /// in-block ones the session now holds in their place:
-    /// 1,301,784 − 121,664 − 113,304.
-    const RESIDENT_WITH_GRAPH: u64 = 1_066_816;
+    /// longer holds, less what the static lists held beyond the in-block
+    /// ones the session now holds in their place, and less 4 bytes for
+    /// each of the 26,476 entries of those lists, whose indices are `u32`:
+    /// 1,301,784 − 121,664 − 113,304 − 105,904.
+    const RESIDENT_WITH_GRAPH: u64 = 960_912;
     let a = paper_matrix("sherman3", Scale::Full).unwrap();
     let one = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
     assert!(one.graph().is_none() && one.schedule().is_none());

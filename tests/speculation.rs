@@ -66,7 +66,7 @@ fn dominant(p: &SparsityPattern, seed: u64) -> CscMatrix {
     let mut trips = Vec::new();
     for j in 0..p.ncols() {
         let mut off = 0.0;
-        for &i in p.col(j).iter().filter(|&&i| i != j) {
+        for i in p.col(j).iter().map(|&i| i as usize).filter(|&i| i != j) {
             let v = next();
             off += v.abs();
             trips.push((i, j, v));

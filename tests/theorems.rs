@@ -72,7 +72,7 @@ proptest! {
         let forest = EliminationForest::from_filled(&f);
         for j in 0..f.n() {
             for &i in f.u.col(j) {
-                let mut x = i;
+                let mut x = i as usize;
                 while let Some(k) = forest.parent(x) {
                     if k >= j { break; }
                     prop_assert!(f.u.contains(k, j), "ū({},{}) missing", k, j);
@@ -96,8 +96,9 @@ proptest! {
                     continue;
                 }
                 let s1: std::collections::HashSet<usize> =
-                    f.l_col(i1).iter().copied().filter(|&r| r > i1).collect();
+                    f.l_col(i1).iter().map(|&r| r as usize).filter(|&r| r > i1).collect();
                 for &r in f.l_col(i2) {
+                    let r = r as usize;
                     if r > i2 {
                         prop_assert!(
                             !s1.contains(&r),
@@ -125,6 +126,7 @@ proptest! {
             let mut best = try_all(p, col + 1, used);
             // ...or match it to any free row.
             for &r in p.col(col) {
+                let r = r as usize;
                 if !used[r] {
                     used[r] = true;
                     best = best.max(1 + try_all(p, col + 1, used));
