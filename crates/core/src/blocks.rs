@@ -31,9 +31,10 @@
 //! ([`ColumnData`]): the panel first, then every `Ū(K, J)` in ascending
 //! source `K`, each column-major at an offset the [`Layout`] keeps. A task
 //! takes disjoint views of it with `split_at_mut`, so a session holds one
-//! allocation per block column (and its pivot sequence) however many
-//! blocks the column has. The buffer is allocated and receives `A`'s
-//! values in the one pass that locates them, column by column.
+//! allocation per block column however many blocks the column has. The
+//! buffer is allocated and receives `A`'s values in the one pass that
+//! locates them, column by column. The pivots of every column are one flat
+//! `u32` array of length `n` beside the buffers (DESIGN.md §5.5).
 //!
 //! **The value slot.** Where an input nonzero lands is one `u32`: its
 //! offset inside its block column's buffer; the block column follows from
@@ -42,16 +43,17 @@
 
 use crate::request::RangePlan;
 use parking_lot::{Mutex, RwLock};
-use splu_dense::{MatMut, MatRef, Pivots};
+use splu_dense::{MatMut, MatRef};
 use splu_sched::{ExecSchedule, Task};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
 use std::mem::size_of;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 
-/// The values of one block column, plus the pivot sequence once factored.
+/// The values of one block column.
 #[derive(Debug)]
 pub struct ColumnData {
     /// The `L̄` panel (`height × width`: the diagonal block on top, then the
@@ -61,9 +63,6 @@ pub struct ColumnData {
     data: Vec<f64>,
     width: u32,
     height: u32,
-    /// Pivot sequence of `Factor(J)` over the panel rows; `None` until
-    /// factored.
-    pub pivots: Option<Pivots>,
 }
 
 impl ColumnData {
@@ -183,31 +182,22 @@ impl UpdateMap {
     }
 }
 
-/// The structure-only half of the storage: shapes, offsets and the relative
+/// The structure-only half of the storage: the offsets and the relative
 /// index maps, shared (read-only, lock-free) by every task and every
-/// factorization of one pattern.
+/// factorization of one pattern. The structure itself — partition, `R_K`,
+/// `C_K` — is the session's, shared and not copied: a stored row or column
+/// is found inside its block as its global index less the block's start,
+/// and the block is known wherever one is read.
 #[derive(Debug)]
 pub(crate) struct Layout {
-    n: usize,
-    /// Partition boundaries (`N + 1`).
-    starts: Vec<usize>,
-    /// `R_K` occupies `row_ptr[K]..row_ptr[K + 1]` of `lrow` / `owner`.
-    row_ptr: Vec<usize>,
-    /// Row of `R_K[t]` inside the block row that holds it.
-    lrow: Vec<u32>,
-    /// Index, among `K`'s `L̄` blocks, of the block row holding `R_K[t]`.
-    owner: Vec<u32>,
-    /// `C_K` occupies `col_ptr[K]..col_ptr[K + 1]` of `ucol`.
-    col_ptr: Vec<usize>,
-    /// Column of `C_K[q]` inside the block column that holds it.
-    ucol: Vec<u32>,
+    bs: Arc<BlockStructure>,
     /// `K`'s `L̄` blocks below the diagonal, ascending:
     /// `lblks[lblk_ptr[K]..lblk_ptr[K + 1]]`.
-    lblk_ptr: Vec<usize>,
+    lblk_ptr: Vec<u32>,
     lblks: Vec<LBlock>,
     /// Column `J`'s updates, in ascending source:
     /// `upds[upd_ptr[J]..upd_ptr[J + 1]]`.
-    upd_ptr: Vec<usize>,
+    upd_ptr: Vec<u32>,
     upds: Vec<UpdateMap>,
     targets: Vec<u32>,
     /// Backing store of the relative maps.
@@ -259,10 +249,10 @@ impl Layout {
     /// that takes a pivot from below `K`'s diagonal block fails the run
     /// with [`crate::LuError::PivotHistoryDiverged`]: such a pivot may fill
     /// what the storage leaves out.
-    pub(crate) fn new(bs: &BlockStructure, in_block: bool) -> Self {
+    pub(crate) fn new(bs: Arc<BlockStructure>, in_block: bool) -> Self {
         let part = &bs.partition;
-        let (n, nb) = (part.n(), part.num_blocks());
-        let starts = part.starts().to_vec();
+        let nb = part.num_blocks();
+        let starts = part.starts();
         let block_of = part.block_of_cols();
         // The relative maps hold, per L̄ block I of K, the columns of C_K
         // beyond I, and per update (K, J) the rows of R_K beyond J; per
@@ -283,19 +273,15 @@ impl Layout {
         }
         let mut rel: Vec<u32> = Vec::with_capacity(rel_len);
 
-        // Per supernode K: where its rows and columns sit in their own
-        // blocks, and the column maps into the rows below.
-        let mut lrow = Vec::with_capacity(bs.l_rows.nnz());
-        let mut owner = Vec::with_capacity(bs.l_rows.nnz());
-        let mut ucol = Vec::with_capacity(bs.u_cols.nnz());
+        // Per supernode K: the block rows its rows fall into, and the
+        // column maps into the rows below.
         let mut lblk_ptr = Vec::with_capacity(nb + 1);
         let mut lblks: Vec<LBlock> = Vec::with_capacity(bs.l_blocks.nnz() - nb);
         for k in 0..nb {
-            lblk_ptr.push(lblks.len());
+            lblk_ptr.push(idx32(lblks.len()));
             let first = lblks.len();
             for (t, &r) in bs.l_rows.col(k).iter().enumerate() {
-                let r = r as usize;
-                let i = block_of[r];
+                let i = block_of[r as usize];
                 if lblks.len() == first || lblks[lblks.len() - 1].block as usize != i {
                     lblks.push(LBlock {
                         block: idx32(i),
@@ -306,11 +292,8 @@ impl Layout {
                 }
                 let at = lblks.len() - 1;
                 lblks[at].rows.end = idx32(t + 1);
-                lrow.push(idx32(r - starts[i]));
-                owner.push(idx32(at - first));
             }
             let ck = bs.u_cols.col(k);
-            ucol.extend(ck.iter().map(|&c| c - starts[block_of[c as usize]] as u32));
             let mut c0 = 0usize;
             for lb in &mut lblks[first..] {
                 let i = lb.block as usize;
@@ -322,10 +305,10 @@ impl Layout {
                 rel.extend(positions(&ck[c0..], bs.u_cols.col(i)).map(idx32));
             }
         }
-        lblk_ptr.push(lblks.len());
+        lblk_ptr.push(idx32(lblks.len()));
 
         // Per block column J: its sources, ascending.
-        let mut upd_ptr = vec![0usize; nb + 1];
+        let mut upd_ptr = vec![0u32; nb + 1];
         for k in 0..nb {
             for &j in &bs.u_blocks.col(k)[1..] {
                 upd_ptr[j as usize + 1] += 1;
@@ -334,19 +317,18 @@ impl Layout {
         for j in 0..nb {
             upd_ptr[j + 1] += upd_ptr[j];
         }
-        let mut srcs = vec![0usize; upd_ptr[nb]];
+        let mut srcs = vec![0usize; upd_ptr[nb] as usize];
         let mut fill = upd_ptr.clone();
         for k in 0..nb {
             for &j in &bs.u_blocks.col(k)[1..] {
                 let j = j as usize;
-                srcs[fill[j]] = k;
+                srcs[fill[j] as usize] = k;
                 fill[j] += 1;
             }
         }
 
         // Per update (K, J), visited by ascending J so that the cursors into
         // C_K and R_K only move forward.
-        let (row_ptr, col_ptr) = (bs.l_rows.col_ptr(), bs.u_cols.col_ptr());
         let mut ccur = vec![0usize; nb];
         let mut tcur = vec![0usize; nb];
         // The block column each supernode's last update went into, and that
@@ -358,9 +340,10 @@ impl Layout {
         for j in 0..nb {
             let (start_j, end_j) = (starts[j], starts[j + 1]);
             let w_j = end_j - start_j;
+            let into_j = upd_ptr[j] as usize..upd_ptr[j + 1] as usize;
             // The Ū blocks follow the panel in the column's buffer.
-            let mut off = w_j * (w_j + row_ptr[j + 1] - row_ptr[j]);
-            for &k in &srcs[upd_ptr[j]..upd_ptr[j + 1]] {
+            let mut off = w_j * (w_j + bs.l_rows.col(j).len());
+            for &k in &srcs[into_j.clone()] {
                 upd_of[k] = (j, idx32(upds.len()));
                 let (ck, rk) = (bs.u_cols.col(k), bs.l_rows.col(k));
                 let a = ccur[k];
@@ -400,14 +383,12 @@ impl Layout {
             // for every source I of J: name the updates (I, J) whose blocks
             // the rows of K above block row J add into, and make K's column
             // map into each relative to that block.
-            for at in upd_ptr[j]..upd_ptr[j + 1] {
+            for at in into_j {
                 upds[at].targets = idx32(targets.len());
                 let (k, cols) = (upds[at].src as usize, upds[at].cols.clone());
-                let above = match upds[at].t_diag {
-                    0 => 0,
-                    t => owner[row_ptr[k] + t as usize - 1] as usize + 1,
-                };
-                for lb in &lblks[lblk_ptr[k]..][..above] {
+                let lbs = &lblks[lblk_ptr[k] as usize..lblk_ptr[k + 1] as usize];
+                let above = lbs.partition_point(|lb| lb.rows.start < upds[at].t_diag);
+                for lb in &lbs[..above] {
                     let (col, ui) = upd_of[lb.block as usize];
                     assert_eq!(
                         col, j,
@@ -424,13 +405,7 @@ impl Layout {
         }
         debug_assert_eq!((rel.len(), targets.len()), (rel_len, targets_len));
         Layout {
-            n,
-            starts,
-            row_ptr: row_ptr.to_vec(),
-            lrow,
-            owner,
-            col_ptr: col_ptr.to_vec(),
-            ucol,
+            bs,
             lblk_ptr,
             lblks,
             upd_ptr,
@@ -466,16 +441,31 @@ impl Layout {
     }
 
     fn num_blocks(&self) -> usize {
-        self.starts.len() - 1
+        self.bs.num_blocks()
+    }
+
+    /// Partition boundaries (`N + 1`).
+    fn starts(&self) -> &[usize] {
+        self.bs.partition.starts()
     }
 
     pub(crate) fn width(&self, k: usize) -> usize {
-        self.starts[k + 1] - self.starts[k]
+        self.bs.partition.width(k)
+    }
+
+    /// `R_K`: the global rows of `K`'s panel below its diagonal block.
+    fn rows(&self, k: usize) -> &[u32] {
+        self.bs.l_rows.col(k)
     }
 
     /// `|R_K|`.
     pub(crate) fn rows_below(&self, k: usize) -> usize {
-        self.row_ptr[k + 1] - self.row_ptr[k]
+        self.rows(k).len()
+    }
+
+    /// `K`'s `L̄` blocks below the diagonal, ascending.
+    fn lblks(&self, k: usize) -> &[LBlock] {
+        &self.lblks[self.lblk_ptr[k] as usize..self.lblk_ptr[k + 1] as usize]
     }
 
     /// Length of column `j`'s buffer: its panel and its `Ū` blocks.
@@ -490,12 +480,12 @@ impl Layout {
     /// ([`BlockMatrix::tasks`]): every column before it holds one
     /// `Update` per stored source and its `Factor`.
     pub(crate) fn task_start(&self, j: usize) -> usize {
-        self.upd_ptr[j] + j
+        self.upd_ptr[j] as usize + j
     }
 
     /// The updates into column `j`, in ascending source.
     pub(crate) fn updates(&self, j: usize) -> &[UpdateMap] {
-        &self.upds[self.upd_ptr[j]..self.upd_ptr[j + 1]]
+        &self.upds[self.upd_ptr[j] as usize..self.upd_ptr[j + 1] as usize]
     }
 
     /// The map of `Update(k, j)`; `None` when the structure holds no block
@@ -507,75 +497,47 @@ impl Layout {
         Some(&into_j[at])
     }
 
-    /// The columns `S_KJ` of `Ū(K, J)`, as columns of block column `J`.
-    pub(crate) fn local_cols(&self, u: &UpdateMap) -> &[u32] {
-        let base = self.col_ptr[u.src as usize];
-        &self.ucol[base + u.cols.start as usize..base + u.cols.end as usize]
+    /// The columns `S_KJ` of `Ū(K, J)`, as global columns: column `c` lies
+    /// at `c − starts[J]` of block column `J`.
+    pub(crate) fn cols(&self, u: &UpdateMap) -> &[u32] {
+        &self.bs.u_cols.col(u.src())[u.cols.start as usize..u.cols.end as usize]
     }
 
-    /// Global row of every position of `R_K`, in order.
-    fn global_rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
-        let w = self.width(k);
-        (w..w + self.rows_below(k)).map(move |pos| self.panel_row(k, pos))
-    }
-
-    /// Global row of position `pos` of supernode `k`'s panel: its own rows
-    /// first, then `R_K`.
-    fn panel_row(&self, k: usize, pos: usize) -> usize {
-        match pos.checked_sub(self.width(k)) {
-            None => self.starts[k] + pos,
-            Some(t) => {
-                let at = self.row_ptr[k] + t;
-                let lb = &self.lblks[self.lblk_ptr[k] + self.owner[at] as usize];
-                self.starts[lb.block as usize] + self.lrow[at] as usize
-            }
+    /// Where `R_K[t]` lives in column `j` for the update `u = (K, j)`, and
+    /// which columns there correspond to `S_Kj`. A row at or above block
+    /// row `j` lies in the `L̄` block of `K` whose range holds `t` (binary
+    /// search: this runs on an interchange only).
+    fn row_dest(&self, j: usize, u: &UpdateMap, t: usize) -> RowDest<'_> {
+        let (k, starts) = (u.src(), self.starts());
+        let lbs = self.lblks(k);
+        let b = lbs.partition_point(|lb| lb.rows.end as usize <= t);
+        let row = match t.checked_sub(u.t_below as usize) {
+            Some(below) => self.rel[u.row_rel as usize + below] as usize,
+            None => self.rows(k)[t] as usize - starts[lbs[b].block as usize],
+        };
+        if t >= u.t_diag as usize {
+            let (cols, base) = (self.cols(u), starts[j]);
+            return RowDest::Panel { row, cols, base };
+        }
+        let first = (lbs[b].crel + u.cols.start - lbs[b].c0) as usize;
+        RowDest::Above {
+            block: &self.upds[self.targets[u.targets as usize + b] as usize],
+            row,
+            cols: &self.rel[first..first + u.cols.len()],
         }
     }
 
-    /// Where `R_K[t]` lives in column `J` for the update `u = (K, J)`, and
-    /// which columns there correspond to `S_KJ`.
-    fn row_dest(&self, u: &UpdateMap, t: usize) -> RowDest<'_> {
-        let k = u.src as usize;
-        let at = self.row_ptr[k] + t;
-        let row = self.lrow[at] as usize;
-        if t < u.t_diag as usize {
-            let b = self.owner[at] as usize;
-            let lb = &self.lblks[self.lblk_ptr[k] + b];
-            let first = (lb.crel + u.cols.start - lb.c0) as usize;
-            RowDest::Above {
-                block: &self.upds[self.targets[u.targets as usize + b] as usize],
-                row,
-                cols: &self.rel[first..first + u.cols.len()],
-            }
-        } else {
-            let row = if t < u.t_below as usize {
-                row
-            } else {
-                self.rel[u.row_rel as usize + t - u.t_below as usize] as usize
-            };
-            RowDest::Panel {
-                row,
-                cols: self.local_cols(u),
-            }
-        }
-    }
-
-    /// Bytes of the layout's arrays, with the range plan kept for runs on
-    /// several threads.
+    /// Bytes of the arrays the layout owns, with the range plan kept for
+    /// runs on several threads; the structure it shares is its holder's.
     fn bytes(&self) -> u64 {
-        let words = vec_bytes(&self.lrow)
-            + vec_bytes(&self.owner)
-            + vec_bytes(&self.ucol)
+        let owned = vec_bytes(&self.lblk_ptr)
+            + vec_bytes(&self.lblks)
+            + vec_bytes(&self.upd_ptr)
+            + vec_bytes(&self.upds)
             + vec_bytes(&self.targets)
             + vec_bytes(&self.rel);
-        let ptrs = vec_bytes(&self.starts)
-            + vec_bytes(&self.row_ptr)
-            + vec_bytes(&self.col_ptr)
-            + vec_bytes(&self.lblk_ptr)
-            + vec_bytes(&self.upd_ptr);
-        let maps = vec_bytes(&self.lblks) + vec_bytes(&self.upds);
         let plan = self.plan.lock().as_ref().map_or(0, |(_, _, p)| p.bytes());
-        (size_of::<Self>() + words + ptrs + maps) as u64 + plan
+        owned as u64 + plan
     }
 }
 
@@ -585,7 +547,6 @@ impl Layout {
 /// `new_row` maps into factorization order, and factorization column `j`
 /// is the input's column `old_col(j)`.
 struct Locator<'a, R, C> {
-    lay: &'a Layout,
     pattern: &'a SparsityPattern,
     new_row: R,
     old_col: C,
@@ -600,18 +561,17 @@ struct Locator<'a, R, C> {
 const IN_PANEL: u32 = u32::MAX;
 
 impl<'a, R: Fn(usize) -> usize, C: Fn(usize) -> usize> Locator<'a, R, C> {
-    fn new(lay: &'a Layout, pattern: &'a SparsityPattern, new_row: R, old_col: C) -> Self {
-        assert_eq!(pattern.ncols(), lay.n, "matrix and structure disagree");
+    fn new(lay: &Layout, pattern: &'a SparsityPattern, new_row: R, old_col: C) -> Self {
+        let n = lay.bs.partition.n();
+        assert_eq!(pattern.ncols(), n, "matrix and structure disagree");
         Locator {
-            lay,
             pattern,
             new_row,
             old_col,
-            place: vec![(usize::MAX, 0, 0); lay.n],
+            place: vec![(usize::MAX, 0, 0); n],
             cursor: Vec::with_capacity(
-                lay.upd_ptr
-                    .windows(2)
-                    .map(|p| p[1] - p[0])
+                (0..lay.num_blocks())
+                    .map(|j| lay.updates(j).len())
                     .max()
                     .unwrap_or(0),
             ),
@@ -621,20 +581,20 @@ impl<'a, R: Fn(usize) -> usize, C: Fn(usize) -> usize> Locator<'a, R, C> {
     /// Calls `visit(e, at)` for every entry of block column `j`: entry
     /// number `e` of the pattern (in storage order) lands at offset `at` of
     /// the column's buffer.
-    fn column(&mut self, j: usize, mut visit: impl FnMut(usize, usize)) {
-        let (lay, place) = (self.lay, &mut self.place);
-        let (start, w) = (lay.starts[j], lay.width(j));
+    fn column(&mut self, lay: &Layout, j: usize, mut visit: impl FnMut(usize, usize)) {
+        let place = &mut self.place;
+        let (start, w) = (lay.starts()[j], lay.width(j));
         for r in 0..w {
             place[start + r] = (j, IN_PANEL, idx32(r));
         }
-        for (t, r) in lay.global_rows(j).enumerate() {
-            place[r] = (j, IN_PANEL, idx32(w + t));
+        for (t, &r) in lay.rows(j).iter().enumerate() {
+            place[r as usize] = (j, IN_PANEL, idx32(w + t));
         }
         let into_j = lay.updates(j);
         for (q, u) in into_j.iter().enumerate() {
-            let k = u.src as usize;
+            let k = u.src();
             for r in 0..lay.width(k) {
-                place[lay.starts[k] + r] = (j, idx32(q), idx32(r));
+                place[lay.starts()[k] + r] = (j, idx32(q), idx32(r));
             }
         }
         self.cursor.clear();
@@ -652,13 +612,13 @@ impl<'a, R: Fn(usize) -> usize, C: Fn(usize) -> usize> Locator<'a, R, C> {
                     // Columns are visited in ascending order, so the cursor
                     // into S_KJ only moves forward.
                     let u = &into_j[q as usize];
-                    let cols = lay.local_cols(u);
+                    let cols = lay.cols(u);
                     let x = &mut self.cursor[q as usize];
-                    while *x < cols.len() && (cols[*x] as usize) < lj {
+                    while *x < cols.len() && (cols[*x] as usize) < start + lj {
                         *x += 1;
                     }
                     assert!(
-                        *x < cols.len() && cols[*x] as usize == lj,
+                        *x < cols.len() && cols[*x] as usize == start + lj,
                         "entry outside the filled block structure"
                     );
                     u.off as usize + *x * lay.width(u.src()) + row as usize
@@ -806,109 +766,127 @@ pub(crate) fn realised_structure(
 }
 
 /// Where a stored row of the source lives in the destination column of an
-/// update; `S_KJ[x]` is column `cols[x]` there.
+/// update.
 enum RowDest<'a> {
-    /// In the block `Ū(I, J)` of the update `block`, at `row`.
+    /// In the block `Ū(I, J)` of the update `block`, at `row`; `S_KJ[x]`
+    /// is its column `cols[x]`.
     Above {
         block: &'a UpdateMap,
         row: usize,
         cols: &'a [u32],
     },
-    /// In the panel, at `row`.
-    Panel { row: usize, cols: &'a [u32] },
+    /// In the panel, at `row`; `S_KJ[x]` is its column `cols[x] − base`.
+    Panel {
+        row: usize,
+        cols: &'a [u32],
+        base: usize,
+    },
 }
 
 impl ColumnData {
-    /// Replays one interchange of `Factor(K)` on this column (`J`, under the
-    /// update `u = (K, J)`): row `c` of the diagonal block of `K` against
-    /// panel position `p > c` of `K`, over the columns `S_KJ`.
+    /// Replays one interchange of `Factor(K)` on this column, block column
+    /// `j`, under the update `u = (K, j)`: row `c` of the diagonal block of
+    /// `K` against panel position `p > c` of `K`, over the columns `S_Kj`.
     ///
     /// The partner row stores a superset of `S_KJ`; whatever it stores
     /// outside `S_KJ` is still exactly zero when `K` is eliminated (its
     /// structure at that step is inside `Ū_{K*}`), so nothing is lost —
     /// debug-asserted.
-    pub(crate) fn swap_rows(&mut self, lay: &Layout, u: &UpdateMap, c: usize, p: usize) {
+    pub(crate) fn swap_rows(&mut self, lay: &Layout, j: usize, u: &UpdateMap, c: usize, p: usize) {
         let w_k = lay.width(u.src());
         if p < w_k {
             self.ublock_mut(lay, u).swap_rows(c, p);
             return;
         }
-        match lay.row_dest(u, p - w_k) {
+        match lay.row_dest(j, u, p - w_k) {
             RowDest::Above { block, row, cols } => {
                 // Ū(I, J) follows Ū(K, J) in the buffer: I > K.
                 let (head, tail) = self.data.split_at_mut(block.off as usize);
                 let theirs = ublock_in(lay, tail, block.off as usize, block);
-                swap_into(ublock_in(lay, head, 0, u), c, theirs, row, cols);
+                swap_into(ublock_in(lay, head, 0, u), c, theirs, row, cols, 0);
             }
-            RowDest::Panel { row, cols } => {
+            RowDest::Panel { row, cols, base } => {
                 let (w, ld) = (self.width(), self.height());
                 let (panel, rest) = self.data.split_at_mut(w * ld);
                 let theirs = MatMut::from_slice(panel, ld, w, ld);
-                swap_into(ublock_in(lay, rest, w * ld, u), c, theirs, row, cols);
+                swap_into(ublock_in(lay, rest, w * ld, u), c, theirs, row, cols, base);
             }
         }
     }
 
-    /// Adds the scratch product `T = −L̄_below(K)·Ū(K, J)` into this
-    /// column; `t` holds one row per position of `R_K` and one column per
-    /// column of `S_KJ`.
-    pub(crate) fn scatter_add(&mut self, lay: &Layout, u: &UpdateMap, t: MatRef<'_>) {
-        let k = u.src as usize;
-        let lrow = &lay.lrow[lay.row_ptr[k]..lay.row_ptr[k + 1]];
+    /// Adds the scratch product `T = −L̄_below(K)·Ū(K, j)` into this
+    /// column, block column `j`; `t` holds one row per position of `R_K`
+    /// and one column per column of `S_Kj`.
+    pub(crate) fn scatter_add(&mut self, lay: &Layout, j: usize, u: &UpdateMap, t: MatRef<'_>) {
+        let (k, starts) = (u.src(), lay.starts());
+        let rows = lay.rows(k);
         let end = t.nrows();
         let (t_diag, t_below) = (u.t_diag as usize, u.t_below as usize);
-        // Rows above block row J: one Ū(I, J) block per L̄ block of K.
+        // Rows above block row j: one Ū(I, j) block per L̄ block I of K, in
+        // order, each row at its global index less I's start.
         let mut at = 0;
-        while at < end.min(t_diag) {
-            let b = lay.owner[lay.row_ptr[k] + at] as usize;
-            let lb = &lay.lblks[lay.lblk_ptr[k] + b];
+        for (b, lb) in lay.lblks(k).iter().enumerate() {
+            if at >= end.min(t_diag) {
+                break;
+            }
             let seg = at..end.min(lb.rows.end as usize);
             let block = &lay.upds[lay.targets[u.targets as usize + b] as usize];
             let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
-            add_rows(
-                self.ublock_mut(lay, block),
-                cmap,
-                &lrow[seg.clone()],
-                t,
-                seg.start,
-            );
+            let dst = self.ublock_mut(lay, block);
+            let top = starts[lb.block as usize];
+            add_rows(dst, (cmap, 0), (&rows[seg.clone()], top), t, seg.start);
             at = seg.end;
         }
-        // Rows inside block row J land in the diagonal block at their local
-        // rows, rows below it in the panel rows of R_J.
-        let cols = lay.local_cols(u);
+        // Rows inside block row j land in the diagonal block at their global
+        // rows less j's start, rows below it in the panel rows of R_j.
+        let (cols, start) = (lay.cols(u), starts[j]);
         let diag = t_diag.min(end)..t_below.min(end);
         if !diag.is_empty() {
-            let rmap = &lrow[diag.clone()];
-            add_rows(self.panel_mut(), cols, rmap, t, diag.start);
+            let rmap = (&rows[diag.clone()], start);
+            add_rows(self.panel_mut(), (cols, start), rmap, t, diag.start);
         }
         if t_below < end {
             let rmap = &lay.rel[u.row_rel as usize..][..end - t_below];
-            add_rows(self.panel_mut(), cols, rmap, t, t_below);
+            add_rows(self.panel_mut(), (cols, start), (rmap, 0), t, t_below);
         }
     }
 }
 
-/// `dst[rmap[i], cmap[x]] += t[t_first + i, x]` for every column `x` of
-/// `t` and every `i`.
-fn add_rows(mut dst: MatMut<'_>, cmap: &[u32], rmap: &[u32], t: MatRef<'_>, t_first: usize) {
+/// `dst[rmap[i] − rbase, cmap[x] − cbase] += t[t_first + i, x]` for every
+/// column `x` of `t` and every `i`: the maps name rows and columns of `dst`
+/// relative to the bases.
+fn add_rows(
+    mut dst: MatMut<'_>,
+    (cmap, cbase): (&[u32], usize),
+    (rmap, rbase): (&[u32], usize),
+    t: MatRef<'_>,
+    t_first: usize,
+) {
+    let rbase = rbase as u32;
     for x in 0..t.ncols() {
         let src = &t.col(x)[t_first..t_first + rmap.len()];
-        let dcol = dst.col_mut(cmap[x] as usize);
+        let dcol = dst.col_mut(cmap[x] as usize - cbase);
         for (&r, &v) in rmap.iter().zip(src) {
-            dcol[r as usize] += v;
+            dcol[(r - rbase) as usize] += v;
         }
     }
 }
 
 /// Exchanges row `c` of `mine` (all its columns) with row `row` of `theirs`
-/// at the (ascending) columns `cols`. Debug builds check that `theirs`
-/// holds zeros in that row everywhere else.
-fn swap_into(mut mine: MatMut<'_>, c: usize, mut theirs: MatMut<'_>, row: usize, cols: &[u32]) {
+/// at the (ascending) columns `cols`, less `base`. Debug builds check that
+/// `theirs` holds zeros in that row everywhere else.
+fn swap_into(
+    mut mine: MatMut<'_>,
+    c: usize,
+    mut theirs: MatMut<'_>,
+    row: usize,
+    cols: &[u32],
+    base: usize,
+) {
     if cfg!(debug_assertions) {
         let mut keep = cols.iter().peekable();
         for dc in 0..theirs.ncols() {
-            if keep.next_if(|&&k| k as usize == dc).is_none() {
+            if keep.next_if(|&&k| k as usize - base == dc).is_none() {
                 assert_eq!(
                     theirs[(row, dc)],
                     0.0,
@@ -918,30 +896,41 @@ fn swap_into(mut mine: MatMut<'_>, c: usize, mut theirs: MatMut<'_>, row: usize,
         }
     }
     for (x, &dc) in cols.iter().enumerate() {
-        std::mem::swap(&mut mine[(c, x)], &mut theirs[(row, dc as usize)]);
+        std::mem::swap(&mut mine[(c, x)], &mut theirs[(row, dc as usize - base)]);
     }
 }
 
+/// The first pivot slot of a block column that is not factored.
+const UNFACTORED: u32 = u32::MAX;
+
 /// The block matrix: per-column values behind `RwLock`s (readers: updates
 /// sourcing the column; writer: the column's own factor/update tasks),
-/// over one shared `Layout` (the index maps).
+/// over one `Layout` (the index maps), and the pivots.
 pub struct BlockMatrix {
-    layout: Arc<Layout>,
+    layout: Layout,
     columns: Vec<RwLock<ColumnData>>,
+    /// `pivots[starts[K] + c]`: the panel position step `c` of `Factor(K)`
+    /// took its pivot from (`≥ c`); [`UNFACTORED`] in `K`'s first slot
+    /// until `Factor(K)` succeeds. Stored relaxed by `Factor(K)` under
+    /// column `K`'s write lock and loaded by readers that took its read
+    /// lock since, or that run after the factorization: the lock orders
+    /// them (DESIGN.md §5.5).
+    pivots: Box<[AtomicU32]>,
 }
 
 impl BlockMatrix {
     /// Allocates the compact storage of `Ā` under the given block
     /// structure, zero-filled and unfactored, and builds its index maps.
     pub fn zeros(bs: &BlockStructure) -> Self {
-        Self::with_layout(Arc::new(Layout::new(bs, false)), |_, _| {})
+        Self::with_layout(Layout::new(Arc::new(bs.clone()), false), |_, _, _| {})
     }
 
     /// Assembles the block storage of `a` (already permuted into
     /// factorization order) under the given block structure: [`Self::zeros`]
     /// with the entries of `a` in place.
     pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
-        Self::assembled(Arc::new(Layout::new(bs, false)), a, |i| i, |j| j, None)
+        let layout = Layout::new(Arc::new(bs.clone()), false);
+        Self::assembled(layout, a, |i| i, |j| j, None)
     }
 
     /// The storage laid out by `layout`, each column's buffer allocated and
@@ -951,17 +940,16 @@ impl BlockMatrix {
     /// of `a` (in storage order) also records its offset in its column's
     /// buffer at `slots[e]`.
     pub(crate) fn assembled(
-        layout: Arc<Layout>,
+        layout: Layout,
         a: &CscMatrix,
         new_row: impl Fn(usize) -> usize,
         old_col: impl Fn(usize) -> usize,
         mut slots: Option<&mut [u32]>,
     ) -> Self {
         let values = a.values();
-        let lay = Arc::clone(&layout);
-        let mut loc = Locator::new(&lay, a.pattern(), new_row, old_col);
-        Self::with_layout(layout, |j, data| {
-            loc.column(j, |e, at| {
+        let mut loc = Locator::new(&layout, a.pattern(), new_row, old_col);
+        Self::with_layout(layout, |lay, j, data| {
+            loc.column(lay, j, |e, at| {
                 data[at] = values[e];
                 if let Some(slots) = slots.as_deref_mut() {
                     slots[e] = idx32(at);
@@ -971,25 +959,65 @@ impl BlockMatrix {
     }
 
     /// Storage over `layout`: every column's buffer allocated zeroed and
-    /// handed to `fill(j, buffer)` before the next one is.
+    /// handed to `fill(layout, j, buffer)` before the next one is.
     pub(crate) fn with_layout(
-        layout: Arc<Layout>,
-        mut fill: impl FnMut(usize, &mut [f64]),
+        layout: Layout,
+        mut fill: impl FnMut(&Layout, usize, &mut [f64]),
     ) -> Self {
         let columns = (0..layout.num_blocks())
             .map(|j| {
                 let mut data = vec![0.0; layout.column_len(j)];
-                fill(j, &mut data);
+                fill(&layout, j, &mut data);
                 let (w, below) = (layout.width(j), layout.rows_below(j));
                 RwLock::new(ColumnData {
                     data,
                     width: idx32(w),
                     height: idx32(w + below),
-                    pivots: None,
                 })
             })
             .collect();
-        BlockMatrix { layout, columns }
+        let pivots = (0..layout.bs.partition.n())
+            .map(|_| AtomicU32::new(UNFACTORED))
+            .collect();
+        BlockMatrix {
+            layout,
+            columns,
+            pivots,
+        }
+    }
+
+    /// Block column `k`'s pivot slots, one per column of the block.
+    #[inline]
+    pub(crate) fn pivot_slots(&self, k: usize) -> &[AtomicU32] {
+        let starts = self.layout.starts();
+        &self.pivots[starts[k]..starts[k + 1]]
+    }
+
+    /// Marks block column `k` not factored (after a failed `Factor(k)`).
+    pub(crate) fn forget_pivots(&self, k: usize) {
+        self.pivot_slots(k)[0].store(UNFACTORED, Ordering::Relaxed);
+    }
+
+    /// `true` once `Factor(k)` succeeded on the values held.
+    pub fn is_factored(&self, k: usize) -> bool {
+        self.pivot_slots(k)[0].load(Ordering::Relaxed) != UNFACTORED
+    }
+
+    /// The interchanges `Factor(K)` took, `cols` being `K`'s (global)
+    /// columns, in step order: `(c, p)` for each step `c` whose pivot came
+    /// from panel position `p ≠ c`. Panics when `K` is not factored. The
+    /// caller names the columns from the structure it holds: a sweep over
+    /// narrow supernodes pays for every load on the way to them.
+    pub(crate) fn interchanges(
+        &self,
+        cols: Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = (usize, usize)> + '_ {
+        let slots = &self.pivots[cols];
+        let factored = slots[0].load(Ordering::Relaxed) != UNFACTORED;
+        assert!(factored, "block column is not factored");
+        (slots.iter().enumerate())
+            .map(|(c, p)| (c, p.load(Ordering::Relaxed) as usize))
+            .filter(|&(c, p)| c != p)
     }
 
     /// The pivot history of a completed factorization: the global
@@ -997,14 +1025,12 @@ impl BlockMatrix {
     /// the column itself where no interchange was taken. Comparable across
     /// storages of one partition, whatever rows each stores.
     pub fn pivot_rows(&self) -> Vec<usize> {
-        let lay = &*self.layout;
-        let mut rows = Vec::with_capacity(lay.n);
-        for (k, col) in self.columns.iter().enumerate() {
-            let col = col.read();
-            let swaps = (col.pivots.as_ref())
-                .expect("a completed factorization")
-                .swaps();
-            rows.extend(swaps.iter().map(|&p| lay.panel_row(k, p)));
+        let bs = &*self.layout.bs;
+        let mut rows = Vec::with_capacity(self.n());
+        for k in 0..self.num_block_cols() {
+            assert!(self.is_factored(k), "a completed factorization");
+            let slots = self.pivot_slots(k).iter();
+            rows.extend(slots.map(|p| bs.panel_row(k, p.load(Ordering::Relaxed) as usize)));
         }
         rows
     }
@@ -1041,15 +1067,16 @@ impl BlockMatrix {
     }
 
     /// The wire: on wired storage ([`Layout::new`]), the first (global)
-    /// column of block column `k`, factored in `col`, whose pivot came from
+    /// column of block column `k`, just factored, whose pivot came from
     /// below `k`'s diagonal block, if any; `None` on any other storage.
-    pub(crate) fn pivot_left_block(&self, k: usize, col: &ColumnData) -> Option<usize> {
-        let lay = &*self.layout;
+    pub(crate) fn pivot_left_block(&self, k: usize) -> Option<usize> {
+        let lay = &self.layout;
         if !lay.in_block {
             return None;
         }
-        let swaps = col.pivots.as_ref().expect("Factor(k) ran").swaps();
-        (swaps.iter().position(|&p| p >= col.width())).map(|c| lay.starts[k] + c)
+        let below = |(_, p): &(usize, usize)| *p >= lay.width(k);
+        let cols = lay.bs.partition.range(k);
+        (self.interchanges(cols.clone()).find(below)).map(|(c, _)| cols.start + c)
     }
 
     /// Stores every entry of `a` at its place, its rows `new_row` and its
@@ -1065,7 +1092,7 @@ impl BlockMatrix {
         let mut loc = Locator::new(&self.layout, a.pattern(), new_row, old_col);
         for (j, col) in self.columns.iter_mut().enumerate() {
             let data = &mut col.get_mut().data;
-            loc.column(j, |e, at| data[at] = values[e]);
+            loc.column(&self.layout, j, |e, at| data[at] = values[e]);
         }
     }
 
@@ -1080,10 +1107,10 @@ impl BlockMatrix {
         values: &[f64],
     ) {
         debug_assert_eq!(slots.len(), values.len());
-        let lay = &*self.layout;
+        let lay = &self.layout;
         for (j, col) in self.columns.iter_mut().enumerate() {
             let data = &mut col.get_mut().data;
-            for c in (lay.starts[j]..lay.starts[j + 1]).map(&old_col) {
+            for c in lay.bs.partition.range(j).map(&old_col) {
                 let entries = pattern.col_ptr()[c]..pattern.col_ptr()[c + 1];
                 for (&at, &v) in slots[entries.clone()].iter().zip(&values[entries]) {
                     data[at as usize] = v;
@@ -1092,19 +1119,13 @@ impl BlockMatrix {
         }
     }
 
-    /// Zeroes every stored value and empties the pivot sequences **in
-    /// place** — every allocation (column buffers, pivot swap vectors) is
-    /// retained, so a rescatter + refactorization on top
-    /// allocates nothing. After the reset, factored columns hold `Some`
-    /// *empty* pivots rather than `None`; the factor task treats both as
-    /// "not factored" and recycles the swap storage.
+    /// Zeroes every stored value and marks every column not factored **in
+    /// place** — every allocation is retained, so a rescatter +
+    /// refactorization on top allocates nothing.
     pub fn reset_values(&mut self) {
-        for col in &mut self.columns {
-            let col = col.get_mut();
-            if let Some(p) = col.pivots.as_mut() {
-                p.clear();
-            }
-            col.data.fill(0.0);
+        for (k, col) in self.columns.iter_mut().enumerate() {
+            col.get_mut().data.fill(0.0);
+            self.pivots[self.layout.starts()[k]] = AtomicU32::new(UNFACTORED);
         }
     }
 
@@ -1114,7 +1135,7 @@ impl BlockMatrix {
     pub fn reset_from(&mut self, a: &CscMatrix, bs: &BlockStructure) {
         assert_eq!(
             bs.partition.starts(),
-            &self.layout.starts[..],
+            self.layout.starts(),
             "storage was built for another structure"
         );
         self.reset_values();
@@ -1123,7 +1144,7 @@ impl BlockMatrix {
 
     /// Matrix order (scalar).
     pub fn n(&self) -> usize {
-        self.layout.n
+        self.layout.bs.partition.n()
     }
 
     /// Number of block columns.
@@ -1143,24 +1164,22 @@ impl BlockMatrix {
 
     /// The sources of block column `j` in ascending order — the `q`-th
     /// block of [`Self::ublocks`] is `Ū(K, j)` for the `q`-th pair
-    /// `(K, S_Kj)` — each with the columns of `j` its block stores.
+    /// `(K, S_Kj)` — each with the (global) columns of `j` its block stores.
     pub fn sources(&self, j: usize) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        let lay = &*self.layout;
-        lay.updates(j)
-            .iter()
-            .map(move |u| (u.src as usize, lay.local_cols(u)))
+        let lay = &self.layout;
+        lay.updates(j).iter().map(move |u| (u.src(), lay.cols(u)))
     }
 
     /// The blocks `Ū(K, j)` of `col`, block column `j`, in ascending
-    /// source: each with its source `K` and the columns of `j` it stores
-    /// (`w_K × |S_Kj|`, column-major).
+    /// source: each with its source `K` and the (global) columns of `j` it
+    /// stores (`w_K × |S_Kj|`, column-major).
     pub fn ublocks<'a>(
         &'a self,
         j: usize,
         col: &'a ColumnData,
     ) -> impl Iterator<Item = (usize, &'a [u32], MatRef<'a>)> + 'a {
-        let lay = &*self.layout;
-        (lay.updates(j).iter()).map(move |u| (u.src(), lay.local_cols(u), col.ublock(lay, u)))
+        let lay = &self.layout;
+        (lay.updates(j).iter()).map(move |u| (u.src(), lay.cols(u), col.ublock(lay, u)))
     }
 
     /// The tasks this storage is factored by, in the **left-looking
@@ -1172,7 +1191,7 @@ impl BlockMatrix {
     /// updates than the static structure's graph names: the blocks its
     /// pivots never fill are no tasks.
     pub fn tasks(&self) -> impl Iterator<Item = Task> + '_ {
-        let lay = &*self.layout;
+        let lay = &self.layout;
         (0..self.num_block_cols()).flat_map(move |j| {
             (lay.updates(j).iter())
                 .map(move |u| Task::Update {
@@ -1193,7 +1212,7 @@ impl BlockMatrix {
     /// its global index, so every caller reports breakdown positions in the
     /// same coordinate system.
     pub fn global_col_start(&self, k: usize) -> usize {
-        self.layout.starts[k]
+        self.layout.starts()[k]
     }
 
     /// Runs `f` on `len` words of the calling thread's scratch matrix for
@@ -1221,15 +1240,15 @@ impl BlockMatrix {
     /// (factorization-order) position — diagnostics, norms and tests; the
     /// kernels never go through here.
     pub fn for_each_entry(&self, mut visit: impl FnMut(usize, usize, f64)) {
-        let lay = &*self.layout;
+        let lay = &self.layout;
         for (j, col) in self.columns.iter().enumerate() {
             let col = col.read();
-            let (start, w) = (lay.starts[j], lay.width(j));
+            let (start, w) = (lay.starts()[j], lay.width(j));
             for (src, cols, blk) in self.ublocks(j, &col) {
-                let top = lay.starts[src];
-                for (x, &lc) in cols.iter().enumerate() {
+                let top = lay.starts()[src];
+                for (x, &c) in cols.iter().enumerate() {
                     for (r, &v) in blk.col(x).iter().enumerate() {
-                        visit(top + r, start + lc as usize, v);
+                        visit(top + r, c as usize, v);
                     }
                 }
             }
@@ -1239,8 +1258,8 @@ impl BlockMatrix {
                 for (r, &v) in pcol[..w].iter().enumerate() {
                     visit(start + r, start + lj, v);
                 }
-                for (r, &v) in lay.global_rows(j).zip(&pcol[w..]) {
-                    visit(r, start + lj, v);
+                for (&r, &v) in lay.rows(j).iter().zip(&pcol[w..]) {
+                    visit(r as usize, start + lj, v);
                 }
             }
         }
@@ -1272,14 +1291,14 @@ impl BlockMatrix {
         self.columns.iter().map(|c| c.read().data.len()).sum()
     }
 
-    /// Bytes the storage holds: the column buffers and pivot sequences,
-    /// the column table, and the layout with its range plan — from the
-    /// lengths of the arrays.
+    /// Bytes the storage holds: the column buffers, the pivots, the column
+    /// table, and the layout's own arrays with its range plan — from the
+    /// lengths of the arrays. The structure the layout shares is its
+    /// holder's to count.
     pub(crate) fn resident_bytes(&self) -> u64 {
         let words = self.storage_words() * size_of::<f64>();
-        let pivots = self.n() * size_of::<usize>();
-        let table = self.columns.len() * size_of::<RwLock<ColumnData>>();
-        (words + pivots + table) as u64 + self.layout.bytes()
+        let table = vec_bytes(&self.columns);
+        (words + vec_bytes(&self.pivots) + table) as u64 + self.layout.bytes()
     }
 }
 
@@ -1343,21 +1362,22 @@ mod tests {
                 let start_j = bs.partition.range(j).start;
                 for u in lay.updates(j) {
                     let k = u.src as usize;
-                    let s_kj: Vec<usize> = lay
-                        .local_cols(u)
+                    let s_kj = lay.cols(u);
+                    assert!(s_kj
                         .iter()
-                        .map(|&c| start_j + c as usize)
-                        .collect();
+                        .all(|&c| bs.partition.range(j).contains(&(c as usize))));
                     for (t, &r) in bs.l_rows.col(k).iter().enumerate() {
                         for (x, &c) in s_kj.iter().enumerate() {
-                            let got = match lay.row_dest(u, t) {
+                            let c = c as usize;
+                            let got = match lay.row_dest(j, u, t) {
                                 RowDest::Above { block, row, cols } => {
                                     rows_checked[0] += 1;
                                     col.ublock(lay, block)[(row, cols[x] as usize)]
                                 }
-                                RowDest::Panel { row, cols } => {
+                                RowDest::Panel { row, cols, base } => {
                                     rows_checked[1] += 1;
-                                    col.panel()[(row, cols[x] as usize)]
+                                    assert_eq!(base, start_j);
+                                    col.panel()[(row, cols[x] as usize - base)]
                                 }
                             };
                             let r = r as usize;
@@ -1368,6 +1388,49 @@ mod tests {
             }
         }
         assert!(rows_checked.iter().all(|&c| c > 100), "{rows_checked:?}");
+    }
+
+    /// A stored row or column is found inside its block as its global index
+    /// less the block's start: on random patterns, the `L̄` blocks tile `R_K`
+    /// in order, and `row_dest` and `cols` give the block and the local
+    /// index the column → block map gives.
+    #[test]
+    fn derived_local_rows_and_columns_are_the_encoded_ones() {
+        for seed in 0..12u64 {
+            let p = splu_matgen::random_pattern(24 + 2 * seed as usize, 80, seed);
+            let f = static_symbolic_factorization(&p).unwrap();
+            let bs = BlockStructure::new(&f, supernode_partition(&f));
+            let (starts, block_of) = (bs.partition.starts(), bs.partition.block_of_cols());
+            let local = |x: u32| x as usize - starts[block_of[x as usize]];
+            let bm = BlockMatrix::zeros(&bs);
+            let lay = bm.layout();
+            for k in 0..bs.num_blocks() {
+                let tiles = lay
+                    .lblks(k)
+                    .iter()
+                    .flat_map(|lb| lb.rows.clone().map(|_| lb.block));
+                let owners = bs
+                    .l_rows
+                    .col(k)
+                    .iter()
+                    .map(|&r| block_of[r as usize] as u32);
+                assert!(tiles.eq(owners), "L̄ blocks of {k}");
+            }
+            for j in 0..bs.num_blocks() {
+                for u in lay.updates(j) {
+                    let k = u.src();
+                    assert!(lay.cols(u).iter().all(|&c| block_of[c as usize] == j));
+                    for (t, &r) in bs.l_rows.col(k).iter().enumerate().take(u.t_below as usize) {
+                        let (block, row) = match lay.row_dest(j, u, t) {
+                            RowDest::Above { block, row, .. } => (block.src(), row),
+                            RowDest::Panel { row, .. } => (j, row),
+                        };
+                        let want = (block_of[r as usize], local(r));
+                        assert_eq!((block, row), want, "row {r} of ({k}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1456,25 +1519,24 @@ mod tests {
         let mut live_x: Vec<usize> = Vec::new();
         for j in 0..lay.num_blocks() {
             let (w_j, into_j) = (lay.width(j), lay.updates(j));
+            let (row_ptr, col_ptr) = (lay.bs.l_rows.col_ptr(), lay.bs.u_cols.col_ptr());
             for u in into_j {
                 let k = u.src as usize;
-                let ck = lay.col_ptr[k] + u.cols.start as usize;
+                let ck = col_ptr[k] + u.cols.start as usize;
                 live_x.clear();
                 live_x.extend((0..u.cols.len()).filter(|&x| col_live[ck + x]));
                 if live_x.is_empty() {
                     continue;
                 }
-                let rk = lay.row_ptr[k];
-                let above = lay.lblks[lay.lblk_ptr[k]..lay.lblk_ptr[k + 1]]
-                    .iter()
-                    .take_while(|lb| lb.rows.start < u.t_diag);
+                let rk = row_ptr[k];
+                let above = (lay.lblks(k).iter()).take_while(|lb| lb.rows.start < u.t_diag);
                 for (b, lb) in above.enumerate() {
                     let rows = rk + lb.rows.start as usize..rk + lb.rows.end as usize;
                     if !row_live[rows].contains(&true) {
                         continue;
                     }
                     let ui = &lay.upds[lay.targets[u.targets as usize + b] as usize];
-                    let ci = lay.col_ptr[ui.src as usize] + ui.cols.start as usize;
+                    let ci = col_ptr[ui.src as usize] + ui.cols.start as usize;
                     let cmap = &lay.rel[(lb.crel + u.cols.start - lb.c0) as usize..];
                     for &x in &live_x {
                         col_live[ci + cmap[x] as usize] = true;
@@ -1486,7 +1548,7 @@ mod tests {
                 for t in u.t_below as usize..lay.rows_below(k) {
                     if row_live[rk + t] {
                         let row = rel[t - u.t_below as usize] as usize;
-                        row_live[lay.row_ptr[j] + row - w_j] = true;
+                        row_live[row_ptr[j] + row - w_j] = true;
                     }
                 }
             }
@@ -1500,7 +1562,7 @@ mod tests {
         let sym = crate::analyze(pattern, opts).unwrap();
         let (bs, rows, cols) = (&sym.block_structure, &sym.row_perm, &sym.col_perm);
         let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
-        let want = identity_replay(&Layout::new(bs, false), seeds.clone());
+        let want = identity_replay(&Layout::new(Arc::clone(bs), false), seeds.clone());
         let got = in_block_flags(bs, seeds);
         assert!(got == want, "the in-block flags are not the replay's");
         got.0.contains(&false) || got.1.contains(&false)

@@ -75,6 +75,7 @@ use splu_sched::{block_forest, build_eforest_graph, Mapping, TaskGraph};
 use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::{fill_skeleton, EliminationForest, SupernodeOptions};
+use std::sync::Arc;
 
 /// Fill-reducing ordering choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,8 +316,9 @@ pub struct SymbolicLu {
     /// Supernode partition and block-level structure: the static one of
     /// [`analyze`]. A session holds the structure of its storage here —
     /// the in-block sub-structure from its analysis on, the static one
-    /// after a pivot left its block.
-    pub block_structure: BlockStructure,
+    /// after a pivot left its block. Shared with the storage laid out on it,
+    /// which reads its partition and lists in place of copies.
+    pub block_structure: Arc<BlockStructure>,
     /// Structural statistics (graph fields describe the eforest graph).
     pub stats: Stats,
     opts: Options,
@@ -574,7 +576,7 @@ pub fn analyze_with(
     Ok(SymbolicLu {
         row_perm,
         col_perm,
-        block_structure,
+        block_structure: Arc::new(block_structure),
         stats,
         opts: opts.clone(),
     })
@@ -1056,7 +1058,7 @@ mod tests {
                 let s = SluSession::analyze(m.a.pattern(), &opts).unwrap();
                 let want = analyze(m.a.pattern(), &opts).unwrap().block_structure;
                 let rebuilt = s.symbolic().static_lists(m.a.pattern());
-                assert!(rebuilt == want, "{} {opts:?}", m.name);
+                assert!(rebuilt == *want, "{} {opts:?}", m.name);
             }
         }
     }
@@ -1133,7 +1135,7 @@ mod tests {
             oracle_ln += d.abs().ln();
         }
         for (c, &p) in piv.swaps().iter().enumerate() {
-            if c != p {
+            if c != p as usize {
                 oracle_sign = -oracle_sign;
             }
         }

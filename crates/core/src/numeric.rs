@@ -30,7 +30,7 @@
 use crate::blocks::{BlockMatrix, ColumnData, UpdateMap};
 use crate::LuError;
 use parking_lot::Mutex;
-use splu_dense::{Dispatch, MatMut, MatRef, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
+use splu_dense::{Dispatch, MatMut, MatRef, PanelBreakdown, PanelError, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{CancelToken, Task};
 use std::ops::Range;
@@ -62,21 +62,16 @@ pub(crate) fn factor_flops(m: usize, w: usize) -> u64 {
 /// Counting never changes what runs — `None` is the production fast path.
 fn update_columns(
     bm: &BlockMatrix,
-    u: &UpdateMap,
+    (j, u): (usize, &UpdateMap),
     col_k: &ColumnData,
     col_j: &mut ColumnData,
     kernels: &Dispatch,
     metrics: Option<&MetricsRegistry>,
 ) {
     let lay = bm.layout();
-    let piv = col_k
-        .pivots
-        .as_ref()
-        .expect("Update(k, j) scheduled before Factor(k)");
-    for (c, &p) in piv.swaps().iter().enumerate() {
-        if c != p {
-            col_j.swap_rows(lay, u, c, p);
-        }
+    let k_start = bm.global_col_start(u.src());
+    for (c, p) in bm.interchanges(k_start..k_start + col_k.width()) {
+        col_j.swap_rows(lay, j, u, c, p);
     }
     let (w_k, s) = (col_k.width(), u.ncols());
     let diag = col_k.panel_rows(0..w_k);
@@ -96,7 +91,7 @@ fn update_columns(
             col_k.panel_rows(w_k..w_k + m),
             col_j.ublock(lay, u),
         );
-        col_j.scatter_add(lay, u, MatRef::from_slice(t, m, s, m));
+        col_j.scatter_add(lay, j, u, MatRef::from_slice(t, m, s, m));
     });
     if let Some(reg) = metrics {
         reg.incr(Counter::GemmCalls);
@@ -161,7 +156,8 @@ impl<'a> TaskBodies<'a> {
     }
 
     /// Runs the panel LU of block column `k` **in place** on its held
-    /// column data `col` and records the pivot sequence.
+    /// column data `col` and records the pivot sequence in `k`'s slots of
+    /// the storage's pivot array.
     ///
     /// With [`PanelBreakdown::Perturb`] a column with no acceptable pivot
     /// gets its diagonal replaced instead of failing, and the perturbed
@@ -187,37 +183,31 @@ impl<'a> TaskBodies<'a> {
         let force_local = force_breakdown_at
             .filter(|&g| g >= start && g < start + width)
             .map(|g| g - start);
-        // Recycle the column's previous pivot storage (if any): on a
-        // session refactorization the swap vector's capacity survives the
-        // reset, so the panel LU below performs no heap allocation.
-        let mut out = PanelOutcome {
-            pivots: col.pivots.take().unwrap_or_default(),
-            perturbed: Vec::new(),
-        };
-        self.kernels
+        // The pivots go straight into the storage's array: no allocation
+        // (the perturbed list allocates only when a column is perturbed).
+        let perturbed = self
+            .kernels
             .lu_panel_into(
                 col.panel_mut(),
                 self.rule,
                 self.threshold,
                 self.breakdown,
                 force_local,
-                &mut out,
+                self.bm.pivot_slots(k),
             )
-            .map_err(|e| match e {
-                // Report the global column (in factorization order).
-                PanelError::Singular { column } => LuError::NumericallySingular {
-                    column: start + column,
-                },
-                PanelError::NonFinite { column } => LuError::NonFinitePivot {
-                    column: start + column,
-                },
+            .map_err(|e| {
+                self.bm.forget_pivots(k);
+                match e {
+                    // Report the global column (in factorization order).
+                    PanelError::Singular { column } => LuError::NumericallySingular {
+                        column: start + column,
+                    },
+                    PanelError::NonFinite { column } => LuError::NonFinitePivot {
+                        column: start + column,
+                    },
+                }
             })?;
-        col.pivots = Some(out.pivots);
-        Ok(out
-            .perturbed
-            .into_iter()
-            .map(|(c, v)| (start + c, v))
-            .collect())
+        Ok(perturbed.into_iter().map(|(c, v)| (start + c, v)).collect())
     }
 
     /// `Factor(k)` on the held column `col`: the panel LU, the wire of the
@@ -241,7 +231,7 @@ impl<'a> TaskBodies<'a> {
                 return false;
             }
         };
-        if let Some(column) = self.bm.pivot_left_block(k, col) {
+        if let Some(column) = self.bm.pivot_left_block(k) {
             self.fail(LuError::PivotHistoryDiverged { column });
             return false;
         }
@@ -279,7 +269,7 @@ impl<'a> TaskBodies<'a> {
                 return false;
             }
             let col_k = bm.column(u.src()).read();
-            update_columns(bm, u, &col_k, &mut col_j, self.kernels, self.metrics);
+            update_columns(bm, (j, u), &col_k, &mut col_j, self.kernels, self.metrics);
         }
         !factor || (!self.failed() && begin() && self.factor(j, &mut col_j))
     }
@@ -450,8 +440,7 @@ mod tests {
         let bm = BlockMatrix::assemble(&a, &bs);
         let graph = build_eforest_graph(&bs);
         factor_numeric_with(&bm, &NumericRequest::coarse(&graph, Mapping::Static1D)).unwrap();
-        let swaps = bm.column(k).read().pivots.clone().unwrap();
-        assert_eq!(bs.panel_row(k, swaps.swaps()[0]), 2, "row 0 went to row 2");
+        assert_eq!(bm.pivot_rows()[0], 2, "row 0 went to row 2");
 
         // The dense oracle makes the same choices, so its U is ours.
         let mut dense = DenseMat::from_fn(6, 6, |r, c| a.get(r, c));
@@ -498,10 +487,14 @@ mod tests {
         let bm_left = BlockMatrix::assemble(&a, &bs);
         factor_left_looking(&bm_left, 0.0).unwrap();
 
+        assert_eq!(
+            bm_right.pivot_rows(),
+            bm_left.pivot_rows(),
+            "pivot sequences differ"
+        );
         for k in 0..bm_right.num_block_cols() {
             let cr = bm_right.column(k).read();
             let cl = bm_left.column(k).read();
-            assert_eq!(cr.pivots, cl.pivots, "pivot sequences differ at {k}");
             assert_eq!(cr.data(), cl.data(), "values differ at column {k}");
         }
     }

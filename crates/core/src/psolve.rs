@@ -78,17 +78,10 @@ pub fn solve_permuted_parallel(
     let locate = |r: usize| (block_of[r], r - part.range(block_of[r]).start);
     run(&forward, |k, _| {
         let col = bm.column(k).read();
-        let piv = col
-            .pivots
-            .as_ref()
-            .expect("solve requires a completed factorization");
         // Apply interchanges. Swapped rows live in this column's panel
         // (its own block row + ancestors) — disjoint from concurrent
         // sibling work, but possibly in shared segments: lock per swap.
-        for (c, &p) in piv.swaps().iter().enumerate() {
-            if c == p {
-                continue;
-            }
+        for (c, p) in bm.interchanges(part.range(k)) {
             let (ib1, r1) = locate(bs.panel_row(k, c));
             let (ib2, r2) = locate(bs.panel_row(k, p));
             if ib1 == ib2 {
@@ -169,10 +162,11 @@ pub fn solve_permuted_parallel(
             backward_diagonal(col.panel(), &mut seg);
             seg.clone()
         };
+        let start = part.range(k).start;
         for (ib, cols, blk) in bm.ublocks(k, &col) {
             let mut seg = shards.segs[ib].lock();
-            for (x, &lc) in cols.iter().enumerate() {
-                let s = xk[lc as usize];
+            for (x, &c) in cols.iter().enumerate() {
+                let s = xk[c as usize - start];
                 if s != 0.0 {
                     for (xr, &v) in seg.iter_mut().zip(blk.col(x)) {
                         *xr -= v * s;

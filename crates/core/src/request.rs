@@ -827,18 +827,18 @@ mod tests {
                 .any(|(c, r)| r >= bs.partition.range(block_of[c]).end);
             let seeds = crate::blocks::seed_flags(bs, p.pattern(), |i| i, |j| j);
             let (rows, cols) = crate::blocks::in_block_flags(bs, seeds);
-            let in_block = crate::blocks::realised_structure(bs, &rows, &cols);
+            let in_block = Arc::new(crate::blocks::realised_structure(bs, &rows, &cols));
             for (kind, build) in [
                 ("eforest", build_eforest_graph as fn(&BlockStructure) -> TaskGraph),
                 ("sstar", build_sstar_graph),
             ] {
                 let graph = build(bs);
                 let schedule = Arc::new(ExecSchedule::for_graph(&graph));
-                for (structure, wired) in [(bs, false), (&in_block, true)] {
+                for (structure, wired) in [(Arc::clone(bs), false), (Arc::clone(&in_block), true)] {
                     let tripped = wired && left;
-                    let layout = crate::blocks::Layout::new(structure, wired);
-                    let mut bm = BlockMatrix::with_layout(Arc::new(layout), |_, _| {});
-                    bm.reset_from(&p, structure);
+                    let layout = crate::blocks::Layout::new(Arc::clone(&structure), wired);
+                    let mut bm = BlockMatrix::with_layout(layout, |_, _, _| {});
+                    bm.reset_from(&p, &structure);
                     let replayed = graph_replay(&bm, &graph);
                     proptest::prop_assert_eq!(replayed.is_err(), tripped);
                     for threads in [1, 2, 4, 8] {
@@ -851,7 +851,7 @@ mod tests {
                             let what =
                                 format!("{kind} threads={threads} {mapping:?} wired={wired}");
                             for _ in 0..2 {
-                                bm.reset_from(&p, structure);
+                                bm.reset_from(&p, &structure);
                                 match factor_numeric_with(&bm, &req) {
                                     Ok(report) => {
                                         proptest::prop_assert!(!tripped, "{} ran through", what);

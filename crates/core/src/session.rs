@@ -185,7 +185,7 @@ impl SluSession {
             let (rows, cols, bs) = (&sym.row_perm, &sym.col_perm, &sym.block_structure);
             let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
             let (row_live, col_live) = in_block_flags(bs, seeds);
-            sym.block_structure = realised_structure(bs, &row_live, &col_live);
+            sym.block_structure = Arc::new(realised_structure(bs, &row_live, &col_live));
         }
         Ok(SluSession {
             budget: opts.budget.clone(),
@@ -273,7 +273,7 @@ impl SluSession {
             (self.bm, self.slots, self.realised) = (None, Vec::new(), false);
             self.sym.block_structure = {
                 let _p = obs.map(|o| o.phase("static_lists"));
-                self.sym.static_lists(a.pattern())
+                Arc::new(self.sym.static_lists(a.pattern()))
             };
             self.assemble(a, obs);
             path = RefactorPath::Fallback { column };
@@ -320,7 +320,7 @@ impl SluSession {
         }
         let layout = {
             let _p = obs.map(|o| o.phase("layout"));
-            Layout::new(&self.sym.block_structure, self.realised)
+            Layout::new(Arc::clone(&self.sym.block_structure), self.realised)
         };
         let _p = obs.map(|o| o.phase("assemble"));
         let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
@@ -329,7 +329,7 @@ impl SluSession {
             self.slots = vec![0; a.nnz()];
         }
         let slots = (!self.one_shot).then_some(&mut self.slots[..]);
-        let bm = BlockMatrix::assembled(Arc::new(layout), a, new_row, old_col, slots);
+        let bm = BlockMatrix::assembled(layout, a, new_row, old_col, slots);
         self.bm = Some(bm);
     }
 
@@ -509,42 +509,30 @@ impl SluSession {
 
     /// Resident bytes this session holds, counted from the lengths of the
     /// arrays that hold them: the block storage (one buffer per block
-    /// column, the pivot sequences, the index maps), the slots (4 bytes
-    /// per input nonzero, held from the first `factor` on; the session of
-    /// a [`crate::SparseLu`] keeps none), and the symbolic state — the
-    /// row, column and block lists and partition of the one structure it
-    /// holds (the in-block one, or the static one a fallback rebuilt), the
-    /// two permutations with their inverses, and the task
+    /// column, the pivots, the index maps), the slots (4 bytes per input
+    /// nonzero, held from the first `factor` on; the session of a
+    /// [`crate::SparseLu`] keeps none), and the symbolic state — the row,
+    /// column and block lists and partition of the one structure it holds
+    /// (the in-block one, or the static one a fallback rebuilt; the storage
+    /// shares it), the two permutations with their inverses, and the task
     /// graph with its schedule while one is held (no scalar `L̄`/`Ū` exists
     /// to count). This is the quantity a session
     /// pool budgets and evicts on; it intentionally counts only per-session
     /// state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let usz = size_of::<usize>() as u64;
-        let vec_header = size_of::<Vec<usize>>() as u64;
-        let (n, nb) = (
-            self.sym.stats.n as u64,
-            self.sym.block_structure.num_blocks() as u64,
-        );
         let bs = &self.sym.block_structure;
         let lists: u64 = [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
             .map(SparsityPattern::heap_bytes)
             .iter()
             .sum();
-        // The partition, and four permutation arrays.
-        let symbolic = lists + (nb + 1) * usz + 4 * n * usz;
-        // Task graph: the task, its successor list and its predecessor
-        // count per task, one word per edge; schedule: a priority per task.
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let symbolic = lists + bs.partition.heap_bytes() + rows.heap_bytes() + cols.heap_bytes();
+        // The task graph, and a priority per task for the schedule.
         let graph = self.graph.as_ref().map_or(0, |(graph, schedule)| {
-            let tasks = graph.len() as u64;
-            tasks * (size_of::<splu_sched::Task>() as u64 + vec_header + usz)
-                + self.sym.stats.graph_edges as u64 * usz
-                + nb * usz
-                + (schedule.len() as u64) * 8
+            graph.heap_bytes() + std::mem::size_of_val(schedule.priorities()) as u64
         });
         let numeric = self.bm.as_ref().map_or(0, BlockMatrix::resident_bytes);
-        let slots = (self.slots.len() * size_of::<u32>()) as u64;
+        let slots = std::mem::size_of_val(&self.slots[..]) as u64;
         symbolic + graph + numeric + slots
     }
 
@@ -681,7 +669,7 @@ mod tests {
                 let mut s =
                     SluSession::analyze_inner(m.a.pattern(), &opts, None, one_shot).unwrap();
                 if !in_block {
-                    s.sym.block_structure = s.sym.static_lists(m.a.pattern());
+                    s.sym.block_structure = Arc::new(s.sym.static_lists(m.a.pattern()));
                     s.realised = false;
                 }
                 for a in [m.a.clone(), revalue(&m.a, 3)] {

@@ -41,14 +41,8 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
     // block, then eliminate the rows below through the scratch vector.
     for k in 0..nb {
         let col = bm.column(k).read();
-        let piv = col
-            .pivots
-            .as_ref()
-            .expect("solve requires a completed factorization");
-        for (c, &p) in piv.swaps().iter().enumerate() {
-            if c != p {
-                b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
-            }
+        for (c, p) in bm.interchanges(part.range(k)) {
+            b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
         }
         let (start, rows) = (part.range(k).start, bs.l_rows.col(k));
         let y = &mut scratch[..rows.len()];
@@ -62,13 +56,14 @@ pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
     // eliminate the U blocks above.
     for k in (0..nb).rev() {
         let col = bm.column(k).read();
-        let (head, tail) = b.split_at_mut(part.range(k).start);
+        let start = part.range(k).start;
+        let (head, tail) = b.split_at_mut(start);
         let xk = &mut tail[..col.width()];
         backward_diagonal(col.panel(), xk);
         for (src, cols, blk) in bm.ublocks(k, &col) {
             let xi = &mut head[part.range(src)];
-            for (x, &lc) in cols.iter().enumerate() {
-                let s = xk[lc as usize];
+            for (x, &c) in cols.iter().enumerate() {
+                let s = xk[c as usize - start];
                 if s != 0.0 {
                     for (xr, &v) in xi.iter_mut().zip(blk.col(x)) {
                         *xr -= v * s;
@@ -130,14 +125,15 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
     // column k are exactly the transposed contributions into block k.
     for k in 0..nb {
         let col = bm.column(k).read();
-        let (head, tail) = b.split_at_mut(part.range(k).start);
+        let start = part.range(k).start;
+        let (head, tail) = b.split_at_mut(start);
         let yk = &mut tail[..col.width()];
         // Subtract Ū(i, k)ᵀ · y_i for every source i < k.
         for (src, cols, blk) in bm.ublocks(k, &col) {
             let yi = &head[part.range(src)];
-            for (x, &lc) in cols.iter().enumerate() {
+            for (x, &c) in cols.iter().enumerate() {
                 let dot: f64 = blk.col(x).iter().zip(yi).map(|(&v, &y)| v * y).sum();
-                yk[lc as usize] -= dot;
+                yk[c as usize - start] -= dot;
             }
         }
         // Diagonal block: Uᵀ is lower triangular → forward substitution
@@ -182,14 +178,8 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
             b[start + c] = s;
         }
         // Apply the interchanges of Factor(k) in reverse.
-        let piv = col
-            .pivots
-            .as_ref()
-            .expect("solve requires a completed factorization");
-        for (c, &p) in piv.swaps().iter().enumerate().rev() {
-            if c != p {
-                b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
-            }
+        for (c, p) in bm.interchanges(part.range(k)).rev() {
+            b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
         }
     }
 }
@@ -238,14 +228,8 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     // Forward sweep.
     for k in 0..nb {
         let col = bm.column(k).read();
-        let piv = col
-            .pivots
-            .as_ref()
-            .expect("solve requires a completed factorization");
-        for (c, &p) in piv.swaps().iter().enumerate() {
-            if c != p {
-                x.swap_rows(bs.panel_row(k, c), bs.panel_row(k, p));
-            }
+        for (c, p) in bm.interchanges(part.range(k)) {
+            x.swap_rows(bs.panel_row(k, c), bs.panel_row(k, p));
         }
         let (k_range, w, rows) = (part.range(k), col.width(), bs.l_rows.col(k));
         kernels.trsm_lower_unit(col.panel_rows(0..w), x.row_range_mut(k_range.clone()));
@@ -276,7 +260,7 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
         let (k_range, w) = (part.range(k), col.width());
         kernels.trsm_upper(col.panel_rows(0..w), x.row_range_mut(k_range.clone()));
         for (src, cols, blk) in bm.ublocks(k, &col) {
-            let stored = cols.iter().map(|&lc| k_range.start + lc as usize);
+            let stored = cols.iter().map(|&c| c as usize);
             let xs = gather(&x, stored, &mut xk_buf);
             kernels.gemm_sub(x.row_range_mut(part.range(src)), blk, xs);
         }
@@ -334,11 +318,9 @@ pub fn det_permuted(bm: &BlockMatrix, bs: &BlockStructure) -> (f64, f64) {
             }
             ln_abs += d.abs().ln();
         }
-        if let Some(piv) = &col.pivots {
-            for (c, &p) in piv.swaps().iter().enumerate() {
-                if c != p {
-                    sign = -sign;
-                }
+        if bm.is_factored(k) {
+            for _ in bm.interchanges(part.range(k)) {
+                sign = -sign;
             }
         }
     }
@@ -518,7 +500,7 @@ mod tests {
                 oracle_ln += d.abs().ln();
             }
             for (c, &p) in piv.swaps().iter().enumerate() {
-                if c != p {
+                if c != p as usize {
                     oracle_sign = -oracle_sign;
                 }
             }

@@ -59,11 +59,13 @@ fn product_form_defect(lu: &SparseLu, a: &CscMatrix) -> f64 {
     let mut m = DenseMat::from_fn(n, n, |i, j| pa.get(i, j));
     let mut stored = DenseMat::zeros(n, n);
     bm.for_each_entry(|i, j, v| stored[(i, j)] = v);
+    // Step c of Factor(K) exchanged global rows c and the row its pivot
+    // came from.
+    let pivot_rows = bm.pivot_rows();
     for k in 0..bs.num_blocks() {
-        let col = bm.column(k).read();
         let (cols, rows) = (bs.partition.range(k), bs.l_rows.col(k));
-        for (c, &p) in col.pivots.as_ref().unwrap().swaps().iter().enumerate() {
-            m.swap_rows(bs.panel_row(k, c), bs.panel_row(k, p));
+        for c in cols.clone() {
+            m.swap_rows(c, pivot_rows[c]);
         }
         for c in cols.clone() {
             let below = (c + 1..cols.end).chain(rows.iter().map(|&r| r as usize));
@@ -122,13 +124,8 @@ proptest! {
                     defect, threads, amalgamation
                 );
                 let bm = lu.session().block_matrix().unwrap();
-                interchanges += (0..bm.num_block_cols())
-                    .map(|k| {
-                        let col = bm.column(k).read();
-                        let swaps = col.pivots.as_ref().unwrap().swaps();
-                        swaps.iter().enumerate().filter(|&(c, &p)| c != p).count()
-                    })
-                    .sum::<usize>();
+                let rows = bm.pivot_rows();
+                interchanges += rows.iter().enumerate().filter(|&(c, &r)| c != r).count();
             }
         }
         prop_assert!(interchanges > 0, "the weak diagonal moved no row");

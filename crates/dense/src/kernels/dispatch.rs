@@ -13,8 +13,9 @@
 //! of the choice.
 
 use super::tile;
-use crate::lu::{panel_lu, PanelBreakdown, PanelError, PanelOutcome, PivotRule};
+use crate::lu::{panel_lu, PanelBreakdown, PanelError, PivotRule};
 use crate::view::{MatMut, MatRef};
+use std::sync::atomic::AtomicU32;
 
 /// Which dense kernel instantiation the numeric phase uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,7 +73,8 @@ enum Op<'a> {
         pivot_threshold: f64,
         breakdown: PanelBreakdown,
         force_breakdown_at: Option<usize>,
-        out: &'a mut PanelOutcome,
+        pivots: &'a [AtomicU32],
+        perturbed: &'a mut Vec<(usize, f64)>,
     },
 }
 
@@ -89,7 +91,8 @@ fn run<const MR: usize>(op: Op<'_>) -> Result<(), PanelError> {
             pivot_threshold,
             breakdown,
             force_breakdown_at,
-            out,
+            pivots,
+            perturbed,
         } => {
             return panel_lu::<MR>(
                 panel,
@@ -97,7 +100,8 @@ fn run<const MR: usize>(op: Op<'_>) -> Result<(), PanelError> {
                 pivot_threshold,
                 breakdown,
                 force_breakdown_at,
-                out,
+                pivots,
+                perturbed,
             )
         }
     }
@@ -255,18 +259,22 @@ impl Dispatch {
     /// fails with [`PanelError::Singular`] under [`PanelBreakdown::Error`];
     /// under [`PanelBreakdown::Perturb`] its diagonal is replaced by
     /// `sign(d) · value`, elimination continues, and the column is reported
-    /// in [`PanelOutcome::perturbed`]. Any NaN/∞ in a column's pivot region
-    /// fails with [`PanelError::NonFinite`] under either policy.
+    /// in the returned list, as `(panel-local column, magnitude)` — empty,
+    /// and unallocated, on a breakdown-free factorization. Any NaN/∞ in a
+    /// column's pivot region fails with [`PanelError::NonFinite`] under
+    /// either policy.
     ///
     /// `force_breakdown_at` is a deterministic fault-injection hook for the
     /// robustness test-suite: the named panel-local column is treated as if
     /// its best candidate fell below the threshold, regardless of the actual
     /// values. Production callers pass `None`.
     ///
-    /// `out` is cleared and refilled; its vectors keep their allocations, so
-    /// a refactorization of a panel whose outcome is recycled performs no
-    /// heap allocation here (the swap sequence has the same length every
-    /// time). On error `out`'s contents are unspecified.
+    /// Step `c` records the panel row it exchanged row `c` with in
+    /// `pivots[c]` (one slot per panel column, the [`crate::Pivots`]
+    /// representation), by a relaxed store: the slots may be part of an
+    /// array other threads read, and the caller orders those reads — the
+    /// sparse driver writes them under the column's write lock. On error
+    /// the slots' contents are unspecified.
     pub fn lu_panel_into(
         &self,
         panel: MatMut<'_>,
@@ -274,16 +282,19 @@ impl Dispatch {
         pivot_threshold: f64,
         breakdown: PanelBreakdown,
         force_breakdown_at: Option<usize>,
-        out: &mut PanelOutcome,
-    ) -> Result<(), PanelError> {
+        pivots: &[AtomicU32],
+    ) -> Result<Vec<(usize, f64)>, PanelError> {
+        let mut perturbed = Vec::new();
         self.run(Op::PanelLu {
             panel,
             rule,
             pivot_threshold,
             breakdown,
             force_breakdown_at,
-            out,
-        })
+            pivots,
+            perturbed: &mut perturbed,
+        })?;
+        Ok(perturbed)
     }
 }
 

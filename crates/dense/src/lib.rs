@@ -41,8 +41,7 @@ mod view;
 
 pub use kernels::{gemm_sub, trsm_lower_unit, trsm_upper, Dispatch, KernelChoice};
 pub use lu::{
-    apply_row_swaps, lu_full, lu_panel, lu_solve, PanelBreakdown, PanelError, PanelOutcome,
-    PivotRule, Pivots,
+    apply_row_swaps, lu_full, lu_panel, lu_solve, PanelBreakdown, PanelError, PivotRule, Pivots,
 };
 pub use mat::DenseMat;
 pub use view::{MatMut, MatRef};

@@ -2,33 +2,42 @@
 
 use crate::kernels::tile::{forward_strip, NR, SB};
 use crate::{DenseMat, MatMut};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A partial-pivoting interchange sequence, LAPACK `ipiv`-style: at step
 /// `c`, rows `c` and `swap[c]` were exchanged (`swap[c] ≥ c`).
 ///
-/// Indices are **local to the panel** that produced them; the sparse driver
-/// translates them to candidate-row positions of the block column.
+/// Indices are **local to the panel** that produced them and `u32`, the
+/// width the sparse driver records them at: one slot per column of the
+/// matrix, which [`crate::Dispatch::lu_panel_into`] writes in place.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Pivots {
-    swaps: Vec<usize>,
+    swaps: Vec<u32>,
 }
 
 impl Pivots {
     /// The identity sequence of length `w` (no interchanges).
     pub fn identity(w: usize) -> Self {
         Pivots {
-            swaps: (0..w).collect(),
+            swaps: (0..w as u32).collect(),
         }
     }
 
-    /// Drops the recorded steps but keeps the backing allocation, so a
-    /// refactorization of the same panel records into the same storage.
-    pub fn clear(&mut self) {
-        self.swaps.clear();
+    /// `w` slots for [`crate::Dispatch::lu_panel_into`] to record into.
+    pub fn slots(w: usize) -> Vec<AtomicU32> {
+        (0..w).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    /// The sequence recorded into `slots` by
+    /// [`crate::Dispatch::lu_panel_into`].
+    pub fn recorded(slots: Vec<AtomicU32>) -> Self {
+        Pivots {
+            swaps: slots.into_iter().map(AtomicU32::into_inner).collect(),
+        }
     }
 
     /// The raw swap targets (`swaps[c] ≥ c`).
-    pub fn swaps(&self) -> &[usize] {
+    pub fn swaps(&self) -> &[u32] {
         &self.swaps
     }
 
@@ -44,13 +53,13 @@ impl Pivots {
 
     /// `true` when no actual interchange happens.
     pub fn is_identity(&self) -> bool {
-        self.swaps.iter().enumerate().all(|(c, &r)| c == r)
+        self.swaps.iter().enumerate().all(|(c, &r)| c == r as usize)
     }
 
     /// Applies the interchanges to a vector (in factorization order).
     pub fn apply_vec(&self, v: &mut [f64]) {
         for (c, &r) in self.swaps.iter().enumerate() {
-            v.swap(c, r);
+            v.swap(c, r as usize);
         }
     }
 }
@@ -59,7 +68,7 @@ impl Pivots {
 /// order) — LAPACK's `laswp`.
 pub fn apply_row_swaps(m: &mut DenseMat, pivots: &Pivots) {
     for (c, &r) in pivots.swaps().iter().enumerate() {
-        m.swap_rows(c, r);
+        m.swap_rows(c, r as usize);
     }
 }
 
@@ -112,17 +121,6 @@ pub enum PanelBreakdown {
     },
 }
 
-/// Result of a policy-aware panel factorization.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PanelOutcome {
-    /// The recorded interchange sequence.
-    pub pivots: Pivots,
-    /// `(panel-local column, perturbation magnitude)` for every column whose
-    /// diagonal was replaced under [`PanelBreakdown::Perturb`]. Empty on a
-    /// breakdown-free factorization.
-    pub perturbed: Vec<(usize, f64)>,
-}
-
 /// Pivot-selection policy for the panel factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PivotRule {
@@ -143,16 +141,16 @@ pub enum PivotRule {
 /// [`PivotRule::Partial`], [`PanelBreakdown::Error`]), which documents the
 /// result.
 pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, PanelError> {
-    let mut out = PanelOutcome::default();
+    let slots = Pivots::slots(panel.ncols());
     crate::Dispatch::portable().lu_panel_into(
         panel.as_view_mut(),
         PivotRule::Partial,
         pivot_threshold,
         PanelBreakdown::Error,
         None,
-        &mut out,
+        &slots,
     )?;
-    Ok(out.pivots)
+    Ok(Pivots::recorded(slots))
 }
 
 /// The panel LU source, generic over the tile height `MR` (see
@@ -169,20 +167,20 @@ pub(crate) fn panel_lu<const MR: usize>(
     pivot_threshold: f64,
     breakdown: PanelBreakdown,
     force_breakdown_at: Option<usize>,
-    out: &mut PanelOutcome,
+    pivots: &[AtomicU32],
+    perturbed: &mut Vec<(usize, f64)>,
 ) -> Result<(), PanelError> {
     let m = panel.nrows();
     let w = panel.ncols();
     assert!(m >= w, "panel must be at least as tall as wide");
+    assert_eq!(pivots.len(), w, "one pivot slot per panel column");
+    debug_assert!(u32::try_from(m).is_ok(), "panel rows fit the u32 pivots");
     if let PanelBreakdown::Perturb { value } = breakdown {
         assert!(
             value.is_finite() && value > 0.0,
             "perturbation magnitude must be finite and positive"
         );
     }
-    out.pivots.swaps.clear();
-    out.pivots.swaps.reserve(w);
-    out.perturbed.clear();
     for c0 in (0..w).step_by(SB) {
         let c1 = (c0 + SB).min(w);
         for c in c0..c1 {
@@ -226,11 +224,11 @@ pub(crate) fn panel_lu<const MR: usize>(
                         let sign = if d < 0.0 { -1.0 } else { 1.0 };
                         panel[(c, c)] = sign * value;
                         best = c;
-                        out.perturbed.push((c, value));
+                        perturbed.push((c, value));
                     }
                 }
             }
-            out.pivots.swaps.push(best);
+            pivots[c].store(best as u32, Ordering::Relaxed);
             panel.swap_rows(c, best);
             // Scale multipliers.
             let diag = panel[(c, c)];
@@ -309,29 +307,29 @@ mod tests {
     }
 
     /// [`crate::Dispatch::lu_panel_into`] on the baseline instantiation,
-    /// into a fresh outcome.
+    /// into fresh slots: the pivots and the perturbed columns.
     fn lu_panel_into(
         panel: &mut DenseMat,
         rule: PivotRule,
         pivot_threshold: f64,
         breakdown: PanelBreakdown,
         force_breakdown_at: Option<usize>,
-    ) -> Result<PanelOutcome, PanelError> {
-        let mut out = PanelOutcome::default();
-        crate::Dispatch::portable().lu_panel_into(
+    ) -> Result<(Pivots, Vec<(usize, f64)>), PanelError> {
+        let slots = Pivots::slots(panel.ncols());
+        let perturbed = crate::Dispatch::portable().lu_panel_into(
             panel.as_view_mut(),
             rule,
             pivot_threshold,
             breakdown,
             force_breakdown_at,
-            &mut out,
+            &slots,
         )?;
-        Ok(out)
+        Ok((Pivots::recorded(slots), perturbed))
     }
 
     /// The pivots under `rule`, zero threshold, [`PanelBreakdown::Error`].
     fn ruled(panel: &mut DenseMat, rule: PivotRule) -> Result<Pivots, PanelError> {
-        lu_panel_into(panel, rule, 0.0, PanelBreakdown::Error, None).map(|out| out.pivots)
+        lu_panel_into(panel, rule, 0.0, PanelBreakdown::Error, None).map(|out| out.0)
     }
 
     /// Reconstructs `P·A` from the in-place panel factorization and checks
@@ -485,7 +483,7 @@ mod tests {
         // Column 0 has no candidate above the threshold; Perturb replaces
         // the diagonal by sign(d)·value and finishes.
         let mut a = DenseMat::from_col_major(2, 2, vec![-1e-30, 1e-31, 1.0, 2.0]);
-        let out = lu_panel_into(
+        let (pivots, perturbed) = lu_panel_into(
             &mut a,
             PivotRule::Partial,
             1e-20,
@@ -493,8 +491,8 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(out.perturbed, vec![(0, 0.5)]);
-        assert!(out.pivots.is_identity(), "perturbation never interchanges");
+        assert_eq!(perturbed, vec![(0, 0.5)]);
+        assert!(pivots.is_identity(), "perturbation never interchanges");
         assert_eq!(a[(0, 0)], -0.5, "sign of the tiny diagonal is kept");
         // The factorization continued: multiplier and trailing update exist.
         assert_eq!(a[(1, 0)], 1e-31 / -0.5);
@@ -508,7 +506,7 @@ mod tests {
         let mut a = orig.clone();
         let pa = lu_panel(&mut a, 0.0).unwrap();
         let mut b = orig.clone();
-        let out = lu_panel_into(
+        let (pivots, perturbed) = lu_panel_into(
             &mut b,
             PivotRule::Partial,
             0.0,
@@ -516,8 +514,8 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(out.perturbed.is_empty());
-        assert_eq!(pa, out.pivots);
+        assert!(perturbed.is_empty());
+        assert_eq!(pa, pivots);
         assert_eq!(a.data(), b.data(), "clean panels must be untouched");
     }
 
@@ -539,7 +537,7 @@ mod tests {
             Err(PanelError::Singular { column: 1 })
         );
         let mut b = orig.clone();
-        let out = lu_panel_into(
+        let (_, perturbed) = lu_panel_into(
             &mut b,
             PivotRule::Partial,
             0.0,
@@ -547,7 +545,7 @@ mod tests {
             Some(1),
         )
         .unwrap();
-        assert_eq!(out.perturbed, vec![(1, 1e-6)]);
+        assert_eq!(perturbed, vec![(1, 1e-6)]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! to the axpy-shaped kernel it replaced, kept below as an oracle.
 
 use proptest::prelude::*;
-use splu_dense::{DenseMat, Dispatch, MatMut, MatRef, PanelBreakdown, PanelOutcome, PivotRule};
+use splu_dense::{DenseMat, Dispatch, MatMut, MatRef, PanelBreakdown, PivotRule, Pivots};
 
 fn bits(m: &DenseMat) -> Vec<u64> {
     m.data().iter().map(|x| x.to_bits()).collect()
@@ -196,9 +196,9 @@ proptest! {
         let breakdown = PanelBreakdown::Perturb { value: 1.0e-3 };
         let factor = |d: &Dispatch| {
             let mut p = p0.clone();
-            let mut out = PanelOutcome::default();
-            let status = d.lu_panel_into(p.as_view_mut(), rule, 1.0e-300, breakdown, None, &mut out);
-            (status, out, bits(&p))
+            let slots = Pivots::slots(p.ncols());
+            let status = d.lu_panel_into(p.as_view_mut(), rule, 1.0e-300, breakdown, None, &slots);
+            (status, Pivots::recorded(slots), bits(&p))
         };
         let reference = factor(&Dispatch::portable());
         for d in Dispatch::available() {
@@ -275,7 +275,7 @@ fn strips_match_unblocked_references() {
                     .expect("finite")
             });
             let best = best.expect("non-empty column");
-            swaps.push(best);
+            swaps.push(best as u32);
             expect.swap_rows(c, best);
             for r in c + 1..m {
                 expect[(r, c)] /= expect[(c, c)];
@@ -291,18 +291,18 @@ fn strips_match_unblocked_references() {
         }
         for d in Dispatch::available() {
             let mut p = p0.clone();
-            let mut out = PanelOutcome::default();
+            let slots = Pivots::slots(w);
             d.lu_panel_into(
                 p.as_view_mut(),
                 PivotRule::Partial,
                 0.0,
                 PanelBreakdown::Error,
                 None,
-                &mut out,
+                &slots,
             )
             .expect("nonsingular panel");
             assert_eq!(
-                out.pivots.swaps(),
+                Pivots::recorded(slots).swaps(),
                 &swaps[..],
                 "{}: pivots {m}x{w}",
                 d.name()

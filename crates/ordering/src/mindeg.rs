@@ -69,7 +69,10 @@ pub fn column_min_degree_with(
         reg.add(Counter::OrderingAbsorbed, q.absorbed);
         reg.add(Counter::OrderingMassEliminated, q.mass_eliminated);
     }
-    Some(Permutation::from_vec(q.order).expect("elimination order is a bijection"))
+    Some(
+        Permutation::from_vec(q.order.iter().map(|&v| v as usize))
+            .expect("elimination order is a bijection"),
+    )
 }
 
 /// The quotient graph of the elimination: variables are the columns of
@@ -122,7 +125,7 @@ struct Quotient<'a> {
     /// Largest `edeg` so far: how far one pivot can push `w` past `wflg`.
     lemax: u32,
 
-    order: Vec<usize>,
+    order: Vec<u32>,
     pivots: u64,
     merged: u64,
     absorbed: u64,
@@ -267,7 +270,7 @@ impl<'a> Quotient<'a> {
     fn emit(&mut self, i: usize) {
         let mut v = i as u32;
         while v != NONE {
-            self.order.push(v as usize);
+            self.order.push(v);
             v = self.chain_next[v as usize];
         }
         self.nv[i] = 0;

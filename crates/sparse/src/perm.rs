@@ -12,42 +12,68 @@ use crate::SparseError;
 /// Applying a permutation pair `(p, q)` to a matrix yields
 /// `B[i][j] = A[p[i]][q[j]]`, i.e. `B = Pᵀ A Q` in the usual algebraic
 /// notation where `P e_new = e_old`.
+///
+/// Both vectors hold `u32`, like the row indices of a pattern: a
+/// permutation acts on at most `u32::MAX` indices
+/// ([`SparseError::DimensionTooLarge`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
-    perm: Vec<usize>,
-    inv: Vec<usize>,
+    perm: Vec<u32>,
+    inv: Vec<u32>,
+}
+
+/// `Err` unless every index of `0..n` fits a `u32`.
+fn check_len(n: usize) -> Result<(), SparseError> {
+    if n > u32::MAX as usize {
+        return Err(SparseError::DimensionTooLarge { nrows: n, ncols: n });
+    }
+    Ok(())
 }
 
 impl Permutation {
-    /// Identity permutation on `0..n`.
+    /// Identity permutation on `0..n`. Panics, before allocating, when `n`
+    /// exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
-        let perm: Vec<usize> = (0..n).collect();
+        check_len(n).unwrap_or_else(|e| panic!("identity permutation: {e}"));
+        let perm: Vec<u32> = (0..n as u32).collect();
         Permutation {
             inv: perm.clone(),
             perm,
         }
     }
 
-    /// Builds a permutation from a forward vector (`perm[new] = old`).
+    /// Builds a permutation from a forward vector (`perm[new] = old`) — a
+    /// `Vec<usize>` or any sequence of known length.
     ///
-    /// Returns an error unless `perm` is a bijection on `0..perm.len()`.
-    pub fn from_vec(perm: Vec<usize>) -> Result<Self, SparseError> {
+    /// Returns an error unless `perm` is a bijection on `0..perm.len()`, and
+    /// [`SparseError::DimensionTooLarge`], before allocating, when its
+    /// length exceeds `u32::MAX`.
+    pub fn from_vec<I>(perm: I) -> Result<Self, SparseError>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let perm = perm.into_iter();
         let n = perm.len();
-        let mut inv = vec![usize::MAX; n];
-        for (new, &old) in perm.iter().enumerate() {
+        check_len(n)?;
+        // `new < n <= u32::MAX`, so `u32::MAX` marks an unset entry.
+        let mut inv = vec![u32::MAX; n];
+        let mut fwd = Vec::with_capacity(n);
+        for (new, old) in perm.enumerate() {
             if old >= n {
                 return Err(SparseError::InvalidPermutation(format!(
                     "index {old} out of range for length {n}"
                 )));
             }
-            if inv[old] != usize::MAX {
+            if inv[old] != u32::MAX {
                 return Err(SparseError::InvalidPermutation(format!(
                     "index {old} appears twice"
                 )));
             }
-            inv[old] = new;
+            inv[old] = new as u32;
+            fwd.push(old as u32);
         }
-        Ok(Permutation { perm, inv })
+        Ok(Permutation { perm: fwd, inv })
     }
 
     /// Number of elements permuted.
@@ -62,24 +88,30 @@ impl Permutation {
 
     /// `true` when this is the identity permutation.
     pub fn is_identity(&self) -> bool {
-        self.perm.iter().enumerate().all(|(i, &p)| i == p)
+        self.perm.iter().enumerate().all(|(i, &p)| i == p as usize)
     }
 
     /// Old index occupying new position `new`.
     #[inline]
     pub fn old_of(&self, new: usize) -> usize {
-        self.perm[new]
+        self.perm[new] as usize
     }
 
     /// New position of old index `old`.
     #[inline]
     pub fn new_of(&self, old: usize) -> usize {
-        self.inv[old]
+        self.inv[old] as usize
     }
 
     /// The forward vector (`perm[new] = old`).
-    pub fn as_slice(&self) -> &[usize] {
+    pub fn as_slice(&self) -> &[u32] {
         &self.perm
+    }
+
+    /// Bytes the forward and inverse vectors occupy on the heap.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        (size_of_val(&self.perm[..]) + size_of_val(&self.inv[..])) as u64
     }
 
     /// Returns the inverse permutation as an owned [`Permutation`].
@@ -97,9 +129,7 @@ impl Permutation {
     /// This matches permuting a matrix first by `other`, then by `self`.
     pub fn compose(&self, other: &Permutation) -> Permutation {
         assert_eq!(self.len(), other.len(), "length mismatch in compose");
-        let perm: Vec<usize> = (0..self.len())
-            .map(|new| other.old_of(self.old_of(new)))
-            .collect();
+        let perm = (0..self.len()).map(|new| other.old_of(self.old_of(new)));
         Permutation::from_vec(perm).expect("composition of bijections is a bijection")
     }
 
@@ -118,7 +148,7 @@ impl Permutation {
             let mut x = start;
             while !seen[x] {
                 seen[x] = true;
-                x = self.perm[x];
+                x = self.old_of(x);
                 len += 1;
             }
             transpositions += len - 1;
@@ -129,7 +159,7 @@ impl Permutation {
     /// Gathers `x` into new order: `out[new] = x[perm[new]]`.
     pub fn apply_vec<T: Copy>(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.len());
-        self.perm.iter().map(|&old| x[old]).collect()
+        self.perm.iter().map(|&old| x[old as usize]).collect()
     }
 
     /// Scatters `x` back to old order: `out[perm[new]] = x[new]`.
@@ -137,7 +167,7 @@ impl Permutation {
         assert_eq!(x.len(), self.len());
         let mut out = vec![T::default(); x.len()];
         for (new, &old) in self.perm.iter().enumerate() {
-            out[old] = x[new];
+            out[old as usize] = x[new];
         }
         out
     }
@@ -161,6 +191,26 @@ mod tests {
         assert!(Permutation::from_vec(vec![0, 0]).is_err());
         assert!(Permutation::from_vec(vec![0, 5]).is_err());
         assert!(Permutation::from_vec(vec![2, 0, 1]).is_ok());
+    }
+
+    /// A length past `u32::MAX` is refused from its length alone: the
+    /// range below is never materialized.
+    #[test]
+    fn from_vec_refuses_lengths_past_u32() {
+        let n = u32::MAX as usize + 1;
+        assert_eq!(
+            Permutation::from_vec(0..n),
+            Err(SparseError::DimensionTooLarge { nrows: n, ncols: n })
+        );
+        let last = Permutation::from_vec([1, 0]).unwrap();
+        assert_eq!(last.as_slice(), &[1, 0]);
+        assert_eq!(last.heap_bytes(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit index range")]
+    fn identity_refuses_lengths_past_u32() {
+        Permutation::identity(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -204,13 +204,13 @@ impl FillSkeleton {
             usize::MAX => usize::MAX,
             old => po.new_of(old),
         };
-        let olds = po.as_slice().iter();
+        let olds = (0..self.n).map(|new| po.old_of(new));
         let out = FillSkeleton {
             n: self.n,
-            parent: olds.clone().map(|&k| relabel(self.parent[k])).collect(),
-            first: olds.clone().map(|&r| relabel(self.first[r])).collect(),
-            l_len: olds.clone().map(|&k| self.l_len[k]).collect(),
-            u_len: olds.map(|&k| self.u_len[k]).collect(),
+            parent: olds.clone().map(|k| relabel(self.parent[k])).collect(),
+            first: olds.clone().map(|r| relabel(self.first[r])).collect(),
+            l_len: olds.clone().map(|k| self.l_len[k]).collect(),
+            u_len: olds.map(|k| self.u_len[k]).collect(),
         };
         debug_assert!(
             (0..out.n).all(|k| out.parent[k] > k && out.first[k] <= k),

@@ -79,6 +79,11 @@ impl Partition {
         &self.starts
     }
 
+    /// Bytes the boundary offsets occupy on the heap.
+    pub fn heap_bytes(&self) -> u64 {
+        std::mem::size_of_val(&self.starts[..]) as u64
+    }
+
     /// Map column → block index.
     pub fn block_of_cols(&self) -> Vec<usize> {
         let mut out = vec![0usize; self.n()];

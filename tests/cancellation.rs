@@ -184,8 +184,9 @@ fn asynchronous_cancel_mid_run_drains() {
 /// before every task of it: a token armed for `n` checkpoints stops the
 /// run at the `n`-th task boundary — the first `n − 1` tasks of the
 /// left-looking order ran, exactly the block columns whose `Factor` is
-/// among them are factored, and the rest is pending. One checkpoint more
-/// than there are tasks lets the run finish.
+/// among them are factored, and the rest is pending — also when the
+/// session was factored before, whose reset marks every column unfactored.
+/// One checkpoint more than there are tasks lets the run finish.
 #[test]
 fn one_thread_cancellation_stops_at_the_nth_task_boundary() {
     use parsplu::core::SluSession;
@@ -196,7 +197,7 @@ fn one_thread_cancellation_stops_at_the_nth_task_boundary() {
         s.factor(&a).unwrap();
         s.block_matrix().unwrap().tasks().collect()
     };
-    for n in [
+    let counts = [
         1,
         2,
         3,
@@ -205,8 +206,12 @@ fn one_thread_cancellation_stops_at_the_nth_task_boundary() {
         tasks.len() / 2,
         tasks.len(),
         tasks.len() + 1,
-    ] {
+    ];
+    for (n, refactor) in counts.into_iter().flat_map(|n| [(n, false), (n, true)]) {
         let mut s = SluSession::analyze(a.pattern(), &opts(1, Mapping::Static1D)).unwrap();
+        if refactor {
+            s.factor(&a).unwrap();
+        }
         let token = CancelToken::new();
         token.cancel_after_checkpoints(n);
         s.set_budget(RunBudget::unbounded().with_token(token));
@@ -234,8 +239,9 @@ fn one_thread_cancellation_stops_at_the_nth_task_boundary() {
         }
         let bm = s.block_matrix().expect("storage assembled");
         for k in 0..bm.num_block_cols() {
-            let has_pivots = bm.column(k).read().pivots.is_some();
-            assert_eq!(has_pivots, factored.contains(&k), "n={n}, column {k}");
+            let has_pivots = bm.is_factored(k);
+            let what = format!("n={n}, refactor {refactor}, column {k}");
+            assert_eq!(has_pivots, factored.contains(&k), "{what}");
         }
     }
 }

@@ -55,7 +55,7 @@ fn assert_analysis_matches_the_scalar_oracles(pattern: &SparsityPattern, what: &
             };
             let ctx = format!("{what}: postorder {postorder}, amalgamation {amalgamation:?}");
             assert_eq!(
-                sym.block_structure,
+                *sym.block_structure,
                 BlockStructure::new(&want, partition),
                 "{ctx}"
             );
