@@ -17,11 +17,10 @@ mod simulate;
 pub use fine::{build_fine_graph, simulate_fine, FineGraph, FineTask, Grid};
 pub use simulate::{simulate, simulate_static_order, CostModel, SimResult};
 
-use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, SymbolicLu};
+use splu_core::{analyze, estimate_task_costs, NumericRequest, Options, RangePlan, SymbolicLu};
 use splu_matgen::{paper_suite, BenchMatrix, Scale};
-use splu_sched::{build_sstar_graph, ExecSchedule, Mapping, TaskGraph, TraceConfig};
+use splu_sched::{build_sstar_graph, Mapping, TaskGraph, TraceConfig};
 use splu_sparse::CscMatrix;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Number of repetitions for wall-clock measurements (minimum reported —
@@ -102,18 +101,18 @@ pub fn time_factor(p: &Prepared, graph: &TaskGraph, threads: usize) -> Duration 
         .expect("REPS > 0")
 }
 
-/// Untimed runs before the timed ones: the first derives the range plan
-/// the storage then keeps (on several threads), and on a virtual machine
-/// whose idle second core wakes slowly the first two-thread runs after a
+/// Untimed runs before the timed ones: on a virtual machine whose idle
+/// second core wakes slowly the first two-thread runs after a
 /// single-threaded stretch run up to 1.8× slower (EXPERIMENTS.md, "Range
 /// tasks").
 pub const WARMUP: usize = 5;
 
 /// `runs` numerical factorizations of a prepared problem after [`WARMUP`]
-/// untimed ones, as a session runs them (storage reset in place, the
-/// graph's cached schedule, so a run on several threads reuses its range
-/// plan), each with its wall time and the measured critical path of the
-/// report (full tracing on several threads only).
+/// untimed ones, as a session runs them (storage reset in place; on
+/// several threads the range plan of `graph` contracted once, before the
+/// first run, and handed to every run), each with its wall time and the
+/// measured critical path of the report (full tracing on several threads
+/// only).
 pub fn factor_times(
     p: &Prepared,
     graph: &TaskGraph,
@@ -122,10 +121,9 @@ pub fn factor_times(
     trace: TraceConfig,
 ) -> Vec<(Duration, Option<f64>)> {
     let mut bm = splu_core::BlockMatrix::assemble(&p.permuted, &p.sym.block_structure);
-    let req = NumericRequest::coarse(graph, Mapping::Static1D)
-        .threads(threads)
-        .schedule(Arc::new(ExecSchedule::for_graph(graph)))
-        .trace(trace);
+    let coarse = NumericRequest::coarse(graph, Mapping::Static1D).threads(threads);
+    let plan = RangePlan::contract(&bm, &coarse);
+    let req = (plan.as_ref().map_or(coarse, NumericRequest::planned)).trace(trace);
     (0..WARMUP + runs)
         .map(|_| {
             bm.reset_from(&p.permuted, &p.sym.block_structure);

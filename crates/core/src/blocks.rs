@@ -41,17 +41,16 @@
 //! the entry's column. A held session keeps one slot per nonzero and
 //! refactors through them with plain indexed stores.
 
-use crate::request::RangePlan;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use splu_dense::{MatMut, MatRef};
-use splu_sched::{ExecSchedule, Task};
+use splu_sched::Task;
 use splu_sparse::{CscMatrix, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// The values of one block column.
 #[derive(Debug)]
@@ -209,13 +208,7 @@ pub(crate) struct Layout {
     /// block, and fails the run with [`crate::LuError::PivotHistoryDiverged`]
     /// when one comes from below it (the wire).
     in_block: bool,
-    /// The range plan of the last run on several threads over this layout.
-    plan: Mutex<Option<KeptPlan>>,
 }
-
-/// A range plan with the schedule (of the coarse graph) and the thread
-/// count it was derived for.
-type KeptPlan = (Weak<ExecSchedule>, usize, Arc<RangePlan>);
 
 /// The position in `sup` of every entry of `sub`. Both ascend, and
 /// `sub ⊆ sup` is the nesting the layout leans on.
@@ -307,25 +300,11 @@ impl Layout {
         }
         lblk_ptr.push(idx32(lblks.len()));
 
-        // Per block column J: its sources, ascending.
-        let mut upd_ptr = vec![0u32; nb + 1];
-        for k in 0..nb {
-            for &j in &bs.u_blocks.col(k)[1..] {
-                upd_ptr[j as usize + 1] += 1;
-            }
-        }
-        for j in 0..nb {
-            upd_ptr[j + 1] += upd_ptr[j];
-        }
-        let mut srcs = vec![0usize; upd_ptr[nb] as usize];
-        let mut fill = upd_ptr.clone();
-        for k in 0..nb {
-            for &j in &bs.u_blocks.col(k)[1..] {
-                let j = j as usize;
-                srcs[fill[j] as usize] = k;
-                fill[j] += 1;
-            }
-        }
+        // Per block column J: its sources, ascending, then J itself.
+        let sources = bs.u_blocks.transpose();
+        let upd_ptr: Vec<u32> = (sources.col_ptr().iter().enumerate())
+            .map(|(j, &p)| idx32(p - j))
+            .collect();
 
         // Per update (K, J), visited by ascending J so that the cursors into
         // C_K and R_K only move forward.
@@ -334,7 +313,7 @@ impl Layout {
         // The block column each supernode's last update went into, and that
         // update's index.
         let mut upd_of = vec![(usize::MAX, 0u32); nb];
-        let mut upds: Vec<UpdateMap> = Vec::with_capacity(srcs.len());
+        let mut upds: Vec<UpdateMap> = Vec::with_capacity(upd_ptr[nb] as usize);
         let mut targets: Vec<u32> = Vec::with_capacity(targets_len);
         let mut scratch_len = 0usize;
         for j in 0..nb {
@@ -343,7 +322,8 @@ impl Layout {
             let into_j = upd_ptr[j] as usize..upd_ptr[j + 1] as usize;
             // The Ū blocks follow the panel in the column's buffer.
             let mut off = w_j * (w_j + bs.l_rows.col(j).len());
-            for &k in &srcs[into_j.clone()] {
+            for &k in &sources.col(j)[..into_j.len()] {
+                let k = k as usize;
                 upd_of[k] = (j, idx32(upds.len()));
                 let (ck, rk) = (bs.u_cols.col(k), bs.l_rows.col(k));
                 let a = ccur[k];
@@ -414,30 +394,12 @@ impl Layout {
             rel,
             scratch_len,
             in_block,
-            plan: Mutex::new(None),
         }
     }
 
-    /// The range plan of runs under `schedule` on `threads` workers:
-    /// the one kept from the last such run, or `derive`'s, kept for the
-    /// next. A schedule belongs to one graph, so it names the graph.
-    pub(crate) fn range_plan(
-        &self,
-        schedule: &Arc<ExecSchedule>,
-        threads: usize,
-        derive: impl FnOnce() -> RangePlan,
-    ) -> Arc<RangePlan> {
-        let mut kept = self.plan.lock();
-        match &*kept {
-            Some((s, t, plan)) if *t == threads && Weak::as_ptr(s) == Arc::as_ptr(schedule) => {
-                Arc::clone(plan)
-            }
-            _ => {
-                let plan = Arc::new(derive());
-                *kept = Some((Arc::downgrade(schedule), threads, Arc::clone(&plan)));
-                plan
-            }
-        }
+    /// The structure the storage is laid out on.
+    pub(crate) fn structure(&self) -> &BlockStructure {
+        &self.bs
     }
 
     fn num_blocks(&self) -> usize {
@@ -488,15 +450,6 @@ impl Layout {
         &self.upds[self.upd_ptr[j] as usize..self.upd_ptr[j + 1] as usize]
     }
 
-    /// The map of `Update(k, j)`; `None` when the structure holds no block
-    /// `Ū(k, j)` — the in-block structure lacks the blocks its pivots never
-    /// fill, under a task graph that still names them.
-    pub(crate) fn update(&self, k: usize, j: usize) -> Option<&UpdateMap> {
-        let into_j = self.updates(j);
-        let at = into_j.binary_search_by_key(&k, |u| u.src as usize).ok()?;
-        Some(&into_j[at])
-    }
-
     /// The columns `S_KJ` of `Ū(K, J)`, as global columns: column `c` lies
     /// at `c − starts[J]` of block column `J`.
     pub(crate) fn cols(&self, u: &UpdateMap) -> &[u32] {
@@ -527,17 +480,15 @@ impl Layout {
         }
     }
 
-    /// Bytes of the arrays the layout owns, with the range plan kept for
-    /// runs on several threads; the structure it shares is its holder's.
+    /// Bytes of the arrays the layout owns; the structure it shares is
+    /// its holder's.
     fn bytes(&self) -> u64 {
-        let owned = vec_bytes(&self.lblk_ptr)
+        (vec_bytes(&self.lblk_ptr)
             + vec_bytes(&self.lblks)
             + vec_bytes(&self.upd_ptr)
             + vec_bytes(&self.upds)
             + vec_bytes(&self.targets)
-            + vec_bytes(&self.rel);
-        let plan = self.plan.lock().as_ref().map_or(0, |(_, _, p)| p.bytes());
-        owned as u64 + plan
+            + vec_bytes(&self.rel)) as u64
     }
 }
 

@@ -51,7 +51,7 @@ pub use observe::{
 };
 pub use psolve::solve_permuted_parallel;
 pub use request::{
-    factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, SymbolicRequest,
+    factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, RangePlan, SymbolicRequest,
 };
 pub use session::{pattern_hash, SluSession};
 pub use solve::{
@@ -328,7 +328,8 @@ impl SymbolicLu {
     /// Builds the eforest task dependence graph over the static structure
     /// [`analyze`] returns. A session's in-block lists are not closed under
     /// the graph rules (rule 4 names updates they drop) and the builder
-    /// panics on some: a session's graph is [`SluSession::graph`].
+    /// panics on some: a session on several threads builds this graph from
+    /// the static lists and keeps only the range plan contracted from it.
     pub fn build_graph(&self) -> TaskGraph {
         build_eforest_graph(&self.block_structure)
     }
@@ -367,30 +368,17 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     let mut flops: f64 = (0..nb)
         .map(|k| numeric::factor_flops(width(k) + below(k), width(k)) as f64)
         .sum();
-    // The sources of every column, ascending (the block lists by column).
-    let mut src_ptr = vec![0usize; nb + 1];
     let mut from_non_roots = 0;
     for k in 0..nb {
         for &j in &bs.u_blocks.col(k)[1..] {
             let j = j as usize;
             flops += costs::update_flops(width(k), below(k), bs.u_cols_in(k, j).len());
-            src_ptr[j + 1] += 1;
             from_non_roots += usize::from(forest.parent(k).is_some());
         }
     }
-    for j in 0..nb {
-        src_ptr[j + 1] += src_ptr[j];
-    }
-    let updates = src_ptr[nb];
-    let mut sources = vec![0usize; updates];
-    let mut fill = src_ptr.clone();
-    for k in 0..nb {
-        for &j in &bs.u_blocks.col(k)[1..] {
-            let j = j as usize;
-            sources[fill[j]] = k;
-            fill[j] += 1;
-        }
-    }
+    // The sources of every column, ascending, then the column itself.
+    let sources = bs.u_blocks.transpose();
+    let updates = sources.nnz() - nb;
     let mut top_f = vec![0usize; nb];
     // The longest chain into `U(i, j)` through the children of `i`, for the
     // column `j` at hand.
@@ -399,7 +387,9 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     for j in 0..nb {
         // The longest chain into `F(j)`.
         let mut into_f = 0;
-        for &i in &sources[src_ptr[j]..src_ptr[j + 1]] {
+        let into = sources.col(j);
+        for &i in &into[..into.len() - 1] {
+            let i = i as usize;
             let top = 1 + top_f[i].max(std::mem::take(&mut via_children[i]));
             critical_path = critical_path.max(top);
             match forest.parent(i) {

@@ -3,14 +3,13 @@
 //! pivoting, tracing, and kernel selection — and
 //! [`factor_numeric_with`] is the single driver that runs it. Its sibling
 //! [`SymbolicRequest`] bounds and observes the analysis phases. New
-//! parameters (like [`KernelChoice`] for the dense kernel layer, or the
-//! cached [`ExecSchedule`] a solver session replays) become fields with
-//! defaults instead of new functions.
+//! parameters (like [`KernelChoice`] for the dense kernel layer) become
+//! fields with defaults instead of new functions.
 //!
 //! **What runs is a range plan**, and nothing else. Postordering makes
 //! every eforest subtree a contiguous range of block columns whose tasks
-//! touch only that range and its ancestors. At one thread the whole matrix is one range — the
-//! coarse graph is not consulted, no schedule is computed, and the run is
+//! touch only that range and its ancestors. At one thread the whole matrix
+//! is one range — the coarse graph is not consulted, and the run is
 //! [`crate::factor_left_looking`]'s loop with the request's kernels,
 //! pivoting, budget and recorder. On several threads the coarse graph is
 //! contracted: every maximal subtree whose model flops fall under
@@ -18,7 +17,11 @@
 //! as one range, the tasks above them stay nodes of their own, and the
 //! edges between nodes are the graph's. Per element this is a topological
 //! order of the same DAG over the same task bodies, so the factors are
-//! bitwise those of any other order.
+//! bitwise those of any other order. [`factor_numeric_with`] contracts a
+//! coarse request's graph on each call; a session on several threads
+//! contracts once, at analysis, holds only the plan and hands it in
+//! ([`NumericRequest::planned`]), as a caller timing repeated runs can
+//! ([`RangePlan::contract`]).
 //!
 //! The kernel choice resolves to one [`Dispatch`] table **once per
 //! factorization** (CPU feature probing included), and that table threads
@@ -35,9 +38,11 @@ use crate::{LuError, Options};
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{
-    run, CancelToken, ExecReport, ExecRequest, ExecSchedule, Interrupt, Mapping, RunBudget, Task,
-    TaskGraph, TraceConfig,
+    block_forest, run, CancelToken, ExecReport, ExecRequest, ExecSchedule, Interrupt, Mapping,
+    RunBudget, Task, TaskGraph, TraceConfig,
 };
+use splu_symbolic::supernode::BlockStructure;
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -92,6 +97,11 @@ pub enum GraphRef<'g> {
         /// range goes to an owner by its flops).
         mapping: Mapping,
     },
+    /// A plan contracted beforehand ([`RangePlan::contract`]), run on the
+    /// workers and under the mapping it was contracted for: what a session
+    /// on several threads runs, and how repeated runs keep the contraction
+    /// out of their time.
+    Planned(&'g RangePlan),
 }
 
 /// All parameters of one numeric factorization. Build with
@@ -125,12 +135,11 @@ pub struct NumericRequest<'g> {
     /// column total lands in [`splu_obs::Counter::PerturbedColumns`].
     /// `None` (the default) skips all counting.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Cached executor schedule of the **coarse** graph (a session on
-    /// several threads computes it once per analysis with
-    /// [`ExecSchedule::for_graph`]): its per-task priorities rank the nodes
-    /// of the contracted graph — each node takes its tasks' highest —
-    /// which saves a bottom-level sweep per run. A one-thread run needs
-    /// none. The factors are bitwise identical either way.
+    /// Executor schedule of the **coarse** graph: its per-task priorities
+    /// rank the nodes of the plan contracted for this call — each node
+    /// takes its tasks' highest — in place of the graph's bottom levels,
+    /// which [`ExecSchedule::for_graph`] gives too. A one-thread or planned
+    /// run reads none. The factors are bitwise identical either way.
     pub schedule: Option<Arc<ExecSchedule>>,
 }
 
@@ -145,6 +154,12 @@ impl<'g> NumericRequest<'g> {
     /// pivoting with zero threshold, tracing off, kernels picked for the CPU.
     pub fn coarse(graph: &'g TaskGraph, mapping: Mapping) -> Self {
         Self::with_graph(GraphRef::Coarse { graph, mapping })
+    }
+
+    /// A request that runs `plan` ([`GraphRef::Planned`]) on the thread
+    /// count it was contracted for, with the defaults of [`Self::coarse`].
+    pub fn planned(plan: &'g RangePlan) -> Self {
+        Self::with_graph(GraphRef::Planned(plan)).threads(plan.threads)
     }
 
     fn with_graph(graph: GraphRef<'g>) -> Self {
@@ -210,7 +225,7 @@ impl<'g> NumericRequest<'g> {
         self
     }
 
-    /// Attaches a cached executor schedule (see the field docs).
+    /// Attaches an executor schedule (see the field docs).
     pub fn schedule(mut self, schedule: Arc<ExecSchedule>) -> Self {
         self.schedule = Some(schedule);
         self
@@ -319,10 +334,12 @@ enum PlanNode {
 /// columns and whose model flops fall under the cut contracted into one
 /// node, and the tasks above them kept as they are. Nodes are numbered in
 /// the left-looking order of their tasks, which the executor's task ids
-/// follow ([`BlockMatrix::tasks`]). A storage keeps the plan of its last
-/// run (`crate::blocks::Layout::range_plan`).
-#[derive(Debug)]
-pub(crate) struct RangePlan {
+/// follow ([`BlockMatrix::tasks`]). A session of several threads holds the
+/// plan of its structure, contracted at analysis (and again after a
+/// fallback); [`factor_numeric_with`] contracts one per call of a coarse
+/// request, and runs a [`NumericRequest::planned`] one as it is.
+#[derive(Debug, PartialEq)]
+pub struct RangePlan {
     nodes: Vec<PlanNode>,
     /// Node `t` runs tasks `bounds[t]..bounds[t + 1]` of the storage.
     bounds: Vec<usize>,
@@ -332,52 +349,43 @@ pub(crate) struct RangePlan {
     schedule: ExecSchedule,
     /// Per node, its worker under [`Mapping::Static1D`].
     owner: Vec<usize>,
+    mapping: Mapping,
+    threads: usize,
 }
 
 impl RangePlan {
-    /// Contracts `graph` for `threads` workers over the storage `bm`,
-    /// ranking the nodes by `priority` (one per task of `graph`).
+    /// Contracts `graph` for `threads` workers under `mapping` over the
+    /// storage of `bs`, ranking the nodes by `schedule`'s priorities (one
+    /// per task of `graph`), or else by the graph's bottom levels — the
+    /// priorities [`ExecSchedule::for_graph`] gives.
     ///
     /// # Panics
     ///
-    /// Panics when `graph` is not over `bm`'s partition, or when an edge of
+    /// Panics when `graph` is not over `bs`'s partition, or when an edge of
     /// it would leave a contracted task set and come back — the contraction
     /// must keep every set convex, which holds for any graph whose edges
     /// never lead from a task to one of a lower block column (both
     /// builders' graphs).
     pub(crate) fn new(
-        bm: &BlockMatrix,
+        bs: &BlockStructure,
         graph: &TaskGraph,
-        priority: &[u64],
+        schedule: Option<&ExecSchedule>,
         threads: usize,
+        mapping: Mapping,
     ) -> Self {
-        let (lay, nb) = (bm.layout(), bm.num_block_cols());
+        let nb = bs.num_blocks();
         assert_eq!(graph.num_block_cols(), nb, "a graph of another partition");
+        let priority = schedule.map_or_else(|| graph.bottom_levels(), |s| s.priorities().to_vec());
         assert_eq!(priority.len(), graph.len(), "one priority per task");
-        // The model flops of each column's tasks on this storage, and the
-        // block eforest: a column's parent is the first column it updates,
-        // when it has rows below (`splu_sched::block_forest`).
-        let mut flops = vec![0.0f64; nb];
-        let mut parent = vec![usize::MAX; nb];
-        for j in 0..nb {
-            let w = lay.width(j);
-            flops[j] = factor_flops(w + lay.rows_below(j), w) as f64;
-            for u in lay.updates(j) {
-                let k = u.src();
-                flops[j] += update_flops(lay.width(k), lay.rows_below(k), u.ncols());
-                if parent[k] == usize::MAX && lay.rows_below(k) > 0 {
-                    parent[k] = j;
-                }
-            }
-        }
-        // Per subtree (a parent follows its children): flops, first column
-        // and size; the subtree is a range of columns when they agree.
+        // Per subtree of the block eforest (a parent follows its children):
+        // flops, first column and size; the subtree is a range of columns
+        // when they agree.
+        let (flops, parent, task_start) = column_model(bs);
         let mut sub = flops.clone();
         let mut first: Vec<usize> = (0..nb).collect();
         let mut size = vec![1usize; nb];
         for j in 0..nb {
-            let p = parent[j];
-            if p != usize::MAX {
+            if let Some(p) = parent[j] {
                 sub[p] += sub[j];
                 first[p] = first[p].min(first[j]);
                 size[p] += size[j];
@@ -388,33 +396,21 @@ impl RangePlan {
         let mut root = vec![usize::MAX; nb];
         for j in (0..nb).rev() {
             root[j] = match parent[j] {
-                p if p != usize::MAX && root[p] != usize::MAX => root[p],
+                Some(p) if root[p] != usize::MAX => root[p],
                 _ if sub[j] <= cut && j + 1 - first[j] == size[j] => j,
                 _ => usize::MAX,
             };
         }
 
-        // The updates into every column outside a range, by ascending
-        // source (the graph lists them by source, then destination).
-        let mut into_ptr = vec![0usize; nb + 1];
-        for t in graph.tasks() {
-            if let Task::Update { dst, .. } = *t {
-                into_ptr[dst + 1] += usize::from(root[dst] == usize::MAX);
-            }
-        }
-        for j in 0..nb {
-            into_ptr[j + 1] += into_ptr[j];
-        }
-        let mut into = vec![0usize; into_ptr[nb]];
-        let mut fill = into_ptr.clone();
-        for (t, task) in graph.tasks().iter().enumerate() {
-            if let Task::Update { dst, .. } = *task {
-                if root[dst] == usize::MAX {
-                    into[fill[dst]] = t;
-                    fill[dst] += 1;
-                }
-            }
-        }
+        // The updates into every column outside a range, by column, then
+        // ascending source (the graph lists them by source, then column).
+        let mut into: Vec<(usize, usize)> = (graph.tasks().iter().enumerate())
+            .filter_map(|(t, task)| match *task {
+                Task::Update { dst, .. } if root[dst] == usize::MAX => Some((dst, t)),
+                _ => None,
+            })
+            .collect();
+        into.sort_unstable();
         // Nodes in the left-looking order — a range at its first column,
         // else each update into the column, then its factor — with their
         // tasks on this storage as bounds. `node_of` maps the tasks whose
@@ -423,16 +419,17 @@ impl RangePlan {
         let mut nodes = Vec::new();
         let mut bounds = vec![0usize];
         let mut node_of = vec![usize::MAX; graph.len()];
-        let mut walk = Vec::new();
+        let (mut walk, mut into) = (Vec::new(), &into[..]);
         for j in 0..nb {
             let r = root[j];
             if r == usize::MAX {
-                let tasks = into[into_ptr[j]..into_ptr[j + 1]].iter().copied();
-                for t in tasks.chain([graph.factor_id(j)]) {
+                let (here, rest) = into.split_at(into.partition_point(|&(d, _)| d == j));
+                into = rest;
+                for t in here.iter().map(|&(_, t)| t).chain([graph.factor_id(j)]) {
                     let task = graph.task(t);
                     let n = match task {
                         Task::Factor(_) => 1,
-                        Task::Update { src, dst } => usize::from(lay.update(src, dst).is_some()),
+                        Task::Update { src, dst } => usize::from(bs.block_nonzero(src, dst)),
                     };
                     node_of[t] = nodes.len();
                     walk.push(t);
@@ -443,7 +440,7 @@ impl RangePlan {
             }
             if j == first[r] {
                 nodes.push(PlanNode::Columns(j..r + 1));
-                bounds.push(bounds[bounds.len() - 1] + lay.task_start(r + 1) - lay.task_start(j));
+                bounds.push(bounds[bounds.len() - 1] + task_start[r + 1] - task_start[j]);
             }
             node_of[graph.factor_id(j)] = nodes.len() - 1;
             walk.push(graph.factor_id(j));
@@ -508,16 +505,56 @@ impl RangePlan {
             successors,
             schedule,
             owner,
+            mapping,
+            threads,
         }
     }
 
-    /// Bytes the plan holds.
-    pub(crate) fn bytes(&self) -> u64 {
-        let usz = std::mem::size_of::<usize>();
-        let edges: usize = self.successors.iter().map(Vec::len).sum();
-        let per_node = std::mem::size_of::<PlanNode>() + std::mem::size_of::<Vec<usize>>();
-        (self.nodes.len() * (per_node + 6 * usz) + edges * usz) as u64
+    /// The plan [`factor_numeric_with`] runs `req` by over `bm`: its coarse
+    /// graph contracted over the storage's structure for `req.threads`
+    /// workers, ranked by the request's schedule or else by the graph's
+    /// bottom levels. `None` at one thread or without a coarse graph.
+    pub fn contract(bm: &BlockMatrix, req: &NumericRequest<'_>) -> Option<RangePlan> {
+        let GraphRef::Coarse { graph, mapping } = req.graph else {
+            return None;
+        };
+        let (bs, schedule) = (bm.layout().structure(), req.schedule.as_deref());
+        (req.threads > 1).then(|| RangePlan::new(bs, graph, schedule, req.threads, mapping))
     }
+
+    /// Bytes the plan holds, its vectors counted at capacity.
+    pub(crate) fn bytes(&self) -> u64 {
+        let lists: usize = self.successors.iter().map(Vec::capacity).sum();
+        let words = lists + self.bounds.capacity() + self.pred_counts.capacity();
+        (self.nodes.capacity() * size_of::<PlanNode>()
+            + self.successors.capacity() * size_of::<Vec<usize>>()
+            + (words + self.owner.capacity()) * size_of::<usize>()
+            + self.schedule.len() * size_of::<u64>()) as u64
+    }
+}
+
+/// Per block column of the storage laid out on `bs`: the model flops of
+/// its tasks and its parent in the block eforest, with every column's first
+/// task in the storage's left-looking order (one more entry: the task count).
+pub(crate) fn column_model(bs: &BlockStructure) -> (Vec<f64>, Vec<Option<usize>>, Vec<usize>) {
+    // Column `j` of the transposed `Ū` block lists holds the sources of its
+    // updates, then `j`: its pointer is the column's first task, where every
+    // column holds one `Update` per stored source and its `Factor`.
+    let (part, sources, forest) = (&bs.partition, bs.u_blocks.transpose(), block_forest(bs));
+    let below = |k: usize| bs.l_rows.col(k).len();
+    let flops = (0..bs.num_blocks())
+        .map(|j| {
+            let (w, into) = (part.width(j), sources.col(j));
+            let mut f = factor_flops(w + below(j), w) as f64;
+            for &k in &into[..into.len() - 1] {
+                let k = k as usize;
+                f += update_flops(part.width(k), below(k), bs.u_cols_in(k, j).len());
+            }
+            f
+        })
+        .collect();
+    let parent = (0..bs.num_blocks()).map(|j| forest.parent(j)).collect();
+    (flops, parent, sources.col_ptr().to_vec())
 }
 
 /// Runs one numeric factorization described by `req` over the assembled
@@ -541,40 +578,43 @@ impl RangePlan {
 /// This is the single driver behind every public factorization entry point;
 /// the kernel table is resolved from `req.kernels` exactly once here. What
 /// it runs is the range plan of the module docs: one range at one thread
-/// (or without a graph), the contracted coarse graph on several.
+/// (or without a graph), on several the coarse graph contracted for this
+/// call, or the plan a [`GraphRef::Planned`] request hands in.
+///
+/// # Panics
+///
+/// Panics when a handed-in plan has another task count than `bm`.
 pub fn factor_numeric_with(
     bm: &BlockMatrix,
     req: &NumericRequest<'_>,
 ) -> Result<ExecReport, LuError> {
     let dispatch = Dispatch::resolve(req.kernels);
-    let threads = req.threads.max(1);
-    // The executed DAG: the contracted coarse graph on several threads, or
-    // else the whole matrix as one node of every task. With a schedule the
-    // storage keeps the plan for the next run.
-    let plan =
-        match (req.graph, &req.schedule) {
-            (GraphRef::Coarse { graph, .. }, Some(schedule)) if threads > 1 => {
-                Some(bm.layout().range_plan(schedule, threads, || {
-                    RangePlan::new(bm, graph, schedule.priorities(), threads)
-                }))
-            }
-            (GraphRef::Coarse { graph, .. }, None) if threads > 1 => Some(Arc::new(
-                RangePlan::new(bm, graph, &graph.bottom_levels(), threads),
-            )),
-            _ => None,
-        };
-    let owner = |node: usize| plan.as_ref().map_or(0, |p| p.owner[node]);
+    // The executed DAG: the plan's nodes, or else the whole matrix as one
+    // node of every task.
+    let contracted;
+    let plan = match req.graph {
+        GraphRef::Planned(p) => {
+            let tasks = p.bounds[p.bounds.len() - 1];
+            assert_eq!(tasks, bm.num_tasks(), "a plan of another storage");
+            Some(p)
+        }
+        _ => {
+            contracted = RangePlan::contract(bm, req);
+            contracted.as_ref()
+        }
+    };
+    let owner = |node: usize| plan.map_or(0, |p| p.owner[node]);
     let whole = [0, bm.num_tasks()];
     let no_successor = [Vec::new()];
-    let mut exec = match (&plan, req.graph) {
-        (Some(p), GraphRef::Coarse { mapping, .. }) => ExecRequest {
+    let mut exec = match plan {
+        Some(p) => ExecRequest {
             task_bounds: Some(&p.bounds),
             schedule: Some(&p.schedule),
-            placement: mapping.placement(&owner),
-            threads,
+            placement: p.mapping.placement(&owner),
+            threads: p.threads,
             ..ExecRequest::new(&p.pred_counts, &p.successors)
         },
-        _ => ExecRequest {
+        None => ExecRequest {
             task_bounds: Some(&whole),
             ..ExecRequest::new(&[0], &no_successor)
         },
@@ -620,7 +660,7 @@ pub fn factor_numeric_with(
             return;
         }
         let mut begin = || steps.begin();
-        match plan.as_ref().map(|p| &p.nodes[node]) {
+        match plan.map(|p| &p.nodes[node]) {
             Some(PlanNode::Columns(cols)) => {
                 bodies.columns(cols.clone(), &mut begin);
             }
@@ -804,7 +844,8 @@ mod tests {
         /// reference holding the static words — on random forests of one to
         /// three trees, at 1/2/4/8 threads, under both mappings, over the
         /// graphs of both builders, on the static storage and on the wired
-        /// in-block one. When a pivot of the replay leaves its diagonal
+        /// in-block one, each plan contracted by the driver and then handed
+        /// in as a planned request. When a pivot of the replay leaves its diagonal
         /// block, every run on the in-block storage trips the wire instead.
         #[test]
         fn range_execution_is_bitwise_the_graph_replay(
@@ -850,9 +891,12 @@ mod tests {
                             }
                             let what =
                                 format!("{kind} threads={threads} {mapping:?} wired={wired}");
-                            for _ in 0..2 {
+                            // Contracted by the call, then handed in.
+                            let plan = RangePlan::contract(&bm, &req);
+                            let planned = plan.as_ref().map_or(req.clone(), NumericRequest::planned);
+                            for req in [&req, &planned] {
                                 bm.reset_from(&p, &structure);
-                                match factor_numeric_with(&bm, &req) {
+                                match factor_numeric_with(&bm, req) {
                                     Ok(report) => {
                                         proptest::prop_assert!(!tripped, "{} ran through", what);
                                         let n_tasks = report.stats.n_tasks;

@@ -6,9 +6,11 @@
 //! depends only on the sparsity pattern, while device- and
 //! circuit-simulation workloads change the numeric *values* every step. A
 //! [`SluSession`] caches all of the symbolic state (keyed by a pattern
-//! hash, [`pattern_hash`]) — on several threads also the task graph and
-//! its executor schedule; a one-thread session factors the whole matrix as
-//! one range and holds neither — and exposes:
+//! hash, [`pattern_hash`]) — on several threads also the range plan its
+//! numeric phase runs: the eforest task graph of the static lists,
+//! contracted over the held structure once at analysis (`crate::request`)
+//! and then dropped; a one-thread session factors the whole matrix as one
+//! range and holds no plan — and exposes:
 //!
 //! * [`SluSession::analyze`] — the symbolic half, run once per pattern;
 //! * [`SluSession::factor`] / [`SluSession::refactor`] — numeric-only: the
@@ -56,11 +58,11 @@
 
 use crate::blocks::{in_block_flags, realised_structure, seed_flags, BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
-use crate::request::{factor_numeric_with, NumericRequest};
+use crate::request::{factor_numeric_with, NumericRequest, RangePlan};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
 use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_obs::Counter;
-use splu_sched::{ExecSchedule, FactorHealth, RunBudget, TaskGraph};
+use splu_sched::{FactorHealth, RunBudget};
 use splu_sparse::{CscMatrix, SparsityPattern};
 use std::sync::Arc;
 
@@ -111,18 +113,18 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
 }
 
 /// A persistent solver session: cached symbolic analysis (plus, on several
-/// threads, task graph and executor schedule) for one sparsity pattern,
-/// with reusable numeric storage. The module docs of `session.rs` describe
-/// the lifecycle.
+/// threads, the range plan) for one sparsity pattern, with reusable numeric
+/// storage. The module docs of `session.rs` describe the lifecycle.
 pub struct SluSession {
     /// `sym.block_structure` is the structure of the storage: the in-block
     /// one, or the static one after a tripped wire.
     sym: SymbolicLu,
     /// `true` until a pivot leaves its block: the structure is the wired in-block one.
     realised: bool,
-    /// The task graph of the static structure and its schedule — held by
-    /// a session of several threads only.
-    graph: Option<(TaskGraph, Arc<ExecSchedule>)>,
+    /// The eforest graph of the static structure contracted over
+    /// `sym.block_structure` for `opts.threads` workers — held by a session
+    /// of several threads only.
+    plan: Option<RangePlan>,
     pattern_hash: u64,
     bm: Option<BlockMatrix>,
     /// Where each nonzero of the (original-order) input lands: its offset
@@ -142,10 +144,12 @@ pub struct SluSession {
 impl SluSession {
     /// Runs the full symbolic analysis for `pattern` and caches everything
     /// the numeric phase needs: permutations, supernode partition and
-    /// block lists — and, when `opts.threads > 1`, the eforest task graph
-    /// with its executor schedule (one thread factors the whole matrix as
-    /// one range: no graph is built) — then derives the in-block lists that
-    /// replace the static ones (phase `derive`). No storage is allocated.
+    /// block lists — then derives the in-block lists that replace the
+    /// static ones (phase `derive`). When `opts.threads > 1` it first
+    /// builds the eforest task graph of the static lists (phase
+    /// `graph_build`), and `derive` contracts it over the in-block lists
+    /// into the range plan the session holds; one thread factors the whole
+    /// matrix as one range and builds no graph. No storage is allocated.
     pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
         Self::analyze_inner(pattern, opts, None, false)
     }
@@ -176,22 +180,22 @@ impl SluSession {
         let mut sym = analyze_with(pattern, opts, &sreq)?;
         let graph = (opts.threads > 1).then(|| {
             let _p = obs.map(|o| o.phase("graph_build"));
-            let graph = sym.build_graph();
-            let schedule = Arc::new(ExecSchedule::for_graph(&graph));
-            (graph, schedule)
+            sym.build_graph()
         });
-        {
+        let plan = {
             let _p = obs.map(|o| o.phase("derive"));
             let (rows, cols, bs) = (&sym.row_perm, &sym.col_perm, &sym.block_structure);
             let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
             let (row_live, col_live) = in_block_flags(bs, seeds);
             sym.block_structure = Arc::new(realised_structure(bs, &row_live, &col_live));
-        }
+            let (bs, threads) = (&sym.block_structure, opts.threads);
+            graph.map(|g| RangePlan::new(bs, &g, None, threads, opts.mapping))
+        };
         Ok(SluSession {
             budget: opts.budget.clone(),
             sym,
             realised: true,
-            graph,
+            plan,
             pattern_hash: pattern_hash(pattern),
             bm: None,
             slots: Vec::new(),
@@ -260,8 +264,8 @@ impl SluSession {
     /// answers `a` through the static structure instead: these values may
     /// fill what the in-block storage lacks. The in-block storage goes
     /// before the static lists are rebuilt (phase `static_lists`) and the
-    /// static storage assembled. An observed run records which structure
-    /// answered.
+    /// static storage assembled; on several threads the static lists get
+    /// their plan. An observed run records which structure answered.
     fn run_or_fall_back(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
         let mut path = if self.realised {
             RefactorPath::Realised
@@ -271,10 +275,15 @@ impl SluSession {
         let mut outcome = self.run_numeric(obs);
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
             (self.bm, self.slots, self.realised) = (None, Vec::new(), false);
-            self.sym.block_structure = {
+            {
                 let _p = obs.map(|o| o.phase("static_lists"));
-                Arc::new(self.sym.static_lists(a.pattern()))
-            };
+                self.sym.block_structure = Arc::new(self.sym.static_lists(a.pattern()));
+                let (sym, threads) = (&self.sym, self.sym.opts.threads);
+                self.plan = (threads > 1).then(|| {
+                    let (bs, graph) = (&sym.block_structure, sym.build_graph());
+                    RangePlan::new(bs, &graph, None, threads, sym.opts.mapping)
+                });
+            }
             self.assemble(a, obs);
             path = RefactorPath::Fallback { column };
             outcome = self.run_numeric(obs);
@@ -352,13 +361,8 @@ impl SluSession {
         let bm = self.bm.as_ref().expect("storage assembled by the caller");
         let opts = &self.sym.opts;
         let numeric_phase = obs.map(|o| o.phase("numeric"));
-        let nreq = match &self.graph {
-            Some((graph, schedule)) => {
-                NumericRequest::coarse(graph, opts.mapping).schedule(Arc::clone(schedule))
-            }
-            None => NumericRequest::left_looking(),
-        };
-        let mut nreq = nreq
+        let (planned, plan) = (NumericRequest::planned, self.plan.as_ref());
+        let mut nreq = (plan.map_or_else(NumericRequest::left_looking, planned))
             .threads(opts.threads)
             .pivot_rule(opts.pivot_rule)
             .pivot_threshold(opts.pivot_threshold)
@@ -494,19 +498,6 @@ impl SluSession {
         &self.sym.opts
     }
 
-    /// The cached task graph of the static structure — held on several
-    /// threads only (`None` at one thread, where the whole matrix is one
-    /// range and no graph is built).
-    pub fn graph(&self) -> Option<&TaskGraph> {
-        self.graph.as_ref().map(|(graph, _)| graph)
-    }
-
-    /// The cached executor schedule of [`Self::graph`] (shared with every
-    /// factorization), under the same condition.
-    pub fn schedule(&self) -> Option<&Arc<ExecSchedule>> {
-        self.graph.as_ref().map(|(_, schedule)| schedule)
-    }
-
     /// Resident bytes this session holds, counted from the lengths of the
     /// arrays that hold them: the block storage (one buffer per block
     /// column, the pivots, the index maps), the slots (4 bytes per input
@@ -514,9 +505,9 @@ impl SluSession {
     /// [`crate::SparseLu`] keeps none), and the symbolic state — the row,
     /// column and block lists and partition of the one structure it holds
     /// (the in-block one, or the static one a fallback rebuilt; the storage
-    /// shares it), the two permutations with their inverses, and the task
-    /// graph with its schedule while one is held (no scalar `L̄`/`Ū` exists
-    /// to count). This is the quantity a session
+    /// shares it), the two permutations with their inverses, and the range
+    /// plan while one is held (no scalar `L̄`/`Ū` exists to count). This is
+    /// the quantity a session
     /// pool budgets and evicts on; it intentionally counts only per-session
     /// state, not transient factorization workspace.
     pub fn resident_bytes(&self) -> u64 {
@@ -527,13 +518,10 @@ impl SluSession {
             .sum();
         let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
         let symbolic = lists + bs.partition.heap_bytes() + rows.heap_bytes() + cols.heap_bytes();
-        // The task graph, and a priority per task for the schedule.
-        let graph = self.graph.as_ref().map_or(0, |(graph, schedule)| {
-            graph.heap_bytes() + std::mem::size_of_val(schedule.priorities()) as u64
-        });
+        let plan = self.plan.as_ref().map_or(0, RangePlan::bytes);
         let numeric = self.bm.as_ref().map_or(0, BlockMatrix::resident_bytes);
         let slots = std::mem::size_of_val(&self.slots[..]) as u64;
-        symbolic + graph + numeric + slots
+        symbolic + plan + numeric + slots
     }
 
     /// `true` while the session holds the in-block structure (the storage
@@ -577,6 +565,8 @@ impl SluSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::column_model;
+    use splu_sched::{Task, TaskGraph};
     use splu_sparse::relative_residual;
 
     fn random_matrix(n: usize, extra: usize, seed: u64) -> CscMatrix {
@@ -801,6 +791,82 @@ mod tests {
         let (x, iters) = s.solve_refined(&a, &b, 1e-15, 4).unwrap();
         assert!(iters <= 4);
         assert!(relative_residual(&a, &x, &b) < 1e-13);
+    }
+
+    /// What the contraction reads, derived from the laid-out storage instead
+    /// of the block lists: per column the model flops of its stored tasks
+    /// and its parent (the first column it updates, when it has rows
+    /// below), and its first task. Checks that `block_nonzero` names
+    /// exactly the updates of `graph` the storage holds.
+    fn model_of(lay: &Layout, graph: &TaskGraph) -> (Vec<f64>, Vec<Option<usize>>, Vec<usize>) {
+        use crate::numeric::factor_flops;
+        let nb = lay.structure().num_blocks();
+        let (mut flops, mut parent) = (vec![0.0f64; nb], vec![None; nb]);
+        for j in 0..nb {
+            let w = lay.width(j);
+            flops[j] = factor_flops(w + lay.rows_below(j), w) as f64;
+            for u in lay.updates(j) {
+                let k = u.src();
+                flops[j] += crate::costs::update_flops(lay.width(k), lay.rows_below(k), u.ncols());
+                if parent[k].is_none() && lay.rows_below(k) > 0 {
+                    parent[k] = Some(j);
+                }
+            }
+        }
+        for task in graph.tasks() {
+            if let Task::Update { src, dst } = *task {
+                let stored = lay.updates(dst).iter().any(|u| u.src() == src);
+                assert_eq!(lay.structure().block_nonzero(src, dst), stored, "{task}");
+            }
+        }
+        (flops, parent, (0..=nb).map(|j| lay.task_start(j)).collect())
+    }
+
+    /// The plan a session holds at 2 and 4 threads is, node for node, the
+    /// one `factor_numeric_with` contracts for a coarse request over the
+    /// eforest graph of the static structure on the session's storage —
+    /// with or without the graph's schedule: over the in-block lists after
+    /// analysis, over the static ones after a fallback. A one-thread session
+    /// holds none, and `resident_bytes` charges a plan's bytes exactly.
+    #[test]
+    fn a_session_holds_the_plan_the_driver_contracts() -> Result<(), LuError> {
+        use splu_sched::{build_eforest_graph, ExecSchedule, Mapping};
+        let suite = splu_matgen::paper_suite(splu_matgen::Scale::Reduced);
+        let cross = ("cross_block_pivots", splu_matgen::cross_block_pivots(90, 2));
+        for (name, a) in (suite.into_iter().map(|m| (m.name, m.a))).chain([cross]) {
+            let static_bs = crate::analyze(a.pattern(), &Options::default())?.block_structure;
+            let graph = build_eforest_graph(&static_bs);
+            let schedule = Arc::new(ExecSchedule::for_graph(&graph));
+            let mut one = SluSession::analyze(a.pattern(), &Options::default())?;
+            one.factor(&a)?;
+            assert!(one.plan.is_none(), "{name}");
+            for (threads, mapping) in [(2, Mapping::Static1D), (4, Mapping::Dynamic)] {
+                let opts = Options {
+                    threads,
+                    mapping,
+                    ..Options::default()
+                };
+                let mut s = SluSession::analyze(a.pattern(), &opts)?;
+                s.factor(&a)?;
+                let (bm, what) = (s.bm.as_ref().unwrap(), format!("{name} threads={threads}"));
+                let falls_back = name == "cross_block_pivots";
+                assert_eq!(s.is_realised(), !falls_back, "{what}");
+                if falls_back {
+                    assert_eq!(bm.layout().structure(), &*static_bs, "{what}");
+                }
+                let model = column_model(bm.layout().structure());
+                assert_eq!(model_of(bm.layout(), &graph), model, "{what}");
+                let held = s.plan.as_ref().expect("several threads hold a plan");
+                let req = NumericRequest::coarse(&graph, mapping).threads(threads);
+                for req in [req.clone(), req.schedule(Arc::clone(&schedule))] {
+                    let plan = RangePlan::contract(bm, &req);
+                    assert_eq!(plan.as_ref(), Some(held), "{what}");
+                }
+                let extra = s.resident_bytes() - one.resident_bytes();
+                assert_eq!(extra, held.bytes(), "{what}");
+            }
+        }
+        Ok(())
     }
 
     #[test]

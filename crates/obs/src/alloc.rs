@@ -3,23 +3,31 @@
 //! Install [`CountingAlloc`] as the binary's `#[global_allocator]` (the
 //! `parsplu` CLI does this behind the `alloc-track` feature) and
 //! [`heap_stats`] reports live and high-water heap bytes and counts the
-//! allocations; the driver
-//! resets the high-water mark at each phase boundary to attribute peaks
-//! per phase. When no counting allocator is installed, [`heap_stats`]
-//! returns `None` and the whole module costs nothing.
+//! allocations; the driver resets the high-water mark at each phase
+//! boundary to attribute peaks per phase. [`thread_heap_stats`] reads the
+//! calling thread's own live and high-water bytes, which other threads do
+//! not move. When no counting allocator is installed, both return `None`
+//! and the whole module costs nothing.
 //!
 //! The counters are relaxed atomics on the allocation path — three adds
-//! and a `fetch_max` per allocation — which is measurable but small next to
-//! the allocation itself; that is why installation is opt-in rather than
-//! default.
+//! and a `fetch_max` per allocation, and a thread-local cell — which is
+//! measurable but small next to the allocation itself; that is why
+//! installation is opt-in rather than default.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// This thread's live bytes and their high-water mark. `const` and
+    /// without a destructor: the allocator reaches it without allocating.
+    static THREAD: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+}
 
 /// Live and high-water heap byte counts from the counting allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +54,35 @@ pub fn heap_stats() -> Option<HeapStats> {
     })
 }
 
+/// The calling thread's heap counts from the counting allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadHeapStats {
+    /// Bytes this thread allocated less the bytes it freed (a block counts
+    /// against the thread that frees it, so this may be negative).
+    pub current_bytes: i64,
+    /// High-water mark of `current_bytes` since the thread started or its
+    /// last [`reset_heap_peak`].
+    pub peak_bytes: i64,
+}
+
+/// The calling thread's counters, or `None` when no [`CountingAlloc`] is
+/// installed as the global allocator.
+pub fn thread_heap_stats() -> Option<ThreadHeapStats> {
+    let (current_bytes, peak_bytes) = THREAD.with(Cell::get);
+    let stats = ThreadHeapStats {
+        current_bytes,
+        peak_bytes,
+    };
+    INSTALLED.load(Ordering::Relaxed).then_some(stats)
+}
+
 /// Resets the high-water mark to the current live size, so the next
 /// [`heap_stats`] reports the peak *since this call* — the per-phase
-/// attribution primitive. No-op without a counting allocator.
+/// attribution primitive — and likewise the calling thread's in
+/// [`thread_heap_stats`]. No-op without a counting allocator.
 pub fn reset_heap_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+    THREAD.with(|t| t.set((t.get().0, t.get().0)));
 }
 
 /// A counting wrapper over the system allocator. Install with
@@ -68,11 +100,16 @@ impl CountingAlloc {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         let now = CURRENT.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         PEAK.fetch_max(now, Ordering::Relaxed);
+        let _ = THREAD.try_with(|t| {
+            let now = t.get().0 + size as i64;
+            t.set((now, t.get().1.max(now)));
+        });
     }
 
     #[inline]
     fn on_dealloc(size: usize) {
         CURRENT.fetch_sub(size as u64, Ordering::Relaxed);
+        let _ = THREAD.try_with(|t| t.set((t.get().0 - size as i64, t.get().1)));
     }
 }
 
@@ -124,5 +161,6 @@ mod tests {
         assert_eq!(heap_stats(), None);
         reset_heap_peak();
         assert_eq!(heap_stats(), None);
+        assert_eq!(thread_heap_stats(), None);
     }
 }

@@ -26,6 +26,8 @@ pub mod alloc;
 pub mod metrics;
 pub mod span;
 
-pub use alloc::{heap_stats, reset_heap_peak, CountingAlloc, HeapStats};
+pub use alloc::{
+    heap_stats, reset_heap_peak, thread_heap_stats, CountingAlloc, HeapStats, ThreadHeapStats,
+};
 pub use metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 pub use span::{PipelineTrace, SpanEvent, SpanGuard};

@@ -86,18 +86,6 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    /// Bytes the graph holds on the heap, at the capacities its vectors
-    /// grew to while it was built (a successor list with one edge holds
-    /// the allocator's smallest vector, four words).
-    pub fn heap_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let lists: usize = self.succ.iter().map(Vec::capacity).sum();
-        let words = lists + self.pred_count.capacity() + self.factor_ids.capacity();
-        (self.tasks.capacity() * size_of::<Task>()
-            + self.succ.capacity() * size_of::<Vec<usize>>()
-            + words * size_of::<usize>()) as u64
-    }
-
     /// Number of dependence edges.
     pub fn num_edges(&self) -> usize {
         self.succ.iter().map(Vec::len).sum()

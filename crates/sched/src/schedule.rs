@@ -2,10 +2,10 @@
 //!
 //! The worker loop prefers the ready node of highest priority — by
 //! default its unit bottom level, the longest dependence path from it to
-//! a sink. That depends on the graph only, so a solver session on several
-//! threads computes it once per analysis as an [`ExecSchedule`] and
-//! attaches it to every [`crate::ExecRequest`], skipping the per-run
-//! sweep (the numeric layer ranks the nodes of its range plan by it).
+//! a sink. That depends on the graph only, so a caller that runs one DAG
+//! many times keeps it as an [`ExecSchedule`] and attaches it to every
+//! [`crate::ExecRequest`], skipping the per-run sweep (the numeric layer's
+//! range plan holds one: per node, its tasks' highest bottom level).
 //!
 //! A request that [`crate::ExecRequest::runs_inline`] — one worker, no
 //! watchdog — is replayed **inline on the calling thread**

@@ -53,9 +53,9 @@ fn analysis_never_holds_the_filled_structure() {
     // analysis is the plain one plus the derivation of the in-block lists,
     // a few arrays whatever the size — no task graph, no schedule, not even
     // transiently — and it holds the in-block lists in place of the static
-    // ones, which are no smaller. Two threads add the graph and its
-    // schedule. Either way the session's own estimate must be the right
-    // size for a pool to budget on.
+    // ones, which are no smaller. Two threads add the range plan contracted
+    // from the task graph, which they drop. Either way the session's own
+    // estimate must be the right size for a pool to budget on.
     for (name, a) in [("mesh40x40", &mesh), ("goodwin", &goodwin)] {
         let heap = |threads: usize| {
             let (before, allocations) = (live_bytes(), heap_stats().unwrap().allocations);
@@ -94,7 +94,7 @@ fn analysis_never_holds_the_filled_structure() {
         let (allocations, live_two, estimate) = heap(2);
         assert!(
             allocations > plain.0 && live_two > live,
-            "{name}: two threads hold a graph"
+            "{name}: two threads hold a plan"
         );
         assert!(
             live_two * 9 / 10 <= estimate && estimate <= live_two * 11 / 10,

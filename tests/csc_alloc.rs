@@ -6,23 +6,28 @@
 //! as the generators build them, as the Matrix Market reader reads the
 //! writer's file and as a clone copies them.
 //!
-//! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global live-byte counter.
+//! This file installs the counting allocator for its whole test binary.
+//! Each window runs on one thread and reads that thread's live bytes, so
+//! what the harness's other threads allocate meanwhile does not count.
 
 use parsplu::matgen::{fem2d_unsymmetric, paper_matrix, Scale};
-use parsplu::obs::{heap_stats, CountingAlloc};
+use parsplu::obs::{thread_heap_stats, CountingAlloc};
 use parsplu::sparse::io::{format_matrix_market, parse_matrix_market};
 use parsplu::sparse::CscMatrix;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `f`'s result and the live bytes it leaves behind.
+/// `f`'s result and the live bytes it leaves behind on this thread.
 fn live_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = heap_stats().expect("allocator installed").current_bytes;
+    let live = || {
+        thread_heap_stats()
+            .expect("allocator installed")
+            .current_bytes
+    };
+    let before = live();
     let out = f();
-    (out, heap_stats().unwrap().current_bytes - before)
+    (out, (live() - before) as u64)
 }
 
 /// `make`'s matrix, as built, as read back from the writer's file and as

@@ -56,7 +56,9 @@ fn write_then_cli_style_read_of_every_generator() {
         "sherman3", "sherman5", "lnsp3937", "lns3937", "orsreg1", "saylr4", "goodwin",
     ] {
         let a = paper_matrix(name, Scale::Reduced).unwrap();
-        let path = tmp(name);
+        // Not `tmp(name)`: the saylr4 round trip above runs concurrently
+        // and removes its file.
+        let path = tmp(&format!("every_{name}"));
         write_matrix_market(&a, &path).unwrap();
         let a2 = read_matrix_market(&path).unwrap();
         assert_eq!(a.nnz(), a2.nnz(), "{name}");

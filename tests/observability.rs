@@ -145,10 +145,11 @@ fn counted_kernel_flops_match_the_cost_model_on_the_suite() {
             1,
             "{name}"
         );
-        // The session's graph is the static structure's, built at analysis.
+        // The session's plan is contracted from the static structure's
+        // graph, built at analysis.
         let static_sym = analyze(m.a.pattern(), &opts).unwrap();
         let (sym, static_bs) = (lu.symbolic(), &static_sym.block_structure);
-        let graph = lu.session().graph().expect("two threads build a graph");
+        let graph = &static_sym.build_graph();
         assert_counted_is_the_model(&session, &sym.block_structure, graph, name);
         let static_model = total_flops(&estimate_task_costs(static_bs, graph));
         let speculated = total_flops(&estimate_task_costs(&sym.block_structure, graph));
@@ -513,7 +514,7 @@ fn observed_one_thread_runs_are_the_unobserved_run_with_a_recorder() {
     }
 }
 
-/// An event session of a one-thread run — one range, no graph held:
+/// An event session of a one-thread run — one range, no plan held:
 /// exactly one labelled `Task` event per task on the one worker track, in
 /// the left-looking order, back to back, inside the driver's `numeric` span
 /// on the shared epoch.
@@ -546,7 +547,6 @@ fn event_session_records_one_task_event_per_task_in_replay_order() {
         .iter()
         .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("task"))
         .collect();
-    assert!(s.graph().is_none() && s.schedule().is_none());
     let want: Vec<String> = (s.block_matrix().unwrap().tasks())
         .map(|t| t.to_string())
         .collect();
