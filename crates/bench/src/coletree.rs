@@ -68,7 +68,7 @@ pub fn cholesky_column_structures(pattern: &SparsityPattern) -> Vec<Vec<usize>> 
             }
         }
         for &c in forest.children(j) {
-            for &i in &cols[c] {
+            for &i in &cols[c as usize] {
                 if i > j && mark[i] != j {
                     mark[i] = j;
                     s.push(i);

@@ -128,7 +128,8 @@ impl FineGraph {
 
     /// Longest path in tasks (unit weights).
     pub fn critical_path_len(&self) -> usize {
-        bottom_levels(&self.pred_count, &self.succ, |_| 1.0, |_, _| 0.0)
+        let successors = |t: usize| self.succ[t].iter().copied();
+        bottom_levels(self.pred_count.clone(), successors, |_| 1.0, |_, _| 0.0)
             .into_iter()
             .fold(0.0, f64::max) as usize
     }

@@ -88,23 +88,22 @@ impl Ord for Key {
     }
 }
 
-/// Weighted bottom levels of a DAG given as in-degrees plus successor lists:
-/// `level(t) = time_of(t) + max over successors s of (level(s) +
-/// edge_latency(t, s))`, by one reverse sweep over a Kahn order. Panics on
-/// a cycle.
-pub(crate) fn bottom_levels(
-    pred_counts: &[usize],
-    successors: &[Vec<usize>],
+/// Weighted bottom levels of a DAG given as in-degrees plus a successor
+/// iterator per node: `level(t) = time_of(t) + max over successors s of
+/// (level(s) + edge_latency(t, s))`, by one reverse sweep over a Kahn
+/// order. Panics on a cycle.
+pub(crate) fn bottom_levels<I: IntoIterator<Item = usize>>(
+    mut indeg: Vec<usize>,
+    successors: impl Fn(usize) -> I,
     time_of: impl Fn(usize) -> f64,
     edge_latency: impl Fn(usize, usize) -> f64,
 ) -> Vec<f64> {
-    let n = pred_counts.len();
-    let mut indeg = pred_counts.to_vec();
+    let n = indeg.len();
     let mut queue: VecDeque<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(t) = queue.pop_front() {
         order.push(t);
-        for &s in &successors[t] {
+        for s in successors(t) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 queue.push_back(s);
@@ -115,12 +114,26 @@ pub(crate) fn bottom_levels(
     let mut level = vec![0.0_f64; n];
     for &t in order.iter().rev() {
         let mut best = 0.0_f64;
-        for &s in &successors[t] {
+        for s in successors(t) {
             best = best.max(level[s] + edge_latency(t, s));
         }
         level[t] = best + time_of(t);
     }
     level
+}
+
+/// In-degree of every task of `graph`.
+fn in_degrees(graph: &TaskGraph) -> Vec<usize> {
+    let mut indeg = vec![0usize; graph.len()];
+    for &s in graph.edges().row_indices() {
+        indeg[s as usize] += 1;
+    }
+    indeg
+}
+
+/// Successor ids of task `t` of `graph`.
+fn successors(graph: &TaskGraph, t: usize) -> impl Iterator<Item = usize> + '_ {
+    graph.successors(t).iter().map(|&s| s as usize)
 }
 
 /// Simulates list-scheduled execution of `graph` on `nprocs` virtual
@@ -149,7 +162,7 @@ pub fn simulate(
         time
     };
 
-    let mut indeg: Vec<usize> = graph.pred_counts().to_vec();
+    let mut indeg = in_degrees(graph);
     let mut ready_time = vec![0.0_f64; graph.len()];
     let mut proc_free = vec![0.0_f64; nprocs];
     let mut heap: BinaryHeap<Reverse<Key>> = (0..graph.len())
@@ -186,7 +199,7 @@ pub fn simulate(
         busy[proc] += time;
         total_work += time;
         makespan = makespan.max(finish);
-        for &s in graph.successors(t) {
+        for s in successors(graph, t) {
             // A successor homed on another processor learns of this
             // completion only after the messaging latency.
             let visible = if costs[s].dst_col % nprocs != home && nprocs > 1 {
@@ -248,8 +261,8 @@ pub fn simulate_static_order(
     // Priorities: longest time-to-sink — the executor's bottom levels,
     // weighted by task time and cross-processor latency.
     let priority = bottom_levels(
-        graph.pred_counts(),
-        graph.successor_lists(),
+        in_degrees(graph),
+        |t| successors(graph, t),
         time_of,
         |t, s| {
             if owner(s) != owner(t) && nprocs > 1 {
@@ -261,7 +274,7 @@ pub fn simulate_static_order(
     );
 
     // Inspector: global topological order, most-urgent ready task first.
-    let mut indeg: Vec<usize> = graph.pred_counts().to_vec();
+    let mut indeg = in_degrees(graph);
     let mut heap: BinaryHeap<Key> = (0..graph.len())
         .filter(|&t| indeg[t] == 0)
         .map(|t| Key(priority[t], t))
@@ -269,7 +282,7 @@ pub fn simulate_static_order(
     let mut schedule: Vec<usize> = Vec::with_capacity(graph.len());
     while let Some(Key(_, t)) = heap.pop() {
         schedule.push(t);
-        for &s in graph.successors(t) {
+        for s in successors(graph, t) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 heap.push(Key(priority[s], s));
@@ -284,18 +297,14 @@ pub fn simulate_static_order(
     let mut busy = vec![0.0_f64; nprocs];
     let mut total_work = 0.0;
     let mut makespan = 0.0_f64;
-    // Dependence constraints must be looked up from predecessors; gather
-    // reverse edges once.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); graph.len()];
-    for t in 0..graph.len() {
-        for &s in graph.successors(t) {
-            preds[s].push(t);
-        }
-    }
+    // Dependence constraints must be looked up from predecessors: column
+    // `t` of the transposed edges.
+    let preds = graph.edges().transpose();
     for &t in &schedule {
         let p = owner(t);
         let mut ready = proc_free[p];
-        for &q in &preds[t] {
+        for &q in preds.col(t) {
+            let q = q as usize;
             let lat = if owner(q) != p && nprocs > 1 {
                 model.edge_latency
             } else {

@@ -17,6 +17,7 @@ use crate::blocks::BlockMatrix;
 use crate::solve::{backward_diagonal, forward_column};
 use parking_lot::Mutex;
 use splu_sched::{run, ExecRequest};
+use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
 
 /// Right-hand side sharded by block row.
@@ -60,18 +61,12 @@ pub fn solve_permuted_parallel(
     // Dependences: child → parent, derived from each column's first
     // off-diagonal Ū entry exactly like the forest builder.
     let forest = splu_sched::block_forest(bs);
-    let mut fwd_succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    let mut fwd_pred = vec![0usize; nb];
-    for k in 0..nb {
-        if let Some(p) = forest.parent(k) {
-            fwd_succ[k].push(p);
-            fwd_pred[p] += 1;
-        }
-    }
+    let to_parent = (0..nb).filter_map(|k| forest.parent(k).map(|p| (p, k)));
+    let fwd = SparsityPattern::from_entries(nb, nb, to_parent).expect("block ids");
     let shards = Shards::scatter(b, bs);
     let forward = ExecRequest {
         threads: nthreads,
-        ..ExecRequest::new(&fwd_pred, &fwd_succ)
+        ..ExecRequest::of(&fwd)
     };
     let block_of = part.block_of_cols();
     // (block row, row inside its segment) of a global row.
@@ -124,36 +119,18 @@ pub fn solve_permuted_parallel(
     // schedule-dependent. We therefore chain, per destination segment, all
     // its source columns in descending order — exactly the sequential
     // sweep's order — keeping the result bit-identical while still running
-    // independent destinations in parallel.
-    let mut bwd_succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    let mut bwd_pred = vec![0usize; nb];
-    {
-        // Sources per destination block row, ascending; chain descending.
-        let mut sources: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for j in 0..nb {
-            for (ib, _) in bm.sources(j) {
-                sources[ib].push(j);
-            }
-        }
-        for (ib, srcs) in sources.iter().enumerate() {
-            // srcs is ascending; iterate descending.
-            let mut prev: Option<usize> = None;
-            for &j in srcs.iter().rev() {
-                if let Some(p) = prev {
-                    bwd_succ[p].push(j);
-                    bwd_pred[j] += 1;
-                }
-                prev = Some(j);
-            }
-            if let Some(last) = prev {
-                bwd_succ[last].push(ib);
-                bwd_pred[ib] += 1;
-            }
-        }
-    }
+    // independent destinations in parallel. The sources of block row `ib`
+    // are the columns of its `Ū` blocks, ascending after `ib` itself: each
+    // precedes the one before it, and the lowest precedes `ib`.
+    let u = &bs.u_blocks;
+    let chains = (0..nb).flat_map(|ib| {
+        let row = u.col(ib);
+        (0..row.len() - 1).map(move |t| (row[t] as usize, row[t + 1] as usize))
+    });
+    let bwd = SparsityPattern::from_entries(nb, nb, chains).expect("block ids");
     let backward = ExecRequest {
         threads: nthreads,
-        ..ExecRequest::new(&bwd_pred, &bwd_succ)
+        ..ExecRequest::of(&bwd)
     };
     run(&backward, |k, _| {
         let col = bm.column(k).read();

@@ -41,6 +41,7 @@ use splu_sched::{
     block_forest, run, CancelToken, ExecReport, ExecRequest, ExecSchedule, Interrupt, Mapping,
     RunBudget, Task, TaskGraph, TraceConfig,
 };
+use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
 use std::mem::size_of;
 use std::ops::Range;
@@ -343,8 +344,8 @@ pub struct RangePlan {
     nodes: Vec<PlanNode>,
     /// Node `t` runs tasks `bounds[t]..bounds[t + 1]` of the storage.
     bounds: Vec<usize>,
-    pred_counts: Vec<usize>,
-    successors: Vec<Vec<usize>>,
+    /// Column `t` lists the nodes that follow node `t`, ascending.
+    edges: SparsityPattern,
     /// Per node, its tasks' highest priority.
     schedule: ExecSchedule,
     /// Per node, its worker under [`Mapping::Static1D`].
@@ -446,34 +447,34 @@ impl RangePlan {
             walk.push(graph.factor_id(j));
         }
 
-        // Edges between nodes, once each, walking the tasks in node order;
-        // a node's priority is its tasks' highest (a range's are at its
-        // factors: each update precedes a factor of its column).
+        // Edges between nodes, walking the tasks in node order (the
+        // pattern merges repeats); a node's priority is its tasks' highest
+        // (a range's are at its factors: each update precedes a factor of
+        // its column).
         let nn = nodes.len();
-        let (mut pred_counts, mut successors) = (vec![0usize; nn], vec![Vec::new(); nn]);
-        let (mut prio, mut seen) = (vec![0u64; nn], vec![usize::MAX; nn]);
+        let (mut prio, mut edges) = (vec![0u64; nn], Vec::new());
         for &t in &walk {
             let a = node_of[t];
             prio[a] = prio[a].max(priority[t]);
             for &s in graph.successors(t) {
-                let b = match node_of[s] {
+                let b = match node_of[s as usize] {
                     // An update inside a range (where the factor is too).
-                    usize::MAX => node_of[graph.factor_id(graph.task(s).home_column())],
+                    usize::MAX => node_of[graph.factor_id(graph.task(s as usize).home_column())],
                     b => b,
                 };
-                if b == a || seen[b] == a {
-                    continue;
+                if b != a {
+                    assert!(
+                        a < b,
+                        "{} reaches back into node {b}: a contracted task set is not convex",
+                        graph.task(t)
+                    );
+                    edges.push((b, a));
                 }
-                assert!(
-                    a < b,
-                    "{} reaches back into node {b}: a contracted task set is not convex",
-                    graph.task(t)
-                );
-                seen[b] = a;
-                successors[a].push(b);
-                pred_counts[b] += 1;
             }
         }
+        let edges = SparsityPattern::from_entries(nn, nn, edges).expect("node ids");
+        nodes.shrink_to_fit();
+        bounds.shrink_to_fit();
 
         // Owners: a task goes with its column (`j mod P`), a range — the
         // largest first — to the least loaded worker.
@@ -501,8 +502,7 @@ impl RangePlan {
         RangePlan {
             nodes,
             bounds,
-            pred_counts,
-            successors,
+            edges,
             schedule,
             owner,
             mapping,
@@ -524,12 +524,10 @@ impl RangePlan {
 
     /// Bytes the plan holds, its vectors counted at capacity.
     pub(crate) fn bytes(&self) -> u64 {
-        let lists: usize = self.successors.iter().map(Vec::capacity).sum();
-        let words = lists + self.bounds.capacity() + self.pred_counts.capacity();
         (self.nodes.capacity() * size_of::<PlanNode>()
-            + self.successors.capacity() * size_of::<Vec<usize>>()
-            + (words + self.owner.capacity()) * size_of::<usize>()
+            + (self.bounds.capacity() + self.owner.capacity()) * size_of::<usize>()
             + self.schedule.len() * size_of::<u64>()) as u64
+            + self.edges.heap_bytes()
     }
 }
 
@@ -605,18 +603,17 @@ pub fn factor_numeric_with(
     };
     let owner = |node: usize| plan.map_or(0, |p| p.owner[node]);
     let whole = [0, bm.num_tasks()];
-    let no_successor = [Vec::new()];
     let mut exec = match plan {
         Some(p) => ExecRequest {
             task_bounds: Some(&p.bounds),
             schedule: Some(&p.schedule),
             placement: p.mapping.placement(&owner),
             threads: p.threads,
-            ..ExecRequest::new(&p.pred_counts, &p.successors)
+            ..ExecRequest::of(&p.edges)
         },
         None => ExecRequest {
             task_bounds: Some(&whole),
-            ..ExecRequest::new(&[0], &no_successor)
+            ..ExecRequest::new(&[0, 0], &[])
         },
     };
     exec.trace = req.trace;
@@ -826,7 +823,7 @@ mod tests {
     fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph) -> Result<(), LuError> {
         let kernels = Dispatch::resolve(KernelChoice::Auto);
         let bodies = TaskBodies::new(bm, PivotRule::Partial, 0.0, PanelBreakdown::Error, &kernels);
-        let exec = ExecRequest::new(graph.pred_counts(), graph.successor_lists());
+        let exec = ExecRequest::of(graph.edges());
         run(&exec, |t, _| {
             if !bodies.failed() {
                 bodies.task(graph.task(t), &mut || true);

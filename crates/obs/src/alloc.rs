@@ -5,9 +5,9 @@
 //! [`heap_stats`] reports live and high-water heap bytes and counts the
 //! allocations; the driver resets the high-water mark at each phase
 //! boundary to attribute peaks per phase. [`thread_heap_stats`] reads the
-//! calling thread's own live and high-water bytes, which other threads do
-//! not move. When no counting allocator is installed, both return `None`
-//! and the whole module costs nothing.
+//! calling thread's own live and high-water bytes and allocation count,
+//! which other threads do not move. When no counting allocator is
+//! installed, both return `None` and the whole module costs nothing.
 //!
 //! The counters are relaxed atomics on the allocation path — three adds
 //! and a `fetch_max` per allocation, and a thread-local cell — which is
@@ -24,9 +24,10 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
-    /// This thread's live bytes and their high-water mark. `const` and
-    /// without a destructor: the allocator reaches it without allocating.
-    static THREAD: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// This thread's live bytes, their high-water mark and its allocation
+    /// count. `const` and without a destructor: the allocator reaches it
+    /// without allocating.
+    static THREAD: Cell<(i64, i64, u64)> = const { Cell::new((0, 0, 0)) };
 }
 
 /// Live and high-water heap byte counts from the counting allocator.
@@ -63,15 +64,18 @@ pub struct ThreadHeapStats {
     /// High-water mark of `current_bytes` since the thread started or its
     /// last [`reset_heap_peak`].
     pub peak_bytes: i64,
+    /// Allocations (and growing reallocations) this thread made.
+    pub allocations: u64,
 }
 
 /// The calling thread's counters, or `None` when no [`CountingAlloc`] is
 /// installed as the global allocator.
 pub fn thread_heap_stats() -> Option<ThreadHeapStats> {
-    let (current_bytes, peak_bytes) = THREAD.with(Cell::get);
+    let (current_bytes, peak_bytes, allocations) = THREAD.with(Cell::get);
     let stats = ThreadHeapStats {
         current_bytes,
         peak_bytes,
+        allocations,
     };
     INSTALLED.load(Ordering::Relaxed).then_some(stats)
 }
@@ -82,7 +86,7 @@ pub fn thread_heap_stats() -> Option<ThreadHeapStats> {
 /// [`thread_heap_stats`]. No-op without a counting allocator.
 pub fn reset_heap_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-    THREAD.with(|t| t.set((t.get().0, t.get().0)));
+    THREAD.with(|t| t.set((t.get().0, t.get().0, t.get().2)));
 }
 
 /// A counting wrapper over the system allocator. Install with
@@ -102,14 +106,14 @@ impl CountingAlloc {
         PEAK.fetch_max(now, Ordering::Relaxed);
         let _ = THREAD.try_with(|t| {
             let now = t.get().0 + size as i64;
-            t.set((now, t.get().1.max(now)));
+            t.set((now, t.get().1.max(now), t.get().2 + 1));
         });
     }
 
     #[inline]
     fn on_dealloc(size: usize) {
         CURRENT.fetch_sub(size as u64, Ordering::Relaxed);
-        let _ = THREAD.try_with(|t| t.set((t.get().0 - size as i64, t.get().1)));
+        let _ = THREAD.try_with(|t| t.set((t.get().0 - size as i64, t.get().1, t.get().2)));
     }
 }
 

@@ -1,9 +1,10 @@
 //! The DAG executor — the RAPID substitute (DESIGN.md §5): one entry
 //! point, [`run`], over one worker loop.
 //!
-//! An [`ExecRequest`] names everything a run depends on: the DAG
-//! (in-degrees plus successor lists — a [`TaskGraph`](crate::TaskGraph), a
-//! contracted range plan and ad-hoc slices are all viewed this way), how
+//! An [`ExecRequest`] names everything a run depends on: the DAG (the two
+//! arrays of a successor pattern — a [`TaskGraph`](crate::TaskGraph)'s
+//! edges, a contracted range plan's and ad-hoc slices are all viewed this
+//! way; in-degrees are counted where a run needs them), how
 //! many tasks each of its nodes holds, an optional cached
 //! [`ExecSchedule`], the worker count, the [`Placement`] of ready tasks,
 //! the [`TraceConfig`] and the [`RunBudget`]. Every phase that schedules
@@ -76,12 +77,13 @@
 //! enforcement latency is bounded by the longest single task.
 
 use crate::control::{RunBudget, Supervisor};
-use crate::graph::{bottom_levels, topo_order};
+use crate::graph::{bottom_levels, in_degrees, topo_order};
 use crate::schedule::{one_worker_order, replay_inline, ExecSchedule, Ready};
 use crate::sync::{AtomicUsize, Gate, Mutex, Ordering, Park};
 use crate::trace::{
     assemble_report, EventKind, ExecReport, TaskPanic, TraceConfig, TraceEvent, WorkerRecorder,
 };
+use splu_sparse::SparsityPattern;
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -133,10 +135,11 @@ static UNBOUNDED: RunBudget = RunBudget {
 /// [`ExecRequest::new`] and override fields with struct-update syntax.
 #[derive(Clone, Copy)]
 pub struct ExecRequest<'a> {
-    /// In-degree of each node; its length is the node count.
-    pub pred_counts: &'a [usize],
-    /// Successor ids of each node.
-    pub successors: &'a [Vec<usize>],
+    /// Successor pointers, one more than there are nodes: node `t`
+    /// precedes `successors[succ_ptr[t]..succ_ptr[t + 1]]`.
+    pub succ_ptr: &'a [usize],
+    /// Successor ids of all nodes, node after node.
+    pub successors: &'a [u32],
     /// The tasks of each node: node `t` runs tasks `b[t]..b[t + 1]` of
     /// `Some(b)` (non-decreasing from `b[0] = 0`, one entry more than there
     /// are nodes; a node may hold none), and its runner announces each
@@ -157,11 +160,12 @@ pub struct ExecRequest<'a> {
 }
 
 impl<'a> ExecRequest<'a> {
-    /// A request over the given DAG with the defaults: one worker, stealing
-    /// placement, no cached schedule, tracing off, unbounded budget.
-    pub fn new(pred_counts: &'a [usize], successors: &'a [Vec<usize>]) -> Self {
+    /// A request over the DAG of the given successor arrays with the
+    /// defaults: one worker, stealing placement, no cached schedule,
+    /// tracing off, unbounded budget.
+    pub fn new(succ_ptr: &'a [usize], successors: &'a [u32]) -> Self {
         ExecRequest {
-            pred_counts,
+            succ_ptr,
             successors,
             task_bounds: None,
             schedule: None,
@@ -172,15 +176,31 @@ impl<'a> ExecRequest<'a> {
         }
     }
 
+    /// [`Self::new`] over a pattern whose column `t` lists the successors
+    /// of node `t` (a [`TaskGraph`](crate::TaskGraph)'s edges).
+    pub fn of(edges: &'a SparsityPattern) -> Self {
+        Self::new(edges.col_ptr(), edges.row_indices())
+    }
+
     /// Whether [`run`] replays the one-worker order inline on the calling
     /// thread instead of spawning workers: one worker, no watchdog to feed.
     pub fn runs_inline(&self) -> bool {
         self.threads <= 1 && self.budget.watchdog.is_none()
     }
 
+    /// Number of nodes.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.succ_ptr.len().saturating_sub(1)
+    }
+
+    /// Successor ids of `node`.
+    pub(crate) fn successors_of(&self, node: usize) -> &'a [u32] {
+        &self.successors[self.succ_ptr[node]..self.succ_ptr[node + 1]]
+    }
+
     /// Tasks of all nodes together.
     pub(crate) fn n_tasks(&self) -> usize {
-        let nodes = self.pred_counts.len();
+        let nodes = self.n_nodes();
         self.task_bounds.map_or(nodes, |b| b[nodes])
     }
 
@@ -271,13 +291,17 @@ pub fn run<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
 where
     F: Fn(usize, &mut Steps<'_>) + Sync,
 {
-    let n_nodes = req.pred_counts.len();
+    let n_nodes = req.n_nodes();
     let nthreads = req.threads.max(1);
     let config = &req.trace;
     if n_nodes == 0 {
         return assemble_report(0, nthreads, 0.0, config, Vec::new(), None, None);
     }
-    assert_eq!(req.successors.len(), n_nodes, "one successor list per node");
+    assert_eq!(
+        req.succ_ptr[n_nodes],
+        req.successors.len(),
+        "successor pointers bracket the lists"
+    );
     if let Some(schedule) = req.schedule {
         assert_eq!(
             schedule.len(),
@@ -295,7 +319,7 @@ where
         let order: &[usize] = if n_nodes == 1 {
             &[0]
         } else {
-            computed = one_worker_order(req.pred_counts, req.successors, &priorities(req));
+            computed = one_worker_order(req.succ_ptr, req.successors, &priorities(req));
             &computed
         };
         return replay_inline(order, req, runner);
@@ -308,7 +332,7 @@ pub(crate) fn run_workers<F>(req: &ExecRequest<'_>, runner: F) -> ExecReport
 where
     F: Fn(usize, &mut Steps<'_>) + Sync,
 {
-    let n_nodes = req.pred_counts.len();
+    let n_nodes = req.n_nodes();
     let n_tasks = req.n_tasks();
     let nthreads = req.threads.max(1);
     let config = &req.trace;
@@ -330,10 +354,8 @@ where
     let gates: Vec<Gate> = (0..if queue_of.is_some() { nthreads } else { 1 })
         .map(|_| Gate::new())
         .collect();
-    let indeg: Vec<AtomicUsize> = req
-        .pred_counts
-        .iter()
-        .map(|&c| AtomicUsize::new(c))
+    let indeg: Vec<AtomicUsize> = (in_degrees(req.succ_ptr, req.successors).into_iter())
+        .map(AtomicUsize::new)
         .collect();
     let sup = Supervisor::new(n_nodes, n_tasks, nthreads, req.budget);
     // Drained worker recorders; locked once per worker, at exit.
@@ -351,11 +373,8 @@ where
 
     // Seed the pools: owners get their own roots; in stealing mode roots are
     // dealt round-robin so all workers start busy.
-    for (i, (t, _)) in req
-        .pred_counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c == 0)
+    for (i, (t, _)) in (indeg.iter().enumerate())
+        .filter(|(_, c)| c.load(Ordering::Relaxed) == 0)
         .enumerate()
     {
         let pool = match queue_of {
@@ -385,7 +404,6 @@ where
             let indeg = &indeg;
             let sup = &sup;
             let runner = &runner;
-            let successors = req.successors;
             let drained = &drained;
             let panicked = &panicked;
             let wake_all = &wake_all;
@@ -483,7 +501,8 @@ where
                             return;
                         }
 
-                        for &s in &successors[node] {
+                        for &s in req.successors_of(node) {
+                            let s = s as usize;
                             if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 let pool = match queue_of {
                                     Some(queue_of) => queue_of(s),
@@ -539,7 +558,7 @@ where
 fn priorities<'a>(req: &ExecRequest<'a>) -> Cow<'a, [u64]> {
     match req.schedule {
         Some(schedule) => Cow::Borrowed(schedule.priorities()),
-        None => Cow::Owned(bottom_levels(req.pred_counts, req.successors)),
+        None => Cow::Owned(bottom_levels(req.succ_ptr, req.successors)),
     }
 }
 
@@ -547,7 +566,7 @@ fn priorities<'a>(req: &ExecRequest<'a>) -> Cow<'a, [u64]> {
 /// spans along the DAG's edges, in seconds, where a node's span is the
 /// summed duration of its tasks' events.
 fn critical_path_s(req: &ExecRequest<'_>, events: &[TraceEvent]) -> f64 {
-    let n = req.pred_counts.len();
+    let n = req.n_nodes();
     let mut span = vec![0u64; n];
     for e in events {
         if let EventKind::Task { tid } = e.kind {
@@ -560,11 +579,11 @@ fn critical_path_s(req: &ExecRequest<'_>, events: &[TraceEvent]) -> f64 {
     // Longest chain ending just before each node, in topological order.
     let mut before = vec![0u64; n];
     let mut longest = 0;
-    for t in topo_order(req.pred_counts, req.successors) {
+    for t in topo_order(req.succ_ptr, req.successors) {
         let end = before[t] + span[t];
         longest = longest.max(end);
-        for &s in &req.successors[t] {
-            before[s] = before[s].max(end);
+        for &s in req.successors_of(t) {
+            before[s as usize] = before[s as usize].max(end);
         }
     }
     longest as f64 / 1e9
@@ -636,7 +655,7 @@ pub(crate) mod tests {
             placement: mapping.placement(&home),
             trace,
             budget,
-            ..ExecRequest::new(graph.pred_counts(), graph.successor_lists())
+            ..ExecRequest::of(graph.edges())
         };
         run(&req, |t, _| runner(graph.task(t)))
     }
@@ -670,10 +689,10 @@ pub(crate) mod tests {
         for tid in 0..graph.len() {
             for &s in graph.successors(tid) {
                 assert!(
-                    pos[&graph.task(tid)] < pos[&graph.task(s)],
+                    pos[&graph.task(tid)] < pos[&graph.task(s as usize)],
                     "dependence violated: {:?} after {:?}",
                     graph.task(tid),
-                    graph.task(s)
+                    graph.task(s as usize)
                 );
             }
         }
@@ -804,7 +823,7 @@ pub(crate) mod tests {
                     threads: 3,
                     placement: mapping.placement(&home),
                     schedule,
-                    ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+                    ..ExecRequest::of(g.edges())
                 };
                 let report = run(&req, |_, _| panic!("no tasks expected"));
                 assert!(report.panic.is_none() && report.interrupt.is_none());
@@ -829,11 +848,7 @@ pub(crate) mod tests {
         // task (bottom level 1), whatever the seeding order.
         let g = graph_of(3, vec![(0, 0), (1, 0), (1, 1), (2, 2)], true);
         let log = PlMutex::new(Vec::<usize>::new());
-        run(
-            &ExecRequest::new(g.pred_counts(), g.successor_lists()),
-            |t, _| log.lock().push(t),
-        )
-        .rethrow();
+        run(&ExecRequest::of(g.edges()), |t, _| log.lock().push(t)).rethrow();
         let order = log.into_inner();
         let pos = |tid: usize| order.iter().position(|&t| t == tid).unwrap();
         // The deepest root (F(0), level 3) precedes the shallow root (F(2)).
@@ -1126,12 +1141,9 @@ pub(crate) mod tests {
 
     /// Six nodes of 0–4 tasks each over a diamond-shaped DAG: one node
     /// holds none, as a numeric plan's node over an unstored block does.
-    const NODE_PREDS: [usize; 6] = [0, 1, 1, 1, 2, 1];
+    const NODE_PTR: [usize; 7] = [0, 3, 4, 5, 6, 6, 6];
+    const NODE_SUCCS: [u32; 6] = [1, 2, 3, 4, 4, 5];
     const BOUNDS: [usize; 7] = [0, 3, 3, 7, 8, 12, 14];
-
-    fn node_succs() -> Vec<Vec<usize>> {
-        vec![vec![1, 2, 3], vec![4], vec![4], vec![5], vec![], vec![]]
-    }
 
     /// A runner announcing every task of its node, recording
     /// `(node, task)` — the task id is the node's first plus a count.
@@ -1154,7 +1166,6 @@ pub(crate) mod tests {
     /// loop, traced or not.
     #[test]
     fn nodes_of_several_tasks_announce_each_task_once() {
-        let succs = node_succs();
         for p in [1, 2, 4] {
             for mapping in BOTH {
                 for trace in [TraceConfig::counters(), TraceConfig::full(14, p)] {
@@ -1165,7 +1176,7 @@ pub(crate) mod tests {
                         threads: p,
                         placement: mapping.placement(&home),
                         trace,
-                        ..ExecRequest::new(&NODE_PREDS, &succs)
+                        ..ExecRequest::new(&NODE_PTR, &NODE_SUCCS)
                     };
                     let report = run(&req, announcing(&log));
                     report.stats.assert_consistent();
@@ -1182,7 +1193,8 @@ pub(crate) mod tests {
                             .clone()
                             .zip(own.clone().skip(1))
                             .all(|(a, b)| pos(a) < pos(b)));
-                        for &s in &succs[node] {
+                        for &s in &NODE_SUCCS[NODE_PTR[node]..NODE_PTR[node + 1]] {
+                            let s = s as usize;
                             for (a, b) in own.clone().zip(BOUNDS[s]..BOUNDS[s + 1]) {
                                 assert!(pos(a) < pos(b), "edge {node} -> {s} (p={p})");
                             }
@@ -1207,7 +1219,6 @@ pub(crate) mod tests {
     /// boundary falls in.
     #[test]
     fn cancellation_stops_at_the_nth_task_boundary() {
-        let succs = node_succs();
         for n in 1..=15 {
             let token = CancelToken::new();
             token.cancel_after_checkpoints(n);
@@ -1216,7 +1227,7 @@ pub(crate) mod tests {
             let req = ExecRequest {
                 task_bounds: Some(&BOUNDS),
                 budget: &budget,
-                ..ExecRequest::new(&NODE_PREDS, &succs)
+                ..ExecRequest::new(&NODE_PTR, &NODE_SUCCS)
             };
             let report = run(&req, announcing(&log));
             let ran = log.into_inner().len();
@@ -1239,12 +1250,11 @@ pub(crate) mod tests {
     /// on a worker.
     #[test]
     fn a_panic_inside_a_node_names_its_task() {
-        let succs = node_succs();
         for p in [1, 2] {
             let req = ExecRequest {
                 task_bounds: Some(&BOUNDS),
                 threads: p,
-                ..ExecRequest::new(&NODE_PREDS, &succs)
+                ..ExecRequest::new(&NODE_PTR, &NODE_SUCCS)
             };
             let report = run(&req, |node, steps| {
                 for t in BOUNDS[node]..BOUNDS[node + 1] {
@@ -1266,7 +1276,7 @@ pub(crate) mod tests {
     /// the worker's last and exactly six beats.
     #[test]
     fn watchdog_hears_every_task_of_a_node() {
-        let (bounds, succs) = ([0, 10], [vec![]]);
+        let bounds = [0, 10];
         let token = CancelToken::new();
         let t2 = token.clone();
         let budget = RunBudget::unbounded()
@@ -1275,7 +1285,7 @@ pub(crate) mod tests {
         let req = ExecRequest {
             task_bounds: Some(&bounds),
             budget: &budget,
-            ..ExecRequest::new(&[0], &succs)
+            ..ExecRequest::new(&[0, 0], &[])
         };
         assert!(!req.runs_inline(), "a watchdog needs the worker loop");
         let report = run(&req, |_, steps| {
@@ -1325,19 +1335,19 @@ pub(crate) mod tests {
                 std::thread::sleep(Duration::from_micros(300));
             }
         };
-        let chain: [Vec<usize>; 3] = [vec![1], vec![2], vec![]];
-        let apart: [Vec<usize>; 3] = [vec![], vec![], vec![]];
-        for (preds, succs) in [([0, 1, 1], &chain), ([0, 0, 0], &apart)] {
+        let chain = ([0, 1, 2, 2], &[1, 2][..]);
+        let apart = ([0, 0, 0, 0], &[][..]);
+        for (ptr, succs) in [chain, apart] {
             let req = ExecRequest {
                 task_bounds: Some(&bounds),
                 threads: 2,
                 trace: TraceConfig::full(6, 2),
-                ..ExecRequest::new(&preds, succs)
+                ..ExecRequest::new(&ptr, succs)
             };
             let report = run(&req, sleepy);
             let events = report.trace.expect("full trace").events;
             let spans: Vec<u64> = (0..3).map(|n| span(&events, n)).collect();
-            let want = if preds == [0, 1, 1] {
+            let want = if ptr == chain.0 {
                 spans.iter().sum::<u64>()
             } else {
                 *spans.iter().max().unwrap()
@@ -1348,7 +1358,7 @@ pub(crate) mod tests {
         let req = ExecRequest {
             task_bounds: Some(&bounds),
             trace: TraceConfig::full(6, 1),
-            ..ExecRequest::new(&[0, 1, 1], &chain)
+            ..ExecRequest::new(&chain.0, chain.1)
         };
         assert_eq!(run(&req, sleepy).stats.critical_path_s, None);
     }

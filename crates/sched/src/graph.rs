@@ -1,5 +1,7 @@
 //! Task dependence graph construction (Section 4).
 
+use crate::schedule::one_worker_order;
+use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::EliminationForest;
 
@@ -40,42 +42,18 @@ impl Task {
     }
 }
 
-/// An immutable task DAG.
+/// An immutable task DAG over the tasks of a block structure: `Factor(k)`
+/// has id `k`, and the updates follow, by source and then destination
+/// block column. Its edges are a pattern whose column `t` lists the
+/// successors of task `t` in ascending order.
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
-    succ: Vec<Vec<usize>>,
-    pred_count: Vec<usize>,
-    /// Task id of `Factor(k)` per block column.
-    factor_ids: Vec<usize>,
+    edges: SparsityPattern,
     num_block_cols: usize,
 }
 
 impl TaskGraph {
-    fn new(num_block_cols: usize) -> Self {
-        TaskGraph {
-            tasks: Vec::new(),
-            succ: Vec::new(),
-            pred_count: Vec::new(),
-            factor_ids: Vec::new(),
-            num_block_cols,
-        }
-    }
-
-    fn add_task(&mut self, t: Task) -> usize {
-        let id = self.tasks.len();
-        self.tasks.push(t);
-        self.succ.push(Vec::new());
-        self.pred_count.push(0);
-        id
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize) {
-        debug_assert_ne!(from, to);
-        self.succ[from].push(to);
-        self.pred_count[to] += 1;
-    }
-
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.tasks.len()
@@ -88,7 +66,7 @@ impl TaskGraph {
 
     /// Number of dependence edges.
     pub fn num_edges(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
+        self.edges.nnz()
     }
 
     /// The task with id `id`.
@@ -101,30 +79,26 @@ impl TaskGraph {
         &self.tasks
     }
 
-    /// Successor ids of task `id`.
-    pub fn successors(&self, id: usize) -> &[usize] {
-        &self.succ[id]
+    /// Successor ids of task `id`, ascending.
+    pub fn successors(&self, id: usize) -> &[u32] {
+        self.edges.col(id)
     }
 
-    /// In-degree of each task.
-    pub fn pred_counts(&self) -> &[usize] {
-        &self.pred_count
+    /// The dependence edges: column `t` lists the successors of task `t` —
+    /// the view of the DAG that [`crate::ExecRequest::of`] takes.
+    pub fn edges(&self) -> &SparsityPattern {
+        &self.edges
     }
 
-    /// Task id of `Factor(k)`.
+    /// Task id of `Factor(k)`: `k`.
     pub fn factor_id(&self, k: usize) -> usize {
-        self.factor_ids[k]
+        debug_assert_eq!(self.tasks[k], Task::Factor(k));
+        k
     }
 
     /// Number of block columns the graph factorizes.
     pub fn num_block_cols(&self) -> usize {
         self.num_block_cols
-    }
-
-    /// One successor list per task id — with [`Self::pred_counts`], the
-    /// view of the DAG that [`crate::ExecRequest`] takes.
-    pub fn successor_lists(&self) -> &[Vec<usize>] {
-        &self.succ
     }
 
     /// Length of the longest path in tasks (unit task weights) — the
@@ -139,7 +113,7 @@ impl TaskGraph {
     /// scheduling priority of the executor ([`crate::run`]): always prefer
     /// the ready task deepest on the critical path.
     pub fn bottom_levels(&self) -> Vec<u64> {
-        bottom_levels(&self.pred_count, &self.succ)
+        bottom_levels(self.edges.col_ptr(), self.edges.row_indices())
     }
 
     /// Graphviz DOT rendering of the task graph (Figure 4 style).
@@ -154,7 +128,8 @@ impl TaskGraph {
                 let _ = writeln!(out, "  {} [style=bold];", label(self.task(t)));
             }
             for &s in self.successors(t) {
-                let _ = writeln!(out, "  {} -> {};", label(self.task(t)), label(self.task(s)));
+                let s = self.task(s as usize);
+                let _ = writeln!(out, "  {} -> {};", label(self.task(t)), label(s));
             }
         }
         let _ = writeln!(out, "}}");
@@ -171,7 +146,8 @@ impl TaskGraph {
             if t == b {
                 return true;
             }
-            for &s in &self.succ[t] {
+            for &s in self.successors(t) {
+                let s = s as usize;
                 if !seen[s] {
                     seen[s] = true;
                     stack.push(s);
@@ -182,33 +158,31 @@ impl TaskGraph {
     }
 }
 
-/// Kahn topological order of a DAG given as in-degrees plus successor
-/// lists. Panics on a cycle, which would indicate a builder bug.
-pub(crate) fn topo_order(pred_counts: &[usize], successors: &[Vec<usize>]) -> Vec<usize> {
-    let n = pred_counts.len();
-    let mut indeg = pred_counts.to_vec();
-    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(t) = queue.pop_front() {
-        order.push(t);
-        for &s in &successors[t] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push_back(s);
-            }
-        }
+/// In-degree of every node of a DAG whose node `t` precedes
+/// `succ[ptr[t]..ptr[t + 1]]`.
+pub(crate) fn in_degrees(ptr: &[usize], succ: &[u32]) -> Vec<usize> {
+    let mut indeg = vec![0usize; ptr.len().saturating_sub(1)];
+    for &s in succ {
+        indeg[s as usize] += 1;
     }
-    assert_eq!(order.len(), n, "task graph contains a cycle");
-    order
+    indeg
+}
+
+/// A topological order of the same DAG view: the one-worker order under
+/// equal priorities, nodes by id among the ready. Panics on a cycle, which
+/// would indicate a builder bug.
+pub(crate) fn topo_order(ptr: &[usize], succ: &[u32]) -> Vec<usize> {
+    one_worker_order(ptr, succ, &vec![0; ptr.len().saturating_sub(1)])
 }
 
 /// Unit-weight bottom levels of the same DAG view (sinks have level 1): the
 /// executor's priorities when no [`crate::ExecSchedule`] is cached.
-pub(crate) fn bottom_levels(pred_counts: &[usize], successors: &[Vec<usize>]) -> Vec<u64> {
-    let mut level = vec![1u64; pred_counts.len()];
-    for &t in topo_order(pred_counts, successors).iter().rev() {
-        for &s in &successors[t] {
-            level[t] = level[t].max(1 + level[s]);
+pub(crate) fn bottom_levels(ptr: &[usize], succ: &[u32]) -> Vec<u64> {
+    let order = topo_order(ptr, succ);
+    let mut level = vec![1u64; order.len()];
+    for &t in order.iter().rev() {
+        for &s in &succ[ptr[t]..ptr[t + 1]] {
+            level[t] = level[t].max(1 + level[s as usize]);
         }
     }
     level
@@ -220,66 +194,76 @@ pub(crate) fn bottom_levels(pred_counts: &[usize], successors: &[Vec<usize>]) ->
 /// `parent(I) = min{ K > I : B̄(I, K) ≠ 0 }` when block column `I` of `L̄`
 /// has an off-diagonal block.
 pub fn block_forest(bs: &BlockStructure) -> EliminationForest {
-    let nb = bs.num_blocks();
-    let mut parent = vec![usize::MAX; nb];
-    for i in 0..nb {
-        if bs.l_blocks.col(i).len() > 1 {
-            if let Some(&p) = bs.u_blocks.col(i).get(1) {
-                parent[i] = p as usize;
-            }
-        }
-    }
+    let parent = (0..bs.num_blocks())
+        .map(|i| match bs.u_blocks.col(i).get(1) {
+            Some(&p) if bs.l_blocks.col(i).len() > 1 => p as usize,
+            _ => usize::MAX,
+        })
+        .collect();
     EliminationForest::from_parent_vec(parent)
 }
 
-/// Creates the task set shared by both builders: one `Factor` per block
-/// column, one `Update(k, j)` per off-diagonal `Ū` block, plus the
-/// `F(k) → U(k, j)` edges (rule 3).
-///
-/// Returns `(graph, update_ids)` with `update_ids[k]` listing
-/// `(j, task_id)` pairs in ascending `j`.
-fn base_graph(bs: &BlockStructure) -> (TaskGraph, Vec<Vec<(usize, usize)>>) {
-    let nb = bs.num_blocks();
-    let mut g = TaskGraph::new(nb);
+/// Task id of the first update out of block column `k`: the factors come
+/// first, then `k`'s updates follow the `u_blocks` columns before it, each
+/// of which heads its list with its own diagonal block.
+fn first_update(bs: &BlockStructure, k: usize) -> usize {
+    bs.num_blocks() + bs.u_blocks.col_ptr()[k] - k
+}
+
+/// The task set shared by both builders — one `Factor` per block column,
+/// one `Update(k, j)` per off-diagonal `Ū` block — with the `F(k) → U(k,
+/// j)` edges (rule 3) and, out of `U(k, j)` with task id `id`, the one edge
+/// `next(k, j, id)` names, if any. `edges` is the edge count.
+fn graph_of(
+    bs: &BlockStructure,
+    edges: usize,
+    mut next: impl FnMut(usize, usize, usize) -> Option<usize>,
+) -> TaskGraph {
+    let (nb, u) = (bs.num_blocks(), &bs.u_blocks);
+    let n = u.nnz();
+    let mut tasks = Vec::with_capacity(n);
+    tasks.extend((0..nb).map(Task::Factor));
+    let (mut ptr, mut succ) = (Vec::with_capacity(n + 1), Vec::with_capacity(edges));
+    ptr.push(0);
     for k in 0..nb {
-        let id = g.add_task(Task::Factor(k));
-        g.factor_ids.push(id);
+        succ.extend(first_update(bs, k) as u32..first_update(bs, k + 1) as u32);
+        ptr.push(succ.len());
     }
-    let mut update_ids: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nb];
     for k in 0..nb {
-        for &j in &bs.u_blocks.col(k)[1..] {
+        for &j in &u.col(k)[1..] {
             let j = j as usize;
-            let id = g.add_task(Task::Update { src: k, dst: j });
-            g.add_edge(g.factor_ids[k], id);
-            update_ids[k].push((j, id));
+            succ.extend(next(k, j, tasks.len()).map(|s| s as u32));
+            ptr.push(succ.len());
+            tasks.push(Task::Update { src: k, dst: j });
         }
     }
-    (g, update_ids)
+    debug_assert_eq!(succ.len(), edges, "the edge count");
+    TaskGraph {
+        tasks,
+        edges: SparsityPattern::from_sorted_parts(n, n, ptr, succ),
+        num_block_cols: nb,
+    }
 }
 
 /// Builds the S* task dependence graph: for each destination column `j`,
 /// the updates `U(k, j)` are chained in ascending `k`, and the last one
 /// precedes `F(j)`.
 pub fn build_sstar_graph(bs: &BlockStructure) -> TaskGraph {
-    let (mut g, update_ids) = base_graph(bs);
     let nb = bs.num_blocks();
-    // Collect updates per destination column.
-    let mut per_dst: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nb];
-    for k in 0..nb {
-        for &(j, id) in &update_ids[k] {
-            per_dst[j].push((k, id));
-        }
-    }
+    // Column `j` of the transpose: its sources ascending, then `j`. Walking
+    // the columns in order meets `k`'s updates in its own order, so a
+    // cursor per source names each update's task id.
+    let sources = bs.u_blocks.transpose();
+    let mut cursor: Vec<usize> = (0..nb).map(|k| first_update(bs, k)).collect();
+    let mut chained = vec![0usize; sources.nnz() - nb];
     for j in 0..nb {
-        per_dst[j].sort_unstable();
-        for w in per_dst[j].windows(2) {
-            g.add_edge(w[0].1, w[1].1);
-        }
-        if let Some(&(_, last)) = per_dst[j].last() {
-            g.add_edge(last, g.factor_ids[j]);
+        for w in sources.col(j).windows(2) {
+            let (k, after) = (w[0] as usize, w[1] as usize);
+            chained[cursor[k] - nb] = if after == j { j } else { cursor[after] };
+            cursor[k] += 1;
         }
     }
-    g
+    graph_of(bs, 2 * chained.len(), |_, _, id| Some(chained[id - nb]))
 }
 
 /// Builds the paper's eforest-guided task dependence graph (Section 4,
@@ -291,40 +275,33 @@ pub fn build_sstar_graph(bs: &BlockStructure) -> TaskGraph {
 /// characterization of Section 2), so they touch disjoint data.
 pub fn build_eforest_graph(bs: &BlockStructure) -> TaskGraph {
     let forest = block_forest(bs);
-    let (mut g, update_ids) = base_graph(bs);
-    // Fast lookup: id of U(k, j).
-    let find_update = |ids: &Vec<Vec<(usize, usize)>>, k: usize, j: usize| -> Option<usize> {
-        ids[k]
-            .binary_search_by_key(&j, |&(jj, _)| jj)
-            .ok()
-            .map(|pos| ids[k][pos].1)
-    };
-    let nb = bs.num_blocks();
-    for i in 0..nb {
-        for &(k, id) in &update_ids[i] {
-            match forest.parent(i) {
-                Some(p) if p == k => {
-                    // Rule 5: U(i, k) → F(k) when k = parent(i).
-                    g.add_edge(id, g.factor_ids[k]);
-                }
-                Some(p) => {
-                    debug_assert!(p < k, "parent(i) = min of Ū row i, so p ≤ k");
-                    // Rule 4: U(i, k) → U(parent(i), k). Theorem 1
-                    // guarantees the target exists.
-                    let target = find_update(&update_ids, p, k).unwrap_or_else(|| {
+    let u = &bs.u_blocks;
+    let updates = u.nnz() - bs.num_blocks();
+    let from_non_roots: usize = (0..bs.num_blocks())
+        .filter(|&i| forest.parent(i).is_some())
+        .map(|i| u.col(i).len() - 1)
+        .sum();
+    graph_of(bs, updates + from_non_roots, |i, k, _| {
+        match forest.parent(i) {
+            // Rule 5: U(i, k) → F(k) when k = parent(i).
+            Some(p) if p == k => Some(k),
+            Some(p) => {
+                debug_assert!(p < k, "parent(i) = min of Ū row i, so p ≤ k");
+                // Rule 4: U(i, k) → U(parent(i), k). Theorem 1 guarantees the
+                // target exists.
+                let at = u.col(p)[1..]
+                    .binary_search(&(k as u32))
+                    .unwrap_or_else(|_| {
                         panic!("Theorem 1 violated: U({p},{k}) missing for child {i}")
                     });
-                    g.add_edge(id, target);
-                }
-                None => {
-                    // i is a root with U(i, k) ≠ 0: by Theorem 2 this means
-                    // i's tree lies entirely left of k; the update touches
-                    // rows no other task shares, so no outgoing edge.
-                }
+                Some(first_update(bs, p) + at)
             }
+            // i is a root with U(i, k) ≠ 0: by Theorem 2 this means i's tree
+            // lies entirely left of k; the update touches rows no other task
+            // shares, so no outgoing edge.
+            None => None,
         }
-    }
-    g
+    })
 }
 
 #[cfg(test)]
@@ -467,14 +444,14 @@ mod tests {
     fn topo_order_is_valid_for_both() {
         let bs = fig1_blocks();
         for g in [build_sstar_graph(&bs), build_eforest_graph(&bs)] {
-            let order = topo_order(g.pred_counts(), g.successor_lists());
+            let order = topo_order(g.edges().col_ptr(), g.edges().row_indices());
             let mut pos = vec![0usize; g.len()];
             for (p, &t) in order.iter().enumerate() {
                 pos[t] = p;
             }
             for t in 0..g.len() {
                 for &s in g.successors(t) {
-                    assert!(pos[t] < pos[s], "edge violates topological order");
+                    assert!(pos[t] < pos[s as usize], "edge violates topological order");
                 }
             }
         }

@@ -21,7 +21,7 @@
 
 use crate::control::{Interrupt, RunBudget};
 use crate::executor::{Announce, ExecRequest, Steps};
-use crate::graph::{bottom_levels, TaskGraph};
+use crate::graph::{in_degrees, TaskGraph};
 use crate::trace::{assemble_report, ExecReport, TaskPanic, TraceMode, WorkerRecorder};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,7 +60,7 @@ pub struct ExecSchedule {
 impl ExecSchedule {
     /// The schedule of `graph`: its unit bottom levels.
     pub fn for_graph(graph: &TaskGraph) -> Self {
-        Self::with_priorities(bottom_levels(graph.pred_counts(), graph.successor_lists()))
+        Self::with_priorities(graph.bottom_levels())
     }
 
     /// A schedule of caller-chosen priorities, one per node.
@@ -86,14 +86,10 @@ impl ExecSchedule {
 
 /// The order a one-worker executor acquires the nodes of a DAG in under
 /// `priority`: every node exactly once, after its predecessors.
-pub(crate) fn one_worker_order(
-    pred_counts: &[usize],
-    successors: &[Vec<usize>],
-    priority: &[u64],
-) -> Vec<usize> {
-    let n = pred_counts.len();
+pub(crate) fn one_worker_order(ptr: &[usize], succ: &[u32], priority: &[u64]) -> Vec<usize> {
+    let mut indeg = in_degrees(ptr, succ);
+    let n = indeg.len();
     assert_eq!(priority.len(), n, "one priority per node");
-    let mut indeg = pred_counts.to_vec();
     let mut heap: BinaryHeap<Ready> = (0..n)
         .filter(|&t| indeg[t] == 0)
         .map(|tid| Ready {
@@ -104,7 +100,8 @@ pub(crate) fn one_worker_order(
     let mut order = Vec::with_capacity(n);
     while let Some(r) = heap.pop() {
         order.push(r.tid);
-        for &s in &successors[r.tid] {
+        for &s in &succ[ptr[r.tid]..ptr[r.tid + 1]] {
+            let s = s as usize;
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 heap.push(Ready {
@@ -280,7 +277,7 @@ mod tests {
             schedule: Some(&s),
             budget,
             trace,
-            ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+            ..ExecRequest::of(g.edges())
         };
         assert!(req.runs_inline());
         run(&req, |t, _| runner(t))
@@ -300,7 +297,7 @@ mod tests {
     /// The one-worker order of `g` under its bottom levels.
     fn bottom_level_order(g: &TaskGraph) -> Vec<usize> {
         let s = ExecSchedule::for_graph(g);
-        one_worker_order(g.pred_counts(), g.successor_lists(), s.priorities())
+        one_worker_order(g.edges().col_ptr(), g.edges().row_indices(), s.priorities())
     }
 
     #[test]
@@ -323,7 +320,7 @@ mod tests {
             }
             for t in 0..g.len() {
                 for &succ in g.successors(t) {
-                    assert!(pos[t] < pos[succ], "edge {t}→{succ} violated");
+                    assert!(pos[t] < pos[succ as usize], "edge {t}→{succ} violated");
                 }
             }
         }
@@ -343,12 +340,12 @@ mod tests {
             let g = random_graph(18, 45, seed);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
             let priority: Vec<u64> = (0..g.len()).map(|_| rng.gen_range(0..5)).collect();
-            let want = one_worker_order(g.pred_counts(), g.successor_lists(), &priority);
+            let want = one_worker_order(g.edges().col_ptr(), g.edges().row_indices(), &priority);
             let s = ExecSchedule::with_priorities(priority);
             let req = ExecRequest {
                 schedule: Some(&s),
                 trace: TraceConfig::counters(),
-                ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+                ..ExecRequest::of(g.edges())
             };
             assert!(req.runs_inline(), "one worker never spawns, traced or not");
             let looped = acquisition_order(&req, |req, runner| {
@@ -376,7 +373,7 @@ mod tests {
             levels.sort_unstable();
             tied |= levels.windows(2).any(|w| w[0] == w[1]);
             let want = bottom_level_order(&g);
-            let computed = ExecRequest::new(g.pred_counts(), g.successor_lists());
+            let computed = ExecRequest::of(g.edges());
             let cached = ExecRequest {
                 schedule: Some(&s),
                 ..computed
@@ -548,7 +545,7 @@ mod tests {
                 threads: 4,
                 placement: mapping.placement(&home),
                 trace: TraceConfig::counters(),
-                ..ExecRequest::new(g.pred_counts(), g.successor_lists())
+                ..ExecRequest::of(g.edges())
             };
             let report = run(&req, |_, _| {
                 ran.fetch_add(1, Ordering::Relaxed);

@@ -130,11 +130,11 @@ fn abort_broadcast_terminates_all_workers() {
 fn started_equals_retired_under_cancel() {
     // A diamond: 0 → {1, 2} → 3.
     const N: usize = 4;
-    const PREDS: [usize; N] = [0, 1, 1, 2];
+    const PTR: [usize; N + 1] = [0, 2, 3, 4, 4];
+    const SUCCS: [u32; 4] = [1, 2, 3, 3];
 
     for trip_at in 0..=4usize {
         loom::model(move || {
-            let succs: [Vec<usize>; N] = [vec![1, 2], vec![3], vec![3], vec![]];
             let token = CancelToken::new();
             token.cancel_after_checkpoints(trip_at);
             let budget = RunBudget::unbounded().with_token(token);
@@ -142,7 +142,7 @@ fn started_equals_retired_under_cancel() {
                 threads: 2,
                 trace: TraceConfig::counters(),
                 budget: &budget,
-                ..ExecRequest::new(&PREDS, &succs)
+                ..ExecRequest::new(&PTR, &SUCCS)
             };
             let report = run(&req, |_, _| {});
             assert!(report.panic.is_none());

@@ -143,13 +143,20 @@ impl SparsityPattern {
     }
 
     /// Builds a pattern from unsorted `(row, col)` entries; duplicates are
-    /// merged.
+    /// merged. A counting sort by column places the rows, then each column
+    /// is sorted and deduplicated in place, so the arrays hold exactly the
+    /// entries. Errs on a dimension past `u32`, and on the first entry
+    /// outside `nrows × ncols` ([`SparseError::IndexOutOfBounds`]).
     pub fn from_entries<I>(nrows: usize, ncols: usize, entries: I) -> Result<Self, SparseError>
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
         check_dims(nrows, ncols)?;
-        let mut per_col: Vec<Vec<u32>> = vec![Vec::new(); ncols];
+        let entries = entries.into_iter();
+        // Sized once from the upper bound when there is one (a filtered
+        // list's lower bound is 0).
+        let (least, most) = entries.size_hint();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(most.unwrap_or(least));
         for (r, c) in entries {
             if r >= nrows || c >= ncols {
                 return Err(SparseError::IndexOutOfBounds {
@@ -159,17 +166,38 @@ impl SparsityPattern {
                     ncols,
                 });
             }
-            per_col[c].push(r as u32);
+            pairs.push((r as u32, c as u32));
         }
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::new();
-        col_ptr.push(0);
-        for col in &mut per_col {
-            col.sort_unstable();
-            col.dedup();
-            row_idx.extend_from_slice(col);
-            col_ptr.push(row_idx.len());
+        // Counts, then prefix sums; scattering through `col_ptr[c]` leaves
+        // it at the end of column `c`.
+        let mut col_ptr = vec![0usize; ncols + 1];
+        for &(_, c) in &pairs {
+            col_ptr[c as usize + 1] += 1;
         }
+        for j in 0..ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0u32; pairs.len()];
+        for (r, c) in pairs {
+            row_idx[col_ptr[c as usize]] = r;
+            col_ptr[c as usize] += 1;
+        }
+        // Each column sorted and moved down over its duplicates.
+        let (mut lo, mut len) = (0, 0);
+        for j in 0..ncols {
+            let hi = std::mem::replace(&mut col_ptr[j], len);
+            row_idx[lo..hi].sort_unstable();
+            for t in lo..hi {
+                if len == col_ptr[j] || row_idx[len - 1] != row_idx[t] {
+                    row_idx[len] = row_idx[t];
+                    len += 1;
+                }
+            }
+            lo = hi;
+        }
+        col_ptr[ncols] = len;
+        row_idx.truncate(len);
+        row_idx.shrink_to_fit();
         Ok(SparsityPattern {
             nrows,
             ncols,

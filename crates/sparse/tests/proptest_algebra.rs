@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use splu_matgen::{paper_suite, Scale};
 use splu_sparse::scaling::equilibrate;
-use splu_sparse::{CscMatrix, Permutation};
+use splu_sparse::{CscMatrix, Permutation, SparseError, SparsityPattern};
 
 fn arb_perm(max_n: usize) -> impl Strategy<Value = Permutation> {
     (1..=max_n).prop_flat_map(|n| {
@@ -121,6 +121,68 @@ proptest! {
 }
 
 /// The infinity norm summed along the triplet walk: the reference order.
+/// The sort-and-dedup reference `SparsityPattern::from_entries` must equal:
+/// per column, its rows sorted and deduplicated.
+fn sorted_pattern(nrows: usize, ncols: usize, entries: &[(usize, usize)]) -> SparsityPattern {
+    let mut col_ptr = vec![0];
+    let mut row_idx = Vec::new();
+    for j in 0..ncols {
+        let mut rows: Vec<u32> = (entries.iter())
+            .filter(|&&(_, c)| c == j)
+            .map(|&(r, _)| r as u32)
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+        row_idx.extend(rows);
+        col_ptr.push(row_idx.len());
+    }
+    SparsityPattern::new(nrows, ncols, col_ptr, row_idx).expect("sorted, in range")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Duplicates, empty columns and rows, `0 × n`, `n × 0` and `0 × 0`;
+    /// an entry outside the shape is the error the first such entry names,
+    /// wherever it falls in the list.
+    #[test]
+    fn from_entries_is_sort_and_dedup(
+        (nrows, ncols, entries) in (0usize..12, 0usize..12).prop_flat_map(|(m, n)| {
+            let entry = (0..m.max(1), 0..n.max(1));
+            let entries = proptest::collection::vec(entry, 0..4 * (m + n) + 1)
+                .prop_map(move |mut e| {
+                    if m == 0 || n == 0 {
+                        e.clear();
+                    }
+                    e.extend_from_within(..e.len() / 3);
+                    e
+                });
+            (Just(m), Just(n), entries)
+        }),
+        bad in (0usize..3, 0usize..40),
+    ) {
+        let p = SparsityPattern::from_entries(nrows, ncols, entries.iter().copied()).unwrap();
+        prop_assert_eq!(&p, &sorted_pattern(nrows, ncols, &entries));
+        prop_assert_eq!(p.row_indices().len(), p.nnz());
+        // One entry out of range, at a random position, after an in-range
+        // prefix: its coordinates come back.
+        let (which, at) = bad;
+        let out = match which {
+            0 => (nrows, ncols.saturating_sub(1)),
+            1 => (nrows.saturating_sub(1), ncols + 3),
+            _ => (nrows + 7, ncols + 7),
+        };
+        let mut with_bad = entries.clone();
+        with_bad.insert(at.min(with_bad.len()), out);
+        with_bad.push((nrows + 100, 0));
+        let err = SparsityPattern::from_entries(nrows, ncols, with_bad).unwrap_err();
+        prop_assert_eq!(
+            err,
+            SparseError::IndexOutOfBounds { row: out.0, col: out.1, nrows, ncols }
+        );
+    }
+}
+
 fn triplet_inf_norm(a: &CscMatrix) -> f64 {
     let mut row_sum = vec![0.0_f64; a.nrows()];
     for (i, _, v) in a.triplets() {

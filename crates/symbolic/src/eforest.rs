@@ -23,11 +23,13 @@ use splu_sparse::{Permutation, SparsityPattern};
 /// Sentinel for "no parent" in the internal array.
 const NONE: usize = usize::MAX;
 
-/// The LU elimination forest of a filled structure.
+/// The LU elimination forest of a filled structure: the parent of every
+/// node, and the inverse relation as a pattern whose column `p` lists
+/// `p`'s children in ascending order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EliminationForest {
     parent: Vec<usize>,
-    children: Vec<Vec<usize>>,
+    children: SparsityPattern,
 }
 
 impl EliminationForest {
@@ -54,14 +56,15 @@ impl EliminationForest {
     /// orders are always heterochronous).
     pub fn from_parent_vec(parent: Vec<usize>) -> Self {
         let n = parent.len();
-        let mut children = vec![Vec::new(); n];
-        for (j, &p) in parent.iter().enumerate() {
-            if p != NONE {
+        // Entry `(j, parent(j))`: a counting sort by column lists each
+        // node's children, ascending.
+        let edges = (parent.iter().enumerate())
+            .filter(|&(_, &p)| p != NONE)
+            .map(|(j, &p)| {
                 assert!(p > j && p < n, "parent({j}) = {p} must satisfy j < p < n");
-                children[p].push(j);
-            }
-        }
-        // Children are pushed in ascending j automatically.
+                (j, p)
+            });
+        let children = SparsityPattern::from_entries(n, n, edges).expect("nodes below n");
         EliminationForest { parent, children }
     }
 
@@ -79,8 +82,8 @@ impl EliminationForest {
     }
 
     /// Children of `j` in ascending order.
-    pub fn children(&self, j: usize) -> &[usize] {
-        &self.children[j]
+    pub fn children(&self, j: usize) -> &[u32] {
+        self.children.col(j)
     }
 
     /// All roots in ascending order.
@@ -106,7 +109,7 @@ impl EliminationForest {
         let mut stack = vec![root];
         while let Some(x) = stack.pop() {
             out.push(x);
-            stack.extend_from_slice(&self.children[x]);
+            stack.extend(self.children(x).iter().map(|&c| c as usize));
         }
         out.sort_unstable();
         out
@@ -140,7 +143,9 @@ impl EliminationForest {
         let size = self.subtree_sizes();
         (0..self.n()).all(|j| {
             let lo = j + 1 - size[j];
-            self.children(j).iter().all(|&c| c >= lo && c < j)
+            self.children(j)
+                .iter()
+                .all(|&c| (lo..j).contains(&(c as usize)))
         })
     }
 
@@ -151,7 +156,7 @@ impl EliminationForest {
         // Parents have larger indices, so walk downward.
         for j in (0..n).rev() {
             for &c in self.children(j) {
-                depth[c] = depth[j] + 1;
+                depth[c as usize] = depth[j] + 1;
             }
         }
         depth
@@ -172,9 +177,9 @@ impl EliminationForest {
         for root in self.roots() {
             stack.push((root, 0));
             while let Some(&(x, ci)) = stack.last() {
-                if ci < self.children[x].len() {
+                if let Some(&c) = self.children(x).get(ci) {
                     stack.last_mut().expect("stack nonempty").1 += 1;
-                    stack.push((self.children[x][ci], 0));
+                    stack.push((c as usize, 0));
                 } else {
                     order.push(x);
                     stack.pop();
@@ -224,9 +229,9 @@ pub struct ExtendedEforest {
     /// Per row `i`: the first nonzero column of `L̄` row `i` — the start of
     /// the row branch ("italics at the left of each node").
     row_branch_start: Vec<usize>,
-    /// Per column `j`: the minimal elements (leaves) of the column subtrees
-    /// of `Ū` ("italics at the right of each node").
-    col_subtree_leaves: Vec<Vec<usize>>,
+    /// Column `j`: the minimal elements (leaves) of the column subtrees
+    /// of `Ū`, ascending ("italics at the right of each node").
+    col_subtree_leaves: SparsityPattern,
 }
 
 impl ExtendedEforest {
@@ -249,19 +254,20 @@ impl ExtendedEforest {
         }
         // Column subtree leaves: i ∈ struct(Ū_{*j}) is a leaf when no child
         // of i is also in the structure.
-        let mut col_subtree_leaves = vec![Vec::new(); n];
+        let (mut ptr, mut leaves) = (Vec::with_capacity(n + 1), Vec::new());
+        ptr.push(0);
         for j in 0..n {
             let col = f.u.col(j);
             for &i in col {
-                let has_member_child = forest
-                    .children(i as usize)
-                    .iter()
-                    .any(|&c| col.binary_search(&(c as u32)).is_ok());
+                let has_member_child =
+                    (forest.children(i as usize).iter()).any(|c| col.binary_search(c).is_ok());
                 if !has_member_child {
-                    col_subtree_leaves[j].push(i as usize);
+                    leaves.push(i);
                 }
             }
+            ptr.push(leaves.len());
         }
+        let col_subtree_leaves = SparsityPattern::from_sorted_parts(n, n, ptr, leaves);
         ExtendedEforest {
             forest,
             row_branch_start,
@@ -280,8 +286,8 @@ impl ExtendedEforest {
     }
 
     /// Leaves of the `Ū` column subtrees for column `j`.
-    pub fn col_subtree_leaves(&self, j: usize) -> &[usize] {
-        &self.col_subtree_leaves[j]
+    pub fn col_subtree_leaves(&self, j: usize) -> &[u32] {
+        self.col_subtree_leaves.col(j)
     }
 
     /// Reconstructs the `L̄` structure from the branches: row `i` is the
@@ -313,8 +319,8 @@ impl ExtendedEforest {
         let n = self.forest.n();
         let mut entries = Vec::new();
         for j in 0..n {
-            for &leaf in &self.col_subtree_leaves[j] {
-                let mut x = leaf;
+            for &leaf in self.col_subtree_leaves(j) {
+                let mut x = leaf as usize;
                 loop {
                     entries.push((x, j));
                     if x == j {
@@ -358,7 +364,7 @@ impl ExtendedEforest {
     /// start per row + leaf lists + parent array), for the storage
     /// comparison in the benchmark harness.
     pub fn compact_words(&self) -> usize {
-        self.forest.n() * 2 + self.col_subtree_leaves.iter().map(Vec::len).sum::<usize>()
+        self.forest.n() * 2 + self.col_subtree_leaves.nnz()
     }
 }
 

@@ -85,7 +85,7 @@ fn main() {
     println!("\nedges of the eforest graph:");
     for t in 0..eforest.len() {
         for &s in eforest.successors(t) {
-            println!("  {} -> {}", eforest.task(t), eforest.task(s));
+            println!("  {} -> {}", eforest.task(t), eforest.task(s as usize));
         }
     }
     println!("\nok");

@@ -3,17 +3,25 @@
 //! one word per filled entry and leaves only the per-supernode lists, the
 //! permutations and the block forest behind; a one-thread session makes
 //! only the few allocations more of deriving its in-block lists (no task
-//! graph, no schedule) and holds no more than the analysis; and a session's
-//! `resident_bytes` (what the daemon's pool budgets and evicts on) says
-//! what the session really holds, to 10 %.
+//! graph, no schedule) and holds no more than the analysis; a two-thread
+//! one adds a bounded number of allocations for the graph it contracts
+//! and drops, whatever the size; the forests are two arrays each, not a
+//! list per node; and a session's `resident_bytes` (what the daemon's pool
+//! budgets and evicts on) says what the session really holds, to 10 %.
 //!
-//! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global peak counter.
+//! This file installs the counting allocator for its whole test binary.
+//! Each window runs on one thread and reads that thread's counters, so
+//! what the harness's other threads allocate meanwhile does not count.
 
+mod common;
+
+use common::alloc::window;
 use parsplu::core::{analyze, Options, SluSession};
 use parsplu::matgen::{fem2d_unsymmetric, paper_matrix, Scale};
-use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
+use parsplu::obs::CountingAlloc;
+use parsplu::sched::block_forest;
+use parsplu::sparse::CscMatrix;
+use parsplu::symbolic::{fill_skeleton, EliminationForest};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -22,30 +30,40 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// kept lists and their block lists — a constant count.
 const DERIVE_ALLOCATIONS: u64 = 20;
 
-fn live_bytes() -> u64 {
-    heap_stats().expect("allocator installed").current_bytes
+/// What a forest's construction allocates: its children pattern's two
+/// arrays (and the block forest's parent array), whatever the node count.
+const FOREST_ALLOCATIONS: u64 = 8;
+
+/// What a two-thread analysis allocates beyond a one-thread one: the
+/// eforest graph (tasks and two edge arrays), and the contraction's
+/// per-column and per-node arrays, some grown by doubling — a count that
+/// grows with the logarithm of the size, not with the node count.
+const PLAN_ALLOCATIONS: u64 = 256;
+
+fn inputs() -> [(&'static str, CscMatrix); 2] {
+    [
+        ("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)),
+        ("goodwin", paper_matrix("goodwin", Scale::Full).unwrap()),
+    ]
 }
 
 #[test]
 fn analysis_never_holds_the_filled_structure() {
-    let mesh = fem2d_unsymmetric(40, 40, 2, 1);
-    let goodwin = paper_matrix("goodwin", Scale::Full).unwrap();
-    for (name, a) in [("mesh40x40", &mesh), ("goodwin", &goodwin)] {
-        let before = live_bytes();
-        reset_heap_peak();
-        let sym = analyze(a.pattern(), &Options::default()).unwrap();
-        let peak = heap_stats().unwrap().peak_bytes - before;
-        let resident = live_bytes() - before;
+    let inputs = inputs();
+    for (name, a) in &inputs {
+        let (sym, w) = window(|| analyze(a.pattern(), &Options::default()).unwrap());
         let nnz_filled = sym.stats.nnz_filled as u64;
         // Three index arrays of `nnz_filled` words each were 24 bytes per
         // entry before anything else was counted.
         assert!(
-            peak < 8 * nnz_filled,
-            "{name}: analysis peaked at {peak} bytes for {nnz_filled} filled entries"
+            w.peak < 8 * nnz_filled,
+            "{name}: analysis peaked at {} bytes for {nnz_filled} filled entries",
+            w.peak
         );
         assert!(
-            resident < nnz_filled,
-            "{name}: analysis left {resident} bytes for {nnz_filled} filled entries"
+            w.live < nnz_filled,
+            "{name}: analysis left {} bytes for {nnz_filled} filled entries",
+            w.live
         );
     }
 
@@ -56,30 +74,19 @@ fn analysis_never_holds_the_filled_structure() {
     // ones, which are no smaller. Two threads add the range plan contracted
     // from the task graph, which they drop. Either way the session's own
     // estimate must be the right size for a pool to budget on.
-    for (name, a) in [("mesh40x40", &mesh), ("goodwin", &goodwin)] {
+    for (name, a) in &inputs {
         let heap = |threads: usize| {
-            let (before, allocations) = (live_bytes(), heap_stats().unwrap().allocations);
-            let s = SluSession::analyze(
-                a.pattern(),
-                &Options {
-                    threads,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            let live = live_bytes() - before;
-            (
-                heap_stats().unwrap().allocations - allocations,
-                live,
-                s.resident_bytes(),
-            )
+            let opts = Options {
+                threads,
+                ..Options::default()
+            };
+            let (s, w) = window(|| SluSession::analyze(a.pattern(), &opts).unwrap());
+            (w.allocations, w.live, s.resident_bytes())
         };
         let plain = {
-            let (before, allocations) = (live_bytes(), heap_stats().unwrap().allocations);
-            let sym = analyze(a.pattern(), &Options::default()).unwrap();
-            let live = live_bytes() - before;
+            let (sym, w) = window(|| analyze(a.pattern(), &Options::default()).unwrap());
             drop(sym);
-            (heap_stats().unwrap().allocations - allocations, live)
+            (w.allocations, w.live)
         };
         let (allocations, live, estimate) = heap(1);
         assert!(
@@ -91,14 +98,43 @@ fn analysis_never_holds_the_filled_structure() {
             live * 9 / 10 <= estimate && estimate <= live * 11 / 10,
             "{name}: resident_bytes says {estimate}, the allocator counts {live}"
         );
-        let (allocations, live_two, estimate) = heap(2);
+        let (allocations_two, live_two, estimate) = heap(2);
         assert!(
-            allocations > plain.0 && live_two > live,
+            allocations_two > plain.0 && live_two > live,
             "{name}: two threads hold a plan"
+        );
+        assert!(
+            allocations_two <= allocations + PLAN_ALLOCATIONS,
+            "{name}: two threads made {allocations_two} allocations, one thread {allocations}"
         );
         assert!(
             live_two * 9 / 10 <= estimate && estimate <= live_two * 11 / 10,
             "{name}: resident_bytes says {estimate}, the allocator counts {live_two}"
+        );
+    }
+}
+
+/// The scalar eforest the analysis postorders by and the block forest of
+/// its lists are each built in a constant number of allocations.
+#[test]
+fn forests_are_built_in_a_constant_number_of_allocations() {
+    for (name, a) in &inputs() {
+        let sym = analyze(a.pattern(), &Options::default()).unwrap();
+        let skel = fill_skeleton(sym.permute_matrix(a).pattern()).unwrap();
+        let parent = skel.parents().to_vec();
+        let (scalar, w) = window(|| EliminationForest::from_parent_vec(parent));
+        assert!(
+            w.allocations <= FOREST_ALLOCATIONS,
+            "{name}: the scalar forest of {} nodes made {} allocations",
+            scalar.n(),
+            w.allocations
+        );
+        let (block, w) = window(|| block_forest(&sym.block_structure));
+        assert!(
+            w.allocations <= FOREST_ALLOCATIONS,
+            "{name}: the block forest of {} nodes made {} allocations",
+            block.n(),
+            w.allocations
         );
     }
 }

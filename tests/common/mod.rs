@@ -7,6 +7,7 @@
 // Each test binary that includes this module uses a part of it.
 #![allow(dead_code)]
 
+pub mod alloc;
 pub mod stepped;
 
 use parsplu::core::{

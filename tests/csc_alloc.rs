@@ -10,25 +10,16 @@
 //! Each window runs on one thread and reads that thread's live bytes, so
 //! what the harness's other threads allocate meanwhile does not count.
 
+mod common;
+
+use common::alloc::live_of;
 use parsplu::matgen::{fem2d_unsymmetric, paper_matrix, Scale};
-use parsplu::obs::{thread_heap_stats, CountingAlloc};
+use parsplu::obs::CountingAlloc;
 use parsplu::sparse::io::{format_matrix_market, parse_matrix_market};
 use parsplu::sparse::CscMatrix;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// `f`'s result and the live bytes it leaves behind on this thread.
-fn live_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let live = || {
-        thread_heap_stats()
-            .expect("allocator installed")
-            .current_bytes
-    };
-    let before = live();
-    let out = f();
-    (out, (live() - before) as u64)
-}
 
 /// `make`'s matrix, as built, as read back from the writer's file and as
 /// cloned, holds at most 64 bytes beyond what `heap_bytes` counts, and that

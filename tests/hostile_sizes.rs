@@ -6,8 +6,12 @@
 //! order of 10⁸ would take.
 //!
 //! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global peak counter.
+//! so it holds exactly one test: the daemon analyzes on its lane worker,
+//! so that window reads the process-wide peak, which a concurrent test in
+//! the same process would race. The CLI window runs on this thread and
+//! reads its counters.
+
+mod common;
 
 use parsplu::cli::run;
 use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
@@ -17,9 +21,9 @@ use std::sync::Mutex;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `f`'s result and the growth of the heap peak over the live bytes before
-/// it ran.
-fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `f`'s result and the growth of the process-wide heap peak over the live
+/// bytes before it ran, whichever thread allocated.
+fn process_peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = heap_stats().expect("allocator installed").current_bytes;
     reset_heap_peak();
     let out = f();
@@ -36,7 +40,7 @@ fn a_size_line_no_entries_can_fill_is_refused_before_anything_is_sized() {
     let named = "line 2: size line `100000000 100000000 3`";
 
     let args = ["analyze".to_string(), path.clone()];
-    let (got, peak) = peak_of(|| run(&args));
+    let (got, peak) = common::alloc::peak_of(|| run(&args));
     let err = got.expect_err("the file is refused");
     assert_eq!(err.exit_code, 3, "{}", err.message);
     assert!(err.message.contains(named), "{}", err.message);
@@ -52,7 +56,7 @@ fn a_size_line_no_entries_can_fill_is_refused_before_anything_is_sized() {
 
     let script = format!("analyze h {path}\nquit\n");
     let writer = Mutex::new(Vec::<u8>::new());
-    let (served, peak) = peak_of(|| serve_loop(script.as_bytes(), &writer, 1, None));
+    let (served, peak) = process_peak_of(|| serve_loop(script.as_bytes(), &writer, 1, None));
     served.unwrap();
     let replies = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     let reply = replies.lines().next().unwrap();

@@ -2,12 +2,15 @@
 //! global allocator: it is sized once, from `nnz(A)` and `n`, before the
 //! first pivot, and a dense row costs its length — `AᵀA` is never formed.
 //!
-//! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global peak counter.
+//! This file installs the counting allocator for its whole test binary.
+//! Its window runs on one thread and reads that thread's counters, so what
+//! the harness's other threads allocate meanwhile does not count.
 
+mod common;
+
+use common::alloc::peak_of;
 use parsplu::matgen::{paper_matrix, Scale};
-use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
+use parsplu::obs::{thread_heap_stats, CountingAlloc};
 use parsplu::ordering::column_min_degree_with;
 use parsplu::sparse::SparsityPattern;
 
@@ -33,14 +36,13 @@ fn the_ordering_workspace_is_sized_once_from_nnz_and_n() {
         // The high-water mark at every poll: one per pivot, the first
         // after the workspace is built.
         let mut peaks = Vec::with_capacity(p.ncols());
-        reset_heap_peak();
-        let before = heap_stats().expect("allocator installed").current_bytes;
-        let perm = column_min_degree_with(&p, None, &mut || {
-            peaks.push(heap_stats().unwrap().peak_bytes);
-            true
-        })
-        .unwrap();
-        let peak = heap_stats().unwrap().peak_bytes - before;
+        let (perm, peak) = peak_of(|| {
+            column_min_degree_with(&p, None, &mut || {
+                peaks.push(thread_heap_stats().unwrap().peak_bytes);
+                true
+            })
+            .unwrap()
+        });
         assert_eq!(perm.len(), p.ncols());
         assert!(
             peaks.len() >= least_pivots,

@@ -8,13 +8,17 @@
 //! the same range with one recorder attached: what it allocates is bounded
 //! by a constant, whatever the task count — no worker loop ran.
 //!
-//! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global peak counter.
+//! This file installs the counting allocator for its whole test binary.
+//! Each window runs on one thread (a one-thread refactor replays inline)
+//! and reads that thread's counters, so what the harness's other threads
+//! allocate meanwhile does not count.
 
+mod common;
+
+use common::alloc::peak_of;
 use parsplu::core::{ObsSession, Options, SluSession};
 use parsplu::matgen::{manufactured_rhs, paper_matrix, paper_suite, Scale};
-use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
+use parsplu::obs::CountingAlloc;
 use parsplu::sparse::{relative_residual, CscMatrix};
 
 #[global_allocator]
@@ -42,15 +46,10 @@ fn refactor_hot_path_allocates_nothing() {
         "the steady state under test is the in-block one"
     );
     for (round, vals) in new_values.iter().enumerate() {
-        reset_heap_peak();
-        let base = heap_stats().expect("allocator installed").peak_bytes;
-        s.refactor(vals).unwrap();
-        let after = heap_stats().unwrap().peak_bytes;
+        let ((), grown) = peak_of(|| s.refactor(vals).unwrap());
         assert_eq!(
-            after,
-            base,
-            "refactor round {round} allocated {} heap bytes on the hot path",
-            after - base
+            grown, 0,
+            "refactor round {round} allocated {grown} heap bytes on the hot path"
         );
     }
     assert!(s.is_realised(), "no round left the in-block structure");
@@ -76,10 +75,7 @@ fn refactor_hot_path_allocates_nothing() {
         s.refactor_observed(&a, &ObsSession::new()).unwrap();
         assert!(s.is_realised());
         let obs = ObsSession::new();
-        reset_heap_peak();
-        let base = heap_stats().unwrap().peak_bytes;
-        s.refactor_observed(&a, &obs).unwrap();
-        let grown = heap_stats().unwrap().peak_bytes - base;
+        let ((), grown) = peak_of(|| s.refactor_observed(&a, &obs).unwrap());
         let tasks = s.stats().graph_tasks as u64;
         assert!(
             grown <= OBSERVED_BOUND,

@@ -27,37 +27,25 @@
 //!   permutations, per-column pivot vectors and the maps' copies of the
 //!   lists).
 //!
-//! This file installs the counting allocator for its whole test binary,
-//! so it holds exactly one test: a concurrent test in the same process
-//! would race the global peak counter.
+//! This file installs the counting allocator for its whole test binary.
+//! Every window runs on one thread (one-thread factorizations replay
+//! inline) and reads that thread's counters, so what the harness's other
+//! threads allocate meanwhile does not count.
 
+mod common;
+
+use common::alloc::{live_of, peak_of, window};
 use parsplu::core::{analyze, factor_left_looking, BlockMatrix, Options, SluSession, SparseLu};
 use parsplu::matgen::{cross_block_pivots, fem2d_unsymmetric, paper_matrix, Scale};
-use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
+use parsplu::obs::CountingAlloc;
 use parsplu::sparse::CscMatrix;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `f`'s result and the growth of the heap peak over the live bytes before
-/// it ran.
-fn peak_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = heap_stats().expect("allocator installed").current_bytes;
-    reset_heap_peak();
-    let out = f();
-    (out, heap_stats().unwrap().peak_bytes - before)
-}
-
 /// One slot of a held session's scatter map: the offset of its word in
 /// its block column's buffer, one `u32`.
 const MAP_SLOT_BYTES: u64 = 4;
-
-/// `f`'s result and the live bytes it leaves behind.
-fn live_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = heap_stats().expect("allocator installed").current_bytes;
-    let out = f();
-    (out, heap_stats().unwrap().current_bytes - before)
-}
 
 /// The heap peak of the static path.
 fn static_peak(a: &CscMatrix) -> u64 {
@@ -101,18 +89,16 @@ fn speculation_never_holds_the_static_storage_beside_the_realised_one() {
         let (lu, lu_live) = live_of(|| SparseLu::factor(a, &Options::default()).unwrap());
         let resident = lu.session().resident_bytes();
         within_2_percent(&format!("{name} one-shot"), lu_live, resident);
-        let before = heap_stats().unwrap();
-        let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
-        let analyzed = heap_stats().unwrap();
-        let analyzed_live = analyzed.current_bytes - before.current_bytes;
+        let (mut s, analyzed) =
+            window(|| SluSession::analyze(a.pattern(), &Options::default()).unwrap());
+        let analyzed_live = analyzed.live;
         within_2_percent(
             &format!("{name} analyzed"),
             analyzed_live,
             s.resident_bytes(),
         );
-        s.factor(a).unwrap();
-        let after = heap_stats().unwrap();
-        let session_live = after.current_bytes - before.current_bytes;
+        let ((), factored) = window(|| s.factor(a).unwrap());
+        let session_live = analyzed_live + factored.live;
         let map = MAP_SLOT_BYTES * a.nnz() as u64;
         assert_eq!(
             session_live,
@@ -131,7 +117,7 @@ fn speculation_never_holds_the_static_storage_beside_the_realised_one() {
         assert_eq!(s.resident_bytes() - resident, map, "{name}");
         if *name == "sherman3" {
             let nb = s.symbolic().block_structure.num_blocks() as u64;
-            let allocations = after.allocations - analyzed.allocations;
+            let allocations = factored.allocations;
             assert!(
                 allocations <= nb + 64,
                 "{name}: the first factor made {allocations} allocations over {nb} block columns"

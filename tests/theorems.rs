@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
+use parsplu::core::{analyze, Options};
 use parsplu::ordering::{maximum_transversal, StructuralRank};
+use parsplu::sched::{block_forest, build_eforest_graph, build_sstar_graph};
 use parsplu::sparse::{Permutation, SparsityPattern};
 use parsplu::symbolic::{
     postorder_permutation, static_fact::static_symbolic_reference, static_symbolic_factorization,
@@ -147,5 +149,56 @@ proptest! {
                 prop_assert!(rank < n);
             }
         }
+    }
+}
+
+/// `children(p)` is exactly `{ j : parent(j) = p }`, in ascending order.
+fn assert_children_invert_parents(forest: &EliminationForest, what: &str) {
+    let n = forest.n();
+    let mut want = vec![Vec::new(); n];
+    for j in 0..n {
+        if let Some(p) = forest.parent(j) {
+            want[p].push(j as u32);
+        }
+    }
+    for (p, kids) in want.iter().enumerate() {
+        assert_eq!(
+            forest.children(p),
+            kids.as_slice(),
+            "{what}: children of {p}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every forest's children pattern is the inverse of its parents: the
+    /// scalar eforest of a filled pattern, as labelled and postordered, the
+    /// block forest of its analysis, and a forest of random parents. Both
+    /// task graphs over those blocks list each task's successors in
+    /// ascending order.
+    #[test]
+    fn children_patterns_invert_the_parents(
+        p in diag_pattern(40),
+        parents in proptest::collection::vec(0usize..1000, 0..60),
+    ) {
+        let scalar = EliminationForest::from_filled(&static_symbolic_factorization(&p).unwrap());
+        assert_children_invert_parents(&scalar, "scalar");
+        let po = scalar.relabel(&scalar.postorder());
+        assert_children_invert_parents(&po, "postordered");
+        let bs = analyze(&p, &Options::default()).unwrap().block_structure;
+        assert_children_invert_parents(&block_forest(&bs), "block");
+        for g in [build_sstar_graph(&bs), build_eforest_graph(&bs)] {
+            prop_assert_eq!(g.edges().ncols(), g.len());
+            prop_assert!((0..g.len()).all(|t| g.successors(t).windows(2).all(|w| w[0] < w[1])));
+        }
+        // A parent above each node, or none when the draw lands past `n`.
+        let n = parents.len();
+        let random = (0..n).map(|j| j + 1 + parents[j] % (2 * (n - j))).map(|q| {
+            if q < n { q } else { usize::MAX }
+        });
+        let forest = EliminationForest::from_parent_vec(random.collect());
+        assert_children_invert_parents(&forest, "random");
     }
 }
