@@ -19,7 +19,8 @@
 //! binary) only; the numerical executor keeps the paper's 1D column-task
 //! granularity.
 
-use crate::simulate::{bottom_levels, CostModel, Key, SimResult};
+use crate::simulate::{bottom_levels, in_degrees, CostModel, Key, SimResult};
+use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::EliminationForest;
 use std::cmp::Reverse;
@@ -92,12 +93,12 @@ impl Grid {
     }
 }
 
-/// The fine-grained dependence graph.
+/// The fine-grained dependence graph: column `t` of `edges` lists the
+/// successors of task `t`, ascending.
 #[derive(Debug, Clone)]
 pub struct FineGraph {
     tasks: Vec<FineTask>,
-    succ: Vec<Vec<usize>>,
-    pred_count: Vec<usize>,
+    edges: SparsityPattern,
 }
 
 impl FineGraph {
@@ -113,7 +114,7 @@ impl FineGraph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
+        self.edges.nnz()
     }
 
     /// All tasks by id.
@@ -121,17 +122,14 @@ impl FineGraph {
         &self.tasks
     }
 
-    /// Successors of a task.
-    pub fn successors(&self, id: usize) -> &[usize] {
-        &self.succ[id]
+    /// Successors of a task, ascending.
+    pub fn successors(&self, id: usize) -> &[u32] {
+        self.edges.col(id)
     }
 
     /// Longest path in tasks (unit weights).
     pub fn critical_path_len(&self) -> usize {
-        let successors = |t: usize| self.succ[t].iter().copied();
-        bottom_levels(self.pred_count.clone(), successors, |_| 1.0, |_, _| 0.0)
-            .into_iter()
-            .fold(0.0, f64::max) as usize
+        (bottom_levels(&self.edges, |_| 1.0, |_, _| 0.0).into_iter()).fold(0.0, f64::max) as usize
     }
 }
 
@@ -139,23 +137,14 @@ impl FineGraph {
 /// following the Section 4 rules lifted to the split tasks.
 pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> FineGraph {
     let nb = bs.num_blocks();
-    let mut tasks = Vec::new();
-    let mut succ: Vec<Vec<usize>> = Vec::new();
-    let mut pred_count: Vec<usize> = Vec::new();
-    let add = |tasks: &mut Vec<FineTask>,
-               succ: &mut Vec<Vec<usize>>,
-               pred_count: &mut Vec<usize>,
-               t: FineTask| {
+    let mut tasks: Vec<FineTask> = (0..nb).map(FineTask::Factor).collect();
+    // (successor, predecessor): the entries of the edge pattern.
+    let mut edges = Vec::new();
+    let mut add = |t: FineTask| {
         tasks.push(t);
-        succ.push(Vec::new());
-        pred_count.push(0);
         tasks.len() - 1
     };
-    let factor_id: Vec<usize> = (0..nb)
-        .map(|k| add(&mut tasks, &mut succ, &mut pred_count, FineTask::Factor(k)))
-        .collect();
     // Per (src, dst): ids of the stage tasks.
-    // entry_ids[src] = list of (dst, apply, trsm, gemm ids...)
     struct Stages {
         dst: usize,
         apply: usize,
@@ -163,27 +152,12 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
         gemms: Vec<usize>,
     }
     let mut stages: Vec<Vec<Stages>> = (0..nb).map(|_| Vec::new()).collect();
-    let edge = |succ: &mut Vec<Vec<usize>>, pred_count: &mut Vec<usize>, a: usize, b: usize| {
-        succ[a].push(b);
-        pred_count[b] += 1;
-    };
-    for k in 0..nb {
+    for (k, stages_k) in stages.iter_mut().enumerate() {
         for &j in &bs.u_blocks.col(k)[1..] {
             let j = j as usize;
-            let apply = add(
-                &mut tasks,
-                &mut succ,
-                &mut pred_count,
-                FineTask::Apply { src: k, dst: j },
-            );
-            let trsm = add(
-                &mut tasks,
-                &mut succ,
-                &mut pred_count,
-                FineTask::Trsm { src: k, dst: j },
-            );
-            edge(&mut succ, &mut pred_count, factor_id[k], apply);
-            edge(&mut succ, &mut pred_count, apply, trsm);
+            let apply = add(FineTask::Apply { src: k, dst: j });
+            let trsm = add(FineTask::Trsm { src: k, dst: j });
+            edges.extend([(apply, k), (trsm, apply)]);
             let mut gemms = Vec::new();
             for &i in &bs.l_blocks.col(k)[1..] {
                 let i = i as usize;
@@ -191,21 +165,16 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
                 // contribution is then exactly zero (see splu-core) and no
                 // task is needed.
                 if bs.block_nonzero(i, j) {
-                    let g = add(
-                        &mut tasks,
-                        &mut succ,
-                        &mut pred_count,
-                        FineTask::Gemm {
-                            src: k,
-                            dst: j,
-                            row: i,
-                        },
-                    );
-                    edge(&mut succ, &mut pred_count, trsm, g);
+                    let g = add(FineTask::Gemm {
+                        src: k,
+                        dst: j,
+                        row: i,
+                    });
+                    edges.push((g, trsm));
                     gemms.push(g);
                 }
             }
-            stages[k].push(Stages {
+            stages_k.push(Stages {
                 dst: j,
                 apply,
                 trsm,
@@ -217,37 +186,29 @@ pub fn build_fine_graph(bs: &BlockStructure, forest: &EliminationForest) -> Fine
     for i in 0..nb {
         for s in &stages[i] {
             let k = s.dst;
-            match forest.parent(i) {
-                Some(p) if p == k => {
-                    // All of source i's work into k precedes F(k).
-                    edge(&mut succ, &mut pred_count, s.trsm, factor_id[k]);
-                    for &g in &s.gemms {
-                        edge(&mut succ, &mut pred_count, g, factor_id[k]);
-                    }
-                }
+            let target = match forest.parent(i) {
+                // All of source i's work into k precedes F(k).
+                Some(p) if p == k => k,
+                // Else the parent's Apply into the same destination.
                 Some(p) => {
-                    // Find parent's Apply into the same destination.
-                    let target = stages[p]
-                        .iter()
-                        .find(|t| t.dst == k)
+                    (stages[p].iter().find(|t| t.dst == k))
                         .unwrap_or_else(|| {
                             panic!("Theorem 1 violated at block level: U({p},{k}) missing")
                         })
-                        .apply;
-                    edge(&mut succ, &mut pred_count, s.trsm, target);
-                    for &g in &s.gemms {
-                        edge(&mut succ, &mut pred_count, g, target);
-                    }
+                        .apply
                 }
-                None => {}
-            }
+                None => continue,
+            };
+            edges.extend(
+                std::iter::once(s.trsm)
+                    .chain(s.gemms.iter().copied())
+                    .map(|t| (target, t)),
+            );
         }
     }
-    FineGraph {
-        tasks,
-        succ,
-        pred_count,
-    }
+    let n = tasks.len();
+    let edges = SparsityPattern::from_entries(n, n, edges).expect("task ids are in range");
+    FineGraph { tasks, edges }
 }
 
 /// Per-task time for the fine decomposition under a grid and model, over
@@ -332,7 +293,7 @@ pub fn simulate_fine(
         .map(|&t| fine_task_time(bs, &grid, model, t))
         .collect();
 
-    let mut indeg = fg.pred_count.clone();
+    let mut indeg = in_degrees(&fg.edges);
     let mut ready_time = vec![0.0_f64; fg.len()];
     let mut proc_free = vec![0.0_f64; nprocs];
     let mut heap: BinaryHeap<Reverse<Key>> = (0..fg.len())
@@ -352,7 +313,7 @@ pub fn simulate_fine(
         busy[p] += times[t];
         total_work += times[t];
         makespan = makespan.max(finish);
-        for &s in fg.successors(t) {
+        for s in fg.successors(t).iter().map(|&s| s as usize) {
             let visible = if owners[s] != p && nprocs > 1 {
                 finish + model.edge_latency
             } else {
@@ -476,7 +437,7 @@ mod tests {
             if let FineTask::Apply { src, .. } = *t {
                 let f = factor_pos[&src];
                 assert!(
-                    fg.successors(f).contains(&id),
+                    fg.successors(f).contains(&(id as u32)),
                     "Factor({src}) must directly precede Apply"
                 );
             }

@@ -10,6 +10,7 @@
 
 use splu_core::TaskCost;
 use splu_sched::{Mapping, TaskGraph};
+use splu_sparse::SparsityPattern;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -88,16 +89,17 @@ impl Ord for Key {
     }
 }
 
-/// Weighted bottom levels of a DAG given as in-degrees plus a successor
-/// iterator per node: `level(t) = time_of(t) + max over successors s of
+/// Weighted bottom levels of a DAG whose column `t` of `edges` lists the
+/// successors of `t`: `level(t) = time_of(t) + max over successors s of
 /// (level(s) + edge_latency(t, s))`, by one reverse sweep over a Kahn
 /// order. Panics on a cycle.
-pub(crate) fn bottom_levels<I: IntoIterator<Item = usize>>(
-    mut indeg: Vec<usize>,
-    successors: impl Fn(usize) -> I,
+pub(crate) fn bottom_levels(
+    edges: &SparsityPattern,
     time_of: impl Fn(usize) -> f64,
     edge_latency: impl Fn(usize, usize) -> f64,
 ) -> Vec<f64> {
+    let successors = |t: usize| edges.col(t).iter().map(|&s| s as usize);
+    let mut indeg = in_degrees(edges);
     let n = indeg.len();
     let mut queue: VecDeque<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
     let mut order = Vec::with_capacity(n);
@@ -122,10 +124,11 @@ pub(crate) fn bottom_levels<I: IntoIterator<Item = usize>>(
     level
 }
 
-/// In-degree of every task of `graph`.
-fn in_degrees(graph: &TaskGraph) -> Vec<usize> {
-    let mut indeg = vec![0usize; graph.len()];
-    for &s in graph.edges().row_indices() {
+/// In-degree of every node of the DAG whose column `t` of `edges` lists
+/// the successors of `t`.
+pub(crate) fn in_degrees(edges: &SparsityPattern) -> Vec<usize> {
+    let mut indeg = vec![0usize; edges.ncols()];
+    for &s in edges.row_indices() {
         indeg[s as usize] += 1;
     }
     indeg
@@ -162,7 +165,7 @@ pub fn simulate(
         time
     };
 
-    let mut indeg = in_degrees(graph);
+    let mut indeg = in_degrees(graph.edges());
     let mut ready_time = vec![0.0_f64; graph.len()];
     let mut proc_free = vec![0.0_f64; nprocs];
     let mut heap: BinaryHeap<Reverse<Key>> = (0..graph.len())
@@ -260,21 +263,16 @@ pub fn simulate_static_order(
 
     // Priorities: longest time-to-sink — the executor's bottom levels,
     // weighted by task time and cross-processor latency.
-    let priority = bottom_levels(
-        in_degrees(graph),
-        |t| successors(graph, t),
-        time_of,
-        |t, s| {
-            if owner(s) != owner(t) && nprocs > 1 {
-                model.edge_latency
-            } else {
-                0.0
-            }
-        },
-    );
+    let priority = bottom_levels(graph.edges(), time_of, |t, s| {
+        if owner(s) != owner(t) && nprocs > 1 {
+            model.edge_latency
+        } else {
+            0.0
+        }
+    });
 
     // Inspector: global topological order, most-urgent ready task first.
-    let mut indeg = in_degrees(graph);
+    let mut indeg = in_degrees(graph.edges());
     let mut heap: BinaryHeap<Key> = (0..graph.len())
         .filter(|&t| indeg[t] == 0)
         .map(|t| Key(priority[t], t))

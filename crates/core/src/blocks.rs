@@ -38,13 +38,15 @@
 //!
 //! **The value slot.** Where an input nonzero lands is one `u32`: its
 //! offset inside its block column's buffer; the block column follows from
-//! the entry's column. A held session keeps one slot per nonzero and
-//! refactors through them with plain indexed stores.
+//! the entry's column. The slots depend on the pattern only
+//! ([`Layout::slots`]): a held analysis keeps one per nonzero beside its
+//! layout, and every session on it fills its storage through them with
+//! plain indexed stores.
 
 use parking_lot::RwLock;
 use splu_dense::{MatMut, MatRef};
 use splu_sched::Task;
-use splu_sparse::{CscMatrix, SparsityPattern};
+use splu_sparse::{CscMatrix, CscRef, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use std::cell::RefCell;
 use std::mem::size_of;
@@ -182,17 +184,17 @@ impl UpdateMap {
 }
 
 /// The structure-only half of the storage: the offsets and the relative
-/// index maps, shared (read-only, lock-free) by every task and every
-/// factorization of one pattern. The structure itself — partition, `R_K`,
-/// `C_K` — is the session's, shared and not copied: a stored row or column
+/// index maps, shared (read-only, lock-free, behind an `Arc`) by every
+/// task, every factorization and every session of one analysis. The
+/// structure itself — partition, `R_K`, `C_K` — is the analysis', shared
+/// and not copied: a stored row or column
 /// is found inside its block as its global index less the block's start,
 /// and the block is known wherever one is read.
 #[derive(Debug)]
 pub(crate) struct Layout {
     bs: Arc<BlockStructure>,
-    /// `K`'s `L̄` blocks below the diagonal, ascending:
-    /// `lblks[lblk_ptr[K]..lblk_ptr[K + 1]]`.
-    lblk_ptr: Vec<u32>,
+    /// `K`'s `L̄` blocks below the diagonal, ascending, one per entry of
+    /// `l_blocks.col(K)[1..]`: `lblks[l_blocks.col_ptr()[K] − K..]`.
     lblks: Vec<LBlock>,
     /// Column `J`'s updates, in ascending source:
     /// `upds[upd_ptr[J]..upd_ptr[J + 1]]`.
@@ -268,10 +270,8 @@ impl Layout {
 
         // Per supernode K: the block rows its rows fall into, and the
         // column maps into the rows below.
-        let mut lblk_ptr = Vec::with_capacity(nb + 1);
         let mut lblks: Vec<LBlock> = Vec::with_capacity(bs.l_blocks.nnz() - nb);
         for k in 0..nb {
-            lblk_ptr.push(idx32(lblks.len()));
             let first = lblks.len();
             for (t, &r) in bs.l_rows.col(k).iter().enumerate() {
                 let i = block_of[r as usize];
@@ -297,8 +297,8 @@ impl Layout {
                 lb.crel = idx32(rel.len());
                 rel.extend(positions(&ck[c0..], bs.u_cols.col(i)).map(idx32));
             }
+            debug_assert_eq!(lblks.len(), bs.l_blocks.col_ptr()[k + 1] - k - 1);
         }
-        lblk_ptr.push(idx32(lblks.len()));
 
         // Per block column J: its sources, ascending, then J itself.
         let sources = bs.u_blocks.transpose();
@@ -366,7 +366,8 @@ impl Layout {
             for at in into_j {
                 upds[at].targets = idx32(targets.len());
                 let (k, cols) = (upds[at].src as usize, upds[at].cols.clone());
-                let lbs = &lblks[lblk_ptr[k] as usize..lblk_ptr[k + 1] as usize];
+                let lbs =
+                    &lblks[bs.l_blocks.col_ptr()[k] - k..bs.l_blocks.col_ptr()[k + 1] - k - 1];
                 let above = lbs.partition_point(|lb| lb.rows.start < upds[at].t_diag);
                 for lb in &lbs[..above] {
                     let (col, ui) = upd_of[lb.block as usize];
@@ -386,7 +387,6 @@ impl Layout {
         debug_assert_eq!((rel.len(), targets.len()), (rel_len, targets_len));
         Layout {
             bs,
-            lblk_ptr,
             lblks,
             upd_ptr,
             upds,
@@ -427,7 +427,8 @@ impl Layout {
 
     /// `K`'s `L̄` blocks below the diagonal, ascending.
     fn lblks(&self, k: usize) -> &[LBlock] {
-        &self.lblks[self.lblk_ptr[k] as usize..self.lblk_ptr[k + 1] as usize]
+        let ptr = self.bs.l_blocks.col_ptr();
+        &self.lblks[ptr[k] - k..ptr[k + 1] - k - 1]
     }
 
     /// Length of column `j`'s buffer: its panel and its `Ū` blocks.
@@ -480,10 +481,48 @@ impl Layout {
         }
     }
 
-    /// Bytes of the arrays the layout owns; the structure it shares is
-    /// its holder's.
-    fn bytes(&self) -> u64 {
-        (vec_bytes(&self.lblk_ptr)
+    /// Where each entry of `pattern` lands — its offset in its block
+    /// column's buffer, in storage order — its rows `new_row` and its
+    /// columns `old_col` relating to factorization order as in
+    /// [`BlockMatrix::assembled`]: the locating pass, once per pattern.
+    pub(crate) fn slots(
+        &self,
+        pattern: &SparsityPattern,
+        new_row: impl Fn(usize) -> usize,
+        old_col: impl Fn(usize) -> usize,
+    ) -> Vec<u32> {
+        let mut slots = vec![0; pattern.nnz()];
+        let mut loc = Locator::new(self, pattern, new_row, old_col);
+        for j in 0..self.num_blocks() {
+            loc.column(self, j, |e, at| slots[e] = idx32(at));
+        }
+        slots
+    }
+
+    /// Stores `a`'s value `e` at `slots[e]` of `data`, block column `j`'s
+    /// buffer, for the entries of its columns, factorization column `c`
+    /// being `a`'s column `old_col(c)`: plain indexed stores.
+    fn store_column(
+        &self,
+        j: usize,
+        data: &mut [f64],
+        a: CscRef<'_>,
+        old_col: impl Fn(usize) -> usize,
+        slots: &[u32],
+    ) {
+        let ptr = a.pattern().col_ptr();
+        for c in self.bs.partition.range(j).map(old_col) {
+            let entries = ptr[c]..ptr[c + 1];
+            for (&at, &v) in slots[entries.clone()].iter().zip(&a.values()[entries]) {
+                data[at as usize] = v;
+            }
+        }
+    }
+
+    /// Bytes the layout owns — its arrays, and itself, as it is held
+    /// behind an `Arc`; the structure it shares is its holder's.
+    pub(crate) fn bytes(&self) -> u64 {
+        (size_of::<Layout>()
             + vec_bytes(&self.lblks)
             + vec_bytes(&self.upd_ptr)
             + vec_bytes(&self.upds)
@@ -856,9 +895,9 @@ const UNFACTORED: u32 = u32::MAX;
 
 /// The block matrix: per-column values behind `RwLock`s (readers: updates
 /// sourcing the column; writer: the column's own factor/update tasks),
-/// over one `Layout` (the index maps), and the pivots.
+/// over a shared `Layout` (the index maps), and the pivots.
 pub struct BlockMatrix {
-    layout: Layout,
+    layout: Arc<Layout>,
     columns: Vec<RwLock<ColumnData>>,
     /// `pivots[starts[K] + c]`: the panel position step `c` of `Factor(K)`
     /// took its pivot from (`≥ c`); [`UNFACTORED`] in `K`'s first slot
@@ -873,7 +912,8 @@ impl BlockMatrix {
     /// Allocates the compact storage of `Ā` under the given block
     /// structure, zero-filled and unfactored, and builds its index maps.
     pub fn zeros(bs: &BlockStructure) -> Self {
-        Self::with_layout(Layout::new(Arc::new(bs.clone()), false), |_, _, _| {})
+        let layout = Layout::new(Arc::new(bs.clone()), false);
+        Self::with_layout(Arc::new(layout), |_, _, _| {})
     }
 
     /// Assembles the block storage of `a` (already permuted into
@@ -881,38 +921,44 @@ impl BlockMatrix {
     /// with the entries of `a` in place.
     pub fn assemble(a: &CscMatrix, bs: &BlockStructure) -> Self {
         let layout = Layout::new(Arc::new(bs.clone()), false);
-        Self::assembled(layout, a, |i| i, |j| j, None)
+        Self::assembled(Arc::new(layout), a.view(), |i| i, |j| j)
     }
 
     /// The storage laid out by `layout`, each column's buffer allocated and
     /// given the entries of `a` that land in it in one pass — the rows of
     /// `a` mapping into factorization order by `new_row`, factorization
-    /// column `j` being `a`'s column `old_col(j)`. With `slots`, entry `e`
-    /// of `a` (in storage order) also records its offset in its column's
-    /// buffer at `slots[e]`.
+    /// column `j` being `a`'s column `old_col(j)`.
     pub(crate) fn assembled(
-        layout: Layout,
-        a: &CscMatrix,
+        layout: Arc<Layout>,
+        a: CscRef<'_>,
         new_row: impl Fn(usize) -> usize,
         old_col: impl Fn(usize) -> usize,
-        mut slots: Option<&mut [u32]>,
     ) -> Self {
         let values = a.values();
         let mut loc = Locator::new(&layout, a.pattern(), new_row, old_col);
         Self::with_layout(layout, |lay, j, data| {
-            loc.column(lay, j, |e, at| {
-                data[at] = values[e];
-                if let Some(slots) = slots.as_deref_mut() {
-                    slots[e] = idx32(at);
-                }
-            });
+            loc.column(lay, j, |e, at| data[at] = values[e]);
+        })
+    }
+
+    /// The storage laid out by `layout`, each column's buffer allocated and
+    /// given `a`'s values through `slots` ([`Layout::slots`] of `a`'s
+    /// pattern), factorization column `j` being `a`'s column `old_col(j)`.
+    pub(crate) fn through_slots(
+        layout: Arc<Layout>,
+        a: CscRef<'_>,
+        old_col: impl Fn(usize) -> usize,
+        slots: &[u32],
+    ) -> Self {
+        Self::with_layout(layout, |lay, j, data| {
+            lay.store_column(j, data, a, &old_col, slots)
         })
     }
 
     /// Storage over `layout`: every column's buffer allocated zeroed and
     /// handed to `fill(layout, j, buffer)` before the next one is.
     pub(crate) fn with_layout(
-        layout: Layout,
+        layout: Arc<Layout>,
         mut fill: impl FnMut(&Layout, usize, &mut [f64]),
     ) -> Self {
         let columns = (0..layout.num_blocks())
@@ -1035,7 +1081,7 @@ impl BlockMatrix {
     /// [`Self::assembled`]: the locating pass, no slot is kept.
     pub(crate) fn scatter(
         &mut self,
-        a: &CscMatrix,
+        a: CscRef<'_>,
         new_row: impl Fn(usize) -> usize,
         old_col: impl Fn(usize) -> usize,
     ) {
@@ -1047,26 +1093,19 @@ impl BlockMatrix {
         }
     }
 
-    /// Stores `values[e]` at `slots[e]` of its column's buffer, for the
-    /// entries `e` of `pattern`, factorization column `j` being `pattern`'s
-    /// column `old_col(j)`: plain indexed stores, no allocation.
+    /// Stores `a`'s value `e` at `slots[e]` of its column's buffer,
+    /// factorization column `j` being `a`'s column `old_col(j)`: plain
+    /// indexed stores, no allocation.
     pub(crate) fn store_values(
         &mut self,
-        pattern: &SparsityPattern,
+        a: CscRef<'_>,
         old_col: impl Fn(usize) -> usize,
         slots: &[u32],
-        values: &[f64],
     ) {
-        debug_assert_eq!(slots.len(), values.len());
-        let lay = &self.layout;
+        debug_assert_eq!(slots.len(), a.values().len());
         for (j, col) in self.columns.iter_mut().enumerate() {
             let data = &mut col.get_mut().data;
-            for c in lay.bs.partition.range(j).map(&old_col) {
-                let entries = pattern.col_ptr()[c]..pattern.col_ptr()[c + 1];
-                for (&at, &v) in slots[entries.clone()].iter().zip(&values[entries]) {
-                    data[at as usize] = v;
-                }
-            }
+            self.layout.store_column(j, data, a, &old_col, slots);
         }
     }
 
@@ -1090,7 +1129,7 @@ impl BlockMatrix {
             "storage was built for another structure"
         );
         self.reset_values();
-        self.scatter(a, |i| i, |j| j);
+        self.scatter(a.view(), |i| i, |j| j);
     }
 
     /// Matrix order (scalar).
@@ -1111,6 +1150,12 @@ impl BlockMatrix {
     /// The index maps.
     pub(crate) fn layout(&self) -> &Layout {
         &self.layout
+    }
+
+    /// `true` when the two storages read one layout: the storages of two
+    /// sessions on one analysis do.
+    pub fn shares_layout(&self, other: &BlockMatrix) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
     }
 
     /// The sources of block column `j` in ascending order — the `q`-th
@@ -1242,15 +1287,24 @@ impl BlockMatrix {
         self.columns.iter().map(|c| c.read().data.len()).sum()
     }
 
-    /// Bytes the storage holds: the column buffers, the pivots, the column
-    /// table, and the layout's own arrays with its range plan — from the
-    /// lengths of the arrays. The structure the layout shares is its
-    /// holder's to count.
+    /// Bytes the storage holds: the column buffers, the pivots and the
+    /// column table — from the lengths of the arrays. The layout it shares
+    /// is the analysis' to count. [`factor_bytes`] of its structure,
+    /// exactly.
     pub(crate) fn resident_bytes(&self) -> u64 {
         let words = self.storage_words() * size_of::<f64>();
         let table = vec_bytes(&self.columns);
-        (words + vec_bytes(&self.pivots) + table) as u64 + self.layout.bytes()
+        (words + vec_bytes(&self.pivots) + table) as u64
     }
+}
+
+/// What the storage of `bs` holds ([`BlockMatrix::resident_bytes`]), from
+/// the structure alone: its words, one `u32` pivot per column and one
+/// column-table entry per block column.
+pub(crate) fn factor_bytes(bs: &BlockStructure) -> u64 {
+    let words = bs.storage_words() * size_of::<f64>();
+    let table = bs.num_blocks() * size_of::<RwLock<ColumnData>>();
+    (words + bs.partition.n() * size_of::<AtomicU32>() + table) as u64
 }
 
 #[cfg(test)]

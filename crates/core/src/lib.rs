@@ -53,7 +53,7 @@ pub use psolve::solve_permuted_parallel;
 pub use request::{
     factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, RangePlan, SymbolicRequest,
 };
-pub use session::{pattern_hash, SluSession};
+pub use session::{pattern_hash, Analysis, SluSession};
 pub use solve::{
     det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_transposed_permuted,
 };
@@ -307,6 +307,7 @@ pub struct Stats {
 /// structure's per-supernode row and column lists are what the compact
 /// storage is laid out from, and the block eforest follows from its block
 /// lists ([`block_forest`]).
+#[derive(Clone)]
 pub struct SymbolicLu {
     /// Total row permutation: the factored matrix is
     /// `A[row_perm, col_perm]`.
@@ -624,7 +625,7 @@ impl SparseLu {
         opts: &Options,
         obs: Option<&ObsSession>,
     ) -> Result<SparseLu, LuError> {
-        session::check_finite(a)?;
+        session::check_finite(a.view())?;
         // Equilibration shares the canonical "scale_transversal" phase with
         // the transversal inside `analyze_with` (spans of one name sum).
         let equil = {
@@ -637,7 +638,7 @@ impl SparseLu {
         let work = equil.as_ref().map_or(a, |e| &e.scaled);
         // Never refactored: the session keeps no scatter map.
         let mut session = SluSession::analyze_inner(work.pattern(), opts, obs, true)?;
-        session.factor_inner(work, obs)?;
+        session.factor_inner(work.view(), obs)?;
         let mut lu = SparseLu {
             health: session.health().clone(),
             session,
@@ -756,7 +757,7 @@ impl SparseLu {
         tol: f64,
         max_iters: usize,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        solve::refine(a, b, tol, max_iters, |rhs| self.solve_raw(rhs))
+        solve::refine(a.view(), b, tol, max_iters, |rhs| self.solve_raw(rhs))
     }
 
     /// [`Self::try_solve_refined`], panicking on a dimension mismatch.

@@ -339,7 +339,7 @@ enum PlanNode {
 /// plan of its structure, contracted at analysis (and again after a
 /// fallback); [`factor_numeric_with`] contracts one per call of a coarse
 /// request, and runs a [`NumericRequest::planned`] one as it is.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangePlan {
     nodes: Vec<PlanNode>,
     /// Node `t` runs tasks `bounds[t]..bounds[t + 1]` of the storage.
@@ -875,7 +875,7 @@ mod tests {
                 for (structure, wired) in [(Arc::clone(bs), false), (Arc::clone(&in_block), true)] {
                     let tripped = wired && left;
                     let layout = crate::blocks::Layout::new(Arc::clone(&structure), wired);
-                    let mut bm = BlockMatrix::with_layout(layout, |_, _, _| {});
+                    let mut bm = BlockMatrix::with_layout(Arc::new(layout), |_, _, _| {});
                     bm.reset_from(&p, &structure);
                     let replayed = graph_replay(&bm, &graph);
                     proptest::prop_assert_eq!(replayed.is_err(), tripped);

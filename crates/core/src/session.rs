@@ -4,13 +4,15 @@
 //! The paper's premise is that the symbolic work — ordering, static
 //! George–Ng fill, eforest postordering, supernode partition, task graph —
 //! depends only on the sparsity pattern, while device- and
-//! circuit-simulation workloads change the numeric *values* every step. A
-//! [`SluSession`] caches all of the symbolic state (keyed by a pattern
-//! hash, [`pattern_hash`]) — on several threads also the range plan its
-//! numeric phase runs: the eforest task graph of the static lists,
-//! contracted over the held structure once at analysis (`crate::request`)
-//! and then dropped; a one-thread session factors the whole matrix as one
-//! range and holds no plan — and exposes:
+//! circuit-simulation workloads change the numeric *values* every step. An
+//! [`Analysis`] holds all of the symbolic state (keyed by a pattern hash,
+//! [`pattern_hash`]) — on several threads also the range plan the numeric
+//! phase runs: the eforest task graph of the static lists, contracted over
+//! the held structure once at analysis (`crate::request`) and then
+//! dropped; one thread factors the whole matrix as one range and holds no
+//! plan. A [`SluSession`] is an analysis — its own, or one it shares with
+//! the other sessions of the pattern ([`SluSession::on`]) — and its own
+//! factors, and exposes:
 //!
 //! * [`SluSession::analyze`] — the symbolic half, run once per pattern;
 //! * [`SluSession::factor`] / [`SluSession::refactor`] — numeric-only: the
@@ -21,16 +23,18 @@
 //! * [`SluSession::solve`] / [`SluSession::try_solve`] /
 //!   [`SluSession::solve_refined`] — operate on the latest factors.
 //!
-//! **The scatter map.** A session a caller holds records, in the pass that
-//! allocates its storage at its first `factor` and places the values, the
-//! slot of each input nonzero: the offset of the word that receives it
-//! inside its block column's buffer (4 bytes per nonzero), which every
-//! later `factor` and `refactor` reuses. Built lazily at the first
-//! `refactor`, it is allocated after the storage, between factorizations,
-//! and a prototype of that raised the daemon benchmark's peak RSS
-//! (EXPERIMENTS.md). The session inside a [`crate::SparseLu`] is never
-//! refactored: its `factor` places `A`'s values in the one pass that
-//! locates them, and it keeps no map.
+//! **The scatter map.** The first `factor` on an analysis lays the storage
+//! out for every session on it: the index maps and, in a held analysis,
+//! the slot of each input nonzero — the offset of the word that receives
+//! it inside its block column's buffer (4 bytes per nonzero) — both
+//! functions of the pattern. Every session fills its storage through the
+//! slots, at its first `factor` and at every later one. Built lazily at
+//! the first `refactor`, the map would be allocated after the storage,
+//! between factorizations, and a prototype of that raised the daemon
+//! benchmark's peak RSS (EXPERIMENTS.md). The session inside a
+//! [`crate::SparseLu`] is never refactored: its `factor` places `A`'s
+//! values in the one pass that locates them, and its analysis keeps no
+//! map.
 //!
 //! Values whose pattern hash disagrees with the analyzed one are rejected
 //! with [`LuError::PatternMismatch`]; a solve before the first successful
@@ -49,22 +53,25 @@
 //! wire means, by induction over the columns, that every word left out was
 //! exactly zero, so the factors are bitwise the static ones. A tripped wire
 //! drains the run; the session rebuilds the static lists from the pattern,
-//! the held permutations and partition, answers the job on them, and stays
-//! static for its life. DESIGN.md §5.4–5.5.
+//! the held permutations and partition — in a private copy of its
+//! analysis when it shares one — answers the job on them, and stays static
+//! for its life. DESIGN.md §5.4–5.5.
 //!
 //! Equilibration is a *values* transformation, so the session itself
 //! ignores [`Options::equilibrate`]; [`crate::SparseLu`] (a thin wrapper
 //! over this API) scales the values before handing them to the session.
 
-use crate::blocks::{in_block_flags, realised_structure, seed_flags, BlockMatrix, Layout};
+use crate::blocks::{factor_bytes, in_block_flags, realised_structure, seed_flags};
+use crate::blocks::{BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest, RangePlan};
 use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
 use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_obs::Counter;
 use splu_sched::{FactorHealth, RunBudget};
-use splu_sparse::{CscMatrix, SparsityPattern};
-use std::sync::Arc;
+use splu_sparse::{CscRef, SparsityPattern};
+use std::mem::size_of_val;
+use std::sync::{Arc, OnceLock};
 
 /// Hash of a sparsity pattern (dimensions, column pointers, row indices) —
 /// the session cache key. Two matrices share a hash exactly when they share
@@ -100,7 +107,7 @@ pub fn pattern_hash(pattern: &SparsityPattern) -> u64 {
 /// Rejects non-finite entries, naming the first offending column — checked
 /// before the parallel phase can propagate them silently. Allocates
 /// nothing on the accepting path.
-pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
+pub(crate) fn check_finite(a: CscRef<'_>) -> Result<(), LuError> {
     if a.values().iter().any(|v| !v.is_finite()) {
         // Cold path: walk the triplets to name the offending column.
         for (_, j, v) in a.triplets() {
@@ -112,67 +119,84 @@ pub(crate) fn check_finite(a: &CscMatrix) -> Result<(), LuError> {
     Ok(())
 }
 
-/// A persistent solver session: cached symbolic analysis (plus, on several
-/// threads, the range plan) for one sparsity pattern, with reusable numeric
-/// storage. The module docs of `session.rs` describe the lifecycle.
-pub struct SluSession {
+/// The symbolic half of a session: everything its numeric phase reads that
+/// depends only on the pattern and the analysis options — the
+/// permutations, the partition and the block lists of the one structure
+/// the storage is laid out on ([`SymbolicLu`]), [`Stats`], on several
+/// threads the range plan — and, from the first `factor` of any session on
+/// it, the storage's layout and, in a held analysis, its slots. Nothing
+/// in it changes after that: the layout and the slots are laid out once,
+/// by whichever session factors first, and every session on the analysis
+/// reads the same ones. A session analyzed on its own
+/// ([`SluSession::analyze`]) holds its analysis inline; sessions of one
+/// pattern share one behind an `Arc` ([`SluSession::on`]), as the daemon's
+/// pool of analyses does.
+#[derive(Clone)]
+pub struct Analysis {
     /// `sym.block_structure` is the structure of the storage: the in-block
     /// one, or the static one after a tripped wire.
     sym: SymbolicLu,
-    /// `true` until a pivot leaves its block: the structure is the wired in-block one.
+    /// `true` while that structure is the wired in-block one.
     realised: bool,
     /// The eforest graph of the static structure contracted over
-    /// `sym.block_structure` for `opts.threads` workers — held by a session
-    /// of several threads only.
+    /// `sym.block_structure` for `opts.threads` workers — held at several
+    /// threads only.
     plan: Option<RangePlan>,
     pattern_hash: u64,
-    bm: Option<BlockMatrix>,
-    /// Where each nonzero of the (original-order) input lands: its offset
-    /// in the buffer of its block column (the block column of its column),
-    /// in `values()` order, reused by every later `factor` and `refactor`
-    /// on the same storage. Empty in a one-shot session.
-    slots: Vec<u32>,
-    /// Set for the session [`crate::SparseLu`] holds and never refactors:
-    /// its storage receives the values straight from the one pass that
-    /// locates them, and no scatter map is kept.
+    /// Set for the analysis of a [`crate::SparseLu`], factored once and
+    /// never refactored: its storage receives the values straight from the
+    /// one pass that locates them, and no slots are kept.
     one_shot: bool,
-    health: FactorHealth,
-    factored: bool,
-    budget: RunBudget,
+    /// The analyzed pattern, when its holder handed it over
+    /// ([`Self::with_pattern`]).
+    pattern: Option<SparsityPattern>,
+    /// Laid out by the first `factor` on this analysis.
+    storage: OnceLock<StorageMaps>,
 }
 
-impl SluSession {
-    /// Runs the full symbolic analysis for `pattern` and caches everything
+/// The pattern-only half of the storage, shared by the storages of every
+/// session of one analysis.
+#[derive(Clone)]
+struct StorageMaps {
+    layout: Arc<Layout>,
+    /// Where each nonzero of the (original-order) input lands: its offset
+    /// in the buffer of its block column, in `values()` order. Empty in a
+    /// one-shot analysis.
+    slots: Vec<u32>,
+}
+
+impl Analysis {
+    /// Runs the full symbolic analysis for `pattern` and keeps everything
     /// the numeric phase needs: permutations, supernode partition and
     /// block lists — then derives the in-block lists that replace the
     /// static ones (phase `derive`). When `opts.threads > 1` it first
     /// builds the eforest task graph of the static lists (phase
     /// `graph_build`), and `derive` contracts it over the in-block lists
-    /// into the range plan the session holds; one thread factors the whole
-    /// matrix as one range and builds no graph. No storage is allocated.
-    pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
-        Self::analyze_inner(pattern, opts, None, false)
+    /// into the range plan the analysis holds; one thread factors the whole
+    /// matrix as one range and builds no graph. No storage is laid out.
+    pub fn new(pattern: &SparsityPattern, opts: &Options) -> Result<Analysis, LuError> {
+        Self::build(pattern, opts, None, false)
     }
 
-    /// [`Self::analyze`] under an observability session: the symbolic
-    /// phases record spans and counters exactly as
+    /// [`Self::new`] under an observability session: the symbolic phases
+    /// record spans and counters exactly as
     /// [`crate::SparseLu::factor_observed`] does.
-    pub fn analyze_observed(
+    pub fn observed(
         pattern: &SparsityPattern,
         opts: &Options,
-        session: &ObsSession,
-    ) -> Result<SluSession, LuError> {
-        Self::analyze_inner(pattern, opts, Some(session), false)
+        obs: &ObsSession,
+    ) -> Result<Analysis, LuError> {
+        Self::build(pattern, opts, Some(obs), false)
     }
 
-    /// [`Self::analyze`] (observed or not); `one_shot` marks a session that
-    /// is factored and never refactored — [`crate::SparseLu`]'s.
-    pub(crate) fn analyze_inner(
+    /// [`Self::new`] (observed or not); `one_shot` marks the analysis of a
+    /// session that is factored and never refactored — [`crate::SparseLu`]'s.
+    pub(crate) fn build(
         pattern: &SparsityPattern,
         opts: &Options,
         obs: Option<&ObsSession>,
         one_shot: bool,
-    ) -> Result<SluSession, LuError> {
+    ) -> Result<Analysis, LuError> {
         let mut sreq = SymbolicRequest::from_options(opts);
         if let Some(o) = obs {
             sreq = sreq.observe(o.clone());
@@ -191,50 +215,251 @@ impl SluSession {
             let (bs, threads) = (&sym.block_structure, opts.threads);
             graph.map(|g| RangePlan::new(bs, &g, None, threads, opts.mapping))
         };
-        Ok(SluSession {
-            budget: opts.budget.clone(),
+        Ok(Analysis {
             sym,
             realised: true,
             plan,
             pattern_hash: pattern_hash(pattern),
-            bm: None,
-            slots: Vec::new(),
             one_shot,
-            health: FactorHealth::default(),
-            factored: false,
+            pattern: None,
+            storage: OnceLock::new(),
         })
     }
 
-    /// The cache key: [`pattern_hash`] of the analyzed pattern.
+    /// The analysis holding `pattern`, the one it analyzed (checked by
+    /// hash), for a holder that keeps only values against it: the daemon
+    /// moves it out of the matrix its `analyze` job read.
+    pub fn with_pattern(mut self, pattern: SparsityPattern) -> Analysis {
+        assert_eq!(
+            pattern_hash(&pattern),
+            self.pattern_hash,
+            "not the analyzed pattern"
+        );
+        self.pattern = Some(pattern);
+        self
+    }
+
+    /// The analyzed pattern, when [`Self::with_pattern`] handed it over.
+    pub fn pattern(&self) -> Option<&SparsityPattern> {
+        self.pattern.as_ref()
+    }
+
+    /// [`pattern_hash`] of the analyzed pattern.
     pub fn pattern_hash(&self) -> u64 {
         self.pattern_hash
     }
 
+    /// The permutations, the structure of the storage and the statistics.
+    pub fn symbolic(&self) -> &SymbolicLu {
+        &self.sym
+    }
+
+    /// Analysis statistics.
+    pub fn stats(&self) -> &Stats {
+        &self.sym.stats
+    }
+
+    /// Options the analysis was built with.
+    pub fn options(&self) -> &Options {
+        &self.sym.opts
+    }
+
+    /// `true` while the structure is the in-block one: always, but in the
+    /// private analysis a session's tripped wire leaves it.
+    pub fn is_realised(&self) -> bool {
+        self.realised
+    }
+
+    /// What a session's first `factor` on this structure adds, priced from
+    /// the block lists alone before any value exists: the words of every
+    /// block column's buffer, one `u32` pivot per column and the column
+    /// table.
+    pub fn factor_bytes(&self) -> u64 {
+        factor_bytes(&self.sym.block_structure)
+    }
+
+    /// Resident bytes of the analysis, from the lengths of its arrays: the
+    /// row, column and block lists and partition of its structure, the two
+    /// permutations with their inverses, the range plan while one is held,
+    /// the pattern when it holds one, and once laid out the layout's index
+    /// maps and the slots (4 bytes per input nonzero; a one-shot analysis
+    /// keeps none). No scalar `L̄`/`Ū` exists to count.
+    pub fn resident_bytes(&self) -> u64 {
+        let bs = &self.sym.block_structure;
+        let lists: u64 = [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
+            .map(SparsityPattern::heap_bytes)
+            .iter()
+            .sum();
+        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let symbolic = lists + bs.partition.heap_bytes() + rows.heap_bytes() + cols.heap_bytes();
+        let plan = self.plan.as_ref().map_or(0, RangePlan::bytes);
+        let pattern = self.pattern.as_ref().map_or(0, SparsityPattern::heap_bytes);
+        let maps =
+            (self.storage.get()).map_or(0, |m| m.layout.bytes() + size_of_val(&m.slots[..]) as u64);
+        symbolic + plan + pattern + maps
+    }
+
+    /// The layout and the slots, laid out by the first call (phase
+    /// `layout`) from `pattern`, the analyzed one.
+    fn storage_maps(&self, pattern: &SparsityPattern, obs: Option<&ObsSession>) -> &StorageMaps {
+        self.storage.get_or_init(|| {
+            let _p = obs.map(|o| o.phase("layout"));
+            let layout = Layout::new(Arc::clone(&self.sym.block_structure), self.realised);
+            let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+            let slots = match self.one_shot {
+                true => Vec::new(),
+                false => layout.slots(pattern, |i| rows.new_of(i), |j| cols.old_of(j)),
+            };
+            let layout = Arc::new(layout);
+            StorageMaps { layout, slots }
+        })
+    }
+
+    /// Turns this analysis into the static one of `pattern`, the analyzed
+    /// one: the layout, the slots and the plan go before the static lists
+    /// are rebuilt on the held permutations and partition; on several
+    /// threads they get their plan.
+    fn fall_back(&mut self, pattern: &SparsityPattern) {
+        (self.storage, self.plan, self.realised) = (OnceLock::new(), None, false);
+        self.sym.block_structure = Arc::new(self.sym.static_lists(pattern));
+        let (sym, threads) = (&self.sym, self.sym.opts.threads);
+        self.plan = (threads > 1).then(|| {
+            let (bs, graph) = (&sym.block_structure, sym.build_graph());
+            RangePlan::new(bs, &graph, None, threads, sym.opts.mapping)
+        });
+    }
+}
+
+/// A session's analysis: its own, or one it shares with other sessions.
+/// An own analysis stays inline: boxing it would give every session
+/// analyzed on its own one more heap allocation, of the analysis' size.
+#[allow(clippy::large_enum_variant)]
+enum Held {
+    Own(Analysis),
+    Shared(Arc<Analysis>),
+}
+
+impl std::ops::Deref for Held {
+    type Target = Analysis;
+
+    fn deref(&self) -> &Analysis {
+        match self {
+            Held::Own(a) => a,
+            Held::Shared(a) => a,
+        }
+    }
+}
+
+impl Held {
+    /// The analysis to change: a shared one is copied first, so that the
+    /// sessions it is shared with do not see the change.
+    fn make_mut(&mut self) -> &mut Analysis {
+        match self {
+            Held::Own(a) => a,
+            Held::Shared(a) => Arc::make_mut(a),
+        }
+    }
+}
+
+/// A persistent solver session: an [`Analysis`] — its own, or one shared
+/// with the other sessions of its pattern — and its own factors: the
+/// block storage with its pivots, the health of the latest factorization
+/// and the run budget. The module docs of `session.rs` describe the
+/// lifecycle.
+pub struct SluSession {
+    analysis: Held,
+    bm: Option<BlockMatrix>,
+    health: FactorHealth,
+    factored: bool,
+    budget: RunBudget,
+}
+
+impl SluSession {
+    /// A session on its own analysis of `pattern` ([`Analysis::new`]). No
+    /// storage is allocated.
+    pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SluSession, LuError> {
+        Self::analyze_inner(pattern, opts, None, false)
+    }
+
+    /// [`Self::analyze`] under an observability session
+    /// ([`Analysis::observed`]).
+    pub fn analyze_observed(
+        pattern: &SparsityPattern,
+        opts: &Options,
+        session: &ObsSession,
+    ) -> Result<SluSession, LuError> {
+        Self::analyze_inner(pattern, opts, Some(session), false)
+    }
+
+    /// [`Self::analyze`] (observed or not); `one_shot` marks a session that
+    /// is factored and never refactored — [`crate::SparseLu`]'s.
+    pub(crate) fn analyze_inner(
+        pattern: &SparsityPattern,
+        opts: &Options,
+        obs: Option<&ObsSession>,
+        one_shot: bool,
+    ) -> Result<SluSession, LuError> {
+        let analysis = Analysis::build(pattern, opts, obs, one_shot)?;
+        Ok(Self::holding(Held::Own(analysis)))
+    }
+
+    /// A session on a shared analysis: it runs no symbolic phase, and its
+    /// first `factor` lays no storage out once another session's did. A
+    /// tripped wire gives the session a private copy of the analysis, on
+    /// the static lists; the sessions it shares with do not see it.
+    pub fn on(analysis: Arc<Analysis>) -> SluSession {
+        Self::holding(Held::Shared(analysis))
+    }
+
+    fn holding(analysis: Held) -> SluSession {
+        SluSession {
+            budget: analysis.sym.opts.budget.clone(),
+            analysis,
+            bm: None,
+            health: FactorHealth::default(),
+            factored: false,
+        }
+    }
+
+    /// The analysis the session runs on.
+    pub fn analysis(&self) -> &Analysis {
+        &self.analysis
+    }
+
+    /// The cache key: [`pattern_hash`] of the analyzed pattern.
+    pub fn pattern_hash(&self) -> u64 {
+        self.analysis.pattern_hash
+    }
+
     /// Numeric-only factorization of `a` (original order, same pattern as
-    /// analyzed): the first call lays the block storage out and assembles
+    /// analyzed): the first call allocates the block storage and assembles
     /// `a` into it, a later one refills it in place — [`Self::refactor`] is
     /// the same operation. No symbolic phase runs. It runs on the structure
     /// the session holds: on the in-block one, a pivot that leaves its
     /// diagonal block answers the job through the static structure, where
     /// the session then stays. The factors are bitwise the static ones
     /// either way (DESIGN.md §5.4).
-    pub fn factor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
-        self.factor_inner(a, None)
+    pub fn factor<'a>(&mut self, a: impl Into<CscRef<'a>>) -> Result<(), LuError> {
+        self.factor_inner(a.into(), None)
     }
 
     /// [`Self::factor`] under an observability session (numeric span,
     /// kernel counters, executor report).
-    pub fn factor_observed(&mut self, a: &CscMatrix, obs: &ObsSession) -> Result<(), LuError> {
-        self.factor_inner(a, Some(obs))
+    pub fn factor_observed<'a>(
+        &mut self,
+        a: impl Into<CscRef<'a>>,
+        obs: &ObsSession,
+    ) -> Result<(), LuError> {
+        self.factor_inner(a.into(), Some(obs))
     }
 
-    /// [`Self::factor`] under its hot-path name: once the storage is laid
-    /// out, it is reset in place, `a`'s values go through the cached
-    /// scatter map and the numeric phase re-runs — with `threads <= 1`,
+    /// [`Self::factor`] under its hot-path name: once the storage is
+    /// allocated, it is reset in place, `a`'s values go through the
+    /// analysis' slots and the numeric phase re-runs — with `threads <= 1`,
     /// tracing off and no watchdog, with **zero heap allocation**. The
     /// result is bitwise identical to a fresh factorization of the values.
-    pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), LuError> {
-        self.factor_inner(a, None)
+    pub fn refactor<'a>(&mut self, a: impl Into<CscRef<'a>>) -> Result<(), LuError> {
+        self.factor_inner(a.into(), None)
     }
 
     /// [`Self::refactor`] under an observability session. At one thread
@@ -242,15 +467,19 @@ impl SluSession {
     /// observed run executes the program the unobserved one does, and what
     /// it allocates (the report) does not grow with the task count; phase
     /// walls still show symbolic time exactly zero.
-    pub fn refactor_observed(&mut self, a: &CscMatrix, obs: &ObsSession) -> Result<(), LuError> {
-        self.factor_inner(a, Some(obs))
+    pub fn refactor_observed<'a>(
+        &mut self,
+        a: impl Into<CscRef<'a>>,
+        obs: &ObsSession,
+    ) -> Result<(), LuError> {
+        self.factor_inner(a.into(), Some(obs))
     }
 
     /// [`Self::factor`] and [`Self::refactor`] (observed or not).
     /// [`crate::SparseLu`] enters here.
     pub(crate) fn factor_inner(
         &mut self,
-        a: &CscMatrix,
+        a: CscRef<'_>,
         obs: Option<&ObsSession>,
     ) -> Result<(), LuError> {
         self.check_pattern(a)?;
@@ -263,26 +492,21 @@ impl SluSession {
     /// values, and, when a run on the in-block structure trips its wire,
     /// answers `a` through the static structure instead: these values may
     /// fill what the in-block storage lacks. The in-block storage goes
-    /// before the static lists are rebuilt (phase `static_lists`) and the
-    /// static storage assembled; on several threads the static lists get
-    /// their plan. An observed run records which structure answered.
-    fn run_or_fall_back(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) -> Result<(), LuError> {
-        let mut path = if self.realised {
+    /// before the session's analysis turns static (phase `static_lists`,
+    /// on a private copy when it is shared) and the static storage is
+    /// assembled. An observed run records which structure answered.
+    fn run_or_fall_back(&mut self, a: CscRef<'_>, obs: Option<&ObsSession>) -> Result<(), LuError> {
+        let mut path = if self.analysis.realised {
             RefactorPath::Realised
         } else {
             RefactorPath::Static
         };
         let mut outcome = self.run_numeric(obs);
         if let Err(LuError::PivotHistoryDiverged { column }) = outcome {
-            (self.bm, self.slots, self.realised) = (None, Vec::new(), false);
+            self.bm = None;
             {
                 let _p = obs.map(|o| o.phase("static_lists"));
-                self.sym.block_structure = Arc::new(self.sym.static_lists(a.pattern()));
-                let (sym, threads) = (&self.sym, self.sym.opts.threads);
-                self.plan = (threads > 1).then(|| {
-                    let (bs, graph) = (&sym.block_structure, sym.build_graph());
-                    RangePlan::new(bs, &graph, None, threads, sym.opts.mapping)
-                });
+                self.analysis.make_mut().fall_back(a.pattern());
             }
             self.assemble(a, obs);
             path = RefactorPath::Fallback { column };
@@ -293,7 +517,7 @@ impl SluSession {
             match path {
                 RefactorPath::Realised if outcome.is_ok() => {
                     o.metrics().incr(Counter::RefactorRealised);
-                    let words = self.sym.block_structure.storage_words();
+                    let words = self.analysis.sym.block_structure.storage_words();
                     o.metrics().record_max(Counter::RealisedWords, words as u64);
                 }
                 RefactorPath::Fallback { .. } => o.metrics().incr(Counter::RefactorFallback),
@@ -305,63 +529,59 @@ impl SluSession {
 
     /// Rejects values whose pattern hash disagrees with the analyzed one.
     /// Allocates nothing on the accepting path.
-    fn check_pattern(&self, a: &CscMatrix) -> Result<(), LuError> {
+    fn check_pattern(&self, a: CscRef<'_>) -> Result<(), LuError> {
         let got = pattern_hash(a.pattern());
-        if got != self.pattern_hash {
+        if got != self.analysis.pattern_hash {
             return Err(LuError::PatternMismatch {
-                expected: self.pattern_hash,
+                expected: self.analysis.pattern_hash,
                 got,
             });
         }
         Ok(())
     }
 
-    /// Gives the storage `a`'s values. The first call on a structure lays
-    /// the storage out: the index maps (phase `layout`) — wired on the
-    /// in-block structure — then one buffer per block column, each
-    /// allocated and given its values in the pass that locates them
-    /// (phase `assemble`), which in a held session also records the slots
-    /// every later factor and refactor reuses. Later calls overwrite the
-    /// storage in place ([`Self::refill`]) and record no set-up phase.
-    fn assemble(&mut self, a: &CscMatrix, obs: Option<&ObsSession>) {
+    /// Gives the storage `a`'s values. The first call on a structure
+    /// allocates one buffer per block column over the analysis' layout —
+    /// laid out on the first call on the analysis (phase `layout`) — and
+    /// gives each its values (phase `assemble`): through the slots in a
+    /// held session, in the pass that locates them in a one-shot one.
+    /// Later calls overwrite the storage in place ([`Self::refill`]) and
+    /// record no set-up phase.
+    fn assemble(&mut self, a: CscRef<'_>, obs: Option<&ObsSession>) {
         if self.bm.is_some() {
             return self.refill(a);
         }
-        let layout = {
-            let _p = obs.map(|o| o.phase("layout"));
-            Layout::new(Arc::clone(&self.sym.block_structure), self.realised)
-        };
+        let an = &*self.analysis;
+        let maps = an.storage_maps(a.pattern(), obs);
         let _p = obs.map(|o| o.phase("assemble"));
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        let (new_row, old_col) = (|i| rows.new_of(i), |j| cols.old_of(j));
-        if !self.one_shot {
-            self.slots = vec![0; a.nnz()];
-        }
-        let slots = (!self.one_shot).then_some(&mut self.slots[..]);
-        let bm = BlockMatrix::assembled(layout, a, new_row, old_col, slots);
-        self.bm = Some(bm);
+        let (rows, cols) = (&an.sym.row_perm, &an.sym.col_perm);
+        let (layout, old_col) = (Arc::clone(&maps.layout), |j| cols.old_of(j));
+        self.bm = Some(match an.one_shot {
+            true => BlockMatrix::assembled(layout, a, |i| rows.new_of(i), old_col),
+            false => BlockMatrix::through_slots(layout, a, old_col, &maps.slots),
+        });
     }
 
     /// Zeroes the storage in place and stores `a`'s values: through the
     /// slots in a held session, by the locating pass in a one-shot one.
-    fn refill(&mut self, a: &CscMatrix) {
+    fn refill(&mut self, a: CscRef<'_>) {
+        let an = &*self.analysis;
         let bm = self.bm.as_mut().expect("storage laid out");
         bm.reset_values();
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
+        let (rows, cols) = (&an.sym.row_perm, &an.sym.col_perm);
         let old_col = |j| cols.old_of(j);
-        if self.one_shot {
-            bm.scatter(a, |i| rows.new_of(i), old_col);
-        } else {
-            bm.store_values(a.pattern(), old_col, &self.slots, a.values());
+        match an.storage.get() {
+            Some(maps) if !an.one_shot => bm.store_values(a, old_col, &maps.slots),
+            _ => bm.scatter(a, |i| rows.new_of(i), old_col),
         }
     }
 
     fn run_numeric(&mut self, obs: Option<&ObsSession>) -> Result<(), LuError> {
         self.factored = false;
         let bm = self.bm.as_ref().expect("storage assembled by the caller");
-        let opts = &self.sym.opts;
+        let opts = &self.analysis.sym.opts;
         let numeric_phase = obs.map(|o| o.phase("numeric"));
-        let (planned, plan) = (NumericRequest::planned, self.plan.as_ref());
+        let (planned, plan) = (NumericRequest::planned, self.analysis.plan.as_ref());
         let mut nreq = (plan.map_or_else(NumericRequest::left_looking, planned))
             .threads(opts.threads)
             .pivot_rule(opts.pivot_rule)
@@ -400,40 +620,36 @@ impl SluSession {
     /// session holds no factors ([`LuError::NotFactored`]) or `b` has the
     /// wrong length ([`LuError::DimensionMismatch`]).
     pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        let bm = self.factors()?;
+        let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, 1)?;
-        let mut y = self.sym.row_perm.apply_vec(b);
-        solve_permuted(bm, &self.sym.block_structure, &mut y);
-        Ok(self.sym.col_perm.apply_inverse_vec(&y))
+        let mut y = sym.row_perm.apply_vec(b);
+        solve_permuted(bm, &sym.block_structure, &mut y);
+        Ok(sym.col_perm.apply_inverse_vec(&y))
     }
 
     /// Solves `Aᵀ x = b` (fallible form).
     pub fn try_solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        let bm = self.factors()?;
+        let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, 1)?;
-        let mut y = self.sym.col_perm.apply_vec(b);
-        solve_transposed_permuted(bm, &self.sym.block_structure, &mut y);
-        Ok(self.sym.row_perm.apply_inverse_vec(&y))
+        let mut y = sym.col_perm.apply_vec(b);
+        solve_transposed_permuted(bm, &sym.block_structure, &mut y);
+        Ok(sym.row_perm.apply_inverse_vec(&y))
     }
 
     /// Solves `A X = B` for `nrhs` column-major right-hand sides (fallible
     /// form; see [`crate::SparseLu::solve_many`] for the layout).
     pub fn try_solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, LuError> {
-        let bm = self.factors()?;
+        let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, nrhs)?;
-        let n = self.sym.stats.n;
+        let n = sym.stats.n;
         let mut work = Vec::with_capacity(b.len());
         for r in 0..nrhs {
-            work.extend(self.sym.row_perm.apply_vec(&b[r * n..(r + 1) * n]));
+            work.extend(sym.row_perm.apply_vec(&b[r * n..(r + 1) * n]));
         }
-        solve_many_permuted(bm, &self.sym.block_structure, &mut work, nrhs);
+        solve_many_permuted(bm, &sym.block_structure, &mut work, nrhs);
         let mut out = Vec::with_capacity(b.len());
         for r in 0..nrhs {
-            out.extend(
-                self.sym
-                    .col_perm
-                    .apply_inverse_vec(&work[r * n..(r + 1) * n]),
-            );
+            out.extend(sym.col_perm.apply_inverse_vec(&work[r * n..(r + 1) * n]));
         }
         Ok(out)
     }
@@ -450,18 +666,18 @@ impl SluSession {
     /// `x ← x + A⁻¹(b − A x)` until the scaled residual drops below `tol`
     /// or `max_iters` steps have run. Returns the solution and the number
     /// of refinement steps.
-    pub fn solve_refined(
+    pub fn solve_refined<'a>(
         &self,
-        a: &CscMatrix,
+        a: impl Into<CscRef<'a>>,
         b: &[f64],
         tol: f64,
         max_iters: usize,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        crate::solve::refine(a, b, tol, max_iters, |rhs| self.try_solve(rhs))
+        crate::solve::refine(a.into(), b, tol, max_iters, |rhs| self.try_solve(rhs))
     }
 
     pub(crate) fn check_len(&self, b: &[f64], nrhs: usize) -> Result<(), LuError> {
-        let expected = self.sym.stats.n * nrhs;
+        let expected = self.analysis.sym.stats.n * nrhs;
         if b.len() != expected {
             return Err(LuError::DimensionMismatch {
                 expected,
@@ -485,43 +701,34 @@ impl SluSession {
 
     /// The cached symbolic analysis.
     pub fn symbolic(&self) -> &SymbolicLu {
-        &self.sym
+        &self.analysis.sym
     }
 
     /// Analysis statistics.
     pub fn stats(&self) -> &Stats {
-        &self.sym.stats
+        &self.analysis.sym.stats
     }
 
     /// Options the session was analyzed with.
     pub fn options(&self) -> &Options {
-        &self.sym.opts
+        &self.analysis.sym.opts
     }
 
     /// Resident bytes this session holds, counted from the lengths of the
-    /// arrays that hold them: the block storage (one buffer per block
-    /// column, the pivots, the index maps), the slots (4 bytes per input
-    /// nonzero, held from the first `factor` on; the session of a
-    /// [`crate::SparseLu`] keeps none), and the symbolic state — the row,
-    /// column and block lists and partition of the one structure it holds
-    /// (the in-block one, or the static one a fallback rebuilt; the storage
-    /// shares it), the two permutations with their inverses, and the range
-    /// plan while one is held (no scalar `L̄`/`Ū` exists to count). This is
-    /// the quantity a session
-    /// pool budgets and evicts on; it intentionally counts only per-session
-    /// state, not transient factorization workspace.
+    /// arrays that hold them: its analysis' ([`Analysis::resident_bytes`])
+    /// and its own factors' ([`Self::factor_resident_bytes`]). This is the
+    /// quantity a session budgets on; it intentionally counts no transient
+    /// factorization workspace. A pool of sessions that share analyses
+    /// charges each analysis once.
     pub fn resident_bytes(&self) -> u64 {
-        let bs = &self.sym.block_structure;
-        let lists: u64 = [&bs.l_rows, &bs.u_cols, &bs.l_blocks, &bs.u_blocks]
-            .map(SparsityPattern::heap_bytes)
-            .iter()
-            .sum();
-        let (rows, cols) = (&self.sym.row_perm, &self.sym.col_perm);
-        let symbolic = lists + bs.partition.heap_bytes() + rows.heap_bytes() + cols.heap_bytes();
-        let plan = self.plan.as_ref().map_or(0, RangePlan::bytes);
-        let numeric = self.bm.as_ref().map_or(0, BlockMatrix::resident_bytes);
-        let slots = std::mem::size_of_val(&self.slots[..]) as u64;
-        symbolic + plan + numeric + slots
+        self.analysis.resident_bytes() + self.factor_resident_bytes()
+    }
+
+    /// Resident bytes of the session's own factors, beside its analysis:
+    /// one buffer per block column, the pivots and the column table, from
+    /// the first `factor` on ([`Analysis::factor_bytes`] of its structure).
+    pub fn factor_resident_bytes(&self) -> u64 {
+        self.bm.as_ref().map_or(0, BlockMatrix::resident_bytes)
     }
 
     /// `true` while the session holds the in-block structure (the storage
@@ -529,15 +736,15 @@ impl SluSession {
     /// analysis until a pivot leaves its block. After that the session
     /// holds the static structure for its life.
     pub fn is_realised(&self) -> bool {
-        self.realised
+        self.analysis.realised
     }
 
     /// Storage accounting of the block storage the session holds (`None`
     /// before the first factor call).
     pub fn storage(&self) -> Option<crate::FactorStorage> {
         let words = self.bm.as_ref()?.storage_words();
-        let static_words = self.sym.stats.static_words;
-        let structural = self.sym.stats.nnz_filled;
+        let static_words = self.analysis.sym.stats.static_words;
+        let structural = self.analysis.sym.stats.nnz_filled;
         Some(crate::FactorStorage {
             words,
             static_words,
@@ -567,7 +774,7 @@ mod tests {
     use super::*;
     use crate::request::column_model;
     use splu_sched::{Task, TaskGraph};
-    use splu_sparse::relative_residual;
+    use splu_sparse::{relative_residual, CscMatrix};
 
     fn random_matrix(n: usize, extra: usize, seed: u64) -> CscMatrix {
         splu_matgen::random_diag_dominant(n, extra, seed, 4.0)
@@ -659,16 +866,16 @@ mod tests {
                 let mut s =
                     SluSession::analyze_inner(m.a.pattern(), &opts, None, one_shot).unwrap();
                 if !in_block {
-                    s.sym.block_structure = Arc::new(s.sym.static_lists(m.a.pattern()));
-                    s.realised = false;
+                    s.analysis.make_mut().fall_back(m.a.pattern());
                 }
                 for a in [m.a.clone(), revalue(&m.a, 3)] {
-                    s.assemble(&a, None);
-                    let permuted = s.sym.permute_matrix(&a);
-                    let want = BlockMatrix::assemble(&permuted, &s.sym.block_structure);
+                    s.assemble(a.view(), None);
+                    let sym = s.symbolic();
+                    let want = BlockMatrix::assemble(&sym.permute_matrix(&a), &sym.block_structure);
                     assert_same_words(s.bm.as_ref().unwrap(), &want, &what);
                     let map_len = if one_shot { 0 } else { a.nnz() };
-                    assert_eq!(s.slots.len(), map_len, "{what}");
+                    let maps = s.analysis.storage.get().unwrap();
+                    assert_eq!(maps.slots.len(), map_len, "{what}");
                 }
             }
         }
@@ -684,7 +891,7 @@ mod tests {
         let mut one_shot = SluSession::analyze_inner(a.pattern(), &opts, None, true).unwrap();
         one_shot.factor(&a).unwrap();
         one_shot.refactor(&a2).unwrap();
-        assert!(one_shot.slots.is_empty());
+        assert!(one_shot.analysis.storage.get().unwrap().slots.is_empty());
         let mut held = SluSession::analyze(a.pattern(), &opts).unwrap();
         held.factor(&a2).unwrap();
         let (x, y) = (one_shot.bm.as_ref(), held.bm.as_ref());
@@ -839,7 +1046,7 @@ mod tests {
             let schedule = Arc::new(ExecSchedule::for_graph(&graph));
             let mut one = SluSession::analyze(a.pattern(), &Options::default())?;
             one.factor(&a)?;
-            assert!(one.plan.is_none(), "{name}");
+            assert!(one.analysis.plan.is_none(), "{name}");
             for (threads, mapping) in [(2, Mapping::Static1D), (4, Mapping::Dynamic)] {
                 let opts = Options {
                     threads,
@@ -856,7 +1063,11 @@ mod tests {
                 }
                 let model = column_model(bm.layout().structure());
                 assert_eq!(model_of(bm.layout(), &graph), model, "{what}");
-                let held = s.plan.as_ref().expect("several threads hold a plan");
+                let held = s
+                    .analysis
+                    .plan
+                    .as_ref()
+                    .expect("several threads hold a plan");
                 let req = NumericRequest::coarse(&graph, mapping).threads(threads);
                 for req in [req.clone(), req.schedule(Arc::clone(&schedule))] {
                     let plan = RangePlan::contract(bm, &req);

@@ -17,7 +17,7 @@
 use crate::blocks::BlockMatrix;
 use crate::LuError;
 use splu_dense::MatRef;
-use splu_sparse::CscMatrix;
+use splu_sparse::CscRef;
 use splu_symbolic::supernode::BlockStructure;
 
 /// Longest row list `|R_k|` — the scratch a sweep needs.
@@ -274,7 +274,7 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
 /// Returns the solution and the number of steps taken; the first error of
 /// `solve` ends the loop.
 pub(crate) fn refine(
-    a: &CscMatrix,
+    a: CscRef<'_>,
     b: &[f64],
     tol: f64,
     max_iters: usize,

@@ -24,7 +24,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use splu_sparse::{CooMatrix, CscMatrix, SparsityPattern};
+use splu_sparse::{CooMatrix, CscMatrix, CscRef, SparsityPattern};
 
 /// Knobs for the 3D grid generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -379,9 +379,12 @@ pub fn paper_suite(scale: Scale) -> Vec<BenchMatrix> {
 
 /// A manufactured problem: returns `(x_true, b = A·x_true)` for testing the
 /// full solve path.
-pub fn manufactured_rhs(a: &CscMatrix, seed: u64) -> (Vec<f64>, Vec<f64>) {
+pub fn manufactured_rhs<'a>(a: impl Into<CscRef<'a>>, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    let a = a.into();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let x: Vec<f64> = (0..a.pattern().ncols())
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
     let b = a.mat_vec(&x);
     (x, b)
 }

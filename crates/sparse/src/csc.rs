@@ -135,16 +135,28 @@ impl CscMatrix {
         &mut self.values
     }
 
+    /// The pattern and the values, taken apart without a copy.
+    pub fn into_parts(self) -> (SparsityPattern, Vec<f64>) {
+        (self.pattern, self.values)
+    }
+
     /// Bytes the pattern's index arrays and the values occupy on the heap.
     pub fn heap_bytes(&self) -> u64 {
         self.pattern.heap_bytes() + std::mem::size_of_val(&self.values[..]) as u64
     }
 
+    /// The matrix as a borrowed pattern and values.
+    #[inline]
+    pub fn view(&self) -> CscRef<'_> {
+        CscRef {
+            pattern: &self.pattern,
+            values: &self.values,
+        }
+    }
+
     /// Row indices and values of column `j`.
     pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
-        let lo = self.pattern.col_ptr()[j];
-        let hi = self.pattern.col_ptr()[j + 1];
-        (&self.pattern.row_indices()[lo..hi], &self.values[lo..hi])
+        self.view().col(j)
     }
 
     /// Value at `(i, j)`, zero when not stored.
@@ -158,61 +170,28 @@ impl CscMatrix {
 
     /// Iterator over `(row, col, value)` in column-major order.
     pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.ncols()).flat_map(move |j| {
-            let (rows, vals) = self.col(j);
-            rows.iter()
-                .zip(vals)
-                .map(move |(&i, &v)| (i as usize, j, v))
-        })
+        self.view().triplets()
     }
 
     /// `y ← y + A x`.
     pub fn mat_vec_add(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        for j in 0..self.ncols() {
-            let xj = x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            let (rows, vals) = self.col(j);
-            for (&i, &v) in rows.iter().zip(vals) {
-                y[i as usize] += v * xj;
-            }
-        }
+        self.view().mat_vec_add(x, y)
     }
 
     /// `y ← y − A x`.
     pub fn mat_vec_sub(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        for j in 0..self.ncols() {
-            let xj = x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            let (rows, vals) = self.col(j);
-            for (&i, &v) in rows.iter().zip(vals) {
-                y[i as usize] -= v * xj;
-            }
-        }
+        self.view().mat_vec_sub(x, y)
     }
 
     /// `y = A x` into a fresh vector.
     pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows()];
-        self.mat_vec_add(x, &mut y);
-        y
+        self.view().mat_vec(x)
     }
 
     /// Infinity norm: maximum absolute row sum. Each row sums its entries
     /// in column order, as a walk of [`Self::triplets`] would.
     pub fn inf_norm(&self) -> f64 {
-        let mut row_sum = vec![0.0_f64; self.nrows()];
-        for (&i, &v) in self.pattern.row_indices().iter().zip(&self.values) {
-            row_sum[i as usize] += v.abs();
-        }
-        row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))
+        self.view().inf_norm()
     }
 
     /// One norm: maximum absolute column sum.
@@ -224,12 +203,7 @@ impl CscMatrix {
 
     /// Transposed matrix.
     pub fn transpose(&self) -> CscMatrix {
-        CscMatrix::from_triplets_iter(
-            self.ncols(),
-            self.nrows(),
-            self.triplets().map(|(i, j, v)| (j, i, v)),
-        )
-        .expect("transpose preserves validity")
+        self.view().transpose()
     }
 
     /// Permuted matrix `B[i][j] = A[rp[i]][cp[j]]`.
@@ -268,6 +242,111 @@ impl CscMatrix {
         *self = CscMatrix::from_triplets_iter(self.nrows(), self.ncols(), kept)
             .expect("pruning preserves validity");
         before - self.nnz()
+    }
+}
+
+/// A compressed-column matrix borrowed as its two halves: a pattern and the
+/// values parallel to its row indices, which need not be held together (a
+/// daemon session keeps its values against the pattern its analysis
+/// shares). `&CscMatrix` converts into it.
+#[derive(Debug, Clone, Copy)]
+pub struct CscRef<'a> {
+    pattern: &'a SparsityPattern,
+    values: &'a [f64],
+}
+
+impl<'a> From<&'a CscMatrix> for CscRef<'a> {
+    fn from(a: &'a CscMatrix) -> Self {
+        a.view()
+    }
+}
+
+impl<'a> CscRef<'a> {
+    /// `values` against `pattern`; panics when they differ in length.
+    pub fn new(pattern: &'a SparsityPattern, values: &'a [f64]) -> Self {
+        assert_eq!(values.len(), pattern.nnz(), "one value per stored entry");
+        CscRef { pattern, values }
+    }
+
+    /// The structure.
+    #[inline]
+    pub fn pattern(self) -> &'a SparsityPattern {
+        self.pattern
+    }
+
+    /// The values, parallel to `pattern().row_indices()`.
+    #[inline]
+    pub fn values(self) -> &'a [f64] {
+        self.values
+    }
+
+    /// Row indices and values of column `j`.
+    pub fn col(self, j: usize) -> (&'a [u32], &'a [f64]) {
+        let (lo, hi) = (self.pattern.col_ptr()[j], self.pattern.col_ptr()[j + 1]);
+        (&self.pattern.row_indices()[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Iterator over `(row, col, value)` in column-major order.
+    pub fn triplets(self) -> impl Iterator<Item = (usize, usize, f64)> + 'a {
+        (0..self.pattern.ncols()).flat_map(move |j| {
+            let (rows, vals) = self.col(j);
+            rows.iter()
+                .zip(vals)
+                .map(move |(&i, &v)| (i as usize, j, v))
+        })
+    }
+
+    /// `y ← y + A x`.
+    pub fn mat_vec_add(self, x: &[f64], y: &mut [f64]) {
+        self.mat_vec_signed(x, y, 1.0)
+    }
+
+    /// `y ← y − A x`.
+    pub fn mat_vec_sub(self, x: &[f64], y: &mut [f64]) {
+        self.mat_vec_signed(x, y, -1.0)
+    }
+
+    /// `y ← y + sign · A x`, `sign` being ±1 (exact: `−(v·x) = (−v)·x`).
+    fn mat_vec_signed(self, x: &[f64], y: &mut [f64], sign: f64) {
+        assert_eq!(x.len(), self.pattern.ncols());
+        assert_eq!(y.len(), self.pattern.nrows());
+        for j in 0..self.pattern.ncols() {
+            let xj = sign * x[j];
+            if xj == 0.0 {
+                continue;
+            }
+            let (rows, vals) = self.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                y[i as usize] += v * xj;
+            }
+        }
+    }
+
+    /// `y = A x` into a fresh vector.
+    pub fn mat_vec(self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.pattern.nrows()];
+        self.mat_vec_add(x, &mut y);
+        y
+    }
+
+    /// Infinity norm: maximum absolute row sum. Each row sums its entries
+    /// in column order, as a walk of [`Self::triplets`] would.
+    pub fn inf_norm(self) -> f64 {
+        let mut row_sum = vec![0.0_f64; self.pattern.nrows()];
+        for (&i, &v) in self.pattern.row_indices().iter().zip(self.values) {
+            row_sum[i as usize] += v.abs();
+        }
+        row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))
+    }
+
+    /// Transposed matrix.
+    pub fn transpose(self) -> CscMatrix {
+        CscMatrix::from_triplets_iter(
+            self.pattern.ncols(),
+            self.pattern.nrows(),
+            self.triplets().map(|(i, j, v)| (j, i, v)),
+        )
+        .expect("transpose preserves validity")
     }
 }
 

@@ -32,7 +32,7 @@ pub mod scaling;
 pub mod stats;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
+pub use csc::{CscMatrix, CscRef};
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use pattern::SparsityPattern;
@@ -52,9 +52,9 @@ pub fn vec_inf_norm(v: &[f64]) -> f64 {
 }
 
 /// Computes the backward-error numerator `‖b − A x‖∞`.
-pub fn residual_inf_norm(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
+pub fn residual_inf_norm<'a>(a: impl Into<CscRef<'a>>, x: &[f64], b: &[f64]) -> f64 {
     let mut r = b.to_vec();
-    a.mat_vec_sub(x, &mut r);
+    a.into().mat_vec_sub(x, &mut r);
     vec_inf_norm(&r)
 }
 
@@ -63,7 +63,8 @@ pub fn residual_inf_norm(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
 /// This is the standard normalized backward error for a linear solve; values
 /// around machine epsilon indicate a backward-stable solve. A NaN anywhere
 /// in `x` or `b` makes the result NaN, so it fails every `<` / `<=` gate.
-pub fn relative_residual(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
+pub fn relative_residual<'a>(a: impl Into<CscRef<'a>>, x: &[f64], b: &[f64]) -> f64 {
+    let a = a.into();
     let num = residual_inf_norm(a, x, b);
     let den = a.inf_norm() * vec_inf_norm(x) + vec_inf_norm(b);
     if den == 0.0 {

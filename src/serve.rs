@@ -15,9 +15,15 @@
 //!   structured error, then resynchronizes at the next newline, so a
 //!   garbage client cannot buffer the daemon out of memory or poison the
 //!   stream for others.
+//! * **One analysis per pattern** — sessions of one pattern and options
+//!   share one [`Analysis`]: a second `analyze` of a held pattern parses
+//!   its file and opens its session on the held analysis, running no
+//!   symbolic phase. The pattern moves into the analysis; a session keeps
+//!   only its factors and its latest values.
 //! * **Session memory budgeting** — the `SessionPool` accounts resident
-//!   bytes per session ([`SluSession::resident_bytes`] plus retained
-//!   values) and evicts idle sessions in LRU order to honor
+//!   bytes — each session's factors and retained values, each analysis
+//!   once ([`Analysis::resident_bytes`]) — and evicts idle sessions in LRU
+//!   order to honor
 //!   `--session-budget`. Evicted sessions leave a tombstone: the next job
 //!   naming them gets a structured `session_evicted` error (exit code 7)
 //!   and can simply re-`analyze`. Sessions pinned by in-flight jobs are
@@ -40,11 +46,11 @@
 //!   numeric line since — and restores superseded job ids id-only. The
 //!   journal is compacted down to live-session state once it outgrows its
 //!   post-compaction baseline.
-//! * **Values-only input** — a `factor`/`refactor` on a session that holds
-//!   a matrix streams its values file against the held pattern
-//!   ([`splu_sparse::io::read_matrix_market_values`]) and swaps the values
-//!   in; a file in any other layout is read again by the general reader,
-//!   whose matrix or error the job then answers with.
+//! * **Values-only input** — a `factor`/`refactor` streams its values
+//!   file against the analysis' pattern
+//!   ([`splu_sparse::io::read_matrix_market_values`]); a file in any other
+//!   layout is read again by the general reader, whose matrix or error the
+//!   job then answers with.
 //! * **Idempotency** — a client may tag any job with `--job-id <token>`;
 //!   per-session applied-id tracking plus a bounded response cache means
 //!   a retried duplicate returns the original response instead of
@@ -60,17 +66,18 @@
 use crate::cli::{compact_json, load, matrix_name, parse_flags, read_vector, Cli, CliError};
 use crate::persist::{Damage, Durability, Journal, Record};
 use splu_core::observe::escape_json;
-use splu_core::{CancelToken, LuError, MatrixMeta, ObsSession, RunReport, RunStatus, SluSession};
+use splu_core::{pattern_hash, Analysis, CancelToken, LuError, MatrixMeta, ObsSession, Options};
+use splu_core::{RunReport, RunStatus, SluSession};
 use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{Lane, LaneRejected};
 use splu_sparse::io::read_matrix_market_values;
-use splu_sparse::{relative_residual, CscMatrix};
+use splu_sparse::{relative_residual, CscMatrix, CscRef, SparsityPattern};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, ErrorKind, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// FNV-1a offset basis / prime, shared by lane routing and solution
@@ -306,12 +313,18 @@ impl<R: BufRead> FrameReader<R> {
 // Session pool
 // ---------------------------------------------------------------------------
 
-/// One named session: the persistent analyze/refactor state plus the most
-/// recently factored values (retained for manufactured right-hand sides,
-/// residual checks, and refined solves).
+/// One named session: its factors, the pooled analysis it was opened on —
+/// which holds the pattern, moved there out of the matrix the `analyze`
+/// job read — and the most recently factored values against that pattern
+/// (retained for manufactured right-hand sides, residual checks, and
+/// refined solves).
 pub(crate) struct ServeEntry {
     pub(crate) session: SluSession,
-    pub(crate) matrix: Option<CscMatrix>,
+    /// The session's analysis as the pool shares it; after a tripped wire
+    /// the session runs on a private static copy, and this one still
+    /// holds the pattern the values are read against.
+    pub(crate) analysis: Arc<Analysis>,
+    pub(crate) values: Option<Vec<f64>>,
     /// The exact `analyze` job line that created this session, kept so a
     /// journal compaction can snapshot the session as one replayable
     /// record instead of its whole history.
@@ -321,14 +334,43 @@ pub(crate) struct ServeEntry {
     pub(crate) numeric_line: Option<String>,
 }
 
-fn entry_bytes(e: &ServeEntry) -> u64 {
-    e.session.resident_bytes() + e.matrix.as_ref().map_or(0, CscMatrix::heap_bytes)
+impl ServeEntry {
+    /// The latest factored values against the pattern, if any.
+    fn matrix(&self) -> Option<CscRef<'_>> {
+        let pattern = self
+            .analysis
+            .pattern()
+            .expect("a pooled analysis holds its pattern");
+        (self.values.as_deref()).map(|v| CscRef::new(pattern, v))
+    }
+
+    /// What the entry holds beside the pooled analysis: its factors, its
+    /// values and, after a tripped wire, its private analysis.
+    fn own_bytes(&self) -> u64 {
+        let private = !std::ptr::eq(self.session.analysis(), &*self.analysis);
+        let analysis = if private {
+            self.session.analysis().resident_bytes()
+        } else {
+            0
+        };
+        let values = self.values.as_ref().map_or(0, |v| 8 * v.len() as u64);
+        self.session.factor_resident_bytes() + values + analysis
+    }
+
+    /// What the session holds, its analysis counted whole.
+    fn resident_bytes(&self) -> u64 {
+        let values = self.values.as_ref().map_or(0, |v| 8 * v.len() as u64);
+        self.session.resident_bytes() + values
+    }
 }
 
 enum Slot {
     Live {
         cell: Arc<Mutex<ServeEntry>>,
+        /// The entry's own bytes ([`ServeEntry::own_bytes`]).
         bytes: u64,
+        /// The pooled analysis, charged once however many sessions share it.
+        analysis: Arc<Analysis>,
         last_used: u64,
         pins: u32,
     },
@@ -340,7 +382,31 @@ enum Slot {
 struct PoolInner {
     slots: HashMap<String, Slot>,
     clock: u64,
-    resident: u64,
+    /// Per pattern hash, the analyses live sessions were opened on.
+    analyses: HashMap<u64, Vec<Weak<Analysis>>>,
+}
+
+impl PoolInner {
+    /// Resident bytes across live sessions and the distinct analyses they
+    /// share, and the number of those analyses.
+    fn resident(&self) -> (u64, usize) {
+        let mut seen = HashSet::new();
+        let mut bytes = 0;
+        for slot in self.slots.values() {
+            if let Slot::Live {
+                bytes: own,
+                analysis,
+                ..
+            } = slot
+            {
+                bytes += own;
+                if seen.insert(Arc::as_ptr(analysis)) {
+                    bytes += analysis.resident_bytes();
+                }
+            }
+        }
+        (bytes, seen.len())
+    }
 }
 
 /// Aggregate pool state for the `stats` op and assertions.
@@ -350,8 +416,20 @@ pub struct PoolStats {
     pub sessions: usize,
     /// Eviction tombstones awaiting re-analyze.
     pub evicted_tombstones: usize,
-    /// Resident bytes across live sessions.
+    /// Resident bytes across live sessions, each analysis counted once.
     pub resident_bytes: u64,
+    /// Distinct analyses the live sessions are opened on.
+    pub analyses: usize,
+}
+
+/// `true` when an analysis built under `held` answers for a job's `opts`:
+/// equal but for the run budget, which every numeric job sets anew.
+fn same_analysis_options(held: &Options, opts: &Options) -> bool {
+    *held
+        == Options {
+            budget: held.budget.clone(),
+            ..opts.clone()
+        }
 }
 
 /// The budgeted, pinning session pool. See the [module docs](self).
@@ -367,7 +445,7 @@ impl SessionPool {
             inner: Mutex::new(PoolInner {
                 slots: HashMap::new(),
                 clock: 0,
-                resident: 0,
+                analyses: HashMap::new(),
             }),
             budget,
             metrics,
@@ -381,7 +459,7 @@ impl SessionPool {
     fn enforce_budget(&self, inner: &mut PoolInner) -> Vec<Arc<Mutex<ServeEntry>>> {
         let mut dropped = Vec::new();
         if let Some(budget) = self.budget {
-            while inner.resident > budget {
+            while inner.resident().0 > budget {
                 let victim = inner
                     .slots
                     .iter()
@@ -395,24 +473,53 @@ impl SessionPool {
                 let Some((_, name)) = victim else {
                     break; // everything left is pinned by an in-flight job
                 };
-                if let Some(Slot::Live { cell, bytes, .. }) = inner.slots.remove(&name) {
+                if let Some(Slot::Live {
+                    cell,
+                    bytes,
+                    analysis,
+                    ..
+                }) = inner.slots.remove(&name)
+                {
+                    let bytes = bytes + analysis.resident_bytes();
                     inner.slots.insert(name, Slot::Evicted { bytes });
-                    inner.resident -= bytes;
                     dropped.push(cell);
                     self.metrics.incr(Counter::SessionsEvicted);
                 }
             }
         }
+        let resident = inner.resident().0;
         self.metrics
-            .record_max(Counter::ResidentSessionBytesPeak, inner.resident);
+            .record_max(Counter::ResidentSessionBytesPeak, resident);
         dropped
+    }
+
+    /// A live session's analysis of `pattern` under `opts`, if one is
+    /// held: the same pattern hash, options and pattern.
+    fn shared_analysis(&self, pattern: &SparsityPattern, opts: &Options) -> Option<Arc<Analysis>> {
+        let hash = pattern_hash(pattern);
+        let inner = self.inner.lock().unwrap();
+        (inner.analyses.get(&hash)?.iter())
+            .filter_map(Weak::upgrade)
+            .find(|a| same_analysis_options(a.options(), opts) && a.pattern() == Some(pattern))
+    }
+
+    /// Offers `analysis` to later `analyze` jobs of its pattern, and
+    /// forgets the analyses no session holds any more.
+    fn pool_analysis(&self, analysis: &Arc<Analysis>) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.analyses.retain(|_, held| {
+            held.retain(|w| w.strong_count() > 0);
+            !held.is_empty()
+        });
+        let held = inner.analyses.entry(analysis.pattern_hash()).or_default();
+        held.push(Arc::downgrade(analysis));
     }
 
     /// Installs (or replaces) a session. Fails if the session alone
     /// exceeds the budget; otherwise evicts idle LRU sessions to make it
-    /// fit.
+    /// fit. Returns what the session holds, its analysis counted whole.
     fn insert(&self, name: &str, entry: ServeEntry) -> Result<u64, CliError> {
-        let bytes = entry_bytes(&entry);
+        let bytes = entry.resident_bytes();
         if let Some(budget) = self.budget {
             if bytes > budget {
                 return Err(CliError::from(format!(
@@ -424,21 +531,18 @@ impl SessionPool {
         let dropped;
         {
             let mut inner = self.inner.lock().unwrap();
-            if let Some(Slot::Live { bytes: old, .. }) = inner.slots.get(name) {
-                inner.resident -= *old;
-            }
             inner.clock += 1;
             let stamp = inner.clock;
             inner.slots.insert(
                 name.to_string(),
                 Slot::Live {
+                    bytes: entry.own_bytes(),
+                    analysis: Arc::clone(&entry.analysis),
                     cell: Arc::new(Mutex::new(entry)),
-                    bytes,
                     last_used: stamp,
                     pins: 0,
                 },
             );
-            inner.resident += bytes;
             dropped = self.enforce_budget(&mut inner);
         }
         drop(dropped);
@@ -504,10 +608,12 @@ impl SessionPool {
                 Slot::Evicted { .. } => dead += 1,
             }
         }
+        let (resident_bytes, analyses) = inner.resident();
         PoolStats {
             sessions: live,
             evicted_tombstones: dead,
-            resident_bytes: inner.resident,
+            resident_bytes,
+            analyses,
         }
     }
 }
@@ -527,7 +633,8 @@ impl Pinned<'_> {
         &self.cell
     }
 
-    /// Records the session's new resident size, applied on drop.
+    /// Records the session's new own size ([`ServeEntry::own_bytes`]),
+    /// applied on drop.
     pub(crate) fn set_bytes(&mut self, bytes: u64) {
         self.new_bytes = Some(bytes);
     }
@@ -541,9 +648,7 @@ impl Drop for Pinned<'_> {
             if let Some(Slot::Live { bytes, pins, .. }) = inner.slots.get_mut(&self.name) {
                 *pins = pins.saturating_sub(1);
                 if let Some(nb) = self.new_bytes {
-                    let old = *bytes;
                     *bytes = nb;
-                    inner.resident = inner.resident - old + nb;
                 }
             }
             dropped = self.pool.enforce_budget(&mut inner);
@@ -711,12 +816,14 @@ pub struct Engine<'e> {
     /// splitmix64 sequence feeding the retry-hint jitter.
     jitter_seq: AtomicU64,
     /// `factor`/`refactor` jobs whose values file was streamed against the
-    /// session's held pattern.
+    /// analyzed pattern.
     values_streamed: AtomicU64,
     /// `factor`/`refactor` jobs whose values file the general Matrix
-    /// Market reader read: no held matrix yet, or a file that deviates
-    /// from the held pattern's layout.
+    /// Market reader read: a file that deviates from the analyzed
+    /// pattern's layout.
     values_parsed: AtomicU64,
+    /// `analyze` jobs that opened their session on a held analysis.
+    analyses_shared: AtomicU64,
     started: Instant,
 }
 
@@ -748,6 +855,7 @@ impl<'e> Engine<'e> {
             jitter_seq: AtomicU64::new(0),
             values_streamed: AtomicU64::new(0),
             values_parsed: AtomicU64::new(0),
+            analyses_shared: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -1103,7 +1211,7 @@ impl<'e> Engine<'e> {
             None => "null".to_string(),
         };
         format!(
-            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{}}}"#,
+            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{},"analyses":{},"analyses_shared":{}}}"#,
             self.cfg.workers,
             self.cfg.queue_cap,
             depths.join(","),
@@ -1128,6 +1236,8 @@ impl<'e> Engine<'e> {
             self.metrics.get(Counter::RealisedWords),
             self.values_streamed.load(Ordering::Relaxed),
             self.values_parsed.load(Ordering::Relaxed),
+            pool.analyses,
+            self.analyses_shared.load(Ordering::Relaxed),
         )
     }
 
@@ -1394,33 +1504,49 @@ fn serve_job_inner(
                 n: a.ncols(),
                 nnz: a.nnz(),
             };
-            let session =
-                SluSession::analyze_observed(a.pattern(), &cli.opts, &obs).map_err(|e| {
-                    let _ = obs.report(meta.clone(), &cli.opts, RunStatus::from_error(&e));
-                    CliError::from(e)
-                })?;
+            // A held analysis of the pattern is shared: no symbolic phase
+            // runs. Otherwise the pattern moves into the new analysis.
+            let analysis = match engine.pool.shared_analysis(a.pattern(), &cli.opts) {
+                Some(analysis) => {
+                    engine.analyses_shared.fetch_add(1, Ordering::Relaxed);
+                    analysis
+                }
+                None => {
+                    let analysis =
+                        Analysis::observed(a.pattern(), &cli.opts, &obs).map_err(|e| {
+                            let _ = obs.report(meta.clone(), &cli.opts, RunStatus::from_error(&e));
+                            CliError::from(e)
+                        })?;
+                    let analysis = Arc::new(analysis.with_pattern(a.into_parts().0));
+                    engine.pool.pool_analysis(&analysis);
+                    analysis
+                }
+            };
+            let stats = analysis.stats();
             let mut report = obs.report(
-                MatrixMeta::from_stats(&matrix_name(path), session.stats()),
+                MatrixMeta::from_stats(&matrix_name(path), stats),
                 &cli.opts,
                 RunStatus::success(),
             );
-            let stats = format!(
-                r#","tasks":{},"supernodes":{}"#,
-                session.stats().graph_tasks,
-                session.stats().supernodes
+            let fields = format!(
+                r#","tasks":{},"supernodes":{},"factor_bytes":{}"#,
+                stats.graph_tasks,
+                stats.supernodes,
+                analysis.factor_bytes()
             );
             let bytes = engine.pool.insert(
                 name,
                 ServeEntry {
-                    session,
-                    matrix: None,
+                    session: SluSession::on(Arc::clone(&analysis)),
+                    analysis,
+                    values: None,
                     analyze_line: Some(line.to_string()),
                     numeric_line: None,
                 },
             )?;
             engine.fold_daemon_counters(&mut report);
             Ok(format!(
-                r#"{stats},"resident_bytes":{bytes},"report":{}"#,
+                r#"{fields},"resident_bytes":{bytes},"report":{}"#,
                 compact_json(&report.to_json())
             ))
         }
@@ -1434,13 +1560,17 @@ fn serve_job_inner(
             let mut guard = cell.lock().unwrap();
             let e = &mut *guard;
             let obs = ObsSession::new();
+            let analysis = Arc::clone(&e.analysis);
+            let pattern = analysis
+                .pattern()
+                .expect("a pooled analysis holds its pattern");
             let values = {
                 let _p = obs.phase("parse");
-                read_values(engine, e.matrix.as_mut(), path)?
+                read_values(engine, pattern, path)?
             };
             let a = match &values {
-                Values::Held(_) => e.matrix.as_ref().expect("streamed into the held matrix"),
-                Values::Parsed(a) => a,
+                Values::Streamed(v) => CscRef::new(pattern, v),
+                Values::Parsed(a) => a.view(),
             };
             e.session.set_budget(cli.opts.budget.clone());
             let outcome = if op == "refactor" {
@@ -1460,30 +1590,27 @@ fn serve_job_inner(
             let result = match outcome {
                 Ok(()) => {
                     // The values held before go now, not after the report.
-                    match values {
-                        Values::Held(previous) => drop(previous),
-                        Values::Parsed(a) => e.matrix = Some(a),
-                    }
+                    e.values = Some(match values {
+                        Values::Streamed(v) => v,
+                        Values::Parsed(a) => a.into_parts().1,
+                    });
                     e.numeric_line = Some(line.to_string());
                     let mut report = obs.report(meta, &opts, RunStatus::success());
                     engine.fold_daemon_counters(&mut report);
-                    Ok((entry_bytes(e), compact_json(&report.to_json())))
+                    Ok(compact_json(&report.to_json()))
                 }
                 Err(err) => {
                     // The session survives a failed or interrupted
-                    // factorization, and the held matrix keeps the values
-                    // it had; the report records the error.
-                    if let (Values::Held(mut previous), Some(held)) = (values, &mut e.matrix) {
-                        held.values_mut().swap_with_slice(&mut previous);
-                    }
+                    // factorization, and keeps the values it had; the
+                    // report records the error.
                     let _ = obs.report(meta, &opts, RunStatus::from_error(&err));
-                    pin.set_bytes(entry_bytes(e));
                     Err(err)
                 }
             };
+            let bytes = e.resident_bytes();
+            pin.set_bytes(e.own_bytes());
             drop(guard);
-            let (bytes, report) = result.map_err(CliError::from)?;
-            pin.set_bytes(bytes);
+            let report = result.map_err(CliError::from)?;
             Ok(format!(r#","resident_bytes":{bytes},"report":{report}"#))
         }
         "solve" => {
@@ -1491,11 +1618,11 @@ fn serve_job_inner(
             let pin = engine.pool.pin(name)?;
             let cell = Arc::clone(pin.cell());
             let e = cell.lock().unwrap();
-            let a = e.matrix.as_ref().ok_or_else(|| {
+            let a = e.matrix().ok_or_else(|| {
                 CliError::from(format!("session `{name}` holds no factored values"))
             })?;
             let b = match &cli.rhs {
-                Some(p) => read_vector(p, a.nrows())?,
+                Some(p) => read_vector(p, a.pattern().nrows())?,
                 None => manufactured_rhs(a, 1).1,
             };
             let x = if cli.transpose {
@@ -1528,31 +1655,26 @@ fn serve_job_inner(
 
 /// The values a `factor`/`refactor` job factors.
 enum Values {
-    /// Streamed into the held matrix; what it held before, to put back if
-    /// the factorization fails.
-    Held(Vec<f64>),
+    /// Streamed against the analyzed pattern.
+    Streamed(Vec<f64>),
     /// A whole matrix from the general reader.
     Parsed(CscMatrix),
 }
 
-/// Reads a `factor`/`refactor` job's values file. With a `held` matrix the
-/// file is streamed against its pattern ([`read_matrix_market_values`]),
-/// and the values are swapped into it: the job allocates one value array
-/// and a fixed read buffer, where the general reader builds the text, three
-/// triplet arrays and a pattern. Any deviation from the held layout — or
-/// no held matrix — reads the file through [`load`], so the matrix, or the
-/// error, is the general reader's.
+/// Reads a `factor`/`refactor` job's values file. The file is streamed
+/// against the analyzed `pattern` ([`read_matrix_market_values`]): the job
+/// allocates one value array and a fixed read buffer, where the general
+/// reader builds the text, three triplet arrays and a pattern. Any
+/// deviation from the pattern's layout reads the file through [`load`], so
+/// the matrix, or the error, is the general reader's.
 fn read_values(
     engine: &Engine<'_>,
-    held: Option<&mut CscMatrix>,
+    pattern: &SparsityPattern,
     path: &str,
 ) -> Result<Values, CliError> {
-    if let Some(held) = held {
-        if let Some(mut vals) = read_matrix_market_values(Path::new(path), held.pattern()) {
-            held.values_mut().swap_with_slice(&mut vals);
-            engine.values_streamed.fetch_add(1, Ordering::Relaxed);
-            return Ok(Values::Held(vals));
-        }
+    if let Some(vals) = read_matrix_market_values(Path::new(path), pattern) {
+        engine.values_streamed.fetch_add(1, Ordering::Relaxed);
+        return Ok(Values::Streamed(vals));
     }
     engine.values_parsed.fetch_add(1, Ordering::Relaxed);
     Ok(Values::Parsed(load(path)?))
@@ -2154,10 +2276,12 @@ mod tests {
 
     fn tiny_entry() -> ServeEntry {
         let a = splu_matgen::grid3d_anisotropic(3, 3, 1, splu_matgen::GridOptions::default());
-        let session = SluSession::analyze(a.pattern(), &splu_core::Options::default()).unwrap();
+        let analysis = Analysis::new(a.pattern(), &Options::default()).unwrap();
+        let analysis = Arc::new(analysis.with_pattern(a.into_parts().0));
         ServeEntry {
-            session,
-            matrix: None,
+            session: SluSession::on(Arc::clone(&analysis)),
+            analysis,
+            values: None,
             analyze_line: None,
             numeric_line: None,
         }
@@ -2166,7 +2290,7 @@ mod tests {
     #[test]
     fn pool_evicts_lru_and_leaves_tombstones() {
         let metrics = Arc::new(MetricsRegistry::new());
-        let one = entry_bytes(&tiny_entry());
+        let one = tiny_entry().resident_bytes();
         // Budget fits two sessions but not three.
         let pool = SessionPool::new(Some(2 * one + one / 2), Arc::clone(&metrics));
         pool.insert("a", tiny_entry()).unwrap();
@@ -2194,7 +2318,7 @@ mod tests {
     #[test]
     fn pool_never_evicts_pinned_sessions() {
         let metrics = Arc::new(MetricsRegistry::new());
-        let one = entry_bytes(&tiny_entry());
+        let one = tiny_entry().resident_bytes();
         let pool = SessionPool::new(Some(one + one / 2), Arc::clone(&metrics));
         pool.insert("held", tiny_entry()).unwrap();
         let pin = pool.pin("held").unwrap();
@@ -2263,9 +2387,9 @@ mod tests {
     }
 
     /// A streamed job whose factorization fails — a numerically singular
-    /// value set, an expired deadline — leaves the held matrix with the
-    /// values it had: the stream swapped the new ones in, the failure swaps
-    /// them back. A job that streams and succeeds keeps the new ones.
+    /// value set, an expired deadline — leaves the session with the values
+    /// it had; a job that streams and succeeds keeps the new ones. Every
+    /// job streams, the first `factor` too: the analysis holds the pattern.
     #[test]
     fn a_failed_streamed_job_leaves_the_held_values() {
         let a = splu_matgen::grid3d_anisotropic(4, 4, 2, splu_matgen::GridOptions::default());
@@ -2289,7 +2413,7 @@ mod tests {
         let held = || {
             let pin = engine.pool.pin("s").unwrap();
             let e = pin.cell().lock().unwrap();
-            e.matrix.as_ref().unwrap().values().to_vec()
+            e.values.clone().unwrap()
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for line in [format!("analyze s {base}"), format!("factor s {base}")] {
@@ -2306,7 +2430,7 @@ mod tests {
         let reply = serve_job(&engine, 0, &format!("refactor s {doubled_values}"), None);
         assert!(reply.contains(r#""status":"ok""#), "{reply}");
         assert_eq!(bits(&held()), bits(doubled.values()));
-        assert_eq!(engine.values_streamed.load(Ordering::Relaxed), 3);
+        assert_eq!(engine.values_streamed.load(Ordering::Relaxed), 4);
         for p in paths {
             let _ = std::fs::remove_file(p);
         }

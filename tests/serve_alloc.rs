@@ -7,7 +7,14 @@
 //!   it, and the job's own bookkeeping — no text of the file, no
 //!   triplets, no second pattern;
 //! * a `solve --rhs` streams its right-hand side the same way: the peak
-//!   stays within a few `n`-vectors, one read buffer and the bookkeeping.
+//!   stays within a few `n`-vectors, one read buffer and the bookkeeping;
+//! * a second session on a held pattern shares its analysis: its `analyze`
+//!   leaves only the entry's bookkeeping behind, no symbolic state, and its
+//!   `factor` adds the analysis' `factor_bytes`, its values and at most
+//!   16 KiB more;
+//! * sessions evicted and revived under `--session-budget` leave the pool's
+//!   `resident_bytes` within 2 % of the live bytes, the shared analysis
+//!   charged once.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
@@ -18,8 +25,9 @@ mod common;
 use common::stepped::stepped;
 use parsplu::matgen::{manufactured_rhs, paper_matrix, Scale};
 use parsplu::obs::CountingAlloc;
-use parsplu::serve::serve_loop;
+use parsplu::serve::{serve_loop, serve_loop_with, ServeConfig};
 use parsplu::sparse::io::{format_matrix_market, STREAM_CHUNK};
+use splu_bench::json::{parse, Json};
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -119,17 +127,7 @@ fn streamed_jobs_hold_one_array_and_one_buffer() {
     let mut peaks = vec![0u64; script.len()];
     let mut before = 0;
     let hook = |i: usize| {
-        // The reply is written before the job drops what it holds: wait
-        // for the worker to come to rest.
-        let mut live = LIVE.load(Ordering::Relaxed);
-        loop {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            let again = LIVE.load(Ordering::Relaxed);
-            if again == live {
-                break;
-            }
-            live = again;
-        }
+        let live = settled();
         if i > 0 {
             peaks[i - 1] = HIGH.load(Ordering::Relaxed) - before;
         }
@@ -142,9 +140,7 @@ fn streamed_jobs_hold_one_array_and_one_buffer() {
     for reply in writer.into_inner().unwrap().lines() {
         assert!(reply.contains(r#""status":"ok""#), "{reply}");
     }
-    for p in [&base, &values, &rhs] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&rhs);
     let buffer = STREAM_CHUNK as u64;
     let (refactor, solve) = (peaks[4], peaks[5]);
     assert!(
@@ -158,4 +154,120 @@ fn streamed_jobs_hold_one_array_and_one_buffer() {
     // The general reader held the text, three triplet arrays and a pattern
     // at once: more than the file's size.
     assert!(refactor < file_bytes.len() as u64 / 2, "{refactor} bytes");
+
+    let (price, laid_out) = a_second_session_adds_its_factors_alone(&base, &values, nnz);
+    evictions_leave_the_pool_charging_what_is_live(&base, price + 8 * nnz, laid_out);
+    for p in [&base, &values] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// Live bytes once every worker has come to rest: a reply is written
+/// before its job drops what it holds.
+fn settled() -> u64 {
+    let mut live = LIVE.load(Ordering::Relaxed);
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let again = LIVE.load(Ordering::Relaxed);
+        if again == live {
+            return live;
+        }
+        live = again;
+    }
+}
+
+/// Serves `script` one job at a time on one worker: the replies, and the
+/// settled live bytes as each line is handed out.
+fn serve(script: &[String], budget: Option<u64>) -> (Vec<Json>, Vec<u64>) {
+    let mut live = Vec::new();
+    let (reader, replies) = stepped(script, |_| live.push(settled()));
+    let writer = Mutex::new(replies);
+    let cfg = ServeConfig {
+        workers: 1,
+        session_budget: budget,
+        ..ServeConfig::default()
+    };
+    serve_loop_with(cfg, reader, &writer, None).unwrap();
+    let replies: Vec<Json> = (writer.into_inner().unwrap().lines().iter())
+        .map(|l| parse(l).unwrap())
+        .collect();
+    for r in &replies {
+        assert_eq!(r.get("status").and_then(Json::as_str), Some("ok"), "{r:?}");
+    }
+    (replies, live)
+}
+
+fn num(reply: &Json, key: &str) -> u64 {
+    reply.get(key).and_then(Json::as_num).unwrap() as u64
+}
+
+/// Two sessions on full sherman3, each analyzed, factored and refactored:
+/// the second shares the first's analysis. Returns the analysis'
+/// `factor_bytes` and its laid-out resident bytes.
+fn a_second_session_adds_its_factors_alone(base: &str, values: &str, nnz: u64) -> (u64, u64) {
+    let mut script = Vec::new();
+    for name in ["s", "t"] {
+        script.push(format!("analyze {name} {base}"));
+        script.push(format!("factor {name} {base}"));
+        script.push(format!("refactor {name} {values}"));
+    }
+    script.push("quit".to_string());
+    let (replies, live) = serve(&script, None);
+    let grew = |line: usize| live[line + 1] - live[line];
+    let analyzed = num(&replies[0], "resident_bytes");
+    let price = num(&replies[0], "factor_bytes");
+    assert_eq!(price, num(&replies[3], "factor_bytes"));
+    assert!(
+        grew(0) >= analyzed,
+        "the first analyze holds {analyzed} bytes of symbolic state"
+    );
+    assert!(
+        grew(3) <= JOB_BOOKKEEPING,
+        "the second analyze left {} bytes behind",
+        grew(3)
+    );
+    let factor = grew(4);
+    assert!(
+        factor <= price + 8 * nnz + 16 * 1024,
+        "the second factor added {factor} bytes, priced at {price} + {} values",
+        8 * nnz
+    );
+    let held = num(&replies[1], "resident_bytes");
+    assert_eq!(
+        held,
+        num(&replies[4], "resident_bytes"),
+        "one analysis, counted whole"
+    );
+    (price, held - price - 8 * nnz)
+}
+
+/// Three sessions on one pattern under a budget that holds the analysis
+/// and two sessions' factors and values: the third evicts the first, whose
+/// revival evicts the second. At each `stats` the pool charges what is
+/// live, the analysis once.
+fn evictions_leave_the_pool_charging_what_is_live(base: &str, own: u64, analysis: u64) {
+    let budget = analysis + 2 * own + own / 2;
+    let mut script = Vec::new();
+    for name in ["s", "t", "u"] {
+        script.push(format!("analyze {name} {base}"));
+        script.push(format!("factor {name} {base}"));
+    }
+    script.push("stats".to_string());
+    script.push(format!("analyze s {base}"));
+    script.push(format!("factor s {base}"));
+    script.push("stats".to_string());
+    script.push("quit".to_string());
+    let (replies, live) = serve(&script, Some(budget));
+    for at in [6, 9] {
+        let stats = &replies[at];
+        let (resident, held) = (num(stats, "resident_bytes"), live[at] - live[0]);
+        assert_eq!(num(stats, "sessions"), 2, "{stats:?}");
+        assert_eq!(num(stats, "analyses"), 1, "{stats:?}");
+        assert_eq!(resident, analysis + 2 * own, "{stats:?}");
+        assert!(
+            held.abs_diff(resident) * 50 <= held,
+            "stats says {resident} resident bytes, {held} are live"
+        );
+    }
+    assert_eq!(num(&replies[9], "sessions_evicted"), 2);
 }

@@ -1,12 +1,12 @@
-//! A `factor`/`refactor` job on a session that holds a matrix streams its
-//! values file against the held pattern, and falls back to the general
+//! A `factor`/`refactor` job streams its values file against the pattern
+//! its session's analysis holds, and falls back to the general
 //! Matrix Market reader on any deviation. Whatever the file, the job's
 //! reply is the general reader's path's: the whole file read, the session
 //! refactored with the matrix read, the held values replaced only on
 //! success. The oracle here walks that path on its own session, and every
 //! reply — status, error kind and text, and the `x_hash` of the solve
 //! after it — must match; `stats` counts which jobs streamed, and the
-//! `factor` reply charges the session plus the held matrix.
+//! `factor` reply charges the session plus its values.
 
 mod common;
 
@@ -117,8 +117,9 @@ fn serve_against_oracle(a: &CscMatrix, files: &[(String, Vec<u8>)]) -> (f64, f64
     assert_eq!(replies.len(), script.len() - 1, "one reply per job");
 
     let mut oracle = Oracle::new(&read_matrix_market(base.as_ref()).unwrap());
-    // The pool charges a held session its `resident_bytes` plus the held
-    // matrix's `heap_bytes`.
+    // A factor reply charges what the session holds: its analysis, which
+    // keeps the pattern, its factors and its values — the oracle session's
+    // `resident_bytes` plus the matrix's `heap_bytes`.
     let charged = replies[1].get("resident_bytes").and_then(|v| v.as_num());
     let held = oracle.s.resident_bytes() + oracle.held.heap_bytes();
     assert_eq!(charged, Some(held as f64), "what the factor job charges");
@@ -230,9 +231,9 @@ fn every_values_file_gets_the_general_readers_reply() {
         .into_iter()
         .map(|(n, b, _)| (n.to_string(), b))
         .collect();
-    // `factor` before any held matrix reads the general way too.
-    let parsed = (files.len() + 1) as f64 - streams;
-    assert_eq!(serve_against_oracle(&a, &files), (streams, parsed));
+    // The first `factor` streams too: the analysis holds the pattern.
+    let parsed = files.len() as f64 - streams;
+    assert_eq!(serve_against_oracle(&a, &files), (streams + 1.0, parsed));
 }
 
 proptest! {

@@ -6,7 +6,10 @@
 //! matrix, pivot recycling and the wire's per-column check all run in
 //! place. An *observed* refactor (counters session) is
 //! the same range with one recorder attached: what it allocates is bounded
-//! by a constant, whatever the task count — no worker loop ran.
+//! by a constant, whatever the task count — no worker loop ran. And
+//! `Analysis::factor_bytes`, priced from the block lists before any value
+//! exists, is what a first `factor` adds: to 2 % on a session that shares
+//! a laid-out analysis, and beside the layout and slots on the first.
 //!
 //! This file installs the counting allocator for its whole test binary.
 //! Each window runs on one thread (a one-thread refactor replays inline)
@@ -15,11 +18,12 @@
 
 mod common;
 
-use common::alloc::peak_of;
-use parsplu::core::{ObsSession, Options, SluSession};
-use parsplu::matgen::{manufactured_rhs, paper_matrix, paper_suite, Scale};
+use common::alloc::{live_of, peak_of};
+use parsplu::core::{Analysis, ObsSession, Options, SluSession};
+use parsplu::matgen::{fem2d_unsymmetric, manufactured_rhs, paper_matrix, paper_suite, Scale};
 use parsplu::obs::CountingAlloc;
 use parsplu::sparse::{relative_residual, CscMatrix};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -87,4 +91,46 @@ fn refactor_hot_path_allocates_nothing() {
         task_counts[1] >= 16 * task_counts[0] && 8 * task_counts[1] > 16 * OBSERVED_BOUND,
         "task counts {task_counts:?}: far apart, and a word per task breaks the bound"
     );
+}
+
+/// `Analysis::factor_bytes` is what a first `factor` adds: exactly on a
+/// session whose analysis another session laid out, and on the first
+/// session beside what laying the analysis out adds to it (its
+/// `resident_bytes` before and after) — each to 2 % of the allocator's live
+/// bytes, on the full sherman3 analogue and the benchmark's mesh.
+#[test]
+fn factor_bytes_prices_the_first_factor() {
+    let inputs = [
+        ("sherman3", paper_matrix("sherman3", Scale::Full).unwrap()),
+        ("mesh40x40", fem2d_unsymmetric(40, 40, 2, 1)),
+    ];
+    // Warm up the thread's update scratch and the kernel dispatch.
+    SluSession::analyze(inputs[1].1.pattern(), &Options::default())
+        .unwrap()
+        .factor(&inputs[1].1)
+        .unwrap();
+    let within_2_percent = |what: &str, live: u64, priced: u64| {
+        assert!(
+            live.abs_diff(priced) * 50 <= live,
+            "{what}: priced at {priced} bytes, the allocator counts {live}"
+        );
+    };
+    for (name, a) in &inputs {
+        let analysis = Arc::new(Analysis::new(a.pattern(), &Options::default()).unwrap());
+        let price = analysis.factor_bytes();
+        let mut first = SluSession::on(Arc::clone(&analysis));
+        let unlaid = analysis.resident_bytes();
+        let ((), live) = live_of(|| first.factor(a).unwrap());
+        let laid_out = analysis.resident_bytes() - unlaid;
+        within_2_percent(&format!("{name} first"), live, price + laid_out);
+        let mut second = SluSession::on(Arc::clone(&analysis));
+        let ((), live) = live_of(|| second.factor(a).unwrap());
+        within_2_percent(&format!("{name} second"), live, price);
+        assert_eq!(second.factor_resident_bytes(), price, "{name}");
+        assert_eq!(
+            analysis.resident_bytes() - unlaid,
+            laid_out,
+            "{name}: laid out once"
+        );
+    }
 }
