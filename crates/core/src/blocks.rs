@@ -54,6 +54,20 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+thread_local! {
+    /// The calling thread's scratch matrix for update products
+    /// ([`BlockMatrix::with_scratch`]).
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Bytes the calling thread's scratch for update products holds: grown to
+/// the largest `|R_K| · |S_KJ|` product of any storage a factorization on
+/// this thread ran on, and never shrunk while the thread lives. A daemon
+/// lane charges it to its budget.
+pub fn thread_scratch_bytes() -> u64 {
+    SCRATCH.with(|cell| (cell.borrow().capacity() * size_of::<f64>()) as u64)
+}
+
 /// The values of one block column.
 #[derive(Debug)]
 pub struct ColumnData {
@@ -1218,9 +1232,6 @@ impl BlockMatrix {
     /// forms (`max |R_K| · |S_KJ|`), so later factorizations on the thread
     /// allocate nothing.
     pub(crate) fn with_scratch<R>(&self, len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-        thread_local! {
-            static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-        }
         SCRATCH.with(|cell| {
             let mut buf = cell.borrow_mut();
             if buf.len() < self.layout.scratch_len {

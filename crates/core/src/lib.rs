@@ -41,7 +41,7 @@ mod request;
 mod session;
 mod solve;
 
-pub use blocks::{BlockMatrix, ColumnData};
+pub use blocks::{thread_scratch_bytes, BlockMatrix, ColumnData};
 pub use costs::{estimate_task_costs, total_flops, TaskCost};
 pub use error::LuError;
 pub use numeric::factor_left_looking;
@@ -49,13 +49,14 @@ pub use observe::{
     factor_reported, MatrixMeta, ObsSession, RefactorPath, RunReport, RunStatus, PHASE_NAMES,
     REPORT_SCHEMA,
 };
-pub use psolve::solve_permuted_parallel;
+pub use psolve::{solve_permuted_parallel, solve_permuted_parallel_with};
 pub use request::{
     factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, RangePlan, SymbolicRequest,
 };
 pub use session::{pattern_hash, Analysis, SluSession};
 pub use solve::{
-    det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_transposed_permuted,
+    det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_permuted_with,
+    solve_transposed_permuted,
 };
 pub use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 pub use splu_sched::{

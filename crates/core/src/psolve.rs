@@ -11,11 +11,12 @@
 //! mutexes; since concurrent writers are element-disjoint, lock contention
 //! is the only cost and the result is **bit-identical** to the sequential
 //! solve (asserted by the tests): both run `crate::solve`'s per-column
-//! steps.
+//! steps through the same kernels.
 
 use crate::blocks::BlockMatrix;
-use crate::solve::{backward_diagonal, forward_column};
+use crate::solve::ublock_sub;
 use parking_lot::Mutex;
+use splu_dense::{Dispatch, KernelChoice};
 use splu_sched::{run, ExecRequest};
 use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
@@ -49,6 +50,19 @@ pub fn solve_permuted_parallel(
     bs: &BlockStructure,
     b: &mut [f64],
     nthreads: usize,
+) {
+    let kernels = Dispatch::resolve(KernelChoice::Auto);
+    solve_permuted_parallel_with(bm, bs, b, nthreads, &kernels);
+}
+
+/// [`solve_permuted_parallel`] through the kernel instantiation `kernels`,
+/// bit for bit [`crate::solve_permuted_with`] under any of them.
+pub fn solve_permuted_parallel_with(
+    bm: &BlockMatrix,
+    bs: &BlockStructure,
+    b: &mut [f64],
+    nthreads: usize,
+    kernels: &Dispatch,
 ) {
     assert_eq!(b.len(), bm.n(), "rhs length mismatch");
     let nb = bm.num_block_cols();
@@ -97,7 +111,10 @@ pub fn solve_permuted_parallel(
         let mut y = vec![0.0; rows.len()];
         {
             let mut seg = shards.segs[k].lock();
-            forward_column(col.panel(), &mut seg, &mut y);
+            kernels.sweep(
+                #[inline(always)]
+                |f| f.forward_column(col.panel(), &mut seg, &mut y),
+            );
         }
         // Add it in, one lock per block row the rows fall into.
         let mut t = 0;
@@ -134,23 +151,21 @@ pub fn solve_permuted_parallel(
     };
     run(&backward, |k, _| {
         let col = bm.column(k).read();
-        let xk = {
-            let mut seg = shards.segs[k].lock();
-            backward_diagonal(col.panel(), &mut seg);
-            seg.clone()
-        };
         let start = part.range(k).start;
-        for (ib, cols, blk) in bm.ublocks(k, &col) {
-            let mut seg = shards.segs[ib].lock();
-            for (x, &c) in cols.iter().enumerate() {
-                let s = xk[c as usize - start];
-                if s != 0.0 {
-                    for (xr, &v) in seg.iter_mut().zip(blk.col(x)) {
-                        *xr -= v * s;
-                    }
+        kernels.sweep(
+            #[inline(always)]
+            |f| {
+                let xk = {
+                    let mut seg = shards.segs[k].lock();
+                    f.backward_column(col.panel(), &mut seg);
+                    seg.clone()
+                };
+                for (ib, cols, blk) in bm.ublocks(k, &col) {
+                    let mut seg = shards.segs[ib].lock();
+                    ublock_sub(f, &mut seg, blk, cols, &xk, start);
                 }
-            }
-        }
+            },
+        );
     })
     .rethrow();
 

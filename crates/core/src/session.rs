@@ -65,8 +65,9 @@ use crate::blocks::{factor_bytes, in_block_flags, realised_structure, seed_flags
 use crate::blocks::{BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest, RangePlan};
-use crate::solve::{solve_many_permuted, solve_permuted, solve_transposed_permuted};
+use crate::solve::{solve_many_permuted, solve_permuted_with, solve_transposed_permuted};
 use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
+use splu_dense::Dispatch;
 use splu_obs::Counter;
 use splu_sched::{FactorHealth, RunBudget};
 use splu_sparse::{CscRef, SparsityPattern};
@@ -78,25 +79,44 @@ use std::sync::{Arc, OnceLock};
 /// the structure the symbolic phases consume (up to 64-bit collisions), so
 /// cached orderings, fill, supernodes, and task graphs apply to either.
 ///
-/// One multiply-rotate step per word and a splitmix64-style avalanche at
-/// the end: it runs on every `factor` and `refactor`. The value is compared
-/// within one process only and never persisted, so the function may change
-/// between versions.
+/// It runs on every `factor` and `refactor`, so the words are eaten by four
+/// independent multiply-rotate chains (word `t` of each array by lane
+/// `t mod 4`, each lane seeded apart), which the CPU overlaps. The lanes,
+/// then the two dimensions, are folded into one, and a splitmix64-style
+/// avalanche ends it. The value is compared within one process only and never
+/// persisted, so the function may change between versions.
 pub fn pattern_hash(pattern: &SparsityPattern) -> u64 {
+    let (nrows, ncols) = (pattern.nrows(), pattern.ncols());
+    hash_arrays(nrows, ncols, pattern.col_ptr(), pattern.row_indices())
+}
+
+/// [`pattern_hash`] of the arrays of a pattern.
+fn hash_arrays(nrows: usize, ncols: usize, col_ptr: &[usize], row_indices: &[u32]) -> u64 {
     const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
     const MUL: u64 = 0xbf58_476d_1ce4_e5b9;
     #[inline]
     fn eat(h: u64, x: u64) -> u64 {
         (h ^ x).wrapping_mul(MUL).rotate_left(29)
     }
-    let mut h = eat(SEED, pattern.nrows() as u64);
-    h = eat(h, pattern.ncols() as u64);
-    for &p in pattern.col_ptr() {
-        h = eat(h, p as u64);
+    /// `words` through the four lanes, then its length through lane 0.
+    fn lanes<T: Copy>(mut h: [u64; 4], words: &[T], word: impl Fn(T) -> u64) -> [u64; 4] {
+        let quads = words.chunks_exact(4);
+        let tail = quads.remainder();
+        for q in quads {
+            h = std::array::from_fn(|l| eat(h[l], word(q[l])));
+        }
+        for (l, &w) in tail.iter().enumerate() {
+            h[l] = eat(h[l], word(w));
+        }
+        h[0] = eat(h[0], words.len() as u64);
+        h
     }
-    for &i in pattern.row_indices() {
-        h = eat(h, i as u64);
-    }
+    let h = std::array::from_fn(|l| SEED.wrapping_mul(l as u64 + 1));
+    let h = lanes(h, col_ptr, |p| p as u64);
+    let h = lanes(h, row_indices, u64::from);
+    let mut h = h.into_iter().fold(SEED, eat);
+    h = eat(h, nrows as u64);
+    h = eat(h, ncols as u64);
     h ^= h >> 30;
     h = h.wrapping_mul(MUL);
     h ^= h >> 27;
@@ -104,11 +124,17 @@ pub fn pattern_hash(pattern: &SparsityPattern) -> u64 {
     h ^ (h >> 31)
 }
 
+/// Values [`check_finite`] folds between two exits: long enough for the
+/// fold to vectorize, short enough that a bad value ends it early.
+const FINITE_CHUNK: usize = 512;
+
 /// Rejects non-finite entries, naming the first offending column — checked
 /// before the parallel phase can propagate them silently. Allocates
-/// nothing on the accepting path.
+/// nothing on the accepting path, and branches once per chunk of
+/// [`FINITE_CHUNK`] values on it.
 pub(crate) fn check_finite(a: CscRef<'_>) -> Result<(), LuError> {
-    if a.values().iter().any(|v| !v.is_finite()) {
+    let chunk_finite = |c: &[f64]| c.iter().fold(true, |ok, v| ok & v.is_finite());
+    if !a.values().chunks(FINITE_CHUNK).all(chunk_finite) {
         // Cold path: walk the triplets to name the offending column.
         for (_, j, v) in a.triplets() {
             if !v.is_finite() {
@@ -623,7 +649,7 @@ impl SluSession {
         let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, 1)?;
         let mut y = sym.row_perm.apply_vec(b);
-        solve_permuted(bm, &sym.block_structure, &mut y);
+        solve_permuted_with(bm, &sym.block_structure, &mut y, &self.kernels());
         Ok(sym.col_perm.apply_inverse_vec(&y))
     }
 
@@ -646,7 +672,8 @@ impl SluSession {
         for r in 0..nrhs {
             work.extend(sym.row_perm.apply_vec(&b[r * n..(r + 1) * n]));
         }
-        solve_many_permuted(bm, &sym.block_structure, &mut work, nrhs);
+        let kernels = self.kernels();
+        solve_many_permuted(bm, &sym.block_structure, &mut work, nrhs, &kernels);
         let mut out = Vec::with_capacity(b.len());
         for r in 0..nrhs {
             out.extend(sym.col_perm.apply_inverse_vec(&work[r * n..(r + 1) * n]));
@@ -674,6 +701,12 @@ impl SluSession {
         max_iters: usize,
     ) -> Result<(Vec<f64>, usize), LuError> {
         crate::solve::refine(a.into(), b, tol, max_iters, |rhs| self.try_solve(rhs))
+    }
+
+    /// The kernel instantiation of the session's `opts.kernels`, which its
+    /// solves run on as its factorizations do.
+    fn kernels(&self) -> Dispatch {
+        Dispatch::resolve(self.analysis.sym.opts.kernels)
     }
 
     pub(crate) fn check_len(&self, b: &[f64], nrhs: usize) -> Result<(), LuError> {
@@ -835,6 +868,77 @@ mod tests {
             pattern_hash(&SparsityPattern::empty(2, 3)),
             pattern_hash(&SparsityPattern::empty(3, 2)),
         );
+    }
+
+    /// Every word position of every array feeds the hash, whichever of the
+    /// four lanes eats it: changing any one column pointer, any one row
+    /// index, or either dimension changes it — also in the tail words past
+    /// the last whole quad.
+    #[test]
+    fn pattern_hash_sees_a_one_word_change_in_every_lane() {
+        let a = random_matrix(22, 61, 9);
+        let p = a.pattern();
+        let (m, n, ptr, idx) = (p.nrows(), p.ncols(), p.col_ptr(), p.row_indices());
+        assert_ne!(idx.len() % 4, 0, "the row indices end in a partial quad");
+        assert_ne!(
+            ptr.len() % 4,
+            0,
+            "the column pointers end in a partial quad"
+        );
+        let base = pattern_hash(p);
+        assert_eq!(hash_arrays(m, n, ptr, idx), base);
+        for t in 0..ptr.len() {
+            for bit in [0, 17, 63] {
+                let mut changed = ptr.to_vec();
+                changed[t] ^= 1 << bit;
+                assert_ne!(
+                    hash_arrays(m, n, &changed, idx),
+                    base,
+                    "col_ptr[{t}] bit {bit}"
+                );
+            }
+        }
+        for t in 0..idx.len() {
+            for bit in [0, 31] {
+                let mut changed = idx.to_vec();
+                changed[t] ^= 1 << bit;
+                assert_ne!(
+                    hash_arrays(m, n, ptr, &changed),
+                    base,
+                    "row_indices[{t}] bit {bit}"
+                );
+            }
+        }
+        assert_ne!(hash_arrays(m + 1, n, ptr, idx), base, "nrows");
+        assert_ne!(hash_arrays(m, n + 1, ptr, idx), base, "ncols");
+    }
+
+    /// A NaN or ∞ is found wherever it sits: in column 0, on either side of
+    /// a chunk boundary, at the very last entry — and named by its column.
+    #[test]
+    fn check_finite_names_the_column_of_any_bad_entry() {
+        let a = random_matrix(60, 1400, 2);
+        let nnz = a.values().len();
+        assert!(
+            nnz > 2 * FINITE_CHUNK + 1,
+            "{nnz} entries span three chunks"
+        );
+        assert!(check_finite(a.view()).is_ok());
+        let column_of = |t: usize| a.pattern().col_ptr().partition_point(|&p| p <= t) - 1;
+        let spots = [0, FINITE_CHUNK - 1, FINITE_CHUNK, 2 * FINITE_CHUNK, nnz - 1];
+        for t in spots {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut values = a.values().to_vec();
+                values[t] = bad;
+                let got = check_finite(CscRef::new(a.pattern(), &values));
+                let want = LuError::NonFiniteInput {
+                    column: column_of(t),
+                };
+                assert_eq!(got, Err(want), "{bad} at entry {t}");
+            }
+        }
+        assert_eq!(column_of(0), 0);
+        assert_eq!(column_of(nnz - 1), 59);
     }
 
     #[test]

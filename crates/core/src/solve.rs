@@ -12,11 +12,13 @@
 //! multiplies the entries of the segment at its stored columns `S_ik` into
 //! the (contiguous) rows of `i`. [`solve_many_permuted`] does the same with
 //! the BLAS-3 kernels, and [`crate::solve_permuted_parallel`] the same per
-//! task, so all three agree bit for bit.
+//! task. The single-column steps are the dense crate's one-column forms of
+//! those kernels, run in one [`Dispatch::sweep`], so all three agree bit
+//! for bit under every kernel instantiation.
 
 use crate::blocks::BlockMatrix;
 use crate::LuError;
-use splu_dense::MatRef;
+use splu_dense::{DenseMat, Dispatch, Fused, KernelChoice, MatMut, MatRef};
 use splu_sparse::CscRef;
 use splu_symbolic::supernode::BlockStructure;
 
@@ -30,82 +32,74 @@ pub(crate) fn max_rows_below(bs: &BlockStructure) -> usize {
 
 /// Solves `Ā x = b` **in factorization order**: `b` is the right-hand side
 /// already permuted by the driver's total row permutation; the result is the
-/// solution in factorization column order. Overwrites `b`.
+/// solution in factorization column order. Overwrites `b`. The widest kernel
+/// instantiation the CPU runs ([`solve_permuted_with`] under
+/// [`KernelChoice::Auto`]); every instantiation gives the same bits.
 pub fn solve_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
+    solve_permuted_with(bm, bs, b, &Dispatch::resolve(KernelChoice::Auto));
+}
+
+/// [`solve_permuted`] through the kernel instantiation `kernels`, in one
+/// [`Dispatch::sweep`]. Each step is the one-column form of the `trsm` or
+/// `gemm` call [`solve_many_permuted`] makes, bit for bit ([`Fused`]),
+/// so a single solve is that column of a many-right-hand-side one.
+pub fn solve_permuted_with(
+    bm: &BlockMatrix,
+    bs: &BlockStructure,
+    b: &mut [f64],
+    kernels: &Dispatch,
+) {
     assert_eq!(b.len(), bm.n(), "rhs length mismatch");
     let part = &bs.partition;
     let nb = bm.num_block_cols();
     let mut scratch = vec![0.0; max_rows_below(bs)];
-
-    // Forward sweep: apply interchanges, solve the unit-lower diagonal
-    // block, then eliminate the rows below through the scratch vector.
-    for k in 0..nb {
-        let col = bm.column(k).read();
-        for (c, p) in bm.interchanges(part.range(k)) {
-            b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
-        }
-        let (start, rows) = (part.range(k).start, bs.l_rows.col(k));
-        let y = &mut scratch[..rows.len()];
-        forward_column(col.panel(), &mut b[start..start + col.width()], y);
-        for (&r, &v) in rows.iter().zip(&*y) {
-            b[r as usize] += v;
-        }
-    }
-
-    // Backward sweep: solve the upper-triangular diagonal blocks and
-    // eliminate the U blocks above.
-    for k in (0..nb).rev() {
-        let col = bm.column(k).read();
-        let start = part.range(k).start;
-        let (head, tail) = b.split_at_mut(start);
-        let xk = &mut tail[..col.width()];
-        backward_diagonal(col.panel(), xk);
-        for (src, cols, blk) in bm.ublocks(k, &col) {
-            let xi = &mut head[part.range(src)];
-            for (x, &c) in cols.iter().enumerate() {
-                let s = xk[c as usize - start];
-                if s != 0.0 {
-                    for (xr, &v) in xi.iter_mut().zip(blk.col(x)) {
-                        *xr -= v * s;
-                    }
+    kernels.sweep(
+        #[inline(always)]
+        |f| {
+            // Forward sweep: apply interchanges, solve the unit-lower diagonal
+            // block, then eliminate the rows below through the scratch vector.
+            for k in 0..nb {
+                let col = bm.column(k).read();
+                for (c, p) in bm.interchanges(part.range(k)) {
+                    b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
+                }
+                let (start, rows) = (part.range(k).start, bs.l_rows.col(k));
+                let y = &mut scratch[..rows.len()];
+                f.forward_column(col.panel(), &mut b[start..start + col.width()], y);
+                for (&r, &v) in rows.iter().zip(&*y) {
+                    b[r as usize] += v;
                 }
             }
-        }
-    }
+
+            // Backward sweep: solve the upper-triangular diagonal blocks and
+            // eliminate the U blocks above.
+            for k in (0..nb).rev() {
+                let col = bm.column(k).read();
+                let start = part.range(k).start;
+                let (head, tail) = b.split_at_mut(start);
+                let xk = &mut tail[..col.width()];
+                f.backward_column(col.panel(), xk);
+                for (src, cols, blk) in bm.ublocks(k, &col) {
+                    ublock_sub(f, &mut head[part.range(src)], blk, cols, xk, start);
+                }
+            }
+        },
+    );
 }
 
-/// One block column of the forward sweep: the unit-lower solve on the
-/// diagonal block in `xk`, and `y = −L̄_below · xk`. One pass over the
-/// panel.
-pub(crate) fn forward_column(panel: MatRef<'_>, xk: &mut [f64], y: &mut [f64]) {
-    let w = xk.len();
-    y.fill(0.0);
-    for c in 0..w {
-        let s = xk[c];
-        if s != 0.0 {
-            let pcol = panel.col(c);
-            for r in c + 1..w {
-                xk[r] -= pcol[r] * s;
-            }
-            for (yt, &v) in y.iter_mut().zip(&pcol[w..]) {
-                *yt -= v * s;
-            }
-        }
-    }
-}
-
-/// The upper-triangular solve on the diagonal block of one block column.
-pub(crate) fn backward_diagonal(panel: MatRef<'_>, xk: &mut [f64]) {
-    for c in (0..xk.len()).rev() {
-        let pcol = panel.col(c);
-        xk[c] /= pcol[c];
-        let s = xk[c];
-        if s != 0.0 {
-            for r in 0..c {
-                xk[r] -= pcol[r] * s;
-            }
-        }
-    }
+/// `xi ← xi − Ū(i, k) · x_S` for one stored block `blk` of block column
+/// `k`, whose columns are the global `cols`; `xk` is `k`'s solved segment,
+/// starting at global column `start`.
+#[inline(always)]
+pub(crate) fn ublock_sub(
+    f: &Fused,
+    xi: &mut [f64],
+    blk: MatRef<'_>,
+    cols: &[u32],
+    xk: &[f64],
+    start: usize,
+) {
+    f.gemv_sub(xi, blk, cols.iter().map(|&c| xk[c as usize - start]));
 }
 
 /// Solves `Āᵀ x = b` in factorization order, given the same factored block
@@ -191,9 +185,15 @@ pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut 
 /// **once**, applying each elimination step to all right-hand sides with
 /// the BLAS-3 kernels (`trsm` on the diagonal blocks, `gemm` for the
 /// off-diagonal eliminations) — the multi-RHS payoff of the supernodal
-/// storage.
-pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64], nrhs: usize) {
-    use splu_dense::{DenseMat, Dispatch, KernelChoice, MatMut};
+/// storage — through the kernel instantiation `kernels`, whichever gives
+/// the same bits.
+pub fn solve_many_permuted(
+    bm: &BlockMatrix,
+    bs: &BlockStructure,
+    b: &mut [f64],
+    nrhs: usize,
+    kernels: &Dispatch,
+) {
     let n = bm.n();
     assert_eq!(b.len(), n * nrhs, "rhs block size mismatch");
     if n == 0 || nrhs == 0 {
@@ -201,7 +201,6 @@ pub fn solve_many_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64],
     }
     let part = &bs.partition;
     let nb = bm.num_block_cols();
-    let kernels = Dispatch::resolve(KernelChoice::Auto);
     // X as a dense n × nrhs matrix (column-major, same layout as `b`); the
     // kernels work on row ranges of it in place.
     let mut x = DenseMat::from_col_major(n, nrhs, b.to_vec());
@@ -457,7 +456,8 @@ mod tests {
                 x
             })
             .collect();
-        solve_many_permuted(&bm, &bs, &mut block, nrhs);
+        let kernels = Dispatch::resolve(KernelChoice::Auto);
+        solve_many_permuted(&bm, &bs, &mut block, nrhs, &kernels);
         for r in 0..nrhs {
             assert_eq!(&block[r * n..(r + 1) * n], &singles[r][..]);
         }

@@ -3,14 +3,16 @@
 //!
 //! There is one kernel source (`super::tile` and the panel LU in
 //! `crate::lu`), generic over the register-tile height `MR`. This module
-//! compiles it once per instruction set — baseline (`MR = 4`), AVX2
-//! (`MR = 8`) and AVX-512F (`MR = 16`) on x86_64 — by inlining it into one
-//! `#[target_feature]` entry function each, and [`Dispatch::resolve`]
-//! picks the widest one the CPU reports. The sparse driver resolves once
+//! compiles it once per instruction set — baseline (`MR = 4`), AVX2 with
+//! FMA (`MR = 8`) and AVX-512F with FMA (`MR = 16`) on x86_64 — by inlining
+//! it into one `#[target_feature]` entry function each, and
+//! [`Dispatch::resolve`] picks the widest one the CPU reports (the wide
+//! ones only where the CPU also has `fma`). The sparse driver resolves once
 //! per factorization and hands the same `Dispatch` to every `Factor` and
-//! `Update` task. All instantiations run the same per-element operation
-//! sequence (see `super::tile`), so factors are bit-for-bit independent
-//! of the choice.
+//! `Update` task, and a session's solves run their sweeps through it
+//! ([`Dispatch::sweep`]). All instantiations run the same per-element
+//! operation sequence, one fused multiply-add per term (see `super::tile`),
+//! so factors and solutions are bit-for-bit independent of the choice.
 
 use super::tile;
 use crate::lu::{panel_lu, PanelBreakdown, PanelError, PivotRule};
@@ -54,70 +56,109 @@ impl Isa {
         match self {
             Isa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Isa::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            Isa::Avx512f => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
         }
     }
 }
 
-/// One kernel call, so that each instruction set needs a single entry
-/// point (and the crate a single `unsafe` call per instruction set).
-enum Op<'a> {
-    GemmSub(MatMut<'a>, MatRef<'a>, MatRef<'a>),
-    TrsmLowerUnit(MatRef<'a>, MatMut<'a>),
-    TrsmUpper(MatRef<'a>, MatMut<'a>),
-    PanelLu {
-        panel: MatMut<'a>,
-        rule: PivotRule,
-        pivot_threshold: f64,
-        breakdown: PanelBreakdown,
-        force_breakdown_at: Option<usize>,
-        pivots: &'a [AtomicU32],
-        perturbed: &'a mut Vec<(usize, f64)>,
-    },
+/// One kernel call, holding its arguments. Each instruction set has one
+/// generic entry point, instantiated per call type (and the crate a single
+/// `unsafe` call per instruction set), so a small call does not pay for the
+/// frame of a large one.
+trait Kernel {
+    type Out;
+    /// Runs the call with `MR`-row tiles.
+    fn call<const MR: usize>(self) -> Self::Out;
 }
 
-/// Runs `op` with `MR`-row tiles. Only the panel LU can fail.
-#[inline(always)]
-fn run<const MR: usize>(op: Op<'_>) -> Result<(), PanelError> {
-    match op {
-        Op::GemmSub(c, a, b) => tile::gemm_sub::<MR>(c, a, b),
-        Op::TrsmLowerUnit(l, x) => tile::trsm_lower_unit::<MR>(l, x),
-        Op::TrsmUpper(u, x) => tile::trsm_upper::<MR>(u, x),
-        Op::PanelLu {
-            panel,
-            rule,
-            pivot_threshold,
-            breakdown,
-            force_breakdown_at,
-            pivots,
-            perturbed,
-        } => {
-            return panel_lu::<MR>(
-                panel,
-                rule,
-                pivot_threshold,
-                breakdown,
-                force_breakdown_at,
-                pivots,
-                perturbed,
-            )
-        }
+struct GemmSub<'a>(MatMut<'a>, MatRef<'a>, MatRef<'a>);
+struct TrsmLowerUnit<'a>(MatRef<'a>, MatMut<'a>);
+struct TrsmUpper<'a>(MatRef<'a>, MatMut<'a>);
+/// A caller's computation over [`Fused`] steps ([`Dispatch::sweep`]).
+struct Sweep<F>(F);
+struct PanelLu<'a> {
+    panel: MatMut<'a>,
+    rule: PivotRule,
+    pivot_threshold: f64,
+    breakdown: PanelBreakdown,
+    force_breakdown_at: Option<usize>,
+    pivots: &'a [AtomicU32],
+    perturbed: &'a mut Vec<(usize, f64)>,
+}
+
+impl Kernel for GemmSub<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn call<const MR: usize>(self) {
+        tile::gemm_sub::<MR>(self.0, self.1, self.2)
     }
-    Ok(())
+}
+
+impl Kernel for TrsmLowerUnit<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn call<const MR: usize>(self) {
+        tile::trsm_lower_unit::<MR>(self.0, self.1)
+    }
+}
+
+impl Kernel for TrsmUpper<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn call<const MR: usize>(self) {
+        tile::trsm_upper::<MR>(self.0, self.1)
+    }
+}
+
+impl<R, F: FnOnce(&Fused) -> R> Kernel for Sweep<F> {
+    type Out = R;
+    #[inline(always)]
+    fn call<const MR: usize>(self) -> R {
+        (self.0)(&Fused(()))
+    }
+}
+
+impl Kernel for PanelLu<'_> {
+    type Out = Result<(), PanelError>;
+    #[inline(always)]
+    fn call<const MR: usize>(self) -> Self::Out {
+        panel_lu::<MR>(
+            self.panel,
+            self.rule,
+            self.pivot_threshold,
+            self.breakdown,
+            self.force_breakdown_at,
+            self.pivots,
+            self.perturbed,
+        )
+    }
+}
+
+/// Kept out of line like the other entries, so that no call site holds a
+/// copy of a kernel.
+#[inline(never)]
+fn run_baseline<K: Kernel>(k: K) -> K::Out {
+    k.call::<4>()
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_avx2(op: Op<'_>) -> Result<(), PanelError> {
-    run::<8>(op)
+#[target_feature(enable = "avx2,fma")]
+fn run_avx2<K: Kernel>(k: K) -> K::Out {
+    k.call::<8>()
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn run_avx512f(op: Op<'_>) -> Result<(), PanelError> {
-    run::<16>(op)
+#[target_feature(enable = "avx512f,fma")]
+fn run_avx512f<K: Kernel>(k: K) -> K::Out {
+    k.call::<16>()
 }
 
 /// The resolved kernel instantiation. Copy it around freely.
@@ -175,20 +216,20 @@ impl Dispatch {
     }
 
     #[inline]
-    fn run(&self, op: Op<'_>) -> Result<(), PanelError> {
+    fn run<K: Kernel>(&self, k: K) -> K::Out {
         match self.isa {
-            Isa::Baseline => run::<4>(op),
+            Isa::Baseline => run_baseline(k),
             // SAFETY: a `Dispatch` other than the baseline is only ever
             // built by `detected`, in this module, after
-            // `is_x86_feature_detected!` reported the very feature the entry
-            // was compiled for, and a running CPU does not lose features.
+            // `is_x86_feature_detected!` reported the very features the
+            // entry was compiled for, and a running CPU does not lose them.
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            Isa::Avx2 => unsafe { run_avx2(op) },
-            // SAFETY: as above, for `avx512f`.
+            Isa::Avx2 => unsafe { run_avx2(k) },
+            // SAFETY: as above, for `avx512f` and `fma`.
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            Isa::Avx512f => unsafe { run_avx512f(op) },
+            Isa::Avx512f => unsafe { run_avx512f(k) },
         }
     }
 
@@ -200,18 +241,22 @@ impl Dispatch {
     /// # The bitwise-equivalence contract
     ///
     /// For each element `C(i, j)` the sequence of IEEE-754 operations is fixed:
-    /// one `c ← c − a·s` (round(mul) then round(sub), never fused) per inner
-    /// index `k`, in ascending `k`, skipping exactly the `k` whose scalars
-    /// `B(k, ·)` over the element's column group are all zero. Column groups
-    /// are the aligned quads `4q..4q + 4` and, past the last full quad, single
-    /// columns. Which registers hold `c` between two steps, how many rows a
-    /// tile covers and which instruction set the loop was compiled for only
-    /// regroup *independent* element streams, so every instantiation — and the
-    /// axpy-shaped kernel this replaced — produces **bitwise identical**
-    /// results. That is what keeps factors independent of the selected
-    /// kernels, lets the determinism property tests double as cross-kernel
-    /// equivalence tests, and is asserted by `proptest_kernel_equivalence` on
-    /// ragged shapes.
+    /// one fused multiply-add `c ← fma(−a, s, c)` (the exact `c − a·s`,
+    /// rounded once) per inner index `k`, in ascending `k`, skipping exactly
+    /// the `k` whose scalars `B(k, ·)` over the element's column group are all
+    /// zero. Column groups are the aligned quads `4q..4q + 4` and, past the
+    /// last full quad, single columns. Which registers hold `c` between two
+    /// steps, how many rows a tile covers and which instruction set the loop
+    /// was compiled for only regroup *independent* element streams, and a
+    /// fused multiply-add has one correctly rounded result whether it is one
+    /// instruction (the AVX2 and AVX-512F entries are compiled and detected
+    /// with `fma`) or the C library's `fma` (the baseline, through
+    /// `f64::mul_add`, about 14× slower on x86_64 and still the oracle). So
+    /// every instantiation — and the axpy-shaped kernel this replaced, with
+    /// the same fused step — produces **bitwise identical** results. That is
+    /// what keeps factors independent of the selected kernels, lets the
+    /// determinism property tests double as cross-kernel equivalence tests,
+    /// and is asserted by `proptest_kernel_equivalence` on ragged shapes.
     ///
     /// The triangular solves and the panel LU apply the same rule to the rows
     /// they update by tile (everything outside the current strip of
@@ -219,8 +264,7 @@ impl Dispatch {
     /// column's own scalar.
     #[inline]
     pub fn gemm_sub(&self, c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
-        let done = self.run(Op::GemmSub(c, a, b));
-        debug_assert!(done.is_ok());
+        self.run(GemmSub(c, a, b));
     }
 
     /// `X ← L⁻¹ · X` where `L` is **unit** lower triangular (strict lower
@@ -232,8 +276,7 @@ impl Dispatch {
     /// top of column `k`'s stacked panel.
     #[inline]
     pub fn trsm_lower_unit(&self, l: MatRef<'_>, x: MatMut<'_>) {
-        let done = self.run(Op::TrsmLowerUnit(l, x));
-        debug_assert!(done.is_ok());
+        self.run(TrsmLowerUnit(l, x));
     }
 
     /// `X ← U⁻¹ · X` where `U` is upper triangular with a nonzero diagonal
@@ -241,8 +284,19 @@ impl Dispatch {
     /// selected instantiation.
     #[inline]
     pub fn trsm_upper(&self, u: MatRef<'_>, x: MatMut<'_>) {
-        let done = self.run(Op::TrsmUpper(u, x));
-        debug_assert!(done.is_ok());
+        self.run(TrsmUpper(u, x));
+    }
+
+    /// Runs `sweep` inside the selected instantiation: the one-column steps
+    /// it takes through its [`Fused`] handle compile for that instruction
+    /// set, inlined with the caller's loop around them, so a sweep of many
+    /// small steps pays for one dispatch. For that the closure must be
+    /// inlined into the entry — mark it `#[inline(always)]`, and any helper
+    /// it calls too; code that is not still gives the same bits, through
+    /// the C library's `fma`, only slower.
+    #[inline]
+    pub fn sweep<R>(&self, sweep: impl FnOnce(&Fused) -> R) -> R {
+        self.run(Sweep(sweep))
     }
 
     /// Factorizes an `m × w` panel (`m ≥ w`) in place through the selected
@@ -285,7 +339,7 @@ impl Dispatch {
         pivots: &[AtomicU32],
     ) -> Result<Vec<(usize, f64)>, PanelError> {
         let mut perturbed = Vec::new();
-        self.run(Op::PanelLu {
+        self.run(PanelLu {
             panel,
             rule,
             pivot_threshold,
@@ -295,6 +349,36 @@ impl Dispatch {
             perturbed: &mut perturbed,
         })?;
         Ok(perturbed)
+    }
+}
+
+/// The one-column steps of a triangular solve, each bit for bit one
+/// column of the matrix kernel named, for [`Dispatch::sweep`] to run in its
+/// instantiation. Only a sweep hands one out.
+pub struct Fused(());
+
+impl Fused {
+    /// `x ← L⁻¹ · x` on the unit-lower top `w × w` of `panel`
+    /// (`w = x.len()`), then `y ← −L_below · x` for the next `y.len()` rows:
+    /// [`Dispatch::trsm_lower_unit`] on `x` followed by
+    /// [`Dispatch::gemm_sub`] into a zeroed `y`, in one pass over the panel.
+    #[inline(always)]
+    pub fn forward_column(&self, panel: MatRef<'_>, x: &mut [f64], y: &mut [f64]) {
+        tile::forward_column(panel, x, y)
+    }
+
+    /// `x ← U⁻¹ · x` on the upper triangular top `w × w` of `panel`
+    /// (`w = x.len()`): [`Dispatch::trsm_upper`] on one column.
+    #[inline(always)]
+    pub fn backward_column(&self, panel: MatRef<'_>, x: &mut [f64]) {
+        tile::backward_column(panel, x)
+    }
+
+    /// `y ← y − A · x`, `x` given as its entries in order (a gather, say):
+    /// [`Dispatch::gemm_sub`] on one column.
+    #[inline(always)]
+    pub fn gemv_sub(&self, y: &mut [f64], a: MatRef<'_>, x: impl ExactSizeIterator<Item = f64>) {
+        tile::gemv_sub(y, a, x)
     }
 }
 

@@ -1,19 +1,33 @@
-//! The one kernel source: a register tile and the loop skeletons built on it.
+//! The one kernel source: a register tile, the loop skeletons built on it,
+//! and the one-column steps of a triangular solve.
 //!
-//! Everything here is generic over `MR`, the number of rows of `C` a tile
-//! keeps in registers, and marked `#[inline(always)]`, so that each entry
-//! in [`super::dispatch`] compiles the whole file once more for its own
+//! The matrix kernels are generic over `MR`, the number of rows of `C` a
+//! tile keeps in registers; everything is marked `#[inline(always)]`, so
+//! that each entry in [`super::dispatch`] compiles it once more for its own
 //! instruction set. Nothing in this file is `unsafe`, and nothing names a
 //! vector type: a tile is fixed-size arrays and constant-bound loops, which
 //! the compiler unrolls into whatever vectors the enclosing
 //! `#[target_feature]` offers.
 //!
 //! Why tiling keeps the bits: an element `C(i, j)` still sees one
-//! `c ← c − a·s` (`round(mul)` then `round(sub)`, never fused) per listed
-//! term, in list order. A tile only changes *where* `c` waits between two
-//! terms — a register instead of memory — and elements never interact.
+//! [`sub_term`] — `c ← fma(−a, s, c)`, one correctly rounded operation —
+//! per listed term, in list order. A tile only changes *where* `c` waits
+//! between two terms — a register instead of memory — and elements never
+//! interact. A fused multiply-add has one IEEE-754 result, so the
+//! instantiations compiled with the `fma` feature (one instruction) and the
+//! baseline (`f64::mul_add`, the C library's `fma`, correctly rounded in
+//! software where the target has no instruction) agree bit for bit. The
+//! one-column steps at the end apply the same terms in the same order as
+//! the matrix kernels do on one column, without a tile.
 
 use crate::view::{MatMut, MatRef};
+
+/// One term applied to one element: `c − a·s` with a single rounding,
+/// `fma(−a, s, c)`. Every kernel applies its terms through this.
+#[inline(always)]
+pub(crate) fn sub_term(c: f64, a: f64, s: f64) -> f64 {
+    (-a).mul_add(s, c)
+}
 
 /// Most terms (inner indices) applied per load/store of a tile; also the
 /// size of the stack scratch, so no kernel allocates.
@@ -98,7 +112,7 @@ impl<'a, const N: usize, const CAP: usize> Terms<'a, N, CAP> {
             let a: &[f64; R] = col[i..i + R].try_into().expect("slice of length R");
             for q in 0..N {
                 for r in 0..R {
-                    acc[q][r] -= a[r] * s[q];
+                    acc[q][r] = sub_term(acc[q][r], a[r], s[q]);
                 }
             }
         }
@@ -160,7 +174,7 @@ pub(crate) fn forward_strip<const MR: usize, const N: usize>(
                 continue;
             }
             for i in k + 1..k1 {
-                xq[i] -= l_col[i] * s;
+                xq[i] = sub_term(xq[i], l_col[i], s);
             }
         }
         terms.push(&l_col[k1..], std::array::from_fn(|q| x[q][k]));
@@ -212,7 +226,7 @@ fn backward_strip<const MR: usize, const N: usize>(
                 continue;
             }
             for i in k0..k {
-                xq[i] -= u_col[i] * s;
+                xq[i] = sub_term(xq[i], u_col[i], s);
             }
         }
         terms.push(&u_col[..k0], std::array::from_fn(|q| x[q][k]));
@@ -238,5 +252,69 @@ pub(crate) fn trsm_upper<const MR: usize>(u: MatRef<'_>, mut x: MatMut<'_>) {
 fn upper_group<const MR: usize, const N: usize>(u: MatRef<'_>, mut x: [&mut [f64]; N]) {
     for k1 in (1..=u.nrows()).rev().step_by(SB) {
         backward_strip::<MR, N>(u, &mut x, k1.saturating_sub(SB), k1);
+    }
+}
+
+/// `x ← L⁻¹ · x` on the unit-lower top `w × w` of `panel` (`w = x.len()`),
+/// then `y ← −L_below · x` on the `y.len()` rows below it: one pass over the
+/// panel. Each element sees the terms of [`trsm_lower_unit`] and then of
+/// [`gemm_sub`] into a zeroed `y`, on one column, in their order.
+#[inline(always)]
+pub(crate) fn forward_column(panel: MatRef<'_>, x: &mut [f64], y: &mut [f64]) {
+    let (w, m) = (x.len(), y.len());
+    assert!(
+        panel.ncols() >= w && panel.nrows() >= w + m,
+        "forward_column: panel too small"
+    );
+    y.fill(0.0);
+    for c in 0..w {
+        let s = x[c];
+        if s == 0.0 {
+            continue;
+        }
+        let col = &panel.col(c)[..w + m];
+        for (xr, &v) in x[c + 1..].iter_mut().zip(&col[c + 1..w]) {
+            *xr = sub_term(*xr, v, s);
+        }
+        for (yr, &v) in y.iter_mut().zip(&col[w..]) {
+            *yr = sub_term(*yr, v, s);
+        }
+    }
+}
+
+/// `x ← U⁻¹ · x` on the upper `w × w` top of `panel` (`w = x.len()`), the
+/// terms of [`trsm_upper`] on one column.
+#[inline(always)]
+pub(crate) fn backward_column(panel: MatRef<'_>, x: &mut [f64]) {
+    assert!(
+        panel.ncols() >= x.len() && panel.nrows() >= x.len(),
+        "backward_column: panel too small"
+    );
+    for c in (0..x.len()).rev() {
+        let col = panel.col(c);
+        x[c] /= col[c];
+        let s = x[c];
+        if s == 0.0 {
+            continue;
+        }
+        for (xr, &v) in x[..c].iter_mut().zip(col) {
+            *xr = sub_term(*xr, v, s);
+        }
+    }
+}
+
+/// `y ← y − A · x` for the entries of `x` in order, the terms of
+/// [`gemm_sub`] on one column.
+#[inline(always)]
+pub(crate) fn gemv_sub(y: &mut [f64], a: MatRef<'_>, x: impl ExactSizeIterator<Item = f64>) {
+    assert_eq!(a.nrows(), y.len(), "gemv_sub: row mismatch");
+    assert_eq!(a.ncols(), x.len(), "gemv_sub: inner dimension mismatch");
+    for (k, s) in x.enumerate() {
+        if s == 0.0 {
+            continue;
+        }
+        for (yr, &v) in y.iter_mut().zip(a.col(k)) {
+            *yr = sub_term(*yr, v, s);
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! * [`KernelChoice`] / [`Dispatch`] — kernel selection: the kernels are
 //!   one register-tiled source compiled once per instruction set, the
 //!   widest one the CPU supports is picked at run time, and all of them
-//!   produce bit-for-bit identical factors (see the contract on
+//!   produce bit-for-bit identical factors and solutions (see the contract on
 //!   [`Dispatch::gemm_sub`]).
 
 // Index-based loops are the natural idiom for the numerical kernels and
@@ -39,7 +39,7 @@ mod lu;
 mod mat;
 mod view;
 
-pub use kernels::{gemm_sub, trsm_lower_unit, trsm_upper, Dispatch, KernelChoice};
+pub use kernels::{gemm_sub, trsm_lower_unit, trsm_upper, Dispatch, Fused, KernelChoice};
 pub use lu::{
     apply_row_swaps, lu_full, lu_panel, lu_solve, PanelBreakdown, PanelError, PivotRule, Pivots,
 };

@@ -1,6 +1,6 @@
 //! Panel and full dense LU with partial pivoting.
 
-use crate::kernels::tile::{forward_strip, NR, SB};
+use crate::kernels::tile::{forward_strip, sub_term, NR, SB};
 use crate::{DenseMat, MatMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -158,8 +158,8 @@ pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, Pa
 /// unblocked — pivot search, interchange, scaling, rank-1 updates that stay
 /// inside the strip — and then eliminated from every trailing column group
 /// at once by [`forward_strip`]: its `U` rows by substitution, all rows
-/// below by one tile pass. Each element sees its `c ← c − l·u` terms in
-/// ascending column order, as in the unblocked algorithm.
+/// below by one tile pass. Each element sees its `c ← fma(−l, u, c)` terms
+/// in ascending column order, as in the unblocked algorithm.
 #[inline(always)]
 pub(crate) fn panel_lu<const MR: usize>(
     mut panel: MatMut<'_>,
@@ -243,7 +243,7 @@ pub(crate) fn panel_lu<const MR: usize>(
                 }
                 let (col_c, col_j) = panel.two_cols_mut(c, j);
                 for r in c + 1..m {
-                    col_j[r] -= col_c[r] * s;
+                    col_j[r] = sub_term(col_j[r], col_c[r], s);
                 }
             }
         }
@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(a[(0, 0)], -0.5, "sign of the tiny diagonal is kept");
         // The factorization continued: multiplier and trailing update exist.
         assert_eq!(a[(1, 0)], 1e-31 / -0.5);
-        assert!((a[(1, 1)] - (2.0 - a[(1, 0)] * 1.0)).abs() < 1e-15);
+        assert_eq!(a[(1, 1)], (-a[(1, 0)]).mul_add(1.0, 2.0));
     }
 
     #[test]

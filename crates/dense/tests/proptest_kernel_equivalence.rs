@@ -12,7 +12,10 @@
 //! dimension larger than the row count, exactly how stacked-panel blocks
 //! reach the kernels), with zero-heavy operands, signed zeros and
 //! subnormals, and compares every output bit for bit. `gemm` is also held
-//! to the axpy-shaped kernel it replaced, kept below as an oracle.
+//! to the axpy-shaped kernel it replaced, kept below as an oracle, and the
+//! solves and the panel LU to plain substitution and elimination: every
+//! oracle applies a term as one fused multiply-add, `sub_term`, the
+//! per-element contract of the kernels.
 
 use proptest::prelude::*;
 use splu_dense::{DenseMat, Dispatch, MatMut, MatRef, PanelBreakdown, PivotRule, Pivots};
@@ -21,9 +24,15 @@ fn bits(m: &DenseMat) -> Vec<u64> {
     m.data().iter().map(|x| x.to_bits()).collect()
 }
 
+/// One term of the contract: `c − a·s` rounded once, `fma(−a, s, c)`.
+fn sub_term(c: f64, a: f64, s: f64) -> f64 {
+    (-a).mul_add(s, c)
+}
+
 /// The portable `gemm_sub` as it was before the register-tiled
-/// kernels: four `C` columns updated by one `A` column per `k`, `C` re-read
-/// and re-stored each time. The new kernels must reproduce its bits.
+/// kernels, with the fused term: four `C` columns updated by one `A` column
+/// per `k`, `C` re-read and re-stored each time. The tiled kernels must
+/// reproduce its bits.
 fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     let (m, n, inner) = (c.nrows(), c.ncols(), a.ncols());
     let quads = n / 4 * 4;
@@ -37,7 +46,7 @@ fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
                 }
                 for (q, &sq) in s.iter().enumerate() {
                     for i in 0..m {
-                        c[(i, j + q)] -= a[(i, k)] * sq;
+                        c[(i, j + q)] = sub_term(c[(i, j + q)], a[(i, k)], sq);
                     }
                 }
             }
@@ -49,7 +58,7 @@ fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
                     continue;
                 }
                 for i in 0..m {
-                    c[(i, j)] -= a[(i, k)] * s;
+                    c[(i, j)] = sub_term(c[(i, j)], a[(i, k)], s);
                 }
             }
         }
@@ -210,6 +219,54 @@ proptest! {
     }
 }
 
+/// A factored panel's shape for the one-column steps: `w` columns, `m`
+/// rows below the diagonal block, and the vector the step works on.
+fn column_case() -> impl Strategy<Value = (DenseMat, DenseMat)> {
+    (1usize..40, 0usize..70, 0usize..4)
+        .prop_flat_map(|(w, m, zeros)| (arb_mat(w + m, w, zeros), arb_mat(w + m, 1, 3)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The one-column steps a sweep takes (`Fused`) are the matrix kernels
+    /// on one column, bit for bit, under every instantiation: the forward
+    /// step is `trsm_lower_unit` on the top and `gemm_sub` into a zeroed
+    /// rest, the backward step `trsm_upper`, `gemv_sub` a one-column
+    /// `gemm_sub`.
+    #[test]
+    fn one_column_steps_are_the_matrix_kernels((mut panel, v) in column_case()) {
+        let (w, m) = (panel.ncols(), panel.nrows() - panel.ncols());
+        for i in 0..w {
+            panel[(i, i)] = 2.0 + panel[(i, i)].abs();
+        }
+        let top = || panel.row_range(0..w);
+        let below = || panel.row_range(w..w + m);
+        let base = Dispatch::portable();
+        // References from the matrix kernels, baseline instantiation.
+        let mut x_fwd = v.row_range(0..w).to_dense();
+        base.trsm_lower_unit(top(), x_fwd.as_view_mut());
+        let mut y_fwd = DenseMat::zeros(m, 1);
+        base.gemm_sub(y_fwd.as_view_mut(), below(), x_fwd.as_view());
+        let mut x_bwd = v.row_range(0..w).to_dense();
+        base.trsm_upper(top(), x_bwd.as_view_mut());
+        let mut y_gemv = v.row_range(w..w + m).to_dense();
+        base.gemm_sub(y_gemv.as_view_mut(), below(), x_fwd.as_view());
+        for d in Dispatch::available() {
+            let (mut x, mut y) = (v.data()[..w].to_vec(), vec![f64::NAN; m]);
+            d.sweep(|f| f.forward_column(panel.as_view(), &mut x, &mut y));
+            prop_assert_eq!(bits(&DenseMat::from_col_major(w, 1, x)), bits(&x_fwd), "{}: x", d.name());
+            prop_assert_eq!(bits(&DenseMat::from_col_major(m, 1, y)), bits(&y_fwd), "{}: y", d.name());
+            let mut x = v.data()[..w].to_vec();
+            d.sweep(|f| f.backward_column(panel.as_view(), &mut x));
+            prop_assert_eq!(bits(&DenseMat::from_col_major(w, 1, x)), bits(&x_bwd), "{}: backward", d.name());
+            let mut y = v.data()[w..].to_vec();
+            d.sweep(|f| f.gemv_sub(&mut y, below(), x_fwd.data().iter().copied()));
+            prop_assert_eq!(bits(&DenseMat::from_col_major(m, 1, y)), bits(&y_gemv), "{}: gemv", d.name());
+        }
+    }
+}
+
 /// The triangular solves and the panel LU agree with plain per-column
 /// substitution / unblocked elimination on data without signed zeros — the
 /// only inputs on which skipping a zero term and applying it can differ.
@@ -239,7 +296,7 @@ fn strips_match_unblocked_references() {
                 let s = lower[(k, j)];
                 for i in k + 1..n {
                     if s != 0.0 {
-                        lower[(i, j)] -= l[(i, k)] * s;
+                        lower[(i, j)] = sub_term(lower[(i, j)], l[(i, k)], s);
                     }
                 }
             }
@@ -248,7 +305,7 @@ fn strips_match_unblocked_references() {
                 let s = upper[(k, j)];
                 for i in 0..k {
                     if s != 0.0 {
-                        upper[(i, j)] -= u[(i, k)] * s;
+                        upper[(i, j)] = sub_term(upper[(i, j)], u[(i, k)], s);
                     }
                 }
             }
@@ -284,7 +341,7 @@ fn strips_match_unblocked_references() {
                 let s = expect[(c, j)];
                 for r in c + 1..m {
                     if s != 0.0 {
-                        expect[(r, j)] -= expect[(r, c)] * s;
+                        expect[(r, j)] = sub_term(expect[(r, j)], expect[(r, c)], s);
                     }
                 }
             }

@@ -22,8 +22,10 @@
 //!   only its factors and its latest values.
 //! * **Session memory budgeting** — the `SessionPool` accounts resident
 //!   bytes — each session's factors and retained values, each analysis
-//!   once ([`Analysis::resident_bytes`]) — and evicts idle sessions in LRU
-//!   order to honor
+//!   once ([`Analysis::resident_bytes`]) — plus the update scratch each
+//!   thread that ran a session job holds
+//!   ([`splu_core::thread_scratch_bytes`], `stats`' `scratch_bytes`), and
+//!   evicts idle sessions in LRU order until both fit
 //!   `--session-budget`. Evicted sessions leave a tombstone: the next job
 //!   naming them gets a structured `session_evicted` error (exit code 7)
 //!   and can simply re-`analyze`. Sessions pinned by in-flight jobs are
@@ -78,6 +80,7 @@ use std::io::{BufRead, ErrorKind, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// FNV-1a offset basis / prime, shared by lane routing and solution
@@ -384,6 +387,10 @@ struct PoolInner {
     clock: u64,
     /// Per pattern hash, the analyses live sessions were opened on.
     analyses: HashMap<u64, Vec<Weak<Analysis>>>,
+    /// Per thread that ran a job on a session, the update scratch it holds
+    /// ([`splu_core::thread_scratch_bytes`]): no session owns it, and it
+    /// outlives every session, but it is memory the daemon holds.
+    scratch: HashMap<ThreadId, u64>,
 }
 
 impl PoolInner {
@@ -407,6 +414,12 @@ impl PoolInner {
         }
         (bytes, seen.len())
     }
+
+    /// What the budget is held to: the resident sessions and analyses,
+    /// and the threads' update scratch.
+    fn charged(&self) -> u64 {
+        self.resident().0 + self.scratch.values().sum::<u64>()
+    }
 }
 
 /// Aggregate pool state for the `stats` op and assertions.
@@ -420,6 +433,9 @@ pub struct PoolStats {
     pub resident_bytes: u64,
     /// Distinct analyses the live sessions are opened on.
     pub analyses: usize,
+    /// Update scratch the threads that ran session jobs hold, charged to
+    /// the budget beside `resident_bytes`.
+    pub scratch_bytes: u64,
 }
 
 /// `true` when an analysis built under `held` answers for a job's `opts`:
@@ -446,6 +462,7 @@ impl SessionPool {
                 slots: HashMap::new(),
                 clock: 0,
                 analyses: HashMap::new(),
+                scratch: HashMap::new(),
             }),
             budget,
             metrics,
@@ -459,7 +476,7 @@ impl SessionPool {
     fn enforce_budget(&self, inner: &mut PoolInner) -> Vec<Arc<Mutex<ServeEntry>>> {
         let mut dropped = Vec::new();
         if let Some(budget) = self.budget {
-            while inner.resident().0 > budget {
+            while inner.charged() > budget {
                 let victim = inner
                     .slots
                     .iter()
@@ -614,13 +631,16 @@ impl SessionPool {
             evicted_tombstones: dead,
             resident_bytes,
             analyses,
+            scratch_bytes: inner.scratch.values().sum(),
         }
     }
 }
 
 /// A checked-out session. Dropping unpins it, applies any byte-count
-/// update recorded by [`Pinned::set_bytes`], and re-enforces the budget
-/// (factor jobs grow a session by its panel storage).
+/// update recorded by [`Pinned::set_bytes`], records the update scratch of
+/// the thread the job ran on, and re-enforces the budget (factor jobs grow
+/// a session by its panel storage, and the thread's scratch to its largest
+/// update).
 pub(crate) struct Pinned<'p> {
     pool: &'p SessionPool,
     name: String,
@@ -650,6 +670,10 @@ impl Drop for Pinned<'_> {
                 if let Some(nb) = self.new_bytes {
                     *bytes = nb;
                 }
+            }
+            let scratch = splu_core::thread_scratch_bytes();
+            if scratch > 0 {
+                inner.scratch.insert(std::thread::current().id(), scratch);
             }
             dropped = self.pool.enforce_budget(&mut inner);
         }
@@ -1211,7 +1235,7 @@ impl<'e> Engine<'e> {
             None => "null".to_string(),
         };
         format!(
-            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{},"analyses":{},"analyses_shared":{}}}"#,
+            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"scratch_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{},"analyses":{},"analyses_shared":{}}}"#,
             self.cfg.workers,
             self.cfg.queue_cap,
             depths.join(","),
@@ -1219,6 +1243,7 @@ impl<'e> Engine<'e> {
             pool.sessions,
             pool.evicted_tombstones,
             pool.resident_bytes,
+            pool.scratch_bytes,
             self.metrics.get(Counter::ResidentSessionBytesPeak),
             self.is_draining(),
             self.jobs_dispatched(),

@@ -12,7 +12,7 @@ pub mod stepped;
 
 use parsplu::core::{
     analyze, factor_numeric_with, solve_many_permuted, solve_permuted, solve_transposed_permuted,
-    BlockMatrix, LuError, NumericRequest, Options, SymbolicLu,
+    BlockMatrix, Dispatch, KernelChoice, LuError, NumericRequest, Options, SymbolicLu,
 };
 use parsplu::sparse::CscMatrix;
 
@@ -71,7 +71,14 @@ impl StaticFactors {
         let mut work: Vec<f64> = (b.chunks(n))
             .flat_map(|col| self.sym.row_perm.apply_vec(col))
             .collect();
-        solve_many_permuted(&self.bm, &self.sym.block_structure, &mut work, nrhs);
+        let kernels = Dispatch::resolve(KernelChoice::Auto);
+        solve_many_permuted(
+            &self.bm,
+            &self.sym.block_structure,
+            &mut work,
+            nrhs,
+            &kernels,
+        );
         (work.chunks(n))
             .flat_map(|col| self.sym.col_perm.apply_inverse_vec(col))
             .collect()

@@ -14,7 +14,8 @@
 //!   16 KiB more;
 //! * sessions evicted and revived under `--session-budget` leave the pool's
 //!   `resident_bytes` within 2 % of the live bytes, the shared analysis
-//!   charged once.
+//!   charged once, and `scratch_bytes` exactly the update scratch the one
+//!   lane holds — a part of the live bytes no session owns.
 //!
 //! This file installs the counting allocator for its whole test binary,
 //! so it holds exactly one test: a concurrent test in the same process
@@ -23,6 +24,7 @@
 mod common;
 
 use common::stepped::stepped;
+use parsplu::core::{thread_scratch_bytes, Options, SluSession};
 use parsplu::matgen::{manufactured_rhs, paper_matrix, Scale};
 use parsplu::obs::CountingAlloc;
 use parsplu::serve::{serve_loop, serve_loop_with, ServeConfig};
@@ -95,6 +97,17 @@ const JOB_BOOKKEEPING: u64 = 2048;
 fn streamed_jobs_hold_one_array_and_one_buffer() {
     let mut a = paper_matrix("sherman3", Scale::Full).unwrap();
     let (n, nnz) = (a.nrows() as u64, a.nnz() as u64);
+    // The update scratch a thread that factors this pattern holds after:
+    // measured on a thread of its own, which frees it on exit.
+    let lane_scratch = std::thread::scope(|scope| {
+        let factor = scope.spawn(|| {
+            let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
+            s.factor(&a).unwrap();
+            thread_scratch_bytes()
+        });
+        factor.join().unwrap()
+    });
+    assert!(lane_scratch > 0);
     let dir = std::env::temp_dir();
     let path = |name: &str| {
         let p = dir.join(format!("parsplu-serve-alloc-{}-{name}", std::process::id()));
@@ -156,7 +169,7 @@ fn streamed_jobs_hold_one_array_and_one_buffer() {
     assert!(refactor < file_bytes.len() as u64 / 2, "{refactor} bytes");
 
     let (price, laid_out) = a_second_session_adds_its_factors_alone(&base, &values, nnz);
-    evictions_leave_the_pool_charging_what_is_live(&base, price + 8 * nnz, laid_out);
+    evictions_leave_the_pool_charging_what_is_live(&base, price + 8 * nnz, laid_out, lane_scratch);
     for p in [&base, &values] {
         let _ = std::fs::remove_file(p);
     }
@@ -241,11 +254,17 @@ fn a_second_session_adds_its_factors_alone(base: &str, values: &str, nnz: u64) -
     (price, held - price - 8 * nnz)
 }
 
-/// Three sessions on one pattern under a budget that holds the analysis
-/// and two sessions' factors and values: the third evicts the first, whose
-/// revival evicts the second. At each `stats` the pool charges what is
-/// live, the analysis once.
-fn evictions_leave_the_pool_charging_what_is_live(base: &str, own: u64, analysis: u64) {
+/// Three sessions on one pattern under a budget that holds the analysis,
+/// two sessions' factors and values and the lane's scratch: the third
+/// evicts the first, whose revival evicts the second. At each `stats` the
+/// pool charges what is live, the analysis once, and the lane's update
+/// scratch (`lane_scratch`) beside the sessions.
+fn evictions_leave_the_pool_charging_what_is_live(
+    base: &str,
+    own: u64,
+    analysis: u64,
+    lane_scratch: u64,
+) {
     let budget = analysis + 2 * own + own / 2;
     let mut script = Vec::new();
     for name in ["s", "t", "u"] {
@@ -261,12 +280,19 @@ fn evictions_leave_the_pool_charging_what_is_live(base: &str, own: u64, analysis
     for at in [6, 9] {
         let stats = &replies[at];
         let (resident, held) = (num(stats, "resident_bytes"), live[at] - live[0]);
+        let scratch = num(stats, "scratch_bytes");
         assert_eq!(num(stats, "sessions"), 2, "{stats:?}");
         assert_eq!(num(stats, "analyses"), 1, "{stats:?}");
         assert_eq!(resident, analysis + 2 * own, "{stats:?}");
+        assert_eq!(scratch, lane_scratch, "the one lane's update scratch");
+        // What no count names shrinks by exactly the lane's scratch.
+        let charged = resident + scratch;
         assert!(
-            held.abs_diff(resident) * 50 <= held,
-            "stats says {resident} resident bytes, {held} are live"
+            charged <= held && (held - charged) * 50 <= held,
+            "stats says {resident} resident and {scratch} scratch bytes, {held} are live \
+             ({} not counted, {} before the scratch was)",
+            held.abs_diff(charged),
+            held.abs_diff(resident)
         );
     }
     assert_eq!(num(&replies[9], "sessions_evicted"), 2);

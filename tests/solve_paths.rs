@@ -16,7 +16,8 @@ mod common;
 use common::StaticFactors;
 use parsplu::core::gp::gp_factor;
 use parsplu::core::{
-    solve_permuted, solve_permuted_parallel, LuError, Options, SluSession, SparseLu,
+    solve_many_permuted, solve_permuted, solve_permuted_parallel, solve_permuted_parallel_with,
+    solve_permuted_with, Dispatch, LuError, Options, SluSession, SparseLu,
 };
 use parsplu::dense::{lu_full, lu_solve, DenseMat};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
@@ -234,6 +235,55 @@ fn every_solve_door_agrees_on_static_and_realised_structures() {
         for equil in [false, true] {
             check(&case, equil);
         }
+    }
+}
+
+/// The three sweeps of one set of factors — the single solve, the
+/// parallel one at 1/2/4/8 threads and every column of the blocked one —
+/// agree bit for bit under each kernel instantiation the CPU runs, and
+/// with the baseline's (the C library's `fma` where the others have the
+/// instruction), on the in-block storage and on the static one.
+#[test]
+fn every_sweep_agrees_under_every_kernel_instantiation() {
+    let base = Dispatch::portable();
+    for case in cases() {
+        let (a, n) = (&case.a, case.a.ncols());
+        let (s, reference) = session_on(a);
+        let sym = s.symbolic();
+        let storages = [
+            (s.block_matrix().unwrap(), &sym.block_structure, "held"),
+            (&reference.bm, &reference.sym.block_structure, "static"),
+        ];
+        let columns: Vec<Vec<f64>> = (case.bb.chunks(n))
+            .map(|col| sym.row_perm.apply_vec(col))
+            .collect();
+        for (bm, bs, held) in storages {
+            let single = |col: &[f64], d: &Dispatch| {
+                let mut y = col.to_vec();
+                solve_permuted_with(bm, bs, &mut y, d);
+                y
+            };
+            let want: Vec<Vec<f64>> = columns.iter().map(|c| single(c, &base)).collect();
+            for d in Dispatch::available() {
+                let what = format!("{}: {held}, {}", case.name, d.name());
+                for (r, col) in columns.iter().enumerate() {
+                    assert_eq!(single(col, &d), want[r], "{what}: column {r}");
+                }
+                for threads in [1usize, 2, 4, 8] {
+                    let mut y = columns[0].clone();
+                    solve_permuted_parallel_with(bm, bs, &mut y, threads, &d);
+                    assert_eq!(y, want[0], "{what}: {threads} threads");
+                }
+                let mut many = columns.concat();
+                solve_many_permuted(bm, bs, &mut many, MANY, &d);
+                assert_eq!(many, want.concat(), "{what}: solve_many");
+            }
+        }
+        // The session's own solve runs its options' kernels: the same bits.
+        let mut y = columns[0].clone();
+        solve_permuted_with(storages[0].0, storages[0].1, &mut y, &base);
+        let x = sym.col_perm.apply_inverse_vec(&y);
+        assert_eq!(s.try_solve(&case.b).unwrap(), x, "{}", case.name);
     }
 }
 
