@@ -1608,6 +1608,82 @@ mod tests {
         }
     }
 
+    /// The in-block structure a session derives keeps every row below a
+    /// diagonal block: its `R_K` is the static `R_K` for every `K` (only
+    /// `C_K` shrinks). The transposed sweep relies on it: its
+    /// `L̄_belowᵀ · x_{R_K}` dots put a term in the lane of its position in
+    /// `R_K` (`Fused::dot`), so the held and the static storage give one
+    /// solution bit for bit only while both list the same rows.
+    fn rows_below_are_the_static_ones(pattern: &SparsityPattern, opts: &crate::Options) {
+        let sym = crate::analyze(pattern, opts).unwrap();
+        let s = crate::SluSession::analyze(pattern, opts).unwrap();
+        assert!(s.is_realised());
+        let held = &s.symbolic().block_structure;
+        assert_eq!(held.partition, sym.block_structure.partition);
+        assert_eq!(held.l_rows, sym.block_structure.l_rows, "R_K differs");
+    }
+
+    /// On the suite (reduced in a debug build, full-scale plus the
+    /// benchmark's 40×40 mesh in a release build) and on the pivoting
+    /// generators, as given, without postorder and without amalgamation.
+    #[test]
+    fn in_block_structure_keeps_every_row_below_on_the_suite() {
+        use splu_matgen::{
+            cross_block_pivots, fem2d_unsymmetric, in_block_pivots, paper_suite, Scale,
+        };
+        let scale = if cfg!(debug_assertions) {
+            Scale::Reduced
+        } else {
+            Scale::Full
+        };
+        let mut cases: Vec<CscMatrix> = paper_suite(scale).into_iter().map(|m| m.a).collect();
+        if scale == Scale::Full {
+            cases.push(fem2d_unsymmetric(40, 40, 2, 1));
+        }
+        for seed in 0..4 {
+            cases.push(cross_block_pivots(60, seed));
+            cases.push(in_block_pivots(6, 5, seed));
+        }
+        let variants = [
+            crate::Options::default(),
+            crate::Options {
+                postorder: false,
+                ..crate::Options::default()
+            },
+            crate::Options {
+                amalgamation: None,
+                ..crate::Options::default()
+            },
+        ];
+        for a in &cases {
+            for opts in &variants {
+                rows_below_are_the_static_ones(a.pattern(), opts);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The same on random patterns, postordered or not, with
+        /// amalgamation on or off.
+        #[test]
+        fn in_block_structure_keeps_every_row_below_on_random_patterns(
+            n in 8usize..80,
+            extra in 1usize..5,
+            seed in 0u64..100_000,
+            postorder in 0usize..2,
+            amalgamation in 0usize..2,
+        ) {
+            let opts = crate::Options {
+                postorder: postorder == 1,
+                amalgamation: (amalgamation == 1).then(SupernodeOptions::default),
+                ..crate::Options::default()
+            };
+            rows_below_are_the_static_ones(&splu_matgen::random_pattern(n, extra * n, seed), &opts);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 

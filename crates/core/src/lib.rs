@@ -56,7 +56,7 @@ pub use request::{
 pub use session::{pattern_hash, Analysis, SluSession};
 pub use solve::{
     det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_permuted_with,
-    solve_transposed_permuted,
+    solve_transposed_permuted, solve_transposed_permuted_with,
 };
 pub use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 pub use splu_sched::{

@@ -65,7 +65,7 @@ use crate::blocks::{factor_bytes, in_block_flags, realised_structure, seed_flags
 use crate::blocks::{BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest, RangePlan};
-use crate::solve::{solve_many_permuted, solve_permuted_with, solve_transposed_permuted};
+use crate::solve::{solve_many_permuted, solve_permuted_with, solve_transposed_permuted_with};
 use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
 use splu_dense::Dispatch;
 use splu_obs::Counter;
@@ -658,7 +658,7 @@ impl SluSession {
         let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, 1)?;
         let mut y = sym.col_perm.apply_vec(b);
-        solve_transposed_permuted(bm, &sym.block_structure, &mut y);
+        solve_transposed_permuted_with(bm, &sym.block_structure, &mut y, &self.kernels());
         Ok(sym.row_perm.apply_inverse_vec(&y))
     }
 

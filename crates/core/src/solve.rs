@@ -14,7 +14,9 @@
 //! the BLAS-3 kernels, and [`crate::solve_permuted_parallel`] the same per
 //! task. The single-column steps are the dense crate's one-column forms of
 //! those kernels, run in one [`Dispatch::sweep`], so all three agree bit
-//! for bit under every kernel instantiation.
+//! for bit under every kernel instantiation. The transposed solve
+//! ([`solve_transposed_permuted_with`]) is a sweep of dot products
+//! ([`Fused::dot`]), each split across eight accumulators.
 
 use crate::blocks::BlockMatrix;
 use crate::LuError;
@@ -103,79 +105,96 @@ pub(crate) fn ublock_sub(
 }
 
 /// Solves `Āᵀ x = b` in factorization order, given the same factored block
-/// matrix. Overwrites `b`.
+/// matrix. Overwrites `b`. The widest kernel instantiation the CPU runs
+/// ([`solve_transposed_permuted_with`] under [`KernelChoice::Auto`]); every
+/// instantiation gives the same bits.
+pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
+    solve_transposed_permuted_with(bm, bs, b, &Dispatch::resolve(KernelChoice::Auto));
+}
+
+/// [`solve_transposed_permuted`] through the kernel instantiation `kernels`,
+/// in one [`Dispatch::sweep`] whose every step is a [`Fused::dot`].
 ///
 /// The forward solve composes `Ā⁻¹ = Ū⁻¹ · (Lᴺ⁻¹ Pᴺ) ⋯ (L¹⁻¹ P¹)`, so
 /// `Ā⁻ᵀ = (P¹ᵀ L¹⁻ᵀ) ⋯ (Pᴺᵀ Lᴺ⁻ᵀ) · Ū⁻ᵀ`: first a left-looking
 /// lower-triangular sweep on the transposed `Ū` blocks, then for
 /// `k = N..1` the transposed unit-triangular solve on block column `k` of
 /// `L̄` followed by `k`'s interchanges applied **in reverse order**.
-pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
+///
+/// A dot's bits depend on where each term sits, so two storages of the
+/// same factors give the same solution only where their dots run over the
+/// same rows. The `Ū` blocks and the diagonal blocks cover whole block
+/// rows in every storage (a column one stores and another does not is
+/// zero, and its dot `+0`); the `L̄_belowᵀ` dots run over `R_K`, which the
+/// in-block structure keeps whole (pinned by the `blocks` tests
+/// `in_block_structure_keeps_every_row_below_*`).
+pub fn solve_transposed_permuted_with(
+    bm: &BlockMatrix,
+    bs: &BlockStructure,
+    b: &mut [f64],
+    kernels: &Dispatch,
+) {
     assert_eq!(b.len(), bm.n(), "rhs length mismatch");
     let part = &bs.partition;
     let nb = bm.num_block_cols();
-
-    // Ūᵀ y = b: left-looking forward sweep over block rows. The U blocks of
-    // column k are exactly the transposed contributions into block k.
-    for k in 0..nb {
-        let col = bm.column(k).read();
-        let start = part.range(k).start;
-        let (head, tail) = b.split_at_mut(start);
-        let yk = &mut tail[..col.width()];
-        // Subtract Ū(i, k)ᵀ · y_i for every source i < k.
-        for (src, cols, blk) in bm.ublocks(k, &col) {
-            let yi = &head[part.range(src)];
-            for (x, &c) in cols.iter().enumerate() {
-                let dot: f64 = blk.col(x).iter().zip(yi).map(|(&v, &y)| v * y).sum();
-                yk[c as usize - start] -= dot;
-            }
-        }
-        // Diagonal block: Uᵀ is lower triangular → forward substitution
-        // over the local columns of U (rows of Uᵀ).
-        let panel = col.panel();
-        for c in 0..yk.len() {
-            let dcol = panel.col(c);
-            let mut s = yk[c];
-            for r in 0..c {
-                s -= dcol[r] * yk[r];
-            }
-            yk[c] = s / dcol[c];
-        }
-    }
-
-    // x = Π_{k=N..1} (Pᵏᵀ Lᵏ⁻ᵀ) y: per block column from the last to the
-    // first, a transposed unit-triangular solve over the panel, then the
-    // interchanges in reverse.
     let mut gathered = vec![0.0; max_rows_below(bs)];
-    for k in (0..nb).rev() {
-        let col = bm.column(k).read();
-        let (start, w, rows) = (part.range(k).start, col.width(), bs.l_rows.col(k));
-        let panel = col.panel();
-        // Subtract L̄_belowᵀ · x_{R_k} from the diagonal segment.
-        let xr = &mut gathered[..rows.len()];
-        for (g, &r) in xr.iter_mut().zip(rows) {
-            *g = b[r as usize];
-        }
-        for c in 0..w {
-            let below = &panel.col(c)[w..];
-            let dot: f64 = below.iter().zip(&*xr).map(|(&v, &x)| v * x).sum();
-            b[start + c] -= dot;
-        }
-        // Lᵀ of the unit-lower diagonal block is unit upper: backward
-        // substitution over local columns, x_c ← x_c − Σ_{r>c} L(r,c)·x_r.
-        for c in (0..w).rev() {
-            let dcol = panel.col(c);
-            let mut s = b[start + c];
-            for r in c + 1..w {
-                s -= dcol[r] * b[start + r];
+    kernels.sweep(
+        #[inline(always)]
+        |f| {
+            // Ūᵀ y = b: left-looking forward sweep over block rows. The U
+            // blocks of column k are exactly the transposed contributions
+            // into block k.
+            for k in 0..nb {
+                let col = bm.column(k).read();
+                let start = part.range(k).start;
+                let (head, tail) = b.split_at_mut(start);
+                let yk = &mut tail[..col.width()];
+                // Subtract Ū(i, k)ᵀ · y_i for every source i < k.
+                for (src, cols, blk) in bm.ublocks(k, &col) {
+                    let yi = &head[part.range(src)];
+                    for (x, &c) in cols.iter().enumerate() {
+                        yk[c as usize - start] -= f.dot(blk.col(x), yi);
+                    }
+                }
+                // Diagonal block: Uᵀ is lower triangular → forward
+                // substitution over the local columns of U (rows of Uᵀ).
+                let panel = col.panel();
+                for c in 0..yk.len() {
+                    let dcol = panel.col(c);
+                    let (solved, rest) = yk.split_at_mut(c);
+                    rest[0] = (rest[0] - f.dot(&dcol[..c], solved)) / dcol[c];
+                }
             }
-            b[start + c] = s;
-        }
-        // Apply the interchanges of Factor(k) in reverse.
-        for (c, p) in bm.interchanges(part.range(k)).rev() {
-            b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
-        }
-    }
+
+            // x = Π_{k=N..1} (Pᵏᵀ Lᵏ⁻ᵀ) y: per block column from the last to
+            // the first, a transposed unit-triangular solve over the panel,
+            // then the interchanges in reverse.
+            for k in (0..nb).rev() {
+                let col = bm.column(k).read();
+                let (range, w, rows) = (part.range(k), col.width(), bs.l_rows.col(k));
+                let panel = col.panel();
+                // Subtract L̄_belowᵀ · x_{R_k} from the diagonal segment.
+                let xr = &mut gathered[..rows.len()];
+                for (g, &r) in xr.iter_mut().zip(rows) {
+                    *g = b[r as usize];
+                }
+                let xk = &mut b[range.clone()];
+                for (c, x) in xk.iter_mut().enumerate() {
+                    *x -= f.dot(&panel.col(c)[w..], xr);
+                }
+                // Lᵀ of the unit-lower diagonal block is unit upper: backward
+                // substitution over local columns, x_c ← x_c − Σ_{r>c} L(r,c)·x_r.
+                for c in (0..w).rev() {
+                    let (head, solved) = xk.split_at_mut(c + 1);
+                    head[c] -= f.dot(&panel.col(c)[c + 1..w], solved);
+                }
+                // Apply the interchanges of Factor(k) in reverse.
+                for (c, p) in bm.interchanges(range).rev() {
+                    b.swap(bs.panel_row(k, c), bs.panel_row(k, p));
+                }
+            }
+        },
+    );
 }
 
 /// Solves `Ā X = B` for multiple right-hand sides stored column-major in

@@ -353,8 +353,9 @@ impl Dispatch {
 }
 
 /// The one-column steps of a triangular solve, each bit for bit one
-/// column of the matrix kernel named, for [`Dispatch::sweep`] to run in its
-/// instantiation. Only a sweep hands one out.
+/// column of the matrix kernel named, and a dot product, for
+/// [`Dispatch::sweep`] to run in its instantiation. Only a sweep hands one
+/// out.
 pub struct Fused(());
 
 impl Fused {
@@ -379,6 +380,19 @@ impl Fused {
     #[inline(always)]
     pub fn gemv_sub(&self, y: &mut [f64], a: MatRef<'_>, x: impl ExactSizeIterator<Item = f64>) {
         tile::gemv_sub(y, a, x)
+    }
+
+    /// `Σ_r a[r]·x[r]` (`a` and `x` of one length) in eight independent
+    /// accumulators: term `r` is one fused multiply-add into lane `r mod 8`,
+    /// every lane starting at `+0`; then lane `l` is added to lane `l + 4`,
+    /// and those four sums `m` combine as `(m0 + m2) + (m1 + m3)`. No term
+    /// is skipped, so the bits depend on where each term sits, not only on
+    /// the nonzero ones. The baseline gets the same bits through
+    /// `f64::mul_add`. The transposed solve's steps are all dots
+    /// (`splu_core::solve_transposed_permuted_with`).
+    #[inline(always)]
+    pub fn dot(&self, a: &[f64], x: &[f64]) -> f64 {
+        tile::dot(a, x)
     }
 }
 

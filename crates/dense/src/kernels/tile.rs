@@ -18,7 +18,8 @@
 //! baseline (`f64::mul_add`, the C library's `fma`, correctly rounded in
 //! software where the target has no instruction) agree bit for bit. The
 //! one-column steps at the end apply the same terms in the same order as
-//! the matrix kernels do on one column, without a tile.
+//! the matrix kernels do on one column, without a tile; the dot product
+//! after them is the one step with a contract of its own ([`dot`]).
 
 use crate::view::{MatMut, MatRef};
 
@@ -317,4 +318,28 @@ pub(crate) fn gemv_sub(y: &mut [f64], a: MatRef<'_>, x: impl ExactSizeIterator<I
             *yr = sub_term(*yr, v, s);
         }
     }
+}
+
+/// Accumulators of [`dot`]: term `r` goes to lane `r mod LANES`.
+const LANES: usize = 8;
+
+/// `Σ_r a[r]·x[r]` split across [`LANES`] independent accumulators, so a
+/// long dot is not one dependent chain of adds; the lane contract is
+/// stated on [`super::Fused::dot`].
+#[inline(always)]
+pub(crate) fn dot(a: &[f64], x: &[f64]) -> f64 {
+    assert_eq!(a.len(), x.len(), "dot: length mismatch");
+    let mut lane = [0.0; LANES];
+    let (ca, cx) = (a.chunks_exact(LANES), x.chunks_exact(LANES));
+    let (ta, tx) = (ca.remainder(), cx.remainder());
+    for (va, vx) in ca.zip(cx) {
+        for l in 0..LANES {
+            lane[l] = va[l].mul_add(vx[l], lane[l]);
+        }
+    }
+    for (l, (&v, &s)) in ta.iter().zip(tx).enumerate() {
+        lane[l] = v.mul_add(s, lane[l]);
+    }
+    let m: [f64; 4] = std::array::from_fn(|l| lane[l] + lane[l + 4]);
+    (m[0] + m[2]) + (m[1] + m[3])
 }

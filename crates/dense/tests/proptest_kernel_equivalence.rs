@@ -15,7 +15,8 @@
 //! to the axpy-shaped kernel it replaced, kept below as an oracle, and the
 //! solves and the panel LU to plain substitution and elimination: every
 //! oracle applies a term as one fused multiply-add, `sub_term`, the
-//! per-element contract of the kernels.
+//! per-element contract of the kernels. The sweeps' dot product is held to
+//! its lane order, written out term by term.
 
 use proptest::prelude::*;
 use splu_dense::{DenseMat, Dispatch, MatMut, MatRef, PanelBreakdown, PivotRule, Pivots};
@@ -263,6 +264,48 @@ proptest! {
             let mut y = v.data()[w..].to_vec();
             d.sweep(|f| f.gemv_sub(&mut y, below(), x_fwd.data().iter().copied()));
             prop_assert_eq!(bits(&DenseMat::from_col_major(m, 1, y)), bits(&y_gemv), "{}: gemv", d.name());
+        }
+    }
+}
+
+/// The lane contract of `Fused::dot`, term by term: eight lanes from `+0`,
+/// term `r` one fused multiply-add into lane `r mod 8`, then lane `l` plus
+/// lane `l + 4`, and those four sums `m` as `(m0 + m2) + (m1 + m3)`.
+fn dot_reference(a: &[f64], x: &[f64]) -> f64 {
+    let mut lane = [0.0f64; 8];
+    for (r, (&v, &s)) in a.iter().zip(x).enumerate() {
+        lane[r % 8] = v.mul_add(s, lane[r % 8]);
+    }
+    let m: [f64; 4] = std::array::from_fn(|l| lane[l] + lane[l + 4]);
+    (m[0] + m[2]) + (m[1] + m[3])
+}
+
+/// Dot operands as columns of a strided view: `len` rows (0 to 40, so
+/// every tail length and the empty dot) starting `pad` rows down a taller
+/// backing panel, as the transposed solve reads them.
+fn dot_case() -> impl Strategy<Value = (usize, usize, DenseMat)> {
+    (0usize..=40, 0usize..4, 2usize..5, 0usize..5).prop_flat_map(|(len, pad, cols, zeros)| {
+        (Just(len), Just(pad), arb_mat(len + pad + 3, cols, zeros))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Fused::dot` inside a sweep is the reference of its lane order, bit
+    /// for bit, under every instantiation: column 0 of the view dotted
+    /// with each other column.
+    #[test]
+    fn dot_is_the_lane_order_reference((len, pad, panel) in dot_case()) {
+        let view = panel.row_range(pad..pad + len);
+        let x = view.col(0);
+        for c in 1..view.ncols() {
+            let a = view.col(c);
+            let want = dot_reference(a, x).to_bits();
+            for d in Dispatch::available() {
+                let got = d.sweep(|f| f.dot(a, x)).to_bits();
+                prop_assert_eq!(got, want, "{}: len {}, column {}", d.name(), len, c);
+            }
         }
     }
 }

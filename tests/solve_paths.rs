@@ -17,7 +17,8 @@ use common::StaticFactors;
 use parsplu::core::gp::gp_factor;
 use parsplu::core::{
     solve_many_permuted, solve_permuted, solve_permuted_parallel, solve_permuted_parallel_with,
-    solve_permuted_with, Dispatch, LuError, Options, SluSession, SparseLu,
+    solve_permuted_with, solve_transposed_permuted_with, Dispatch, LuError, Options, SluSession,
+    SparseLu,
 };
 use parsplu::dense::{lu_full, lu_solve, DenseMat};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
@@ -238,14 +239,16 @@ fn every_solve_door_agrees_on_static_and_realised_structures() {
     }
 }
 
-/// The three sweeps of one set of factors — the single solve, the
-/// parallel one at 1/2/4/8 threads and every column of the blocked one —
-/// agree bit for bit under each kernel instantiation the CPU runs, and
-/// with the baseline's (the C library's `fma` where the others have the
-/// instruction), on the in-block storage and on the static one.
+/// The four sweeps of one set of factors — the single solve, the
+/// parallel one at 1/2/4/8 threads, every column of the blocked one and
+/// the transposed one — agree bit for bit under each kernel instantiation
+/// the CPU runs, and with the baseline's (the C library's `fma` where the
+/// others have the instruction), on the in-block storage and on the
+/// static one.
 #[test]
 fn every_sweep_agrees_under_every_kernel_instantiation() {
     let base = Dispatch::portable();
+    let bits = |x: Vec<f64>| -> Vec<u64> { x.into_iter().map(f64::to_bits).collect() };
     for case in cases() {
         let (a, n) = (&case.a, case.a.ncols());
         let (s, reference) = session_on(a);
@@ -257,17 +260,31 @@ fn every_sweep_agrees_under_every_kernel_instantiation() {
         let columns: Vec<Vec<f64>> = (case.bb.chunks(n))
             .map(|col| sym.row_perm.apply_vec(col))
             .collect();
+        let columns_t: Vec<Vec<f64>> = (case.bb.chunks(n))
+            .map(|col| sym.col_perm.apply_vec(col))
+            .collect();
+        let mut wants_t = Vec::new();
         for (bm, bs, held) in storages {
             let single = |col: &[f64], d: &Dispatch| {
                 let mut y = col.to_vec();
                 solve_permuted_with(bm, bs, &mut y, d);
                 y
             };
+            let transposed = |col: &[f64], d: &Dispatch| {
+                let mut y = col.to_vec();
+                solve_transposed_permuted_with(bm, bs, &mut y, d);
+                bits(y)
+            };
             let want: Vec<Vec<f64>> = columns.iter().map(|c| single(c, &base)).collect();
+            let want_t: Vec<Vec<u64>> = columns_t.iter().map(|c| transposed(c, &base)).collect();
             for d in Dispatch::available() {
                 let what = format!("{}: {held}, {}", case.name, d.name());
                 for (r, col) in columns.iter().enumerate() {
                     assert_eq!(single(col, &d), want[r], "{what}: column {r}");
+                }
+                for (r, col) in columns_t.iter().enumerate() {
+                    let got = transposed(col, &d);
+                    assert_eq!(got, want_t[r], "{what}: transposed column {r}");
                 }
                 for threads in [1usize, 2, 4, 8] {
                     let mut y = columns[0].clone();
@@ -278,12 +295,21 @@ fn every_sweep_agrees_under_every_kernel_instantiation() {
                 solve_many_permuted(bm, bs, &mut many, MANY, &d);
                 assert_eq!(many, want.concat(), "{what}: solve_many");
             }
+            wants_t.push(want_t);
         }
+        // The held and the static storage list the same rows below every
+        // diagonal block, so their transposed dots agree too.
+        assert_eq!(wants_t[0], wants_t[1], "{}: transposed", case.name);
         // The session's own solve runs its options' kernels: the same bits.
         let mut y = columns[0].clone();
         solve_permuted_with(storages[0].0, storages[0].1, &mut y, &base);
         let x = sym.col_perm.apply_inverse_vec(&y);
         assert_eq!(s.try_solve(&case.b).unwrap(), x, "{}", case.name);
+        let mut y = sym.col_perm.apply_vec(&case.b);
+        solve_transposed_permuted_with(storages[0].0, storages[0].1, &mut y, &base);
+        let x = sym.row_perm.apply_inverse_vec(&y);
+        let got = s.try_solve_transposed(&case.b).unwrap();
+        assert_eq!(bits(got), bits(x), "{}: transposed", case.name);
     }
 }
 
