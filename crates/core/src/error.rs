@@ -112,8 +112,8 @@ pub enum LuError {
         /// Resident bytes the session held when it was evicted.
         resident_bytes: u64,
     },
-    /// An [`Options`](crate::Options) builder rejected an invalid
-    /// combination at `build()` time.
+    /// [`Options::validate`](crate::Options::validate) rejected an
+    /// incoherent setting; analysis runs it first.
     InvalidOptions {
         /// What was wrong.
         message: String,

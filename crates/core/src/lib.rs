@@ -56,7 +56,7 @@ pub use request::{
 pub use session::{pattern_hash, Analysis, SluSession};
 pub use solve::{
     det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_permuted_with,
-    solve_transposed_permuted, solve_transposed_permuted_with,
+    solve_transposed_permuted_with,
 };
 pub use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 pub use splu_sched::{
@@ -146,125 +146,37 @@ impl Default for Options {
 }
 
 impl Options {
-    /// A fluent, validating builder over the defaults — the recommended way
-    /// to assemble options programmatically. Struct-update syntax stays
-    /// available for tests and quick experiments, but the builder is the
-    /// only path that rejects incoherent settings (zero threads, a pivot
-    /// threshold that is negative or non-finite, a threshold-pivoting τ
-    /// outside `(0, 1]`, a non-positive perturbation ε) with a structured
-    /// [`LuError::InvalidOptions`] instead of a panic deep in the pipeline.
-    pub fn builder() -> OptionsBuilder {
-        OptionsBuilder::default()
-    }
-}
-
-/// Fluent builder for [`Options`]; see [`Options::builder`].
-///
-/// ```
-/// use splu_core::Options;
-/// let opts = Options::builder().threads(4).equilibrate(true).build().unwrap();
-/// assert_eq!(opts.threads, 4);
-/// assert!(Options::builder().threads(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OptionsBuilder {
-    opts: Options,
-}
-
-impl OptionsBuilder {
-    /// Fill-reducing ordering.
-    pub fn ordering(mut self, ordering: OrderingChoice) -> Self {
-        self.opts.ordering = ordering;
-        self
-    }
-
-    /// Eforest postordering on/off.
-    pub fn postorder(mut self, postorder: bool) -> Self {
-        self.opts.postorder = postorder;
-        self
-    }
-
-    /// Supernode amalgamation; `None` keeps exact supernodes.
-    pub fn amalgamation(mut self, amalgamation: Option<SupernodeOptions>) -> Self {
-        self.opts.amalgamation = amalgamation;
-        self
-    }
-
-    /// Worker threads for the numerical phase (must be ≥ 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
-    /// Task-to-worker mapping.
-    pub fn mapping(mut self, mapping: Mapping) -> Self {
-        self.opts.mapping = mapping;
-        self
-    }
-
-    /// Absolute pivot rejection threshold (finite, ≥ 0).
-    pub fn pivot_threshold(mut self, pivot_threshold: f64) -> Self {
-        self.opts.pivot_threshold = pivot_threshold;
-        self
-    }
-
-    /// Pivot-selection rule; `Threshold(τ)` requires `0 < τ ≤ 1`.
-    pub fn pivot_rule(mut self, pivot_rule: PivotRule) -> Self {
-        self.opts.pivot_rule = pivot_rule;
-        self
-    }
-
-    /// Row/column equilibration before factorization.
-    pub fn equilibrate(mut self, equilibrate: bool) -> Self {
-        self.opts.equilibrate = equilibrate;
-        self
-    }
-
-    /// Dense kernel selection.
-    pub fn kernels(mut self, kernels: KernelChoice) -> Self {
-        self.opts.kernels = kernels;
-        self
-    }
-
-    /// Pivot-breakdown policy; `Perturb { eps }` requires a finite ε > 0.
-    pub fn breakdown(mut self, breakdown: BreakdownPolicy) -> Self {
-        self.opts.breakdown = breakdown;
-        self
-    }
-
-    /// Run budget (deadline, cancel token, watchdog).
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.opts.budget = budget;
-        self
-    }
-
-    /// Validates the accumulated settings, returning the [`Options`] or
-    /// [`LuError::InvalidOptions`] naming the first incoherent field.
-    pub fn build(self) -> Result<Options, LuError> {
+    /// Checks the settings for coherence: [`LuError::InvalidOptions`]
+    /// naming the first incoherent field (zero threads, a pivot threshold
+    /// that is negative or non-finite, a threshold-pivoting τ outside
+    /// `(0, 1]`, a perturbation ε that is not finite and positive) instead
+    /// of a panic deep in the pipeline. Analysis runs it first
+    /// ([`analyze_with`], which [`SparseLu::factor`],
+    /// [`SluSession::analyze`] and [`Analysis::new`] all reach).
+    pub fn validate(&self) -> Result<(), LuError> {
         let invalid = |message: String| Err(LuError::InvalidOptions { message });
-        let o = self.opts;
-        if o.threads == 0 {
+        if self.threads == 0 {
             return invalid("threads must be at least 1".into());
         }
-        if !o.pivot_threshold.is_finite() || o.pivot_threshold < 0.0 {
+        if !self.pivot_threshold.is_finite() || self.pivot_threshold < 0.0 {
             return invalid(format!(
                 "pivot_threshold must be finite and non-negative, got {}",
-                o.pivot_threshold
+                self.pivot_threshold
             ));
         }
-        if let PivotRule::Threshold(tau) = o.pivot_rule {
-            if !tau.is_finite() || tau <= 0.0 || tau > 1.0 {
-                return invalid(format!("threshold pivoting needs 0 < tau <= 1, got {tau}"));
+        if let PivotRule::Threshold(tau) = self.pivot_rule {
+            if !(tau > 0.0 && tau <= 1.0) {
+                return invalid(format!("threshold must be in (0, 1], got {tau}"));
             }
         }
-        if let BreakdownPolicy::Perturb { eps } = o.breakdown {
-            if !eps.is_finite() || eps <= 0.0 {
+        if let BreakdownPolicy::Perturb { eps } = self.breakdown {
+            if !(eps > 0.0 && eps.is_finite()) {
                 return invalid(format!(
-                    "perturbation policy needs a finite eps > 0, got {eps}"
+                    "perturbation must be finite and positive, got {eps}"
                 ));
             }
         }
-        Ok(o)
+        Ok(())
     }
 }
 
@@ -434,6 +346,7 @@ pub fn analyze_with(
     opts: &Options,
     req: &SymbolicRequest,
 ) -> Result<SymbolicLu, LuError> {
+    opts.validate()?;
     if !pattern.is_square() {
         return Err(LuError::NotSquare {
             nrows: pattern.nrows(),
@@ -587,7 +500,8 @@ pub struct SparseLu {
     /// attached after construction.
     health: FactorHealth,
     /// The original input, retained when the factorization perturbed
-    /// pivots — [`Self::solve`] then refines against it automatically.
+    /// pivots — [`Self::solve`] and [`Self::solve_transposed`] then refine
+    /// against it.
     refine_with: Option<CscMatrix>,
 }
 
@@ -672,16 +586,13 @@ impl SparseLu {
 
     /// Solves `A x = b`, or an error when `b` has the wrong length
     /// ([`LuError::DimensionMismatch`]). If the factorization perturbed
-    /// pivots ([`BreakdownPolicy::Perturb`]), the solve automatically
-    /// routes through iterative refinement against the retained input
-    /// matrix, so the returned solution is accurate for `A` itself, not the
-    /// perturbed nearby matrix; check the achieved residual with
+    /// pivots ([`BreakdownPolicy::Perturb`]), the solve refines against the
+    /// retained input matrix ([`Self::try_solve_op`]), so the returned
+    /// solution is accurate for `A` itself, not the perturbed nearby
+    /// matrix; check the achieved residual with
     /// [`splu_sparse::relative_residual`].
     pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        match &self.refine_with {
-            Some(a) => Ok(self.try_solve_refined(a, b, 1e-12, 20)?.0),
-            None => self.solve_raw(b),
-        }
+        self.solve_retained(b, false)
     }
 
     /// [`Self::try_solve`], panicking on a dimension mismatch.
@@ -689,28 +600,39 @@ impl SparseLu {
         self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The session's solve through the stored factors, with no refinement
-    /// — the raw factors' answer — between the equilibration scales.
-    fn solve_raw(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        let Some(eq) = &self.equil else {
-            return self.session.try_solve(b);
-        };
-        self.session.check_len(b, 1)?;
-        let y = self.session.try_solve(&eq.scale_rhs(b))?;
-        Ok(eq.unscale_solution(&y))
+    /// Solves `Aᵀ x = b` (fallible form), refining against the retained
+    /// input as [`Self::try_solve`] does.
+    pub fn try_solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
+        self.solve_retained(b, true)
     }
 
-    /// Solves `Aᵀ x = b` (fallible form).
-    pub fn try_solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
+    /// `op(A) x = b` against the input retained for perturbed factors; the
+    /// others hold none and solve raw, as [`Self::try_solve_op`] would.
+    fn solve_retained(&self, b: &[f64], transposed: bool) -> Result<Vec<f64>, LuError> {
+        match &self.refine_with {
+            Some(a) => self.try_solve_op(a, b, transposed, false),
+            None => self.solve_raw(b, transposed),
+        }
+    }
+
+    /// The session's solve of `op(A) x = b` (`Aᵀ` when `transposed`)
+    /// through the stored factors, with no refinement — the raw factors'
+    /// answer — between the equilibration scales.
+    fn solve_raw(&self, b: &[f64], transposed: bool) -> Result<Vec<f64>, LuError> {
         let Some(eq) = &self.equil else {
-            return self.session.try_solve_transposed(b);
+            return self.session.solve_raw(b, transposed);
         };
-        // S = R·A·C was factored, so Aᵀ = C⁻¹ Sᵀ R⁻¹ and
-        // x = R · S⁻ᵀ · (C b): the scale vectors swap roles.
         self.session.check_len(b, 1)?;
-        let scaled: Vec<f64> = b.iter().zip(&eq.col_scale).map(|(&v, &s)| v * s).collect();
-        let y = self.session.try_solve_transposed(&scaled)?;
-        Ok(y.iter().zip(&eq.row_scale).map(|(&v, &s)| v * s).collect())
+        // S = R·A·C was factored, so A⁻¹ = C · S⁻¹ · R and
+        // A⁻ᵀ = R · S⁻ᵀ · C: the scale vectors swap roles.
+        let (before, after) = if transposed {
+            (&eq.col_scale, &eq.row_scale)
+        } else {
+            (&eq.row_scale, &eq.col_scale)
+        };
+        let scaled: Vec<f64> = b.iter().zip(before).map(|(&v, &s)| v * s).collect();
+        let y = self.session.solve_raw(&scaled, transposed)?;
+        Ok(y.iter().zip(after).map(|(&v, &s)| v * s).collect())
     }
 
     /// [`Self::try_solve_transposed`], panicking on a dimension mismatch.
@@ -745,32 +667,35 @@ impl SparseLu {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Solves `A x = b` with iterative refinement against the original
-    /// matrix: repeat `x ← x + A⁻¹(b − A x)` until the scaled residual
-    /// drops below `tol` or `max_iters` refinements have run. Returns the
-    /// solution and the number of refinement steps taken (fallible form).
-    /// Refines over the raw solve — the automatic routing in
-    /// [`Self::try_solve`] lands here and must not recurse.
+    /// Solves `op(A) x = b` (`Aᵀ` when `transposed`) with iterative
+    /// refinement over the raw solve against `a`, the matrix factored, by
+    /// LAPACK `xGERFS`'s rule: while the scaled residual exceeds machine
+    /// epsilon and the last step at least halved it, at most five steps.
+    /// Returns the solution and the number of steps taken.
     pub fn try_solve_refined(
         &self,
         a: &CscMatrix,
         b: &[f64],
-        tol: f64,
-        max_iters: usize,
+        transposed: bool,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        solve::refine(a.view(), b, tol, max_iters, |rhs| self.solve_raw(rhs))
+        solve::refine(a.view(), b, transposed, |rhs| {
+            self.solve_raw(rhs, transposed)
+        })
     }
 
-    /// [`Self::try_solve_refined`], panicking on a dimension mismatch.
-    pub fn solve_refined(
+    /// Solves `op(A) x = b` against `a`, the matrix factored: refined
+    /// ([`Self::try_solve_refined`]) when `refine` asks or the factors are
+    /// perturbed, raw otherwise ([`SluSession::solve_op`]'s decision).
+    pub fn try_solve_op(
         &self,
         a: &CscMatrix,
         b: &[f64],
-        tol: f64,
-        max_iters: usize,
-    ) -> (Vec<f64>, usize) {
-        self.try_solve_refined(a, b, tol, max_iters)
-            .unwrap_or_else(|e| panic!("{e}"))
+        transposed: bool,
+        refine: bool,
+    ) -> Result<Vec<f64>, LuError> {
+        solve::solve_op(a.view(), b, transposed, refine, &self.health, |rhs| {
+            self.solve_raw(rhs, transposed)
+        })
     }
 
     /// The numeric phase's robustness report: perturbed columns, largest
@@ -1202,13 +1127,12 @@ mod tests {
         let a = random_matrix(50, 160, 77);
         let b: Vec<f64> = (0..50).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
         let lu = SparseLu::factor(&a, &Options::default()).unwrap();
-        let (x, iters) = lu.solve_refined(&a, &b, 1e-15, 4);
-        assert!(iters <= 4);
-        assert!(relative_residual(&a, &x, &b) < 1e-13);
-        // Refinement from an exact-enough start takes 0 or few steps.
-        let (x2, iters2) = lu.solve_refined(&a, &b, 1e-2, 4);
-        assert_eq!(iters2, 0);
-        assert!(relative_residual(&a, &x2, &b) < 1e-2);
+        for transposed in [false, true] {
+            let (x, iters) = lu.try_solve_refined(&a, &b, transposed).unwrap();
+            assert!(iters <= 5);
+            let omega = splu_sparse::ScaledResidual::new(&a, transposed);
+            assert!(omega.of(&x, &b).1 < 1e-13, "transposed={transposed}");
+        }
     }
 
     /// One analysis, the default path against an S* graph handed to the

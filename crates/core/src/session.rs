@@ -21,7 +21,8 @@
 //!   off, and no watchdog it performs **zero heap allocation** (asserted
 //!   under the `alloc-track` counting allocator);
 //! * [`SluSession::solve`] / [`SluSession::try_solve`] /
-//!   [`SluSession::solve_refined`] — operate on the latest factors.
+//!   [`SluSession::solve_refined`] / [`SluSession::solve_op`] — operate on
+//!   the latest factors.
 //!
 //! **The scatter map.** The first `factor` on an analysis lays the storage
 //! out for every session on it: the index maps and, in a held analysis,
@@ -646,20 +647,29 @@ impl SluSession {
     /// session holds no factors ([`LuError::NotFactored`]) or `b` has the
     /// wrong length ([`LuError::DimensionMismatch`]).
     pub fn try_solve(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        let (bm, sym) = (self.factors()?, &self.analysis.sym);
-        self.check_len(b, 1)?;
-        let mut y = sym.row_perm.apply_vec(b);
-        solve_permuted_with(bm, &sym.block_structure, &mut y, &self.kernels());
-        Ok(sym.col_perm.apply_inverse_vec(&y))
+        self.solve_raw(b, false)
     }
 
     /// Solves `Aᵀ x = b` (fallible form).
     pub fn try_solve_transposed(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
+        self.solve_raw(b, true)
+    }
+
+    /// Solves `op(A) x = b` through the latest factors, `op(A)` being `Aᵀ`
+    /// when `transposed`: permute, sweep, un-permute, with no refinement.
+    pub(crate) fn solve_raw(&self, b: &[f64], transposed: bool) -> Result<Vec<f64>, LuError> {
         let (bm, sym) = (self.factors()?, &self.analysis.sym);
         self.check_len(b, 1)?;
-        let mut y = sym.col_perm.apply_vec(b);
-        solve_transposed_permuted_with(bm, &sym.block_structure, &mut y, &self.kernels());
-        Ok(sym.row_perm.apply_inverse_vec(&y))
+        let (bs, kernels) = (&sym.block_structure, &self.kernels());
+        if transposed {
+            let mut y = sym.col_perm.apply_vec(b);
+            solve_transposed_permuted_with(bm, bs, &mut y, kernels);
+            Ok(sym.row_perm.apply_inverse_vec(&y))
+        } else {
+            let mut y = sym.row_perm.apply_vec(b);
+            solve_permuted_with(bm, bs, &mut y, kernels);
+            Ok(sym.col_perm.apply_inverse_vec(&y))
+        }
     }
 
     /// Solves `A X = B` for `nrhs` column-major right-hand sides (fallible
@@ -688,19 +698,34 @@ impl SluSession {
         self.try_solve(b).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Solves `A x = b` with iterative refinement against `a` (normally
-    /// the matrix the latest factorization consumed): repeat
-    /// `x ← x + A⁻¹(b − A x)` until the scaled residual drops below `tol`
-    /// or `max_iters` steps have run. Returns the solution and the number
-    /// of refinement steps.
+    /// Solves `op(A) x = b` (`Aᵀ` when `transposed`) with iterative
+    /// refinement against `a`, normally the matrix the latest factorization
+    /// consumed ([`crate::SparseLu::try_solve_refined`]'s rule). Returns the
+    /// solution and the number of refinement steps.
     pub fn solve_refined<'a>(
         &self,
         a: impl Into<CscRef<'a>>,
         b: &[f64],
-        tol: f64,
-        max_iters: usize,
+        transposed: bool,
     ) -> Result<(Vec<f64>, usize), LuError> {
-        crate::solve::refine(a.into(), b, tol, max_iters, |rhs| self.try_solve(rhs))
+        crate::solve::refine(a.into(), b, transposed, |rhs| {
+            self.solve_raw(rhs, transposed)
+        })
+    }
+
+    /// Solves `op(A) x = b` against `a`, the matrix the latest
+    /// factorization consumed: refined ([`Self::solve_refined`]) when
+    /// `refine` asks or the factors are perturbed, raw otherwise.
+    pub fn solve_op<'a>(
+        &self,
+        a: impl Into<CscRef<'a>>,
+        b: &[f64],
+        transposed: bool,
+        refine: bool,
+    ) -> Result<Vec<f64>, LuError> {
+        crate::solve::solve_op(a.into(), b, transposed, refine, &self.health, |rhs| {
+            self.solve_raw(rhs, transposed)
+        })
     }
 
     /// The kernel instantiation of the session's `opts.kernels`, which its
@@ -1099,8 +1124,8 @@ mod tests {
         let mut s = SluSession::analyze(a.pattern(), &Options::default()).unwrap();
         s.factor(&a).unwrap();
         let b: Vec<f64> = (0..40).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
-        let (x, iters) = s.solve_refined(&a, &b, 1e-15, 4).unwrap();
-        assert!(iters <= 4);
+        let (x, iters) = s.solve_refined(&a, &b, false).unwrap();
+        assert!(iters <= 5);
         assert!(relative_residual(&a, &x, &b) < 1e-13);
     }
 

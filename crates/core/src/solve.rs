@@ -19,9 +19,9 @@
 //! ([`Fused::dot`]), each split across eight accumulators.
 
 use crate::blocks::BlockMatrix;
-use crate::LuError;
+use crate::{FactorHealth, LuError};
 use splu_dense::{DenseMat, Dispatch, Fused, KernelChoice, MatMut, MatRef};
-use splu_sparse::CscRef;
+use splu_sparse::{CscRef, ScaledResidual};
 use splu_symbolic::supernode::BlockStructure;
 
 /// Longest row list `|R_k|` — the scratch a sweep needs.
@@ -105,15 +105,9 @@ pub(crate) fn ublock_sub(
 }
 
 /// Solves `Āᵀ x = b` in factorization order, given the same factored block
-/// matrix. Overwrites `b`. The widest kernel instantiation the CPU runs
-/// ([`solve_transposed_permuted_with`] under [`KernelChoice::Auto`]); every
+/// matrix, through the kernel instantiation `kernels`. Overwrites `b`. One
+/// [`Dispatch::sweep`] whose every step is a [`Fused::dot`]; every
 /// instantiation gives the same bits.
-pub fn solve_transposed_permuted(bm: &BlockMatrix, bs: &BlockStructure, b: &mut [f64]) {
-    solve_transposed_permuted_with(bm, bs, b, &Dispatch::resolve(KernelChoice::Auto));
-}
-
-/// [`solve_transposed_permuted`] through the kernel instantiation `kernels`,
-/// in one [`Dispatch::sweep`] whose every step is a [`Fused::dot`].
 ///
 /// The forward solve composes `Ā⁻¹ = Ū⁻¹ · (Lᴺ⁻¹ Pᴺ) ⋯ (L¹⁻¹ P¹)`, so
 /// `Ā⁻ᵀ = (P¹ᵀ L¹⁻ᵀ) ⋯ (Pᴺᵀ Lᴺ⁻ᵀ) · Ū⁻ᵀ`: first a left-looking
@@ -286,31 +280,54 @@ pub fn solve_many_permuted(
     b.copy_from_slice(x.data());
 }
 
-/// Iterative refinement of `A x = b` over `solve`, one raw solve through
-/// some factors of (a matrix near) `a`: repeat `x ← x + solve(b − A x)`
-/// until the scaled residual drops to `tol` or `max_iters` steps have run.
-/// Returns the solution and the number of steps taken; the first error of
-/// `solve` ends the loop.
+/// Steps [`refine`] takes at most (LAPACK `xGERFS`'s `ITMAX`).
+const MAX_REFINE_STEPS: usize = 5;
+
+/// Iterative refinement of `op(A) x = b` (`Aᵀ` when `transposed`) over
+/// `solve`, a raw solve through factors of (a matrix near) `a`, by the one
+/// rule, LAPACK `xGERFS`'s: `x ← x + solve(r)` while the scaled residual
+/// `ω` of `r = b − op(A) x` ([`ScaledResidual`], one pass over `a` for
+/// both) exceeds `ε`, the last step at least halved it, and fewer than five
+/// steps have run. Returns `x` and the steps taken; an error of `solve`
+/// ends the loop.
 pub(crate) fn refine(
     a: CscRef<'_>,
     b: &[f64],
-    tol: f64,
-    max_iters: usize,
+    transposed: bool,
     solve: impl Fn(&[f64]) -> Result<Vec<f64>, LuError>,
 ) -> Result<(Vec<f64>, usize), LuError> {
     let mut x = solve(b)?;
-    for it in 0..max_iters {
-        if splu_sparse::relative_residual(a, &x, b) <= tol {
-            return Ok((x, it));
+    let omega = ScaledResidual::new(a, transposed);
+    let (mut steps, mut last) = (0, f64::INFINITY);
+    loop {
+        let (r, w) = omega.of(&x, b);
+        // Negated, so a NaN residual stops the loop.
+        if !(w > f64::EPSILON && 2.0 * w <= last && steps < MAX_REFINE_STEPS) {
+            return Ok((x, steps));
         }
-        let mut r = b.to_vec();
-        a.mat_vec_sub(&x, &mut r);
-        let dx = solve(&r)?;
-        for (xi, di) in x.iter_mut().zip(&dx) {
+        for (xi, di) in x.iter_mut().zip(&solve(&r)?) {
             *xi += di;
         }
+        (steps, last) = (steps + 1, w);
     }
-    Ok((x, max_iters))
+}
+
+/// The refinement decision of every solve door: `op(A) x = b` refined
+/// ([`refine`]) over `raw` when the caller `asked` or the factors are
+/// perturbed, else `raw(b)` itself, with no pass over `a`.
+pub(crate) fn solve_op(
+    a: CscRef<'_>,
+    b: &[f64],
+    transposed: bool,
+    asked: bool,
+    health: &FactorHealth,
+    raw: impl Fn(&[f64]) -> Result<Vec<f64>, LuError>,
+) -> Result<Vec<f64>, LuError> {
+    if asked || health.is_perturbed() {
+        Ok(refine(a, b, transposed, raw)?.0)
+    } else {
+        raw(b)
+    }
 }
 
 /// Log-magnitude and sign of `det(Ā)` from a factored block matrix, in
@@ -413,12 +430,13 @@ mod tests {
         let at = a.transpose();
         let mut dense = DenseMat::from_fn(n, n, |i, j| at.get(i, j));
         let piv = lu_full(&mut dense).unwrap();
+        let auto = Dispatch::resolve(KernelChoice::Auto);
         for trial in 0..3 {
             let b: Vec<f64> = (0..n).map(|i| ((i * 5 + trial) % 7) as f64 - 3.0).collect();
             let mut x_oracle = b.clone();
             lu_solve(&dense, &piv, &mut x_oracle);
             let mut x = b.clone();
-            solve_transposed_permuted(&bm, &bs, &mut x);
+            solve_transposed_permuted_with(&bm, &bs, &mut x, &auto);
             for i in 0..n {
                 assert!(
                     (x[i] - x_oracle[i]).abs() < 1e-10,
@@ -452,7 +470,7 @@ mod tests {
         factor_numeric_with(&bm, &NumericRequest::coarse(&graph, Mapping::Static1D)).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut x = b.clone();
-        solve_transposed_permuted(&bm, &bs, &mut x);
+        solve_transposed_permuted_with(&bm, &bs, &mut x, &Dispatch::resolve(KernelChoice::Auto));
         let at = a.transpose();
         assert!(relative_residual(&at, &x, &b) < 1e-9);
     }

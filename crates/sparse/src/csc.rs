@@ -196,9 +196,7 @@ impl CscMatrix {
 
     /// One norm: maximum absolute column sum.
     pub fn one_norm(&self) -> f64 {
-        (0..self.ncols())
-            .map(|j| self.col(j).1.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
+        self.view().one_norm()
     }
 
     /// Transposed matrix.
@@ -322,6 +320,20 @@ impl<'a> CscRef<'a> {
         }
     }
 
+    /// `y ← y − Aᵀ x`: entry `j` subtracts the terms of column `j`'s dot
+    /// product with `x` one by one, in stored order — the order in which
+    /// [`Self::mat_vec_sub`] subtracts them on the transpose.
+    pub fn mat_vec_sub_transposed(self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.pattern.nrows());
+        assert_eq!(y.len(), self.pattern.ncols());
+        for (j, yj) in y.iter_mut().enumerate() {
+            let (rows, vals) = self.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                *yj -= v * x[i as usize];
+            }
+        }
+    }
+
     /// `y = A x` into a fresh vector.
     pub fn mat_vec(self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.pattern.nrows()];
@@ -337,6 +349,13 @@ impl<'a> CscRef<'a> {
             row_sum[i as usize] += v.abs();
         }
         row_sum.iter().fold(0.0_f64, |m, &s| m.max(s))
+    }
+
+    /// One norm: maximum absolute column sum, `‖Aᵀ‖∞`.
+    pub fn one_norm(self) -> f64 {
+        (0..self.pattern.ncols())
+            .map(|j| self.col(j).1.iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0_f64, f64::max)
     }
 
     /// Transposed matrix.

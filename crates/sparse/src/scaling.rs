@@ -18,26 +18,6 @@ pub struct Equilibration {
     pub scaled: CscMatrix,
 }
 
-impl Equilibration {
-    /// Transforms a right-hand side of `A x = b` into the scaled system's
-    /// right-hand side `R b`.
-    pub fn scale_rhs(&self, b: &[f64]) -> Vec<f64> {
-        b.iter()
-            .zip(&self.row_scale)
-            .map(|(&v, &s)| v * s)
-            .collect()
-    }
-
-    /// Recovers the original solution from the scaled system's solution:
-    /// `x = C y`.
-    pub fn unscale_solution(&self, y: &[f64]) -> Vec<f64> {
-        y.iter()
-            .zip(&self.col_scale)
-            .map(|(&v, &s)| v * s)
-            .collect()
-    }
-}
-
 /// Equilibrates a matrix: first scale each row to unit infinity norm, then
 /// each column of the row-scaled matrix.
 ///
@@ -122,7 +102,9 @@ mod tests {
         let eq = equilibrate(&a);
         let x_true = [2.0, -1.5];
         let b = a.mat_vec(&x_true);
-        let sb = eq.scale_rhs(&b);
+        let scale =
+            |v: &[f64], by: &[f64]| -> Vec<f64> { v.iter().zip(by).map(|(v, s)| v * s).collect() };
+        let sb = scale(&b, &eq.row_scale);
         // Solve the scaled 2x2 directly.
         let s = &eq.scaled;
         let (a11, a12, a21, a22) = (s.get(0, 0), s.get(0, 1), s.get(1, 0), s.get(1, 1));
@@ -131,7 +113,7 @@ mod tests {
             (sb[0] * a22 - a12 * sb[1]) / det,
             (a11 * sb[1] - sb[0] * a21) / det,
         ];
-        let x = eq.unscale_solution(&y);
+        let x = scale(&y, &eq.col_scale);
         assert!((x[0] - x_true[0]).abs() < 1e-9);
         assert!((x[1] - x_true[1]).abs() < 1e-9);
     }

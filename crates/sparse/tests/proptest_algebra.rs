@@ -1,10 +1,11 @@
 //! Property tests for the sparse substrate's algebra: permutations,
-//! patterns, equilibration, matrix-vector products and the infinity norm.
+//! patterns, equilibration, matrix-vector products, residuals and the
+//! infinity norm.
 
 use proptest::prelude::*;
 use splu_matgen::{paper_suite, Scale};
 use splu_sparse::scaling::equilibrate;
-use splu_sparse::{CscMatrix, Permutation, SparseError, SparsityPattern};
+use splu_sparse::{CscMatrix, Permutation, ScaledResidual, SparseError, SparsityPattern};
 
 fn arb_perm(max_n: usize) -> impl Strategy<Value = Permutation> {
     (1..=max_n).prop_flat_map(|n| {
@@ -81,6 +82,19 @@ proptest! {
             let rhs = 2.0 * ax[i] - 3.0 * ay[i];
             prop_assert!((lhs[i] - rhs).abs() <= 1e-9 * rhs.abs().max(1.0));
         }
+    }
+
+    #[test]
+    fn the_transposed_residual_is_the_residual_of_the_transpose(a in arb_square(20)) {
+        // Bit for bit: `‖A‖₁` sums each column as `‖Aᵀ‖∞` sums each row,
+        // and each dot subtracts its terms in the transpose's order.
+        let n = a.ncols();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5).sin()).collect();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        let (r, w) = ScaledResidual::new(&a, true).of(&x, &b);
+        let (rt, wt) = ScaledResidual::new(&a.transpose(), false).of(&x, &b);
+        prop_assert_eq!(w.to_bits(), wt.to_bits());
+        prop_assert_eq!(r, rt);
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() {
         let cond = estimate_inverse_1norm(&lu, m.a.ncols(), 5) * m.a.one_norm();
         let x = lu.solve(&b);
         let resid = relative_residual(&m.a, &x, &b);
-        let (xr, _) = lu.solve_refined(&m.a, &b, 0.0, 1);
+        let (xr, _) = lu.try_solve_refined(&m.a, &b, false).expect("refines");
         let resid_ref = relative_residual(&m.a, &xr, &b);
 
         // Threshold pivoting: same matrix, fewer interchanges.
@@ -43,6 +43,6 @@ fn main() {
             m.name, growth, cond, resid, resid_ref, resid_thr
         );
     }
-    println!("\n(resid = scaled residual with partial pivoting; refined = after one");
-    println!(" refinement step; swaps(thr.) = residual under τ=0.1 threshold pivoting)");
+    println!("\n(resid = scaled residual with partial pivoting; refined = after iterative");
+    println!(" refinement; swaps(thr.) = residual under τ=0.1 threshold pivoting)");
 }

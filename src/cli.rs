@@ -14,7 +14,7 @@ use splu_sched::{block_forest, Mapping};
 use splu_sparse::io::{
     matrix_market_size, parse_matrix_market, write_matrix_market, LineChunks, STREAM_CHUNK,
 };
-use splu_sparse::{relative_residual, CscMatrix, SparseError};
+use splu_sparse::{CscMatrix, CscRef, ScaledResidual, SparseError};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -154,7 +154,7 @@ SERVE MODE:
   checks.
 
 OPTIONS:
-  --threads <N>         worker threads for the numerical phase   [1]
+  --threads <N>         worker threads for the numerical phase, N >= 1  [1]
   --ordering mindeg|natural|rcm                                  [mindeg]
                         mindeg: approximate minimum degree on the graph
                         of AtA; `md` and `mindeg-multi` are accepted as
@@ -163,13 +163,20 @@ OPTIONS:
   --no-amalgamation     keep exact supernodes
   --dynamic             dynamic scheduling instead of static 1D
   --equilibrate         row/column scaling before factorization
-  --refine              one step of iterative refinement
-  --transpose           solve the transposed system instead
+  --refine              iterative refinement against the input: while the
+                        scaled residual exceeds machine epsilon and the
+                        last step at least halved it, at most 5 steps
+                        (LAPACK xGERFS's rule); perturbed factors refine
+                        without it
+  --transpose           solve the transposed system instead (refined as
+                        the forward one is)
   --rule partial|threshold:<tau>|diagonal   pivot-selection rule [partial]
   --breakdown error|perturb|perturb:<eps>   pivot-breakdown policy [error]
                         `error` fails at the first unacceptable pivot;
                         `perturb` replaces it by sign(d)·eps·||A||_1 and
-                        recovers through iterative refinement
+                        recovers through iterative refinement: every
+                        solve of the perturbed factors, transposed too,
+                        refines as `--refine` does
                         [default eps: sqrt(machine epsilon)]
   --kernels auto|portable   dense kernel instantiation            [auto]
                         (auto: the widest instruction set the CPU has;
@@ -299,10 +306,7 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
                 } else if v == "diagonal" {
                     PivotRule::Diagonal
                 } else if let Some(tau) = v.strip_prefix("threshold:") {
-                    let tau: f64 = tau.parse().map_err(|_| format!("bad threshold `{tau}`"))?;
-                    if !(tau > 0.0 && tau <= 1.0) {
-                        return Err(format!("threshold must be in (0, 1], got {tau}"));
-                    }
+                    let tau = tau.parse().map_err(|_| format!("bad threshold `{tau}`"))?;
                     PivotRule::Threshold(tau)
                 } else {
                     return Err(format!("unknown pivot rule `{v}`"));
@@ -315,12 +319,9 @@ pub(crate) fn parse_flags(args: &[String], token: Option<&CancelToken>) -> Resul
                 } else if v == "perturb" {
                     BreakdownPolicy::perturb_default()
                 } else if let Some(eps) = v.strip_prefix("perturb:") {
-                    let eps: f64 = eps
+                    let eps = eps
                         .parse()
                         .map_err(|_| format!("bad perturbation `{eps}`"))?;
-                    if !(eps > 0.0 && eps.is_finite()) {
-                        return Err(format!("perturbation must be positive, got {eps}"));
-                    }
                     BreakdownPolicy::Perturb { eps }
                 } else {
                     return Err(format!("unknown breakdown policy `{v}`"));
@@ -553,6 +554,22 @@ fn parse_vector(path: &str, n: usize) -> Result<Vec<f64>, String> {
     Ok(v)
 }
 
+/// The solve of `parsplu solve` and of the daemon's `solve` job: the
+/// factors' `solve_op` door, which refines when asked or when the factors
+/// are perturbed, handed `b`, `--transpose` and `--refine`. Returns `x` and
+/// the scaled residual of `op(A) x = b` reported beside it, `op(A)` being
+/// `Aᵀ` under `--transpose`.
+pub(crate) fn solve_reported(
+    a: CscRef<'_>,
+    b: &[f64],
+    cli: &Cli,
+    solve_op: impl FnOnce(&[f64], bool, bool) -> Result<Vec<f64>, LuError>,
+) -> Result<(Vec<f64>, f64), LuError> {
+    let x = solve_op(b, cli.transpose, cli.refine)?;
+    let resid = ScaledResidual::new(a, cli.transpose).of(&x, b).1;
+    Ok((x, resid))
+}
+
 fn cmd_solve(
     path: &str,
     flags: &[String],
@@ -586,22 +603,11 @@ fn cmd_solve(
     };
     let t_factor = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let x = {
+    let (x, resid) = {
         let _p = session.as_ref().map(|o| o.phase("solve"));
-        if cli.transpose {
-            lu.try_solve_transposed(&b)?
-        } else if cli.refine {
-            lu.try_solve_refined(&a, &b, 1e-14, 2)?.0
-        } else {
-            lu.try_solve(&b)?
-        }
+        solve_reported(a.view(), &b, &cli, |b, t, r| lu.try_solve_op(&a, b, t, r))?
     };
     let t_solve = t1.elapsed();
-    let resid = if cli.transpose {
-        relative_residual(&a.transpose(), &x, &b)
-    } else {
-        relative_residual(&a, &x, &b)
-    };
     let st = lu.storage();
     let (dsign, dln) = lu.determinant();
     let mut out = String::new();

@@ -65,7 +65,9 @@
 //! `oversize_frame`, `invalid_frame`, `idle_timeout`) next to the CLI
 //! exit code a local run would have used.
 
-use crate::cli::{compact_json, load, matrix_name, parse_flags, read_vector, Cli, CliError};
+use crate::cli::{
+    compact_json, load, matrix_name, parse_flags, read_vector, solve_reported, Cli, CliError,
+};
 use crate::persist::{Damage, Durability, Journal, Record};
 use splu_core::observe::escape_json;
 use splu_core::{pattern_hash, Analysis, CancelToken, LuError, MatrixMeta, ObsSession, Options};
@@ -74,7 +76,7 @@ use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{Lane, LaneRejected};
 use splu_sparse::io::read_matrix_market_values;
-use splu_sparse::{relative_residual, CscMatrix, CscRef, SparsityPattern};
+use splu_sparse::{CscMatrix, CscRef, SparsityPattern};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, ErrorKind, Write as IoWrite};
 use std::path::{Path, PathBuf};
@@ -1650,18 +1652,8 @@ fn serve_job_inner(
                 Some(p) => read_vector(p, a.pattern().nrows())?,
                 None => manufactured_rhs(a, 1).1,
             };
-            let x = if cli.transpose {
-                e.session.try_solve_transposed(&b)?
-            } else if cli.refine {
-                e.session.solve_refined(a, &b, 1e-14, 2)?.0
-            } else {
-                e.session.try_solve(&b)?
-            };
-            let resid = if cli.transpose {
-                relative_residual(&a.transpose(), &x, &b)
-            } else {
-                relative_residual(a, &x, &b)
-            };
+            let s = &e.session;
+            let (x, resid) = solve_reported(a, &b, &cli, |b, t, r| s.solve_op(a, b, t, r))?;
             // JSON has no NaN/∞: a residual that is not a number (a NaN in
             // the right-hand side or the solution) is reported as `null`.
             let resid = if resid.is_finite() {

@@ -5,9 +5,11 @@
 //! [`BreakdownPolicy::Perturb`] completes with a health report and the
 //! auto-refined solve recovers an accurate solution for the true matrix.
 
-use parsplu::core::{BreakdownPolicy, LuError, Options, OrderingChoice, PivotRule, SparseLu};
+use parsplu::core::{
+    BreakdownPolicy, LuError, Options, OrderingChoice, PivotRule, SluSession, SparseLu,
+};
 use parsplu::matgen::{manufactured_rhs, tiny_pivot_matrix};
-use parsplu::sparse::relative_residual;
+use parsplu::sparse::{relative_residual, CscMatrix, ScaledResidual};
 
 /// Natural order, no postordering, no interchanges: the factorization
 /// visits the original columns in place, so breakdown columns are
@@ -85,18 +87,54 @@ fn partial_pivoting_needs_no_perturbation_on_the_same_matrix() {
 
 #[test]
 fn perturbed_solve_routes_are_consistent() {
-    // solve() on a perturbed factorization equals solve_refined() with the
-    // same tolerances, and both beat the raw factors' answer.
-    let a = tiny_pivot_matrix(48, &[20], 1e-30, 9);
-    let (_, b) = manufactured_rhs(&a, 7);
-    let opts = Options {
-        breakdown: BreakdownPolicy::perturb_default(),
-        ..diagonal_rule_opts(1)
+    // On perturbed factors every door reaches the one refinement decision,
+    // in both directions: the automatic refinement of `solve` and
+    // `solve_transposed` is the explicit refined door of `SparseLu` and of
+    // `SluSession`, bit for bit, and each lands at machine precision.
+    let perturb = BreakdownPolicy::perturb_default();
+    let tiny = tiny_pivot_matrix(48, &[20], 1e-30, 9);
+    // [[1, 1, 0], [1, 1, 1], [0, 1, 1]]: the diagonal rule meets an exact
+    // zero at column 1.
+    let trips = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)].map(|(i, j)| (i, j, 1.0));
+    let three = CscMatrix::from_triplets(3, 3, &trips).unwrap();
+    let three_opts = Options {
+        ordering: OrderingChoice::Natural,
+        postorder: false,
+        pivot_rule: PivotRule::Diagonal,
+        breakdown: perturb,
+        ..Options::default()
     };
-    let lu = SparseLu::factor(&a, &opts).unwrap();
-    let auto = lu.solve(&b);
-    let (explicit, iters) = lu.solve_refined(&a, &b, 1e-12, 20);
-    assert_eq!(auto, explicit, "auto-routing matches explicit refinement");
-    assert!(iters <= 20);
-    assert!(relative_residual(&a, &auto, &b) < 1e-10);
+    let cases = [
+        (
+            tiny,
+            Options {
+                breakdown: perturb,
+                ..diagonal_rule_opts(1)
+            },
+        ),
+        (three, three_opts),
+    ];
+    for (a, opts) in &cases {
+        let n = a.ncols();
+        let (_, b) = manufactured_rhs(a, 7);
+        let lu = SparseLu::factor(a, opts).unwrap();
+        assert!(lu.health().is_perturbed(), "n={n}");
+        let mut s = SluSession::analyze(a.pattern(), opts).unwrap();
+        s.factor(a).unwrap();
+        for t in [false, true] {
+            let auto = if t {
+                lu.solve_transposed(&b)
+            } else {
+                lu.solve(&b)
+            };
+            let (explicit, steps) = lu.try_solve_refined(a, &b, t).unwrap();
+            assert!(steps <= 5, "n={n} transposed={t}: {steps} steps");
+            assert_eq!(auto, explicit, "n={n} transposed={t}: SparseLu doors");
+            let (session, _) = s.solve_refined(a, &b, t).unwrap();
+            assert_eq!(auto, session, "n={n} transposed={t}: session door");
+            assert_eq!(s.solve_op(a, &b, t, false).unwrap(), session, "n={n} t={t}");
+            let resid = ScaledResidual::new(a, t).of(&auto, &b).1;
+            assert!(resid <= 1e-15, "n={n} transposed={t}: residual {resid}");
+        }
+    }
 }

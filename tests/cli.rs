@@ -116,6 +116,11 @@ fn flag_errors_are_reported() {
         .unwrap_err()
         .message
         .contains("needs a value"));
+    // Options are checked once, at analysis: an incoherent one is a usage
+    // error like a flag error.
+    let err = run(&args(&["solve", &path, "--threads", "0"])).unwrap_err();
+    assert!(err.message.contains("threads must be at least 1"), "{err}");
+    assert_eq!(err.exit_code, 2, "{err}");
     // `--front-threads` went with the threaded fill it configured.
     for unknown in [&["--wat"][..], &["--front-threads", "4"]] {
         let err = run(&args(&[&["solve", &path], unknown].concat())).unwrap_err();
@@ -288,6 +293,53 @@ fn breakdown_policy_through_the_cli() {
     let out = run(&args(&["solve", &path, "--breakdown", "perturb"])).unwrap();
     assert!(!out.contains("pivot perturbations"), "{out}");
     let _ = std::fs::remove_file(&path);
+
+    // [[1, 1, 0], [1, 1, 1], [0, 1, 1]] perturbs column 1 under the
+    // diagonal rule. Every solve variant refines, through `parsplu solve`
+    // and the daemon alike, to machine precision and to the same bits.
+    use parsplu::cli::serve_loop;
+    use parsplu::serve::solution_hash;
+    use std::io::Cursor;
+    use std::sync::Mutex;
+    let three = tmp("breakdown_three");
+    let entries = "1 1 1\n2 1 1\n1 2 1\n2 2 1\n3 2 1\n2 3 1\n3 3 1\n";
+    let text = format!("%%MatrixMarket matrix coordinate real general\n3 3 7\n{entries}");
+    std::fs::write(&three, text).unwrap();
+    let out_path = format!("{three}.x");
+    let opts = "--ordering natural --no-postorder --rule diagonal --breakdown perturb";
+    let variants = ["", "--refine", "--transpose", "--transpose --refine"];
+    let mut script = format!("analyze t {three} {opts}\nfactor t {three}\n");
+    let mut hashes = Vec::new();
+    for v in variants {
+        let cmd = format!("solve {three} {opts} {v} --out {out_path}");
+        let out = run(&args(&cmd.split_whitespace().collect::<Vec<_>>())).unwrap();
+        let resid: f64 = (out.lines())
+            .find_map(|l| l.strip_prefix("scaled residual   :"))
+            .and_then(|r| r.trim().parse().ok())
+            .expect("solve prints its residual");
+        assert!(resid <= 1e-15, "`{v}`: {out}");
+        let x: Vec<f64> = (std::fs::read_to_string(&out_path).unwrap().lines())
+            .map(|l| l.parse().unwrap())
+            .collect();
+        hashes.push(format!("{:#018x}", solution_hash(&x)));
+        script += &format!("solve t {v}\n");
+    }
+    let writer = Mutex::new(Vec::new());
+    serve_loop(Cursor::new(script), &writer, 1, None).unwrap();
+    let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
+    let solves: Vec<&str> = (out.lines())
+        .filter(|l| l.contains(r#""op":"solve""#))
+        .collect();
+    assert_eq!(solves.len(), variants.len(), "{out}");
+    for ((l, hash), v) in solves.iter().zip(&hashes).zip(variants) {
+        let reply = splu_bench::json::parse(l).unwrap();
+        let resid = reply.get("residual").and_then(|r| r.as_num());
+        assert!(resid.is_some_and(|r| r <= 1e-15), "`{v}`: {l}");
+        let x_hash = reply.get("x_hash").and_then(|h| h.as_str());
+        assert_eq!(x_hash, Some(hash.as_str()), "`{v}`: {l}");
+    }
+    let _ = std::fs::remove_file(&three);
+    let _ = std::fs::remove_file(&out_path);
 }
 
 #[test]

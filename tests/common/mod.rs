@@ -11,8 +11,9 @@ pub mod alloc;
 pub mod stepped;
 
 use parsplu::core::{
-    analyze, factor_numeric_with, solve_many_permuted, solve_permuted, solve_transposed_permuted,
-    BlockMatrix, Dispatch, KernelChoice, LuError, NumericRequest, Options, SymbolicLu,
+    analyze, factor_numeric_with, solve_many_permuted, solve_permuted,
+    solve_transposed_permuted_with, BlockMatrix, Dispatch, KernelChoice, LuError, NumericRequest,
+    Options, SymbolicLu,
 };
 use parsplu::sparse::CscMatrix;
 
@@ -61,7 +62,8 @@ impl StaticFactors {
     /// `Aᵀ x = b`.
     pub fn solve_transposed(&self, b: &[f64]) -> Vec<f64> {
         let mut y = self.sym.col_perm.apply_vec(b);
-        solve_transposed_permuted(&self.bm, &self.sym.block_structure, &mut y);
+        let kernels = Dispatch::resolve(KernelChoice::Auto);
+        solve_transposed_permuted_with(&self.bm, &self.sym.block_structure, &mut y, &kernels);
         self.sym.row_perm.apply_inverse_vec(&y)
     }
 

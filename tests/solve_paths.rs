@@ -23,7 +23,7 @@ use parsplu::core::{
 use parsplu::dense::{lu_full, lu_solve, DenseMat};
 use parsplu::matgen::{manufactured_rhs, paper_suite, Scale};
 use parsplu::sparse::scaling::equilibrate;
-use parsplu::sparse::{relative_residual, CscMatrix};
+use parsplu::sparse::{CscMatrix, ScaledResidual};
 
 const MANY: usize = 8;
 
@@ -197,37 +197,56 @@ fn check(case: &Case, equil: bool) {
         assert!(e_dense < 1e-9, "{what}: transposed={t} vs dense: {e_dense}");
     }
 
-    // Refinement: never worse, and no step from a converged start.
-    let r0 = relative_residual(a, &x, b);
-    let (x1, steps) = lu.try_solve_refined(a, b, 0.0, 2).unwrap();
-    assert_eq!(steps, 2);
-    let r1 = relative_residual(a, &x1, b);
-    assert!(r1 <= r0 * 10.0 + 1e-15, "{what}: SparseLu {r0} → {r1}");
-    assert_eq!(lu.try_solve_refined(a, b, 1e-2, 4).unwrap(), (x.clone(), 0));
-    assert_eq!(lu.solve_refined(a, b, 1e-2, 4), (x, 0));
-    let wb = scaled(b, rows);
-    let y0 = s.try_solve(&wb).unwrap();
-    let r0 = relative_residual(work, &y0, &wb);
-    let (y1, steps) = s.solve_refined(work, &wb, 0.0, 2).unwrap();
-    assert_eq!(steps, 2);
-    let r1 = relative_residual(work, &y1, &wb);
-    assert!(r1 <= r0 * 10.0 + 1e-15, "{what}: session {r0} → {r1}");
-    assert_eq!(s.solve_refined(work, &wb, 1e-2, 4).unwrap(), (y0, 0));
+    // Refinement, both directions: at most five steps and never worse than
+    // 10× the unrefined residual; the deciding door is the raw solve, bit
+    // for bit, when not asked on unperturbed factors, and the refined door
+    // when asked.
+    for (t, x0) in [(false, &x), (true, &xt)] {
+        let omega = ScaledResidual::new(a, t);
+        let r0 = omega.of(x0, b).1;
+        let (x1, steps) = lu.try_solve_refined(a, b, t).unwrap();
+        assert!(steps <= 5, "{what}: transposed={t}: {steps} steps");
+        let r1 = omega.of(&x1, b).1;
+        assert!(
+            r1 <= r0 * 10.0 + 1e-15,
+            "{what}: SparseLu t={t} {r0} → {r1}"
+        );
+        assert_eq!(&lu.try_solve_op(a, b, t, false).unwrap(), x0, "{what}");
+        assert_eq!(lu.try_solve_op(a, b, t, true).unwrap(), x1, "{what}");
+
+        let wb = scaled(b, if t { cols } else { rows });
+        let y0 = if t {
+            s.try_solve_transposed(&wb)
+        } else {
+            s.try_solve(&wb)
+        };
+        let y0 = y0.unwrap();
+        let omega = ScaledResidual::new(work, t);
+        let r0 = omega.of(&y0, &wb).1;
+        let (y1, steps) = s.solve_refined(work, &wb, t).unwrap();
+        assert!(steps <= 5, "{what}: session transposed={t}: {steps} steps");
+        let r1 = omega.of(&y1, &wb).1;
+        assert!(r1 <= r0 * 10.0 + 1e-15, "{what}: session t={t} {r0} → {r1}");
+        assert_eq!(s.solve_op(work, &wb, t, false).unwrap(), y0, "{what}");
+        assert_eq!(s.solve_op(work, &wb, t, true).unwrap(), y1, "{what}");
+    }
 
     // Wrong lengths are structured errors on every fallible door.
     let (short, long) = (&b[..n - 1], &bb[..2 * n + 1]);
     assert!(is_mismatch(lu.try_solve(short), n, n - 1), "{what}");
     assert!(is_mismatch(lu.try_solve_transposed(short), n, n - 1));
     assert!(is_mismatch(lu.try_solve_many(long, 2), 2 * n, 2 * n + 1));
+    assert!(is_mismatch(lu.try_solve_refined(a, short, false), n, n - 1));
     assert!(is_mismatch(
-        lu.try_solve_refined(a, short, 0.0, 1),
+        lu.try_solve_op(a, short, true, false),
         n,
         n - 1
     ));
     assert!(is_mismatch(s.try_solve(short), n, n - 1), "{what}");
     assert!(is_mismatch(s.try_solve_transposed(short), n, n - 1));
     assert!(is_mismatch(s.try_solve_many(long, 2), 2 * n, 2 * n + 1));
-    assert!(is_mismatch(s.solve_refined(work, short, 0.0, 1), n, n - 1));
+    assert!(is_mismatch(s.solve_refined(work, short, true), n, n - 1));
+    assert!(is_mismatch(s.solve_op(work, short, false, false), n, n - 1));
 }
 
 #[test]
@@ -364,7 +383,7 @@ fn a_session_without_factors_answers_not_factored_on_every_door() {
     assert!(nf(s.try_solve_transposed(&b)));
     assert!(nf(s.try_solve_many(&b, 1)));
     assert!(matches!(
-        s.solve_refined(a, &b, 0.0, 1),
+        s.solve_refined(a, &b, false),
         Err(LuError::NotFactored)
     ));
     // Factors first, then the length: a short vector changes nothing.
