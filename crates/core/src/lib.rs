@@ -646,8 +646,18 @@ impl SparseLu {
     /// (fallible form).
     ///
     /// Walks the factors once, applying every elimination step to all
-    /// right-hand sides with the BLAS-3 kernels.
+    /// right-hand sides with the BLAS-3 kernels. Perturbed factors instead
+    /// solve each column as [`Self::try_solve`] does, refined against the
+    /// retained input.
     pub fn try_solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, LuError> {
+        if self.refine_with.is_some() {
+            self.session.check_len(b, nrhs)?;
+            let cols = b.chunks(self.stats().n.max(1));
+            let x: Vec<_> = cols
+                .map(|c| self.solve_retained(c, false))
+                .collect::<Result<_, _>>()?;
+            return Ok(x.concat());
+        }
         let Some(eq) = &self.equil else {
             return self.session.try_solve_many(b, nrhs);
         };

@@ -106,7 +106,7 @@ impl Kernel for TrsmLowerUnit<'_> {
     type Out = ();
     #[inline(always)]
     fn call<const MR: usize>(self) {
-        tile::trsm_lower_unit::<MR>(self.0, self.1)
+        tile::trsm::<MR, false>(self.0, self.1)
     }
 }
 
@@ -114,7 +114,7 @@ impl Kernel for TrsmUpper<'_> {
     type Out = ();
     #[inline(always)]
     fn call<const MR: usize>(self) {
-        tile::trsm_upper::<MR>(self.0, self.1)
+        tile::trsm::<MR, true>(self.0, self.1)
     }
 }
 
@@ -261,7 +261,10 @@ impl Dispatch {
     /// The triangular solves and the panel LU apply the same rule to the rows
     /// they update by tile (everything outside the current strip of
     /// `tile::SB` columns); inside a strip they skip per column, on that
-    /// column's own scalar.
+    /// column's own scalar. The strip is substituted in registers by one
+    /// unrolled body per strip width, which skips by select — a zero scalar
+    /// keeps the element's old value, never `fma(−a, 0, c)`, whose sign of
+    /// zero (or NaN, for a non-finite `a`) can differ from `c`.
     #[inline]
     pub fn gemm_sub(&self, c: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
         self.run(GemmSub(c, a, b));

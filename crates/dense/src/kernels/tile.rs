@@ -20,8 +20,18 @@
 //! one-column steps at the end apply the same terms in the same order as
 //! the matrix kernels do on one column, without a tile; the dot product
 //! after them is the one step with a contract of its own ([`dot`]).
+//!
+//! The triangular solves and the panel LU eliminate strips of [`SB`]
+//! columns: one strip body per width and direction ([`strip_body`])
+//! substitutes on fixed arrays loaded from the strip's rows, and one tile
+//! pass applies the strip's terms to every row beyond it. Inside a strip a
+//! column whose scalar is zero is skipped by a select that keeps the old
+//! value, not by a branch, so the constant-bound body unrolls into
+//! straight-line code with the same bits. A tile pass ends with one 8-row
+//! tile when `MR` is wider, before the 4-row and 1-row ones.
 
 use crate::view::{MatMut, MatRef};
+use std::ops::Range;
 
 /// One term applied to one element: `c − a·s` with a single rounding,
 /// `fma(−a, s, c)`. Every kernel applies its terms through this.
@@ -79,7 +89,8 @@ impl<'a, const N: usize, const CAP: usize> Terms<'a, N, CAP> {
     }
 
     /// Applies the terms to `N` columns of `C` (all as long as the shortest
-    /// term column, or shorter), `MR` rows at a time, then 4, then 1.
+    /// term column, or shorter), `MR` rows at a time, then 8 (when `MR` is
+    /// wider), then 4, then 1.
     #[inline(always)]
     pub(crate) fn apply<const MR: usize>(&self, mut c: [&mut [f64]; N]) {
         if self.len == 0 {
@@ -90,6 +101,10 @@ impl<'a, const N: usize, const CAP: usize> Terms<'a, N, CAP> {
         while i + MR <= m {
             self.tile::<MR>(&mut c, i);
             i += MR;
+        }
+        if MR > 8 && i + 8 <= m {
+            self.tile::<8>(&mut c, i);
+            i += 8;
         }
         while i + 4 <= m {
             self.tile::<4>(&mut c, i);
@@ -129,136 +144,155 @@ pub(crate) fn gemm_sub<const MR: usize>(mut c: MatMut<'_>, a: MatRef<'_>, b: Mat
     assert_eq!(a.nrows(), c.nrows(), "gemm_sub: row mismatch");
     assert_eq!(b.ncols(), c.ncols(), "gemm_sub: column mismatch");
     assert_eq!(a.ncols(), b.nrows(), "gemm_sub: inner dimension mismatch");
-    let (n, inner) = (c.ncols(), a.ncols());
+    let n = c.ncols();
     if c.nrows() == 0 {
         return;
     }
     let quads = n / NR * NR;
-    // Initializing the scratch costs about as much as a small update, so
-    // the quads share one.
-    let mut quad = Terms::<NR, KB>::new();
+    // Initializing a scratch costs about as much as a small update, so the
+    // quads share one, the remainder columns another, each built only when
+    // it has columns. Groups never share an element, so running all quads
+    // before the remainder keeps every element's term order.
+    if quads > 0 {
+        gemm_groups::<MR, NR>(&mut c, a, b, 0..quads);
+    }
+    if quads < n {
+        gemm_groups::<MR, 1>(&mut c, a, b, quads..n);
+    }
+}
+
+/// [`gemm_sub`] on the columns `cols` of `C`, in groups of `N`, one
+/// `KB`-block of the inner index after another.
+#[inline(always)]
+fn gemm_groups<const MR: usize, const N: usize>(
+    c: &mut MatMut<'_>,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    cols: Range<usize>,
+) {
+    let inner = a.ncols();
+    let mut terms = Terms::<N, KB>::new();
     for k0 in (0..inner).step_by(KB) {
         let k1 = (k0 + KB).min(inner);
-        for j in (0..quads).step_by(NR) {
-            quad.clear();
+        for j in cols.clone().step_by(N) {
+            terms.clear();
             for k in k0..k1 {
-                quad.push(a.col(k), std::array::from_fn(|q| b[(k, j + q)]));
+                terms.push(a.col(k), std::array::from_fn(|q| b[(k, j + q)]));
             }
-            quad.apply::<MR>(c.cols_mut(j));
-        }
-        for j in quads..n {
-            let mut single = Terms::<1, KB>::new();
-            for k in k0..k1 {
-                single.push(a.col(k), [b[(k, j)]]);
-            }
-            single.apply::<MR>(c.cols_mut(j));
+            terms.apply::<MR>(c.cols_mut(j));
         }
     }
 }
 
-/// Forward elimination of columns `k0..k1` of a unit-lower `L` (which may
-/// be taller than wide) on one column group `x`: rows `k0..k1` by plain
-/// substitution, every row below by one tile pass.
+/// Elimination of columns `k0..k1` (at most [`SB`]) of a triangle `t` on
+/// one column group `x`: rows `k0..k1` by plain substitution
+/// ([`strip_body`]), every row beyond them by one tile pass. Forward on a
+/// unit-lower `t` (which may be taller than wide) when `UPPER` is false,
+/// the rows below updated in ascending column order; backward on an upper
+/// `t` when it is true, the rows above in descending order.
 #[inline(always)]
-pub(crate) fn forward_strip<const MR: usize, const N: usize>(
-    l: MatRef<'_>,
+pub(crate) fn strip<const MR: usize, const N: usize, const UPPER: bool>(
+    t: MatRef<'_>,
     x: &mut [&mut [f64]; N],
     k0: usize,
     k1: usize,
 ) {
     let mut terms = Terms::<N, SB>::new();
-    for k in k0..k1 {
-        let l_col = l.col(k);
-        for xq in x.iter_mut() {
-            let s = xq[k];
-            if s == 0.0 {
-                continue;
-            }
-            for i in k + 1..k1 {
-                xq[i] = sub_term(xq[i], l_col[i], s);
-            }
-        }
-        terms.push(&l_col[k1..], std::array::from_fn(|q| x[q][k]));
+    let rest = if UPPER { 0..k0 } else { k1..t.nrows() };
+    match k1 - k0 {
+        4 => strip_body::<N, 4, UPPER>(t, x, k0, rest.clone(), &mut terms),
+        3 => strip_body::<N, 3, UPPER>(t, x, k0, rest.clone(), &mut terms),
+        2 => strip_body::<N, 2, UPPER>(t, x, k0, rest.clone(), &mut terms),
+        1 => strip_body::<N, 1, UPPER>(t, x, k0, rest.clone(), &mut terms),
+        w => unreachable!("strip width {w} outside 1..=SB"),
     }
-    terms.apply::<MR>(x.each_mut().map(|xq| &mut xq[k1..]));
+    terms.apply::<MR>(x.each_mut().map(|xq| &mut xq[rest.clone()]));
 }
 
-/// `X ← L⁻¹ · X`; see [`crate::Dispatch::trsm_lower_unit`].
+/// The substitution of one strip of width `W` on fixed arrays: the
+/// strip's `W × W` block of `t` and the `W` rows of each column are loaded
+/// once, eliminated in registers (an upper `t` divides each row by its
+/// diagonal first), and stored once; then the strip's columns on the rows
+/// `rest` are pushed as the tile pass's terms, in elimination order. A column
+/// whose scalar is zero keeps its old values by select, exactly as a
+/// skipped loop iteration did.
 #[inline(always)]
-pub(crate) fn trsm_lower_unit<const MR: usize>(l: MatRef<'_>, mut x: MatMut<'_>) {
-    assert_eq!(l.nrows(), l.ncols(), "trsm: L must be square");
-    assert_eq!(l.nrows(), x.nrows(), "trsm: dimension mismatch");
-    let quads = x.ncols() / NR * NR;
-    for j in (0..quads).step_by(NR) {
-        lower_group::<MR, NR>(l, x.cols_mut(j));
-    }
-    for j in quads..x.ncols() {
-        lower_group::<MR, 1>(l, x.cols_mut(j));
-    }
-}
-
-#[inline(always)]
-fn lower_group<const MR: usize, const N: usize>(l: MatRef<'_>, mut x: [&mut [f64]; N]) {
-    let n = l.nrows();
-    for k0 in (0..n).step_by(SB) {
-        forward_strip::<MR, N>(l, &mut x, k0, (k0 + SB).min(n));
-    }
-}
-
-/// Backward elimination of columns `k0..k1` of an upper triangular `U` on
-/// one column group: rows `k0..k1` by plain substitution (bottom up), every
-/// row above by one tile pass whose terms run in the same descending order.
-#[inline(always)]
-fn backward_strip<const MR: usize, const N: usize>(
-    u: MatRef<'_>,
+fn strip_body<'a, const N: usize, const W: usize, const UPPER: bool>(
+    t: MatRef<'a>,
     x: &mut [&mut [f64]; N],
     k0: usize,
-    k1: usize,
+    rest: Range<usize>,
+    terms: &mut Terms<'a, N, SB>,
 ) {
-    let mut terms = Terms::<N, SB>::new();
-    for k in (k0..k1).rev() {
-        let u_col = u.col(k);
-        let diag = u_col[k];
-        debug_assert!(diag != 0.0, "trsm_upper: zero diagonal at {k}");
-        for xq in x.iter_mut() {
-            xq[k] /= diag;
-            let s = xq[k];
-            if s == 0.0 {
-                continue;
-            }
-            for i in k0..k {
-                xq[i] = sub_term(xq[i], u_col[i], s);
+    let k1 = k0 + W;
+    let cols: [&'a [f64]; W] = std::array::from_fn(|b| t.col(k0 + b));
+    let tri: [&[f64; W]; W] = cols.map(|c| c[k0..k1].try_into().expect("strip rows"));
+    // `v[a][q]` is row `k0 + a` of column `q`: a step is one `N`-lane op.
+    let mut v: [[f64; N]; W] = std::array::from_fn(|a| std::array::from_fn(|q| x[q][k0 + a]));
+    let order = |i: usize| if UPPER { W - 1 - i } else { i };
+    for b in (0..W).map(order) {
+        debug_assert!(!UPPER || tri[b][b] != 0.0, "trsm_upper: zero diagonal");
+        if UPPER {
+            for q in 0..N {
+                v[b][q] /= tri[b][b];
             }
         }
-        terms.push(&u_col[..k0], std::array::from_fn(|q| x[q][k]));
+        let s = v[b];
+        for a in if UPPER { 0..b } else { b + 1..W } {
+            let l = tri[b][a];
+            for q in 0..N {
+                let old = v[a][q];
+                v[a][q] = if s[q] == 0.0 {
+                    old
+                } else {
+                    sub_term(old, l, s[q])
+                };
+            }
+        }
     }
-    terms.apply::<MR>(x.each_mut().map(|xq| &mut xq[..k0]));
+    for (q, xq) in x.iter_mut().enumerate() {
+        for a in 0..W {
+            xq[k0 + a] = v[a][q];
+        }
+    }
+    for b in (0..W).map(order) {
+        terms.push(&cols[b][rest.clone()], v[b]);
+    }
 }
 
-/// `X ← U⁻¹ · X`; see [`crate::Dispatch::trsm_upper`].
+/// `X ← L⁻¹ · X` on a unit-lower `t` when `UPPER` is false, `X ← U⁻¹ · X`
+/// on an upper one when it is true; see [`crate::Dispatch::trsm_lower_unit`]
+/// and [`crate::Dispatch::trsm_upper`]. Strips run from the top for `L`,
+/// and are aligned to the bottom for `U`.
 #[inline(always)]
-pub(crate) fn trsm_upper<const MR: usize>(u: MatRef<'_>, mut x: MatMut<'_>) {
-    assert_eq!(u.nrows(), u.ncols(), "trsm: U must be square");
-    assert_eq!(u.nrows(), x.nrows(), "trsm: dimension mismatch");
+pub(crate) fn trsm<const MR: usize, const UPPER: bool>(t: MatRef<'_>, mut x: MatMut<'_>) {
+    assert_eq!(t.nrows(), t.ncols(), "trsm: the triangle must be square");
+    assert_eq!(t.nrows(), x.nrows(), "trsm: dimension mismatch");
     let quads = x.ncols() / NR * NR;
     for j in (0..quads).step_by(NR) {
-        upper_group::<MR, NR>(u, x.cols_mut(j));
+        trsm_group::<MR, NR, UPPER>(t, x.cols_mut(j));
     }
     for j in quads..x.ncols() {
-        upper_group::<MR, 1>(u, x.cols_mut(j));
+        trsm_group::<MR, 1, UPPER>(t, x.cols_mut(j));
     }
 }
 
 #[inline(always)]
-fn upper_group<const MR: usize, const N: usize>(u: MatRef<'_>, mut x: [&mut [f64]; N]) {
-    for k1 in (1..=u.nrows()).rev().step_by(SB) {
-        backward_strip::<MR, N>(u, &mut x, k1.saturating_sub(SB), k1);
+fn trsm_group<const MR: usize, const N: usize, const UPPER: bool>(
+    t: MatRef<'_>,
+    mut x: [&mut [f64]; N],
+) {
+    let n = t.nrows();
+    for i in (0..n).step_by(SB) {
+        let k1 = if UPPER { n - i } else { (i + SB).min(n) };
+        let k0 = if UPPER { k1.saturating_sub(SB) } else { i };
+        strip::<MR, N, UPPER>(t, &mut x, k0, k1);
     }
 }
 
 /// `x ← L⁻¹ · x` on the unit-lower top `w × w` of `panel` (`w = x.len()`),
 /// then `y ← −L_below · x` on the `y.len()` rows below it: one pass over the
-/// panel. Each element sees the terms of [`trsm_lower_unit`] and then of
+/// panel. Each element sees the terms of [`trsm`] and then of
 /// [`gemm_sub`] into a zeroed `y`, on one column, in their order.
 #[inline(always)]
 pub(crate) fn forward_column(panel: MatRef<'_>, x: &mut [f64], y: &mut [f64]) {
@@ -284,7 +318,7 @@ pub(crate) fn forward_column(panel: MatRef<'_>, x: &mut [f64], y: &mut [f64]) {
 }
 
 /// `x ← U⁻¹ · x` on the upper `w × w` top of `panel` (`w = x.len()`), the
-/// terms of [`trsm_upper`] on one column.
+/// terms of [`trsm`] on one column.
 #[inline(always)]
 pub(crate) fn backward_column(panel: MatRef<'_>, x: &mut [f64]) {
     assert!(

@@ -1,6 +1,6 @@
 //! Panel and full dense LU with partial pivoting.
 
-use crate::kernels::tile::{forward_strip, sub_term, NR, SB};
+use crate::kernels::tile::{strip, sub_term, NR, SB};
 use crate::{DenseMat, MatMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -157,7 +157,7 @@ pub fn lu_panel(panel: &mut DenseMat, pivot_threshold: f64) -> Result<Pivots, Pa
 /// [`crate::kernels`]): column strips of width [`SB`]. A strip is factored
 /// unblocked — pivot search, interchange, scaling, rank-1 updates that stay
 /// inside the strip — and then eliminated from every trailing column group
-/// at once by [`forward_strip`]: its `U` rows by substitution, all rows
+/// at once by [`strip`]: its `U` rows by substitution, all rows
 /// below by one tile pass. Each element sees its `c ← fma(−l, u, c)` terms
 /// in ascending column order, as in the unblocked algorithm.
 #[inline(always)]
@@ -247,14 +247,14 @@ pub(crate) fn panel_lu<const MR: usize>(
                 }
             }
         }
-        let (strip, mut trailing) = panel.split_at_col(c1);
-        let strip = strip.rb();
+        let (factored, mut trailing) = panel.split_at_col(c1);
+        let factored = factored.rb();
         let quads = trailing.ncols() / NR * NR;
         for j in (0..quads).step_by(NR) {
-            forward_strip::<MR, NR>(strip, &mut trailing.cols_mut(j), c0, c1);
+            strip::<MR, NR, false>(factored, &mut trailing.cols_mut(j), c0, c1);
         }
         for j in quads..trailing.ncols() {
-            forward_strip::<MR, 1>(strip, &mut trailing.cols_mut(j), c0, c1);
+            strip::<MR, 1, false>(factored, &mut trailing.cols_mut(j), c0, c1);
         }
     }
     Ok(())

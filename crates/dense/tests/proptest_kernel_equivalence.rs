@@ -12,7 +12,8 @@
 //! dimension larger than the row count, exactly how stacked-panel blocks
 //! reach the kernels), with zero-heavy operands, signed zeros and
 //! subnormals, and compares every output bit for bit. `gemm` is also held
-//! to the axpy-shaped kernel it replaced, kept below as an oracle, and the
+//! to the axpy-shaped kernel it replaced, kept below as an oracle, the
+//! solves to their skip rule written out element by element, and the
 //! solves and the panel LU to plain substitution and elimination: every
 //! oracle applies a term as one fused multiply-add, `sub_term`, the
 //! per-element contract of the kernels. The sweeps' dot product is held to
@@ -60,6 +61,62 @@ fn gemm_axpy_oracle(c: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
                 }
                 for i in 0..m {
                     c[(i, j)] = sub_term(c[(i, j)], a[(i, k)], s);
+                }
+            }
+        }
+    }
+}
+
+/// The triangular solves term by term, on `t`'s unit-lower (`upper`
+/// false) or upper triangle: the column groups of `gemm_axpy_oracle`,
+/// strips of four rows (from the top for `L`, aligned to the bottom for
+/// `U`), and the skip rule of each place. Inside a strip a term is skipped
+/// when its own column's scalar is zero; outside it (below for `L`, above
+/// for `U`) only when the scalars of the whole group are.
+fn trsm_oracle(t: MatRef<'_>, x: &mut MatMut<'_>, upper: bool) {
+    let (n, rhs) = (x.nrows(), x.ncols());
+    let quads = rhs / 4 * 4;
+    let groups = (0..quads).step_by(4).map(|j| j..j + 4);
+    for g in groups.chain((quads..rhs).map(|j| j..j + 1)) {
+        let strips: Vec<(usize, usize)> = if upper {
+            (1..=n)
+                .rev()
+                .step_by(4)
+                .map(|k1| (k1.saturating_sub(4), k1))
+                .collect()
+        } else {
+            (0..n).step_by(4).map(|k0| (k0, (k0 + 4).min(n))).collect()
+        };
+        for (k0, k1) in strips {
+            let order: Vec<usize> = if upper {
+                (k0..k1).rev().collect()
+            } else {
+                (k0..k1).collect()
+            };
+            for &k in &order {
+                for j in g.clone() {
+                    if upper {
+                        x[(k, j)] /= t[(k, k)];
+                    }
+                    let s = x[(k, j)];
+                    let inside = if upper { k0..k } else { k + 1..k1 };
+                    for i in inside {
+                        if s != 0.0 {
+                            x[(i, j)] = sub_term(x[(i, j)], t[(i, k)], s);
+                        }
+                    }
+                }
+            }
+            let outside = if upper { 0..k0 } else { k1..n };
+            for &k in &order {
+                if g.clone().all(|j| x[(k, j)] == 0.0) {
+                    continue;
+                }
+                for j in g.clone() {
+                    let s = x[(k, j)];
+                    for i in outside.clone() {
+                        x[(i, j)] = sub_term(x[(i, j)], t[(i, k)], s);
+                    }
                 }
             }
         }
@@ -166,8 +223,9 @@ proptest! {
         }
     }
 
-    /// Both triangular solves match the baseline bitwise on ragged
-    /// right-hand sides, including 0- and 1-column edge panels.
+    /// Both triangular solves match `trsm_oracle` bitwise under every
+    /// instantiation, on ragged right-hand sides with zeros of both signs,
+    /// including 0- and 1-column edge panels.
     #[test]
     fn trsm_bitwise_identical((pad, mut l, mut u, x0) in trsm_case()) {
         let n = l.nrows();
@@ -176,11 +234,10 @@ proptest! {
             u[(i, i)] = 3.0 + u[(i, i)].abs();
         }
         let rows = pad..pad + n;
-        let base = Dispatch::portable();
         let mut xl_ref = x0.clone();
-        base.trsm_lower_unit(l.as_view(), xl_ref.row_range_mut(rows.clone()));
+        trsm_oracle(l.as_view(), &mut xl_ref.row_range_mut(rows.clone()), false);
         let mut xu_ref = x0.clone();
-        base.trsm_upper(u.as_view(), xu_ref.row_range_mut(rows.clone()));
+        trsm_oracle(u.as_view(), &mut xu_ref.row_range_mut(rows.clone()), true);
 
         for d in Dispatch::available() {
             let mut xl = x0.clone();

@@ -88,9 +88,10 @@ fn partial_pivoting_needs_no_perturbation_on_the_same_matrix() {
 #[test]
 fn perturbed_solve_routes_are_consistent() {
     // On perturbed factors every door reaches the one refinement decision,
-    // in both directions: the automatic refinement of `solve` and
-    // `solve_transposed` is the explicit refined door of `SparseLu` and of
-    // `SluSession`, bit for bit, and each lands at machine precision.
+    // in both directions: the automatic refinement of `solve`,
+    // `solve_transposed` and each column of `solve_many` is the explicit
+    // refined door of `SparseLu` and of `SluSession`, bit for bit, and
+    // each lands at machine precision.
     let perturb = BreakdownPolicy::perturb_default();
     let tiny = tiny_pivot_matrix(48, &[20], 1e-30, 9);
     // [[1, 1, 0], [1, 1, 1], [0, 1, 1]]: the diagonal rule meets an exact
@@ -135,6 +136,17 @@ fn perturbed_solve_routes_are_consistent() {
             assert_eq!(s.solve_op(a, &b, t, false).unwrap(), session, "n={n} t={t}");
             let resid = ScaledResidual::new(a, t).of(&auto, &b).1;
             assert!(resid <= 1e-15, "n={n} transposed={t}: residual {resid}");
+        }
+        // Many right-hand sides: each column is the single solve's.
+        let two = [b.clone(), manufactured_rhs(a, 8).1].concat();
+        let many = lu.solve_many(&two, 2);
+        for (j, (x, bj)) in many.chunks(n).zip(two.chunks(n)).enumerate() {
+            assert_eq!(x, &lu.solve(bj)[..], "n={n}: solve_many column {j}");
+            let resid = ScaledResidual::new(a, false).of(x, bj).1;
+            assert!(
+                resid <= 1e-15,
+                "n={n}: solve_many column {j} residual {resid}"
+            );
         }
     }
 }
