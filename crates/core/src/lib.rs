@@ -46,7 +46,7 @@ pub use costs::{estimate_task_costs, total_flops, TaskCost};
 pub use error::LuError;
 pub use numeric::factor_left_looking;
 pub use observe::{
-    factor_reported, MatrixMeta, ObsSession, RefactorPath, RunReport, RunStatus, PHASE_NAMES,
+    JsonWriter, MatrixMeta, ObsSession, RefactorPath, RunReport, RunStatus, PHASE_NAMES,
     REPORT_SCHEMA,
 };
 pub use psolve::{solve_permuted_parallel, solve_permuted_parallel_with};

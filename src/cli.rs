@@ -410,11 +410,11 @@ fn write_observability(
     let mut notes = Vec::new();
     if let Some(p) = &cli.report {
         let report = session.report(matrix, &cli.opts, status);
-        std::fs::write(p, report.to_json()).map_err(|e| format!("writing {p}: {e}"))?;
+        std::fs::write(p, report.to_json() + "\n").map_err(|e| format!("writing {p}: {e}"))?;
         notes.push(format!("wrote run report to {p}"));
     }
     if let Some(p) = &cli.trace {
-        std::fs::write(p, session.chrome_json()).map_err(|e| format!("writing {p}: {e}"))?;
+        std::fs::write(p, session.chrome_json() + "\n").map_err(|e| format!("writing {p}: {e}"))?;
         notes.push(format!("wrote pipeline trace to {p}"));
     }
     Ok(notes)
@@ -700,13 +700,6 @@ fn cmd_gen(name: &str, out_path: &str, flags: &[String]) -> Result<String, CliEr
 }
 
 use std::sync::Mutex;
-
-/// Flattens a pretty-printed JSON document onto one line. Safe because the
-/// writer escapes newlines inside string values, so every literal newline
-/// and its indentation is inter-token whitespace.
-pub(crate) fn compact_json(pretty: &str) -> String {
-    pretty.lines().map(str::trim_start).collect()
-}
 
 // The serve machinery (bounded lanes, session pool with budgeted
 // eviction, socket transport) lives in `crate::serve`; the stdio entry

@@ -58,20 +58,20 @@
 //!   a retried duplicate returns the original response instead of
 //!   re-executing, and journaled ids keep retries safe across a crash.
 //!
-//! Every response is one JSON line. Errors carry `"kind"` (a stable
+//! Every response is one JSON line, written by the one JSON writer
+//! ([`JsonWriter`]): `id`, `op`, `session` and `status` first (`Head`),
+//! then the job's members; an `analyze`/`factor`/`refactor` reply embeds
+//! the job's run report. Errors carry `"kind"` (a stable
 //! machine-readable taxonomy: `bad_request`, `numeric`, `worker_panic`,
 //! `deadline`, `stalled`, `session_evicted`, `overloaded`,
 //! `duplicate_replay`, `journal_corrupt`, `shutting_down`, `cancelled`,
 //! `oversize_frame`, `invalid_frame`, `idle_timeout`) next to the CLI
 //! exit code a local run would have used.
 
-use crate::cli::{
-    compact_json, load, matrix_name, parse_flags, read_vector, solve_reported, Cli, CliError,
-};
+use crate::cli::{load, matrix_name, parse_flags, read_vector, solve_reported, Cli, CliError};
 use crate::persist::{Damage, Durability, Journal, Record};
-use splu_core::observe::escape_json;
 use splu_core::{pattern_hash, Analysis, CancelToken, LuError, MatrixMeta, ObsSession, Options};
-use splu_core::{RunReport, RunStatus, SluSession};
+use splu_core::{JsonWriter, RunReport, RunStatus, SluSession};
 use splu_matgen::manufactured_rhs;
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{Lane, LaneRejected};
@@ -197,17 +197,8 @@ pub fn solution_hash(x: &[f64]) -> u64 {
 pub enum Frame {
     /// A complete line (newline stripped, trailing `\r` removed).
     Line(String),
-    /// A line longer than the cap was discarded; the stream resynced at
-    /// the next newline. `discarded` counts the dropped bytes.
-    Oversize {
-        /// Bytes thrown away (the whole over-long line).
-        discarded: usize,
-    },
-    /// The line contained a NUL byte — a binary frame on a text protocol.
-    Nul {
-        /// Length of the rejected line.
-        len: usize,
-    },
+    /// A line that is not a job: over the cap or binary.
+    Fault(FrameFault),
     /// A read timeout expired with no data (sockets only); the caller
     /// should check idle/cancel state and poll again.
     Idle,
@@ -254,7 +245,7 @@ impl<R: BufRead> FrameReader<R> {
             bytes.pop();
         }
         if bytes.contains(&0) {
-            return Frame::Nul { len: bytes.len() };
+            return Frame::Fault(FrameFault::Nul(bytes.len()));
         }
         Frame::Line(String::from_utf8_lossy(&bytes).into_owned())
     }
@@ -278,7 +269,7 @@ impl<R: BufRead> FrameReader<R> {
                     if self.skipping > 0 {
                         let discarded = self.skipping;
                         self.skipping = 0;
-                        return Frame::Oversize { discarded };
+                        return Frame::Fault(FrameFault::Oversize(discarded));
                     }
                     if self.buf.is_empty() {
                         return Frame::Eof;
@@ -304,7 +295,7 @@ impl<R: BufRead> FrameReader<R> {
                     if self.skipping > 0 {
                         let discarded = self.skipping;
                         self.skipping = 0;
-                        return Frame::Oversize { discarded };
+                        return Frame::Fault(FrameFault::Oversize(discarded));
                     }
                     return self.emit_line();
                 }
@@ -939,8 +930,7 @@ impl<'e> Engine<'e> {
                 Record::Job { line, .. } => {
                     jobs += 1;
                     let id = self.next_id();
-                    let response = serve_job(self, id, &line, None);
-                    if response.contains(r#""status":"error""#) {
+                    if let Err(response) = serve_job(self, id, &line, None) {
                         // The original run succeeded; a replay failure
                         // means the environment changed (e.g. the matrix
                         // file is gone). Serve what survives.
@@ -1020,7 +1010,8 @@ impl<'e> Engine<'e> {
     fn worker_loop(&self, w: usize) {
         while let Some(job) = self.lanes[w].pop() {
             let t0 = Instant::now();
-            let response = serve_job(self, job.id, &job.line, job.token.as_ref());
+            let (Ok(response) | Err(response)) =
+                serve_job(self, job.id, &job.line, job.token.as_ref());
             let ns = t0.elapsed().as_nanos() as u64;
             let old = self.job_ns.load(Ordering::Relaxed);
             let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
@@ -1153,7 +1144,7 @@ impl<'e> Engine<'e> {
             return Submitted::Control;
         }
         if self.is_draining() {
-            let _ = reply(&refusal_response(id, op, name));
+            let _ = reply(&Head(id, op, name).refusal());
             return Submitted::Rejected;
         }
         if op == "shutdown" {
@@ -1182,16 +1173,18 @@ impl<'e> Engine<'e> {
             Err(LaneRejected::Full { item, depth }) => {
                 self.metrics.incr(Counter::JobsRejectedOverload);
                 let hint = self.retry_after_hint(depth);
-                let _ = (item.reply)(&format!(
-                    r#"{{"id":{},"op":"{}","session":"{}","status":"error","kind":"overloaded","exit_code":8,"queue_depth":{depth},"retry_after_hint":{hint:.3},"error":"lane queue is full ({depth} job(s) ahead); retry after the hint"}}"#,
-                    item.id,
-                    escape_json(op),
-                    escape_json(name),
-                ));
+                let extra = |w: &mut JsonWriter| {
+                    w.key("queue_depth").lit(depth);
+                    w.key("retry_after_hint").lit(format_args!("{hint:.3}"));
+                };
+                let error =
+                    format_args!("lane queue is full ({depth} job(s) ahead); retry after the hint");
+                let head = Head(item.id, op, name);
+                let _ = (item.reply)(&head.error("overloaded", 8, extra, error));
                 Submitted::Rejected
             }
             Err(LaneRejected::Closed { item }) => {
-                let _ = (item.reply)(&refusal_response(item.id, op, name));
+                let _ = (item.reply)(&Head(item.id, op, name).refusal());
                 Submitted::Rejected
             }
         }
@@ -1200,72 +1193,88 @@ impl<'e> Engine<'e> {
     /// A one-line error for a framing fault, consuming a job id so the
     /// client still sees exactly one response per frame.
     pub fn frame_response(&self, fault: FrameFault) -> String {
-        let id = self.next_id();
-        match fault {
-            FrameFault::Oversize { discarded } => format!(
-                r#"{{"id":{id},"op":"frame","session":"","status":"error","kind":"oversize_frame","exit_code":2,"bytes":{discarded},"error":"line of {discarded} bytes exceeds --max-line-bytes ({}); frame discarded, stream resynced"}}"#,
-                self.cfg.max_line_bytes
+        let cap = self.cfg.max_line_bytes;
+        let (kind, bytes, error) = match fault {
+            FrameFault::Oversize(n) => (
+                "oversize_frame",
+                n,
+                format!(
+                    "line of {n} bytes exceeds --max-line-bytes ({cap}); frame discarded, \
+                     stream resynced"
+                ),
             ),
-            FrameFault::Nul { len } => format!(
-                r#"{{"id":{id},"op":"frame","session":"","status":"error","kind":"invalid_frame","exit_code":2,"bytes":{len},"error":"NUL byte in a {len}-byte job line; binary frames are not accepted"}}"#
+            FrameFault::Nul(len) => (
+                "invalid_frame",
+                len,
+                format!("NUL byte in a {len}-byte job line; binary frames are not accepted"),
             ),
-            FrameFault::Partial { len } => format!(
-                r#"{{"id":{id},"op":"frame","session":"","status":"error","kind":"invalid_frame","exit_code":2,"bytes":{len},"error":"connection idled out with a {len}-byte partial frame buffered (no trailing newline); the fragment was discarded"}}"#
+            FrameFault::Partial(len) => (
+                "invalid_frame",
+                len,
+                format!(
+                    "connection idled out with a {len}-byte partial frame buffered (no \
+                     trailing newline); the fragment was discarded"
+                ),
             ),
-        }
+        };
+        let extra = |w: &mut JsonWriter| {
+            w.key("bytes").lit(bytes);
+        };
+        Head(self.next_id(), "frame", "").error(kind, 2, extra, error)
     }
 
     /// The response to an `idle_timeout` disconnect, written before the
     /// daemon drops the connection.
     fn idle_response(&self, limit: Duration) -> String {
-        let id = self.next_id();
-        format!(
-            r#"{{"id":{id},"op":"idle","session":"","status":"error","kind":"idle_timeout","exit_code":2,"error":"connection idle for more than {:.1}s; closing"}}"#,
-            limit.as_secs_f64()
-        )
+        let secs = limit.as_secs_f64();
+        let error = format_args!("connection idle for more than {secs:.1}s; closing");
+        Head(self.next_id(), "idle", "").error("idle_timeout", 2, |_| {}, error)
     }
 
     fn stats_response(&self, id: u64) -> String {
+        use Counter::*;
         let pool = self.pool.stats();
-        let depths: Vec<String> = self.lanes.iter().map(|l| l.depth().to_string()).collect();
-        let budget = match self.cfg.session_budget {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let counters = |w: &mut JsonWriter, counters: &[Counter]| {
+            for &c in counters {
+                w.key(c.name()).lit(self.metrics.get(c));
+            }
         };
-        let durability = match &self.journal {
-            Some(j) => format!(r#""{}""#, j.durability().name()),
-            None => "null".to_string(),
-        };
-        format!(
-            r#"{{"id":{id},"op":"stats","session":"","status":"ok","workers":{},"queue_cap":{},"queue_depths":[{}],"queue_depth_peak":{},"sessions":{},"evicted_tombstones":{},"resident_bytes":{},"scratch_bytes":{},"resident_bytes_peak":{},"session_budget":{budget},"draining":{},"jobs_dispatched":{},"sessions_evicted":{},"jobs_rejected_overload":{},"connections_dropped":{},"uptime_s":{:.3},"durability":{durability},"journal_bytes":{},"journal_appends":{},"journal_compactions":{},"sessions_replayed":{},"jobs_deduped_replay":{},"refactor_realised":{},"refactor_fallback":{},"realised_words":{},"values_streamed":{},"values_parsed":{},"analyses":{},"analyses_shared":{}}}"#,
-            self.cfg.workers,
-            self.cfg.queue_cap,
-            depths.join(","),
-            self.metrics.get(Counter::QueueDepthPeak),
-            pool.sessions,
-            pool.evicted_tombstones,
-            pool.resident_bytes,
-            pool.scratch_bytes,
-            self.metrics.get(Counter::ResidentSessionBytesPeak),
-            self.is_draining(),
-            self.jobs_dispatched(),
-            self.metrics.get(Counter::SessionsEvicted),
-            self.metrics.get(Counter::JobsRejectedOverload),
-            self.metrics.get(Counter::ConnectionsDropped),
-            self.started.elapsed().as_secs_f64(),
-            self.journal.as_ref().map_or(0, |j| j.bytes()),
-            self.metrics.get(Counter::JournalAppends),
-            self.metrics.get(Counter::JournalCompactions),
-            self.metrics.get(Counter::SessionsReplayed),
-            self.metrics.get(Counter::JobsDedupedReplay),
-            self.metrics.get(Counter::RefactorRealised),
-            self.metrics.get(Counter::RefactorFallback),
-            self.metrics.get(Counter::RealisedWords),
-            self.values_streamed.load(Ordering::Relaxed),
-            self.values_parsed.load(Ordering::Relaxed),
-            pool.analyses,
-            self.analyses_shared.load(Ordering::Relaxed),
-        )
+        let journal = self.journal.as_ref();
+        Head(id, "stats", "").reply("ok", |w| {
+            w.key("workers").lit(self.cfg.workers);
+            w.key("queue_cap").lit(self.cfg.queue_cap);
+            w.key("queue_depths").arr(|w| {
+                for lane in &self.lanes {
+                    w.lit(lane.depth());
+                }
+            });
+            counters(w, &[QueueDepthPeak]);
+            w.key("sessions").lit(pool.sessions);
+            w.key("evicted_tombstones").lit(pool.evicted_tombstones);
+            w.key("resident_bytes").lit(pool.resident_bytes);
+            w.key("scratch_bytes").lit(pool.scratch_bytes);
+            let peak = self.metrics.get(ResidentSessionBytesPeak);
+            w.key("resident_bytes_peak").lit(peak);
+            let budget = self.cfg.session_budget;
+            w.key("session_budget").opt(budget, JsonWriter::lit);
+            w.key("draining").lit(self.is_draining());
+            w.key("jobs_dispatched").lit(self.jobs_dispatched());
+            counters(w, &[SessionsEvicted, JobsRejectedOverload]);
+            counters(w, &[ConnectionsDropped]);
+            let uptime = self.started.elapsed().as_secs_f64();
+            w.key("uptime_s").lit(format_args!("{uptime:.3}"));
+            let durability = journal.map(|j| j.durability().name());
+            w.key("durability").opt(durability, JsonWriter::str);
+            w.key("journal_bytes").lit(journal.map_or(0, |j| j.bytes()));
+            counters(w, &[JournalAppends, JournalCompactions, SessionsReplayed]);
+            counters(w, &[JobsDedupedReplay, RefactorRealised, RefactorFallback]);
+            counters(w, &[RealisedWords]);
+            w.key("values_streamed").lit(load(&self.values_streamed));
+            w.key("values_parsed").lit(load(&self.values_parsed));
+            w.key("analyses").lit(pool.analyses);
+            w.key("analyses_shared").lit(load(&self.analyses_shared));
+        })
     }
 
     /// Forces any batched (relaxed-durability) journal writes to disk —
@@ -1283,67 +1292,87 @@ impl<'e> Engine<'e> {
     /// drained and every in-flight response is flushed).
     pub fn flush_shutdown_ack(&self) {
         if let Some((reply, id)) = self.pending_ack.lock().unwrap().take() {
-            let _ = reply(&format!(
-                r#"{{"id":{id},"op":"shutdown","session":"","status":"ok","drained":true,"jobs":{}}}"#,
-                self.jobs_dispatched()
-            ));
+            let jobs = self.jobs_dispatched();
+            let _ = reply(&Head(id, "shutdown", "").reply("ok", |w| {
+                w.key("drained").lit(true).key("jobs").lit(jobs);
+            }));
         }
     }
 
-    /// Overwrites the daemon counters in an embedded run report with the
-    /// engine's live values (the per-job report was built from a per-job
-    /// registry where they are always zero).
-    fn fold_daemon_counters(&self, report: &mut RunReport) {
-        const DAEMON: [Counter; 9] = [
-            Counter::SessionsEvicted,
-            Counter::JobsRejectedOverload,
-            Counter::ConnectionsDropped,
-            Counter::QueueDepthPeak,
-            Counter::ResidentSessionBytesPeak,
-            Counter::SessionsReplayed,
-            Counter::JobsDedupedReplay,
-            Counter::JournalAppends,
-            Counter::JournalCompactions,
+    /// Adds the engine's live daemon counters to a job's registry, where
+    /// they are zero, so that the job's run report carries them.
+    fn fold_daemon_counters(&self, obs: &ObsSession) {
+        use Counter::*;
+        let daemon = [
+            SessionsEvicted,
+            JobsRejectedOverload,
+            ConnectionsDropped,
+            QueueDepthPeak,
+            ResidentSessionBytesPeak,
+            SessionsReplayed,
+            JobsDedupedReplay,
+            JournalAppends,
+            JournalCompactions,
         ];
-        for c in DAEMON {
-            let v = self.metrics.get(c);
-            if let Some(slot) = report.counters.iter_mut().find(|(n, _)| n == c.name()) {
-                slot.1 = v;
-            } else {
-                report.counters.push((c.name().to_string(), v));
-            }
+        for c in daemon {
+            obs.metrics().add(c, self.metrics.get(c));
         }
     }
 }
 
-/// A fault found by the framer, converted to a one-line error by
+/// A frame that is not a job, answered with a one-line error by
 /// [`Engine::frame_response`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFault {
-    /// The line exceeded `--max-line-bytes`.
-    Oversize {
-        /// Bytes discarded.
-        discarded: usize,
-    },
-    /// The line contained a NUL byte.
-    Nul {
-        /// Length of the rejected line.
-        len: usize,
-    },
-    /// The connection idled out with an unterminated line still buffered;
-    /// the fragment is reported (then discarded) instead of vanishing.
-    Partial {
-        /// Buffered bytes of the abandoned frame.
-        len: usize,
-    },
+    /// A line longer than `--max-line-bytes`, of this many bytes, was
+    /// discarded; the stream resynced at the next newline.
+    Oversize(usize),
+    /// A line of this many bytes held a NUL byte: a binary frame on a
+    /// text protocol.
+    Nul(usize),
+    /// The connection idled out with this many bytes of an unterminated
+    /// line buffered; the fragment is reported (then discarded) instead of
+    /// vanishing.
+    Partial(usize),
 }
 
-fn refusal_response(id: u64, op: &str, name: &str) -> String {
-    format!(
-        r#"{{"id":{id},"op":"{}","session":"{}","status":"error","kind":"shutting_down","exit_code":8,"error":"the daemon is draining and accepts no new jobs"}}"#,
-        escape_json(op),
-        escape_json(name),
-    )
+/// What every reply begins with: the job id, the job's op and session.
+struct Head<'a>(u64, &'a str, &'a str);
+
+impl Head<'_> {
+    /// A reply line: the head, `status`, then the members `body` writes.
+    fn reply(&self, status: &str, body: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::default();
+        w.obj(|w| {
+            w.key("id").lit(self.0).key("op").str(self.1);
+            w.key("session").str(self.2);
+            w.key("status").str(status);
+            body(w);
+        });
+        w.finish()
+    }
+
+    /// An error reply: its `kind`, the `exit_code` a local run would have
+    /// used, the members `extra` writes, and the `error` message last.
+    fn error(
+        &self,
+        kind: &str,
+        exit_code: i32,
+        extra: impl FnOnce(&mut JsonWriter),
+        error: impl std::fmt::Display,
+    ) -> String {
+        self.reply("error", |w| {
+            w.key("kind").str(kind).key("exit_code").lit(exit_code);
+            extra(w);
+            w.key("error").str(error);
+        })
+    }
+
+    /// The refusal of a job that arrives while the daemon drains.
+    fn refusal(&self) -> String {
+        let error = "the daemon is draining and accepts no new jobs";
+        self.error("shutting_down", 8, |_| {}, error)
+    }
 }
 
 /// Reduces recovered journal records to what a compaction would have kept
@@ -1396,7 +1425,8 @@ fn reduce_for_replay(records: Vec<Record>) -> Vec<Record> {
 // Job execution
 // ---------------------------------------------------------------------------
 
-/// Runs one serve-mode job line, returning the one-line JSON response.
+/// Runs one serve-mode job line, returning the one-line JSON response:
+/// `Ok` when the job succeeded, `Err` when the response is an error.
 ///
 /// This is also the idempotency and durability boundary. The optional
 /// `--job-id <token>` is stripped here (it is protocol, not job
@@ -1407,82 +1437,77 @@ fn reduce_for_replay(records: Vec<Record>) -> Vec<Record> {
 /// `journal_corrupt` (exit 10) and the id is *not* marked applied, so
 /// the client's retry re-executes (deterministically, to the same state)
 /// rather than trusting an ack the disk never saw.
-fn serve_job(engine: &Engine<'_>, id: u64, line: &str, token: Option<&CancelToken>) -> String {
+fn serve_job(
+    engine: &Engine<'_>,
+    id: u64,
+    line: &str,
+    token: Option<&CancelToken>,
+) -> Result<String, String> {
     let mut toks: Vec<String> = line.split_whitespace().map(String::from).collect();
-    let job_id = match extract_job_id(&mut toks) {
-        Ok(j) => j,
-        Err(msg) => {
-            return format!(
-                r#"{{"id":{id},"op":"","session":"","status":"error","kind":"bad_request","exit_code":2,"error":"{}"}}"#,
-                escape_json(&msg)
-            )
-        }
-    };
-    let op = toks.first().cloned().unwrap_or_default();
-    let name = toks.get(1).cloned().unwrap_or_default();
-    let head = format!(
-        r#"{{"id":{id},"op":"{}","session":"{}""#,
-        escape_json(&op),
-        escape_json(&name)
-    );
+    let job_id = extract_job_id(&mut toks)
+        .map_err(|msg| Head(id, "", "").error("bad_request", 2, |_| {}, msg))?;
+    let op = toks.first().map_or("", String::as_str);
+    let name = toks.get(1).map_or("", String::as_str);
+    let head = Head(id, op, name);
     let replaying = engine.replaying.load(Ordering::Acquire);
     if let Some(jid) = &job_id {
         if !replaying {
-            match engine.check_applied(&name, jid) {
+            match engine.check_applied(name, jid) {
                 IdStatus::New => {}
                 IdStatus::Cached(original) => {
                     engine.metrics.incr(Counter::JobsDedupedReplay);
-                    return original;
+                    return Ok(original);
                 }
                 IdStatus::Evicted => {
-                    return format!(
-                        r#"{head},"status":"error","kind":"duplicate_replay","exit_code":9,"job_id":"{}","error":"job id already applied but its response is no longer cached; the work was done — query the session instead of retrying"}}"#,
-                        escape_json(jid)
-                    );
+                    let extra = |w: &mut JsonWriter| {
+                        w.key("job_id").str(jid);
+                    };
+                    let error = "job id already applied but its response is no longer cached; \
+                                 the work was done — query the session instead of retrying";
+                    return Err(head.error("duplicate_replay", 9, extra, error));
                 }
             }
         }
     }
     let t0 = Instant::now();
-    match serve_job_inner(engine, &toks, line, token) {
-        Ok(fields) => {
-            let response = format!(
-                r#"{head},"status":"ok","seconds":{:.6}{fields}}}"#,
-                t0.elapsed().as_secs_f64()
-            );
-            let mutating = matches!(op.as_str(), "analyze" | "factor" | "refactor");
-            if mutating && !replaying {
-                if let Some(journal) = &engine.journal {
-                    let record = Record::Job {
-                        job_id: job_id.clone(),
-                        line: line.to_string(),
-                    };
-                    if let Err(e) = journal.append(&record) {
-                        // In-memory state mutated but durability failed:
-                        // the ack must not claim what the disk refused.
-                        // The id stays unapplied so a retry re-executes
-                        // (idempotently) once the disk recovers.
-                        return format!(
-                            r#"{head},"status":"error","kind":"journal_corrupt","exit_code":10,"error":"job applied in memory but the journal append failed ({}); durability is not guaranteed — retry once the state-dir is writable"}}"#,
-                            escape_json(&e.to_string())
-                        );
-                    }
-                    engine.metrics.incr(Counter::JournalAppends);
-                    engine.maybe_compact();
-                }
-            }
-            if let Some(jid) = &job_id {
-                engine.mark_applied(&name, jid, Some(response.clone()));
-            }
-            response
+    let fields = match serve_job_inner(engine, &toks, line, token) {
+        Ok(fields) => fields,
+        Err(e) => {
+            let kind = kind_of_exit(e.exit_code);
+            return Err(head.error(kind, e.exit_code, |_| {}, e.message));
         }
-        Err(e) => format!(
-            r#"{head},"status":"error","kind":"{}","exit_code":{},"error":"{}"}}"#,
-            kind_of_exit(e.exit_code),
-            e.exit_code,
-            escape_json(&e.message)
-        ),
+    };
+    let seconds = t0.elapsed().as_secs_f64();
+    let response = head.reply("ok", |w| {
+        w.key("seconds").lit(format_args!("{seconds:.6}"));
+        w.raw(&fields);
+    });
+    let mutating = matches!(op, "analyze" | "factor" | "refactor");
+    if mutating && !replaying {
+        if let Some(journal) = &engine.journal {
+            let record = Record::Job {
+                job_id: job_id.clone(),
+                line: line.to_string(),
+            };
+            if let Err(e) = journal.append(&record) {
+                // In-memory state mutated but durability failed: the ack
+                // must not claim what the disk refused. The id stays
+                // unapplied so a retry re-executes (idempotently) once the
+                // disk recovers.
+                let error = format_args!(
+                    "job applied in memory but the journal append failed ({e}); durability is \
+                     not guaranteed — retry once the state-dir is writable"
+                );
+                return Err(head.error("journal_corrupt", 10, |_| {}, error));
+            }
+            engine.metrics.incr(Counter::JournalAppends);
+            engine.maybe_compact();
+        }
     }
+    if let Some(jid) = &job_id {
+        engine.mark_applied(name, jid, Some(response.clone()));
+    }
+    Ok(response)
 }
 
 /// [`parse_flags`] for a serve op. `--equilibrate` is refused rather than
@@ -1500,8 +1525,8 @@ fn serve_flags(args: &[String], token: Option<&CancelToken>) -> Result<Cli, CliE
     Ok(cli)
 }
 
-/// The fallible body of [`serve_job`]: returns extra JSON fields (each
-/// prefixed with a comma) to splice into the success response.
+/// The fallible body of [`serve_job`]: returns the members its success
+/// response carries after `seconds`.
 fn serve_job_inner(
     engine: &Engine<'_>,
     toks: &[String],
@@ -1526,11 +1551,6 @@ fn serve_job_inner(
                 let _p = obs.phase("parse");
                 load(path)?
             };
-            let meta = MatrixMeta {
-                name: matrix_name(path),
-                n: a.ncols(),
-                nnz: a.nnz(),
-            };
             // A held analysis of the pattern is shared: no symbolic phase
             // runs. Otherwise the pattern moves into the new analysis.
             let analysis = match engine.pool.shared_analysis(a.pattern(), &cli.opts) {
@@ -1539,28 +1559,18 @@ fn serve_job_inner(
                     analysis
                 }
                 None => {
-                    let analysis =
-                        Analysis::observed(a.pattern(), &cli.opts, &obs).map_err(|e| {
-                            let _ = obs.report(meta.clone(), &cli.opts, RunStatus::from_error(&e));
-                            CliError::from(e)
-                        })?;
+                    let analysis = Analysis::observed(a.pattern(), &cli.opts, &obs)?;
                     let analysis = Arc::new(analysis.with_pattern(a.into_parts().0));
                     engine.pool.pool_analysis(&analysis);
                     analysis
                 }
             };
             let stats = analysis.stats();
-            let mut report = obs.report(
-                MatrixMeta::from_stats(&matrix_name(path), stats),
-                &cli.opts,
-                RunStatus::success(),
-            );
-            let fields = format!(
-                r#","tasks":{},"supernodes":{},"factor_bytes":{}"#,
-                stats.graph_tasks,
-                stats.supernodes,
-                analysis.factor_bytes()
-            );
+            let meta = MatrixMeta::from_stats(&matrix_name(path), stats);
+            let mut w = JsonWriter::default();
+            w.key("tasks").lit(stats.graph_tasks);
+            w.key("supernodes").lit(stats.supernodes);
+            w.key("factor_bytes").lit(analysis.factor_bytes());
             let bytes = engine.pool.insert(
                 name,
                 ServeEntry {
@@ -1571,11 +1581,9 @@ fn serve_job_inner(
                     numeric_line: None,
                 },
             )?;
-            engine.fold_daemon_counters(&mut report);
-            Ok(format!(
-                r#"{fields},"resident_bytes":{bytes},"report":{}"#,
-                compact_json(&report.to_json())
-            ))
+            engine.fold_daemon_counters(&obs);
+            let report = obs.report(meta, &cli.opts, RunStatus::success());
+            Ok(session_fields(w, bytes, &report))
         }
         "factor" | "refactor" => {
             let path = toks
@@ -1612,33 +1620,25 @@ fn serve_job_inner(
             }
             let words = obs.metrics().get(Counter::RealisedWords);
             engine.metrics.record_max(Counter::RealisedWords, words);
+            // The session survives a failed or interrupted factorization,
+            // and keeps the values it had. On success the values held
+            // before go now, not after the report.
+            if outcome.is_ok() {
+                e.values = Some(match values {
+                    Values::Streamed(v) => v,
+                    Values::Parsed(a) => a.into_parts().1,
+                });
+                e.numeric_line = Some(line.to_string());
+            }
             let meta = MatrixMeta::from_stats(&matrix_name(path), e.session.stats());
             let opts = e.session.options().clone();
-            let result = match outcome {
-                Ok(()) => {
-                    // The values held before go now, not after the report.
-                    e.values = Some(match values {
-                        Values::Streamed(v) => v,
-                        Values::Parsed(a) => a.into_parts().1,
-                    });
-                    e.numeric_line = Some(line.to_string());
-                    let mut report = obs.report(meta, &opts, RunStatus::success());
-                    engine.fold_daemon_counters(&mut report);
-                    Ok(compact_json(&report.to_json()))
-                }
-                Err(err) => {
-                    // The session survives a failed or interrupted
-                    // factorization, and keeps the values it had; the
-                    // report records the error.
-                    let _ = obs.report(meta, &opts, RunStatus::from_error(&err));
-                    Err(err)
-                }
-            };
             let bytes = e.resident_bytes();
             pin.set_bytes(e.own_bytes());
             drop(guard);
-            let report = result.map_err(CliError::from)?;
-            Ok(format!(r#","resident_bytes":{bytes},"report":{report}"#))
+            outcome?;
+            engine.fold_daemon_counters(&obs);
+            let report = obs.report(meta, &opts, RunStatus::success());
+            Ok(session_fields(JsonWriter::default(), bytes, &report))
         }
         "solve" => {
             let cli = serve_flags(&toks[2..], token)?;
@@ -1654,20 +1654,24 @@ fn serve_job_inner(
             };
             let s = &e.session;
             let (x, resid) = solve_reported(a, &b, &cli, |b, t, r| s.solve_op(a, b, t, r))?;
-            // JSON has no NaN/∞: a residual that is not a number (a NaN in
-            // the right-hand side or the solution) is reported as `null`.
-            let resid = if resid.is_finite() {
-                format!("{resid:.3e}")
-            } else {
-                "null".to_string()
-            };
-            Ok(format!(
-                r#","residual":{resid},"x_hash":"{:#018x}""#,
-                solution_hash(&x)
-            ))
+            // A residual that is not a number (a NaN in the right-hand
+            // side or the solution) is reported as `null`.
+            let mut w = JsonWriter::default();
+            w.key("residual").float(resid, format_args!("{resid:.3e}"));
+            let hash = solution_hash(&x);
+            w.key("x_hash").str(format_args!("{hash:#018x}"));
+            Ok(w.finish())
         }
         other => Err(CliError::from(format!("unknown serve op `{other}`"))),
     }
+}
+
+/// Ends the members of a session job's success response: its session's
+/// `resident_bytes` and the job's run report.
+fn session_fields(mut w: JsonWriter, resident_bytes: u64, report: &RunReport) -> String {
+    w.key("resident_bytes").lit(resident_bytes).key("report");
+    report.write_json(&mut w);
+    w.finish()
 }
 
 /// The values a `factor`/`refactor` job factors.
@@ -1748,11 +1752,8 @@ pub fn serve_loop_with<R: BufRead, W: IoWrite + Send>(
             }
             match frames.next_frame() {
                 Frame::Eof | Frame::Idle => break,
-                Frame::Oversize { discarded } => {
-                    let _ = reply(&engine.frame_response(FrameFault::Oversize { discarded }));
-                }
-                Frame::Nul { len } => {
-                    let _ = reply(&engine.frame_response(FrameFault::Nul { len }));
+                Frame::Fault(fault) => {
+                    let _ = reply(&engine.frame_response(fault));
                 }
                 Frame::Line(line) => match engine.submit(&line, &reply, token) {
                     Submitted::Quit | Submitted::Shutdown => break,
@@ -2060,8 +2061,7 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
                         let pending = frames.buffered();
                         if pending > 0 {
                             sink.owed.fetch_add(1, Ordering::AcqRel);
-                            let _ =
-                                reply(&engine.frame_response(FrameFault::Partial { len: pending }));
+                            let _ = reply(&engine.frame_response(FrameFault::Partial(pending)));
                         }
                         sink.owed.fetch_add(1, Ordering::AcqRel);
                         let _ = reply(&engine.idle_response(limit));
@@ -2070,15 +2070,10 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
                 }
             }
             Frame::Eof => break,
-            Frame::Oversize { discarded } => {
+            Frame::Fault(fault) => {
                 last_activity = Instant::now();
                 sink.owed.fetch_add(1, Ordering::AcqRel);
-                let _ = reply(&engine.frame_response(FrameFault::Oversize { discarded }));
-            }
-            Frame::Nul { len } => {
-                last_activity = Instant::now();
-                sink.owed.fetch_add(1, Ordering::AcqRel);
-                let _ = reply(&engine.frame_response(FrameFault::Nul { len }));
+                let _ = reply(&engine.frame_response(fault));
             }
             Frame::Line(line) => {
                 last_activity = Instant::now();
@@ -2184,14 +2179,14 @@ mod tests {
         for chunk in [3, 16, 1024] {
             let mut fr = FrameReader::new(Chunked::new(data.as_bytes(), chunk), 32);
             assert_eq!(fr.next_frame(), Frame::Line("ok one".into()));
-            assert_eq!(fr.next_frame(), Frame::Oversize { discarded: 100 });
+            assert_eq!(fr.next_frame(), Frame::Fault(FrameFault::Oversize(100)));
             assert_eq!(fr.next_frame(), Frame::Line("ok two".into()));
             assert_eq!(fr.next_frame(), Frame::Eof);
         }
         // The buffer never grows past the cap even when the line never
         // ends (oversize reported at EOF).
         let mut fr = FrameReader::new(Cursor::new("y".repeat(1000)), 32);
-        assert_eq!(fr.next_frame(), Frame::Oversize { discarded: 1000 });
+        assert_eq!(fr.next_frame(), Frame::Fault(FrameFault::Oversize(1000)));
         assert!(fr.buf.is_empty());
         assert!(fr.buf.capacity() <= 64);
     }
@@ -2200,7 +2195,7 @@ mod tests {
     fn nul_bytes_make_an_invalid_frame() {
         let mut fr = FrameReader::new(Cursor::new(b"good\nbad\0job\nalso good\n".to_vec()), 64);
         assert_eq!(fr.next_frame(), Frame::Line("good".into()));
-        assert_eq!(fr.next_frame(), Frame::Nul { len: 7 });
+        assert_eq!(fr.next_frame(), Frame::Fault(FrameFault::Nul(7)));
         assert_eq!(fr.next_frame(), Frame::Line("also good".into()));
         assert_eq!(fr.next_frame(), Frame::Eof);
     }
@@ -2212,7 +2207,7 @@ mod tests {
         assert_eq!(fr.next_frame(), Frame::Line(line));
         let over = "z".repeat(33);
         let mut fr = FrameReader::new(Cursor::new(format!("{over}\n")), 32);
-        assert_eq!(fr.next_frame(), Frame::Oversize { discarded: 33 });
+        assert_eq!(fr.next_frame(), Frame::Fault(FrameFault::Oversize(33)));
     }
 
     #[test]
@@ -2434,18 +2429,18 @@ mod tests {
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for line in [format!("analyze s {base}"), format!("factor s {base}")] {
-            assert!(serve_job(&engine, 0, &line, None).contains(r#""status":"ok""#));
+            assert!(serve_job(&engine, 0, &line, None).is_ok());
         }
         for line in [
             format!("refactor s {zero_values}"),
             format!("refactor s {doubled_values} --time-limit 0.000000001"),
         ] {
             let reply = serve_job(&engine, 0, &line, None);
-            assert!(reply.contains(r#""status":"error""#), "{reply}");
+            assert!(reply.is_err(), "{reply:?}");
             assert_eq!(bits(&held()), bits(a.values()), "after {line}");
         }
         let reply = serve_job(&engine, 0, &format!("refactor s {doubled_values}"), None);
-        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+        assert!(reply.is_ok(), "{reply:?}");
         assert_eq!(bits(&held()), bits(doubled.values()));
         assert_eq!(engine.values_streamed.load(Ordering::Relaxed), 4);
         for p in paths {

@@ -24,8 +24,8 @@
 //!   span.
 
 use parsplu::core::{
-    analyze, estimate_task_costs, factor_numeric_with, factor_reported, total_flops, BlockMatrix,
-    MatrixMeta, NumericRequest, ObsSession, Options, RunStatus, SluSession, SparseLu,
+    analyze, estimate_task_costs, factor_numeric_with, total_flops, BlockMatrix, LuError,
+    MatrixMeta, NumericRequest, ObsSession, Options, RunReport, RunStatus, SluSession, SparseLu,
 };
 use parsplu::matgen::{paper_suite, Scale};
 use parsplu::obs::Counter;
@@ -33,6 +33,34 @@ use parsplu::sched::{Task, TaskGraph};
 use parsplu::sparse::CscMatrix;
 use parsplu::symbolic::{static_symbolic_factorization, BlockStructure};
 use splu_bench::json::{parse, validate_chrome_trace, validate_run_report};
+
+/// Analyze + factor `a` under `opts` with a fresh full session, returning
+/// the factorization result together with the report and the session (for
+/// the Chrome trace).
+fn factor_reported(
+    a: &CscMatrix,
+    opts: &Options,
+    name: &str,
+) -> (Result<SparseLu, LuError>, RunReport, ObsSession) {
+    let session = ObsSession::with_events();
+    let result = SparseLu::factor_observed(a, opts, &session);
+    let (matrix, status) = match &result {
+        Ok(lu) => (
+            MatrixMeta::from_stats(name, lu.stats()),
+            RunStatus::success(),
+        ),
+        Err(e) => (
+            MatrixMeta {
+                name: name.to_string(),
+                n: a.ncols(),
+                nnz: a.nnz(),
+            },
+            RunStatus::from_error(e),
+        ),
+    };
+    let report = session.report(matrix, opts, status);
+    (result, report, session)
+}
 
 /// `Σ_j |L̄_{*j}|` and `Σ_i |Ū_{i*}|` (diagonals included) of the scalar
 /// structure of the matrix the driver factors, written out by the oracle.
@@ -345,6 +373,16 @@ fn failed_runs_report_their_status() {
             .and_then(|k| k.as_str()),
         Some("singular")
     );
+}
+
+/// A session that recorded nothing still renders a valid trace: the two
+/// driver metadata events and no complete event.
+#[test]
+fn an_empty_session_renders_a_valid_chrome_trace() {
+    let doc = parse(&ObsSession::new().chrome_json()).expect("chrome trace is valid JSON");
+    assert_eq!(validate_chrome_trace(&doc), Ok(0));
+    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    assert_eq!(events.len(), 2, "process and thread name of the driver");
 }
 
 #[test]

@@ -184,7 +184,11 @@ quit
         let status = v.get("status").and_then(|s| s.as_str());
         if i % 2 == 1 {
             assert_eq!(status, Some("ok"), "{l}");
-            assert!(!l.contains(r#""equilibrate": true"#), "{l}");
+            if let Some(report) = v.get("report") {
+                let options = report.get("options").expect("resolved options");
+                let equilibrate = options.get("equilibrate").and_then(|e| e.as_bool());
+                assert_eq!(equilibrate, Some(false), "{l}");
+            }
             continue;
         }
         assert_eq!(status, Some("error"), "{l}");
