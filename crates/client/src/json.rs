@@ -134,17 +134,38 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number {s:?} at byte {start}"))
 }
 
+/// The four hex digits of a `\u` escape whose `u` is at `pos`, as a UTF-16
+/// code unit; `pos` moves to the last digit.
+fn hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let hex = b.get(*pos + 1..*pos + 5);
+    let hex = hex.ok_or_else(|| "truncated \\u escape".to_string())?;
+    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+    let unit = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+    *pos += 4;
+    Ok(unit)
+}
+
+/// Reads a string. Each run of bytes up to the next quote, backslash or
+/// control byte is copied as one slice, validated once, so a document
+/// parses in linear time. A `\uD8xx\uDCxx` surrogate pair decodes to one
+/// character; a lone surrogate to U+FFFD.
 fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1; // opening quote, checked by the caller
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .ok_or_else(|| "unterminated string".to_string())?;
+        let text = std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?;
+        out.push_str(text);
+        *pos += run;
+        match b[*pos] {
+            b'"' => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            b'\\' => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -156,32 +177,27 @@ fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let mut code = hex4(b, pos)?;
+                        let low_follows = b.get(*pos + 1..*pos + 3) == Some(b"\\u");
+                        if (0xd800..0xdc00).contains(&code) && low_follows {
+                            let mut next = *pos + 2;
+                            let low = hex4(b, &mut next)?;
+                            if (0xdc00..0xe000).contains(&low) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos = next;
+                            }
+                        }
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
                     }
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => {
+            _ => {
                 return Err(format!(
                     "unescaped control character at byte {pos}",
                     pos = *pos
                 ))
-            }
-            Some(_) => {
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
             }
         }
     }

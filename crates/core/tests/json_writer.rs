@@ -3,7 +3,9 @@
 //! same value — strings with every control character, quotes, backslashes,
 //! non-ASCII and non-BMP characters; floats from random bit patterns (a
 //! finite one comes back with its bits, NaN and ±∞ as `null`); nested
-//! objects and arrays; `None` members.
+//! objects and arrays; `None` members. Strings with every character
+//! written as a `\u` escape (surrogate pairs beyond the BMP) read back
+//! equal as well.
 
 use proptest::prelude::*;
 use splu_client::{parse, Json};
@@ -105,6 +107,20 @@ proptest! {
         prop_assert_eq!(parse(&text), Ok(doc));
     }
 
+    /// Another writer may escape every character: `\uXXXX` for the BMP, a
+    /// surrogate pair for the rest. Those strings read back equal too.
+    #[test]
+    fn strings_escaped_char_by_char_read_back_equal(
+        s in Just(()).prop_perturb(|_, mut rng| arb_string(&mut rng))
+    ) {
+        let mut text = String::from("\"");
+        for unit in s.encode_utf16() {
+            text.push_str(&format!("\\u{unit:04x}"));
+        }
+        text.push('"');
+        prop_assert_eq!(parse(&text), Ok(Json::Str(s)));
+    }
+
     #[test]
     fn floats_keep_their_bits_and_non_finite_ones_are_null(bits in 0..u64::MAX) {
         let x = f64::from_bits(bits);
@@ -147,6 +163,27 @@ fn the_format_is_compact_and_escapes_as_the_daemon_always_did() {
         w.finish(),
         r#"{"s":"m\"x\\y\nz\r\t\u0001é😀","n":7,"ok":true,"t":0.123,"nan":null,"none":null,"a":[1,{},[]],"raw":{"x":[1]}}"#
     );
+}
+
+/// A `\uD8xx\uDCxx` surrogate pair reads as one character; a lone high
+/// or low surrogate as U+FFFD.
+#[test]
+fn surrogate_pairs_read_as_one_char_and_lone_ones_as_the_replacement() {
+    let str_of = |text: &str| parse(text).unwrap().as_str().map(String::from);
+    assert_eq!(str_of(r#""\ud83d\ude00""#).as_deref(), Some("\u{1f600}"));
+    assert_eq!(
+        str_of(r#""a\uD83D\uDE00b""#).as_deref(),
+        Some("a\u{1f600}b")
+    );
+    for (lone, want) in [
+        (r#""\ud83d""#, "\u{fffd}"),
+        (r#""\ude00""#, "\u{fffd}"),
+        (r#""\ud83dx""#, "\u{fffd}x"),
+        (r#""\ud83d\u0041""#, "\u{fffd}A"),
+        (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+    ] {
+        assert_eq!(str_of(lone).as_deref(), Some(want), "{lone}");
+    }
 }
 
 /// A name from outside the program — here a hostile matrix name, on a span

@@ -702,10 +702,8 @@ fn cmd_gen(name: &str, out_path: &str, flags: &[String]) -> Result<String, CliEr
 use std::sync::Mutex;
 
 // The serve machinery (bounded lanes, session pool with budgeted
-// eviction, socket transport) lives in `crate::serve`; the stdio entry
-// point is re-exported here for the integration tests that predate it.
-pub use crate::serve::serve_loop;
-use crate::serve::{parse_size, serve_daemon, serve_loop_with, Listener, ServeConfig};
+// eviction, the transports) lives in `crate::serve`.
+use crate::serve::{parse_size, serve_daemon, serve_loop, Listener, ServeConfig};
 
 fn cmd_serve(flags: &[String], token: Option<&CancelToken>) -> Result<String, CliError> {
     let mut cfg = ServeConfig::default();
@@ -807,9 +805,8 @@ fn cmd_serve(flags: &[String], token: Option<&CancelToken>) -> Result<String, Cl
             ))
         }
         None => {
-            let stdin = std::io::stdin();
             let stdout = Mutex::new(std::io::stdout());
-            let n = serve_loop_with(cfg, stdin.lock(), &stdout, token)?;
+            let n = serve_loop(cfg, std::io::stdin().lock(), &stdout, token)?;
             Ok(format!("served {n} job(s)\n"))
         }
     }

@@ -4,12 +4,12 @@
 //! module grows it into a daemon (DESIGN.md §5.4) without changing the
 //! job grammar:
 //!
-//! * **Transport** — [`serve_loop`] still drives stdin/stdout for
-//!   single-feeder pipelines, while [`serve_daemon`] accepts TCP or Unix
-//!   domain socket connections ([`Listener`]) and multiplexes every
-//!   client onto the same hash-routed worker lanes. Each connection gets
-//!   its own [`CancelToken`]: a dead or slow client is cancelled and
-//!   dropped, never wedging a lane.
+//! * **Transport** — a connection is a reader and a writer: stdin and
+//!   stdout ([`serve_loop`]), or each TCP or Unix domain socket connection
+//!   [`serve_daemon`] accepts ([`Listener`]). One feeder serves every
+//!   connection onto the same hash-routed worker lanes, around one engine
+//!   lifecycle. Each connection gets its own [`CancelToken`]: a dead or
+//!   slow client is cancelled and dropped, never wedging a lane.
 //! * **Framing** — [`FrameReader`] enforces a line-size cap
 //!   (`--max-line-bytes`) and rejects NUL-bearing frames with a one-line
 //!   structured error, then resynchronizes at the next newline, so a
@@ -36,7 +36,10 @@
 //!   buffering without bound.
 //! * **Graceful shutdown** — the `shutdown` op (or Ctrl-C) stops intake,
 //!   drains every queued job, flushes the final responses, and only then
-//!   acknowledges. Accepted work is never dropped.
+//!   acknowledges. Accepted work is never dropped. The feeder that sent
+//!   `shutdown` stops reading; every other connection, and any the daemon
+//!   accepts during the drain, keeps reading, each line refused with
+//!   `shutting_down`, and closes once the engine has drained.
 //! * **Durability** (DESIGN.md §6) — with `--state-dir`, every
 //!   acknowledged mutating job (`analyze`/`factor`/`refactor`) is
 //!   appended to a CRC-framed journal ([`crate::persist`]) *before* the
@@ -78,10 +81,10 @@ use splu_sched::{Lane, LaneRejected};
 use splu_sparse::io::read_matrix_market_values;
 use splu_sparse::{CscMatrix, CscRef, SparsityPattern};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufRead, ErrorKind, Write as IoWrite};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -90,8 +93,7 @@ use std::time::{Duration, Instant};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Configuration for the serve engine, shared by the stdio loop and the
-/// socket daemon.
+/// Configuration for the serve engine, whatever its transport.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker lanes (and threads) jobs are hash-routed onto.
@@ -106,8 +108,8 @@ pub struct ServeConfig {
     /// Resident-byte budget for the session pool; `None` disables
     /// eviction.
     pub session_budget: Option<u64>,
-    /// Drop socket connections idle longer than this; `None` disables the
-    /// idle timeout. (Ignored by the stdio loop, whose reader blocks.)
+    /// Drop connections idle longer than this; `None` disables the idle
+    /// timeout. It fires only where reads time out: on sockets, not stdin.
     pub idle_timeout: Option<Duration>,
     /// Directory for the durable session journal; `None` runs in-memory
     /// only (state is lost on exit, as before PR 10).
@@ -802,21 +804,23 @@ pub enum Submitted {
     Control,
     /// The `quit` op: the feeder should stop reading.
     Quit,
-    /// The `shutdown` op: the daemon should drain and exit; the final
-    /// acknowledgement is written by [`Engine::flush_shutdown_ack`].
+    /// The `shutdown` op: the daemon drains and exits; the final
+    /// acknowledgement is written once the lanes ran dry.
     Shutdown,
 }
 
 /// The serve engine: bounded lanes, the session pool, and the daemon
-/// counters. One engine serves any number of feeders (the stdio loop, or
-/// one feeder per socket connection).
+/// counters. One engine serves any number of feeders (stdin, or one per
+/// socket connection).
 pub struct Engine<'e> {
     cfg: ServeConfig,
     lanes: Vec<Lane<Job<'e>>>,
     pool: SessionPool,
     metrics: Arc<MetricsRegistry>,
     ids: AtomicU64,
-    draining: AtomicBool,
+    phase: Mutex<Phase>,
+    /// Signalled when a drain begins.
+    drain_begun: Condvar,
     /// EWMA of job service time in nanoseconds (weight 1/8), feeding the
     /// `retry_after_hint` of overload rejections.
     job_ns: AtomicU64,
@@ -845,28 +849,51 @@ pub struct Engine<'e> {
 }
 
 impl<'e> Engine<'e> {
-    /// A fresh in-memory engine with its own metrics registry and session
-    /// pool. Ignores `cfg.state_dir`; use [`Engine::open`] for a durable
-    /// engine.
-    pub fn new(cfg: ServeConfig) -> Self {
+    /// A fresh engine with its own metrics registry and session pool. With
+    /// `cfg.state_dir` it is durable: it opens (or creates) the journal
+    /// there, truncates any torn tail, and replays the surviving records
+    /// through the normal job path, reviving every journaled session
+    /// bitwise-identically.
+    pub fn open(cfg: ServeConfig) -> Result<Self, CliError> {
         let cfg = ServeConfig {
             workers: cfg.workers.max(1),
             queue_cap: cfg.queue_cap.max(1),
             ..cfg
         };
+        let (journal, records) = match &cfg.state_dir {
+            Some(dir) => {
+                let (journal, recovered) = Journal::open(dir, cfg.durability)
+                    .map_err(|e| CliError::from(format!("journal: {e}")))?;
+                match recovered.damage {
+                    Some(Damage::TornTail { dropped_bytes }) => eprintln!(
+                        "parsplu serve: journal had a torn tail ({dropped_bytes} byte(s), a \
+                         crash mid-append); truncated to the last whole record"
+                    ),
+                    Some(Damage::Corrupt {
+                        offset,
+                        dropped_bytes,
+                    }) => eprintln!(
+                        "parsplu serve: journal record at byte {offset} failed its CRC; dropped \
+                         {dropped_bytes} byte(s) and kept the valid prefix"
+                    ),
+                    None => {}
+                }
+                (Some(journal), recovered.records)
+            }
+            None => (None, Vec::new()),
+        };
         let metrics = Arc::new(MetricsRegistry::new());
-        let lanes = (0..cfg.workers).map(|_| Lane::new(cfg.queue_cap)).collect();
-        let pool = SessionPool::new(cfg.session_budget, Arc::clone(&metrics));
-        Engine {
+        let engine = Engine {
+            lanes: (0..cfg.workers).map(|_| Lane::new(cfg.queue_cap)).collect(),
+            pool: SessionPool::new(cfg.session_budget, Arc::clone(&metrics)),
             cfg,
-            lanes,
-            pool,
             metrics,
             ids: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
+            phase: Mutex::new(Phase::Serving),
+            drain_begun: Condvar::new(),
             job_ns: AtomicU64::new(0),
             pending_ack: Mutex::new(None),
-            journal: None,
+            journal,
             trackers: Mutex::new(HashMap::new()),
             replaying: AtomicBool::new(false),
             jitter_seq: AtomicU64::new(0),
@@ -874,37 +901,8 @@ impl<'e> Engine<'e> {
             values_parsed: AtomicU64::new(0),
             analyses_shared: AtomicU64::new(0),
             started: Instant::now(),
-        }
-    }
-
-    /// [`Engine::new`] plus durability: opens (or creates) the journal
-    /// under `cfg.state_dir` if one is configured, truncates any torn
-    /// tail, and replays the surviving records through the normal job
-    /// path, reviving every journaled session bitwise-identically.
-    pub fn open(cfg: ServeConfig) -> Result<Self, CliError> {
-        let state_dir = cfg.state_dir.clone();
-        let mut engine = Engine::new(cfg);
-        let Some(dir) = state_dir else {
-            return Ok(engine);
         };
-        let (journal, recovered) = Journal::open(&dir, engine.cfg.durability)
-            .map_err(|e| CliError::from(format!("journal: {e}")))?;
-        match recovered.damage {
-            Some(Damage::TornTail { dropped_bytes }) => eprintln!(
-                "parsplu serve: journal had a torn tail ({dropped_bytes} byte(s), a crash \
-                 mid-append); truncated to the last whole record"
-            ),
-            Some(Damage::Corrupt {
-                offset,
-                dropped_bytes,
-            }) => eprintln!(
-                "parsplu serve: journal record at byte {offset} failed its CRC; dropped \
-                 {dropped_bytes} byte(s) and kept the valid prefix"
-            ),
-            None => {}
-        }
-        engine.journal = Some(journal);
-        engine.replay(recovered.records);
+        engine.replay(records);
         Ok(engine)
     }
 
@@ -956,22 +954,8 @@ impl<'e> Engine<'e> {
         );
     }
 
-    /// The engine's configuration.
-    pub fn cfg(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    /// The engine's daemon-level metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    fn metrics_arc(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
-    }
-
     /// Total job ids consumed (job lines answered or queued).
-    pub fn jobs_dispatched(&self) -> u64 {
+    fn jobs_dispatched(&self) -> u64 {
         self.ids.load(Ordering::Relaxed)
     }
 
@@ -981,30 +965,35 @@ impl<'e> Engine<'e> {
 
     /// True once a shutdown (op or external cancel) began: intake is
     /// refused, queued work drains.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+    fn is_draining(&self) -> bool {
+        *self.phase.lock().unwrap() != Phase::Serving
     }
 
-    /// Starts draining without a `shutdown` op (Ctrl-C path).
-    pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
+    fn is_drained(&self) -> bool {
+        *self.phase.lock().unwrap() == Phase::Drained
     }
 
-    /// Closes every lane: queued jobs still drain, new pushes are refused.
-    pub fn close_lanes(&self) {
-        for lane in &self.lanes {
-            lane.close();
+    /// Begins a drain unless one began already, keeping `ack` — the
+    /// `shutdown` op's reply sink and id — for [`Engine::flush_shutdown_ack`].
+    /// True when this call began it.
+    fn start_drain(&self, ack: Option<(Reply<'e>, u64)>) -> bool {
+        let mut phase = self.phase.lock().unwrap();
+        if *phase != Phase::Serving {
+            return false;
         }
+        *phase = Phase::Draining;
+        *self.pending_ack.lock().unwrap() = ack;
+        self.drain_begun.notify_all();
+        true
     }
 
-    /// Spawns one worker thread per lane on `scope`.
-    pub fn start_workers<'env, 'scope>(
-        &'env self,
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-    ) -> Vec<std::thread::ScopedJoinHandle<'scope, ()>> {
-        (0..self.lanes.len())
-            .map(|w| scope.spawn(move || self.worker_loop(w)))
-            .collect()
+    /// Blocks until a drain begins; cancelling `token` begins one.
+    fn await_drain(&self, token: Option<&CancelToken>) {
+        let mut phase = self.phase.lock().unwrap();
+        while *phase == Phase::Serving && !token.is_some_and(CancelToken::is_cancelled) {
+            phase = self.drain_begun.wait_timeout(phase, POLL_TICK).unwrap().0;
+        }
+        *phase = (*phase).max(Phase::Draining);
     }
 
     fn worker_loop(&self, w: usize) {
@@ -1143,14 +1132,12 @@ impl<'e> Engine<'e> {
             let _ = reply(&self.stats_response(id));
             return Submitted::Control;
         }
+        if op == "shutdown" && self.start_drain(Some((Arc::clone(reply), id))) {
+            return Submitted::Shutdown;
+        }
         if self.is_draining() {
             let _ = reply(&Head(id, op, name).refusal());
             return Submitted::Rejected;
-        }
-        if op == "shutdown" {
-            *self.pending_ack.lock().unwrap() = Some((Arc::clone(reply), id));
-            self.begin_drain();
-            return Submitted::Shutdown;
         }
         let lane = lane_of(name, self.lanes.len());
         // Each job gets a *child* of the caller's token: cancelling the
@@ -1192,7 +1179,7 @@ impl<'e> Engine<'e> {
 
     /// A one-line error for a framing fault, consuming a job id so the
     /// client still sees exactly one response per frame.
-    pub fn frame_response(&self, fault: FrameFault) -> String {
+    fn frame_response(&self, fault: FrameFault) -> String {
         let cap = self.cfg.max_line_bytes;
         let (kind, bytes, error) = match fault {
             FrameFault::Oversize(n) => (
@@ -1280,7 +1267,7 @@ impl<'e> Engine<'e> {
     /// Forces any batched (relaxed-durability) journal writes to disk —
     /// the drain path, so a graceful shutdown never loses acknowledged
     /// work even in relaxed mode.
-    pub fn sync_journal(&self) {
+    fn sync_journal(&self) {
         if let Some(j) = &self.journal {
             if let Err(e) = j.sync() {
                 eprintln!("parsplu serve: journal sync on drain failed: {e}");
@@ -1290,7 +1277,7 @@ impl<'e> Engine<'e> {
 
     /// Writes the deferred `shutdown` acknowledgement (after the lanes are
     /// drained and every in-flight response is flushed).
-    pub fn flush_shutdown_ack(&self) {
+    fn flush_shutdown_ack(&self) {
         if let Some((reply, id)) = self.pending_ack.lock().unwrap().take() {
             let jobs = self.jobs_dispatched();
             let _ = reply(&Head(id, "shutdown", "").reply("ok", |w| {
@@ -1320,8 +1307,18 @@ impl<'e> Engine<'e> {
     }
 }
 
-/// A frame that is not a job, answered with a one-line error by
-/// [`Engine::frame_response`].
+/// Where an engine is in its life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    /// Lines are submitted.
+    Serving,
+    /// A drain began: every line is refused, queued jobs still run.
+    Draining,
+    /// The lanes ran dry and the shutdown ack was written: feeders close.
+    Drained,
+}
+
+/// A frame that is not a job, answered with a one-line error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFault {
     /// A line longer than `--max-line-bytes`, of this many bytes, was
@@ -1702,7 +1699,7 @@ fn read_values(
 }
 
 // ---------------------------------------------------------------------------
-// Stdio loop
+// Transport
 // ---------------------------------------------------------------------------
 
 /// Writes one response: the line and its newline in a single `write_all`
@@ -1715,68 +1712,64 @@ fn write_line(w: &mut impl IoWrite, s: &str) -> bool {
     w.write_all(&line).is_ok() && w.flush().is_ok()
 }
 
-/// The serve-mode engine on a single reader/writer pair, factored out so
-/// the integration tests can drive it in-process: reads line-delimited
-/// jobs from `reader`, dispatches them over `workers` threads, and writes
-/// one JSON line per job to `writer` in completion order. Returns the
-/// number of jobs run.
-pub fn serve_loop<R: BufRead, W: IoWrite + Send>(
-    reader: R,
-    writer: &Mutex<W>,
-    workers: usize,
+/// How often socket reads and the accept loop wake to poll the engine's
+/// phase, and the drain waits on a cancelled token.
+const POLL_TICK: Duration = Duration::from_millis(100);
+
+/// Runs an engine's life around `intake`, which feeds it on the calling
+/// thread: opens the engine, starts one worker per lane, and drains once a
+/// `shutdown` op arrives, `token` is cancelled or `intake` returns. The
+/// drain closes the lanes, lets the workers run them dry, syncs the
+/// journal and writes the shutdown ack, then marks the engine drained,
+/// which is when feeders close. Returns the job ids consumed.
+fn serve<'e>(
+    cfg: ServeConfig,
     token: Option<&CancelToken>,
-) -> Result<usize, CliError> {
-    let cfg = ServeConfig {
-        workers,
-        ..ServeConfig::default()
-    };
-    serve_loop_with(cfg, reader, writer, token)
+    intake: impl FnOnce(&Engine<'e>),
+) -> Result<u64, CliError> {
+    let engine = Engine::open(cfg)?;
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        let workers: Vec<_> = (0..engine.lanes.len())
+            .map(|w| scope.spawn(move || engine.worker_loop(w)))
+            .collect();
+        scope.spawn(move || {
+            engine.await_drain(token);
+            // Queued jobs still run; new pushes are refused.
+            engine.lanes.iter().for_each(Lane::close);
+            for h in workers {
+                let _ = h.join();
+            }
+            engine.sync_journal();
+            engine.flush_shutdown_ack();
+            *engine.phase.lock().unwrap() = Phase::Drained;
+        });
+        intake(engine);
+        engine.start_drain(None);
+    });
+    Ok(engine.jobs_dispatched())
 }
 
-/// [`serve_loop`] with a full [`ServeConfig`] (lane bounds, line cap,
-/// session budget).
-pub fn serve_loop_with<R: BufRead, W: IoWrite + Send>(
+/// The serve engine on one reader/writer pair — `parsplu serve`'s stdin
+/// and stdout, or the integration tests' in-process scripts: reads
+/// line-delimited jobs from `reader` and writes one JSON line per job to
+/// `writer` in completion order. The end of `reader` is a `quit`: the
+/// replies go to another stream, which stays open for them. Returns the
+/// number of job ids consumed.
+pub fn serve_loop<R: BufRead, W: IoWrite + Send>(
     cfg: ServeConfig,
     reader: R,
     writer: &Mutex<W>,
     token: Option<&CancelToken>,
 ) -> Result<usize, CliError> {
-    let engine = Engine::open(cfg)?;
-    let mut frames = FrameReader::new(reader, engine.cfg().max_line_bytes);
-    std::thread::scope(|scope| {
-        let workers = engine.start_workers(scope);
-        let reply: Reply<'_> = Arc::new(move |s: &str| write_line(&mut *writer.lock().unwrap(), s));
-        loop {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                break;
-            }
-            match frames.next_frame() {
-                Frame::Eof | Frame::Idle => break,
-                Frame::Fault(fault) => {
-                    let _ = reply(&engine.frame_response(fault));
-                }
-                Frame::Line(line) => match engine.submit(&line, &reply, token) {
-                    Submitted::Quit | Submitted::Shutdown => break,
-                    _ => {}
-                },
-            }
-        }
-        engine.close_lanes();
-        for h in workers {
-            let _ = h.join();
-        }
-        engine.sync_journal();
-        engine.flush_shutdown_ack();
-    });
-    Ok(engine.jobs_dispatched() as usize)
+    let reader = reader.chain(&b"\nquit\n"[..]);
+    let write = |s: &str| write_line(&mut *writer.lock().unwrap(), s);
+    let jobs = serve(cfg, token, |engine| feed(engine, reader, write))?;
+    Ok(jobs as usize)
 }
 
-// ---------------------------------------------------------------------------
-// Socket transport
-// ---------------------------------------------------------------------------
-
-/// A bound daemon listener: TCP (`host:port`) or a Unix domain socket
-/// (`unix:/path/to.sock`, Unix targets only).
+/// A bound, non-blocking daemon listener: TCP (`host:port`) or a Unix
+/// domain socket (`unix:/path/to.sock`, Unix targets only).
 pub enum Listener {
     /// A TCP listener.
     Tcp(std::net::TcpListener),
@@ -1785,12 +1778,9 @@ pub enum Listener {
     Unix(std::os::unix::net::UnixListener, std::path::PathBuf),
 }
 
-/// One accepted client connection.
-pub(crate) enum Conn {
-    Tcp(std::net::TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
+/// An accepted connection's read half, whose reads time out each
+/// [`POLL_TICK`], and its write half.
+type Halves = (Box<dyn Read + Send>, Box<dyn IoWrite + Send>);
 
 impl Listener {
     /// Binds `addr`: `unix:<path>` for a Unix domain socket, anything
@@ -1808,6 +1798,7 @@ impl Listener {
                     }
                 }
                 let l = std::os::unix::net::UnixListener::bind(path)
+                    .and_then(|l| l.set_nonblocking(true).map(|()| l))
                     .map_err(|e| CliError::from(format!("binding {addr}: {e}")))?;
                 Ok(Listener::Unix(l, std::path::PathBuf::from(path)))
             }
@@ -1820,6 +1811,7 @@ impl Listener {
             }
         } else {
             let l = std::net::TcpListener::bind(addr)
+                .and_then(|l| l.set_nonblocking(true).map(|()| l))
                 .map_err(|e| CliError::from(format!("binding {addr}: {e}")))?;
             Ok(Listener::Tcp(l))
         }
@@ -1838,29 +1830,33 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
+    /// Accepts one connection (the outer error) and splits it into its
+    /// halves (the inner one).
+    fn accept_conn(&self) -> std::io::Result<std::io::Result<Halves>> {
+        fn halves<S: Read + IoWrite + Send + 'static>(
+            s: S,
+            read: std::io::Result<S>,
+        ) -> std::io::Result<Halves> {
+            Ok((Box::new(read?), Box::new(s)))
         }
-    }
-
-    fn accept_conn(&self) -> std::io::Result<Conn> {
-        match self {
+        Ok(match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
                 // One-line responses to interactive clients: Nagle's
                 // algorithm only adds delayed-ACK stalls here.
                 let _ = s.set_nodelay(true);
-                Ok(Conn::Tcp(s))
+                let read = s.set_read_timeout(Some(POLL_TICK));
+                let read = read.and_then(|()| s.try_clone());
+                halves(s, read)
             }
             #[cfg(unix)]
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
-                Ok(Conn::Unix(s))
+                let read = s.set_read_timeout(Some(POLL_TICK));
+                let read = read.and_then(|()| s.try_clone());
+                halves(s, read)
             }
-        }
+        })
     }
 }
 
@@ -1869,52 +1865,6 @@ impl Drop for Listener {
         #[cfg(unix)]
         if let Listener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(d),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-}
-
-impl std::io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl std::io::Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
         }
     }
 }
@@ -1928,8 +1878,45 @@ pub struct ServeSummary {
     pub connections: u64,
 }
 
-struct ConnSink {
-    stream: Mutex<Conn>,
+/// Runs the daemon on a bound listener until a `shutdown` op arrives or
+/// `token` is cancelled, then drains queued jobs, flushes their
+/// responses, and returns. Every connection is an independent feeder onto
+/// one shared engine: sessions, lanes, and the budget are daemon-global.
+/// Connections are accepted until the engine has drained; during the
+/// drain their lines are refused.
+pub fn serve_daemon(
+    cfg: ServeConfig,
+    listener: Listener,
+    token: Option<&CancelToken>,
+) -> Result<ServeSummary, CliError> {
+    let mut connections = 0;
+    let jobs = serve(cfg, token, |engine| {
+        std::thread::scope(|scope| {
+            while !engine.is_drained() {
+                match listener.accept_conn() {
+                    Ok(Ok((read, write))) => {
+                        connections += 1;
+                        let write = Mutex::new(write);
+                        let write = move |s: &str| write_line(&mut *write.lock().unwrap(), s);
+                        scope.spawn(move || feed(engine, BufReader::new(read), write));
+                    }
+                    Ok(Err(_)) => engine.metrics.incr(Counter::ConnectionsDropped),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
+            }
+            // A failed listener ends the intake: drain, so feeders close.
+            engine.start_drain(None);
+        })
+    })?;
+    Ok(ServeSummary { jobs, connections })
+}
+
+/// A connection's reply side.
+struct Sink<F> {
+    write: F,
+    /// Set once a write failed: the client is gone.
     dead: AtomicBool,
     /// Responses promised to this client but not yet attempted. The
     /// feeder increments before each reply-producing event; the reply
@@ -1939,96 +1926,36 @@ struct ConnSink {
     owed: AtomicI64,
 }
 
-/// How often blocked socket reads and the accept loop wake to poll
-/// drain/cancel state.
-const POLL_TICK: Duration = Duration::from_millis(100);
-
-/// Runs the daemon on a bound listener until a `shutdown` op arrives or
-/// `token` is cancelled, then drains queued jobs, flushes their
-/// responses, and returns. Every connection is an independent feeder onto
-/// one shared engine: sessions, lanes, and the budget are daemon-global.
-pub fn serve_daemon(
-    cfg: ServeConfig,
-    listener: Listener,
-    token: Option<&CancelToken>,
-) -> Result<ServeSummary, CliError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CliError::from(format!("listener setup: {e}")))?;
-    let engine = Engine::open(cfg)?;
-    let connections = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        let workers = engine.start_workers(scope);
-        loop {
-            if engine.is_draining() {
-                break;
-            }
-            if token.is_some_and(|t| t.is_cancelled()) {
-                engine.begin_drain();
-                break;
-            }
-            match listener.accept_conn() {
-                Ok(conn) => {
-                    connections.fetch_add(1, Ordering::Relaxed);
-                    let engine = &engine;
-                    scope.spawn(move || serve_connection(engine, conn));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    engine.begin_drain();
-                    break;
-                }
-            }
-        }
-        // Stop intake, run the queues dry, flush the deferred shutdown
-        // acknowledgement. Reader threads notice `is_draining` within one
-        // poll tick and exit; the scope joins them.
-        engine.close_lanes();
-        for h in workers {
-            let _ = h.join();
-        }
-        engine.sync_journal();
-        engine.flush_shutdown_ack();
-    });
-    Ok(ServeSummary {
-        jobs: engine.jobs_dispatched(),
-        connections: connections.load(Ordering::Relaxed),
-    })
-}
-
-/// One connection's feeder: frames lines off the socket, submits them to
-/// the shared engine, and owns the connection's cancel token. An unclean
-/// end (EOF mid-stream, write failure, idle timeout) cancels the token so
-/// in-flight jobs for this client abort at their next budget checkpoint
-/// instead of wedging a lane. `connections_dropped` counts only clients
-/// that vanished with responses still owed; a plain EOF after reading
-/// everything is a normal close.
-fn serve_connection(engine: &Engine<'_>, conn: Conn) {
-    let read_half = match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => {
-            engine.metrics().incr(Counter::ConnectionsDropped);
-            return;
-        }
-    };
-    let _ = read_half.set_read_timeout(Some(POLL_TICK));
-    let sink = Arc::new(ConnSink {
-        stream: Mutex::new(conn),
+/// One connection's feeder, for every transport: frames lines off
+/// `reader`, submits them to the engine, and owns the connection's cancel
+/// token. A feeder that sent `shutdown` or `quit` stops reading; every
+/// other one keeps reading through a drain, its lines refused, and closes
+/// once the engine has drained. An unclean end (EOF mid-stream, write
+/// failure, idle timeout) cancels the token so in-flight jobs for this
+/// client abort at their next budget checkpoint instead of wedging a lane.
+/// `connections_dropped` counts only clients that vanished with responses
+/// still owed; a plain EOF after reading everything is a normal close.
+fn feed<'e>(
+    engine: &Engine<'e>,
+    reader: impl BufRead,
+    write: impl Fn(&str) -> bool + Send + Sync + 'e,
+) {
+    let sink = Arc::new(Sink {
+        write,
         dead: AtomicBool::new(false),
         owed: AtomicI64::new(0),
     });
-    let conn_token = CancelToken::new();
-    let reply: Reply<'_> = {
+    let token = CancelToken::new();
+    let reply: Reply<'e> = {
         let sink = Arc::clone(&sink);
-        let token = conn_token.clone();
-        let metrics = engine.metrics_arc();
+        let token = token.clone();
+        let metrics = Arc::clone(&engine.metrics);
         Arc::new(move |s: &str| {
             sink.owed.fetch_sub(1, Ordering::AcqRel);
             if sink.dead.load(Ordering::Acquire) {
                 return false;
             }
-            let ok = write_line(&mut *sink.stream.lock().unwrap(), s);
+            let ok = (sink.write)(s);
             if !ok && !sink.dead.swap(true, Ordering::AcqRel) {
                 metrics.incr(Counter::ConnectionsDropped);
                 token.cancel();
@@ -2036,23 +1963,16 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
             ok
         })
     };
-    let mut frames = FrameReader::new(
-        std::io::BufReader::new(read_half),
-        engine.cfg().max_line_bytes,
-    );
+    let owe = |n: i64| sink.owed.fetch_add(n, Ordering::AcqRel);
+    let mut frames = FrameReader::new(reader, engine.cfg.max_line_bytes);
     let mut last_activity = Instant::now();
-    let mut clean = false;
-    loop {
-        if engine.is_draining() {
-            clean = true;
-            break;
-        }
-        if conn_token.is_cancelled() {
-            break;
+    while !token.is_cancelled() {
+        if engine.is_drained() {
+            return;
         }
         match frames.next_frame() {
             Frame::Idle => {
-                if let Some(limit) = engine.cfg().idle_timeout {
+                if let Some(limit) = engine.cfg.idle_timeout {
                     if last_activity.elapsed() >= limit {
                         // A half-sent line deserves a structured answer,
                         // not a silent drop: report the abandoned
@@ -2060,10 +1980,10 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
                         // connection.
                         let pending = frames.buffered();
                         if pending > 0 {
-                            sink.owed.fetch_add(1, Ordering::AcqRel);
+                            owe(1);
                             let _ = reply(&engine.frame_response(FrameFault::Partial(pending)));
                         }
-                        sink.owed.fetch_add(1, Ordering::AcqRel);
+                        owe(1);
                         let _ = reply(&engine.idle_response(limit));
                         break;
                     }
@@ -2072,45 +1992,40 @@ fn serve_connection(engine: &Engine<'_>, conn: Conn) {
             Frame::Eof => break,
             Frame::Fault(fault) => {
                 last_activity = Instant::now();
-                sink.owed.fetch_add(1, Ordering::AcqRel);
+                owe(1);
                 let _ = reply(&engine.frame_response(fault));
             }
             Frame::Line(line) => {
                 last_activity = Instant::now();
                 // Promise one response up front: inline answers (stats,
-                // rejections) repay it inside `submit`, queued jobs repay
+                // refusals) repay it inside `submit`, queued jobs repay
                 // it when a worker replies, and the deferred shutdown ack
                 // repays it from `flush_shutdown_ack`.
-                sink.owed.fetch_add(1, Ordering::AcqRel);
-                match engine.submit(&line, &reply, Some(&conn_token)) {
+                owe(1);
+                match engine.submit(&line, &reply, Some(&token)) {
                     Submitted::Skipped => {
-                        sink.owed.fetch_sub(1, Ordering::AcqRel);
+                        owe(-1);
                     }
                     Submitted::Quit => {
-                        sink.owed.fetch_sub(1, Ordering::AcqRel);
-                        clean = true;
-                        break;
+                        owe(-1);
+                        return;
                     }
-                    Submitted::Shutdown => {
-                        clean = true;
-                        break;
-                    }
+                    Submitted::Shutdown => return,
                     _ => {}
                 }
             }
         }
     }
-    // The write half lives on inside any queued jobs' reply Arcs, so
-    // responses already accepted still flush before the socket closes.
-    // An unclean end always cancels the token (in-flight jobs abort at
-    // their next checkpoint instead of wedging a lane), but only counts
-    // as a dropped connection when the client still had responses owed;
-    // an EOF with nothing outstanding is just a client closing up.
-    if !clean {
-        conn_token.cancel();
-        if sink.owed.load(Ordering::Acquire) > 0 && !sink.dead.swap(true, Ordering::AcqRel) {
-            engine.metrics().incr(Counter::ConnectionsDropped);
-        }
+    // The clean ends returned above. The write half lives on inside any
+    // queued jobs' reply Arcs, so responses already accepted still flush
+    // before the connection closes. An unclean end always cancels the token
+    // (in-flight jobs abort at their next checkpoint instead of wedging a
+    // lane), but only counts as a dropped connection when the client still
+    // had responses owed; an EOF with nothing outstanding is just a client
+    // closing up.
+    token.cancel();
+    if sink.owed.load(Ordering::Acquire) > 0 && !sink.dead.swap(true, Ordering::AcqRel) {
+        engine.metrics.incr(Counter::ConnectionsDropped);
     }
 }
 
@@ -2386,7 +2301,7 @@ mod tests {
         let writer = Mutex::new(CountingWriter::default());
         let script = "solve nosuch\nfrobnicate x\nrefactor nosuch m.mtx\n";
         assert_eq!(
-            serve_loop(Cursor::new(script), &writer, 2, None).unwrap(),
+            serve_loop(ServeConfig::default(), Cursor::new(script), &writer, None).unwrap(),
             3
         );
         let writes = writer.into_inner().unwrap().writes;
@@ -2421,7 +2336,7 @@ mod tests {
             file("doubled", &doubled),
         ];
         let [base, zero_values, doubled_values] = &paths;
-        let engine = Engine::new(ServeConfig::default());
+        let engine = Engine::open(ServeConfig::default()).unwrap();
         let held = || {
             let pin = engine.pool.pin("s").unwrap();
             let e = pin.cell().lock().unwrap();

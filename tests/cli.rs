@@ -1,6 +1,15 @@
 //! Integration tests for the `parsplu` command-line interface.
 
 use parsplu::cli::run;
+use parsplu::serve::ServeConfig;
+
+/// A serve engine on `n` worker lanes.
+fn workers(n: usize) -> ServeConfig {
+    ServeConfig {
+        workers: n,
+        ..ServeConfig::default()
+    }
+}
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -139,7 +148,7 @@ fn flag_errors_are_reported() {
 /// flag accepted and ignored.
 #[test]
 fn graph_flag_is_refused_as_an_unknown_option() {
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use std::io::Cursor;
     use std::sync::Mutex;
     let path = tmp("graph_flag");
@@ -152,7 +161,7 @@ fn graph_flag_is_refused_as_an_unknown_option() {
     let script = format!("analyze s {path} --graph sstar\nanalyze s {path}\n");
     let writer = Mutex::new(Vec::new());
     assert_eq!(
-        serve_loop(Cursor::new(script), &writer, 1, None).unwrap(),
+        serve_loop(workers(1), Cursor::new(script), &writer, None).unwrap(),
         2
     );
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
@@ -297,7 +306,7 @@ fn breakdown_policy_through_the_cli() {
     // [[1, 1, 0], [1, 1, 1], [0, 1, 1]] perturbs column 1 under the
     // diagonal rule. Every solve variant refines, through `parsplu solve`
     // and the daemon alike, to machine precision and to the same bits.
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use parsplu::serve::solution_hash;
     use std::io::Cursor;
     use std::sync::Mutex;
@@ -325,7 +334,7 @@ fn breakdown_policy_through_the_cli() {
         script += &format!("solve t {v}\n");
     }
     let writer = Mutex::new(Vec::new());
-    serve_loop(Cursor::new(script), &writer, 1, None).unwrap();
+    serve_loop(workers(1), Cursor::new(script), &writer, None).unwrap();
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     let solves: Vec<&str> = (out.lines())
         .filter(|l| l.contains(r#""op":"solve""#))
@@ -578,7 +587,7 @@ fn failed_solves_still_write_a_report() {
 
 #[test]
 fn serve_mode_runs_a_session_script_in_process() {
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use std::io::Cursor;
     use std::sync::Mutex;
     let path = tmp("serve_script");
@@ -594,7 +603,7 @@ fn serve_mode_runs_a_session_script_in_process() {
          factor g {path}\n"
     );
     let writer = Mutex::new(Vec::new());
-    let n = serve_loop(Cursor::new(script), &writer, 3, None).unwrap();
+    let n = serve_loop(workers(3), Cursor::new(script), &writer, None).unwrap();
     assert_eq!(n, 5, "jobs after `quit` are not dispatched");
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     let lines: Vec<&str> = out.lines().collect();
@@ -636,7 +645,7 @@ fn serve_mode_runs_a_session_script_in_process() {
 
 #[test]
 fn serve_reports_a_residual_that_is_not_a_number_as_null() {
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use std::io::Cursor;
     use std::sync::Mutex;
     let path = tmp("serve_nan");
@@ -658,7 +667,7 @@ fn serve_reports_a_residual_that_is_not_a_number_as_null() {
     std::fs::write(&rhs_path, rhs).unwrap();
     let script = format!("analyze s {path}\nfactor s {path}\nsolve s --rhs {rhs_path}\n");
     let writer = Mutex::new(Vec::new());
-    serve_loop(Cursor::new(script), &writer, 1, None).unwrap();
+    serve_loop(workers(1), Cursor::new(script), &writer, None).unwrap();
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     let solve = out
         .lines()
@@ -682,7 +691,7 @@ fn serve_reports_a_residual_that_is_not_a_number_as_null() {
 
 #[test]
 fn serve_mode_reports_structured_errors_and_stays_alive() {
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use std::io::Cursor;
     use std::sync::Mutex;
     let good = tmp("serve_good");
@@ -699,7 +708,7 @@ fn serve_mode_reports_structured_errors_and_stays_alive() {
     );
     let writer = Mutex::new(Vec::new());
     // EOF without `quit` also ends the loop cleanly.
-    let n = serve_loop(Cursor::new(script), &writer, 2, None).unwrap();
+    let n = serve_loop(workers(2), Cursor::new(script), &writer, None).unwrap();
     assert_eq!(n, 6);
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     // The pattern mismatch is a structured error naming both hashes...
@@ -725,7 +734,7 @@ fn serve_mode_reports_structured_errors_and_stays_alive() {
 
 #[test]
 fn serve_mode_parallel_sessions_make_progress() {
-    use parsplu::cli::serve_loop;
+    use parsplu::serve::serve_loop;
     use std::io::Cursor;
     use std::sync::Mutex;
     let p1 = tmp("serve_p1");
@@ -743,7 +752,7 @@ fn serve_mode_parallel_sessions_make_progress() {
         }
     }
     let writer = Mutex::new(Vec::new());
-    let n = serve_loop(Cursor::new(script), &writer, 4, None).unwrap();
+    let n = serve_loop(workers(4), Cursor::new(script), &writer, None).unwrap();
     assert_eq!(n, 14);
     let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     assert_eq!(out.lines().count(), 14, "{out}");

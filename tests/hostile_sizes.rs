@@ -15,7 +15,7 @@ mod common;
 
 use parsplu::cli::run;
 use parsplu::obs::{heap_stats, reset_heap_peak, CountingAlloc};
-use parsplu::serve::serve_loop;
+use parsplu::serve::{serve_loop, ServeConfig};
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -56,7 +56,17 @@ fn a_size_line_no_entries_can_fill_is_refused_before_anything_is_sized() {
 
     let script = format!("analyze h {path}\nquit\n");
     let writer = Mutex::new(Vec::<u8>::new());
-    let (served, peak) = process_peak_of(|| serve_loop(script.as_bytes(), &writer, 1, None));
+    let (served, peak) = process_peak_of(|| {
+        serve_loop(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            script.as_bytes(),
+            &writer,
+            None,
+        )
+    });
     served.unwrap();
     let replies = String::from_utf8(writer.into_inner().unwrap()).unwrap();
     let reply = replies.lines().next().unwrap();

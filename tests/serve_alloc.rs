@@ -27,7 +27,7 @@ use common::stepped::stepped;
 use parsplu::core::{thread_scratch_bytes, Options, SluSession};
 use parsplu::matgen::{manufactured_rhs, paper_matrix, Scale};
 use parsplu::obs::CountingAlloc;
-use parsplu::serve::{serve_loop, serve_loop_with, ServeConfig};
+use parsplu::serve::{serve_loop, ServeConfig};
 use parsplu::sparse::io::{format_matrix_market, STREAM_CHUNK};
 use splu_bench::json::{parse, Json};
 use std::alloc::{GlobalAlloc, Layout};
@@ -149,7 +149,16 @@ fn streamed_jobs_hold_one_array_and_one_buffer() {
     };
     let (reader, replies) = stepped(&script, hook);
     let writer = Mutex::new(replies);
-    serve_loop(reader, &writer, 1, None).unwrap();
+    serve_loop(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        reader,
+        &writer,
+        None,
+    )
+    .unwrap();
     for reply in writer.into_inner().unwrap().lines() {
         assert!(reply.contains(r#""status":"ok""#), "{reply}");
     }
@@ -200,7 +209,7 @@ fn serve(script: &[String], budget: Option<u64>) -> (Vec<Json>, Vec<u64>) {
         session_budget: budget,
         ..ServeConfig::default()
     };
-    serve_loop_with(cfg, reader, &writer, None).unwrap();
+    serve_loop(cfg, reader, &writer, None).unwrap();
     let replies: Vec<Json> = (writer.into_inner().unwrap().lines().iter())
         .map(|l| parse(l).unwrap())
         .collect();

@@ -2,13 +2,13 @@
 //! faults, session eviction under a memory budget, overload backpressure,
 //! socket transport, and graceful shutdown.
 
+mod common;
+
 use parsplu::cli::run;
-use parsplu::serve::{
-    serve_daemon, serve_loop_with, Engine, Listener, Reply, ServeConfig, Submitted,
-};
+use parsplu::serve::{serve_daemon, serve_loop, Engine, Listener, Reply, ServeConfig, Submitted};
 use proptest::prelude::*;
 use splu_bench::json::parse;
-use std::io::{BufRead, BufReader, Cursor, Write};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -45,7 +45,7 @@ fn with_timeout<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send
 fn run_script(cfg: ServeConfig, script: String) -> Vec<String> {
     with_timeout(Duration::from_secs(120), move || {
         let writer = Mutex::new(Vec::new());
-        serve_loop_with(cfg, Cursor::new(script), &writer, None).unwrap();
+        serve_loop(cfg, Cursor::new(script), &writer, None).unwrap();
         String::from_utf8(writer.into_inner().unwrap())
             .unwrap()
             .lines()
@@ -72,7 +72,7 @@ const ERROR_KINDS: &[&str] = &[
     "error",
 ];
 
-/// The number of responses [`serve_loop_with`] owes a script: one per
+/// The number of responses [`serve_loop`] owes a script: one per
 /// non-blank, non-comment line up to (not including) `quit`, with
 /// `shutdown` acknowledged and terminal.
 fn expected_responses(script: &str) -> usize {
@@ -378,11 +378,12 @@ fn sessions_evict_under_the_budget_and_revive_on_reanalyze() {
 fn full_lanes_reject_with_queue_depth_and_retry_hint() {
     // Drive the engine directly with no workers running: pushes stay
     // queued, so the overload path is deterministic.
-    let engine = Engine::new(ServeConfig {
+    let engine = Engine::open(ServeConfig {
         workers: 1,
         queue_cap: 2,
         ..ServeConfig::default()
-    });
+    })
+    .unwrap();
     let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let reply: Reply<'_> = {
         let out = Arc::clone(&out);
@@ -408,7 +409,7 @@ fn full_lanes_reject_with_queue_depth_and_retry_hint() {
     );
     assert_eq!(v.get("id").and_then(|i| i.as_num()), Some(3.0));
     // Draining refuses with its own kind.
-    engine.begin_drain();
+    assert_eq!(engine.submit("shutdown", &reply, None), Submitted::Shutdown);
     assert_eq!(engine.submit("solve s1", &reply, None), Submitted::Rejected);
     let lines = out.lock().unwrap().clone();
     let v = parse(&lines[1]).unwrap();
@@ -445,19 +446,31 @@ fn shutdown_drains_queued_jobs_then_acks_last() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A line-oriented test client against a daemon socket.
+/// A line-oriented test client against a daemon socket: TCP, or a Unix
+/// domain socket for a `unix:` address.
 struct Client {
-    stream: std::net::TcpStream,
-    reader: BufReader<std::net::TcpStream>,
+    stream: Box<dyn Write + Send>,
+    reader: BufReader<Box<dyn Read + Send>>,
 }
 
 impl Client {
     fn connect(addr: &str) -> Client {
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
+        let limit = Some(Duration::from_secs(60));
+        let (stream, reader): (Box<dyn Write + Send>, Box<dyn Read + Send>) =
+            match addr.strip_prefix("unix:") {
+                #[cfg(unix)]
+                Some(path) => {
+                    let stream = std::os::unix::net::UnixStream::connect(path).unwrap();
+                    stream.set_read_timeout(limit).unwrap();
+                    (Box::new(stream.try_clone().unwrap()), Box::new(stream))
+                }
+                _ => {
+                    let stream = std::net::TcpStream::connect(addr).unwrap();
+                    stream.set_read_timeout(limit).unwrap();
+                    (Box::new(stream.try_clone().unwrap()), Box::new(stream))
+                }
+            };
+        let reader = BufReader::new(reader);
         Client { stream, reader }
     }
 
@@ -882,11 +895,12 @@ fn applied_ids_without_cached_responses_refuse_with_exit_9() {
 fn overload_hints_are_jittered_within_bounds() {
     // No workers are running, so submissions stay queued and every
     // overflow rejection is deterministic.
-    let engine = Engine::new(ServeConfig {
+    let engine = Engine::open(ServeConfig {
         workers: 1,
         queue_cap: 1,
         ..ServeConfig::default()
-    });
+    })
+    .unwrap();
     let out: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let reply: Reply<'_> = {
         let out = Arc::clone(&out);
@@ -1017,4 +1031,268 @@ fn unix_socket_daemon_round_trips_and_cleans_up() {
         "socket path is unlinked on listener drop"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs a daemon on `addr` (`127.0.0.1:0`, or `unix:` and a fresh socket
+/// path) and returns the address clients connect to and the daemon's
+/// thread.
+fn spawn_daemon(
+    addr: &str,
+    cfg: ServeConfig,
+) -> (
+    String,
+    std::thread::JoinHandle<parsplu::serve::ServeSummary>,
+) {
+    let listener = Listener::bind(addr).unwrap();
+    let addr = listener.local_addr_string();
+    let daemon = std::thread::spawn(move || serve_daemon(cfg, listener, None).unwrap());
+    (addr, daemon)
+}
+
+/// A socket address for `transport` (`tcp` or `unix`) unique to `name`.
+fn daemon_addr(transport: &str, name: &str) -> String {
+    match transport {
+        "tcp" => "127.0.0.1:0".to_string(),
+        _ => format!("unix:{}", tmp(name).replace(".mtx", ".sock")),
+    }
+}
+
+/// A drain answers every line (DESIGN.md §5.4), over TCP and over a Unix
+/// socket. Client B is connected; client A queues an `analyze` whose
+/// matrix file is a FIFO the test has not written yet, so the job runs on
+/// until the test lets it finish, and sends `shutdown`. During the drain
+/// B's next lines, and the line of a client C that connects only then, get
+/// the `shutting_down` refusal under ids of their own. Once the job ends,
+/// A gets its reply and then the ack, last, and the daemon exits within a
+/// second of it although B stays connected and idle.
+#[cfg(unix)]
+#[test]
+fn a_drain_refuses_every_line_until_the_engine_has_drained() {
+    for transport in ["tcp", "unix"] {
+        with_timeout(Duration::from_secs(120), move || drain_over(transport));
+    }
+}
+
+#[cfg(unix)]
+fn drain_over(transport: &'static str) {
+    use splu_bench::json::Json;
+    let path = gen_matrix(&format!("drain_{transport}"));
+    let fifo = tmp(&format!("drain_fifo_{transport}"));
+    let _ = std::fs::remove_file(&fifo);
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+    assert!(made.unwrap().success(), "mkfifo {fifo}");
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let (addr, daemon) = spawn_daemon(&daemon_addr(transport, "drain"), cfg);
+    let ask = |c: &mut Client, line: &str| {
+        c.send(line);
+        parse(&c.recv()).unwrap()
+    };
+    let draining = |c: &mut Client| ask(c, "stats").get("draining") == Some(&Json::Bool(true));
+    let mut b = Client::connect(&addr);
+    assert!(!draining(&mut b));
+    let mut a = Client::connect(&addr);
+    a.send(&format!("analyze big {fifo}"));
+    a.send("shutdown");
+    while !draining(&mut b) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut ids = std::collections::HashSet::new();
+    let mut refused = |c: &mut Client, line: &str| {
+        let v = ask(c, line);
+        assert_eq!(v.status(), "error", "{transport}: {v:?}");
+        assert_eq!(v.kind(), "shutting_down", "{transport}: {v:?}");
+        let mut words = line.split_whitespace();
+        assert_eq!(v.get("op").and_then(Json::as_str), words.next());
+        assert_eq!(v.get("session").and_then(Json::as_str), words.next());
+        let id = v.get("id").and_then(Json::as_num).unwrap();
+        assert!(ids.insert(id as u64), "{transport}: id {id} answered twice");
+    };
+    refused(&mut b, "solve s");
+    let mut c = Client::connect(&addr);
+    refused(&mut c, &format!("factor t {path}"));
+    refused(&mut b, "refactor s");
+    // Let the running job finish: the drain can end now.
+    std::fs::write(&fifo, std::fs::read(&path).unwrap()).unwrap();
+    let analyzed = parse(&a.recv()).unwrap();
+    assert_eq!(analyzed.status(), "ok", "{transport}: {analyzed:?}");
+    assert_eq!(analyzed.get("op").and_then(Json::as_str), Some("analyze"));
+    let ack = parse(&a.recv()).unwrap();
+    assert_eq!(ack.get("op").and_then(Json::as_str), Some("shutdown"));
+    assert_eq!(ack.get("drained"), Some(&Json::Bool(true)), "{ack:?}");
+    let summary = with_timeout(Duration::from_secs(1), move || daemon.join().unwrap());
+    assert_eq!(summary.connections, 3, "{transport}");
+    drop((b, c));
+    for p in [&path, &fifo] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// Masks what differs between two runs of one script: timings, the heap
+/// and the counters that depend on timing.
+fn mask_timings(line: &str) -> String {
+    const MASKED: [&str; 16] = [
+        "seconds",
+        "uptime_s",
+        "phases_s",
+        "wall_s",
+        "busy_s",
+        "idle_s",
+        "steal_s",
+        "load_imbalance",
+        "parallel_efficiency",
+        "critical_path_s",
+        "heap",
+        "heap_phases",
+        "queue_depth_peak",
+        "parks",
+        "steals",
+        "steal_attempts",
+    ];
+    let mut out = line.to_string();
+    for key in MASKED {
+        let pat = format!("\"{key}\":");
+        let mut from = 0;
+        while let Some(at) = out[from..].find(&pat) {
+            let start = from + at + pat.len();
+            // The value ends at the first `,`, `}` or `]` outside a nested
+            // object, array or string.
+            let (mut depth, mut in_str, mut escaped) = (0i32, false, false);
+            let mut end = out.len();
+            for (i, ch) in out[start..].char_indices() {
+                match (in_str, ch) {
+                    (true, _) if escaped => escaped = false,
+                    (true, '\\') => escaped = true,
+                    (true, '"') => in_str = false,
+                    (true, _) => {}
+                    (false, '"') => in_str = true,
+                    (false, '{' | '[') => depth += 1,
+                    (false, '}' | ']') if depth > 0 => depth -= 1,
+                    (false, ',' | '}' | ']') if depth == 0 => {
+                        end = start + i;
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            out.replace_range(start..end, "0");
+            from = start + 1;
+        }
+    }
+    out
+}
+
+/// The CI serve smoke's job script over files in `dir`: analyze, factor,
+/// refactor and solve a session on a sherman3 analogue; refactor it from a
+/// reordered copy, a copy with a moved entry and one with a bad token;
+/// open a second session on the same file; then `stats`.
+fn smoke_script(dir: &std::path::Path) -> Vec<String> {
+    let m = dir.join("smoke.mtx").to_string_lossy().into_owned();
+    run(&args(&["gen", "sherman3", &m, "--reduced"])).unwrap();
+    let text = std::fs::read_to_string(&m).unwrap();
+    let lines: Vec<String> = text.lines().map(String::from).collect();
+    let (head, entries) = lines.split_at(2);
+    let write = |name: &str, body: Vec<String>| {
+        let p = dir.join(name);
+        std::fs::write(&p, [head, &body].concat().join("\n") + "\n").unwrap();
+        p.to_string_lossy().into_owned()
+    };
+    let shuffled = write("shuffled.mtx", entries.iter().rev().cloned().collect());
+    let first: Vec<&str> = entries[0].split_whitespace().collect();
+    let column = |l: &&String| l.split_whitespace().nth(1) == Some(first[1]);
+    let held: Vec<&str> = (entries.iter().filter(column))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let free = (1..).find(|r: &usize| !held.contains(&r.to_string().as_str()));
+    let mut moved = vec![format!("{} {} {}", free.unwrap(), first[1], first[2])];
+    moved.extend_from_slice(&entries[1..]);
+    let moved = write("moved.mtx", moved);
+    let (last, kept) = entries.split_last().unwrap();
+    let last: Vec<&str> = last.split_whitespace().collect();
+    let mut bad = kept.to_vec();
+    bad.push(format!("{} {} 1.0x", last[0], last[1]));
+    let bad = write("bad.mtx", bad);
+    let solve = |s: &str| format!("solve {s}");
+    vec![
+        format!("analyze s {m}"),
+        format!("factor s {m}"),
+        format!("refactor s {m}"),
+        solve("s"),
+        format!("refactor s {m}"),
+        format!("refactor s {m}"),
+        solve("s"),
+        format!("refactor s {shuffled}"),
+        solve("s"),
+        format!("refactor s {moved}"),
+        format!("refactor s {bad}"),
+        solve("s"),
+        format!("analyze t {m}"),
+        format!("factor t {m}"),
+        solve("t"),
+        "stats".to_string(),
+    ]
+}
+
+/// The replies to `script` over a fresh daemon at `addr`, one job in flight.
+fn replies_over_socket(addr: &str, script: &[String]) -> Vec<String> {
+    let (addr, daemon) = spawn_daemon(addr, ServeConfig::default());
+    let mut c = Client::connect(&addr);
+    let replies = script
+        .iter()
+        .map(|line| {
+            c.send(line);
+            c.recv()
+        })
+        .collect();
+    c.send("shutdown");
+    let ack = parse(&c.recv()).unwrap();
+    assert_eq!(ack.get("drained").and_then(|d| d.as_bool()), Some(true));
+    daemon.join().unwrap();
+    replies
+}
+
+/// Every transport gives the same replies: the CI serve smoke's script,
+/// fed one job at a time through the in-process stdio entry, over TCP and
+/// over a Unix socket, is answered byte for byte the same once timings are
+/// masked.
+#[test]
+fn every_transport_gives_the_same_replies() {
+    let dir = std::env::temp_dir().join(format!("parsplu_srv_transports_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = smoke_script(&dir);
+    let stdio = with_timeout(Duration::from_secs(120), {
+        let script = script.clone();
+        move || {
+            let (reader, replies) = common::stepped::stepped(&script, |_| {});
+            let writer = Mutex::new(replies);
+            serve_loop(ServeConfig::default(), reader, &writer, None).unwrap();
+            writer.into_inner().unwrap().lines()
+        }
+    });
+    let mut addrs = vec![("tcp", daemon_addr("tcp", "transports"))];
+    if cfg!(unix) {
+        addrs.push(("unix", daemon_addr("unix", "transports")));
+    }
+    assert_eq!(stdio.len(), script.len(), "{stdio:?}");
+    let failed: Vec<usize> = (stdio.iter().enumerate())
+        .filter(|(_, r)| parse(r).unwrap().status() != "ok")
+        .map(|(k, _)| k)
+        .collect();
+    assert_eq!(
+        failed,
+        [9, 10],
+        "the moved and the bad file fail: {stdio:?}"
+    );
+    let want: Vec<String> = stdio.iter().map(|r| mask_timings(r)).collect();
+    for (name, addr) in addrs {
+        let script = script.clone();
+        let replies = with_timeout(Duration::from_secs(120), move || {
+            replies_over_socket(&addr, &script)
+        });
+        let got: Vec<String> = replies.iter().map(|r| mask_timings(r)).collect();
+        assert_eq!(got, want, "{name} against stdio");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

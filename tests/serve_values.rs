@@ -14,7 +14,7 @@ use common::stepped::stepped;
 use parsplu::cli::CliError;
 use parsplu::core::{Options, SluSession};
 use parsplu::matgen::{manufactured_rhs, paper_matrix, Scale};
-use parsplu::serve::{kind_of_exit, serve_loop, solution_hash};
+use parsplu::serve::{kind_of_exit, serve_loop, solution_hash, ServeConfig};
 use parsplu::sparse::io::{format_matrix_market, read_matrix_market};
 use parsplu::sparse::CscMatrix;
 use proptest::prelude::*;
@@ -106,7 +106,16 @@ fn serve_against_oracle(a: &CscMatrix, files: &[(String, Vec<u8>)]) -> (f64, f64
     script.push("quit".to_string());
     let (reader, replies) = stepped(&script, |_| {});
     let writer = Mutex::new(replies);
-    serve_loop(reader, &writer, 1, None).unwrap();
+    serve_loop(
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        reader,
+        &writer,
+        None,
+    )
+    .unwrap();
     let replies: Vec<Json> = writer
         .into_inner()
         .unwrap()

@@ -14,10 +14,11 @@
 
 use parsplu::core::{Analysis, LuError, Options, SluSession};
 use parsplu::matgen::{cross_block_pivots, in_block_pivots, paper_matrix, Scale};
-use parsplu::serve::{Engine, Reply, ServeConfig};
+use parsplu::serve::{serve_loop, ServeConfig};
 use parsplu::sparse::io::write_matrix_market;
 use parsplu::sparse::CscMatrix;
 use splu_bench::json::{parse, Json};
+use std::io::{BufRead, Read};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -125,38 +126,72 @@ fn a_fallback_stays_in_its_session() -> Result<(), LuError> {
     Ok(())
 }
 
-/// Submits each phase's lines at once to an engine with running workers,
-/// waiting for all their replies before the next phase.
-fn drive(engine: &Engine<'_>, phases: &[Vec<String>]) -> Vec<Json> {
-    let out: Arc<Mutex<Vec<String>>> = Arc::default();
-    let reply: Reply<'_> = {
-        let out = Arc::clone(&out);
-        Arc::new(move |s: &str| {
-            out.lock().unwrap().push(s.to_string());
-            true
-        })
-    };
-    std::thread::scope(|scope| {
-        let workers = engine.start_workers(scope);
-        let mut owed = 0;
-        for phase in phases {
-            for line in phase {
-                engine.submit(line, &reply, None);
-            }
-            owed += phase.len();
+/// A script fed through the stdio entry one phase at a time: a phase's
+/// lines are handed out at once, once every earlier line was answered.
+struct Phases<'a> {
+    phases: &'a [Vec<String>],
+    /// The phase being handed out and the bytes of it already read.
+    text: Vec<u8>,
+    read: usize,
+    next: usize,
+    /// Lines handed out so far, and the replies written to.
+    sent: usize,
+    replies: &'a Mutex<Vec<u8>>,
+}
+
+impl Read for Phases<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.fill_buf()?.read(buf)?;
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Phases<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.read == self.text.len() {
+            let Some(phase) = self.phases.get(self.next) else {
+                return Ok(&[]);
+            };
             let t0 = Instant::now();
-            while out.lock().unwrap().len() < owed {
+            let answered = || {
+                self.replies
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .filter(|&&b| b == b'\n')
+                    .count()
+            };
+            while answered() < self.sent {
                 assert!(t0.elapsed() < Duration::from_secs(120), "no reply");
                 std::thread::sleep(Duration::from_millis(1));
             }
+            self.text = format!("{}\n", phase.join("\n")).into_bytes();
+            (self.read, self.next, self.sent) = (0, self.next + 1, self.sent + phase.len());
         }
-        engine.close_lanes();
-        for w in workers {
-            w.join().unwrap();
-        }
-    });
-    let lines = out.lock().unwrap().clone();
-    lines.iter().map(|l| parse(l).unwrap()).collect()
+        Ok(&self.text[self.read..])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.read += amt;
+    }
+}
+
+/// Runs `phases` through a fresh engine under `cfg`, each phase's lines
+/// submitted at once, and returns the replies in the order written.
+fn drive(cfg: ServeConfig, phases: &[Vec<String>]) -> Vec<Json> {
+    let replies = Mutex::new(Vec::new());
+    let reader = Phases {
+        phases,
+        text: Vec::new(),
+        read: 0,
+        next: 0,
+        sent: 0,
+        replies: &replies,
+    };
+    serve_loop(cfg, reader, &replies, None).unwrap();
+    let text = String::from_utf8(replies.into_inner().unwrap()).unwrap();
+    text.lines().map(|l| parse(l).unwrap()).collect()
 }
 
 fn num(reply: &Json, key: &str) -> f64 {
@@ -184,10 +219,10 @@ fn matrix_file(stem: &str) -> String {
 fn racing_analyze_jobs_leave_a_consistent_pool() {
     let path = matrix_file("race");
     let names = ["s1", "s2", "s3", "s4"];
-    let engine = Engine::new(ServeConfig {
+    let cfg = ServeConfig {
         workers: 2,
         ..ServeConfig::default()
-    });
+    };
     let solves: Vec<String> = names.iter().map(|n| format!("solve {n}")).collect();
     let phases = [
         lines("analyze", &names, &path),
@@ -195,7 +230,7 @@ fn racing_analyze_jobs_leave_a_consistent_pool() {
         solves,
         vec!["stats".to_string()],
     ];
-    let replies = drive(&engine, &phases);
+    let replies = drive(cfg, &phases);
     assert!(
         replies.iter().all(|r| text(r, "status") == "ok"),
         "{replies:?}"
@@ -233,21 +268,15 @@ fn replay_after_a_restart_shares_again() {
     let names = ["s", "t"];
     let solves = || vec!["solve s".to_string(), "solve t".to_string()];
     let stats = || vec!["stats".to_string()];
-    let before = {
-        let engine = Engine::open(cfg()).unwrap();
-        let phases = [
-            lines("analyze", &names[..1], &path),
-            lines("analyze", &names[1..], &path),
-            lines("factor", &names, &path),
-            solves(),
-            stats(),
-        ];
-        drive(&engine, &phases)
-    };
-    let after = {
-        let engine = Engine::open(cfg()).unwrap();
-        drive(&engine, &[solves(), stats()])
-    };
+    let phases = [
+        lines("analyze", &names[..1], &path),
+        lines("analyze", &names[1..], &path),
+        lines("factor", &names, &path),
+        solves(),
+        stats(),
+    ];
+    let before = drive(cfg(), &phases);
+    let after = drive(cfg(), &[solves(), stats()]);
     for (replies, at) in [(&before, 6), (&after, 2)] {
         let stats = &replies[at];
         assert_eq!(num(stats, "sessions"), 2.0, "{stats:?}");
