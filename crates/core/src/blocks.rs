@@ -210,9 +210,10 @@ pub(crate) struct Layout {
     /// `K`'s `L̄` blocks below the diagonal, ascending, one per entry of
     /// `l_blocks.col(K)[1..]`: `lblks[l_blocks.col_ptr()[K] − K..]`.
     lblks: Vec<LBlock>,
-    /// Column `J`'s updates, in ascending source:
-    /// `upds[upd_ptr[J]..upd_ptr[J + 1]]`.
-    upd_ptr: Vec<u32>,
+    /// Column `J`'s first task in the left-looking order, the transposed `Ū`
+    /// lists' pointer (one more: the task count). Its updates, in ascending
+    /// source: `upds[task_ptr[J] − J..task_ptr[J + 1] − J − 1]`.
+    task_ptr: Vec<u32>,
     upds: Vec<UpdateMap>,
     targets: Vec<u32>,
     /// Backing store of the relative maps.
@@ -316,9 +317,7 @@ impl Layout {
 
         // Per block column J: its sources, ascending, then J itself.
         let sources = bs.u_blocks.transpose();
-        let upd_ptr: Vec<u32> = (sources.col_ptr().iter().enumerate())
-            .map(|(j, &p)| idx32(p - j))
-            .collect();
+        let task_ptr: Vec<u32> = sources.col_ptr().iter().map(|&p| idx32(p)).collect();
 
         // Per update (K, J), visited by ascending J so that the cursors into
         // C_K and R_K only move forward.
@@ -327,13 +326,13 @@ impl Layout {
         // The block column each supernode's last update went into, and that
         // update's index.
         let mut upd_of = vec![(usize::MAX, 0u32); nb];
-        let mut upds: Vec<UpdateMap> = Vec::with_capacity(upd_ptr[nb] as usize);
+        let mut upds: Vec<UpdateMap> = Vec::with_capacity(task_ptr[nb] as usize - nb);
         let mut targets: Vec<u32> = Vec::with_capacity(targets_len);
         let mut scratch_len = 0usize;
         for j in 0..nb {
             let (start_j, end_j) = (starts[j], starts[j + 1]);
             let w_j = end_j - start_j;
-            let into_j = upd_ptr[j] as usize..upd_ptr[j + 1] as usize;
+            let into_j = task_ptr[j] as usize - j..task_ptr[j + 1] as usize - j - 1;
             // The Ū blocks follow the panel in the column's buffer.
             let mut off = w_j * (w_j + bs.l_rows.col(j).len());
             for &k in &sources.col(j)[..into_j.len()] {
@@ -402,7 +401,7 @@ impl Layout {
         Layout {
             bs,
             lblks,
-            upd_ptr,
+            task_ptr,
             upds,
             targets,
             rel,
@@ -457,12 +456,17 @@ impl Layout {
     /// ([`BlockMatrix::tasks`]): every column before it holds one
     /// `Update` per stored source and its `Factor`.
     pub(crate) fn task_start(&self, j: usize) -> usize {
-        self.upd_ptr[j] as usize + j
+        self.task_ptr[j] as usize
+    }
+
+    /// The block column holding task `t` of the left-looking order.
+    pub(crate) fn column_of_task(&self, t: usize) -> usize {
+        self.task_ptr.partition_point(|&first| first as usize <= t) - 1
     }
 
     /// The updates into column `j`, in ascending source.
     pub(crate) fn updates(&self, j: usize) -> &[UpdateMap] {
-        &self.upds[self.upd_ptr[j] as usize..self.upd_ptr[j + 1] as usize]
+        &self.upds[self.task_start(j) - j..self.task_start(j + 1) - j - 1]
     }
 
     /// The columns `S_KJ` of `Ū(K, J)`, as global columns: column `c` lies
@@ -538,7 +542,7 @@ impl Layout {
     pub(crate) fn bytes(&self) -> u64 {
         (size_of::<Layout>()
             + vec_bytes(&self.lblks)
-            + vec_bytes(&self.upd_ptr)
+            + vec_bytes(&self.task_ptr)
             + vec_bytes(&self.upds)
             + vec_bytes(&self.targets)
             + vec_bytes(&self.rel)) as u64

@@ -183,7 +183,7 @@ impl Options {
 /// Structural statistics gathered during analysis. The task-graph fields
 /// describe the eforest graph over the static structure — read off the
 /// block lists and the block eforest, without building it (equal to what
-/// [`SymbolicLu::build_graph`]'s graph reports).
+/// [`SymbolicLu::build_graph`] reports on the lists [`analyze`] returns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stats {
     /// Matrix order.
@@ -239,11 +239,9 @@ pub struct SymbolicLu {
 }
 
 impl SymbolicLu {
-    /// Builds the eforest task dependence graph over the static structure
-    /// [`analyze`] returns. A session's in-block lists are not closed under
-    /// the graph rules (rule 4 names updates they drop) and the builder
-    /// panics on some: a session on several threads builds this graph from
-    /// the static lists and keeps only the range plan contracted from it.
+    /// Builds the eforest task dependence graph ([`build_eforest_graph`])
+    /// over `block_structure`: the static lists [`analyze`] returns, or a
+    /// session's in-block ones, which its range plan is contracted from.
     pub fn build_graph(&self) -> TaskGraph {
         build_eforest_graph(&self.block_structure)
     }

@@ -20,19 +20,18 @@
 //! two sources that may run in either order never touch the same row — so
 //! the factors do not depend on the schedule.
 //!
-//! A **range** of block columns runs as [`factor_left_looking`] runs the
-//! whole matrix: per column, one write lock, its updates by ascending
-//! source, then its factor ([`TaskBodies::columns`]). At one thread the
-//! whole matrix is one range; on several, every eforest subtree small
-//! enough is one (`crate::request`), and the tasks above them run one by
-//! one through the same body.
+//! Every driver runs an **interval of tasks** of the left-looking order
+//! ([`TaskBodies::tasks`]): per column, one write lock, its updates by
+//! ascending source, then its factor. At one thread the whole matrix is
+//! one interval; on several, every eforest subtree small enough is one
+//! (`crate::request`), and each task above them is an interval of one.
 
 use crate::blocks::{BlockMatrix, ColumnData, UpdateMap};
 use crate::LuError;
 use parking_lot::Mutex;
 use splu_dense::{Dispatch, MatMut, MatRef, PanelBreakdown, PanelError, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
-use splu_sched::{CancelToken, Task};
+use splu_sched::CancelToken;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -249,55 +248,40 @@ impl<'a> TaskBodies<'a> {
         true
     }
 
-    /// The tasks of block column `j` from the left-looking order:
-    /// `Update(k, j)` for the stored sources at positions `srcs` of the
-    /// column's ascending list, then `Factor(j)` when `factor` is set —
-    /// under one write lock on the column. `begin` is called before each
-    /// task and stops the column when it returns `false`; so does a failed
-    /// run. `false`: stopped.
-    fn column(
-        &self,
-        j: usize,
-        srcs: Range<usize>,
-        factor: bool,
-        begin: &mut dyn FnMut() -> bool,
-    ) -> bool {
+    /// The tasks `ids` of block column `j` in the left-looking order — its
+    /// `Update(k, j)` by ascending stored source, then `Factor(j)` at
+    /// position `updates(j).len()` — under one write lock on the column.
+    /// `begin` is called before each task and stops the column when it
+    /// returns `false`; so does a failed run. `false`: stopped.
+    fn column(&self, j: usize, ids: Range<usize>, begin: &mut dyn FnMut() -> bool) -> bool {
         let bm = self.bm;
+        let updates = bm.layout().updates(j);
         let mut col_j = bm.column(j).write();
-        for u in &bm.layout().updates(j)[srcs] {
+        for u in &updates[ids.start..ids.end.min(updates.len())] {
             if self.failed() || !begin() {
                 return false;
             }
             let col_k = bm.column(u.src()).read();
             update_columns(bm, (j, u), &col_k, &mut col_j, self.kernels, self.metrics);
         }
-        !factor || (!self.failed() && begin() && self.factor(j, &mut col_j))
+        ids.end <= updates.len() || (!self.failed() && begin() && self.factor(j, &mut col_j))
     }
 
-    /// The **range task**: every task of the block columns `cols`, in the
-    /// left-looking order — [`factor_left_looking`]'s loop over `cols`.
-    /// `false`: stopped by `begin` or a failure.
-    pub(crate) fn columns(&self, cols: Range<usize>, begin: &mut dyn FnMut() -> bool) -> bool {
+    /// The tasks `tasks` of the storage's left-looking order
+    /// ([`BlockMatrix::tasks`]), column by column — the whole matrix is
+    /// [`factor_left_looking`]'s loop, a range of columns a range task, one
+    /// id one task. `false`: stopped by `begin` or a failure.
+    pub(crate) fn tasks(&self, tasks: Range<usize>, begin: &mut dyn FnMut() -> bool) -> bool {
         let lay = self.bm.layout();
-        cols.into_iter()
-            .all(|j| self.column(j, 0..lay.updates(j).len(), true, begin))
-    }
-
-    /// One task of the coarse graph. An `Update` whose block the storage
-    /// does not hold (the in-block structure) is no task: nothing runs.
-    pub(crate) fn task(&self, task: Task, begin: &mut dyn FnMut() -> bool) {
-        let ups = |j: usize| self.bm.layout().updates(j);
-        match task {
-            Task::Factor(j) => {
-                let n = ups(j).len();
-                self.column(j, n..n, true, begin);
+        let (mut t, mut j) = (tasks.start, lay.column_of_task(tasks.start));
+        while t < tasks.end {
+            let (first, end) = (lay.task_start(j), lay.task_start(j + 1).min(tasks.end));
+            if !self.column(j, t - first..end - first, begin) {
+                return false;
             }
-            Task::Update { src, dst } => {
-                if let Ok(q) = ups(dst).binary_search_by_key(&src, UpdateMap::src) {
-                    self.column(dst, q..q + 1, false, begin);
-                }
-            }
+            (t, j) = (end, j + 1);
         }
+        true
     }
 }
 
@@ -310,7 +294,7 @@ impl<'a> TaskBodies<'a> {
 /// topological orders of the same dependence DAG over identical task
 /// bodies, so the results are **bit-identical** to the graph-driven
 /// execution — which the test-suite asserts. It is the range task itself
-/// (`TaskBodies::columns` over every column) with portable kernels,
+/// (`TaskBodies::tasks` over every task) with portable kernels,
 /// partial pivoting and nothing observed: what a one-thread
 /// [`crate::factor_numeric_with`] runs, and the oracle of the bitwise
 /// suites.
@@ -323,7 +307,7 @@ pub fn factor_left_looking(bm: &BlockMatrix, pivot_threshold: f64) -> Result<(),
         PanelBreakdown::Error,
         &kernels,
     );
-    bodies.columns(0..bm.num_block_cols(), &mut || true);
+    bodies.tasks(0..bm.num_tasks(), &mut || true);
     bodies.first_error.into_inner().map_or(Ok(()), Err)
 }
 
@@ -455,48 +439,6 @@ mod tests {
             }
         });
         factor_and_check(&a);
-    }
-
-    #[test]
-    fn left_looking_is_bit_identical_to_graph_execution() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(64);
-        let n = 35;
-        let mut trips: Vec<(usize, usize, f64)> = (0..n)
-            .map(|i| (i, i, 3.0 + rng.gen_range(0.0..1.0)))
-            .collect();
-        for _ in 0..4 * n {
-            trips.push((
-                rng.gen_range(0..n),
-                rng.gen_range(0..n),
-                rng.gen_range(-1.0..1.0),
-            ));
-        }
-        let a = CscMatrix::from_triplets(n, n, &trips).unwrap();
-        let f = static_symbolic_factorization(a.pattern()).unwrap();
-        let bs = BlockStructure::new(&f, supernode_partition(&f));
-        let graph = build_eforest_graph(&bs);
-
-        let bm_right = BlockMatrix::assemble(&a, &bs);
-        factor_numeric_with(
-            &bm_right,
-            &NumericRequest::coarse(&graph, Mapping::Static1D).threads(2),
-        )
-        .unwrap();
-        let bm_left = BlockMatrix::assemble(&a, &bs);
-        factor_left_looking(&bm_left, 0.0).unwrap();
-
-        assert_eq!(
-            bm_right.pivot_rows(),
-            bm_left.pivot_rows(),
-            "pivot sequences differ"
-        );
-        for k in 0..bm_right.num_block_cols() {
-            let cr = bm_right.column(k).read();
-            let cl = bm_left.column(k).read();
-            assert_eq!(cr.data(), cl.data(), "values differ at column {k}");
-        }
     }
 
     #[test]

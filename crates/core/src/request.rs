@@ -44,7 +44,6 @@ use splu_sched::{
 use splu_sparse::SparsityPattern;
 use splu_symbolic::supernode::BlockStructure;
 use std::mem::size_of;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,11 +85,11 @@ pub enum GraphRef<'g> {
     /// [`crate::factor_left_looking`]'s order — what a coarse request runs
     /// at one thread too, whatever [`NumericRequest::threads`] says.
     LeftLooking,
-    /// The coarse `Factor`/`Update` graph — the eforest graph, or any
-    /// other over the same tasks whose edges never lead to a lower block
-    /// column (the S* graph): at one thread not consulted (one range), on
-    /// several contracted into ranges and executed under a task-to-worker
-    /// [`Mapping`].
+    /// The coarse `Factor`/`Update` graph over the structure of the
+    /// storage it runs on — the eforest graph, or any other over the same
+    /// tasks whose edges follow the left-looking order (the S* graph): at
+    /// one thread not consulted (one range), on several contracted into
+    /// ranges and executed under a task-to-worker [`Mapping`].
     Coarse {
         /// The dependence graph.
         graph: &'g TaskGraph,
@@ -321,27 +320,19 @@ fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> Lu
 /// (EXPERIMENTS.md, "Range tasks").
 const RANGES_PER_THREAD: usize = 2;
 
-/// A node of a [`RangePlan`].
-#[derive(Debug, Clone, PartialEq)]
-enum PlanNode {
-    /// A range: every task of these block columns.
-    Columns(Range<usize>),
-    /// One task of the coarse graph.
-    Task(Task),
-}
-
 /// The DAG a coarse request runs on several threads: the coarse graph
 /// with every maximal eforest subtree that is a contiguous range of block
 /// columns and whose model flops fall under the cut contracted into one
-/// node, and the tasks above them kept as they are. Nodes are numbered in
-/// the left-looking order of their tasks, which the executor's task ids
-/// follow ([`BlockMatrix::tasks`]). A session of several threads holds the
-/// plan of its structure, contracted at analysis (and again after a
-/// fallback); [`factor_numeric_with`] contracts one per call of a coarse
-/// request, and runs a [`NumericRequest::planned`] one as it is.
+/// node, and the tasks above them kept as they are. A node is an interval
+/// of the storage's tasks in the left-looking order
+/// ([`BlockMatrix::tasks`]) — a range's tasks, or one task — and the nodes
+/// follow that order, which the executor's task ids follow too. A session
+/// of several threads holds the plan of its structure, contracted at
+/// analysis (and again after a fallback); [`factor_numeric_with`]
+/// contracts one per call of a coarse request, and runs a
+/// [`NumericRequest::planned`] one as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangePlan {
-    nodes: Vec<PlanNode>,
     /// Node `t` runs tasks `bounds[t]..bounds[t + 1]` of the storage.
     bounds: Vec<usize>,
     /// Column `t` lists the nodes that follow node `t`, ascending.
@@ -355,17 +346,20 @@ pub struct RangePlan {
 }
 
 impl RangePlan {
-    /// Contracts `graph` for `threads` workers under `mapping` over the
-    /// storage of `bs`, ranking the nodes by `schedule`'s priorities (one
-    /// per task of `graph`), or else by the graph's bottom levels — the
-    /// priorities [`ExecSchedule::for_graph`] gives.
+    /// Contracts `graph`, built over `bs` — the structure of the storage
+    /// it runs on — for `threads` workers under `mapping`, ranking the
+    /// nodes by `schedule`'s priorities (one per task of `graph`), or else
+    /// by the graph's bottom levels — the priorities
+    /// [`ExecSchedule::for_graph`] gives.
     ///
     /// # Panics
     ///
-    /// Panics when `graph` is not over `bs`'s partition, or when an edge of
-    /// it would leave a contracted task set and come back — the contraction
-    /// must keep every set convex, which holds for any graph whose edges
-    /// never lead from a task to one of a lower block column (both
+    /// Panics when `graph` is not over `bs`'s partition, when it has
+    /// another task count than the storage laid out on `bs`, when a node
+    /// would hold no task, or when an edge of it leads back in the
+    /// left-looking order — the contraction must keep every node convex,
+    /// which holds for any graph whose edges never lead from a task to one
+    /// of a lower block column or, inside a column, to a lower source (both
     /// builders' graphs).
     pub(crate) fn new(
         bs: &BlockStructure,
@@ -382,6 +376,7 @@ impl RangePlan {
         // flops, first column and size; the subtree is a range of columns
         // when they agree.
         let (flops, parent, task_start) = column_model(bs);
+        assert_eq!(graph.len(), task_start[nb], "a graph of another structure");
         let mut sub = flops.clone();
         let mut first: Vec<usize> = (0..nb).collect();
         let mut size = vec![1usize; nb];
@@ -403,65 +398,40 @@ impl RangePlan {
             };
         }
 
-        // The updates into every column outside a range, by column, then
-        // ascending source (the graph lists them by source, then column).
-        let mut into: Vec<(usize, usize)> = (graph.tasks().iter().enumerate())
-            .filter_map(|(t, task)| match *task {
-                Task::Update { dst, .. } if root[dst] == usize::MAX => Some((dst, t)),
-                _ => None,
-            })
-            .collect();
-        into.sort_unstable();
         // Nodes in the left-looking order — a range at its first column,
-        // else each update into the column, then its factor — with their
-        // tasks on this storage as bounds. `node_of` maps the tasks whose
-        // edges may leave their node: every task outside a range, and a
-        // range's factors (only `F(k) → U(k, j)` raises the block column).
-        let mut nodes = Vec::new();
-        let mut bounds = vec![0usize];
-        let mut node_of = vec![usize::MAX; graph.len()];
-        let (mut walk, mut into) = (Vec::new(), &into[..]);
+        // else each task of the column — with a task its column's owner
+        // (`j mod P`), and the ranges to place.
+        let (mut bounds, mut owner, mut ranges) = (vec![0usize], Vec::new(), Vec::new());
         for j in 0..nb {
-            let r = root[j];
-            if r == usize::MAX {
-                let (here, rest) = into.split_at(into.partition_point(|&(d, _)| d == j));
-                into = rest;
-                for t in here.iter().map(|&(_, t)| t).chain([graph.factor_id(j)]) {
-                    let task = graph.task(t);
-                    let n = match task {
-                        Task::Factor(_) => 1,
-                        Task::Update { src, dst } => usize::from(bs.block_nonzero(src, dst)),
-                    };
-                    node_of[t] = nodes.len();
-                    walk.push(t);
-                    nodes.push(PlanNode::Task(task));
-                    bounds.push(bounds[bounds.len() - 1] + n);
+            match root[j] {
+                usize::MAX => {
+                    bounds.extend(task_start[j] + 1..=task_start[j + 1]);
+                    owner.resize(bounds.len() - 1, j % threads);
                 }
-                continue;
+                r if j == first[r] => {
+                    ranges.push((sub[r], owner.len()));
+                    bounds.push(task_start[r + 1]);
+                    owner.push(0);
+                }
+                _ => {}
             }
-            if j == first[r] {
-                nodes.push(PlanNode::Columns(j..r + 1));
-                bounds.push(bounds[bounds.len() - 1] + task_start[r + 1] - task_start[j]);
-            }
-            node_of[graph.factor_id(j)] = nodes.len() - 1;
-            walk.push(graph.factor_id(j));
         }
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "a node of no task");
+        let nn = bounds.len() - 1;
+        let mut node = vec![0usize; graph.len()];
+        for (id, w) in bounds.windows(2).enumerate() {
+            node[w[0]..w[1]].fill(id);
+        }
+        let mut node_of = storage_ids(graph, &task_start);
+        node_of.iter_mut().for_each(|s| *s = node[*s]);
 
-        // Edges between nodes, walking the tasks in node order (the
-        // pattern merges repeats); a node's priority is its tasks' highest
-        // (a range's are at its factors: each update precedes a factor of
-        // its column).
-        let nn = nodes.len();
+        // Edges between nodes (the pattern merges repeats); a node's
+        // priority is its tasks' highest.
         let (mut prio, mut edges) = (vec![0u64; nn], Vec::new());
-        for &t in &walk {
-            let a = node_of[t];
+        for (t, &a) in node_of.iter().enumerate() {
             prio[a] = prio[a].max(priority[t]);
             for &s in graph.successors(t) {
-                let b = match node_of[s as usize] {
-                    // An update inside a range (where the factor is too).
-                    usize::MAX => node_of[graph.factor_id(graph.task(s as usize).home_column())],
-                    b => b,
-                };
+                let b = node_of[s as usize];
                 if b != a {
                     assert!(
                         a < b,
@@ -473,22 +443,14 @@ impl RangePlan {
             }
         }
         let edges = SparsityPattern::from_entries(nn, nn, edges).expect("node ids");
-        nodes.shrink_to_fit();
         bounds.shrink_to_fit();
+        owner.shrink_to_fit();
 
-        // Owners: a task goes with its column (`j mod P`), a range — the
-        // largest first — to the least loaded worker.
+        // Owners of the ranges: the largest first to the least loaded
+        // worker.
         let mut load = vec![0.0f64; threads];
         for j in (0..nb).filter(|&j| root[j] == usize::MAX) {
             load[j % threads] += flops[j];
-        }
-        let mut owner = vec![0usize; nn];
-        let mut ranges = Vec::new();
-        for (id, node) in nodes.iter().enumerate() {
-            match node {
-                PlanNode::Task(t) => owner[id] = t.home_column() % threads,
-                PlanNode::Columns(cols) => ranges.push((sub[cols.end - 1], id)),
-            }
         }
         ranges.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for (f, id) in ranges {
@@ -500,7 +462,6 @@ impl RangePlan {
         }
         let schedule = ExecSchedule::with_priorities(prio);
         RangePlan {
-            nodes,
             bounds,
             edges,
             schedule,
@@ -511,9 +472,14 @@ impl RangePlan {
     }
 
     /// The plan [`factor_numeric_with`] runs `req` by over `bm`: its coarse
-    /// graph contracted over the storage's structure for `req.threads`
-    /// workers, ranked by the request's schedule or else by the graph's
-    /// bottom levels. `None` at one thread or without a coarse graph.
+    /// graph — built over the storage's structure — contracted for
+    /// `req.threads` workers, ranked by the request's schedule or else by
+    /// the graph's bottom levels. `None` at one thread or without a coarse
+    /// graph.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`]: when the graph is not over the storage's structure.
     pub fn contract(bm: &BlockMatrix, req: &NumericRequest<'_>) -> Option<RangePlan> {
         let GraphRef::Coarse { graph, mapping } = req.graph else {
             return None;
@@ -524,11 +490,28 @@ impl RangePlan {
 
     /// Bytes the plan holds, its vectors counted at capacity.
     pub(crate) fn bytes(&self) -> u64 {
-        (self.nodes.capacity() * size_of::<PlanNode>()
-            + (self.bounds.capacity() + self.owner.capacity()) * size_of::<usize>()
+        ((self.bounds.capacity() + self.owner.capacity()) * size_of::<usize>()
             + self.schedule.len() * size_of::<u64>()) as u64
             + self.edges.heap_bytes()
     }
+}
+
+/// The position of every task of `graph`, built over the structure whose
+/// column `j` starts at task `task_start[j]`, in that storage's
+/// left-looking order ([`BlockMatrix::tasks`]): the graph lists the
+/// updates by source, so those into one column come by ascending source,
+/// as the storage holds them, and each column ends with its factor.
+fn storage_ids(graph: &TaskGraph, task_start: &[usize]) -> Vec<usize> {
+    let mut cursor = task_start.to_vec();
+    (graph.tasks().iter())
+        .map(|task| match *task {
+            Task::Factor(j) => task_start[j + 1] - 1,
+            Task::Update { dst, .. } => {
+                cursor[dst] += 1;
+                cursor[dst] - 1
+            }
+        })
+        .collect()
 }
 
 /// Per block column of the storage laid out on `bs`: the model flops of
@@ -581,7 +564,9 @@ pub(crate) fn column_model(bs: &BlockStructure) -> (Vec<f64>, Vec<Option<usize>>
 ///
 /// # Panics
 ///
-/// Panics when a handed-in plan has another task count than `bm`.
+/// Panics when a handed-in plan has another task count than `bm`, and on
+/// several threads when a coarse request's graph is not over `bm`'s
+/// structure ([`RangePlan::contract`]).
 pub fn factor_numeric_with(
     bm: &BlockMatrix,
     req: &NumericRequest<'_>,
@@ -603,19 +588,17 @@ pub fn factor_numeric_with(
     };
     let owner = |node: usize| plan.map_or(0, |p| p.owner[node]);
     let whole = [0, bm.num_tasks()];
+    let bounds = plan.map_or(&whole[..], |p| &p.bounds);
     let mut exec = match plan {
         Some(p) => ExecRequest {
-            task_bounds: Some(&p.bounds),
             schedule: Some(&p.schedule),
             placement: p.mapping.placement(&owner),
             threads: p.threads,
             ..ExecRequest::of(&p.edges)
         },
-        None => ExecRequest {
-            task_bounds: Some(&whole),
-            ..ExecRequest::new(&[0, 0], &[])
-        },
+        None => ExecRequest::new(&[0, 0], &[]),
     };
+    exec.task_bounds = Some(bounds);
     exec.trace = req.trace;
     exec.budget = &req.budget;
     // Effective budget: a deadline or watchdog without a caller token gets
@@ -653,18 +636,8 @@ pub fn factor_numeric_with(
     bodies.metrics = metrics;
     bodies.token = budget.token.as_ref();
     let mut report = run(&exec, |node, steps| {
-        if bodies.failed() {
-            return;
-        }
-        let mut begin = || steps.begin();
-        match plan.map(|p| &p.nodes[node]) {
-            Some(PlanNode::Columns(cols)) => {
-                bodies.columns(cols.clone(), &mut begin);
-            }
-            Some(PlanNode::Task(task)) => bodies.task(*task, &mut begin),
-            None => {
-                bodies.columns(0..bm.num_block_cols(), &mut begin);
-            }
+        if !bodies.failed() {
+            bodies.tasks(bounds[node]..bounds[node + 1], &mut || steps.begin());
         }
     });
     report.stats.kernel = dispatch.name();
@@ -817,20 +790,94 @@ mod tests {
         CscMatrix::from_triplets(n, n, &trips).unwrap()
     }
 
-    /// The coarse graph run task by task through the executor as a plain
-    /// DAG — each `Update` and `Factor` its own node, locking its own
-    /// columns — the one-thread path before range tasks.
-    fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph) -> Result<(), LuError> {
+    /// The DAG `edges` run inline on `bm` in the one-worker order of
+    /// `schedule` (or of the bottom levels), node `t` running the tasks
+    /// `tasks(t)` of the storage.
+    fn replay(
+        bm: &BlockMatrix,
+        edges: &SparsityPattern,
+        schedule: Option<&ExecSchedule>,
+        tasks: impl Fn(usize) -> std::ops::Range<usize> + Sync,
+    ) -> Result<(), LuError> {
         let kernels = Dispatch::resolve(KernelChoice::Auto);
         let bodies = TaskBodies::new(bm, PivotRule::Partial, 0.0, PanelBreakdown::Error, &kernels);
-        let exec = ExecRequest::of(graph.edges());
+        let exec = ExecRequest {
+            schedule,
+            ..ExecRequest::of(edges)
+        };
         run(&exec, |t, _| {
-            if !bodies.failed() {
-                bodies.task(graph.task(t), &mut || true);
-            }
+            bodies.tasks(tasks(t), &mut || true);
         })
         .rethrow();
         bodies.first_error.into_inner().map_or(Ok(()), Err)
+    }
+
+    /// The coarse graph, built over `bm`'s structure, run task by task
+    /// as a plain DAG — each `Update` and `Factor` its own node, locking
+    /// its own columns — the one-thread path before range tasks.
+    fn graph_replay(bm: &BlockMatrix, graph: &TaskGraph) -> Result<(), LuError> {
+        let at = storage_ids(graph, &column_model(bm.layout().structure()).2);
+        replay(bm, graph.edges(), None, |t| at[t]..at[t] + 1)
+    }
+
+    /// `plan`'s nodes run inline on `bm` in a random topological order:
+    /// the one-worker order of priorities drawn from `seed`.
+    fn random_order_replay(bm: &BlockMatrix, plan: &RangePlan, seed: u64) -> Result<(), LuError> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let random = ExecSchedule::with_priorities(
+            (0..plan.owner.len())
+                .map(|_| rng.gen_range(0..u64::MAX))
+                .collect(),
+        );
+        replay(bm, &plan.edges, Some(&random), |t| {
+            plan.bounds[t]..plan.bounds[t + 1]
+        })
+    }
+
+    /// Random topological orders of the nodes of plans contracted from the
+    /// eforest graph of the in-block lists — at 2, 4 and 8 threads, on the
+    /// reduced suite and random patterns, amalgamated or not (without
+    /// amalgamation many rule-4 walks pass a block those lists drop) —
+    /// factor bitwise like `factor_left_looking` on the same storage, or
+    /// trip the wire as it does.
+    #[test]
+    fn random_orders_of_an_in_block_plan_are_bitwise_left_looking() {
+        let suite = splu_matgen::paper_suite(splu_matgen::Scale::Reduced);
+        let randoms = (0..4).map(|seed| random_matrix(60, 180, seed));
+        for (case, a) in suite.into_iter().map(|m| m.a).chain(randoms).enumerate() {
+            for amalgamation in [None, Some(Default::default())] {
+                let opts = Options {
+                    amalgamation,
+                    ..Options::default()
+                };
+                let s = crate::SluSession::analyze(a.pattern(), &opts).unwrap();
+                let (p, bs) = (
+                    s.symbolic().permute_matrix(&a),
+                    &s.symbolic().block_structure,
+                );
+                let wired = || {
+                    let layout = crate::blocks::Layout::new(Arc::clone(bs), true);
+                    let mut bm = BlockMatrix::with_layout(Arc::new(layout), |_, _, _| {});
+                    bm.reset_from(&p, bs);
+                    bm
+                };
+                let want = wired();
+                let left = crate::factor_left_looking(&want, 0.0);
+                let graph = build_eforest_graph(bs);
+                for threads in [2, 4, 8] {
+                    let plan = RangePlan::new(bs, &graph, None, threads, Mapping::Dynamic);
+                    for seed in 0..4 {
+                        let (bm, what) = (wired(), format!("case {case} P={threads} seed={seed}"));
+                        let got = random_order_replay(&bm, &plan, seed);
+                        assert_eq!(got.is_err(), left.is_err(), "{what}: {got:?}");
+                        if got.is_ok() {
+                            assert_eq!(bm.factor_difference(&want), None, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest::proptest! {
@@ -841,8 +888,9 @@ mod tests {
         /// reference holding the static words — on random forests of one to
         /// three trees, at 1/2/4/8 threads, under both mappings, over the
         /// graphs of both builders, on the static storage and on the wired
-        /// in-block one, each plan contracted by the driver and then handed
-        /// in as a planned request. When a pivot of the replay leaves its diagonal
+        /// in-block one, each graph built over the structure it runs on and
+        /// each plan contracted by the driver and then handed in as a
+        /// planned request. When a pivot of the replay leaves its diagonal
         /// block, every run on the in-block storage trips the wire instead.
         #[test]
         fn range_execution_is_bitwise_the_graph_replay(
@@ -870,9 +918,9 @@ mod tests {
                 ("eforest", build_eforest_graph as fn(&BlockStructure) -> TaskGraph),
                 ("sstar", build_sstar_graph),
             ] {
-                let graph = build(bs);
-                let schedule = Arc::new(ExecSchedule::for_graph(&graph));
                 for (structure, wired) in [(Arc::clone(bs), false), (Arc::clone(&in_block), true)] {
+                    let graph = build(&structure);
+                    let schedule = Arc::new(ExecSchedule::for_graph(&graph));
                     let tripped = wired && left;
                     let layout = crate::blocks::Layout::new(Arc::clone(&structure), wired);
                     let mut bm = BlockMatrix::with_layout(Arc::new(layout), |_, _, _| {});

@@ -7,11 +7,11 @@
 //! circuit-simulation workloads change the numeric *values* every step. An
 //! [`Analysis`] holds all of the symbolic state (keyed by a pattern hash,
 //! [`pattern_hash`]) — on several threads also the range plan the numeric
-//! phase runs: the eforest task graph of the static lists, contracted over
-//! the held structure once at analysis (`crate::request`) and then
-//! dropped; one thread factors the whole matrix as one range and holds no
-//! plan. A [`SluSession`] is an analysis — its own, or one it shares with
-//! the other sessions of the pattern ([`SluSession::on`]) — and its own
+//! phase runs: the eforest task graph of the held structure, contracted
+//! once at analysis (`crate::request`) and then dropped; one thread
+//! factors the whole matrix as one range and holds no plan. A
+//! [`SluSession`] is an analysis — its own, or one it shares with the
+//! other sessions of the pattern ([`SluSession::on`]) — and its own
 //! factors, and exposes:
 //!
 //! * [`SluSession::analyze`] — the symbolic half, run once per pattern;
@@ -165,9 +165,8 @@ pub struct Analysis {
     sym: SymbolicLu,
     /// `true` while that structure is the wired in-block one.
     realised: bool,
-    /// The eforest graph of the static structure contracted over
-    /// `sym.block_structure` for `opts.threads` workers — held at several
-    /// threads only.
+    /// The eforest graph of `sym.block_structure` contracted for
+    /// `opts.threads` workers — held at several threads only.
     plan: Option<RangePlan>,
     pattern_hash: u64,
     /// Set for the analysis of a [`crate::SparseLu`], factored once and
@@ -196,11 +195,11 @@ impl Analysis {
     /// Runs the full symbolic analysis for `pattern` and keeps everything
     /// the numeric phase needs: permutations, supernode partition and
     /// block lists — then derives the in-block lists that replace the
-    /// static ones (phase `derive`). When `opts.threads > 1` it first
-    /// builds the eforest task graph of the static lists (phase
-    /// `graph_build`), and `derive` contracts it over the in-block lists
-    /// into the range plan the analysis holds; one thread factors the whole
-    /// matrix as one range and builds no graph. No storage is laid out.
+    /// static ones (phase `derive`). When `opts.threads > 1` it then builds
+    /// the eforest task graph of the in-block lists and contracts it into
+    /// the range plan the analysis holds (phase `graph_build`); one thread
+    /// factors the whole matrix as one range and builds no graph. No
+    /// storage is laid out.
     pub fn new(pattern: &SparsityPattern, opts: &Options) -> Result<Analysis, LuError> {
         Self::build(pattern, opts, None, false)
     }
@@ -229,19 +228,17 @@ impl Analysis {
             sreq = sreq.observe(o.clone());
         }
         let mut sym = analyze_with(pattern, opts, &sreq)?;
-        let graph = (opts.threads > 1).then(|| {
-            let _p = obs.map(|o| o.phase("graph_build"));
-            sym.build_graph()
-        });
-        let plan = {
+        {
             let _p = obs.map(|o| o.phase("derive"));
             let (rows, cols, bs) = (&sym.row_perm, &sym.col_perm, &sym.block_structure);
             let seeds = seed_flags(bs, pattern, |i| rows.new_of(i), |j| cols.old_of(j));
             let (row_live, col_live) = in_block_flags(bs, seeds);
             sym.block_structure = Arc::new(realised_structure(bs, &row_live, &col_live));
-            let (bs, threads) = (&sym.block_structure, opts.threads);
-            graph.map(|g| RangePlan::new(bs, &g, None, threads, opts.mapping))
-        };
+        }
+        let plan = (opts.threads > 1).then(|| {
+            let _p = obs.map(|o| o.phase("graph_build"));
+            plan_of(&sym)
+        });
         Ok(Analysis {
             sym,
             realised: true,
@@ -349,12 +346,15 @@ impl Analysis {
     fn fall_back(&mut self, pattern: &SparsityPattern) {
         (self.storage, self.plan, self.realised) = (OnceLock::new(), None, false);
         self.sym.block_structure = Arc::new(self.sym.static_lists(pattern));
-        let (sym, threads) = (&self.sym, self.sym.opts.threads);
-        self.plan = (threads > 1).then(|| {
-            let (bs, graph) = (&sym.block_structure, sym.build_graph());
-            RangePlan::new(bs, &graph, None, threads, sym.opts.mapping)
-        });
+        self.plan = (self.sym.opts.threads > 1).then(|| plan_of(&self.sym));
     }
+}
+
+/// The range plan of `sym`'s structure for its options' threads: the
+/// eforest graph of the lists the storage holds, contracted.
+fn plan_of(sym: &SymbolicLu) -> RangePlan {
+    let (bs, opts) = (&sym.block_structure, &sym.opts);
+    RangePlan::new(bs, &sym.build_graph(), None, opts.threads, opts.mapping)
 }
 
 /// A session's analysis: its own, or one it shares with other sessions.
@@ -831,7 +831,7 @@ impl SluSession {
 mod tests {
     use super::*;
     use crate::request::column_model;
-    use splu_sched::{Task, TaskGraph};
+    use splu_sched::Task;
     use splu_sparse::{relative_residual, CscMatrix};
 
     fn random_matrix(n: usize, extra: usize, seed: u64) -> CscMatrix {
@@ -1132,9 +1132,8 @@ mod tests {
     /// What the contraction reads, derived from the laid-out storage instead
     /// of the block lists: per column the model flops of its stored tasks
     /// and its parent (the first column it updates, when it has rows
-    /// below), and its first task. Checks that `block_nonzero` names
-    /// exactly the updates of `graph` the storage holds.
-    fn model_of(lay: &Layout, graph: &TaskGraph) -> (Vec<f64>, Vec<Option<usize>>, Vec<usize>) {
+    /// below), and its first task.
+    fn model_of(lay: &Layout) -> (Vec<f64>, Vec<Option<usize>>, Vec<usize>) {
         use crate::numeric::factor_flops;
         let nb = lay.structure().num_blocks();
         let (mut flops, mut parent) = (vec![0.0f64; nb], vec![None; nb]);
@@ -1149,30 +1148,25 @@ mod tests {
                 }
             }
         }
-        for task in graph.tasks() {
-            if let Task::Update { src, dst } = *task {
-                let stored = lay.updates(dst).iter().any(|u| u.src() == src);
-                assert_eq!(lay.structure().block_nonzero(src, dst), stored, "{task}");
-            }
-        }
         (flops, parent, (0..=nb).map(|j| lay.task_start(j)).collect())
     }
 
     /// The plan a session holds at 2 and 4 threads is, node for node, the
     /// one `factor_numeric_with` contracts for a coarse request over the
-    /// eforest graph of the static structure on the session's storage —
-    /// with or without the graph's schedule: over the in-block lists after
-    /// analysis, over the static ones after a fallback. A one-thread session
-    /// holds none, and `resident_bytes` charges a plan's bytes exactly.
+    /// eforest graph of the structure the session's storage holds — with
+    /// or without the graph's schedule: the in-block lists after analysis,
+    /// the static ones after a fallback. That graph's tasks are the
+    /// storage's (and the contraction asserts that no node is empty). A
+    /// one-thread session holds none, and `resident_bytes` charges a
+    /// plan's bytes exactly.
     #[test]
     fn a_session_holds_the_plan_the_driver_contracts() -> Result<(), LuError> {
         use splu_sched::{build_eforest_graph, ExecSchedule, Mapping};
+        use std::collections::HashSet;
         let suite = splu_matgen::paper_suite(splu_matgen::Scale::Reduced);
         let cross = ("cross_block_pivots", splu_matgen::cross_block_pivots(90, 2));
         for (name, a) in (suite.into_iter().map(|m| (m.name, m.a))).chain([cross]) {
             let static_bs = crate::analyze(a.pattern(), &Options::default())?.block_structure;
-            let graph = build_eforest_graph(&static_bs);
-            let schedule = Arc::new(ExecSchedule::for_graph(&graph));
             let mut one = SluSession::analyze(a.pattern(), &Options::default())?;
             one.factor(&a)?;
             assert!(one.analysis.plan.is_none(), "{name}");
@@ -1190,15 +1184,19 @@ mod tests {
                 if falls_back {
                     assert_eq!(bm.layout().structure(), &*static_bs, "{what}");
                 }
+                let graph = build_eforest_graph(bm.layout().structure());
+                let tasks: HashSet<Task> = graph.tasks().iter().copied().collect();
+                assert_eq!(tasks, bm.tasks().collect(), "{what}");
                 let model = column_model(bm.layout().structure());
-                assert_eq!(model_of(bm.layout(), &graph), model, "{what}");
+                assert_eq!(model_of(bm.layout()), model, "{what}");
                 let held = s
                     .analysis
                     .plan
                     .as_ref()
                     .expect("several threads hold a plan");
+                let schedule = Arc::new(ExecSchedule::for_graph(&graph));
                 let req = NumericRequest::coarse(&graph, mapping).threads(threads);
-                for req in [req.clone(), req.schedule(Arc::clone(&schedule))] {
+                for req in [req.clone(), req.schedule(schedule)] {
                     let plan = RangePlan::contract(bm, &req);
                     assert_eq!(plan.as_ref(), Some(held), "{what}");
                 }

@@ -9,8 +9,9 @@
 //! work stealing on any number of threads — therefore produces the same
 //! factors **bit for bit** as the sequential left-looking sweep.
 //!
-//! This test drives the `Mapping::Dynamic` (stealing) executor at 1, 2, 4
-//! and 8 threads over random diagonally-dominant matrices and compares
+//! This test drives the executor under both mappings — static 1D and
+//! `Mapping::Dynamic` (stealing) — at 1, 2, 4 and 8 threads over random
+//! diagonally-dominant matrices and compares
 //! every stored `Ū` block, every L panel and every pivot sequence bitwise
 //! against the sequential reference. Every run repeats under each
 //! [`KernelChoice`] — the kernel dispatch layer promises the same bits, so
@@ -52,27 +53,30 @@ proptest! {
         let bm_seq = BlockMatrix::assemble(&a, &bs);
         factor_left_looking(&bm_seq, 0.0).unwrap();
 
-        for threads in [1usize, 2, 4, 8] {
+        for (threads, mapping) in [1usize, 2, 4, 8]
+            .into_iter()
+            .flat_map(|t| [(t, Mapping::Static1D), (t, Mapping::Dynamic)])
+        {
             for kernels in [KernelChoice::Portable, KernelChoice::Auto] {
                 let bm = BlockMatrix::assemble(&a, &bs);
                 factor_numeric_with(
                     &bm,
-                    &NumericRequest::coarse(&graph, Mapping::Dynamic)
+                    &NumericRequest::coarse(&graph, mapping)
                         .threads(threads)
                         .kernels(kernels),
                 )
                 .unwrap();
                 prop_assert_eq!(
                     bm.pivot_rows(), bm_seq.pivot_rows(),
-                    "pivots differ: threads {}, {:?}", threads, kernels
+                    "pivots differ: threads {}, {:?}, {:?}", threads, mapping, kernels
                 );
                 for k in 0..bm.num_block_cols() {
                     let cd = bm.column(k).read();
                     let cs = bm_seq.column(k).read();
                     prop_assert_eq!(
                         cd.data(), cs.data(),
-                        "panel or U block bits differ: threads {}, {:?}, column {}",
-                        threads, kernels, k
+                        "panel or U block bits differ: threads {}, {:?}, {:?}, column {}",
+                        threads, mapping, kernels, k
                     );
                 }
             }

@@ -142,7 +142,8 @@ pub struct ExecRequest<'a> {
     pub successors: &'a [u32],
     /// The tasks of each node: node `t` runs tasks `b[t]..b[t + 1]` of
     /// `Some(b)` (non-decreasing from `b[0] = 0`, one entry more than there
-    /// are nodes; a node may hold none), and its runner announces each
+    /// are nodes; the executor allows a node of none, which the numeric
+    /// phase's plans never hold), and its runner announces each
     /// through [`Steps::begin`]. `None`: node `t` is the one task `t`,
     /// which the executor announces before calling the runner.
     pub task_bounds: Option<&'a [usize]>,
@@ -852,7 +853,7 @@ pub(crate) mod tests {
         let order = log.into_inner();
         let pos = |tid: usize| order.iter().position(|&t| t == tid).unwrap();
         // The deepest root (F(0), level 3) precedes the shallow root (F(2)).
-        assert!(pos(g.factor_id(0)) < pos(g.factor_id(2)));
+        assert!(pos(0) < pos(2), "F(0) before F(2)");
     }
 
     /// `run(..).rethrow()` is the fire-and-forget spelling: the contained
@@ -1140,7 +1141,7 @@ pub(crate) mod tests {
     // -- nodes of several tasks (task bounds) --
 
     /// Six nodes of 0–4 tasks each over a diamond-shaped DAG: one node
-    /// holds none, as a numeric plan's node over an unstored block does.
+    /// holds none, which the executor allows.
     const NODE_PTR: [usize; 7] = [0, 3, 4, 5, 6, 6, 6];
     const NODE_SUCCS: [u32; 6] = [1, 2, 3, 4, 4, 5];
     const BOUNDS: [usize; 7] = [0, 3, 3, 7, 8, 12, 14];

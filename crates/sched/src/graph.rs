@@ -90,12 +90,6 @@ impl TaskGraph {
         &self.edges
     }
 
-    /// Task id of `Factor(k)`: `k`.
-    pub fn factor_id(&self, k: usize) -> usize {
-        debug_assert_eq!(self.tasks[k], Task::Factor(k));
-        k
-    }
-
     /// Number of block columns the graph factorizes.
     pub fn num_block_cols(&self) -> usize {
         self.num_block_cols
@@ -267,8 +261,13 @@ pub fn build_sstar_graph(bs: &BlockStructure) -> TaskGraph {
 }
 
 /// Builds the paper's eforest-guided task dependence graph (Section 4,
-/// rules 1–5): `U(i, k) → U(i', k)` only when `i' = parent(i)` in the block
-/// eforest, and `U(i, k) → F(k)` only when `k = parent(i)`.
+/// rules 1–5) over any block lists — the static ones or a session's
+/// in-block ones. Rule 4, `U(i, k) → U(a, k)`, targets the nearest proper
+/// ancestor `a` of `i` in the block eforest whose `Ū(a, k)` the lists hold;
+/// rule 5, `U(i, k) → F(k)`, applies when that walk reaches `k` or leaves
+/// `i`'s tree below it. On the static lists every walk stops at its first
+/// step, `parent(i)` (Theorem 1), and a root's update has no successor
+/// (Theorem 2). Every update out of a non-root has exactly one successor.
 ///
 /// Updates from independent subtrees carry no mutual dependence — their
 /// source columns have disjoint row structures (the row-branch
@@ -282,25 +281,19 @@ pub fn build_eforest_graph(bs: &BlockStructure) -> TaskGraph {
         .map(|i| u.col(i).len() - 1)
         .sum();
     graph_of(bs, updates + from_non_roots, |i, k, _| {
-        match forest.parent(i) {
-            // Rule 5: U(i, k) → F(k) when k = parent(i).
-            Some(p) if p == k => Some(k),
-            Some(p) => {
-                debug_assert!(p < k, "parent(i) = min of Ū row i, so p ≤ k");
-                // Rule 4: U(i, k) → U(parent(i), k). Theorem 1 guarantees the
-                // target exists.
-                let at = u.col(p)[1..]
-                    .binary_search(&(k as u32))
-                    .unwrap_or_else(|_| {
-                        panic!("Theorem 1 violated: U({p},{k}) missing for child {i}")
-                    });
-                Some(first_update(bs, p) + at)
+        // i is a root with U(i, k) ≠ 0: by Theorem 2 this means i's tree
+        // lies entirely left of k; the update touches rows no other task
+        // shares, so no outgoing edge.
+        let mut a = forest.parent(i)?;
+        debug_assert!(a <= k, "parent(i) = min of Ū row i, so parent(i) ≤ k");
+        // Rule 4 on the nearest ancestor holding Ū(a, k), else rule 5.
+        while a < k {
+            if let Ok(at) = u.col(a)[1..].binary_search(&(k as u32)) {
+                return Some(first_update(bs, a) + at);
             }
-            // i is a root with U(i, k) ≠ 0: by Theorem 2 this means i's tree
-            // lies entirely left of k; the update touches rows no other task
-            // shares, so no outgoing edge.
-            None => None,
+            a = forest.parent(a).unwrap_or(k);
         }
+        Some(k)
     })
 }
 
@@ -411,7 +404,7 @@ mod tests {
             for &(i, k, id) in &updates {
                 if forest.is_ancestor(k, i) {
                     assert!(
-                        e.reaches(id, e.factor_id(k)),
+                        e.reaches(id, k),
                         "U({i},{k}) does not precede F({k}) (seed {seed})"
                     );
                 }
@@ -435,7 +428,7 @@ mod tests {
                 assert!(s.reaches(w[0].1, w[1].1));
             }
             if let Some(&(_, last)) = ups.last() {
-                assert!(s.reaches(last, s.factor_id(dst)));
+                assert!(s.reaches(last, dst));
             }
         }
     }

@@ -14,6 +14,7 @@
 //! are confined to this binary.
 
 use parsplu::core::CancelToken;
+use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -64,7 +65,17 @@ fn main() {
     let token = CancelToken::new();
     install_ctrl_c(token.clone());
     match parsplu::cli::run_with_token(&args, Some(&token)) {
-        Ok(out) => print!("{out}"),
+        Ok(out) => {
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout.write_all(out.as_bytes());
+            // A closed stdout (`parsplu … | head`) ends the run quietly.
+            if let Err(e) = written.and_then(|()| stdout.flush()) {
+                if e.kind() != ErrorKind::BrokenPipe {
+                    eprintln!("parsplu: cannot write stdout: {e}");
+                    std::process::exit(2);
+                }
+            }
+        }
         Err(e) => {
             eprint!("{}", e.message);
             if !e.message.ends_with('\n') {

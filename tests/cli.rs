@@ -772,3 +772,35 @@ fn serve_flag_errors() {
     let err = run(&args(&["serve", "--frobnicate"])).unwrap_err();
     assert!(err.message.contains("unknown serve option"), "{err}");
 }
+
+/// A reader that closes the binary's stdout early (`parsplu … | head`)
+/// ends it quietly: the replies and the final summary meet a broken pipe,
+/// and nothing panics.
+#[test]
+fn a_closed_stdout_ends_the_binary_quietly() {
+    use std::io::{Read, Write};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_parsplu"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The child writes nothing before it reads its script: closing the
+    // read end first makes every write of it meet the closed pipe.
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(b"stats\nstats\nquit\n").unwrap();
+    drop(stdin);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(status.success(), "{status:?}: {stderr}");
+}

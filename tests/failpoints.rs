@@ -8,7 +8,9 @@
 //!
 //! Scenarios are serialized by [`FailScenario`]'s process-wide lock, so
 //! `cargo test`'s default test-level parallelism cannot interleave armed
-//! injection points.
+//! injection points. Every run — a faulted one and every clean one before
+//! or after it — holds a scenario: a clean run outside the lock would run
+//! into the knobs another test armed.
 
 #![cfg(feature = "failpoints")]
 
@@ -176,6 +178,7 @@ proptest! {
             .map(|((i, j), v)| (i, j, v))
             .collect();
         let poisoned = parsplu::sparse::CscMatrix::from_triplets(40, 40, &t).unwrap();
+        let _clean = FailScenario::new();
         for &threads in &THREADS {
             match SparseLu::factor(&poisoned, &opts(threads, mapping)).map(|_| ()) {
                 Err(LuError::NonFiniteInput { column }) => {
@@ -205,7 +208,8 @@ fn factorization_recovers_after_injected_panic() {
             let err = SparseLu::factor(&a, &o).map(|_| ()).unwrap_err();
             assert!(matches!(err, LuError::WorkerPanic { .. }), "{err:?}");
         }
-        // Scenario dropped: the same inputs now factor and solve cleanly.
+        // Under a disarmed scenario the same inputs factor and solve cleanly.
+        let _clean = FailScenario::new();
         let lu = SparseLu::factor(&a, &o).expect("clean run after contained panic");
         let x = lu.solve(&b);
         assert!(parsplu::sparse::relative_residual(&a, &x, &b) < 1e-10);
@@ -239,7 +243,8 @@ fn cancel_during_symbolic_fill_is_contained() {
         "the failpoint cancels the caller's own token"
     );
     drop(scenario);
-    // Scenario dropped, fresh budget: the same pattern analyzes cleanly.
+    // A disarmed scenario, fresh budget: the same pattern analyzes cleanly.
+    let _clean = FailScenario::new();
     analyze(a.pattern(), &Options::default()).expect("clean analysis after contained cancellation");
 }
 
@@ -278,6 +283,7 @@ fn stalled_factor_task_is_diagnosed_by_the_watchdog() {
             }
             drop(scenario);
             // The same process factors cleanly afterwards.
+            let _clean = FailScenario::new();
             SparseLu::factor(&a, &opts(threads, mapping)).expect("clean run after stall");
         }
     }
@@ -348,10 +354,10 @@ fn session_survives_injected_panic_during_refactor() {
     for &threads in &THREADS {
         for mapping in [Mapping::Static1D, Mapping::Dynamic] {
             let o = opts(threads, mapping);
+            let scenario = FailScenario::new();
             let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
             s.factor(&a).unwrap();
             {
-                let scenario = FailScenario::new();
                 scenario.panic_at_factor(0);
                 let err = s.refactor(&vals).map(|_| ()).unwrap_err();
                 assert!(
@@ -364,8 +370,10 @@ fn session_survives_injected_panic_during_refactor() {
                     Err(LuError::NotFactored)
                 ));
             }
-            // Scenario dropped: the same session refactors cleanly, and the
-            // factors are the static ones bit for bit.
+            // Under a disarmed scenario the same session refactors cleanly,
+            // and the factors are the static ones bit for bit.
+            drop(scenario);
+            let _clean = FailScenario::new();
             s.refactor(&vals)
                 .expect("session reusable after contained panic");
             let reference = StaticFactors::of(&vals);
@@ -393,13 +401,17 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
     for v in vals.values_mut() {
         *v *= 1.25;
     }
+    let clean = FailScenario::new();
     let reference = StaticFactors::of(&vals);
+    drop(clean);
     for threads in [1usize, 2, 4] {
         for mapping in [Mapping::Static1D, Mapping::Dynamic] {
             let what = format!("threads={threads} {mapping:?}");
             let o = opts(threads, mapping);
+            let clean = FailScenario::new();
             let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
             s.factor(&a).unwrap();
+            drop(clean);
             assert!(s.is_realised(), "{what}");
             for fault in ["panic", "cancel", "deadline"] {
                 let scenario = FailScenario::new();
@@ -427,6 +439,7 @@ fn realised_refactor_survives_panic_cancel_and_deadline() {
                 );
                 assert!(!s.is_factored() && s.is_realised(), "{what} {fault}");
                 drop(scenario);
+                let _clean = FailScenario::new();
                 s.set_budget(RunBudget::unbounded());
                 s.refactor(&vals).expect("session reusable after the fault");
                 assert!(s.is_realised(), "{what} {fault}");
@@ -447,10 +460,12 @@ fn faults_during_the_speculative_run_are_the_static_paths_errors() {
     let col = a.ncols() / 2;
     for mapping in [Mapping::Static1D, Mapping::Dynamic] {
         for &threads in &THREADS {
+            let clean = FailScenario::new();
             let nb = analyze(a.pattern(), &opts(threads, mapping))
                 .unwrap()
                 .block_structure
                 .num_blocks();
+            drop(clean);
             for fault in ["panic", "breakdown", "cancel"] {
                 let scenario = FailScenario::new();
                 match fault {
@@ -527,9 +542,9 @@ fn a_one_thread_watchdog_hears_every_task_of_the_range() {
             .with_watchdog(WatchdogConfig::new(Duration::from_millis(60))),
         ..opts(1, Mapping::Static1D)
     };
+    let scenario = FailScenario::new();
     let mut s = SluSession::analyze(a.pattern(), &o).unwrap();
     let k = s.stats().supernodes / 2;
-    let scenario = FailScenario::new();
     scenario.stall_at_factor(k);
     let report = match s.factor(&a) {
         Err(LuError::Stalled { report, .. }) => report,

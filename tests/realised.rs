@@ -485,15 +485,14 @@ proptest! {
     }
 }
 
-/// The graphs of a realised session's pattern are built over the static
-/// structure — the tasks every factorization of the pattern runs: built
-/// over the in-block lists instead, the eforest builder panics (rule 4
-/// names an update those lists dropped) and the S* builder returns a graph
-/// of other tasks, on the full-scale sherman3 analogue as on the suite.
-/// (The plan a session holds is the static eforest graph contracted over
-/// its lists: `session.rs`' unit tests.) The S* graph of the static
-/// structure, handed to the range plan, factors bitwise like the realised
-/// session at 2 and 4 threads under both mappings.
+/// The graphs of a realised session's pattern built over the static
+/// structure have the tasks every static factorization of the pattern runs
+/// (the statistics' count), and the S* one, handed to the range plan,
+/// factors bitwise like the realised session at 2 and 4 threads under both
+/// mappings. Built over the in-block lists, the eforest graph has the
+/// storage's tasks instead — rule 4 walks past the blocks those lists drop
+/// — and is the graph the session's plan is contracted from (`session.rs`'
+/// unit tests); on the full-scale sherman3 analogue as on the suite.
 #[test]
 fn graph_builders_read_the_static_structure_of_a_realised_session() {
     use parsplu::core::{analyze, factor_numeric_with, NumericRequest};
@@ -519,6 +518,8 @@ fn graph_builders_read_the_static_structure_of_a_realised_session() {
         dropped_blocks += blocks(static_bs) - blocks(&sym.block_structure);
         let built = build_eforest_graph(static_bs);
         assert_eq!(built.len(), s.stats().graph_tasks, "{name}");
+        let held = build_eforest_graph(&sym.block_structure);
+        assert_eq!(held.len(), s.block_matrix().unwrap().num_tasks(), "{name}");
 
         let sstar = build_sstar_graph(static_bs);
         assert_eq!(sstar.tasks(), built.tasks(), "{name}");

@@ -251,9 +251,10 @@ fn factor_then_many_refactors_stay_consistent() {
 /// `tasks · (size_of(Task) + Vec header + word) + edges · word + N · word`
 /// for the graph, two words per task for the schedule (bottom level and
 /// one-worker position). A session of two threads holds the range plan
-/// contracted from that graph — subtrees as one node each: 1,273 nodes and
-/// 2,198 edges, every vector at its length — and is charged exactly that,
-/// less than the graph term above.
+/// contracted from the eforest graph of its in-block lists (5,452 tasks) —
+/// subtrees as one node each: 817 nodes and 1,286 edges, every vector at
+/// its length — and is charged exactly that, less than the graph term
+/// above.
 #[test]
 fn one_thread_sessions_hold_no_graph_or_schedule() {
     use parsplu::matgen::paper_matrix;
@@ -290,10 +291,12 @@ fn one_thread_sessions_hold_no_graph_or_schedule() {
         ..Options::default()
     };
     let two = SluSession::analyze(a.pattern(), &opts).unwrap();
+    let in_block = parsplu::sched::build_eforest_graph(&two.symbolic().block_structure);
+    assert_eq!((in_block.len(), in_block.num_edges()), (5452, 7524));
     let plan = two.resident_bytes() - one.resident_bytes();
-    // Per node a 24-byte `PlanNode` and one word each of bound, owner,
-    // priority and edge pointer (one more bound and pointer), per edge one
-    // `u32`: 1,273 · 56 + 16 + 2,198 · 4.
-    assert_eq!(plan, 80_096);
+    // Per node one word each of bound, owner, priority and edge pointer
+    // (one more bound and pointer), per edge one `u32`: 817 · 32 + 16 +
+    // 1,286 · 4.
+    assert_eq!(plan, 31_304);
     assert!(plan < graph_term, "the graph term is {graph_term}");
 }

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 
-use parsplu::core::{analyze, Options};
+use parsplu::core::{analyze, Options, SluSession};
 use parsplu::ordering::{maximum_transversal, StructuralRank};
-use parsplu::sched::{block_forest, build_eforest_graph, build_sstar_graph};
+use parsplu::sched::{block_forest, build_eforest_graph, build_sstar_graph, Task};
 use parsplu::sparse::{Permutation, SparsityPattern};
 use parsplu::symbolic::{
     postorder_permutation, static_fact::static_symbolic_reference, static_symbolic_factorization,
@@ -200,5 +200,75 @@ proptest! {
         });
         let forest = EliminationForest::from_parent_vec(random.collect());
         assert_children_invert_parents(&forest, "random");
+    }
+}
+
+/// Rule 4 over the lists a session holds: their block forest is the static
+/// lists', and the eforest graph builds over them with one task per held
+/// `Ū` block — the storage's tasks — every edge leading on in the
+/// left-looking order (a column's updates by ascending source, then its
+/// factor), so the graph is acyclic and a two-thread session contracts it.
+/// On the static lists every rule-4 walk stops at its first step
+/// (Theorem 1): `Ū(parent(i), k)` is held for every `U(i, k)` with
+/// `parent(i) < k`.
+fn eforest_rule_holds(pattern: &SparsityPattern, postorder: bool, amalgamation: bool) {
+    let opts = Options {
+        postorder,
+        amalgamation: amalgamation.then(Default::default),
+        threads: 2,
+        ..Options::default()
+    };
+    let static_bs = analyze(pattern, &opts).unwrap().block_structure;
+    let session = SluSession::analyze(pattern, &opts).unwrap();
+    let held = &session.symbolic().block_structure;
+    let forest = block_forest(&static_bs);
+    assert_eq!(block_forest(held), forest, "the in-block block forest");
+    let graph = build_eforest_graph(held);
+    assert_eq!(graph.len(), held.u_blocks.nnz(), "one task per held block");
+    let key = |t: Task| match t {
+        Task::Factor(k) => (k, usize::MAX),
+        Task::Update { src, dst } => (dst, src),
+    };
+    for (t, &task) in graph.tasks().iter().enumerate() {
+        for &s in graph.successors(t) {
+            assert!(key(task) < key(graph.task(s as usize)), "{task} leads back");
+        }
+    }
+    for i in 0..static_bs.num_blocks() {
+        for &k in &static_bs.u_blocks.col(i)[1..] {
+            let (k, p) = (k as usize, forest.parent(i));
+            let one_step = p.is_none_or(|p| p == k || static_bs.block_nonzero(p, k));
+            assert!(one_step, "U({i},{k}) walks past Ū({p:?},{k})");
+        }
+    }
+}
+
+/// The rule on the reduced suite and on inputs whose pivots leave their
+/// blocks: postordered or not, amalgamated or not.
+#[test]
+fn the_eforest_rule_holds_on_the_lists_a_session_holds() {
+    use parsplu::matgen::{cross_block_pivots, paper_suite, Scale};
+    let suite = paper_suite(Scale::Reduced).into_iter().map(|m| m.a);
+    for a in suite.chain((0..4).map(|seed| cross_block_pivots(60, seed))) {
+        for (postorder, amalgamation) in [(true, true), (false, true), (true, false)] {
+            eforest_rule_holds(a.pattern(), postorder, amalgamation);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The same on random patterns.
+    #[test]
+    fn the_eforest_rule_holds_on_random_patterns(
+        n in 8usize..80,
+        extra in 1usize..5,
+        seed in 0u64..100_000,
+        postorder in 0usize..2,
+        amalgamation in 0usize..2,
+    ) {
+        let pattern = parsplu::matgen::random_pattern(n, extra * n, seed);
+        eforest_rule_holds(&pattern, postorder == 1, amalgamation == 1);
     }
 }
