@@ -50,9 +50,7 @@ pub use observe::{
     REPORT_SCHEMA,
 };
 pub use psolve::{solve_permuted_parallel, solve_permuted_parallel_with};
-pub use request::{
-    factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, RangePlan, SymbolicRequest,
-};
+pub use request::{factor_numeric_with, BreakdownPolicy, GraphRef, NumericRequest, RangePlan};
 pub use session::{pattern_hash, Analysis, SluSession};
 pub use solve::{
     det_permuted, growth_factor, solve_many_permuted, solve_permuted, solve_permuted_with,
@@ -68,6 +66,7 @@ pub use splu_sched::{
 mod condest;
 pub use condest::estimate_inverse_1norm;
 
+use request::budget_error;
 use splu_obs::Counter;
 use splu_ordering::{
     column_min_degree_with, maximum_transversal, reverse_cuthill_mckee, StructuralRank,
@@ -77,6 +76,7 @@ use splu_sparse::{CscMatrix, Permutation, SparsityPattern};
 use splu_symbolic::supernode::BlockStructure;
 use splu_symbolic::{fill_skeleton, EliminationForest, SupernodeOptions};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Fill-reducing ordering choices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,10 +119,11 @@ pub struct Options {
     /// ([`BreakdownPolicy::Error`], the default) or perturb the diagonal
     /// and recover through refinement ([`BreakdownPolicy::Perturb`]).
     pub breakdown: BreakdownPolicy,
-    /// Bounds on the numeric phase: a [`CancelToken`] (caller or Ctrl-C
-    /// driven), a wall-clock deadline, and/or a liveness watchdog.
-    /// Unbounded by default; an interrupted run drains every worker and
-    /// returns [`LuError::Cancelled`] / [`LuError::DeadlineExceeded`] /
+    /// Bounds on the analysis and the numeric phase: a [`CancelToken`]
+    /// (caller or Ctrl-C driven), a wall-clock deadline, and/or a liveness
+    /// watchdog (numeric phase only). Unbounded by default; an interrupted
+    /// run drains every worker and returns [`LuError::Cancelled`] (a
+    /// cancelled token first) / [`LuError::DeadlineExceeded`] /
     /// [`LuError::Stalled`] with progress attached.
     pub budget: RunBudget,
 }
@@ -316,15 +317,13 @@ fn graph_stats(bs: &BlockStructure, forest: &EliminationForest) -> (usize, usize
     (nb + updates, updates + from_non_roots, critical_path, flops)
 }
 
-/// Runs the full analysis pipeline on a sparsity pattern.
-///
-/// Equivalent to [`analyze_with`] under the front-half request implied by
-/// `opts` ([`SymbolicRequest::from_options`]): `opts.budget` as the bound.
+/// Runs the full analysis pipeline on a sparsity pattern: [`analyze_with`]
+/// unobserved.
 pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SymbolicLu, LuError> {
-    analyze_with(pattern, opts, &SymbolicRequest::from_options(opts))
+    analyze_with(pattern, opts, None)
 }
 
-/// Runs the full analysis pipeline with an explicit front-half request.
+/// Runs the full analysis pipeline, observed when `obs` is given.
 ///
 /// The symbolic phases are skeleton → postorder → block lists: the
 /// skeleton of the static symbolic factorization (eforest parents, each
@@ -335,14 +334,20 @@ pub fn analyze(pattern: &SparsityPattern, opts: &Options) -> Result<SymbolicLu, 
 /// ([`BlockStructure::from_skeleton`]). No scalar filled structure is
 /// written at any point.
 ///
-/// `req.budget` bounds the front half: the ordering polls it once per
-/// pivot and the driver between phases, returning [`LuError::Cancelled`] /
-/// [`LuError::DeadlineExceeded`] with the number of factor columns whose
+/// `opts.budget` bounds the front half as it bounds the numeric phase: the
+/// ordering polls it once per pivot and the driver between phases,
+/// returning [`LuError::Cancelled`] / [`LuError::DeadlineExceeded`] (a
+/// cancelled token first) with the number of factor columns whose
 /// structure is known attached (0 until the skeleton has run).
+///
+/// With `obs`, every phase records a span into the session's
+/// [`ObsSession::trace`] and the fill entries and budget checkpoints are
+/// counted into its metrics registry; without, nothing is recorded or
+/// counted and the clock is never read.
 pub fn analyze_with(
     pattern: &SparsityPattern,
     opts: &Options,
-    req: &SymbolicRequest,
+    obs: Option<&ObsSession>,
 ) -> Result<SymbolicLu, LuError> {
     opts.validate()?;
     if !pattern.is_square() {
@@ -352,13 +357,18 @@ pub fn analyze_with(
         });
     }
     let n = pattern.ncols();
-    let obs = req.obs.as_ref();
+    let budget = &opts.budget;
+    let cancelled = || budget.token.as_ref().is_some_and(|t| t.is_cancelled());
+    let tripped = || cancelled() || budget.deadline.is_some_and(|d| Instant::now() >= d);
+    // A cancelled token outranks a passed deadline, as in the executor's
+    // task-boundary check.
+    let trip_error = |columns_done: usize| budget_error(!cancelled(), columns_done, n);
     let check = |columns_done: usize| -> Result<(), LuError> {
         if let Some(o) = obs {
             o.metrics().incr(Counter::BudgetCheckpoints);
         }
-        if req.tripped() {
-            Err(req.trip_error(columns_done, n))
+        if tripped() {
+            Err(trip_error(columns_done))
         } else {
             Ok(())
         }
@@ -387,7 +397,7 @@ pub fn analyze_with(
         if let Some(o) = obs {
             o.metrics().incr(Counter::BudgetCheckpoints);
         }
-        !req.tripped()
+        !tripped()
     };
     let q = match opts.ordering {
         OrderingChoice::MinDegreeAtA => {
@@ -396,7 +406,7 @@ pub fn analyze_with(
         OrderingChoice::Natural => Some(Permutation::identity(n)),
         OrderingChoice::Rcm => keep_going().then(|| reverse_cuthill_mckee(&p1)),
     }
-    .ok_or_else(|| req.trip_error(0, n))?;
+    .ok_or_else(|| trip_error(0))?;
     drop(ordering_phase);
     let p2 = p1.permuted(&q, &q);
     let mut row_perm = q.compose(&rp0);
@@ -418,7 +428,7 @@ pub fn analyze_with(
         o.metrics().add(Counter::FillU, sum(skel.u_len()));
     }
     #[cfg(feature = "failpoints")]
-    failpoints::maybe_cancel_symbolic(req.budget.token.as_ref());
+    failpoints::maybe_cancel_symbolic(budget.token.as_ref());
     check(n)?;
 
     // 3. Eforest postordering. Theorem 3: the filled structure of the

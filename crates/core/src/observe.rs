@@ -15,7 +15,7 @@
 //!   schema `parsplu-run-report/1`, validated by
 //!   `splu_bench::json::validate_run_report`.
 //!
-//! The unobserved paths (`SymbolicRequest.obs == None`,
+//! The unobserved paths ([`crate::analyze_with`] without a session,
 //! `NumericRequest.metrics == None`, `TraceConfig::off()`) never read the
 //! clock and never count, so the bitwise-invariance guarantees of the
 //! front half and the executors are untouched.

@@ -1,8 +1,7 @@
 //! The unified numeric-phase entry point: a [`NumericRequest`] names every
 //! parameter of one factorization — task graph, worker count and mapping,
 //! pivoting, tracing, and kernel selection — and
-//! [`factor_numeric_with`] is the single driver that runs it. Its sibling
-//! [`SymbolicRequest`] bounds and observes the analysis phases. New
+//! [`factor_numeric_with`] is the single driver that runs it. New
 //! parameters (like [`KernelChoice`] for the dense kernel layer) become
 //! fields with defaults instead of new functions.
 //!
@@ -32,9 +31,8 @@
 use crate::blocks::BlockMatrix;
 use crate::costs::update_flops;
 use crate::numeric::{factor_flops, TaskBodies};
-use crate::observe::ObsSession;
 use crate::solve::growth_factor;
-use crate::{LuError, Options};
+use crate::LuError;
 use splu_dense::{Dispatch, KernelChoice, PanelBreakdown, PivotRule};
 use splu_obs::{Counter, MetricsRegistry};
 use splu_sched::{
@@ -46,7 +44,6 @@ use splu_symbolic::supernode::BlockStructure;
 use std::mem::size_of;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What the factorization does at a column whose static structure offers no
 /// pivot above the threshold.
@@ -232,72 +229,11 @@ impl<'g> NumericRequest<'g> {
     }
 }
 
-/// Parameters of one symbolic front half — transversal, ordering, the
-/// skeleton of the static symbolic factorization, eforest postorder,
-/// supernodes and their row and column lists — which runs on the calling
-/// thread. Build with [`SymbolicRequest::new`] or
-/// [`SymbolicRequest::from_options`], adjust with the chainable setters,
-/// run with [`crate::analyze_with`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SymbolicRequest {
-    /// Bounds on the front half, as [`NumericRequest::budget`] bounds the
-    /// numeric phase: cancellation token and wall-clock deadline, checked
-    /// once per ordering pivot and between phases (so `--time-limit` covers
-    /// symbolic runs too); an interrupted run returns
-    /// [`LuError::Cancelled`] / [`LuError::DeadlineExceeded`].
-    pub budget: RunBudget,
-    /// Observability session: when set, the front half records phase spans
-    /// into its [`crate::observe::ObsSession::trace`] and counts fill
-    /// entries / budget checkpoints into its metrics registry. `None` (the
-    /// default) records and counts nothing — the unobserved path never
-    /// reads the clock.
-    pub obs: Option<ObsSession>,
-}
-
-impl SymbolicRequest {
-    /// The default request: unbounded, unobserved.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The front-half request implied by driver options: the budget is
-    /// lifted from [`Options::budget`].
-    pub fn from_options(opts: &Options) -> Self {
-        SymbolicRequest::new().budget(opts.budget.clone())
-    }
-
-    /// Sets the run budget (cancellation / deadline).
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches an observability session (spans + counters).
-    pub fn observe(mut self, session: ObsSession) -> Self {
-        self.obs = Some(session);
-        self
-    }
-
-    fn deadline_passed(&self) -> bool {
-        self.budget.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Whether the budget asks the front half to stop (token cancelled or
-    /// deadline passed).
-    pub(crate) fn tripped(&self) -> bool {
-        self.budget.token.as_ref().is_some_and(|t| t.is_cancelled()) || self.deadline_passed()
-    }
-
-    /// The error a tripped budget maps to. `columns_done` counts factor
-    /// columns whose structure was completed before the trip.
-    pub(crate) fn trip_error(&self, columns_done: usize, tasks_pending: usize) -> LuError {
-        budget_error(self.deadline_passed(), columns_done, tasks_pending)
-    }
-}
-
 /// The error of a run its [`RunBudget`] stopped — a missed deadline or a
-/// cancellation — with the progress made; both phases report these two.
-fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> LuError {
+/// cancellation — with the progress made; both phases report these two,
+/// and both read the token before the deadline, so a budget that holds a
+/// cancelled token and a passed deadline reports a cancellation.
+pub(crate) fn budget_error(deadline: bool, columns_done: usize, tasks_pending: usize) -> LuError {
     if deadline {
         LuError::DeadlineExceeded {
             columns_done,
@@ -479,7 +415,9 @@ impl RangePlan {
     ///
     /// # Panics
     ///
-    /// As [`Self::new`]: when the graph is not over the storage's structure.
+    /// When the graph is not over the storage's structure: when it is over
+    /// another partition or has another task count, when a node would hold
+    /// no task, or when an edge of it leads back in the left-looking order.
     pub fn contract(bm: &BlockMatrix, req: &NumericRequest<'_>) -> Option<RangePlan> {
         let GraphRef::Coarse { graph, mapping } = req.graph else {
             return None;
@@ -686,6 +624,7 @@ pub fn factor_numeric_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Options;
     use splu_sched::{build_eforest_graph, build_sstar_graph};
     use splu_sparse::CscMatrix;
     use splu_symbolic::static_fact::static_symbolic_factorization;

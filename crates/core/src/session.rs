@@ -67,7 +67,7 @@ use crate::blocks::{BlockMatrix, Layout};
 use crate::observe::{ObsSession, RefactorPath};
 use crate::request::{factor_numeric_with, NumericRequest, RangePlan};
 use crate::solve::{solve_many_permuted, solve_permuted_with, solve_transposed_permuted_with};
-use crate::{analyze_with, LuError, Options, Stats, SymbolicLu, SymbolicRequest};
+use crate::{analyze_with, LuError, Options, Stats, SymbolicLu};
 use splu_dense::Dispatch;
 use splu_obs::Counter;
 use splu_sched::{FactorHealth, RunBudget};
@@ -223,11 +223,7 @@ impl Analysis {
         obs: Option<&ObsSession>,
         one_shot: bool,
     ) -> Result<Analysis, LuError> {
-        let mut sreq = SymbolicRequest::from_options(opts);
-        if let Some(o) = obs {
-            sreq = sreq.observe(o.clone());
-        }
-        let mut sym = analyze_with(pattern, opts, &sreq)?;
+        let mut sym = analyze_with(pattern, opts, obs)?;
         {
             let _p = obs.map(|o| o.phase("derive"));
             let (rows, cols, bs) = (&sym.row_perm, &sym.col_perm, &sym.block_structure);

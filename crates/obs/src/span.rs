@@ -72,11 +72,6 @@ impl PipelineTrace {
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The shared epoch, for aligning external recorders (the numeric
     /// executor) onto this timeline. `None` when disabled.
     pub fn epoch(&self) -> Option<Instant> {
@@ -149,7 +144,6 @@ mod tests {
     #[test]
     fn off_records_nothing() {
         let t = PipelineTrace::off();
-        assert!(!t.is_enabled());
         assert!(t.epoch().is_none());
         {
             let _g = t.span("ordering");

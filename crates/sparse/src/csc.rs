@@ -1,7 +1,7 @@
 //! Compressed sparse column matrices — the solver's working format.
 
 use crate::pattern::check_dims;
-use crate::{CsrMatrix, Permutation, SparseError, SparsityPattern};
+use crate::{Permutation, SparseError, SparsityPattern};
 
 /// A numeric sparse matrix in compressed-column form.
 ///
@@ -27,12 +27,6 @@ impl CscMatrix {
             )));
         }
         Ok(CscMatrix { pattern, values })
-    }
-
-    /// Builds a matrix with the given pattern and all values zero.
-    pub fn zeros_from_pattern(pattern: SparsityPattern) -> Self {
-        let values = vec![0.0; pattern.nnz()];
-        CscMatrix { pattern, values }
     }
 
     /// Builds a matrix from `(row, col, value)` triplets, summing duplicates.
@@ -215,31 +209,6 @@ impl CscMatrix {
                 .map(|(i, j, v)| (row_perm.new_of(i), col_perm.new_of(j), v)),
         )
         .expect("permutation preserves validity")
-    }
-
-    /// Conversion to compressed-row form.
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_triplets_iter(self.nrows(), self.ncols(), self.triplets())
-            .expect("valid matrix converts")
-    }
-
-    /// Dense column-major dump: element `(i, j)` at `out[i + j * nrows]`.
-    pub fn to_dense_col_major(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.nrows() * self.ncols()];
-        for (i, j, v) in self.triplets() {
-            out[i + j * self.nrows()] += v;
-        }
-        out
-    }
-
-    /// Drops stored entries with `|value| <= tol`, returning the count removed.
-    pub fn prune(&mut self, tol: f64) -> usize {
-        let before = self.nnz();
-        let kept: Vec<(usize, usize, f64)> =
-            self.triplets().filter(|&(_, _, v)| v.abs() > tol).collect();
-        *self = CscMatrix::from_triplets_iter(self.nrows(), self.ncols(), kept)
-            .expect("pruning preserves validity");
-        before - self.nnz()
     }
 }
 
@@ -437,32 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn identity_and_dense_dump() {
+    fn identity_has_one_entry_per_column() {
         let i3 = CscMatrix::identity(3);
         assert_eq!(i3.nnz(), 3);
-        let d = i3.to_dense_col_major();
-        assert_eq!(d[0], 1.0);
-        assert_eq!(d[1], 0.0);
-        assert_eq!(d[2 + 2 * 3], 1.0);
-    }
-
-    #[test]
-    fn prune_drops_small_entries() {
-        let mut a = CscMatrix::from_triplets(2, 2, &[(0, 0, 1e-20), (1, 1, 2.0)]).unwrap();
-        assert_eq!(a.prune(1e-12), 1);
-        assert_eq!(a.nnz(), 1);
-        assert_eq!(a.get(1, 1), 2.0);
     }
 
     #[test]
     fn from_pattern_values_validates_length() {
         let p = SparsityPattern::identity(2);
         assert!(CscMatrix::from_pattern_values(p.clone(), vec![1.0]).is_err());
-        let m = CscMatrix::from_pattern_values(p.clone(), vec![1.0, 2.0]).unwrap();
+        let m = CscMatrix::from_pattern_values(p, vec![1.0, 2.0]).unwrap();
         assert_eq!(m.get(1, 1), 2.0);
-        let z = CscMatrix::zeros_from_pattern(p);
-        assert_eq!(z.get(0, 0), 0.0);
-        assert_eq!(z.nnz(), 2);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * [`SparsityPattern`] — a compressed column-major index structure without
 //!   values, used by the symbolic algorithms (static symbolic factorization,
 //!   elimination forests, supernode detection).
-//! * [`CooMatrix`], [`CscMatrix`], [`CsrMatrix`] — numeric sparse storage in
-//!   triplet, compressed-column and compressed-row form.
+//! * [`CooMatrix`], [`CscMatrix`] — numeric sparse storage in triplet and
+//!   compressed-column form.
 //! * [`Permutation`] — row/column permutations with cached inverses, the
 //!   currency of the ordering and postordering steps.
 //! * [`io`] — Matrix Market and Harwell–Boeing readers/writers so real
@@ -23,7 +23,6 @@
 
 mod coo;
 mod csc;
-mod csr;
 mod error;
 pub mod io;
 mod pattern;
@@ -33,7 +32,6 @@ pub mod stats;
 
 pub use coo::CooMatrix;
 pub use csc::{CscMatrix, CscRef};
-pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use pattern::SparsityPattern;
 pub use perm::Permutation;

@@ -102,15 +102,6 @@ impl Partition {
             .max()
             .unwrap_or(0)
     }
-
-    /// Mean block width.
-    pub fn mean_width(&self) -> f64 {
-        if self.num_blocks() == 0 {
-            0.0
-        } else {
-            self.n() as f64 / self.num_blocks() as f64
-        }
-    }
 }
 
 /// What the partition and amalgamation rules read: the eforest parents
@@ -620,25 +611,6 @@ impl BlockStructure {
             self.u_blocks.col(ib).binary_search(&(jb as u32)).is_ok()
         }
     }
-
-    /// Block-level sparsity pattern (N×N) of `Ā`.
-    pub fn block_pattern(&self) -> SparsityPattern {
-        let nb = self.num_blocks();
-        let mut entries = Vec::new();
-        for jb in 0..nb {
-            for &ib in self.l_blocks.col(jb) {
-                entries.push((ib as usize, jb));
-            }
-        }
-        for ib in 0..nb {
-            for &jb in self.u_blocks.col(ib) {
-                if jb as usize > ib {
-                    entries.push((ib, jb as usize));
-                }
-            }
-        }
-        SparsityPattern::from_entries(nb, nb, entries).expect("block indices are in range")
-    }
 }
 
 #[cfg(test)]
@@ -662,7 +634,6 @@ mod tests {
         assert_eq!(p.width(2), 4);
         assert_eq!(p.block_of_cols(), vec![0, 0, 1, 2, 2, 2, 2]);
         assert_eq!(p.max_width(), 4);
-        assert!((p.mean_width() - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -787,8 +758,6 @@ mod tests {
             assert_eq!(bs.l_blocks.col(k)[0] as usize, k);
             assert_eq!(bs.u_blocks.col(k)[0] as usize, k);
         }
-        let bp = bs.block_pattern();
-        assert!(bp.has_zero_free_diagonal());
     }
 
     /// Patterns of the reduced paper suite (minimum-degree ordered) and

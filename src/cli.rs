@@ -5,9 +5,9 @@
 //! `parsplu` binary is a thin wrapper.
 
 use splu_core::{
-    analyze, analyze_with, estimate_inverse_1norm, BreakdownPolicy, CancelToken, KernelChoice,
-    LuError, MatrixMeta, ObsSession, Options, OrderingChoice, PivotRule, RunStatus, SparseLu,
-    SymbolicRequest, WatchdogConfig,
+    analyze_with, estimate_inverse_1norm, BreakdownPolicy, CancelToken, KernelChoice, LuError,
+    MatrixMeta, ObsSession, Options, OrderingChoice, PivotRule, RunStatus, SparseLu,
+    WatchdogConfig,
 };
 use splu_matgen::{manufactured_rhs, paper_matrix, Scale};
 use splu_sched::{block_forest, Mapping};
@@ -432,23 +432,19 @@ fn cmd_analyze(
         load(path)?
     };
     let ms = splu_sparse::stats::matrix_stats(&a);
-    let sym = match &session {
-        Some(o) => {
-            let sreq = SymbolicRequest::from_options(&cli.opts).observe(o.clone());
-            match analyze_with(a.pattern(), &cli.opts, &sreq) {
-                Ok(sym) => sym,
-                Err(e) => {
-                    let meta = MatrixMeta {
-                        name: matrix_name(path),
-                        n: a.ncols(),
-                        nnz: a.nnz(),
-                    };
-                    write_observability(o, &cli, meta, RunStatus::from_error(&e))?;
-                    return Err(e.into());
-                }
+    let sym = match analyze_with(a.pattern(), &cli.opts, session.as_ref()) {
+        Ok(sym) => sym,
+        Err(e) => {
+            if let Some(o) = &session {
+                let meta = MatrixMeta {
+                    name: matrix_name(path),
+                    n: a.ncols(),
+                    nnz: a.nnz(),
+                };
+                write_observability(o, &cli, meta, RunStatus::from_error(&e))?;
             }
+            return Err(e.into());
         }
-        None => analyze(a.pattern(), &cli.opts)?,
     };
     let s = &sym.stats;
     let mut out = String::new();

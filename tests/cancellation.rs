@@ -131,6 +131,41 @@ fn expired_deadline_is_deterministic() {
     }
 }
 
+/// A budget that holds both a cancelled token and a passed deadline
+/// reports a cancellation, in the analysis as in the numeric phase: both
+/// read the token first.
+#[test]
+fn a_cancelled_token_outranks_a_passed_deadline_in_both_phases() {
+    use parsplu::core::SluSession;
+    let a = random_unsymmetric(40, 3, 2);
+    let token = CancelToken::new();
+    token.cancel();
+    let budget = RunBudget::unbounded()
+        .with_token(token)
+        .with_deadline(Instant::now());
+    for &threads in &THREADS {
+        let o = Options {
+            budget: budget.clone(),
+            ..opts(threads, Mapping::Static1D)
+        };
+        let factored = SparseLu::factor(&a, &o).map(|_| ());
+        let analyzed = SluSession::analyze(a.pattern(), &o).map(|_| ());
+        let mut s = SluSession::analyze(a.pattern(), &opts(threads, Mapping::Static1D)).unwrap();
+        s.set_budget(budget.clone());
+        let numeric = s.factor(&a).map(|_| ());
+        for (what, outcome) in [
+            ("SparseLu::factor", factored),
+            ("SluSession::analyze", analyzed),
+            ("SluSession::factor", numeric),
+        ] {
+            assert!(
+                matches!(outcome, Err(LuError::Cancelled { .. })),
+                "threads={threads} {what}: expected Cancelled, got {outcome:?}"
+            );
+        }
+    }
+}
+
 /// A generous deadline and an armed watchdog leave a healthy run entirely
 /// alone: it completes with the same bits as an unbudgeted one.
 #[test]

@@ -14,7 +14,7 @@
 //!   reference structure, permuted (Theorem 3) — on the scalar oracle;
 //! * an observability session changes nothing about either.
 
-use parsplu::core::{analyze, analyze_with, ObsSession, Options, SymbolicRequest};
+use parsplu::core::{analyze, analyze_with, ObsSession, Options};
 use parsplu::matgen::{paper_suite, random_pattern, random_unsymmetric, Scale};
 use parsplu::ordering::{maximum_transversal, StructuralRank};
 use parsplu::sparse::{Permutation, SparsityPattern};
@@ -113,8 +113,8 @@ fn traced_front_half_is_bitwise_identical_to_untraced() {
     for m in paper_suite(Scale::Reduced).into_iter().take(3) {
         let opts = Options::default();
         let plain = analyze(m.a.pattern(), &opts).expect("untraced analysis");
-        let req = SymbolicRequest::from_options(&opts).observe(ObsSession::with_events());
-        let traced = analyze_with(m.a.pattern(), &opts, &req).expect("traced analysis");
+        let session = ObsSession::with_events();
+        let traced = analyze_with(m.a.pattern(), &opts, Some(&session)).expect("traced analysis");
         assert_eq!(traced.row_perm, plain.row_perm, "{}", m.name);
         assert_eq!(traced.col_perm, plain.col_perm, "{}", m.name);
         assert_eq!(traced.block_structure, plain.block_structure, "{}", m.name);
@@ -149,8 +149,7 @@ fn front_spans_land_on_the_session_trace_as_chrome_tracks() {
     let m = &paper_suite(Scale::Reduced)[0];
     let session = ObsSession::with_events();
     let opts = Options::default();
-    let req = SymbolicRequest::from_options(&opts).observe(session.clone());
-    analyze_with(m.a.pattern(), &opts, &req).expect("analysis succeeds");
+    analyze_with(m.a.pattern(), &opts, Some(&session)).expect("analysis succeeds");
     // The session's own export must already be a valid Chrome trace with
     // each symbolic phase as one span, in pipeline order.
     let doc = parse(&session.chrome_json()).expect("valid JSON");
